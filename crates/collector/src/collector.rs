@@ -8,11 +8,14 @@ use monster_redfish::client::{ClientConfig, RedfishClient, SweepOutcome};
 use monster_redfish::resilience::{BreakerCounts, HealthRegistry, ResilienceConfig};
 use monster_redfish::types::{Category, NodeReading};
 use monster_redfish::SimulatedCluster;
+use monster_scheduler::accounting::{accounting_pull, AccountingSnapshot};
 use monster_scheduler::{JobState, Qmaster};
 use monster_sim::VDuration;
 use monster_tsdb::{DataPoint, Db};
 use monster_util::{EpochSecs, JobId, NodeId, Result};
-use std::collections::HashMap;
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Collector configuration.
 #[derive(Debug, Clone)]
@@ -20,7 +23,8 @@ pub struct CollectorConfig {
     /// Storage schema generation to build points for.
     pub schema: SchemaVersion,
     /// Collection interval in seconds (the paper settles on 60 s,
-    /// §III-B4).
+    /// §III-B4). Past ARCo's `RECENT_FINISH_WINDOW_SECS` a job can finish
+    /// and leave the accounting pull between two intervals.
     pub interval_secs: i64,
     /// Redfish client settings.
     pub client: ClientConfig,
@@ -54,7 +58,7 @@ pub struct IntervalOutput {
     /// per-BMC children, and (via [`Collector::collect_and_store`]) the
     /// TSDB write batches all hang off this context's span.
     pub trace: monster_obs::TraceContext,
-    /// Points built this interval.
+    /// Points built this interval, in storage the collector takes back.
     pub points: Vec<DataPoint>,
     /// The BMC sweep outcome (latency/makespan statistics).
     pub sweep: SweepOutcome,
@@ -80,6 +84,17 @@ pub struct IntervalOutput {
     /// Detector transitions observed while ingesting this interval's live
     /// readings (empty when detectors are off — and on a healthy interval).
     pub anomalies: Vec<AnomalyEvent>,
+    /// The collector's `point_home`.
+    home: Arc<Mutex<Vec<DataPoint>>>,
+}
+
+impl Drop for IntervalOutput {
+    /// Hands `points` back uncleared: freeing ~10 k points' strings is the
+    /// next `collect_interval`'s first step, not a cost of whoever
+    /// happens to drop the output.
+    fn drop(&mut self) {
+        *self.home.lock() = std::mem::take(&mut self.points);
+    }
 }
 
 /// The Metrics Collector service.
@@ -89,13 +104,15 @@ pub struct Collector {
     finish_estimator: FinishEstimator,
     /// Per-BMC health and breakers (resilient path only).
     registry: Option<HealthRegistry>,
-    /// Last successfully parsed reading per (node, category), served
-    /// tagged stale while the node is skipped or failing.
-    last_good: HashMap<(NodeId, Category), NodeReading>,
-    /// Sweep index at which each (node, category) was last fresh.
-    last_fresh: HashMap<(NodeId, Category), u64>,
+    /// Last successfully parsed reading per (node, category) and the
+    /// sweep index it came from, served tagged stale while the node is
+    /// skipped or failing.
+    last_good: HashMap<(NodeId, Category), (NodeReading, u64)>,
     /// Streaming per-(node, signal) anomaly detectors, fed live readings.
     detectors: Option<DetectorBank>,
+    /// The previous interval's points, once its output has been dropped;
+    /// the next interval clears and refills the same storage.
+    point_home: Arc<Mutex<Vec<DataPoint>>>,
 }
 
 impl Collector {
@@ -118,8 +135,8 @@ impl Collector {
             finish_estimator: FinishEstimator::new(),
             registry,
             last_good: HashMap::new(),
-            last_fresh: HashMap::new(),
             detectors,
+            point_home: Arc::default(),
         }
     }
 
@@ -152,6 +169,11 @@ impl Collector {
         // writes made while we hold the guard all join the same trace.
         let trace_ctx = span.context();
         let _trace_guard = monster_obs::trace::set_current(trace_ctx);
+        // The previous interval's points are freed here, before the sweep
+        // allocates, whoever dropped the output and whenever.
+        let mut points = std::mem::take(&mut *self.point_home.lock());
+        points.clear();
+        points.reserve(cluster.len() * 16);
 
         // --- out-of-band: Redfish sweep ---
         // Resilient when configured: breakers + backoff + deadline budget;
@@ -162,9 +184,8 @@ impl Collector {
         };
         let resilient = self.registry.is_some();
         let current_sweep = self.registry.as_ref().map(|r| r.sweep_index()).unwrap_or(0);
-        let mut points: Vec<DataPoint> = Vec::with_capacity(cluster.len() * 16);
         let mut stale_points = 0usize;
-        let mut stale_age: HashMap<NodeId, u64> = HashMap::new();
+        let mut stale_age: BTreeMap<NodeId, u64> = BTreeMap::new();
         // `Vec::new` defers its first allocation to the first push, so a
         // healthy interval (no transitions) stays allocation-free here.
         let mut anomalies: Vec<AnomalyEvent> = Vec::new();
@@ -183,68 +204,42 @@ impl Collector {
                         &mut anomalies,
                     );
                 }
-                // A live reading advances this series' last-good-ingest
-                // watermark — the raw material of the freshness SLO.
-                monster_obs::freshness().record_ingest(
-                    &outcome.node.to_string(),
-                    &outcome.category.to_string(),
-                    now.as_secs() as f64,
-                );
                 if resilient {
-                    self.last_good.insert((outcome.node, outcome.category), reading.clone());
-                    self.last_fresh.insert((outcome.node, outcome.category), current_sweep);
+                    let fresh = (reading.clone(), current_sweep);
+                    self.last_good.insert((outcome.node, outcome.category), fresh);
                 }
             } else if resilient {
                 // Degraded: serve the last-known-good reading for this
                 // (node, category), tagged stale so queries can tell
                 // substituted values from live ones.
-                let key = (outcome.node, outcome.category);
-                if let Some(prev) = self.last_good.get(&key) {
+                if let Some((prev, fresh_at)) =
+                    self.last_good.get(&(outcome.node, outcome.category))
+                {
                     let substituted = bmc_points(self.config.schema, outcome.node, prev, now)
                         .into_iter()
                         .map(|p| p.tag("Stale", "true"));
                     let before = points.len();
                     points.extend(substituted);
                     stale_points += points.len() - before;
-                    let age = current_sweep
-                        .saturating_sub(self.last_fresh.get(&key).copied().unwrap_or(0));
+                    let age = current_sweep.saturating_sub(*fresh_at);
                     let entry = stale_age.entry(outcome.node).or_insert(0);
                     *entry = (*entry).max(age);
                 }
             }
         }
-        let mut stale_nodes: Vec<(NodeId, u64)> = stale_age.into_iter().collect();
-        stale_nodes.sort_unstable();
+        // A live reading advances its series' last-good-ingest watermark —
+        // the raw material of the freshness SLO.
+        monster_obs::freshness().record_ingests(
+            now.as_secs() as f64,
+            sweep.results.iter().filter(|o| o.reading.is_some()).map(|o| (o.node, o.category)),
+        );
+        let stale_nodes: Vec<(NodeId, u64)> = stale_age.into_iter().collect();
         let degraded = sweep.degraded();
         let breakers = self.registry.as_ref().map(|r| r.breaker_counts()).unwrap_or_default();
 
         // --- in-band: resource manager pull ---
-        let (_, uge_bytes) = monster_scheduler::accounting::accounting_pull(qm);
-        let mut running_ids: Vec<JobId> = Vec::new();
-        for report in qm.all_load_reports() {
-            points.extend(uge_points(self.config.schema, &report, now));
-            running_ids.extend(report.job_list.iter().copied());
-        }
-        running_ids.sort_unstable();
-        running_ids.dedup();
-
-        // Job documents: running jobs every interval, finished jobs once
-        // (when ARCo first reports them done).
-        for job in qm.jobs() {
-            let fresh_finish = match &job.state {
-                JobState::Done { end, .. } | JobState::Failed { end, .. } => {
-                    *end > now - self.config.interval_secs
-                }
-                JobState::Running { .. } => true,
-                JobState::Pending => false,
-            };
-            if fresh_finish {
-                points.extend(job_points(self.config.schema, job, now));
-            }
-        }
-
-        // Finish-time estimation from job-list diffs.
-        let estimated_finishes = self.finish_estimator.observe(running_ids, now);
+        let (snapshot, uge_bytes) = accounting_pull(qm);
+        let estimated_finishes = self.inband_points(&snapshot, now, &mut points);
 
         let simulated_collection_time = sweep.makespan;
 
@@ -281,7 +276,37 @@ impl Collector {
             degraded,
             breakers,
             anomalies,
+            home: Arc::clone(&self.point_home),
         }
+    }
+
+    /// The in-band half of every collection path: the UGE / NodeJobs
+    /// points of each load report, the JobsInfo point of each job that is
+    /// running or that ARCo first reports finished this interval, and the
+    /// finish times estimated from job-list diffs.
+    fn inband_points(
+        &mut self,
+        snapshot: &AccountingSnapshot<'_>,
+        now: EpochSecs,
+        points: &mut Vec<DataPoint>,
+    ) -> Vec<(JobId, EpochSecs)> {
+        let schema = self.config.schema;
+        for report in &snapshot.nodes {
+            points.extend(uge_points(schema, report, now));
+        }
+        let previous_pull = now - self.config.interval_secs;
+        for job in &snapshot.jobs {
+            let fresh = match &job.state {
+                JobState::Done { end, .. } | JobState::Failed { end, .. } => *end > previous_pull,
+                JobState::Running { .. } => true,
+                JobState::Pending => false,
+            };
+            if fresh {
+                points.extend(job_points(schema, job, now));
+            }
+        }
+        let on_nodes = snapshot.nodes.iter().flat_map(|r| r.job_list.iter().copied());
+        self.finish_estimator.observe(on_nodes, now)
     }
 
     /// Collect one interval **without** the Redfish wire layer: readings
@@ -296,7 +321,6 @@ impl Collector {
         qm: &Qmaster,
         now: EpochSecs,
     ) -> Vec<DataPoint> {
-        use monster_redfish::NodeReading;
         let mut points: Vec<DataPoint> = Vec::with_capacity(cluster.len() * 16);
         for &node in cluster.node_ids() {
             let s = cluster.sensors(node).expect("node exists");
@@ -317,26 +341,7 @@ impl Collector {
                 points.extend(bmc_points(self.config.schema, node, r, now));
             }
         }
-        let mut running_ids: Vec<JobId> = Vec::new();
-        for report in qm.all_load_reports() {
-            points.extend(uge_points(self.config.schema, &report, now));
-            running_ids.extend(report.job_list.iter().copied());
-        }
-        running_ids.sort_unstable();
-        running_ids.dedup();
-        for job in qm.jobs() {
-            let fresh = match &job.state {
-                JobState::Done { end, .. } | JobState::Failed { end, .. } => {
-                    *end > now - self.config.interval_secs
-                }
-                JobState::Running { .. } => true,
-                JobState::Pending => false,
-            };
-            if fresh {
-                points.extend(job_points(self.config.schema, job, now));
-            }
-        }
-        self.finish_estimator.observe(running_ids, now);
+        self.inband_points(&accounting_pull(qm).0, now, &mut points);
         points
     }
 
@@ -345,8 +350,8 @@ impl Collector {
     /// fast-cadence sample recorded since the last fetch — sub-minute
     /// resolution for one request's worth of BMC latency per node.
     ///
-    /// Health and resource-manager data still flow through the regular
-    /// paths; telemetry covers the Thermal/Power sensors.
+    /// Resource-manager data still flows through the regular in-band
+    /// pull; telemetry covers the Thermal/Power sensors.
     pub fn collect_interval_telemetry(
         &mut self,
         telemetry: &mut monster_redfish::telemetry::TelemetryService,
@@ -355,7 +360,6 @@ impl Collector {
         now: EpochSecs,
     ) -> Result<Vec<DataPoint>> {
         use monster_redfish::telemetry::parse_report;
-        use monster_redfish::NodeReading;
         let mut points: Vec<DataPoint> = Vec::with_capacity(cluster.len() * 90);
         for &node in cluster.node_ids() {
             let report = telemetry.take_report(node)?;
@@ -370,14 +374,7 @@ impl Collector {
                 points.extend(bmc_points(self.config.schema, node, &power, sample.time));
             }
         }
-        let mut running_ids: Vec<JobId> = Vec::new();
-        for report in qm.all_load_reports() {
-            points.extend(uge_points(self.config.schema, &report, now));
-            running_ids.extend(report.job_list.iter().copied());
-        }
-        running_ids.sort_unstable();
-        running_ids.dedup();
-        self.finish_estimator.observe(running_ids, now);
+        self.inband_points(&accounting_pull(qm).0, now, &mut points);
         Ok(points)
     }
 
@@ -415,6 +412,7 @@ mod tests {
     use super::*;
     use monster_redfish::bmc::BmcConfig;
     use monster_redfish::cluster::ClusterConfig;
+    use monster_redfish::resilience::ResilienceConfig;
     use monster_scheduler::{JobShape, JobSpec, QmasterConfig, WorkloadConfig, WorkloadGenerator};
     use monster_tsdb::DbConfig;
     use monster_util::UserName;
@@ -558,5 +556,60 @@ mod tests {
             new.wire_bytes
         );
         assert!(old.cardinality > new.cardinality, "cardinality didn't drop");
+    }
+
+    /// Six intervals over a rig whose third node's BMC dies after the
+    /// first and comes back after the fourth, with a job that finishes on
+    /// the way; `keep_outputs` decides whether each output is dropped
+    /// (handing its buffer back) before the next interval runs.
+    fn buffer_run(keep_outputs: bool) -> (Vec<Vec<DataPoint>>, Vec<*const DataPoint>, usize) {
+        let (cluster, mut qm) = rig(5, 6);
+        let victim = cluster.node_ids()[2];
+        for (name, runtime_secs) in [("short.sh", 150), ("long.sh", 100_000)] {
+            qm.submit_at(
+                t0() + 1,
+                JobSpec {
+                    user: UserName::new("dana"),
+                    name: name.into(),
+                    shape: JobShape::Serial { slots: 6 },
+                    runtime_secs,
+                    priority: 0,
+                    mem_per_slot_gib: 1.0,
+                },
+            );
+        }
+        let mut col = Collector::new(CollectorConfig {
+            resilience: Some(ResilienceConfig::default()),
+            ..CollectorConfig::default()
+        });
+        let (mut built, mut storage, mut stale, mut kept) = (Vec::new(), Vec::new(), 0, Vec::new());
+        for k in 1..=6 {
+            cluster.set_bmc_alive(victim, !(2..=4).contains(&k)).unwrap();
+            qm.run_until(t0() + 60 * k);
+            cluster.step(60.0, |n| qm.utilization(n));
+            let out = col.collect_interval(&cluster, &qm, t0() + 60 * k);
+            built.push(out.points.clone());
+            storage.push(out.points.as_ptr());
+            stale += out.stale_points;
+            if keep_outputs {
+                kept.push(out);
+            }
+        }
+        (built, storage, stale)
+    }
+
+    #[test]
+    fn recycled_buffer_builds_the_same_points_as_a_fresh_one() {
+        let (recycled, recycled_storage, stale) = buffer_run(false);
+        let (fresh, fresh_storage, _) = buffer_run(true);
+        assert!(stale > 0, "no Stale=true substitution interval in the run");
+        assert!(recycled.iter().flatten().any(|p| p.tags.iter().any(|(k, _)| k == "Stale")));
+        assert_eq!(recycled, fresh);
+        // The two runs really differ in where they built: outputs alive
+        // together cannot share storage; dropped ones hand theirs on.
+        let distinct =
+            |ptrs: &[*const DataPoint]| ptrs.iter().collect::<std::collections::HashSet<_>>().len();
+        assert_eq!(distinct(&fresh_storage), fresh_storage.len());
+        assert!(distinct(&recycled_storage) < recycled_storage.len());
     }
 }

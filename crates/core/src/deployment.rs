@@ -272,7 +272,7 @@ impl Monster {
     /// Run one full collection interval through the Redfish wire layer.
     pub fn run_interval(&mut self) -> Result<IntervalSummary> {
         self.advance_world();
-        let out =
+        let mut out =
             self.collector.collect_and_store(&self.cluster, &self.qmaster, self.now, &self.db)?;
         self.intervals_run += 1;
         self.maintain_rollups();
@@ -349,7 +349,7 @@ impl Monster {
             bmc_failures: out.sweep.failures(),
             bmc_skipped: out.sweep.skipped(),
             stale_points: out.stale_points,
-            stale_nodes: out.stale_nodes,
+            stale_nodes: std::mem::take(&mut out.stale_nodes),
             degraded: out.degraded,
             breakers_open: out.breakers.open,
             trace: out.trace,

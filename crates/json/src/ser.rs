@@ -1,6 +1,7 @@
 //! JSON serialization: compact and pretty writers.
 
 use crate::Value;
+use std::fmt::{self, Write as _};
 
 /// Serialize `v`; `pretty` selects two-space indentation.
 pub fn to_string(v: &Value, pretty: bool) -> String {
@@ -15,7 +16,7 @@ fn write_value(out: &mut String, v: &Value, pretty: bool, indent: usize) {
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
         Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => write_f64(out, *f),
+        Value::Float(f) => write_f64(out, *f).expect("writing to a String cannot fail"),
         Value::Str(s) => write_string(out, s),
         Value::Array(a) => {
             if a.is_empty() {
@@ -72,21 +73,36 @@ fn newline_indent(out: &mut String, indent: usize) {
     }
 }
 
+/// Write `f` the way the serializer does, into any [`fmt::Write`] sink —
+/// a `String`, or a byte counter that wants the length without the text.
+/// Nothing is allocated on the way.
+///
 /// Floats serialize via Rust's shortest round-trip formatting; non-finite
 /// values (not representable in JSON) degrade to `null`, matching what
 /// InfluxDB's HTTP layer does.
-fn write_f64(out: &mut String, f: f64) {
-    if !f.is_finite() {
-        out.push_str("null");
-        return;
+pub fn write_f64<W: fmt::Write>(out: &mut W, f: f64) -> fmt::Result {
+    /// Forwards to `out`, remembering whether a fraction or exponent went by.
+    struct Probe<'a, W> {
+        out: &'a mut W,
+        fractional: bool,
     }
-    let s = format!("{f}");
-    out.push_str(&s);
+    impl<W: fmt::Write> fmt::Write for Probe<'_, W> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.fractional |= s.contains(['.', 'e', 'E']);
+            self.out.write_str(s)
+        }
+    }
+    if !f.is_finite() {
+        return out.write_str("null");
+    }
+    let mut probe = Probe { out, fractional: false };
+    write!(probe, "{f}")?;
     // `{}` prints integral floats without a dot ("3"); keep the float type
     // distinguishable on re-parse.
-    if !s.contains(['.', 'e', 'E']) {
-        out.push_str(".0");
+    if !probe.fractional {
+        out.write_str(".0")?;
     }
+    Ok(())
 }
 
 fn write_string(out: &mut String, s: &str) {
@@ -134,6 +150,22 @@ mod tests {
         let s = v.to_string_compact();
         assert_eq!(s, "3.0");
         assert_eq!(parse(&s).unwrap(), Value::Float(3.0));
+    }
+
+    #[test]
+    fn write_f64_feeds_any_sink_what_the_serializer_prints() {
+        struct Count(usize);
+        impl std::fmt::Write for Count {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                self.0 += s.len();
+                Ok(())
+            }
+        }
+        for f in [0.0, -0.0, 3.0, 273.8, 1e21, 1e-7, f64::MIN_POSITIVE, f64::NAN, f64::INFINITY] {
+            let mut count = Count(0);
+            super::write_f64(&mut count, f).unwrap();
+            assert_eq!(count.0, Value::Float(f).to_string_compact().len(), "{f}");
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@
 use monster_json::{jobj, Value};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write as _};
 
 /// Freshness SLO parameters. Defaults encode the paper's cadence: a
 /// series is "fresh" within 2 × 60 s, and the target is 99% of series
@@ -64,8 +65,12 @@ impl Default for SloConfig {
 
 #[derive(Debug, Default)]
 struct State {
-    /// (node, category) → epoch-seconds of the last live ingest.
-    watermarks: BTreeMap<(String, String), f64>,
+    /// node → category → epoch-seconds of the last live ingest. Nested so
+    /// a lookup borrows its keys as `&str` and allocates nothing.
+    watermarks: BTreeMap<String, BTreeMap<String, f64>>,
+    /// Where [`FreshnessTracker::record_ingests`] formats its keys.
+    node_key: String,
+    category_key: String,
     /// Epoch-seconds of the most recent sweep tick.
     latest: f64,
     /// (sweep time, attainment) samples, oldest first, trimmed to the
@@ -102,10 +107,42 @@ impl FreshnessTracker {
     /// Record a live (non-substituted) reading for `(node, category)`
     /// ingested at epoch-seconds `now`. Watermarks are monotone.
     pub fn record_ingest(&self, node: &str, category: &str, now_secs: f64) {
+        self.record_ingests(now_secs, [(node, category)]);
+    }
+
+    /// [`record_ingest`](Self::record_ingest) for a whole sweep's live
+    /// readings: one lock acquisition, and no allocation for a series
+    /// that already has a watermark.
+    pub fn record_ingests<N: Display, C: Display>(
+        &self,
+        now_secs: f64,
+        series: impl IntoIterator<Item = (N, C)>,
+    ) {
         let mut state = self.state.lock();
-        let w = state.watermarks.entry((node.to_string(), category.to_string())).or_insert(0.0);
-        if now_secs > *w {
-            *w = now_secs;
+        let State { watermarks, node_key, category_key, .. } = &mut *state;
+        let advance = |w: &mut f64| {
+            if now_secs > *w {
+                *w = now_secs;
+            }
+        };
+        for (node, category) in series {
+            node_key.clear();
+            category_key.clear();
+            write!(node_key, "{node}").expect("writing to a String cannot fail");
+            write!(category_key, "{category}").expect("writing to a String cannot fail");
+            let known = watermarks
+                .get_mut(node_key.as_str())
+                .and_then(|categories| categories.get_mut(category_key.as_str()));
+            match known {
+                Some(w) => advance(w),
+                None => advance(
+                    watermarks
+                        .entry(node_key.clone())
+                        .or_default()
+                        .entry(category_key.clone())
+                        .or_insert(0.0),
+                ),
+            }
         }
     }
 
@@ -126,14 +163,14 @@ impl FreshnessTracker {
 
     /// Number of `(node, category)` series with a watermark.
     pub fn tracked_series(&self) -> usize {
-        self.state.lock().watermarks.len()
+        self.state.lock().series().count()
     }
 
     /// Current lag (seconds behind the latest sweep) of every tracked
     /// series, unsorted.
     pub fn lags(&self) -> Vec<f64> {
         let state = self.state.lock();
-        state.watermarks.values().map(|&w| (state.latest - w).max(0.0)).collect()
+        state.series().map(|w| (state.latest - w).max(0.0)).collect()
     }
 
     /// Worst lag across all tracked series, or `None` if nothing is
@@ -149,9 +186,9 @@ impl FreshnessTracker {
         let latest = state.latest;
         state
             .watermarks
-            .iter()
-            .filter(|((n, _), _)| n == node)
-            .map(|(_, &w)| (latest - w).max(0.0))
+            .get(node)?
+            .values()
+            .map(|&w| (latest - w).max(0.0))
             .fold(None, |acc, l| Some(acc.map_or(l, |a: f64| a.max(l))))
     }
 
@@ -217,16 +254,23 @@ impl FreshnessTracker {
     }
 }
 
+impl State {
+    /// Every tracked series' watermark.
+    fn series(&self) -> impl Iterator<Item = f64> + '_ {
+        self.watermarks.values().flat_map(|categories| categories.values().copied())
+    }
+}
+
 fn attainment_of(state: &State, fresh_within_secs: f64) -> f64 {
-    if state.watermarks.is_empty() {
+    let (mut fresh, mut tracked) = (0usize, 0usize);
+    for w in state.series() {
+        tracked += 1;
+        fresh += usize::from((state.latest - w).max(0.0) <= fresh_within_secs);
+    }
+    if tracked == 0 {
         return 1.0;
     }
-    let fresh = state
-        .watermarks
-        .values()
-        .filter(|&&w| (state.latest - w).max(0.0) <= fresh_within_secs)
-        .count();
-    fresh as f64 / state.watermarks.len() as f64
+    fresh as f64 / tracked as f64
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice; 0.0 if empty.
@@ -241,6 +285,24 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn batched_ingest_matches_one_at_a_time() {
+        let series = [("node-2", "Power"), ("node-1", "Thermal"), ("node-1", "Power")];
+        let (single, batched) = (FreshnessTracker::new(), FreshnessTracker::new());
+        for now in [900.0, 1000.0, 950.0] {
+            for (node, category) in series {
+                single.record_ingest(node, category, now);
+            }
+            batched.record_ingests(now, series);
+            single.record_sweep(now);
+            batched.record_sweep(now);
+        }
+        assert_eq!(batched.tracked_series(), 3);
+        assert_eq!(batched.report(), single.report());
+        assert_eq!(batched.node_lag_secs("node-1"), Some(0.0));
+        assert_eq!(batched.node_lag_secs("node-3"), None);
+    }
 
     #[test]
     fn watermarks_drive_lags_and_attainment() {

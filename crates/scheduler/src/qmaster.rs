@@ -7,12 +7,14 @@
 //! that stops reporting is labelled unavailable and receives no further
 //! work.
 
+use crate::accounting::{MemoStats, PullMemo};
 use crate::host::{ExecHost, LoadReport, SLOTS_PER_NODE};
 #[cfg(test)]
 use crate::job::JobShape;
 use crate::job::{Job, JobId, JobSpec, JobState};
 use monster_sim::{EventQueue, VInstant};
 use monster_util::{EpochSecs, Error, NodeId, Result};
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashSet};
 
 /// Fair-share policy: users with heavy recent usage are deprioritized,
@@ -130,6 +132,10 @@ pub struct Qmaster {
     /// Per-user decayed core-second usage (fair-share accounting):
     /// (usage at `stamp`, stamp).
     usage: std::collections::HashMap<monster_util::UserName, (f64, EpochSecs)>,
+    /// ARCo's memo of accounting-document sizes. Behind a lock because a
+    /// pull reads the qmaster; validated by record equality, so nothing in
+    /// this file has to invalidate it.
+    accounting: Mutex<PullMemo>,
 }
 
 impl Qmaster {
@@ -155,6 +161,7 @@ impl Qmaster {
             finished: Vec::new(),
             dirty: false,
             usage: std::collections::HashMap::new(),
+            accounting: Mutex::default(),
             config,
         };
         // Kick off the periodic ticks.
@@ -569,6 +576,17 @@ impl Qmaster {
     /// Jobs finished since the start, in completion order.
     pub fn finished_jobs(&self) -> Vec<&Job> {
         self.finished.iter().map(|id| &self.jobs[id]).collect()
+    }
+
+    /// The accounting memo, for [`accounting_pull`](crate::accounting::accounting_pull).
+    pub(crate) fn accounting_memo(&self) -> MutexGuard<'_, PullMemo> {
+        self.accounting.lock()
+    }
+
+    /// How many accounting documents pulls have rendered and reused, and
+    /// how many sizes the memo holds.
+    pub fn accounting_memo_stats(&self) -> MemoStats {
+        self.accounting.lock().stats()
     }
 
     /// Whether the qmaster currently considers a host available.

@@ -36,13 +36,25 @@ impl NodeId {
 
     /// The BMC's management-network address, `10.101.<chassis>.<slot>`.
     pub fn bmc_addr(&self) -> String {
-        format!("10.101.{}.{}", self.chassis, self.slot)
+        self.to_string()
     }
 
     /// The human label used in dashboards: `<chassis>-<slot>` (Fig. 8's
     /// node `"1-31"`).
     pub fn label(&self) -> String {
-        format!("{}-{}", self.chassis, self.slot)
+        self.label_display().to_string()
+    }
+
+    /// [`label`](Self::label) for a formatter: writes the same text
+    /// without allocating it first.
+    pub fn label_display(&self) -> impl fmt::Display {
+        struct Label(NodeId);
+        impl fmt::Display for Label {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, "{}-{}", self.0.chassis, self.0.slot)
+            }
+        }
+        Label(*self)
     }
 
     /// Parse either convention: `"10.101.1.31"` or `"1-31"`.
@@ -58,7 +70,7 @@ impl NodeId {
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.bmc_addr())
+        write!(f, "10.101.{}.{}", self.chassis, self.slot)
     }
 }
 

@@ -152,6 +152,25 @@ fn main() {
         println!("mean simulated request latency          {mean:.2}s");
     }
 
+    // The in-band half of the same intervals: how long each accounting
+    // pull took on the wall, what it weighed on the wire, and how many of
+    // its documents had to be sized anew (a host or job changed) against
+    // how many were answered from ARCo's memo.
+    println!("\n== In-band accounting pull ==");
+    let pull = monster::obs::histo("monster_collector_accounting_pull_seconds");
+    println!(
+        "pulls                                   {} (wall mean {:.1} us)",
+        pull.count(),
+        pull.mean_secs().unwrap_or(0.0) * 1e6,
+    );
+    for name in [
+        "monster_collector_accounting_bytes",
+        "monster_scheduler_accounting_docs_rendered_total",
+        "monster_scheduler_accounting_docs_reused_total",
+    ] {
+        println!("{name:48} {}", monster::obs::sample(&text, name).unwrap_or(0.0));
+    }
+
     // The detectors flagged the shorted rail above; the engine graded and
     // deduplicated it. `GET /v1/alerts` serves the same list.
     println!("\n== Alerting (GET /v1/alerts) ==");

@@ -8,6 +8,18 @@ use monster::redfish::bmc::BmcConfig;
 use monster::redfish::resilience::ResilienceConfig;
 use monster::sim::VDuration;
 use monster::{obs, Monster, MonsterConfig};
+use std::sync::{Mutex, MutexGuard};
+
+/// Every sweep in this process writes the same breaker gauges in the
+/// process-wide registry, and the last test below scrapes them. Each test
+/// holds this lock for as long as it runs intervals, so the scrape reads
+/// what its own sweep wrote — not what a sibling's wrote a millisecond
+/// later. (Which sibling that was depended on how long an interval takes.)
+static SWEEPS: Mutex<()> = Mutex::new(());
+
+fn sweeping() -> MutexGuard<'static, ()> {
+    SWEEPS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn resilient_deployment(nodes: usize, seed: u64) -> Monster {
     Monster::new(MonsterConfig {
@@ -23,6 +35,7 @@ fn resilient_deployment(nodes: usize, seed: u64) -> Monster {
 
 #[test]
 fn dead_bmc_degrades_gracefully_and_recovers() {
+    let _sweeping = sweeping();
     let mut m = resilient_deployment(6, 31);
     let victim = m.node_ids()[0];
     let deadline = ResilienceConfig::default().sweep_deadline;
@@ -71,6 +84,7 @@ fn dead_bmc_degrades_gracefully_and_recovers() {
 
 #[test]
 fn stale_substitutes_land_in_storage_tagged() {
+    let _sweeping = sweeping();
     let mut m = resilient_deployment(4, 32);
     let victim = m.node_ids()[1];
     m.run_interval().unwrap();
@@ -92,6 +106,7 @@ fn stale_substitutes_land_in_storage_tagged() {
 
 #[test]
 fn resilient_sweep_holds_deadline_on_quanah_scale_fleet() {
+    let _sweeping = sweeping();
     // The paper's fleet size through the resilient path: the deadline is
     // honored by construction even at the 1868-request pool size.
     let mut m = Monster::new(MonsterConfig {
@@ -113,6 +128,7 @@ fn resilient_sweep_holds_deadline_on_quanah_scale_fleet() {
 
 #[test]
 fn metrics_endpoint_exposes_resilience_series() {
+    let _sweeping = sweeping();
     let mut m = resilient_deployment(3, 33);
     let victim = m.node_ids()[2];
     m.run_interval().unwrap();
