@@ -177,7 +177,7 @@ fn main() {
         total_requests += jobs.len();
 
         let (q0, p0) = (q_counter.get(), p_counter.get());
-        let outcomes = pool.scope_map(jobs, |i| {
+        let outcomes = pool.scope_map(&jobs, |&i| {
             let (url, _) = &urls[i];
             let t = Instant::now();
             let resp = storm_router.dispatch(&Request::get(url));

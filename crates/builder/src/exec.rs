@@ -1,18 +1,19 @@
 //! Plan execution and response-document assembly.
 //!
-//! Runs a plan's queries against the TSDB (sequentially, or concurrently
-//! per §IV-B3) and marshals the results into the per-node JSON document
-//! the Metrics Builder API returns. Execution is instrumented: request
-//! counters, a simulated query-latency span, and output-point counters
-//! land in the `monster_obs` global registry.
+//! Runs a plan's queries against the TSDB as one batch (modelled as
+//! sequential, or as concurrent per §IV-B3) and marshals the results into
+//! the per-node JSON document the Metrics Builder API returns. Execution
+//! is instrumented: request counters, a simulated query-latency span, and
+//! output-point counters land in the `monster_obs` global registry.
 
 use crate::plan::PlannedQuery;
 use monster_json::{jobj, Object, Value};
 use monster_sim::VDuration;
-use monster_tsdb::QueryCost;
-use monster_tsdb::{concurrent, Db, FieldValue, ResultSet};
-use monster_util::Result;
+use monster_tsdb::{concurrent, Db, FieldValue, Query, QueryCost, ResultSet};
+use monster_util::{NodeId, Result};
+use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// How to run the plan's queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,32 +95,54 @@ fn points_by_tag(rs: &ResultSet, tag: &str) -> (Value, usize) {
     (Value::Object(obj), n)
 }
 
+/// Put `node`'s finished sections into the document. The plan is
+/// node-major, so a node normally arrives once and is appended; `seen`
+/// catches one that reappears later, whose sections join its earlier ones.
+fn place_node(
+    document: &mut Object,
+    seen: &mut HashSet<NodeId>,
+    (node, sections): (NodeId, Object),
+) {
+    let addr = node.bmc_addr();
+    if seen.insert(node) {
+        document.insert(addr, Value::Object(sections));
+    } else if let Some(earlier) = document.get_mut(&addr).and_then(Value::as_object_mut) {
+        for (section, value) in sections.iter() {
+            earlier.insert(section, value.clone());
+        }
+    }
+}
+
 /// Execute `plan` against `db` and assemble the response document.
 ///
 /// Fails on the first query error (invalid ranges surface here); missing
 /// data is not an error — sections whose queries match nothing are simply
 /// omitted from the node document.
 ///
-/// `mode` controls *inter-query* concurrency only. Independently of it,
-/// each query's overlapping-shard scans fan out inside the storage engine
-/// (`DbConfig::scan_workers` for real threads,
-/// `CostParams::scan_workers` in the simulated-time model); the two levels
-/// compose as described in `monster_tsdb::concurrent`.
+/// The whole plan goes to the storage engine as one batch
+/// (`monster_tsdb::Db::query_batch`), which is where the only real
+/// parallelism of the read path lives. `mode` bounds its threads
+/// (`Sequential`: the calling thread; `Concurrent { workers }`: at most
+/// `workers`, `DbConfig::scan_workers` and the core count) and selects the
+/// simulated-time model, as described in `monster_tsdb::concurrent`.
 pub fn execute(db: &Arc<Db>, plan: &[PlannedQuery], mode: ExecMode) -> Result<BuilderOutcome> {
+    let started = Instant::now();
     let span = monster_obs::Span::enter("builder.execute");
-    // Make the execute span the parent of the per-query scan spans the
-    // storage engine opens underneath this batch.
+    // Make the execute span the parent of the scan spans the storage
+    // engine records for this batch.
     let _trace_guard = monster_obs::trace::set_current(span.context());
-    let queries: Vec<_> = plan.iter().map(|p| p.query.clone()).collect();
+    let queries: Vec<&Query> = plan.iter().map(|p| &p.query).collect();
     let batch = match mode {
         ExecMode::Sequential => concurrent::run_sequential(db, &queries),
-        ExecMode::Concurrent { workers } => concurrent::run_concurrent(db, queries, workers),
+        ExecMode::Concurrent { workers } => concurrent::run_concurrent(db, &queries, workers),
     };
     let cost = batch.total_cost;
     let query_time = batch.simulated;
     let results = batch.into_results()?;
 
     let mut document = Object::new();
+    let mut seen = HashSet::new();
+    let mut current: Option<(NodeId, Object)> = None;
     let mut points_out = 0usize;
     for (planned, rs) in plan.iter().zip(&results) {
         if rs.series.is_empty() {
@@ -130,17 +153,14 @@ pub fn execute(db: &Arc<Db>, plan: &[PlannedQuery], mode: ExecMode) -> Result<Bu
             None => points_array(rs),
         };
         points_out += n;
-        let addr = planned.node.bmc_addr();
-        let node_doc = match document.get_mut(&addr) {
-            Some(v) => v,
-            None => {
-                document.insert(addr.clone(), Value::Object(Object::new()));
-                document.get_mut(&addr).expect("just inserted")
-            }
-        };
-        if let Some(node_obj) = node_doc.as_object_mut() {
-            node_obj.insert(planned.section.clone(), section_value);
+        if let Some(done) = current.take_if(|(node, _)| *node != planned.node) {
+            place_node(&mut document, &mut seen, done);
         }
+        let (_, sections) = current.get_or_insert_with(|| (planned.node, Object::new()));
+        sections.insert(planned.section.as_str(), section_value);
+    }
+    if let Some(last) = current {
+        place_node(&mut document, &mut seen, last);
     }
 
     let amp = db.config().cost.amplification;
@@ -153,6 +173,12 @@ pub fn execute(db: &Arc<Db>, plan: &[PlannedQuery], mode: ExecMode) -> Result<Bu
     monster_obs::counter("monster_builder_queries_total").add(plan.len() as u64);
     monster_obs::counter("monster_builder_points_out_total").add(points_out as u64);
     monster_obs::histo("monster_builder_query_seconds").observe_vdur(query_time + processing_time);
+    monster_obs::histo_help(
+        "monster_builder_execute_wall_seconds",
+        "Wall-clock seconds one plan execution took (queries + document assembly), \
+         beside the modelled monster_builder_query_seconds",
+    )
+    .observe(started.elapsed().as_secs_f64());
     span.finish_after(query_time + processing_time);
 
     Ok(BuilderOutcome {
@@ -241,6 +267,28 @@ mod tests {
         assert_eq!(a.cost.points, b.cost.points);
         // Concurrency shrinks simulated time for the same answer.
         assert!(b.query_time < a.query_time);
+    }
+
+    #[test]
+    fn a_node_that_reappears_later_in_the_plan_keeps_one_document() {
+        let (db, ids) = seeded(2);
+        let mut plan = build_plan(SchemaVersion::Optimized, &ids, &request());
+        let node_major = execute(&db, &plan, ExecMode::Sequential).unwrap();
+        // The first node again, after the second: one new section, and
+        // `thermal` once more (a replacement, which keeps its place).
+        let again: Vec<_> = plan[..2].to_vec();
+        plan.extend(again);
+        plan[10].section = "power_again".into();
+        let out = execute(&db, &plan, ExecMode::Concurrent { workers: 8 }).unwrap();
+        let doc = out.document.as_object().unwrap();
+        assert_eq!(doc.keys().collect::<Vec<_>>(), vec!["10.101.1.1", "10.101.1.2"]);
+        let first = doc.get("10.101.1.1").unwrap().as_object().unwrap();
+        assert_eq!(
+            first.keys().collect::<Vec<_>>(),
+            vec!["power", "thermal", "cpu_usage", "memory", "jobs", "power_again"]
+        );
+        assert_eq!(first.get("power_again"), first.get("power"));
+        assert_eq!(doc.get("10.101.1.2"), node_major.document.get("10.101.1.2"));
     }
 
     #[test]

@@ -328,9 +328,14 @@ impl RedfishClient {
     /// (longest-processing-time-first onto the least loaded channel).
     pub fn sweep(&self, cluster: &SimulatedCluster) -> SweepOutcome {
         let span = monster_obs::Span::enter("redfish.sweep");
-        let pool_items = Self::request_pool(cluster);
+        // A node's four requests stay on one worker, in category order:
+        // its BMC draws latencies from one seeded stream, so the order the
+        // requests reach it — not which thread wins a race to its lock —
+        // decides which request gets which draw.
         let pool = ThreadPool::new(self.config.pool_workers);
-        let results = pool.scope_map(pool_items, |(n, c)| self.fetch(cluster, n, c));
+        let per_node = pool
+            .scope_map(cluster.node_ids(), |&n| Category::ALL.map(|c| self.fetch(cluster, n, c)));
+        let results: Vec<RequestOutcome> = per_node.into_iter().flatten().collect();
 
         let mut times: Vec<VDuration> = results.iter().map(|r| r.elapsed).collect();
         times.sort_unstable_by(|a, b| b.cmp(a));

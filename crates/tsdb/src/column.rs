@@ -24,6 +24,11 @@ use monster_util::{Error, Result};
 /// Points per sealed block.
 pub const BLOCK_SIZE: usize = 1024;
 
+/// Cost of decoding one sealed point relative to examining one raw tail
+/// point (measured: ≈ 53 ns to decompress, emit and aggregate against
+/// ≈ 3 ns to range-check a tail timestamp). See [`Column::scan_weight`].
+pub const DECODE_WEIGHT: usize = 16;
+
 /// The numeric fold of a sealed block's values, in append order — the same
 /// fold the per-point aggregation accumulator performs, so merging it is
 /// bit-identical to replaying the block's points.
@@ -341,6 +346,10 @@ pub struct Column {
     sealed: Vec<SealedBlock>,
     tail_ts: Vec<i64>,
     tail: Tail,
+    /// The tail's timestamps are non-decreasing — true of every series a
+    /// collector appends to in time order — so a scan finds its range by
+    /// binary search instead of examining every raw point.
+    tail_sorted: bool,
     /// Incrementally-maintained [`encoded_bytes`](Self::encoded_bytes):
     /// updated on every append and seal so size accounting is O(1) instead
     /// of a walk over sealed blocks.
@@ -356,7 +365,7 @@ impl Column {
             FieldValue::Bool(_) => Tail::Bool(Vec::new()),
             FieldValue::Str(_) => Tail::Str(Vec::new()),
         };
-        Column { sealed: Vec::new(), tail_ts: Vec::new(), tail, encoded: 0 }
+        Column { sealed: Vec::new(), tail_ts: Vec::new(), tail, tail_sorted: true, encoded: 0 }
     }
 
     /// Create a column typed after the run about to be appended.
@@ -367,7 +376,7 @@ impl Column {
             RunSlice::Bool(_) => Tail::Bool(Vec::new()),
             RunSlice::Str(_) => Tail::Str(Vec::new()),
         };
-        Column { sealed: Vec::new(), tail_ts: Vec::new(), tail, encoded: 0 }
+        Column { sealed: Vec::new(), tail_ts: Vec::new(), tail, tail_sorted: true, encoded: 0 }
     }
 
     /// Bulk-append a typed run of `(timestamp, value)` pairs.
@@ -402,6 +411,8 @@ impl Column {
         while off < ts.len() {
             let room = BLOCK_SIZE - self.tail_ts.len();
             let take = room.min(ts.len() - off);
+            self.tail_sorted &= self.tail_ts.last().is_none_or(|&last| last <= ts[off])
+                && ts[off..off + take].is_sorted();
             self.tail_ts.extend_from_slice(&ts[off..off + take]);
             match (&mut self.tail, values) {
                 (Tail::Float(v), RunSlice::Float(s)) => {
@@ -461,6 +472,7 @@ impl Column {
                 )))
             }
         };
+        self.tail_sorted &= self.tail_ts.last().is_none_or(|&last| last <= ts);
         self.tail_ts.push(ts);
         self.encoded += 8 + value_width; // raw tail width: 8 B timestamp + value
         if self.tail_ts.len() >= BLOCK_SIZE {
@@ -500,6 +512,7 @@ impl Column {
         self.encoded = self.encoded - tail_bytes + block.encoded_bytes();
         self.sealed.push(block);
         self.tail_ts.clear();
+        self.tail_sorted = true;
         match &mut self.tail {
             Tail::Float(v) => v.clear(),
             Tail::Int(v) => v.clear(),
@@ -588,6 +601,37 @@ impl Column {
         Ok(stats)
     }
 
+    /// What a scan of `[start, end)` will cost at most, read from block
+    /// headers and the tail's length alone — no timestamp or value is
+    /// touched. The unit is one raw tail point examined: a sealed block the
+    /// scan must decode weighs [`DECODE_WEIGHT`] a point, one it will answer
+    /// from its zone map (under the aggregation `agg`) as much as a single
+    /// decoded point, the tail its length (an in-order tail is searched,
+    /// not walked, but finding that out would cost the weighing pass the
+    /// cache misses it exists to share out). The batched read path balances
+    /// its threads on this.
+    pub fn scan_weight(&self, start: i64, end: i64, agg: Option<&AggScan>) -> usize {
+        let blocks = self.sealed.iter().map(|b| &b.summary);
+        let sealed: usize = blocks
+            .filter(|s| s.ts_max >= start && s.ts_min < end)
+            .map(|s| match agg {
+                Some(spec) if !spec.decode_all && s.usable_for(spec) => 1,
+                _ => s.count,
+            })
+            .sum();
+        sealed * DECODE_WEIGHT + self.tail_ts.len()
+    }
+
+    /// The tail indices a scan of `[start, end)` has to look at: exactly
+    /// the matching ones when the tail is in time order, all otherwise.
+    fn tail_candidates(&self, start: i64, end: i64) -> std::ops::Range<usize> {
+        if self.tail_sorted {
+            self.tail_ts.partition_point(|&t| t < start)..self.tail_ts.partition_point(|&t| t < end)
+        } else {
+            0..self.tail_ts.len()
+        }
+    }
+
     /// Aggregation-aware scan of `[spec.start, spec.end)`.
     ///
     /// Emits a [`ScanItem::Partial`] — the stored zone map, no decode — for
@@ -653,7 +697,8 @@ impl Column {
         stats.blocks += 1;
         stats.points += self.tail_ts.len();
         stats.bytes += self.tail_ts.len() * 16;
-        for (i, &t) in self.tail_ts.iter().enumerate() {
+        for i in self.tail_candidates(start, end) {
+            let t = self.tail_ts[i];
             if t < start || t >= end {
                 continue;
             }
@@ -1016,5 +1061,53 @@ mod tests {
         assert_eq!(pts.len(), 4);
         let pts = collect(&col, 40, 120);
         assert_eq!(pts.len(), 2); // 100 and 50
+    }
+
+    #[test]
+    fn tail_scans_agree_with_a_filter_in_and_out_of_time_order() {
+        // Timestamps with repeats; in order, then with one straggler, by
+        // point and by run. The scan must emit exactly what a filter over
+        // the appended sequence emits, in append order, and charge the whole
+        // tail either way.
+        let ordered: Vec<i64> = (0..400).map(|i| i / 3 * 10).collect();
+        let mut straggler = ordered.clone();
+        straggler.insert(250, 15);
+        for ts in [&ordered, &straggler] {
+            let vals: Vec<f64> = (0..ts.len()).map(|i| i as f64).collect();
+            let mut by_point = Column::new(&FieldValue::Float(0.0));
+            for (&t, &v) in ts.iter().zip(&vals) {
+                by_point.append(t, &FieldValue::Float(v)).unwrap();
+            }
+            let mut by_run = Column::new(&FieldValue::Float(0.0));
+            by_run.append_run(&ts[..100], RunSlice::Float(&vals[..100])).unwrap();
+            by_run.append_run(&ts[100..], RunSlice::Float(&vals[100..])).unwrap();
+            assert_eq!(by_point.tail_sorted, ts.is_sorted());
+            assert_eq!(by_run.tail_sorted, ts.is_sorted());
+            for (start, end) in [(0, 5000), (10, 11), (15, 16), (995, 1300), (-5, 1), (2000, 3000)]
+            {
+                let want: Vec<(i64, FieldValue)> = ts
+                    .iter()
+                    .zip(&vals)
+                    .filter(|(&t, _)| t >= start && t < end)
+                    .map(|(&t, &v)| (t, FieldValue::Float(v)))
+                    .collect();
+                for col in [&by_point, &by_run] {
+                    let mut got = Vec::new();
+                    let stats = col.scan(start, end, |t, v| got.push((t, v))).unwrap();
+                    assert_eq!(got, want, "[{start}, {end})");
+                    assert_eq!((stats.blocks, stats.points), (1, ts.len()));
+                }
+                assert_eq!(by_point.scan_weight(start, end, None), ts.len());
+            }
+        }
+        // Sealing empties the tail: the next one starts in order again.
+        let mut col = Column::new(&FieldValue::Int(0));
+        col.append(9, &FieldValue::Int(1)).unwrap();
+        col.append(3, &FieldValue::Int(2)).unwrap();
+        assert!(!col.tail_sorted);
+        assert!(col.seal_now());
+        col.append(1, &FieldValue::Int(3)).unwrap();
+        assert!(col.tail_sorted);
+        assert_eq!(collect(&col, 0, 10).len(), 3);
     }
 }

@@ -1,28 +1,32 @@
-//! Concurrent query execution.
+//! Query batches: sequential and concurrent execution, and what each
+//! costs in simulated time.
 //!
 //! §IV-B3 of the paper: issuing the per-measurement queries concurrently
-//! instead of sequentially made Metrics Builder 5.5–6.5× faster. This
-//! module runs a batch of queries on a worker pool and reports both the
-//! wall-clock results and the *simulated* elapsed time: each logical worker
-//! accumulates the simulated cost of the queries it executed, and the batch
-//! completes when the slowest worker does (`max` over workers), plus a
+//! instead of sequentially made Metrics Builder 5.5–6.5× faster. Both
+//! modes here run the batch through [`Db::query_batch`] — the engine's one
+//! scan-and-merge implementation and its one level of real parallelism —
+//! and differ in how many threads it may use and in the *simulated*
+//! elapsed time they report. Sequentially that is the sum of the queries'
+//! times. Concurrently each of `workers` logical workers accumulates the
+//! simulated CPU cost of the queries packed onto it and the batch completes
+//! when the slowest does (`max` over workers), plus serialized I/O and a
 //! fan-out/merge overhead per query.
 //!
-//! Two levels of parallelism compose here. *Inter-query* concurrency (this
-//! module) packs whole queries onto workers; *intra-query* scan
-//! parallelism ([`crate::CostParams::scan_workers`]) divides each query's
-//! scan CPU across its overlapping shards before the cost ever reaches
-//! this module, via [`crate::CostParams::split`]. Both leave I/O
-//! serialized on the shared storage backend, so their combined speedup
-//! still saturates the way Fig. 15 does.
+//! `workers` therefore means two things, deliberately: the number of bins
+//! in the simulated-time model (exactly), and an upper bound on the
+//! physical threads (`min(workers, DbConfig::scan_workers, cores)`, and one
+//! for a batch too light to hand off). The model additionally divides each
+//! query's scan CPU by [`crate::CostParams::scan_workers`] before packing
+//! ([`crate::CostParams::split`]); that is a property of the modelled
+//! machine, not of how this one scans. I/O stays serialized on the shared
+//! storage backend, so the modelled speedup saturates the way Fig. 15 does.
 
 use crate::cost::QueryCost;
 use crate::db::Db;
 use crate::query::{Query, ResultSet};
 use monster_sim::VDuration;
-use monster_util::pool::ThreadPool;
 use monster_util::Result;
-use std::sync::Arc;
+use std::borrow::Borrow;
 
 /// Outcome of a query batch.
 pub struct BatchOutcome {
@@ -42,6 +46,32 @@ impl BatchOutcome {
     pub fn into_results(self) -> Result<Vec<ResultSet>> {
         self.results.into_iter().collect()
     }
+
+    /// Run `queries` on up to `threads` threads; `simulated` is left zero
+    /// for the mode to fill in.
+    fn run<Q: Borrow<Query> + Sync>(db: &Db, queries: &[Q], threads: usize) -> BatchOutcome {
+        let mut out = BatchOutcome {
+            results: Vec::with_capacity(queries.len()),
+            costs: Vec::with_capacity(queries.len()),
+            total_cost: QueryCost::default(),
+            simulated: VDuration::ZERO,
+        };
+        for r in db.query_batch(queries, threads) {
+            let (rs, cost) = match r {
+                Ok((rs, cost)) => (Ok(rs), cost),
+                Err(e) => (Err(e), QueryCost::default()),
+            };
+            out.total_cost.absorb(&cost);
+            out.costs.push(cost);
+            out.results.push(rs);
+        }
+        out
+    }
+
+    /// The costs of the queries that ran.
+    fn ran(&self) -> impl Iterator<Item = &QueryCost> {
+        self.results.iter().zip(&self.costs).filter(|(r, _)| r.is_ok()).map(|(_, c)| c)
+    }
 }
 
 /// Per-query coordination overhead when fanning out (connection setup,
@@ -49,72 +79,32 @@ impl BatchOutcome {
 /// the cost model's amplification, like all per-query costs.
 const FANOUT_OVERHEAD_SECS: f64 = 0.7e-3;
 
-/// Execute queries one after another (the paper's original Metrics
-/// Builder). Simulated time is the sum of per-query times.
-pub fn run_sequential(db: &Db, queries: &[Query]) -> BatchOutcome {
-    let mut results = Vec::with_capacity(queries.len());
-    let mut costs = Vec::with_capacity(queries.len());
-    let mut total = QueryCost::default();
-    let mut simulated = VDuration::ZERO;
-    for q in queries {
-        match db.query(q) {
-            Ok((rs, cost)) => {
-                simulated += db.simulate_elapsed(&cost);
-                total.absorb(&cost);
-                costs.push(cost);
-                results.push(Ok(rs));
-            }
-            Err(e) => {
-                costs.push(QueryCost::default());
-                results.push(Err(e));
-            }
-        }
-    }
-    BatchOutcome { results, costs, total_cost: total, simulated }
+/// Execute queries one after another on the calling thread (the paper's
+/// original Metrics Builder). Simulated time is the sum of per-query times.
+pub fn run_sequential<Q: Borrow<Query> + Sync>(db: &Db, queries: &[Q]) -> BatchOutcome {
+    let mut out = BatchOutcome::run(db, queries, 1);
+    out.simulated = out.ran().map(|cost| db.simulate_elapsed(cost)).sum();
+    out
 }
 
-/// Execute queries on `workers` threads (the §IV-B3 optimization).
+/// Execute queries as `workers` concurrent workers would (the §IV-B3
+/// optimization), on at most that many threads.
 ///
 /// Simulated time model: CPU work parallelizes across the workers
 /// (longest-processing-time-first bin packing, the steady state of a
 /// work-pulling pool), but I/O serializes on the shared storage backend —
 /// which is why the paper's measured speedup saturates at 5.5–6.5× rather
 /// than the worker count.
-pub fn run_concurrent(db: &Arc<Db>, queries: Vec<Query>, workers: usize) -> BatchOutcome {
-    let n = queries.len();
+pub fn run_concurrent<Q: Borrow<Query> + Sync>(
+    db: &Db,
+    queries: &[Q],
+    workers: usize,
+) -> BatchOutcome {
     let workers = workers.max(1);
-    let pool = ThreadPool::new(workers);
-    // Pool threads don't inherit the caller's thread-local trace context;
-    // re-install it per task so each query's scan span stays a child of
-    // the request that issued the batch.
-    let ctx = monster_obs::trace::current();
-    let outputs = pool.scope_map(queries, |q| {
-        let _trace = ctx.map(monster_obs::trace::set_current);
-        let (rs, cost) = db.query(&q)?;
-        let (cpu, io) = db.config().cost.split(&cost, &db.config().disk);
-        Ok::<_, monster_util::Error>((rs, cost, cpu, io))
-    });
-
-    let mut results = Vec::with_capacity(n);
-    let mut costs = Vec::with_capacity(n);
-    let mut total = QueryCost::default();
-    let mut cpu_each: Vec<VDuration> = Vec::with_capacity(n);
-    let mut io_total = VDuration::ZERO;
-    for r in outputs {
-        match r {
-            Ok((rs, cost, cpu, io)) => {
-                total.absorb(&cost);
-                cpu_each.push(cpu);
-                io_total += io;
-                costs.push(cost);
-                results.push(Ok(rs));
-            }
-            Err(e) => {
-                costs.push(QueryCost::default());
-                results.push(Err(e));
-            }
-        }
-    }
+    let mut out = BatchOutcome::run(db, queries, workers);
+    let config = db.config();
+    let (mut cpu_each, io_each): (Vec<VDuration>, Vec<VDuration>) =
+        out.ran().map(|cost| config.cost.split(cost, &config.disk)).unzip();
     cpu_each.sort_unstable_by(|a, b| b.cmp(a));
     let mut bins = vec![VDuration::ZERO; workers];
     for d in cpu_each {
@@ -122,9 +112,12 @@ pub fn run_concurrent(db: &Arc<Db>, queries: Vec<Query>, workers: usize) -> Batc
         *min += d;
     }
     let slowest_cpu = bins.into_iter().max().unwrap_or(VDuration::ZERO);
-    let overhead =
-        VDuration::from_secs_f64(FANOUT_OVERHEAD_SECS * n as f64 * db.config().cost.amplification);
-    BatchOutcome { results, costs, total_cost: total, simulated: slowest_cpu + io_total + overhead }
+    let io_total: VDuration = io_each.into_iter().sum();
+    let overhead = VDuration::from_secs_f64(
+        FANOUT_OVERHEAD_SECS * queries.len() as f64 * config.cost.amplification,
+    );
+    out.simulated = slowest_cpu + io_total + overhead;
+    out
 }
 
 #[cfg(test)]
@@ -133,6 +126,7 @@ mod tests {
     use crate::query::Aggregation;
     use crate::{DataPoint, DbConfig};
     use monster_util::EpochSecs;
+    use std::sync::Arc;
 
     fn seeded() -> Arc<Db> {
         seeded_with(DbConfig::default())
@@ -169,7 +163,7 @@ mod tests {
     fn sequential_and_concurrent_agree_on_results() {
         let db = seeded();
         let seq = run_sequential(&db, &queries());
-        let con = run_concurrent(&db, queries(), 8);
+        let con = run_concurrent(&db, &queries(), 8);
         let seq_rs = seq.into_results().unwrap();
         let con_rs = con.into_results().unwrap();
         assert_eq!(seq_rs, con_rs);
@@ -179,7 +173,7 @@ mod tests {
     fn concurrency_shrinks_simulated_time() {
         let db = seeded();
         let seq = run_sequential(&db, &queries());
-        let con = run_concurrent(&db, queries(), 8);
+        let con = run_concurrent(&db, &queries(), 8);
         // Same physical work...
         assert_eq!(seq.total_cost.points, con.total_cost.points);
         // ...but meaningfully less simulated wall time. (The full Fig. 15
@@ -193,7 +187,7 @@ mod tests {
     fn one_worker_concurrent_approximates_sequential() {
         let db = seeded();
         let seq = run_sequential(&db, &queries());
-        let con = run_concurrent(&db, queries(), 1);
+        let con = run_concurrent(&db, &queries(), 1);
         let ratio = con.simulated.as_secs_f64() / seq.simulated.as_secs_f64();
         assert!((0.95..1.25).contains(&ratio), "ratio {ratio}");
     }
@@ -205,8 +199,8 @@ mod tests {
         let base = DbConfig { shard_duration: 3600, ..DbConfig::default() };
         let serial = seeded_with(base);
         let fanned = seeded_with(DbConfig { cost: base.cost.with_scan_workers(4), ..base });
-        let s = run_concurrent(&serial, queries(), 8);
-        let f = run_concurrent(&fanned, queries(), 8);
+        let s = run_concurrent(&serial, &queries(), 8);
+        let f = run_concurrent(&fanned, &queries(), 8);
         // Identical physical work and results; the fan-out only reshapes
         // simulated time.
         assert_eq!(s.total_cost, f.total_cost);
@@ -225,7 +219,7 @@ mod tests {
         let db = seeded();
         let mut qs = queries();
         qs[3].end = qs[3].start; // make invalid
-        let out = run_concurrent(&db, qs, 4);
+        let out = run_concurrent(&db, &qs, 4);
         assert!(out.results[3].is_err());
         assert!(out.results[2].is_ok());
         assert!(out.into_results().is_err());
@@ -234,7 +228,7 @@ mod tests {
     #[test]
     fn empty_batch() {
         let db = seeded();
-        let out = run_concurrent(&db, vec![], 4);
+        let out = run_concurrent(&db, &[] as &[Query], 4);
         assert!(out.results.is_empty());
         assert_eq!(out.simulated, VDuration::ZERO);
     }

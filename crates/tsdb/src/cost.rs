@@ -157,8 +157,9 @@ pub struct CostParams {
     pub amplification: f64,
     /// Modelled intra-query scan parallelism: the scan-side CPU (point
     /// decode + series cursors) divides across
-    /// `min(scan_workers, shards_scanned)` workers, mirroring the engine's
-    /// fan-out of per-shard scans. Planning and per-query overheads stay
+    /// `min(scan_workers, shards_scanned)` workers — a property of the
+    /// modelled machine, not of how many threads this engine scans on
+    /// (`DbConfig::scan_workers`). Planning and per-query overheads stay
     /// serial, as does I/O (single storage backend). Default 1 — the
     /// paper's stack (InfluxDB 1.x via a Python middleware) scans each
     /// query on one goroutine's worth of effective parallelism, and the

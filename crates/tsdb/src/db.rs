@@ -22,7 +22,7 @@
 //! incrementally in atomics on the write/seal/retention paths, making
 //! [`Db::stats`] O(1) instead of a walk over every column.
 
-use crate::column::{AggScan, ScanItem, ScanStats};
+use crate::column::{AggScan, DecodeScratch, ScanItem, ScanStats};
 use crate::cost::{CostParams, QueryCost};
 use crate::point::DataPoint;
 use crate::query::exec::WindowAggregator;
@@ -32,10 +32,12 @@ use crate::series::{FieldId, SeriesId, SeriesIndex, SeriesKey};
 use crate::shard::Shard;
 use crate::watermark::{MeasurementMark, WatermarkRegistry};
 use monster_sim::DiskModel;
-use monster_util::pool::ThreadPool;
+use monster_util::pool;
 use monster_util::{Error, Result};
 use parking_lot::RwLock;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -50,10 +52,11 @@ pub struct DbConfig {
     pub disk: DiskModel,
     /// Simulated-cost conversion constants.
     pub cost: CostParams,
-    /// Worker threads a single query may fan its overlapping-shard scans
-    /// across (1 = scan sequentially on the calling thread). Results are
-    /// byte-identical either way: per-shard scan output is collected in
-    /// deterministic order and merged on the calling thread.
+    /// Upper bound on the threads one [`Db::query_batch`] — and so one
+    /// [`Db::query`] — may scan on, the calling thread included (1 = always
+    /// on the calling thread). The batch also never uses more threads than
+    /// its caller allows, than the machine has cores, or than its weight
+    /// pays for. Results are byte-identical for every value.
     pub scan_workers: usize,
     /// Aggregation pushdown: when a sealed block is fully contained in one
     /// aggregation window (and the query range), answer it from its
@@ -108,6 +111,181 @@ pub struct DbStats {
     pub batches: usize,
 }
 
+/// A batch whose items weigh less than this in total runs on the calling
+/// thread: a scoped thread's spawn and join (14–50 µs here) plus the weighing
+/// pass cost more than the half of the scan the thread would take over. The
+/// unit is [`Column::scan_weight`]'s — one raw tail point examined, ≈ 3 ns —
+/// so this is ≈ 0.4 ms of scanning. DESIGN.md §19 has the measurement.
+///
+/// [`Column::scan_weight`]: crate::column::Column::scan_weight
+const INLINE_SCAN_WEIGHT: usize = 131_072;
+
+/// What one scan item costs before it touches a point (shard lock, column
+/// lookup, result bookkeeping), in the same unit — the part of it that a
+/// second thread actually takes off the first (≈ 0.1 of the ≈ 1 µs: the
+/// rest is updates to shared lock words and histograms).
+const ITEM_WEIGHT: usize = 32;
+
+type QueryResult = Result<(ResultSet, QueryCost)>;
+
+/// Registry handles the read path updates, resolved once per [`Db`].
+struct QueryMetrics {
+    queries: Arc<monster_obs::Counter>,
+    points: Arc<monster_obs::Counter>,
+    blocks_decoded: Arc<monster_obs::Counter>,
+    blocks_summarized: Arc<monster_obs::Counter>,
+    seconds: Arc<monster_obs::Histo>,
+}
+
+/// A batch of queries resolved against the index and the shard map.
+struct BatchPlan<'q> {
+    /// The valid queries, in input order.
+    queries: Vec<Planned<'q>>,
+    /// Every query's selected series, back to back.
+    series: Vec<SeriesId>,
+    /// The shards any query overlaps, in time order.
+    shards: Vec<(i64, Arc<RwLock<Shard>>)>,
+}
+
+/// One query of a [`BatchPlan`].
+struct Planned<'q> {
+    /// Position in the batch.
+    at: usize,
+    query: &'q Query,
+    /// `None` when the field was never written: its items scan nothing.
+    fid: Option<FieldId>,
+    agg: Option<AggScan>,
+    index_entries: usize,
+    /// Selected series, a range of [`BatchPlan::series`].
+    series: Range<usize>,
+    /// Overlapping shards, a range of [`BatchPlan::shards`].
+    shards: Range<usize>,
+    /// Where this query's items start in the batch's item list.
+    first_item: usize,
+}
+
+impl Planned<'_> {
+    /// This query's scan items in the batch's item list: its series ×
+    /// shards in series-major order — and never none, so that a query
+    /// selecting nothing still belongs to exactly one chunk.
+    fn items(&self) -> Range<usize> {
+        self.first_item..self.first_item + (self.series.len() * self.shards.len()).max(1)
+    }
+
+    /// The field whose columns the items scan; `None` when there is
+    /// nothing to look for (no such field, no series, or no shard).
+    fn scanned_field(&self) -> Option<FieldId> {
+        self.fid.filter(|_| !self.series.is_empty() && !self.shards.is_empty())
+    }
+}
+
+/// What scanning one item produced, besides its [`ScanItem`]s.
+#[derive(Default)]
+struct ItemScan {
+    /// How many of [`Scanned::items`] are this item's.
+    len: usize,
+    stats: ScanStats,
+    cold: bool,
+}
+
+/// Consecutive scanned items of one query: the merge's input.
+#[derive(Default)]
+struct Scanned {
+    scans: Vec<ItemScan>,
+    /// The items' points and zone-map partials, back to back.
+    items: Vec<ScanItem>,
+    /// The first scan error; the query's remaining items are skipped.
+    failed: Option<Error>,
+}
+
+/// One query's merged output: points per series (an index into
+/// [`BatchPlan::series`]; series with no points are left out) and the cost.
+struct Merged {
+    series: Vec<(usize, Vec<(monster_util::EpochSecs, crate::FieldValue)>)>,
+    cost: QueryCost,
+}
+
+/// What one chunk of a batch hands back.
+#[derive(Default)]
+struct ChunkOut {
+    /// The queries the chunk held completely, by [`BatchPlan::queries`]
+    /// index.
+    merged: Vec<(usize, Result<Merged>)>,
+    /// Its scans of the queries a cut split, in item order.
+    pieces: Vec<(usize, Scanned)>,
+}
+
+impl Scanned {
+    /// Append the scans of the items that follow this piece's.
+    fn append(&mut self, mut next: Scanned) {
+        self.scans.append(&mut next.scans);
+        self.items.append(&mut next.items);
+        self.failed = self.failed.take().or(next.failed);
+    }
+
+    /// Merge all of `p`'s scanned items, in series-major, shard-time
+    /// order — the order a sequential scan produces — leaving `self` empty
+    /// for the next query.
+    fn merge(&mut self, p: &Planned<'_>) -> Result<Merged> {
+        let mut scans = self.scans.drain(..);
+        let mut items = self.items.drain(..);
+        if let Some(e) = self.failed.take() {
+            return Err(e);
+        }
+        let q = p.query;
+        let (qs, qe) = (q.start.as_secs(), q.end.as_secs());
+        let mut cost = QueryCost {
+            queries: 1,
+            index_entries: p.index_entries,
+            shards_scanned: p.shards.len(),
+            ..QueryCost::default()
+        };
+        let mut series = Vec::with_capacity(p.series.len());
+        for s in p.series.clone() {
+            let mut scanned = false;
+            let mut windows = q.agg.map(|agg| WindowAggregator::new(agg, q.group_by, qs));
+            let mut raw = Vec::new();
+            for scan in scans.by_ref().take(p.shards.len()) {
+                for item in items.by_ref().take(scan.len) {
+                    match (&mut windows, item) {
+                        (Some(w), ScanItem::Point(t, v)) => w.push(t, &v),
+                        (Some(w), ScanItem::Partial(block)) => w.push_partial(&block),
+                        (None, ScanItem::Point(t, v)) => {
+                            raw.push((monster_util::EpochSecs::new(t), v))
+                        }
+                        // Raw selects never carry an AggScan spec.
+                        (None, ScanItem::Partial(_)) => unreachable!("partial in raw scan"),
+                    }
+                }
+                scanned |= scan.stats.points > 0 || scan.stats.blocks_summarized > 0;
+                cost.blocks += scan.stats.blocks;
+                cost.blocks_summarized += scan.stats.blocks_summarized;
+                cost.points += scan.stats.points;
+                cost.bytes += scan.stats.bytes;
+                if scan.cold {
+                    cost.blocks_cold += scan.stats.blocks;
+                    cost.bytes_cold += scan.stats.bytes;
+                }
+            }
+            cost.series += usize::from(scanned);
+            let mut points = match windows {
+                Some(w) => w.finish_filled(q.fill, qs, qe),
+                None => {
+                    raw.sort_by_key(|(t, _)| *t);
+                    raw
+                }
+            };
+            if let Some(limit) = q.limit {
+                points.truncate(limit);
+            }
+            if !points.is_empty() {
+                series.push((s, points));
+            }
+        }
+        Ok(Merged { series, cost })
+    }
+}
+
 /// An embedded time-series database. Cloneable across threads via `Arc`;
 /// all methods take `&self` (interior locking, sharded as described in the
 /// module docs).
@@ -136,6 +314,8 @@ pub struct Db {
     /// updated lock-free outside critical sections.
     lock_wait: Arc<monster_obs::Histo>,
     lock_hold: Arc<monster_obs::Histo>,
+    /// Pre-resolved read-path handles (`monster_tsdb_quer*`, `…_blocks_*`).
+    query_metrics: QueryMetrics,
     /// Write-ahead log, present when the database was opened against a
     /// directory ([`Db::recover`]). Appended *before* batches publish;
     /// its mutex is independent of the engine's lock hierarchy (taken
@@ -160,6 +340,13 @@ impl Db {
             retention_epoch: AtomicU64::new(0),
             lock_wait: monster_obs::histo("monster_tsdb_lock_wait_seconds"),
             lock_hold: monster_obs::histo("monster_tsdb_lock_hold_seconds"),
+            query_metrics: QueryMetrics {
+                queries: monster_obs::counter("monster_tsdb_queries_total"),
+                points: monster_obs::counter("monster_tsdb_query_points_total"),
+                blocks_decoded: monster_obs::counter("monster_tsdb_blocks_decoded_total"),
+                blocks_summarized: monster_obs::counter("monster_tsdb_blocks_summarized_total"),
+                seconds: monster_obs::histo("monster_tsdb_query_seconds"),
+            },
             wal: None,
         }
     }
@@ -615,177 +802,299 @@ impl Db {
         self.query(&q)
     }
 
-    /// Run a query, returning results plus the physical cost incurred.
-    ///
-    /// Scans of the overlapping shards fan out across up to
-    /// [`DbConfig::scan_workers`] threads; per-(series, shard) scan output
-    /// is collected in deterministic order and merged on the calling
-    /// thread, so results are byte-identical to a sequential execution.
+    /// Run a query, returning results plus the physical cost incurred: a
+    /// one-query [`Db::query_batch`].
     pub fn query(&self, q: &Query) -> Result<(ResultSet, QueryCost)> {
-        q.validate()?;
-        let mut span = monster_obs::Span::enter("tsdb.query_scan");
-        span.set_attr("measurement", q.measurement.clone());
-        let span_ctx = span.context();
-        let mut cost = QueryCost { queries: 1, ..QueryCost::default() };
+        self.query_batch(std::slice::from_ref(q), usize::MAX).pop().expect("one result per query")
+    }
 
-        // Planning under the index read lock: the index work scales with
-        // total cardinality — the series-cardinality tax the paper's
-        // schema redesign attacks.
-        let (ids, keys, fid) = {
-            let wait = Instant::now();
-            let idx = self.index.read();
-            let acquired = Instant::now();
-            cost.index_entries = idx.cardinality();
-            let ids: Vec<SeriesId> = idx.select(&q.measurement, &q.predicates);
-            let keys: Vec<SeriesKey> = ids.iter().map(|&id| idx.key_of(id).clone()).collect();
-            let fid = idx.field_id(&q.field);
-            drop(idx);
-            self.observe_lock(wait, acquired);
-            (ids, keys, fid)
+    /// Run a batch of queries — a dashboard request's whole plan — as one
+    /// scan, returning each query's results and physical cost in input
+    /// order (an invalid query or a failed scan is an `Err` in its slot and
+    /// does not disturb its neighbours).
+    ///
+    /// This is the engine's single level of read parallelism. The batch is
+    /// resolved under one index read lock and one shard-map snapshot and
+    /// flattened into `(query, series, shard)` scan items; the item list is
+    /// cut into contiguous chunks of equal weight ([`Column::scan_weight`]:
+    /// what each item will cost to scan), chunk 0 runs on the calling
+    /// thread and the others on scoped threads. The thread count is
+    /// `min(workers, scan_workers, cores)`, and 1 when the whole batch
+    /// weighs less than [`INLINE_SCAN_WEIGHT`]. A chunk merges the queries
+    /// it scanned completely; a query cut by a chunk boundary is merged by
+    /// the caller from its pieces. Either way the merge consumes a query's
+    /// items in series-major, shard-time order, so results and costs are
+    /// identical for every thread count. A shard's read lock is held for
+    /// one query's items in that shard at a time: a writer waits for a few
+    /// column scans, never for a batch.
+    ///
+    /// [`Column::scan_weight`]: crate::column::Column::scan_weight
+    pub fn query_batch<Q: Borrow<Query> + Sync>(
+        &self,
+        queries: &[Q],
+        workers: usize,
+    ) -> Vec<Result<(ResultSet, QueryCost)>> {
+        let mut results: Vec<Option<QueryResult>> =
+            queries.iter().map(|q| q.borrow().validate().err().map(Err)).collect();
+        let (plan, keys) = self.plan_batch(queries, &results);
+        let cuts = self.cut_batch(&plan, workers);
+        self.run_batch(&plan, keys, &cuts, &mut results);
+        results.into_iter().map(|r| r.expect("every query is refused or planned")).collect()
+    }
+
+    /// Scan and merge `plan`, one thread per chunk (`cuts[k]..cuts[k + 1]`
+    /// of its items), and put every planned query's result in its slot.
+    fn run_batch(
+        &self,
+        plan: &BatchPlan<'_>,
+        mut keys: Vec<SeriesKey>,
+        cuts: &[usize],
+        results: &mut [Option<QueryResult>],
+    ) {
+        let threads = cuts.len() - 1;
+        let mut chunks =
+            pool::scope_parts(threads, |k| self.scan_chunk(plan, cuts[k]..cuts[k + 1]));
+
+        // Stitch the queries the cuts split: their pieces sit, in order, at
+        // the edges of neighbouring chunks. The caller merges them.
+        let mut pieces = chunks.iter_mut().flat_map(|c| c.pieces.drain(..)).peekable();
+        let mut split = Vec::new();
+        while let Some((pi, mut whole)) = pieces.next() {
+            while let Some((_, more)) = pieces.next_if(|(next, _)| *next == pi) {
+                whole.append(more);
+            }
+            split.push((pi, whole.merge(&plan.queries[pi])));
+        }
+        drop(pieces);
+        chunks[0].merged.append(&mut split);
+
+        // Keys, accounting and one span per chunk, on the calling thread
+        // (so the spans are children of the caller's trace context).
+        for chunk in chunks.into_iter().filter(|c| !c.merged.is_empty()) {
+            let mut span = monster_obs::Span::enter("tsdb.query_scan");
+            let ctx = Some(span.context());
+            let (mut total, mut elapsed) = (QueryCost::default(), monster_sim::VDuration::ZERO);
+            for (pi, merged) in chunk.merged {
+                results[plan.queries[pi].at] = Some(merged.map(|m| {
+                    let query_elapsed = self.simulate_elapsed(&m.cost);
+                    self.query_metrics.seconds.observe_vdur_traced(query_elapsed, ctx);
+                    elapsed += query_elapsed;
+                    total.absorb(&m.cost);
+                    let label = |(s, points): (usize, _)| SeriesResult {
+                        key: std::mem::take(&mut keys[s]),
+                        points,
+                    };
+                    let mut series: Vec<SeriesResult> = m.series.into_iter().map(label).collect();
+                    series.sort_by(|a, b| a.key.cmp(&b.key));
+                    (ResultSet { series }, m.cost)
+                }));
+            }
+            // Self-monitoring: what the scans cost, in counts and in
+            // simulated seconds (`monster_tsdb_*` on `/metrics`).
+            self.query_metrics.queries.add(total.queries as u64);
+            self.query_metrics.points.add(total.points as u64);
+            self.query_metrics.blocks_decoded.add(total.blocks as u64);
+            self.query_metrics.blocks_summarized.add(total.blocks_summarized as u64);
+            span.set_attr("queries", total.queries.to_string());
+            span.set_attr("points", total.points.to_string());
+            span.set_attr("blocks", total.blocks.to_string());
+            span.set_attr("threads", threads.to_string());
+            // Queries overlap other pipeline work in virtual time, so the
+            // span covers its simulated cost without advancing the clock.
+            span.finish_spanning(elapsed);
+        }
+    }
+
+    /// Resolve the batch's valid queries (those with no refusal in
+    /// `results` yet): series under one index read lock, overlapping shards
+    /// from one shard-map snapshot. Also returns the selected series' keys,
+    /// parallel to [`BatchPlan::series`], for the caller to label results.
+    fn plan_batch<'q, Q: Borrow<Query>>(
+        &self,
+        queries: &'q [Q],
+        results: &[Option<QueryResult>],
+    ) -> (BatchPlan<'q>, Vec<SeriesKey>) {
+        let valid = || {
+            let all = queries.iter().map(Borrow::borrow).enumerate();
+            all.filter(|(at, _)| results[*at].is_none())
         };
-
-        let (qs, qe) = (q.start.as_secs(), q.end.as_secs());
-
-        // Snapshot the overlapping shard handles (shard starts are the map
-        // keys and every shard spans `shard_duration`, so overlap is
-        // decided without touching any shard lock).
+        // Shard starts are the map keys and every shard spans
+        // `shard_duration`, so overlap is decided without touching a shard.
         let duration = self.config.shard_duration;
-        let shards: Vec<Arc<RwLock<Shard>>> = {
+        let from = valid().map(|(_, q)| q.start.as_secs()).min().unwrap_or(0);
+        let to = valid().map(|(_, q)| q.end.as_secs()).max().unwrap_or(from);
+        let shards: Vec<(i64, Arc<RwLock<Shard>>)> = {
             let wait = Instant::now();
             let map = self.shards.read();
             let acquired = Instant::now();
             let out = map
-                .iter()
-                .filter(|(&start, _)| start < qe && qs < start + duration)
-                .map(|(_, s)| Arc::clone(s))
+                .range(from.saturating_sub(duration - 1)..to)
+                .map(|(&start, s)| (start, Arc::clone(s)))
                 .collect();
             drop(map);
             self.observe_lock(wait, acquired);
             out
         };
-        let ns = shards.len();
-        cost.shards_scanned = ns;
 
-        // Fan the (series × shard) scans out. Each item buffers its
-        // matching points (or zone-map partials, for eligible sealed blocks
-        // under an aggregation); the merge below runs in series-major,
-        // shard-time order, which is exactly the order a sequential scan
-        // produces.
-        let agg_spec = q.agg.map(|agg| AggScan {
-            start: qs,
-            end: qe,
-            window: q.group_by,
-            countable: agg == Aggregation::Count,
-            decode_all: !self.config.pushdown,
-        });
-        let items: Vec<(SeriesId, Arc<RwLock<Shard>>)> =
-            ids.iter().flat_map(|&sid| shards.iter().map(move |s| (sid, Arc::clone(s)))).collect();
-        type ScanOut = (Vec<ScanItem>, ScanStats, bool);
-        let scan_one = |(sid, shard_arc): (SeriesId, Arc<RwLock<Shard>>)| -> Result<ScanOut> {
-            let mut buf: Vec<ScanItem> = Vec::new();
-            let wait = Instant::now();
-            let shard = shard_arc.read();
-            let acquired = Instant::now();
-            let stats = match (fid, agg_spec) {
-                (Some(f), Some(spec)) => shard.scan_agg(sid, f, spec, |item| buf.push(item))?,
-                (Some(f), None) => {
-                    shard.scan(sid, f, qs, qe, |t, v| buf.push(ScanItem::Point(t, v)))?
-                }
-                (None, _) => ScanStats::default(),
+        let mut plan = BatchPlan { queries: Vec::new(), series: Vec::new(), shards };
+        // Planning under the index read lock: the index work scales with
+        // total cardinality — the series-cardinality tax the paper's
+        // schema redesign attacks.
+        let wait = Instant::now();
+        let idx = self.index.read();
+        let acquired = Instant::now();
+        let index_entries = idx.cardinality();
+        let mut first_item = 0;
+        for (at, q) in valid() {
+            let (qs, qe) = (q.start.as_secs(), q.end.as_secs());
+            let series_from = plan.series.len();
+            idx.select_into(&q.measurement, &q.predicates, &mut plan.series);
+            let planned = Planned {
+                at,
+                query: q,
+                fid: idx.field_id(&q.field),
+                agg: q.agg.map(|agg| AggScan {
+                    start: qs,
+                    end: qe,
+                    window: q.group_by,
+                    countable: agg == Aggregation::Count,
+                    decode_all: !self.config.pushdown,
+                }),
+                index_entries,
+                series: series_from..plan.series.len(),
+                shards: plan.shards.partition_point(|(start, _)| start + duration <= qs)
+                    ..plan.shards.partition_point(|(start, _)| *start < qe),
+                first_item,
             };
-            let cold = shard.is_cold();
-            drop(shard);
-            self.observe_lock(wait, acquired);
-            Ok((buf, stats, cold))
-        };
-        let workers = self.config.scan_workers.min(items.len().max(1));
-        let outputs: Vec<Result<ScanOut>> = if workers > 1 && items.len() > 1 {
-            ThreadPool::new(workers).scope_map(items, scan_one)
-        } else {
-            items.into_iter().map(scan_one).collect()
-        };
-        let mut outputs: Vec<ScanOut> = outputs.into_iter().collect::<Result<_>>()?;
+            first_item = planned.items().end;
+            plan.queries.push(planned);
+        }
+        let keys = plan.series.iter().map(|&id| idx.key_of(id).clone()).collect();
+        drop(idx);
+        self.observe_lock(wait, acquired);
+        (plan, keys)
+    }
 
-        // Deterministic merge.
-        let mut series_out: Vec<SeriesResult> = Vec::with_capacity(ids.len());
-        for (s, key) in keys.into_iter().enumerate() {
-            let mut scanned = false;
-            let mut points: Vec<(monster_util::EpochSecs, crate::FieldValue)>;
-            let slots = &mut outputs[s * ns..(s + 1) * ns];
-            match q.agg {
-                Some(agg) => {
-                    let mut w = WindowAggregator::new(agg, q.group_by, qs);
-                    for (buf, stats, cold) in slots.iter_mut() {
-                        for item in buf.drain(..) {
-                            match item {
-                                ScanItem::Point(t, v) => w.push(t, &v),
-                                ScanItem::Partial(s) => w.push_partial(&s),
-                            }
-                        }
-                        if stats.points > 0 || stats.blocks_summarized > 0 {
-                            scanned = true;
-                        }
-                        cost.blocks += stats.blocks;
-                        cost.blocks_summarized += stats.blocks_summarized;
-                        cost.points += stats.points;
-                        cost.bytes += stats.bytes;
-                        if *cold {
-                            cost.blocks_cold += stats.blocks;
-                            cost.bytes_cold += stats.bytes;
-                        }
+    /// Where to cut the plan's item list: `cuts[k]..cuts[k + 1]` is chunk
+    /// `k`. One chunk unless more than one thread is allowed *and* the
+    /// batch is heavy enough to pay for a hand-off; then up to that many
+    /// chunks of equal weight.
+    fn cut_batch(&self, plan: &BatchPlan<'_>, workers: usize) -> Vec<usize> {
+        let items = plan.queries.last().map_or(0, |p| p.items().end);
+        let threads = workers.min(self.config.scan_workers).min(pool::cores()).min(items);
+        if threads < 2 {
+            return vec![0, items];
+        }
+        // Weigh every item, one (query, shard) lock acquisition at a time.
+        let mut weights = vec![ITEM_WEIGHT; items];
+        for p in &plan.queries {
+            let Some(fid) = p.scanned_field() else { continue };
+            let (qs, qe) = (p.query.start.as_secs(), p.query.end.as_secs());
+            let mine = &mut weights[p.items()];
+            for (h, (_, shard)) in plan.shards[p.shards.clone()].iter().enumerate() {
+                // A peek at block headers: timing the lock would cost more
+                // than holding it.
+                let shard = shard.read();
+                for (s, sid) in plan.series[p.series.clone()].iter().enumerate() {
+                    if let Some(col) = shard.column(*sid, fid) {
+                        mine[s * p.shards.len() + h] += col.scan_weight(qs, qe, p.agg.as_ref());
                     }
-                    points = w.finish_filled(q.fill, qs, qe);
                 }
-                None => {
-                    points = Vec::new();
-                    for (buf, stats, cold) in slots.iter_mut() {
-                        points.extend(buf.drain(..).map(|item| match item {
-                            ScanItem::Point(t, v) => (monster_util::EpochSecs::new(t), v),
-                            // Raw selects never carry an AggScan spec.
-                            ScanItem::Partial(_) => unreachable!("partial in raw scan"),
-                        }));
-                        if stats.points > 0 {
-                            scanned = true;
-                        }
-                        cost.blocks += stats.blocks;
-                        cost.points += stats.points;
-                        cost.bytes += stats.bytes;
-                        if *cold {
-                            cost.blocks_cold += stats.blocks;
-                            cost.bytes_cold += stats.bytes;
-                        }
-                    }
-                    points.sort_by_key(|(t, _)| *t);
-                }
-            }
-            if scanned {
-                cost.series += 1;
-            }
-            if let Some(limit) = q.limit {
-                points.truncate(limit);
-            }
-            if !points.is_empty() {
-                series_out.push(SeriesResult { key, points });
             }
         }
-        series_out.sort_by(|a, b| a.key.cmp(&b.key));
+        // `before[i]` is the weight of the items ahead of item `i`.
+        let mut before = Vec::with_capacity(items + 1);
+        before.push(0);
+        for w in weights {
+            before.push(before[before.len() - 1] + w);
+        }
+        let total = before[items];
+        if total < INLINE_SCAN_WEIGHT {
+            return vec![0, items];
+        }
+        let mut cuts: Vec<usize> =
+            (0..=threads).map(|k| before.partition_point(|&w| w < total * k / threads)).collect();
+        cuts[threads] = items;
+        cuts.dedup();
+        cuts
+    }
 
-        // Self-monitoring: query cost translated to simulated seconds, so
-        // `/metrics` shows where query time goes (`monster_tsdb_*` series).
-        monster_obs::counter("monster_tsdb_queries_total").inc();
-        monster_obs::counter("monster_tsdb_query_points_total").add(cost.points as u64);
-        monster_obs::counter("monster_tsdb_blocks_decoded_total").add(cost.blocks as u64);
-        monster_obs::counter("monster_tsdb_blocks_summarized_total")
-            .add(cost.blocks_summarized as u64);
-        let elapsed = self.simulate_elapsed(&cost);
-        monster_obs::histo("monster_tsdb_query_seconds")
-            .observe_vdur_traced(elapsed, Some(span_ctx));
-        span.set_attr("shards_scanned", cost.shards_scanned.to_string());
-        span.set_attr("points", cost.points.to_string());
-        // Queries overlap other pipeline work in virtual time, so the scan
-        // span covers its simulated cost without advancing the clock.
-        span.finish_spanning(elapsed);
-        Ok((ResultSet { series: series_out }, cost))
+    /// Scan the plan's items `range` in order, merging every query the
+    /// range holds completely and handing back the scans of the (at most
+    /// two) queries it shares with its neighbours.
+    fn scan_chunk(&self, plan: &BatchPlan<'_>, range: Range<usize>) -> ChunkOut {
+        let mut out = ChunkOut::default();
+        let mut scratch = DecodeScratch::new();
+        let mut scanned = Scanned::default();
+        let first = plan.queries.partition_point(|p| p.items().end <= range.start);
+        for (pi, p) in plan.queries.iter().enumerate().skip(first) {
+            let items = p.items();
+            if items.start >= range.end {
+                break;
+            }
+            let mine = items.start.max(range.start)..items.end.min(range.end);
+            let run = mine.start - items.start..mine.end - items.start;
+            self.scan_run(plan, p, run, &mut scratch, &mut scanned);
+            if mine == items {
+                out.merged.push((pi, scanned.merge(p)));
+            } else {
+                out.pieces.push((pi, std::mem::take(&mut scanned)));
+            }
+        }
+        out
+    }
+
+    /// Scan `p`'s items `run` (counted from its first) into `into`, in
+    /// order. A shard's read lock is held for this query's consecutive
+    /// items in that shard — all of them when one shard overlaps the
+    /// range, one otherwise (series-major order alternates shards) — and
+    /// never from one query to the next, so a writer waits for one query's
+    /// column scans at most.
+    fn scan_run(
+        &self,
+        plan: &BatchPlan<'_>,
+        p: &Planned<'_>,
+        run: Range<usize>,
+        scratch: &mut DecodeScratch,
+        into: &mut Scanned,
+    ) {
+        let Some(fid) = p.scanned_field() else {
+            into.scans.extend(run.map(|_| ItemScan::default()));
+            return;
+        };
+        let ns = p.shards.len();
+        let (qs, qe) = (p.query.start.as_secs(), p.query.end.as_secs());
+        let mut next = run.start;
+        while next < run.end {
+            let held = next..if ns == 1 { run.end } else { next + 1 };
+            next = held.end;
+            let wait = Instant::now();
+            let shard = plan.shards[p.shards.start + held.start % ns].1.read();
+            let acquired = Instant::now();
+            for item in held {
+                let kept = into.items.len();
+                // After a failed scan the query's other items are skipped.
+                let sid = plan.series[p.series.start + item / ns];
+                let col = shard.column(sid, fid).filter(|_| into.failed.is_none());
+                let stats = match (col, p.agg) {
+                    (None, _) => Ok(ScanStats::default()),
+                    (Some(col), Some(spec)) => {
+                        col.scan_agg_with(scratch, spec, |item| into.items.push(item))
+                    }
+                    (Some(col), None) => col
+                        .scan_with(scratch, qs, qe, |t, v| into.items.push(ScanItem::Point(t, v))),
+                };
+                let stats = stats.unwrap_or_else(|e| {
+                    into.items.truncate(kept);
+                    into.failed = Some(e);
+                    ScanStats::default()
+                });
+                let len = into.items.len() - kept;
+                into.scans.push(ItemScan { len, stats, cold: shard.is_cold() });
+            }
+            drop(shard);
+            self.observe_lock(wait, acquired);
+        }
     }
 
     /// Simulated elapsed time for a cost under this database's disk and
@@ -1449,6 +1758,54 @@ mod tests {
             assert_eq!(rs1, rs8, "agg {agg:?}");
             assert_eq!(c1, c8, "agg {agg:?}");
             assert_eq!(c1.shards_scanned, 20);
+        }
+    }
+
+    #[test]
+    fn every_cut_placement_gives_the_same_answers() {
+        // Three series over twenty hourly shards, sealed and raw: the
+        // unfiltered query alone is 60 scan items, so cuts land inside
+        // queries, inside series, and on every boundary in between — far
+        // more chunks than this machine would ever be given threads.
+        let db = Db::new(DbConfig { shard_duration: 3600, ..DbConfig::default() });
+        let mut batch = Vec::new();
+        for node in ["n1", "n2", "n3"] {
+            for i in 0..2400 {
+                batch.push(power_point(node, i * 30, 0.1 + (i % 89) as f64 * 0.7));
+            }
+        }
+        db.write_batch(&batch).unwrap();
+        db.compact();
+        db.write_batch(&batch).unwrap(); // again, raw: every column is blocks + a tail
+        let range = |from: i64, to: i64| {
+            Query::select("Power", "Reading", EpochSecs::new(from), EpochSecs::new(to))
+        };
+        let queries = vec![
+            range(0, 72_000).aggregate(Aggregation::Mean).group_by_time(900),
+            range(7_000, 7_100).where_tag("NodeId", "n2"),
+            range(10, 10), // invalid: stays an error in its slot
+            range(0, 72_000).aggregate(Aggregation::Count).group_by_time(7200),
+            range(100_000, 200_000).aggregate(Aggregation::Max), // no shard overlaps
+            range(3_000, 50_000).where_tag("NodeId", "nobody"),
+            range(3_000, 50_000).where_tag("NodeId", "n3").aggregate(Aggregation::Sum),
+        ];
+        let run = |cuts_of: &dyn Fn(usize) -> Vec<usize>| {
+            let mut results: Vec<Option<QueryResult>> =
+                queries.iter().map(|q| q.validate().err().map(Err)).collect();
+            let (plan, keys) = db.plan_batch(&queries, &results);
+            let items = plan.queries.last().map_or(0, |p| p.items().end);
+            db.run_batch(&plan, keys, &cuts_of(items), &mut results);
+            let done = results.into_iter().map(|r| r.expect("every slot filled"));
+            (items, done.map(|r| r.map_err(|e| e.to_string())).collect::<Vec<_>>())
+        };
+        let (items, whole) = run(&|items| vec![0, items]);
+        assert_eq!(items, 60 + 1 + 60 + 1 + 1 + 14, "items of the six valid queries");
+        assert!(whole[2].is_err() && whole.iter().filter(|r| r.is_err()).count() == 1);
+        assert_eq!(whole[0].as_ref().unwrap().0.series.len(), 3);
+        assert_eq!(whole[1].as_ref().unwrap().0.point_count(), 3 + 3);
+        for step in [1usize, 2, 7, 59, 61, 100] {
+            let (_, cut) = run(&|items| (0..items).step_by(step).chain([items]).collect());
+            assert_eq!(cut, whole, "a chunk every {step} items");
         }
     }
 

@@ -13,7 +13,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// Canonical series identity: measurement plus tags sorted by key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SeriesKey {
     /// Measurement name.
     pub measurement: String,
@@ -74,6 +74,19 @@ fn point_identity_hash(measurement: &str, tags: &[(String, String)]) -> u64 {
     acc
 }
 
+/// One measurement's posting lists. Ids are handed out in ascending order
+/// and only ever appended here (or removed in place), so every list is
+/// sorted without a sort — [`SeriesIndex::select`] relies on it.
+#[derive(Debug, Default)]
+struct Postings {
+    /// Every series of the measurement.
+    all: Vec<SeriesId>,
+    /// tag key → tag value → series carrying that pair. Nested rather than
+    /// keyed by an owned `(key, value)` tuple so a probe borrows the
+    /// predicate's strings instead of cloning them.
+    by_tag: HashMap<String, HashMap<String, Vec<SeriesId>>>,
+}
+
 /// Series registry + inverted index (tag key/value → series ids).
 #[derive(Debug, Default)]
 pub struct SeriesIndex {
@@ -81,10 +94,8 @@ pub struct SeriesIndex {
     keys: Vec<SeriesKey>,
     /// Tombstoned (dropped) slots in `keys`.
     dropped: usize,
-    /// measurement → series ids in that measurement.
-    by_measurement: HashMap<String, Vec<SeriesId>>,
-    /// (measurement, tag key, tag value) → series ids.
-    inverted: HashMap<(String, String, String), Vec<SeriesId>>,
+    /// measurement → its series and their inverted tag index.
+    by_measurement: HashMap<String, Postings>,
     /// Order-independent identity hash → candidate ids, for allocation-free
     /// point lookup on the write path ([`id_of_point`](Self::id_of_point)).
     by_hash: HashMap<u64, Vec<SeriesId>>,
@@ -107,12 +118,10 @@ impl SeriesIndex {
         let id = SeriesId(self.keys.len() as u32);
         self.by_key.insert(key.clone(), id);
         self.keys.push(key.clone());
-        self.by_measurement.entry(key.measurement.clone()).or_default().push(id);
+        let postings = self.by_measurement.entry(key.measurement.clone()).or_default();
+        postings.all.push(id);
         for (k, v) in &key.tags {
-            self.inverted
-                .entry((key.measurement.clone(), k.clone(), v.clone()))
-                .or_default()
-                .push(id);
+            postings.by_tag.entry(k.clone()).or_default().entry(v.clone()).or_default().push(id);
         }
         self.by_hash.entry(point_identity_hash(&key.measurement, &key.tags)).or_default().push(id);
         id
@@ -187,19 +196,12 @@ impl SeriesIndex {
     /// series are unchanged (dropped ids become tombstones that no new
     /// series reuses, keeping shard references valid).
     pub fn drop_measurement(&mut self, measurement: &str) {
-        let Some(ids) = self.by_measurement.remove(measurement) else {
+        let Some(postings) = self.by_measurement.remove(measurement) else {
             return;
         };
-        for id in ids {
+        for id in postings.all {
             let key = self.keys[id.0 as usize].clone();
             self.by_key.remove(&key);
-            for (k, v) in &key.tags {
-                if let Some(list) =
-                    self.inverted.get_mut(&(measurement.to_string(), k.clone(), v.clone()))
-                {
-                    list.retain(|x| *x != id);
-                }
-            }
             if let Some(list) =
                 self.by_hash.get_mut(&point_identity_hash(&key.measurement, &key.tags))
             {
@@ -207,7 +209,7 @@ impl SeriesIndex {
             }
             // Tombstone: keep the slot so ids stay stable, but mark the
             // key as dropped (empty measurement never matches a select).
-            self.keys[id.0 as usize] = SeriesKey { measurement: String::new(), tags: Vec::new() };
+            self.keys[id.0 as usize] = SeriesKey::default();
             self.dropped += 1;
         }
     }
@@ -219,31 +221,44 @@ impl SeriesIndex {
     /// predicates, the inverted index produces each predicate's posting
     /// list and they are intersected — the same plan InfluxDB's TSI makes.
     pub fn select(&self, measurement: &str, predicates: &[(String, String)]) -> Vec<SeriesId> {
-        let Some(all) = self.by_measurement.get(measurement) else {
-            return Vec::new();
+        let mut ids = Vec::new();
+        self.select_into(measurement, predicates, &mut ids);
+        ids
+    }
+
+    /// [`Self::select`], appending to `out` — a batch of queries resolves
+    /// into one flat id list. Allocates nothing beyond `out`'s growth: the
+    /// posting lists are probed with the predicates' borrowed strings and
+    /// intersected in place (they are sorted by construction).
+    pub fn select_into(
+        &self,
+        measurement: &str,
+        predicates: &[(String, String)],
+        out: &mut Vec<SeriesId>,
+    ) {
+        let Some(postings) = self.by_measurement.get(measurement) else {
+            return;
         };
-        if predicates.is_empty() {
-            let mut ids = all.clone();
-            ids.sort();
-            return ids;
-        }
-        let mut lists: Vec<&Vec<SeriesId>> = Vec::with_capacity(predicates.len());
-        for (k, v) in predicates {
-            match self.inverted.get(&(measurement.to_string(), k.clone(), v.clone())) {
-                Some(list) => lists.push(list),
-                None => return Vec::new(),
+        let list_of = |(k, v): &(String, String)| postings.by_tag.get(k)?.get(v);
+        // Walk the shortest list, keeping the ids every other list holds.
+        let mut shortest: Option<(usize, &Vec<SeriesId>)> = None;
+        for (j, p) in predicates.iter().enumerate() {
+            let Some(list) = list_of(p) else {
+                return; // a predicate no series carries
+            };
+            if shortest.is_none_or(|(_, s)| list.len() < s.len()) {
+                shortest = Some((j, list));
             }
         }
-        // Intersect: start from the shortest list.
-        lists.sort_by_key(|l| l.len());
-        let mut result: Vec<SeriesId> = lists[0].clone();
-        result.sort();
-        for list in &lists[1..] {
-            let mut sorted: Vec<SeriesId> = (*list).clone();
-            sorted.sort();
-            result.retain(|id| sorted.binary_search(id).is_ok());
-        }
-        result
+        let Some((walked, shortest)) = shortest else {
+            out.extend_from_slice(&postings.all);
+            return;
+        };
+        out.extend(shortest.iter().copied().filter(|id| {
+            predicates.iter().enumerate().all(|(j, p)| {
+                j == walked || list_of(p).is_some_and(|l| l.binary_search(id).is_ok())
+            })
+        }));
     }
 }
 
@@ -358,5 +373,71 @@ mod tests {
         let mut idx = SeriesIndex::new();
         idx.get_or_create(&SeriesKey::of(&point("Power", "n1", "NodePower")));
         assert!(idx.select("Power", &[("NodeId".into(), "missing".into())]).is_empty());
+    }
+
+    mod select_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A series over a closed vocabulary: each of the tags `a`, `b`, `c`
+        /// is absent or takes one of three values, so keys collide, posting
+        /// lists overlap, and predicates hit, miss, or name a tag no series
+        /// has.
+        fn arb_key() -> impl Strategy<Value = SeriesKey> {
+            let tag = || prop_oneof![Just(None), Just(Some("x")), Just(Some("y")), Just(Some("z"))];
+            (prop_oneof![Just("m1"), Just("m2")], tag(), tag(), tag()).prop_map(|(m, a, b, c)| {
+                let tags = [("a", a), ("b", b), ("c", c)];
+                SeriesKey {
+                    measurement: m.to_string(),
+                    tags: tags
+                        .into_iter()
+                        .filter_map(|(k, v)| Some((k.to_string(), v?.to_string())))
+                        .collect(),
+                }
+            })
+        }
+
+        fn arb_predicates() -> impl Strategy<Value = Vec<(String, String)>> {
+            let pair = (
+                prop_oneof![Just("a"), Just("b"), Just("c"), Just("d")],
+                prop_oneof![Just("x"), Just("y"), Just("z"), Just("w")],
+            );
+            prop::collection::vec(pair.prop_map(|(k, v)| (k.to_string(), v.to_string())), 0..4)
+        }
+
+        proptest! {
+            #[test]
+            fn select_is_a_filter_over_all_keys(
+                keys in prop::collection::vec(arb_key(), 0..40),
+                dropped in prop_oneof![Just(None), Just(Some("m1")), Just(Some("m2"))],
+                recreated in prop::collection::vec(arb_key(), 0..8),
+                measurement in prop_oneof![Just("m1"), Just("m2"), Just("m3")],
+                predicates in arb_predicates(),
+            ) {
+                let mut idx = SeriesIndex::new();
+                for key in &keys {
+                    idx.get_or_create(key);
+                }
+                if let Some(m) = dropped {
+                    idx.drop_measurement(m);
+                }
+                for key in &recreated {
+                    idx.get_or_create(key);
+                }
+                let naive: Vec<SeriesId> = (0..idx.id_space() as u32)
+                    .map(SeriesId)
+                    .filter(|&id| {
+                        let key = idx.key_of(id);
+                        key.measurement == measurement
+                            && predicates.iter().all(|(k, v)| key.tag(k) == Some(v.as_str()))
+                    })
+                    .collect();
+                prop_assert_eq!(idx.select(measurement, &predicates), naive.clone());
+                // Appending leaves what was there alone.
+                let mut out = vec![SeriesId(u32::MAX)];
+                idx.select_into(measurement, &predicates, &mut out);
+                prop_assert_eq!(&out[1..], &naive[..]);
+            }
+        }
     }
 }

@@ -7,12 +7,12 @@
 //!
 //! Since the sharded-lock engine rework, each shard lives behind its own
 //! `RwLock` inside [`crate::db::Db`]: writers to different shards append in
-//! parallel, and a query's overlapping-shard scans fan out across a worker
-//! pool. Columns are keyed by `(SeriesId, FieldId)` — both dense `u32` ids
-//! resolved up front in the series index — so the append hot path does no
-//! string hashing and no key allocation.
+//! parallel, and readers hold a shard's read lock for one scan at a time
+//! (`Db::query_batch`). Columns are keyed by `(SeriesId, FieldId)` — both
+//! dense `u32` ids resolved up front in the series index — so the append
+//! hot path does no string hashing and no key allocation.
 
-use crate::column::{AggScan, Column, RunSlice, ScanItem, ScanStats};
+use crate::column::{Column, RunSlice};
 use crate::field::FieldValue;
 use crate::series::{FieldId, SeriesId};
 use monster_util::Result;
@@ -141,35 +141,11 @@ impl Shard {
         res
     }
 
-    /// Scan one series' field within `[start, end)`.
-    pub fn scan(
-        &self,
-        series: SeriesId,
-        field: FieldId,
-        start: i64,
-        end: i64,
-        f: impl FnMut(i64, FieldValue),
-    ) -> Result<ScanStats> {
-        match self.columns.get(&(series, field)) {
-            Some(col) => col.scan(start, end, f),
-            None => Ok(ScanStats::default()),
-        }
-    }
-
-    /// Aggregation-aware scan of one series' field (zone-map pushdown):
-    /// fully contained sealed blocks are emitted as summary partials
-    /// without decompression. See [`Column::scan_agg`].
-    pub fn scan_agg(
-        &self,
-        series: SeriesId,
-        field: FieldId,
-        spec: AggScan,
-        emit: impl FnMut(ScanItem),
-    ) -> Result<ScanStats> {
-        match self.columns.get(&(series, field)) {
-            Some(col) => col.scan_agg(spec, emit),
-            None => Ok(ScanStats::default()),
-        }
+    /// One series' field in this shard, if it has been written. Readers
+    /// scan it ([`Column::scan_with`], [`Column::scan_agg_with`]) while
+    /// holding the shard's read lock.
+    pub fn column(&self, series: SeriesId, field: FieldId) -> Option<&Column> {
+        self.columns.get(&(series, field))
     }
 
     /// Visit every stored (series, field, timestamp, value) in the shard.
@@ -281,15 +257,14 @@ mod tests {
         assert_eq!(s.point_count(), 3);
         assert_eq!(s.column_count(), 2);
         let mut seen = Vec::new();
-        s.scan(sid, reading, 0, 1000, |t, v| seen.push((t, v))).unwrap();
+        s.column(sid, reading).unwrap().scan(0, 1000, |t, v| seen.push((t, v))).unwrap();
         assert_eq!(seen.len(), 2);
     }
 
     #[test]
-    fn scan_of_missing_column_is_empty() {
+    fn missing_column_is_none() {
         let s = Shard::new(0, 1000);
-        let stats = s.scan(SeriesId(9), FieldId(7), 0, 1000, |_, _| panic!("no data")).unwrap();
-        assert_eq!(stats, ScanStats::default());
+        assert!(s.column(SeriesId(9), FieldId(7)).is_none());
     }
 
     #[test]
@@ -326,8 +301,8 @@ mod tests {
         assert_eq!(by_run.encoded_bytes(), by_point.encoded_bytes());
         let mut a = Vec::new();
         let mut b = Vec::new();
-        by_point.scan(sid, fid, 0, 10_000, |t, v| a.push((t, v))).unwrap();
-        by_run.scan(sid, fid, 0, 10_000, |t, v| b.push((t, v))).unwrap();
+        by_point.column(sid, fid).unwrap().scan(0, 10_000, |t, v| a.push((t, v))).unwrap();
+        by_run.column(sid, fid).unwrap().scan(0, 10_000, |t, v| b.push((t, v))).unwrap();
         assert_eq!(a, b);
         // Conflicting run is all-or-nothing.
         let err = by_run.append_run(sid, fid, &[5000], RunSlice::Int(&[1])).unwrap_err();

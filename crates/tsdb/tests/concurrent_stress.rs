@@ -13,7 +13,11 @@ use monster_tsdb::snapshot;
 use monster_tsdb::{DataPoint, Db, DbConfig, Query};
 use monster_util::EpochSecs;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex};
+
+/// One test at a time: the second reads deltas of the process-wide lock
+/// histogram.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 const SHARD: i64 = 300; // 5-minute shards → many shards, much churn
 const WRITERS: usize = 4;
@@ -28,6 +32,7 @@ fn point(writer: usize, i: usize) -> DataPoint {
 
 #[test]
 fn writers_queriers_retention_and_snapshots_conserve_points() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let db = Arc::new(Db::new(DbConfig {
         shard_duration: SHARD,
         scan_workers: 4,
@@ -130,4 +135,99 @@ fn writers_queriers_retention_and_snapshots_conserve_points() {
     // A final snapshot walk sees the same live set too.
     let (_bytes, snap) = snapshot::write_snapshot(&db).unwrap();
     assert_eq!(snap.points, live);
+}
+
+/// The whole timeline of one writer's series, counted per shard-wide window.
+fn count_all(writer: usize) -> Query {
+    Query::select(
+        "Power",
+        "Reading",
+        EpochSecs::new(0),
+        EpochSecs::new(POINTS_PER_WRITER as i64 * 20),
+    )
+    .aggregate(Aggregation::Count)
+    .where_tag("NodeId", format!("10.101.1.{writer}"))
+    .group_by_time(SHARD)
+}
+
+fn counted(rs: &monster_tsdb::ResultSet) -> usize {
+    rs.series.iter().flat_map(|s| &s.points).filter_map(|(_, v)| v.as_f64()).sum::<f64>() as usize
+}
+
+#[test]
+fn batches_scan_beside_a_writer_without_holding_a_shard_across_queries() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let db = Db::new(DbConfig { shard_duration: SHARD, scan_workers: 4, ..DbConfig::default() });
+    let half = POINTS_PER_WRITER / 2;
+    for w in 0..WRITERS {
+        db.write_batch(&(0..half).map(|i| point(w, i)).collect::<Vec<_>>()).unwrap();
+    }
+    let batch: Vec<Query> = (0..WRITERS).map(count_all).collect();
+
+    // The lock-granularity rule, counted on a quiet database: every
+    // (query, shard) pair takes the shard's read lock for itself (here each
+    // query has one series and many shards, so that is one acquisition an
+    // item), on top of the batch's one shard-map and one index acquisition.
+    // A batch that kept a shard locked from one query to the next would
+    // come in under this.
+    let holds = monster_obs::histo("monster_tsdb_lock_hold_seconds");
+    let before = holds.count();
+    let quiet = db.query_batch(&batch, 4);
+    let acquisitions = holds.count() - before;
+    let shard_scans: usize =
+        quiet.iter().map(|r| r.as_ref().expect("valid query").1.shards_scanned).sum();
+    assert_eq!(shard_scans, WRITERS * (half * 20).div_ceil(SHARD as usize));
+    assert_eq!(acquisitions as usize, 2 + shard_scans);
+    for r in &quiet {
+        assert_eq!(counted(&r.as_ref().unwrap().0), half);
+    }
+
+    // Now beside a writer appending to those same shards and opening new
+    // ones. Writer and reader leave the barrier together; the reader keeps
+    // batching until the writer is done. Every batch must see at least the
+    // points acknowledged before it started and at most those handed to
+    // `write_batch` by the time it ended.
+    let (handed, acked) = (AtomicUsize::new(half), AtomicUsize::new(half));
+    let start = Barrier::new(2);
+    let batches = std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            let mut i = half;
+            while i < POINTS_PER_WRITER {
+                let upto = (i + 1 + i % 13).min(POINTS_PER_WRITER);
+                let points: Vec<DataPoint> =
+                    (0..WRITERS).flat_map(|w| (i..upto).map(move |j| point(w, j))).collect();
+                handed.store(upto, Ordering::SeqCst);
+                db.write_batch(&points).unwrap();
+                acked.store(upto, Ordering::SeqCst);
+                i = upto;
+            }
+        });
+        start.wait();
+        let mut batches = 0usize;
+        loop {
+            let floor = acked.load(Ordering::SeqCst);
+            let results = db.query_batch(&batch, 4);
+            let ceiling = handed.load(Ordering::SeqCst);
+            for r in results {
+                let seen = counted(&r.expect("valid query").0);
+                assert!(
+                    (floor..=ceiling).contains(&seen),
+                    "a batch saw {seen} points of a series holding {floor}..={ceiling}"
+                );
+            }
+            batches += 1;
+            if floor == POINTS_PER_WRITER {
+                break batches;
+            }
+        }
+    });
+    assert!(batches >= 1);
+
+    // Quiesced: conservation, by the counters and by a scan.
+    assert_eq!(db.stats().points, WRITERS * POINTS_PER_WRITER);
+    assert_eq!(db.stats(), db.recompute_stats());
+    for r in db.query_batch(&batch, 4) {
+        assert_eq!(counted(&r.unwrap().0), POINTS_PER_WRITER);
+    }
 }

@@ -9,8 +9,8 @@
 //!   Builder API;
 //! * [`stats`] — streaming and batch descriptive statistics used by the
 //!   evaluation harness and the analysis crate;
-//! * [`pool`] — a bounded worker pool built on crossbeam channels, used by
-//!   the Redfish client fan-out and the concurrent query engine;
+//! * [`pool`] — scoped fan-out over a fixed number of threads, used by the
+//!   Redfish client sweep and the TSDB's batched read path;
 //! * [`bytesize`] — human byte-size formatting for the volume experiments;
 //! * [`ids`] — strongly-typed identifiers (nodes, jobs, users) shared by the
 //!   scheduler, collector, and storage layers.

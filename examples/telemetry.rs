@@ -321,6 +321,17 @@ fn main() {
     ] {
         println!("{name:46} {}", monster::obs::sample(&text, name).unwrap_or(0.0));
     }
+    // Every plan execution is timed twice: in the cost model's simulated
+    // seconds (what the paper's figures plot) and on this host's wall
+    // clock. The two histograms sit side by side so the gap is readable.
+    let modelled = monster::obs::histo("monster_builder_query_seconds");
+    let wall = monster::obs::histo("monster_builder_execute_wall_seconds");
+    println!(
+        "plan executions                                {} (modelled mean {:.3} s, wall mean {:.3} ms)",
+        wall.count(),
+        modelled.mean_secs().unwrap_or(0.0),
+        wall.mean_secs().unwrap_or(0.0) * 1e3,
+    );
 
     // The query flight recorder: every /v1/metrics request leaves one
     // wide event in a pre-allocated lock-free ring — disposition,
