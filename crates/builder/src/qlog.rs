@@ -295,7 +295,8 @@ pub struct AdmissionSnapshot {
 
 /// The pipeline stages a record times. Indexes into
 /// [`RequestRecord::stages_ns`].
-pub const STAGES: [&str; 6] = ["parse", "plan", "cache", "admission", "execute", "encode"];
+pub const STAGES: [&str; 7] =
+    ["parse", "plan", "cache", "admission", "execute", "encode", "compress"];
 
 /// Stage index constants (see [`STAGES`]).
 pub const STAGE_PARSE: usize = 0;
@@ -308,8 +309,10 @@ pub const STAGE_CACHE: usize = 2;
 pub const STAGE_ADMISSION: usize = 3;
 /// Storage execution.
 pub const STAGE_EXECUTE: usize = 4;
-/// Document marshalling, compression, header stamping.
+/// Document marshalling, header stamping, the cache insert.
 pub const STAGE_ENCODE: usize = 5;
+/// Deflating the marshalled body (`compress=true` misses only).
+pub const STAGE_COMPRESS: usize = 6;
 
 /// A request's estimated-vs-actual cost pair, modelled seconds included.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -355,7 +358,7 @@ pub struct RequestRecord {
     /// in the slow log).
     pub slow: bool,
     /// Per-stage wall nanoseconds, indexed by the `STAGE_*` constants.
-    pub stages_ns: [u64; 6],
+    pub stages_ns: [u64; STAGES.len()],
     /// End-to-end wall nanoseconds inside the handler.
     pub total_ns: u64,
     /// Modelled (vtime) execution nanoseconds, when executed.
@@ -409,6 +412,7 @@ impl RequestRecord {
                 "admission" => ms(self.stages_ns[STAGE_ADMISSION]),
                 "execute" => ms(self.stages_ns[STAGE_EXECUTE]),
                 "encode" => ms(self.stages_ns[STAGE_ENCODE]),
+                "compress" => ms(self.stages_ns[STAGE_COMPRESS]),
             },
             "vtime_ms" => jobj! {
                 "execute" => ms(self.vtime_execute_ns),
@@ -486,7 +490,7 @@ pub struct Draft<'a> {
     /// Whether `?explain=true` was requested.
     pub explain: bool,
     /// Per-stage wall nanoseconds.
-    pub stages_ns: [u64; 6],
+    pub stages_ns: [u64; STAGES.len()],
     /// End-to-end wall nanoseconds.
     pub total_ns: u64,
     /// Modelled execution nanoseconds.
@@ -514,7 +518,7 @@ impl<'a> Draft<'a> {
             status: 0,
             verdict: CacheVerdict::Absent,
             explain: false,
-            stages_ns: [0; 6],
+            stages_ns: [0; STAGES.len()],
             total_ns: 0,
             vtime_execute_ns: 0,
             vtime_encode_ns: 0,
@@ -595,23 +599,23 @@ const W_TRACE_HI: usize = 2;
 const W_TRACE_LO: usize = 3;
 const W_SPAN: usize = 4;
 const W_FP: usize = 5;
-const W_STAGE0: usize = 6; // ..=11
-const W_TOTAL: usize = 12;
-const W_VT_EXEC: usize = 13;
-const W_VT_ENC: usize = 14;
-const W_BYTES_OUT: usize = 15;
-const W_TENANT0: usize = 16; // ..=18
-const W_URL0: usize = 19; // ..=38
-const W_EST0: usize = 39; // ..=48
-const W_EST_NS: usize = 49;
-const W_ACT0: usize = 50; // ..=59
-const W_ACT_NS: usize = 60;
-const W_ADM_EST: usize = 61;
-const W_ADM_BEFORE: usize = 62;
-const W_ADM_AFTER: usize = 63;
-const W_ADM_RATE: usize = 64;
-const W_ADM_BURST: usize = 65;
-const W_ADM_RETRY: usize = 66;
+const W_STAGE0: usize = 6; // ..=12
+const W_TOTAL: usize = 13;
+const W_VT_EXEC: usize = 14;
+const W_VT_ENC: usize = 15;
+const W_BYTES_OUT: usize = 16;
+const W_TENANT0: usize = 17; // ..=19
+const W_URL0: usize = 20; // ..=39
+const W_EST0: usize = 40; // ..=49
+const W_EST_NS: usize = 50;
+const W_ACT0: usize = 51; // ..=60
+const W_ACT_NS: usize = 61;
+const W_ADM_EST: usize = 62;
+const W_ADM_BEFORE: usize = 63;
+const W_ADM_AFTER: usize = 64;
+const W_ADM_RATE: usize = 65;
+const W_ADM_BURST: usize = 66;
+const W_ADM_RETRY: usize = 67;
 const SLOT_WORDS: usize = W_ADM_RETRY + 1;
 
 /// Cache lines covering the slot version plus the universally-written
@@ -1179,7 +1183,7 @@ mod tests {
         d.status = 200;
         d.verdict = CacheVerdict::Invalidated;
         d.explain = true;
-        d.stages_ns = [1, 2, 3, 4, 5, 6];
+        d.stages_ns = [1, 2, 3, 4, 5, 6, 7];
         d.total_ns = 21;
         d.vtime_execute_ns = 1_000_000;
         d.vtime_encode_ns = 2_000_000;
@@ -1216,7 +1220,7 @@ mod tests {
         assert_eq!(r.tenant, "tenant-x");
         assert_eq!(r.url, "/v1/metrics?start=a&end=b");
         assert!(r.explain && !r.truncated);
-        assert_eq!(r.stages_ns, [1, 2, 3, 4, 5, 6]);
+        assert_eq!(r.stages_ns, [1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(r.vtime_execute_ns, 1_000_000);
         assert_eq!(r.bytes_out, 711);
         assert_eq!(r.verdict, CacheVerdict::Invalidated);

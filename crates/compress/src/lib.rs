@@ -4,13 +4,17 @@
 //! Builder JSON responses with zlib before transmission, shrinking payloads
 //! to ≈5 % and roughly doubling end-to-end response speed. The workspace
 //! builds its own codec in the same family: LZ77 sliding-window matching
-//! (32 KiB window, 3–258-byte matches) followed by canonical Huffman
+//! (32 KiB window, matches up to 258 bytes) followed by canonical Huffman
 //! entropy coding, framed with an Adler-32 integrity checksum.
 //!
-//! The container format ("MZ1") is private to MonSTer — both producer and
+//! The container format ("MZ2") is private to MonSTer — both producer and
 //! consumer live in this workspace — but the compression machinery is the
-//! real thing: hash-chain match search with lazy evaluation, length/distance
-//! symbol alphabets with extra bits, and per-block canonical code tables.
+//! real thing: hash-chain match search with lazy evaluation and a
+//! cost-aware acceptance rule, length/distance symbol alphabets with extra
+//! bits, and canonical code tables per 128 KiB block. Blocks are cut at
+//! fixed input offsets and share nothing but the 32 KiB of input before
+//! them, so large inputs are compressed on every core and the bytes do not
+//! depend on how many there were (DESIGN.md "Response compression").
 //!
 //! # Quick use
 //!
@@ -27,7 +31,7 @@
 mod adler;
 pub mod bitio;
 mod format;
-pub mod huffman;
+mod huffman;
 mod lz77;
 
 pub use adler::adler32;

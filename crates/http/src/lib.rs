@@ -10,7 +10,7 @@
 //! * a wire [`parse`](parse::parse_request) / serializer pair;
 //! * a thread-per-connection [`Server`] with a path-pattern [`Router`];
 //! * a blocking [`Client`] with connect/read timeouts;
-//! * `Content-Encoding: mz1` response compression via `monster-compress`
+//! * `Content-Encoding: mz2` response compression via `monster-compress`
 //!   (both peers are in-workspace, so the private coding is fine).
 //!
 //! Bodies are `Content-Length`-framed. Connections default to

@@ -1,6 +1,7 @@
 //! HTTP message types: methods, statuses, headers, requests, responses.
 
 use monster_json::Value;
+use std::any::Any;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -311,6 +312,24 @@ impl<const N: usize> PartialEq<&[u8; N]> for Body {
     }
 }
 
+/// What a handler has parked on a [`Response`] (see
+/// [`Response::park`]): not part of the message, so never compared,
+/// printed or sent.
+#[derive(Clone, Default)]
+struct Parked(Option<Arc<dyn Any + Send + Sync>>);
+
+impl PartialEq for Parked {
+    fn eq(&self, _: &Parked) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for Parked {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(if self.0.is_some() { "Parked(..)" } else { "Parked(-)" })
+    }
+}
+
 /// An HTTP response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
@@ -320,31 +339,45 @@ pub struct Response {
     pub headers: Headers,
     /// Body bytes (shared; see [`Body`]).
     pub body: Body,
+    parked: Parked,
 }
 
 impl Response {
+    /// A response from its parts.
+    pub fn new(status: Status, headers: Headers, body: Body) -> Response {
+        Response { status, headers, body, parked: Parked::default() }
+    }
+
     /// 200 with a JSON body.
     pub fn json(v: &Value) -> Response {
-        let mut headers = Headers::new();
-        headers.set("Content-Type", "application/json");
-        Response { status: Status::OK, headers, body: v.to_string_compact().into_bytes().into() }
+        Response::bytes(v.to_string_compact().into_bytes(), "application/json")
     }
 
     /// 200 with raw bytes and a content type.
     pub fn bytes(body: Vec<u8>, content_type: &str) -> Response {
         let mut headers = Headers::new();
         headers.set("Content-Type", content_type.to_string());
-        Response { status: Status::OK, headers, body: body.into() }
+        Response::new(Status::OK, headers, body.into())
     }
 
     /// An error response with a plain-text body.
     pub fn error(status: Status, msg: &str) -> Response {
         let mut headers = Headers::new();
         headers.set("Content-Type", "text/plain");
-        Response { status, headers, body: msg.as_bytes().into() }
+        Response::new(status, headers, msg.as_bytes().into())
     }
 
-    /// Parse the body as JSON (after transparent `mz1` decoding if the
+    /// Keep `working_set` alive until this response is dropped — for a
+    /// server, after the reply is on the wire. A handler that rendered the
+    /// body from a large structure parks it here so that tearing it down
+    /// (milliseconds for a dashboard document) does not sit between
+    /// rendering the reply and delivering it.
+    pub fn park(mut self, working_set: impl Any + Send + Sync) -> Response {
+        self.parked = Parked(Some(Arc::new(working_set)));
+        self
+    }
+
+    /// Parse the body as JSON (after transparent `mz2` decoding if the
     /// `Content-Encoding` header says so).
     pub fn json_body(&self) -> monster_util::Result<Value> {
         let body = self.decoded_body()?;
@@ -354,19 +387,19 @@ impl Response {
         )
     }
 
-    /// The body with any `mz1` content-encoding removed.
+    /// The body with any `mz2` content-encoding removed.
     pub fn decoded_body(&self) -> monster_util::Result<Vec<u8>> {
-        if self.headers.get("Content-Encoding") == Some("mz1") {
+        if self.headers.get("Content-Encoding") == Some("mz2") {
             monster_compress::decompress(&self.body)
         } else {
             Ok(self.body.to_vec())
         }
     }
 
-    /// Compress the body in place with `mz1` and tag the header.
-    pub fn compressed(mut self, level: monster_compress::Level) -> Response {
-        self.body = monster_compress::compress(&self.body, level).into();
-        self.headers.set("Content-Encoding", "mz1");
+    /// Tag a body that is an `mz2` container (`monster_compress::compress`)
+    /// as such.
+    pub fn content_encoded(mut self) -> Response {
+        self.headers.set("Content-Encoding", "mz2");
         self
     }
 
@@ -454,10 +487,30 @@ mod tests {
     #[test]
     fn compressed_response_decodes_transparently() {
         let v = jobj! { "data" => "x".repeat(2000) };
-        let resp = Response::json(&v).compressed(monster_compress::Level::default());
-        assert_eq!(resp.headers.get("Content-Encoding"), Some("mz1"));
+        let packed = monster_compress::compress(
+            v.to_string_compact().as_bytes(),
+            monster_compress::Level::default(),
+        );
+        let resp = Response::bytes(packed, "application/json").content_encoded();
+        assert_eq!(resp.headers.get("Content-Encoding"), Some("mz2"));
         assert!(resp.body.len() < 500);
         assert_eq!(resp.json_body().unwrap(), v);
+    }
+
+    #[test]
+    fn parked_working_set_lives_exactly_as_long_as_the_response() {
+        let working_set = Arc::new(vec![0u8; 64]);
+        let plain = Response::error(Status::OK, "done");
+        let resp = plain.clone().park(Arc::clone(&working_set));
+        assert_eq!(Arc::strong_count(&working_set), 2);
+        // Not part of the message: equal to, and sent like, the bare reply.
+        assert_eq!(resp, plain);
+        assert_eq!(resp.to_bytes(), plain.to_bytes());
+        let copy = resp.clone();
+        drop(resp);
+        assert_eq!(Arc::strong_count(&working_set), 2, "a clone keeps it");
+        drop(copy);
+        assert_eq!(Arc::strong_count(&working_set), 1);
     }
 
     #[test]

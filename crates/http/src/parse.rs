@@ -91,7 +91,7 @@ pub fn parse_response(raw: &[u8]) -> Result<Response> {
         .map_err(|_| Error::parse("non-numeric status"))?;
     let headers = parse_headers(lines)?;
     let body = body_from(&headers, rest)?;
-    Ok(Response { status: Status(code), headers, body: body.into() })
+    Ok(Response::new(Status(code), headers, body.into()))
 }
 
 /// Read one full `Connection: close`-style message from a stream: reads

@@ -40,7 +40,7 @@ pub use value::Value;
 macro_rules! jobj {
     { $($k:expr => $v:expr),* $(,)? } => {{
         #[allow(unused_mut)]
-        let mut obj = $crate::Object::new();
+        let mut obj = $crate::Object::with_capacity(0 $( + { let _ = stringify!($k); 1 } )*);
         $( obj.insert($k, $crate::Value::from($v)); )*
         $crate::Value::Object(obj)
     }};

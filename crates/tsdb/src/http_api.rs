@@ -27,28 +27,24 @@ use monster_util::{Error, Result};
 use std::net::SocketAddr;
 use std::sync::Arc;
 
+fn no_content() -> Response {
+    Response::new(Status::NO_CONTENT, Default::default(), monster_http::Body::empty())
+}
+
 /// Build the database's router.
 pub fn router(db: Arc<Db>) -> Router {
     let write_db = Arc::clone(&db);
     let query_db = Arc::clone(&db);
     let drop_db = Arc::clone(&db);
     Router::new()
-        .route(Method::Get, "/ping", |_, _| Response {
-            status: Status::NO_CONTENT,
-            headers: Default::default(),
-            body: monster_http::Body::empty(),
-        })
+        .route(Method::Get, "/ping", |_, _| no_content())
         .route(Method::Post, "/write", move |req, _| {
             let Ok(text) = std::str::from_utf8(&req.body) else {
                 return Response::error(Status::BAD_REQUEST, "body is not UTF-8");
             };
             match lineproto::parse_batch(text) {
                 Ok(points) => match write_db.write_batch(&points) {
-                    Ok(()) => Response {
-                        status: Status::NO_CONTENT,
-                        headers: Default::default(),
-                        body: monster_http::Body::empty(),
-                    },
+                    Ok(()) => no_content(),
                     Err(e) => Response::error(Status::BAD_REQUEST, &e.to_string()),
                 },
                 Err(e) => Response::error(Status::BAD_REQUEST, &e.to_string()),

@@ -370,6 +370,16 @@ fn main() {
         );
         // The repeat is a cache hit; both land in the ring.
         observed.dispatch(&Request::get(url));
+        // A compressed reply is its own cache entry, and its record splits
+        // the deflate out of the encode stage.
+        let packed = observed.dispatch(&Request::get(&format!("{url}&compress=true&explain=true")));
+        let envelope = packed.json_body().expect("explain envelope");
+        let wall = envelope.get("explain").and_then(|r| r.get("wall_ms")).expect("stage timings");
+        println!(
+            "  explain(compress=true): encode {:.3} ms + compress {:.3} ms wall",
+            num(wall, "encode"),
+            num(wall, "compress"),
+        );
         let debug = observed.dispatch(&Request::get("/debug/requests?limit=4"));
         let doc = debug.json_body().expect("debug requests");
         for r in doc.get("requests").unwrap().as_array().unwrap() {
@@ -391,6 +401,9 @@ fn main() {
         "monster_builder_qlog_records_total",
         "monster_builder_slow_queries_total",
         "monster_builder_cost_estimate_ratio{stage=\"seconds\"}_count",
+        "monster_builder_compress_seconds_count",
+        "monster_builder_compress_bytes_total{kind=\"raw\"}",
+        "monster_builder_compress_bytes_total{kind=\"wire\"}",
     ] {
         println!("{name:52} {}", monster::obs::sample(&text, name).unwrap_or(0.0));
     }
