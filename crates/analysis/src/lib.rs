@@ -13,14 +13,13 @@
 //! * [`timeline`] — the Fig. 6 job-scheduling timeline: per-user waiting/
 //!   running bars with job and host counts;
 //! * [`trend`] — Fig. 8's historical status trend: a node's metrics over
-//!   time with the cluster each window belongs to;
-//! * [`anomaly`] — the streaming anomaly detector behind the paper's
-//!   "detect anomalies in time" motivation (EW mean/variance with
-//!   hysteresis).
+//!   time with the cluster each window belongs to.
+//!
+//! Streaming anomaly detection lives with the collector and the alert
+//! engine (`monster_alert::detect`), not here.
 
 #![warn(missing_docs)]
 
-pub mod anomaly;
 pub mod histogram;
 pub mod kmeans;
 pub mod pca;
@@ -29,7 +28,6 @@ pub mod report;
 pub mod timeline;
 pub mod trend;
 
-pub use anomaly::{AnomalyConfig, AnomalyDetector, AnomalyEvent};
 pub use kmeans::{KMeans, KMeansConfig};
 pub use pca::Pca;
 pub use radar::{RadarProfile, METRIC_NAMES};

@@ -75,8 +75,7 @@ fn bench_codecs(c: &mut Criterion) {
 /// Whole-block array decoding (`decode_into` into a reused buffer — the
 /// path query scans and snapshot restore now ride) versus the streaming
 /// point-at-a-time `iter()` reference decoder, for all five codecs over
-/// one sealed block's worth of data. The spread between the two is the
-/// vectorization win the batch-staging rework banks on.
+/// one sealed block's worth of data.
 fn bench_batch_codecs(c: &mut Criterion) {
     const N: usize = 4096;
     let mut g = c.benchmark_group("tsdb/batch_codecs");
@@ -151,73 +150,6 @@ fn bench_ingest(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    g.bench_function("stage_batch_10k", |b| {
-        b.iter_batched(
-            || (Db::new(DbConfig::default()), points.clone()),
-            |(db, pts)| {
-                let mut stager = db.stager();
-                stager.stage_batch(&pts).unwrap();
-                stager.flush().unwrap();
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.finish();
-}
-
-/// Ingest under write contention: 4 threads writing disjoint days (their
-/// own shards) versus 4 threads forced through one global write lock —
-/// the shape of the engine before per-shard locking. The `contention`
-/// binary records the canonical numbers in `BENCH_tsdb.json`; this group
-/// keeps the comparison visible in routine criterion runs.
-fn bench_contention(c: &mut Criterion) {
-    use std::sync::{Arc, RwLock};
-
-    let mut g = c.benchmark_group("tsdb/contention");
-    g.sample_size(10);
-    const WRITERS: usize = 4;
-    let per_writer: Vec<Vec<Vec<DataPoint>>> = (0..WRITERS)
-        .map(|w| {
-            (0..8)
-                .map(|b| {
-                    (0..500)
-                        .map(|i| {
-                            let k = b * 500 + i;
-                            DataPoint::new(
-                                "Power",
-                                EpochSecs::new(w as i64 * 86_400 + k as i64 * 20),
-                            )
-                            .tag("NodeId", format!("10.101.1.{}", k % 16))
-                            .tag("Label", "NodePower")
-                            .field_f64("Reading", 250.0 + (k % 40) as f64)
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-    let points: usize = per_writer.iter().flatten().map(Vec::len).sum();
-    g.throughput(Throughput::Elements(points as u64));
-
-    let run = |global: bool, batches: &[Vec<Vec<DataPoint>>]| {
-        let db = Arc::new(Db::new(DbConfig::default()));
-        let big_lock = Arc::new(RwLock::new(()));
-        std::thread::scope(|s| {
-            for writer in batches {
-                let db = Arc::clone(&db);
-                let big_lock = Arc::clone(&big_lock);
-                s.spawn(move || {
-                    for b in writer {
-                        let _g = global.then(|| big_lock.write().unwrap());
-                        db.write_batch(b).unwrap();
-                    }
-                });
-            }
-        });
-        db
-    };
-    g.bench_function("4_writers_sharded", |b| b.iter(|| run(false, &per_writer)));
-    g.bench_function("4_writers_global_lock", |b| b.iter(|| run(true, &per_writer)));
     g.finish();
 }
 
@@ -248,12 +180,5 @@ fn bench_query(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_codecs,
-    bench_batch_codecs,
-    bench_ingest,
-    bench_contention,
-    bench_query
-);
+criterion_group!(benches, bench_codecs, bench_batch_codecs, bench_ingest, bench_query);
 criterion_main!(benches);

@@ -8,6 +8,9 @@
 //! cache-level hit path performs **zero** allocations, and a full
 //! per-request serve (header clone + `X-Cache` stamp) allocates orders of
 //! magnitude less than the body size.
+//!
+//! The tests in this file share the counter, so they serialize on `GATE` —
+//! nothing else may run while a counting window is open.
 
 use monster_builder::qlog::{self, Disposition, Draft, QueryRecorder, STAGE_CACHE};
 use monster_builder::{ResponseCache, Validity};
@@ -16,6 +19,9 @@ use monster_obs::{SpanId, TraceId};
 use monster_tsdb::{Db, DbConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+static GATE: Mutex<()> = Mutex::new(());
 
 struct CountingAlloc;
 
@@ -60,6 +66,7 @@ fn counted(f: impl FnOnce()) -> (usize, usize) {
 
 #[test]
 fn cache_hits_copy_zero_body_bytes() {
+    let _gate = GATE.lock().unwrap();
     let db = Db::new(DbConfig::default());
     let cache = ResponseCache::new(8);
     let body = vec![0x5Au8; BODY_LEN];
@@ -84,6 +91,7 @@ fn cache_hits_copy_zero_body_bytes() {
 
 #[test]
 fn flight_recording_on_the_hit_path_is_allocation_free() {
+    let _gate = GATE.lock().unwrap();
     // The PR-10 recorder rides the same warm path the test above
     // protects: timing stamps, fingerprint, and the seqlock ring write
     // must all stay off the heap, or recording would regress the
@@ -133,6 +141,7 @@ fn flight_recording_on_the_hit_path_is_allocation_free() {
 
 #[test]
 fn per_request_serving_shares_the_body_storage() {
+    let _gate = GATE.lock().unwrap();
     let db = Db::new(DbConfig::default());
     let cache = ResponseCache::new(8);
     let body = vec![0x5Au8; BODY_LEN];

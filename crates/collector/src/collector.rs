@@ -11,7 +11,7 @@ use monster_redfish::SimulatedCluster;
 use monster_scheduler::accounting::{accounting_pull, AccountingSnapshot};
 use monster_scheduler::{JobState, Qmaster};
 use monster_sim::VDuration;
-use monster_tsdb::{DataPoint, Db};
+use monster_tsdb::DataPoint;
 use monster_util::{EpochSecs, JobId, NodeId, Result};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -55,8 +55,8 @@ impl Default for CollectorConfig {
 /// What one interval produced.
 pub struct IntervalOutput {
     /// The trace this interval's pipeline pass belongs to: the sweep, its
-    /// per-BMC children, and (via [`Collector::collect_and_store`]) the
-    /// TSDB write batches all hang off this context's span.
+    /// per-BMC children, and (once the deployment re-installs it around
+    /// its writes) the TSDB write batches all hang off this context's span.
     pub trace: monster_obs::TraceContext,
     /// Points built this interval, in storage the collector takes back.
     pub points: Vec<DataPoint>,
@@ -377,34 +377,6 @@ impl Collector {
         self.inband_points(&accounting_pull(qm).0, now, &mut points);
         Ok(points)
     }
-
-    /// Collect one interval and write it to `db` in batches.
-    ///
-    /// §III-C: the collector writes ~10 000 points per interval in batches
-    /// ("the ideal batch size for InfluxDB"), amortizing connection
-    /// overhead. With the sharded-lock engine the batch size also bounds
-    /// lock work: all of an interval's points share one timestamp, so each
-    /// chunk resolves its ids under a single index acquisition and lands in
-    /// exactly one shard's critical section. Chunks are written
-    /// sequentially on purpose — same-timestamp points must reach a shard
-    /// in collection order so raw (unaggregated) queries, which sort by
-    /// timestamp only, replay them deterministically.
-    pub fn collect_and_store(
-        &mut self,
-        cluster: &SimulatedCluster,
-        qm: &Qmaster,
-        now: EpochSecs,
-        db: &Db,
-    ) -> Result<IntervalOutput> {
-        let out = self.collect_interval(cluster, qm, now);
-        // Re-install the interval's trace context so the write batches
-        // join it (the guard inside collect_interval has already dropped).
-        let _trace_guard = monster_obs::trace::set_current(out.trace);
-        for chunk in out.points.chunks(10_000) {
-            db.write_batch(chunk)?;
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -414,7 +386,7 @@ mod tests {
     use monster_redfish::cluster::ClusterConfig;
     use monster_redfish::resilience::ResilienceConfig;
     use monster_scheduler::{JobShape, JobSpec, QmasterConfig, WorkloadConfig, WorkloadGenerator};
-    use monster_tsdb::DbConfig;
+    use monster_tsdb::{Db, DbConfig};
     use monster_util::UserName;
 
     fn rig(nodes: usize, seed: u64) -> (SimulatedCluster, Qmaster) {
@@ -507,13 +479,14 @@ mod tests {
     }
 
     #[test]
-    fn collect_and_store_lands_in_db() {
+    fn collected_points_land_in_db() {
         let (cluster, mut qm) = rig(4, 4);
         qm.run_until(t0() + 60);
         cluster.step(60.0, |n| qm.utilization(n));
         let db = Db::new(DbConfig::default());
         let mut col = Collector::new(CollectorConfig::default());
-        let out = col.collect_and_store(&cluster, &qm, t0() + 60, &db).unwrap();
+        let out = col.collect_interval(&cluster, &qm, t0() + 60);
+        db.write_batch(&out.points).unwrap();
         let stats = db.stats();
         assert!(stats.points > 0);
         assert!(stats.cardinality > 0);
@@ -543,7 +516,7 @@ mod tests {
             let db = Db::new(DbConfig::default());
             let mut col = Collector::new(CollectorConfig { schema, ..CollectorConfig::default() });
             for k in 1..=5 {
-                col.collect_and_store(&cluster, &qm, t0() + 60 * k, &db).unwrap();
+                db.write_batch(&col.collect_interval(&cluster, &qm, t0() + 60 * k).points).unwrap();
             }
             db.stats()
         };

@@ -6,6 +6,7 @@ use monster_builder::rollup::RollupRoute;
 use monster_builder::{build_plan, encode_response, BuilderRequest, ExecMode};
 use monster_collector::{Collector, CollectorConfig, SchemaVersion};
 use monster_compress::Level;
+use monster_obs::TraceContext;
 use monster_redfish::bmc::BmcConfig;
 use monster_redfish::client::{ClientConfig, SkipReason};
 use monster_redfish::cluster::{ClusterConfig, SimulatedCluster};
@@ -13,7 +14,7 @@ use monster_redfish::resilience::ResilienceConfig;
 use monster_scheduler::{Qmaster, QmasterConfig, WorkloadConfig, WorkloadGenerator};
 use monster_sim::{DiskModel, VDuration};
 use monster_tsdb::retention::{ContinuousQuery, TierConfig};
-use monster_tsdb::{Aggregation, CostParams, Db, DbConfig, RecoveryReport};
+use monster_tsdb::{Aggregation, CostParams, DataPoint, Db, DbConfig, RecoveryReport};
 use monster_util::{EpochSecs, JobId, NodeId, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -120,7 +121,7 @@ pub struct IntervalSummary {
     pub breakers_open: usize,
     /// The distributed-trace context this interval's pipeline pass ran
     /// under (sweep, per-BMC children, and TSDB writes share it).
-    pub trace: monster_obs::TraceContext,
+    pub trace: TraceContext,
     /// Nodes the resilient scheduler skipped this interval, with the
     /// reason (`BreakerOpen` / `Deadline`) — deduplicated per node.
     pub skipped_nodes: Vec<(NodeId, SkipReason)>,
@@ -272,10 +273,8 @@ impl Monster {
     /// Run one full collection interval through the Redfish wire layer.
     pub fn run_interval(&mut self) -> Result<IntervalSummary> {
         self.advance_world();
-        let mut out =
-            self.collector.collect_and_store(&self.cluster, &self.qmaster, self.now, &self.db)?;
-        self.intervals_run += 1;
-        self.maintain_rollups();
+        let mut out = self.collector.collect_interval(&self.cluster, &self.qmaster, self.now);
+        self.store_interval(&out.points, Some(out.trace))?;
         let mut skipped_nodes: Vec<(NodeId, SkipReason)> = out
             .sweep
             .results
@@ -373,11 +372,7 @@ impl Monster {
             let points =
                 self.collector.collect_interval_direct(&self.cluster, &self.qmaster, self.now);
             total += points.len();
-            for chunk in points.chunks(10_000) {
-                self.db.write_batch(chunk).expect("schema-consistent writes");
-            }
-            self.intervals_run += 1;
-            self.maintain_rollups();
+            self.store_interval(&points, None).expect("schema-consistent writes");
         }
         total
     }
@@ -415,11 +410,7 @@ impl Monster {
                 self.now,
             )?;
             total += points.len();
-            for chunk in points.chunks(10_000) {
-                self.db.write_batch(chunk)?;
-            }
-            self.intervals_run += 1;
-            self.maintain_rollups();
+            self.store_interval(&points, None)?;
         }
         Ok(total)
     }
@@ -455,7 +446,15 @@ impl Monster {
         Ok(())
     }
 
-    fn maintain_rollups(&mut self) {
+    /// Land one interval's points, then do the per-interval maintenance.
+    /// The points go in as the collector's 10 000-point batches (§III-C),
+    /// sequentially — same-timestamp points must reach a shard in
+    /// collection order — and under the interval's trace, if it has one.
+    fn store_interval(&mut self, points: &[DataPoint], trace: Option<TraceContext>) -> Result<()> {
+        let trace_guard = trace.map(monster_obs::trace::set_current);
+        points.chunks(10_000).try_for_each(|chunk| self.db.write_batch(chunk))?;
+        drop(trace_guard);
+        self.intervals_run += 1;
         if let Some((cqs, _)) = &mut self.rollups {
             for cq in cqs {
                 cq.run(&self.db, self.now).expect("rollup over own schema");
@@ -467,6 +466,7 @@ impl Monster {
         if self.config.tiering.is_some() {
             self.db.tier_cold_shards(self.now).expect("tiering pass");
         }
+        Ok(())
     }
 
     /// Execute a Metrics Builder request against this deployment's data.

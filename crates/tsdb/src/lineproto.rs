@@ -10,9 +10,8 @@ use crate::point::DataPoint;
 use monster_util::{EpochSecs, Error, Result};
 
 /// Append `s` to `out` with line-protocol identifier escaping (commas,
-/// spaces and equals signs are backslash-escaped). Shared with the WAL
-/// writer, which renders staged runs without materializing `DataPoint`s.
-pub(crate) fn push_escaped(s: &str, out: &mut String) {
+/// spaces and equals signs are backslash-escaped).
+fn push_escaped(s: &str, out: &mut String) {
     for c in s.chars() {
         if matches!(c, ',' | ' ' | '=') {
             out.push('\\');
@@ -22,7 +21,7 @@ pub(crate) fn push_escaped(s: &str, out: &mut String) {
 }
 
 /// Append a double-quoted string field value with `\"` / `\\` escapes.
-pub(crate) fn push_string_field(s: &str, out: &mut String) {
+fn push_string_field(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         if c == '"' || c == '\\' {
@@ -41,8 +40,8 @@ pub fn encode(p: &DataPoint) -> String {
 }
 
 /// Encode one point into an existing buffer (no trailing newline, nothing
-/// cleared first). The WAL's append path reuses one buffer across batches,
-/// so steady-state logging stays allocation-free.
+/// cleared first): `Db::write_batch` renders a whole batch into one WAL
+/// record this way.
 pub fn encode_into(p: &DataPoint, out: &mut String) {
     use std::fmt::Write;
     push_escaped(&p.measurement, out);

@@ -12,7 +12,7 @@
 //! dense `u32` ids resolved up front in the series index — so the append
 //! hot path does no string hashing and no key allocation.
 
-use crate::column::{Column, RunSlice};
+use crate::column::Column;
 use crate::field::FieldValue;
 use crate::series::{FieldId, SeriesId};
 use monster_util::Result;
@@ -83,30 +83,6 @@ impl Shard {
         col.append(ts, value)?;
         self.encoded = self.encoded + col.encoded_bytes() - before;
         self.point_count += 1;
-        Ok(())
-    }
-
-    /// Bulk-append a typed run of points to one column: one map lookup and
-    /// one type check for the whole run, values copied in with
-    /// `extend_from_slice`. All-or-nothing — a type-conflicting run leaves
-    /// the shard untouched. Block layout is bit-identical to appending the
-    /// same points via [`Self::append`].
-    pub fn append_run(
-        &mut self,
-        series: SeriesId,
-        field: FieldId,
-        ts: &[i64],
-        values: RunSlice<'_>,
-    ) -> Result<()> {
-        if ts.is_empty() {
-            return Ok(());
-        }
-        debug_assert!(ts.iter().all(|&t| self.covers(t)));
-        let col = self.columns.entry((series, field)).or_insert_with(|| Column::new_for(values));
-        let before = col.encoded_bytes();
-        col.append_run(ts, values)?;
-        self.encoded = self.encoded + col.encoded_bytes() - before;
-        self.point_count += ts.len();
         Ok(())
     }
 
@@ -283,32 +259,6 @@ mod tests {
         // Incremental byte counter matches a fresh walk.
         let walked: usize = s.column_keys().len(); // survivors only
         assert_eq!(walked, 1);
-    }
-
-    #[test]
-    fn append_run_matches_point_appends() {
-        let mut by_point = Shard::new(0, 10_000);
-        let mut by_run = Shard::new(0, 10_000);
-        let sid = SeriesId(3);
-        let fid = FieldId(1);
-        let ts: Vec<i64> = (0..2000).collect();
-        let vals: Vec<f64> = (0..2000).map(|i| (i % 13) as f64).collect();
-        for (&t, &v) in ts.iter().zip(&vals) {
-            by_point.append(sid, fid, t, &FieldValue::Float(v)).unwrap();
-        }
-        by_run.append_run(sid, fid, &ts, RunSlice::Float(&vals)).unwrap();
-        assert_eq!(by_run.point_count(), by_point.point_count());
-        assert_eq!(by_run.encoded_bytes(), by_point.encoded_bytes());
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        by_point.column(sid, fid).unwrap().scan(0, 10_000, |t, v| a.push((t, v))).unwrap();
-        by_run.column(sid, fid).unwrap().scan(0, 10_000, |t, v| b.push((t, v))).unwrap();
-        assert_eq!(a, b);
-        // Conflicting run is all-or-nothing.
-        let err = by_run.append_run(sid, fid, &[5000], RunSlice::Int(&[1])).unwrap_err();
-        assert!(err.to_string().contains("type conflict"));
-        assert_eq!(by_run.point_count(), by_point.point_count());
-        assert_eq!(by_run.encoded_bytes(), by_point.encoded_bytes());
     }
 
     #[test]

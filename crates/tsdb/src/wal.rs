@@ -30,9 +30,8 @@
 //! boundary for tests and benches.
 //!
 //! The appender takes one private mutex, reuses one frame buffer, and
-//! performs zero heap allocations in the steady state — the staging path's
-//! zero-alloc guarantee (`tests/alloc_steady_state.rs`) holds with the WAL
-//! enabled.
+//! performs zero heap allocations in the steady state
+//! (`tests/alloc_steady_state.rs` counts them on [`Wal::append`]).
 //!
 //! # Segments and reclamation
 //!

@@ -17,10 +17,9 @@
 //!   and closed windows over this measurement must be re-read.
 //!
 //! Marks are updated *after* shard data is applied (end of
-//! `Db::write_batch`, and in `WriteStager::flush` after runs publish) and
-//! snapshotted by readers *before* they execute a query, so a concurrent
-//! write can at worst cause a spurious invalidation — never a stale entry
-//! that still validates.
+//! `Db::write_batch`) and snapshotted by readers *before* they execute a
+//! query, so a concurrent write can at worst cause a spurious invalidation —
+//! never a stale entry that still validates.
 //!
 //! Retention and measurement drops remove data without advancing any
 //! watermark, so they bump a coarse [`Db::retention_epoch`] counter that
@@ -73,18 +72,14 @@ impl WatermarkRegistry {
     }
 
     /// Fold one applied batch's per-measurement `[min_ts, max_ts]` spans
-    /// into the table. Spans with `lo > hi` are empty sentinels and are
-    /// skipped, so callers can keep reusable scratch entries around.
-    pub fn note_spans<S: AsRef<str>>(&self, spans: &[(S, i64, i64)]) {
-        if spans.iter().all(|(_, lo, hi)| lo > hi) {
+    /// into the table.
+    pub fn note_spans(&self, spans: &[(&str, i64, i64)]) {
+        if spans.is_empty() {
             return;
         }
         let mut marks = self.marks.write();
         for (m, lo, hi) in spans {
-            if lo > hi {
-                continue;
-            }
-            match marks.get_mut(m.as_ref()) {
+            match marks.get_mut(*m) {
                 Some(mark) => {
                     mark.version = mark.version.wrapping_add(1);
                     if *lo <= mark.max_ts {
@@ -96,7 +91,7 @@ impl WatermarkRegistry {
                 }
                 None => {
                     let mark = MeasurementMark { version: 1, max_ts: *hi, backfills: 0 };
-                    marks.insert(m.as_ref().to_string(), mark);
+                    marks.insert(m.to_string(), mark);
                 }
             }
         }
@@ -135,9 +130,9 @@ mod tests {
     }
 
     #[test]
-    fn spans_are_per_measurement_and_sentinels_skipped() {
+    fn spans_are_per_measurement() {
         let reg = WatermarkRegistry::default();
-        reg.note_spans(&[("Power", 100i64, 160i64), ("Thermal", i64::MAX, i64::MIN)]);
+        reg.note_spans(&[("Power", 100i64, 160i64)]);
         assert_eq!(reg.get("Power").version, 1);
         assert_eq!(reg.get("Thermal"), MeasurementMark::default());
     }

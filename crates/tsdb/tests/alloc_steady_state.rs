@@ -10,7 +10,8 @@
 //! share the counter, so they serialize on `GATE` — nothing else may run
 //! while a counting window is open.
 
-use monster_tsdb::{DataPoint, Db, DbConfig};
+use monster_tsdb::wal::Wal;
+use monster_tsdb::{DataPoint, Db, DbConfig, WalTuning};
 use monster_util::EpochSecs;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -91,93 +92,34 @@ fn steady_state_ingest_does_not_allocate_per_point() {
     );
 }
 
-/// The staged write path is *strictly* allocation-free once warm: scratch
-/// id buffers, run arenas, the slot map, and the flush ordering are all
-/// retained across flushes, and no column seals inside the window (60
-/// points per column < BLOCK_SIZE), so a whole stage-and-flush cycle
-/// performs zero heap allocations.
+/// The WAL appender is *strictly* allocation-free once warm (`wal.rs`
+/// module docs): a record is framed through one retained scratch buffer and
+/// written with plain `write(2)`s. Group-commit syncs are syscall-only; the
+/// default 8 MiB segment never rolls on this volume.
 #[test]
-fn warm_staging_cycle_does_not_allocate() {
-    let _gate = GATE.lock().unwrap();
-    let db = Db::new(DbConfig::default());
-    let mut stager = db.stager(); // default threshold ≫ this test's volume
-
-    // Warm-up: materialize series/fields/columns, grow every run arena and
-    // column tail past what the counting window needs, and complete full
-    // flush cycles so the slot map and ordering buffers reach capacity.
-    // Three cycles of 20 leave each column tail at len 60 / capacity 80
-    // (amortized doubling: 20 → 40 → 80), so the counted cycle's 20 points
-    // land exactly at capacity without a growth step.
-    for cycle in 0..3 {
-        for i in 0..20 {
-            stager.stage_batch(&batch_at((cycle * 20 + i) * 60)).unwrap();
-        }
-        stager.flush().unwrap();
-    }
-
-    // Steady state: the same shape staged and flushed again.
-    let batches: Vec<Vec<DataPoint>> = (60..80).map(|i| batch_at(i * 60)).collect();
-    let points_written: usize = batches.iter().map(Vec::len).sum::<usize>() * 2; // 2 fields
-
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    for b in &batches {
-        stager.stage_batch(b).unwrap();
-    }
-    stager.flush().unwrap();
-    COUNTING.store(false, Ordering::Relaxed);
-    let allocs = ALLOCS.load(Ordering::Relaxed);
-
-    assert_eq!(
-        allocs, 0,
-        "warm staging cycle allocated {allocs} times for {points_written} points"
-    );
-    assert_eq!(db.stats().points, points_written + 3 * points_written); // warm + counted
-}
-
-/// Durability does not cost the zero-allocation property: with the WAL
-/// on, a warm stage-and-flush cycle renders its log record into a
-/// retained `wal_buf`, frames it through the WAL's reusable scratch, and
-/// issues plain `write(2)`s — still zero heap allocations. (Group-commit
-/// syncs and segment rolls are syscall-only and amortized outside the
-/// window: the default 8 MiB segment never rolls on this volume.)
-#[test]
-fn warm_staging_cycle_with_wal_does_not_allocate() {
+fn warm_wal_append_does_not_allocate() {
     let _gate = GATE.lock().unwrap();
     let dir = std::env::temp_dir().join(format!("monster-alloc-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (db, _) = Db::recover(DbConfig::default(), &dir).unwrap();
-    {
-        let mut stager = db.stager();
+    let wal = Wal::create(&dir, WalTuning::default()).unwrap();
+    let payload = monster_tsdb::lineproto::encode_batch(&batch_at(0));
 
-        // Same warm-up math as the in-memory test, plus one extra flush so
-        // `wal_buf` and the WAL frame scratch reach their steady capacity.
-        for cycle in 0..3 {
-            for i in 0..20 {
-                stager.stage_batch(&batch_at((cycle * 20 + i) * 60)).unwrap();
-            }
-            stager.flush().unwrap();
-        }
-
-        let batches: Vec<Vec<DataPoint>> = (60..80).map(|i| batch_at(i * 60)).collect();
-        let points_written: usize = batches.iter().map(Vec::len).sum::<usize>() * 2;
-
-        ALLOCS.store(0, Ordering::Relaxed);
-        COUNTING.store(true, Ordering::Relaxed);
-        for b in &batches {
-            stager.stage_batch(b).unwrap();
-        }
-        stager.flush().unwrap();
-        COUNTING.store(false, Ordering::Relaxed);
-        let allocs = ALLOCS.load(Ordering::Relaxed);
-
-        assert_eq!(
-            allocs, 0,
-            "warm WAL-backed staging cycle allocated {allocs} times for {points_written} points"
-        );
+    // Warm-up: the frame scratch grows to the record size.
+    for i in 0..3 {
+        wal.append(payload.as_bytes(), i).unwrap();
     }
-    assert!(db.wal_status().unwrap().appended_records >= 4);
-    drop(db);
+
+    ALLOCS.store(0, Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    for i in 3..23 {
+        wal.append(payload.as_bytes(), i).unwrap();
+    }
+    COUNTING.store(false, Ordering::Relaxed);
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+
+    assert_eq!(allocs, 0, "20 warm WAL appends allocated {allocs} times");
+    assert_eq!(wal.status().appended_records, 23);
+    drop(wal);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

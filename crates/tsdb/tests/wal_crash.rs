@@ -123,34 +123,30 @@ proptest! {
     }
 }
 
-/// Staged ingest replays bit-for-bit: a stager renders its flush in
-/// shard-sorted run order, which is exactly how `write_batch` re-groups
-/// the record at replay — so a recovered database answers queries
-/// byte-identically to an uninterrupted twin staged the same way.
+/// Mixed-type, multi-measurement, multi-shard ingest replays bit-for-bit:
+/// a WAL record is the batch in batch order, which is exactly how
+/// `write_batch` applied it — so a recovered database answers queries
+/// byte-identically to an uninterrupted twin fed the same batches.
 #[test]
-fn staged_ingest_survives_restart_bit_for_bit() {
-    let dir = fresh_dir("staged");
+fn mixed_ingest_survives_restart_bit_for_bit() {
+    let dir = fresh_dir("mixed");
     let config = DbConfig { shard_duration: 1000, ..DbConfig::default() };
     let (db, _) = Db::recover(config, &dir).unwrap();
     let twin = Db::new(config);
-    {
-        let mut stager = db.stager_with_capacity(64);
-        let mut twin_stager = twin.stager_with_capacity(64);
-        for i in 0..300i64 {
-            let batch = vec![
-                DataPoint::new("Power", EpochSecs::new(i * 13 % 5000))
-                    .tag("NodeId", format!("10.101.1.{}", i % 4 + 1))
-                    .field_f64("Reading", 250.0 + i as f64)
-                    .field_i64("Health", i % 3),
-                DataPoint::new("NodeJobs", EpochSecs::new(i * 13 % 5000))
-                    .tag("NodeId", format!("10.101.1.{}", i % 4 + 1))
-                    .field_str("JobList", format!("['{}']", 1_290_000 + i)),
-            ];
-            stager.stage_batch(&batch).unwrap();
-            twin_stager.stage_batch(&batch).unwrap();
-        }
-        // Drop publishes and (on the durable db) forces a group commit.
+    for i in 0..300i64 {
+        let batch = vec![
+            DataPoint::new("Power", EpochSecs::new(i * 13 % 5000))
+                .tag("NodeId", format!("10.101.1.{}", i % 4 + 1))
+                .field_f64("Reading", 250.0 + i as f64)
+                .field_i64("Health", i % 3),
+            DataPoint::new("NodeJobs", EpochSecs::new(i * 13 % 5000))
+                .tag("NodeId", format!("10.101.1.{}", i % 4 + 1))
+                .field_str("JobList", format!("['{}']", 1_290_000 + i)),
+        ];
+        db.write_batch(&batch).unwrap();
+        twin.write_batch(&batch).unwrap();
     }
+    // An orderly drop forces the final group commit.
     drop(db);
 
     let (recovered, report) = Db::recover(config, &dir).unwrap();

@@ -1,0 +1,21 @@
+#!/bin/sh
+# Non-test Rust lines per crate: every line of every .rs file under src/ (and
+# examples/), up to the file's `#[cfg(test)] mod` — test modules close their
+# files here — so tests/, benches/ and unit tests are left out. The yardstick
+# for ROADMAP item 6; a report, not a gate.
+# Usage: tools/loc.sh [repo-root]
+cd "${1:-$(dirname "$0")/..}" || exit 1
+total=0
+for crate in crates/* .; do
+    [ -d "$crate/src" ] || continue
+    n=$(find "$crate/src" "$crate/examples" -name '*.rs' 2>/dev/null | xargs awk '
+        FNR == 1 { skip = 0; held = 0 }
+        skip { next }
+        held { held = 0; if ($0 ~ /^(pub )?mod /) { skip = 1; next } n++ }
+        /^#\[cfg\(test\)\]$/ { held = 1; next }
+        { n++ }
+        END { print n + 0 }')
+    printf '%-18s %6d\n' "$crate" "$n"
+    total=$((total + n))
+done
+printf '%-18s %6d\n' total "$total"
