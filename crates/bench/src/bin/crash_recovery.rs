@@ -79,9 +79,10 @@ fn main() {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let config = DbConfig {
         // Small segments so the matrix crosses many sealed-segment
-        // boundaries; explicit-sync-only tuning pins the ack boundary.
+        // boundaries (an hour of one series is a 1.2 KB record);
+        // explicit-sync-only tuning pins the ack boundary.
         wal: WalTuning {
-            segment_bytes: 256 << 10,
+            segment_bytes: 64 << 10,
             sync_bytes: usize::MAX,
             sync_interval: std::time::Duration::from_secs(3600),
         },
@@ -108,6 +109,7 @@ fn main() {
     let ingest_secs = ingest.elapsed().as_secs_f64();
     let status = db.wal_status().unwrap();
     let acked = status.acked_records;
+    let wal_segments = status.segments;
     let unsynced = status.unsynced_bytes as u64;
     let total_points = batches * per_batch;
     drop(db);
@@ -194,7 +196,7 @@ fn main() {
     let tiered_config = DbConfig {
         disk: monster_sim::DiskModel::SSD,
         tiering: Some(TierConfig::days(hot_days)),
-        wal: WalTuning { segment_bytes: 256 << 10, ..WalTuning::default() },
+        wal: WalTuning { segment_bytes: 64 << 10, ..WalTuning::default() },
         ..DbConfig::default()
     };
     let (tiered, _) = Db::recover(tiered_config, &tier_dir).unwrap();
@@ -286,6 +288,7 @@ fn main() {
     let doc = jobj! {
         "bench" => "crash_recovery",
         "quick" => quick,
+        "commit" => monster_bench::commit(),
         "cores" => cores as i64,
         "workload" => jobj! {
             "series" => wl.series as i64,
@@ -297,6 +300,7 @@ fn main() {
         "crash_matrix" => jobj! {
             "kills" => offsets.len() as i64,
             "wal_extent_bytes" => extent as i64,
+            "wal_segments" => wal_segments as i64,
             "durable_boundary_bytes" => durable as i64,
             "acked_batches" => acked as i64,
             "lost_acked_batches" => 0,

@@ -38,13 +38,24 @@ fn has_unit_suffix(name: &str) -> bool {
     UNIT_SUFFIXES.iter().any(|s| name.ends_with(s))
 }
 
+/// Where the exercised deployment keeps its write-ahead log.
+fn data_dir() -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("monster-metrics-lint-{}", std::process::id()))
+}
+
 /// Drive every metric-producing stage once: resilient collection over a
-/// mildly faulty fleet (sweeps, retries, breakers, freshness watermarks),
-/// a compaction plus a sealed-window query (decode/summarize counters),
-/// and a real HTTP consumer against the builder API (request histogram,
-/// cache counters).
+/// mildly faulty fleet (sweeps, retries, breakers, freshness watermarks)
+/// into a durable store that has been restarted once (the WAL and recovery
+/// families), a compaction plus a sealed-window query (decode/summarize
+/// counters), and a real HTTP consumer against the builder API (request
+/// histogram, cache counters).
 fn exercise_pipeline() -> Monster {
-    let mut m = Monster::new(MonsterConfig { nodes: 6, ..MonsterConfig::default() });
+    let _ = std::fs::remove_dir_all(data_dir());
+    let config = MonsterConfig { nodes: 6, data_dir: Some(data_dir()), ..MonsterConfig::default() };
+    // A first life, so that the second has a log to replay.
+    Monster::new(config.clone()).run_intervals(2);
+    let mut m = Monster::new(config);
+    assert!(m.recovery().is_some_and(|r| r.replayed_points > 0), "the restart replayed the log");
     m.run_intervals(8);
     m.db().compact();
     let q = Query::select("Power", "Reading", m.now() - 480, m.now() + 60)
@@ -235,6 +246,14 @@ fn main() {
     // The alert gauges register (with HELP and an explicit 0) at engine
     // construction, so a dashboard can tell "no alerts" from "alerting
     // not wired" on the very first scrape.
+    for family in [
+        "monster_tsdb_wal_definitions_total{kind=\"series\"}",
+        "monster_tsdb_wal_definitions_total{kind=\"field\"}",
+        "monster_tsdb_wal_replayed_points_total",
+        "monster_tsdb_recovery_seconds_count",
+    ] {
+        assert!(text.lines().any(|l| l.starts_with(family)), "`{family}` missing from the scrape");
+    }
     for severity in ["info", "warning", "critical"] {
         let series = format!("monster_alert_active{{severity=\"{severity}\"}}");
         assert!(
@@ -261,5 +280,7 @@ fn main() {
 
     assert_scrape_does_not_stall_writers();
     assert!(global().vtime() > VInstant::EPOCH, "pipeline advanced the virtual clock");
+    drop((server, m));
+    let _ = std::fs::remove_dir_all(data_dir());
     println!("metrics lint passed");
 }

@@ -106,6 +106,19 @@ pub fn secs(d: monster_sim::VDuration) -> String {
     format!("{:.2}", d.as_secs_f64())
 }
 
+/// The commit of the checkout a bench runs in (from its working directory,
+/// the repository root), for the `BENCH_*.json` it writes.
+pub fn commit() -> String {
+    let head = std::fs::read_to_string(".git/HEAD").unwrap_or_default();
+    let head = head.trim();
+    match head.strip_prefix("ref: ") {
+        Some(r) => std::fs::read_to_string(std::path::Path::new(".git").join(r))
+            .map_or_else(|_| r.to_string(), |h| h.trim().to_string()),
+        None if !head.is_empty() => head.to_string(),
+        None => "unknown".to_string(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -286,6 +286,32 @@ impl Scanned {
     }
 }
 
+/// One point of a batch after id resolution — what [`Db::apply`] appends.
+/// [`Db::write_batch`] makes them from `DataPoint`s, recovery from decoded
+/// WAL records.
+pub(crate) struct Resolved<'a, F> {
+    pub series: SeriesId,
+    pub measurement: &'a str,
+    pub ts: i64,
+    /// The point's line-protocol size ([`DataPoint::wire_size`]).
+    pub wire: usize,
+    /// Its fields, in point order.
+    pub fields: F,
+}
+
+/// What one [`Db::apply`] did.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Applied {
+    /// Points taken (not skipped).
+    pub points: usize,
+    /// Points skipped because their shard is covered by a segment file.
+    pub skipped: usize,
+    /// Field values appended.
+    pub values: usize,
+    /// Shards appended to.
+    pub shards: usize,
+}
+
 /// An embedded time-series database. Cloneable across threads via `Arc`;
 /// all methods take `&self` (interior locking, sharded as described in the
 /// module docs).
@@ -355,12 +381,6 @@ impl Db {
     /// re-log the records it is applying).
     pub(crate) fn set_wal(&mut self, wal: crate::wal::Wal) {
         self.wal = Some(wal);
-    }
-
-    /// The write-ahead log (recovery tests append hand-framed records).
-    #[cfg(test)]
-    pub(crate) fn wal(&self) -> Option<&crate::wal::Wal> {
-        self.wal.as_ref()
     }
 
     /// True when writes are logged to a write-ahead log.
@@ -452,11 +472,13 @@ impl Db {
     /// The paper's collector batches ~10 000 points per interval because
     /// that is "the ideal batch size for InfluxDB" (§III-C); here batching
     /// amortizes id resolution (one index acquisition) and shard lookup
-    /// (one shard-lock acquisition per distinct shard). The batch is
-    /// pre-grouped by shard *before* any shard lock is taken, and all
-    /// series/field ids are resolved up front, so the per-point critical
-    /// section is a pure `(u32, u32)`-keyed append — no string hashing, no
-    /// allocation, and never more than one shard lock held at a time.
+    /// (one shard-lock acquisition per distinct shard). The order is
+    /// validate → resolve ids → log → apply: all series/field ids are
+    /// resolved up front, the write-ahead log records the resolved batch,
+    /// and the apply step pre-groups it by shard *before* any shard lock is
+    /// taken, so the per-point critical section is a pure `(u32, u32)`-keyed
+    /// append — no string hashing, no allocation, and never more than one
+    /// shard lock held at a time.
     pub fn write_batch(&self, points: &[DataPoint]) -> Result<()> {
         // Joins the collector's interval trace when one is installed on
         // this thread, so "shard 7 write" hangs off "sweep 812". Untraced
@@ -466,59 +488,93 @@ impl Db {
             s.set_attr("points", points.len().to_string());
             s
         });
-        Self::validate_points(points)?;
-        let wire: usize = points.iter().map(DataPoint::wire_size).sum();
-
-        // --- write-ahead: log the batch before any of it becomes visible --
-        // An I/O failure rejects the batch wholesale (nothing applied, so
-        // nothing unlogged is readable). One render allocation per batch —
-        // the same order of overhead as the pre-grouping below.
-        if let Some(wal) = &self.wal {
-            let mut payload = String::with_capacity(wire + points.len());
-            let mut max_ts = i64::MIN;
-            for p in points {
-                crate::lineproto::encode_into(p, &mut payload);
-                payload.push('\n');
-                max_ts = max_ts.max(p.time.as_secs());
-            }
-            wal.append(payload.as_bytes(), max_ts)?;
-        }
-
-        // --- resolve all series & field ids up front ---------------------
+        self.validate_points(points)?;
         let total_fields: usize = points.iter().map(|p| p.fields.len()).sum();
-        let mut sids: Vec<Option<SeriesId>> = Vec::with_capacity(points.len());
-        let mut fids: Vec<Option<FieldId>> = Vec::with_capacity(total_fields);
+        let mut sids: Vec<SeriesId> = Vec::with_capacity(points.len());
+        let mut fids: Vec<FieldId> = Vec::with_capacity(total_fields);
         self.resolve_ids(points, &mut sids, &mut fids);
 
+        // --- write-ahead: log the batch before any of it becomes visible --
+        // A refusal or an I/O failure rejects the batch wholesale: nothing
+        // applied, so nothing unlogged is readable (series it named for
+        // the first time stay registered, and empty).
+        if let Some(wal) = &self.wal {
+            wal.append_batch(points, &sids, &fids)?;
+        }
+
+        let mut next_field = 0usize;
+        let resolved = points.iter().zip(&sids).map(|(p, &series)| {
+            let ids = &fids[next_field..next_field + p.fields.len()];
+            next_field += p.fields.len();
+            Resolved {
+                series,
+                measurement: &p.measurement,
+                ts: p.time.as_secs(),
+                wire: p.wire_size(),
+                fields: ids.iter().copied().zip(p.fields.iter().map(|(_, v)| v)),
+            }
+        });
+        let (result, applied) = self.apply(resolved, total_fields, &[]);
+        if let Some(mut span) = span.take() {
+            span.set_attr("applied", applied.values.to_string());
+            span.set_attr("shards", applied.shards.to_string());
+            span.finish();
+        }
+        result
+    }
+
+    /// Append a resolved batch: the step [`Db::write_batch`] ends with and
+    /// WAL replay ([`Db::recover`]) re-runs record by record, so a replayed
+    /// database cannot differ from one that never stopped — shard grouping,
+    /// per-span appends, statistics, watermarks and metrics are this code
+    /// both times. Points whose shard starts at one of `covered` (sorted;
+    /// the shards recovery already loaded from segment files) are skipped
+    /// and counted. `fields_hint` sizes the grouping buffer.
+    ///
+    /// A failed append (a field-type conflict) stops the batch there: the
+    /// error comes back with the prefix that landed still applied.
+    pub(crate) fn apply<'a, F>(
+        &self,
+        points: impl Iterator<Item = Resolved<'a, F>>,
+        fields_hint: usize,
+        covered: &[i64],
+    ) -> (Result<()>, Applied)
+    where
+        F: Iterator<Item = (FieldId, &'a crate::FieldValue)>,
+    {
         // --- pre-group by shard (no locks held) --------------------------
         let duration = self.config.shard_duration;
         let mut groups: BTreeMap<i64, Vec<(SeriesId, FieldId, i64, &crate::FieldValue)>> =
             BTreeMap::new();
-        let mut fi = 0usize;
         // Per-measurement [min, max] timestamp spans for the watermark
         // registry; batches touch a handful of measurements, so a linear
         // scan beats a map.
         let mut spans: Vec<(&str, i64, i64)> = Vec::new();
-        for (i, p) in points.iter().enumerate() {
-            let ts = p.time.as_secs();
-            let shard_start = ts.div_euclid(duration) * duration;
-            let sid = sids[i].expect("series id resolved above");
+        let mut counts = Applied::default();
+        let mut wire = 0usize;
+        for p in points {
+            let shard_start = p.ts.div_euclid(duration) * duration;
+            if covered.binary_search(&shard_start).is_ok() {
+                counts.skipped += 1;
+                continue;
+            }
+            counts.points += 1;
+            wire += p.wire;
             match spans.iter_mut().find(|(m, _, _)| *m == p.measurement) {
                 Some((_, lo, hi)) => {
-                    *lo = (*lo).min(ts);
-                    *hi = (*hi).max(ts);
+                    *lo = (*lo).min(p.ts);
+                    *hi = (*hi).max(p.ts);
                 }
-                None => spans.push((&p.measurement, ts, ts)),
+                None => spans.push((p.measurement, p.ts, p.ts)),
             }
-            // Capacity for the whole batch: nearly every batch lands in one
-            // shard (collector intervals share a timestamp), and the map is
-            // batch-lived, so over-reserving beats reallocating.
-            let group =
-                groups.entry(shard_start).or_insert_with(|| Vec::with_capacity(total_fields));
-            for (_, value) in &p.fields {
-                group.push((sid, fids[fi].expect("field id resolved above"), ts, value));
-                fi += 1;
-            }
+            // Capacity for the whole batch in the first group: nearly every
+            // batch lands in one shard (collector intervals share a
+            // timestamp), and the map is batch-lived, so over-reserving
+            // beats reallocating. Further groups grow as they fill — a batch
+            // spread over many shards must not reserve itself once a shard.
+            let reserve = if groups.is_empty() { fields_hint } else { 0 };
+            let group = groups.entry(shard_start).or_insert_with(|| Vec::with_capacity(reserve));
+            group.extend(p.fields.map(|(fid, value)| (p.series, fid, p.ts, value)));
         }
 
         // --- apply, one shard lock at a time -----------------------------
@@ -585,28 +641,38 @@ impl Db {
         self.watermarks.note_spans(&spans);
 
         monster_obs::counter("monster_tsdb_write_batches_total").inc();
-        monster_obs::histo("monster_tsdb_write_batch_points").observe(points.len() as f64);
+        monster_obs::histo("monster_tsdb_write_batch_points").observe(counts.points as f64);
         self.update_topology_gauges();
         for (start, count) in &shard_gauges {
             monster_obs::gauge(&format!("monster_tsdb_shard_points{{shard=\"{start}\"}}"))
                 .set(*count);
         }
-        if let Some(mut span) = span.take() {
-            span.set_attr("applied", applied.to_string());
-            span.set_attr("shards", shard_gauges.len().to_string());
-            span.finish();
-        }
-        result
+        counts.values = applied;
+        counts.shards = shard_gauges.len();
+        (result, counts)
     }
 
-    /// Reject batches containing field-less points — whole-batch, before
-    /// any state changes.
-    fn validate_points(points: &[DataPoint]) -> Result<()> {
+    /// Whether a shard can hold `ts`: the `[start, start + shard_duration)`
+    /// around it must be representable.
+    pub(crate) fn in_range(&self, ts: i64) -> bool {
+        let duration = self.config.shard_duration;
+        (i64::MIN + duration..=i64::MAX - duration).contains(&ts)
+    }
+
+    /// Reject batches containing field-less points or timestamps no shard
+    /// can hold — whole-batch, before any state changes.
+    fn validate_points(&self, points: &[DataPoint]) -> Result<()> {
         for p in points {
             if !p.is_valid() {
                 return Err(Error::invalid(format!(
                     "point for measurement {:?} has no fields",
                     p.measurement
+                )));
+            }
+            if !self.in_range(p.time.as_secs()) {
+                return Err(Error::invalid(format!(
+                    "timestamp {} is outside the storable range",
+                    p.time.as_secs()
                 )));
             }
         }
@@ -618,53 +684,61 @@ impl Db {
     /// field in point order). One index read-lock acquisition on the fast
     /// path, plus one write acquisition only when new series or field names
     /// appear.
-    fn resolve_ids(
-        &self,
-        points: &[DataPoint],
-        sids: &mut Vec<Option<SeriesId>>,
-        fids: &mut Vec<Option<FieldId>>,
-    ) {
+    fn resolve_ids(&self, points: &[DataPoint], sids: &mut Vec<SeriesId>, fids: &mut Vec<FieldId>) {
+        // Placeholders between the two passes; ids are dense, so neither
+        // is one the index hands out.
+        const NEW_SERIES: SeriesId = SeriesId(u32::MAX);
+        const NEW_FIELD: FieldId = FieldId(u32::MAX);
         sids.clear();
-        sids.resize(points.len(), None);
         fids.clear();
-        let mut missing = false;
         {
             // Fast path: everything already known — a shared read lock.
             let wait = Instant::now();
             let idx = self.index.read();
             let acquired = Instant::now();
-            for (i, p) in points.iter().enumerate() {
-                sids[i] = idx.id_of_point(p);
-                missing |= sids[i].is_none();
-                for (name, _) in &p.fields {
-                    let f = idx.field_id(name);
-                    missing |= f.is_none();
-                    fids.push(f);
-                }
+            for p in points {
+                sids.push(idx.id_of_point(p).unwrap_or(NEW_SERIES));
+                fids.extend(
+                    p.fields.iter().map(|(name, _)| idx.field_id(name).unwrap_or(NEW_FIELD)),
+                );
             }
             drop(idx);
             self.observe_lock(wait, acquired);
         }
-        if missing {
+        if sids.contains(&NEW_SERIES) || fids.contains(&NEW_FIELD) {
             // Slow path: register new series/fields under the write lock.
             let wait = Instant::now();
             let mut idx = self.index.write();
             let acquired = Instant::now();
-            let mut fi = 0usize;
-            for (i, p) in points.iter().enumerate() {
-                if sids[i].is_none() {
-                    sids[i] = Some(idx.get_or_create(&SeriesKey::of(p)));
+            let mut fids = fids.iter_mut();
+            for (p, sid) in points.iter().zip(sids) {
+                if *sid == NEW_SERIES {
+                    *sid = idx.get_or_create(&SeriesKey::of(p));
                 }
-                for (name, _) in &p.fields {
-                    if fids[fi].is_none() {
-                        fids[fi] = Some(idx.intern_field(name));
+                for ((name, _), fid) in p.fields.iter().zip(fids.by_ref()) {
+                    if *fid == NEW_FIELD {
+                        *fid = idx.intern_field(name);
                     }
-                    fi += 1;
                 }
             }
             drop(idx);
             self.observe_lock(wait, acquired);
         }
+    }
+
+    /// Register the series and field names a WAL record defines, as
+    /// [`Db::write_batch`] registered them before it logged the record:
+    /// their ids, in order.
+    pub(crate) fn define(
+        &self,
+        series: &[SeriesKey],
+        fields: &[String],
+    ) -> (Vec<SeriesId>, Vec<FieldId>) {
+        let mut idx = self.index.write();
+        (
+            series.iter().map(|key| idx.get_or_create(key)).collect(),
+            fields.iter().map(|name| idx.intern_field(name)).collect(),
+        )
     }
 
     /// Current ingest watermark for `measurement` (default mark if never
@@ -1598,7 +1672,11 @@ mod tests {
         let db = Db::new(DbConfig::default());
         let good = power_point("n", 0, 1.0);
         let bad = DataPoint::new("m", EpochSecs::new(0)); // no fields
-        assert!(db.write_batch(&[good, bad]).is_err());
+        assert!(db.write_batch(&[good.clone(), bad]).is_err());
+        // No shard's `[start, start + duration)` can hold either end.
+        for ts in [i64::MIN, i64::MAX] {
+            assert!(db.write_batch(&[good.clone(), power_point("n", ts, 1.0)]).is_err());
+        }
         assert_eq!(db.stats().points, 0);
     }
 

@@ -4,26 +4,17 @@
 //! binary state codes (mostly constant) — both delta-encode to a byte or
 //! less per value.
 
-use monster_util::{Error, Result};
+use monster_util::Result;
 
 use super::timestamps::{unzigzag, zigzag};
+use super::{push_varint, read_varint};
 
 /// Encode an integer column.
 pub fn encode(vals: &[i64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(vals.len() + 8);
     let mut prev = 0i64;
     for &v in vals {
-        let delta = v.wrapping_sub(prev);
-        let mut z = zigzag(delta);
-        loop {
-            let b = (z & 0x7F) as u8;
-            z >>= 7;
-            if z == 0 {
-                out.push(b);
-                break;
-            }
-            out.push(b | 0x80);
-        }
+        push_varint(&mut out, zigzag(v.wrapping_sub(prev)));
         prev = v;
     }
     out
@@ -48,23 +39,6 @@ pub fn decode_into(data: &[u8], count: usize, out: &mut Vec<i64>) -> Result<()> 
         out.push(prev);
     }
     Ok(())
-}
-
-fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64> {
-    let mut z: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let b = *data.get(*pos).ok_or_else(|| Error::Corrupt("int column truncated".into()))?;
-        *pos += 1;
-        z |= ((b & 0x7F) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Ok(z);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(Error::Corrupt("int varint overlong".into()));
-        }
-    }
 }
 
 /// Point-at-a-time streaming decoder — the reference implementation the

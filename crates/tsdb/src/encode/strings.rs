@@ -15,40 +15,12 @@
 //! * `0x01` (dict): `dict_len varint | (len varint, bytes)* |
 //!   (index varint)*`.
 
+use super::{push_varint, read_string, read_varint};
 use monster_util::{Error, Result};
 use std::collections::HashMap;
 
 const MODE_RAW: u8 = 0x00;
 const MODE_DICT: u8 = 0x01;
-
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            break;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let b = *data.get(*pos).ok_or_else(|| Error::Corrupt("string column truncated".into()))?;
-        *pos += 1;
-        v |= ((b & 0x7F) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(Error::Corrupt("string varint overlong".into()));
-        }
-    }
-}
 
 fn encode_dict(vals: &[String]) -> Vec<u8> {
     let mut dict: Vec<&str> = Vec::new();
@@ -92,18 +64,6 @@ pub fn encode(vals: &[String]) -> Vec<u8> {
     } else {
         raw
     }
-}
-
-fn read_string(data: &[u8], pos: &mut usize) -> Result<String> {
-    let len = read_varint(data, pos)? as usize;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= data.len())
-        .ok_or_else(|| Error::Corrupt("string entry truncated".into()))?;
-    let s = std::str::from_utf8(&data[*pos..end])
-        .map_err(|_| Error::Corrupt("string entry not UTF-8".into()))?;
-    *pos = end;
-    Ok(s.to_string())
 }
 
 /// Decode `count` strings into a fresh vector.

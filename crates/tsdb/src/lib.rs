@@ -63,6 +63,7 @@ pub mod series;
 pub mod shard;
 pub mod snapshot;
 pub mod wal;
+pub mod wal_record;
 pub mod watermark;
 
 pub use column::{AggScan, BlockSummary, DecodeScratch, NumericSummary, ScanItem};

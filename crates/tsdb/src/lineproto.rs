@@ -40,8 +40,8 @@ pub fn encode(p: &DataPoint) -> String {
 }
 
 /// Encode one point into an existing buffer (no trailing newline, nothing
-/// cleared first): `Db::write_batch` renders a whole batch into one WAL
-/// record this way.
+/// cleared first): `Db::tier_cold_shards` renders a whole shard into one
+/// segment file this way.
 pub fn encode_into(p: &DataPoint, out: &mut String) {
     use std::fmt::Write;
     push_escaped(&p.measurement, out);

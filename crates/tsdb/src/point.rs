@@ -82,20 +82,31 @@ impl DataPoint {
     /// Approximate raw size in line-protocol bytes — the unit the Fig. 13
     /// volume accounting uses for "data volume as collected".
     pub fn wire_size(&self) -> usize {
-        let mut n = self.measurement.len();
-        for (k, v) in &self.tags {
-            n += 1 + k.len() + 1 + v.len(); // ,k=v
-        }
-        n += 1; // space
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                n += 1;
-            }
-            n += k.len() + 1 + v.wire_size();
-        }
-        n += 1 + 10; // space + epoch timestamp digits
-        n
+        wire_size_of(
+            key_wire_size(&self.measurement, &self.tags),
+            self.fields.iter().map(|(k, v)| (k.len(), v)),
+        )
     }
+}
+
+/// The line-protocol size of a point's identity, `measurement,k=v,...`.
+pub(crate) fn key_wire_size(measurement: &str, tags: &[(String, String)]) -> usize {
+    measurement.len() + tags.iter().map(|(k, v)| 1 + k.len() + 1 + v.len()).sum::<usize>()
+}
+
+/// [`DataPoint::wire_size`] from the parts WAL replay has instead of a
+/// `DataPoint`: the identity's size ([`key_wire_size`]) and each field's
+/// name length and value.
+pub(crate) fn wire_size_of<'a>(
+    key: usize,
+    fields: impl Iterator<Item = (usize, &'a FieldValue)>,
+) -> usize {
+    // key, space, fields joined by commas, space, epoch timestamp digits
+    let mut n = key + 1 + 1 + 10;
+    for (i, (name, value)) in fields.enumerate() {
+        n += usize::from(i > 0) + name + 1 + value.wire_size();
+    }
+    n
 }
 
 #[cfg(test)]

@@ -23,25 +23,41 @@
 //! covered). Everything before the tear — in particular every acknowledged
 //! batch — replays exactly; recovery never panics on torn bytes.
 //!
-//! A frame whose CRC validates but whose payload fails to parse is
+//! A frame whose CRC validates but whose payload fails to decode is
 //! different: the bytes were written intact, so this is a writer bug, not
 //! a crash artifact. Such records are counted ([`RecoveryReport::records_failed`])
-//! and skipped; replay continues.
+//! and skipped — nothing of them is registered or applied — and replay
+//! continues.
 //!
-//! Replay goes through [`Db::write_batch`] with no WAL attached (the log is
-//! only attached afterwards, via the resumed appender), so recovered points
-//! are not re-logged, per-measurement watermarks republish exactly as live
-//! writes would, and recovered query results are byte-identical to an
-//! uninterrupted twin fed the same prefix.
+//! A segment that opens with the previous format's magic (`MWALSEG1`:
+//! line-protocol payloads, which nothing here reads any more) is neither:
+//! recovery refuses the whole directory with an error before it touches a
+//! byte of it, rather than mistake a log it cannot read for one torn at
+//! creation and delete it.
+//!
+//! # Replay does not parse
+//!
+//! A record is the batch as [`Db::write_batch`] resolved it
+//! ([`crate::wal_record`]): replay decodes it, registers the series and
+//! field names it defines — segment-local ids, so every file stands alone —
+//! and hands `(SeriesId, FieldId, ts, value)`s to the same private apply
+//! step `write_batch` ends with. No text is lexed and no `DataPoint` is
+//! rebuilt; recovered points are not re-logged (the appender is attached
+//! afterwards), per-measurement watermarks republish exactly as live
+//! writes would, a record whose apply failed live (a field-type conflict)
+//! applies the same prefix again, and recovered statistics and query
+//! results are byte-identical to an uninterrupted twin fed the same prefix.
 
-use crate::db::{Db, DbConfig};
-use crate::lineproto;
-use crate::point::DataPoint;
+use crate::db::{Db, DbConfig, Resolved};
+use crate::point::{key_wire_size, wire_size_of};
+use crate::series::{FieldId, SeriesId};
 use crate::snapshot;
-use crate::wal::{self, Wal, FRAME_HEADER, MAX_RECORD_BYTES, SEGMENT_MAGIC};
+use crate::wal::{self, Wal, FRAME_HEADER, MAX_RECORD_BYTES, SEGMENT_MAGIC, SEGMENT_MAGIC_V1};
+use crate::wal_record::{self, Record};
 use monster_util::{Error, Result};
-use std::collections::HashSet;
+use std::io::Read;
 use std::path::Path;
+use std::time::Instant;
 
 /// What [`Db::recover`] found and did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -58,7 +74,7 @@ pub struct RecoveryReport {
     pub replayed_points: usize,
     /// Points skipped because a segment file already covered their shard.
     pub skipped_points: usize,
-    /// CRC-valid records that failed to parse or apply (writer bugs —
+    /// CRC-valid records that failed to decode or apply (writer bugs —
     /// counted, skipped, replay continues).
     pub records_failed: u64,
     /// Bytes discarded from the torn tail (truncated frame bytes plus any
@@ -73,6 +89,14 @@ fn parse_seg_name(name: &str) -> Option<i64> {
     name.strip_prefix("shard-")?.strip_suffix(".seg")?.parse().ok()
 }
 
+/// What replay keeps of a series the segment file in hand defined.
+struct LocalSeries {
+    id: SeriesId,
+    measurement: String,
+    /// [`key_wire_size`] of its key.
+    key_wire: usize,
+}
+
 impl Db {
     /// Open a durable database from `dir`, replaying its history, and
     /// attach a resumed WAL appender so subsequent writes keep logging.
@@ -80,6 +104,7 @@ impl Db {
     /// An empty (or absent) directory yields a fresh database and an
     /// all-zero report — this is also how a durable deployment starts.
     pub fn recover(config: DbConfig, dir: impl AsRef<Path>) -> Result<(Db, RecoveryReport)> {
+        let started = Instant::now();
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         let db = Db::new(config);
@@ -103,9 +128,24 @@ impl Db {
         }
         seg_starts.sort_unstable();
         wal_seqs.sort_unstable();
+        // A log of the previous format is not a torn one: refuse it before
+        // anything below truncates or deletes a file.
+        for &seq in &wal_seqs {
+            let mut magic = Vec::with_capacity(SEGMENT_MAGIC_V1.len());
+            let file = std::fs::File::open(wal::segment_path(dir, seq))?;
+            file.take(SEGMENT_MAGIC_V1.len() as u64).read_to_end(&mut magic)?;
+            if magic == SEGMENT_MAGIC_V1 {
+                return Err(Error::Corrupt(format!(
+                    "unsupported WAL segment version MWALSEG1 in {} (written by an older \
+                     release; this one reads MWALSEG2 only)",
+                    wal::segment_path(dir, seq).display()
+                )));
+            }
+        }
 
         // --- cold shards from immutable segment files --------------------
-        let mut covered: HashSet<i64> = HashSet::new();
+        // `seg_starts` doubles as the sorted list of shards WAL replay
+        // skips: every start below gets a loaded (or empty) segment.
         for &start in &seg_starts {
             let bytes = std::fs::read(dir.join(format!("shard-{start}.seg")))?;
             let points = snapshot::decode_segment(&bytes)?;
@@ -115,13 +155,14 @@ impl Db {
             if !points.is_empty() {
                 db.shard_for(start).write().mark_cold();
             }
-            covered.insert(start);
             report.segment_files_loaded += 1;
             report.segment_points += points.len();
         }
 
         // --- WAL replay to the longest consistent prefix ------------------
-        let duration = config.shard_duration;
+        let mut record = Record::default();
+        let mut series: Vec<LocalSeries> = Vec::new();
+        let mut fields: Vec<(FieldId, usize)> = Vec::new(); // id, name length
         let mut sealed: Vec<(u64, i64)> = Vec::new();
         let mut torn_at: Option<usize> = None; // index into wal_seqs
         for (file_idx, &seq) in wal_seqs.iter().enumerate() {
@@ -139,6 +180,9 @@ impl Db {
                 torn_at = Some(file_idx + 1);
                 break;
             }
+            // Ids are local to the file: it defines everything it uses.
+            series.clear();
+            fields.clear();
             let mut offset = SEGMENT_MAGIC.len();
             let mut seg_max_ts = i64::MIN;
             let mut torn_here = false;
@@ -161,39 +205,53 @@ impl Db {
                 }
                 offset += FRAME_HEADER + len;
                 // CRC says the record is exactly what the writer framed:
-                // parse/apply failures from here on are counted, not torn.
-                match std::str::from_utf8(payload)
-                    .map_err(|_| Error::Corrupt("WAL record is not UTF-8".into()))
-                    .and_then(lineproto::parse_batch)
-                {
-                    Ok(points) => {
-                        for p in &points {
-                            seg_max_ts = seg_max_ts.max(p.time.as_secs());
-                        }
-                        let fresh: Vec<DataPoint> = points
-                            .into_iter()
-                            .filter(|p| {
-                                let start = p.time.as_secs().div_euclid(duration) * duration;
-                                if covered.contains(&start) {
-                                    report.skipped_points += 1;
-                                    false
-                                } else {
-                                    true
-                                }
-                            })
-                            .collect();
-                        let fresh_count = fresh.len();
-                        match db.write_batch(&fresh) {
-                            Ok(()) => {
-                                report.replayed_records += 1;
-                                report.replayed_points += fresh_count;
-                            }
-                            // Same contract as live ingest: a batch that
-                            // partially applies (e.g. a type conflict)
-                            // errors but keeps its applied prefix.
-                            Err(_) => report.records_failed += 1,
-                        }
+                // decode/apply failures from here on are counted, not torn.
+                let decoded = wal_record::decode(
+                    payload,
+                    series.len() as u32,
+                    fields.len() as u32,
+                    &mut record,
+                );
+                // The writer refuses what `write_batch` refuses, so neither
+                // is in a record it framed.
+                if decoded.is_err() || record.points.iter().any(|p| !db.in_range(p.ts)) {
+                    report.records_failed += 1;
+                    continue;
+                }
+                let (sids, fids) = db.define(&record.series_defs, &record.field_defs);
+                series.extend(record.series_defs.drain(..).zip(sids).map(|(key, id)| {
+                    let key_wire = key_wire_size(&key.measurement, &key.tags);
+                    LocalSeries { id, measurement: key.measurement, key_wire }
+                }));
+                fields.extend(fids.into_iter().zip(&record.field_defs).map(|(f, n)| (f, n.len())));
+                seg_max_ts = record.points.iter().map(|p| p.ts).fold(seg_max_ts, i64::max);
+                let (series, fields) = (&series, &fields);
+                let mut next_field = 0usize;
+                let resolved = record.points.iter().map(|p| {
+                    let s = &series[p.series as usize];
+                    let mine = &record.fields[next_field..next_field + p.fields as usize];
+                    next_field += p.fields as usize;
+                    Resolved {
+                        series: s.id,
+                        measurement: &s.measurement,
+                        ts: p.ts,
+                        wire: wire_size_of(
+                            s.key_wire,
+                            mine.iter().map(|(f, value)| (fields[*f as usize].1, value)),
+                        ),
+                        fields: mine.iter().map(move |(f, value)| (fields[*f as usize].0, value)),
                     }
+                });
+                let (result, applied) = db.apply(resolved, record.fields.len(), &seg_starts);
+                report.skipped_points += applied.skipped;
+                match result {
+                    Ok(()) => {
+                        report.replayed_records += 1;
+                        report.replayed_points += applied.points;
+                    }
+                    // Same contract as live ingest: a batch that partially
+                    // applies (e.g. a type conflict) errors but keeps its
+                    // applied prefix.
                     Err(_) => report.records_failed += 1,
                 }
             }
@@ -227,6 +285,11 @@ impl Db {
         )
         .add(report.replayed_records);
         monster_obs::counter_help(
+            "monster_tsdb_wal_replayed_points_total",
+            "Points applied from WAL records during crash recovery.",
+        )
+        .add(report.replayed_points as u64);
+        monster_obs::counter_help(
             "monster_tsdb_wal_truncated_bytes_total",
             "Torn-tail bytes discarded during crash recovery.",
         )
@@ -237,6 +300,13 @@ impl Db {
         let wal = Wal::resume(dir, config.wal, next_seq, &sealed)?;
         let mut db = db;
         db.set_wal(wal);
+        // A histogram of one observation per recovery (registry gauges are
+        // integers): `_sum` is the seconds a restart was blind.
+        monster_obs::histo_help(
+            "monster_tsdb_recovery_seconds",
+            "Wall time of Db::recover: segment files loaded, WAL replayed, appender resumed.",
+        )
+        .observe(started.elapsed().as_secs_f64());
         Ok((db, report))
     }
 }
@@ -299,6 +369,7 @@ pub fn wal_extent(dir: impl AsRef<Path>) -> Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::DataPoint;
     use crate::wal::WalTuning;
     use monster_util::EpochSecs;
     use std::path::PathBuf;
@@ -337,8 +408,7 @@ mod tests {
         let stats = db.stats();
         drop(db);
         let (db2, report) = Db::recover(DbConfig::default(), &dir).unwrap();
-        assert_eq!(db2.stats().points, stats.points);
-        assert_eq!(db2.stats().cardinality, stats.cardinality);
+        assert_eq!(db2.stats(), stats);
         assert_eq!(report.replayed_points, 100);
         assert!(!report.torn_tail);
         drop(db2);
@@ -443,25 +513,90 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A batch too big for one record is refused whole by the appender —
+    /// before the fix it was logged, acknowledged, and the next recovery
+    /// called its length prefix corruption and cut the log there.
     #[test]
-    fn crc_valid_garbage_records_are_skipped_not_torn() {
-        let dir = tmp_dir("garbage");
+    fn oversized_record_is_refused_and_its_neighbours_replay() {
+        let dir = tmp_dir("oversized");
         let (db, _) = Db::recover(DbConfig::default(), &dir).unwrap();
         db.write_batch(&[point(1)]).unwrap();
-        // Hand-frame a record whose payload is valid CRC but invalid line
-        // protocol, then a good record after it.
-        if let Some(w) = db.wal() {
-            w.append(b"not line protocol at all,,,", 0).unwrap();
-        }
-        db.write_batch(&[point(2)]).unwrap();
-        db.wal_sync().unwrap();
+        // One string value a byte past the limit (zeroed pages, untouched:
+        // the encoder refuses before it copies).
+        let huge = String::from_utf8(vec![0u8; MAX_RECORD_BYTES + 1]).unwrap();
+        // Both points are of the series `point(1)` made: a refused batch's
+        // new series would stay registered (empty) here and not in `db2`.
+        let too_big = [point(5), point(9).field_str("Note", huge)];
+        let err = db.write_batch(&too_big).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        assert_eq!(db.stats().points, 1, "nothing of a refused batch is visible");
+        assert_eq!(db.wal_status().unwrap().appended_records, 1, "nor logged");
+        db.write_batch(&[point(4)]).unwrap();
+        let stats = db.stats();
         drop(db);
         let (db2, report) = Db::recover(DbConfig::default(), &dir).unwrap();
-        assert_eq!(report.records_failed, 1);
         assert!(!report.torn_tail);
-        assert_eq!(db2.stats().points, 2, "the record after the bad one still replays");
+        assert_eq!((report.replayed_records, report.records_failed), (2, 0));
+        assert_eq!(db2.stats(), stats);
         drop(db2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| (e.file_name().into_string().unwrap(), std::fs::read(e.path()).unwrap()))
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// A directory the previous release wrote is refused, not "repaired":
+    /// every file is byte-for-byte what it was.
+    #[test]
+    fn previous_format_is_refused_untouched() {
+        let dir = tmp_dir("seg1");
+        let (db, _) = Db::recover(DbConfig::default(), &dir).unwrap();
+        db.write_batch(&[point(1)]).unwrap();
+        drop(db);
+        // A later segment as the parent binary framed one: its magic, then
+        // a CRC-framed line-protocol record.
+        let line = b"Power,NodeId=10.101.1.1 Reading=250 60\n";
+        let mut old = SEGMENT_MAGIC_V1.to_vec();
+        old.extend_from_slice(&(line.len() as u32).to_le_bytes());
+        old.extend_from_slice(&wal::crc32(line).to_le_bytes());
+        old.extend_from_slice(line);
+        std::fs::write(wal::segment_path(&dir, 1), &old).unwrap();
+        let before = dir_image(&dir);
+        let err = Db::recover(DbConfig::default(), &dir).err().expect("refused");
+        assert!(matches!(&err, Error::Corrupt(m) if m.contains("unsupported WAL segment version")));
+        assert_eq!(dir_image(&dir), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Short or unrecognised magic is still a file torn at creation: it and
+    /// everything after it go, everything before it replays.
+    #[test]
+    fn unrecognised_magic_is_torn_at_creation() {
+        for (tag, magic) in
+            [("short-magic", &b"MWAL"[..]), ("odd-magic", &b"MWALSEG9 and more"[..])]
+        {
+            let dir = tmp_dir(tag);
+            let (db, _) = Db::recover(DbConfig::default(), &dir).unwrap();
+            db.write_batch(&[point(1)]).unwrap();
+            drop(db);
+            std::fs::write(wal::segment_path(&dir, 1), magic).unwrap();
+            std::fs::write(wal::segment_path(&dir, 2), SEGMENT_MAGIC).unwrap();
+            let (db2, report) = Db::recover(DbConfig::default(), &dir).unwrap();
+            assert!(report.torn_tail, "{tag}");
+            assert_eq!(report.truncated_bytes, (magic.len() + SEGMENT_MAGIC.len()) as u64);
+            assert_eq!(db2.stats().points, 1, "{tag}");
+            drop(db2);
+            let names: Vec<String> = dir_image(&dir).into_iter().map(|(n, _)| n).collect();
+            assert_eq!(names, ["wal-00000000.log", "wal-00000001.log"], "{tag}: torn files gone");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Write-ahead log: CRC32-framed, length-prefixed segments with group
 //! commit.
 //!
-//! Every accepted batch is rendered as line-protocol text and appended to
-//! the active segment **before** it becomes visible to readers:
+//! Every accepted batch is appended to the active segment, ids resolved
+//! and values typed, **before** it becomes visible to readers:
 //!
 //! ```text
-//! wal-<seq>.log := "MWALSEG1" record*
+//! wal-<seq>.log := "MWALSEG2" record*
 //! record        := len:u32le crc32:u32le payload[len]
-//! payload       := line-protocol text, one line per point
+//! payload       := the batch in binary ([`crate::wal_record`])
 //! ```
 //!
 //! The CRC (IEEE 802.3, the `cksum`/zlib polynomial) covers the payload
@@ -16,6 +16,13 @@
 //! makes that record and everything after it unrecoverable *by design*:
 //! appends are strictly sequential, so a torn frame can only be the
 //! unsynced tail (see [`crate::recover`]).
+//!
+//! A record names series and fields by ids local to its segment file; the
+//! appender keeps the file's dictionary ([`SegmentDict`]: what the active
+//! segment has defined so far), encodes each batch against it under its
+//! mutex and forgets it at every roll, so no segment needs another to be
+//! read. `MWALSEG1` segments held line-protocol text; there is no reader
+//! for them ([`crate::recover`] refuses the directory untouched).
 //!
 //! # Group commit
 //!
@@ -29,9 +36,10 @@
 //! completes ([`WalStatus::acked_records`]); [`Wal::sync`] forces the
 //! boundary for tests and benches.
 //!
-//! The appender takes one private mutex, reuses one frame buffer, and
-//! performs zero heap allocations in the steady state
-//! (`tests/alloc_steady_state.rs` counts them on [`Wal::append`]).
+//! The appender takes one private mutex, encodes each record straight
+//! into one retained frame buffer, and performs zero heap allocations in
+//! the steady state (`tests/alloc_steady_state.rs` counts them on
+//! [`Wal::append_batch`]).
 //!
 //! # Segments and reclamation
 //!
@@ -42,6 +50,9 @@
 //! [`Wal::reclaim_before`] deletes them. The active segment is never
 //! reclaimed.
 
+use crate::point::DataPoint;
+use crate::series::{FieldId, SeriesId};
+use crate::wal_record::{self, SegmentDict};
 use monster_util::Result;
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
@@ -51,13 +62,18 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Magic bytes opening every WAL segment file.
-pub const SEGMENT_MAGIC: &[u8; 8] = b"MWALSEG1";
+pub const SEGMENT_MAGIC: &[u8; 8] = b"MWALSEG2";
+
+/// The magic of the previous format (line-protocol payloads), which
+/// recovery recognises only to refuse it.
+pub const SEGMENT_MAGIC_V1: &[u8; 8] = b"MWALSEG1";
 
 /// Frame header size: `u32` length + `u32` CRC.
 pub const FRAME_HEADER: usize = 8;
 
-/// Upper bound on one record's payload; a length prefix above this is
-/// treated as corruption rather than an allocation request.
+/// Upper bound on one record's payload: the appender refuses a batch that
+/// would exceed it, and recovery treats a length prefix above it as
+/// corruption rather than an allocation request.
 pub const MAX_RECORD_BYTES: usize = 64 << 20;
 
 // --- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) ----------------------
@@ -153,6 +169,8 @@ struct WalInner {
     acked: u64,
     /// Reusable frame scratch (header + payload), cleared not shrunk.
     frame: Vec<u8>,
+    /// What the active segment has defined; cleared at every roll.
+    dict: SegmentDict,
 }
 
 /// The write-ahead log appender. One per database; interior mutex, shared
@@ -164,6 +182,8 @@ pub struct Wal {
     appends: Arc<monster_obs::Counter>,
     bytes: Arc<monster_obs::Counter>,
     syncs: Arc<monster_obs::Counter>,
+    series_defs: Arc<monster_obs::Counter>,
+    field_defs: Arc<monster_obs::Counter>,
     segments_gauge: Arc<monster_obs::Gauge>,
     reclaimed: Arc<monster_obs::Counter>,
 }
@@ -213,6 +233,7 @@ impl Wal {
                 appended: 0,
                 acked: 0,
                 frame: Vec::new(),
+                dict: SegmentDict::default(),
             }),
             appends: monster_obs::counter_help(
                 "monster_tsdb_wal_appends_total",
@@ -225,6 +246,14 @@ impl Wal {
             syncs: monster_obs::counter_help(
                 "monster_tsdb_wal_syncs_total",
                 "Group commits (fdatasync calls) on the write-ahead log.",
+            ),
+            series_defs: monster_obs::counter_help(
+                "monster_tsdb_wal_definitions_total{kind=\"series\"}",
+                "Series keys spelled out in the write-ahead log (once per series per segment).",
+            ),
+            field_defs: monster_obs::counter_help(
+                "monster_tsdb_wal_definitions_total{kind=\"field\"}",
+                "Field names spelled out in the write-ahead log (once per name per segment).",
             ),
             segments_gauge: monster_obs::gauge_help(
                 "monster_tsdb_wal_segments",
@@ -253,22 +282,44 @@ impl Wal {
         Wal::open_at(dir, tuning, next_seq, sealed)
     }
 
-    /// Append one record (an already-rendered line-protocol batch) to the
-    /// active segment. `max_ts` is the maximum data timestamp in the
-    /// payload, tracked per segment for reclamation. Returns whether this
-    /// append triggered a group commit (the record — and every earlier one
-    /// — is durable iff so).
-    pub fn append(&self, payload: &[u8], max_ts: i64) -> Result<bool> {
-        if payload.is_empty() {
+    /// Append one batch as one record of the active segment. `series[i]`
+    /// is point `i`'s id and `fields` holds every point's field ids back to
+    /// back, as the series index resolved them. Returns whether this append
+    /// triggered a group commit (the record — and every earlier one — is
+    /// durable iff so).
+    ///
+    /// A batch that does not fit [`MAX_RECORD_BYTES`] is refused before a
+    /// byte is written: recovery would call its length prefix corruption
+    /// and cut the log there.
+    pub fn append_batch(
+        &self,
+        points: &[DataPoint],
+        series: &[SeriesId],
+        fields: &[FieldId],
+    ) -> Result<bool> {
+        let Some(max_ts) = points.iter().map(|p| p.time.as_secs()).max() else {
             return Ok(false);
-        }
+        };
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         inner.frame.clear();
-        inner.frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        inner.frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        inner.frame.extend_from_slice(payload);
-        inner.file.write_all(&inner.frame)?;
+        inner.frame.resize(FRAME_HEADER, 0);
+        let defined = inner.dict.defined();
+        let written = wal_record::encode(points, series, fields, &mut inner.dict, &mut inner.frame)
+            .and_then(|()| {
+                let (header, payload) = inner.frame.split_at_mut(FRAME_HEADER);
+                header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+                header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+                Ok(inner.file.write_all(&inner.frame)?)
+            });
+        if let Err(e) = written {
+            // The file does not hold the record, so neither may the
+            // dictionary; a refused record may have grown the buffer to
+            // the limit.
+            inner.dict.rewind(defined, series, fields);
+            inner.frame = Vec::new();
+            return Err(e);
+        }
         let frame_len = inner.frame.len();
         inner.seg_bytes += frame_len;
         inner.unsynced_bytes += frame_len;
@@ -277,6 +328,9 @@ impl Wal {
         inner.seg_max_ts = inner.seg_max_ts.max(max_ts);
         self.appends.inc();
         self.bytes.add(frame_len as u64);
+        let now_defined = inner.dict.defined();
+        self.series_defs.add((now_defined.0 - defined.0) as u64);
+        self.field_defs.add((now_defined.1 - defined.1) as u64);
 
         if inner.seg_bytes >= self.tuning.segment_bytes {
             self.roll(inner)?;
@@ -321,6 +375,7 @@ impl Wal {
             .open(segment_path(&self.dir, inner.seq))?;
         file.write_all(SEGMENT_MAGIC)?;
         inner.file = file;
+        inner.dict.clear();
         inner.seg_bytes = SEGMENT_MAGIC.len();
         inner.seg_max_ts = i64::MIN;
         inner.unsynced_bytes = SEGMENT_MAGIC.len();
@@ -389,6 +444,13 @@ mod tests {
         dir
     }
 
+    /// Append a one-point batch of the one series `m`, field `v`: 20 framed
+    /// bytes when the segment has to define them, 14 afterwards.
+    fn append(wal: &Wal, v: i64, ts: i64) -> bool {
+        let p = DataPoint::new("m", monster_util::EpochSecs::new(ts)).field_i64("v", v);
+        wal.append_batch(&[p], &[SeriesId(0)], &[FieldId(0)]).unwrap()
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The classic IEEE check value.
@@ -403,7 +465,7 @@ mod tests {
         let tuning = WalTuning { segment_bytes: 64, ..WalTuning::default() };
         let wal = Wal::create(&dir, tuning).unwrap();
         for i in 0..10i64 {
-            wal.append(format!("m v={i} {i}").as_bytes(), i).unwrap();
+            append(&wal, i, i);
         }
         let status = wal.status();
         assert_eq!(status.appended_records, 10);
@@ -430,8 +492,8 @@ mod tests {
             sync_interval: Duration::from_secs(3600),
         };
         let wal = Wal::create(&dir, tuning).unwrap();
-        assert!(!wal.append(b"m v=1 1", 1).unwrap());
-        assert!(!wal.append(b"m v=2 2", 2).unwrap());
+        assert!(!append(&wal, 1, 1));
+        assert!(!append(&wal, 2, 2));
         assert_eq!(wal.status().acked_records, 0);
         wal.sync().unwrap();
         assert_eq!(wal.status().acked_records, 2);
@@ -451,7 +513,7 @@ mod tests {
         let wal = Wal::create(&dir, tuning).unwrap();
         let mut synced = false;
         for i in 0..20i64 {
-            synced |= wal.append(format!("m v={i} {i}").as_bytes(), i).unwrap();
+            synced |= append(&wal, i, i);
         }
         assert!(synced, "64 sync_bytes must trip within 20 records");
         assert!(wal.status().acked_records > 0);
@@ -462,10 +524,10 @@ mod tests {
     #[test]
     fn reclaim_deletes_only_old_sealed_segments() {
         let dir = tmp_dir("reclaim");
-        let tuning = WalTuning { segment_bytes: 48, ..WalTuning::default() };
+        let tuning = WalTuning { segment_bytes: 32, ..WalTuning::default() };
         let wal = Wal::create(&dir, tuning).unwrap();
         for i in 0..8i64 {
-            wal.append(format!("m v={i} {}", i * 100).as_bytes(), i * 100).unwrap();
+            append(&wal, i, i * 100);
         }
         let before = wal.status().segments;
         assert!(before > 2);
@@ -477,7 +539,7 @@ mod tests {
         assert_eq!(wal.status().segments, 1);
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         // Appends continue on the active segment.
-        wal.append(b"m v=9 900", 900).unwrap();
+        append(&wal, 9, 900);
         drop(wal);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -11,7 +11,7 @@
 //! while a counting window is open.
 
 use monster_tsdb::wal::Wal;
-use monster_tsdb::{DataPoint, Db, DbConfig, WalTuning};
+use monster_tsdb::{DataPoint, Db, DbConfig, FieldId, SeriesId, WalTuning};
 use monster_util::EpochSecs;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -59,11 +59,14 @@ fn batch_at(ts: i64) -> Vec<DataPoint> {
         .collect()
 }
 
-#[test]
-fn steady_state_ingest_does_not_allocate_per_point() {
-    let _gate = GATE.lock().unwrap();
-    let db = Db::new(DbConfig::default());
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("monster-alloc-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
 
+/// Allocations of 20 warm `write_batch` calls into `db`.
+fn steady_state_allocs(db: &Db) -> usize {
     // Warm-up: create series, intern fields, materialize the shard and
     // every column, and grow each column tail past the batch sizes below.
     for i in 0..40 {
@@ -72,47 +75,71 @@ fn steady_state_ingest_does_not_allocate_per_point() {
 
     // Steady state: same series, same shard, pre-built batches.
     let batches: Vec<Vec<DataPoint>> = (40..60).map(|i| batch_at(i * 60)).collect();
-    let points_written: usize = batches.iter().map(Vec::len).sum::<usize>() * 2; // 2 fields
-
     ALLOCS.store(0, Ordering::Relaxed);
     COUNTING.store(true, Ordering::Relaxed);
     for b in &batches {
         db.write_batch(b).unwrap();
     }
     COUNTING.store(false, Ordering::Relaxed);
-    let allocs = ALLOCS.load(Ordering::Relaxed);
+    ALLOCS.load(Ordering::Relaxed)
+}
+
+#[test]
+fn steady_state_ingest_does_not_allocate_per_point() {
+    let _gate = GATE.lock().unwrap();
+    let points_written = 20 * NODES * 2; // 20 batches, 2 fields a point
+    let memory_only = steady_state_allocs(&Db::new(DbConfig::default()));
 
     // The old engine allocated a String key per field value — at least
     // one allocation per point (2000 here). The new hot path allocates
     // only per-batch bookkeeping (id vectors, the shard-group buffer, obs
     // lookups): a small constant per batch, far below one per point.
     assert!(
-        allocs < points_written / 10,
-        "steady-state ingest allocated {allocs} times for {points_written} points"
+        memory_only < points_written / 10,
+        "steady-state ingest allocated {memory_only} times for {points_written} points"
     );
+
+    // Logging the batch adds nothing: the record is encoded from the
+    // resolved ids straight into the appender's retained frame buffer.
+    let dir = scratch_dir("ingest");
+    let (durable, _) = Db::recover(DbConfig::default(), &dir).unwrap();
+    let wal_on = steady_state_allocs(&durable);
+    assert_eq!(durable.wal_status().unwrap().appended_records, 60);
+    assert!(
+        wal_on <= memory_only,
+        "WAL-on ingest allocated {wal_on} times, memory-only {memory_only}"
+    );
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The WAL appender is *strictly* allocation-free once warm (`wal.rs`
-/// module docs): a record is framed through one retained scratch buffer and
-/// written with plain `write(2)`s. Group-commit syncs are syscall-only; the
-/// default 8 MiB segment never rolls on this volume.
+/// module docs): a record is encoded into one retained frame buffer against
+/// the segment's retained dictionary and written with plain `write(2)`s.
+/// Group-commit syncs are syscall-only; the default 8 MiB segment never
+/// rolls on this volume.
 #[test]
 fn warm_wal_append_does_not_allocate() {
     let _gate = GATE.lock().unwrap();
-    let dir = std::env::temp_dir().join(format!("monster-alloc-wal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("wal");
     let wal = Wal::create(&dir, WalTuning::default()).unwrap();
-    let payload = monster_tsdb::lineproto::encode_batch(&batch_at(0));
+    // Ids as a fresh series index hands them out: a series a node, the
+    // two field names.
+    let series: Vec<SeriesId> = (0..NODES as u32).map(SeriesId).collect();
+    let fields: Vec<FieldId> = (0..NODES).flat_map(|_| [FieldId(0), FieldId(1)]).collect();
+    let batches: Vec<Vec<DataPoint>> = (0..23).map(|i| batch_at(i * 60)).collect();
 
-    // Warm-up: the frame scratch grows to the record size.
-    for i in 0..3 {
-        wal.append(payload.as_bytes(), i).unwrap();
+    // Warm-up: the frame buffer grows to the record size (the first record,
+    // which spells every series out, is the largest) and the dictionary to
+    // the id space.
+    for b in &batches[..3] {
+        wal.append_batch(b, &series, &fields).unwrap();
     }
 
     ALLOCS.store(0, Ordering::Relaxed);
     COUNTING.store(true, Ordering::Relaxed);
-    for i in 3..23 {
-        wal.append(payload.as_bytes(), i).unwrap();
+    for b in &batches[3..] {
+        wal.append_batch(b, &series, &fields).unwrap();
     }
     COUNTING.store(false, Ordering::Relaxed);
     let allocs = ALLOCS.load(Ordering::Relaxed);

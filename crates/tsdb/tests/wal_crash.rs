@@ -68,10 +68,11 @@ proptest! {
         let dir = fresh_dir("prop");
         let config = DbConfig {
             shard_duration: 1000,
-            // Tiny segments exercise rolling; explicit-sync-only tuning
-            // makes the ack boundary deterministic per case.
+            // Tiny segments exercise rolling (a batch is a 40–300 byte
+            // record); explicit-sync-only tuning makes the ack boundary
+            // deterministic per case.
             wal: WalTuning {
-                segment_bytes: 2048,
+                segment_bytes: 512,
                 sync_bytes: usize::MAX,
                 sync_interval: Duration::from_secs(3600),
             },
@@ -112,8 +113,7 @@ proptest! {
         for b in &batches[..k] {
             twin.write_batch(&mk_batch(b)).unwrap();
         }
-        prop_assert_eq!(recovered.stats().points, twin.stats().points);
-        prop_assert_eq!(recovered.stats().cardinality, twin.stats().cardinality);
+        prop_assert_eq!(recovered.stats(), twin.stats());
         prop_assert_eq!(recovered.measurement_marks(), twin.measurement_marks());
         prop_assert_eq!(query_all(&recovered), query_all(&twin));
 
@@ -124,9 +124,10 @@ proptest! {
 }
 
 /// Mixed-type, multi-measurement, multi-shard ingest replays bit-for-bit:
-/// a WAL record is the batch in batch order, which is exactly how
-/// `write_batch` applied it — so a recovered database answers queries
-/// byte-identically to an uninterrupted twin fed the same batches.
+/// a WAL record is the resolved batch in batch order, which is exactly what
+/// `write_batch` applied — so a recovered database has the statistics of,
+/// and answers queries byte-identically to, an uninterrupted twin fed the
+/// same batches.
 #[test]
 fn mixed_ingest_survives_restart_bit_for_bit() {
     let dir = fresh_dir("mixed");
@@ -151,8 +152,7 @@ fn mixed_ingest_survives_restart_bit_for_bit() {
 
     let (recovered, report) = Db::recover(config, &dir).unwrap();
     assert!(!report.torn_tail);
-    assert_eq!(recovered.stats().points, twin.stats().points);
-    assert_eq!(recovered.stats().cardinality, twin.stats().cardinality);
+    assert_eq!(recovered.stats(), twin.stats());
     assert_eq!(recovered.measurement_marks(), twin.measurement_marks());
     for (m, f) in [("Power", "Reading"), ("Power", "Health"), ("NodeJobs", "JobList")] {
         let q = Query::select(m, f, EpochSecs::new(0), EpochSecs::new(10_000));
@@ -243,8 +243,9 @@ fn retention_after_tiering_does_not_resurrect_on_recovery() {
         // Small segments so the dropped day's WAL records live in sealed
         // segments that tiering reclaims; records still in the active
         // segment would replay (and rely on the collector re-enforcing
-        // retention, the documented fallback).
-        wal: WalTuning { segment_bytes: 4 << 10, ..WalTuning::default() },
+        // retention, the documented fallback). A day's batch is a 1.3 KB
+        // record, so every day seals its own segment.
+        wal: WalTuning { segment_bytes: 1 << 10, ..WalTuning::default() },
         ..DbConfig::default()
     };
     let (db, _) = Db::recover(config, &dir).unwrap();

@@ -1,0 +1,549 @@
+//! The binary WAL record (`wal_record`), kept honest from outside the
+//! crate. A second serialization format beside line protocol is a second
+//! thing that can be wrong, so:
+//!
+//! * whatever a batch holds, `decode(encode(batch))` is that batch — every
+//!   value type, bit for bit;
+//! * no CRC-valid payload — truncated, flipped or random — makes recovery
+//!   panic, tear the log, lose the record behind it, or allocate past a
+//!   stated multiple of the payload;
+//! * a segment file replays without the files before it;
+//! * writers racing to name the same new series define it once a segment.
+//!
+//! The allocation counts come from a counting `#[global_allocator]` with a
+//! per-thread window: recovery runs on the calling thread, so sibling
+//! tests allocating beside it are not counted and nothing serializes.
+
+use monster_tsdb::series::SeriesIndex;
+use monster_tsdb::wal::{self, Wal, FRAME_HEADER, SEGMENT_MAGIC};
+use monster_tsdb::wal_record::{self, Record, SegmentDict};
+use monster_tsdb::{
+    DataPoint, Db, DbConfig, FieldId, FieldValue, Query, RecoveryReport, SeriesId, SeriesKey,
+    WalTuning,
+};
+use monster_util::EpochSecs;
+use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct CountingAlloc;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// The largest single request of the open window.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Bytes requested in the open window.
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs while a thread's locals go away.
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            LARGEST.with(|l| l.set(l.get().max(size)));
+            REQUESTED.with(|r| r.set(r.get() + size));
+        }
+    });
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static A: CountingAlloc = CountingAlloc;
+
+/// Run `f`, counting what this thread asks of the allocator:
+/// `(result, largest request, bytes requested)`.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
+    LARGEST.with(|l| l.set(0));
+    REQUESTED.with(|r| r.set(0));
+    COUNTING.with(|on| on.set(true));
+    let out = f();
+    COUNTING.with(|on| on.set(false));
+    (out, LARGEST.with(Cell::get), REQUESTED.with(Cell::get))
+}
+
+static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("monster-wal-record-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn segment_file(dir: &Path, seq: u64) -> PathBuf {
+    dir.join(format!("wal-{seq:08}.log"))
+}
+
+/// `payload` as the appender frames it.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&wal::crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// The record payloads of one segment file, each checked against its CRC.
+fn payloads(path: &Path) -> Vec<Vec<u8>> {
+    let bytes = std::fs::read(path).unwrap();
+    assert_eq!(&bytes[..SEGMENT_MAGIC.len()], SEGMENT_MAGIC);
+    let mut at = SEGMENT_MAGIC.len();
+    let mut out = Vec::new();
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
+        let payload = &bytes[at + FRAME_HEADER..at + FRAME_HEADER + len];
+        assert_eq!(wal::crc32(payload), crc);
+        out.push(payload.to_vec());
+        at += FRAME_HEADER + len;
+    }
+    out
+}
+
+/// Resolve `batch` against `index` as `Db::write_batch` does: one series id
+/// a point, every point's field ids back to back.
+fn resolve(index: &mut SeriesIndex, batch: &[DataPoint]) -> (Vec<SeriesId>, Vec<FieldId>) {
+    let sids = batch.iter().map(|p| index.get_or_create(&SeriesKey::of(p))).collect();
+    let names = batch.iter().flat_map(|p| p.fields.iter().map(|(name, _)| name));
+    (sids, names.map(|name| index.intern_field(name)).collect())
+}
+
+/// What a point is to the store — canonical key, timestamp, named values —
+/// with floats by their bits, so a NaN equals itself and -0.0 is not 0.0.
+type Canon = (SeriesKey, i64, Vec<(String, String)>);
+
+fn canon_value(v: &FieldValue) -> String {
+    match v {
+        FieldValue::Float(x) => format!("float {:016x}", x.to_bits()),
+        other => format!("{other:?}"),
+    }
+}
+
+fn canon(p: &DataPoint) -> Canon {
+    let values = p.fields.iter().map(|(k, v)| (k.clone(), canon_value(v))).collect();
+    (SeriesKey::of(p), p.time.as_secs(), values)
+}
+
+/// Every definition and point of one segment file's records, decoded as
+/// recovery decodes them: each record against the counts so far.
+#[derive(Default)]
+struct SegmentReader {
+    series: Vec<SeriesKey>,
+    names: Vec<String>,
+    record: Record,
+}
+
+impl SegmentReader {
+    fn read(&mut self, payload: &[u8]) -> Vec<Canon> {
+        let defined = (self.series.len() as u32, self.names.len() as u32);
+        wal_record::decode(payload, defined.0, defined.1, &mut self.record).unwrap();
+        self.series.append(&mut self.record.series_defs);
+        self.names.append(&mut self.record.field_defs);
+        let mut fields = self.record.fields.iter();
+        let points = self.record.points.iter().map(|p| {
+            let mine = fields.by_ref().take(p.fields as usize);
+            let values =
+                mine.map(|(f, v)| (self.names[*f as usize].clone(), canon_value(v))).collect();
+            (self.series[p.series as usize].clone(), p.ts, values)
+        });
+        points.collect()
+    }
+}
+
+/// Encode `batches` as consecutive records — of one segment, or of a new
+/// one where `rolls[i]` — decode them back, and compare.
+fn assert_round_trip(batches: &[Vec<DataPoint>], rolls: &[bool]) {
+    let mut index = SeriesIndex::new();
+    let mut dict = SegmentDict::default();
+    let mut reader = SegmentReader::default();
+    for (i, batch) in batches.iter().enumerate() {
+        if rolls.get(i) == Some(&true) {
+            dict.clear();
+            reader = SegmentReader::default();
+        }
+        let (sids, fids) = resolve(&mut index, batch);
+        let mut payload = vec![0xAA; 3]; // the encoder appends; what is there stays
+        wal_record::encode(batch, &sids, &fids, &mut dict, &mut payload).unwrap();
+        assert_eq!(&payload[..3], [0xAA; 3]);
+        let back = reader.read(&payload[3..]);
+        let want: Vec<Canon> = batch.iter().map(canon).collect();
+        assert_eq!(back, want, "batch {i}");
+        assert_eq!(dict.defined(), (reader.series.len() as u32, reader.names.len() as u32));
+    }
+}
+
+/// Empty, non-ASCII, and everything line protocol has to escape.
+fn arb_text() -> impl Strategy<Value = String> {
+    "[a-c,= \"\\\\\\n£é中🚀]{0,8}"
+}
+
+fn arb_value() -> impl Strategy<Value = FieldValue> {
+    prop_oneof![
+        // Raw bit patterns: NaNs with payloads, infinities, subnormals.
+        any::<f64>().prop_map(FieldValue::Float),
+        prop::sample::select(vec![f64::NAN, -f64::NAN, f64::INFINITY, -f64::INFINITY, -0.0, 0.0])
+            .prop_map(FieldValue::Float),
+        any::<i64>().prop_map(FieldValue::Int),
+        prop::sample::select(vec![i64::MIN, i64::MAX, 0, -1]).prop_map(FieldValue::Int),
+        any::<bool>().prop_map(FieldValue::Bool),
+        arb_text().prop_map(FieldValue::Str),
+    ]
+}
+
+/// A point over a closed vocabulary of awkward names, so series and field
+/// names recur within and across batches; timestamps anywhere, in no order.
+fn arb_point() -> impl Strategy<Value = DataPoint> {
+    let name = || prop::sample::select(vec!["m", "Power", "a,b=c \"d\\e\nf", "温度 °C"]);
+    let ts = prop_oneof![any::<i64>(), -5_000i64..5_000, Just(i64::MIN), Just(i64::MAX)];
+    (
+        name(),
+        prop::collection::vec((name(), arb_text()), 0..3),
+        prop::collection::vec((name(), arb_value()), 1..4),
+        ts,
+    )
+        .prop_map(|(m, tags, fields, ts)| {
+            let mut p = DataPoint::new(m, EpochSecs::new(ts));
+            let mut seen = HashSet::new();
+            for (k, v) in tags {
+                if seen.insert(k) {
+                    p = p.tag(k, v);
+                }
+            }
+            fields.into_iter().fold(p, |p, (k, v)| p.field(k, v))
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// (a) `decode(encode(batch)) ≡ batch`, record after record of a segment
+    /// and across rolls.
+    #[test]
+    fn decode_of_encode_is_the_batch(
+        batches in prop::collection::vec(prop::collection::vec(arb_point(), 0..10), 1..5),
+        rolls in prop::collection::vec(any::<bool>(), 5..6),
+    ) {
+        assert_round_trip(&batches, &rolls);
+    }
+}
+
+/// (a), the shapes the product writes: one series × 120 points (what
+/// `crash_recovery` logs), one series whose points carry differing field
+/// sets, and a batch spread over shards, backwards in time.
+#[test]
+fn product_shapes_round_trip() {
+    let power = |ts: i64| DataPoint::new("Power", EpochSecs::new(ts)).tag("NodeId", "10.101.1.1");
+    let series_hour: Vec<DataPoint> =
+        (0..120).map(|i| power(i * 30).field_f64("Reading", 250.0 + i as f64 * 0.25)).collect();
+    let differing = vec![
+        power(0).field_f64("Reading", 1.0),
+        power(60).field_f64("Reading", 2.0).field_i64("Health", 0),
+        power(120).field_str("Note", "").field_bool("Throttled", true),
+        power(180).field_i64("Health", 2),
+    ];
+    let backwards: Vec<DataPoint> =
+        (0..12).map(|i| power(500_000 - i * 86_400).field_i64("Health", i)).collect();
+    assert_round_trip(&[series_hour.clone(), differing.clone(), backwards.clone()], &[]);
+    assert_round_trip(&[backwards, differing, series_hour], &[false, true, true]);
+    // A record of 120 points of one series names it once.
+    let (mut index, mut dict, mut payload) =
+        (SeriesIndex::new(), SegmentDict::default(), Vec::new());
+    let batch: Vec<DataPoint> =
+        (0..120).map(|i| power(i * 30).field_f64("Reading", 250.5)).collect();
+    let (sids, fids) = resolve(&mut index, &batch);
+    wal_record::encode(&batch, &sids, &fids, &mut dict, &mut payload).unwrap();
+    assert_eq!(dict.defined(), (1, 1));
+    assert!(payload.len() < 120 * 13 + 64, "{} bytes", payload.len());
+}
+
+// --- (b) hostile payloads ------------------------------------------------
+
+fn point_count(db: &Db, measurement: &str, field: &str) -> usize {
+    let q = Query::select(measurement, field, EpochSecs::new(-100_000), EpochSecs::new(100_000));
+    db.query(&q).unwrap().0.point_count()
+}
+
+/// What recovery may ask of the allocator for a record, over what it asks
+/// for an empty one: at most this many bytes a payload byte, in one request
+/// or in all of them together. The dearest honest bytes are a point that
+/// opens a shard — eight of them buy a `Shard`, its maps, a column and a
+/// gauge, 143 B a byte measured below; a length or count the payload merely
+/// *claims* buys nothing.
+const PER_BYTE: usize = 256;
+
+/// (b) Every truncation and every single-byte flip of a valid record, and
+/// seeded random bytes, CRC-framed between two good records: applied or
+/// counted, never a panic or a tear, the record behind still replayed, and
+/// never an allocation past the stated multiple of the payload.
+#[test]
+fn crc_valid_hostile_records_are_skipped_not_torn() {
+    let node = |m: &str, n: u32, ts: i64| {
+        DataPoint::new(m, EpochSecs::new(ts)).tag("NodeId", format!("10.101.1.{n}"))
+    };
+    // The segment's first record defines two series and two field names.
+    let first = vec![
+        node("Power", 1, 0).field_f64("Reading", 250.5).field_i64("Health", 0),
+        node("Power", 2, 0).field_f64("Reading", 251.5).field_i64("Health", 1),
+    ];
+    // The victim refers to them, defines a series and two names of its own
+    // and refers to those too, with every value type.
+    let victim = vec![
+        node("Power", 1, 60).field_f64("Reading", f64::NAN).field_i64("Health", i64::MIN),
+        node("NodeJobs", 1, 60).field_str("JobList", "['1290001', 'é']").field_bool("Idle", true),
+        node("Power", 2, 60).field_f64("Reading", -0.0).field_i64("Health", 2),
+        node("NodeJobs", 1, 120).field_str("JobList", "").field_bool("Idle", false),
+    ];
+    // The record behind it defines everything it uses (encoded against an
+    // empty dictionary), so it means the same whatever the victim defined.
+    let good = vec![DataPoint::new("Good", EpochSecs::new(0)).field_i64("ok", 1)];
+
+    let mut index = SeriesIndex::new();
+    let mut encode = |batch: &[DataPoint], dict: &mut SegmentDict| {
+        let (sids, fids) = resolve(&mut index, batch);
+        let mut payload = Vec::new();
+        wal_record::encode(batch, &sids, &fids, dict, &mut payload).unwrap();
+        payload
+    };
+    // The dearest bytes an honest writer can log: eight a point, every
+    // point of a known series in a new shard.
+    let spread: Vec<DataPoint> =
+        (0..400).map(|i| node("Power", 1, i * 86_400).field_bool("Throttled", true)).collect();
+    // `first`'s payload, and `batch`'s as the segment's second record.
+    let mut after_first = |batch: &[DataPoint]| {
+        let mut dict = SegmentDict::default();
+        (encode(&first, &mut dict), encode(batch, &mut dict))
+    };
+    let (first, victim) = after_first(&victim);
+    let (_, spread) = after_first(&spread);
+    // What `write_batch` refuses never reaches the log; here it has.
+    let (_, unstorable) = after_first(&[node("Power", 1, i64::MAX).field_i64("Health", 0)]);
+    let good = encode(&good, &mut SegmentDict::default());
+
+    let dir = fresh_dir("hostile");
+    let recover = |hostile: &[u8]| -> (RecoveryReport, Db, usize, usize) {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut file = SEGMENT_MAGIC.to_vec();
+        for payload in [&first[..], hostile, &good[..]] {
+            file.extend_from_slice(&frame(payload));
+        }
+        std::fs::write(segment_file(&dir, 0), &file).unwrap();
+        let (recovered, largest, requested) = counted(|| {
+            std::panic::catch_unwind(|| Db::recover(DbConfig::default(), &dir))
+                .expect("recovery panicked")
+                .expect("recovery failed")
+        });
+        (recovered.1, recovered.0, largest, requested)
+    };
+
+    // An empty payload is an empty batch; the honest victim applies whole.
+    // (The process's first recovery also registers the metrics: not the base.)
+    drop(recover(&[]));
+    let (report, db, base_largest, base_requested) = recover(&[]);
+    assert_eq!((report.replayed_records, report.records_failed), (3, 0));
+    assert_eq!(db.stats().points, 4 + 1);
+    drop(db);
+    let (report, db, ..) = recover(&victim);
+    assert_eq!((report.replayed_records, report.records_failed), (3, 0));
+    assert_eq!(db.stats().points, 4 + 8 + 1);
+    assert_eq!(point_count(&db, "NodeJobs", "JobList"), 2);
+    drop(db);
+
+    let check = |what: &str, hostile: &[u8]| {
+        let (report, db, largest, requested) = recover(hostile);
+        assert!(!report.torn_tail, "{what}: torn");
+        assert_eq!(report.replayed_records + report.records_failed, 3, "{what}: {report:?}");
+        assert!(report.records_failed <= 1, "{what}: {report:?}");
+        assert!(point_count(&db, "Power", "Health") >= 2, "{what}: the record before it is lost");
+        assert_eq!(point_count(&db, "Good", "ok"), 1, "{what}: the record behind it is lost");
+        let over = PER_BYTE * hostile.len();
+        assert!(largest <= base_largest + over, "{what}: one request of {largest} B");
+        assert!(requested <= base_requested + over, "{what}: {requested} B requested");
+    };
+
+    check("a shard a point", &spread);
+    check("a timestamp no shard can hold", &unstorable);
+    for cut in 0..victim.len() {
+        check(&format!("cut to {cut} bytes"), &victim[..cut]);
+    }
+    for i in 0..victim.len() {
+        let mut bad = victim.clone();
+        // One bit in odd bytes, all eight in even ones.
+        bad[i] ^= if i % 2 == 1 { 1 << (i / 2 % 8) } else { 0xFF };
+        check(&format!("byte {i} flipped"), &bad);
+    }
+    let mut x = 0x5EED_CAFE_u64;
+    let mut next = || {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (x >> 33) as usize
+    };
+    for case in 0..300 {
+        // Mostly small values: bytes that read as references, counts and
+        // type codes get further into the decoder than uniform noise.
+        let noise: Vec<u8> = (0..1 + next() % 96)
+            .map(|_| if next() % 4 == 0 { next() as u8 } else { (next() % 5) as u8 })
+            .collect();
+        check(&format!("random case {case}"), &noise);
+        // And the same noise over a stretch of the victim.
+        let (at, len) = (next() % victim.len(), 1 + next() % 8);
+        let mut bad = victim.clone();
+        for (b, n) in bad[at..].iter_mut().take(len).zip(&noise) {
+            *b = *n;
+        }
+        check(&format!("random case {case}, {len} bytes at {at}"), &bad);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// --- (c) segment self-containment ----------------------------------------
+
+/// (c) Every series is first seen in segment 0; the log rolls after every
+/// second batch and the first two files are reclaimed. What is left replays with nothing
+/// failed, to the twin that was only ever given the surviving records.
+#[test]
+fn a_segment_replays_without_its_predecessors() {
+    let dir = fresh_dir("standalone");
+    let tuning = WalTuning { segment_bytes: 300, ..WalTuning::default() };
+    let config = DbConfig { wal: tuning, ..DbConfig::default() };
+    let wal = Wal::create(&dir, tuning).unwrap();
+    let mut index = SeriesIndex::new();
+    let batch_at = |i: i64| -> Vec<DataPoint> {
+        (1..=6)
+            .map(|n| {
+                DataPoint::new("Power", EpochSecs::new(i * 60))
+                    .tag("NodeId", format!("10.101.1.{n}"))
+                    .field_f64("Reading", 250.0 + (i * n) as f64)
+                    .field_i64("Health", i % 3)
+            })
+            .collect()
+    };
+    // (batch, the segment it landed in)
+    let mut landed: Vec<(Vec<DataPoint>, usize)> = Vec::new();
+    for i in 0..12 {
+        let batch = batch_at(i);
+        let (sids, fids) = resolve(&mut index, &batch);
+        let segment = wal.status().segments - 1;
+        wal.append_batch(&batch, &sids, &fids).unwrap();
+        landed.push((batch, segment));
+    }
+    assert!(wal.status().segments >= 5, "four rolls at least: {:?}", wal.status());
+    let first_kept = landed.iter().position(|(_, segment)| *segment == 2).unwrap();
+    assert_eq!(wal.reclaim_before(first_kept as i64 * 60).unwrap(), 2);
+    drop(wal);
+    assert!(!segment_file(&dir, 0).exists() && !segment_file(&dir, 1).exists());
+
+    let (recovered, report) = Db::recover(config, &dir).unwrap();
+    assert_eq!(report.records_failed, 0);
+    assert!(!report.torn_tail);
+    assert_eq!(report.replayed_records as usize, landed.len() - first_kept);
+    let twin = Db::new(config);
+    for (batch, _) in &landed[first_kept..] {
+        twin.write_batch(batch).unwrap();
+    }
+    assert_eq!(recovered.stats(), twin.stats());
+    assert_eq!(recovered.measurement_marks(), twin.measurement_marks());
+    for field in ["Reading", "Health"] {
+        let q = Query::select("Power", field, EpochSecs::new(0), EpochSecs::new(10_000));
+        assert_eq!(recovered.query(&q).unwrap().0, twin.query(&q).unwrap().0, "{field}");
+    }
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// --- (d) racing writers --------------------------------------------------
+
+/// (d) Two threads write new series — some of them the *same* new series —
+/// into one WAL-on database while the log rolls under them. Whichever
+/// record reaches the appender first defines a series, the other refers to
+/// it: one definition a segment, nothing failed at replay, and the
+/// recovered database is the twin that was fed the batches one by one.
+#[test]
+fn racing_writers_define_each_series_once_a_segment() {
+    let dir = fresh_dir("race");
+    let config = DbConfig {
+        wal: WalTuning { segment_bytes: 2 << 10, ..WalTuning::default() },
+        ..DbConfig::default()
+    };
+    // Round `i` of writer `w`: a series both writers meet for the first
+    // time this round, one of its own, and one everybody knows.
+    let batch = |w: i64, i: i64| -> Vec<DataPoint> {
+        let ts = EpochSecs::new((2 * i + w) * 10);
+        ["everyone".to_string(), format!("round-{i}"), format!("writer-{w}-{i}")]
+            .into_iter()
+            .map(|node| {
+                DataPoint::new("Power", ts)
+                    .tag("NodeId", node)
+                    .field_f64("Reading", (100 * w + i) as f64)
+                    .field_i64(format!("Round{}", i % 7), i)
+            })
+            .collect()
+    };
+    const ROUNDS: i64 = 60;
+    let (db, _) = Db::recover(config, &dir).unwrap();
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for w in 0..2 {
+            let (db, start, batch) = (&db, &start, &batch);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..ROUNDS {
+                    db.write_batch(&batch(w, i)).unwrap();
+                }
+            });
+        }
+    });
+    let segments = db.wal_status().unwrap().segments as u64;
+    assert!(segments >= 4, "the log should have rolled under the writers: {segments}");
+    drop(db);
+
+    for seq in 0..segments {
+        let mut reader = SegmentReader::default();
+        for payload in payloads(&segment_file(&dir, seq)) {
+            reader.read(&payload);
+        }
+        let distinct: HashSet<&SeriesKey> = reader.series.iter().collect();
+        assert_eq!(distinct.len(), reader.series.len(), "segment {seq} defines a series twice");
+        let distinct: HashSet<&String> = reader.names.iter().collect();
+        assert_eq!(distinct.len(), reader.names.len(), "segment {seq} defines a name twice");
+    }
+
+    let (recovered, report) = Db::recover(config, &dir).unwrap();
+    assert_eq!((report.replayed_records, report.records_failed), (2 * ROUNDS as u64, 0));
+    let twin = Db::new(config);
+    for w in 0..2 {
+        for i in 0..ROUNDS {
+            twin.write_batch(&batch(w, i)).unwrap();
+        }
+    }
+    // Whole statistics; of the watermark only what does not depend on the
+    // order the two writers' batches interleaved in.
+    assert_eq!(recovered.stats(), twin.stats());
+    let (got, want) = (recovered.measurement_mark("Power"), twin.measurement_mark("Power"));
+    assert_eq!((got.version, got.max_ts), (want.version, want.max_ts));
+    for field in ["Reading", "Round0", "Round6"] {
+        let q = Query::select("Power", field, EpochSecs::new(0), EpochSecs::new(10_000));
+        assert_eq!(recovered.query(&q).unwrap().0, twin.query(&q).unwrap().0, "{field}");
+    }
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
+}
