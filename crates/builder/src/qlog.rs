@@ -307,11 +307,11 @@ pub const STAGE_PLAN: usize = 1;
 pub const STAGE_CACHE: usize = 2;
 /// Admission decision (token-bucket refill + debit).
 pub const STAGE_ADMISSION: usize = 3;
-/// Storage execution.
+/// Storage execution: the plan's query batch (`exec::run`), nothing else.
 pub const STAGE_EXECUTE: usize = 4;
-/// Document marshalling, header stamping, the cache insert.
+/// Rendering the body (`exec::render`), header stamping, the cache insert.
 pub const STAGE_ENCODE: usize = 5;
-/// Deflating the marshalled body (`compress=true` misses only).
+/// Deflating the rendered body (`compress=true` misses only).
 pub const STAGE_COMPRESS: usize = 6;
 
 /// A request's estimated-vs-actual cost pair, modelled seconds included.

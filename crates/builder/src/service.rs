@@ -37,7 +37,7 @@
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController};
 use crate::cache::{ResponseCache, Validity, ValiditySnapshot};
-use crate::exec::{execute, ExecMode};
+use crate::exec::{run, ExecMode, JsonSink};
 use crate::flight::{FlightGroup, Join};
 use crate::plan::{build_plan, estimate_plan_cost, BuilderRequest};
 use crate::qlog::{
@@ -409,8 +409,8 @@ fn serve_metrics(
 
     let t_exec = stamp(observing);
     let guard = InflightGuard::enter(&st.inflight);
-    let outcome = match execute(&st.db, &plan, st.config.exec) {
-        Ok(o) => o,
+    let batch = match run(&st.db, &plan, st.config.exec) {
+        Ok(b) => b,
         Err(e) => {
             drop(guard);
             // Dropping the leader (if any) completes the flight with
@@ -429,6 +429,10 @@ fn serve_metrics(
     drop(guard);
     let t_enc = stamp(observing);
     d.stages_ns[STAGE_EXECUTE] = t_enc.wrapping_sub(t_exec);
+    // Render the results straight into the reply's text, once, reserved for
+    // a panel's 40–51 bytes a point; `compress` deflates it and drops it.
+    let room = 52 * batch.results.iter().map(|r| r.point_count()).sum::<usize>();
+    let outcome = batch.render_into(&st.db, &plan, JsonSink::with_capacity(room));
     if observing {
         d.cost = Some(CostPair {
             estimated: est,
@@ -439,10 +443,8 @@ fn serve_metrics(
         d.vtime_execute_ns = outcome.query_time.as_nanos();
         d.vtime_encode_ns = outcome.processing_time.as_nanos();
     }
-
-    // Marshal once; a compressed reply deflates the text as it stands and
-    // never keeps the plain copy.
-    let json = outcome.document.to_string_compact().into_bytes();
+    let processing = outcome.query_processing_time();
+    let json = outcome.document;
     let mut resp = if builder_req.compress {
         let t_deflate = qlog::ticks_now();
         let packed = monster_compress::compress(&json, st.config.level);
@@ -457,17 +459,14 @@ fn serve_metrics(
     } else {
         Response::bytes(json, "application/json")
     };
-    resp.headers.set(
-        "X-Query-Processing-Ms",
-        format!("{:.3}", outcome.query_processing_time().as_millis_f64()),
-    );
+    resp.headers.set("X-Query-Processing-Ms", format!("{:.3}", processing.as_millis_f64()));
     span.set_attr("cache", "miss");
     monster_obs::histo_help(
         "monster_builder_request_seconds",
         "End-to-end simulated latency of /v1/metrics requests.",
     )
-    .observe_vdur_traced(outcome.query_processing_time(), Some(ctx));
-    span.finish_after(outcome.query_processing_time());
+    .observe_vdur_traced(processing, Some(ctx));
+    span.finish_after(processing);
     let shared = st.cache.put(key, Validity::Watermarks(validity), resp);
     if let Some(l) = leader {
         l.complete(Some(Arc::clone(&shared)));
@@ -476,9 +475,7 @@ fn serve_metrics(
     let out = serve_shared(&shared, "miss");
     d.stages_ns[STAGE_ENCODE] =
         stamp(observing).wrapping_sub(t_enc).wrapping_sub(d.stages_ns[STAGE_COMPRESS]);
-    // The document and the plan are some 10^5 allocations to free (≈ 1.7 ms
-    // per MB of body): after the reply has gone out, not before.
-    out.park((outcome, plan))
+    out
 }
 
 /// Parse the `/debug/requests` filter parameters; `Err` is the 400.

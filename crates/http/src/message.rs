@@ -1,7 +1,6 @@
 //! HTTP message types: methods, statuses, headers, requests, responses.
 
 use monster_json::Value;
-use std::any::Any;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -312,24 +311,6 @@ impl<const N: usize> PartialEq<&[u8; N]> for Body {
     }
 }
 
-/// What a handler has parked on a [`Response`] (see
-/// [`Response::park`]): not part of the message, so never compared,
-/// printed or sent.
-#[derive(Clone, Default)]
-struct Parked(Option<Arc<dyn Any + Send + Sync>>);
-
-impl PartialEq for Parked {
-    fn eq(&self, _: &Parked) -> bool {
-        true
-    }
-}
-
-impl fmt::Debug for Parked {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.0.is_some() { "Parked(..)" } else { "Parked(-)" })
-    }
-}
-
 /// An HTTP response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
@@ -339,13 +320,12 @@ pub struct Response {
     pub headers: Headers,
     /// Body bytes (shared; see [`Body`]).
     pub body: Body,
-    parked: Parked,
 }
 
 impl Response {
     /// A response from its parts.
     pub fn new(status: Status, headers: Headers, body: Body) -> Response {
-        Response { status, headers, body, parked: Parked::default() }
+        Response { status, headers, body }
     }
 
     /// 200 with a JSON body.
@@ -365,16 +345,6 @@ impl Response {
         let mut headers = Headers::new();
         headers.set("Content-Type", "text/plain");
         Response::new(status, headers, msg.as_bytes().into())
-    }
-
-    /// Keep `working_set` alive until this response is dropped — for a
-    /// server, after the reply is on the wire. A handler that rendered the
-    /// body from a large structure parks it here so that tearing it down
-    /// (milliseconds for a dashboard document) does not sit between
-    /// rendering the reply and delivering it.
-    pub fn park(mut self, working_set: impl Any + Send + Sync) -> Response {
-        self.parked = Parked(Some(Arc::new(working_set)));
-        self
     }
 
     /// Parse the body as JSON (after transparent `mz2` decoding if the
@@ -495,22 +465,6 @@ mod tests {
         assert_eq!(resp.headers.get("Content-Encoding"), Some("mz2"));
         assert!(resp.body.len() < 500);
         assert_eq!(resp.json_body().unwrap(), v);
-    }
-
-    #[test]
-    fn parked_working_set_lives_exactly_as_long_as_the_response() {
-        let working_set = Arc::new(vec![0u8; 64]);
-        let plain = Response::error(Status::OK, "done");
-        let resp = plain.clone().park(Arc::clone(&working_set));
-        assert_eq!(Arc::strong_count(&working_set), 2);
-        // Not part of the message: equal to, and sent like, the bare reply.
-        assert_eq!(resp, plain);
-        assert_eq!(resp.to_bytes(), plain.to_bytes());
-        let copy = resp.clone();
-        drop(resp);
-        assert_eq!(Arc::strong_count(&working_set), 2, "a clone keeps it");
-        drop(copy);
-        assert_eq!(Arc::strong_count(&working_set), 1);
     }
 
     #[test]

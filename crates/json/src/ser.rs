@@ -1,4 +1,7 @@
-//! JSON serialization: compact and pretty writers.
+//! JSON serialization: compact and pretty writers over [`write_i64`],
+//! [`write_f64`] and [`write_str`], the only code that formats a scalar.
+//! Callers that stream a document without building a [`Value`] (the
+//! Metrics Builder's renderer) use the same three and get the same bytes.
 
 use crate::Value;
 use std::fmt::{self, Write as _};
@@ -15,9 +18,9 @@ fn write_value(out: &mut String, v: &Value, pretty: bool, indent: usize) {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Int(i) => out.push_str(&i.to_string()),
+        Value::Int(i) => write_i64(out, *i),
         Value::Float(f) => write_f64(out, *f).expect("writing to a String cannot fail"),
-        Value::Str(s) => write_string(out, s),
+        Value::Str(s) => write_str(out, s),
         Value::Array(a) => {
             if a.is_empty() {
                 out.push_str("[]");
@@ -51,7 +54,7 @@ fn write_value(out: &mut String, v: &Value, pretty: bool, indent: usize) {
                 if pretty {
                     newline_indent(out, indent + 1);
                 }
-                write_string(out, k);
+                write_str(out, k);
                 out.push(':');
                 if pretty {
                     out.push(' ');
@@ -71,6 +74,27 @@ fn newline_indent(out: &mut String, indent: usize) {
     for _ in 0..indent {
         out.push_str("  ");
     }
+}
+
+/// Append `i` in decimal. The digits are laid out in a stack buffer and
+/// copied once: nothing is allocated.
+pub fn write_i64(out: &mut String, i: i64) {
+    let mut buf = [0u8; 20]; // "-9223372036854775808"
+    let mut at = buf.len();
+    let mut left = i.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (left % 10) as u8;
+        left /= 10;
+        if left == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 /// Write `f` the way the serializer does, into any [`fmt::Write`] sink —
@@ -105,29 +129,111 @@ pub fn write_f64<W: fmt::Write>(out: &mut W, f: f64) -> fmt::Result {
     Ok(())
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Append `s` as a quoted JSON string: runs that need no escaping are
+/// copied as slices, only `"`, `\` and controls one at a time.
+pub fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1F => "\\u00", // and two hex digits
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `run..i` ends on a boundary.
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        if escape == "\\u00" {
+            out.push(HEX[(b >> 4) as usize] as char);
+            out.push(HEX[(b & 0xF) as usize] as char);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 #[cfg(test)]
 mod tests {
     use crate::{jobj, parse, Value};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Blocks this thread has asked the allocator for: per thread, so
+        /// sibling tests do not show up in each other's windows.
+        static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    struct CountingAlloc;
+
+    // SAFETY: every call is forwarded to `System` unchanged; the counter is
+    // a const-initialized thread-local `Cell` with no destructor, so
+    // touching it allocates nothing and is valid for the thread's lifetime.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            ALLOCATED.with(|n| n.set(n.get() + 1));
+            unsafe { System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            ALLOCATED.with(|n| n.set(n.get() + 1));
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static A: CountingAlloc = CountingAlloc;
+
+    #[test]
+    fn scalars_allocate_nothing_of_their_own() {
+        let ints = Value::Array((0..10_000).map(|i| Value::Int(i * 7_919 - 40_000)).collect());
+        let before = ALLOCATED.with(Cell::get);
+        let text = ints.to_string_compact();
+        let grown = ALLOCATED.with(Cell::get) - before;
+        assert!(text.len() > 50_000);
+        assert!(grown <= 32, "{grown} allocations for a 10 000-integer array");
+    }
+
+    #[test]
+    fn write_i64_prints_what_display_prints() {
+        for i in [0, 7, -7, 10, -10, 1_583_792_296, i64::MAX, i64::MIN, i64::MIN + 1] {
+            let mut out = String::from("x");
+            super::write_i64(&mut out, i);
+            assert_eq!(out, format!("x{i}"));
+        }
+    }
+
+    #[test]
+    fn write_str_escapes_every_class_and_copies_the_rest() {
+        let all_controls: String = (0u8..0x20).map(char::from).collect();
+        for s in [
+            "",
+            "plain",
+            "\"",
+            "\\",
+            "ends with a quote\"",
+            "\"starts with one",
+            "tab\there, é and 温度 and 🚀 pass through, DEL \u{7f} too",
+            all_controls.as_str(),
+        ] {
+            let mut out = String::new();
+            super::write_str(&mut out, s);
+            assert_eq!(parse(&out).unwrap(), Value::Str(s.into()), "{out}");
+        }
+        let mut out = String::new();
+        super::write_str(&mut out, "\u{0}\u{8}\u{b}\u{c}\u{1f}/");
+        assert_eq!(out, r#""\u0000\b\u000b\f\u001f/""#);
+    }
 
     #[test]
     fn compact_matches_expected_layout() {

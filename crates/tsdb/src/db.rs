@@ -777,7 +777,7 @@ impl Db {
         }
         let (card, series) = {
             let idx = self.index.read();
-            (idx.cardinality(), idx.select(&q.measurement, &q.predicates).len())
+            (idx.cardinality(), idx.select_count(&q.measurement, &q.predicates))
         };
         cost.index_entries = card;
         cost.series = series;
@@ -866,7 +866,7 @@ impl Db {
             queries.iter().map(|q| q.borrow().validate().err().map(Err)).collect();
         let (plan, keys) = self.plan_batch(queries, &results);
         let cuts = self.cut_batch(&plan, workers);
-        self.run_batch(&plan, keys, &cuts, &mut results);
+        self.run_batch(&plan, &keys, &cuts, &mut results);
         results.into_iter().map(|r| r.expect("every query is refused or planned")).collect()
     }
 
@@ -875,7 +875,7 @@ impl Db {
     fn run_batch(
         &self,
         plan: &BatchPlan<'_>,
-        mut keys: Vec<SeriesKey>,
+        keys: &[Arc<SeriesKey>],
         cuts: &[usize],
         results: &mut [Option<QueryResult>],
     ) {
@@ -909,7 +909,7 @@ impl Db {
                     elapsed += query_elapsed;
                     total.absorb(&m.cost);
                     let label = |(s, points): (usize, _)| SeriesResult {
-                        key: std::mem::take(&mut keys[s]),
+                        key: Arc::clone(&keys[s]),
                         points,
                     };
                     let mut series: Vec<SeriesResult> = m.series.into_iter().map(label).collect();
@@ -941,7 +941,7 @@ impl Db {
         &self,
         queries: &'q [Q],
         results: &[Option<QueryResult>],
-    ) -> (BatchPlan<'q>, Vec<SeriesKey>) {
+    ) -> (BatchPlan<'q>, Vec<Arc<SeriesKey>>) {
         let valid = || {
             let all = queries.iter().map(Borrow::borrow).enumerate();
             all.filter(|(at, _)| results[*at].is_none())
@@ -997,7 +997,7 @@ impl Db {
             first_item = planned.items().end;
             plan.queries.push(planned);
         }
-        let keys = plan.series.iter().map(|&id| idx.key_of(id).clone()).collect();
+        let keys = plan.series.iter().map(|&id| Arc::clone(idx.key_of(id))).collect();
         drop(idx);
         self.observe_lock(wait, acquired);
         (plan, keys)
@@ -1826,7 +1826,7 @@ mod tests {
                 queries.iter().map(|q| q.validate().err().map(Err)).collect();
             let (plan, keys) = db.plan_batch(&queries, &results);
             let items = plan.queries.last().map_or(0, |p| p.items().end);
-            db.run_batch(&plan, keys, &cuts_of(items), &mut results);
+            db.run_batch(&plan, &keys, &cuts_of(items), &mut results);
             let done = results.into_iter().map(|r| r.expect("every slot filled"));
             (items, done.map(|r| r.map_err(|e| e.to_string())).collect::<Vec<_>>())
         };

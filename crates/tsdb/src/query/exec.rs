@@ -10,12 +10,13 @@ use crate::field::FieldValue;
 use crate::series::SeriesKey;
 use monster_util::EpochSecs;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One series' query output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesResult {
-    /// The series this row belongs to.
-    pub key: SeriesKey,
+    /// The series this row belongs to: the index's own key, shared.
+    pub key: Arc<SeriesKey>,
     /// `(window start, value)` pairs in ascending time order. For raw
     /// (non-aggregated) queries, the original timestamps and values.
     pub points: Vec<(EpochSecs, FieldValue)>,
@@ -407,7 +408,7 @@ mod tests {
         };
         let rs = ResultSet {
             series: vec![SeriesResult {
-                key,
+                key: Arc::new(key),
                 points: vec![(EpochSecs::new(0), FieldValue::Float(1.0))],
             }],
         };

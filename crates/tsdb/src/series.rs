@@ -11,6 +11,7 @@ use crate::point::DataPoint;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Canonical series identity: measurement plus tags sorted by key.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -87,11 +88,12 @@ struct Postings {
     by_tag: HashMap<String, HashMap<String, Vec<SeriesId>>>,
 }
 
-/// Series registry + inverted index (tag key/value → series ids).
+/// Series registry + inverted index (tag key/value → series ids). Keys are
+/// `Arc`s: a query result labels a series with a reference, not a copy.
 #[derive(Debug, Default)]
 pub struct SeriesIndex {
-    by_key: HashMap<SeriesKey, SeriesId>,
-    keys: Vec<SeriesKey>,
+    by_key: HashMap<Arc<SeriesKey>, SeriesId>,
+    keys: Vec<Arc<SeriesKey>>,
     /// Tombstoned (dropped) slots in `keys`.
     dropped: usize,
     /// measurement → its series and their inverted tag index.
@@ -116,8 +118,9 @@ impl SeriesIndex {
             return id;
         }
         let id = SeriesId(self.keys.len() as u32);
-        self.by_key.insert(key.clone(), id);
-        self.keys.push(key.clone());
+        let key = Arc::new(key.clone());
+        self.by_key.insert(Arc::clone(&key), id);
+        self.keys.push(Arc::clone(&key));
         let postings = self.by_measurement.entry(key.measurement.clone()).or_default();
         postings.all.push(id);
         for (k, v) in &key.tags {
@@ -177,8 +180,8 @@ impl SeriesIndex {
         self.keys.len()
     }
 
-    /// The key for an id.
-    pub fn key_of(&self, id: SeriesId) -> &SeriesKey {
+    /// The key for an id; `Arc::clone` it to keep it past the index lock.
+    pub fn key_of(&self, id: SeriesId) -> &Arc<SeriesKey> {
         &self.keys[id.0 as usize]
     }
 
@@ -200,16 +203,15 @@ impl SeriesIndex {
             return;
         };
         for id in postings.all {
-            let key = self.keys[id.0 as usize].clone();
-            self.by_key.remove(&key);
+            // Tombstone: keep the slot so ids stay stable, but mark the
+            // key as dropped (empty measurement never matches a select).
+            let key = std::mem::take(&mut self.keys[id.0 as usize]);
+            self.by_key.remove(&*key);
             if let Some(list) =
                 self.by_hash.get_mut(&point_identity_hash(&key.measurement, &key.tags))
             {
                 list.retain(|x| *x != id);
             }
-            // Tombstone: keep the slot so ids stay stable, but mark the
-            // key as dropped (empty measurement never matches a select).
-            self.keys[id.0 as usize] = SeriesKey::default();
             self.dropped += 1;
         }
     }
@@ -236,29 +238,45 @@ impl SeriesIndex {
         predicates: &[(String, String)],
         out: &mut Vec<SeriesId>,
     ) {
-        let Some(postings) = self.by_measurement.get(measurement) else {
-            return;
-        };
-        let list_of = |(k, v): &(String, String)| postings.by_tag.get(k)?.get(v);
-        // Walk the shortest list, keeping the ids every other list holds.
-        let mut shortest: Option<(usize, &Vec<SeriesId>)> = None;
+        out.extend(self.selected(measurement, predicates));
+    }
+
+    /// `select(..).len()` without the list — what a cost estimate needs.
+    pub fn select_count(&self, measurement: &str, predicates: &[(String, String)]) -> usize {
+        self.selected(measurement, predicates).count()
+    }
+
+    /// The probe-and-intersect behind [`Self::select_into`] and
+    /// [`Self::select_count`], ids ascending: walk the shortest posting list
+    /// (all series of the measurement without predicates), keeping the ids
+    /// every other list holds. An unmatched predicate selects nothing.
+    fn selected<'a>(
+        &'a self,
+        measurement: &str,
+        predicates: &'a [(String, String)],
+    ) -> impl Iterator<Item = SeriesId> + 'a {
+        let postings = self.by_measurement.get(measurement);
+        let list_of = move |(k, v): &(String, String)| postings?.by_tag.get(k)?.get(v);
+        let mut walked: &[SeriesId] = postings.map_or(&[], |p| &p.all);
+        let mut skip = None;
         for (j, p) in predicates.iter().enumerate() {
-            let Some(list) = list_of(p) else {
-                return; // a predicate no series carries
-            };
-            if shortest.is_none_or(|(_, s)| list.len() < s.len()) {
-                shortest = Some((j, list));
+            match list_of(p) {
+                None => {
+                    walked = &[];
+                    break;
+                }
+                Some(list) if skip.is_none() || list.len() < walked.len() => {
+                    walked = list;
+                    skip = Some(j);
+                }
+                Some(_) => {}
             }
         }
-        let Some((walked, shortest)) = shortest else {
-            out.extend_from_slice(&postings.all);
-            return;
-        };
-        out.extend(shortest.iter().copied().filter(|id| {
+        walked.iter().copied().filter(move |id| {
             predicates.iter().enumerate().all(|(j, p)| {
-                j == walked || list_of(p).is_some_and(|l| l.binary_search(id).is_ok())
+                Some(j) == skip || list_of(p).is_some_and(|l| l.binary_search(id).is_ok())
             })
-        }));
+        })
     }
 }
 
@@ -292,7 +310,7 @@ mod tests {
         let id2 = idx.get_or_create(&k);
         assert_eq!(id1, id2);
         assert_eq!(idx.cardinality(), 1);
-        assert_eq!(idx.key_of(id1), &k);
+        assert_eq!(**idx.key_of(id1), k);
     }
 
     #[test]
@@ -433,6 +451,7 @@ mod tests {
                     })
                     .collect();
                 prop_assert_eq!(idx.select(measurement, &predicates), naive.clone());
+                prop_assert_eq!(idx.select_count(measurement, &predicates), naive.len());
                 // Appending leaves what was there alone.
                 let mut out = vec![SeriesId(u32::MAX)];
                 idx.select_into(measurement, &predicates, &mut out);

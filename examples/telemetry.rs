@@ -300,11 +300,13 @@ fn main() {
     // clock. The two histograms sit side by side so the gap is readable.
     let modelled = monster::obs::histo("monster_builder_query_seconds");
     let wall = monster::obs::histo("monster_builder_execute_wall_seconds");
+    let render = monster::obs::histo("monster_builder_encode_wall_seconds");
     println!(
-        "plan executions                                {} (modelled mean {:.3} s, wall mean {:.3} ms)",
+        "plan executions                                {} (modelled mean {:.3} s, wall mean {:.3} ms batch + {:.3} ms render)",
         wall.count(),
         modelled.mean_secs().unwrap_or(0.0),
         wall.mean_secs().unwrap_or(0.0) * 1e3,
+        render.mean_secs().unwrap_or(0.0) * 1e3,
     );
 
     // The query flight recorder: every /v1/metrics request leaves one
