@@ -1,7 +1,7 @@
 //! Alert chaos harness: replay the seeded fault profiles with streaming
 //! detectors and the alert engine enabled, and assert the **exact** alert
-//! sets each schedule must produce. Writes machine-readable
-//! `BENCH_alerts.json` for CI and cross-PR tracking.
+//! sets each schedule must produce. Writes `BENCH_alerts.json` (simulated
+//! time only: the same bytes for the same code and seed).
 //!
 //! Every `(profile, seed)` cell runs **twice** over the same schedule and
 //! the two canonical transcripts must be byte-identical — alerting is a
@@ -27,44 +27,20 @@
 //!   must never masquerade as physical anomalies, because detectors only
 //!   ever see live readings.
 //!
-//! Usage: `alert_chaos [--profile NAME] [--seed N] [--quick]
-//! [--expect FILE]`. With `--expect`, the emitted JSON must match the
-//! checked-in expectation byte-for-byte (regenerate by copying
-//! `BENCH_alerts.json` over the expectation after an intentional change).
+//! Usage: `alert_chaos [--profile NAME] [--seed N] [--expect FILE]`. With
+//! `--expect`, the emitted JSON must match FILE — in CI the committed
+//! `BENCH_alerts.json` itself — byte for byte.
 
 use monster_alert::IntervalOutcome;
-use monster_core::{Monster, MonsterConfig};
+use monster_bench::chaos::{self, Shape};
+use monster_bench::report;
 use monster_json::{jobj, Value};
-use monster_redfish::bmc::BmcConfig;
-use monster_redfish::client::ClientConfig;
-use monster_redfish::resilience::ResilienceConfig;
-use monster_sim::{FaultProfile, LatencyDist};
+use monster_sim::FaultProfile;
 
-struct Shape {
-    nodes: usize,
-    channels: usize,
-    sweeps: u64,
-    active: u64,
-}
-
-impl Shape {
-    /// Like the collection chaos shapes, but with extra post-fault sweeps:
-    /// resolution trails recovery by the 180 s hold-down, and the drain
-    /// must be observable inside the run.
-    fn new(quick: bool) -> Shape {
-        if quick {
-            Shape { nodes: 48, channels: 24, sweeps: 20, active: 8 }
-        } else {
-            Shape { nodes: 96, channels: 48, sweeps: 36, active: 18 }
-        }
-    }
-}
-
-/// Same base BMC as the collection chaos harness: log-normal latency
-/// body, no background faults — every fault comes from the schedule.
-fn chaos_bmc() -> BmcConfig {
-    BmcConfig { latency: LatencyDist::LogNormal(4.0, 0.30), failure_rate: 0.0, stall_rate: 0.0 }
-}
+/// Like the collection chaos shape, but with extra post-fault sweeps:
+/// resolution trails recovery by the 180 s hold-down, and the drain must
+/// be observable inside the run.
+const SHAPE: Shape = Shape { nodes: 96, channels: 48, sweeps: 36, active: 18 };
 
 /// An alert's JSON with the `trace_id` member removed (process-global
 /// counter — not comparable across runs).
@@ -82,39 +58,30 @@ fn run_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
     // start each run from a clean slate or the second run (and every later
     // cell) inherits the previous schedule's attainment.
     monster_obs::freshness().reset();
-    let mut m = Monster::new(MonsterConfig {
-        nodes: shape.nodes,
-        seed,
-        bmc: chaos_bmc(),
-        client: ClientConfig { max_inflight: shape.channels, ..ClientConfig::default() },
-        resilience: Some(ResilienceConfig::default()),
-        workload: None,
-        horizon_secs: 0,
-        ..MonsterConfig::default()
-    });
-    let ids = m.node_ids();
+    let mut m = chaos::fleet(seed, shape, true);
     let mut sweeps = Vec::with_capacity(shape.sweeps as usize);
     let mut anomaly_events = 0usize;
     let mut totals = IntervalOutcome::default();
     let mut at_peak = Vec::new();
     for tick in 0..shape.sweeps {
-        for (i, &node) in ids.iter().enumerate() {
-            let spec = profile.spec(seed, i, ids.len(), tick, shape.active);
-            m.cluster().apply_fault(node, spec).expect("known node");
-        }
+        chaos::inject(&m, profile, seed, tick, shape);
         let s = m.run_interval().expect("schema-consistent interval");
         anomaly_events += s.anomaly_events;
         let o = s.alerts;
         totals.raised += o.raised;
         totals.resolved += o.resolved;
         totals.flaps_suppressed += o.flaps_suppressed;
-        sweeps.push(jobj! {
-            "t" => tick,
-            "raised" => o.raised,
-            "resolved" => o.resolved,
-            "flaps_suppressed" => o.flaps_suppressed,
-            "active" => o.active,
-        });
+        // A sweep in which nothing was raised, resolved, suppressed or
+        // active is not a row: most of a run is such sweeps.
+        if o.raised + o.resolved + o.flaps_suppressed + o.active > 0 {
+            sweeps.push(jobj! {
+                "t" => tick,
+                "raised" => o.raised,
+                "resolved" => o.resolved,
+                "flaps_suppressed" => o.flaps_suppressed,
+                "active" => o.active,
+            });
+        }
         if tick + 1 == shape.active {
             let engine = m.alerts().expect("alerting on");
             at_peak = engine.active().iter().map(canonical_alert).collect();
@@ -251,30 +218,17 @@ fn alert_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let arg_after = |flag: &str| {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
-    };
-    let seed: u64 = arg_after("--seed").map(|s| s.parse().expect("--seed N")).unwrap_or(1);
-    let profiles: Vec<FaultProfile> = match arg_after("--profile") {
-        None | Some("all") => FaultProfile::ALL.to_vec(),
-        Some(name) => {
-            vec![FaultProfile::parse(name).unwrap_or_else(|| panic!("unknown profile {name:?}"))]
-        }
-    };
-
-    let shape = Shape::new(quick);
+    let (seed, shape) = (chaos::seed(), &SHAPE);
     println!(
         "== alert chaos: {} node(s), {} channel(s), {} sweep(s) ({} active), seed {seed} ==",
         shape.nodes, shape.channels, shape.sweeps, shape.active
     );
 
-    let cells: Vec<Value> = profiles.iter().map(|&p| alert_cell(p, seed, &shape)).collect();
+    let cells: Vec<Value> =
+        chaos::profiles().into_iter().map(|p| alert_cell(p, seed, shape)).collect();
 
     let doc = jobj! {
         "bench" => "alert_chaos",
-        "quick" => quick,
         "seed" => seed,
         "nodes" => shape.nodes,
         "channels" => shape.channels,
@@ -282,30 +236,6 @@ fn main() {
         "active_sweeps" => shape.active,
         "cells" => cells,
     };
-    let text = doc.to_string_pretty() + "\n";
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_alerts.json".into());
-    std::fs::write(&out, &text).unwrap();
-    println!("wrote {out}");
-
-    if let Some(expect) = arg_after("--expect") {
-        let want = std::fs::read_to_string(expect)
-            .unwrap_or_else(|e| panic!("cannot read expectation {expect}: {e}"));
-        if want != text {
-            let diverge = want
-                .lines()
-                .zip(text.lines())
-                .position(|(w, g)| w != g)
-                .unwrap_or_else(|| want.lines().count().min(text.lines().count()));
-            eprintln!(
-                "alert set diverges from {expect} at line {}:\n  expected: {}\n  got:      {}",
-                diverge + 1,
-                want.lines().nth(diverge).unwrap_or("<eof>"),
-                text.lines().nth(diverge).unwrap_or("<eof>"),
-            );
-            eprintln!("if the change is intentional, regenerate with:\n  cp {out} {expect}");
-            std::process::exit(1);
-        }
-        println!("matches expectation {expect}");
-    }
+    report::finish("BENCH_alerts.json", &doc);
     println!("all alert invariants held");
 }

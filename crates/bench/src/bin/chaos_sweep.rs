@@ -1,6 +1,6 @@
 //! Chaos harness: replay a seeded fault profile against the collection
-//! path and assert the resilience invariants. Writes machine-readable
-//! `BENCH_chaos.json` for the CI matrix and cross-PR tracking.
+//! path and assert the resilience invariants. Writes `BENCH_chaos.json`
+//! (simulated time only: the same bytes for the same code and seed).
 //!
 //! Each run drives one `(profile, seed)` cell twice over the same fault
 //! schedule:
@@ -32,16 +32,15 @@
 //! 60 s cadence on the same schedule (under `flaky-tail` it must, at least
 //! once — that contrast is the point of the resilience layer).
 //!
-//! Usage: `chaos_sweep [--profile NAME] [--seed N] [--quick]`
+//! Usage: `chaos_sweep [--profile NAME] [--seed N] [--expect FILE]`
 //! Profile `all` (the default) runs every profile sequentially; the CI
 //! matrix runs one cell per job.
 
-use monster_core::{Monster, MonsterConfig};
+use monster_bench::chaos::{self, Shape};
+use monster_bench::report;
 use monster_json::{jobj, Value};
-use monster_redfish::bmc::BmcConfig;
-use monster_redfish::client::ClientConfig;
 use monster_redfish::resilience::ResilienceConfig;
-use monster_sim::{FaultProfile, LatencyDist, VDuration};
+use monster_sim::{FaultProfile, VDuration};
 
 /// Sweeps the resilient run gets to fully recover (close every breaker,
 /// drain staleness) once the fault schedule clears: breaker cooldown plus
@@ -51,30 +50,7 @@ const RECOVERY_SWEEPS: u64 = 5;
 /// The collection cadence the baseline is judged against (§III-B4: 60 s).
 const CADENCE: VDuration = VDuration::from_secs(60);
 
-struct Shape {
-    nodes: usize,
-    channels: usize,
-    sweeps: u64,
-    active: u64,
-}
-
-impl Shape {
-    fn new(quick: bool) -> Shape {
-        if quick {
-            Shape { nodes: 48, channels: 24, sweeps: 16, active: 8 }
-        } else {
-            Shape { nodes: 96, channels: 48, sweeps: 30, active: 18 }
-        }
-    }
-}
-
-/// The chaos fleet's base BMC: the paper's log-normal latency body with
-/// the exponential stall tail removed and zero base fault rates. All
-/// faults come from the profile schedule, so the "healthy nodes stay
-/// fresh" invariant is exact rather than probabilistic.
-fn chaos_bmc() -> BmcConfig {
-    BmcConfig { latency: LatencyDist::LogNormal(4.0, 0.30), failure_rate: 0.0, stall_rate: 0.0 }
-}
+const SHAPE: Shape = Shape { nodes: 96, channels: 48, sweeps: 30, active: 18 };
 
 struct SweepRecord {
     makespan: VDuration,
@@ -97,23 +73,11 @@ struct SweepRecord {
 
 /// Replay `profile` for `(seed, shape)` and record every sweep.
 fn run_cell(profile: FaultProfile, seed: u64, shape: &Shape, resilient: bool) -> Vec<SweepRecord> {
-    let mut m = Monster::new(MonsterConfig {
-        nodes: shape.nodes,
-        seed,
-        bmc: chaos_bmc(),
-        client: ClientConfig { max_inflight: shape.channels, ..ClientConfig::default() },
-        resilience: resilient.then(ResilienceConfig::default),
-        workload: None,
-        horizon_secs: 0,
-        ..MonsterConfig::default()
-    });
+    let mut m = chaos::fleet(seed, shape, resilient);
     let ids = m.node_ids();
     let mut records = Vec::with_capacity(shape.sweeps as usize);
     for tick in 0..shape.sweeps {
-        for (i, &node) in ids.iter().enumerate() {
-            let spec = profile.spec(seed, i, ids.len(), tick, shape.active);
-            m.cluster().apply_fault(node, spec).expect("known node");
-        }
+        chaos::inject(&m, profile, seed, tick, shape);
         let s = m.run_interval().expect("schema-consistent interval");
         let fresh = monster_obs::freshness();
         let mut lags = fresh.lags();
@@ -344,31 +308,17 @@ fn chaos_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let arg_after = |flag: &str| {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
-    };
-    let seed: u64 = arg_after("--seed").map(|s| s.parse().expect("--seed N")).unwrap_or(1);
-    let profiles: Vec<FaultProfile> = match arg_after("--profile") {
-        None | Some("all") => FaultProfile::ALL.to_vec(),
-        Some(name) => {
-            vec![FaultProfile::parse(name)
-                .unwrap_or_else(|| panic!("unknown profile {name:?}; see --help in ISSUE"))]
-        }
-    };
-
-    let shape = Shape::new(quick);
+    let (seed, shape) = (chaos::seed(), &SHAPE);
     println!(
         "== chaos sweep: {} node(s), {} channel(s), {} sweep(s) ({} active), seed {seed} ==",
         shape.nodes, shape.channels, shape.sweeps, shape.active
     );
 
-    let cells: Vec<Value> = profiles.iter().map(|&p| chaos_cell(p, seed, &shape)).collect();
+    let cells: Vec<Value> =
+        chaos::profiles().into_iter().map(|p| chaos_cell(p, seed, shape)).collect();
 
     let doc = jobj! {
         "bench" => "chaos_sweep",
-        "quick" => quick,
         "seed" => seed,
         "nodes" => shape.nodes,
         "channels" => shape.channels,
@@ -378,8 +328,6 @@ fn main() {
         "cadence_secs" => CADENCE.as_secs_f64(),
         "cells" => cells,
     };
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_chaos.json".into());
-    std::fs::write(&out, doc.to_string_pretty() + "\n").unwrap();
-    println!("wrote {out}");
+    report::finish("BENCH_chaos.json", &doc);
     println!("all invariants held");
 }

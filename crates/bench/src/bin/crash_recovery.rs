@@ -1,8 +1,11 @@
-//! Crash-recovery benchmark and CI gate: kill the WAL at a matrix of
-//! byte offsets, recover each image, and prove zero acknowledged batches
-//! are lost — then measure replay throughput and the live SSD→HDD
-//! tiering split (the Fig. 12 / Table III device comparison, re-run as a
-//! two-tier measurement instead of a whole-database device swap).
+//! Crash-recovery gate: kill the WAL at a matrix of byte offsets, recover
+//! each image, and prove zero acknowledged batches are lost — then check
+//! the live SSD→HDD tiering split (the Fig. 12 / Table III device
+//! comparison, re-run as a two-tier measurement instead of a
+//! whole-database device swap). Writes `BENCH_recovery.json`: byte, batch
+//! and modelled-time counts, which are a function of the code. How long a
+//! recovery takes on the wall is `bench_pipeline`'s `tsdb.recover_ms`,
+//! `tsdb.recover_points_per_s` and `core.recover_s`.
 //!
 //! Sections:
 //!
@@ -13,53 +16,35 @@
 //!   recover to a whole-batch prefix with exact point accounting;
 //!   recovered prefixes must be monotone in the kill offset; and any
 //!   kill at or past the durable boundary must retain every acknowledged
-//!   batch. Recovery wall time and replayed points/s are reported.
+//!   batch.
 //! * **tiering** — a 5-day fleet is tiered (2 hot days on the configured
 //!   SSD, 3 cold days compacted to HDD-priced segment files). Reported:
 //!   the modelled archive-query slowdown vs an untiered all-SSD twin
-//!   (answers asserted bit-identical), hot-window parity, bytes written,
-//!   WAL segments reclaimed, and recovery time from the tiered image.
+//!   (answers asserted bit-identical), hot-window parity, segment bytes
+//!   written, WAL segments reclaimed, and that the tiered image recovers
+//!   to the same answers.
 //!
-//! Usage: `crash_recovery [--quick]` — quick mode shrinks the workload
-//! and the kill matrix (8 seeded offsets) for CI smoke runs; the
-//! committed `BENCH_recovery.json` comes from a full run.
+//! Usage: `crash_recovery [--expect BENCH_recovery.json]`.
 
+use monster_bench::{power_samples, report};
 use monster_json::jobj;
 use monster_tsdb::query::Aggregation;
 use monster_tsdb::recover::{copy_dir_killed_at, wal_extent};
 use monster_tsdb::{DataPoint, Db, DbConfig, Query, TierConfig, WalTuning};
 use monster_util::EpochSecs;
-use std::time::Instant;
 
 const DAY: i64 = 86_400;
 
-struct Workload {
-    series: usize,
-    days: i64,
-    cadence_secs: i64,
-    kills: usize,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
+const SERIES: usize = 8;
+const DAYS: i64 = 2;
+const CADENCE_SECS: i64 = 30;
+const KILLS: usize = 64;
 
 /// One series-hour of samples — the uniform batch the accounting checks
 /// count in.
 fn hour_batch(series: usize, day: i64, hour: i64, cadence: i64) -> Vec<DataPoint> {
-    (0..3600 / cadence)
-        .map(|i| {
-            let ts = day * DAY + hour * 3600 + i * cadence;
-            DataPoint::new("Power", EpochSecs::new(ts))
-                .tag("NodeId", format!("10.101.1.{}", series + 1))
-                .tag("Label", "NodePower")
-                .field_f64("Reading", 250.0 + ((ts + series as i64 * 13) % 359) as f64 * 0.25)
-        })
-        .collect()
+    let from = day * DAY + hour * 3600;
+    power_samples(series, from, from + 3600, cadence)
 }
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -70,13 +55,6 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let wl = if quick {
-        Workload { series: 4, days: 1, cadence_secs: 60, kills: 8 }
-    } else {
-        Workload { series: 8, days: 2, cadence_secs: 30, kills: 64 }
-    };
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let config = DbConfig {
         // Small segments so the matrix crosses many sealed-segment
         // boundaries (an hour of one series is a 1.2 KB record);
@@ -92,13 +70,12 @@ fn main() {
     // --- build the image that will be killed ----------------------------
     let dir = scratch_dir("src");
     let (db, _) = Db::recover(config, &dir).unwrap();
-    let per_batch = (3600 / wl.cadence_secs) as usize;
-    let ingest = Instant::now();
+    let per_batch = (3600 / CADENCE_SECS) as usize;
     let mut batches = 0usize;
-    for d in 0..wl.days {
+    for d in 0..DAYS {
         for h in 0..24 {
-            for s in 0..wl.series {
-                db.write_batch(&hour_batch(s, d, h, wl.cadence_secs)).unwrap();
+            for s in 0..SERIES {
+                db.write_batch(&hour_batch(s, d, h, CADENCE_SECS)).unwrap();
                 batches += 1;
                 if batches.is_multiple_of(5) {
                     db.wal_sync().unwrap(); // group-commit: ack every 5th batch
@@ -106,7 +83,6 @@ fn main() {
             }
         }
     }
-    let ingest_secs = ingest.elapsed().as_secs_f64();
     let status = db.wal_status().unwrap();
     let acked = status.acked_records;
     let wal_segments = status.segments;
@@ -121,26 +97,18 @@ fn main() {
     // --- the kill matrix: 0, durable boundary, extent, seeded offsets ---
     let mut offsets = vec![0u64, durable, extent];
     let mut x = 0x5EED_CAFE_u64; // fixed seed: the matrix is reproducible
-    while offsets.len() < wl.kills {
+    while offsets.len() < KILLS {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         offsets.push(x % (extent + 1));
     }
     offsets.sort_unstable();
 
-    let mut recover_ms: Vec<f64> = Vec::with_capacity(offsets.len());
-    let mut replay_pps: Vec<f64> = Vec::with_capacity(offsets.len());
     let mut prev_replayed = 0u64;
     let mut full_replayed = 0u64;
     for (i, &cut) in offsets.iter().enumerate() {
         let copy = scratch_dir(&format!("kill-{i}"));
         copy_dir_killed_at(&dir, &copy, cut).unwrap();
-        let t = Instant::now();
         let (recovered, report) = Db::recover(config, &copy).unwrap();
-        let secs = t.elapsed().as_secs_f64();
-        recover_ms.push(secs * 1e3);
-        if report.replayed_points > 0 {
-            replay_pps.push(report.replayed_points as f64 / secs);
-        }
 
         // The gate: whole-batch prefix, exact accounting, monotone in the
         // offset, and nothing acknowledged lost past the durable boundary.
@@ -167,24 +135,16 @@ fn main() {
         std::fs::remove_dir_all(&copy).ok();
     }
     std::fs::remove_dir_all(&dir).ok();
-    recover_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    replay_pps.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let (rec_p50, rec_p99) = (percentile(&recover_ms, 0.50), percentile(&recover_ms, 0.99));
-    let pps_p50 = percentile(&replay_pps, 0.50);
 
     println!(
-        "== wal crash matrix ({cores} core(s), {} series x {} day(s) @ {}s, \
-         {total_points} points / {batches} batches, {:.1}s ingest) ==",
-        wl.series, wl.days, wl.cadence_secs, ingest_secs
+        "== wal crash matrix ({} series x {} day(s) @ {}s, {total_points} points / {batches} \
+         batches) ==",
+        SERIES, DAYS, CADENCE_SECS
     );
     println!(
         "kills: {} offsets over {extent} bytes (durable boundary {durable}, {acked}/{batches} \
          batches acked); zero acked batches lost",
         offsets.len()
-    );
-    println!(
-        "recovery: p50 {rec_p50:.1}ms p99 {rec_p99:.1}ms; replay {:.0}k points/s (p50)",
-        pps_p50 / 1e3
     );
 
     // --- tiering: the live SSD→HDD split (Fig. 12 / Table III) ----------
@@ -202,7 +162,7 @@ fn main() {
     let (tiered, _) = Db::recover(tiered_config, &tier_dir).unwrap();
     let untiered = Db::new(DbConfig { disk: monster_sim::DiskModel::SSD, ..DbConfig::default() }); // all-SSD twin
     for d in 0..hot_days + cold_days {
-        for s in 0..wl.series {
+        for s in 0..SERIES {
             for h in 0..24 {
                 let b = hour_batch(s, d, h, 60);
                 tiered.write_batch(&b).unwrap();
@@ -211,10 +171,8 @@ fn main() {
         }
     }
     tiered.wal_sync().unwrap();
-    let t = Instant::now();
     let tier_report =
         tiered.tier_cold_shards(EpochSecs::new((hot_days + cold_days) * DAY)).unwrap();
-    let tier_secs = t.elapsed().as_secs_f64();
     assert_eq!(tier_report.shards_tiered as i64, cold_days);
 
     let archive_q =
@@ -255,9 +213,7 @@ fn main() {
     // Recovery from the tiered image: cold shards from segment files, hot
     // from WAL replay.
     drop(tiered);
-    let t = Instant::now();
     let (retiered, tier_rec) = Db::recover(tiered_config, &tier_dir).unwrap();
-    let tier_rec_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(tier_rec.segment_files_loaded as i64, cold_days);
     let (rs_again, _) = retiered.query(&archive_q).unwrap();
     assert_eq!(rs_again, rs_cold_u, "tiered recovery changed archive answers");
@@ -266,13 +222,12 @@ fn main() {
 
     println!(
         "== tiering (hot {hot_days}d SSD / cold {cold_days}d HDD, {} series @ 60s) ==",
-        wl.series
+        SERIES
     );
     println!(
-        "tiered {} shards / {} points in {:.2}s; {} seg bytes; {} wal segment(s) reclaimed",
+        "tiered {} shards / {} points; {} seg bytes; {} wal segment(s) reclaimed",
         tier_report.shards_tiered,
         tier_report.points_tiered,
-        tier_secs,
         tier_report.segment_bytes_written,
         tier_report.wal_segments_reclaimed
     );
@@ -280,20 +235,14 @@ fn main() {
         "archive query modelled: {archive_hdd:.4}s HDD-tiered vs {archive_ssd:.4}s all-SSD \
          ({archive_slowdown:.2}x); hot query parity {hot_tiered:.4}s"
     );
-    println!(
-        "tiered recovery: {tier_rec_ms:.1}ms ({} seg files + wal)",
-        tier_rec.segment_files_loaded
-    );
+    println!("tiered recovery: {} seg files + wal", tier_rec.segment_files_loaded);
 
     let doc = jobj! {
         "bench" => "crash_recovery",
-        "quick" => quick,
-        "commit" => monster_bench::commit(),
-        "cores" => cores as i64,
         "workload" => jobj! {
-            "series" => wl.series as i64,
-            "days" => wl.days,
-            "cadence_secs" => wl.cadence_secs,
+            "series" => SERIES as i64,
+            "days" => DAYS,
+            "cadence_secs" => CADENCE_SECS,
             "points" => total_points as i64,
             "batches" => batches as i64,
         },
@@ -305,9 +254,6 @@ fn main() {
             "acked_batches" => acked as i64,
             "lost_acked_batches" => 0,
             "full_image_replayed_batches" => full_replayed as i64,
-            "recovery_p50_ms" => rec_p50,
-            "recovery_p99_ms" => rec_p99,
-            "replay_points_per_sec_p50" => pps_p50,
         },
         "tiering" => jobj! {
             "hot_days" => hot_days,
@@ -320,10 +266,7 @@ fn main() {
             "archive_modelled_ssd_secs" => archive_ssd,
             "archive_slowdown" => archive_slowdown,
             "hot_modelled_secs" => hot_tiered,
-            "tiered_recovery_ms" => tier_rec_ms,
         },
     };
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_recovery.json".into());
-    std::fs::write(&out, doc.to_string_pretty() + "\n").unwrap();
-    println!("wrote {out}");
+    report::finish("BENCH_recovery.json", &doc);
 }

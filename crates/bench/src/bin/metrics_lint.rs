@@ -14,7 +14,7 @@
 //! * a `/metrics` + `/debug/trace` scrape storm must not stall concurrent
 //!   span writers (the snapshot clones `Arc`s, not span payloads).
 //!
-//! Run by the CI bench-smoke job: `cargo run --release -p monster-bench
+//! Run by the CI `gates` job: `cargo run --release -p monster-bench
 //! --bin metrics_lint`.
 
 use monster_core::{Monster, MonsterConfig};

@@ -1,6 +1,9 @@
-//! Flight-recorder bench: what does per-request observability cost, and
+//! Flight-recorder gate: what does per-request observability cost, and
 //! does the cost model deserve to gate admission? Writes
-//! `BENCH_observe.json` for cross-PR tracking.
+//! `BENCH_observe.json`: the identity and estimator sections, which are a
+//! function of the code. The overhead is a wall-clock invariant — printed
+//! and asserted, not committed; what a request costs over the socket is
+//! `bench_pipeline`'s `http.request_ms`.
 //!
 //! Three phases over the shared dashboard-storm mix (`storm` module):
 //!
@@ -29,23 +32,24 @@
 //!   [0.5, 2.0]x on the storm mix — outside that band, the admission
 //!   controller is rejecting or admitting on fiction.
 //!
-//! Usage: `query_observe [--quick]` — quick mode shrinks phase B's
-//! sample counts for CI smoke runs and widens its gate to 5% (tiny
-//! shared runners jitter more than the full run's 1%); the committed
-//! `BENCH_observe.json` comes from a full run.
+//! Usage: `query_observe [--expect BENCH_observe.json]`.
 
+use monster_bench::report;
 use monster_bench::storm::{
-    catalog, modelled_secs, percentile, rfc3339, sample_batch, HISTORY_SECS, NODES, TICK_SECS,
+    self, catalog, percentile, rfc3339, sample_batch, seeded_db, HISTORY_SECS, NODES, TICK_SECS,
 };
 use monster_builder::qlog::base64_decode;
 use monster_builder::service::{router, QlogConfig, ServiceConfig};
-use monster_builder::{AdmissionConfig, BuilderRequest, ExecMode};
-use monster_http::{Client, PersistentClient, Request, Router, Server, Status};
+use monster_builder::{AdmissionConfig, ExecMode};
+use monster_http::{Client, PersistentClient, Request, Response, Router, Server, Status};
 use monster_json::{jobj, Value};
-use monster_tsdb::{Aggregation, Db, DbConfig};
-use monster_util::{EpochSecs, NodeId};
+use monster_tsdb::Db;
+use monster_util::NodeId;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The recorder's per-request cost as a share of a socket round trip.
+const OVERHEAD_GATE: f64 = 0.01;
 
 /// Accumulated estimator accuracy over every executed request.
 #[derive(Default)]
@@ -90,16 +94,6 @@ impl Accuracy {
     }
 }
 
-fn seed_db() -> Arc<Db> {
-    let nodes = NodeId::enumerate(NODES, 4);
-    let db = Arc::new(Db::new(DbConfig { shard_duration: 900, ..DbConfig::default() }));
-    for hour in 0..(HISTORY_SECS / 3600) {
-        db.write_batch(&sample_batch(&nodes, hour * 3600, (hour + 1) * 3600)).unwrap();
-    }
-    db.compact();
-    db
-}
-
 fn service(db: &Arc<Db>, nodes: &[NodeId], recorder: bool, admission: AdmissionConfig) -> Router {
     router(
         Arc::clone(db),
@@ -115,17 +109,16 @@ fn service(db: &Arc<Db>, nodes: &[NodeId], recorder: bool, admission: AdmissionC
     )
 }
 
-/// One socket-latency trial: `rounds` passes over the whole warm panel
-/// mix on a persistent connection; returns the sorted per-request
-/// latencies in microseconds.
-fn trial(client: &mut PersistentClient, reqs: &[Request], rounds: usize) -> Vec<f64> {
+/// `rounds` passes over the whole warm panel mix through `send`; returns
+/// the sorted per-request latencies in microseconds.
+fn trial(reqs: &[Request], rounds: usize, mut send: impl FnMut(&Request) -> Response) -> Vec<f64> {
     let mut us = Vec::with_capacity(rounds * reqs.len());
     for _ in 0..rounds {
         for req in reqs {
             let t = Instant::now();
-            let resp = client.send(req).expect("socket request");
-            assert_eq!(resp.status, Status::OK);
+            let resp = send(req);
             us.push(t.elapsed().as_secs_f64() * 1e6);
+            assert_eq!(resp.status, Status::OK);
         }
     }
     us.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -133,38 +126,23 @@ fn trial(client: &mut PersistentClient, reqs: &[Request], rounds: usize) -> Vec<
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let nodes = NodeId::enumerate(NODES, 4);
     let panels = catalog();
 
     // Identically seeded twin dbs: recorder-on and recorder-off services
     // must not share cache or flight state, or identity proves nothing.
-    let setup = Instant::now();
-    let db_on = seed_db();
-    let db_off = seed_db();
-    let setup_secs = setup.elapsed().as_secs_f64();
+    let (db_on, _) = seeded_db(&nodes);
+    let (db_off, _) = seeded_db(&nodes);
 
     // Same admission derivation as dashboard_storm, so the mix includes
     // charged (non-cheap) executions — the estimates admission acts on.
     let mut now = HISTORY_SECS;
-    let panel_est = panels
-        .iter()
-        .map(|p| modelled_secs(&db_on, &nodes, &p.request(now)))
-        .fold(0.0f64, f64::max);
-    let rogue_req =
-        BuilderRequest::new(EpochSecs::new(0), EpochSecs::new(now), 60, Aggregation::Mean).unwrap();
-    let rogue_est = modelled_secs(&db_on, &nodes, &rogue_req);
-    let admission = AdmissionConfig {
-        cheap_secs: panel_est * 2.0,
-        reject_secs: rogue_est * 0.6,
-        ..AdmissionConfig::default()
-    };
+    let (admission, _) = storm::admission(&db_on, &nodes, now);
     let svc_on = service(&db_on, &nodes, true, admission);
     let svc_off = service(&db_off, &nodes, false, admission);
 
     // --- phase A: byte identity + estimator harvest -----------------------
-    let ticks = if quick { 2 } else { 4 };
+    let ticks = 4;
     let mut identical = 0usize;
     let mut mismatches = 0usize;
     let mut envelopes = 0usize;
@@ -234,117 +212,62 @@ fn main() {
     assert!(listed_misses >= panels.len(), "every first-tick panel was a miss");
 
     // --- phase B: recorder overhead per request --------------------------
-    // Two measurements compose the gate. The *denominator* is the p50
-    // socket round trip of the warm panel mix (`Server::spawn` +
-    // `PersistentClient`) — what a dashboard actually pays per request; a
-    // warm in-process hit is ~1 us, so "<1%" of that would demand the
-    // recorder cost ~10 ns, below one rdtsc pair. The *numerator* is the
-    // recorder's per-request cost: the p50 delta between recorder-on and
-    // recorder-off in-process dispatch of the same warm mix. The delta
-    // (~0.1 us) cannot be resolved through the socket — two server
-    // instances differ by +/-1-3% run to run (code/heap layout, not the
-    // recorder), an order of magnitude above the effect under test,
-    // while in-process paired windows resolve it to +/-10 ns.
-    // Order-swapped paired windows, median of per-pair p50 deltas,
-    // minimum over independent reps: interference (IRQs, preemption,
-    // frequency transitions) only ever adds latency, so the smallest
-    // measured delta is the closest to the intrinsic cost. Every request
-    // in the mix is a cache hit on both sides, so the delta is exactly
-    // the recorder's hit-path work (two stamps + one seqlock ring
-    // write), never execution noise; no writes land during this phase,
-    // so sliding windows stay valid.
+    // Numerator over denominator, each measured where it is measurable
+    // (module docs). Every request in the mix is a cache hit on both
+    // sides, so the delta is exactly the recorder's hit-path work (two
+    // stamps + one seqlock ring write), never execution noise; no writes
+    // land during this phase, so sliding windows stay valid.
     let probe_reqs: Vec<Request> = panels.iter().map(|p| Request::get(&p.url(now))).collect();
     let median = |v: &mut Vec<f64>| {
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());
         percentile(v, 0.50)
     };
 
-    // Denominator (and the reported operational p50s): socket round
-    // trips, alternating segments between the two servers.
-    let server_on = Server::spawn(0, service(&db_on, &nodes, true, admission)).unwrap();
+    // Denominator: socket round trips against the recorder-off server,
+    // the median of the segments' p50s.
     let server_off = Server::spawn(0, service(&db_off, &nodes, false, admission)).unwrap();
-    let mut client_on = PersistentClient::new(server_on.addr(), Client::new());
     let mut client_off = PersistentClient::new(server_off.addr(), Client::new());
-    let (warmup, per_segment, segments) = if quick { (8, 8, 6) } else { (24, 12, 12) };
-    trial(&mut client_on, &probe_reqs, warmup);
-    trial(&mut client_off, &probe_reqs, warmup);
-    let mut p50s_on = Vec::with_capacity(segments);
-    let mut p50s_off = Vec::with_capacity(segments);
-    let mut p99_on = f64::INFINITY;
-    let mut p99_off = f64::INFINITY;
-    for seg in 0..segments {
-        let (on, off) = if seg % 2 == 0 {
-            let on = trial(&mut client_on, &probe_reqs, per_segment);
-            (on, trial(&mut client_off, &probe_reqs, per_segment))
-        } else {
-            let off = trial(&mut client_off, &probe_reqs, per_segment);
-            (trial(&mut client_on, &probe_reqs, per_segment), off)
-        };
-        p50s_on.push(percentile(&on, 0.50));
-        p50s_off.push(percentile(&off, 0.50));
-        p99_on = p99_on.min(percentile(&on, 0.99));
-        p99_off = p99_off.min(percentile(&off, 0.99));
-    }
-    let p50_on = median(&mut p50s_on);
+    let mut socket = |req: &Request| client_off.send(req).expect("socket request");
+    let (warmup, per_segment, segments) = (24, 12, 12);
+    trial(&probe_reqs, warmup, &mut socket);
+    let mut p50s_off: Vec<f64> = (0..segments)
+        .map(|_| percentile(&trial(&probe_reqs, per_segment, &mut socket), 0.50))
+        .collect();
     let p50_off = median(&mut p50s_off);
 
-    // Numerator: in-process paired windows over fresh service instances
-    // sharing the same dbs.
+    // Numerator: in-process dispatch over fresh service instances sharing
+    // the same dbs. Order-swapped paired windows, median of per-pair p50
+    // deltas, minimum over independent reps: interference (IRQs,
+    // preemption, frequency transitions) only ever adds latency, so the
+    // smallest measured delta is the closest to the intrinsic cost.
     let probe_on = service(&db_on, &nodes, true, admission);
     let probe_off = service(&db_off, &nodes, false, admission);
-    let dispatch_trial = |svc: &monster_http::Router, rounds: usize| -> Vec<f64> {
-        let mut us = Vec::with_capacity(rounds * probe_reqs.len());
-        for _ in 0..rounds {
-            for req in &probe_reqs {
-                let t = Instant::now();
-                let resp = svc.dispatch(req);
-                assert_eq!(resp.status, Status::OK);
-                us.push(t.elapsed().as_secs_f64() * 1e6);
-            }
-        }
-        us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        us
-    };
-    let (rounds, pairs, reps) = if quick { (40, 12, 3) } else { (100, 24, 6) };
-    dispatch_trial(&probe_on, warmup.max(8));
-    dispatch_trial(&probe_off, warmup.max(8));
+    let window = |svc: &Router, rounds| trial(&probe_reqs, rounds, |req| svc.dispatch(req));
+    let (rounds, pairs, reps) = (100, 24, 6);
+    window(&probe_on, warmup);
+    window(&probe_off, warmup);
     let mut rep_deltas = Vec::with_capacity(reps);
-    let (mut delta_us, mut ip_p50_on, mut ip_p50_off) = (f64::INFINITY, 0.0, 0.0);
     for _ in 0..reps {
         let mut deltas = Vec::with_capacity(pairs);
-        let mut win_on = Vec::with_capacity(pairs);
-        let mut win_off = Vec::with_capacity(pairs);
         for pair in 0..pairs {
             let (on, off) = if pair % 2 == 0 {
-                let on = dispatch_trial(&probe_on, rounds);
-                (on, dispatch_trial(&probe_off, rounds))
+                let on = window(&probe_on, rounds);
+                (on, window(&probe_off, rounds))
             } else {
-                let off = dispatch_trial(&probe_off, rounds);
-                (dispatch_trial(&probe_on, rounds), off)
+                let off = window(&probe_off, rounds);
+                (window(&probe_on, rounds), off)
             };
-            win_on.push(percentile(&on, 0.50));
-            win_off.push(percentile(&off, 0.50));
             deltas.push(percentile(&on, 0.50) - percentile(&off, 0.50));
         }
-        let rep_delta = median(&mut deltas);
-        rep_deltas.push(rep_delta);
-        if rep_delta < delta_us {
-            delta_us = rep_delta;
-            ip_p50_on = median(&mut win_on);
-            ip_p50_off = median(&mut win_off);
-        }
+        rep_deltas.push(median(&mut deltas));
     }
+    let delta_us = rep_deltas.iter().copied().fold(f64::INFINITY, f64::min);
     let overhead = delta_us / p50_off;
-    let overhead_gate = if quick { 0.05 } else { 0.01 };
 
     // --- phase C: estimator-accuracy gate ---------------------------------
     let (r_secs, r_points, r_bytes, r_blocks) = acc.ratios();
 
-    println!(
-        "== query observe ({cores} core(s), {} panels, {ticks} tick(s), \
-         {setup_secs:.1}s setup) ==",
-        panels.len()
-    );
+    println!("== query observe ({} panels, {ticks} tick(s)) ==", panels.len());
     println!(
         "identity: {identical}/{} responses byte-identical recorder-on vs off \
          ({envelopes} explain envelopes opened, {mismatches} mismatches)",
@@ -353,11 +276,11 @@ fn main() {
     println!(
         "overhead: recorder adds {:.0}ns per request (in-process paired delta, \
          best of {reps} reps {:?}ns) = {:+.2}% of the {p50_off:.2}us socket p50 \
-         ({:.0}% gate; socket p50 on {p50_on:.2}us, p99 {p99_on:.2}us vs {p99_off:.2}us)",
+         ({:.0}% gate)",
         delta_us * 1000.0,
         rep_deltas.iter().map(|d| (d * 1000.0).round() as i64).collect::<Vec<_>>(),
         overhead * 100.0,
-        overhead_gate * 100.0
+        OVERHEAD_GATE * 100.0
     );
     println!(
         "estimator: actual/estimated over {} executed requests — \
@@ -368,8 +291,6 @@ fn main() {
 
     let doc = jobj! {
         "bench" => "query_observe",
-        "quick" => quick,
-        "cores" => cores as i64,
         "panels" => panels.len() as i64,
         "ticks" => ticks as i64,
         "identity" => jobj! {
@@ -378,28 +299,7 @@ fn main() {
             "mismatches" => mismatches as i64,
         },
         "overhead" => jobj! {
-            "socket" => jobj! {
-                "p50_on_us" => p50_on,
-                "p50_off_us" => p50_off,
-                "p99_on_us" => p99_on,
-                "p99_off_us" => p99_off,
-                "warmup" => warmup as i64,
-                "per_segment_rounds" => per_segment as i64,
-                "segments" => segments as i64,
-            },
-            "inprocess" => jobj! {
-                "delta_ns" => delta_us * 1000.0,
-                "p50_on_us" => ip_p50_on,
-                "p50_off_us" => ip_p50_off,
-                "rep_delta_ns" => Value::Array(
-                    rep_deltas.iter().map(|&d| Value::from(d * 1000.0)).collect()
-                ),
-                "window_rounds" => rounds as i64,
-                "pairs" => pairs as i64,
-                "reps" => reps as i64,
-            },
-            "p50_overhead_fraction" => overhead,
-            "gate_fraction" => overhead_gate,
+            "gate_fraction" => OVERHEAD_GATE,
             "mix_urls" => probe_reqs.len() as i64,
         },
         "estimator" => jobj! {
@@ -417,18 +317,16 @@ fn main() {
             "misses_listed" => listed_misses as i64,
         },
     };
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_observe.json".into());
-    std::fs::write(&out, doc.to_string_pretty() + "\n").unwrap();
-    println!("wrote {out}");
+    report::finish("BENCH_observe.json", &doc);
 
     // Acceptance bars.
     assert_eq!(mismatches, 0, "observability changed response bytes");
     assert!(
-        overhead < overhead_gate,
+        overhead < OVERHEAD_GATE,
         "recorder p50 overhead {:.2}% over the {:.0}% gate \
          ({:.0}ns per request against a {p50_off:.2}us socket p50)",
         overhead * 100.0,
-        overhead_gate * 100.0,
+        OVERHEAD_GATE * 100.0,
         delta_us * 1000.0
     );
     for (stage, ratio) in [("seconds", r_secs), ("points", r_points), ("bytes", r_bytes)] {

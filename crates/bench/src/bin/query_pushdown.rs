@@ -1,6 +1,6 @@
-//! Aggregation-pushdown benchmark: zone-map summaries vs forced full
-//! decode for windowed queries. Writes machine-readable
-//! `BENCH_query.json` for cross-PR perf tracking.
+//! Aggregation-pushdown gate: zone-map summaries vs forced full decode for
+//! windowed queries. Writes `BENCH_query.json`: the block, point and
+//! modelled-time counts, which are a function of the code.
 //!
 //! The workload is the dashboard shape the Metrics Builder serves:
 //! hour-windowed `mean` over 7 simulated days of 1 Hz samples. At that
@@ -16,67 +16,38 @@
 //!
 //! * **modelled** — `CostParams::elapsed` over the returned `QueryCost`,
 //!   the repo's deterministic simulated-time method (decoded blocks pay
-//!   decode CPU + block I/O, summarized blocks pay a flat probe);
-//! * **wall-clock** — p50/p99 of real query latency on this box.
+//!   decode CPU + block I/O, summarized blocks pay a flat probe): ≥ 3×;
+//! * **wall-clock** — the p50 of real query latency on this box, which is
+//!   what twelve samples a side support. Printed and asserted (pushdown
+//!   may not be slower than the decode it skips), not committed: the
+//!   paper-scale number for a query is `bench_pipeline`'s `tsdb.query_ms`.
 //!
-//! Usage: `query_pushdown [--quick]` — quick mode shrinks the workload
-//! for CI smoke runs; the committed `BENCH_query.json` comes from a full
-//! run.
+//! Usage: `query_pushdown [--expect BENCH_query.json]`.
 
+use monster_bench::storm::percentile;
+use monster_bench::{power_samples, report};
 use monster_json::jobj;
 use monster_tsdb::query::Aggregation;
-use monster_tsdb::{DataPoint, Db, DbConfig, Query, QueryCost};
+use monster_tsdb::{Db, DbConfig, Query, QueryCost};
 use monster_util::EpochSecs;
 use std::time::Instant;
 
 const DAY: i64 = 86_400;
 
-struct Workload {
-    series: usize,
-    days: i64,
-    cadence_secs: i64,
-    iterations: usize,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
-/// One node-day of samples at the workload cadence.
-fn day_batch(series: usize, day: i64, wl: &Workload) -> Vec<DataPoint> {
-    let samples = DAY / wl.cadence_secs;
-    (0..samples)
-        .map(|i| {
-            let ts = day * DAY + i * wl.cadence_secs;
-            DataPoint::new("Power", EpochSecs::new(ts))
-                .tag("NodeId", format!("10.101.1.{}", series + 1))
-                .tag("Label", "NodePower")
-                .field_f64("Reading", 250.0 + ((ts + series as i64 * 13) % 359) as f64 * 0.25)
-        })
-        .collect()
-}
+const SERIES: usize = 16;
+const DAYS: i64 = 7;
+const CADENCE_SECS: i64 = 1;
+const ITERATIONS: usize = 12;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let wl = if quick {
-        Workload { series: 4, days: 1, cadence_secs: 1, iterations: 5 }
-    } else {
-        Workload { series: 16, days: 7, cadence_secs: 1, iterations: 12 }
-    };
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-
     // --- identical data in two engines, one per read path ---------------
     let push_db = Db::new(DbConfig { pushdown: true, ..DbConfig::default() });
     let full_db = Db::new(DbConfig { pushdown: false, ..DbConfig::default() });
     let ingest = Instant::now();
     let mut total_points = 0usize;
-    for s in 0..wl.series {
-        for d in 0..wl.days {
-            let batch = day_batch(s, d, &wl);
+    for s in 0..SERIES {
+        for d in 0..DAYS {
+            let batch = power_samples(s, d * DAY, (d + 1) * DAY, CADENCE_SECS);
             total_points += batch.len();
             push_db.write_batch(&batch).unwrap();
             full_db.write_batch(&batch).unwrap();
@@ -88,26 +59,31 @@ fn main() {
     let ingest_secs = ingest.elapsed().as_secs_f64();
 
     // --- the dashboard query: hourly mean over the whole range ----------
-    let q = Query::select("Power", "Reading", EpochSecs::new(0), EpochSecs::new(wl.days * DAY))
+    let q = Query::select("Power", "Reading", EpochSecs::new(0), EpochSecs::new(DAYS * DAY))
         .aggregate(Aggregation::Mean)
         .group_by_time(3600);
 
-    let mut push_lat_us: Vec<f64> = Vec::with_capacity(wl.iterations);
-    let mut full_lat_us: Vec<f64> = Vec::with_capacity(wl.iterations);
+    let mut push_lat_us: Vec<f64> = Vec::with_capacity(ITERATIONS);
+    let mut full_lat_us: Vec<f64> = Vec::with_capacity(ITERATIONS);
     let mut push_cost = QueryCost::default();
     let mut full_cost = QueryCost::default();
-    for i in 0..wl.iterations {
+    // Iteration 0 warms both sides (first-touch page faults, scratch
+    // growth) and is not timed.
+    for i in 0..=ITERATIONS {
         let t = Instant::now();
         let (rs_push, c_push) = push_db.query(&q).unwrap();
-        push_lat_us.push(t.elapsed().as_secs_f64() * 1e6);
+        let push_us = t.elapsed().as_secs_f64() * 1e6;
         let t = Instant::now();
         let (rs_full, c_full) = full_db.query(&q).unwrap();
-        full_lat_us.push(t.elapsed().as_secs_f64() * 1e6);
+        let full_us = t.elapsed().as_secs_f64() * 1e6;
         // The whole point: identical answers, bit for bit.
         assert_eq!(rs_push, rs_full, "pushdown diverged from full decode");
-        assert_eq!(rs_push.series.len(), wl.series);
+        assert_eq!(rs_push.series.len(), SERIES);
         if i == 0 {
             (push_cost, full_cost) = (c_push, c_full);
+        } else {
+            push_lat_us.push(push_us);
+            full_lat_us.push(full_us);
         }
     }
     push_lat_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -120,15 +96,13 @@ fn main() {
     let modelled_push = push_db.simulate_elapsed(&push_cost).as_secs_f64();
     let modelled_full = full_db.simulate_elapsed(&full_cost).as_secs_f64();
     let modelled_speedup = modelled_full / modelled_push;
-    let (push_p50, push_p99) = (percentile(&push_lat_us, 0.50), percentile(&push_lat_us, 0.99));
-    let (full_p50, full_p99) = (percentile(&full_lat_us, 0.50), percentile(&full_lat_us, 0.99));
-    let wall_speedup = full_p50 / push_p50;
+    let (push_p50, full_p50) = (percentile(&push_lat_us, 0.50), percentile(&full_lat_us, 0.50));
     let summarized_frac = push_cost.blocks_summarized as f64 / full_cost.blocks.max(1) as f64;
 
     println!(
-        "== tsdb aggregation pushdown ({cores} core(s), {} series x {} day(s) @ {}s, \
-         {total_points} points, {:.1}s ingest) ==",
-        wl.series, wl.days, wl.cadence_secs, ingest_secs
+        "== tsdb aggregation pushdown ({} series x {} day(s) @ {}s, {total_points} points, \
+         {:.1}s ingest) ==",
+        SERIES, DAYS, CADENCE_SECS, ingest_secs
     );
     println!(
         "blocks: {} summarized / {} decoded ({:.0}% summary hits)",
@@ -142,17 +116,16 @@ fn main() {
     );
     println!("modelled: {modelled_push:.4}s vs {modelled_full:.4}s  ({modelled_speedup:.2}x)");
     println!(
-        "wall p50: {push_p50:.0}us vs {full_p50:.0}us  ({wall_speedup:.2}x); \
-         p99: {push_p99:.0}us vs {full_p99:.0}us"
+        "wall p50 of {}: {push_p50:.0}us vs {full_p50:.0}us  ({:.2}x)",
+        ITERATIONS,
+        full_p50 / push_p50
     );
 
     let doc = jobj! {
         "bench" => "query_pushdown",
-        "quick" => quick,
-        "cores" => cores as i64,
-        "series" => wl.series as i64,
-        "days" => wl.days,
-        "cadence_secs" => wl.cadence_secs,
+        "series" => SERIES as i64,
+        "days" => DAYS,
+        "cadence_secs" => CADENCE_SECS,
         "total_points" => total_points as i64,
         "window_secs" => 3600,
         "aggregation" => "mean",
@@ -171,31 +144,17 @@ fn main() {
             "full_decode_secs" => modelled_full,
             "speedup" => modelled_speedup,
         },
-        "wall" => jobj! {
-            "iterations" => wl.iterations as i64,
-            "pushdown_p50_us" => push_p50,
-            "pushdown_p99_us" => push_p99,
-            "full_decode_p50_us" => full_p50,
-            "full_decode_p99_us" => full_p99,
-            "speedup_p50" => wall_speedup,
-        },
     };
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_query.json".into());
-    std::fs::write(&out, doc.to_string_pretty() + "\n").unwrap();
-    println!("wrote {out}");
+    report::finish("BENCH_query.json", &doc);
 
-    // Acceptance bars: >= 3x modelled on the full workload (window >>
-    // block span), >= 2x in the CI quick run; the wall-clock win is only
-    // asserted on the full run (quick workloads are noise-dominated).
-    let bar = if quick { 2.0 } else { 3.0 };
+    // Acceptance bars: >= 3x modelled (window >> block span), and on the
+    // wall the pushdown is not slower than the decode it skips.
     assert!(
-        modelled_speedup >= bar,
-        "modelled speedup {modelled_speedup:.2}x < {bar}x over forced full decode"
+        modelled_speedup >= 3.0,
+        "modelled speedup {modelled_speedup:.2}x < 3x over forced full decode"
     );
-    if !quick {
-        assert!(
-            wall_speedup > 1.2,
-            "wall-clock p50 speedup {wall_speedup:.2}x <= 1.2x — pushdown must win on real CPU"
-        );
-    }
+    assert!(
+        push_p50 <= full_p50,
+        "wall-clock p50 {push_p50:.0}us > {full_p50:.0}us — pushdown slower than full decode"
+    );
 }

@@ -1,12 +1,17 @@
-//! `monster-bench` — the evaluation harness.
+//! `monster-bench` — the evaluation harness, with two deterministic jobs.
 //!
-//! One binary per table/figure of the paper (`cargo run -p monster-bench
-//! --release --bin fig10` etc.) plus criterion wall-clock benches. This
-//! library holds the shared fixtures: populated deployments at a reduced
-//! node count with cost amplification back to Quanah scale, so the
-//! simulated timings are comparable to the paper's while the harness runs
-//! in seconds.
+//! [`paper`] reproduces the paper's tables and figures in simulated time
+//! (`cargo run -p monster-bench --release --bin paper -- fig10`) and checks
+//! them against committed goldens; the gate binaries assert invariants and
+//! write a `BENCH_*.json` that is a function of (code, seed) ([`report`]).
+//! Wall-clock numbers are `bench_pipeline`'s. This file holds the shared
+//! fixtures: populated deployments at a reduced node count with cost
+//! amplification back to Quanah scale, so the simulated timings are
+//! comparable to the paper's while the harness runs in seconds.
 
+pub mod chaos;
+pub mod paper;
+pub mod report;
 pub mod storm;
 
 use monster_collector::SchemaVersion;
@@ -62,7 +67,7 @@ pub fn populated(
 
 use monster_builder::{BuilderRequest, ExecMode};
 use monster_scheduler::QmasterConfig;
-use monster_tsdb::Aggregation;
+use monster_tsdb::{Aggregation, DataPoint};
 
 /// The experiment's data start time (the deployment epoch).
 pub fn data_start() -> monster_util::EpochSecs {
@@ -96,27 +101,24 @@ pub fn query_grid(
     out
 }
 
-/// Print a markdown-ish table row.
-pub fn row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
+/// One node's `Power` readings over `[from, to)` at `cadence_secs`: the
+/// synthetic series the storage gates (`query_pushdown`, `crash_recovery`)
+/// ingest, the same wave `storm::sample_batch` draws.
+pub fn power_samples(series: usize, from: i64, to: i64, cadence_secs: i64) -> Vec<DataPoint> {
+    (from..to)
+        .step_by(cadence_secs as usize)
+        .map(|ts| {
+            DataPoint::new("Power", monster_util::EpochSecs::new(ts))
+                .tag("NodeId", format!("10.101.1.{}", series + 1))
+                .tag("Label", "NodePower")
+                .field_f64("Reading", 250.0 + ((ts + series as i64 * 13) % 359) as f64 * 0.25)
+        })
+        .collect()
 }
 
 /// Format seconds like the paper's axes.
 pub fn secs(d: monster_sim::VDuration) -> String {
     format!("{:.2}", d.as_secs_f64())
-}
-
-/// The commit of the checkout a bench runs in (from its working directory,
-/// the repository root), for the `BENCH_*.json` it writes.
-pub fn commit() -> String {
-    let head = std::fs::read_to_string(".git/HEAD").unwrap_or_default();
-    let head = head.trim();
-    match head.strip_prefix("ref: ") {
-        Some(r) => std::fs::read_to_string(std::path::Path::new(".git").join(r))
-            .map_or_else(|_| r.to_string(), |h| h.trim().to_string()),
-        None if !head.is_empty() => head.to_string(),
-        None => "unknown".to_string(),
-    }
 }
 
 #[cfg(test)]

@@ -9,9 +9,10 @@
 //! fleet, the sample generator that seeds and advances the db, and the
 //! shared math helpers.
 
-use monster_builder::{build_plan, estimate_plan_cost, BuilderRequest};
-use monster_tsdb::{Aggregation, DataPoint, Db};
+use monster_builder::{build_plan, estimate_plan_cost, AdmissionConfig, BuilderRequest};
+use monster_tsdb::{Aggregation, DataPoint, Db, DbConfig};
 use monster_util::{EpochSecs, NodeId};
+use std::sync::Arc;
 
 /// Fleet size of the storm fixture (chassis slots of 4).
 pub const NODES: usize = 4;
@@ -173,6 +174,41 @@ pub fn sample_batch(nodes: &[NodeId], from: i64, to: i64) -> Vec<DataPoint> {
         ts += CADENCE_SECS;
     }
     batch
+}
+
+/// A db holding the storm's history, compacted, and the points that took.
+/// 15-minute shards: at a 10 s cadence that is the shard sizing a real
+/// deployment would pick, and it lets the cost model see the difference
+/// between a 30-minute panel and a full-history scan.
+pub fn seeded_db(nodes: &[NodeId]) -> (Arc<Db>, usize) {
+    let db = Arc::new(Db::new(DbConfig { shard_duration: 900, ..DbConfig::default() }));
+    let mut seeded = 0usize;
+    for hour in 0..(HISTORY_SECS / 3600) {
+        let batch = sample_batch(nodes, hour * 3600, (hour + 1) * 3600);
+        seeded += batch.len();
+        db.write_batch(&batch).unwrap();
+    }
+    db.compact();
+    (db, seeded)
+}
+
+/// Admission thresholds derived from the seeded data, and the rogue
+/// tenant's full-history query they are derived against: `cheap = 2x` the
+/// most expensive panel's modelled cost (panels always admitted),
+/// `reject = 0.6x` the rogue's (always turned away), with the gap between
+/// them asserted — so the mix includes charged (non-cheap) executions.
+pub fn admission(db: &Db, nodes: &[NodeId], now: i64) -> (AdmissionConfig, f64) {
+    let panel_est =
+        catalog().iter().map(|p| modelled_secs(db, nodes, &p.request(now))).fold(0.0f64, f64::max);
+    let rogue_req =
+        BuilderRequest::new(EpochSecs::new(0), EpochSecs::new(now), 60, Aggregation::Mean).unwrap();
+    let rogue_est = modelled_secs(db, nodes, &rogue_req);
+    let (cheap_secs, reject_secs) = (panel_est * 2.0, rogue_est * 0.6);
+    assert!(
+        reject_secs > cheap_secs,
+        "no admission headroom: panel max {panel_est:.4}s vs rogue {rogue_est:.4}s"
+    );
+    (AdmissionConfig { cheap_secs, reject_secs, ..AdmissionConfig::default() }, rogue_est)
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice.

@@ -154,8 +154,17 @@ impl ResponseCache {
     /// recorder and `?explain=true` report. The response is `Some` exactly
     /// for [`CacheVerdict::Valid`] and [`CacheVerdict::Negative`].
     pub fn probe(&self, key: &str, db: &Db) -> (Option<Arc<Response>>, CacheVerdict) {
-        if self.capacity == 0 {
+        let found = self.lookup(key, db);
+        if found.0.is_none() {
             self.misses.inc();
+        }
+        found
+    }
+
+    /// [`ResponseCache::probe`] without the miss count: a second look on
+    /// behalf of a request `probe` has already counted.
+    pub(crate) fn lookup(&self, key: &str, db: &Db) -> (Option<Arc<Response>>, CacheVerdict) {
+        if self.capacity == 0 {
             return (None, CacheVerdict::Absent);
         }
         let mut guard = self.inner.lock();
@@ -166,14 +175,10 @@ impl ResponseCache {
                 Validity::Watermarks(snap) if snap.still_valid(db) => CacheVerdict::Valid,
                 Validity::Watermarks(_) => CacheVerdict::Invalidated,
             },
-            None => {
-                self.misses.inc();
-                return (None, CacheVerdict::Absent);
-            }
+            None => return (None, CacheVerdict::Absent),
         };
         if verdict == CacheVerdict::Invalidated {
             inner.entries.remove(key);
-            self.misses.inc();
             return (None, verdict);
         }
         inner.tick += 1;

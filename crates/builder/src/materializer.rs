@@ -100,8 +100,8 @@ impl Materializer {
 
     /// The reroute table matching the maintained roll-ups (hand this to
     /// [`crate::service::ServiceConfig::rollup_routes`]).
-    pub fn routes(&self) -> Vec<RollupRoute> {
-        self.routes.clone()
+    pub fn routes(&self) -> &[RollupRoute] {
+        &self.routes
     }
 
     /// Roll every complete window between each query's watermark and
@@ -182,7 +182,7 @@ mod tests {
                 .unwrap();
         let raw_plan = build_plan(SchemaVersion::Optimized, &nodes, &req);
         let mut routed_plan = raw_plan.clone();
-        reroute(&mut routed_plan, &m.routes());
+        reroute(&mut routed_plan, m.routes());
 
         for (raw, routed) in raw_plan.iter().zip(&routed_plan) {
             if raw.query.agg.is_none() {

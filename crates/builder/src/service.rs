@@ -302,11 +302,8 @@ fn serve_metrics(
         // No stamps here: a hit is one probe plus a header clone, so the
         // caller charges its whole wall time to the cache stage. Two
         // rdtsc per hit (entry + total) is the entire clock budget.
-        d.disposition = if verdict == CacheVerdict::Negative {
-            Disposition::Negative
-        } else {
-            Disposition::Hit
-        };
+        let negative = verdict == CacheVerdict::Negative;
+        d.disposition = if negative { Disposition::Negative } else { Disposition::Hit };
         span.set_attr("cache", "hit");
         span.finish();
         return serve_shared(&shared, "hit");
@@ -351,7 +348,20 @@ fn serve_metrics(
             }
             // The leader failed: execute directly, unshared.
             Join::Follower(None) => None,
-            Join::Leader(l) => Some(l),
+            // This request probed before the previous leader's `put` and
+            // joined after its `complete`: the answer is cached, so it is
+            // a hit, not a second execution.
+            Join::Leader(l) => match st.cache.lookup(key, &st.db).0 {
+                Some(shared) => {
+                    l.complete(Some(Arc::clone(&shared)));
+                    d.stages_ns[STAGE_CACHE] += stamp(observing).wrapping_sub(t_join);
+                    (d.verdict, d.disposition) = (CacheVerdict::Valid, Disposition::Hit);
+                    span.set_attr("cache", "hit");
+                    span.finish();
+                    return serve_shared(&shared, "hit");
+                }
+                None => Some(l),
+            },
         }
     } else {
         None
@@ -810,7 +820,7 @@ mod tests {
         let routed = router(
             Arc::clone(&db),
             ids,
-            ServiceConfig { rollup_routes: m.routes(), ..ServiceConfig::default() },
+            ServiceConfig { rollup_routes: m.routes().to_vec(), ..ServiceConfig::default() },
         );
         // A 10-minute-interval max request is exactly the roll-up grain.
         let url = "/v1/metrics?start=1970-01-01T00:00:00Z&end=1970-01-01T01:00:00Z&interval=10m";

@@ -2,8 +2,9 @@
 //! builder, advanced in lock-step.
 
 use monster_alert::{AlertEngine, DetectorConfig, EngineConfig, IntervalInput, NodeInterval};
-use monster_builder::rollup::RollupRoute;
-use monster_builder::{build_plan, encode_response, BuilderRequest, ExecMode};
+use monster_builder::{
+    build_plan, encode_response, BuilderRequest, ExecMode, Materializer, RollupSpec,
+};
 use monster_collector::{Collector, CollectorConfig, SchemaVersion};
 use monster_compress::Level;
 use monster_obs::TraceContext;
@@ -13,7 +14,7 @@ use monster_redfish::cluster::{ClusterConfig, SimulatedCluster};
 use monster_redfish::resilience::ResilienceConfig;
 use monster_scheduler::{Qmaster, QmasterConfig, WorkloadConfig, WorkloadGenerator};
 use monster_sim::{DiskModel, VDuration};
-use monster_tsdb::retention::{ContinuousQuery, TierConfig};
+use monster_tsdb::retention::TierConfig;
 use monster_tsdb::{Aggregation, CostParams, DataPoint, Db, DbConfig, RecoveryReport};
 use monster_util::{EpochSecs, JobId, NodeId, Result};
 use std::collections::BTreeMap;
@@ -142,7 +143,7 @@ pub struct Monster {
     now: EpochSecs,
     intervals_run: usize,
     /// Maintained continuous-query roll-ups plus their routing table.
-    rollups: Option<(Vec<ContinuousQuery>, Vec<RollupRoute>)>,
+    rollups: Option<Materializer>,
     /// The alert engine, shared with the HTTP service when serving.
     alerts: Option<Arc<AlertEngine>>,
     /// What startup recovery replayed (`None` for memory-only storage).
@@ -421,28 +422,16 @@ impl Monster {
     /// requests route to them automatically.
     pub fn enable_rollups(&mut self, window_secs: i64) -> Result<()> {
         let suffix = monster_util::time::format_interval(window_secs);
-        let mut cqs = Vec::new();
-        let mut routes = Vec::new();
-        for (source, field) in [("Power", "Reading"), ("Thermal", "Reading"), ("UGE", "CPUUsage")] {
-            let target =
-                format!("{source}{}_{suffix}", if field == "CPUUsage" { "Cpu" } else { "" });
-            cqs.push(ContinuousQuery::new(
-                source,
-                field,
-                target.clone(),
-                Aggregation::Max,
-                window_secs,
-                self.now,
-            )?);
-            routes.push(RollupRoute {
-                source: source.to_string(),
-                field: field.to_string(),
-                target,
-                agg: Aggregation::Max,
-                window_secs,
-            });
-        }
-        self.rollups = Some((cqs, routes));
+        let specs = [
+            ("Power", "Reading", "Power"),
+            ("Thermal", "Reading", "Thermal"),
+            ("UGE", "CPUUsage", "UGECpu"),
+        ]
+        .map(|(source, field, stem)| {
+            let target = format!("{stem}_{suffix}");
+            RollupSpec::new(source, field, target, Aggregation::Max, window_secs)
+        });
+        self.rollups = Some(Materializer::new(&specs, self.now)?);
         Ok(())
     }
 
@@ -455,10 +444,8 @@ impl Monster {
         points.chunks(10_000).try_for_each(|chunk| self.db.write_batch(chunk))?;
         drop(trace_guard);
         self.intervals_run += 1;
-        if let Some((cqs, _)) = &mut self.rollups {
-            for cq in cqs {
-                cq.run(&self.db, self.now).expect("rollup over own schema");
-            }
+        if let Some(rollups) = &mut self.rollups {
+            rollups.run_once(&self.db, self.now).expect("rollup over own schema");
         }
         // Age-based tiering piggybacks on the same per-interval
         // maintenance pass: a no-op scan when nothing crossed the hot
@@ -478,8 +465,8 @@ impl Monster {
         mode: ExecMode,
     ) -> Result<monster_builder::BuilderOutcome> {
         let mut plan = build_plan(self.config.schema, self.cluster.node_ids(), req);
-        if let Some((_, routes)) = &self.rollups {
-            monster_builder::rollup::reroute(&mut plan, routes);
+        if let Some(rollups) = &self.rollups {
+            monster_builder::rollup::reroute(&mut plan, rollups.routes());
         }
         monster_builder::exec::execute(&self.db, &plan, mode)
     }
@@ -503,6 +490,7 @@ impl Monster {
             monster_builder::service::ServiceConfig {
                 schema: self.config.schema,
                 alerts: self.alerts.clone(),
+                rollup_routes: self.rollups.as_ref().map_or_else(Vec::new, |r| r.routes().to_vec()),
                 ..monster_builder::service::ServiceConfig::default()
             },
         );
@@ -630,6 +618,37 @@ mod tests {
             out_rolled.cost.points,
             out_raw.cost.points
         );
+    }
+
+    /// The HTTP face uses the roll-ups `builder_query` uses: the same
+    /// bytes for an hourly `max` request, from fewer scanned points.
+    #[test]
+    fn serve_api_routes_coarse_requests_to_the_rollups() {
+        let t0 = QmasterConfig::default().start_time;
+        let url = format!(
+            "/v1/metrics?start={}&end={}&interval=1h&aggregation=max&explain=true",
+            t0.to_rfc3339(),
+            (t0 + 3 * 3600).to_rfc3339()
+        );
+        let answer = |rollups: bool| {
+            let mut m = small(6);
+            if rollups {
+                m.enable_rollups(3600).unwrap();
+            }
+            m.run_intervals_bulk(180);
+            let server = m.serve_api(0).unwrap();
+            let doc = monster_http::Client::new()
+                .send_ok(server.addr(), &monster_http::Request::get(&url))
+                .unwrap()
+                .json_body()
+                .unwrap();
+            let points = doc.pointer("/explain/cost/actual/points").unwrap().as_f64().unwrap();
+            (doc.get("payload_base64").unwrap().as_str().unwrap().to_string(), points)
+        };
+        let (raw_body, raw_points) = answer(false);
+        let (rolled_body, rolled_points) = answer(true);
+        assert_eq!(raw_body, rolled_body);
+        assert!(rolled_points * 5.0 < raw_points, "rolled {rolled_points} raw {raw_points}");
     }
 
     #[test]

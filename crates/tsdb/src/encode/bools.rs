@@ -32,38 +32,39 @@ pub fn decode_into(data: &[u8], count: usize, out: &mut Vec<bool>) -> Result<()>
     Ok(())
 }
 
-/// Point-at-a-time streaming decoder — the reference implementation the
-/// array path is proptested against.
-pub struct Iter<'a> {
-    data: &'a [u8],
-    i: usize,
-    count: usize,
-}
-
-/// Stream `count` booleans out of an encoded block one at a time.
-pub fn iter(data: &[u8], count: usize) -> Iter<'_> {
-    Iter { data, i: 0, count }
-}
-
-impl Iterator for Iter<'_> {
-    type Item = Result<bool>;
-
-    fn next(&mut self) -> Option<Result<bool>> {
-        if self.i >= self.count {
-            return None;
-        }
-        let i = self.i;
-        self.i += 1;
-        Some(match self.data.get(i / 8) {
-            Some(byte) => Ok(byte & (1 << (i % 8)) != 0),
-            None => Err(Error::Corrupt("bool column truncated".into())),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Point-at-a-time streaming decoder — the reference implementation the
+    /// array path is proptested against.
+    struct Iter<'a> {
+        data: &'a [u8],
+        i: usize,
+        count: usize,
+    }
+
+    /// Stream `count` booleans out of an encoded block one at a time.
+    fn iter(data: &[u8], count: usize) -> Iter<'_> {
+        Iter { data, i: 0, count }
+    }
+
+    impl Iterator for Iter<'_> {
+        type Item = Result<bool>;
+
+        fn next(&mut self) -> Option<Result<bool>> {
+            if self.i >= self.count {
+                return None;
+            }
+            let i = self.i;
+            self.i += 1;
+            Some(match self.data.get(i / 8) {
+                Some(byte) => Ok(byte & (1 << (i % 8)) != 0),
+                None => Err(Error::Corrupt("bool column truncated".into())),
+            })
+        }
+    }
 
     #[test]
     fn round_trips() {
@@ -90,5 +91,21 @@ mod tests {
         assert!(decode(&[0xFF], 9).is_err());
         assert!(decode(&[], 1).is_err());
         assert!(decode(&[], 0).is_ok());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whole-block array decoding (`decode_into`, reused dirty buffer)
+        /// is identical to the point-at-a-time streaming reference.
+        #[test]
+        fn batch_decode_matches_streaming(vals in prop::collection::vec(any::<bool>(), 0..300)) {
+            let enc = encode(&vals);
+            let mut arr = vec![true; 7];
+            decode_into(&enc, vals.len(), &mut arr).unwrap();
+            let streamed: Vec<bool> = iter(&enc, vals.len()).collect::<Result<_>>().unwrap();
+            prop_assert_eq!(&arr, &streamed);
+            prop_assert_eq!(arr, vals);
+        }
     }
 }

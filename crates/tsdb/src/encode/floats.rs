@@ -101,72 +101,6 @@ pub fn decode_into(data: &[u8], count: usize, out: &mut Vec<f64>) -> Result<()> 
     Ok(())
 }
 
-/// Point-at-a-time streaming decoder — the reference the array path is
-/// proptested against and benchmarked over.
-pub struct Iter<'a> {
-    r: BitReader<'a>,
-    remaining: usize,
-    started: bool,
-    prev: u64,
-    lead: u32,
-    trail: u32,
-    have_window: bool,
-}
-
-/// Stream `count` floats out of an encoded block one at a time.
-pub fn iter(data: &[u8], count: usize) -> Iter<'_> {
-    Iter {
-        r: BitReader::new(data),
-        remaining: count,
-        started: false,
-        prev: 0,
-        lead: 0,
-        trail: 0,
-        have_window: false,
-    }
-}
-
-impl Iter<'_> {
-    fn step(&mut self) -> Result<f64> {
-        if !self.started {
-            self.started = true;
-            let lo = self.r.read(32)?;
-            let hi = self.r.read(32)?;
-            self.prev = lo | (hi << 32);
-            return Ok(f64::from_bits(self.prev));
-        }
-        if self.r.read_bit()? == 0 {
-            return Ok(f64::from_bits(self.prev));
-        }
-        if self.r.read_bit()? == 0 {
-            if !self.have_window {
-                return Err(Error::Corrupt("float window reuse before definition".into()));
-            }
-        } else {
-            self.lead = self.r.read(6)? as u32;
-            let sig = self.r.read(6)? as u32 + 1;
-            self.trail = 64 - self.lead - sig;
-            self.have_window = true;
-        }
-        let sig = 64 - self.lead - self.trail;
-        let xor = read_wide(&mut self.r, sig)? << self.trail;
-        self.prev ^= xor;
-        Ok(f64::from_bits(self.prev))
-    }
-}
-
-impl Iterator for Iter<'_> {
-    type Item = Result<f64>;
-
-    fn next(&mut self) -> Option<Result<f64>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        Some(self.step())
-    }
-}
-
 /// BitWriter caps single writes at 57 bits; split wider values.
 fn write_wide(w: &mut BitWriter, v: u64, bits: u32) {
     if bits <= 57 {
@@ -198,6 +132,73 @@ fn mask(bits: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Point-at-a-time streaming decoder — the reference the array path is
+    /// proptested against and benchmarked over.
+    struct Iter<'a> {
+        r: BitReader<'a>,
+        remaining: usize,
+        started: bool,
+        prev: u64,
+        lead: u32,
+        trail: u32,
+        have_window: bool,
+    }
+
+    /// Stream `count` floats out of an encoded block one at a time.
+    fn iter(data: &[u8], count: usize) -> Iter<'_> {
+        Iter {
+            r: BitReader::new(data),
+            remaining: count,
+            started: false,
+            prev: 0,
+            lead: 0,
+            trail: 0,
+            have_window: false,
+        }
+    }
+
+    impl Iter<'_> {
+        fn step(&mut self) -> Result<f64> {
+            if !self.started {
+                self.started = true;
+                let lo = self.r.read(32)?;
+                let hi = self.r.read(32)?;
+                self.prev = lo | (hi << 32);
+                return Ok(f64::from_bits(self.prev));
+            }
+            if self.r.read_bit()? == 0 {
+                return Ok(f64::from_bits(self.prev));
+            }
+            if self.r.read_bit()? == 0 {
+                if !self.have_window {
+                    return Err(Error::Corrupt("float window reuse before definition".into()));
+                }
+            } else {
+                self.lead = self.r.read(6)? as u32;
+                let sig = self.r.read(6)? as u32 + 1;
+                self.trail = 64 - self.lead - sig;
+                self.have_window = true;
+            }
+            let sig = 64 - self.lead - self.trail;
+            let xor = read_wide(&mut self.r, sig)? << self.trail;
+            self.prev ^= xor;
+            Ok(f64::from_bits(self.prev))
+        }
+    }
+
+    impl Iterator for Iter<'_> {
+        type Item = Result<f64>;
+
+        fn next(&mut self) -> Option<Result<f64>> {
+            if self.remaining == 0 {
+                return None;
+            }
+            self.remaining -= 1;
+            Some(self.step())
+        }
+    }
 
     fn rt(vals: &[f64]) {
         let enc = encode(vals);
@@ -271,5 +272,25 @@ mod tests {
         let vals: Vec<f64> = (0..100).map(|i| i as f64 * 0.7).collect();
         let enc = encode(&vals);
         assert!(decode(&enc[..6], 100).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whole-block array decoding (`decode_into`, reused dirty buffer)
+        /// is bit-identical to the point-at-a-time streaming reference,
+        /// NaN payloads and signed zeros included.
+        #[test]
+        fn batch_decode_matches_streaming(vals in prop::collection::vec(any::<f64>(), 0..300)) {
+            let enc = encode(&vals);
+            let mut arr = vec![f64::NAN; 7];
+            decode_into(&enc, vals.len(), &mut arr).unwrap();
+            let streamed: Vec<f64> = iter(&enc, vals.len()).collect::<Result<_>>().unwrap();
+            prop_assert_eq!(arr.len(), vals.len());
+            for i in 0..vals.len() {
+                prop_assert_eq!(arr[i].to_bits(), streamed[i].to_bits());
+                prop_assert_eq!(arr[i].to_bits(), vals[i].to_bits());
+            }
+        }
     }
 }

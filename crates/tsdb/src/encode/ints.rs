@@ -41,38 +41,39 @@ pub fn decode_into(data: &[u8], count: usize, out: &mut Vec<i64>) -> Result<()> 
     Ok(())
 }
 
-/// Point-at-a-time streaming decoder — the reference implementation the
-/// array path is proptested against.
-pub struct Iter<'a> {
-    data: &'a [u8],
-    pos: usize,
-    remaining: usize,
-    prev: i64,
-}
-
-/// Stream `count` integers out of an encoded block one at a time.
-pub fn iter(data: &[u8], count: usize) -> Iter<'_> {
-    Iter { data, pos: 0, remaining: count, prev: 0 }
-}
-
-impl Iterator for Iter<'_> {
-    type Item = Result<i64>;
-
-    fn next(&mut self) -> Option<Result<i64>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        Some(read_varint(self.data, &mut self.pos).map(|z| {
-            self.prev = self.prev.wrapping_add(unzigzag(z));
-            self.prev
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Point-at-a-time streaming decoder — the reference implementation the
+    /// array path is proptested against.
+    struct Iter<'a> {
+        data: &'a [u8],
+        pos: usize,
+        remaining: usize,
+        prev: i64,
+    }
+
+    /// Stream `count` integers out of an encoded block one at a time.
+    fn iter(data: &[u8], count: usize) -> Iter<'_> {
+        Iter { data, pos: 0, remaining: count, prev: 0 }
+    }
+
+    impl Iterator for Iter<'_> {
+        type Item = Result<i64>;
+
+        fn next(&mut self) -> Option<Result<i64>> {
+            if self.remaining == 0 {
+                return None;
+            }
+            self.remaining -= 1;
+            Some(read_varint(self.data, &mut self.pos).map(|z| {
+                self.prev = self.prev.wrapping_add(unzigzag(z));
+                self.prev
+            }))
+        }
+    }
 
     fn rt(vals: &[i64]) {
         let enc = encode(vals);
@@ -113,5 +114,40 @@ mod tests {
     fn truncation_detected() {
         let enc = encode(&[1, 2, 3]);
         assert!(decode(&enc[..1], 3).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whole-block array decoding (`decode_into`, reused dirty buffer)
+        /// is identical to the point-at-a-time streaming reference.
+        #[test]
+        fn batch_decode_matches_streaming(vals in prop::collection::vec(any::<i64>(), 0..300)) {
+            let enc = encode(&vals);
+            let mut arr = vec![i64::MAX; 7];
+            decode_into(&enc, vals.len(), &mut arr).unwrap();
+            let streamed: Vec<i64> = iter(&enc, vals.len()).collect::<Result<_>>().unwrap();
+            prop_assert_eq!(&arr, &streamed);
+            prop_assert_eq!(arr, vals);
+        }
+
+        /// Truncated blocks fail identically (both error, or both succeed
+        /// with the same values) on the array and streaming paths.
+        #[test]
+        fn corrupt_blocks_agree_between_paths(
+            vals in prop::collection::vec(any::<i64>(), 1..50),
+            cut in 0usize..64,
+        ) {
+            let enc = encode(&vals);
+            let data = &enc[..cut.min(enc.len())];
+            let mut arr = Vec::new();
+            let array = decode_into(data, vals.len(), &mut arr);
+            let streamed: Result<Vec<i64>> = iter(data, vals.len()).collect();
+            match (array, streamed) {
+                (Ok(()), Ok(s)) => prop_assert_eq!(arr, s),
+                (Err(_), Err(_)) => {}
+                (a, s) => prop_assert!(false, "array={:?} streamed-ok={:?}", a.is_ok(), s.is_ok()),
+            }
+        }
     }
 }

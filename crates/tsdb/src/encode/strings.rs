@@ -116,66 +116,67 @@ fn read_dict(data: &[u8], pos: &mut usize) -> Result<Vec<String>> {
     Ok(dict)
 }
 
-/// Point-at-a-time streaming decoder. Dictionary blocks materialize the
-/// dictionary once up front, then stream indices; raw blocks stream
-/// straight off the wire. The reference the array path is proptested
-/// against.
-pub struct Iter<'a> {
-    data: &'a [u8],
-    pos: usize,
-    remaining: usize,
-    /// `Some(dict)` in dictionary mode, `None` in raw mode.
-    dict: Option<Vec<String>>,
-    /// A header parse error to surface on the first `next` call.
-    failed: Option<Error>,
-}
-
-/// Stream `count` strings out of an encoded block one at a time.
-pub fn iter(data: &[u8], count: usize) -> Iter<'_> {
-    let mut it = Iter { data, pos: 0, remaining: count, dict: None, failed: None };
-    match data.first() {
-        None => it.failed = Some(Error::Corrupt("string column empty".into())),
-        Some(&MODE_RAW) => it.pos = 1,
-        Some(&MODE_DICT) => {
-            it.pos = 1;
-            match read_dict(data, &mut it.pos) {
-                Ok(dict) => it.dict = Some(dict),
-                Err(e) => it.failed = Some(e),
-            }
-        }
-        Some(&other) => {
-            it.failed = Some(Error::Corrupt(format!("unknown string column mode {other:#04x}")))
-        }
-    }
-    it
-}
-
-impl Iterator for Iter<'_> {
-    type Item = Result<String>;
-
-    fn next(&mut self) -> Option<Result<String>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        if let Some(e) = self.failed.take() {
-            self.remaining = 0;
-            return Some(Err(e));
-        }
-        Some(match &self.dict {
-            None => read_string(self.data, &mut self.pos),
-            Some(dict) => read_varint(self.data, &mut self.pos).and_then(|idx| {
-                dict.get(idx as usize)
-                    .cloned()
-                    .ok_or_else(|| Error::Corrupt("string index out of range".into()))
-            }),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Point-at-a-time streaming decoder. Dictionary blocks materialize the
+    /// dictionary once up front, then stream indices; raw blocks stream
+    /// straight off the wire. The reference the array path is proptested
+    /// against.
+    struct Iter<'a> {
+        data: &'a [u8],
+        pos: usize,
+        remaining: usize,
+        /// `Some(dict)` in dictionary mode, `None` in raw mode.
+        dict: Option<Vec<String>>,
+        /// A header parse error to surface on the first `next` call.
+        failed: Option<Error>,
+    }
+
+    /// Stream `count` strings out of an encoded block one at a time.
+    fn iter(data: &[u8], count: usize) -> Iter<'_> {
+        let mut it = Iter { data, pos: 0, remaining: count, dict: None, failed: None };
+        match data.first() {
+            None => it.failed = Some(Error::Corrupt("string column empty".into())),
+            Some(&MODE_RAW) => it.pos = 1,
+            Some(&MODE_DICT) => {
+                it.pos = 1;
+                match read_dict(data, &mut it.pos) {
+                    Ok(dict) => it.dict = Some(dict),
+                    Err(e) => it.failed = Some(e),
+                }
+            }
+            Some(&other) => {
+                it.failed = Some(Error::Corrupt(format!("unknown string column mode {other:#04x}")))
+            }
+        }
+        it
+    }
+
+    impl Iterator for Iter<'_> {
+        type Item = Result<String>;
+
+        fn next(&mut self) -> Option<Result<String>> {
+            if self.remaining == 0 {
+                return None;
+            }
+            self.remaining -= 1;
+            if let Some(e) = self.failed.take() {
+                self.remaining = 0;
+                return Some(Err(e));
+            }
+            Some(match &self.dict {
+                None => read_string(self.data, &mut self.pos),
+                Some(dict) => read_varint(self.data, &mut self.pos).and_then(|idx| {
+                    dict.get(idx as usize)
+                        .cloned()
+                        .ok_or_else(|| Error::Corrupt("string index out of range".into()))
+                }),
+            })
+        }
+    }
 
     fn rt(vals: &[&str]) {
         let owned: Vec<String> = vals.iter().map(|s| s.to_string()).collect();
@@ -243,5 +244,21 @@ mod tests {
         assert!(decode(&[0xFF, 0xFF, 0xFF, 0x7F], 1).is_err());
         // Absurd dictionary size.
         assert!(decode(&[0x01, 0xFF, 0xFF, 0xFF, 0x7F], 1).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whole-block array decoding (`decode_into`, reused dirty buffer)
+        /// is identical to the point-at-a-time streaming reference.
+        #[test]
+        fn batch_decode_matches_streaming(vals in prop::collection::vec("\\PC{0,16}", 0..100)) {
+            let enc = encode(&vals);
+            let mut arr = vec!["residue".to_string(); 3];
+            decode_into(&enc, vals.len(), &mut arr).unwrap();
+            let streamed: Vec<String> = iter(&enc, vals.len()).collect::<Result<_>>().unwrap();
+            prop_assert_eq!(&arr, &streamed);
+            prop_assert_eq!(arr, vals);
+        }
     }
 }

@@ -107,53 +107,6 @@ fn read_dod(r: &mut BitReader<'_>) -> Result<i64> {
     })
 }
 
-/// Point-at-a-time streaming decoder: yields one timestamp per `next`
-/// call without materializing the block. The reference implementation the
-/// batch path is proptested against, and the baseline the
-/// `tsdb/batch_codecs` criterion group measures the array win over.
-pub struct Iter<'a> {
-    r: BitReader<'a>,
-    remaining: usize,
-    emitted: usize,
-    prev: i64,
-    prev_delta: i64,
-}
-
-/// Stream `count` timestamps out of an encoded block one at a time.
-pub fn iter(data: &[u8], count: usize) -> Iter<'_> {
-    Iter { r: BitReader::new(data), remaining: count, emitted: 0, prev: 0, prev_delta: 0 }
-}
-
-impl Iter<'_> {
-    fn step(&mut self) -> Result<i64> {
-        match self.emitted {
-            0 => self.prev = sign_extend(self.r.read(57)?, 57),
-            1 => {
-                self.prev_delta = unzigzag(self.r.read(40)?);
-                self.prev += self.prev_delta;
-            }
-            _ => {
-                self.prev_delta += read_dod(&mut self.r)?;
-                self.prev += self.prev_delta;
-            }
-        }
-        self.emitted += 1;
-        Ok(self.prev)
-    }
-}
-
-impl Iterator for Iter<'_> {
-    type Item = Result<i64>;
-
-    fn next(&mut self) -> Option<Result<i64>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        Some(self.step())
-    }
-}
-
 pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -170,6 +123,53 @@ fn sign_extend(v: u64, bits: u32) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Point-at-a-time streaming decoder: yields one timestamp per `next`
+    /// call without materializing the block. The reference implementation the
+    /// batch path is proptested against.
+    struct Iter<'a> {
+        r: BitReader<'a>,
+        remaining: usize,
+        emitted: usize,
+        prev: i64,
+        prev_delta: i64,
+    }
+
+    /// Stream `count` timestamps out of an encoded block one at a time.
+    fn iter(data: &[u8], count: usize) -> Iter<'_> {
+        Iter { r: BitReader::new(data), remaining: count, emitted: 0, prev: 0, prev_delta: 0 }
+    }
+
+    impl Iter<'_> {
+        fn step(&mut self) -> Result<i64> {
+            match self.emitted {
+                0 => self.prev = sign_extend(self.r.read(57)?, 57),
+                1 => {
+                    self.prev_delta = unzigzag(self.r.read(40)?);
+                    self.prev += self.prev_delta;
+                }
+                _ => {
+                    self.prev_delta += read_dod(&mut self.r)?;
+                    self.prev += self.prev_delta;
+                }
+            }
+            self.emitted += 1;
+            Ok(self.prev)
+        }
+    }
+
+    impl Iterator for Iter<'_> {
+        type Item = Result<i64>;
+
+        fn next(&mut self) -> Option<Result<i64>> {
+            if self.remaining == 0 {
+                return None;
+            }
+            self.remaining -= 1;
+            Some(self.step())
+        }
+    }
 
     fn rt(ts: &[i64]) {
         let enc = encode(ts);
@@ -237,5 +237,23 @@ mod tests {
         let ts: Vec<i64> = (0..100).map(|i| i * 60).collect();
         let enc = encode(&ts);
         assert!(decode(&enc[..4], 100).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whole-block array decoding (`decode_into`, reused dirty buffer)
+        /// is identical to the point-at-a-time streaming reference.
+        #[test]
+        fn batch_decode_matches_streaming(
+            ts in prop::collection::vec(-4_000_000_000i64..4_000_000_000, 0..300),
+        ) {
+            let enc = encode(&ts);
+            let mut arr = vec![i64::MIN; 7];
+            decode_into(&enc, ts.len(), &mut arr).unwrap();
+            let streamed: Vec<i64> = iter(&enc, ts.len()).collect::<Result<_>>().unwrap();
+            prop_assert_eq!(&arr, &streamed);
+            prop_assert_eq!(arr, ts);
+        }
     }
 }

@@ -124,10 +124,15 @@ impl Shard {
         self.columns.get(&(series, field))
     }
 
-    /// Visit every stored (series, field, timestamp, value) in the shard.
+    /// Visit every stored (series, field, timestamp, value) in the shard,
+    /// columns in `(SeriesId, FieldId)` order: a segment file or snapshot
+    /// is then a function of the data, not of this process's hash seed.
     pub fn export(&self, mut f: impl FnMut(SeriesId, FieldId, i64, FieldValue)) -> Result<()> {
-        for ((series, field), col) in &self.columns {
-            col.scan(i64::MIN, i64::MAX, |ts, v| f(*series, *field, ts, v))?;
+        let mut keys = self.column_keys();
+        keys.sort_unstable();
+        for (series, field) in keys {
+            self.columns[&(series, field)]
+                .scan(i64::MIN, i64::MAX, |ts, v| f(series, field, ts, v))?;
         }
         Ok(())
     }

@@ -76,89 +76,6 @@ proptest! {
         prop_assert_eq!(monster_tsdb::encode::strings::decode(&enc, vals.len()).unwrap(), vals);
     }
 
-    /// Whole-block array decoding (`decode_into`, reused dirty buffer) is
-    /// bit-identical to the point-at-a-time streaming reference decoder,
-    /// for every codec.
-    #[test]
-    fn timestamps_batch_decode_matches_streaming(ts in prop::collection::vec(-4_000_000_000i64..4_000_000_000, 0..300)) {
-        use monster_tsdb::encode::timestamps;
-        let enc = timestamps::encode(&ts);
-        let mut arr = vec![i64::MIN; 7]; // dirty reused buffer
-        timestamps::decode_into(&enc, ts.len(), &mut arr).unwrap();
-        let streamed: Vec<i64> = timestamps::iter(&enc, ts.len()).collect::<Result<_, _>>().unwrap();
-        prop_assert_eq!(&arr, &streamed);
-        prop_assert_eq!(arr, ts);
-    }
-
-    #[test]
-    fn floats_batch_decode_matches_streaming(vals in prop::collection::vec(any::<f64>(), 0..300)) {
-        use monster_tsdb::encode::floats;
-        let enc = floats::encode(&vals);
-        let mut arr = vec![f64::NAN; 7];
-        floats::decode_into(&enc, vals.len(), &mut arr).unwrap();
-        let streamed: Vec<f64> = floats::iter(&enc, vals.len()).collect::<Result<_, _>>().unwrap();
-        prop_assert_eq!(arr.len(), vals.len());
-        for i in 0..vals.len() {
-            // Bit-identical, including NaN payloads and signed zeros.
-            prop_assert_eq!(arr[i].to_bits(), streamed[i].to_bits());
-            prop_assert_eq!(arr[i].to_bits(), vals[i].to_bits());
-        }
-    }
-
-    #[test]
-    fn ints_batch_decode_matches_streaming(vals in prop::collection::vec(any::<i64>(), 0..300)) {
-        use monster_tsdb::encode::ints;
-        let enc = ints::encode(&vals);
-        let mut arr = vec![i64::MAX; 7];
-        ints::decode_into(&enc, vals.len(), &mut arr).unwrap();
-        let streamed: Vec<i64> = ints::iter(&enc, vals.len()).collect::<Result<_, _>>().unwrap();
-        prop_assert_eq!(&arr, &streamed);
-        prop_assert_eq!(arr, vals);
-    }
-
-    #[test]
-    fn bools_batch_decode_matches_streaming(vals in prop::collection::vec(any::<bool>(), 0..300)) {
-        use monster_tsdb::encode::bools;
-        let enc = bools::encode(&vals);
-        let mut arr = vec![true; 7];
-        bools::decode_into(&enc, vals.len(), &mut arr).unwrap();
-        let streamed: Vec<bool> = bools::iter(&enc, vals.len()).collect::<Result<_, _>>().unwrap();
-        prop_assert_eq!(&arr, &streamed);
-        prop_assert_eq!(arr, vals);
-    }
-
-    #[test]
-    fn strings_batch_decode_matches_streaming(vals in prop::collection::vec("\\PC{0,16}", 0..100)) {
-        use monster_tsdb::encode::strings;
-        let enc = strings::encode(&vals);
-        let mut arr = vec!["residue".to_string(); 3];
-        strings::decode_into(&enc, vals.len(), &mut arr).unwrap();
-        let streamed: Vec<String> = strings::iter(&enc, vals.len()).collect::<Result<_, _>>().unwrap();
-        prop_assert_eq!(&arr, &streamed);
-        prop_assert_eq!(arr, vals);
-    }
-
-    /// Truncated or corrupted blocks fail identically (both error or both
-    /// succeed with the same values) on the array and streaming paths.
-    #[test]
-    fn corrupt_blocks_agree_between_paths(
-        vals in prop::collection::vec(any::<i64>(), 1..50),
-        cut in 0usize..64,
-    ) {
-        use monster_tsdb::encode::ints;
-        let enc = ints::encode(&vals);
-        let cut = cut.min(enc.len());
-        let data = &enc[..cut];
-        let mut arr = Vec::new();
-        let array = ints::decode_into(data, vals.len(), &mut arr);
-        let streamed: Result<Vec<i64>, _> = ints::iter(data, vals.len()).collect();
-        match (array, streamed) {
-            (Ok(()), Ok(s)) => prop_assert_eq!(arr, s),
-            (Err(_), Err(_)) => {}
-            (a, s) => prop_assert!(false, "array={:?} streamed-ok={:?}", a.is_ok(), s.is_ok()),
-        }
-    }
-
     /// count() over any windowing equals the number of in-range points.
     #[test]
     fn windowed_count_conserves_points(

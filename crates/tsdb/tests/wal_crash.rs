@@ -231,6 +231,49 @@ fn tiering_then_crash_recovers_both_tiers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A segment file is a function of the data: two databases fed the same
+/// batches tier to byte-identical `.seg` files (each `Shard` hashes its
+/// columns under its own `RandomState`, so walking the map would not) and
+/// recover to the same series order, the one the batches registered.
+#[test]
+fn tiered_segments_and_recovered_series_order_are_reproducible() {
+    let config = DbConfig {
+        shard_duration: 86_400,
+        tiering: Some(TierConfig::days(1)),
+        ..DbConfig::default()
+    };
+    let run = |tag: &str| {
+        let dir = fresh_dir(tag);
+        let (db, _) = Db::recover(config, &dir).unwrap();
+        for day in 0..3i64 {
+            let batch: Vec<DataPoint> = (0..24 * 40)
+                .map(|i| {
+                    DataPoint::new("UGE", EpochSecs::new(day * 86_400 + (i / 24) * 60))
+                        .tag("NodeId", format!("10.101.1.{}", i % 24 + 1))
+                        .field_f64("CPUUsage", (i % 36) as f64)
+                        .field_f64("MemUsed", (i % 128) as f64)
+                })
+                .collect();
+            db.write_batch(&batch).unwrap();
+        }
+        db.wal_sync().unwrap();
+        let report = db.tier_cold_shards(EpochSecs::new(3 * 86_400)).unwrap();
+        assert_eq!(report.shards_tiered, 2);
+        let written = db.series_keys(None);
+        drop(db);
+        let segs: Vec<Vec<u8>> = (0..2i64)
+            .map(|day| std::fs::read(dir.join(format!("shard-{}.seg", day * 86_400))).unwrap())
+            .collect();
+        let (recovered, _) = Db::recover(config, &dir).unwrap();
+        let keys = recovered.series_keys(None);
+        assert_eq!(keys, written, "recovery re-registered the series in another order");
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).ok();
+        (report.segment_bytes_written, segs, keys)
+    };
+    assert_eq!(run("seg-a"), run("seg-b"));
+}
+
 /// Dropped shards do not come back: retention deletes the cold-tier
 /// segment file along with the shard, so recovery cannot resurrect data
 /// the operator already aged out.

@@ -2,7 +2,8 @@
 # Non-test Rust lines per crate: every line of every .rs file under src/ (and
 # examples/), up to the file's `#[cfg(test)] mod` — test modules close their
 # files here — so tests/, benches/ and unit tests are left out. The yardstick
-# for ROADMAP item 6; a report, not a gate.
+# for ROADMAP item 6; a report, not a gate. Last line: how many binaries and
+# bench targets `monster-bench` builds (one per file, declared or discovered).
 # Usage: tools/loc.sh [repo-root]
 cd "${1:-$(dirname "$0")/..}" || exit 1
 total=0
@@ -19,3 +20,6 @@ for crate in crates/* .; do
     total=$((total + n))
 done
 printf '%-18s %6d\n' total "$total"
+count() { ls "$@" 2>/dev/null | wc -l; }
+printf 'monster-bench      %6d bin + %d bench targets\n' \
+    "$(count crates/bench/src/bin/*.rs)" "$(count crates/bench/benches/*.rs)"
