@@ -215,8 +215,9 @@ fn main() {
     // Numerator over denominator, each measured where it is measurable
     // (module docs). Every request in the mix is a cache hit on both
     // sides, so the delta is exactly the recorder's hit-path work (two
-    // stamps + one seqlock ring write), never execution noise; no writes
-    // land during this phase, so sliding windows stay valid.
+    // clock reads + one locked ring-slot overwrite), never execution
+    // noise; no writes land during this phase, so sliding windows stay
+    // valid.
     let probe_reqs: Vec<Request> = panels.iter().map(|p| Request::get(&p.url(now))).collect();
     let median = |v: &mut Vec<f64>| {
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());

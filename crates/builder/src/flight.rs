@@ -123,8 +123,20 @@ impl Drop for Leader {
 mod tests {
     use super::*;
     use monster_http::Response as Resp;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::thread;
+
+    impl FlightGroup {
+        /// Followers holding `key`'s open flight: parked on it, or past
+        /// the map lookup and about to be — either way they will get its
+        /// result. (Here, not beside `open`: only tests need it, the
+        /// service's among them.)
+        pub(crate) fn followers(&self, key: &str) -> usize {
+            let map = self.flights.lock().unwrap_or_else(|e| e.into_inner());
+            // The map and the leader hold one reference each.
+            map.get(key).map_or(0, |f| Arc::strong_count(f) - 2)
+        }
+    }
 
     fn resp(body: &str) -> Arc<Resp> {
         Arc::new(Resp::bytes(body.as_bytes().to_vec(), "text/plain"))
@@ -199,5 +211,114 @@ mod tests {
         a.complete(Some(resp("a")));
         b.complete(None);
         assert_eq!(group.open(), 0);
+    }
+
+    const THREADS: usize = 8;
+    const ROUNDS: usize = 2_000;
+    const KEYS: [&str; 3] = ["a", "b", "c"];
+
+    /// The round a thread last led a key in, and what it published then
+    /// (`None`: it dropped the lead).
+    type Lead = Option<(usize, Option<Arc<Resp>>)>;
+
+    /// What the stress test's joiners share.
+    struct Race {
+        group: FlightGroup,
+        round_start: std::sync::Barrier,
+        /// Per key: a flight of it is being led right now.
+        leading: [AtomicBool; KEYS.len()],
+        /// Per key and thread.
+        led: [[Mutex<Lead>; THREADS]; KEYS.len()],
+        followed: AtomicUsize,
+    }
+
+    /// One joiner: every round, threads 0–3 race for one key's flight and
+    /// threads 4–7 for the next key's.
+    fn race(sh: &Race, t: usize) {
+        for round in 0..ROUNDS {
+            // Nobody is more than a round ahead, so `led` entries of this
+            // round stay put until every follower has checked them.
+            sh.round_start.wait();
+            let k = (round + t / 4) % KEYS.len();
+            match sh.group.join(KEYS[k]) {
+                Join::Leader(leader) => {
+                    assert!(
+                        !sh.leading[k].swap(true, Ordering::SeqCst),
+                        "a flight with two leaders"
+                    );
+                    // Every third lead fails the way an execution error
+                    // does: the handle drops.
+                    let answer = (!(round + t).is_multiple_of(3)).then(|| resp("answer"));
+                    *sh.led[k][t].lock().unwrap() = Some((round, answer.clone()));
+                    // Hold the flight open for a follower, but not for
+                    // ever: no assertion depends on one arriving.
+                    for _ in 0..20 {
+                        if sh.group.followers(KEYS[k]) > 0 {
+                            break;
+                        }
+                        thread::yield_now();
+                    }
+                    sh.leading[k].store(false, Ordering::SeqCst);
+                    match answer {
+                        Some(a) => leader.complete(Some(a)),
+                        None => drop(leader),
+                    }
+                }
+                Join::Follower(got) => {
+                    sh.followed.fetch_add(1, Ordering::Relaxed);
+                    // The leads of this key in this round; the flight's own
+                    // mutex ordered their `led` writes before this wake-up.
+                    let leads: Vec<Option<Arc<Resp>>> = sh.led[k]
+                        .iter()
+                        .filter_map(|l| l.lock().unwrap().clone())
+                        .filter_map(|(r, answer)| (r == round).then_some(answer))
+                        .collect();
+                    match got {
+                        Some(got) => assert!(
+                            leads.iter().flatten().any(|a| Arc::ptr_eq(a, &got)),
+                            "a follower got an answer no leader of its flight published"
+                        ),
+                        None => assert!(
+                            leads.iter().any(|a| a.is_none()),
+                            "a follower got None and no leader dropped its flight"
+                        ),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn racing_joins_have_one_leader_and_every_follower_its_answer() {
+        let sh = Arc::new(Race {
+            group: FlightGroup::new(),
+            round_start: std::sync::Barrier::new(THREADS),
+            leading: Default::default(),
+            led: Default::default(),
+            followed: AtomicUsize::new(0),
+        });
+        // Detached threads and a channel, not `thread::scope`: a lost
+        // wakeup parks a follower for ever, a scope would wait for it, and
+        // a hung test says nothing. The watchdog fails it instead.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let joiners: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (sh, done_tx) = (Arc::clone(&sh), done_tx.clone());
+                thread::spawn(move || {
+                    let run = std::panic::AssertUnwindSafe(|| race(&sh, t));
+                    done_tx.send(std::panic::catch_unwind(run).is_ok()).unwrap();
+                })
+            })
+            .collect();
+        for _ in 0..THREADS {
+            match done_rx.recv_timeout(std::time::Duration::from_secs(120)) {
+                Ok(true) => {}
+                Ok(false) => panic!("a joiner failed an assertion (printed above)"),
+                Err(_) => panic!("a joiner is stuck: a lost wakeup, or a flight left open"),
+            }
+        }
+        joiners.into_iter().for_each(|j| j.join().unwrap());
+        assert_eq!(sh.group.open(), 0, "every flight closed");
+        assert!(sh.followed.load(Ordering::Relaxed) > 0, "no join ever followed");
     }
 }

@@ -31,7 +31,7 @@ pub use admission::{Admission, AdmissionConfig, AdmissionController};
 pub use cache::{ResponseCache, Validity, ValiditySnapshot};
 pub use exec::{execute, BuilderOutcome, ExecMode};
 pub use flight::{FlightGroup, Join};
-pub use materializer::{Materializer, RollupSpec};
+pub use materializer::Materializer;
 pub use plan::{build_plan, estimate_plan_cost, BuilderRequest, PlannedQuery, QueryGroup};
 pub use qlog::{Disposition, QueryRecorder, RecordFilter, RequestRecord};
 pub use response::{encode_response, EncodedResponse};

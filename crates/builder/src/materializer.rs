@@ -15,40 +15,6 @@ use crate::rollup::RollupRoute;
 use monster_tsdb::{Aggregation, ContinuousQuery, Db};
 use monster_util::{EpochSecs, Result};
 
-/// One roll-up the materializer maintains.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RollupSpec {
-    /// Source measurement.
-    pub source: String,
-    /// Source field.
-    pub field: String,
-    /// Target measurement (stores its value as `Reading`).
-    pub target: String,
-    /// Aggregation per window.
-    pub agg: Aggregation,
-    /// Window length in seconds.
-    pub window_secs: i64,
-}
-
-impl RollupSpec {
-    /// Convenience constructor.
-    pub fn new(
-        source: impl Into<String>,
-        field: impl Into<String>,
-        target: impl Into<String>,
-        agg: Aggregation,
-        window_secs: i64,
-    ) -> RollupSpec {
-        RollupSpec {
-            source: source.into(),
-            field: field.into(),
-            target: target.into(),
-            agg,
-            window_secs,
-        }
-    }
-}
-
 /// Drives a set of continuous queries and exposes the reroute table that
 /// matches what they maintain.
 #[derive(Debug, Clone)]
@@ -58,29 +24,16 @@ pub struct Materializer {
 }
 
 impl Materializer {
-    /// Build a materializer for `specs`, starting from `start` (nothing
-    /// before it is rolled up).
-    pub fn new(specs: &[RollupSpec], start: EpochSecs) -> Result<Materializer> {
-        let mut queries = Vec::with_capacity(specs.len());
-        let mut routes = Vec::with_capacity(specs.len());
-        for s in specs {
-            queries.push(ContinuousQuery::new(
-                &s.source,
-                &s.field,
-                &s.target,
-                s.agg,
-                s.window_secs,
-                start,
-            )?);
-            routes.push(RollupRoute {
-                source: s.source.clone(),
-                field: s.field.clone(),
-                target: s.target.clone(),
-                agg: s.agg,
-                window_secs: s.window_secs,
-            });
-        }
-        Ok(Materializer { queries, routes })
+    /// Build a materializer that maintains `routes`, starting from `start`
+    /// (nothing before it is rolled up).
+    pub fn new(routes: &[RollupRoute], start: EpochSecs) -> Result<Materializer> {
+        let queries = routes
+            .iter()
+            .map(|r| {
+                ContinuousQuery::new(&r.source, &r.field, &r.target, r.agg, r.window_secs, start)
+            })
+            .collect::<Result<_>>()?;
+        Ok(Materializer { queries, routes: routes.to_vec() })
     }
 
     /// The deployment's default set: 10-minute `max` roll-ups of every
@@ -89,13 +42,13 @@ impl Materializer {
     /// and composes exactly, so dashboard requests at 10-minute-multiple
     /// intervals are fully served from roll-ups.
     pub fn standard(start: EpochSecs) -> Materializer {
-        let specs = [
-            RollupSpec::new("Power", "Reading", "Power_10m", Aggregation::Max, 600),
-            RollupSpec::new("Thermal", "Reading", "Thermal_10m", Aggregation::Max, 600),
-            RollupSpec::new("UGE", "CPUUsage", "UGECpu_10m", Aggregation::Max, 600),
-            RollupSpec::new("UGE", "MemUsed", "UGEMem_10m", Aggregation::Max, 600),
+        let routes = [
+            RollupRoute::new("Power", "Reading", "Power_10m", Aggregation::Max, 600),
+            RollupRoute::new("Thermal", "Reading", "Thermal_10m", Aggregation::Max, 600),
+            RollupRoute::new("UGE", "CPUUsage", "UGECpu_10m", Aggregation::Max, 600),
+            RollupRoute::new("UGE", "MemUsed", "UGEMem_10m", Aggregation::Max, 600),
         ];
-        Materializer::new(&specs, start).expect("standard specs are valid")
+        Materializer::new(&routes, start).expect("standard roll-ups are valid")
     }
 
     /// The reroute table matching the maintained roll-ups (hand this to
@@ -214,8 +167,8 @@ mod tests {
     #[test]
     fn watermark_only_advances_over_complete_windows() {
         let db = seeded();
-        let specs = [RollupSpec::new("Power", "Reading", "Power_10m", Aggregation::Max, 600)];
-        let mut m = Materializer::new(&specs, EpochSecs::new(0)).unwrap();
+        let routes = [RollupRoute::new("Power", "Reading", "Power_10m", Aggregation::Max, 600)];
+        let mut m = Materializer::new(&routes, EpochSecs::new(0)).unwrap();
         // 25 minutes in: two complete windows.
         assert_eq!(m.run_once(&db, EpochSecs::new(1500)).unwrap(), 2);
         let q = Query::select("Power_10m", "Reading", EpochSecs::new(0), EpochSecs::new(86_400));

@@ -14,33 +14,40 @@
 //! (`monster_builder_cost_estimate_ratio{stage=...}`,
 //! `monster_builder_slow_queries_total`).
 //!
-//! # Hot-path design: word-atomic slots, no locks, no allocation
+//! # Mechanism: a ring of locked records and one lap clock
 //!
-//! The warm cache-hit path serves in under a microsecond, so the recorder
-//! budget is tens of nanoseconds. Each ring slot is a fixed array of
-//! `AtomicU64` words guarded by a per-slot seqlock version counter:
+//! The ring is a power-of-two `Box<[Mutex<RequestRecord>]>` behind one
+//! `head` counter:
 //!
-//! * a writer claims the slot with one CAS (odd version = write in
-//!   progress), stores only the words its disposition needs with relaxed
-//!   ordering, and releases with an even version — no mutex, no heap;
-//! * a reader (debug endpoints; rare) snapshots the words and retries if
-//!   the version moved underneath it. Because every word is an atomic,
-//!   a torn read is impossible by construction — the version check only
-//!   guards *cross-word* consistency;
-//! * a writer that loses the claim CAS (another writer lapped the ring
-//!   onto the same slot) drops its record and bumps
-//!   `monster_builder_qlog_dropped_total` rather than spin.
+//! * a writer takes the next sequence number, locks that number's slot and
+//!   overwrites the record in place with [`Draft::fill`] — assignments, and
+//!   the two strings into capacity reserved at construction — so the ring
+//!   never allocates after construction and recording on the warm
+//!   cache-hit path stays at zero allocations (asserted by the
+//!   counting-allocator test in `tests/cache_zero_copy.rs`);
+//! * a reader (debug endpoints; rare) locks one slot at a time and clones
+//!   it, so every record it returns is whole; a writer waits out that
+//!   clone instead of dropping its record;
+//! * a writer that was descheduled for a whole lap finds a *newer*
+//!   sequence number in its slot and leaves it alone — an older record
+//!   never overwrites a newer one, and that is the only thing
+//!   `monster_builder_qlog_dropped_total` counts.
 //!
-//! Slots are recycled in place — the ring never allocates after
-//! construction, which is what keeps recording on the warm cache-hit path
-//! at zero allocations (asserted by the counting-allocator test in
-//! `tests/cache_zero_copy.rs`). Wall timings use raw TSC reads on x86-64
-//! (two orders of magnitude cheaper than a `clock_gettime` pair),
-//! calibrated once per process against [`std::time::Instant`].
+//! The lock and the eager fingerprint cost the hit path some 10 ns more
+//! than the word-atomic seqlock they replaced (EXPERIMENTS.md "Flight
+//! recorder in plain Rust") — beside the ~130 ns span the same handler
+//! records, and for a structure a stress test can check and a reader can
+//! review.
+//!
+//! Stage timings come from one [`LapClock`] per request: `lap(stage)`
+//! charges the time since the previous lap to `stage`, so every record's
+//! stages sum to its total by construction. It reads raw TSC ticks on
+//! x86-64 (half the cost of `Instant::now`), calibrated once per process
+//! against [`std::time::Instant`]; started off, it reads no clock at all.
 
 use monster_json::{jobj, Value};
 use monster_obs::{SpanId, TraceId};
-use monster_tsdb::{QueryCost, COST_WORDS};
+use monster_tsdb::QueryCost;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,16 +103,43 @@ fn ticker() -> &'static Ticker {
     })
 }
 
-/// An opaque timestamp in recorder ticks; subtract two with
-/// [`ticks_to_ns`]. Reading one costs ~7 ns on x86-64.
-#[inline]
-pub fn ticks_now() -> u64 {
-    raw_ticks()
+/// One request's stage timer. [`lap`](Self::lap) charges the ticks since
+/// the previous lap (or the start) to a stage, accumulating, so the stages
+/// cover the request's wall time with no gap and no overlap. Started off
+/// it never reads the clock — a deployment with the recorder disabled
+/// serves hits stamp-free.
+#[derive(Debug, Clone, Copy)]
+pub struct LapClock {
+    /// Tick of the previous lap; `None` when the clock is off.
+    last: Option<u64>,
+    ticks: [u64; Stage::ALL.len()],
 }
 
-/// Convert a tick delta to nanoseconds.
-pub fn ticks_to_ns(delta: u64) -> u64 {
-    (delta as f64 * ticker().ns_per_tick) as u64
+impl LapClock {
+    /// Start timing now, if `on`.
+    #[inline]
+    pub fn start(on: bool) -> LapClock {
+        LapClock { last: on.then(raw_ticks), ticks: [0; Stage::ALL.len()] }
+    }
+
+    /// Charge everything since the previous lap to `stage`.
+    #[inline]
+    pub fn lap(&mut self, stage: Stage) {
+        if let Some(last) = &mut self.last {
+            let now = raw_ticks();
+            self.ticks[stage as usize] += now.saturating_sub(*last);
+            *last = now;
+        }
+    }
+
+    /// Per-stage wall nanoseconds (indexed by `Stage as usize`) and their
+    /// sum, the request's total; `None` when the clock is off.
+    pub fn finish(self) -> Option<([u64; Stage::ALL.len()], u64)> {
+        self.last?;
+        let ns_per_tick = ticker().ns_per_tick;
+        let stages_ns = self.ticks.map(|ticks| (ticks as f64 * ns_per_tick) as u64);
+        Some((stages_ns, stages_ns.iter().sum()))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -113,7 +147,7 @@ pub fn ticks_to_ns(delta: u64) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// How a request was ultimately served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum Disposition {
     /// Served from a validated cache entry.
     Hit,
@@ -126,33 +160,12 @@ pub enum Disposition {
     Negative,
     /// Turned away by cost-based admission (429).
     Rejected,
-    /// Execution failed (500).
+    /// Execution failed (500) — and what a request is until it is served.
+    #[default]
     Error,
 }
 
 impl Disposition {
-    fn code(self) -> u64 {
-        match self {
-            Disposition::Hit => 0,
-            Disposition::Miss => 1,
-            Disposition::Coalesced => 2,
-            Disposition::Negative => 3,
-            Disposition::Rejected => 4,
-            Disposition::Error => 5,
-        }
-    }
-
-    fn from_code(c: u64) -> Disposition {
-        match c {
-            0 => Disposition::Hit,
-            1 => Disposition::Miss,
-            2 => Disposition::Coalesced,
-            3 => Disposition::Negative,
-            4 => Disposition::Rejected,
-            _ => Disposition::Error,
-        }
-    }
-
     /// Lower-case wire name (`hit`, `miss`, `coalesced`, `negative`,
     /// `rejected`, `error`) — also what `?disposition=` filters accept.
     pub fn as_str(self) -> &'static str {
@@ -168,50 +181,26 @@ impl Disposition {
 
     /// Inverse of [`Disposition::as_str`].
     pub fn parse(s: &str) -> Option<Disposition> {
-        Some(match s {
-            "hit" => Disposition::Hit,
-            "miss" => Disposition::Miss,
-            "coalesced" => Disposition::Coalesced,
-            "negative" => Disposition::Negative,
-            "rejected" => Disposition::Rejected,
-            "error" => Disposition::Error,
-            _ => return None,
-        })
+        use Disposition::*;
+        [Hit, Miss, Coalesced, Negative, Rejected, Error].into_iter().find(|d| d.as_str() == s)
     }
 }
 
 /// What the response cache said about this request's key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum CacheVerdict {
     /// A positive entry existed and its watermark snapshot validated.
     Valid,
     /// A negative (deterministic-400) entry was served.
     Negative,
     /// No entry for this key.
+    #[default]
     Absent,
     /// An entry existed but a write/retention event invalidated it.
     Invalidated,
 }
 
 impl CacheVerdict {
-    fn code(self) -> u64 {
-        match self {
-            CacheVerdict::Valid => 0,
-            CacheVerdict::Negative => 1,
-            CacheVerdict::Absent => 2,
-            CacheVerdict::Invalidated => 3,
-        }
-    }
-
-    fn from_code(c: u64) -> CacheVerdict {
-        match c {
-            0 => CacheVerdict::Valid,
-            1 => CacheVerdict::Negative,
-            3 => CacheVerdict::Invalidated,
-            _ => CacheVerdict::Absent,
-        }
-    }
-
     /// Wire name used by `/debug/requests` and `?explain=true`.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -240,26 +229,6 @@ pub enum AdmissionDecision {
 }
 
 impl AdmissionDecision {
-    fn code(self) -> u64 {
-        match self {
-            AdmissionDecision::Disabled => 0,
-            AdmissionDecision::Cheap => 1,
-            AdmissionDecision::Charged => 2,
-            AdmissionDecision::RejectedOverBudget => 3,
-            AdmissionDecision::RejectedTenantBudget => 4,
-        }
-    }
-
-    fn from_code(c: u64) -> AdmissionDecision {
-        match c {
-            1 => AdmissionDecision::Cheap,
-            2 => AdmissionDecision::Charged,
-            3 => AdmissionDecision::RejectedOverBudget,
-            4 => AdmissionDecision::RejectedTenantBudget,
-            _ => AdmissionDecision::Disabled,
-        }
-    }
-
     /// Wire name used by `/debug/requests` and `?explain=true`.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -293,26 +262,52 @@ pub struct AdmissionSnapshot {
     pub retry_after_secs: u64,
 }
 
-/// The pipeline stages a record times. Indexes into
-/// [`RequestRecord::stages_ns`].
-pub const STAGES: [&str; 7] =
-    ["parse", "plan", "cache", "admission", "execute", "encode", "compress"];
+/// The pipeline stages a record times, in wire order. `stage as usize`
+/// indexes [`RequestRecord::stages_ns`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Parsing the query parameters into a `BuilderRequest`.
+    Parse,
+    /// Plan building + rollup rerouting + cost estimation.
+    Plan,
+    /// Response-cache probe, single-flight join (a follower's wait) and
+    /// the validity snapshot. A hit charges its whole wall time here.
+    Cache,
+    /// Admission decision (token-bucket refill + debit).
+    Admission,
+    /// Storage execution: the plan's query batch (`exec::run`), nothing else.
+    Execute,
+    /// Rendering the body (`exec::render`), header stamping, the cache insert.
+    Encode,
+    /// Deflating the rendered body (`compress=true` misses only).
+    Compress,
+}
 
-/// Stage index constants (see [`STAGES`]).
-pub const STAGE_PARSE: usize = 0;
-/// Plan building + rollup rerouting + cost estimation.
-pub const STAGE_PLAN: usize = 1;
-/// Response-cache probe. On a hit this is the only populated stage and it
-/// includes serving the shared body (probe dominates).
-pub const STAGE_CACHE: usize = 2;
-/// Admission decision (token-bucket refill + debit).
-pub const STAGE_ADMISSION: usize = 3;
-/// Storage execution: the plan's query batch (`exec::run`), nothing else.
-pub const STAGE_EXECUTE: usize = 4;
-/// Rendering the body (`exec::render`), header stamping, the cache insert.
-pub const STAGE_ENCODE: usize = 5;
-/// Deflating the rendered body (`compress=true` misses only).
-pub const STAGE_COMPRESS: usize = 6;
+impl Stage {
+    /// Every stage, in discriminant (and wire) order.
+    pub const ALL: [Stage; 7] = [
+        Stage::Parse,
+        Stage::Plan,
+        Stage::Cache,
+        Stage::Admission,
+        Stage::Execute,
+        Stage::Encode,
+        Stage::Compress,
+    ];
+
+    /// The stage's key under `wall_ms` in a record's JSON.
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Parse => "parse",
+            Stage::Plan => "plan",
+            Stage::Cache => "cache",
+            Stage::Admission => "admission",
+            Stage::Execute => "execute",
+            Stage::Encode => "encode",
+            Stage::Compress => "compress",
+        }
+    }
+}
 
 /// A request's estimated-vs-actual cost pair, modelled seconds included.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -328,8 +323,28 @@ pub struct CostPair {
     pub actual_ns: u64,
 }
 
-/// One decoded flight-recorder record — the owned, reader-side form.
-#[derive(Debug, Clone, PartialEq)]
+/// The cost dimensions an estimate is scored on, in [`CostPair::ratios`]
+/// order — the `stage` label of `monster_builder_cost_estimate_ratio`.
+pub const RATIO_STAGES: [&str; 4] = ["seconds", "points", "bytes", "blocks"];
+
+impl CostPair {
+    /// Measured over estimated per [`RATIO_STAGES`] entry; `None` where the
+    /// estimate was zero.
+    fn ratios(&self) -> [Option<f64>; 4] {
+        let (act, est) = (&self.actual, &self.estimated);
+        [
+            (self.actual_ns, self.estimated_ns),
+            (act.points as u64, est.points as u64),
+            (act.bytes as u64, est.bytes as u64),
+            (act.blocks as u64, est.blocks as u64),
+        ]
+        .map(|(act, est)| (est > 0).then(|| act as f64 / est as f64))
+    }
+}
+
+/// One flight-recorder record: what a ring slot holds, what the slow log
+/// pins and what `?explain=true` embeds.
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct RequestRecord {
     /// Monotone sequence number (also the ring-recycling order).
     pub seq: u64,
@@ -349,17 +364,18 @@ pub struct RequestRecord {
     pub tenant: String,
     /// The normalized request key (path + query, `explain` stripped).
     pub url: String,
-    /// `true` when `tenant`/`url` exceeded the slot's fixed capacity and
-    /// were truncated.
+    /// `true` when `tenant`/`url` exceeded [`TENANT_BYTES`]/[`URL_BYTES`]
+    /// and were cut (on a char boundary).
     pub truncated: bool,
     /// Whether the caller asked for `?explain=true`.
     pub explain: bool,
     /// Whether this record crossed the slow-query threshold (also pinned
     /// in the slow log).
     pub slow: bool,
-    /// Per-stage wall nanoseconds, indexed by the `STAGE_*` constants.
-    pub stages_ns: [u64; STAGES.len()],
-    /// End-to-end wall nanoseconds inside the handler.
+    /// Per-stage wall nanoseconds, indexed by `Stage as usize`.
+    pub stages_ns: [u64; Stage::ALL.len()],
+    /// End-to-end wall nanoseconds inside the handler — the sum of
+    /// `stages_ns` for every record a [`LapClock`] timed.
     pub total_ns: u64,
     /// Modelled (vtime) execution nanoseconds, when executed.
     pub vtime_execute_ns: u64,
@@ -375,7 +391,16 @@ pub struct RequestRecord {
     pub admission: Option<AdmissionSnapshot>,
 }
 
+/// `seq` of a ring slot no record has been written to yet.
+const NEVER: u64 = u64::MAX;
+
 impl RequestRecord {
+    /// A record nothing has been written to: `seq` is [`NEVER`], the
+    /// strings are empty and unallocated.
+    pub(crate) fn blank() -> RequestRecord {
+        RequestRecord { seq: NEVER, ..RequestRecord::default() }
+    }
+
     /// Wall milliseconds end to end.
     pub fn total_ms(&self) -> f64 {
         self.total_ns as f64 / 1e6
@@ -391,6 +416,11 @@ impl RequestRecord {
     /// test in `service.rs`).
     pub fn to_json(&self) -> Value {
         let ms = |ns: u64| ns as f64 / 1e6;
+        let mut wall_ms = monster_json::Object::with_capacity(1 + Stage::ALL.len());
+        wall_ms.insert("total", ms(self.total_ns));
+        for stage in Stage::ALL {
+            wall_ms.insert(stage.name(), ms(self.stages_ns[stage as usize]));
+        }
         let mut doc = jobj! {
             "seq" => self.seq as i64,
             "trace_id" => self.trace.to_string(),
@@ -404,16 +434,7 @@ impl RequestRecord {
             "slow" => self.slow,
             "truncated" => self.truncated,
             "bytes_out" => self.bytes_out as i64,
-            "wall_ms" => jobj! {
-                "total" => ms(self.total_ns),
-                "parse" => ms(self.stages_ns[STAGE_PARSE]),
-                "plan" => ms(self.stages_ns[STAGE_PLAN]),
-                "cache" => ms(self.stages_ns[STAGE_CACHE]),
-                "admission" => ms(self.stages_ns[STAGE_ADMISSION]),
-                "execute" => ms(self.stages_ns[STAGE_EXECUTE]),
-                "encode" => ms(self.stages_ns[STAGE_ENCODE]),
-                "compress" => ms(self.stages_ns[STAGE_COMPRESS]),
-            },
+            "wall_ms" => Value::Object(wall_ms),
             "vtime_ms" => jobj! {
                 "execute" => ms(self.vtime_execute_ns),
                 "encode" => ms(self.vtime_encode_ns),
@@ -422,13 +443,10 @@ impl RequestRecord {
             "cache" => jobj! { "verdict" => self.verdict.as_str() },
         };
         if let Some(cost) = &self.cost {
-            let ratio = |act: u64, est: u64| {
-                if est == 0 {
-                    Value::Null
-                } else {
-                    Value::from(act as f64 / est as f64)
-                }
-            };
+            let mut ratio = monster_json::Object::with_capacity(RATIO_STAGES.len());
+            for (stage, r) in RATIO_STAGES.into_iter().zip(cost.ratios()) {
+                ratio.insert(stage, r.map_or(Value::Null, Value::from));
+            }
             let obj = doc.as_object_mut().expect("record doc is an object");
             obj.insert(
                 "cost".to_string(),
@@ -437,12 +455,7 @@ impl RequestRecord {
                     "actual" => cost.actual.to_json(),
                     "estimated_modelled_ms" => ms(cost.estimated_ns),
                     "actual_modelled_ms" => ms(cost.actual_ns),
-                    "ratio" => jobj! {
-                        "seconds" => ratio(cost.actual_ns, cost.estimated_ns),
-                        "points" => ratio(cost.actual.points as u64, cost.estimated.points as u64),
-                        "bytes" => ratio(cost.actual.bytes as u64, cost.estimated.bytes as u64),
-                        "blocks" => ratio(cost.actual.blocks as u64, cost.estimated.blocks as u64),
-                    },
+                    "ratio" => Value::Object(ratio),
                 },
             );
         }
@@ -466,101 +479,76 @@ impl RequestRecord {
     }
 }
 
-/// What the service hands the recorder: borrowed strings, stack data, no
-/// heap. [`QueryRecorder::record`] copies it into a recycled slot.
-#[derive(Debug, Clone, Copy)]
+/// A record under construction: the service assigns what it learns to
+/// `record` as the request proceeds, and the two strings stay borrowed —
+/// no heap — until [`Draft::fill`] copies the draft into a ring slot.
+/// `record`'s own `tenant`, `url`, `truncated`, `fingerprint`, `seq` and
+/// `slow` are not the draft's to set: `fill` and the recorder derive them.
+#[derive(Debug, Clone)]
 pub struct Draft<'a> {
     /// Normalized request key (path + query, `explain` stripped).
     pub url: &'a str,
     /// Tenant header value (or `"anonymous"`).
     pub tenant: &'a str,
-    /// Trace id of the request's server-side span.
-    pub trace: TraceId,
-    /// Span id of the request's server-side span.
-    pub span: SpanId,
-    /// Normalized plan fingerprint ([`fingerprint64`] of `url`), or 0 to
-    /// let the ring decoder derive it from the stored key at read time.
-    pub fingerprint: u64,
-    /// Final disposition.
-    pub disposition: Disposition,
-    /// HTTP status served.
-    pub status: u16,
-    /// Cache probe verdict.
-    pub verdict: CacheVerdict,
-    /// Whether `?explain=true` was requested.
-    pub explain: bool,
-    /// Per-stage wall nanoseconds.
-    pub stages_ns: [u64; STAGES.len()],
-    /// End-to-end wall nanoseconds.
-    pub total_ns: u64,
-    /// Modelled execution nanoseconds.
-    pub vtime_execute_ns: u64,
-    /// Modelled marshalling nanoseconds.
-    pub vtime_encode_ns: u64,
-    /// Payload bytes out.
-    pub bytes_out: u64,
-    /// Estimated-vs-actual costs, when executed.
-    pub cost: Option<CostPair>,
-    /// Admission math, when evaluated.
-    pub admission: Option<AdmissionSnapshot>,
+    /// Everything else the request will be remembered by.
+    pub record: RequestRecord,
 }
 
 impl<'a> Draft<'a> {
-    /// A draft with everything zeroed except identity.
+    /// A draft with everything unset except identity.
     pub fn new(url: &'a str, tenant: &'a str, trace: TraceId, span: SpanId) -> Draft<'a> {
-        Draft {
-            url,
-            tenant,
-            trace,
-            span,
-            fingerprint: 0,
-            disposition: Disposition::Error,
-            status: 0,
-            verdict: CacheVerdict::Absent,
-            explain: false,
-            stages_ns: [0; STAGES.len()],
-            total_ns: 0,
-            vtime_execute_ns: 0,
-            vtime_encode_ns: 0,
-            bytes_out: 0,
-            cost: None,
-            admission: None,
-        }
+        Draft { url, tenant, record: RequestRecord { trace, span, ..RequestRecord::blank() } }
     }
 
-    /// Materialize the owned record the `?explain=true` envelope embeds
-    /// (the ring stores the same data in word form).
-    pub fn to_record(&self, seq: u64, slow: bool) -> RequestRecord {
-        RequestRecord {
-            seq,
-            disposition: self.disposition,
-            status: self.status,
-            trace: self.trace,
-            span: self.span,
-            fingerprint: self.fingerprint,
-            tenant: self.tenant.to_string(),
-            url: self.url.to_string(),
-            truncated: self.tenant.len() > TENANT_BYTES || self.url.len() > URL_BYTES,
-            explain: self.explain,
-            slow,
-            stages_ns: self.stages_ns,
-            total_ns: self.total_ns,
-            vtime_execute_ns: self.vtime_execute_ns,
-            vtime_encode_ns: self.vtime_encode_ns,
-            bytes_out: self.bytes_out,
-            verdict: self.verdict,
-            cost: self.cost,
-            admission: self.admission,
-        }
+    /// Overwrite `rec` with this request — everything but `seq` and
+    /// `slow`, which are the recorder's to assign. The one place a draft
+    /// becomes a record: the ring slot, the slow-log pin (a clone of the
+    /// slot) and the `?explain=true` inline record all come from here, so
+    /// they agree on the cut strings, the `truncated` flag and the
+    /// fingerprint (always of the full key). Reuses `rec`'s strings:
+    /// allocates nothing when they hold [`TENANT_BYTES`]/[`URL_BYTES`] of
+    /// capacity.
+    pub(crate) fn fill(&self, rec: &mut RequestRecord) {
+        let tenant_cut = copy_prefix(&mut rec.tenant, self.tenant, TENANT_BYTES);
+        let url_cut = copy_prefix(&mut rec.url, self.url, URL_BYTES);
+        rec.truncated = tenant_cut | url_cut;
+        rec.fingerprint = fingerprint64(self.url);
+        let d = &self.record;
+        rec.trace = d.trace;
+        rec.span = d.span;
+        rec.disposition = d.disposition;
+        rec.status = d.status;
+        rec.verdict = d.verdict;
+        rec.explain = d.explain;
+        rec.stages_ns = d.stages_ns;
+        rec.total_ns = d.total_ns;
+        rec.vtime_execute_ns = d.vtime_execute_ns;
+        rec.vtime_encode_ns = d.vtime_encode_ns;
+        rec.bytes_out = d.bytes_out;
+        rec.cost = d.cost;
+        rec.admission = d.admission;
     }
+}
+
+/// Max tenant bytes a record stores before truncating.
+pub const TENANT_BYTES: usize = 24;
+/// Max url bytes a record stores before truncating.
+pub const URL_BYTES: usize = 160;
+
+/// Overwrite `dst` with the longest prefix of `src` that fits `cap` bytes
+/// and ends on a char boundary; `true` when that cut anything off.
+fn copy_prefix(dst: &mut String, src: &str, cap: usize) -> bool {
+    let end = src.floor_char_boundary(cap);
+    dst.clear();
+    dst.push_str(&src[..end]);
+    end < src.len()
 }
 
 /// The normalized plan fingerprint: FNV-1a folded over 8-byte chunks, so
 /// hashing an 80-byte key costs ~10 multiplies. Identical normalized keys
 /// — and therefore identical plans — collapse to one value whatever their
-/// disposition. The hot path never computes it: ring records store 0 and
-/// the decoder derives it from the stored key at read time; only the
-/// opt-in explain path (and the slow-log pin) hash eagerly.
+/// disposition. Always hashed from the full key, never from the prefix a
+/// record stores.
 pub fn fingerprint64(s: &str) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -578,105 +566,6 @@ pub fn fingerprint64(s: &str) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Slot layout
-// ---------------------------------------------------------------------------
-
-const TENANT_WORDS: usize = 3;
-const URL_WORDS: usize = 20;
-/// Max tenant bytes a slot stores before truncating.
-pub const TENANT_BYTES: usize = TENANT_WORDS * 8;
-/// Max url bytes a slot stores before truncating.
-pub const URL_BYTES: usize = URL_WORDS * 8;
-
-// Word layout. Every disposition writes the prefix up through the url
-// words; only executed/priced requests write the cost and admission
-// suffix. Keeping the universally-written words contiguous at the front
-// means the hot (cache-hit) write touches one run of cache lines — see
-// `HOT_PREFIX_LINES`.
-const W_SEQ: usize = 0;
-const W_META: usize = 1; // disposition | status<<8 | flags<<24 | verdict<<32 | adm<<40 | tlen<<48 | ulen<<56
-const W_TRACE_HI: usize = 2;
-const W_TRACE_LO: usize = 3;
-const W_SPAN: usize = 4;
-const W_FP: usize = 5;
-const W_STAGE0: usize = 6; // ..=12
-const W_TOTAL: usize = 13;
-const W_VT_EXEC: usize = 14;
-const W_VT_ENC: usize = 15;
-const W_BYTES_OUT: usize = 16;
-const W_TENANT0: usize = 17; // ..=19
-const W_URL0: usize = 20; // ..=39
-const W_EST0: usize = 40; // ..=49
-const W_EST_NS: usize = 50;
-const W_ACT0: usize = 51; // ..=60
-const W_ACT_NS: usize = 61;
-const W_ADM_EST: usize = 62;
-const W_ADM_BEFORE: usize = 63;
-const W_ADM_AFTER: usize = 64;
-const W_ADM_RATE: usize = 65;
-const W_ADM_BURST: usize = 66;
-const W_ADM_RETRY: usize = 67;
-const SLOT_WORDS: usize = W_ADM_RETRY + 1;
-
-/// Cache lines covering the slot version plus the universally-written
-/// word prefix (`W_SEQ..=W_URL0 + URL_WORDS`) — what `prefetch_next`
-/// warms for the common dispositions.
-const HOT_PREFIX_LINES: usize = (8 + W_EST0 * 8).div_ceil(64);
-
-const FLAG_COST: u64 = 1;
-const FLAG_ADMISSION: u64 = 2;
-const FLAG_EXPLAIN: u64 = 4;
-const FLAG_SLOW: u64 = 8;
-const FLAG_TRUNCATED: u64 = 16;
-
-struct Slot {
-    /// Seqlock: odd while a writer owns the slot.
-    version: AtomicU64,
-    words: [AtomicU64; SLOT_WORDS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot { version: AtomicU64::new(0), words: std::array::from_fn(|_| AtomicU64::new(0)) }
-    }
-}
-
-/// Pack a string into word-atomic storage; returns the stored length.
-#[inline]
-fn store_str(words: &[AtomicU64], s: &str, cap_bytes: usize) -> usize {
-    let bytes = &s.as_bytes()[..s.len().min(cap_bytes)];
-    let mut chunks = bytes.chunks_exact(8);
-    let mut w = words.iter();
-    for chunk in chunks.by_ref() {
-        let word = u64::from_le_bytes(chunk.try_into().unwrap());
-        w.next().unwrap().store(word, Ordering::Relaxed);
-    }
-    let tail = chunks.remainder();
-    if !tail.is_empty() {
-        let mut word = 0u64;
-        for (i, &b) in tail.iter().enumerate() {
-            word |= (b as u64) << (8 * i);
-        }
-        w.next().unwrap().store(word, Ordering::Relaxed);
-    }
-    bytes.len()
-}
-
-fn load_str(words: &[u64], len: usize) -> String {
-    let mut out = Vec::with_capacity(len);
-    for (i, w) in words.iter().enumerate() {
-        for b in 0..8 {
-            let pos = i * 8 + b;
-            if pos >= len {
-                break;
-            }
-            out.push((w >> (8 * b)) as u8);
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-// ---------------------------------------------------------------------------
 // The recorder
 // ---------------------------------------------------------------------------
 
@@ -686,12 +575,21 @@ fn load_str(words: &[u64], len: usize) -> String {
 pub struct RecordFilter {
     /// Keep only this disposition.
     pub disposition: Option<Disposition>,
-    /// Keep only records at least this many wall milliseconds end to end.
+    /// Keep only records at least this many milliseconds end to end, wall
+    /// or modelled. `/debug/requests` rejects a non-finite or negative one.
     pub min_ms: Option<f64>,
     /// Keep only this tenant.
     pub tenant: Option<String>,
     /// Newest-first result cap (default 50).
     pub limit: Option<usize>,
+}
+
+impl RecordFilter {
+    fn matches(&self, rec: &RequestRecord) -> bool {
+        self.disposition.is_none_or(|d| rec.disposition == d)
+            && self.min_ms.is_none_or(|ms| rec.total_ms() >= ms || rec.modelled_ms() >= ms)
+            && self.tenant.as_ref().is_none_or(|t| rec.tenant == *t)
+    }
 }
 
 /// How many slow records stay pinned (oldest evicted).
@@ -702,8 +600,11 @@ const SLOW_PINNED: usize = 64;
 /// recorder disabled never constructs it, so those series never appear in
 /// the exposition.
 pub struct QueryRecorder {
-    slots: Box<[Slot]>,
+    /// Slot `seq & mask` holds record `seq` until a later lap overwrites it.
+    slots: Box<[Mutex<RequestRecord>]>,
     mask: u64,
+    /// Next sequence number. A plain counter: the slot locks, not this,
+    /// publish the records, so every access is `Relaxed`.
     head: AtomicU64,
     slow_ns: u64,
     dropped: AtomicU64,
@@ -713,10 +614,6 @@ pub struct QueryRecorder {
     slow_total: Arc<monster_obs::Counter>,
     ratio_histos: [Arc<monster_obs::Histo>; 4],
 }
-
-/// Ratio histogram stage labels, index-aligned with
-/// `QueryRecorder::ratio_histos`.
-pub const RATIO_STAGES: [&str; 4] = ["seconds", "points", "bytes", "blocks"];
 
 impl QueryRecorder {
     /// A recorder with `capacity` ring slots (rounded up to a power of
@@ -735,7 +632,15 @@ impl QueryRecorder {
             )
         });
         QueryRecorder {
-            slots: (0..cap).map(|_| Slot::new()).collect(),
+            slots: (0..cap)
+                .map(|_| {
+                    // Reserved once, overwritten in place ever after.
+                    let mut slot = RequestRecord::blank();
+                    slot.tenant.reserve(TENANT_BYTES);
+                    slot.url.reserve(URL_BYTES);
+                    Mutex::new(slot)
+                })
+                .collect(),
             mask: cap as u64 - 1,
             head: AtomicU64::new(0),
             slow_ns: (slow_ms.max(0.0) * 1e6) as u64,
@@ -768,150 +673,57 @@ impl QueryRecorder {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Records dropped to a lapped-writer collision.
+    /// Records dropped because their slot already held a newer one.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Hint the cache that the slot the *next* [`record`](Self::record)
-    /// call will claim is about to be written. The ring's working set
-    /// (capacity × ~0.5 KiB) can dwarf L1/L2, so by the time a slot comes
-    /// around again its lines are cold — without this, every record pays
-    /// read-for-ownership misses on the hot path. Called at request
-    /// entry, the prefetch overlaps the entire serve. Only the
-    /// universally-written word prefix is warmed; the cost/admission
-    /// suffix belongs to executed requests, which run at micro- not
-    /// nanosecond scale. Racing another writer to the slot is harmless: a
-    /// prefetch is only a hint.
-    #[inline]
-    pub fn prefetch_next(&self) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let slot = &self.slots[(self.head.load(Ordering::Relaxed) & self.mask) as usize];
-            let base = slot as *const Slot as *const i8;
-            for line in 0..HOT_PREFIX_LINES {
-                // SAFETY: every address in [base, base + size_of::<Slot>())
-                // lies inside the `slot` allocation; prefetch has no
-                // architectural effect regardless.
-                unsafe {
-                    core::arch::x86_64::_mm_prefetch(
-                        base.add(line * 64),
-                        core::arch::x86_64::_MM_HINT_T0,
-                    )
-                };
-            }
-        }
-    }
-
     /// Capture one request; returns the record's sequence number and
-    /// whether it crossed the slow-query threshold. The common
-    /// (cache-hit) disposition stores ~30 words under a single
-    /// CAS-claimed seqlock — no locks, no heap; see the module docs for
-    /// the budget arithmetic.
+    /// whether it crossed the slow-query threshold. One uncontended lock
+    /// and an in-place overwrite — no heap (see the module docs).
     pub fn record(&self, d: &Draft<'_>) -> (u64, bool) {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq & self.mask) as usize];
-        let v = slot.version.load(Ordering::Relaxed);
-        if v & 1 == 1
-            || slot
-                .version
-                .compare_exchange(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            // Another writer owns this slot (the ring lapped a full
-            // capacity while it was mid-write). Debug data is best-effort:
-            // drop rather than spin on the hot path.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            self.dropped_total.inc();
-            return (seq, self.is_slow(d));
-        }
-        let w = &slot.words;
-        let tlen = store_str(&w[W_TENANT0..W_TENANT0 + TENANT_WORDS], d.tenant, TENANT_BYTES);
-        let ulen = store_str(&w[W_URL0..W_URL0 + URL_WORDS], d.url, URL_BYTES);
-        let truncated = d.tenant.len() > TENANT_BYTES || d.url.len() > URL_BYTES;
+        (seq, self.write(seq, d))
+    }
+
+    /// Write `d` as record `seq` into `seq`'s slot, unless the slot already
+    /// holds a newer record; returns whether `d` is slow.
+    fn write(&self, seq: u64, d: &Draft<'_>) -> bool {
         let slow = self.is_slow(d);
-        let mut flags = 0u64;
-        if d.explain {
-            flags |= FLAG_EXPLAIN;
-        }
-        if slow {
-            flags |= FLAG_SLOW;
-        }
-        if truncated {
-            flags |= FLAG_TRUNCATED;
-        }
-        let adm_code = d.admission.map_or(0, |a| a.decision.code());
-        if let Some(cost) = &d.cost {
-            flags |= FLAG_COST;
-            for (i, word) in cost.estimated.to_words().iter().enumerate() {
-                w[W_EST0 + i].store(*word, Ordering::Relaxed);
+        let pin = {
+            let mut slot = self.slots[(seq & self.mask) as usize].lock();
+            if slot.seq != NEVER && slot.seq > seq {
+                // The ring lapped a full capacity between this writer's
+                // `fetch_add` and its lock.
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+                self.dropped_total.inc();
+                return slow;
             }
-            for (i, word) in cost.actual.to_words().iter().enumerate() {
-                w[W_ACT0 + i].store(*word, Ordering::Relaxed);
-            }
-            w[W_EST_NS].store(cost.estimated_ns, Ordering::Relaxed);
-            w[W_ACT_NS].store(cost.actual_ns, Ordering::Relaxed);
-        }
-        if let Some(adm) = &d.admission {
-            flags |= FLAG_ADMISSION;
-            w[W_ADM_EST].store(adm.estimated_secs.to_bits(), Ordering::Relaxed);
-            w[W_ADM_BEFORE].store(adm.tokens_before.to_bits(), Ordering::Relaxed);
-            w[W_ADM_AFTER].store(adm.tokens_after.to_bits(), Ordering::Relaxed);
-            w[W_ADM_RATE].store(adm.rate.to_bits(), Ordering::Relaxed);
-            w[W_ADM_BURST].store(adm.burst.to_bits(), Ordering::Relaxed);
-            w[W_ADM_RETRY].store(adm.retry_after_secs, Ordering::Relaxed);
-        }
-        w[W_SEQ].store(seq, Ordering::Relaxed);
-        let meta = d.disposition.code()
-            | (d.status as u64) << 8
-            | flags << 24
-            | d.verdict.code() << 32
-            | adm_code << 40
-            | (tlen as u64) << 48
-            | (ulen as u64) << 56;
-        w[W_META].store(meta, Ordering::Relaxed);
-        w[W_TRACE_HI].store((d.trace.0 >> 64) as u64, Ordering::Relaxed);
-        w[W_TRACE_LO].store(d.trace.0 as u64, Ordering::Relaxed);
-        w[W_SPAN].store(d.span.0, Ordering::Relaxed);
-        w[W_FP].store(d.fingerprint, Ordering::Relaxed);
-        for (i, ns) in d.stages_ns.iter().enumerate() {
-            w[W_STAGE0 + i].store(*ns, Ordering::Relaxed);
-        }
-        w[W_TOTAL].store(d.total_ns, Ordering::Relaxed);
-        w[W_VT_EXEC].store(d.vtime_execute_ns, Ordering::Relaxed);
-        w[W_VT_ENC].store(d.vtime_encode_ns, Ordering::Relaxed);
-        w[W_BYTES_OUT].store(d.bytes_out, Ordering::Relaxed);
-        slot.version.store(v + 2, Ordering::Release);
+            d.fill(&mut slot);
+            slot.seq = seq;
+            slot.slow = slow;
+            slow.then(|| slot.clone())
+        };
 
         // Everything below is off the common path: estimator-accuracy
         // histograms fire only when a request executed, the slow log only
         // past the threshold.
-        if let Some(cost) = &d.cost {
-            let pairs: [(u64, u64); 4] = [
-                (cost.actual_ns, cost.estimated_ns),
-                (cost.actual.points as u64, cost.estimated.points as u64),
-                (cost.actual.bytes as u64, cost.estimated.bytes as u64),
-                (cost.actual.blocks as u64, cost.estimated.blocks as u64),
-            ];
-            for (histo, (act, est)) in self.ratio_histos.iter().zip(pairs) {
-                if est > 0 {
-                    histo.observe(act as f64 / est as f64);
+        if let Some(cost) = &d.record.cost {
+            for (histo, ratio) in self.ratio_histos.iter().zip(cost.ratios()) {
+                if let Some(ratio) = ratio {
+                    histo.observe(ratio);
                 }
             }
         }
-        if slow {
+        if let Some(rec) = pin {
             self.slow_total.inc();
-            let mut rec = d.to_record(seq, true);
-            if rec.fingerprint == 0 {
-                rec.fingerprint = fingerprint64(&rec.url);
-            }
             let mut pinned = self.pinned.lock();
             if pinned.len() == SLOW_PINNED {
                 pinned.pop_front();
             }
             pinned.push_back(rec);
         }
-        (seq, slow)
+        slow
     }
 
     /// Bring `monster_builder_qlog_records_total` up to date with the
@@ -928,94 +740,37 @@ impl QueryRecorder {
     }
 
     /// Would this draft cross the slow-query threshold (wall *or*
-    /// modelled time)? Used by `?explain=true` to report the flag before
-    /// the pinned copy is queryable.
+    /// modelled time)?
     pub fn is_slow(&self, d: &Draft<'_>) -> bool {
         self.slow_ns > 0
-            && (d.total_ns >= self.slow_ns
-                || d.vtime_execute_ns + d.vtime_encode_ns >= self.slow_ns)
+            && (d.record.total_ns >= self.slow_ns
+                || d.record.vtime_execute_ns + d.record.vtime_encode_ns >= self.slow_ns)
     }
 
-    /// Snapshot one slot; `None` while a writer owns it or if it has never
-    /// been written.
-    fn read_slot(&self, idx: usize) -> Option<RequestRecord> {
-        let slot = &self.slots[idx];
-        for _ in 0..4 {
-            let v1 = slot.version.load(Ordering::Acquire);
-            if v1 == 0 || v1 & 1 == 1 {
-                return None;
-            }
-            let words: [u64; SLOT_WORDS] =
-                std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
-            // Word loads are atomic, so tearing within a word is
-            // impossible; the version re-check guards cross-word
-            // consistency against a concurrent rewrite.
-            let v2 = slot.version.load(Ordering::Acquire);
-            if v1 == v2 {
-                return Some(decode(&words));
-            }
-        }
-        None
+    /// Clones of the live records `keep` accepts, newest first: walk back
+    /// one lap from the head, one slot lock at a time. A slot whose stored
+    /// sequence number is not the cursor's is unwritten, mid-claim or
+    /// already lapped — skipped.
+    fn live<'s>(
+        &'s self,
+        keep: impl Fn(&RequestRecord) -> bool + 's,
+    ) -> impl Iterator<Item = RequestRecord> + 's {
+        let head = self.head.load(Ordering::Relaxed);
+        let oldest = head.saturating_sub(self.slots.len() as u64);
+        (oldest..head).rev().filter_map(move |seq| {
+            let slot = self.slots[(seq & self.mask) as usize].lock();
+            (slot.seq == seq && keep(&slot)).then(|| slot.clone())
+        })
     }
 
     /// Newest-first records matching `filter`.
     pub fn recent(&self, filter: &RecordFilter) -> Vec<RequestRecord> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let limit = filter.limit.unwrap_or(50);
-        let mut out = Vec::new();
-        let mut seq = head;
-        while seq > 0 && seq + cap > head && out.len() < limit {
-            seq -= 1;
-            let Some(rec) = self.read_slot((seq & self.mask) as usize) else {
-                continue;
-            };
-            // A lapped slot can hold a newer record than the cursor; skip
-            // anything whose stored seq disagrees.
-            if rec.seq != seq {
-                continue;
-            }
-            if self.matches(&rec, filter) {
-                out.push(rec);
-            }
-        }
-        out
-    }
-
-    fn matches(&self, rec: &RequestRecord, filter: &RecordFilter) -> bool {
-        if let Some(d) = filter.disposition {
-            if rec.disposition != d {
-                return false;
-            }
-        }
-        if let Some(min_ms) = filter.min_ms {
-            if rec.total_ms() < min_ms && rec.modelled_ms() < min_ms {
-                return false;
-            }
-        }
-        if let Some(tenant) = &filter.tenant {
-            if rec.tenant != *tenant {
-                return false;
-            }
-        }
-        true
+        self.live(|rec| filter.matches(rec)).take(filter.limit.unwrap_or(50)).collect()
     }
 
     /// All live records carrying `trace`, newest first.
     pub fn by_trace(&self, trace: TraceId) -> Vec<RequestRecord> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let mut out = Vec::new();
-        let mut seq = head;
-        while seq > 0 && seq + cap > head {
-            seq -= 1;
-            if let Some(rec) = self.read_slot((seq & self.mask) as usize) {
-                if rec.seq == seq && rec.trace == trace {
-                    out.push(rec);
-                }
-            }
-        }
-        out
+        self.live(|rec| rec.trace == trace).collect()
     }
 
     /// The pinned slow-query log, newest first.
@@ -1036,66 +791,6 @@ impl QueryRecorder {
             "requests" => Value::Array(requests),
             "slow" => Value::Array(slow),
         }
-    }
-}
-
-fn decode(w: &[u64; SLOT_WORDS]) -> RequestRecord {
-    let meta = w[W_META];
-    let flags = (meta >> 24) & 0xff;
-    let tlen = ((meta >> 48) & 0xff) as usize;
-    let ulen = (meta >> 56) as usize;
-    let cost = if flags & FLAG_COST != 0 {
-        let mut est = [0u64; COST_WORDS];
-        let mut act = [0u64; COST_WORDS];
-        est.copy_from_slice(&w[W_EST0..W_EST0 + COST_WORDS]);
-        act.copy_from_slice(&w[W_ACT0..W_ACT0 + COST_WORDS]);
-        Some(CostPair {
-            estimated: QueryCost::from_words(&est),
-            actual: QueryCost::from_words(&act),
-            estimated_ns: w[W_EST_NS],
-            actual_ns: w[W_ACT_NS],
-        })
-    } else {
-        None
-    };
-    let admission = if flags & FLAG_ADMISSION != 0 {
-        Some(AdmissionSnapshot {
-            decision: AdmissionDecision::from_code((meta >> 40) & 0xff),
-            estimated_secs: f64::from_bits(w[W_ADM_EST]),
-            tokens_before: f64::from_bits(w[W_ADM_BEFORE]),
-            tokens_after: f64::from_bits(w[W_ADM_AFTER]),
-            rate: f64::from_bits(w[W_ADM_RATE]),
-            burst: f64::from_bits(w[W_ADM_BURST]),
-            retry_after_secs: w[W_ADM_RETRY],
-        })
-    } else {
-        None
-    };
-    let url = load_str(&w[W_URL0..W_URL0 + URL_WORDS], ulen);
-    // The hot path stores 0 rather than hashing; recompute from the
-    // stored (possibly truncated) key at read time. A nonzero word means
-    // an eager path (explain) hashed the full key already.
-    let fingerprint = if w[W_FP] != 0 { w[W_FP] } else { fingerprint64(&url) };
-    RequestRecord {
-        seq: w[W_SEQ],
-        disposition: Disposition::from_code(meta & 0xff),
-        status: ((meta >> 8) & 0xffff) as u16,
-        trace: TraceId(((w[W_TRACE_HI] as u128) << 64) | w[W_TRACE_LO] as u128),
-        span: SpanId(w[W_SPAN]),
-        fingerprint,
-        tenant: load_str(&w[W_TENANT0..W_TENANT0 + TENANT_WORDS], tlen),
-        url,
-        truncated: flags & FLAG_TRUNCATED != 0,
-        explain: flags & FLAG_EXPLAIN != 0,
-        slow: flags & FLAG_SLOW != 0,
-        stages_ns: std::array::from_fn(|i| w[W_STAGE0 + i]),
-        total_ns: w[W_TOTAL],
-        vtime_execute_ns: w[W_VT_EXEC],
-        vtime_encode_ns: w[W_VT_ENC],
-        bytes_out: w[W_BYTES_OUT],
-        verdict: CacheVerdict::from_code((meta >> 32) & 0xff),
-        cost,
-        admission,
     }
 }
 
@@ -1164,13 +859,12 @@ mod tests {
 
     fn draft_with<'a>(url: &'a str, seq_hint: u64) -> Draft<'a> {
         let mut d = Draft::new(url, "anonymous", TraceId(seq_hint as u128 + 1), SpanId(7));
-        d.fingerprint = fingerprint64(url);
-        d.disposition = Disposition::Hit;
-        d.status = 200;
-        d.verdict = CacheVerdict::Valid;
-        d.total_ns = 1_000;
-        d.stages_ns[STAGE_CACHE] = 1_000;
-        d.bytes_out = 42;
+        d.record.disposition = Disposition::Hit;
+        d.record.status = 200;
+        d.record.verdict = CacheVerdict::Valid;
+        d.record.total_ns = 1_000;
+        d.record.stages_ns[Stage::Cache as usize] = 1_000;
+        d.record.bytes_out = 42;
         d
     }
 
@@ -1178,16 +872,15 @@ mod tests {
     fn record_roundtrips_every_field() {
         let rec = QueryRecorder::new(16, 0.0);
         let mut d = Draft::new("/v1/metrics?start=a&end=b", "tenant-x", TraceId(0xabcd), SpanId(9));
-        d.fingerprint = 0xfeed;
-        d.disposition = Disposition::Miss;
-        d.status = 200;
-        d.verdict = CacheVerdict::Invalidated;
-        d.explain = true;
-        d.stages_ns = [1, 2, 3, 4, 5, 6, 7];
-        d.total_ns = 21;
-        d.vtime_execute_ns = 1_000_000;
-        d.vtime_encode_ns = 2_000_000;
-        d.bytes_out = 711;
+        d.record.disposition = Disposition::Miss;
+        d.record.status = 200;
+        d.record.verdict = CacheVerdict::Invalidated;
+        d.record.explain = true;
+        d.record.stages_ns = [1, 2, 3, 4, 5, 6, 7];
+        d.record.total_ns = 21;
+        d.record.vtime_execute_ns = 1_000_000;
+        d.record.vtime_encode_ns = 2_000_000;
+        d.record.bytes_out = 711;
         let est = QueryCost { points: 100, bytes: 800, queries: 5, ..QueryCost::default() };
         let act = QueryCost {
             points: 90,
@@ -1197,8 +890,9 @@ mod tests {
             bytes_cold: 64,
             ..QueryCost::default()
         };
-        d.cost = Some(CostPair { estimated: est, actual: act, estimated_ns: 500, actual_ns: 450 });
-        d.admission = Some(AdmissionSnapshot {
+        d.record.cost =
+            Some(CostPair { estimated: est, actual: act, estimated_ns: 500, actual_ns: 450 });
+        d.record.admission = Some(AdmissionSnapshot {
             decision: AdmissionDecision::Charged,
             estimated_secs: 1.5,
             tokens_before: 10.0,
@@ -1216,7 +910,7 @@ mod tests {
         assert_eq!(r.status, 200);
         assert_eq!(r.trace, TraceId(0xabcd));
         assert_eq!(r.span, SpanId(9));
-        assert_eq!(r.fingerprint, 0xfeed);
+        assert_eq!(r.fingerprint, fingerprint64("/v1/metrics?start=a&end=b"));
         assert_eq!(r.tenant, "tenant-x");
         assert_eq!(r.url, "/v1/metrics?start=a&end=b");
         assert!(r.explain && !r.truncated);
@@ -1247,11 +941,29 @@ mod tests {
     }
 
     #[test]
+    fn an_older_sequence_number_never_overwrites_a_newer_one() {
+        // A writer descheduled between taking its number and its slot's
+        // lock, for a whole lap: 5 and 21 share slot 5 of 16.
+        let rec = QueryRecorder::new(16, 0.0);
+        let slot_5 = || {
+            let slot = rec.slots[5].lock();
+            (slot.seq, slot.url.clone())
+        };
+        rec.write(21, &draft_with("/newer", 0));
+        rec.write(5, &draft_with("/older", 1));
+        assert_eq!(slot_5(), (21, "/newer".to_string()));
+        assert_eq!(rec.dropped(), 1, "that, and only that, is a drop");
+        rec.write(37, &draft_with("/newest", 2));
+        assert_eq!(slot_5(), (37, "/newest".to_string()));
+        assert_eq!(rec.dropped(), 1);
+    }
+
+    #[test]
     fn filters_match_disposition_tenant_and_min_ms() {
         let rec = QueryRecorder::new(64, 0.0);
         let mut a = draft_with("/a", 0);
-        a.disposition = Disposition::Miss;
-        a.total_ns = 5_000_000; // 5 ms
+        a.record.disposition = Disposition::Miss;
+        a.record.total_ns = 5_000_000; // 5 ms
         rec.record(&a);
         let mut b = draft_with("/b", 1);
         b.tenant = "rogue";
@@ -1283,7 +995,7 @@ mod tests {
         let rec = QueryRecorder::new(64, 0.0);
         for i in 0..6u64 {
             let mut d = draft_with("/t", i);
-            d.trace = TraceId(if i % 2 == 0 { 0x11 } else { 0x22 });
+            d.record.trace = TraceId(if i % 2 == 0 { 0x11 } else { 0x22 });
             rec.record(&d);
         }
         let found = rec.by_trace(TraceId(0x11));
@@ -1296,8 +1008,8 @@ mod tests {
     fn slow_records_pin_and_survive_ring_recycling() {
         let rec = QueryRecorder::new(16, 1.0); // 1 ms threshold
         let mut slow = draft_with("/slow", 0);
-        slow.disposition = Disposition::Miss;
-        slow.vtime_execute_ns = 5_000_000; // 5 ms modelled
+        slow.record.disposition = Disposition::Miss;
+        slow.record.vtime_execute_ns = 5_000_000; // 5 ms modelled
         rec.record(&slow);
         // Lap the ring twice; the pinned record must survive.
         for i in 0..40u64 {
@@ -1323,6 +1035,27 @@ mod tests {
         assert_eq!(got.url.len(), URL_BYTES);
         assert_eq!(got.tenant.len(), TENANT_BYTES);
         assert!(long_url.starts_with(&got.url));
+        assert_eq!(got.fingerprint, fingerprint64(&long_url), "hashed from the full key");
+
+        // Non-ASCII: the cut backs off to a char boundary instead of
+        // splitting a char (159 ASCII bytes, then two-byte chars: the
+        // 160-byte limit falls inside the first).
+        let accented = format!("/v1/metrics?{}{}", "x".repeat(147), "é".repeat(40));
+        rec.record(&draft_with(&accented, 1));
+        let got = &rec.recent(&RecordFilter::default())[0];
+        assert!(got.truncated);
+        assert_eq!(
+            got.url.len(),
+            URL_BYTES - 1,
+            "a byte short of the limit, not a char cut in two"
+        );
+        assert!(accented.starts_with(&got.url));
+        assert_eq!(got.fingerprint, fingerprint64(&accented));
+        // At most the limit is not truncation.
+        let exact = "y".repeat(URL_BYTES);
+        rec.record(&draft_with(&exact, 2));
+        let got = &rec.recent(&RecordFilter::default())[0];
+        assert!(!got.truncated && got.url == exact);
     }
 
     #[test]
@@ -1347,21 +1080,154 @@ mod tests {
     }
 
     #[test]
-    fn ticks_convert_to_plausible_nanos() {
-        let t0 = ticks_now();
+    fn lap_clock_charges_each_lap_to_its_stage_and_sums() {
+        let mut clock = LapClock::start(true);
+        clock.lap(Stage::Parse);
         std::thread::sleep(std::time::Duration::from_millis(5));
-        let ns = ticks_to_ns(ticks_now().saturating_sub(t0));
-        assert!(ns > 2_000_000, "5 ms sleep measured as {ns} ns");
-        assert!(ns < 1_000_000_000, "5 ms sleep measured as {ns} ns");
+        clock.lap(Stage::Execute);
+        clock.lap(Stage::Encode);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        clock.lap(Stage::Execute); // accumulates
+        let (stages, total) = clock.finish().expect("the clock is on");
+        let execute = stages[Stage::Execute as usize];
+        assert!(execute > 3_000_000, "6 ms of sleep measured as {execute} ns");
+        assert!(execute < 1_000_000_000, "6 ms of sleep measured as {execute} ns");
+        assert!(stages[Stage::Parse as usize] < 1_000_000);
+        assert_eq!(stages[Stage::Compress as usize], 0, "never lapped");
+        assert_eq!(total, stages.iter().sum::<u64>());
+
+        let mut off = LapClock::start(false);
+        off.lap(Stage::Cache);
+        assert!(off.finish().is_none(), "an off clock times nothing");
+    }
+
+    /// A draft whose every field is a function of `id` (and `url`, which
+    /// `whole` recomputes from the id too).
+    fn draft_of<'a>(id: u64, url: &'a str, tenant: &'a str) -> Draft<'a> {
+        let mut d = Draft::new(url, tenant, TraceId(id as u128 * 3 + 1), SpanId(id ^ 0xa5a5));
+        d.record.disposition =
+            if id.is_multiple_of(2) { Disposition::Hit } else { Disposition::Miss };
+        d.record.status = (id % 500) as u16;
+        d.record.verdict =
+            if id.is_multiple_of(3) { CacheVerdict::Valid } else { CacheVerdict::Absent };
+        d.record.explain = id.is_multiple_of(5);
+        d.record.stages_ns = std::array::from_fn(|i| id + i as u64);
+        d.record.total_ns = id * 7;
+        d.record.vtime_execute_ns = id * 11;
+        d.record.vtime_encode_ns = id * 13;
+        d.record.bytes_out = id * 17;
+        // Executed records carry the wide suffix; the rest must read None.
+        if id % 2 == 1 {
+            let cost = |k: usize| QueryCost {
+                points: id as usize + k,
+                bytes: 2 * id as usize + k,
+                queries: k,
+                ..QueryCost::default()
+            };
+            d.record.cost = Some(CostPair {
+                estimated: cost(1),
+                actual: cost(2),
+                estimated_ns: id + 1,
+                actual_ns: id + 2,
+            });
+            d.record.admission = Some(AdmissionSnapshot {
+                decision: AdmissionDecision::Charged,
+                estimated_secs: id as f64,
+                tokens_before: id as f64 + 1.0,
+                tokens_after: id as f64 - 1.0,
+                rate: 2.0,
+                burst: 20.0,
+                retry_after_secs: id % 9,
+            });
+        }
+        d
+    }
+
+    fn strings_of(id: u64) -> (String, String) {
+        // Lengths vary with the id so a torn copy cannot pass for whole.
+        (format!("/v1/metrics?id={id}&pad={}", "p".repeat((id % 40) as usize)), format!("t{id}"))
+    }
+
+    /// `rec` is exactly what `draft_of(id)` recorded — no field from any
+    /// other record.
+    fn whole(rec: &RequestRecord, id: u64) -> bool {
+        let (url, tenant) = strings_of(id);
+        let mut want = RequestRecord::blank();
+        draft_of(id, &url, &tenant).fill(&mut want);
+        (want.seq, want.slow) = (rec.seq, rec.slow);
+        *rec == want
+    }
+
+    #[test]
+    fn concurrent_writers_and_a_reader_see_only_whole_records() {
+        const WRITERS: u64 = 4;
+        const PER_WRITER: u64 = 20_000;
+        // A 16-slot ring laps every 16 records: writers collide on slots
+        // constantly and the reader clones slots that are being rewritten.
+        let rec = QueryRecorder::new(16, 0.0);
+        let writing = std::sync::atomic::AtomicBool::new(true);
+        let start = std::sync::Barrier::new(WRITERS as usize + 1);
+        // The id rides in `span`, the one field `whole` needs to find the
+        // rest; everything else must then agree with it.
+        let id_of = |r: &RequestRecord| r.span.0 ^ 0xa5a5;
+        let check = |records: &[RequestRecord]| {
+            for r in records {
+                assert!(whole(r, id_of(r)), "torn record: {r:?}");
+            }
+            assert!(records.windows(2).all(|w| w[0].seq > w[1].seq), "newest first");
+        };
+        let reads = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (rec, start) = (&rec, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for id in w * PER_WRITER..(w + 1) * PER_WRITER {
+                            let (url, tenant) = strings_of(id);
+                            rec.record(&draft_of(id, &url, &tenant));
+                        }
+                    })
+                })
+                .collect();
+            let reader = s.spawn(|| {
+                start.wait();
+                let mut reads = 0u64;
+                while writing.load(Ordering::SeqCst) {
+                    let recent = rec.recent(&RecordFilter::default());
+                    check(&recent);
+                    if let Some(r) = recent.first() {
+                        check(&rec.by_trace(r.trace));
+                    }
+                    let doc = rec.debug_json(&RecordFilter::default());
+                    assert!(doc.get("requests").unwrap().as_array().is_some());
+                    reads += 1;
+                }
+                reads
+            });
+            for w in writers {
+                w.join().expect("writer panicked");
+            }
+            writing.store(false, Ordering::SeqCst);
+            reader.join().expect("reader panicked")
+        });
+        assert!(reads > 0, "the reader ran beside the writers");
+        assert_eq!(rec.recorded(), WRITERS * PER_WRITER);
+        // An older sequence number never overwrites a newer one, so once
+        // every writer is done each slot holds its last lap.
+        let last = rec.recent(&RecordFilter { limit: Some(16), ..RecordFilter::default() });
+        let seqs: Vec<u64> = last.iter().map(|r| r.seq).collect();
+        let head = WRITERS * PER_WRITER;
+        assert_eq!(seqs, (head - 16..head).rev().collect::<Vec<_>>());
+        check(&last);
     }
 
     #[test]
     fn record_json_shape_carries_cost_and_admission() {
         let rec = QueryRecorder::new(16, 0.0);
         let mut d = draft_with("/v1/metrics?x=1", 0);
-        d.disposition = Disposition::Rejected;
-        d.status = 429;
-        d.admission = Some(AdmissionSnapshot {
+        d.record.disposition = Disposition::Rejected;
+        d.record.status = 429;
+        d.record.admission = Some(AdmissionSnapshot {
             decision: AdmissionDecision::RejectedTenantBudget,
             estimated_secs: 3.0,
             tokens_before: 1.0,

@@ -42,6 +42,23 @@ pub struct RollupRoute {
 }
 
 impl RollupRoute {
+    /// A roll-up of `source.field` into `target`, `agg` per `window_secs`.
+    pub fn new(
+        source: impl Into<String>,
+        field: impl Into<String>,
+        target: impl Into<String>,
+        agg: Aggregation,
+        window_secs: i64,
+    ) -> RollupRoute {
+        RollupRoute {
+            source: source.into(),
+            field: field.into(),
+            target: target.into(),
+            agg,
+            window_secs,
+        }
+    }
+
     /// Whether `agg` queries compose exactly over roll-ups of itself (see
     /// the module docs for the per-aggregation argument).
     fn composes(agg: Aggregation) -> bool {

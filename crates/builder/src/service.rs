@@ -41,9 +41,8 @@ use crate::exec::{run, ExecMode, JsonSink};
 use crate::flight::{FlightGroup, Join};
 use crate::plan::{build_plan, estimate_plan_cost, BuilderRequest};
 use crate::qlog::{
-    self, CacheVerdict, CostPair, Disposition, Draft, QueryRecorder, RecordFilter, RequestRecord,
-    STAGE_ADMISSION, STAGE_CACHE, STAGE_COMPRESS, STAGE_ENCODE, STAGE_EXECUTE, STAGE_PARSE,
-    STAGE_PLAN,
+    self, CacheVerdict, CostPair, Disposition, Draft, LapClock, QueryRecorder, RecordFilter,
+    RequestRecord, Stage,
 };
 use monster_collector::SchemaVersion;
 use monster_compress::Level;
@@ -53,6 +52,7 @@ use monster_obs::TraceId;
 use monster_tsdb::{Aggregation, Db};
 use monster_util::{EpochSecs, NodeId};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Flight-recorder tuning (see [`crate::qlog`]).
 #[derive(Debug, Clone, Copy)]
@@ -171,17 +171,6 @@ fn stamp_trace_headers(mut resp: Response, ctx: monster_obs::TraceContext) -> Re
     resp
 }
 
-/// A recorder tick when observing, else 0 — keeps the recorder-off path
-/// free of clock reads.
-#[inline]
-fn stamp(observing: bool) -> u64 {
-    if observing {
-        qlog::ticks_now()
-    } else {
-        0
-    }
-}
-
 /// The normalized request key: path + query with the per-request
 /// `explain` parameter stripped, plus whether `explain=true` was asked.
 /// Explain-on and explain-off forms of a request share one cache entry
@@ -277,45 +266,43 @@ struct MetricsState {
     recorder: Option<Arc<QueryRecorder>>,
 }
 
-/// Serve one `/v1/metrics` request through the cache → flight → admission
-/// → execute layers, filling the flight-recorder draft as it goes. Stage
-/// timings accumulate in `d.stages_ns` as raw *ticks* (the caller
-/// converts once at the end); `t_in` is the tick at entry. Trace headers
-/// and explain wrapping are the caller's job.
-#[allow(clippy::too_many_arguments)]
+/// Serve one `/v1/metrics` request (key `draft.url`) through the cache →
+/// flight → admission → execute layers, filling the flight-recorder draft and
+/// lapping the clock as it goes: every return is preceded by a lap, so the
+/// stages the caller reads from `clock` cover the whole handler. Trace
+/// headers and explain wrapping are the caller's job.
 fn serve_metrics(
     st: &MetricsState,
     req: &Request,
-    key: &str,
     mut span: monster_obs::Span,
     ctx: monster_obs::TraceContext,
-    d: &mut Draft<'_>,
-    observing: bool,
-    t_in: u64,
+    draft: &mut Draft<'_>,
+    clock: &mut LapClock,
 ) -> Response {
+    let (key, d) = (draft.url, &mut draft.record);
     // Layer 1: the result cache. Positive entries validate their
     // watermark snapshot; negative entries (deterministic 400s) are
     // data-independent and always valid.
     let (cached, verdict) = st.cache.probe(key, &st.db);
     d.verdict = verdict;
     if let Some(shared) = cached {
-        // No stamps here: a hit is one probe plus a header clone, so the
-        // caller charges its whole wall time to the cache stage. Two
-        // rdtsc per hit (entry + total) is the entire clock budget.
+        // A hit is one probe plus a header clone: its whole wall time is
+        // the cache stage, and this lap is its only clock read after the
+        // start.
         let negative = verdict == CacheVerdict::Negative;
         d.disposition = if negative { Disposition::Negative } else { Disposition::Hit };
         span.set_attr("cache", "hit");
         span.finish();
-        return serve_shared(&shared, "hit");
+        let resp = serve_shared(&shared, "hit");
+        clock.lap(Stage::Cache);
+        return resp;
     }
-    let t_parse = stamp(observing);
-    d.stages_ns[STAGE_CACHE] = t_parse.wrapping_sub(t_in);
+    clock.lap(Stage::Cache);
 
     let builder_req = match parse_metrics_request(req) {
         Ok(r) => r,
         Err(resp) => {
-            let t = stamp(observing);
-            d.stages_ns[STAGE_PARSE] = t.wrapping_sub(t_parse);
+            clock.lap(Stage::Parse);
             d.disposition = Disposition::Negative;
             // A parse rejection depends only on the URL: cache it so
             // malformed dashboards don't re-parse forever.
@@ -323,27 +310,26 @@ fn serve_metrics(
             span.set_attr("outcome", "bad_request");
             span.finish();
             let resp = serve_shared(&shared, "miss");
-            d.stages_ns[STAGE_ENCODE] = stamp(observing).wrapping_sub(t);
+            clock.lap(Stage::Encode);
             return resp;
         }
     };
-    let t_join = stamp(observing);
-    d.stages_ns[STAGE_PARSE] = t_join.wrapping_sub(t_parse);
+    clock.lap(Stage::Parse);
 
     // Layer 2: single-flight. The first identical request leads and
-    // executes; the rest block and share its response. A follower's wait
-    // is charged to the cache stage — it is served from shared state.
+    // executes; the rest block and share its response. The join — a
+    // follower's wait included — is charged to the cache stage: it is
+    // served from shared state.
     let leader = if st.config.coalesce {
         match st.flights.join(key) {
             Join::Follower(Some(shared)) => {
                 st.coalesced.inc();
-                let t = stamp(observing);
-                d.stages_ns[STAGE_CACHE] += t.wrapping_sub(t_join);
+                clock.lap(Stage::Cache);
                 d.disposition = Disposition::Coalesced;
                 span.set_attr("cache", "coalesced");
                 span.finish();
                 let resp = serve_shared(&shared, "coalesced");
-                d.stages_ns[STAGE_ENCODE] = stamp(observing).wrapping_sub(t);
+                clock.lap(Stage::Encode);
                 return resp;
             }
             // The leader failed: execute directly, unshared.
@@ -354,11 +340,12 @@ fn serve_metrics(
             Join::Leader(l) => match st.cache.lookup(key, &st.db).0 {
                 Some(shared) => {
                     l.complete(Some(Arc::clone(&shared)));
-                    d.stages_ns[STAGE_CACHE] += stamp(observing).wrapping_sub(t_join);
                     (d.verdict, d.disposition) = (CacheVerdict::Valid, Disposition::Hit);
                     span.set_attr("cache", "hit");
                     span.finish();
-                    return serve_shared(&shared, "hit");
+                    let resp = serve_shared(&shared, "hit");
+                    clock.lap(Stage::Cache);
+                    return resp;
                 }
                 None => Some(l),
             },
@@ -366,8 +353,8 @@ fn serve_metrics(
     } else {
         None
     };
+    clock.lap(Stage::Cache);
 
-    let t_plan = stamp(observing);
     let mut plan = build_plan(st.config.schema, &st.nodes, &builder_req);
     crate::rollup::reroute(&mut plan, &st.config.rollup_routes);
 
@@ -376,15 +363,13 @@ fn serve_metrics(
     // executing anything.
     let est = estimate_plan_cost(&st.db, &plan);
     let est_secs = st.db.simulate_elapsed(&est).as_secs_f64();
-    let t_admit = stamp(observing);
-    d.stages_ns[STAGE_PLAN] = t_admit.wrapping_sub(t_plan);
+    clock.lap(Stage::Plan);
     let (admission, adm_snap) = st.admission.admit_observed(tenant_of(req), est_secs);
     d.admission = Some(adm_snap);
-    d.stages_ns[STAGE_ADMISSION] = stamp(observing).wrapping_sub(t_admit);
+    clock.lap(Stage::Admission);
     match admission {
         Admission::Admitted { .. } => {}
         Admission::Rejected { retry_after_secs, reason } => {
-            let t = stamp(observing);
             d.disposition = Disposition::Rejected;
             let mut resp = Response::error(
                 Status::TOO_MANY_REQUESTS,
@@ -403,7 +388,7 @@ fn serve_metrics(
             span.set_attr("outcome", "admission_rejected");
             span.finish();
             let resp = serve_shared(&shared, "miss");
-            d.stages_ns[STAGE_ENCODE] = stamp(observing).wrapping_sub(t);
+            clock.lap(Stage::Encode);
             return resp;
         }
     }
@@ -416,53 +401,48 @@ fn serve_metrics(
         plan.iter().map(|pq| pq.query.measurement.as_str()),
         builder_req.end.as_secs(),
     );
+    clock.lap(Stage::Cache);
 
-    let t_exec = stamp(observing);
     let guard = InflightGuard::enter(&st.inflight);
-    let batch = match run(&st.db, &plan, st.config.exec) {
+    let batch = run(&st.db, &plan, st.config.exec);
+    drop(guard);
+    clock.lap(Stage::Execute);
+    let batch = match batch {
         Ok(b) => b,
         Err(e) => {
-            drop(guard);
             // Dropping the leader (if any) completes the flight with
             // None; followers execute for themselves.
             drop(leader);
-            d.stages_ns[STAGE_EXECUTE] = stamp(observing).wrapping_sub(t_exec);
             d.disposition = Disposition::Error;
             span.set_attr("outcome", "error");
             span.finish();
-            return Response::error(
-                Status::INTERNAL_ERROR,
-                &format!("query execution failed: {e}"),
-            );
+            let resp =
+                Response::error(Status::INTERNAL_ERROR, &format!("query execution failed: {e}"));
+            clock.lap(Stage::Encode);
+            return resp;
         }
     };
-    drop(guard);
-    let t_enc = stamp(observing);
-    d.stages_ns[STAGE_EXECUTE] = t_enc.wrapping_sub(t_exec);
     // Render the results straight into the reply's text, once, reserved for
     // a panel's 40–51 bytes a point; `compress` deflates it and drops it.
     let room = 52 * batch.results.iter().map(|r| r.point_count()).sum::<usize>();
     let outcome = batch.render_into(&st.db, &plan, JsonSink::with_capacity(room));
-    if observing {
-        d.cost = Some(CostPair {
-            estimated: est,
-            actual: outcome.cost,
-            estimated_ns: (est_secs * 1e9) as u64,
-            actual_ns: st.db.simulate_elapsed(&outcome.cost).as_nanos(),
-        });
-        d.vtime_execute_ns = outcome.query_time.as_nanos();
-        d.vtime_encode_ns = outcome.processing_time.as_nanos();
-    }
+    d.cost = Some(CostPair {
+        estimated: est,
+        actual: outcome.cost,
+        estimated_ns: (est_secs * 1e9) as u64,
+        actual_ns: st.db.simulate_elapsed(&outcome.cost).as_nanos(),
+    });
+    d.vtime_execute_ns = outcome.query_time.as_nanos();
+    d.vtime_encode_ns = outcome.processing_time.as_nanos();
     let processing = outcome.query_processing_time();
     let json = outcome.document;
     let mut resp = if builder_req.compress {
-        let t_deflate = qlog::ticks_now();
+        clock.lap(Stage::Encode);
+        // The histogram is fed whether or not the recorder's clock runs.
+        let t_deflate = Instant::now();
         let packed = monster_compress::compress(&json, st.config.level);
-        let deflate_ticks = qlog::ticks_now().wrapping_sub(t_deflate);
-        if observing {
-            d.stages_ns[STAGE_COMPRESS] = deflate_ticks;
-        }
-        st.compress_seconds.observe(qlog::ticks_to_ns(deflate_ticks) as f64 / 1e9);
+        st.compress_seconds.observe(t_deflate.elapsed().as_secs_f64());
+        clock.lap(Stage::Compress);
         st.compress_raw.add(json.len() as u64);
         st.compress_wire.add(packed.len() as u64);
         Response::bytes(packed, "application/json").content_encoded()
@@ -483,8 +463,7 @@ fn serve_metrics(
     }
     d.disposition = Disposition::Miss;
     let out = serve_shared(&shared, "miss");
-    d.stages_ns[STAGE_ENCODE] =
-        stamp(observing).wrapping_sub(t_enc).wrapping_sub(d.stages_ns[STAGE_COMPRESS]);
+    clock.lap(Stage::Encode);
     out
 }
 
@@ -499,7 +478,10 @@ fn parse_record_filter(req: &Request) -> Result<RecordFilter, Response> {
         })?);
     }
     if let Some(s) = req.query_param("min_ms") {
-        filter.min_ms = Some(s.parse::<f64>().map_err(|_| bad_request("min_ms must be a number"))?);
+        // `"NaN".parse::<f64>()` succeeds, and a NaN threshold compares
+        // false with every record.
+        let min_ms = s.parse::<f64>().ok().filter(|ms| ms.is_finite() && *ms >= 0.0);
+        filter.min_ms = Some(min_ms.ok_or_else(|| bad_request("min_ms must be a number >= 0"))?);
     }
     if let Some(s) = req.query_param("tenant") {
         filter.tenant = Some(s.to_string());
@@ -511,54 +493,56 @@ fn parse_record_filter(req: &Request) -> Result<RecordFilter, Response> {
     Ok(filter)
 }
 
+impl MetricsState {
+    fn new(db: Arc<Db>, nodes: Vec<NodeId>, config: ServiceConfig) -> MetricsState {
+        let compress_bytes = |kind: &str, help: &str| {
+            monster_obs::counter_help(
+                &format!("monster_builder_compress_bytes_total{{kind=\"{kind}\"}}"),
+                help,
+            )
+        };
+        MetricsState {
+            cache: Arc::new(ResponseCache::new(config.cache_entries)),
+            flights: Arc::new(FlightGroup::new()),
+            admission: Arc::new(AdmissionController::new(config.admission)),
+            coalesced: monster_obs::counter_help(
+                "monster_builder_cache_coalesced_total",
+                "Requests served by joining another request's in-flight execution.",
+            ),
+            inflight: monster_obs::gauge_help(
+                "monster_builder_inflight_queries",
+                "Metrics queries currently executing against storage.",
+            ),
+            compress_seconds: monster_obs::histo_help(
+                "monster_builder_compress_seconds",
+                "Wall time spent deflating one compress=true /v1/metrics body.",
+            ),
+            compress_raw: compress_bytes("raw", "JSON bytes handed to the compressor."),
+            compress_wire: compress_bytes("wire", "Container bytes the compressor returned."),
+            // The recorder — and its metrics — exist only when enabled; a
+            // disabled deployment keeps its `/metrics` series budget untouched.
+            recorder: config
+                .qlog
+                .enabled
+                .then(|| Arc::new(QueryRecorder::new(config.qlog.capacity, config.qlog.slow_ms))),
+            db,
+            nodes,
+            config,
+        }
+    }
+}
+
 /// Build the service router over `db` for the given node inventory.
 pub fn router(db: Arc<Db>, nodes: Vec<NodeId>, config: ServiceConfig) -> Router {
-    let cache = Arc::new(ResponseCache::new(config.cache_entries));
-    let flights = Arc::new(FlightGroup::new());
-    let admission = Arc::new(AdmissionController::new(config.admission));
-    let coalesced = monster_obs::counter_help(
-        "monster_builder_cache_coalesced_total",
-        "Requests served by joining another request's in-flight execution.",
-    );
-    let inflight = monster_obs::gauge_help(
-        "monster_builder_inflight_queries",
-        "Metrics queries currently executing against storage.",
-    );
-    let compress_seconds = monster_obs::histo_help(
-        "monster_builder_compress_seconds",
-        "Wall time spent deflating one compress=true /v1/metrics body.",
-    );
-    let compress_bytes = |kind: &str, help: &str| {
-        monster_obs::counter_help(
-            &format!("monster_builder_compress_bytes_total{{kind=\"{kind}\"}}"),
-            help,
-        )
-    };
-    let compress_raw = compress_bytes("raw", "JSON bytes handed to the compressor.");
-    let compress_wire = compress_bytes("wire", "Container bytes the compressor returned.");
-    // The recorder — and its metrics — exist only when enabled; a
-    // disabled deployment keeps its `/metrics` series budget untouched.
-    let recorder = config
-        .qlog
-        .enabled
-        .then(|| Arc::new(QueryRecorder::new(config.qlog.capacity, config.qlog.slow_ms)));
-    let node_list: Vec<Value> = nodes.iter().map(|n| Value::from(n.bmc_addr())).collect();
-    let nodes_doc = jobj! { "nodes" => Value::Array(node_list) };
+    routes(Arc::new(MetricsState::new(db, nodes, config)))
+}
 
-    let state = Arc::new(MetricsState {
-        db: Arc::clone(&db),
-        nodes: nodes.clone(),
-        config: config.clone(),
-        cache,
-        flights,
-        admission,
-        coalesced,
-        inflight,
-        compress_seconds,
-        compress_raw,
-        compress_wire,
-        recorder,
-    });
+/// The routes over one service's state (apart from `router` so a test can
+/// hold the state its router serves from).
+fn routes(state: Arc<MetricsState>) -> Router {
+    let node_list: Vec<Value> = state.nodes.iter().map(|n| Value::from(n.bmc_addr())).collect();
+    let nodes_doc = jobj! { "nodes" => Value::Array(node_list) };
+    let alerts = state.config.alerts.clone();
     let requests_state = Arc::clone(&state);
     let drill_state = Arc::clone(&state);
     let scrape_recorder = state.recorder.clone();
@@ -583,54 +567,34 @@ pub fn router(db: Arc<Db>, nodes: Vec<NodeId>, config: ServiceConfig) -> Router 
             let _trace_guard = monster_obs::trace::set_current(ctx);
 
             // The substring pre-check keeps explain-off requests from
-            // paying the query split; `observing` gates every timestamp.
+            // paying the query split. The clock runs when something will
+            // read it: the recorder, or an explain envelope.
             let may_explain = req.query.contains("explain");
-            let observing = state.recorder.is_some() || may_explain;
-            if let Some(r) = &state.recorder {
-                // Warm the ring slot this request will record into; the
-                // prefetch overlaps the whole serve (see qlog docs).
-                r.prefetch_next();
-            }
-            let t0 = stamp(observing);
+            let mut clock = LapClock::start(state.recorder.is_some() || may_explain);
             let (key, explain) = if may_explain {
                 normalize_key(req)
             } else {
                 (format!("{}?{}", req.path, req.query), false)
             };
-            let tenant = tenant_of(req);
-            let mut draft = Draft::new(&key, tenant, ctx.trace, ctx.span);
-            draft.explain = explain;
-            if explain {
-                // Only the explain envelope needs the fingerprint now;
-                // ring records leave it 0 and the decoder recomputes it
-                // from the stored key, off the hot path.
-                draft.fingerprint = qlog::fingerprint64(&key);
-            }
+            let mut draft = Draft::new(&key, tenant_of(req), ctx.trace, ctx.span);
+            draft.record.explain = explain;
 
-            let mut resp = serve_metrics(&state, req, &key, span, ctx, &mut draft, observing, t0);
+            let mut resp = serve_metrics(&state, req, span, ctx, &mut draft, &mut clock);
 
-            if observing {
-                let total = qlog::ticks_to_ns(stamp(observing).wrapping_sub(t0));
-                if draft.stages_ns == [0; qlog::STAGES.len()] {
-                    // Cache hit: no stage boundary was stamped inside —
-                    // the whole request IS the cache stage.
-                    draft.stages_ns[STAGE_CACHE] = total;
-                } else {
-                    for ticks in draft.stages_ns.iter_mut() {
-                        if *ticks != 0 {
-                            *ticks = qlog::ticks_to_ns(*ticks);
-                        }
-                    }
-                }
-                draft.total_ns = total;
-                draft.status = resp.status.0;
-                draft.bytes_out = resp.body.len() as u64;
+            if let Some((stages_ns, total_ns)) = clock.finish() {
+                let rec = &mut draft.record;
+                (rec.stages_ns, rec.total_ns) = (stages_ns, total_ns);
+                rec.status = resp.status.0;
+                rec.bytes_out = resp.body.len() as u64;
                 let (seq, slow) = match &state.recorder {
                     Some(r) => r.record(&draft),
                     None => (0, false),
                 };
                 if explain {
-                    resp = explain_envelope(&resp, &draft.to_record(seq, slow));
+                    let mut record = RequestRecord::blank();
+                    draft.fill(&mut record);
+                    (record.seq, record.slow) = (seq, slow);
+                    resp = explain_envelope(&resp, &record);
                 }
             }
             stamp_trace_headers(resp, ctx)
@@ -685,14 +649,14 @@ pub fn router(db: Arc<Db>, nodes: Vec<NodeId>, config: ServiceConfig) -> Router 
             Response::json(&monster_obs::freshness().report())
         })
         .route(Method::Get, "/v1/alerts", {
-            let engine = config.alerts.clone();
+            let engine = alerts.clone();
             move |_req, _params| match &engine {
                 Some(e) => Response::json(&e.alerts_json()),
                 None => Response::error(Status::NOT_FOUND, "alerting is not enabled"),
             }
         })
         .route(Method::Get, "/v1/alerts/:id", {
-            let engine = config.alerts.clone();
+            let engine = alerts.clone();
             move |_req, params| {
                 let Some(engine) = &engine else {
                     return Response::error(Status::NOT_FOUND, "alerting is not enabled");
@@ -707,7 +671,7 @@ pub fn router(db: Arc<Db>, nodes: Vec<NodeId>, config: ServiceConfig) -> Router 
             }
         })
         .route(Method::Get, "/v1/silences", {
-            let engine = config.alerts.clone();
+            let engine = alerts.clone();
             move |_req, _params| match &engine {
                 Some(e) => Response::json(&e.silences_json()),
                 None => Response::error(Status::NOT_FOUND, "alerting is not enabled"),
@@ -1198,7 +1162,11 @@ mod tests {
             get(&router, "/debug/requests?disposition=sideways").status,
             Status::BAD_REQUEST
         );
-        assert_eq!(get(&router, "/debug/requests?min_ms=soon").status, Status::BAD_REQUEST);
+        for min_ms in ["soon", "NaN", "inf", "-1"] {
+            let resp = get(&router, &format!("/debug/requests?min_ms={min_ms}"));
+            assert_eq!(resp.status, Status::BAD_REQUEST, "min_ms={min_ms}");
+        }
+        assert_eq!(get(&router, "/debug/requests?min_ms=0").status, Status::OK);
 
         // Drill-down by the trace id the response advertised.
         let tp = miss.headers.get("traceparent").unwrap();
@@ -1345,6 +1313,124 @@ mod tests {
         assert!(doc.get("dropped_total").unwrap().as_i64().is_some());
         assert!(doc.get("slow_threshold_ms").unwrap().as_f64().is_some());
         assert!(doc.get("slow").unwrap().as_array().is_some());
+    }
+
+    /// A router over a fresh fixture db whose every request pins in the
+    /// slow log (a 1 ns threshold), under `admission` — and the state it
+    /// serves from.
+    fn pinning_router(admission: AdmissionConfig) -> (Arc<MetricsState>, Router) {
+        let (db, _) = service();
+        let config = ServiceConfig {
+            admission,
+            qlog: QlogConfig { slow_ms: 1e-6, ..QlogConfig::default() },
+            ..ServiceConfig::default()
+        };
+        let state = Arc::new(MetricsState::new(db, NodeId::enumerate(2, 4), config));
+        (Arc::clone(&state), routes(state))
+    }
+
+    #[test]
+    fn a_long_key_has_one_fingerprint_and_one_truncated_url_everywhere() {
+        // Past URL_BYTES, and non-ASCII where the cut falls: the ring slot,
+        // the pinned copy and the explain-inline record are one `fill`.
+        let (_, router) = pinning_router(AdmissionConfig::default());
+        let key = format!("{URL}&pad=x{}", "é".repeat(120));
+        assert!(key.len() > 2 * qlog::URL_BYTES);
+        assert_eq!(get(&router, &key).headers.get("X-Cache"), Some("miss"));
+        assert_eq!(get(&router, &key).headers.get("X-Cache"), Some("hit"));
+        let wrapped = get(&router, &format!("{key}&explain=true"));
+        assert_eq!(wrapped.headers.get("X-Cache"), Some("hit"));
+
+        let debug = get(&router, "/debug/requests").json_body().unwrap();
+        let ring = debug.get("requests").unwrap().as_array().unwrap();
+        let pinned = debug.get("slow").unwrap().as_array().unwrap();
+        assert_eq!((ring.len(), pinned.len()), (3, 3));
+        let envelope = wrapped.json_body().unwrap();
+        let inline = envelope.get("explain").unwrap();
+        let fingerprint = format!("{:016x}", qlog::fingerprint64(&key));
+        for rec in ring.iter().chain(pinned).chain([inline]) {
+            let url = rec.get("url").unwrap().as_str().unwrap();
+            assert!(key.starts_with(url), "a prefix of the key: {url}");
+            assert!(url.len() <= qlog::URL_BYTES && url.len() > qlog::URL_BYTES - 4);
+            assert_eq!(rec.get("truncated").unwrap(), &Value::Bool(true));
+            assert_eq!(rec.get("fingerprint").unwrap().as_str(), Some(fingerprint.as_str()));
+        }
+        assert_eq!(inline.get("url"), ring[0].get("url"));
+    }
+
+    #[test]
+    fn every_records_stages_sum_to_its_total() {
+        let (state, router) = pinning_router(AdmissionConfig::default());
+        get(&router, URL); // miss
+        get(&router, URL); // hit
+        get(&router, &format!("{URL}&compress=true")); // compressed miss
+        let bad = "/v1/metrics?start=bogus&end=2020-01-01T01:00:00Z";
+        get(&router, bad); // negative, parsed
+        get(&router, bad); // negative, from the cache
+        let explained = get(&router, &format!("{URL}&aggregation=min&explain=true"));
+        // Coalesced: the test leads the key's flight itself and completes it
+        // once the request is on it.
+        let shared_url = format!("{URL}&aggregation=mean");
+        let Join::Leader(leader) = state.flights.join(&shared_url) else {
+            panic!("nobody else flies this key");
+        };
+        std::thread::scope(|s| {
+            let follower = s.spawn(|| get(&router, &shared_url));
+            while state.flights.followers(&shared_url) == 0 {
+                std::thread::yield_now();
+            }
+            leader.complete(Some(Arc::new(Response::json(&jobj! { "led" => "by the test" }))));
+            let resp = follower.join().expect("follower panicked");
+            assert_eq!(resp.headers.get("X-Cache"), Some("coalesced"));
+        });
+        let (_, strict) = pinning_router(AdmissionConfig {
+            enabled: true,
+            cheap_secs: 0.0,
+            reject_secs: 0.0,
+            ..AdmissionConfig::default()
+        });
+        assert_eq!(get(&strict, URL).status, Status::TOO_MANY_REQUESTS); // rejected
+
+        let mut seen = std::collections::BTreeSet::new();
+        let mut check = |rec: &Value| {
+            let wall = rec.get("wall_ms").unwrap();
+            let of = |name: &str| wall.get(name).unwrap().as_f64().unwrap();
+            let (total, sum) = (of("total"), Stage::ALL.iter().map(|s| of(s.name())).sum::<f64>());
+            assert!((total - sum).abs() < 1e-3, "stages sum to {sum} ms of {total} ms: {rec:?}");
+            let disposition = rec.get("disposition").unwrap().as_str().unwrap().to_string();
+            let compressed = rec.get("url").unwrap().as_str().unwrap().contains("compress=true");
+            if disposition == "miss" && compressed {
+                assert!(of("compress") > 0.0);
+            } else {
+                assert_eq!(of("compress"), 0.0, "{rec:?}");
+            }
+            // The two requests above that the first probe answered.
+            let forced = [URL, bad].contains(&rec.get("url").unwrap().as_str().unwrap());
+            if forced
+                && rec.get("cache").unwrap().get("verdict").unwrap().as_str() != Some("absent")
+            {
+                assert!(["hit", "negative"].contains(&disposition.as_str()));
+                assert_eq!(of("cache"), total, "a hit is all cache stage: {rec:?}");
+            }
+            seen.insert((disposition, compressed));
+        };
+        for router in [&router, &strict] {
+            let doc = get(router, "/debug/requests?limit=1000").json_body().unwrap();
+            let ring = doc.get("requests").unwrap().as_array().unwrap();
+            let pinned = doc.get("slow").unwrap().as_array().unwrap();
+            assert!(!ring.is_empty() && !pinned.is_empty());
+            ring.iter().chain(pinned).for_each(&mut check);
+        }
+        check(explained.json_body().unwrap().get("explain").unwrap());
+        let want = [
+            ("coalesced", false),
+            ("hit", false),
+            ("miss", false),
+            ("miss", true),
+            ("negative", false),
+            ("rejected", false),
+        ];
+        assert_eq!(seen, want.map(|(d, c)| (d.to_string(), c)).into_iter().collect());
     }
 
     #[test]

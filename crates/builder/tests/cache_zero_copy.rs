@@ -12,7 +12,7 @@
 //! The tests in this file share the counter, so they serialize on `GATE` —
 //! nothing else may run while a counting window is open.
 
-use monster_builder::qlog::{self, Disposition, Draft, QueryRecorder, STAGE_CACHE};
+use monster_builder::qlog::{Disposition, Draft, LapClock, QueryRecorder, Stage};
 use monster_builder::{ResponseCache, Validity};
 use monster_http::Response;
 use monster_obs::{SpanId, TraceId};
@@ -93,9 +93,9 @@ fn cache_hits_copy_zero_body_bytes() {
 fn flight_recording_on_the_hit_path_is_allocation_free() {
     let _gate = GATE.lock().unwrap();
     // The PR-10 recorder rides the same warm path the test above
-    // protects: timing stamps, fingerprint, and the seqlock ring write
-    // must all stay off the heap, or recording would regress the
-    // zero-copy hit guarantee.
+    // protects: the lap clock, the fingerprint and the in-place overwrite
+    // of a locked ring slot must all stay off the heap, or recording
+    // would regress the zero-copy hit guarantee.
     let db = Db::new(DbConfig::default());
     let cache = ResponseCache::new(8);
     let recorder = QueryRecorder::new(64, 0.0);
@@ -115,17 +115,16 @@ fn flight_recording_on_the_hit_path_is_allocation_free() {
         for i in 0..HITS {
             // Exactly what the service's hit disposition does per
             // request, minus the (pre-existing) header clone.
-            let t0 = qlog::ticks_now();
+            let mut clock = LapClock::start(true);
             let (hit, verdict) = cache.probe(key, &db);
             assert_eq!(hit.expect("present").body.len(), BODY_LEN);
             let mut d = Draft::new(key, "anonymous", TraceId(i as u128 + 2), SpanId(7));
-            d.fingerprint = qlog::fingerprint64(key);
-            d.disposition = Disposition::Hit;
-            d.verdict = verdict;
-            d.status = 200;
-            d.stages_ns[STAGE_CACHE] = qlog::ticks_to_ns(qlog::ticks_now().wrapping_sub(t0));
-            d.total_ns = d.stages_ns[STAGE_CACHE];
-            d.bytes_out = BODY_LEN as u64;
+            d.record.disposition = Disposition::Hit;
+            d.record.verdict = verdict;
+            d.record.status = 200;
+            clock.lap(Stage::Cache);
+            (d.record.stages_ns, d.record.total_ns) = clock.finish().expect("the clock is on");
+            d.record.bytes_out = BODY_LEN as u64;
             recorder.record(&d);
         }
     });

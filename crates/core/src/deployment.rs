@@ -3,7 +3,7 @@
 
 use monster_alert::{AlertEngine, DetectorConfig, EngineConfig, IntervalInput, NodeInterval};
 use monster_builder::{
-    build_plan, encode_response, BuilderRequest, ExecMode, Materializer, RollupSpec,
+    build_plan, encode_response, BuilderRequest, ExecMode, Materializer, RollupRoute,
 };
 use monster_collector::{Collector, CollectorConfig, SchemaVersion};
 use monster_compress::Level;
@@ -422,16 +422,16 @@ impl Monster {
     /// requests route to them automatically.
     pub fn enable_rollups(&mut self, window_secs: i64) -> Result<()> {
         let suffix = monster_util::time::format_interval(window_secs);
-        let specs = [
+        let routes = [
             ("Power", "Reading", "Power"),
             ("Thermal", "Reading", "Thermal"),
             ("UGE", "CPUUsage", "UGECpu"),
         ]
         .map(|(source, field, stem)| {
             let target = format!("{stem}_{suffix}");
-            RollupSpec::new(source, field, target, Aggregation::Max, window_secs)
+            RollupRoute::new(source, field, target, Aggregation::Max, window_secs)
         });
-        self.rollups = Some(Materializer::new(&specs, self.now)?);
+        self.rollups = Some(Materializer::new(&routes, self.now)?);
         Ok(())
     }
 

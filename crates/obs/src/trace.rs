@@ -32,11 +32,11 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// 128-bit trace identity (one end-to-end pipeline pass).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(pub u128);
 
 /// 64-bit span identity (one operation within a trace).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
 
 impl fmt::Display for TraceId {

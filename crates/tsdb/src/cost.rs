@@ -56,46 +56,7 @@ pub struct QueryCost {
     pub queries: usize,
 }
 
-/// Number of counters in a [`QueryCost`] — the width of its
-/// [`QueryCost::to_words`] fixed encoding.
-pub const COST_WORDS: usize = 10;
-
 impl QueryCost {
-    /// Pack the counters into a fixed word array, in declaration order.
-    /// The builder's query flight recorder stores costs in a lock-free
-    /// ring of word-atomic slots; this is the canonical layout both sides
-    /// agree on ([`QueryCost::from_words`] inverts it).
-    pub fn to_words(&self) -> [u64; COST_WORDS] {
-        [
-            self.index_entries as u64,
-            self.series as u64,
-            self.blocks as u64,
-            self.blocks_summarized as u64,
-            self.points as u64,
-            self.bytes as u64,
-            self.blocks_cold as u64,
-            self.bytes_cold as u64,
-            self.shards_scanned as u64,
-            self.queries as u64,
-        ]
-    }
-
-    /// Inverse of [`QueryCost::to_words`].
-    pub fn from_words(w: &[u64; COST_WORDS]) -> QueryCost {
-        QueryCost {
-            index_entries: w[0] as usize,
-            series: w[1] as usize,
-            blocks: w[2] as usize,
-            blocks_summarized: w[3] as usize,
-            points: w[4] as usize,
-            bytes: w[5] as usize,
-            blocks_cold: w[6] as usize,
-            bytes_cold: w[7] as usize,
-            shards_scanned: w[8] as usize,
-            queries: w[9] as usize,
-        }
-    }
-
     /// The counters as a JSON object, one key per field. The wire shape of
     /// the cold-tier subsets matters: `blocks_cold`/`bytes_cold` are
     /// *subsets* of `blocks`/`bytes`, which is how `/debug/requests` and

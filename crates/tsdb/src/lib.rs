@@ -67,7 +67,7 @@ pub mod wal_record;
 pub mod watermark;
 
 pub use column::{AggScan, BlockSummary, DecodeScratch, NumericSummary, ScanItem};
-pub use cost::{CostParams, QueryCost, COST_WORDS};
+pub use cost::{CostParams, QueryCost};
 pub use db::{Db, DbConfig, DbStats};
 pub use field::FieldValue;
 pub use point::DataPoint;

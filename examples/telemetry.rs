@@ -310,7 +310,7 @@ fn main() {
     );
 
     // The query flight recorder: every /v1/metrics request leaves one
-    // wide event in a pre-allocated lock-free ring — disposition,
+    // wide event in a pre-allocated ring of locked records — disposition,
     // per-stage wall+vtime timings, estimated-vs-actual cost, admission
     // math. `?explain=true` returns the record inline with the payload
     // byte-identical (base64 in the envelope); `GET /debug/requests`
