@@ -2,7 +2,7 @@
 //! points, batch-write.
 
 use crate::preprocess::FinishEstimator;
-use crate::schema::{bmc_points, job_points, uge_points, SchemaVersion};
+use crate::schema::{PointWriter, SchemaVersion};
 use monster_alert::{AnomalyEvent, DetectorBank, DetectorConfig};
 use monster_redfish::client::{ClientConfig, RedfishClient, SweepOutcome};
 use monster_redfish::resilience::{BreakerCounts, HealthRegistry, ResilienceConfig};
@@ -59,7 +59,7 @@ pub struct IntervalOutput {
     /// its writes) the TSDB write batches all hang off this context's span.
     pub trace: monster_obs::TraceContext,
     /// Points built this interval, in storage the collector takes back.
-    pub points: Vec<DataPoint>,
+    pub points: PointBatch,
     /// The BMC sweep outcome (latency/makespan statistics).
     pub sweep: SweepOutcome,
     /// Bytes of accounting payload pulled from the resource manager.
@@ -84,14 +84,25 @@ pub struct IntervalOutput {
     /// Detector transitions observed while ingesting this interval's live
     /// readings (empty when detectors are off — and on a healthy interval).
     pub anomalies: Vec<AnomalyEvent>,
+}
+
+/// One interval's points, in storage the collector takes back when this
+/// is dropped.
+pub struct PointBatch {
+    points: Vec<DataPoint>,
     /// The collector's `point_home`.
     home: Arc<Mutex<Vec<DataPoint>>>,
 }
 
-impl Drop for IntervalOutput {
-    /// Hands `points` back uncleared: freeing ~10 k points' strings is the
-    /// next `collect_interval`'s first step, not a cost of whoever
-    /// happens to drop the output.
+impl std::ops::Deref for PointBatch {
+    type Target = [DataPoint];
+    fn deref(&self) -> &[DataPoint] {
+        &self.points
+    }
+}
+
+impl Drop for PointBatch {
+    /// Hands `points` back as they are: the next interval writes over them.
     fn drop(&mut self) {
         *self.home.lock() = std::mem::take(&mut self.points);
     }
@@ -111,7 +122,7 @@ pub struct Collector {
     /// Streaming per-(node, signal) anomaly detectors, fed live readings.
     detectors: Option<DetectorBank>,
     /// The previous interval's points, once its output has been dropped;
-    /// the next interval clears and refills the same storage.
+    /// the next interval writes over them ([`PointWriter`]).
     point_home: Arc<Mutex<Vec<DataPoint>>>,
 }
 
@@ -169,11 +180,8 @@ impl Collector {
         // writes made while we hold the guard all join the same trace.
         let trace_ctx = span.context();
         let _trace_guard = monster_obs::trace::set_current(trace_ctx);
-        // The previous interval's points are freed here, before the sweep
-        // allocates, whoever dropped the output and whenever.
-        let mut points = std::mem::take(&mut *self.point_home.lock());
-        points.clear();
-        points.reserve(cluster.len() * 16);
+        let mut points = self.recycled_batch();
+        let mut writer = PointWriter::new(self.config.schema, &mut points.points);
 
         // --- out-of-band: Redfish sweep ---
         // Resilient when configured: breakers + backoff + deadline budget;
@@ -191,7 +199,7 @@ impl Collector {
         let mut anomalies: Vec<AnomalyEvent> = Vec::new();
         for outcome in &sweep.results {
             if let Some(reading) = &outcome.reading {
-                points.extend(bmc_points(self.config.schema, outcome.node, reading, now));
+                writer.bmc(outcome.node, reading, now, false);
                 // Streaming detection happens at ingest: only *live*
                 // readings are evaluated — stale substitutions repeat
                 // last-known-good values and would fake flatlines.
@@ -215,12 +223,9 @@ impl Collector {
                 if let Some((prev, fresh_at)) =
                     self.last_good.get(&(outcome.node, outcome.category))
                 {
-                    let substituted = bmc_points(self.config.schema, outcome.node, prev, now)
-                        .into_iter()
-                        .map(|p| p.tag("Stale", "true"));
-                    let before = points.len();
-                    points.extend(substituted);
-                    stale_points += points.len() - before;
+                    let before = writer.written();
+                    writer.bmc(outcome.node, prev, now, true);
+                    stale_points += writer.written() - before;
                     let age = current_sweep.saturating_sub(*fresh_at);
                     let entry = stale_age.entry(outcome.node).or_insert(0);
                     *entry = (*entry).max(age);
@@ -239,7 +244,8 @@ impl Collector {
 
         // --- in-band: resource manager pull ---
         let (snapshot, uge_bytes) = accounting_pull(qm);
-        let estimated_finishes = self.inband_points(&snapshot, now, &mut points);
+        let estimated_finishes = self.inband_points(&snapshot, now, &mut writer);
+        drop(writer);
 
         let simulated_collection_time = sweep.makespan;
 
@@ -276,7 +282,6 @@ impl Collector {
             degraded,
             breakers,
             anomalies,
-            home: Arc::clone(&self.point_home),
         }
     }
 
@@ -288,11 +293,10 @@ impl Collector {
         &mut self,
         snapshot: &AccountingSnapshot<'_>,
         now: EpochSecs,
-        points: &mut Vec<DataPoint>,
+        writer: &mut PointWriter<'_>,
     ) -> Vec<(JobId, EpochSecs)> {
-        let schema = self.config.schema;
         for report in &snapshot.nodes {
-            points.extend(uge_points(schema, report, now));
+            writer.uge(report, now);
         }
         let previous_pull = now - self.config.interval_secs;
         for job in &snapshot.jobs {
@@ -302,11 +306,20 @@ impl Collector {
                 JobState::Pending => false,
             };
             if fresh {
-                points.extend(job_points(schema, job, now));
+                writer.job(job, now);
             }
         }
         let on_nodes = snapshot.nodes.iter().flat_map(|r| r.job_list.iter().copied());
         self.finish_estimator.observe(on_nodes, now)
+    }
+
+    /// The last interval's points, to write the next interval over: a
+    /// guard from the start, so an early return hands the storage back too.
+    fn recycled_batch(&self) -> PointBatch {
+        PointBatch {
+            points: std::mem::take(&mut *self.point_home.lock()),
+            home: Arc::clone(&self.point_home),
+        }
     }
 
     /// Collect one interval **without** the Redfish wire layer: readings
@@ -320,29 +333,19 @@ impl Collector {
         cluster: &SimulatedCluster,
         qm: &Qmaster,
         now: EpochSecs,
-    ) -> Vec<DataPoint> {
-        let mut points: Vec<DataPoint> = Vec::with_capacity(cluster.len() * 16);
+    ) -> PointBatch {
+        let mut batch = self.recycled_batch();
+        let mut writer = PointWriter::new(self.config.schema, &mut batch.points);
         for &node in cluster.node_ids() {
             let s = cluster.sensors(node).expect("node exists");
-            let readings = [
-                NodeReading::Thermal {
-                    cpu_temps: s.cpu_temps.to_vec(),
-                    inlet: s.inlet,
-                    fans: s.fans.to_vec(),
-                },
-                NodeReading::Power {
-                    usage_watts: s.power,
-                    voltages: monster_redfish::sensors::VOLTAGE_RAILS.to_vec(),
-                },
-                NodeReading::Manager { health: s.bmc_health },
-                NodeReading::System { health: s.host_health },
-            ];
-            for r in &readings {
-                points.extend(bmc_points(self.config.schema, node, r, now));
-            }
+            writer.thermal(node, &s.cpu_temps, s.inlet, &s.fans, now);
+            writer.power(node, s.power, &monster_redfish::sensors::VOLTAGE_RAILS, now);
+            writer.bmc(node, &NodeReading::Manager { health: s.bmc_health }, now, false);
+            writer.bmc(node, &NodeReading::System { health: s.host_health }, now, false);
         }
-        self.inband_points(&accounting_pull(qm).0, now, &mut points);
-        points
+        self.inband_points(&accounting_pull(qm).0, now, &mut writer);
+        drop(writer);
+        batch
     }
 
     /// Collect one interval through the **Telemetry Service** (the §VI
@@ -358,24 +361,20 @@ impl Collector {
         cluster: &SimulatedCluster,
         qm: &Qmaster,
         now: EpochSecs,
-    ) -> Result<Vec<DataPoint>> {
+    ) -> Result<PointBatch> {
         use monster_redfish::telemetry::parse_report;
-        let mut points: Vec<DataPoint> = Vec::with_capacity(cluster.len() * 90);
+        let mut batch = self.recycled_batch();
+        let mut writer = PointWriter::new(self.config.schema, &mut batch.points);
         for &node in cluster.node_ids() {
             let report = telemetry.take_report(node)?;
             for sample in parse_report(&report)? {
-                let thermal = NodeReading::Thermal {
-                    cpu_temps: sample.cpu_temps.to_vec(),
-                    inlet: sample.inlet,
-                    fans: sample.fans.to_vec(),
-                };
-                points.extend(bmc_points(self.config.schema, node, &thermal, sample.time));
-                let power = NodeReading::Power { usage_watts: sample.power, voltages: Vec::new() };
-                points.extend(bmc_points(self.config.schema, node, &power, sample.time));
+                writer.thermal(node, &sample.cpu_temps, sample.inlet, &sample.fans, sample.time);
+                writer.power(node, sample.power, &[], sample.time);
             }
         }
-        self.inband_points(&accounting_pull(qm).0, now, &mut points);
-        Ok(points)
+        self.inband_points(&accounting_pull(qm).0, now, &mut writer);
+        drop(writer);
+        Ok(batch)
     }
 }
 
@@ -561,7 +560,7 @@ mod tests {
             qm.run_until(t0() + 60 * k);
             cluster.step(60.0, |n| qm.utilization(n));
             let out = col.collect_interval(&cluster, &qm, t0() + 60 * k);
-            built.push(out.points.clone());
+            built.push(out.points.to_vec());
             storage.push(out.points.as_ptr());
             stale += out.stale_points;
             if keep_outputs {

@@ -30,5 +30,5 @@ pub mod collector;
 pub mod preprocess;
 pub mod schema;
 
-pub use collector::{Collector, CollectorConfig, IntervalOutput};
-pub use schema::SchemaVersion;
+pub use collector::{Collector, CollectorConfig, IntervalOutput, PointBatch};
+pub use schema::{PointWriter, SchemaVersion};

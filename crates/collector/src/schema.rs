@@ -6,12 +6,13 @@
 //! are implemented end-to-end so those comparisons measure real bytes and
 //! real series cardinality.
 
-use crate::preprocess::health_code_if_abnormal;
+use crate::preprocess::{health_code_if_abnormal, memory_usage_fraction};
 use monster_redfish::{HealthState, NodeReading};
-use monster_scheduler::host::LoadReport;
+use monster_scheduler::host::{LoadReport, SLOTS_PER_NODE};
 use monster_scheduler::{Job, JobState};
-use monster_tsdb::DataPoint;
+use monster_tsdb::{DataPoint, FieldValue};
 use monster_util::{EpochSecs, NodeId};
+use std::fmt::{self, Write as _};
 
 /// Which schema generation to build points for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,242 +27,358 @@ pub enum SchemaVersion {
     Optimized,
 }
 
-/// Build the points for one node's BMC reading.
-pub fn bmc_points(
-    schema: SchemaVersion,
-    node: NodeId,
-    reading: &NodeReading,
-    t: EpochSecs,
-) -> Vec<DataPoint> {
-    match schema {
-        SchemaVersion::Optimized => optimized_bmc(node, reading, t),
-        SchemaVersion::Previous => previous_bmc(node, reading, t),
+/// What a slot's `String` can be overwritten with: a `&str` is copied,
+/// `format_args!` renders straight into it.
+trait Text {
+    fn append_to(self, s: &mut String);
+}
+
+impl Text for &str {
+    fn append_to(self, s: &mut String) {
+        s.push_str(self);
     }
 }
 
-fn labeled(measurement: &str, node: NodeId, label: &str, v: f64, t: EpochSecs) -> DataPoint {
-    DataPoint::new(measurement, t)
-        .tag("NodeId", node.bmc_addr())
-        .tag("Label", label)
-        .field_f64("Reading", v)
+impl Text for fmt::Arguments<'_> {
+    fn append_to(self, s: &mut String) {
+        s.write_fmt(self).expect("a String accepts every write");
+    }
 }
 
-fn optimized_bmc(node: NodeId, reading: &NodeReading, t: EpochSecs) -> Vec<DataPoint> {
-    match reading {
-        NodeReading::Thermal { cpu_temps, inlet, fans } => {
-            let mut pts = Vec::with_capacity(cpu_temps.len() + 1 + fans.len());
-            for (i, temp) in cpu_temps.iter().enumerate() {
-                pts.push(labeled("Thermal", node, &format!("CPU{} Temp", i + 1), *temp, t));
-            }
-            pts.push(labeled("Thermal", node, "Inlet Temp", *inlet, t));
-            for (i, rpm) in fans.iter().enumerate() {
-                pts.push(labeled("Thermal", node, &format!("Fan {}", i + 1), *rpm, t));
-            }
-            pts
+fn set(s: &mut String, text: impl Text) {
+    s.clear();
+    text.append_to(s);
+}
+
+/// Builds an interval's points *over* the points a buffer already holds:
+/// slot `i`'s measurement, tag and field `String`s are cleared and
+/// rewritten where they are, so a buffer that held last interval's points
+/// — the same shapes, a minute older — takes this interval's without a
+/// single allocation. Whatever the slots held (another measurement, more
+/// or fewer tags, a `Str` where a `Float` goes) the result equals a build
+/// into an empty `Vec`; a slot is pushed only once the buffer is used up,
+/// and dropping the writer truncates the buffer to what was written.
+pub struct PointWriter<'a> {
+    schema: SchemaVersion,
+    points: &'a mut Vec<DataPoint>,
+    written: usize,
+    /// Set while [`Self::bmc`] substitutes a last-known-good reading: its
+    /// points close with a `Stale=true` tag.
+    stale: bool,
+}
+
+impl Drop for PointWriter<'_> {
+    fn drop(&mut self) {
+        self.points.truncate(self.written);
+    }
+}
+
+/// The point being written: tags and fields land in the slot's next
+/// position, and the drop truncates both to what was written.
+struct Slot<'a> {
+    point: &'a mut DataPoint,
+    tags: usize,
+    fields: usize,
+    stale: bool,
+}
+
+impl Slot<'_> {
+    fn tag(&mut self, key: &str, value: impl Text) -> &mut Self {
+        if self.tags == self.point.tags.len() {
+            self.point.tags.push(Default::default());
         }
-        NodeReading::Power { usage_watts, voltages } => {
+        let (k, v) = &mut self.point.tags[self.tags];
+        set(k, key);
+        set(v, value);
+        self.tags += 1;
+        self
+    }
+
+    /// The `NodeId` tag every node-scoped point opens with: the BMC's
+    /// `10.101.c.s` address.
+    fn node(&mut self, node: NodeId) -> &mut Self {
+        self.tag("NodeId", format_args!("{node}"))
+    }
+
+    fn next_field(&mut self, key: &str) -> &mut FieldValue {
+        if self.fields == self.point.fields.len() {
+            self.point.fields.push((String::new(), FieldValue::Bool(false)));
+        }
+        let (k, v) = &mut self.point.fields[self.fields];
+        set(k, key);
+        self.fields += 1;
+        v
+    }
+
+    /// A number field (`f64` or `i64`).
+    fn num(&mut self, key: &str, value: impl Into<FieldValue>) -> &mut Self {
+        *self.next_field(key) = value.into();
+        self
+    }
+
+    /// A string field, into the `String` the slot already holds if it does.
+    fn str(&mut self, key: &str, value: impl Text) -> &mut Self {
+        match self.next_field(key) {
+            FieldValue::Str(s) => set(s, value),
+            other => {
+                let mut s = String::new();
+                value.append_to(&mut s);
+                *other = FieldValue::Str(s);
+            }
+        }
+        self
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        if self.stale {
+            self.tag("Stale", "true");
+        }
+        self.point.tags.truncate(self.tags);
+        self.point.fields.truncate(self.fields);
+    }
+}
+
+impl<'a> PointWriter<'a> {
+    /// Start writing at `points[0]`.
+    pub fn new(schema: SchemaVersion, points: &'a mut Vec<DataPoint>) -> Self {
+        PointWriter { schema, points, written: 0, stale: false }
+    }
+
+    /// Points written so far.
+    pub fn written(&self) -> usize {
+        self.written
+    }
+
+    fn point(&mut self, measurement: impl Text, time: EpochSecs) -> Slot<'_> {
+        if self.written == self.points.len() {
+            self.points.push(DataPoint::new("", time));
+        }
+        let point = &mut self.points[self.written];
+        self.written += 1;
+        set(&mut point.measurement, measurement);
+        point.time = time;
+        Slot { point, tags: 0, fields: 0, stale: self.stale }
+    }
+
+    /// The points of one node's BMC reading; `stale` marks a substituted
+    /// last-known-good reading, and tags every point of it `Stale=true`.
+    pub fn bmc(&mut self, node: NodeId, reading: &NodeReading, t: EpochSecs, stale: bool) {
+        self.stale = stale;
+        match reading {
+            NodeReading::Thermal { cpu_temps, inlet, fans } => {
+                self.thermal(node, cpu_temps, *inlet, fans, t)
+            }
+            NodeReading::Power { usage_watts, voltages } => {
+                self.power(node, *usage_watts, voltages, t)
+            }
+            NodeReading::Manager { health } => {
+                self.health(node, ["BMC", "BMCHealth", "bmc_health"], *health, t)
+            }
+            NodeReading::System { health } => {
+                self.health(node, ["System", "SystemHealth", "system_health"], *health, t)
+            }
+        }
+        self.stale = false;
+    }
+
+    /// An optimized-schema sensor point: one measurement a category, the
+    /// sensor named by its `Label` tag.
+    fn labeled(&mut self, measurement: &str, node: NodeId, label: impl Text, v: f64, t: EpochSecs) {
+        self.point(measurement, t).node(node).tag("Label", label).num("Reading", v);
+    }
+
+    /// Version-1 point: its own measurement per metric, with threshold
+    /// metadata fields and a redundant human-readable timestamp string. The
+    /// `Sensor` tag separates same-timestamp instances (fan 1..4, CPU 1..2)
+    /// within one measurement; the only one of its kind is sensor 0.
+    fn v1(
+        &mut self,
+        (measurement, units): (&str, &str),
+        node: NodeId,
+        sensor: usize,
+        value: f64,
+        t: EpochSecs,
+    ) {
+        self.point(measurement, t)
+            .node(node)
+            .tag("Sensor", format_args!("{sensor}"))
+            .num("Reading", value)
+            .str("Units", units)
+            .num("UpperThresholdCritical", value.abs() * 2.0 + 100.0)
+            .num("UpperThresholdNonCritical", value.abs() * 1.5 + 50.0)
+            .num("LowerThresholdCritical", -10.0)
+            .str("CollectedAt", format_args!("{t}"));
+    }
+
+    /// Version-2 point: the unified measurement, `MetricName` as a tag.
+    fn v2(&mut self, metric: impl Text, node: NodeId, value: f64, t: EpochSecs) {
+        self.point("Metrics", t).node(node).tag("MetricName", metric).num("Value", value);
+    }
+
+    /// A thermal reading's points: CPU temperatures, inlet, fans.
+    pub fn thermal(&mut self, node: NodeId, cpus: &[f64], inlet: f64, fans: &[f64], t: EpochSecs) {
+        match self.schema {
+            SchemaVersion::Optimized => {
+                for (n, temp) in (1..).zip(cpus) {
+                    self.labeled("Thermal", node, format_args!("CPU{n} Temp"), *temp, t);
+                }
+                self.labeled("Thermal", node, "Inlet Temp", inlet, t);
+                for (n, rpm) in (1..).zip(fans) {
+                    self.labeled("Thermal", node, format_args!("Fan {n}"), *rpm, t);
+                }
+            }
+            // "Both versions of the schema coexist in the same database."
+            SchemaVersion::Previous => {
+                for (n, temp) in (1..).zip(cpus) {
+                    self.v1(("CPUTemperature", "Celsius"), node, n, *temp, t);
+                    self.v2(format_args!("cpu{n}_temp"), node, *temp, t);
+                }
+                self.v1(("InletTemperature", "Celsius"), node, 0, inlet, t);
+                self.v2("inlet_temp", node, inlet, t);
+                for (n, rpm) in (1..).zip(fans) {
+                    self.v1(("FanSpeed", "RPM"), node, n, *rpm, t);
+                    self.v2(format_args!("fan{n}_rpm"), node, *rpm, t);
+                }
+            }
+        }
+    }
+
+    /// A power reading's points: node draw and rail voltages.
+    pub fn power(&mut self, node: NodeId, watts: f64, voltages: &[f64], t: EpochSecs) {
+        match self.schema {
             // The Fig. 4 sample point: Power measurement, Label tag so
             // "the power consumption of other components can also be
             // saved to the Power measurement".
-            let mut pts = vec![labeled("Power", node, "NodePower", *usage_watts, t)];
-            for (i, v) in voltages.iter().enumerate() {
-                pts.push(labeled("Power", node, &format!("Voltage {}", i + 1), *v, t));
+            SchemaVersion::Optimized => {
+                self.labeled("Power", node, "NodePower", watts, t);
+                for (n, v) in (1..).zip(voltages) {
+                    self.labeled("Power", node, format_args!("Voltage {n}"), *v, t);
+                }
             }
-            pts
+            SchemaVersion::Previous => {
+                self.v1(("PowerUsage", "Watts"), node, 0, watts, t);
+                self.v2("node_power", node, watts, t);
+                for (n, v) in (1..).zip(voltages) {
+                    self.v1(("Voltage", "Volts"), node, n, *v, t);
+                    self.v2(format_args!("voltage_{n}"), node, *v, t);
+                }
+            }
         }
-        NodeReading::Manager { health } => health_point(node, "BMC", *health, t),
-        NodeReading::System { health } => health_point(node, "System", *health, t),
     }
-}
 
-fn health_point(node: NodeId, label: &str, h: HealthState, t: EpochSecs) -> Vec<DataPoint> {
-    // Abnormal-only retention: "we keep only abnormal status ... as the
-    // majority of systems is usually healthy."
-    match health_code_if_abnormal(h) {
-        Some(code) => vec![DataPoint::new("Health", t)
-            .tag("NodeId", node.bmc_addr())
-            .tag("Label", label)
-            .field_i64("Code", code)],
-        None => Vec::new(),
-    }
-}
-
-/// Version-1 point: its own measurement per metric, with threshold
-/// metadata fields and a redundant human-readable timestamp string. The
-/// `Sensor` tag separates same-timestamp instances (fan 1..4, CPU 1..2)
-/// within one measurement.
-fn v1_point(measurement: &str, node: NodeId, value: f64, t: EpochSecs, units: &str) -> DataPoint {
-    v1_point_tagged(measurement, node, "0", value, t, units)
-}
-
-fn v1_point_tagged(
-    measurement: &str,
-    node: NodeId,
-    sensor: &str,
-    value: f64,
-    t: EpochSecs,
-    units: &str,
-) -> DataPoint {
-    DataPoint::new(measurement, t)
-        .tag("NodeId", node.bmc_addr())
-        .tag("Sensor", sensor)
-        .field_f64("Reading", value)
-        .field_str("Units", units)
-        .field_f64("UpperThresholdCritical", value.abs() * 2.0 + 100.0)
-        .field_f64("UpperThresholdNonCritical", value.abs() * 1.5 + 50.0)
-        .field_f64("LowerThresholdCritical", -10.0)
-        .field_str("CollectedAt", t.to_rfc3339())
-}
-
-/// Version-2 point: the unified measurement, `MetricName` as a tag.
-fn v2_point(metric: &str, node: NodeId, value: f64, t: EpochSecs) -> DataPoint {
-    DataPoint::new("Metrics", t)
-        .tag("NodeId", node.bmc_addr())
-        .tag("MetricName", metric)
-        .field_f64("Value", value)
-}
-
-fn previous_bmc(node: NodeId, reading: &NodeReading, t: EpochSecs) -> Vec<DataPoint> {
-    // Both coexisting generations are written ("both versions of the
-    // schema coexist in the same database").
-    let mut pts = Vec::new();
-    let mut both = |measurement: &str, sensor: &str, metric: &str, v: f64, units: &str| {
-        pts.push(v1_point_tagged(measurement, node, sensor, v, t, units));
-        pts.push(v2_point(metric, node, v, t));
-    };
-    match reading {
-        NodeReading::Thermal { cpu_temps, inlet, fans } => {
-            for (i, temp) in cpu_temps.iter().enumerate() {
-                let n = (i + 1).to_string();
-                both("CPUTemperature", &n, &format!("cpu{}_temp", i + 1), *temp, "Celsius");
+    /// A health rollup's points, under its `Label`, v1 measurement and v2
+    /// metric names.
+    fn health(&mut self, node: NodeId, [label, v1, v2]: [&str; 3], h: HealthState, t: EpochSecs) {
+        match self.schema {
+            // Abnormal-only retention: "we keep only abnormal status ... as
+            // the majority of systems is usually healthy."
+            SchemaVersion::Optimized => {
+                if let Some(code) = health_code_if_abnormal(h) {
+                    self.point("Health", t).node(node).tag("Label", label).num("Code", code);
+                }
             }
-            both("InletTemperature", "0", "inlet_temp", *inlet, "Celsius");
-            for (i, rpm) in fans.iter().enumerate() {
-                let n = (i + 1).to_string();
-                both("FanSpeed", &n, &format!("fan{}_rpm", i + 1), *rpm, "RPM");
-            }
-        }
-        NodeReading::Power { usage_watts, voltages } => {
-            both("PowerUsage", "0", "node_power", *usage_watts, "Watts");
-            for (i, v) in voltages.iter().enumerate() {
-                let n = (i + 1).to_string();
-                both("Voltage", &n, &format!("voltage_{}", i + 1), *v, "Volts");
-            }
-        }
-        NodeReading::Manager { health } => {
             // v1 stored every health sample, as a string.
-            pts.push(
-                DataPoint::new("BMCHealth", t)
-                    .tag("NodeId", node.bmc_addr())
-                    .field_str("Health", health.as_str())
-                    .field_str("CollectedAt", t.to_rfc3339()),
-            );
-            pts.push(v2_point("bmc_health", node, health.code() as f64, t));
-        }
-        NodeReading::System { health } => {
-            pts.push(
-                DataPoint::new("SystemHealth", t)
-                    .tag("NodeId", node.bmc_addr())
-                    .field_str("Health", health.as_str())
-                    .field_str("CollectedAt", t.to_rfc3339()),
-            );
-            pts.push(v2_point("system_health", node, health.code() as f64, t));
+            SchemaVersion::Previous => {
+                self.point(v1, t)
+                    .node(node)
+                    .str("Health", h.as_str())
+                    .str("CollectedAt", format_args!("{t}"));
+                self.v2(v2, node, h.code() as f64, t);
+            }
         }
     }
-    pts
-}
 
-/// Build the points for one node's resource-manager report.
-pub fn uge_points(schema: SchemaVersion, report: &LoadReport, t: EpochSecs) -> Vec<DataPoint> {
-    let node = report.node;
-    let joblist = format!(
-        "[{}]",
-        report.job_list.iter().map(|j| format!("'{j}'")).collect::<Vec<_>>().join(", ")
-    );
-    match schema {
-        SchemaVersion::Optimized => vec![
-            DataPoint::new("UGE", t)
-                .tag("NodeId", node.bmc_addr())
-                .field_f64("CPUUsage", report.cpu_usage)
-                .field_f64("MemUsed", report.mem_used_gib)
-                .field_f64("MemTotal", report.mem_total_gib)
-                .field_f64(
-                    "MemUsage",
-                    crate::preprocess::memory_usage_fraction(
-                        report.mem_used_gib,
-                        report.mem_total_gib,
-                    ),
-                )
-                .field_f64("UsedSwap", report.swap_used_gib)
-                .field_f64("FreeSwap", report.swap_free_gib()),
-            // The Fig. 5 sample point: stringified job list, because
-            // "data types in InfluxDB do not include array".
-            DataPoint::new("NodeJobs", t)
-                .tag("NodeId", node.bmc_addr())
-                .field_str("JobList", joblist),
-        ],
-        SchemaVersion::Previous => vec![
-            v1_point("CPUUsage", node, report.cpu_usage, t, "Fraction"),
-            v1_point("MemoryUsed", node, report.mem_used_gib, t, "GiB"),
-            v1_point("MemoryTotal", node, report.mem_total_gib, t, "GiB"),
-            v1_point("SwapUsed", node, report.swap_used_gib, t, "GiB"),
-            v1_point("SwapFree", node, report.swap_free_gib(), t, "GiB"),
-            v2_point("cpu_usage", node, report.cpu_usage, t),
-            v2_point("mem_used", node, report.mem_used_gib, t),
-            DataPoint::new("NodeJobList", t)
-                .tag("NodeId", node.bmc_addr())
-                .field_str("JobList", joblist.clone())
-                .field_str("CollectedAt", t.to_rfc3339()),
-        ],
-    }
-}
-
-/// Build the points describing one job.
-pub fn job_points(schema: SchemaVersion, job: &Job, t: EpochSecs) -> Vec<DataPoint> {
-    let (state_code, start, end) = match &job.state {
-        JobState::Pending => (0i64, None, None),
-        JobState::Running { start, .. } => (1, Some(*start), None),
-        JobState::Done { start, end, .. } => (2, Some(*start), Some(*end)),
-        JobState::Failed { start, end, .. } => (3, Some(*start), Some(*end)),
-    };
-    let slots = job.total_slots(monster_scheduler::host::SLOTS_PER_NODE) as i64;
-    let nodes = job.hosts().len() as i64;
-    match schema {
-        SchemaVersion::Optimized => {
-            let mut p = DataPoint::new("JobsInfo", t)
-                .tag("JobId", job.id.to_string())
-                .field_str("User", job.spec.user.as_str())
-                .field_i64("SubmitTime", job.submit_time.as_secs())
-                .field_i64("State", state_code)
-                .field_i64("TotalCores", slots)
-                .field_i64("TotalNodes", nodes);
-            if let Some(s) = start {
-                p = p.field_i64("StartTime", s.as_secs());
+    /// The points of one node's resource-manager report.
+    pub fn uge(&mut self, report: &LoadReport, t: EpochSecs) {
+        let node = report.node;
+        // The Fig. 5 stringified job list, `['1291784', '1318962']`: "data
+        // types in InfluxDB do not include array".
+        let jobs = fmt::from_fn(|f| {
+            f.write_str("[")?;
+            for (i, job) in report.job_list.iter().enumerate() {
+                write!(f, "{}'{job}'", if i > 0 { ", " } else { "" })?;
             }
-            if let Some(e) = end {
-                p = p.field_i64("FinishTime", e.as_secs());
+            f.write_str("]")
+        });
+        match self.schema {
+            SchemaVersion::Optimized => {
+                self.point("UGE", t)
+                    .node(node)
+                    .num("CPUUsage", report.cpu_usage)
+                    .num("MemUsed", report.mem_used_gib)
+                    .num("MemTotal", report.mem_total_gib)
+                    .num(
+                        "MemUsage",
+                        memory_usage_fraction(report.mem_used_gib, report.mem_total_gib),
+                    )
+                    .num("UsedSwap", report.swap_used_gib)
+                    .num("FreeSwap", report.swap_free_gib());
+                self.point("NodeJobs", t).node(node).str("JobList", format_args!("{jobs}"));
             }
-            vec![p]
+            SchemaVersion::Previous => {
+                self.v1(("CPUUsage", "Fraction"), node, 0, report.cpu_usage, t);
+                self.v1(("MemoryUsed", "GiB"), node, 0, report.mem_used_gib, t);
+                self.v1(("MemoryTotal", "GiB"), node, 0, report.mem_total_gib, t);
+                self.v1(("SwapUsed", "GiB"), node, 0, report.swap_used_gib, t);
+                self.v1(("SwapFree", "GiB"), node, 0, report.swap_free_gib(), t);
+                self.v2("cpu_usage", node, report.cpu_usage, t);
+                self.v2("mem_used", node, report.mem_used_gib, t);
+                self.point("NodeJobList", t)
+                    .node(node)
+                    .str("JobList", format_args!("{jobs}"))
+                    .str("CollectedAt", format_args!("{t}"));
+            }
         }
-        SchemaVersion::Previous => {
-            // "each job information is stored into a dedicated
-            // measurement" — the v2 cardinality accident: measurement
-            // name carries the job id.
-            let mut p = DataPoint::new(format!("Job_{}", job.id), t)
-                .tag("Owner", job.spec.user.as_str())
-                .field_str("User", job.spec.user.as_str())
-                .field_str("SubmitTime", job.submit_time.to_rfc3339())
-                .field_str("State", format!("{state_code}"))
-                .field_i64("TotalCores", slots)
-                .field_i64("TotalNodes", nodes)
-                .field_str("JobName", job.spec.name.as_str());
-            if let Some(s) = start {
-                p = p.field_str("StartTime", s.to_rfc3339());
+    }
+
+    /// The point describing one job.
+    pub fn job(&mut self, job: &Job, t: EpochSecs) {
+        let (state_code, start, end) = match &job.state {
+            JobState::Pending => (0i64, None, None),
+            JobState::Running { start, .. } => (1, Some(*start), None),
+            JobState::Done { start, end, .. } => (2, Some(*start), Some(*end)),
+            JobState::Failed { start, end, .. } => (3, Some(*start), Some(*end)),
+        };
+        let slots = job.total_slots(SLOTS_PER_NODE) as i64;
+        let nodes = job.hosts().len() as i64;
+        let user = job.spec.user.as_str();
+        match self.schema {
+            SchemaVersion::Optimized => {
+                let mut p = self.point("JobsInfo", t);
+                p.tag("JobId", format_args!("{}", job.id))
+                    .str("User", user)
+                    .num("SubmitTime", job.submit_time.as_secs())
+                    .num("State", state_code)
+                    .num("TotalCores", slots)
+                    .num("TotalNodes", nodes);
+                if let Some(s) = start {
+                    p.num("StartTime", s.as_secs());
+                }
+                if let Some(e) = end {
+                    p.num("FinishTime", e.as_secs());
+                }
             }
-            if let Some(e) = end {
-                p = p.field_str("FinishTime", e.to_rfc3339());
+            SchemaVersion::Previous => {
+                // "each job information is stored into a dedicated
+                // measurement" — the v2 cardinality accident: measurement
+                // name carries the job id.
+                let mut p = self.point(format_args!("Job_{}", job.id), t);
+                p.tag("Owner", user)
+                    .str("User", user)
+                    .str("SubmitTime", format_args!("{}", job.submit_time))
+                    .str("State", format_args!("{state_code}"))
+                    .num("TotalCores", slots)
+                    .num("TotalNodes", nodes)
+                    .str("JobName", job.spec.name.as_str());
+                if let Some(s) = start {
+                    p.str("StartTime", format_args!("{s}"));
+                }
+                if let Some(e) = end {
+                    p.str("FinishTime", format_args!("{e}"));
+                }
             }
-            vec![p]
         }
     }
 }
@@ -280,6 +397,16 @@ mod tests {
         NodeId::new(1, 1)
     }
 
+    fn build(schema: SchemaVersion, write: impl FnOnce(&mut PointWriter<'_>)) -> Vec<DataPoint> {
+        let mut points = Vec::new();
+        write(&mut PointWriter::new(schema, &mut points));
+        points
+    }
+
+    fn bmc(schema: SchemaVersion, reading: &NodeReading) -> Vec<DataPoint> {
+        build(schema, |w| w.bmc(node(), reading, t(), false))
+    }
+
     fn thermal() -> NodeReading {
         NodeReading::Thermal {
             cpu_temps: vec![54.0, 56.5],
@@ -291,7 +418,7 @@ mod tests {
     #[test]
     fn optimized_power_point_matches_fig4() {
         let r = NodeReading::Power { usage_watts: 273.8, voltages: vec![12.0, 5.0, 3.3] };
-        let pts = bmc_points(SchemaVersion::Optimized, node(), &r, t());
+        let pts = bmc(SchemaVersion::Optimized, &r);
         let p = &pts[0];
         assert_eq!(p.measurement, "Power");
         assert_eq!(p.get_tag("NodeId"), Some("10.101.1.1"));
@@ -304,9 +431,9 @@ mod tests {
     #[test]
     fn optimized_health_stores_only_abnormal() {
         let ok = NodeReading::Manager { health: HealthState::Ok };
-        assert!(bmc_points(SchemaVersion::Optimized, node(), &ok, t()).is_empty());
+        assert!(bmc(SchemaVersion::Optimized, &ok).is_empty());
         let warn = NodeReading::System { health: HealthState::Warning };
-        let pts = bmc_points(SchemaVersion::Optimized, node(), &warn, t());
+        let pts = bmc(SchemaVersion::Optimized, &warn);
         assert_eq!(pts.len(), 1);
         assert_eq!(pts[0].measurement, "Health");
         assert_eq!(pts[0].get_field("Code").unwrap().as_i64(), Some(1));
@@ -315,7 +442,7 @@ mod tests {
     #[test]
     fn previous_stores_all_health_as_strings() {
         let ok = NodeReading::Manager { health: HealthState::Ok };
-        let pts = bmc_points(SchemaVersion::Previous, node(), &ok, t());
+        let pts = bmc(SchemaVersion::Previous, &ok);
         assert_eq!(pts.len(), 2); // v1 string point + v2 unified point
         assert_eq!(pts[0].get_field("Health").unwrap().as_str(), Some("OK"));
     }
@@ -323,14 +450,8 @@ mod tests {
     #[test]
     fn previous_schema_is_much_heavier() {
         let r = thermal();
-        let old: usize = bmc_points(SchemaVersion::Previous, node(), &r, t())
-            .iter()
-            .map(DataPoint::wire_size)
-            .sum();
-        let new: usize = bmc_points(SchemaVersion::Optimized, node(), &r, t())
-            .iter()
-            .map(DataPoint::wire_size)
-            .sum();
+        let old: usize = bmc(SchemaVersion::Previous, &r).iter().map(DataPoint::wire_size).sum();
+        let new: usize = bmc(SchemaVersion::Optimized, &r).iter().map(DataPoint::wire_size).sum();
         // Raw wire volume should be several times larger (Fig. 13's ~3.6x
         // comes from this plus the health/job effects).
         assert!(old > new * 3, "old={old} new={new}");
@@ -351,11 +472,11 @@ mod tests {
             submit_time: EpochSecs::new(1_583_790_000),
             state: JobState::Pending,
         };
-        let pts = job_points(SchemaVersion::Previous, &job, t());
+        let pts = build(SchemaVersion::Previous, |w| w.job(&job, t()));
         assert_eq!(pts[0].measurement, "Job_1291784");
         // String timestamps in the old schema.
         assert!(pts[0].get_field("SubmitTime").unwrap().as_str().is_some());
-        let pts = job_points(SchemaVersion::Optimized, &job, t());
+        let pts = build(SchemaVersion::Optimized, |w| w.job(&job, t()));
         assert_eq!(pts[0].measurement, "JobsInfo");
         assert_eq!(pts[0].get_field("SubmitTime").unwrap().as_i64(), Some(1_583_790_000));
         assert_eq!(pts[0].get_field("TotalCores").unwrap().as_i64(), Some(2088));
@@ -372,7 +493,7 @@ mod tests {
             swap_used_gib: 1.0,
             job_list: vec![JobId(1_291_784), JobId(1_318_962)],
         };
-        let pts = uge_points(SchemaVersion::Optimized, &report, t());
+        let pts = build(SchemaVersion::Optimized, |w| w.uge(&report, t()));
         assert_eq!(pts.len(), 2);
         let uge = &pts[0];
         assert_eq!(uge.get_field("CPUUsage").unwrap().as_f64(), Some(0.5));
@@ -387,7 +508,7 @@ mod tests {
     #[test]
     fn thermal_point_counts() {
         let r = thermal();
-        assert_eq!(bmc_points(SchemaVersion::Optimized, node(), &r, t()).len(), 7);
-        assert_eq!(bmc_points(SchemaVersion::Previous, node(), &r, t()).len(), 14);
+        assert_eq!(bmc(SchemaVersion::Optimized, &r).len(), 7);
+        assert_eq!(bmc(SchemaVersion::Previous, &r).len(), 14);
     }
 }

@@ -14,7 +14,7 @@ use crate::model::parse_reading;
 use crate::resilience::{Admission, HealthRegistry};
 use crate::types::{Category, NodeReading};
 use monster_sim::VDuration;
-use monster_util::pool::ThreadPool;
+use monster_util::pool::{self, ThreadPool};
 use monster_util::NodeId;
 
 /// Client tunables.
@@ -28,7 +28,8 @@ pub struct ClientConfig {
     /// (connection-pool limit). Default calibrated so a 1868-URL sweep
     /// lands near the paper's ~55 s.
     pub max_inflight: usize,
-    /// Real worker threads used to execute the sweep.
+    /// Real worker threads used to execute the sweep, at most; never more
+    /// than the machine has cores.
     pub pool_workers: usize,
 }
 
@@ -327,12 +328,19 @@ impl RedfishClient {
     /// then compute the simulated makespan on the in-flight budget
     /// (longest-processing-time-first onto the least loaded channel).
     pub fn sweep(&self, cluster: &SimulatedCluster) -> SweepOutcome {
+        // The threads follow the machine: a worker without a core to run
+        // on costs a spawn and buys nothing.
+        self.sweep_with(self.config.pool_workers.min(pool::cores()), cluster)
+    }
+
+    fn sweep_with(&self, workers: usize, cluster: &SimulatedCluster) -> SweepOutcome {
         let span = monster_obs::Span::enter("redfish.sweep");
         // A node's four requests stay on one worker, in category order:
         // its BMC draws latencies from one seeded stream, so the order the
         // requests reach it — not which thread wins a race to its lock —
-        // decides which request gets which draw.
-        let pool = ThreadPool::new(self.config.pool_workers);
+        // decides which request gets which draw, and the outcome is the same
+        // for any number of workers.
+        let pool = ThreadPool::new(workers);
         let per_node = pool
             .scope_map(cluster.node_ids(), |&n| Category::ALL.map(|c| self.fetch(cluster, n, c)));
         let results: Vec<RequestOutcome> = per_node.into_iter().flatten().collect();
@@ -569,6 +577,26 @@ mod tests {
         assert!((3.9..4.7).contains(&mean), "mean request {mean:.2}s");
         let makespan = sweep.makespan.as_secs_f64();
         assert!((45.0..70.0).contains(&makespan), "makespan {makespan:.1}s");
+    }
+
+    #[test]
+    fn sweep_outcome_does_not_depend_on_the_worker_count() {
+        // Refusals, stalls and retries on every node's seeded stream: were a
+        // node's requests to race each other, the draws would change hands.
+        // `sweep_with`: real threads, however few cores the machine has.
+        let outcome = |workers: usize| {
+            let cluster = SimulatedCluster::new(ClusterConfig {
+                bmc: BmcConfig { failure_rate: 0.3, stall_rate: 0.1, ..BmcConfig::default() },
+                ..ClusterConfig::small(24, 7)
+            });
+            let client = RedfishClient::new(ClientConfig::default());
+            let first = format!("{:?}", client.sweep_with(workers, &cluster));
+            (first, format!("{:?}", client.sweep_with(workers, &cluster)))
+        };
+        let one = outcome(1);
+        assert!(one.0.contains("reading: None") && one.0 != one.1, "nothing failed or moved");
+        assert_eq!(outcome(2), one);
+        assert_eq!(outcome(8), one);
     }
 
     #[test]

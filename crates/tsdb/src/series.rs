@@ -8,9 +8,10 @@
 //! touches structures whose size is the cardinality.
 
 use crate::point::DataPoint;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Canonical series identity: measurement plus tags sorted by key.
@@ -58,21 +59,52 @@ pub struct SeriesId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FieldId(pub u32);
 
-/// Order-independent hash of a point's identity (measurement + tag set),
-/// matching [`series_key_hash`] on the canonical key. Tag keys are unique
-/// within a point, so XOR-combining per-pair hashes is collision-safe
-/// under reordering.
-fn point_identity_hash(measurement: &str, tags: &[(String, String)]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    measurement.hash(&mut h);
-    let mut acc = h.finish();
-    for (k, v) in tags {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        k.hash(&mut h);
-        v.hash(&mut h);
-        acc ^= h.finish();
+/// One multiply-fold step: the 128-bit product of the two words, halves
+/// XORed together, so every input bit reaches every output bit.
+fn fold(a: u64, b: u64) -> u64 {
+    let wide = u128::from(a) * u128::from(b);
+    (wide as u64) ^ ((wide >> 64) as u64)
+}
+
+/// Absorb `text` into `h`, eight bytes a step, then its length (so
+/// `("ab", "c")` and `("a", "bc")` part ways).
+fn absorb(mut h: u64, text: &str) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut words = text.as_bytes().chunks_exact(8);
+    for word in &mut words {
+        h = fold(h ^ u64::from_le_bytes(word.try_into().expect("eight bytes")), K);
     }
-    acc
+    let mut last = [0u8; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    fold(h ^ u64::from_le_bytes(last), K ^ text.len() as u64)
+}
+
+/// An index's hash key, drawn when the index is made: tag text comes from
+/// outside the program (`POST /write`), and an unkeyed hash would let it
+/// choose its bucket.
+#[derive(Debug)]
+struct Seed(u64);
+
+impl Default for Seed {
+    fn default() -> Self {
+        Seed(RandomState::new().hash_one(0u8))
+    }
+}
+
+/// `by_hash` is keyed by finished hashes: hashing them again buys nothing.
+#[derive(Debug, Default)]
+struct Identity(u64);
+
+impl Hasher for Identity {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the identity table is keyed by u64 alone");
+    }
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// One measurement's posting lists. Ids are handed out in ascending order
@@ -92,15 +124,19 @@ struct Postings {
 /// `Arc`s: a query result labels a series with a reference, not a copy.
 #[derive(Debug, Default)]
 pub struct SeriesIndex {
-    by_key: HashMap<Arc<SeriesKey>, SeriesId>,
     keys: Vec<Arc<SeriesKey>>,
     /// Tombstoned (dropped) slots in `keys`.
     dropped: usize,
     /// measurement → its series and their inverted tag index.
     by_measurement: HashMap<String, Postings>,
-    /// Order-independent identity hash → candidate ids, for allocation-free
-    /// point lookup on the write path ([`id_of_point`](Self::id_of_point)).
-    by_hash: HashMap<u64, Vec<SeriesId>>,
+    /// The one identity table: [`identity_hash`](Self::identity_hash) →
+    /// candidate ids, in registration order. Only ever probed, never
+    /// iterated — `seed` differs from run to run and nothing stored may.
+    by_hash: HashMap<u64, Vec<SeriesId>, BuildHasherDefault<Identity>>,
+    seed: Seed,
+    /// Test seam: every identity hashes to one bucket.
+    #[cfg(test)]
+    collide: bool,
     /// Field-name interning table (name → id, id → name).
     field_ids: HashMap<String, FieldId>,
     field_names: Vec<String>,
@@ -112,36 +148,57 @@ impl SeriesIndex {
         SeriesIndex::default()
     }
 
+    /// Hash of an identity (measurement + tag set) in one pass over its
+    /// bytes. Each pair is hashed from the seed and the pairs are *added*,
+    /// so a point's tag order and the canonical key's give the same value
+    /// (tag keys are unique within an identity). Not cryptographic: a
+    /// collision costs a longer candidate list in [`Self::find`], which
+    /// compares the strings — never a wrong id.
+    fn identity_hash(&self, measurement: &str, tags: &[(String, String)]) -> u64 {
+        #[cfg(test)]
+        if self.collide {
+            return 0;
+        }
+        let seed = self.seed.0;
+        let pairs = tags.iter().map(|(k, v)| absorb(absorb(seed, k), v));
+        fold(pairs.fold(absorb(!seed, measurement), u64::wrapping_add), seed | 1)
+    }
+
+    /// The registered series with this identity among `hash`'s candidates,
+    /// verified by comparing the tag sets.
+    fn find(&self, hash: u64, measurement: &str, tags: &[(String, String)]) -> Option<SeriesId> {
+        self.by_hash.get(&hash)?.iter().copied().find(|&id| {
+            let key = &self.keys[id.0 as usize];
+            key.measurement == measurement
+                && key.tags.len() == tags.len()
+                && tags.iter().all(|(k, v)| key.tag(k) == Some(v.as_str()))
+        })
+    }
+
     /// Get the id for a series, registering it if new.
     pub fn get_or_create(&mut self, key: &SeriesKey) -> SeriesId {
-        if let Some(&id) = self.by_key.get(key) {
+        let hash = self.identity_hash(&key.measurement, &key.tags);
+        if let Some(id) = self.find(hash, &key.measurement, &key.tags) {
             return id;
         }
         let id = SeriesId(self.keys.len() as u32);
         let key = Arc::new(key.clone());
-        self.by_key.insert(Arc::clone(&key), id);
         self.keys.push(Arc::clone(&key));
         let postings = self.by_measurement.entry(key.measurement.clone()).or_default();
         postings.all.push(id);
         for (k, v) in &key.tags {
             postings.by_tag.entry(k.clone()).or_default().entry(v.clone()).or_default().push(id);
         }
-        self.by_hash.entry(point_identity_hash(&key.measurement, &key.tags)).or_default().push(id);
+        self.by_hash.entry(hash).or_default().push(id);
         id
     }
 
     /// Resolve a point's series id without allocating, if the series is
-    /// already registered. This is the steady-state write path: the point's
-    /// identity is hashed order-independently (no canonical `SeriesKey` is
-    /// built) and candidates are verified by tag-set comparison.
+    /// already registered. This is the steady-state write path: one hash of
+    /// the point's identity as it stands (no canonical `SeriesKey` is
+    /// built), one probe.
     pub fn id_of_point(&self, p: &DataPoint) -> Option<SeriesId> {
-        let candidates = self.by_hash.get(&point_identity_hash(&p.measurement, &p.tags))?;
-        candidates.iter().copied().find(|&id| {
-            let key = &self.keys[id.0 as usize];
-            key.measurement == p.measurement
-                && key.tags.len() == p.tags.len()
-                && p.tags.iter().all(|(k, v)| key.tag(k) == Some(v.as_str()))
-        })
+        self.find(self.identity_hash(&p.measurement, &p.tags), &p.measurement, &p.tags)
     }
 
     /// Intern a field name, returning its dense id.
@@ -206,10 +263,8 @@ impl SeriesIndex {
             // Tombstone: keep the slot so ids stay stable, but mark the
             // key as dropped (empty measurement never matches a select).
             let key = std::mem::take(&mut self.keys[id.0 as usize]);
-            self.by_key.remove(&*key);
-            if let Some(list) =
-                self.by_hash.get_mut(&point_identity_hash(&key.measurement, &key.tags))
-            {
+            let hash = self.identity_hash(&key.measurement, &key.tags);
+            if let Some(list) = self.by_hash.get_mut(&hash) {
                 list.retain(|x| *x != id);
             }
             self.dropped += 1;
@@ -384,6 +439,69 @@ mod tests {
         idx.get_or_create(&SeriesKey::of(&p));
         idx.drop_measurement("Power");
         assert_eq!(idx.id_of_point(&p), None);
+    }
+
+    #[test]
+    fn identities_sharing_one_bucket_stay_apart() {
+        let mut idx = SeriesIndex { collide: true, ..SeriesIndex::default() };
+        let points = [
+            point("Power", "n1", "NodePower"),
+            point("Power", "n2", "NodePower"),
+            point("Thermal", "n1", "NodePower"),
+            point("Thermal", "n1", "CPU1 Temp"),
+            DataPoint::new("Thermal", EpochSecs::new(0)).tag("NodeId", "n1").field_f64("v", 1.0),
+        ];
+        let ids: Vec<SeriesId> =
+            points.iter().map(|p| idx.get_or_create(&SeriesKey::of(p))).collect();
+        assert_eq!(ids, (0..5).map(SeriesId).collect::<Vec<_>>(), "one id per identity");
+        assert_eq!(idx.by_hash.len(), 1, "the seam did not collide them");
+        for (p, id) in points.iter().zip(&ids) {
+            assert_eq!(idx.id_of_point(p), Some(*id));
+            assert_eq!(idx.get_or_create(&SeriesKey::of(p)), *id);
+        }
+        // Tags in the other order: the same series, by either door.
+        let swapped = DataPoint::new("Thermal", EpochSecs::new(0))
+            .tag("Label", "CPU1 Temp")
+            .tag("NodeId", "n1")
+            .field_f64("v", 1.0);
+        assert_eq!(idx.id_of_point(&swapped), Some(ids[3]));
+        let as_given = SeriesKey { measurement: "Thermal".into(), tags: swapped.tags.clone() };
+        assert_eq!(idx.get_or_create(&as_given), ids[3]);
+        // A drop takes exactly its measurement's candidates out.
+        idx.drop_measurement("Thermal");
+        assert_eq!(idx.by_hash[&0], ids[..2]);
+        assert_eq!(idx.id_of_point(&points[0]), Some(ids[0]));
+        assert_eq!(idx.id_of_point(&points[1]), Some(ids[1]));
+        assert!(points[2..].iter().all(|p| idx.id_of_point(p).is_none()));
+        assert_eq!(idx.get_or_create(&SeriesKey::of(&points[2])), SeriesId(5), "ids not reused");
+    }
+
+    #[test]
+    fn identity_hash_ignores_tag_order_and_nothing_else() {
+        let idx = SeriesIndex::new();
+        let tags = |pairs: &[(&str, &str)]| -> Vec<(String, String)> {
+            pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
+        };
+        let h = |m: &str, pairs: &[(&str, &str)]| idx.identity_hash(m, &tags(pairs));
+        assert_eq!(h("m", &[("a", "1"), ("b", "2")]), h("m", &[("b", "2"), ("a", "1")]));
+        let distinct = [
+            h("m", &[("a", "1"), ("b", "2")]),
+            h("m", &[("a", "2"), ("b", "1")]),
+            h("m", &[("a", "1")]),
+            h("m", &[("a1", "")]),
+            h("m", &[("", "a1")]),
+            h("ma", &[("1", "")]),
+            h("m", &[]),
+            h("", &[]),
+            h("a-long-measurement-name", &[("NodeId", "10.101.12.3")]),
+            h("a-long-measurement-name", &[("NodeId", "10.101.12.4")]),
+        ];
+        let unique: std::collections::HashSet<u64> = distinct.iter().copied().collect();
+        assert_eq!(unique.len(), distinct.len());
+        // Seeded per index: another index puts the same identity elsewhere.
+        let other = SeriesIndex::new();
+        assert_ne!(other.seed.0, idx.seed.0);
+        assert_ne!(other.identity_hash("m", &[]), h("m", &[]));
     }
 
     #[test]

@@ -66,20 +66,9 @@ impl EpochSecs {
         Ok(EpochSecs(days * 86_400 + h * 3_600 + mi * 60 + sec))
     }
 
-    /// Format as `YYYY-MM-DDTHH:MM:SSZ`.
+    /// Format as `YYYY-MM-DDTHH:MM:SSZ` (what `Display` writes).
     pub fn to_rfc3339(self) -> String {
-        let days = self.0.div_euclid(86_400);
-        let secs = self.0.rem_euclid(86_400);
-        let (y, m, d) = civil_from_days(days);
-        format!(
-            "{:04}-{:02}-{:02}T{:02}:{:02}:{:02}Z",
-            y,
-            m,
-            d,
-            secs / 3_600,
-            (secs / 60) % 60,
-            secs % 60
-        )
+        self.to_string()
     }
 
     /// Round down to a multiple of `interval` seconds (window bucketing, as
@@ -92,7 +81,19 @@ impl EpochSecs {
 
 impl fmt::Display for EpochSecs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_rfc3339())
+        let days = self.0.div_euclid(86_400);
+        let secs = self.0.rem_euclid(86_400);
+        let (y, m, d) = civil_from_days(days);
+        write!(
+            f,
+            "{:04}-{:02}-{:02}T{:02}:{:02}:{:02}Z",
+            y,
+            m,
+            d,
+            secs / 3_600,
+            (secs / 60) % 60,
+            secs % 60
+        )
     }
 }
 
