@@ -337,6 +337,12 @@ fn inflate_block<'a>(
 /// `max(8 × data.len(), 2 × (decoded + 128 KiB))` bytes whatever the
 /// header claims, and rejects a claim past what `data` could expand to.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
+    decompress_within(data, usize::MAX)
+}
+
+/// [`decompress`], refusing — before it decodes a block — a container whose
+/// header claims more than `limit` bytes.
+pub fn decompress_within(data: &[u8], limit: usize) -> Result<Vec<u8>> {
     if data.len() >= 4 && &data[..4] == OLD_MAGIC {
         return Err(Error::Corrupt("unsupported container (MZ1; this build reads MZ2)".into()));
     }
@@ -352,8 +358,8 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
     let expect_sum = u32::from_le_bytes(sum_bytes.try_into().expect("4 bytes"));
     let orig_len = usize::try_from(orig_len)
         .ok()
-        .filter(|&n| n <= body.len().saturating_mul(MAX_EXPANSION))
-        .ok_or_else(|| Error::Corrupt("length header exceeds what the body can hold".into()))?;
+        .filter(|&n| n <= limit.min(body.len().saturating_mul(MAX_EXPANSION)))
+        .ok_or_else(|| Error::Corrupt("length header past what body or caller allows".into()))?;
 
     let mut out = vec![0u8; orig_len.min(body.len().saturating_mul(PRESIZE_EXPANSION))];
     let mut tables: Option<(DecodeTable, DecodeTable)> = None;

@@ -35,7 +35,7 @@ mod huffman;
 mod lz77;
 
 pub use adler::adler32;
-pub use format::{compress, decompress, CompressStats};
+pub use format::{compress, decompress, decompress_within, CompressStats};
 pub use lz77::Level;
 
 #[cfg(test)]

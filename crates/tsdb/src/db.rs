@@ -30,6 +30,8 @@ use crate::query::{parse_query, Aggregation, Query, ResultSet, SeriesResult};
 use crate::retention::{TierConfig, TierReport};
 use crate::series::{FieldId, SeriesId, SeriesIndex, SeriesKey};
 use crate::shard::Shard;
+use crate::snapshot;
+use crate::wal_record;
 use crate::watermark::{MeasurementMark, WatermarkRegistry};
 use monster_sim::DiskModel;
 use monster_util::pool;
@@ -451,7 +453,7 @@ impl Db {
 
     /// Snapshot the current shard handles in time order (short shard-map
     /// read; no shard data touched).
-    fn shard_handles(&self) -> Vec<Arc<RwLock<Shard>>> {
+    pub(crate) fn shard_handles(&self) -> Vec<Arc<RwLock<Shard>>> {
         let wait = Instant::now();
         let map = self.shards.read();
         let acquired = Instant::now();
@@ -502,18 +504,14 @@ impl Db {
             wal.append_batch(points, &sids, &fids)?;
         }
 
-        let mut next_field = 0usize;
-        let resolved = points.iter().zip(&sids).map(|(p, &series)| {
-            let ids = &fids[next_field..next_field + p.fields.len()];
-            next_field += p.fields.len();
-            Resolved {
-                series,
-                measurement: &p.measurement,
-                ts: p.time.as_secs(),
-                wire: p.wire_size(),
-                fields: ids.iter().copied().zip(p.fields.iter().map(|(_, v)| v)),
-            }
-        });
+        let resolved =
+            wal_record::batch_points(points, &sids, &fids).zip(points).map(|(p, point)| Resolved {
+                series: p.series,
+                measurement: p.measurement,
+                ts: p.ts,
+                wire: point.wire_size(),
+                fields: p.fields.map(|(id, _, value)| (id, value)),
+            });
         let (result, applied) = self.apply(resolved, total_fields, &[]);
         if let Some(mut span) = span.take() {
             span.set_attr("applied", applied.values.to_string());
@@ -1187,23 +1185,10 @@ impl Db {
         }
     }
 
-    /// Visit every stored point (one callback per field value) across all
-    /// shards, in shard order. Used by the snapshot writer. Holds the
-    /// index read lock for the duration and each shard's read lock in
-    /// turn (index-before-shard is the sanctioned nesting).
-    pub fn export(
-        &self,
-        mut f: impl FnMut(&SeriesKey, &str, i64, crate::FieldValue),
-    ) -> Result<()> {
-        let handles = self.shard_handles();
-        let idx = self.index.read();
-        for handle in handles {
-            let shard = handle.read();
-            shard.export(|sid, fid, ts, v| {
-                f(idx.key_of(sid), idx.field_name(fid), ts, v);
-            })?;
-        }
-        Ok(())
+    /// The series index, read-locked (before any shard lock: the
+    /// sanctioned nesting). The snapshot writer names what it exports by it.
+    pub(crate) fn index(&self) -> parking_lot::RwLockReadGuard<'_, SeriesIndex> {
+        self.index.read()
     }
 
     /// Drop every shard whose time range ends at or before `horizon`.
@@ -1295,12 +1280,12 @@ impl Db {
     ///
     /// For every shard whose range lies entirely before
     /// `now - tiering.hot_secs` (rounded down to a shard boundary), the
-    /// pass compacts the shard, renders it to an immutable segment file
-    /// (`shard-<start>.seg`, compressed line protocol) next to the WAL,
-    /// and marks it cold so scans are priced by the cold-tier disk model.
-    /// Once every such shard is durable as a segment, WAL segments whose
-    /// records all predate the cut are reclaimed — the tiered data no
-    /// longer needs replay.
+    /// pass compacts the shard, writes it record by record to an immutable
+    /// segment file (`shard-<start>.seg`, [`crate::snapshot`]) next to the
+    /// WAL, and marks it cold so scans are priced by the cold-tier disk
+    /// model. Once every such shard is durable as a segment — file and
+    /// directory entry fsynced — WAL segments whose records all predate
+    /// the cut are reclaimed: the tiered data no longer needs replay.
     ///
     /// Without a WAL the pass only re-prices (marks cold, writes nothing).
     /// No-op unless [`DbConfig::tiering`] is set. The pass holds each
@@ -1328,8 +1313,8 @@ impl Db {
         };
         for (start, handle) in candidates {
             // Index read before shard write: the sanctioned nesting. The
-            // index lock is only needed while rendering; the shard lock is
-            // held through the durable segment write (see above).
+            // writer names series from the index record by record, so both
+            // are held through the durable segment write (see above).
             let idx = self.index.read();
             let wait = Instant::now();
             let mut shard = handle.write();
@@ -1343,39 +1328,25 @@ impl Db {
             let before = shard.encoded_bytes() as i64;
             shard.compact();
             let delta = shard.encoded_bytes() as i64 - before;
-            let mut text = String::new();
-            shard.export(|sid, fid, ts, v| {
-                let key = idx.key_of(sid);
-                let mut p = DataPoint::new(&key.measurement, monster_util::EpochSecs::new(ts));
-                for (k, val) in &key.tags {
-                    p = p.tag(k, val);
-                }
-                p = p.field(idx.field_name(fid), v);
-                crate::lineproto::encode_into(&p, &mut text);
-                text.push('\n');
-            })?;
-            drop(idx);
             if let Some(wal) = &self.wal {
-                let bytes = crate::snapshot::encode_segment(&text);
                 let path = wal.dir().join(format!("shard-{start}.seg"));
-                let tmp = wal.dir().join(format!("shard-{start}.seg.tmp"));
-                let res = (|| -> Result<()> {
-                    let mut f = std::fs::File::create(&tmp)?;
-                    std::io::Write::write_all(&mut f, &bytes)?;
-                    f.sync_all()?;
-                    std::fs::rename(&tmp, &path)?;
-                    Ok(())
-                })();
-                if let Err(e) = res {
-                    // Leave the shard hot: a later pass retries, and the
-                    // WAL keeps covering it (reclaim below never runs).
-                    drop(shard);
-                    self.observe_lock(wait, acquired);
-                    let _ = std::fs::remove_file(&tmp);
-                    return Err(e);
+                let written = snapshot::write_file(&path, |file| {
+                    snapshot::write_sealed(file, snapshot::SEGMENT, &idx, |visit| {
+                        shard.export(visit)
+                    })
+                });
+                match written {
+                    Ok(stats) => report.segment_bytes_written += stats.stored_bytes as u64,
+                    Err(e) => {
+                        // Leave the shard hot: a later pass retries, and the
+                        // WAL keeps covering it (reclaim below never runs).
+                        drop(shard);
+                        self.observe_lock(wait, acquired);
+                        return Err(e);
+                    }
                 }
-                report.segment_bytes_written += bytes.len() as u64;
             }
+            drop(idx);
             let pts = shard.point_count();
             shard.mark_cold();
             drop(shard);

@@ -6,7 +6,6 @@
 //!
 //! * **Data model** — measurements, indexed tags, typed fields, second-
 //!   resolution timestamps ([`point`], [`field`]);
-//! * **Line protocol** — the text ingest format ([`lineproto`]);
 //! * **Series indexing** — series keys, inverted tag index, cardinality
 //!   tracking ([`series`]); schema design shows up as series cardinality,
 //!   which is what the Fig. 13/14 experiments manipulate;
@@ -53,8 +52,6 @@ pub mod cost;
 pub mod db;
 pub mod encode;
 pub mod field;
-pub mod http_api;
-pub mod lineproto;
 pub mod point;
 pub mod query;
 pub mod recover;

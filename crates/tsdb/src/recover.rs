@@ -1,12 +1,14 @@
 //! Crash recovery: rebuild a [`Db`] from a durability directory.
 //!
 //! [`Db::recover`] is the single entry point for durable databases. The
-//! directory holds two kinds of files, both written by the engine:
+//! directory holds two kinds of files, both written by the engine, both made
+//! of CRC-framed binary records ([`crate::wal_record`]) and both read back
+//! by one function, `Db::replay`:
 //!
-//! * `shard-<start>.seg` — immutable cold-tier segment files (compressed
-//!   line protocol behind [`crate::snapshot`]'s `MSEG1` header), written by
-//!   tiering with an fsync-then-rename protocol. Loaded first; a corrupt
-//!   segment file is a hard error, not a torn tail.
+//! * `shard-<start>.seg` — immutable cold-tier segment files
+//!   ([`crate::snapshot`]'s `MSEG2` header), written by tiering tmp → fsync →
+//!   rename → directory fsync. Loaded first; anything wrong with one is a
+//!   hard error, not a torn tail, and nothing is deleted.
 //! * `wal-<seq>.log` — write-ahead-log segments ([`crate::wal`]). Replayed
 //!   in sequence order after the cold shards load. Points whose shard is
 //!   already covered by a segment file are skipped (their WAL segment
@@ -29,24 +31,24 @@
 //! and skipped — nothing of them is registered or applied — and replay
 //! continues.
 //!
-//! A segment that opens with the previous format's magic (`MWALSEG1`:
-//! line-protocol payloads, which nothing here reads any more) is neither:
+//! A file that opens with a previous format's magic (`MWALSEG1`, `MSEG1`:
+//! line-protocol text, which nothing here reads any more) is neither:
 //! recovery refuses the whole directory with an error before it touches a
 //! byte of it, rather than mistake a log it cannot read for one torn at
 //! creation and delete it.
 //!
 //! # Replay does not parse
 //!
-//! A record is the batch as [`Db::write_batch`] resolved it
-//! ([`crate::wal_record`]): replay decodes it, registers the series and
-//! field names it defines — segment-local ids, so every file stands alone —
-//! and hands `(SeriesId, FieldId, ts, value)`s to the same private apply
-//! step `write_batch` ends with. No text is lexed and no `DataPoint` is
-//! rebuilt; recovered points are not re-logged (the appender is attached
-//! afterwards), per-measurement watermarks republish exactly as live
-//! writes would, a record whose apply failed live (a field-type conflict)
-//! applies the same prefix again, and recovered statistics and query
-//! results are byte-identical to an uninterrupted twin fed the same prefix.
+//! A record is a batch as [`Db::write_batch`] resolved it: `Db::replay`
+//! decodes it, registers the series and field names it defines — file-local
+//! ids, so every file stands alone — and hands `(SeriesId, FieldId, ts,
+//! value)`s to the apply step `write_batch` ends with, one record at a
+//! time: loading a file of any size holds one record, no text is lexed and
+//! no `DataPoint` rebuilt. Recovered points are not re-logged (the appender
+//! is attached afterwards), watermarks republish as live writes would, a
+//! record whose apply failed live (a field-type conflict) applies the same
+//! prefix again, and recovered statistics and query results are
+//! byte-identical to an uninterrupted twin fed the same prefix.
 
 use crate::db::{Db, DbConfig, Resolved};
 use crate::point::{key_wire_size, wire_size_of};
@@ -55,6 +57,7 @@ use crate::snapshot;
 use crate::wal::{self, Wal, FRAME_HEADER, MAX_RECORD_BYTES, SEGMENT_MAGIC, SEGMENT_MAGIC_V1};
 use crate::wal_record::{self, Record};
 use monster_util::{Error, Result};
+use std::fs::File;
 use std::io::Read;
 use std::path::Path;
 use std::time::Instant;
@@ -89,7 +92,19 @@ fn parse_seg_name(name: &str) -> Option<i64> {
     name.strip_prefix("shard-")?.strip_suffix(".seg")?.parse().ok()
 }
 
-/// What replay keeps of a series the segment file in hand defined.
+/// What [`Db::replay`] keeps of the file in hand.
+#[derive(Default)]
+struct FileState {
+    /// The series it has defined, by file-local id.
+    series: Vec<LocalSeries>,
+    /// The field names it has defined, by file-local id: id and length.
+    fields: Vec<(FieldId, usize)>,
+    /// The latest timestamp any of its records holds.
+    max_ts: i64,
+    /// The record being applied; its buffers are reused.
+    record: Record,
+}
+
 struct LocalSeries {
     id: SeriesId,
     measurement: String,
@@ -107,7 +122,7 @@ impl Db {
         let started = Instant::now();
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let db = Db::new(config);
+        let mut db = Db::new(config);
         let mut report = RecoveryReport::default();
 
         // --- inventory ---------------------------------------------------
@@ -132,7 +147,7 @@ impl Db {
         // anything below truncates or deletes a file.
         for &seq in &wal_seqs {
             let mut magic = Vec::with_capacity(SEGMENT_MAGIC_V1.len());
-            let file = std::fs::File::open(wal::segment_path(dir, seq))?;
+            let file = File::open(wal::segment_path(dir, seq))?;
             file.take(SEGMENT_MAGIC_V1.len() as u64).read_to_end(&mut magic)?;
             if magic == SEGMENT_MAGIC_V1 {
                 return Err(Error::Corrupt(format!(
@@ -145,127 +160,51 @@ impl Db {
 
         // --- cold shards from immutable segment files --------------------
         // `seg_starts` doubles as the sorted list of shards WAL replay
-        // skips: every start below gets a loaded (or empty) segment.
+        // skips: every start below gets a loaded (or empty) segment. An
+        // error — a damaged file, one of the previous format — comes before
+        // anything is truncated or deleted too.
         for &start in &seg_starts {
-            let bytes = std::fs::read(dir.join(format!("shard-{start}.seg")))?;
-            let points = snapshot::decode_segment(&bytes)?;
-            for chunk in points.chunks(10_000) {
-                db.write_batch(chunk)?;
-            }
-            if !points.is_empty() {
+            let path = dir.join(format!("shard-{start}.seg"));
+            let points = snapshot::load_file(&db, &path, snapshot::SEGMENT)?;
+            if points > 0 {
                 db.shard_for(start).write().mark_cold();
             }
             report.segment_files_loaded += 1;
-            report.segment_points += points.len();
+            report.segment_points += points;
         }
 
         // --- WAL replay to the longest consistent prefix ------------------
-        let mut record = Record::default();
-        let mut series: Vec<LocalSeries> = Vec::new();
-        let mut fields: Vec<(FieldId, usize)> = Vec::new(); // id, name length
         let mut sealed: Vec<(u64, i64)> = Vec::new();
         let mut torn_at: Option<usize> = None; // index into wal_seqs
         for (file_idx, &seq) in wal_seqs.iter().enumerate() {
             let path = wal::segment_path(dir, seq);
-            let bytes = std::fs::read(&path)?;
-            report.wal_segments_scanned += 1;
-            if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+            let mut file = File::open(&path)?;
+            let len = file.metadata()?.len();
+            let mut magic = Vec::with_capacity(SEGMENT_MAGIC.len());
+            (&mut file).take(SEGMENT_MAGIC.len() as u64).read_to_end(&mut magic)?;
+            if magic != SEGMENT_MAGIC {
                 // A segment whose very magic is short or wrong can only be
                 // the tail file torn at creation; nothing in it was ever
                 // acknowledged. Drop the whole file.
-                report.truncated_bytes += bytes.len() as u64;
+                report.truncated_bytes += len;
                 report.torn_tail = true;
                 std::fs::remove_file(&path)?;
-                report.wal_segments_scanned -= 1;
                 torn_at = Some(file_idx + 1);
                 break;
             }
-            // Ids are local to the file: it defines everything it uses.
-            series.clear();
-            fields.clear();
-            let mut offset = SEGMENT_MAGIC.len();
-            let mut seg_max_ts = i64::MIN;
-            let mut torn_here = false;
-            while offset < bytes.len() {
-                if offset + FRAME_HEADER > bytes.len() {
-                    torn_here = true; // short header
-                    break;
-                }
-                let len =
-                    u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-                let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
-                if len > MAX_RECORD_BYTES || offset + FRAME_HEADER + len > bytes.len() {
-                    torn_here = true; // absurd length or short payload
-                    break;
-                }
-                let payload = &bytes[offset + FRAME_HEADER..offset + FRAME_HEADER + len];
-                if wal::crc32(payload) != crc {
-                    torn_here = true; // torn payload (or header)
-                    break;
-                }
-                offset += FRAME_HEADER + len;
-                // CRC says the record is exactly what the writer framed:
-                // decode/apply failures from here on are counted, not torn.
-                let decoded = wal_record::decode(
-                    payload,
-                    series.len() as u32,
-                    fields.len() as u32,
-                    &mut record,
-                );
-                // The writer refuses what `write_batch` refuses, so neither
-                // is in a record it framed.
-                if decoded.is_err() || record.points.iter().any(|p| !db.in_range(p.ts)) {
-                    report.records_failed += 1;
-                    continue;
-                }
-                let (sids, fids) = db.define(&record.series_defs, &record.field_defs);
-                series.extend(record.series_defs.drain(..).zip(sids).map(|(key, id)| {
-                    let key_wire = key_wire_size(&key.measurement, &key.tags);
-                    LocalSeries { id, measurement: key.measurement, key_wire }
-                }));
-                fields.extend(fids.into_iter().zip(&record.field_defs).map(|(f, n)| (f, n.len())));
-                seg_max_ts = record.points.iter().map(|p| p.ts).fold(seg_max_ts, i64::max);
-                let (series, fields) = (&series, &fields);
-                let mut next_field = 0usize;
-                let resolved = record.points.iter().map(|p| {
-                    let s = &series[p.series as usize];
-                    let mine = &record.fields[next_field..next_field + p.fields as usize];
-                    next_field += p.fields as usize;
-                    Resolved {
-                        series: s.id,
-                        measurement: &s.measurement,
-                        ts: p.ts,
-                        wire: wire_size_of(
-                            s.key_wire,
-                            mine.iter().map(|(f, value)| (fields[*f as usize].1, value)),
-                        ),
-                        fields: mine.iter().map(move |(f, value)| (fields[*f as usize].0, value)),
-                    }
-                });
-                let (result, applied) = db.apply(resolved, record.fields.len(), &seg_starts);
-                report.skipped_points += applied.skipped;
-                match result {
-                    Ok(()) => {
-                        report.replayed_records += 1;
-                        report.replayed_points += applied.points;
-                    }
-                    // Same contract as live ingest: a batch that partially
-                    // applies (e.g. a type conflict) errors but keeps its
-                    // applied prefix.
-                    Err(_) => report.records_failed += 1,
-                }
-            }
-            if torn_here {
-                report.truncated_bytes += (bytes.len() - offset) as u64;
+            report.wal_segments_scanned += 1;
+            let body = len - magic.len() as u64;
+            let (valid, max_ts) = db.replay(&mut file, body, false, &seg_starts, &mut report)?;
+            sealed.push((seq, max_ts)); // a truncated file stays
+            if valid < body {
+                report.truncated_bytes += body - valid;
                 report.torn_tail = true;
                 let f = std::fs::OpenOptions::new().write(true).open(&path)?;
-                f.set_len(offset as u64)?;
+                f.set_len(magic.len() as u64 + valid)?;
                 f.sync_all()?;
                 torn_at = Some(file_idx + 1);
-                sealed.push((seq, seg_max_ts)); // the truncated file stays
                 break;
             }
-            sealed.push((seq, seg_max_ts));
         }
         if let Some(stop) = torn_at {
             // Files after the tear hold only records appended after it —
@@ -298,7 +237,6 @@ impl Db {
         // --- resume the appender -----------------------------------------
         let next_seq = sealed.iter().map(|&(s, _)| s + 1).max().unwrap_or(0);
         let wal = Wal::resume(dir, config.wal, next_seq, &sealed)?;
-        let mut db = db;
         db.set_wal(wal);
         // A histogram of one observation per recovery (registry gauges are
         // integers): `_sum` is the seconds a restart was blind.
@@ -308,6 +246,120 @@ impl Db {
         )
         .observe(started.elapsed().as_secs_f64());
         Ok((db, report))
+    }
+
+    /// Read back what was written down — the one way, for every kind of
+    /// file. `src` holds `len` bytes of frames (a file after its magic);
+    /// each is checked (length against what is left, CRC32), decoded, and
+    /// applied through [`Db::apply`] before the next is read. Points of the
+    /// `covered` shards are skipped. Tallies into `report`; returns the
+    /// bytes of the frames that checked out and the latest timestamp they
+    /// hold (`i64::MIN` for none).
+    ///
+    /// A WAL segment (`sealed` false) was being appended to when the
+    /// process died: a frame that does not check out is the torn tail —
+    /// replay stops there, short of `len` — and a record that checks out but
+    /// does not decode or apply is counted and passed over. A sealed file
+    /// (segment file or snapshot, renamed into place whole) holds compressed
+    /// records behind an empty end frame; anything wrong with it is an `Err`.
+    pub(crate) fn replay(
+        &self,
+        src: &mut impl Read,
+        len: u64,
+        sealed: bool,
+        covered: &[i64],
+        report: &mut RecoveryReport,
+    ) -> Result<(u64, i64)> {
+        let mut file = FileState { max_ts: i64::MIN, ..FileState::default() };
+        let mut body = Vec::new();
+        let (mut valid, mut ended) = (0u64, false);
+        while valid < len && !ended {
+            let Some(left) = (len - valid).checked_sub(FRAME_HEADER as u64) else {
+                break; // a short header
+            };
+            let mut header = [0u8; FRAME_HEADER];
+            src.read_exact(&mut header)?;
+            let body_len = u32::from_le_bytes(header[..4].try_into().expect("four bytes")) as u64;
+            let crc = u32::from_le_bytes(header[4..].try_into().expect("four bytes"));
+            if body_len > left.min(MAX_RECORD_BYTES as u64) {
+                break; // an absurd length or a short payload
+            }
+            body.resize(body_len as usize, 0);
+            src.read_exact(&mut body)?;
+            if wal::crc32(&body) != crc {
+                break; // a torn payload (or header)
+            }
+            valid += FRAME_HEADER as u64 + body_len;
+            // CRC says the frame is exactly what the writer framed: what
+            // fails from here on is counted (or an error), not torn.
+            if sealed && body.is_empty() {
+                ended = true;
+            } else if sealed {
+                let payload = monster_compress::decompress_within(&body, MAX_RECORD_BYTES)?;
+                self.apply_record(&payload, &mut file, covered, report)?;
+            } else if self.apply_record(&body, &mut file, covered, report).is_err() {
+                report.records_failed += 1;
+            }
+        }
+        if sealed && !(ended && valid == len) {
+            return Err(Error::Corrupt(match ended {
+                true => format!("{} bytes after the end frame", len - valid),
+                false => format!("no frame that checks out at byte {valid}: cut short or damaged"),
+            }));
+        }
+        Ok((valid, file.max_ts))
+    }
+
+    /// Decode one record payload against the definitions `file` has made,
+    /// register what it defines and apply its points. An `Err` is a record
+    /// that does not decode (nothing of it registered or applied) or does
+    /// not apply (its prefix applied, as live).
+    fn apply_record(
+        &self,
+        payload: &[u8],
+        file: &mut FileState,
+        covered: &[i64],
+        report: &mut RecoveryReport,
+    ) -> Result<()> {
+        let FileState { series, fields, max_ts, record } = file;
+        wal_record::decode(payload, series.len() as u32, fields.len() as u32, record)?;
+        // The writer refuses what `write_batch` refuses, so no such
+        // timestamp is in a record it framed.
+        if record.points.iter().any(|p| !self.in_range(p.ts)) {
+            return Err(Error::Corrupt("record: timestamp outside the storable range".into()));
+        }
+        let (sids, fids) = self.define(&record.series_defs, &record.field_defs);
+        series.extend(record.series_defs.drain(..).zip(sids).map(|(key, id)| {
+            let key_wire = key_wire_size(&key.measurement, &key.tags);
+            LocalSeries { id, measurement: key.measurement, key_wire }
+        }));
+        fields.extend(fids.into_iter().zip(&record.field_defs).map(|(f, n)| (f, n.len())));
+        *max_ts = record.points.iter().map(|p| p.ts).fold(*max_ts, i64::max);
+        let (series, fields) = (&*series, &*fields);
+        let mut next_field = 0usize;
+        let resolved = record.points.iter().map(|p| {
+            let s = &series[p.series as usize];
+            let mine = &record.fields[next_field..next_field + p.fields as usize];
+            next_field += p.fields as usize;
+            Resolved {
+                series: s.id,
+                measurement: &s.measurement,
+                ts: p.ts,
+                wire: wire_size_of(
+                    s.key_wire,
+                    mine.iter().map(|(f, value)| (fields[*f as usize].1, value)),
+                ),
+                fields: mine.iter().map(move |(f, value)| (fields[*f as usize].0, value)),
+            }
+        });
+        let (result, applied) = self.apply(resolved, record.fields.len(), covered);
+        report.skipped_points += applied.skipped;
+        // Same contract as live ingest: a batch that partially applies
+        // (e.g. a type conflict) errors but keeps its applied prefix.
+        result.map(|()| {
+            report.replayed_records += 1;
+            report.replayed_points += applied.points;
+        })
     }
 }
 

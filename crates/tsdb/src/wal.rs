@@ -305,13 +305,13 @@ impl Wal {
         inner.frame.clear();
         inner.frame.resize(FRAME_HEADER, 0);
         let defined = inner.dict.defined();
-        let written = wal_record::encode(points, series, fields, &mut inner.dict, &mut inner.frame)
-            .and_then(|()| {
-                let (header, payload) = inner.frame.split_at_mut(FRAME_HEADER);
-                header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-                header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-                Ok(inner.file.write_all(&inner.frame)?)
-            });
+        let batch = wal_record::batch_points(points, series, fields);
+        let written = wal_record::encode(batch, &mut inner.dict, &mut inner.frame).and_then(|()| {
+            let (header, payload) = inner.frame.split_at_mut(FRAME_HEADER);
+            header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+            header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+            Ok(inner.file.write_all(&inner.frame)?)
+        });
         if let Err(e) = written {
             // The file does not hold the record, so neither may the
             // dictionary; a refused record may have grown the buffer to

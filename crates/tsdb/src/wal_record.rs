@@ -1,5 +1,7 @@
-//! The WAL record: one write batch after id resolution, in binary — the log
-//! keeps what the store keeps, ids and typed values, not line protocol.
+//! The record: one batch after id resolution, in binary — the one way the
+//! store writes a batch down. The WAL logs each write batch as one
+//! ([`crate::wal`]); cold-tier segment files and snapshots hold a shard's or
+//! the database's values cut into them ([`crate::snapshot`]).
 //!
 //! ```text
 //! payload := point*                          (to the end of the frame)
@@ -19,8 +21,9 @@
 //!
 //! # Segment-local ids
 //!
-//! A series key or field name is spelled out once per *segment file*, the
-//! first time a record of that file refers to it (`0` + definition), and
+//! A series key or field name is spelled out once per *file* (a WAL
+//! segment, a `.seg` file, a snapshot), the first time a record of that
+//! file refers to it (`0` + definition), and
 //! takes the next id of its kind: definitions are numbered 0, 1, 2, … in
 //! file order. Every later use is `id + 1`. The ids mean nothing outside
 //! the file, so each `wal-<seq>.log` replays on its own after its
@@ -113,44 +116,74 @@ fn put_str(out: &mut Vec<u8>, start: usize, s: &str) -> Result<()> {
     Ok(())
 }
 
-/// Append `points` to `out` as one record payload. `series[i]` is point
-/// `i`'s id and `fields` holds every point's field ids back to back, as the
-/// series index resolved them; what `dict` has not defined yet is defined
-/// inline from the point in hand.
+/// One point of a batch as the series index resolved it — what [`encode`]
+/// writes. The spellings are read only for what the file has not met.
+pub struct Point<'a, F> {
+    /// The point's series.
+    pub series: SeriesId,
+    /// The series' measurement.
+    pub measurement: &'a str,
+    /// The series' tags, in any order (the reader sorts them).
+    pub tags: &'a [(String, String)],
+    /// Timestamp, epoch seconds.
+    pub ts: i64,
+    /// Its fields in point order: id, name, value.
+    pub fields: F,
+}
+
+/// `batch` as [`Point`]s: `series[i]` is point `i`'s id and `fields` holds
+/// every point's field ids back to back, as [`crate::Db::write_batch`]
+/// resolved them.
+pub fn batch_points<'a>(
+    batch: &'a [DataPoint],
+    series: &'a [SeriesId],
+    fields: &'a [FieldId],
+) -> impl Iterator<Item = Point<'a, impl ExactSizeIterator<Item = (FieldId, &'a str, &'a FieldValue)>>>
+{
+    assert_eq!(batch.len(), series.len(), "one series id per point");
+    let mut next_field = 0usize;
+    batch.iter().zip(series).map(move |(p, &series)| {
+        let ids = &fields[next_field..next_field + p.fields.len()];
+        next_field += p.fields.len();
+        let fields =
+            ids.iter().zip(&p.fields).map(|(&id, (name, value))| (id, name.as_str(), value));
+        Point { series, measurement: &p.measurement, tags: &p.tags, ts: p.time.as_secs(), fields }
+    })
+}
+
+/// Append `points` to `out` as one record payload; what `dict` has not
+/// defined yet is defined inline from the point in hand.
 ///
 /// A batch that does not fit [`MAX_RECORD_BYTES`] is refused part-way:
 /// the caller drops what `out` gained and [rewinds](SegmentDict::rewind)
 /// `dict`, as for a record that failed to reach the file.
-pub fn encode(
-    points: &[DataPoint],
-    series: &[SeriesId],
-    fields: &[FieldId],
+pub fn encode<'a, F>(
+    points: impl Iterator<Item = Point<'a, F>>,
     dict: &mut SegmentDict,
     out: &mut Vec<u8>,
-) -> Result<()> {
-    assert_eq!(points.len(), series.len(), "one series id per point");
+) -> Result<()>
+where
+    F: ExactSizeIterator<Item = (FieldId, &'a str, &'a FieldValue)>,
+{
     let start = out.len();
-    let mut field_ids = fields.iter();
     let mut prev_ts = 0i64;
-    for (p, sid) in points.iter().zip(series) {
-        match refer(&mut dict.series, &mut dict.defined.0, sid.0) {
+    for p in points {
+        match refer(&mut dict.series, &mut dict.defined.0, p.series.0) {
             Some(r) => push_varint(out, r as u64),
             None => {
                 out.push(0);
-                put_str(out, start, &p.measurement)?;
+                put_str(out, start, p.measurement)?;
                 push_varint(out, p.tags.len() as u64);
-                for (k, v) in &p.tags {
+                for (k, v) in p.tags {
                     put_str(out, start, k)?;
                     put_str(out, start, v)?;
                 }
             }
         }
-        let ts = p.time.as_secs();
-        push_varint(out, zigzag(ts.wrapping_sub(prev_ts)));
-        prev_ts = ts;
+        push_varint(out, zigzag(p.ts.wrapping_sub(prev_ts)));
+        prev_ts = p.ts;
         push_varint(out, p.fields.len() as u64);
-        for (name, value) in &p.fields {
-            let fid = field_ids.next().expect("one field id per field");
+        for (fid, name, value) in p.fields {
             match refer(&mut dict.fields, &mut dict.defined.1, fid.0) {
                 Some(r) => push_varint(out, r as u64),
                 None => {

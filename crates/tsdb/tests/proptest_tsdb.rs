@@ -1,55 +1,13 @@
-//! Property tests across the TSDB stack: codecs, line protocol, and
-//! query/aggregation invariants.
+//! Property tests across the TSDB stack: codecs and query/aggregation
+//! invariants.
 
 use monster_tsdb::query::Aggregation;
-use monster_tsdb::{DataPoint, Db, DbConfig, FieldValue, Query};
+use monster_tsdb::{DataPoint, Db, DbConfig, Query};
 use monster_util::EpochSecs;
 use proptest::prelude::*;
 
-fn arb_field_value() -> impl Strategy<Value = FieldValue> {
-    prop_oneof![
-        any::<f64>().prop_filter("finite", |f| f.is_finite()).prop_map(FieldValue::Float),
-        any::<i64>().prop_map(FieldValue::Int),
-        any::<bool>().prop_map(FieldValue::Bool),
-        "[ -~]{0,24}".prop_map(FieldValue::Str),
-    ]
-}
-
-fn arb_point() -> impl Strategy<Value = DataPoint> {
-    (
-        "[a-zA-Z][a-zA-Z0-9_]{0,8}",
-        prop::collection::vec(("[a-zA-Z][a-zA-Z0-9_]{0,6}", "[a-zA-Z0-9._-]{1,10}"), 0..3),
-        prop::collection::vec(("[a-zA-Z][a-zA-Z0-9_]{0,6}", arb_field_value()), 1..4),
-        -1_000_000_000i64..4_000_000_000i64,
-    )
-        .prop_map(|(m, tags, fields, ts)| {
-            let mut p = DataPoint::new(m, EpochSecs::new(ts));
-            // Dedup tag/field keys to keep points canonical.
-            let mut seen = std::collections::HashSet::new();
-            for (k, v) in tags {
-                if seen.insert(k.clone()) {
-                    p = p.tag(k, v);
-                }
-            }
-            let mut seen = std::collections::HashSet::new();
-            for (k, v) in fields {
-                if seen.insert(k.clone()) {
-                    p = p.field(k, v);
-                }
-            }
-            p
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn line_protocol_round_trips(p in arb_point()) {
-        let line = monster_tsdb::lineproto::encode(&p);
-        let back = monster_tsdb::lineproto::parse(&line).unwrap();
-        prop_assert_eq!(back, p);
-    }
 
     #[test]
     fn timestamps_codec_round_trips(ts in prop::collection::vec(-4_000_000_000i64..4_000_000_000, 0..300)) {

@@ -8,7 +8,10 @@
 //!   panic, tear the log, lose the record behind it, or allocate past a
 //!   stated multiple of the payload;
 //! * a segment file replays without the files before it;
-//! * writers racing to name the same new series define it once a segment.
+//! * writers racing to name the same new series define it once a segment;
+//! * the same records behind the other two headers — cold-tier `.seg` files
+//!   and snapshots — are written and loaded one record at a time, however
+//!   large the shard, and no damaged one is ever loaded, repaired or removed.
 //!
 //! The allocation counts come from a counting `#[global_allocator]` with a
 //! per-thread window: recovery runs on the calling thread, so sibling
@@ -16,10 +19,10 @@
 
 use monster_tsdb::series::SeriesIndex;
 use monster_tsdb::wal::{self, Wal, FRAME_HEADER, SEGMENT_MAGIC};
-use monster_tsdb::wal_record::{self, Record, SegmentDict};
+use monster_tsdb::wal_record::{self, batch_points, Record, SegmentDict};
 use monster_tsdb::{
     DataPoint, Db, DbConfig, FieldId, FieldValue, Query, RecoveryReport, SeriesId, SeriesKey,
-    WalTuning,
+    TierConfig, WalTuning,
 };
 use monster_util::EpochSecs;
 use proptest::prelude::*;
@@ -37,6 +40,10 @@ thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
     /// Bytes requested in the open window.
     static REQUESTED: Cell<usize> = const { Cell::new(0) };
+    /// Bytes live now and at most, over what was live when the window
+    /// opened (what it frees of earlier allocations counts against it).
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 fn note(size: usize) {
@@ -49,20 +56,33 @@ fn note(size: usize) {
     });
 }
 
+fn note_live(delta: isize) {
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            let live = LIVE.with(|l| l.replace(l.get() + delta)) + delta;
+            PEAK.with(|p| p.set(p.get().max(live)));
+        }
+    });
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        note_live(layout.size() as isize);
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        note_live(layout.size() as isize);
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_live(-(layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        note_live(new_size as isize - layout.size() as isize);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -79,6 +99,15 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
     let out = f();
     COUNTING.with(|on| on.set(false));
     (out, LARGEST.with(Cell::get), REQUESTED.with(Cell::get))
+}
+
+/// Run `f`: `(result, bytes live at its peak, bytes live when it returned)`,
+/// both over what was live when it started.
+fn live_counted<R>(f: impl FnOnce() -> R) -> (R, isize, isize) {
+    LIVE.with(|l| l.set(0));
+    PEAK.with(|p| p.set(0));
+    let (out, ..) = counted(f);
+    (out, PEAK.with(Cell::get), LIVE.with(Cell::get))
 }
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -183,7 +212,7 @@ fn assert_round_trip(batches: &[Vec<DataPoint>], rolls: &[bool]) {
         }
         let (sids, fids) = resolve(&mut index, batch);
         let mut payload = vec![0xAA; 3]; // the encoder appends; what is there stays
-        wal_record::encode(batch, &sids, &fids, &mut dict, &mut payload).unwrap();
+        wal_record::encode(batch_points(batch, &sids, &fids), &mut dict, &mut payload).unwrap();
         assert_eq!(&payload[..3], [0xAA; 3]);
         let back = reader.read(&payload[3..]);
         let want: Vec<Canon> = batch.iter().map(canon).collect();
@@ -271,7 +300,7 @@ fn product_shapes_round_trip() {
     let batch: Vec<DataPoint> =
         (0..120).map(|i| power(i * 30).field_f64("Reading", 250.5)).collect();
     let (sids, fids) = resolve(&mut index, &batch);
-    wal_record::encode(&batch, &sids, &fids, &mut dict, &mut payload).unwrap();
+    wal_record::encode(batch_points(&batch, &sids, &fids), &mut dict, &mut payload).unwrap();
     assert_eq!(dict.defined(), (1, 1));
     assert!(payload.len() < 120 * 13 + 64, "{} bytes", payload.len());
 }
@@ -321,7 +350,7 @@ fn crc_valid_hostile_records_are_skipped_not_torn() {
     let mut encode = |batch: &[DataPoint], dict: &mut SegmentDict| {
         let (sids, fids) = resolve(&mut index, batch);
         let mut payload = Vec::new();
-        wal_record::encode(batch, &sids, &fids, dict, &mut payload).unwrap();
+        wal_record::encode(batch_points(batch, &sids, &fids), dict, &mut payload).unwrap();
         payload
     };
     // The dearest bytes an honest writer can log: eight a point, every
@@ -544,6 +573,212 @@ fn racing_writers_define_each_series_once_a_segment() {
         let q = Query::select("Power", field, EpochSecs::new(0), EpochSecs::new(10_000));
         assert_eq!(recovered.query(&q).unwrap().0, twin.query(&q).unwrap().0, "{field}");
     }
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// --- (e) the other two headers: segment files and snapshots ---------------
+
+const DAY: i64 = 86_400;
+
+fn tiered_config() -> DbConfig {
+    DbConfig { tiering: Some(TierConfig::days(1)), ..DbConfig::default() }
+}
+
+/// `series` series × `per_series` values in day 0, one point in day 2, so
+/// that a tiering pass at the start of day 2 turns day 0 into `shard-0.seg`.
+fn fill_day_zero(db: &Db, series: usize, per_series: usize) {
+    let step = DAY / per_series as i64;
+    assert!(step > 0);
+    let node = |n: usize, ts: i64| {
+        DataPoint::new("Power", EpochSecs::new(ts)).tag("NodeId", format!("10.101.1.{n}"))
+    };
+    for chunk in (0..per_series).collect::<Vec<_>>().chunks(10_000 / series) {
+        let batch: Vec<DataPoint> = chunk
+            .iter()
+            .flat_map(|&i| {
+                (0..series).map(move |n| {
+                    node(n, i as i64 * step)
+                        .field_f64("Reading", 250.0 + (i * 31 + n) as f64 * 0.37)
+                })
+            })
+            .collect();
+        db.write_batch(&batch).unwrap();
+    }
+    db.write_batch(&[node(0, 2 * DAY).field_f64("Reading", 1.0)]).unwrap();
+}
+
+/// What tiering a day of `50 × per_series` values and recovering it hold
+/// live at their peak: `(tiering, over the shard it started with; recovery,
+/// over the database it returns)`.
+fn tier_and_recover_peaks(tag: &str, per_series: usize) -> (isize, isize) {
+    let dir = fresh_dir(tag);
+    let (db, _) = Db::recover(tiered_config(), &dir).unwrap();
+    fill_day_zero(&db, 50, per_series);
+    db.wal_sync().unwrap();
+    let stats = db.stats();
+    let (report, tier_peak, _) = live_counted(|| db.tier_cold_shards(EpochSecs::new(2 * DAY)));
+    let report = report.unwrap();
+    assert_eq!((report.shards_tiered, report.points_tiered), (1, 50 * per_series));
+    drop(db);
+    let (recovered, peak, kept) = live_counted(|| Db::recover(tiered_config(), &dir).unwrap());
+    assert_eq!(recovered.1.segment_points, 50 * per_series);
+    assert_eq!(recovered.0.stats().points, stats.points);
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
+    (tier_peak, peak - kept)
+}
+
+/// (e) Tiering a shard and loading it back hold one record, not the shard:
+/// what either has live at its peak, over the store itself, stays under a
+/// constant — the same one for a shard four times the size. (Rendering the
+/// shard as text held 130 B a value to write it and 570 B a value to load it.)
+#[test]
+fn tiering_and_recovery_hold_one_record_however_large_the_shard() {
+    // A record's worth of values four times over — as `(ids, ts, value)`s,
+    // as its payload, as the decoded `Record`, as `apply`'s shard group —
+    // and the compressor's tables.
+    const BOUND: isize = 3 << 20;
+    let small = tier_and_recover_peaks("bounded-200k", 4_000);
+    let large = tier_and_recover_peaks("bounded-800k", 16_000);
+    for (what, (tier, recover)) in [("200 k values", small), ("800 k values", large)] {
+        assert!(tier < BOUND, "{what}: tiering held {tier} B over the shard");
+        assert!(recover < BOUND, "{what}: recovery held {recover} B over the store");
+    }
+}
+
+fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .map(|e| (e.file_name().into_string().unwrap(), std::fs::read(e.path()).unwrap()))
+        .collect();
+    files.sort();
+    files
+}
+
+/// `payload` as a sealed file frames it: compressed, then framed.
+fn sealed_frame(payload: &[u8]) -> Vec<u8> {
+    frame(&monster_compress::compress(payload, monster_compress::Level::default()))
+}
+
+/// (e) Hostile bytes behind `MSEG2` and `MTSDB2`: a segment file or snapshot
+/// cut at any offset, with any byte flipped, with a length that lies, a
+/// frame that is not a record, a reference past its definitions or the
+/// previous format's header is an error — never a panic, never a database,
+/// and never a file touched: the directory is byte for byte what it was.
+#[test]
+fn damaged_sealed_files_are_refused_and_left_alone() {
+    let dir = fresh_dir("sealed-hostile");
+    let (db, _) = Db::recover(tiered_config(), &dir).unwrap();
+    // Two records and a bit: 3 series × 7 000 values.
+    fill_day_zero(&db, 3, 7_000);
+    db.wal_sync().unwrap();
+    db.tier_cold_shards(EpochSecs::new(2 * DAY)).unwrap();
+    let stats = db.stats();
+    let (snapshot, _) = monster_tsdb::snapshot::write_snapshot(&db).unwrap();
+    drop(db);
+    let seg_path = dir.join("shard-0.seg");
+    let seg = std::fs::read(&seg_path).unwrap();
+    assert_eq!(&seg[..6], b"MSEG2\n");
+    assert_eq!(&snapshot[..7], b"MTSDB2\n");
+
+    // The frames of the good segment file: (offset, length) of each.
+    let mut frames = Vec::new();
+    let mut at = 6;
+    while at < seg.len() {
+        let len = u32::from_le_bytes(seg[at..at + 4].try_into().unwrap()) as usize;
+        frames.push((at, FRAME_HEADER + len));
+        at += FRAME_HEADER + len;
+    }
+    assert_eq!(frames.len(), 3 + 1, "three records and the end frame");
+    assert_eq!(frames[3].1, FRAME_HEADER);
+
+    let refused = |what: &str, bytes: &[u8]| -> String {
+        std::fs::write(&seg_path, bytes).unwrap();
+        let before = dir_image(&dir);
+        let outcome = std::panic::catch_unwind(|| Db::recover(tiered_config(), &dir));
+        let err = match outcome.unwrap_or_else(|_| panic!("{what}: recovery panicked")) {
+            Ok(_) => panic!("{what}: recovered a database"),
+            Err(e) => e.to_string(),
+        };
+        assert!(dir_image(&dir) == before, "{what}: recovery changed the directory");
+        // The same frames behind the snapshot's header.
+        if let Some(frames) = bytes.strip_prefix(b"MSEG2\n") {
+            let as_snapshot = [b"MTSDB2\n", frames].concat();
+            let restored = std::panic::catch_unwind(|| {
+                monster_tsdb::snapshot::read_snapshot(&as_snapshot, DbConfig::default()).is_ok()
+            });
+            assert!(!restored.expect("read_snapshot panicked"), "{what}: restored as a snapshot");
+        }
+        err
+    };
+
+    // A short file: one record of six values and the end frame. Every
+    // truncation and every single-byte flip of it.
+    let small = {
+        let small_dir = fresh_dir("sealed-small");
+        let (db, _) = Db::recover(tiered_config(), &small_dir).unwrap();
+        fill_day_zero(&db, 3, 2);
+        db.tier_cold_shards(EpochSecs::new(2 * DAY)).unwrap();
+        drop(db);
+        let bytes = std::fs::read(small_dir.join("shard-0.seg")).unwrap();
+        std::fs::remove_dir_all(&small_dir).ok();
+        bytes
+    };
+    for cut in 0..small.len() {
+        refused(&format!("cut to {cut} bytes"), &small[..cut]);
+    }
+    for i in 0..small.len() {
+        let mut bad = small.clone();
+        bad[i] ^= if i % 2 == 1 { 1 << (i / 2 % 8) } else { 0xFF };
+        refused(&format!("byte {i} flipped"), &bad);
+    }
+    // The long file: cut at and beside every frame boundary, a frame gone
+    // from the middle, frames after the end.
+    for &(at, len) in &frames {
+        for cut in [at, at + 1, at + len - 1] {
+            refused(&format!("cut to {cut} of {} bytes", seg.len()), &seg[..cut]);
+        }
+    }
+    let (at, len) = frames[1];
+    let without_second = [&seg[..at], &seg[at + len..]].concat();
+    refused("a frame missing from the middle", &without_second);
+    let doubled = [&seg[..], &seg[6..]].concat();
+    refused("frames after the end frame", &doubled);
+    // Lengths that lie.
+    for len in [u32::MAX, (wal::MAX_RECORD_BYTES + 1) as u32, (seg.len() - at) as u32] {
+        let mut bad = seg.clone();
+        bad[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        refused(&format!("a frame of {len} bytes"), &bad);
+    }
+    // Frames that check out and hold no record: not a container, a
+    // container of noise, of nothing but a reference to a series the file
+    // never defined, and one whose header claims more than a record may be.
+    let with_frame = |frame: Vec<u8>| [&seg[..at], &frame[..], &seg[at..]].concat();
+    refused("a frame that is not a container", &with_frame(frame(b"not MZ2 at all")));
+    refused("a container of noise", &with_frame(sealed_frame(&[0xFF; 64])));
+    let err = refused("an undefined reference", &with_frame(sealed_frame(&[9, 0, 1, 1, 2, 1])));
+    assert!(err.contains("reference past"), "{err}");
+    let mut liar = b"MZ2\0\x06".to_vec();
+    liar.extend_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0, 0, 0]);
+    refused("a container that claims 4 GiB", &with_frame(frame(&liar)));
+    // The format before this one, refused by name.
+    let err = refused("an MSEG1 file", b"MSEG1\nMZ2\0 compressed line protocol");
+    assert!(err.contains("MSEG1") && err.contains("unsupported"), "{err}");
+    let old = monster_tsdb::snapshot::read_snapshot(b"MTSDB1\nMZ2\0...", DbConfig::default());
+    assert!(old.err().expect("refused").to_string().contains("MTSDB1"));
+
+    // The good file back, and beside it what an interrupted tiering pass
+    // leaves: ignored, and still there afterwards.
+    std::fs::write(&seg_path, &seg).unwrap();
+    std::fs::write(dir.join("shard-0.seg.tmp"), &seg[..seg.len() / 2]).unwrap();
+    let (recovered, report) = Db::recover(tiered_config(), &dir).unwrap();
+    assert_eq!((report.segment_files_loaded, report.segment_points), (1, 21_000));
+    assert_eq!(recovered.stats().points, stats.points);
+    assert_eq!(std::fs::read(dir.join("shard-0.seg.tmp")).unwrap(), &seg[..seg.len() / 2]);
+    let restored = monster_tsdb::snapshot::read_snapshot(&snapshot, DbConfig::default()).unwrap();
+    assert_eq!(restored.stats().points, stats.points);
     drop(recovered);
     std::fs::remove_dir_all(&dir).ok();
 }

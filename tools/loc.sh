@@ -2,7 +2,8 @@
 # Non-test Rust lines per crate: every line of every .rs file under src/ (and
 # examples/), up to the file's `#[cfg(test)] mod` — test modules close their
 # files here — so tests/, benches/ and unit tests are left out. The yardstick
-# for ROADMAP item 6; a report, not a gate. Then the `unsafe` keywords among
+# for ROADMAP item 6; CI diffs it against the committed `tools/loc.txt`, so
+# every PR's size change is in its diff. Then the `unsafe` keywords among
 # those lines (comments aside), and how many binaries and bench targets
 # `monster-bench` builds (one per file, declared or discovered).
 # Usage: tools/loc.sh [repo-root]
