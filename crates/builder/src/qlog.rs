@@ -43,7 +43,7 @@
 //! charges the time since the previous lap to `stage`, so every record's
 //! stages sum to its total by construction. It reads raw TSC ticks on
 //! x86-64 (half the cost of `Instant::now`), calibrated once per process
-//! against [`std::time::Instant`]; started off, it reads no clock at all.
+//! against [`std::time::Instant`].
 
 use monster_json::{jobj, Value};
 use monster_obs::{SpanId, TraceId};
@@ -57,13 +57,6 @@ use std::time::Instant;
 // ---------------------------------------------------------------------------
 // Cheap wall-clock ticks
 // ---------------------------------------------------------------------------
-
-/// Nanoseconds per TSC tick, calibrated once per process.
-struct Ticker {
-    ns_per_tick: f64,
-}
-
-static TICKER: OnceLock<Ticker> = OnceLock::new();
 
 #[cfg(target_arch = "x86_64")]
 #[inline]
@@ -81,8 +74,10 @@ fn raw_ticks() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-fn ticker() -> &'static Ticker {
-    TICKER.get_or_init(|| {
+/// Nanoseconds per [`raw_ticks`] tick, calibrated once per process.
+fn ns_per_tick() -> f64 {
+    static NS_PER_TICK: OnceLock<f64> = OnceLock::new();
+    *NS_PER_TICK.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
             // Calibrate TSC frequency against the OS monotonic clock over
@@ -94,51 +89,47 @@ fn ticker() -> &'static Ticker {
                 std::hint::spin_loop();
             }
             let ticks = raw_ticks().saturating_sub(t0).max(1);
-            Ticker { ns_per_tick: wall.elapsed().as_nanos() as f64 / ticks as f64 }
+            wall.elapsed().as_nanos() as f64 / ticks as f64
         }
         #[cfg(not(target_arch = "x86_64"))]
-        {
-            Ticker { ns_per_tick: 1.0 }
-        }
+        1.0
     })
 }
 
 /// One request's stage timer. [`lap`](Self::lap) charges the ticks since
 /// the previous lap (or the start) to a stage, accumulating, so the stages
-/// cover the request's wall time with no gap and no overlap. Started off
-/// it never reads the clock — a deployment with the recorder disabled
-/// serves hits stamp-free.
+/// cover the request's wall time with no gap and no overlap.
 #[derive(Debug, Clone, Copy)]
 pub struct LapClock {
-    /// Tick of the previous lap; `None` when the clock is off.
-    last: Option<u64>,
+    /// Tick of the previous lap (or the start).
+    last: u64,
     ticks: [u64; Stage::ALL.len()],
 }
 
 impl LapClock {
-    /// Start timing now, if `on`.
+    /// Start timing now.
     #[inline]
-    pub fn start(on: bool) -> LapClock {
-        LapClock { last: on.then(raw_ticks), ticks: [0; Stage::ALL.len()] }
+    pub fn start() -> LapClock {
+        LapClock { last: raw_ticks(), ticks: [0; Stage::ALL.len()] }
     }
 
     /// Charge everything since the previous lap to `stage`.
     #[inline]
     pub fn lap(&mut self, stage: Stage) {
-        if let Some(last) = &mut self.last {
-            let now = raw_ticks();
-            self.ticks[stage as usize] += now.saturating_sub(*last);
-            *last = now;
-        }
+        let now = raw_ticks();
+        self.ticks[stage as usize] += now.saturating_sub(self.last);
+        self.last = now;
     }
 
     /// Per-stage wall nanoseconds (indexed by `Stage as usize`) and their
-    /// sum, the request's total; `None` when the clock is off.
-    pub fn finish(self) -> Option<([u64; Stage::ALL.len()], u64)> {
-        self.last?;
-        let ns_per_tick = ticker().ns_per_tick;
-        let stages_ns = self.ticks.map(|ticks| (ticks as f64 * ns_per_tick) as u64);
-        Some((stages_ns, stages_ns.iter().sum()))
+    /// sum, the request's total.
+    pub fn finish(self) -> ([u64; Stage::ALL.len()], u64) {
+        let ns_per_tick = ns_per_tick();
+        // Through `i64`: a request's ticks fit, and the signed conversions
+        // are one instruction each where the unsigned ones branch — seven
+        // of them on every request (EXPERIMENTS.md "Flight recorder").
+        let stages_ns = self.ticks.map(|ticks| (ticks as i64 as f64 * ns_per_tick) as i64 as u64);
+        (stages_ns, stages_ns.iter().sum())
     }
 }
 
@@ -596,9 +587,7 @@ impl RecordFilter {
 const SLOW_PINNED: usize = 64;
 
 /// The per-service flight recorder. Constructing one registers the
-/// qlog/slow-query metrics (with `HELP` strings); a service with the
-/// recorder disabled never constructs it, so those series never appear in
-/// the exposition.
+/// qlog/slow-query metrics (with `HELP` strings).
 pub struct QueryRecorder {
     /// Slot `seq & mask` holds record `seq` until a later lap overwrites it.
     slots: Box<[Mutex<RequestRecord>]>,
@@ -621,8 +610,8 @@ impl QueryRecorder {
     /// milliseconds.
     pub fn new(capacity: usize, slow_ms: f64) -> QueryRecorder {
         let cap = capacity.max(16).next_power_of_two();
-        // Touch the ticker once so calibration never lands mid-request.
-        let _ = ticker();
+        // Calibrate now, so that it never lands mid-request.
+        ns_per_tick();
         let ratio_histos = RATIO_STAGES.map(|stage| {
             monster_obs::histo_help(
                 &format!("monster_builder_cost_estimate_ratio{{stage=\"{stage}\"}}"),
@@ -1081,24 +1070,20 @@ mod tests {
 
     #[test]
     fn lap_clock_charges_each_lap_to_its_stage_and_sums() {
-        let mut clock = LapClock::start(true);
+        let mut clock = LapClock::start();
         clock.lap(Stage::Parse);
         std::thread::sleep(std::time::Duration::from_millis(5));
         clock.lap(Stage::Execute);
         clock.lap(Stage::Encode);
         std::thread::sleep(std::time::Duration::from_millis(1));
         clock.lap(Stage::Execute); // accumulates
-        let (stages, total) = clock.finish().expect("the clock is on");
+        let (stages, total) = clock.finish();
         let execute = stages[Stage::Execute as usize];
         assert!(execute > 3_000_000, "6 ms of sleep measured as {execute} ns");
         assert!(execute < 1_000_000_000, "6 ms of sleep measured as {execute} ns");
         assert!(stages[Stage::Parse as usize] < 1_000_000);
         assert_eq!(stages[Stage::Compress as usize], 0, "never lapped");
         assert_eq!(total, stages.iter().sum::<u64>());
-
-        let mut off = LapClock::start(false);
-        off.lap(Stage::Cache);
-        assert!(off.finish().is_none(), "an off clock times nothing");
     }
 
     /// A draft whose every field is a function of `id` (and `url`, which

@@ -22,8 +22,7 @@
 //!   optionally restricted to one trace.
 //! * `GET /debug/requests[?disposition=..&min_ms=..&tenant=..&limit=..]`
 //!   — the query flight recorder ([`crate::qlog`]): recent per-request
-//!   wide events, newest first, plus the pinned slow-query log. 404 when
-//!   the recorder is disabled.
+//!   wide events, newest first, plus the pinned slow-query log.
 //! * `GET /debug/requests/:trace_id` — symptom→request drill-down: every
 //!   live record of one trace (join the id against `/debug/trace`).
 //! * `GET /debug/pipeline` — the freshness SLO report: staleness
@@ -57,11 +56,6 @@ use std::time::Instant;
 /// Flight-recorder tuning (see [`crate::qlog`]).
 #[derive(Debug, Clone, Copy)]
 pub struct QlogConfig {
-    /// Master switch. `false` skips recorder construction entirely: no
-    /// ring, no qlog/slow-query metric registration, `/debug/requests`
-    /// serves 404, and `/v1/metrics` takes no timestamps (only
-    /// `?explain=true` still assembles a per-request record, inline).
-    pub enabled: bool,
     /// Ring capacity in records (rounded up to a power of two, min 16).
     pub capacity: usize,
     /// Requests at or above this many milliseconds — wall *or* modelled —
@@ -72,7 +66,7 @@ pub struct QlogConfig {
 
 impl Default for QlogConfig {
     fn default() -> QlogConfig {
-        QlogConfig { enabled: true, capacity: 512, slow_ms: 250.0 }
+        QlogConfig { capacity: 512, slow_ms: 250.0 }
     }
 }
 
@@ -263,7 +257,7 @@ struct MetricsState {
     /// Bytes into and out of the compressor.
     compress_raw: Arc<monster_obs::Counter>,
     compress_wire: Arc<monster_obs::Counter>,
-    recorder: Option<Arc<QueryRecorder>>,
+    recorder: Arc<QueryRecorder>,
 }
 
 /// Serve one `/v1/metrics` request (key `draft.url`) through the cache →
@@ -438,7 +432,6 @@ fn serve_metrics(
     let json = outcome.document;
     let mut resp = if builder_req.compress {
         clock.lap(Stage::Encode);
-        // The histogram is fed whether or not the recorder's clock runs.
         let t_deflate = Instant::now();
         let packed = monster_compress::compress(&json, st.config.level);
         st.compress_seconds.observe(t_deflate.elapsed().as_secs_f64());
@@ -519,12 +512,7 @@ impl MetricsState {
             ),
             compress_raw: compress_bytes("raw", "JSON bytes handed to the compressor."),
             compress_wire: compress_bytes("wire", "Container bytes the compressor returned."),
-            // The recorder — and its metrics — exist only when enabled; a
-            // disabled deployment keeps its `/metrics` series budget untouched.
-            recorder: config
-                .qlog
-                .enabled
-                .then(|| Arc::new(QueryRecorder::new(config.qlog.capacity, config.qlog.slow_ms))),
+            recorder: Arc::new(QueryRecorder::new(config.qlog.capacity, config.qlog.slow_ms)),
             db,
             nodes,
             config,
@@ -543,9 +531,8 @@ fn routes(state: Arc<MetricsState>) -> Router {
     let node_list: Vec<Value> = state.nodes.iter().map(|n| Value::from(n.bmc_addr())).collect();
     let nodes_doc = jobj! { "nodes" => Value::Array(node_list) };
     let alerts = state.config.alerts.clone();
-    let requests_state = Arc::clone(&state);
-    let drill_state = Arc::clone(&state);
-    let scrape_recorder = state.recorder.clone();
+    let [scrape_recorder, requests_recorder, drill_recorder] =
+        [(); 3].map(|()| Arc::clone(&state.recorder));
 
     Router::new()
         .route(Method::Get, "/v1/nodes", move |_req, _params| Response::json(&nodes_doc))
@@ -566,12 +553,10 @@ fn routes(state: Arc<MetricsState>) -> Router {
             // exemplars underneath this request join its trace.
             let _trace_guard = monster_obs::trace::set_current(ctx);
 
+            let mut clock = LapClock::start();
             // The substring pre-check keeps explain-off requests from
-            // paying the query split. The clock runs when something will
-            // read it: the recorder, or an explain envelope.
-            let may_explain = req.query.contains("explain");
-            let mut clock = LapClock::start(state.recorder.is_some() || may_explain);
-            let (key, explain) = if may_explain {
+            // paying the query split.
+            let (key, explain) = if req.query.contains("explain") {
                 normalize_key(req)
             } else {
                 (format!("{}?{}", req.path, req.query), false)
@@ -581,30 +566,23 @@ fn routes(state: Arc<MetricsState>) -> Router {
 
             let mut resp = serve_metrics(&state, req, span, ctx, &mut draft, &mut clock);
 
-            if let Some((stages_ns, total_ns)) = clock.finish() {
-                let rec = &mut draft.record;
-                (rec.stages_ns, rec.total_ns) = (stages_ns, total_ns);
-                rec.status = resp.status.0;
-                rec.bytes_out = resp.body.len() as u64;
-                let (seq, slow) = match &state.recorder {
-                    Some(r) => r.record(&draft),
-                    None => (0, false),
-                };
-                if explain {
-                    let mut record = RequestRecord::blank();
-                    draft.fill(&mut record);
-                    (record.seq, record.slow) = (seq, slow);
-                    resp = explain_envelope(&resp, &record);
-                }
+            let rec = &mut draft.record;
+            (rec.stages_ns, rec.total_ns) = clock.finish();
+            rec.status = resp.status.0;
+            rec.bytes_out = resp.body.len() as u64;
+            let (seq, slow) = state.recorder.record(&draft);
+            if explain {
+                let mut record = RequestRecord::blank();
+                draft.fill(&mut record);
+                (record.seq, record.slow) = (seq, slow);
+                resp = explain_envelope(&resp, &record);
             }
             stamp_trace_headers(resp, ctx)
         })
         .route(Method::Get, "/metrics", move |_req, _params| {
             // The hot path never pays for the records counter; it is
             // reconciled with the ring head here, at scrape time.
-            if let Some(r) = &scrape_recorder {
-                r.sync_counters();
-            }
+            scrape_recorder.sync_counters();
             Response::bytes(
                 monster_obs::global().text_exposition().into_bytes(),
                 "text/plain; version=0.0.4",
@@ -617,23 +595,16 @@ fn routes(state: Arc<MetricsState>) -> Router {
                 None => bad_request("trace_id must be 32 hex digits"),
             },
         })
-        .route(Method::Get, "/debug/requests", move |req, _params| {
-            let Some(recorder) = &requests_state.recorder else {
-                return Response::error(Status::NOT_FOUND, "query flight recorder is disabled");
-            };
-            match parse_record_filter(req) {
-                Ok(filter) => Response::json(&recorder.debug_json(&filter)),
-                Err(resp) => resp,
-            }
+        .route(Method::Get, "/debug/requests", move |req, _params| match parse_record_filter(req) {
+            Ok(filter) => Response::json(&requests_recorder.debug_json(&filter)),
+            Err(resp) => resp,
         })
         .route(Method::Get, "/debug/requests/:trace_id", move |_req, params| {
-            let Some(recorder) = &drill_state.recorder else {
-                return Response::error(Status::NOT_FOUND, "query flight recorder is disabled");
-            };
             let Some(id) = params.get("trace_id").and_then(TraceId::parse_hex) else {
                 return bad_request("trace_id must be 32 hex digits");
             };
-            let records: Vec<Value> = recorder.by_trace(id).iter().map(|r| r.to_json()).collect();
+            let records: Vec<Value> =
+                drill_recorder.by_trace(id).iter().map(|r| r.to_json()).collect();
             if records.is_empty() {
                 return Response::error(
                     Status::NOT_FOUND,
@@ -1197,6 +1168,50 @@ mod tests {
     }
 
     #[test]
+    fn every_request_leaves_exactly_one_record_whatever_its_outcome() {
+        // `ServiceConfig::default()` but for admission that refuses what it
+        // prices: the recorder has no switch to forget.
+        let (db, _) = service();
+        let strict = AdmissionConfig {
+            enabled: true,
+            cheap_secs: 0.0,
+            reject_secs: 0.0,
+            ..AdmissionConfig::default()
+        };
+        for (admission, url, status, disposition) in [
+            (AdmissionConfig::default(), URL, Status::OK, "miss"),
+            (
+                AdmissionConfig::default(),
+                "/v1/metrics?start=bogus",
+                Status::BAD_REQUEST,
+                "negative",
+            ),
+            (strict, URL, Status::TOO_MANY_REQUESTS, "rejected"),
+        ] {
+            let config = ServiceConfig { admission, ..ServiceConfig::default() };
+            let router = router(Arc::clone(&db), NodeId::enumerate(2, 4), config);
+            let empty = get(&router, "/debug/requests");
+            assert_eq!(empty.status, Status::OK, "an empty ring is served, never \"disabled\"");
+            let doc = empty.json_body().unwrap();
+            assert_eq!(doc.get("recorded_total").unwrap().as_i64(), Some(0));
+            let unknown = get(&router, &format!("/debug/requests/{}", "1".repeat(32)));
+            assert_eq!(unknown.status, Status::NOT_FOUND);
+            assert!(String::from_utf8_lossy(&unknown.body).contains("no live flight-recorder"));
+
+            let resp = get(&router, url);
+            assert_eq!(resp.status, status, "{url}");
+            let doc = get(&router, "/debug/requests").json_body().unwrap();
+            assert_eq!(doc.get("recorded_total").unwrap().as_i64(), Some(1), "{url}");
+            let rows = doc.get("requests").unwrap().as_array().unwrap();
+            assert_eq!(rows.len(), 1, "{url}");
+            assert_eq!(rows[0].get("disposition").unwrap().as_str(), Some(disposition));
+            assert_eq!(rows[0].get("status").unwrap().as_i64(), Some(status.0 as i64));
+            let trace = resp.headers.get("traceparent").unwrap().split('-').nth(1).unwrap();
+            assert_eq!(get(&router, &format!("/debug/requests/{trace}")).status, Status::OK);
+        }
+    }
+
+    #[test]
     fn compress_stage_and_metrics_account_for_the_deflate() {
         let (_db, router) = service();
         let seconds = monster_obs::histo("monster_builder_compress_seconds");
@@ -1468,6 +1483,24 @@ mod tests {
         assert_eq!(metrics.status, Status::OK);
         let text = String::from_utf8(metrics.body.to_vec()).unwrap();
         assert!(monster_obs::sample(&text, "monster_builder_requests_total").unwrap() >= 1.0);
+        // Every flight-recorder family is in the exposition of any service,
+        // each under a `# HELP` line.
+        for family in [
+            "monster_builder_qlog_records_total",
+            "monster_builder_qlog_dropped_total",
+            "monster_builder_slow_queries_total",
+            "monster_builder_cost_estimate_ratio",
+        ] {
+            let help = |l: &str| {
+                l.strip_prefix("# HELP ")
+                    .is_some_and(|rest| rest.split(['{', ' ']).next() == Some(family))
+            };
+            assert!(text.lines().any(help), "`{family}` has no HELP line");
+        }
+        for stage in qlog::RATIO_STAGES {
+            let series = format!("monster_builder_cost_estimate_ratio{{stage=\"{stage}\"}}");
+            assert!(text.contains(&series), "`{series}` missing from the exposition");
+        }
         let trace = get(&router, "/debug/trace");
         assert_eq!(trace.status, Status::OK);
         let events = trace.json_body().unwrap();

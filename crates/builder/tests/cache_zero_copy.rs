@@ -4,69 +4,31 @@
 //! on every hit — for a 1 MiB dashboard document served to 10 000
 //! subscribers, that is 10 GiB of memcpy for bytes that never change.
 //! Bodies are now `Arc<[u8]>` behind `monster_http::Body`, so a hit
-//! clones a pointer. A counting `#[global_allocator]` proves it: the
+//! clones a pointer. `counting_alloc::counted` proves it: the
 //! cache-level hit path performs **zero** allocations, and a full
 //! per-request serve (header clone + `X-Cache` stamp) allocates orders of
 //! magnitude less than the body size.
 //!
-//! The tests in this file share the counter, so they serialize on `GATE` —
-//! nothing else may run while a counting window is open.
+//! Everything counted here runs on the calling thread, and the window is
+//! that thread's: sibling tests are not in it and nothing serializes.
 
+use counting_alloc::Counts;
 use monster_builder::qlog::{Disposition, Draft, LapClock, QueryRecorder, Stage};
 use monster_builder::{ResponseCache, Validity};
 use monster_http::Response;
 use monster_obs::{SpanId, TraceId};
 use monster_tsdb::{Db, DbConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-static GATE: Mutex<()> = Mutex::new(());
-
-struct CountingAlloc;
-
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
 
 const BODY_LEN: usize = 1 << 20; // 1 MiB
 
-/// Run `f` with the counting window open; returns (allocations, bytes).
+/// (allocations, bytes) this thread asks for while `f` runs.
 fn counted(f: impl FnOnce()) -> (usize, usize) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    BYTES.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    f();
-    COUNTING.store(false, Ordering::SeqCst);
-    (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst))
+    let ((), Counts { blocks, bytes, .. }) = counting_alloc::counted(f);
+    (blocks, bytes)
 }
 
 #[test]
 fn cache_hits_copy_zero_body_bytes() {
-    let _gate = GATE.lock().unwrap();
     let db = Db::new(DbConfig::default());
     let cache = ResponseCache::new(8);
     let body = vec![0x5Au8; BODY_LEN];
@@ -91,7 +53,6 @@ fn cache_hits_copy_zero_body_bytes() {
 
 #[test]
 fn flight_recording_on_the_hit_path_is_allocation_free() {
-    let _gate = GATE.lock().unwrap();
     // The PR-10 recorder rides the same warm path the test above
     // protects: the lap clock, the fingerprint and the in-place overwrite
     // of a locked ring slot must all stay off the heap, or recording
@@ -115,7 +76,7 @@ fn flight_recording_on_the_hit_path_is_allocation_free() {
         for i in 0..HITS {
             // Exactly what the service's hit disposition does per
             // request, minus the (pre-existing) header clone.
-            let mut clock = LapClock::start(true);
+            let mut clock = LapClock::start();
             let (hit, verdict) = cache.probe(key, &db);
             assert_eq!(hit.expect("present").body.len(), BODY_LEN);
             let mut d = Draft::new(key, "anonymous", TraceId(i as u128 + 2), SpanId(7));
@@ -123,7 +84,7 @@ fn flight_recording_on_the_hit_path_is_allocation_free() {
             d.record.verdict = verdict;
             d.record.status = 200;
             clock.lap(Stage::Cache);
-            (d.record.stages_ns, d.record.total_ns) = clock.finish().expect("the clock is on");
+            (d.record.stages_ns, d.record.total_ns) = clock.finish();
             d.record.bytes_out = BODY_LEN as u64;
             recorder.record(&d);
         }
@@ -140,7 +101,6 @@ fn flight_recording_on_the_hit_path_is_allocation_free() {
 
 #[test]
 fn per_request_serving_shares_the_body_storage() {
-    let _gate = GATE.lock().unwrap();
     let db = Db::new(DbConfig::default());
     let cache = ResponseCache::new(8);
     let body = vec![0x5Au8; BODY_LEN];

@@ -13,7 +13,7 @@
 //! pollutes the cache with envelopes.
 
 use monster_builder::qlog::base64_decode;
-use monster_builder::service::{router, QlogConfig, ServiceConfig};
+use monster_builder::service::{router, ServiceConfig};
 use monster_builder::AdmissionConfig;
 use monster_http::{Request, Response, Router};
 use monster_tsdb::{DataPoint, Db, DbConfig};
@@ -265,36 +265,4 @@ fn explain_is_byte_identical_under_coalescing() {
     for b in &bodies[1..] {
         assert_eq!(b, &bodies[0]);
     }
-}
-
-/// The recorder-disabled configuration still honors `?explain=true` —
-/// the record is assembled per request, inline — and still normalizes
-/// the cache key.
-#[test]
-fn explain_works_with_the_recorder_disabled() {
-    let db = Arc::new(Db::new(DbConfig::default()));
-    let nodes = NodeId::enumerate(2, 4);
-    db.write(
-        DataPoint::new("Power", EpochSecs::new(60))
-            .tag("NodeId", "10.101.1.1")
-            .tag("Label", "NodePower")
-            .field_f64("Reading", 250.0),
-    )
-    .unwrap();
-    let service = router(
-        db,
-        nodes,
-        ServiceConfig {
-            qlog: QlogConfig { enabled: false, ..QlogConfig::default() },
-            ..ServiceConfig::default()
-        },
-    );
-    let plain = service.dispatch(&Request::get(URL));
-    let wrapped = service.dispatch(&Request::get(&format!("{URL}&explain=true")));
-    assert_eq!(wrapped.status, plain.status);
-    let (payload, disposition, _) = open_envelope(&wrapped);
-    assert_eq!(payload, plain.body.to_vec());
-    assert_eq!(disposition, "hit", "explain joins the normalized cache entry");
-    // But the ring-backed endpoint is gone.
-    assert_eq!(service.dispatch(&Request::get("/debug/requests")).status.0, 404);
 }

@@ -9,10 +9,11 @@
 //! (`execute` + `to_string_compact`, still there for in-process callers)
 //! spends on the same request.
 //!
-//! The counter is per thread (`pool::spawned_by_this_thread`'s idiom), so
-//! sibling tests allocate beside a window without showing up in it; every
-//! counted call is made to run on the calling thread alone.
+//! `counting_alloc::counted` counts the calling thread's blocks, so sibling
+//! tests allocate beside a window without showing up in it; every counted
+//! call is made to run on the calling thread alone.
 
+use counting_alloc::{counted, Counts};
 use monster_builder::exec::{render, run, JsonSink, Sink};
 use monster_builder::service::{router, ServiceConfig};
 use monster_builder::{build_plan, execute, AdmissionConfig, BuilderRequest, ExecMode};
@@ -20,42 +21,7 @@ use monster_collector::SchemaVersion;
 use monster_http::Request;
 use monster_tsdb::{Aggregation, DataPoint, Db, DbConfig, Query};
 use monster_util::{EpochSecs, NodeId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
-
-thread_local! {
-    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-// SAFETY: every call is forwarded to `System` unchanged; the counter is a
-// const-initialized thread-local `Cell` with no destructor, so touching it
-// allocates nothing and is valid for the whole life of the thread.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.with(|n| n.set(n.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.with(|n| n.set(n.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-/// Blocks the calling thread asks for while `f` runs, and what `f` returns.
-fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATED.with(Cell::get);
-    let out = f();
-    (ALLOCATED.with(Cell::get) - before, out)
-}
 
 const NODES: usize = 64;
 
@@ -107,7 +73,7 @@ fn rendering_allocates_nothing_per_point() {
     for minutes in [5, 30] {
         let plan = build_plan(SchemaVersion::Optimized, &nodes, &request(minutes));
         let batch = run(&db, &plan, ExecMode::Sequential).unwrap();
-        let (allocated, (points, bytes)) = counted(|| {
+        let ((points, bytes), Counts { blocks: allocated, .. }) = counted(|| {
             let mut sink = JsonSink::with_capacity(0);
             let points = render(&plan, &batch.results, &mut sink);
             (points, sink.finish())
@@ -118,7 +84,7 @@ fn rendering_allocates_nothing_per_point() {
 
         // Told the size (as the service tells it), the buffer is one block
         // for the whole walk: every doubling above is gone.
-        let (reserved, text) = counted(|| {
+        let (text, Counts { blocks: reserved, .. }) = counted(|| {
             let mut sink = JsonSink::with_capacity(bytes.len());
             render(&plan, &batch.results, &mut sink);
             sink.finish()
@@ -130,7 +96,7 @@ fn rendering_allocates_nothing_per_point() {
     // few more times.
     assert!(blocks[1].abs_diff(blocks[0]) <= 8, "5 and 30 points a series: {blocks:?} blocks");
     // The layout: a node's address, its section list, its slot in the map.
-    assert!(blocks[0] <= 6 * NODES as u64, "{} blocks for {NODES} nodes", blocks[0]);
+    assert!(blocks[0] <= 6 * NODES, "{} blocks for {NODES} nodes", blocks[0]);
 }
 
 #[test]
@@ -141,12 +107,12 @@ fn a_query_batch_allocates_per_series_not_per_key_byte() {
         let plan = build_plan(SchemaVersion::Optimized, &nodes, &request(30));
         let queries: Vec<&Query> = plan.iter().map(|p| &p.query).collect();
         // One worker: the whole batch on this thread, in this window.
-        let (allocated, results) = counted(|| db.query_batch(&queries, 1));
+        let (results, Counts { blocks: allocated, .. }) = counted(|| db.query_batch(&queries, 1));
         let series: usize =
             results.iter().map(|r| r.as_ref().expect("planned query").0.series.len()).sum();
         assert_eq!(series, NODES * 7, "power, three sensors, two UGE fields, the job list");
         assert!(
-            allocated <= 8 * series as u64,
+            allocated <= 8 * series,
             "{allocated} blocks for {series} series carrying {extra_tags} extra tags"
         );
         blocks.push(allocated);
@@ -170,11 +136,11 @@ fn a_dispatched_miss_allocates_a_fraction_of_the_tree_path() {
         },
     );
     let plan = build_plan(SchemaVersion::Optimized, &nodes, &request(30));
-    let (tree_path, text) =
+    let (text, Counts { blocks: tree_path, .. }) =
         counted(|| execute(&db, &plan, ExecMode::Sequential).unwrap().document.to_string_compact());
 
     let url = "/v1/metrics?start=1970-01-01T00:30:00Z&end=1970-01-01T01:00:00Z&interval=1m";
-    let (miss, reply) = counted(|| service.dispatch(&Request::get(url)));
+    let (reply, Counts { blocks: miss, .. }) = counted(|| service.dispatch(&Request::get(url)));
     assert_eq!(reply.headers.get("X-Cache"), Some("miss"));
     assert_eq!(reply.body, text.into_bytes());
     // The dispatch also parses, plans, prices, records and caches.

@@ -3,8 +3,8 @@
 
 use crate::preprocess::FinishEstimator;
 use crate::schema::{PointWriter, SchemaVersion};
-use monster_alert::{AnomalyEvent, DetectorBank, DetectorConfig};
-use monster_redfish::client::{ClientConfig, RedfishClient, SweepOutcome};
+use monster_alert::{AnomalyEvent, DetectorBank, DetectorConfig, NodeInterval};
+use monster_redfish::client::{ClientConfig, RedfishClient, SkipReason, SweepOutcome};
 use monster_redfish::resilience::{BreakerCounts, HealthRegistry, ResilienceConfig};
 use monster_redfish::types::{Category, NodeReading};
 use monster_redfish::SimulatedCluster;
@@ -14,7 +14,7 @@ use monster_sim::VDuration;
 use monster_tsdb::DataPoint;
 use monster_util::{EpochSecs, JobId, NodeId, Result};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Collector configuration.
@@ -76,6 +76,8 @@ pub struct IntervalOutput {
     /// Nodes that got at least one stale substitution this interval, with
     /// the number of sweeps since that node was last fully fresh.
     pub stale_nodes: Vec<(NodeId, u64)>,
+    /// Every fleet node's collection health this interval, in fleet order.
+    pub nodes: Recycled<NodeInterval>,
     /// True when the sweep skipped or failed anything — the interval ran
     /// on partial data.
     pub degraded: bool,
@@ -86,25 +88,36 @@ pub struct IntervalOutput {
     pub anomalies: Vec<AnomalyEvent>,
 }
 
-/// One interval's points, in storage the collector takes back when this
-/// is dropped.
-pub struct PointBatch {
-    points: Vec<DataPoint>,
-    /// The collector's `point_home`.
-    home: Arc<Mutex<Vec<DataPoint>>>,
+/// One interval's points.
+pub type PointBatch = Recycled<DataPoint>;
+
+/// One interval's `T`s, in storage the collector takes back when this is
+/// dropped.
+pub struct Recycled<T> {
+    items: Vec<T>,
+    /// Where the collector looks for them next interval.
+    home: Arc<Mutex<Vec<T>>>,
 }
 
-impl std::ops::Deref for PointBatch {
-    type Target = [DataPoint];
-    fn deref(&self) -> &[DataPoint] {
-        &self.points
+impl<T> Recycled<T> {
+    /// What the last guard over `home` handed back — a guard from the
+    /// start, so an early return hands the storage back too.
+    fn take(home: &Arc<Mutex<Vec<T>>>) -> Recycled<T> {
+        Recycled { items: std::mem::take(&mut *home.lock()), home: Arc::clone(home) }
     }
 }
 
-impl Drop for PointBatch {
-    /// Hands `points` back as they are: the next interval writes over them.
+impl<T> std::ops::Deref for Recycled<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.items
+    }
+}
+
+impl<T> Drop for Recycled<T> {
+    /// Hands `items` back as they are: the next interval writes over them.
     fn drop(&mut self) {
-        *self.home.lock() = std::mem::take(&mut self.points);
+        *self.home.lock() = std::mem::take(&mut self.items);
     }
 }
 
@@ -124,6 +137,8 @@ pub struct Collector {
     /// The previous interval's points, once its output has been dropped;
     /// the next interval writes over them ([`PointWriter`]).
     point_home: Arc<Mutex<Vec<DataPoint>>>,
+    /// The same for its per-node health table.
+    node_home: Arc<Mutex<Vec<NodeInterval>>>,
 }
 
 impl Collector {
@@ -148,6 +163,7 @@ impl Collector {
             last_good: HashMap::new(),
             detectors,
             point_home: Arc::default(),
+            node_home: Arc::default(),
         }
     }
 
@@ -180,8 +196,8 @@ impl Collector {
         // writes made while we hold the guard all join the same trace.
         let trace_ctx = span.context();
         let _trace_guard = monster_obs::trace::set_current(trace_ctx);
-        let mut points = self.recycled_batch();
-        let mut writer = PointWriter::new(self.config.schema, &mut points.points);
+        let mut points = Recycled::take(&self.point_home);
+        let mut writer = PointWriter::new(self.config.schema, &mut points.items);
 
         // --- out-of-band: Redfish sweep ---
         // Resilient when configured: breakers + backoff + deadline budget;
@@ -193,12 +209,27 @@ impl Collector {
         let resilient = self.registry.is_some();
         let current_sweep = self.registry.as_ref().map(|r| r.sweep_index()).unwrap_or(0);
         let mut stale_points = 0usize;
-        let mut stale_age: BTreeMap<NodeId, u64> = BTreeMap::new();
+        // One row a fleet node, in the fleet's (`NodeId`) order: how the
+        // loop finds a result's row whatever order the sweep ran in.
+        let mut nodes = Recycled::take(&self.node_home);
+        nodes.items.clear();
+        nodes.items.extend(cluster.node_ids().iter().map(|&node| NodeInterval {
+            node,
+            live_readings: 0,
+            skipped: 0,
+            breaker_open: false,
+            stale_age_sweeps: 0,
+        }));
         // `Vec::new` defers its first allocation to the first push, so a
         // healthy interval (no transitions) stays allocation-free here.
         let mut anomalies: Vec<AnomalyEvent> = Vec::new();
         for outcome in &sweep.results {
+            let row = nodes.items.binary_search_by_key(&outcome.node, |n| n.node);
+            let health = &mut nodes.items[row.expect("the sweep visits fleet nodes")];
+            health.skipped += outcome.skip.is_some() as usize;
+            health.breaker_open |= outcome.skip == Some(SkipReason::BreakerOpen);
             if let Some(reading) = &outcome.reading {
+                health.live_readings += 1;
                 writer.bmc(outcome.node, reading, now, false);
                 // Streaming detection happens at ingest: only *live*
                 // readings are evaluated — stale substitutions repeat
@@ -227,8 +258,7 @@ impl Collector {
                     writer.bmc(outcome.node, prev, now, true);
                     stale_points += writer.written() - before;
                     let age = current_sweep.saturating_sub(*fresh_at);
-                    let entry = stale_age.entry(outcome.node).or_insert(0);
-                    *entry = (*entry).max(age);
+                    health.stale_age_sweeps = health.stale_age_sweeps.max(age);
                 }
             }
         }
@@ -238,7 +268,12 @@ impl Collector {
             now.as_secs() as f64,
             sweep.results.iter().filter(|o| o.reading.is_some()).map(|o| (o.node, o.category)),
         );
-        let stale_nodes: Vec<(NodeId, u64)> = stale_age.into_iter().collect();
+        // A substitute is at least a sweep old, so a zero is a fresh node.
+        let stale_nodes: Vec<(NodeId, u64)> = nodes
+            .iter()
+            .filter(|n| n.stale_age_sweeps > 0)
+            .map(|n| (n.node, n.stale_age_sweeps))
+            .collect();
         let degraded = sweep.degraded();
         let breakers = self.registry.as_ref().map(|r| r.breaker_counts()).unwrap_or_default();
 
@@ -279,6 +314,7 @@ impl Collector {
             simulated_collection_time,
             stale_points,
             stale_nodes,
+            nodes,
             degraded,
             breakers,
             anomalies,
@@ -313,13 +349,21 @@ impl Collector {
         self.finish_estimator.observe(on_nodes, now)
     }
 
-    /// The last interval's points, to write the next interval over: a
-    /// guard from the start, so an early return hands the storage back too.
-    fn recycled_batch(&self) -> PointBatch {
-        PointBatch {
-            points: std::mem::take(&mut *self.point_home.lock()),
-            home: Arc::clone(&self.point_home),
-        }
+    /// What the paths without a sweep share: last interval's buffer, each
+    /// node's out-of-band points written over it, then the in-band half.
+    fn batch_of(
+        &mut self,
+        cluster: &SimulatedCluster,
+        qm: &Qmaster,
+        now: EpochSecs,
+        mut node_points: impl FnMut(&mut PointWriter<'_>, NodeId) -> Result<()>,
+    ) -> Result<PointBatch> {
+        let mut batch = Recycled::take(&self.point_home);
+        let mut writer = PointWriter::new(self.config.schema, &mut batch.items);
+        cluster.node_ids().iter().try_for_each(|&node| node_points(&mut writer, node))?;
+        self.inband_points(&accounting_pull(qm).0, now, &mut writer);
+        drop(writer);
+        Ok(batch)
     }
 
     /// Collect one interval **without** the Redfish wire layer: readings
@@ -334,18 +378,15 @@ impl Collector {
         qm: &Qmaster,
         now: EpochSecs,
     ) -> PointBatch {
-        let mut batch = self.recycled_batch();
-        let mut writer = PointWriter::new(self.config.schema, &mut batch.points);
-        for &node in cluster.node_ids() {
-            let s = cluster.sensors(node).expect("node exists");
+        self.batch_of(cluster, qm, now, |writer, node| {
+            let s = cluster.sensors(node)?;
             writer.thermal(node, &s.cpu_temps, s.inlet, &s.fans, now);
             writer.power(node, s.power, &monster_redfish::sensors::VOLTAGE_RAILS, now);
             writer.bmc(node, &NodeReading::Manager { health: s.bmc_health }, now, false);
             writer.bmc(node, &NodeReading::System { health: s.host_health }, now, false);
-        }
-        self.inband_points(&accounting_pull(qm).0, now, &mut writer);
-        drop(writer);
-        batch
+            Ok(())
+        })
+        .expect("a fleet node has sensors")
     }
 
     /// Collect one interval through the **Telemetry Service** (the §VI
@@ -363,18 +404,13 @@ impl Collector {
         now: EpochSecs,
     ) -> Result<PointBatch> {
         use monster_redfish::telemetry::parse_report;
-        let mut batch = self.recycled_batch();
-        let mut writer = PointWriter::new(self.config.schema, &mut batch.points);
-        for &node in cluster.node_ids() {
-            let report = telemetry.take_report(node)?;
-            for sample in parse_report(&report)? {
+        self.batch_of(cluster, qm, now, |writer, node| {
+            for sample in parse_report(&telemetry.take_report(node)?)? {
                 writer.thermal(node, &sample.cpu_temps, sample.inlet, &sample.fans, sample.time);
                 writer.power(node, sample.power, &[], sample.time);
             }
-        }
-        self.inband_points(&accounting_pull(qm).0, now, &mut writer);
-        drop(writer);
-        Ok(batch)
+            Ok(())
+        })
     }
 }
 
@@ -568,6 +604,45 @@ mod tests {
             }
         }
         (built, storage, stale)
+    }
+
+    /// The per-node table against a straight recount of the sweep it was
+    /// built beside, over intervals in which a BMC dies, is skipped with its
+    /// breaker open, and comes back.
+    #[test]
+    fn node_table_is_the_sweep_recounted_in_storage_it_takes_back() {
+        let (cluster, qm) = rig(5, 7);
+        let victim = cluster.node_ids()[2];
+        let mut col = Collector::new(CollectorConfig {
+            resilience: Some(ResilienceConfig::default()),
+            ..CollectorConfig::default()
+        });
+        let (mut storage, mut skipped, mut stale) = (Vec::new(), 0, 0);
+        for k in 1..=8 {
+            cluster.set_bmc_alive(victim, !(2..=6).contains(&k)).unwrap();
+            let out = col.collect_interval(&cluster, &qm, t0() + 60 * k);
+            let want: Vec<NodeInterval> = cluster
+                .node_ids()
+                .iter()
+                .map(|&node| {
+                    let of_node = || out.sweep.results.iter().filter(move |r| r.node == node);
+                    let age = out.stale_nodes.iter().find(|(n, _)| *n == node).map(|(_, age)| *age);
+                    NodeInterval {
+                        node,
+                        live_readings: of_node().filter(|r| r.reading.is_some()).count(),
+                        skipped: of_node().filter(|r| r.skip.is_some()).count(),
+                        breaker_open: of_node().any(|r| r.skip == Some(SkipReason::BreakerOpen)),
+                        stale_age_sweeps: age.unwrap_or(0),
+                    }
+                })
+                .collect();
+            assert_eq!(&*out.nodes, &want[..], "interval {k}");
+            skipped += out.nodes[2].skipped;
+            stale += out.nodes[2].stale_age_sweeps;
+            storage.push(out.nodes.as_ptr());
+        }
+        assert!(skipped > 0 && stale > 0, "the victim was never skipped ({skipped}) or stale");
+        assert!(storage.windows(2).all(|w| w[0] == w[1]), "one table, written over");
     }
 
     #[test]

@@ -30,5 +30,5 @@ pub mod collector;
 pub mod preprocess;
 pub mod schema;
 
-pub use collector::{Collector, CollectorConfig, IntervalOutput, PointBatch};
+pub use collector::{Collector, CollectorConfig, IntervalOutput, PointBatch, Recycled};
 pub use schema::{PointWriter, SchemaVersion};

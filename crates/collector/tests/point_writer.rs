@@ -2,9 +2,9 @@
 //! points written over it are the points written into an empty `Vec`, and
 //! writing the same readings over their own points allocates nothing.
 //!
-//! The allocation count is per thread (the `wal_record.rs` /
-//! `miss_allocations.rs` idiom): sibling tests allocate beside a window
-//! without showing up in it, and nothing serializes.
+//! The allocation count is the calling thread's (`counting_alloc::counted`):
+//! sibling tests allocate beside a window without showing up in it, and
+//! nothing serializes.
 
 use monster_collector::{PointWriter, SchemaVersion};
 use monster_redfish::{HealthState, NodeReading};
@@ -13,34 +13,6 @@ use monster_scheduler::{Job, JobShape, JobSpec, JobState};
 use monster_tsdb::{DataPoint, FieldValue};
 use monster_util::{EpochSecs, JobId, NodeId, UserName};
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-// SAFETY: every call is forwarded to `System` unchanged; the counter is a
-// const-initialized thread-local `Cell` with no destructor, so touching it
-// allocates nothing and is valid for the whole life of the thread.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.with(|n| n.set(n.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.with(|n| n.set(n.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
 
 /// What one node contributes to an interval.
 #[derive(Debug, Clone)]
@@ -259,10 +231,8 @@ fn a_second_pass_over_the_same_readings_allocates_nothing() {
         let first = points.clone();
         // A minute on, the same shapes: only the numbers and the clock move.
         let next = Interval { time: interval.time + 60, ..interval.clone() };
-        let before = ALLOCATED.with(Cell::get);
-        write(schema, &mut points, &next);
-        let allocated = ALLOCATED.with(Cell::get) - before;
-        assert_eq!(allocated, 0, "{schema:?}: a warm pass asked the allocator for blocks");
+        let ((), allocated) = counting_alloc::counted(|| write(schema, &mut points, &next));
+        assert_eq!(allocated.blocks, 0, "{schema:?}: a warm pass asked the allocator for blocks");
         assert_eq!(points.len(), first.len());
         assert!(points.iter().zip(&first).all(|(a, b)| a.time == b.time + 60));
     }

@@ -3,87 +3,23 @@
 //! threads follow size and cores, and no header, flip or truncation makes
 //! the decoder allocate past a small multiple of what it really decodes.
 //!
-//! A counting `#[global_allocator]` proves it. The tests in this file
-//! share the counters, so they serialize on `GATE` — nothing else may run
-//! while a counting window is open.
+//! `compress` fans out, so the counts are `counting_alloc::all_threads`'s,
+//! the process-wide window: every test here holds it from its first line —
+//! the one that counts nothing too, or its threads would allocate inside a
+//! sibling's window.
 
 mod common;
 
+use counting_alloc::all_threads;
 use monster_compress::{compress, decompress, Level};
 use monster_util::pool;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 /// Input bytes per container block (`format::BLOCK`).
 const BLOCK: usize = 128 * 1024;
 
-static GATE: Mutex<()> = Mutex::new(());
-
-struct CountingAlloc;
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
-/// Calls to `alloc` and `realloc`.
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-/// The largest single request.
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
-/// Bytes requested in total.
-static REQUESTED: AtomicUsize = AtomicUsize::new(0);
-
-fn note(size: usize) {
-    if COUNTING.load(Ordering::Relaxed) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LARGEST.fetch_max(size, Ordering::Relaxed);
-        REQUESTED.fetch_add(size, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-struct Counted {
-    allocs: usize,
-    largest: usize,
-    requested: usize,
-}
-
-/// Run `f` with the counters open (all threads count: `compress` fans out).
-fn counted<R>(_gate: &MutexGuard<'_, ()>, f: impl FnOnce() -> R) -> (R, Counted) {
-    ALLOCS.store(0, Ordering::Relaxed);
-    LARGEST.store(0, Ordering::Relaxed);
-    REQUESTED.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::SeqCst);
-    let out = f();
-    COUNTING.store(false, Ordering::SeqCst);
-    let seen = Counted {
-        allocs: ALLOCS.load(Ordering::Relaxed),
-        largest: LARGEST.load(Ordering::Relaxed),
-        requested: REQUESTED.load(Ordering::Relaxed),
-    };
-    (out, seen)
-}
-
 #[test]
 fn compress_allocates_per_call_and_thread_not_per_block() {
-    let gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let window = all_threads();
     // The first fan-out of a process pays for thread-locals and the core
     // count; that is not what is being counted.
     compress(&vec![b'7'; 4 * BLOCK], Level::FAST);
@@ -94,9 +30,9 @@ fn compress_allocates_per_call_and_thread_not_per_block() {
         .map(|&nodes| {
             let doc = common::dashboard_document(3, nodes * 3, 15);
             assert!(doc.len() > nodes * 20_000);
-            let (packed, seen) = counted(&gate, || compress(&doc, Level::default()));
+            let (packed, seen) = window.counted(|| compress(&doc, Level::default()));
             assert!(packed.len() < doc.len() / 3);
-            seen.allocs
+            seen.blocks
         })
         .collect();
     assert_eq!(counts[0], counts[1], "1.5 MB against 3 MB");
@@ -106,7 +42,7 @@ fn compress_allocates_per_call_and_thread_not_per_block() {
 
 #[test]
 fn threads_follow_size_and_cores() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let _window = all_threads();
     let spawned = |len: usize| {
         let doc = vec![b'7'; len];
         let before = pool::spawned_by_this_thread();
@@ -165,26 +101,25 @@ fn varint(mut v: u64) -> Vec<u8> {
 
 #[test]
 fn lying_headers_flips_and_truncations_fail_within_the_allocation_bound() {
-    let gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let window = all_threads();
     let (doc, packed) = small_two_block_container();
     // Decode tables (2 × 8 KB) plus at most twice the output and a block.
     let cap = 2 * (doc.len() + BLOCK) + 64 * 1024;
 
-    let (back, seen) = counted(&gate, || decompress(&packed));
+    let (back, seen) = window.counted(|| decompress(&packed));
     assert_eq!(back.unwrap(), doc);
-    assert!(seen.requested <= cap, "honest input asked for {} B", seen.requested);
+    assert!(seen.bytes <= cap, "honest input asked for {} B", seen.bytes);
 
     let check = |what: &str, bad: &[u8], must_fail: bool| {
-        let (result, seen) = counted(&gate, || {
-            std::panic::catch_unwind(|| decompress(bad)).expect("decompress panicked")
-        });
+        let (result, seen) = window
+            .counted(|| std::panic::catch_unwind(|| decompress(bad)).expect("decompress panicked"));
         match result {
             Err(_) => {}
             Ok(out) if !must_fail => assert_eq!(out, doc, "{what}: wrong bytes accepted"),
             Ok(_) => panic!("{what}: accepted"),
         }
         assert!(seen.largest <= cap, "{what}: one request of {} B", seen.largest);
-        assert!(seen.requested <= 2 * cap, "{what}: {} B requested", seen.requested);
+        assert!(seen.bytes <= 2 * cap, "{what}: {} B requested", seen.bytes);
     };
 
     let at = header_varint(&packed);

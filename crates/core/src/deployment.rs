@@ -1,7 +1,7 @@
 //! The deployment driver: cluster + scheduler + collector + storage +
 //! builder, advanced in lock-step.
 
-use monster_alert::{AlertEngine, DetectorConfig, EngineConfig, IntervalInput, NodeInterval};
+use monster_alert::{AlertEngine, DetectorConfig, EngineConfig, IntervalInput};
 use monster_builder::{
     build_plan, encode_response, BuilderRequest, ExecMode, Materializer, RollupRoute,
 };
@@ -263,17 +263,17 @@ impl Monster {
         self.cluster.node_ids().to_vec()
     }
 
-    fn advance_world(&mut self) {
-        let next = self.now + self.config.interval_secs;
+    fn advance_world(&mut self, step_secs: i64) {
+        let next = self.now + step_secs;
         self.qmaster.run_until(next);
         let qm = &self.qmaster;
-        self.cluster.step(self.config.interval_secs as f64, |n| qm.utilization(n));
+        self.cluster.step(step_secs as f64, |n| qm.utilization(n));
         self.now = next;
     }
 
     /// Run one full collection interval through the Redfish wire layer.
     pub fn run_interval(&mut self) -> Result<IntervalSummary> {
-        self.advance_world();
+        self.advance_world(self.config.interval_secs);
         let mut out = self.collector.collect_interval(&self.cluster, &self.qmaster, self.now);
         self.store_interval(&out.points, Some(out.trace))?;
         let mut skipped_nodes: Vec<(NodeId, SkipReason)> = out
@@ -282,58 +282,25 @@ impl Monster {
             .iter()
             .filter_map(|r| r.skip.map(|reason| (r.node, reason)))
             .collect();
-        skipped_nodes.sort_unstable_by_key(|&(n, _)| n);
+        // Stable: a node skipped for two reasons reports its first in
+        // sweep order.
+        skipped_nodes.sort_by_key(|&(n, _)| n);
         skipped_nodes.dedup_by_key(|&mut (n, _)| n);
 
-        // Fold the interval through the alert engine: detector events,
-        // per-node collection health, freshness burn, and the scheduler's
-        // placement for job attribution.
+        // Fold the interval through the alert engine: detector events, the
+        // collector's per-node health table, freshness burn, and the
+        // scheduler's placement for job attribution.
         let alerts = match &self.alerts {
             Some(engine) => {
-                let mut per_node: BTreeMap<NodeId, NodeInterval> = self
-                    .cluster
-                    .node_ids()
-                    .iter()
-                    .map(|&node| {
-                        (
-                            node,
-                            NodeInterval {
-                                node,
-                                live_readings: 0,
-                                skipped: 0,
-                                breaker_open: false,
-                                stale_age_sweeps: 0,
-                            },
-                        )
-                    })
-                    .collect();
-                for r in &out.sweep.results {
-                    if let Some(entry) = per_node.get_mut(&r.node) {
-                        if r.reading.is_some() {
-                            entry.live_readings += 1;
-                        }
-                        if let Some(reason) = r.skip {
-                            entry.skipped += 1;
-                            if reason == SkipReason::BreakerOpen {
-                                entry.breaker_open = true;
-                            }
-                        }
-                    }
-                }
-                for &(node, age) in &out.stale_nodes {
-                    if let Some(entry) = per_node.get_mut(&node) {
-                        entry.stale_age_sweeps = age;
-                    }
-                }
+                let nodes = self.cluster.node_ids();
                 let jobs: BTreeMap<NodeId, Vec<JobId>> =
-                    per_node.keys().map(|&n| (n, self.qmaster.jobs_on(n))).collect();
-                let nodes: Vec<NodeInterval> = per_node.into_values().collect();
+                    nodes.iter().map(|&n| (n, self.qmaster.jobs_on(n))).collect();
                 let fresh = monster_obs::freshness();
                 let slo = fresh.config();
                 engine.observe_interval(&IntervalInput {
                     now: self.now,
                     anomalies: &out.anomalies,
-                    nodes: &nodes,
+                    nodes: &out.nodes,
                     burn_fast: fresh.burn_rate(slo.fast_window_secs),
                     burn_slow: fresh.burn_rate(slo.slow_window_secs),
                     jobs: &jobs,
@@ -369,7 +336,7 @@ impl Monster {
     pub fn run_intervals_bulk(&mut self, n: usize) -> usize {
         let mut total = 0;
         for _ in 0..n {
-            self.advance_world();
+            self.advance_world(self.config.interval_secs);
             let points =
                 self.collector.collect_interval_direct(&self.cluster, &self.qmaster, self.now);
             total += points.len();
@@ -397,11 +364,7 @@ impl Monster {
         let mut total = 0;
         for _ in 0..n {
             for _ in 0..substeps {
-                let next = self.now + sample;
-                self.qmaster.run_until(next);
-                let qm = &self.qmaster;
-                self.cluster.step(sample as f64, |node| qm.utilization(node));
-                self.now = next;
+                self.advance_world(sample);
                 telemetry.record(&self.cluster, self.now);
             }
             let points = self.collector.collect_interval_telemetry(

@@ -6,7 +6,7 @@
 //! client), which knows which failures are worth retrying.
 
 use crate::message::{Request, Response};
-use crate::parse::{parse_response, read_message};
+use crate::parse::{parse_response, read_message, MAX_BODY};
 use monster_util::{Error, Result};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -55,7 +55,7 @@ impl Client {
         stream.set_read_timeout(Some(self.read_timeout))?;
         stream.set_nodelay(true).ok();
         stream.write_all(&req.to_bytes()).map_err(|e| Error::Network(format!("send: {e}")))?;
-        let raw = read_message(&mut stream)?;
+        let raw = read_message(&mut stream, MAX_BODY)?;
         let resp = parse_response(&raw)?;
         Ok(resp)
     }
@@ -119,7 +119,7 @@ impl PersistentClient {
             let outcome = stream
                 .write_all(&wire)
                 .map_err(|e| Error::Network(format!("send: {e}")))
-                .and_then(|()| read_message(stream))
+                .and_then(|()| read_message(stream, MAX_BODY))
                 .and_then(|raw| parse_response(&raw));
             match outcome {
                 Ok(resp) => {

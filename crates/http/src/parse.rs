@@ -10,9 +10,9 @@ use std::io::Read;
 
 /// Hard cap on header block size — guards the server against garbage.
 const MAX_HEAD: usize = 64 * 1024;
-/// Hard cap on body size (a full-range uncompressed Metrics Builder
-/// response is tens of MB; give headroom).
-const MAX_BODY: usize = 512 * 1024 * 1024;
+/// Hard cap on the size of a body a client reads (a full-range
+/// uncompressed Metrics Builder response is tens of MB; give headroom).
+pub(crate) const MAX_BODY: usize = 512 * 1024 * 1024;
 
 /// Split raw bytes into (head, body) at the CRLFCRLF boundary.
 fn split_head(raw: &[u8]) -> Result<(&str, &[u8])> {
@@ -96,8 +96,9 @@ pub fn parse_response(raw: &[u8]) -> Result<Response> {
 
 /// Read one full `Connection: close`-style message from a stream: reads
 /// until the header block is complete, then until `Content-Length` bytes of
-/// body have arrived.
-pub fn read_message(stream: &mut impl Read) -> Result<Vec<u8>> {
+/// body have arrived. A message announcing more than `max_body` is refused
+/// from its header, before a body byte is read.
+pub fn read_message(stream: &mut impl Read, max_body: usize) -> Result<Vec<u8>> {
     let mut buf: Vec<u8> = Vec::with_capacity(4096);
     let mut chunk = [0u8; 4096];
     // Phase 1: until CRLFCRLF.
@@ -126,7 +127,7 @@ pub fn read_message(stream: &mut impl Read) -> Result<Vec<u8>> {
             }
         }
     }
-    if content_length > MAX_BODY {
+    if content_length > max_body {
         return Err(Error::invalid("body exceeds size cap"));
     }
     let total = head_end + content_length;
@@ -206,7 +207,7 @@ mod tests {
         }
         let msg = Response::json(&jobj! { "v" => 42i64 }).to_bytes();
         let mut t = Trickle(msg.clone(), 0);
-        let got = read_message(&mut t).unwrap();
+        let got = read_message(&mut t, MAX_BODY).unwrap();
         assert_eq!(got, msg);
     }
 
@@ -221,7 +222,7 @@ mod tests {
         let mut msg = Response::json(&jobj! { "v" => 42i64 }).to_bytes();
         msg.truncate(msg.len() - 3);
         let mut f = Fixed(std::io::Cursor::new(msg));
-        assert!(matches!(read_message(&mut f), Err(Error::Network(_))));
+        assert!(matches!(read_message(&mut f, MAX_BODY), Err(Error::Network(_))));
     }
 
     #[test]

@@ -13,6 +13,15 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// How long a peer may keep a connection's thread waiting, for its next
+/// request or for room to write the reply into.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
+/// The largest request body a connection buffers. No route of the API
+/// takes more than a few KB; a request announcing more is refused from its
+/// `Content-Length`.
+const MAX_REQUEST_BODY: usize = 1024 * 1024;
 
 /// A running HTTP server.
 pub struct Server {
@@ -41,7 +50,7 @@ impl Server {
                 // workload: a handful of persistent peers plus occasional
                 // one-shot consumers.
                 std::thread::spawn(move || {
-                    handle_connection(stream, &router);
+                    handle_connection(stream, &router, IO_TIMEOUT);
                 });
             }
         });
@@ -77,12 +86,14 @@ impl Drop for Server {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, router: &Router) {
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(30)));
+fn handle_connection(mut stream: TcpStream, router: &Router, timeout: Duration) {
+    let _ = stream.set_read_timeout(Some(timeout));
+    // A peer that stops reading fails the write instead of pinning the thread.
+    let _ = stream.set_write_timeout(Some(timeout));
     // Serve exchanges until the client closes, asks to close, or errors.
     loop {
         let (response, keep_alive) =
-            match read_message(&mut stream).and_then(|raw| parse_request(&raw)) {
+            match read_message(&mut stream, MAX_REQUEST_BODY).and_then(|raw| parse_request(&raw)) {
                 Ok(req) => {
                     let keep = req.keep_alive;
                     (router.dispatch(&req), keep)
@@ -166,8 +177,53 @@ mod tests {
         let server = Server::spawn(0, test_router()).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream.write_all(b"NONSENSE\r\n\r\n").unwrap();
-        let raw = read_message(&mut stream).unwrap();
+        let raw = read_message(&mut stream, MAX_REQUEST_BODY).unwrap();
         let resp = crate::parse::parse_response(&raw).unwrap();
         assert_eq!(resp.status, Status::BAD_REQUEST);
+    }
+
+    #[test]
+    fn an_oversized_content_length_is_refused_before_its_body() {
+        let server = Server::spawn(0, test_router()).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // The head only: a server that waited for (or made room for) the
+        // body it announces would not answer inside the read timeout.
+        let head = format!(
+            "POST /echo HTTP/1.1\r\nConnection: keep-alive\r\nContent-Length: {}\r\n\r\n",
+            MAX_REQUEST_BODY + 1
+        );
+        stream.write_all(head.as_bytes()).unwrap();
+        let raw = read_message(&mut stream, MAX_REQUEST_BODY).unwrap();
+        assert_eq!(crate::parse::parse_response(&raw).unwrap().status, Status::BAD_REQUEST);
+        // And the connection is closed, keep-alive or not.
+        assert_eq!(std::io::Read::read(&mut stream, &mut [0u8; 16]).unwrap(), 0);
+        // At the cap is served.
+        let body = vec![b'x'; MAX_REQUEST_BODY];
+        let req = Request { body: body.clone(), ..Request::post_json("/echo", &jobj! {}) };
+        assert_eq!(Client::new().send(server.addr(), &req).unwrap().body, body);
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_is_dropped_and_its_thread_exits() {
+        // More than the loopback socket buffers hold between them.
+        let big = Router::new().route(Method::Get, "/big", |_, _| {
+            Response::bytes(vec![b'z'; 64 << 20], "application/octet-stream")
+        });
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            handle_connection(stream, &big, Duration::from_millis(200));
+            done_tx.send(()).unwrap();
+        });
+        peer.write_all(&Request::get("/big").to_bytes()).unwrap();
+        // `peer` stays open and silent for as long as the worker lives.
+        done_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the connection's thread is still blocked in its write");
+        worker.join().unwrap();
+        drop(peer);
     }
 }

@@ -163,43 +163,13 @@ pub fn write_str(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use crate::{jobj, parse, Value};
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Blocks this thread has asked the allocator for: per thread, so
-        /// sibling tests do not show up in each other's windows.
-        static ALLOCATED: Cell<u64> = const { Cell::new(0) };
-    }
-
-    struct CountingAlloc;
-
-    // SAFETY: every call is forwarded to `System` unchanged; the counter is
-    // a const-initialized thread-local `Cell` with no destructor, so
-    // touching it allocates nothing and is valid for the thread's lifetime.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATED.with(|n| n.set(n.get() + 1));
-            unsafe { System.alloc(layout) }
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATED.with(|n| n.set(n.get() + 1));
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static A: CountingAlloc = CountingAlloc;
 
     #[test]
     fn scalars_allocate_nothing_of_their_own() {
         let ints = Value::Array((0..10_000).map(|i| Value::Int(i * 7_919 - 40_000)).collect());
-        let before = ALLOCATED.with(Cell::get);
-        let text = ints.to_string_compact();
-        let grown = ALLOCATED.with(Cell::get) - before;
+        // This thread's blocks: sibling tests do not show up in the window.
+        let (text, counts) = counting_alloc::counted(|| ints.to_string_compact());
+        let grown = counts.blocks;
         assert!(text.len() > 50_000);
         assert!(grown <= 32, "{grown} allocations for a 10 000-integer array");
     }

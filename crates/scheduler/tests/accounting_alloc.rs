@@ -2,53 +2,15 @@
 //!
 //! The memoized pull hands back typed records, so it has to allocate the
 //! `Vec`s those records live in — and nothing else: no document tree, no
-//! XML, no formatted scalar. A counting `#[global_allocator]` proves it
-//! by charging a pull exactly what building the same `Vec`s from the
-//! qmaster's public surface costs. The tests share the counter, so they
-//! serialize on `GATE`.
+//! XML, no formatted scalar. `counting_alloc::counted` proves it by charging
+//! a pull exactly what building the same `Vec`s from the qmaster's public
+//! surface costs — on the calling thread, where a pull runs, so sibling
+//! tests are not in the window.
 
+use counting_alloc::counted;
 use monster_scheduler::accounting::{accounting_pull, RECENT_FINISH_WINDOW_SECS};
 use monster_scheduler::{Job, JobShape, JobSpec, JobState, Qmaster, QmasterConfig};
 use monster_util::UserName;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-static GATE: Mutex<()> = Mutex::new(());
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    let out = f();
-    COUNTING.store(false, Ordering::Relaxed);
-    (out, ALLOCS.load(Ordering::Relaxed))
-}
 
 fn spec(name: &str, shape: JobShape) -> JobSpec {
     JobSpec {
@@ -93,7 +55,6 @@ fn records(qm: &Qmaster) -> (usize, usize) {
 
 #[test]
 fn unchanged_pull_allocates_only_its_records() {
-    let _gate = GATE.lock().unwrap();
     let qm = warm();
     let rendered = qm.accounting_memo_stats().docs_rendered;
 
@@ -105,14 +66,16 @@ fn unchanged_pull_allocates_only_its_records() {
 
     assert_eq!(snapshot_sizes, sizes);
     assert!(bytes > 16 * 10_000, "a pull of {bytes} bytes rendered nothing to count");
-    assert!(for_records > 2, "counter not counting: {for_records}");
-    assert_eq!(for_pull, for_records, "the pull allocated beyond the records it returns");
+    assert!(for_records.blocks > 2, "counter not counting: {for_records:?}");
+    assert_eq!(
+        for_pull.blocks, for_records.blocks,
+        "the pull allocated beyond the records it returns"
+    );
     assert_eq!(qm.accounting_memo_stats().docs_rendered, rendered);
 }
 
 #[test]
 fn a_job_start_rerenders_its_hosts_and_itself() {
-    let _gate = GATE.lock().unwrap();
     let mut qm = warm();
     let before = qm.accounting_memo_stats();
 

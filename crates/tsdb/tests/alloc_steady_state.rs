@@ -6,44 +6,14 @@
 //! `Copy` u32s, so once series/fields/columns/tails are warm, a
 //! `write_batch` allocates only its O(log n) grouping buffers.
 //!
-//! A counting `#[global_allocator]` proves it. The tests in this file
-//! share the counter, so they serialize on `GATE` — nothing else may run
-//! while a counting window is open.
+//! `counting_alloc::counted` proves it: the write path runs on the calling
+//! thread and the window is that thread's, so sibling tests are not in it
+//! and nothing serializes.
 
+use counting_alloc::counted;
 use monster_tsdb::wal::Wal;
 use monster_tsdb::{DataPoint, Db, DbConfig, FieldId, SeriesId, WalTuning};
 use monster_util::EpochSecs;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-static GATE: Mutex<()> = Mutex::new(());
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
 
 const NODES: usize = 50;
 
@@ -75,18 +45,11 @@ fn steady_state_allocs(db: &Db) -> usize {
 
     // Steady state: same series, same shard, pre-built batches.
     let batches: Vec<Vec<DataPoint>> = (40..60).map(|i| batch_at(i * 60)).collect();
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    for b in &batches {
-        db.write_batch(b).unwrap();
-    }
-    COUNTING.store(false, Ordering::Relaxed);
-    ALLOCS.load(Ordering::Relaxed)
+    counted(|| batches.iter().for_each(|b| db.write_batch(b).unwrap())).1.blocks
 }
 
 #[test]
 fn steady_state_ingest_does_not_allocate_per_point() {
-    let _gate = GATE.lock().unwrap();
     let points_written = 20 * NODES * 2; // 20 batches, 2 fields a point
     let memory_only = steady_state_allocs(&Db::new(DbConfig::default()));
 
@@ -120,7 +83,6 @@ fn steady_state_ingest_does_not_allocate_per_point() {
 /// rolls on this volume.
 #[test]
 fn warm_wal_append_does_not_allocate() {
-    let _gate = GATE.lock().unwrap();
     let dir = scratch_dir("wal");
     let wal = Wal::create(&dir, WalTuning::default()).unwrap();
     // Ids as a fresh series index hands them out: a series a node, the
@@ -136,13 +98,12 @@ fn warm_wal_append_does_not_allocate() {
         wal.append_batch(b, &series, &fields).unwrap();
     }
 
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    for b in &batches[3..] {
-        wal.append_batch(b, &series, &fields).unwrap();
-    }
-    COUNTING.store(false, Ordering::Relaxed);
-    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let ((), warm) = counted(|| {
+        for b in &batches[3..] {
+            wal.append_batch(b, &series, &fields).unwrap();
+        }
+    });
+    let allocs = warm.blocks;
 
     assert_eq!(allocs, 0, "20 warm WAL appends allocated {allocs} times");
     assert_eq!(wal.status().appended_records, 23);
@@ -155,7 +116,6 @@ fn warm_wal_append_does_not_allocate() {
 /// bounds what's left: grouping buffers and obs bookkeeping).
 #[test]
 fn warm_engine_stages_do_not_allocate() {
-    let _gate = GATE.lock().unwrap();
     // Stage bisect with public engine parts.
     use monster_tsdb::series::{SeriesIndex, SeriesKey};
     use monster_tsdb::shard::Shard;
@@ -168,20 +128,20 @@ fn warm_engine_stages_do_not_allocate() {
         }
     }
     let b3 = batch_at(42 * 60);
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    let mut n = 0usize;
-    for p in &b3 {
-        if idx.id_of_point(p).is_some() {
-            n += 1;
+    let (n, resolution) = counted(|| {
+        let mut n = 0usize;
+        for p in &b3 {
+            if idx.id_of_point(p).is_some() {
+                n += 1;
+            }
+            for (name, _) in &p.fields {
+                let _ = idx.field_id(name);
+            }
         }
-        for (name, _) in &p.fields {
-            let _ = idx.field_id(name);
-        }
-    }
-    COUNTING.store(false, Ordering::Relaxed);
+        n
+    });
     assert_eq!(n, b3.len());
-    assert_eq!(ALLOCS.load(Ordering::Relaxed), 0, "warm id resolution allocated");
+    assert_eq!(resolution.blocks, 0, "warm id resolution allocated");
 
     let mut shard = Shard::new(0, i64::MAX);
     for i in 0..40 {
@@ -199,27 +159,23 @@ fn warm_engine_stages_do_not_allocate() {
         }
     }
     let b4 = batch_at(43 * 60);
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    for (j, p) in b4.iter().enumerate() {
-        for (fi, (_, v)) in p.fields.iter().enumerate() {
-            shard
-                .append(
-                    monster_tsdb::SeriesId(j as u32),
-                    monster_tsdb::FieldId(fi as u32),
-                    p.time.as_secs(),
-                    v,
-                )
-                .unwrap();
+    let ((), append) = counted(|| {
+        for (j, p) in b4.iter().enumerate() {
+            for (fi, (_, v)) in p.fields.iter().enumerate() {
+                shard
+                    .append(
+                        monster_tsdb::SeriesId(j as u32),
+                        monster_tsdb::FieldId(fi as u32),
+                        p.time.as_secs(),
+                        v,
+                    )
+                    .unwrap();
+            }
         }
-    }
-    COUNTING.store(false, Ordering::Relaxed);
-    assert_eq!(ALLOCS.load(Ordering::Relaxed), 0, "warm shard append allocated");
+    });
+    assert_eq!(append.blocks, 0, "warm shard append allocated");
 
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    let wire: usize = b4.iter().map(DataPoint::wire_size).sum();
-    COUNTING.store(false, Ordering::Relaxed);
+    let (wire, accounting) = counted(|| b4.iter().map(DataPoint::wire_size).sum::<usize>());
     assert!(wire > 0);
-    assert_eq!(ALLOCS.load(Ordering::Relaxed), 0, "wire-size accounting allocated");
+    assert_eq!(accounting.blocks, 0, "wire-size accounting allocated");
 }

@@ -13,10 +13,11 @@
 //!   and snapshots — are written and loaded one record at a time, however
 //!   large the shard, and no damaged one is ever loaded, repaired or removed.
 //!
-//! The allocation counts come from a counting `#[global_allocator]` with a
-//! per-thread window: recovery runs on the calling thread, so sibling
-//! tests allocating beside it are not counted and nothing serializes.
+//! The allocation counts are `counting_alloc::counted`'s, a per-thread
+//! window: recovery runs on the calling thread, so sibling tests allocating
+//! beside it are not counted and nothing serializes.
 
+use counting_alloc::counted;
 use monster_tsdb::series::SeriesIndex;
 use monster_tsdb::wal::{self, Wal, FRAME_HEADER, SEGMENT_MAGIC};
 use monster_tsdb::wal_record::{self, batch_points, Record, SegmentDict};
@@ -26,89 +27,9 @@ use monster_tsdb::{
 };
 use monster_util::EpochSecs;
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    /// The largest single request of the open window.
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-    /// Bytes requested in the open window.
-    static REQUESTED: Cell<usize> = const { Cell::new(0) };
-    /// Bytes live now and at most, over what was live when the window
-    /// opened (what it frees of earlier allocations counts against it).
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static PEAK: Cell<isize> = const { Cell::new(0) };
-}
-
-fn note(size: usize) {
-    // `try_with`: the allocator also runs while a thread's locals go away.
-    let _ = COUNTING.try_with(|on| {
-        if on.get() {
-            LARGEST.with(|l| l.set(l.get().max(size)));
-            REQUESTED.with(|r| r.set(r.get() + size));
-        }
-    });
-}
-
-fn note_live(delta: isize) {
-    let _ = COUNTING.try_with(|on| {
-        if on.get() {
-            let live = LIVE.with(|l| l.replace(l.get() + delta)) + delta;
-            PEAK.with(|p| p.set(p.get().max(live)));
-        }
-    });
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        note_live(layout.size() as isize);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        note_live(layout.size() as isize);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note_live(-(layout.size() as isize));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        note_live(new_size as isize - layout.size() as isize);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-/// Run `f`, counting what this thread asks of the allocator:
-/// `(result, largest request, bytes requested)`.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
-    LARGEST.with(|l| l.set(0));
-    REQUESTED.with(|r| r.set(0));
-    COUNTING.with(|on| on.set(true));
-    let out = f();
-    COUNTING.with(|on| on.set(false));
-    (out, LARGEST.with(Cell::get), REQUESTED.with(Cell::get))
-}
-
-/// Run `f`: `(result, bytes live at its peak, bytes live when it returned)`,
-/// both over what was live when it started.
-fn live_counted<R>(f: impl FnOnce() -> R) -> (R, isize, isize) {
-    LIVE.with(|l| l.set(0));
-    PEAK.with(|p| p.set(0));
-    let (out, ..) = counted(f);
-    (out, PEAK.with(Cell::get), LIVE.with(Cell::get))
-}
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -377,12 +298,12 @@ fn crc_valid_hostile_records_are_skipped_not_torn() {
             file.extend_from_slice(&frame(payload));
         }
         std::fs::write(segment_file(&dir, 0), &file).unwrap();
-        let (recovered, largest, requested) = counted(|| {
+        let (recovered, asked) = counted(|| {
             std::panic::catch_unwind(|| Db::recover(DbConfig::default(), &dir))
                 .expect("recovery panicked")
                 .expect("recovery failed")
         });
-        (recovered.1, recovered.0, largest, requested)
+        (recovered.1, recovered.0, asked.largest, asked.bytes)
     };
 
     // An empty payload is an empty batch; the honest victim applies whole.
@@ -617,16 +538,16 @@ fn tier_and_recover_peaks(tag: &str, per_series: usize) -> (isize, isize) {
     fill_day_zero(&db, 50, per_series);
     db.wal_sync().unwrap();
     let stats = db.stats();
-    let (report, tier_peak, _) = live_counted(|| db.tier_cold_shards(EpochSecs::new(2 * DAY)));
+    let (report, tiering) = counted(|| db.tier_cold_shards(EpochSecs::new(2 * DAY)));
     let report = report.unwrap();
     assert_eq!((report.shards_tiered, report.points_tiered), (1, 50 * per_series));
     drop(db);
-    let (recovered, peak, kept) = live_counted(|| Db::recover(tiered_config(), &dir).unwrap());
+    let (recovered, recovery) = counted(|| Db::recover(tiered_config(), &dir).unwrap());
     assert_eq!(recovered.1.segment_points, 50 * per_series);
     assert_eq!(recovered.0.stats().points, stats.points);
     drop(recovered);
     std::fs::remove_dir_all(&dir).ok();
-    (tier_peak, peak - kept)
+    (tiering.peak_live, recovery.peak_live - recovery.live)
 }
 
 /// (e) Tiering a shard and loading it back hold one record, not the shard:

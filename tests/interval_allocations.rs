@@ -13,47 +13,13 @@
 //! one worker that is the calling thread, every time; the same sweep run
 //! alone says how many blocks to set aside.
 //!
-//! The counter is per thread (`pool::spawned_by_this_thread`'s idiom), so
-//! sibling tests allocate beside the window without showing up in it.
+//! `counting_alloc::counted` counts the calling thread's blocks, so sibling
+//! tests allocate beside the window without showing up in it.
 
+use counting_alloc::{counted, Counts};
 use monster::redfish::bmc::BmcConfig;
 use monster::redfish::client::{ClientConfig, RedfishClient};
 use monster::{Monster, MonsterConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-// SAFETY: every call is forwarded to `System` unchanged; the counter is a
-// const-initialized thread-local `Cell` with no destructor, so touching it
-// allocates nothing and is valid for the whole life of the thread.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.with(|n| n.set(n.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.with(|n| n.set(n.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-/// Blocks the calling thread asks for while `f` runs, and what `f` returns.
-fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATED.with(Cell::get);
-    let out = f();
-    (ALLOCATED.with(Cell::get) - before, out)
-}
 
 #[test]
 fn a_warm_interval_allocates_less_than_a_block_a_point_beside_its_sweep() {
@@ -69,15 +35,17 @@ fn a_warm_interval_allocates_less_than_a_block_a_point_beside_its_sweep() {
     });
     monster.run_intervals(3);
 
-    let (interval, summary) = counted(|| monster.run_interval().expect("consistent writes"));
-    let (sweep, outcome) = counted(|| RedfishClient::new(client).sweep(monster.cluster()));
+    let (summary, Counts { blocks: interval, .. }) =
+        counted(|| monster.run_interval().expect("consistent writes"));
+    let (outcome, Counts { blocks: sweep, .. }) =
+        counted(|| RedfishClient::new(client).sweep(monster.cluster()));
     assert_eq!(outcome.successes(), 64, "the sweep set aside is not the interval's");
     assert_eq!(summary.bmc_failures, 0);
     assert!(summary.points >= 16 * 13, "points written: {}", summary.points);
 
     let beside = interval.saturating_sub(sweep);
     assert!(
-        beside < summary.points as u64,
+        beside < summary.points,
         "{beside} blocks beside the sweep's {sweep} for {} points",
         summary.points
     );
