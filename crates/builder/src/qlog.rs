@@ -374,6 +374,10 @@ pub struct RequestRecord {
     pub vtime_encode_ns: u64,
     /// Response body bytes (the payload, not any explain envelope).
     pub bytes_out: u64,
+    /// Points rendered into the body: the plan's count on a miss, 0 for a
+    /// request that rendered nothing (`wall_ms.encode` ÷ this is the cost
+    /// of a rendered point).
+    pub points_out: u64,
     /// What the cache said about this key.
     pub verdict: CacheVerdict,
     /// Estimated-vs-actual cost, for requests that executed.
@@ -425,6 +429,7 @@ impl RequestRecord {
             "slow" => self.slow,
             "truncated" => self.truncated,
             "bytes_out" => self.bytes_out as i64,
+            "points_out" => self.points_out as i64,
             "wall_ms" => Value::Object(wall_ms),
             "vtime_ms" => jobj! {
                 "execute" => ms(self.vtime_execute_ns),
@@ -516,6 +521,7 @@ impl<'a> Draft<'a> {
         rec.vtime_execute_ns = d.vtime_execute_ns;
         rec.vtime_encode_ns = d.vtime_encode_ns;
         rec.bytes_out = d.bytes_out;
+        rec.points_out = d.points_out;
         rec.cost = d.cost;
         rec.admission = d.admission;
     }

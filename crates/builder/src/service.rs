@@ -428,6 +428,7 @@ fn serve_metrics(
     });
     d.vtime_execute_ns = outcome.query_time.as_nanos();
     d.vtime_encode_ns = outcome.processing_time.as_nanos();
+    d.points_out = outcome.points_out as u64;
     let processing = outcome.query_processing_time();
     let json = outcome.document;
     let mut resp = if builder_req.compress {
@@ -1206,8 +1207,22 @@ mod tests {
             assert_eq!(rows.len(), 1, "{url}");
             assert_eq!(rows[0].get("disposition").unwrap().as_str(), Some(disposition));
             assert_eq!(rows[0].get("status").unwrap().as_i64(), Some(status.0 as i64));
+            // Only a miss renders: its record counts the points in its body.
+            let rendered = resp.body.windows(8).filter(|w| w == b"{\"time\":").count();
+            assert_eq!(rendered > 0, disposition == "miss", "{url}");
+            assert_eq!(rows[0].get("points_out").unwrap().as_i64(), Some(rendered as i64));
             let trace = resp.headers.get("traceparent").unwrap().split('-').nth(1).unwrap();
             assert_eq!(get(&router, &format!("/debug/requests/{trace}")).status, Status::OK);
+            if disposition == "miss" {
+                assert_eq!(get(&router, url).headers.get("X-Cache"), Some("hit"));
+                let doc = get(&router, "/debug/requests?disposition=hit").json_body().unwrap();
+                let hit = &doc.get("requests").unwrap().as_array().unwrap()[0];
+                assert_eq!(
+                    hit.get("points_out").unwrap().as_i64(),
+                    Some(0),
+                    "a hit renders nothing"
+                );
+            }
         }
     }
 
@@ -1275,6 +1290,7 @@ mod tests {
                 "slow:bool",
                 "truncated:bool",
                 "bytes_out:number",
+                "points_out:number",
                 "wall_ms.total:number",
                 "wall_ms.parse:number",
                 "wall_ms.plan:number",

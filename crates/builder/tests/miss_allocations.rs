@@ -112,7 +112,7 @@ fn a_query_batch_allocates_per_series_not_per_key_byte() {
             results.iter().map(|r| r.as_ref().expect("planned query").0.series.len()).sum();
         assert_eq!(series, NODES * 7, "power, three sensors, two UGE fields, the job list");
         assert!(
-            allocated <= 8 * series,
+            allocated <= 3 * series,
             "{allocated} blocks for {series} series carrying {extra_tags} extra tags"
         );
         blocks.push(allocated);

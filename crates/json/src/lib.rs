@@ -23,7 +23,7 @@ mod value;
 
 pub use object::Object;
 pub use parse::parse;
-pub use ser::{write_f64, write_i64, write_str};
+pub use ser::{f64_display_len, write_f64, write_i64, write_str};
 pub use value::Value;
 
 /// Build an object [`Value`] literal concisely in tests and examples.

@@ -264,7 +264,13 @@ impl<'a> Parser<'a> {
             }
             // Integer overflow: fall back to float like most parsers do.
         }
-        text.parse::<f64>().map(Value::Float).map_err(|_| self.err("invalid number"))
+        // `1e400` reads as infinity, which the serializer can only print as
+        // `null`: a number that parses must serialize.
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Value::Float(f)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -324,6 +330,9 @@ mod tests {
             "1.",
             ".5",
             "1e",
+            "1e400",
+            "-1e400",
+            "1E999",
             "+1",
             "\"\\x\"",
             "\"unterminated",

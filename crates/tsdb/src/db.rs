@@ -198,6 +198,8 @@ struct Scanned {
     items: Vec<ScanItem>,
     /// The first scan error; the query's remaining items are skipped.
     failed: Option<Error>,
+    /// The merge's aggregator, kept for its buckets' allocation.
+    windows: Option<WindowAggregator>,
 }
 
 /// One query's merged output: points per series (an index into
@@ -245,7 +247,12 @@ impl Scanned {
         let mut series = Vec::with_capacity(p.series.len());
         for s in p.series.clone() {
             let mut scanned = false;
-            let mut windows = q.agg.map(|agg| WindowAggregator::new(agg, q.group_by, qs));
+            let mut windows = q.agg.map(|agg| {
+                let new = || WindowAggregator::new(agg, q.group_by, qs);
+                let w = self.windows.get_or_insert_with(new);
+                w.restart(agg, q.group_by, qs);
+                w
+            });
             let mut raw = Vec::new();
             for scan in scans.by_ref().take(p.shards.len()) {
                 for item in items.by_ref().take(scan.len) {

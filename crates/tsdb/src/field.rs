@@ -66,30 +66,13 @@ impl FieldValue {
     /// raw-volume unit the Fig. 13 schema comparison counts.
     pub fn wire_size(&self) -> usize {
         match self {
-            // Count the rendered length without building the string —
-            // wire_size runs once per point on the ingest path, and a
-            // `format!` here was the last per-point heap allocation.
-            FieldValue::Float(f) => {
-                struct LenCounter(usize);
-                impl fmt::Write for LenCounter {
-                    fn write_str(&mut self, s: &str) -> fmt::Result {
-                        self.0 += s.len();
-                        Ok(())
-                    }
-                }
-                let mut w = LenCounter(0);
-                let _ = fmt::Write::write_fmt(&mut w, format_args!("{f}"));
-                w.0
-            }
+            // Runs once per field on the ingest path: the lengths come from
+            // the serializer's number kernel, no text is built.
+            FieldValue::Float(f) => monster_json::f64_display_len(*f),
+            // a sign, the digits, and the trailing 'i' type marker
             FieldValue::Int(i) => {
-                // digits + trailing 'i' type marker
-                let mut n = if *i <= 0 { 1 } else { 0 };
-                let mut v = i.unsigned_abs();
-                while v > 0 {
-                    n += 1;
-                    v /= 10;
-                }
-                n.max(1) + 1
+                let digits = i.unsigned_abs().checked_ilog10().map_or(1, |d| d as usize + 1);
+                usize::from(*i < 0) + digits + 1
             }
             FieldValue::Bool(_) => 5,
             FieldValue::Str(s) => s.len() + 2,

@@ -9,7 +9,6 @@ use crate::column::{BlockSummary, NumericSummary};
 use crate::field::FieldValue;
 use crate::series::SeriesKey;
 use monster_util::EpochSecs;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One series' query output.
@@ -126,7 +125,8 @@ pub struct WindowAggregator {
     /// Window length in seconds; `None` = single whole-range window.
     window: Option<i64>,
     range_start: i64,
-    buckets: BTreeMap<i64, Acc>,
+    /// `(window start, accumulator)`, ascending.
+    buckets: Vec<(i64, Acc)>,
     /// Non-numeric values count toward `count` but have no numeric stats.
     non_numeric: u64,
 }
@@ -134,7 +134,14 @@ pub struct WindowAggregator {
 impl WindowAggregator {
     /// Create an aggregator for a query range starting at `range_start`.
     pub fn new(agg: Aggregation, window: Option<i64>, range_start: i64) -> Self {
-        WindowAggregator { agg, window, range_start, buckets: BTreeMap::new(), non_numeric: 0 }
+        WindowAggregator { agg, window, range_start, buckets: Vec::new(), non_numeric: 0 }
+    }
+
+    /// Start over on another series, of this query or the next, keeping the
+    /// buckets' allocation.
+    pub fn restart(&mut self, agg: Aggregation, window: Option<i64>, range_start: i64) {
+        (self.agg, self.window, self.range_start, self.non_numeric) = (agg, window, range_start, 0);
+        self.buckets.clear();
     }
 
     /// Window start for a timestamp. Windows are aligned to the epoch
@@ -147,13 +154,30 @@ impl WindowAggregator {
         }
     }
 
+    /// The accumulator of `ts`'s window: the last bucket or a new one after
+    /// it while points arrive in time order (a scan's do), searched for if not.
+    fn acc(&mut self, ts: i64) -> &mut Acc {
+        let bucket = self.bucket_of(ts);
+        let (len, last) = (self.buckets.len(), self.buckets.last().map(|b| b.0));
+        let found = match last {
+            Some(last) if last == bucket => Ok(len - 1),
+            Some(last) if last > bucket => self.buckets.binary_search_by_key(&bucket, |b| b.0),
+            _ => Err(len),
+        };
+        let at = found.unwrap_or_else(|at| {
+            self.buckets.insert(at, (bucket, Acc::new()));
+            at
+        });
+        &mut self.buckets[at].1
+    }
+
     /// Feed one point.
     pub fn push(&mut self, ts: i64, v: &FieldValue) {
         match v.as_f64() {
-            Some(x) => self.buckets.entry(self.bucket_of(ts)).or_insert_with(Acc::new).push(ts, x),
+            Some(x) => self.acc(ts).push(ts, x),
             None => {
                 if self.agg == Aggregation::Count {
-                    self.buckets.entry(self.bucket_of(ts)).or_insert_with(Acc::new).push(ts, 0.0);
+                    self.acc(ts).push(ts, 0.0);
                 } else {
                     self.non_numeric += 1;
                 }
@@ -169,9 +193,8 @@ impl WindowAggregator {
     /// of the per-point path; other aggregations never receive
     /// non-numeric partials (the scan decodes those blocks instead).
     pub fn push_partial(&mut self, s: &BlockSummary) {
-        let bucket = self.bucket_of(s.ts_min);
         match &s.numeric {
-            Some(n) => self.buckets.entry(bucket).or_insert_with(Acc::new).merge(s.count, n),
+            Some(n) => self.acc(s.ts_min).merge(s.count, n),
             None if self.agg == Aggregation::Count => {
                 let zeros = NumericSummary {
                     min: 0.0,
@@ -182,7 +205,7 @@ impl WindowAggregator {
                     last_ts: s.ts_max,
                     last: 0.0,
                 };
-                self.buckets.entry(bucket).or_insert_with(Acc::new).merge(s.count, &zeros);
+                self.acc(s.ts_min).merge(s.count, &zeros);
             }
             None => self.non_numeric += s.count as u64,
         }
@@ -194,25 +217,26 @@ impl WindowAggregator {
     }
 
     /// Finish into ordered `(window, value)` points.
-    pub fn finish(self) -> Vec<(EpochSecs, FieldValue)> {
+    pub fn finish(&self) -> Vec<(EpochSecs, FieldValue)> {
         self.finish_filled(Fill::None, i64::MIN, i64::MAX)
     }
 
     /// Finish with an empty-window policy over the query range
     /// `[range_start, range_end)`.
     pub fn finish_filled(
-        self,
+        &self,
         fill: Fill,
         range_start: i64,
         range_end: i64,
     ) -> Vec<(EpochSecs, FieldValue)> {
         let agg = self.agg;
-        let window = self.window;
-        let present: Vec<(i64, f64)> =
-            self.buckets.into_iter().map(|(w, acc)| (w, acc.finish(agg))).collect();
-        let points: Vec<(i64, f64)> = match (fill, window) {
-            (Fill::None, _) | (_, None) => present,
+        let point = |(t, v): (i64, f64)| (EpochSecs::new(t), FieldValue::Float(v));
+        let present = self.buckets.iter().map(|(w, acc)| (*w, acc.finish(agg)));
+        let points: Vec<(i64, f64)> = match (fill, self.window) {
+            // What every dashboard query asks for: the output is built once.
+            (Fill::None, _) | (_, None) => return present.map(point).collect(),
             (policy, Some(w)) => {
+                let present: Vec<(i64, f64)> = present.collect();
                 if present.is_empty() {
                     match policy {
                         // fill(0) materializes every window in range.
@@ -268,7 +292,7 @@ impl WindowAggregator {
                 }
             }
         };
-        points.into_iter().map(|(t, v)| (EpochSecs::new(t), FieldValue::Float(v))).collect()
+        points.into_iter().map(point).collect()
     }
 }
 
@@ -308,6 +332,33 @@ mod tests {
         let pts = [(30, 7.0), (10, 4.0), (20, 1.0)]; // out of order
         assert_eq!(run(Aggregation::First, None, &pts), vec![(0, 4.0)]);
         assert_eq!(run(Aggregation::Last, None, &pts), vec![(0, 7.0)]);
+    }
+
+    #[test]
+    fn out_of_order_pushes_finish_in_bucket_order() {
+        let in_order = [(5, 1.0), (70, 2.0), (100, 8.0), (130, 3.0), (185, 4.0), (250, 6.0)];
+        let shuffled = [(130, 3.0), (250, 6.0), (5, 1.0), (185, 4.0), (70, 2.0), (100, 8.0)];
+        for agg in [Aggregation::Max, Aggregation::Sum, Aggregation::First, Aggregation::Last] {
+            let want = run(agg, Some(60), &in_order);
+            assert_eq!(want.iter().map(|p| p.0).collect::<Vec<_>>(), [0, 60, 120, 180, 240]);
+            assert_eq!(run(agg, Some(60), &shuffled), want, "{agg:?}");
+        }
+    }
+
+    #[test]
+    fn a_restarted_aggregator_carries_nothing_over() {
+        let mut reused = WindowAggregator::new(Aggregation::Count, None, 0);
+        reused.push(10, &FieldValue::Str("a".into()));
+        reused.push(900, &FieldValue::Float(1.0));
+        reused.restart(Aggregation::Max, Some(300), 0);
+        let mut fresh = WindowAggregator::new(Aggregation::Max, Some(300), 0);
+        for w in [&mut reused, &mut fresh] {
+            w.push(20, &FieldValue::Str("b".into()));
+            w.push(310, &FieldValue::Float(4.0));
+        }
+        assert_eq!(reused.non_numeric(), 1);
+        assert_eq!(reused.finish(), fresh.finish());
+        assert_eq!(fresh.finish().len(), 1, "finishing leaves the buckets where they are");
     }
 
     #[test]
