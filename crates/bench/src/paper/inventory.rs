@@ -3,8 +3,9 @@
 
 use super::{Fixtures, Out};
 use monster_core::{Monster, MonsterConfig};
-use monster_redfish::bmc::BmcConfig;
+use monster_redfish::bmc::{Answer, BmcConfig};
 use monster_redfish::cluster::{ClusterConfig, SimulatedCluster};
+use monster_redfish::model::parse_reading;
 use monster_redfish::{Category, NodeReading, RedfishClient};
 use monster_scheduler::accounting::{bandwidth_report, job_document, node_document};
 use monster_scheduler::{
@@ -31,12 +32,9 @@ pub fn table1(_: &Fixtures, out: &mut Out) {
     say!(out, "{}", "-".repeat(60));
     for category in Category::ALL {
         let reading = loop {
-            match cluster.request(node, category).expect("node exists") {
-                monster_redfish::bmc::BmcResponse::Ok(payload, _) => {
-                    break monster_redfish::model::parse_reading(category, &payload)
-                        .expect("well-formed payload")
-                }
-                _ => continue,
+            let answer = cluster.request(node, category, |a| a.map(|p| parse_reading(category, p)));
+            if let Answer::Ok(reading, _) = answer.expect("node exists") {
+                break reading.expect("well-formed payload");
             }
         };
         let (label, metrics) = match &reading {

@@ -7,7 +7,7 @@
 //! collection, flash writes); a small probability of outright failure
 //! (connection refused / 503) forces the client's retry path.
 
-use crate::model::payload;
+use crate::model::with_payload;
 use crate::sensors::NodeSensors;
 use crate::types::Category;
 use monster_json::Value;
@@ -41,16 +41,28 @@ impl Default for BmcConfig {
     }
 }
 
-/// What one request attempt did.
+/// What one request attempt did: the payload is lent (`P = &Value`), and
+/// [`Answer::map`] turns it into what the caller keeps.
 #[derive(Debug, Clone, PartialEq)]
-pub enum BmcResponse {
+pub enum Answer<P> {
     /// Payload delivered after the given processing time.
-    Ok(Value, VDuration),
+    Ok(P, VDuration),
     /// The BMC refused or errored quickly.
     Refused(VDuration),
     /// The BMC never answered; the client's read timeout governs the
     /// elapsed time.
     Stalled,
+}
+
+impl<P> Answer<P> {
+    /// The same answer with its payload passed through `f`.
+    pub fn map<Q>(self, f: impl FnOnce(P) -> Q) -> Answer<Q> {
+        match self {
+            Answer::Ok(p, latency) => Answer::Ok(f(p), latency),
+            Answer::Refused(latency) => Answer::Refused(latency),
+            Answer::Stalled => Answer::Stalled,
+        }
+    }
 }
 
 /// One node's BMC.
@@ -100,21 +112,24 @@ impl SimulatedBmc {
         self.config.stall_rate = stall_rate;
     }
 
-    /// Handle one request against the current sensor state.
-    pub fn handle(&mut self, category: Category, sensors: &NodeSensors) -> BmcResponse {
-        if !self.alive {
-            return BmcResponse::Stalled;
-        }
-        if self.rng.chance(self.config.stall_rate) {
-            return BmcResponse::Stalled;
+    /// Answer one request against the current sensor state, lending `f`
+    /// the payload ([`with_payload`]).
+    pub fn answer<R>(
+        &mut self,
+        category: Category,
+        sensors: &NodeSensors,
+        f: impl FnOnce(Answer<&Value>) -> R,
+    ) -> R {
+        if !self.alive || self.rng.chance(self.config.stall_rate) {
+            return f(Answer::Stalled);
         }
         if self.rng.chance(self.config.failure_rate) {
             // Fast refusal: TCP reset or instant 503.
             let t = VDuration::from_secs_f64(self.rng.uniform(0.05, 0.5));
-            return BmcResponse::Refused(t);
+            return f(Answer::Refused(t));
         }
         let latency = self.config.latency.sample(&mut self.rng);
-        BmcResponse::Ok(payload(category, self.node, sensors), latency)
+        with_payload(category, self.node, sensors, |payload| f(Answer::Ok(payload, latency)))
     }
 
     /// Convenience used by the HTTP gateway: map a Redfish path suffix to
@@ -158,11 +173,13 @@ mod tests {
         let s = sensors();
         let mut oks = 0;
         for _ in 0..200 {
-            if let BmcResponse::Ok(v, t) = bmc.handle(Category::Power, &s) {
-                assert!(v.get("PowerControl").is_some());
-                assert!(t > VDuration::ZERO);
-                oks += 1;
-            }
+            bmc.answer(Category::Power, &s, |a| {
+                if let Answer::Ok(v, t) = a {
+                    assert!(v.get("PowerControl").is_some());
+                    assert!(t > VDuration::ZERO);
+                    oks += 1;
+                }
+            });
         }
         assert!(oks > 150, "only {oks}/200 succeeded");
     }
@@ -174,10 +191,10 @@ mod tests {
         let s = sensors();
         let (mut ok, mut refused, mut stalled) = (0, 0, 0);
         for _ in 0..1000 {
-            match bmc.handle(Category::Thermal, &s) {
-                BmcResponse::Ok(..) => ok += 1,
-                BmcResponse::Refused(_) => refused += 1,
-                BmcResponse::Stalled => stalled += 1,
+            match bmc.answer(Category::Thermal, &s, |a| a.map(drop)) {
+                Answer::Ok(..) => ok += 1,
+                Answer::Refused(_) => refused += 1,
+                Answer::Stalled => stalled += 1,
             }
         }
         assert!(stalled > 120, "stalled {stalled}");
@@ -191,7 +208,7 @@ mod tests {
         bmc.set_alive(false);
         let s = sensors();
         for _ in 0..10 {
-            assert_eq!(bmc.handle(Category::System, &s), BmcResponse::Stalled);
+            assert_eq!(bmc.answer(Category::System, &s, |a| a.map(drop)), Answer::Stalled);
         }
         bmc.set_alive(true);
         assert!(bmc.is_alive());
@@ -216,10 +233,9 @@ mod tests {
         let run = || {
             let mut bmc = SimulatedBmc::new(NodeId::new(2, 2), BmcConfig::default(), 9);
             (0..50)
-                .map(|_| match bmc.handle(Category::Power, &s) {
-                    BmcResponse::Ok(_, t) => t.as_nanos(),
-                    BmcResponse::Refused(t) => t.as_nanos(),
-                    BmcResponse::Stalled => 0,
+                .map(|_| match bmc.answer(Category::Power, &s, |a| a.map(drop)) {
+                    Answer::Ok(_, t) | Answer::Refused(t) => t.as_nanos(),
+                    Answer::Stalled => 0,
                 })
                 .collect::<Vec<_>>()
         };

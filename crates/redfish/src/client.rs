@@ -8,7 +8,7 @@
 //! makespan bin-packs request times onto the client's in-flight channel
 //! budget, which is what bounds the paper's ~55 s full sweep.
 
-use crate::bmc::BmcResponse;
+use crate::bmc::Answer;
 use crate::cluster::SimulatedCluster;
 use crate::model::parse_reading;
 use crate::resilience::{Admission, HealthRegistry};
@@ -16,6 +16,8 @@ use crate::types::{Category, NodeReading};
 use monster_sim::VDuration;
 use monster_util::pool::{self, ThreadPool};
 use monster_util::NodeId;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Client tunables.
 #[derive(Debug, Clone)]
@@ -163,6 +165,29 @@ impl SweepOutcome {
     }
 }
 
+/// The in-flight channels' loads, least loaded on top. Which of two equally
+/// loaded channels takes a request leaves the loads the same, so the
+/// makespan is the linear scan's.
+struct Channels(BinaryHeap<Reverse<VDuration>>);
+
+impl Channels {
+    fn new(count: usize) -> Channels {
+        Channels(vec![Reverse(VDuration::ZERO); count.max(1)].into())
+    }
+
+    fn least(&self) -> VDuration {
+        self.0.peek().expect("at least one channel").0
+    }
+
+    fn load_least(&mut self, t: VDuration) {
+        self.0.peek_mut().expect("at least one channel").0 += t;
+    }
+
+    fn makespan(self) -> VDuration {
+        self.0.into_iter().map(|Reverse(load)| load).max().unwrap_or(VDuration::ZERO)
+    }
+}
+
 /// The polling client.
 #[derive(Debug, Clone, Default)]
 pub struct RedfishClient {
@@ -202,10 +227,9 @@ impl RedfishClient {
         let mut timeouts = 0;
         while attempts <= self.config.max_retries {
             attempts += 1;
-            match cluster.request(node, category) {
-                Ok(BmcResponse::Ok(payload, latency)) => {
+            match cluster.request(node, category, |a| a.map(|p| parse_reading(category, p).ok())) {
+                Ok(Answer::Ok(reading, latency)) => {
                     elapsed += latency;
-                    let reading = parse_reading(category, &payload).ok();
                     return RequestOutcome {
                         node,
                         category,
@@ -216,10 +240,10 @@ impl RedfishClient {
                         skip: None,
                     };
                 }
-                Ok(BmcResponse::Refused(latency)) => {
+                Ok(Answer::Refused(latency)) => {
                     elapsed += latency;
                 }
-                Ok(BmcResponse::Stalled) => {
+                Ok(Answer::Stalled) => {
                     timeouts += 1;
                     elapsed += self.config.read_timeout;
                 }
@@ -267,11 +291,10 @@ impl RedfishClient {
             // A real client bounds the read by both its configured timeout
             // and the time left in the sweep budget.
             let attempt_timeout = std::cmp::min(self.config.read_timeout, remaining);
-            match cluster.request(node, category) {
-                Ok(BmcResponse::Ok(payload, latency)) if latency <= attempt_timeout => {
+            match cluster.request(node, category, |a| a.map(|p| parse_reading(category, p).ok())) {
+                Ok(Answer::Ok(reading, latency)) if latency <= attempt_timeout => {
                     elapsed += latency;
                     registry.record_success(node, latency);
-                    let reading = parse_reading(category, &payload).ok();
                     return RequestOutcome {
                         node,
                         category,
@@ -282,18 +305,18 @@ impl RedfishClient {
                         skip: None,
                     };
                 }
-                Ok(BmcResponse::Ok(..)) => {
+                Ok(Answer::Ok(..)) => {
                     // The payload would have arrived after the (possibly
                     // budget-trimmed) read timeout: the client hangs up.
                     timeouts += 1;
                     elapsed += attempt_timeout;
                     registry.record_failure(node);
                 }
-                Ok(BmcResponse::Refused(latency)) => {
+                Ok(Answer::Refused(latency)) => {
                     elapsed += std::cmp::min(latency, attempt_timeout);
                     registry.record_failure(node);
                 }
-                Ok(BmcResponse::Stalled) => {
+                Ok(Answer::Stalled) => {
                     timeouts += 1;
                     elapsed += attempt_timeout;
                     registry.record_failure(node);
@@ -347,13 +370,11 @@ impl RedfishClient {
 
         let mut times: Vec<VDuration> = results.iter().map(|r| r.elapsed).collect();
         times.sort_unstable_by(|a, b| b.cmp(a));
-        let channels = self.config.max_inflight.max(1);
-        let mut bins = vec![VDuration::ZERO; channels.min(times.len().max(1))];
+        let mut channels = Channels::new(self.config.max_inflight.min(times.len()));
         for t in times {
-            let min = bins.iter_mut().min().expect("non-empty bins");
-            *min += t;
+            channels.load_least(t);
         }
-        let makespan = bins.into_iter().max().unwrap_or(VDuration::ZERO);
+        let makespan = channels.makespan();
         let outcome = SweepOutcome { results, makespan, deadline: None };
         self.report(&outcome, span.context(), makespan);
         span.finish_after(makespan);
@@ -418,8 +439,7 @@ impl RedfishClient {
         order.sort_by_key(|&(estimate, _, _)| estimate);
 
         // Greedy least-loaded channel packing against the deadline.
-        let channels = self.config.max_inflight.max(1).min(order.len().max(1));
-        let mut bins = vec![VDuration::ZERO; channels];
+        let mut channels = Channels::new(self.config.max_inflight.min(order.len()));
         for (estimate, node, category) in order {
             // A breaker may have opened mid-sweep from this sweep's own
             // failures; skip the node's remaining requests if so.
@@ -427,12 +447,7 @@ impl RedfishClient {
                 results.push(RequestOutcome::skipped(node, category, SkipReason::BreakerOpen));
                 continue;
             }
-            let (bin_idx, load) = bins
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| **l)
-                .map(|(i, l)| (i, *l))
-                .expect("non-empty bins");
+            let load = channels.least();
             let budget = deadline.saturating_sub(load);
             if load + estimate > deadline || budget < min_budget {
                 results.push(RequestOutcome::skipped(node, category, SkipReason::Deadline));
@@ -440,11 +455,11 @@ impl RedfishClient {
             }
             let outcome =
                 self.fetch_resilient(cluster, node, category, registry, budget, sweep_idx);
-            bins[bin_idx] += outcome.elapsed;
+            channels.load_least(outcome.elapsed);
             results.push(outcome);
         }
 
-        let makespan = bins.into_iter().max().unwrap_or(VDuration::ZERO);
+        let makespan = channels.makespan();
         let outcome = SweepOutcome { results, makespan, deadline: Some(deadline) };
         registry.publish_gauges();
         self.report(&outcome, span.context(), makespan);
@@ -514,6 +529,7 @@ mod tests {
     use super::*;
     use crate::bmc::BmcConfig;
     use crate::cluster::ClusterConfig;
+    use proptest::prelude::*;
 
     fn small_cluster(nodes: usize, seed: u64) -> SimulatedCluster {
         SimulatedCluster::new(ClusterConfig::small(nodes, seed))
@@ -597,6 +613,54 @@ mod tests {
         assert!(one.0.contains("reading: None") && one.0 != one.1, "nothing failed or moved");
         assert_eq!(outcome(2), one);
         assert_eq!(outcome(8), one);
+    }
+
+    /// The packing as it was: a linear scan for the least loaded channel,
+    /// the first of equals. Returns the least load each request met, and
+    /// the makespan.
+    fn pack_linear(times: &[(VDuration, bool)], channels: usize) -> (Vec<VDuration>, VDuration) {
+        let mut bins = vec![VDuration::ZERO; channels.max(1).min(times.len().max(1))];
+        let mut met = Vec::new();
+        for &(t, take) in times {
+            let least = bins.iter_mut().min().expect("non-empty bins");
+            met.push(*least);
+            if take {
+                *least += t;
+            }
+        }
+        (met, bins.into_iter().max().unwrap_or(VDuration::ZERO))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_heap_packs_as_the_linear_scan_did(
+            ticks in prop::collection::vec((0u64..6, any::<bool>()), 0..300),
+            longest_first in any::<bool>(),
+            channels in 0usize..24,
+        ) {
+            // Six distinct durations: ties at every step, equal-load
+            // channels everywhere. `sweep_with` takes every request longest
+            // first; `sweep_resilient` takes them in arrival order and
+            // skips some it has looked at.
+            let mut times: Vec<(VDuration, bool)> = ticks
+                .iter()
+                .map(|&(t, take)| (VDuration::from_millis(250 * t), take || longest_first))
+                .collect();
+            if longest_first {
+                times.sort_unstable_by(|a, b| b.cmp(a));
+            }
+            let (met, makespan) = pack_linear(&times, channels);
+            let mut heap = Channels::new(channels.min(times.len()));
+            for (&(t, take), &least) in times.iter().zip(&met) {
+                prop_assert_eq!(heap.least(), least);
+                if take {
+                    heap.load_least(t);
+                }
+            }
+            prop_assert_eq!(heap.makespan(), makespan);
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! thread interleaving. The scheduler simulation drives per-node load; the
 //! Redfish client polls concurrently.
 
-use crate::bmc::{BmcConfig, BmcResponse, SimulatedBmc};
+use crate::bmc::{Answer, BmcConfig, SimulatedBmc};
 use crate::sensors::NodeSensors;
 use crate::types::Category;
+use monster_json::Value;
 use monster_sim::SimRng;
 use monster_util::{Error, NodeId, Result};
 use parking_lot::Mutex;
@@ -113,13 +114,20 @@ impl SimulatedCluster {
         }
     }
 
-    /// Issue one Redfish request against a node's BMC.
-    pub fn request(&self, node: NodeId, category: Category) -> Result<BmcResponse> {
+    /// Issue one Redfish request against a node's BMC and hand its answer
+    /// to `f`, under the node's lock: the payload is lent, not returned
+    /// ([`SimulatedBmc::answer`]).
+    pub fn request<R>(
+        &self,
+        node: NodeId,
+        category: Category,
+        f: impl FnOnce(Answer<&Value>) -> R,
+    ) -> Result<R> {
         let cell =
             self.cells.get(&node).ok_or_else(|| Error::not_found(format!("no node {node}")))?;
         let mut cell = cell.lock();
         let cell = &mut *cell;
-        Ok(cell.bmc.handle(category, &cell.sensors))
+        Ok(cell.bmc.answer(category, &cell.sensors, f))
     }
 
     /// Failure injection: mark a node's BMC dead or alive.
@@ -175,6 +183,11 @@ impl SimulatedCluster {
 mod tests {
     use super::*;
 
+    /// What a request did, its payload dropped.
+    fn ask(c: &SimulatedCluster, node: NodeId, category: Category) -> Answer<()> {
+        c.request(node, category, |a| a.map(drop)).unwrap()
+    }
+
     #[test]
     fn default_is_quanah_sized() {
         let c = SimulatedCluster::new(ClusterConfig::default());
@@ -206,8 +219,11 @@ mod tests {
         // Retry until the stochastic BMC answers.
         let mut watts = None;
         for _ in 0..20 {
-            if let BmcResponse::Ok(v, _) = c.request(node, Category::Power).unwrap() {
-                watts = v.pointer("PowerControl/0/PowerConsumedWatts").and_then(|x| x.as_f64());
+            let answer = c.request(node, Category::Power, |a| {
+                a.map(|v| v.pointer("PowerControl/0/PowerConsumedWatts").and_then(Value::as_f64))
+            });
+            if let Answer::Ok(w, _) = answer.unwrap() {
+                watts = w;
                 break;
             }
         }
@@ -219,7 +235,7 @@ mod tests {
     #[test]
     fn unknown_node_is_not_found() {
         let c = SimulatedCluster::new(ClusterConfig::small(2, 3));
-        assert!(c.request(NodeId::new(99, 9), Category::Power).is_err());
+        assert!(c.request(NodeId::new(99, 9), Category::Power, |_| ()).is_err());
         assert!(c.sensors(NodeId::new(99, 9)).is_err());
         assert!(c.set_bmc_alive(NodeId::new(99, 9), false).is_err());
     }
@@ -230,12 +246,12 @@ mod tests {
         let node = c.node_ids()[1];
         c.set_bmc_alive(node, false).unwrap();
         for _ in 0..5 {
-            assert_eq!(c.request(node, Category::System).unwrap(), BmcResponse::Stalled);
+            assert_eq!(ask(&c, node, Category::System), Answer::Stalled);
         }
         c.set_bmc_alive(node, true).unwrap();
         let mut any_ok = false;
         for _ in 0..20 {
-            if matches!(c.request(node, Category::System).unwrap(), BmcResponse::Ok(..)) {
+            if matches!(ask(&c, node, Category::System), Answer::Ok(..)) {
                 any_ok = true;
                 break;
             }
@@ -270,8 +286,8 @@ mod tests {
         let c = SimulatedCluster::new(cfg);
         let (bad, good) = (c.node_ids()[0], c.node_ids()[1]);
         for _ in 0..20 {
-            assert!(matches!(c.request(bad, Category::Power).unwrap(), BmcResponse::Refused(_)));
-            assert!(matches!(c.request(good, Category::Power).unwrap(), BmcResponse::Ok(..)));
+            assert!(matches!(ask(&c, bad, Category::Power), Answer::Refused(_)));
+            assert!(matches!(ask(&c, good, Category::Power), Answer::Ok(..)));
         }
     }
 
@@ -285,19 +301,19 @@ mod tests {
         let node = c.node_ids()[0];
         c.set_bmc_rates(node, 0.0, 1.0).unwrap();
         for _ in 0..5 {
-            assert_eq!(c.request(node, Category::Thermal).unwrap(), BmcResponse::Stalled);
+            assert_eq!(ask(&c, node, Category::Thermal), Answer::Stalled);
         }
         c.set_bmc_rates(node, 0.0, 0.0).unwrap();
-        assert!(matches!(c.request(node, Category::Thermal).unwrap(), BmcResponse::Ok(..)));
+        assert!(matches!(ask(&c, node, Category::Thermal), Answer::Ok(..)));
         // apply_fault drives both rates and liveness.
         c.apply_fault(
             node,
             monster_sim::FaultSpec { failure_rate: 0.0, stall_rate: 0.0, dead: true },
         )
         .unwrap();
-        assert_eq!(c.request(node, Category::Thermal).unwrap(), BmcResponse::Stalled);
+        assert_eq!(ask(&c, node, Category::Thermal), Answer::Stalled);
         c.apply_fault(node, monster_sim::FaultSpec::NONE).unwrap();
-        assert!(matches!(c.request(node, Category::Thermal).unwrap(), BmcResponse::Ok(..)));
+        assert!(matches!(ask(&c, node, Category::Thermal), Answer::Ok(..)));
         assert!(c.set_bmc_rates(NodeId::new(99, 9), 0.5, 0.5).is_err());
     }
 
@@ -310,7 +326,7 @@ mod tests {
                 s.spawn(move || {
                     for &id in c.node_ids() {
                         for cat in Category::ALL {
-                            let _ = c.request(id, cat).unwrap();
+                            ask(&c, id, cat);
                         }
                     }
                 });

@@ -7,7 +7,7 @@
 //! responses carry an `X-Simulated-Latency-Ms` header so callers can
 //! account virtual time without wall-clock delays.
 
-use crate::bmc::{BmcResponse, SimulatedBmc};
+use crate::bmc::{Answer, SimulatedBmc};
 use crate::cluster::SimulatedCluster;
 use crate::model::redfish_error;
 use monster_http::{Method, Response, Router, Status};
@@ -99,14 +99,13 @@ pub fn router(cluster: Arc<SimulatedCluster>) -> Router {
                 Ok(c) => c,
                 Err(e) => return Response::error(Status::NOT_FOUND, &e.to_string()),
             };
-            match c2.request(node, category) {
-                Ok(BmcResponse::Ok(payload, latency)) => {
-                    let mut resp = Response::json(&payload);
+            match c2.request(node, category, |a| a.map(Response::json)) {
+                Ok(Answer::Ok(mut resp, latency)) => {
                     resp.headers
                         .set("X-Simulated-Latency-Ms", format!("{:.1}", latency.as_millis_f64()));
                     resp
                 }
-                Ok(BmcResponse::Refused(latency)) => {
+                Ok(Answer::Refused(latency)) => {
                     let mut resp = Response::error(
                         Status::SERVICE_UNAVAILABLE,
                         &redfish_error("iDRAC busy").to_string_compact(),
@@ -115,7 +114,7 @@ pub fn router(cluster: Arc<SimulatedCluster>) -> Router {
                         .set("X-Simulated-Latency-Ms", format!("{:.1}", latency.as_millis_f64()));
                     resp
                 }
-                Ok(BmcResponse::Stalled) => {
+                Ok(Answer::Stalled) => {
                     let mut resp = Response::error(Status(504), "BMC did not answer");
                     resp.headers.set("X-Simulated-Timeout", "true");
                     resp

@@ -14,11 +14,13 @@
 //!   (CPU temperature follows scheduler load, fans follow temperature,
 //!   power follows load) and health derived from thresholds;
 //! * [`model`] — Redfish-conformant JSON payloads for the four resource
-//!   categories (Table I's metric inventory);
+//!   categories (Table I's metric inventory), answered over a template each
+//!   thread keeps a category rather than built a request;
 //! * [`bmc`] — a simulated iDRAC: latency distribution calibrated to the
 //!   paper's 4.29 s mean, a heavy stall tail, failure injection;
 //! * [`cluster`] — the 467-node fleet with per-node deterministic RNG
-//!   streams, advanced in lockstep with the scheduler simulation;
+//!   streams, advanced in lockstep with the scheduler simulation; a request
+//!   lends its answer to a closure under the node's lock;
 //! * [`client`] — the polling client: request-pool fan-out on a worker
 //!   pool, timeout + retry policy, simulated sweep makespan;
 //! * [`resilience`] — per-BMC health registry (EWMA latency, consecutive

@@ -5,11 +5,95 @@
 //! them back into [`NodeReading`]s. Keeping both directions here means the
 //! collector is tested against the same payload shapes a real BMC would
 //! produce.
+//!
+//! [`payload`] builds a document; a BMC answering a request does not: each
+//! thread keeps one [`payload`] a category and [`with_payload`] writes the
+//! next node's name, readings and health over it — all that differs between
+//! two nodes — and lends it out. Per thread, not per node: four templates a
+//! sweep worker, where one a node would keep 1 868 trees resident.
 
 use crate::sensors::{NodeSensors, VOLTAGE_RAILS};
 use crate::types::{Category, HealthState, NodeReading};
 use monster_json::{jobj, Object, Value};
 use monster_util::{Error, NodeId, Result};
+use std::cell::RefCell;
+use std::fmt::{self, Write};
+
+thread_local! {
+    static TEMPLATES: RefCell<[Option<Value>; 4]> = RefCell::default();
+}
+
+/// Lend `f` the [`payload`] of `category` for `node`, written over this
+/// thread's template (built by [`payload`] on first use, and anew for a
+/// request answered inside another's `f`).
+pub fn with_payload<R>(
+    category: Category,
+    node: NodeId,
+    s: &NodeSensors,
+    f: impl FnOnce(&Value) -> R,
+) -> R {
+    TEMPLATES.with(|templates| match templates.try_borrow_mut() {
+        Ok(mut templates) => match &mut templates[category as usize] {
+            Some(v) => {
+                write_over(category, v, node, s);
+                f(v)
+            }
+            slot => f(slot.insert(payload(category, node, s))),
+        },
+        Err(_) => f(&payload(category, node, s)),
+    })
+}
+
+/// Write what differs between two nodes' [`payload`]s over `v`.
+fn write_over(category: Category, v: &mut Value, node: NodeId, s: &NodeSensors) {
+    let name = at(v, "Name");
+    match category {
+        Category::System => set_str(name, format_args!("System ({})", node.label_display())),
+        _ => set_str(name, format_args!("{category} ({node})")),
+    }
+    match category {
+        Category::Thermal => {
+            let Value::Array(temps) = at(v, "Temperatures") else { unreachable!() };
+            let (inlet, cpus) = temps.split_last_mut().expect("an inlet entry");
+            *at(inlet, "ReadingCelsius") = Value::Float(round1(s.inlet));
+            for (t, &reading) in cpus.iter_mut().zip(&s.cpu_temps) {
+                *at(t, "ReadingCelsius") = Value::Float(round1(reading));
+                set_health(t, s.host_health);
+            }
+            let Value::Array(fans) = at(v, "Fans") else { unreachable!() };
+            for (fan, &reading) in fans.iter_mut().zip(&s.fans) {
+                *at(fan, "Reading") = Value::Float(round1(reading));
+            }
+        }
+        Category::Power => {
+            *at(v, "PowerControl/0/PowerConsumedWatts") = Value::Float(round1(s.power))
+        }
+        Category::Manager => set_health(v, s.bmc_health),
+        Category::System => set_health(v, s.host_health),
+    }
+}
+
+/// [`Value::pointer`], mutable, into a template: the path is there.
+fn at<'v>(v: &'v mut Value, path: &str) -> &'v mut Value {
+    path.split('/').fold(v, |v, seg| {
+        match v {
+            Value::Object(o) => o.get_mut(seg),
+            Value::Array(a) => seg.parse().ok().and_then(|i: usize| a.get_mut(i)),
+            _ => None,
+        }
+        .expect("a template member")
+    })
+}
+
+fn set_str(v: &mut Value, text: fmt::Arguments<'_>) {
+    let Value::Str(s) = v else { unreachable!("a template string") };
+    s.clear();
+    s.write_fmt(text).expect("a String takes any text");
+}
+
+fn set_health(v: &mut Value, health: HealthState) {
+    set_str(at(v, "Status/Health"), format_args!("{}", health.as_str()));
+}
 
 /// Build the JSON payload for one category from a node's sensor state.
 pub fn payload(category: Category, node: NodeId, s: &NodeSensors) -> Value {
