@@ -510,7 +510,8 @@ impl Column {
     /// the matching ones when the tail is in time order, all otherwise.
     fn tail_candidates(&self, start: i64, end: i64) -> std::ops::Range<usize> {
         if self.tail_sorted {
-            self.tail_ts.partition_point(|&t| t < start)..self.tail_ts.partition_point(|&t| t < end)
+            let hi = partition_back(&self.tail_ts, self.tail_ts.len(), end);
+            partition_back(&self.tail_ts, hi, start)..hi
         } else {
             0..self.tail_ts.len()
         }
@@ -594,6 +595,22 @@ impl Column {
             };
             f(t, v);
         }
+    }
+}
+
+/// `ts[..upto].partition_point(|&t| t < bound)` for a sorted `ts`, searched
+/// back from `upto` in doubling steps: a dashboard window is the newest few
+/// points of a tail, and this touches their cache lines, not a binary
+/// search's path through the whole tail.
+fn partition_back(ts: &[i64], upto: usize, bound: i64) -> usize {
+    // Everything in `ts[hi..upto]` is at or past `bound`.
+    let (mut hi, mut step) = (upto, 1);
+    loop {
+        let lo = hi.saturating_sub(step);
+        if lo == 0 || ts[lo] < bound {
+            return lo + ts[lo..hi].partition_point(|&t| t < bound);
+        }
+        (hi, step) = (lo, step * 2);
     }
 }
 
@@ -911,5 +928,34 @@ mod tests {
         col.append(1, &FieldValue::Int(3)).unwrap();
         assert!(col.tail_sorted);
         assert_eq!(collect(&col, 0, 10).len(), 3);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The search back from the newest point finds the range two
+        /// binary searches find: sorted tails with repeated timestamps
+        /// (empty ones included), windows before, inside, straddling and
+        /// after them, and empty or inverted windows.
+        #[test]
+        fn the_tail_search_finds_what_partition_point_finds(
+            mut ts in proptest::collection::vec(0i64..200, 0..400),
+            start in -50i64..250,
+            width in -5i64..80,
+        ) {
+            ts.sort_unstable();
+            let mut col = Column::new(&FieldValue::Int(0));
+            for &t in &ts {
+                col.append(t, &FieldValue::Int(t)).unwrap();
+            }
+            let end = start + width;
+            let got = col.tail_candidates(start, end);
+            let want = ts.partition_point(|&t| t < start)..ts.partition_point(|&t| t < end);
+            if start <= end {
+                proptest::prop_assert_eq!(got, want);
+            } else {
+                proptest::prop_assert!(got.is_empty() && want.is_empty());
+            }
+        }
     }
 }
