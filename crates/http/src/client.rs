@@ -6,7 +6,7 @@
 //! client), which knows which failures are worth retrying.
 
 use crate::message::{Request, Response};
-use crate::parse::{parse_response, read_message, MAX_BODY};
+use crate::parse::{parse_response, MessageReader, MAX_BODY};
 use monster_util::{Error, Result};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -55,9 +55,7 @@ impl Client {
         stream.set_read_timeout(Some(self.read_timeout))?;
         stream.set_nodelay(true).ok();
         stream.write_all(&req.to_bytes()).map_err(|e| Error::Network(format!("send: {e}")))?;
-        let raw = read_message(&mut stream, MAX_BODY)?;
-        let resp = parse_response(&raw)?;
-        Ok(resp)
+        parse_response(&MessageReader::new(stream).read_message(MAX_BODY)?)
     }
 
     /// Send and fail unless the status is 2xx.
@@ -81,7 +79,7 @@ impl Client {
 pub struct PersistentClient {
     addr: SocketAddr,
     config: Client,
-    stream: Option<TcpStream>,
+    conn: Option<MessageReader<TcpStream>>,
     /// Exchanges completed on the current connection (observability).
     reused: usize,
 }
@@ -89,7 +87,7 @@ pub struct PersistentClient {
 impl PersistentClient {
     /// A persistent client for one peer.
     pub fn new(addr: SocketAddr, config: Client) -> Self {
-        PersistentClient { addr, config, stream: None, reused: 0 }
+        PersistentClient { addr, config, conn: None, reused: 0 }
     }
 
     /// Exchanges served without reconnecting.
@@ -97,16 +95,16 @@ impl PersistentClient {
         self.reused
     }
 
-    fn connect(&mut self) -> Result<&mut TcpStream> {
-        if self.stream.is_none() {
+    fn connect(&mut self) -> Result<&mut MessageReader<TcpStream>> {
+        if self.conn.is_none() {
             let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
                 .map_err(|e| Error::Network(format!("connect to {}: {e}", self.addr)))?;
             stream.set_read_timeout(Some(self.config.read_timeout))?;
             stream.set_nodelay(true).ok();
-            self.stream = Some(stream);
+            self.conn = Some(MessageReader::new(stream));
             self.reused = 0;
         }
-        Ok(self.stream.as_mut().expect("just connected"))
+        Ok(self.conn.as_mut().expect("just connected"))
     }
 
     /// Send one request over the persistent connection. The request is
@@ -115,11 +113,12 @@ impl PersistentClient {
     pub fn send(&mut self, req: &Request) -> Result<Response> {
         let wire = req.clone().keep_alive().to_bytes();
         for attempt in 0..2 {
-            let stream = self.connect()?;
-            let outcome = stream
+            let conn = self.connect()?;
+            let outcome = conn
+                .get_mut()
                 .write_all(&wire)
                 .map_err(|e| Error::Network(format!("send: {e}")))
-                .and_then(|()| read_message(stream, MAX_BODY))
+                .and_then(|()| conn.read_message(MAX_BODY))
                 .and_then(|raw| parse_response(&raw));
             match outcome {
                 Ok(resp) => {
@@ -132,10 +131,10 @@ impl PersistentClient {
                     // may have processed the request (double-writes on
                     // POST /write would corrupt the database).
                     let _ = e;
-                    self.stream = None;
+                    self.conn = None;
                 }
                 Err(e) => {
-                    self.stream = None;
+                    self.conn = None;
                     return Err(e);
                 }
             }

@@ -385,20 +385,22 @@ impl Response {
 
     fn encode(&self, keep_alive: bool) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.body.len() + 128);
-        out.extend_from_slice(
-            format!("HTTP/1.1 {} {}\r\n", self.status.0, self.status.reason()).as_bytes(),
-        );
-        for (n, v) in self.headers.iter() {
-            out.extend_from_slice(format!("{n}: {v}\r\n").as_bytes());
-        }
-        out.extend_from_slice(format!("Content-Length: {}\r\n", self.body.len()).as_bytes());
-        if keep_alive {
-            out.extend_from_slice(b"Connection: keep-alive\r\n\r\n");
-        } else {
-            out.extend_from_slice(b"Connection: close\r\n\r\n");
-        }
+        self.write_head(&mut out, keep_alive);
         out.extend_from_slice(&self.body);
         out
+    }
+
+    /// Append the status line and the headers, `Content-Length` and
+    /// `Connection` last: everything the wire carries before the body.
+    pub(crate) fn write_head(&self, out: &mut Vec<u8>, keep_alive: bool) {
+        use std::io::Write;
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(out, "HTTP/1.1 {} {}\r\n", self.status.0, self.status.reason());
+        for (n, v) in self.headers.iter() {
+            let _ = write!(out, "{n}: {v}\r\n");
+        }
+        let (len, connection) = (self.body.len(), if keep_alive { "keep-alive" } else { "close" });
+        let _ = write!(out, "Content-Length: {len}\r\nConnection: {connection}\r\n\r\n");
     }
 }
 

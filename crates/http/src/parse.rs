@@ -1,8 +1,8 @@
 //! Wire parsing for HTTP/1.1 messages.
 //!
 //! Framing is `Content-Length` only (MonSTer peers never send chunked
-//! bodies). The parsers take the complete message bytes; [`read_message`]
-//! handles pulling a full message off a socket.
+//! bodies). The parsers take the complete message bytes; a
+//! [`MessageReader`] pulls them off a connection one message at a time.
 
 use crate::message::{Headers, Method, Request, Response, Status};
 use monster_util::{Error, Result};
@@ -36,7 +36,7 @@ fn parse_headers<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Headers> {
     Ok(headers)
 }
 
-fn body_from(headers: &Headers, rest: &[u8]) -> Result<Vec<u8>> {
+fn body_from<'a>(headers: &Headers, rest: &'a [u8]) -> Result<&'a [u8]> {
     let len: usize = headers
         .get("Content-Length")
         .unwrap_or("0")
@@ -48,7 +48,7 @@ fn body_from(headers: &Headers, rest: &[u8]) -> Result<Vec<u8>> {
     if rest.len() < len {
         return Err(Error::parse("body shorter than Content-Length"));
     }
-    Ok(rest[..len].to_vec())
+    Ok(&rest[..len])
 }
 
 /// Parse a complete request message.
@@ -68,7 +68,7 @@ pub fn parse_request(raw: &[u8]) -> Result<Request> {
         None => (target.to_string(), String::new()),
     };
     let headers = parse_headers(lines)?;
-    let body = body_from(&headers, rest)?;
+    let body = body_from(&headers, rest)?.to_vec();
     let keep_alive =
         headers.get("Connection").map(|v| v.eq_ignore_ascii_case("keep-alive")).unwrap_or(false);
     Ok(Request { method, path, query, headers, body, keep_alive })
@@ -90,56 +90,81 @@ pub fn parse_response(raw: &[u8]) -> Result<Response> {
         .parse()
         .map_err(|_| Error::parse("non-numeric status"))?;
     let headers = parse_headers(lines)?;
+    // The one copy a client makes of a body: into the shared `Body`.
     let body = body_from(&headers, rest)?;
     Ok(Response::new(Status(code), headers, body.into()))
 }
 
-/// Read one full `Connection: close`-style message from a stream: reads
-/// until the header block is complete, then until `Content-Length` bytes of
-/// body have arrived. A message announcing more than `max_body` is refused
-/// from its header, before a body byte is read.
-pub fn read_message(stream: &mut impl Read, max_body: usize) -> Result<Vec<u8>> {
-    let mut buf: Vec<u8> = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 4096];
-    // Phase 1: until CRLFCRLF.
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        if buf.len() > MAX_HEAD {
-            return Err(Error::invalid("header block exceeds size cap"));
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(Error::Network("connection closed mid-header".into()));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    // Phase 2: find Content-Length in the head.
-    let head = std::str::from_utf8(&buf[..head_end - 4])
-        .map_err(|_| Error::parse("non-UTF-8 header block"))?;
-    let mut content_length = 0usize;
-    for line in head.split("\r\n").skip(1) {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length =
-                    value.trim().parse().map_err(|_| Error::parse("bad Content-Length"))?;
+/// One connection's read side. A read can run past the end of the message
+/// it completes (a pipelining peer sends its next request behind the
+/// first); those bytes wait here and begin the next message.
+pub struct MessageReader<R> {
+    inner: R,
+    ahead: Vec<u8>,
+}
+
+impl<R: Read> MessageReader<R> {
+    /// A reader with nothing read yet.
+    pub fn new(inner: R) -> Self {
+        MessageReader { inner, ahead: Vec::new() }
+    }
+
+    /// The stream, for writing the other way.
+    pub fn get_mut(&mut self) -> &mut R {
+        &mut self.inner
+    }
+
+    /// Read one full message: until the header block is complete, then the
+    /// `Content-Length` bytes of its body straight into one buffer reserved
+    /// at that length. A message announcing more than `max_body` is refused
+    /// from its header, before a body byte is read.
+    pub fn read_message(&mut self, max_body: usize) -> Result<Vec<u8>> {
+        let mut buf = std::mem::take(&mut self.ahead);
+        let mut chunk = [0u8; 4096];
+        // Phase 1: until CRLFCRLF.
+        let head_end = loop {
+            if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+                break pos + 4;
+            }
+            if buf.len() > MAX_HEAD {
+                return Err(Error::invalid("header block exceeds size cap"));
+            }
+            let n = self.inner.read(&mut chunk)?;
+            if n == 0 {
+                return Err(Error::Network("connection closed mid-header".into()));
+            }
+            buf.extend_from_slice(&chunk[..n]);
+        };
+        // Phase 2: find Content-Length in the head.
+        let head = std::str::from_utf8(&buf[..head_end - 4])
+            .map_err(|_| Error::parse("non-UTF-8 header block"))?;
+        let mut content_length = 0usize;
+        for line in head.split("\r\n").skip(1) {
+            if let Some((name, value)) = line.split_once(':') {
+                if name.trim().eq_ignore_ascii_case("content-length") {
+                    content_length =
+                        value.trim().parse().map_err(|_| Error::parse("bad Content-Length"))?;
+                }
             }
         }
-    }
-    if content_length > max_body {
-        return Err(Error::invalid("body exceeds size cap"));
-    }
-    let total = head_end + content_length;
-    while buf.len() < total {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(Error::Network("connection closed mid-body".into()));
+        if content_length > max_body {
+            return Err(Error::invalid("body exceeds size cap"));
         }
-        buf.extend_from_slice(&chunk[..n]);
+        // Phase 3: the rest of the body, or the next message's first bytes
+        // put aside.
+        let total = head_end + content_length;
+        if buf.len() > total {
+            self.ahead = buf.split_off(total);
+        } else {
+            let rest = total - buf.len();
+            buf.reserve_exact(rest);
+            self.inner.by_ref().take(rest as u64).read_to_end(&mut buf)?;
+            if buf.len() < total {
+                return Err(Error::Network("connection closed mid-body".into()));
+            }
+        }
+        Ok(buf)
     }
-    buf.truncate(total);
-    Ok(buf)
 }
 
 #[cfg(test)]
@@ -206,8 +231,7 @@ mod tests {
             }
         }
         let msg = Response::json(&jobj! { "v" => 42i64 }).to_bytes();
-        let mut t = Trickle(msg.clone(), 0);
-        let got = read_message(&mut t, MAX_BODY).unwrap();
+        let got = MessageReader::new(Trickle(msg.clone(), 0)).read_message(MAX_BODY).unwrap();
         assert_eq!(got, msg);
     }
 
@@ -221,8 +245,8 @@ mod tests {
         }
         let mut msg = Response::json(&jobj! { "v" => 42i64 }).to_bytes();
         msg.truncate(msg.len() - 3);
-        let mut f = Fixed(std::io::Cursor::new(msg));
-        assert!(matches!(read_message(&mut f, MAX_BODY), Err(Error::Network(_))));
+        let mut f = MessageReader::new(Fixed(std::io::Cursor::new(msg)));
+        assert!(matches!(f.read_message(MAX_BODY), Err(Error::Network(_))));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! unblock `accept`.
 
 use crate::message::{Response, Status};
-use crate::parse::{parse_request, read_message};
+use crate::parse::{parse_request, MessageReader};
 use crate::router::Router;
-use std::io::Write;
+use std::io::{self, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -86,14 +86,16 @@ impl Drop for Server {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, router: &Router, timeout: Duration) {
+fn handle_connection(stream: TcpStream, router: &Router, timeout: Duration) {
     let _ = stream.set_read_timeout(Some(timeout));
     // A peer that stops reading fails the write instead of pinning the thread.
     let _ = stream.set_write_timeout(Some(timeout));
+    let mut reader = MessageReader::new(&stream);
+    let mut head = Vec::with_capacity(256);
     // Serve exchanges until the client closes, asks to close, or errors.
     loop {
         let (response, keep_alive) =
-            match read_message(&mut stream, MAX_REQUEST_BODY).and_then(|raw| parse_request(&raw)) {
+            match reader.read_message(MAX_REQUEST_BODY).and_then(|raw| parse_request(&raw)) {
                 Ok(req) => {
                     let keep = req.keep_alive;
                     (router.dispatch(&req), keep)
@@ -101,14 +103,29 @@ fn handle_connection(mut stream: TcpStream, router: &Router, timeout: Duration) 
                 Err(monster_util::Error::Network(_)) => return, // client went away
                 Err(e) => (Response::error(Status::BAD_REQUEST, &e.to_string()), false),
             };
-        let wire = if keep_alive { response.to_bytes_keep_alive() } else { response.to_bytes() };
-        if stream.write_all(&wire).is_err() || stream.flush().is_err() {
-            return;
-        }
-        if !keep_alive {
+        // The body goes out from where it lies (a cache hit's shared
+        // buffer); the kernel's copy into the socket is the only one.
+        head.clear();
+        response.write_head(&mut head, keep_alive);
+        let mut wire = [IoSlice::new(&head), IoSlice::new(&response.body)];
+        if write_all_vectored(&mut &stream, &mut wire).is_err() || !keep_alive {
             return;
         }
     }
+}
+
+/// Write every byte of `bufs`, each `writev` resuming where the last one
+/// stopped.
+fn write_all_vectored(out: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !bufs.is_empty() {
+        match out.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -177,7 +194,7 @@ mod tests {
         let server = Server::spawn(0, test_router()).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream.write_all(b"NONSENSE\r\n\r\n").unwrap();
-        let raw = read_message(&mut stream, MAX_REQUEST_BODY).unwrap();
+        let raw = MessageReader::new(&stream).read_message(MAX_REQUEST_BODY).unwrap();
         let resp = crate::parse::parse_response(&raw).unwrap();
         assert_eq!(resp.status, Status::BAD_REQUEST);
     }
@@ -194,7 +211,7 @@ mod tests {
             MAX_REQUEST_BODY + 1
         );
         stream.write_all(head.as_bytes()).unwrap();
-        let raw = read_message(&mut stream, MAX_REQUEST_BODY).unwrap();
+        let raw = MessageReader::new(&stream).read_message(MAX_REQUEST_BODY).unwrap();
         assert_eq!(crate::parse::parse_response(&raw).unwrap().status, Status::BAD_REQUEST);
         // And the connection is closed, keep-alive or not.
         assert_eq!(std::io::Read::read(&mut stream, &mut [0u8; 16]).unwrap(), 0);
@@ -225,5 +242,40 @@ mod tests {
             .expect("the connection's thread is still blocked in its write");
         worker.join().unwrap();
         drop(peer);
+    }
+
+    #[test]
+    fn a_socket_that_takes_a_few_bytes_a_call_still_gets_every_byte_in_order() {
+        /// Takes at most `max` bytes a call, across as many slices as that
+        /// reaches into.
+        struct Short {
+            max: usize,
+            out: Vec<u8>,
+        }
+        impl Write for Short {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.write_vectored(&[IoSlice::new(buf)])
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+                let before = self.out.len();
+                for b in bufs {
+                    let room = self.max - (self.out.len() - before);
+                    self.out.extend_from_slice(&b[..b.len().min(room)]);
+                }
+                Ok(self.out.len() - before)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let body: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
+        for (head, body) in [(&b"head\r\n\r\n"[..], &body[..]), (b"h", b""), (b"h", b"b")] {
+            for max in [1, 3, 8, 9, 64, 4096] {
+                let mut short = Short { max, out: Vec::new() };
+                let mut bufs = [IoSlice::new(head), IoSlice::new(body)];
+                write_all_vectored(&mut short, &mut bufs).unwrap();
+                assert_eq!(short.out, [head, body].concat(), "{max} bytes a call");
+            }
+        }
     }
 }

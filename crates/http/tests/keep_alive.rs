@@ -1,9 +1,15 @@
 //! Keep-alive behaviour: one connection, many exchanges.
 
-use monster_http::{Client, Method, PersistentClient, Request, Response, Router, Server, Status};
+use monster_http::{
+    parse_response, Client, MessageReader, Method, PersistentClient, Request, Response, Router,
+    Server, Status,
+};
 use monster_json::jobj;
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A router that counts requests and reports a per-connection-ish counter.
 fn counting_router(counter: Arc<AtomicUsize>) -> Router {
@@ -69,6 +75,23 @@ fn persistent_client_survives_server_restart() {
     // The old connection is dead; the client reconnects transparently.
     let resp = pc.send(&Request::get("/n")).unwrap();
     assert_eq!(resp.status, Status::OK);
+}
+
+#[test]
+fn pipelined_requests_are_each_answered_in_order() {
+    let counter = Arc::new(AtomicUsize::new(0));
+    let server = Server::spawn(0, counting_router(counter)).unwrap();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    // Two requests in one write: the server's first read takes both, and
+    // the second must wait in its connection rather than be dropped.
+    let one = Request::get("/n").keep_alive().to_bytes();
+    (&stream).write_all(&[one.clone(), one].concat()).unwrap();
+    let mut reader = MessageReader::new(&stream);
+    for expect in 0..2i64 {
+        let resp = parse_response(&reader.read_message(1 << 20).unwrap()).unwrap();
+        assert_eq!(resp.json_body().unwrap().get("n").unwrap().as_i64(), Some(expect));
+    }
 }
 
 #[test]
