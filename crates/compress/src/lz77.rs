@@ -1,12 +1,12 @@
-//! LZ77 match search over one block: hash chains on four-byte prefixes,
+//! LZ77 match search over one block: hash chains on five-byte prefixes,
 //! lazy evaluation, and a cost-aware acceptance rule for short matches.
 //!
-//! The finder works on `window ‖ block`: the up-to-32 KiB of input that
-//! precede the block are inserted into the dictionary without being
-//! searched (priming), then the block is tokenized. Nothing else carries
-//! over from block to block, so a block's tokens are a function of those
-//! bytes and the level — which is what lets blocks be compressed in any
-//! order, on any thread.
+//! A block matches only into the up-to-32 KiB of input before it: a finder
+//! fresh to the block enters that window unsearched (priming), one that
+//! tokenized the block before keeps its dictionary. Cut to the window the
+//! two are the same, so a block's tokens are a function of those bytes and
+//! the level — which is what lets blocks be compressed in any order, on
+//! any thread.
 
 /// Compression effort level, 1 (fastest) to 9 (best ratio).
 ///
@@ -71,8 +71,8 @@ pub(crate) struct Params {
 
 /// Window size: matches may reach back this far.
 pub(crate) const WINDOW: usize = 32 * 1024;
-/// Shortest match the finder emits (the chains hash four bytes).
-pub(crate) const MIN_MATCH: usize = 4;
+/// Shortest match the finder emits (the chains hash five bytes).
+pub(crate) const MIN_MATCH: usize = 5;
 /// Shortest match the format can carry.
 pub(crate) const FORMAT_MIN_MATCH: usize = 3;
 /// Longest match (DEFLATE's cap).
@@ -319,9 +319,10 @@ const BIAS: u32 = WINDOW as u32 + 1;
 const MAX_DEFER: usize = 3;
 
 #[inline]
-fn hash4(buf: &[u8], p: usize) -> usize {
-    let v = u32::from_le_bytes(buf[p..p + 4].try_into().expect("4-byte slice"));
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+fn hash5(buf: &[u8], p: usize) -> usize {
+    let v = u32::from_le_bytes(buf[p..p + 4].try_into().expect("4-byte slice")) as u64;
+    let v = v | (buf[p + 4] as u64) << 32;
+    (v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - HASH_BITS)) as usize
 }
 
 /// Length of the common prefix of `a` and `b`, up to `max` (which both
@@ -344,13 +345,15 @@ fn common_prefix(a: &[u8], b: &[u8], max: usize) -> usize {
     n
 }
 
-/// The dictionary: for each four-byte hash the latest position that had
+/// The dictionary: for each five-byte hash the latest position that had
 /// it, and for each of the last 32 Ki positions the distance back to the
 /// previous position with the same hash (0 = none in the window).
 #[derive(Debug)]
 pub(crate) struct MatchFinder {
     head: Box<[u32; HASH_SIZE]>,
     prev: Box<[u16; WINDOW]>,
+    /// Positions below this one are entered.
+    next: usize,
 }
 
 impl MatchFinder {
@@ -358,15 +361,16 @@ impl MatchFinder {
         MatchFinder {
             head: vec![0u32; HASH_SIZE].into_boxed_slice().try_into().expect("HASH_SIZE long"),
             prev: vec![0u16; WINDOW].into_boxed_slice().try_into().expect("WINDOW long"),
+            next: 0,
         }
     }
 
-    /// Enter position `p` (which has four bytes after it; each position
+    /// Enter position `p` (which has five bytes after it; each position
     /// once, in increasing order) and return the distance to the previous
     /// position with its hash, 0 if that is out of the window.
     #[inline]
     fn insert(&mut self, buf: &[u8], p: usize) -> usize {
-        let h = hash4(buf, p);
+        let h = hash5(buf, p);
         let at = p as u32 + BIAS;
         let back = at - self.head[h];
         self.head[h] = at;
@@ -379,7 +383,7 @@ impl MatchFinder {
     /// with its hash, 0 if that is out of the window.
     #[inline]
     fn latest(&self, buf: &[u8], pos: usize) -> usize {
-        let back = pos as u32 + BIAS - self.head[hash4(buf, pos)];
+        let back = pos as u32 + BIAS - self.head[hash5(buf, pos)];
         if back <= WINDOW as u32 {
             back as usize
         } else {
@@ -391,12 +395,12 @@ impl MatchFinder {
     /// `(len, dist)`, or `(beat, 0)`. `p` has been entered and `first` is
     /// what [`insert`](Self::insert) returned for it.
     ///
-    /// A match longer than the `n` bytes in hand has the same four bytes
-    /// as `buf[p..]` at offset `n - 3` — the three that end the match in
+    /// A match longer than the `n` bytes in hand has the same five bytes
+    /// as `buf[p..]` at offset `n - 4` — the four that end the match in
     /// hand and the one after — so it is on *their* hash chain. The search
     /// follows that chain and moves to a new one every time the match in
     /// hand grows: on repetitive input (every record of a JSON array
-    /// starts alike) the chain of the first four bytes holds every
+    /// starts alike) the chain of the first five bytes holds every
     /// record, the chain of the bytes where the best candidate so far
     /// stops matching only the records that go on matching there.
     #[inline]
@@ -418,7 +422,7 @@ impl MatchFinder {
         let (mut best_len, mut best_dist) = (beat, 0);
         let mut good_in_hand = beat >= prm.good;
         let mut chain = if good_in_hand { prm.chain >> 2 } else { prm.chain }.max(1);
-        // Offset into the match of the four bytes whose chain is followed.
+        // Offset into the match of the five bytes whose chain is followed.
         let mut anchor = beat - (MIN_MATCH - 1);
         let mut dist = if anchor == 0 { first } else { self.latest(buf, p + anchor) };
         // A link of 0 ends a chain; so does walking out of the window,
@@ -461,7 +465,7 @@ impl MatchFinder {
     /// bytes after `p` and is longer than the `len`-byte match in hand at
     /// `p` — `(start, len, dist)`.
     ///
-    /// Such a match covers the four bytes that straddle the end of the one
+    /// Such a match covers the five bytes that straddle the end of the one
     /// in hand, so it is on their chain; each candidate there is extended
     /// backwards to see where it would start and forwards to see how far
     /// it would go. (zlib's lazy step, one byte later and searched from
@@ -477,7 +481,7 @@ impl MatchFinder {
         let mut best = None;
         let mut best_len = len;
         let mut chain = if len >= prm.good { prm.chain >> 2 } else { prm.chain }.max(1);
-        let mut anchor = p + len - 2;
+        let mut anchor = p + len + 2 - MIN_MATCH;
         if anchor + MIN_MATCH > buf.len() {
             return None;
         }
@@ -497,7 +501,7 @@ impl MatchFinder {
                     best_len = total;
                     best = Some((start, total, dist));
                     chain -= 1;
-                    anchor = start + total - 2;
+                    anchor = start + total + 2 - MIN_MATCH;
                     if total >= prm.nice || chain == 0 || anchor + MIN_MATCH > buf.len() {
                         break;
                     }
@@ -515,18 +519,24 @@ impl MatchFinder {
         best
     }
 
-    /// Tokenize `buf[start..]` into `out`, with `buf[..start]` (at most
-    /// [`WINDOW`] bytes) as the dictionary it starts from.
+    /// Tokenize `buf[start..]` into `out`, matching into at most [`WINDOW`]
+    /// bytes before each position. A finder that last tokenized a prefix of
+    /// `buf` enters only the positions that call could not hash, a fresh
+    /// one the window before `start`: every match reach is in both.
     pub(crate) fn tokenize(&mut self, buf: &[u8], start: usize, prm: &Params, out: &mut Tokens) {
-        debug_assert!(start <= WINDOW);
+        debug_assert!(buf.len() <= 1 << 31, "positions are u32s");
         out.reset();
-        self.head.fill(0);
-        // Positions from here on have fewer than four bytes after them:
+        if self.next > start {
+            self.head.fill(0);
+            self.next = 0;
+        }
+        // Positions from here on have fewer than five bytes after them:
         // they are neither hashed nor searched.
         let hashable = buf.len().saturating_sub(MIN_MATCH - 1);
-        for p in 0..start.min(hashable) {
+        for p in self.next.max(start.saturating_sub(WINDOW))..start.min(hashable) {
             self.insert(buf, p);
         }
+        self.next = hashable;
 
         let mut p = start;
         while p < hashable {

@@ -13,8 +13,8 @@ const PARENT_LEVEL6_BYTES: usize = 250_974;
 /// any number of cores, beside any sibling tests, on any platform. A
 /// retune of the match finder moves both; re-record them together, and
 /// only downwards.
-const LEVEL6_BYTES: usize = 218_485;
-const LEVEL6_ADLER: u32 = 0x280b_9bf9;
+const LEVEL6_BYTES: usize = 218_099;
+const LEVEL6_ADLER: u32 = 0x549b_9f46;
 
 #[test]
 fn level6_is_pinned_under_the_parent_and_levels_are_ordered() {
