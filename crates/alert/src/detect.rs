@@ -256,24 +256,6 @@ impl DetectorBank {
         DetectorBank { config, series: HashMap::new() }
     }
 
-    /// The active tuning.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.config
-    }
-
-    /// Number of `(node, signal)` series currently tracked.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
-    }
-
-    /// Whether any detector currently holds `(node, signal)` anomalous.
-    pub fn is_anomalous(&self, node: NodeId, signal: Signal) -> bool {
-        self.series
-            .get(&(node, signal))
-            .map(|s| s.z_alarmed || s.rate_alarmed || s.flat_alarmed)
-            .unwrap_or(false)
-    }
-
     /// Fold one live reading into the bank, appending any transitions to
     /// `events`. Health readings carry no numeric signal and are ignored
     /// (health alerting flows through the engine's own rules).
@@ -417,7 +399,7 @@ mod tests {
         let mut bank = DetectorBank::new(DetectorConfig::default());
         let events = feed(&mut bank, Signal::Power, steady(200));
         assert!(events.is_empty(), "{events:?}");
-        assert_eq!(bank.series_count(), 1);
+        assert_eq!(bank.series.len(), 1);
     }
 
     #[test]
@@ -430,7 +412,8 @@ mod tests {
         assert_eq!(z.len(), 2, "{events:?}");
         assert!(z[0].raised && z[0].value > 390.0);
         assert!(!z[1].raised);
-        assert!(!bank.is_anomalous(node(), Signal::Power));
+        let s = &bank.series[&(node(), Signal::Power)];
+        assert!(!(s.z_alarmed || s.rate_alarmed || s.flat_alarmed));
     }
 
     #[test]
@@ -513,7 +496,7 @@ mod tests {
             None,
             &mut events,
         );
-        assert_eq!(bank.series_count(), 4);
+        assert_eq!(bank.series.len(), 4);
         assert!(events.is_empty());
     }
 

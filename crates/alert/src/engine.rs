@@ -439,11 +439,6 @@ impl AlertEngine {
         }
     }
 
-    /// The active tuning.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// Fold one collection interval through the rules. The single entry
     /// point for state change; everything else is read-only.
     pub fn observe_interval(&self, input: &IntervalInput<'_>) -> IntervalOutcome {

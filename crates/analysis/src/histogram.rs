@@ -75,11 +75,6 @@ impl UsageMatrix {
         });
         rows
     }
-
-    /// Number of users observed.
-    pub fn user_count(&self) -> usize {
-        self.rows.len()
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +114,7 @@ mod tests {
         assert_eq!(by_power[0].user.as_str(), "bob");
         let by_cpu = m.rows_sorted_by(0);
         assert_eq!(by_cpu[0].user.as_str(), "alice");
-        assert_eq!(m.user_count(), 2);
+        assert_eq!(by_cpu.len(), 2);
     }
 
     #[test]

@@ -22,14 +22,12 @@
 
 pub mod histogram;
 pub mod kmeans;
-pub mod pca;
 pub mod radar;
 pub mod report;
 pub mod timeline;
 pub mod trend;
 
 pub use kmeans::{KMeans, KMeansConfig};
-pub use pca::Pca;
 pub use radar::{RadarProfile, METRIC_NAMES};
 pub use report::ClusterReport;
 pub use timeline::{JobBar, UserTimeline};

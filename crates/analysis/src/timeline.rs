@@ -29,15 +29,6 @@ impl JobBar {
             None => horizon - self.submit,
         }
     }
-
-    /// Running span in seconds, up to `horizon` for still-running jobs.
-    pub fn run_secs(&self, horizon: EpochSecs) -> i64 {
-        match (self.start, self.end) {
-            (Some(s), Some(e)) => e - s,
-            (Some(s), None) => horizon - s,
-            (None, _) => 0,
-        }
-    }
 }
 
 /// One user's row in the timeline.
@@ -143,16 +134,19 @@ mod tests {
         assert_eq!(abdumal.user.as_str(), "abdumal");
         assert_eq!(abdumal.job_count(), 1);
         assert_eq!(abdumal.bars[0].wait_secs(horizon), 800); // still queued
-        assert_eq!(abdumal.bars[0].run_secs(horizon), 0);
+        assert_eq!((abdumal.bars[0].start, abdumal.bars[0].end), (None, None));
         assert_eq!(abdumal.hosts_used, 0);
 
         let jieyao = &tl[1];
         assert_eq!(jieyao.job_count(), 2);
         assert_eq!(jieyao.bars[0].wait_secs(horizon), 60);
-        assert_eq!(jieyao.bars[0].run_secs(horizon), 240);
-        // Job 2: zero wait (started at submit), runs to horizon.
+        assert_eq!(
+            (jieyao.bars[0].start, jieyao.bars[0].end),
+            (Some(EpochSecs::new(160)), Some(EpochSecs::new(400)))
+        );
+        // Job 2: zero wait (started at submit), still running.
         assert_eq!(jieyao.bars[1].wait_secs(horizon), 0);
-        assert_eq!(jieyao.bars[1].run_secs(horizon), 850);
+        assert_eq!((jieyao.bars[1].start, jieyao.bars[1].end), (Some(EpochSecs::new(150)), None));
         // Hosts deduplicate across jobs: {1-1, 1-2}.
         assert_eq!(jieyao.hosts_used, 2);
         assert!((jieyao.mean_wait_secs(horizon) - 30.0).abs() < 1e-9);

@@ -39,7 +39,7 @@
 use monster_bench::chaos::{self, Shape};
 use monster_bench::report;
 use monster_json::{jobj, Value};
-use monster_redfish::resilience::ResilienceConfig;
+use monster_redfish::resilience::sweep_deadline;
 use monster_sim::{FaultProfile, VDuration};
 
 /// Sweeps the resilient run gets to fully recover (close every breaker,
@@ -119,7 +119,7 @@ fn makespans(records: &[SweepRecord]) -> Vec<f64> {
 /// Run one `(profile, seed)` cell, assert the invariants, and return its
 /// JSON report.
 fn chaos_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
-    let deadline = ResilienceConfig::default().sweep_deadline;
+    let deadline = sweep_deadline(monster_core::MonsterConfig::default().interval_secs);
     let healthy: Vec<usize> = {
         let perturbed = profile.perturbed(seed, shape.nodes, shape.active);
         (0..shape.nodes).filter(|i| !perturbed.contains(i)).collect()

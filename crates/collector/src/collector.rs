@@ -5,7 +5,9 @@ use crate::preprocess::FinishEstimator;
 use crate::schema::{PointWriter, SchemaVersion};
 use monster_alert::{AnomalyEvent, DetectorBank, DetectorConfig, NodeInterval};
 use monster_redfish::client::{ClientConfig, RedfishClient, SkipReason, SweepOutcome};
-use monster_redfish::resilience::{BreakerCounts, HealthRegistry, ResilienceConfig};
+use monster_redfish::resilience::{
+    sweep_deadline, BreakerCounts, HealthRegistry, ResilienceConfig,
+};
 use monster_redfish::types::{Category, NodeReading};
 use monster_redfish::SimulatedCluster;
 use monster_scheduler::accounting::{accounting_pull, AccountingSnapshot};
@@ -30,7 +32,8 @@ pub struct CollectorConfig {
     pub client: ClientConfig,
     /// When set, sweeps run through the resilience layer: per-BMC circuit
     /// breakers, jittered retry backoff, and the deadline-aware degraded
-    /// sweep scheduler with last-known-good staleness substitution.
+    /// sweep scheduler (deadline: [`sweep_deadline`] of `interval_secs`)
+    /// with last-known-good staleness substitution.
     pub resilience: Option<ResilienceConfig>,
     /// When set, every live reading is folded through the streaming
     /// anomaly detectors (EWMA z-score, rate-of-change, flatline) as it is
@@ -145,7 +148,7 @@ impl Collector {
     /// Build a collector.
     pub fn new(config: CollectorConfig) -> Self {
         let client = RedfishClient::new(config.client.clone());
-        let registry = config.resilience.clone().map(HealthRegistry::new);
+        let registry = config.resilience.as_ref().map(|_| HealthRegistry::new());
         let detectors = config.detectors.map(DetectorBank::new);
         if detectors.is_some() {
             // Register the event counter up front so a scrape before the
@@ -165,11 +168,6 @@ impl Collector {
             point_home: Arc::default(),
             node_home: Arc::default(),
         }
-    }
-
-    /// The streaming detector bank, when detection is on.
-    pub fn detector_bank(&self) -> Option<&DetectorBank> {
-        self.detectors.as_ref()
     }
 
     /// The per-BMC health registry, when the resilience layer is on.
@@ -203,7 +201,11 @@ impl Collector {
         // Resilient when configured: breakers + backoff + deadline budget;
         // otherwise the legacy fan-out with immediate retries.
         let sweep = match &self.registry {
-            Some(registry) => self.client.sweep_resilient(cluster, registry),
+            Some(registry) => self.client.sweep_resilient(
+                cluster,
+                registry,
+                sweep_deadline(self.config.interval_secs),
+            ),
             None => self.client.sweep(cluster),
         };
         let resilient = self.registry.is_some();

@@ -2,17 +2,13 @@
 //!
 //! "Pre-processing the collected metrics has significantly reduced the
 //! amount of data": health strings become binary integers and only
-//! abnormal states are kept; date strings become integer epoch times; job
-//! lists are diffed across intervals to estimate finish times UGE doesn't
-//! report in real time; and derived metrics (cores/nodes per job, memory
-//! usage) are computed once at collection time.
+//! abnormal states are kept; job lists are diffed across intervals to
+//! estimate finish times UGE doesn't report in real time; and memory usage
+//! is standardized once at collection time.
 
 use monster_redfish::HealthState;
-use monster_scheduler::{Job, JobState};
 use monster_util::{EpochSecs, JobId};
-use std::collections::{HashMap, HashSet};
-
-use monster_util::NodeId;
+use std::collections::HashSet;
 
 /// Health-string compaction: `None` when the state is healthy (not
 /// stored), `Some(code)` for abnormal states.
@@ -21,39 +17,6 @@ pub fn health_code_if_abnormal(h: HealthState) -> Option<i64> {
         HealthState::Ok => None,
         other => Some(other.code()),
     }
-}
-
-/// Date-string → epoch conversion (the storage-side optimization; parsing
-/// failures surface rather than silently storing the string).
-pub fn date_to_epoch(s: &str) -> monster_util::Result<i64> {
-    Ok(EpochSecs::parse_rfc3339(s)?.as_secs())
-}
-
-/// Derived job metrics: how many cores and distinct nodes a job occupies
-/// ("based on the 'Job List on Node' information, we can summarize how
-/// many cores a job uses and how many nodes a job takes up").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobFootprint {
-    /// Total cores.
-    pub cores: u32,
-    /// Distinct nodes.
-    pub nodes: u32,
-}
-
-/// Compute footprints for all running jobs from per-node job lists.
-pub fn job_footprints(
-    node_jobs: &[(NodeId, Vec<JobId>)],
-    slots_of: impl Fn(JobId, NodeId) -> u32,
-) -> HashMap<JobId, JobFootprint> {
-    let mut out: HashMap<JobId, JobFootprint> = HashMap::new();
-    for (node, jobs) in node_jobs {
-        for &job in jobs {
-            let f = out.entry(job).or_insert(JobFootprint { cores: 0, nodes: 0 });
-            f.cores += slots_of(job, *node);
-            f.nodes += 1;
-        }
-    }
-    out
 }
 
 /// Tracks job lists across intervals to estimate finish times: "if a job
@@ -85,16 +48,6 @@ impl FinishEstimator {
     }
 }
 
-/// Reconcile an estimated finish time with ARCo's accurate one once it
-/// appears ("this estimated finish time can be updated when ARCo provides
-/// an accurate finish time"). Returns the authoritative value.
-pub fn reconcile_finish(estimated: EpochSecs, job: &Job) -> EpochSecs {
-    match &job.state {
-        JobState::Done { end, .. } | JobState::Failed { end, .. } => *end,
-        _ => estimated,
-    }
-}
-
 /// Memory usage standardization: used/total → fraction in [0, 1].
 pub fn memory_usage_fraction(used_gib: f64, total_gib: f64) -> f64 {
     if total_gib <= 0.0 {
@@ -112,12 +65,6 @@ mod tests {
         assert_eq!(health_code_if_abnormal(HealthState::Ok), None);
         assert_eq!(health_code_if_abnormal(HealthState::Warning), Some(1));
         assert_eq!(health_code_if_abnormal(HealthState::Critical), Some(2));
-    }
-
-    #[test]
-    fn date_conversion() {
-        assert_eq!(date_to_epoch("2020-03-09T22:18:16Z").unwrap(), 1_583_792_296);
-        assert!(date_to_epoch("not a date").is_err());
     }
 
     #[test]
@@ -140,46 +87,9 @@ mod tests {
     }
 
     #[test]
-    fn footprints_summarize_cores_and_nodes() {
-        let node_jobs = vec![
-            (NodeId::new(1, 1), vec![JobId(10), JobId(11)]),
-            (NodeId::new(1, 2), vec![JobId(10)]),
-            (NodeId::new(1, 3), vec![JobId(10)]),
-        ];
-        let fp = job_footprints(&node_jobs, |job, _| if job == JobId(10) { 36 } else { 4 });
-        assert_eq!(fp[&JobId(10)], JobFootprint { cores: 108, nodes: 3 });
-        assert_eq!(fp[&JobId(11)], JobFootprint { cores: 4, nodes: 1 });
-    }
-
-    #[test]
     fn memory_fraction_clamps() {
         assert_eq!(memory_usage_fraction(96.0, 192.0), 0.5);
         assert_eq!(memory_usage_fraction(300.0, 192.0), 1.0);
         assert_eq!(memory_usage_fraction(1.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn reconcile_prefers_accurate_end_time() {
-        use monster_scheduler::{JobShape, JobSpec};
-        use monster_util::UserName;
-        let spec = JobSpec {
-            user: UserName::new("u"),
-            name: "j".into(),
-            shape: JobShape::Serial { slots: 1 },
-            runtime_secs: 100,
-            priority: 0,
-            mem_per_slot_gib: 1.0,
-        };
-        let mut job = Job {
-            id: JobId(5),
-            spec,
-            submit_time: EpochSecs::new(0),
-            state: JobState::Running { start: EpochSecs::new(10), hosts: vec![] },
-        };
-        let est = EpochSecs::new(115);
-        assert_eq!(reconcile_finish(est, &job), est);
-        job.state =
-            JobState::Done { start: EpochSecs::new(10), end: EpochSecs::new(110), hosts: vec![] };
-        assert_eq!(reconcile_finish(est, &job), EpochSecs::new(110));
     }
 }

@@ -53,11 +53,6 @@ impl BitWriter {
         self.out.extend_from_slice(&self.acc.to_le_bytes()[..tail]);
         self.out
     }
-
-    /// Bits written so far (including unflushed).
-    pub fn bit_len(&self) -> usize {
-        self.out.len() * 8 + self.nbits as usize
-    }
 }
 
 /// Reads bits least-significant-first from a byte slice.
@@ -199,13 +194,10 @@ mod tests {
         ) {
             let mut w = BitWriter::new();
             let mut reference = RefWriter::default();
-            let mut bits = 0usize;
             for &(value, width) in &fields {
                 let value = if width == 0 { 0 } else { value & (u64::MAX >> (64 - width)) };
                 w.write(value, width);
                 reference.write(value, width);
-                bits += width as usize;
-                prop_assert_eq!(w.bit_len(), bits);
             }
             let buf = w.finish();
             prop_assert_eq!(&buf, &reference.finish());
@@ -294,18 +286,7 @@ mod tests {
     #[test]
     fn appending_continues_a_byte_aligned_stream() {
         let mut w = BitWriter::appending_to(vec![0xAA, 0xBB]);
-        assert_eq!(w.bit_len(), 16);
         w.write(0b11, 2);
         assert_eq!(w.finish(), vec![0xAA, 0xBB, 0b11]);
-    }
-
-    #[test]
-    fn bit_len_counts_partial_bytes() {
-        let mut w = BitWriter::new();
-        assert_eq!(w.bit_len(), 0);
-        w.write(0b11, 2);
-        assert_eq!(w.bit_len(), 2);
-        w.write(0xFF, 8);
-        assert_eq!(w.bit_len(), 10);
     }
 }

@@ -45,8 +45,8 @@ pub struct MonsterConfig {
     /// Redfish client tunables (timeouts, retries, in-flight budget).
     pub client: ClientConfig,
     /// When set, collection runs through the resilience layer: circuit
-    /// breakers, jittered backoff, deadline-aware degraded sweeps with
-    /// stale substitution.
+    /// breakers, jittered backoff, deadline-aware degraded sweeps (9/10 of
+    /// `interval_secs`) with stale substitution.
     pub resilience: Option<ResilienceConfig>,
     /// Streaming anomaly detector tuning for the collector (`None`
     /// disables detection; on by default).

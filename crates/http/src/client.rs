@@ -12,48 +12,38 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// A reusable client configuration (no connection pooling — peers close
-/// after one exchange).
-#[derive(Debug, Clone)]
-pub struct Client {
-    connect_timeout: Duration,
-    read_timeout: Duration,
+/// How long a client waits for a peer to accept a connection.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long a client waits on a silent peer before giving up on a read.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Connect to `addr` with both timeouts set.
+fn open(addr: SocketAddr) -> Result<TcpStream> {
+    let stream =
+        TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).map_err(|e| match e.kind() {
+            std::io::ErrorKind::TimedOut => Error::Timeout("connect".into()),
+            _ => Error::Network(format!("connect to {addr}: {e}")),
+        })?;
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
+    stream.set_nodelay(true).ok();
+    Ok(stream)
 }
 
-impl Default for Client {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// A one-exchange client (no connection pooling — peers close after one
+/// exchange), bounded by `CONNECT_TIMEOUT` and `READ_TIMEOUT`.
+#[derive(Debug, Clone, Default)]
+pub struct Client;
 
 impl Client {
-    /// Defaults: 5 s connect, 30 s read.
+    /// A client with the 5 s connect and 30 s read timeouts.
     pub fn new() -> Self {
-        Client { connect_timeout: Duration::from_secs(5), read_timeout: Duration::from_secs(30) }
-    }
-
-    /// Override the connect timeout.
-    pub fn with_connect_timeout(mut self, d: Duration) -> Self {
-        self.connect_timeout = d;
-        self
-    }
-
-    /// Override the read timeout.
-    pub fn with_read_timeout(mut self, d: Duration) -> Self {
-        self.read_timeout = d;
-        self
+        Client
     }
 
     /// Send one request and wait for the full response.
     pub fn send(&self, addr: SocketAddr, req: &Request) -> Result<Response> {
-        let mut stream = TcpStream::connect_timeout(&addr, self.connect_timeout).map_err(|e| {
-            match e.kind() {
-                std::io::ErrorKind::TimedOut => Error::Timeout("connect".into()),
-                _ => Error::Network(format!("connect to {addr}: {e}")),
-            }
-        })?;
-        stream.set_read_timeout(Some(self.read_timeout))?;
-        stream.set_nodelay(true).ok();
+        let mut stream = open(addr)?;
         stream.write_all(&req.to_bytes()).map_err(|e| Error::Network(format!("send: {e}")))?;
         parse_response(&MessageReader::new(stream).read_message(MAX_BODY)?)
     }
@@ -78,16 +68,15 @@ impl Client {
 /// server-side close.
 pub struct PersistentClient {
     addr: SocketAddr,
-    config: Client,
     conn: Option<MessageReader<TcpStream>>,
     /// Exchanges completed on the current connection (observability).
     reused: usize,
 }
 
 impl PersistentClient {
-    /// A persistent client for one peer.
-    pub fn new(addr: SocketAddr, config: Client) -> Self {
-        PersistentClient { addr, config, conn: None, reused: 0 }
+    /// A persistent client for one peer, with [`Client`]'s timeouts.
+    pub fn new(addr: SocketAddr, _: Client) -> Self {
+        PersistentClient { addr, conn: None, reused: 0 }
     }
 
     /// Exchanges served without reconnecting.
@@ -97,11 +86,7 @@ impl PersistentClient {
 
     fn connect(&mut self) -> Result<&mut MessageReader<TcpStream>> {
         if self.conn.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
-                .map_err(|e| Error::Network(format!("connect to {}: {e}", self.addr)))?;
-            stream.set_read_timeout(Some(self.config.read_timeout))?;
-            stream.set_nodelay(true).ok();
-            self.conn = Some(MessageReader::new(stream));
+            self.conn = Some(MessageReader::new(open(self.addr)?));
             self.reused = 0;
         }
         Ok(self.conn.as_mut().expect("just connected"))
@@ -169,7 +154,7 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        let client = Client::new().with_connect_timeout(Duration::from_millis(500));
+        let client = Client::new();
         let err = client.send(addr, &Request::get("/")).unwrap_err();
         assert!(err.is_retryable(), "got {err}");
     }
@@ -184,11 +169,22 @@ mod tests {
             std::thread::sleep(Duration::from_secs(2));
             drop(conn);
         });
-        let client = Client::new().with_read_timeout(Duration::from_millis(200));
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
         let start = std::time::Instant::now();
-        let err = client.send(addr, &Request::get("/")).unwrap_err();
+        let err = MessageReader::new(stream).read_message(MAX_BODY).unwrap_err();
         assert!(err.is_retryable(), "got {err}");
         assert!(start.elapsed() < Duration::from_secs(2));
+    }
+
+    #[test]
+    fn connections_carry_both_timeouts() {
+        // A silent server costs a client at most READ_TIMEOUT per read; the
+        // kernel enforces it once the socket carries it.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = open(listener.local_addr().unwrap()).unwrap();
+        assert_eq!(stream.read_timeout().unwrap(), Some(READ_TIMEOUT));
+        assert!(stream.nodelay().unwrap());
     }
 
     #[test]

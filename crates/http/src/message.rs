@@ -50,8 +50,6 @@ pub struct Status(pub u16);
 impl Status {
     /// 200.
     pub const OK: Status = Status(200);
-    /// 204.
-    pub const NO_CONTENT: Status = Status(204);
     /// 400.
     pub const BAD_REQUEST: Status = Status(400);
     /// 404.

@@ -9,13 +9,13 @@
 //! `(node, category)` series: the collector bumps it whenever a sweep
 //! returns a live (non-substituted) reading, and every sweep tick records
 //! an **attainment sample** — the fraction of tracked series whose lag is
-//! within the SLO threshold (default: 2 cadences, 120 s).
+//! within the SLO threshold (2 cadences, 120 s).
 //!
 //! From those two ingredients the tracker derives everything
 //! `GET /debug/pipeline` reports:
 //!
 //! * staleness percentiles (p50/p90/p99/max) over current per-series lags;
-//! * SLO attainment vs. the target (default "99% of series fresher than
+//! * SLO attainment vs. the target ("99% of series fresher than
 //!   2 cadences");
 //! * burn rates over a fast and a slow window — the standard
 //!   multi-window alerting pair. A burn rate of 1.0 means the error
@@ -33,9 +33,7 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::{Display, Write as _};
 
-/// Freshness SLO parameters. Defaults encode the paper's cadence: a
-/// series is "fresh" within 2 × 60 s, and the target is 99% of series
-/// fresh.
+/// Freshness SLO parameters; `SLO` is the one set the tracker runs on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloConfig {
     /// Collection cadence in seconds (the paper's 60 s).
@@ -45,23 +43,21 @@ pub struct SloConfig {
     /// Target fraction of series fresh (0.99 = "99% of nodes fresher
     /// than 2 cadences").
     pub target: f64,
-    /// Fast burn-rate window in seconds (default 5 min).
+    /// Fast burn-rate window in seconds (5 min).
     pub fast_window_secs: f64,
-    /// Slow burn-rate window in seconds (default 1 h).
+    /// Slow burn-rate window in seconds (1 h).
     pub slow_window_secs: f64,
 }
 
-impl Default for SloConfig {
-    fn default() -> SloConfig {
-        SloConfig {
-            cadence_secs: 60.0,
-            fresh_within_secs: 120.0,
-            target: 0.99,
-            fast_window_secs: 300.0,
-            slow_window_secs: 3600.0,
-        }
-    }
-}
+/// The paper's cadence: a series is "fresh" within 2 × 60 s, and the
+/// target is 99% of series fresh.
+const SLO: SloConfig = SloConfig {
+    cadence_secs: 60.0,
+    fresh_within_secs: 120.0,
+    target: 0.99,
+    fast_window_secs: 300.0,
+    slow_window_secs: 3600.0,
+};
 
 #[derive(Debug, Default)]
 struct State {
@@ -84,24 +80,18 @@ struct State {
 /// [`crate::freshness`].
 #[derive(Debug, Default)]
 pub struct FreshnessTracker {
-    config: Mutex<SloConfig>,
     state: Mutex<State>,
 }
 
 impl FreshnessTracker {
-    /// New tracker with default [`SloConfig`].
+    /// New tracker with no watermarks.
     pub fn new() -> FreshnessTracker {
         FreshnessTracker::default()
     }
 
-    /// Replace the SLO parameters (cadence, thresholds, windows).
-    pub fn configure(&self, config: SloConfig) {
-        *self.config.lock() = config;
-    }
-
-    /// Current SLO parameters.
+    /// The SLO parameters.
     pub fn config(&self) -> SloConfig {
-        *self.config.lock()
+        SLO
     }
 
     /// Record a live (non-substituted) reading for `(node, category)`
@@ -150,14 +140,13 @@ impl FreshnessTracker {
     /// time lags are measured against and appends an attainment sample
     /// for the burn-rate windows.
     pub fn record_sweep(&self, now_secs: f64) {
-        let config = self.config();
         let mut state = self.state.lock();
         if now_secs > state.latest {
             state.latest = now_secs;
         }
-        let attainment = attainment_of(&state, config.fresh_within_secs);
+        let attainment = attainment_of(&state);
         state.attainment.push((now_secs, attainment));
-        let cutoff = now_secs - config.slow_window_secs;
+        let cutoff = now_secs - SLO.slow_window_secs;
         state.attainment.retain(|&(t, _)| t >= cutoff);
     }
 
@@ -179,30 +168,16 @@ impl FreshnessTracker {
         self.lags().into_iter().fold(None, |acc, l| Some(acc.map_or(l, |a: f64| a.max(l))))
     }
 
-    /// Worst lag across the series of the named node (any category), or
-    /// `None` if the node is untracked.
-    pub fn node_lag_secs(&self, node: &str) -> Option<f64> {
-        let state = self.state.lock();
-        let latest = state.latest;
-        state
-            .watermarks
-            .get(node)?
-            .values()
-            .map(|&w| (latest - w).max(0.0))
-            .fold(None, |acc, l| Some(acc.map_or(l, |a: f64| a.max(l))))
-    }
-
     /// Fraction of tracked series currently within the SLO freshness
     /// threshold (1.0 when nothing is tracked — no data is not an SLO
     /// violation).
     pub fn attainment(&self) -> f64 {
-        attainment_of(&self.state.lock(), self.config().fresh_within_secs)
+        attainment_of(&self.state.lock())
     }
 
     /// Error-budget burn rate averaged over the trailing `window_secs`:
     /// `(1 - attainment) / (1 - target)`. 0.0 with no samples in window.
     pub fn burn_rate(&self, window_secs: f64) -> f64 {
-        let config = self.config();
         let state = self.state.lock();
         let cutoff = state.latest - window_secs;
         let in_window: Vec<f64> =
@@ -211,7 +186,7 @@ impl FreshnessTracker {
             return 0.0;
         }
         let mean = in_window.iter().sum::<f64>() / in_window.len() as f64;
-        let budget = (1.0 - config.target).max(1e-9);
+        let budget = (1.0 - SLO.target).max(1e-9);
         (1.0 - mean) / budget
     }
 
@@ -223,18 +198,17 @@ impl FreshnessTracker {
 
     /// The full `/debug/pipeline` report as a JSON value.
     pub fn report(&self) -> Value {
-        let config = self.config();
         let mut lags = self.lags();
         lags.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let attainment = self.attainment();
-        let budget = (1.0 - config.target).max(1e-9);
+        let budget = (1.0 - SLO.target).max(1e-9);
         jobj! {
             "tracked_series" => lags.len() as i64,
             "latest_sweep_epoch_secs" => self.state.lock().latest,
             "slo" => jobj! {
-                "cadence_secs" => config.cadence_secs,
-                "fresh_within_secs" => config.fresh_within_secs,
-                "target" => config.target,
+                "cadence_secs" => SLO.cadence_secs,
+                "fresh_within_secs" => SLO.fresh_within_secs,
+                "target" => SLO.target,
             },
             "staleness_secs" => jobj! {
                 "p50" => percentile(&lags, 0.50),
@@ -245,10 +219,10 @@ impl FreshnessTracker {
             "attainment" => attainment,
             "error_budget_used" => ((1.0 - attainment) / budget).min(1e9),
             "burn_rate" => jobj! {
-                "fast_window_secs" => config.fast_window_secs,
-                "fast" => self.burn_rate(config.fast_window_secs),
-                "slow_window_secs" => config.slow_window_secs,
-                "slow" => self.burn_rate(config.slow_window_secs),
+                "fast_window_secs" => SLO.fast_window_secs,
+                "fast" => self.burn_rate(SLO.fast_window_secs),
+                "slow_window_secs" => SLO.slow_window_secs,
+                "slow" => self.burn_rate(SLO.slow_window_secs),
             },
         }
     }
@@ -261,11 +235,11 @@ impl State {
     }
 }
 
-fn attainment_of(state: &State, fresh_within_secs: f64) -> f64 {
+fn attainment_of(state: &State) -> f64 {
     let (mut fresh, mut tracked) = (0usize, 0usize);
     for w in state.series() {
         tracked += 1;
-        fresh += usize::from((state.latest - w).max(0.0) <= fresh_within_secs);
+        fresh += usize::from((state.latest - w).max(0.0) <= SLO.fresh_within_secs);
     }
     if tracked == 0 {
         return 1.0;
@@ -300,8 +274,7 @@ mod tests {
         }
         assert_eq!(batched.tracked_series(), 3);
         assert_eq!(batched.report(), single.report());
-        assert_eq!(batched.node_lag_secs("node-1"), Some(0.0));
-        assert_eq!(batched.node_lag_secs("node-3"), None);
+        assert_eq!(batched.lags(), single.lags());
     }
 
     #[test]
@@ -318,21 +291,19 @@ mod tests {
 
         assert_eq!(t.tracked_series(), 3);
         assert_eq!(t.max_lag_secs(), Some(180.0));
-        assert_eq!(t.node_lag_secs("node-2"), Some(180.0));
-        assert_eq!(t.node_lag_secs("node-1"), Some(0.0));
-        assert_eq!(t.node_lag_secs("node-9"), None);
+        // Series in (node, category) order: node-1's two, then node-2's.
+        assert_eq!(t.lags(), vec![0.0, 0.0, 180.0]);
         let a = t.attainment();
         assert!((a - 2.0 / 3.0).abs() < 1e-9, "attainment {a}");
 
         // Watermarks are monotone: an older ingest can't regress one.
         t.record_ingest("node-1", "Thermal", 900.0);
-        assert_eq!(t.node_lag_secs("node-1"), Some(0.0));
+        assert_eq!(t.lags(), vec![0.0, 0.0, 180.0]);
     }
 
     #[test]
     fn burn_rate_windows() {
         let t = FreshnessTracker::new();
-        t.configure(SloConfig { target: 0.9, ..SloConfig::default() });
         t.record_ingest("n", "Thermal", 0.0);
         // Sweep at t=0: the series is fresh → attainment 1, burn 0.
         t.record_sweep(0.0);
@@ -340,11 +311,11 @@ mod tests {
         // Sweep at t=180 with the watermark stuck at 0 → lag 180 > 120 →
         // attainment 0 for that sample.
         t.record_sweep(180.0);
-        // Window covering both samples: mean attainment 0.5, budget 0.1 →
-        // burn 5.0.
-        assert!((t.burn_rate(300.0) - 5.0).abs() < 1e-9);
-        // Window covering only the latest sample: burn 10.0.
-        assert!((t.burn_rate(60.0) - 10.0).abs() < 1e-9);
+        // Window covering both samples: mean attainment 0.5, budget 0.01 →
+        // burn 50.0.
+        assert!((t.burn_rate(300.0) - 50.0).abs() < 1e-9);
+        // Window covering only the latest sample: burn 100.0.
+        assert!((t.burn_rate(60.0) - 100.0).abs() < 1e-9);
         // No samples in a zero-width future window.
         let empty = FreshnessTracker::new();
         assert_eq!(empty.burn_rate(300.0), 0.0);

@@ -81,6 +81,7 @@ impl SessionManager {
     }
 
     /// Explicit logout (DELETE on the session resource).
+    // kept: half of the session API (login, logout) a real iDRAC enforces
     pub fn logout(&self, token: &str) -> bool {
         self.sessions.lock().remove(token).is_some()
     }

@@ -11,7 +11,9 @@
 use crate::bmc::Answer;
 use crate::cluster::SimulatedCluster;
 use crate::model::parse_reading;
-use crate::resilience::{Admission, HealthRegistry};
+use crate::resilience::{
+    backoff_delay, Admission, HealthRegistry, JITTER_SEED, MIN_ATTEMPT_BUDGET,
+};
 use crate::types::{Category, NodeReading};
 use monster_sim::VDuration;
 use monster_util::pool::{self, ThreadPool};
@@ -117,16 +119,6 @@ impl SweepOutcome {
         self.results.iter().filter(|r| r.skip.is_some()).count()
     }
 
-    /// Requests skipped because a circuit breaker was open.
-    pub fn skipped_breaker(&self) -> usize {
-        self.results.iter().filter(|r| r.skip == Some(SkipReason::BreakerOpen)).count()
-    }
-
-    /// Requests skipped because the sweep deadline budget ran out.
-    pub fn skipped_deadline(&self) -> usize {
-        self.results.iter().filter(|r| r.skip == Some(SkipReason::Deadline)).count()
-    }
-
     /// True when anything was skipped or failed — the sweep is running on
     /// partial data and staleness substitution applies downstream.
     pub fn degraded(&self) -> bool {
@@ -141,14 +133,6 @@ impl SweepOutcome {
     /// Read-timeout hits across all requests and attempts.
     pub fn timeouts(&self) -> usize {
         self.results.iter().map(|r| r.timeouts).sum()
-    }
-
-    /// The 99th-percentile simulated request time, or `None` for an empty
-    /// sweep (uses the non-panicking percentile so a degenerate sweep
-    /// cannot take the monitor down).
-    pub fn p99_request_secs(&self) -> Option<f64> {
-        let times: Vec<f64> = self.results.iter().map(|r| r.elapsed.as_secs_f64()).collect();
-        monster_util::stats::try_percentile(&times, 0.99)
     }
 
     /// Mean simulated time of *successful first-attempt* requests — the
@@ -203,15 +187,6 @@ impl RedfishClient {
     /// The active configuration.
     pub fn config(&self) -> &ClientConfig {
         &self.config
-    }
-
-    /// The request pool for a fleet: every (node, category) pair.
-    pub fn request_pool(cluster: &SimulatedCluster) -> Vec<(NodeId, Category)> {
-        cluster
-            .node_ids()
-            .iter()
-            .flat_map(|&n| Category::ALL.into_iter().map(move |c| (n, c)))
-            .collect()
     }
 
     /// Execute one request with the retry policy against the simulated
@@ -281,7 +256,6 @@ impl RedfishClient {
         budget: VDuration,
         sweep: u64,
     ) -> RequestOutcome {
-        let rcfg = registry.config();
         let mut elapsed = VDuration::ZERO;
         let mut attempts = 0;
         let mut timeouts = 0;
@@ -337,8 +311,8 @@ impl RedfishClient {
             if attempts > self.config.max_retries || registry.is_open(node) {
                 break;
             }
-            let delay = rcfg.backoff.delay(rcfg.seed, node, sweep, attempts as u32);
-            if elapsed + delay + rcfg.min_attempt_budget > budget {
+            let delay = backoff_delay(JITTER_SEED, node, sweep, attempts as u32);
+            if elapsed + delay + MIN_ATTEMPT_BUDGET > budget {
                 break; // not enough budget left for a meaningful retry
             }
             elapsed += delay;
@@ -384,7 +358,8 @@ impl RedfishClient {
     /// Sweep the fleet with the resilience layer engaged: open-circuit
     /// nodes are skipped outright, half-open nodes get a single probe, and
     /// the remaining requests are packed cheapest-estimate-first onto the
-    /// in-flight channels against the configured sweep deadline. When the
+    /// in-flight channels against `deadline` (see
+    /// [`crate::resilience::sweep_deadline`]). When the
     /// budget runs out the sweep returns *degraded* — the unscheduled
     /// requests are reported as skipped instead of dragging the makespan
     /// past the collection cadence.
@@ -402,12 +377,11 @@ impl RedfishClient {
         &self,
         cluster: &SimulatedCluster,
         registry: &HealthRegistry,
+        deadline: VDuration,
     ) -> SweepOutcome {
         let span = monster_obs::Span::enter("redfish.sweep");
         registry.begin_sweep();
         let sweep_idx = registry.sweep_index();
-        let deadline = registry.config().sweep_deadline;
-        let min_budget = registry.config().min_attempt_budget;
 
         // Breaker admission, node by node.
         let mut admitted: Vec<(NodeId, Category)> = Vec::new();
@@ -449,7 +423,7 @@ impl RedfishClient {
             }
             let load = channels.least();
             let budget = deadline.saturating_sub(load);
-            if load + estimate > deadline || budget < min_budget {
+            if load + estimate > deadline || budget < MIN_ATTEMPT_BUDGET {
                 results.push(RequestOutcome::skipped(node, category, SkipReason::Deadline));
                 continue;
             }
@@ -533,16 +507,6 @@ mod tests {
 
     fn small_cluster(nodes: usize, seed: u64) -> SimulatedCluster {
         SimulatedCluster::new(ClusterConfig::small(nodes, seed))
-    }
-
-    #[test]
-    fn request_pool_covers_all_pairs() {
-        let c = small_cluster(10, 1);
-        let pool = RedfishClient::request_pool(&c);
-        assert_eq!(pool.len(), 40);
-        // Quanah-sized pool matches the paper's 1868.
-        let full = SimulatedCluster::new(ClusterConfig::default());
-        assert_eq!(RedfishClient::request_pool(&full).len(), 1868);
     }
 
     #[test]
@@ -684,7 +648,16 @@ mod tests {
 
     // ---- resilient path -------------------------------------------------
 
-    use crate::resilience::{BreakerState, ResilienceConfig};
+    use crate::resilience::{sweep_deadline, BreakerState};
+
+    /// The paper's 60 s cadence's deadline.
+    fn deadline() -> VDuration {
+        sweep_deadline(60)
+    }
+
+    fn skipped(sweep: &SweepOutcome, reason: SkipReason) -> usize {
+        sweep.results.iter().filter(|r| r.skip == Some(reason)).count()
+    }
 
     fn clean_cluster(nodes: usize, seed: u64) -> SimulatedCluster {
         SimulatedCluster::new(ClusterConfig {
@@ -701,8 +674,7 @@ mod tests {
         let node = cluster.node_ids()[0];
         cluster.set_bmc_alive(node, false).unwrap();
         let client = RedfishClient::default();
-        let rcfg = ResilienceConfig::default();
-        let registry = HealthRegistry::new(rcfg.clone());
+        let registry = HealthRegistry::new();
         registry.begin_sweep();
 
         let budget = VDuration::from_secs(300); // ample: no trimming
@@ -714,8 +686,8 @@ mod tests {
         assert_eq!(o.attempts, client.config().max_retries + 1);
         assert_eq!(o.timeouts, 3);
         // Elapsed = 3 read timeouts + the two jittered backoff delays.
-        let d1 = rcfg.backoff.delay(rcfg.seed, node, 1, 1);
-        let d2 = rcfg.backoff.delay(rcfg.seed, node, 1, 2);
+        let d1 = backoff_delay(JITTER_SEED, node, 1, 1);
+        let d2 = backoff_delay(JITTER_SEED, node, 1, 2);
         assert_eq!(o.elapsed, VDuration::from_secs(45) + d1 + d2);
         assert_eq!(registry.breaker_state(node), BreakerState::Open);
     }
@@ -726,7 +698,7 @@ mod tests {
         let node = cluster.node_ids()[0];
         cluster.set_bmc_alive(node, false).unwrap();
         let client = RedfishClient::default();
-        let registry = HealthRegistry::new(ResilienceConfig::default());
+        let registry = HealthRegistry::new();
         registry.begin_sweep();
 
         // 20 s budget: one full 15 s timeout, then no room for another
@@ -742,14 +714,14 @@ mod tests {
     fn resilient_sweep_on_clean_fleet_matches_plain_sweep_semantics() {
         let cluster = clean_cluster(6, 23);
         let client = RedfishClient::default();
-        let registry = HealthRegistry::new(ResilienceConfig::default());
-        let sweep = client.sweep_resilient(&cluster, &registry);
+        let registry = HealthRegistry::new();
+        let sweep = client.sweep_resilient(&cluster, &registry, deadline());
         assert_eq!(sweep.results.len(), 24);
         assert_eq!(sweep.successes(), 24);
         assert_eq!(sweep.skipped(), 0);
         assert!(!sweep.degraded());
-        assert_eq!(sweep.deadline, Some(ResilienceConfig::default().sweep_deadline));
-        assert!(sweep.makespan <= ResilienceConfig::default().sweep_deadline);
+        assert_eq!(sweep.deadline, Some(deadline()));
+        assert!(sweep.makespan <= deadline());
     }
 
     #[test]
@@ -758,30 +730,30 @@ mod tests {
         let victim = cluster.node_ids()[0];
         cluster.set_bmc_alive(victim, false).unwrap();
         let client = RedfishClient::default();
-        let registry = HealthRegistry::new(ResilienceConfig::default());
+        let registry = HealthRegistry::new();
 
         // Sweep 1: the victim's first request burns its attempts and trips
         // the breaker; its other 3 categories are skipped mid-sweep.
-        let s1 = client.sweep_resilient(&cluster, &registry);
+        let s1 = client.sweep_resilient(&cluster, &registry, deadline());
         assert_eq!(s1.failures(), 1);
-        assert_eq!(s1.skipped_breaker(), 3);
+        assert_eq!(skipped(&s1, SkipReason::BreakerOpen), 3);
         assert_eq!(registry.breaker_state(victim), BreakerState::Open);
 
         // Sweeps 2-3 (cooldown): the victim is skipped wholesale at zero
         // simulated cost.
         for _ in 0..2 {
-            let s = client.sweep_resilient(&cluster, &registry);
-            assert_eq!(s.skipped_breaker(), 4);
+            let s = client.sweep_resilient(&cluster, &registry, deadline());
+            assert_eq!(skipped(&s, SkipReason::BreakerOpen), 4);
             assert_eq!(s.failures(), 0);
         }
 
         // The BMC comes back; the half-open probe succeeds and closes the
         // breaker, and the following sweep is fully fresh again.
         cluster.set_bmc_alive(victim, true).unwrap();
-        let s4 = client.sweep_resilient(&cluster, &registry);
-        assert_eq!(s4.skipped_breaker(), 3, "only the probe ran");
+        let s4 = client.sweep_resilient(&cluster, &registry, deadline());
+        assert_eq!(skipped(&s4, SkipReason::BreakerOpen), 3, "only the probe ran");
         assert_eq!(registry.breaker_state(victim), BreakerState::Closed);
-        let s5 = client.sweep_resilient(&cluster, &registry);
+        let s5 = client.sweep_resilient(&cluster, &registry, deadline());
         assert_eq!(s5.successes(), 12);
         assert!(!s5.degraded());
     }
@@ -793,14 +765,13 @@ mod tests {
         let cluster = clean_cluster(8, 25);
         let client =
             RedfishClient::new(ClientConfig { max_inflight: 2, ..ClientConfig::default() });
-        let rcfg = ResilienceConfig {
-            sweep_deadline: VDuration::from_secs(30),
-            ..ResilienceConfig::default()
-        };
-        let registry = HealthRegistry::new(rcfg);
-        let sweep = client.sweep_resilient(&cluster, &registry);
+        let registry = HealthRegistry::new();
+        let sweep = client.sweep_resilient(&cluster, &registry, VDuration::from_secs(30));
         assert!(sweep.makespan <= VDuration::from_secs(30), "makespan {}", sweep.makespan);
-        assert!(sweep.skipped_deadline() > 0, "nothing shed under a 30 s / 2-channel budget");
+        assert!(
+            skipped(&sweep, SkipReason::Deadline) > 0,
+            "nothing shed under a 30 s / 2-channel budget"
+        );
         assert!(sweep.successes() > 0, "everything shed");
         assert!(sweep.degraded());
     }

@@ -138,18 +138,9 @@ impl SimulatedCluster {
         Ok(())
     }
 
-    /// Fault injection: override one node's failure/stall rates at runtime
-    /// (the chaos harness drives these from a [`monster_sim::FaultProfile`]
-    /// schedule).
-    pub fn set_bmc_rates(&self, node: NodeId, failure_rate: f64, stall_rate: f64) -> Result<()> {
-        let cell =
-            self.cells.get(&node).ok_or_else(|| Error::not_found(format!("no node {node}")))?;
-        cell.lock().bmc.set_rates(failure_rate, stall_rate);
-        Ok(())
-    }
-
-    /// Apply a [`monster_sim::FaultSpec`] to one node: rates plus
-    /// dead/alive state in a single call.
+    /// Fault injection: apply a [`monster_sim::FaultSpec`] to one node —
+    /// failure/stall rates plus dead/alive state in a single call (the chaos
+    /// harness drives these from a [`monster_sim::FaultProfile`] schedule).
     pub fn apply_fault(&self, node: NodeId, spec: monster_sim::FaultSpec) -> Result<()> {
         let cell =
             self.cells.get(&node).ok_or_else(|| Error::not_found(format!("no node {node}")))?;
@@ -299,13 +290,14 @@ mod tests {
         };
         let c = SimulatedCluster::new(cfg);
         let node = c.node_ids()[0];
-        c.set_bmc_rates(node, 0.0, 1.0).unwrap();
+        let stalling = monster_sim::FaultSpec { failure_rate: 0.0, stall_rate: 1.0, dead: false };
+        c.apply_fault(node, stalling).unwrap();
         for _ in 0..5 {
             assert_eq!(ask(&c, node, Category::Thermal), Answer::Stalled);
         }
-        c.set_bmc_rates(node, 0.0, 0.0).unwrap();
+        c.apply_fault(node, monster_sim::FaultSpec::NONE).unwrap();
         assert!(matches!(ask(&c, node, Category::Thermal), Answer::Ok(..)));
-        // apply_fault drives both rates and liveness.
+        // apply_fault drives liveness as well as the rates.
         c.apply_fault(
             node,
             monster_sim::FaultSpec { failure_rate: 0.0, stall_rate: 0.0, dead: true },
@@ -314,7 +306,7 @@ mod tests {
         assert_eq!(ask(&c, node, Category::Thermal), Answer::Stalled);
         c.apply_fault(node, monster_sim::FaultSpec::NONE).unwrap();
         assert!(matches!(ask(&c, node, Category::Thermal), Answer::Ok(..)));
-        assert!(c.set_bmc_rates(NodeId::new(99, 9), 0.5, 0.5).is_err());
+        assert!(c.apply_fault(NodeId::new(99, 9), stalling).is_err());
     }
 
     #[test]

@@ -19,6 +19,7 @@ use std::sync::Arc;
 /// session authentication: clients log in via
 /// `POST /nodes/:addr/redfish/v1/SessionService/Sessions` and present the
 /// returned `X-Auth-Token` on every resource request.
+// kept: the gateway behind the session check a real iDRAC enforces
 pub fn router_with_auth(
     cluster: Arc<SimulatedCluster>,
     sessions: Arc<crate::auth::SessionManager>,

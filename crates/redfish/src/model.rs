@@ -6,13 +6,16 @@
 //! collector is tested against the same payload shapes a real BMC would
 //! produce.
 //!
-//! [`payload`] builds a document; a BMC answering a request does not: each
-//! thread keeps one [`payload`] a category and [`with_payload`] writes the
-//! next node's name, readings and health over it — all that differs between
-//! two nodes — and lends it out. Per thread, not per node: four templates a
-//! sweep worker, where one a node would keep 1 868 trees resident.
+//! A document is described once. The category's skeleton holds the members
+//! no two nodes differ in (ids, units, firmware, the sensors' names);
+//! `write_over` writes what does differ — the node's name, its readings,
+//! its health — over it. [`payload`] is a fresh skeleton written over. A BMC
+//! answering a request builds nothing: each thread keeps one payload a
+//! category and [`with_payload`] writes the next node over it and lends it
+//! out. Per thread, not per node: four templates a sweep worker, where one
+//! a node would keep 1 868 trees resident.
 
-use crate::sensors::{NodeSensors, VOLTAGE_RAILS};
+use crate::sensors::{NodeSensors, CPUS_PER_NODE, FANS_PER_NODE, VOLTAGE_RAILS};
 use crate::types::{Category, HealthState, NodeReading};
 use monster_json::{jobj, Object, Value};
 use monster_util::{Error, NodeId, Result};
@@ -44,7 +47,8 @@ pub fn with_payload<R>(
     })
 }
 
-/// Write what differs between two nodes' [`payload`]s over `v`.
+/// Write what differs between two nodes' [`payload`]s over `v`: the one
+/// place a reading's path, its rounding and its health string are named.
 fn write_over(category: Category, v: &mut Value, node: NodeId, s: &NodeSensors) {
     let name = at(v, "Name");
     match category {
@@ -97,96 +101,87 @@ fn set_health(v: &mut Value, health: HealthState) {
 
 /// Build the JSON payload for one category from a node's sensor state.
 pub fn payload(category: Category, node: NodeId, s: &NodeSensors) -> Value {
-    match category {
-        Category::Thermal => thermal(node, s),
-        Category::Power => power(node, s),
-        Category::Manager => manager(node, s),
-        Category::System => system(node, s),
-    }
+    let mut v = match category {
+        Category::Thermal => thermal(),
+        Category::Power => power(),
+        Category::Manager => manager(),
+        Category::System => system(),
+    };
+    write_over(category, &mut v, node, s);
+    v
 }
 
-fn status(health: HealthState) -> Value {
-    jobj! { "State" => "Enabled", "Health" => health.as_str() }
+/// A `Status` member; `write_over` sets `Health` where it follows a node.
+fn status() -> Value {
+    jobj! { "State" => "Enabled", "Health" => HealthState::Ok.as_str() }
 }
 
-fn thermal(node: NodeId, s: &NodeSensors) -> Value {
-    let mut temps: Vec<Value> = Vec::new();
-    for (i, t) in s.cpu_temps.iter().enumerate() {
-        temps.push(jobj! {
-            "Name" => format!("CPU{} Temp", i + 1),
-            "ReadingCelsius" => round1(*t),
-            "Status" => status(s.host_health),
-        });
-    }
-    temps.push(jobj! {
-        "Name" => "System Board Inlet Temp",
-        "ReadingCelsius" => round1(s.inlet),
-        "Status" => status(HealthState::Ok),
-    });
-    let fans: Vec<Value> = s
-        .fans
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
+fn thermal() -> Value {
+    let temp =
+        |name: String| jobj! { "Name" => name, "ReadingCelsius" => 0.0, "Status" => status() };
+    let mut temps: Vec<Value> = (1..=CPUS_PER_NODE).map(|i| temp(format!("CPU{i} Temp"))).collect();
+    temps.push(temp("System Board Inlet Temp".into()));
+    let fans: Vec<Value> = (1..=FANS_PER_NODE)
+        .map(|i| {
             jobj! {
-                "Name" => format!("Fan {}", i + 1),
-                "Reading" => round1(*f),
+                "Name" => format!("Fan {i}"),
+                "Reading" => 0.0,
                 "ReadingUnits" => "RPM",
-                "Status" => status(HealthState::Ok),
+                "Status" => status(),
             }
         })
         .collect();
     jobj! {
-        "@odata.id" => format!("/redfish/v1/Chassis/System.Embedded.1/Thermal"),
+        "@odata.id" => "/redfish/v1/Chassis/System.Embedded.1/Thermal",
         "Id" => "Thermal",
-        "Name" => format!("Thermal ({})", node.bmc_addr()),
+        "Name" => "",
         "Temperatures" => Value::Array(temps),
         "Fans" => Value::Array(fans),
     }
 }
 
-fn power(node: NodeId, s: &NodeSensors) -> Value {
+fn power() -> Value {
     let voltages: Vec<Value> = VOLTAGE_RAILS
         .iter()
         .map(|v| {
             jobj! {
                 "Name" => format!("PS Voltage {v}V"),
                 "ReadingVolts" => round2(*v),
-                "Status" => status(HealthState::Ok),
+                "Status" => status(),
             }
         })
         .collect();
     jobj! {
         "@odata.id" => "/redfish/v1/Chassis/System.Embedded.1/Power",
         "Id" => "Power",
-        "Name" => format!("Power ({})", node.bmc_addr()),
+        "Name" => "",
         "PowerControl" => Value::Array(vec![jobj! {
             "Name" => "System Power Control",
-            "PowerConsumedWatts" => round1(s.power),
+            "PowerConsumedWatts" => 0.0,
         }]),
         "Voltages" => Value::Array(voltages),
     }
 }
 
-fn manager(node: NodeId, s: &NodeSensors) -> Value {
+fn manager() -> Value {
     jobj! {
         "@odata.id" => "/redfish/v1/Managers/iDRAC.Embedded.1",
         "Id" => "iDRAC.Embedded.1",
-        "Name" => format!("Manager ({})", node.bmc_addr()),
+        "Name" => "",
         "ManagerType" => "BMC",
         "Model" => "13G DCS",
         "FirmwareVersion" => "2.63.60.61",
-        "Status" => status(s.bmc_health),
+        "Status" => status(),
     }
 }
 
-fn system(node: NodeId, s: &NodeSensors) -> Value {
+fn system() -> Value {
     jobj! {
         "@odata.id" => "/redfish/v1/Systems/System.Embedded.1",
         "Id" => "System.Embedded.1",
-        "Name" => format!("System ({})", node.label()),
+        "Name" => "",
         "Model" => "PowerEdge C6320",
-        "Status" => status(s.host_health),
+        "Status" => status(),
         "ProcessorSummary" => jobj! { "Count" => 2i64, "LogicalProcessorCount" => 36i64 },
     }
 }

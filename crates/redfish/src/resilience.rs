@@ -10,116 +10,79 @@
 //!   latency (the sweep scheduler's cost estimate) and a consecutive-failure
 //!   count feeding a circuit breaker;
 //! * circuit breakers — `Closed → Open → HalfOpen → Closed`. A breaker
-//!   opens after [`BreakerConfig::failure_threshold`] consecutive failed
-//!   *attempts*, which lets it trip mid-request: a dead BMC costs one
-//!   45-second request, not four. Open breakers skip the node entirely for
-//!   [`BreakerConfig::cooldown_sweeps`] sweeps, then admit a single probe
-//!   request; probe success closes the breaker, probe failure re-opens it;
-//! * [`BackoffConfig`] — jittered exponential backoff between retry
+//!   opens after `FAILURE_THRESHOLD` consecutive failed *attempts*, which
+//!   lets it trip mid-request: a dead BMC costs one 45-second request, not
+//!   four. Open breakers skip the node entirely for `COOLDOWN_SWEEPS`
+//!   sweeps, then admit a single probe request; probe success closes the
+//!   breaker, probe failure re-opens it;
+//! * `backoff_delay` — jittered exponential backoff between retry
 //!   attempts, replacing the immediate retry. The jitter factor is a pure
-//!   function of (seed, node, sweep, attempt) so replays are deterministic.
+//!   function of (seed, node, sweep, attempt) so replays are deterministic;
+//! * [`sweep_deadline`] — the makespan budget a sweep is packed against,
+//!   derived from the collection cadence.
 //!
-//! All state transitions are driven by the *sequential* resilient sweep in
-//! [`crate::client`], so a chaos replay with a fixed seed is bit-identical
-//! across runs and machines.
+//! The values below are the ones the collector ships with; nothing sets
+//! another. All state transitions are driven by the *sequential* resilient
+//! sweep in [`crate::client`], so a chaos replay with a fixed seed is
+//! bit-identical across runs and machines.
 
 use monster_sim::{SimRng, VDuration};
 use monster_util::NodeId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
-/// Jittered exponential backoff between retry attempts.
-#[derive(Debug, Clone)]
-pub struct BackoffConfig {
-    /// Delay before the first retry.
-    pub base: VDuration,
-    /// Upper bound on any single delay.
-    pub cap: VDuration,
-    /// Growth factor per retry.
-    pub multiplier: f64,
-    /// Fraction of the nominal delay randomized away: the drawn delay is
-    /// uniform in `[nominal * (1 - jitter), nominal * (1 + jitter)]`.
-    pub jitter: f64,
+/// Delay before the first retry.
+const BACKOFF_BASE: VDuration = VDuration::from_millis(500);
+/// Upper bound on any single (nominal) delay.
+const BACKOFF_CAP: VDuration = VDuration::from_secs(8);
+/// Growth factor per retry.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+/// Fraction of the nominal delay randomized away: the drawn delay is
+/// uniform in `[nominal * (1 - jitter), nominal * (1 + jitter)]`.
+const BACKOFF_JITTER: f64 = 0.5;
+/// Seed for the deterministic backoff jitter.
+pub(crate) const JITTER_SEED: u64 = 0x5AFE;
+
+/// Consecutive failed attempts that open a breaker.
+const FAILURE_THRESHOLD: u32 = 3;
+/// Sweeps an open breaker waits before admitting a probe.
+const COOLDOWN_SWEEPS: u64 = 2;
+/// Consecutive probe successes that close a half-open breaker.
+const PROBE_SUCCESSES: u32 = 1;
+
+/// EWMA smoothing factor for per-BMC latency (weight of the newest
+/// sample).
+const EWMA_ALPHA: f64 = 0.3;
+/// Latency estimate for a BMC with no successful history yet — the
+/// paper's 4.29 s fleet mean.
+const DEFAULT_ESTIMATE: VDuration = VDuration::from_millis(4290);
+/// Minimum budget worth starting a retry attempt with.
+pub(crate) const MIN_ATTEMPT_BUDGET: VDuration = VDuration::from_secs(1);
+
+/// The delay before retry number `retry` (1-based) of a request to `node`
+/// during sweep `sweep`. Deterministic: the jitter draw depends only on
+/// the arguments, never on shared RNG state.
+pub(crate) fn backoff_delay(seed: u64, node: NodeId, sweep: u64, retry: u32) -> VDuration {
+    let nominal = (BACKOFF_BASE.as_secs_f64()
+        * BACKOFF_MULTIPLIER.powi(retry.saturating_sub(1) as i32))
+    .min(BACKOFF_CAP.as_secs_f64());
+    let mut rng = SimRng::derive(seed, &format!("backoff/{}/{sweep}/{retry}", node.bmc_addr()));
+    let factor = 1.0 + BACKOFF_JITTER * (2.0 * rng.uniform01() - 1.0);
+    VDuration::from_secs_f64(nominal * factor)
 }
 
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        BackoffConfig {
-            base: VDuration::from_millis(500),
-            cap: VDuration::from_secs(8),
-            multiplier: 2.0,
-            jitter: 0.5,
-        }
-    }
+/// The sweep deadline for a collection cadence of `cadence_secs`: 9/10 of
+/// it (54 s at the paper's 60 s), so a degraded sweep leaves headroom and
+/// can never delay the next one.
+pub fn sweep_deadline(cadence_secs: i64) -> VDuration {
+    VDuration::from_millis(cadence_secs.max(0) as u64 * 900)
 }
 
-impl BackoffConfig {
-    /// The delay before retry number `retry` (1-based) of a request to
-    /// `node` during sweep `sweep`. Deterministic: the jitter draw depends
-    /// only on the arguments, never on shared RNG state.
-    pub fn delay(&self, seed: u64, node: NodeId, sweep: u64, retry: u32) -> VDuration {
-        let nominal = (self.base.as_secs_f64()
-            * self.multiplier.powi(retry.saturating_sub(1) as i32))
-        .min(self.cap.as_secs_f64());
-        let mut rng = SimRng::derive(seed, &format!("backoff/{}/{sweep}/{retry}", node.bmc_addr()));
-        let factor = 1.0 + self.jitter * (2.0 * rng.uniform01() - 1.0);
-        VDuration::from_secs_f64(nominal * factor)
-    }
-}
-
-/// Circuit-breaker thresholds.
-#[derive(Debug, Clone)]
-pub struct BreakerConfig {
-    /// Consecutive failed attempts that open the breaker.
-    pub failure_threshold: u32,
-    /// Sweeps an open breaker waits before admitting a probe.
-    pub cooldown_sweeps: u64,
-    /// Consecutive probe successes required to close a half-open breaker.
-    pub probe_successes: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig { failure_threshold: 3, cooldown_sweeps: 2, probe_successes: 1 }
-    }
-}
-
-/// Everything the resilient collection path is tuned by.
-#[derive(Debug, Clone)]
-pub struct ResilienceConfig {
-    /// Retry backoff policy.
-    pub backoff: BackoffConfig,
-    /// Circuit-breaker thresholds.
-    pub breaker: BreakerConfig,
-    /// Sweep deadline: the makespan budget each sweep is packed against.
-    /// Must leave headroom under the collection cadence (60 s in the
-    /// paper) so a degraded sweep can never delay the next one.
-    pub sweep_deadline: VDuration,
-    /// EWMA smoothing factor for per-BMC latency (weight of the newest
-    /// sample).
-    pub ewma_alpha: f64,
-    /// Latency estimate for a BMC with no successful history yet — the
-    /// paper's 4.29 s fleet mean.
-    pub default_estimate: VDuration,
-    /// Minimum budget worth starting a retry attempt with.
-    pub min_attempt_budget: VDuration,
-    /// Seed for the deterministic backoff jitter.
-    pub seed: u64,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            backoff: BackoffConfig::default(),
-            breaker: BreakerConfig::default(),
-            sweep_deadline: VDuration::from_secs(54),
-            ewma_alpha: 0.3,
-            default_estimate: VDuration::from_secs_f64(4.29),
-            min_attempt_budget: VDuration::from_secs(1),
-            seed: 0x5AFE,
-        }
-    }
-}
+/// Turns the resilience layer on where a configuration holds it
+/// (`Some(ResilienceConfig::default())`); every value it runs on is a
+/// constant of this module.
+#[derive(Debug, Clone, Default)]
+pub struct ResilienceConfig {}
 
 /// Circuit-breaker state for one BMC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,21 +148,15 @@ pub struct BreakerCounts {
 
 /// Per-BMC health registry: EWMA latency, consecutive-failure counts, and
 /// the circuit breakers they feed.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HealthRegistry {
-    config: ResilienceConfig,
     inner: Mutex<Inner>,
 }
 
 impl HealthRegistry {
     /// Fresh registry: every breaker closed, no latency history.
-    pub fn new(config: ResilienceConfig) -> Self {
-        HealthRegistry { config, inner: Mutex::new(Inner::default()) }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ResilienceConfig {
-        &self.config
+    pub fn new() -> Self {
+        HealthRegistry::default()
     }
 
     /// Start a new sweep: advance the sweep clock and move open breakers
@@ -208,9 +165,8 @@ impl HealthRegistry {
         let mut inner = self.inner.lock();
         inner.sweep += 1;
         let sweep = inner.sweep;
-        let cooldown = self.config.breaker.cooldown_sweeps;
         for health in inner.nodes.values_mut() {
-            if health.state == BreakerState::Open && sweep > health.opened_at + cooldown {
+            if health.state == BreakerState::Open && sweep > health.opened_at + COOLDOWN_SWEEPS {
                 health.state = BreakerState::HalfOpen;
                 health.probe_ok = 0;
                 monster_obs::counter("monster_redfish_breaker_transitions_total").inc();
@@ -246,28 +202,26 @@ impl HealthRegistry {
     }
 
     /// The scheduler's per-request cost estimate for a node: the latency
-    /// EWMA, or the configured default for nodes without history.
+    /// EWMA, or `DEFAULT_ESTIMATE` for nodes without history.
     pub fn estimate(&self, node: NodeId) -> VDuration {
         let inner = self.inner.lock();
         match inner.nodes.get(&node).and_then(|h| h.ewma_secs) {
             Some(s) => VDuration::from_secs_f64(s),
-            None => self.config.default_estimate,
+            None => DEFAULT_ESTIMATE,
         }
     }
 
     /// Record a successful request and its latency.
     pub fn record_success(&self, node: NodeId, latency: VDuration) {
-        let alpha = self.config.ewma_alpha;
-        let needed = self.config.breaker.probe_successes;
         let mut inner = self.inner.lock();
         let health = inner.nodes.entry(node).or_insert_with(NodeHealth::new);
         health.consecutive_failures = 0;
         let secs = latency.as_secs_f64();
         health.ewma_secs =
-            Some(health.ewma_secs.map_or(secs, |e| alpha * secs + (1.0 - alpha) * e));
+            Some(health.ewma_secs.map_or(secs, |e| EWMA_ALPHA * secs + (1.0 - EWMA_ALPHA) * e));
         if health.state == BreakerState::HalfOpen {
             health.probe_ok += 1;
-            if health.probe_ok >= needed {
+            if health.probe_ok >= PROBE_SUCCESSES {
                 health.state = BreakerState::Closed;
                 monster_obs::counter("monster_redfish_breaker_transitions_total").inc();
             }
@@ -278,13 +232,12 @@ impl HealthRegistry {
     /// the breaker when the consecutive-failure threshold is reached; a
     /// half-open breaker re-opens on any failed probe.
     pub fn record_failure(&self, node: NodeId) {
-        let threshold = self.config.breaker.failure_threshold;
         let mut inner = self.inner.lock();
         let sweep = inner.sweep;
         let health = inner.nodes.entry(node).or_insert_with(NodeHealth::new);
         health.consecutive_failures += 1;
         let trip = match health.state {
-            BreakerState::Closed => health.consecutive_failures >= threshold,
+            BreakerState::Closed => health.consecutive_failures >= FAILURE_THRESHOLD,
             BreakerState::HalfOpen => true,
             BreakerState::Open => false,
         };
@@ -332,26 +285,32 @@ mod tests {
 
     #[test]
     fn backoff_grows_caps_and_jitters_deterministically() {
-        let cfg = BackoffConfig::default();
-        let d1 = cfg.delay(1, node(), 1, 1);
-        let d2 = cfg.delay(1, node(), 1, 2);
-        let d9 = cfg.delay(1, node(), 1, 9);
+        let d1 = backoff_delay(1, node(), 1, 1);
+        let d2 = backoff_delay(1, node(), 1, 2);
+        let d9 = backoff_delay(1, node(), 1, 9);
         // Nominal 0.5 s / 1 s: jitter keeps each within +/-50%.
         assert!(d1.as_secs_f64() >= 0.25 && d1.as_secs_f64() <= 0.75, "d1 {d1}");
         assert!(d2.as_secs_f64() >= 0.5 && d2.as_secs_f64() <= 1.5, "d2 {d2}");
         // Deep retries cap at 8 s (+50% jitter).
         assert!(d9.as_secs_f64() <= 12.0, "d9 {d9}");
         // Pure function of its inputs.
-        assert_eq!(d1, cfg.delay(1, node(), 1, 1));
-        assert_ne!(cfg.delay(1, node(), 1, 1), cfg.delay(1, node(), 2, 1));
-        assert_ne!(cfg.delay(1, node(), 1, 1), cfg.delay(2, node(), 1, 1));
+        assert_eq!(d1, backoff_delay(1, node(), 1, 1));
+        assert_ne!(backoff_delay(1, node(), 1, 1), backoff_delay(1, node(), 2, 1));
+        assert_ne!(backoff_delay(1, node(), 1, 1), backoff_delay(2, node(), 1, 1));
+    }
+
+    #[test]
+    fn the_deadline_is_nine_tenths_of_the_cadence() {
+        assert_eq!(sweep_deadline(60), VDuration::from_secs(54));
+        assert_eq!(sweep_deadline(30), VDuration::from_secs(27));
+        assert_eq!(sweep_deadline(10), VDuration::from_secs(9));
     }
 
     #[test]
     fn breaker_walks_closed_open_half_open_closed() {
         // The deterministic state walk of the satellite checklist: a seeded
         // schedule of failures and successes drives one full cycle.
-        let reg = HealthRegistry::new(ResilienceConfig::default());
+        let reg = HealthRegistry::new();
         let n = node();
         reg.begin_sweep();
         assert_eq!(reg.breaker_state(n), BreakerState::Closed);
@@ -383,7 +342,7 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens_and_restarts_cooldown() {
-        let reg = HealthRegistry::new(ResilienceConfig::default());
+        let reg = HealthRegistry::new();
         let n = node();
         reg.begin_sweep();
         for _ in 0..3 {
@@ -406,7 +365,7 @@ mod tests {
 
     #[test]
     fn success_resets_failure_streak() {
-        let reg = HealthRegistry::new(ResilienceConfig::default());
+        let reg = HealthRegistry::new();
         let n = node();
         reg.begin_sweep();
         reg.record_failure(n);
@@ -421,10 +380,10 @@ mod tests {
 
     #[test]
     fn ewma_tracks_latency_and_feeds_estimates() {
-        let cfg = ResilienceConfig::default();
-        let reg = HealthRegistry::new(cfg.clone());
+        let reg = HealthRegistry::new();
         let n = node();
-        assert_eq!(reg.estimate(n), cfg.default_estimate);
+        assert_eq!(reg.estimate(n), DEFAULT_ESTIMATE);
+        assert_eq!(DEFAULT_ESTIMATE, VDuration::from_secs_f64(4.29));
         reg.record_success(n, VDuration::from_secs(10));
         assert_eq!(reg.estimate(n), VDuration::from_secs(10));
         reg.record_success(n, VDuration::from_secs(2));
@@ -434,7 +393,7 @@ mod tests {
 
     #[test]
     fn breaker_counts_partition_the_fleet() {
-        let reg = HealthRegistry::new(ResilienceConfig::default());
+        let reg = HealthRegistry::new();
         reg.begin_sweep();
         let a = NodeId::new(1, 1);
         let b = NodeId::new(1, 2);

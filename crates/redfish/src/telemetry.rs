@@ -93,11 +93,6 @@ impl TelemetryService {
         }
     }
 
-    /// Samples currently buffered for a node.
-    pub fn buffered(&self, node: NodeId) -> usize {
-        self.buffers.get(&node).map(VecDeque::len).unwrap_or(0)
-    }
-
     /// Build the Redfish `MetricReport` payload for a node and drain the
     /// buffer (`ReportUpdates: Overwrite` semantics: one fetch consumes
     /// the window).
@@ -231,6 +226,11 @@ mod tests {
         })
     }
 
+    /// Samples currently buffered for a node.
+    fn buffered(ts: &TelemetryService, node: NodeId) -> usize {
+        ts.buffers.get(&node).map(VecDeque::len).unwrap_or(0)
+    }
+
     #[test]
     fn record_and_take_report_round_trips() {
         let c = cluster(3);
@@ -240,9 +240,9 @@ mod tests {
             ts.record(&c, EpochSecs::new(i * 10));
         }
         let node = c.node_ids()[1];
-        assert_eq!(ts.buffered(node), 6);
+        assert_eq!(buffered(&ts, node), 6);
         let report = ts.take_report(node).unwrap();
-        assert_eq!(ts.buffered(node), 0, "take drains the buffer");
+        assert_eq!(buffered(&ts, node), 0, "take drains the buffer");
         let samples = parse_report(&report).unwrap();
         assert_eq!(samples.len(), 6);
         // Timestamps at the 10 s cadence.
@@ -288,7 +288,7 @@ mod tests {
             ts.record(&c, EpochSecs::new(i * 10));
         }
         let node = c.node_ids()[0];
-        assert_eq!(ts.buffered(node), 4);
+        assert_eq!(buffered(&ts, node), 4);
         let samples = parse_report(&ts.take_report(node).unwrap()).unwrap();
         // Oldest samples were overwritten.
         assert_eq!(samples[0].time, EpochSecs::new(160));

@@ -2,11 +2,9 @@
 //!
 //! The paper measured 103 MB/s on the original HDD host and 391 MB/s after
 //! migrating InfluxDB to SSDs (§IV-B1) and observed a 1.5–2.1× query
-//! speedup. The query engine charges every read against one of these
-//! models: a fixed per-access latency (seek/IOP cost) plus bytes divided by
-//! sequential bandwidth.
-
-use crate::vtime::VDuration;
+//! speedup. The query engine's cost model (`monster_tsdb::cost`) charges
+//! every read against one of these models: a fixed per-access latency
+//! (seek/IOP cost) plus bytes divided by sequential bandwidth.
 
 /// A storage device's cost model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,18 +24,6 @@ impl DiskModel {
 
     /// The paper's SSD storage host: 391 MB/s, ~80 µs access.
     pub const SSD: DiskModel = DiskModel { name: "SSD", read_bw: 391.0e6, access_latency: 80.0e-6 };
-
-    /// Cost of reading `bytes` in `accesses` discrete operations.
-    pub fn read_cost(&self, bytes: u64, accesses: u64) -> VDuration {
-        let transfer = bytes as f64 / self.read_bw;
-        let seeks = accesses as f64 * self.access_latency;
-        VDuration::from_secs_f64(transfer + seeks)
-    }
-
-    /// Cost of one sequential scan of `bytes`.
-    pub fn scan_cost(&self, bytes: u64) -> VDuration {
-        self.read_cost(bytes, 1)
-    }
 }
 
 #[cfg(test)]
@@ -51,46 +37,5 @@ mod tests {
         // "nearly 4x faster than an HDD" (§IV-B1).
         let ratio = DiskModel::SSD.read_bw / DiskModel::HDD.read_bw;
         assert!(ratio > 3.7 && ratio < 3.9);
-    }
-
-    #[test]
-    fn scan_cost_is_linear_in_bytes() {
-        let one = DiskModel::SSD.scan_cost(100 << 20);
-        let two = DiskModel::SSD.scan_cost(200 << 20);
-        let seek = VDuration::from_secs_f64(DiskModel::SSD.access_latency);
-        assert_eq!((two - seek).as_nanos(), (one - seek).as_nanos() * 2);
-    }
-
-    #[test]
-    fn seek_dominance_for_many_small_reads() {
-        // 1000 random 4 KiB reads on HDD: seeks dominate transfer.
-        let cost = DiskModel::HDD.read_cost(1000 * 4096, 1000);
-        assert!(cost.as_secs_f64() > 7.9, "got {}", cost.as_secs_f64());
-        // The same on SSD is two orders of magnitude cheaper.
-        let ssd = DiskModel::SSD.read_cost(1000 * 4096, 1000);
-        assert!(ssd.as_secs_f64() < 0.2);
-    }
-
-    #[test]
-    fn hdd_vs_ssd_speedup_band_for_scans() {
-        // Large sequential scans approach the raw bandwidth ratio (~3.8x);
-        // seek-heavy workloads compress the gap. The paper's observed
-        // 1.5-2.1x sits between, because queries mix both.
-        let bytes = 500u64 << 20;
-        let hdd = DiskModel::HDD.read_cost(bytes, 200);
-        let ssd = DiskModel::SSD.read_cost(bytes, 200);
-        let speedup = hdd.as_secs_f64() / ssd.as_secs_f64();
-        assert!(speedup > 1.5 && speedup < 5.0, "speedup {speedup}");
-        // Seek-heavy mixes (many series, few bytes each) land nearer the
-        // paper's 1.5-2.1x because CPU/processing is a bigger share there.
-        let hdd2 = DiskModel::HDD.read_cost(64 << 20, 5_000);
-        let ssd2 = DiskModel::SSD.read_cost(64 << 20, 5_000);
-        assert!(hdd2 > ssd2);
-    }
-
-    #[test]
-    fn zero_bytes_costs_only_seeks() {
-        let c = DiskModel::HDD.read_cost(0, 2);
-        assert!((c.as_secs_f64() - 0.016).abs() < 1e-9);
     }
 }

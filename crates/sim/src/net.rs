@@ -2,8 +2,7 @@
 //!
 //! All three MonSTer service hosts sit on 1 Gbit/s Ethernet (Table III);
 //! the management network the BMC traffic crosses is the same class. The
-//! transmission-time experiments (Figs. 17 & 19) and the Table IV bandwidth
-//! accounting use this model.
+//! transmission-time experiments (Figs. 17 & 19) use this model.
 
 use crate::vtime::VDuration;
 
@@ -25,11 +24,6 @@ impl NetModel {
     pub const GIGABIT_LAN: NetModel =
         NetModel { name: "1GbE LAN", bandwidth: 1.0e9 / 8.0 * 0.70, rtt: 200.0e-6 };
 
-    /// The out-of-band management network the BMCs answer on. Same fabric
-    /// class, but shared with other management traffic — derated harder.
-    pub const MANAGEMENT: NetModel =
-        NetModel { name: "management", bandwidth: 1.0e9 / 8.0 * 0.40, rtt: 500.0e-6 };
-
     /// A consumer invoking the Metrics Builder API from a campus network
     /// (the remote-analysis case of §IV-B4): ~200 Mbit/s effective, higher
     /// RTT. On this path transmission dominates query time for long ranges,
@@ -40,12 +34,6 @@ impl NetModel {
     /// bandwidth-limited transfer).
     pub fn transfer_cost(&self, bytes: u64) -> VDuration {
         VDuration::from_secs_f64(self.rtt + bytes as f64 / self.bandwidth)
-    }
-
-    /// Steady-state rate in KB/s that `bytes_per_interval` over
-    /// `interval_secs` consumes — the Table IV arithmetic.
-    pub fn rate_kb_per_sec(bytes_per_interval: u64, interval_secs: f64) -> f64 {
-        bytes_per_interval as f64 / 1024.0 / interval_secs
     }
 }
 
@@ -66,15 +54,6 @@ mod tests {
     fn rtt_floors_small_transfers() {
         let c = NetModel::CAMPUS.transfer_cost(1);
         assert!(c.as_secs_f64() >= 4.0e-3);
-    }
-
-    #[test]
-    fn table4_arithmetic_shape() {
-        // 467 nodes x 19 KB + 400 jobs x 23 KB over 60 s ≈ 300 KB/s:
-        // the Table IV headline number (298.43 KB/s) to within a few KB/s.
-        let bytes = 467u64 * 19 * 1024 + 400 * 23 * 1024;
-        let rate = NetModel::rate_kb_per_sec(bytes, 60.0);
-        assert!((rate - 298.43).abs() < 10.0, "rate {rate}");
     }
 
     #[test]

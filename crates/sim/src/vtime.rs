@@ -19,11 +19,6 @@ impl VDuration {
         VDuration(n)
     }
 
-    /// From integer microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        VDuration(us * 1_000)
-    }
-
     /// From integer milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         VDuration(ms * 1_000_000)
@@ -179,7 +174,6 @@ mod tests {
     fn conversions() {
         assert_eq!(VDuration::from_secs(2).as_nanos(), 2_000_000_000);
         assert_eq!(VDuration::from_millis(1500).as_secs_f64(), 1.5);
-        assert_eq!(VDuration::from_micros(5).as_nanos(), 5_000);
         assert_eq!(VDuration::from_secs_f64(4.29).as_secs_f64(), 4.29);
         assert_eq!(VDuration::from_secs_f64(-1.0), VDuration::ZERO);
         assert_eq!(VDuration::from_secs_f64(f64::NAN), VDuration::ZERO);
@@ -219,7 +213,7 @@ mod tests {
     fn display_picks_unit() {
         assert_eq!(VDuration::from_secs_f64(4.29).to_string(), "4.29s");
         assert_eq!(VDuration::from_millis(12).to_string(), "12.00ms");
-        assert_eq!(VDuration::from_micros(7).to_string(), "7µs");
+        assert_eq!(VDuration::from_nanos(7_000).to_string(), "7µs");
     }
 
     #[test]

@@ -426,11 +426,6 @@ impl Column {
         true
     }
 
-    /// Number of sealed blocks (compaction observability).
-    pub fn sealed_blocks(&self) -> usize {
-        self.sealed.len()
-    }
-
     /// Raw (unsealed) points in the tail.
     pub fn tail_len(&self) -> usize {
         self.tail_ts.len()
@@ -525,13 +520,9 @@ impl Column {
     /// and the raw tail. In `spec.decode_all` mode eligible blocks are
     /// decoded and their partials re-folded, keeping the emitted item
     /// sequence identical while charging the full decode cost — the
-    /// baseline the pushdown speedup is measured against.
-    pub fn scan_agg(&self, spec: AggScan, emit: impl FnMut(ScanItem)) -> Result<ScanStats> {
-        self.scan_agg_with(&mut DecodeScratch::new(), spec, emit)
-    }
-
-    /// [`Self::scan_agg`] with caller-provided decode scratch.
-    pub fn scan_agg_with(
+    /// baseline the pushdown speedup is measured against. Blocks decode
+    /// into `scratch`.
+    pub fn scan_agg(
         &self,
         scratch: &mut DecodeScratch,
         spec: AggScan,
@@ -786,7 +777,7 @@ mod tests {
         // only the tail is decoded.
         let mut items = Vec::new();
         let spec = agg_spec(0, 3 * BLOCK_SIZE as i64, Some(4 * BLOCK_SIZE as i64));
-        let stats = col.scan_agg(spec, |it| items.push(it)).unwrap();
+        let stats = col.scan_agg(&mut DecodeScratch::new(), spec, |it| items.push(it)).unwrap();
         assert_eq!(stats.blocks_summarized, 2);
         assert_eq!(stats.blocks, 1, "only the tail decodes: {stats:?}");
         let partials = items.iter().filter(|i| matches!(i, ScanItem::Partial(_))).count();
@@ -795,7 +786,7 @@ mod tests {
         // A window cutting through block 0 forces it to decode per point.
         let mut items = Vec::new();
         let spec = agg_spec(0, 3 * BLOCK_SIZE as i64, Some(BLOCK_SIZE as i64 / 2));
-        let stats = col.scan_agg(spec, |it| items.push(it)).unwrap();
+        let stats = col.scan_agg(&mut DecodeScratch::new(), spec, |it| items.push(it)).unwrap();
         assert_eq!(stats.blocks_summarized, 0);
         assert_eq!(stats.blocks, 3);
         assert!(items.iter().all(|i| matches!(i, ScanItem::Point(..))));
@@ -809,11 +800,13 @@ mod tests {
         }
         col.seal_now();
         // Query range cuts the block: must decode.
-        let stats = col.scan_agg(agg_spec(10, 10_000, None), |_| {}).unwrap();
+        let stats =
+            col.scan_agg(&mut DecodeScratch::new(), agg_spec(10, 10_000, None), |_| {}).unwrap();
         assert_eq!(stats.blocks_summarized, 0);
         assert_eq!(stats.blocks, 1);
         // Whole-range window and full coverage: summary answers it.
-        let stats = col.scan_agg(agg_spec(0, 10_000, None), |_| {}).unwrap();
+        let stats =
+            col.scan_agg(&mut DecodeScratch::new(), agg_spec(0, 10_000, None), |_| {}).unwrap();
         assert_eq!(stats.blocks_summarized, 1);
         assert_eq!(stats.blocks, 0);
     }
@@ -826,9 +819,13 @@ mod tests {
         }
         let spec = agg_spec(0, 4 * BLOCK_SIZE as i64, Some(4 * BLOCK_SIZE as i64));
         let mut push = Vec::new();
-        let s1 = col.scan_agg(spec, |it| push.push(it)).unwrap();
+        let s1 = col.scan_agg(&mut DecodeScratch::new(), spec, |it| push.push(it)).unwrap();
         let mut full = Vec::new();
-        let s2 = col.scan_agg(AggScan { decode_all: true, ..spec }, |it| full.push(it)).unwrap();
+        let s2 = col
+            .scan_agg(&mut DecodeScratch::new(), AggScan { decode_all: true, ..spec }, |it| {
+                full.push(it)
+            })
+            .unwrap();
         assert_eq!(push, full, "pushdown and forced-decode item streams must match");
         assert_eq!(s1.blocks_summarized, 2);
         assert_eq!(s2.blocks_summarized, 0);
@@ -844,10 +841,14 @@ mod tests {
             col.append(i, &FieldValue::Str(format!("s{}", i % 3))).unwrap();
         }
         let base = agg_spec(0, 10_000, None);
-        let stats = col.scan_agg(base, |_| {}).unwrap();
+        let stats = col.scan_agg(&mut DecodeScratch::new(), base, |_| {}).unwrap();
         assert_eq!(stats.blocks_summarized, 0, "non-count agg must decode strings");
         let mut items = Vec::new();
-        let stats = col.scan_agg(AggScan { countable: true, ..base }, |it| items.push(it)).unwrap();
+        let stats = col
+            .scan_agg(&mut DecodeScratch::new(), AggScan { countable: true, ..base }, |it| {
+                items.push(it)
+            })
+            .unwrap();
         assert_eq!(stats.blocks_summarized, 1);
         match &items[0] {
             ScanItem::Partial(s) => {

@@ -1112,7 +1112,7 @@ impl Db {
                 let stats = match (col, p.agg) {
                     (None, _) => Ok(ScanStats::default()),
                     (Some(col), Some(spec)) => {
-                        col.scan_agg_with(scratch, spec, |item| into.items.push(item))
+                        col.scan_agg(scratch, spec, |item| into.items.push(item))
                     }
                     (Some(col), None) => col
                         .scan_with(scratch, qs, qe, |t, v| into.items.push(ScanItem::Point(t, v))),

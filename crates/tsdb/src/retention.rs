@@ -3,12 +3,11 @@
 //! §III-C: "InfluxDB contains a variety of features that can be used to
 //! calculate aggregation, roll-ups, downsampling, etc." — production
 //! MonSTer relies on them to keep 13+ months of data queryable. This
-//! module provides the two features the deployment uses:
-//!
-//! * [`RetentionPolicy`] — drop shards older than a horizon;
-//! * [`ContinuousQuery`] — periodically roll a raw measurement up into a
-//!   downsampled one (e.g. `Power` → `Power_1h`), so long-horizon queries
-//!   read orders of magnitude fewer points.
+//! module provides [`ContinuousQuery`], which periodically rolls a raw
+//! measurement up into a downsampled one (e.g. `Power` → `Power_1h`), so
+//! long-horizon queries read orders of magnitude fewer points. Retention
+//! itself is [`Db::drop_shards_before`], which drops whole shards older
+//! than a horizon.
 //!
 //! Between "hot" and "dropped" sits a third tier: [`TierConfig`] describes
 //! when sealed shards migrate to a slower, cheaper device (§IV's 13-month
@@ -21,27 +20,6 @@ use crate::point::DataPoint;
 use crate::query::{Aggregation, Query};
 use monster_sim::DiskModel;
 use monster_util::{EpochSecs, Error, Result};
-
-/// Drop data older than `keep_secs` relative to `now`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetentionPolicy {
-    /// How much history to keep, in seconds.
-    pub keep_secs: i64,
-}
-
-impl RetentionPolicy {
-    /// A policy keeping `days` days.
-    pub fn days(days: i64) -> Self {
-        assert!(days > 0);
-        RetentionPolicy { keep_secs: days * 86_400 }
-    }
-
-    /// Enforce the policy: drop whole shards that end before the horizon.
-    /// Returns the number of shards dropped.
-    pub fn enforce(&self, db: &Db, now: EpochSecs) -> usize {
-        db.drop_shards_before(now - self.keep_secs)
-    }
-}
 
 /// Tiered-retention policy: shards older than `hot_secs` are compacted
 /// into immutable segment files and re-priced with `cold_disk`.
@@ -187,7 +165,8 @@ mod tests {
     fn retention_drops_old_shards() {
         let db = seeded(5);
         assert_eq!(db.stats().shards, 5);
-        let dropped = RetentionPolicy::days(2).enforce(&db, EpochSecs::new(5 * 86_400));
+        // Keep two days before day 5.
+        let dropped = db.drop_shards_before(EpochSecs::new(3 * 86_400));
         assert_eq!(dropped, 3);
         assert_eq!(db.stats().shards, 2);
         // Old data gone, recent data intact.
@@ -209,10 +188,10 @@ mod tests {
     #[test]
     fn retention_is_idempotent() {
         let db = seeded(3);
-        let policy = RetentionPolicy::days(1);
-        let now = EpochSecs::new(3 * 86_400);
-        assert_eq!(policy.enforce(&db, now), 2);
-        assert_eq!(policy.enforce(&db, now), 0);
+        // Keep one day before day 3.
+        let horizon = EpochSecs::new(2 * 86_400);
+        assert_eq!(db.drop_shards_before(horizon), 2);
+        assert_eq!(db.drop_shards_before(horizon), 0);
     }
 
     #[test]

@@ -204,11 +204,6 @@ impl Shard {
     pub fn column_keys(&self) -> Vec<(SeriesId, FieldId)> {
         self.columns.keys().copied().collect()
     }
-
-    /// Number of (series, field) columns.
-    pub fn column_count(&self) -> usize {
-        self.columns.len()
-    }
 }
 
 #[cfg(test)]
@@ -236,7 +231,7 @@ mod tests {
         s.append(sid, reading, 20, &FieldValue::Float(2.0)).unwrap();
         s.append(sid, other, 10, &FieldValue::Int(5)).unwrap();
         assert_eq!(s.point_count(), 3);
-        assert_eq!(s.column_count(), 2);
+        assert_eq!(s.columns.len(), 2);
         let mut seen = Vec::new();
         s.column(sid, reading).unwrap().scan(0, 1000, |t, v| seen.push((t, v))).unwrap();
         assert_eq!(seen.len(), 2);

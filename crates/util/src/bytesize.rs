@@ -28,11 +28,6 @@ impl ByteSize {
     pub fn mb(self) -> f64 {
         self.0 as f64 / (1024.0 * 1024.0)
     }
-
-    /// Gigabytes as a float.
-    pub fn gb(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0 * 1024.0)
-    }
 }
 
 impl fmt::Display for ByteSize {
@@ -82,7 +77,6 @@ mod tests {
         let b = ByteSize(1024 * 1024);
         assert_eq!(b.kb(), 1024.0);
         assert_eq!(b.mb(), 1.0);
-        assert!((b.gb() - 1.0 / 1024.0).abs() < 1e-12);
     }
 
     #[test]

@@ -18,9 +18,6 @@ use std::ops::{Add, Sub};
 pub struct EpochSecs(pub i64);
 
 impl EpochSecs {
-    /// Timestamp of the first Power sample in the paper's Fig. 4.
-    pub const FIG4_SAMPLE: EpochSecs = EpochSecs(1_583_792_296);
-
     /// Construct from a raw second count.
     pub const fn new(secs: i64) -> Self {
         EpochSecs(secs)
@@ -217,7 +214,8 @@ mod tests {
 
     #[test]
     fn round_trips_fig4_timestamp() {
-        let t = EpochSecs::FIG4_SAMPLE;
+        // The first Power sample in the paper's Fig. 4.
+        let t = EpochSecs(1_583_792_296);
         let s = t.to_rfc3339();
         assert_eq!(s, "2020-03-09T22:18:16Z");
         assert_eq!(EpochSecs::parse_rfc3339(&s).unwrap(), t);

@@ -5,7 +5,8 @@
 
 use monster::http::{Client, Request};
 use monster::redfish::bmc::BmcConfig;
-use monster::redfish::resilience::ResilienceConfig;
+use monster::redfish::client::{ClientConfig, SkipReason};
+use monster::redfish::resilience::{sweep_deadline, ResilienceConfig};
 use monster::sim::VDuration;
 use monster::{obs, Monster, MonsterConfig};
 use std::sync::{Mutex, MutexGuard};
@@ -38,7 +39,7 @@ fn dead_bmc_degrades_gracefully_and_recovers() {
     let _sweeping = sweeping();
     let mut m = resilient_deployment(6, 31);
     let victim = m.node_ids()[0];
-    let deadline = ResilienceConfig::default().sweep_deadline;
+    let deadline = sweep_deadline(m.config().interval_secs);
 
     // Interval 1: everything healthy; the victim's readings get cached as
     // last-known-good.
@@ -117,13 +118,38 @@ fn resilient_sweep_holds_deadline_on_quanah_scale_fleet() {
         ..MonsterConfig::default()
     });
     let s = m.run_interval().unwrap();
-    assert!(s.collection_time <= ResilienceConfig::default().sweep_deadline);
+    assert!(s.collection_time <= sweep_deadline(m.config().interval_secs));
     assert!(s.collection_time > VDuration::from_secs(10), "suspiciously fast full sweep");
     // The 150-channel / 54 s budget is deliberately tight at this scale
     // (the legacy sweep averages ~55 s): a little shedding is acceptable,
     // wholesale shedding is not.
     let lost = s.bmc_failures + s.bmc_skipped;
     assert!(lost * 10 < 1868, "lost {lost} of 1868 requests");
+}
+
+#[test]
+fn the_sweep_deadline_follows_a_shorter_cadence() {
+    let _sweeping = sweeping();
+    // 32 requests of ≈ 4.3 s through 2 channels are ≈ 69 s of work: more
+    // than a 30 s cadence holds, so the sweep must stop at 27 s and shed
+    // the rest instead of running on to a 60 s cadence's 54 s.
+    let mut m = Monster::new(MonsterConfig {
+        nodes: 8,
+        seed: 34,
+        interval_secs: 30,
+        bmc: BmcConfig { failure_rate: 0.0, stall_rate: 0.0, ..BmcConfig::default() },
+        client: ClientConfig { max_inflight: 2, ..ClientConfig::default() },
+        resilience: Some(ResilienceConfig::default()),
+        workload: None,
+        horizon_secs: 0,
+        ..MonsterConfig::default()
+    });
+    for s in m.run_intervals(3) {
+        assert!(s.collection_time <= VDuration::from_secs(27), "makespan {}", s.collection_time);
+        assert_eq!(s.bmc_failures, 0);
+        assert!(s.bmc_skipped > 0, "nothing shed under a 27 s / 2-channel budget");
+        assert!(s.skipped_nodes.iter().all(|&(_, reason)| reason == SkipReason::Deadline));
+    }
 }
 
 #[test]
