@@ -14,8 +14,8 @@
 //!   is total and stable, never hash order.
 //! * Alert ids are sequential `u64`s assigned in raise order; two runs of
 //!   the same seeded simulation assign identical ids.
-//! * Time is virtual: every decision (hold-downs, silences) uses the
-//!   simulation clock passed in `IntervalInput::now`, never wall time.
+//! * Time is virtual: every decision (hold-downs) uses the simulation
+//!   clock passed in `IntervalInput::now`, never wall time.
 //! * Resolution is two-phase. A firing alert whose condition goes quiet
 //!   enters `PendingResolve` and only resolves after `holddown_secs` of
 //!   sustained quiet; a re-fire during the hold-down snaps it back to
@@ -108,7 +108,7 @@ impl RuleId {
     }
 
     /// Stable slash-separated rule name, e.g. `anomaly/power/zscore` or
-    /// `collection/unreachable`. Silence matchers prefix-match this.
+    /// `collection/unreachable`.
     pub fn name(&self) -> String {
         match self {
             RuleId::Anomaly(signal, kind) => format!("anomaly/{}/{}", signal.name(), kind.name()),
@@ -173,8 +173,6 @@ pub struct Alert {
     /// Re-fires absorbed during hold-downs instead of new raise/resolve
     /// pairs.
     pub flaps: u32,
-    /// Id of the silence currently matching, if any.
-    pub silenced_by: Option<u64>,
     /// The observation that raised (or last refreshed) the alert.
     pub value: f64,
     /// What the rule expected instead.
@@ -188,10 +186,6 @@ pub struct Alert {
 }
 
 impl Alert {
-    fn is_silenced(&self) -> bool {
-        self.silenced_by.is_some()
-    }
-
     /// Render one alert as the JSON object served by `/v1/alerts`.
     pub fn to_json(&self) -> Value {
         let mut obj = monster_json::jobj! {
@@ -203,7 +197,6 @@ impl Alert {
             "raised_at" => self.raised_at.as_secs(),
             "last_seen" => self.last_seen.as_secs(),
             "flaps" => u64::from(self.flaps),
-            "silenced" => self.is_silenced(),
             "value" => self.value,
             "expected" => self.expected,
             "description" => self.description.as_str(),
@@ -231,53 +224,6 @@ impl Alert {
             },
         );
         o.insert("jobs", Value::Array(self.jobs.iter().map(|j| Value::from(j.as_u64())).collect()));
-        obj
-    }
-}
-
-/// A silence: matching alerts stay in the table and keep their lifecycle,
-/// but are excluded from severity gauges and flagged in the API.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Silence {
-    /// Sequential silence id.
-    pub id: u64,
-    /// Restrict to one node, or `None` for any.
-    pub node: Option<NodeId>,
-    /// Prefix match on [`RuleId::name`]; empty matches every rule.
-    pub rule_prefix: String,
-    /// Virtual expiry time (exclusive).
-    pub until: EpochSecs,
-    /// Operator note.
-    pub reason: String,
-    /// Virtual creation time.
-    pub created_at: EpochSecs,
-}
-
-impl Silence {
-    fn matches(&self, key: &AlertKey) -> bool {
-        let node_ok = match self.node {
-            Some(n) => key.node == Some(n),
-            None => true,
-        };
-        node_ok && key.rule.name().starts_with(&self.rule_prefix)
-    }
-
-    /// JSON rendering for `/v1/silences`.
-    pub fn to_json(&self) -> Value {
-        let mut obj = monster_json::jobj! {
-            "id" => self.id,
-            "rule_prefix" => self.rule_prefix.as_str(),
-            "until" => self.until.as_secs(),
-            "reason" => self.reason.as_str(),
-            "created_at" => self.created_at.as_secs(),
-        };
-        obj.as_object_mut().expect("jobj").insert(
-            "node",
-            match self.node {
-                Some(n) => Value::from(n.bmc_addr()),
-                None => Value::Null,
-            },
-        );
         obj
     }
 }
@@ -381,10 +327,8 @@ pub struct IntervalOutcome {
 #[derive(Debug, Default)]
 struct Inner {
     next_alert_id: u64,
-    next_silence_id: u64,
     active: BTreeMap<AlertKey, Alert>,
     history: VecDeque<Alert>,
-    silences: Vec<Silence>,
     unreachable_runs: BTreeMap<NodeId, u32>,
     degraded_runs: BTreeMap<NodeId, u32>,
 }
@@ -395,7 +339,6 @@ pub struct AlertEngine {
     config: EngineConfig,
     inner: Mutex<Inner>,
     active_gauges: [Arc<Gauge>; 3],
-    silence_gauge: Arc<Gauge>,
     transitions: Arc<Counter>,
     flaps: Arc<Counter>,
 }
@@ -414,20 +357,16 @@ impl AlertEngine {
         let active_gauges = Severity::ALL.map(|sev| {
             monster_obs::gauge_help(
                 &format!("monster_alert_active{{severity=\"{sev}\"}}"),
-                "Active (firing or pending-resolve) unsilenced alerts by severity.",
+                "Active (firing or pending-resolve) alerts by severity.",
             )
         });
         for g in &active_gauges {
             g.set(0);
         }
-        let silence_gauge =
-            monster_obs::gauge_help("monster_alert_silences", "Unexpired alert silences.");
-        silence_gauge.set(0);
         AlertEngine {
             config,
             inner: Mutex::new(Inner::default()),
             active_gauges,
-            silence_gauge,
             transitions: monster_obs::counter_help(
                 "monster_alert_transitions_total",
                 "Alert lifecycle transitions (raises + resolves).",
@@ -600,47 +539,14 @@ impl AlertEngine {
             }
         }
 
-        // 5. Expire silences, re-match the rest, refresh gauges.
-        inner.silences.retain(|s| s.until > now);
-        let silences = std::mem::take(&mut inner.silences);
-        for alert in inner.active.values_mut() {
-            alert.silenced_by = silences.iter().find(|s| s.matches(&alert.key)).map(|s| s.id);
-        }
-        inner.silences = silences;
-        self.silence_gauge.set(inner.silences.len() as i64);
+        // 5. Refresh the severity gauges.
         for (i, sev) in Severity::ALL.iter().enumerate() {
-            let n =
-                inner.active.values().filter(|a| a.severity == *sev && !a.is_silenced()).count();
+            let n = inner.active.values().filter(|a| a.severity == *sev).count();
             self.active_gauges[i].set(n as i64);
         }
 
         outcome.active = inner.active.len();
         outcome
-    }
-
-    /// Register a silence; returns its id. Takes effect from the next
-    /// `observe_interval` (matching is part of the deterministic fold).
-    pub fn add_silence(
-        &self,
-        node: Option<NodeId>,
-        rule_prefix: &str,
-        until: EpochSecs,
-        reason: &str,
-        created_at: EpochSecs,
-    ) -> u64 {
-        let mut inner = self.inner.lock();
-        inner.next_silence_id += 1;
-        let id = inner.next_silence_id;
-        inner.silences.push(Silence {
-            id,
-            node,
-            rule_prefix: rule_prefix.to_string(),
-            until,
-            reason: reason.to_string(),
-            created_at,
-        });
-        self.silence_gauge.set(inner.silences.len() as i64);
-        id
     }
 
     /// Snapshot of active alerts, ascending id order.
@@ -667,37 +573,21 @@ impl AlertEngine {
             .cloned()
     }
 
-    /// Snapshot of unexpired silences.
-    pub fn silences(&self) -> Vec<Silence> {
-        self.inner.lock().silences.clone()
-    }
-
     /// The JSON document served at `GET /v1/alerts`.
     pub fn alerts_json(&self) -> Value {
         let active = self.active();
         let history = self.history();
         let count = |sev: Severity| {
-            u64::try_from(active.iter().filter(|a| a.severity == sev && !a.is_silenced()).count())
-                .unwrap_or(0)
+            u64::try_from(active.iter().filter(|a| a.severity == sev).count()).unwrap_or(0)
         };
-        let silenced =
-            u64::try_from(active.iter().filter(|a| a.is_silenced()).count()).unwrap_or(0);
         monster_json::jobj! {
             "counts" => monster_json::jobj! {
                 "critical" => count(Severity::Critical),
                 "warning" => count(Severity::Warning),
                 "info" => count(Severity::Info),
-                "silenced" => silenced,
             },
             "active" => Value::Array(active.iter().map(Alert::to_json).collect()),
             "resolved" => Value::Array(history.iter().map(Alert::to_json).collect()),
-        }
-    }
-
-    /// The JSON document served at `GET /v1/silences`.
-    pub fn silences_json(&self) -> Value {
-        monster_json::jobj! {
-            "silences" => Value::Array(self.silences().iter().map(Silence::to_json).collect()),
         }
     }
 
@@ -748,7 +638,6 @@ impl AlertEngine {
                         resolved_at: None,
                         last_seen: now,
                         flaps: 0,
-                        silenced_by: None,
                         value,
                         expected,
                         description,
@@ -935,34 +824,6 @@ mod tests {
     }
 
     #[test]
-    fn silences_mute_without_deleting() {
-        let engine = AlertEngine::new(EngineConfig::default());
-        for t in 0..3 {
-            step(&engine, t, &[dead(node(1))]);
-        }
-        engine.add_silence(
-            Some(node(1)),
-            "collection/",
-            EpochSecs::new(100 * 60),
-            "rack maintenance",
-            EpochSecs::new(3 * 60),
-        );
-        step(&engine, 3, &[dead(node(1))]);
-        let active = engine.active();
-        assert_eq!(active.len(), 1);
-        assert!(active[0].silenced_by.is_some());
-        let json = engine.alerts_json();
-        assert_eq!(
-            json.get("counts").and_then(|c| c.get("critical")).and_then(|v| v.as_f64()),
-            Some(0.0)
-        );
-        assert_eq!(
-            json.get("counts").and_then(|c| c.get("silenced")).and_then(|v| v.as_f64()),
-            Some(1.0)
-        );
-    }
-
-    #[test]
     fn ids_are_sequential_and_replay_identical() {
         let run = || {
             let engine = AlertEngine::new(EngineConfig::default());
@@ -1011,7 +872,6 @@ mod tests {
             "resolved_at",
             "last_seen",
             "flaps",
-            "silenced",
             "value",
             "expected",
             "description",

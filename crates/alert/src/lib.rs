@@ -11,8 +11,8 @@
 //! * [`engine`] — the [`AlertEngine`] that folds those events together
 //!   with collection health (breaker trips, skips, stale substitution) and
 //!   the freshness SLO burn rate into a dedup'd alert table with severity
-//!   grading, hold-down flap suppression on virtual time, silences, and
-//!   per-job attribution — served at `GET /v1/alerts`.
+//!   grading, hold-down flap suppression on virtual time, and per-job
+//!   attribution — served at `GET /v1/alerts`.
 //!
 //! Both halves are pure functions of their inputs and of virtual time, so
 //! the seeded chaos matrix asserts *exact* alert sets: dead-rack raises
@@ -27,5 +27,5 @@ pub mod engine;
 pub use detect::{AnomalyEvent, AnomalyKind, DetectorBank, DetectorConfig, Signal};
 pub use engine::{
     Alert, AlertCategory, AlertEngine, AlertKey, AlertState, EngineConfig, IntervalInput,
-    IntervalOutcome, NodeInterval, RuleId, Severity, Silence,
+    IntervalOutcome, NodeInterval, RuleId, Severity,
 };

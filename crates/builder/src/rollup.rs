@@ -1,8 +1,8 @@
-//! Roll-up rerouting: answering coarse queries from continuous-query
-//! outputs instead of raw data.
+//! Roll-up rerouting: answering coarse queries from maintained roll-ups
+//! instead of raw data.
 //!
-//! The deployment maintains `ContinuousQuery` roll-ups (e.g. hourly max
-//! power in `Power_1h`). A planned raw query can be served from a roll-up
+//! A [`crate::materializer::Materializer`] maintains roll-ups (e.g. hourly
+//! max power in `Power_1h`). A planned raw query can be served from a roll-up
 //! **exactly** when its window is a multiple of the roll-up window and the
 //! aggregation composes: TSDB `GROUP BY time` buckets are epoch-aligned,
 //! so every coarse window is a union of complete roll-up windows

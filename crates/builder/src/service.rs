@@ -32,7 +32,6 @@
 //! * `GET /v1/alerts/:id` — one alert's detail: rule, state, flap count,
 //!   attributed job ids, and the exemplar trace id of the offending
 //!   reading (join it against `GET /debug/trace`).
-//! * `GET /v1/silences` — unexpired alert silences.
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController};
 use crate::cache::{ResponseCache, Validity, ValiditySnapshot};
@@ -93,7 +92,7 @@ pub struct ServiceConfig {
     /// rerouting.
     pub rollup_routes: Vec<crate::rollup::RollupRoute>,
     /// The deployment's alert engine, when alerting is on; backs
-    /// `/v1/alerts` and `/v1/silences`. `None` serves 404s there.
+    /// `/v1/alerts`. `None` serves 404s there.
     pub alerts: Option<Arc<monster_alert::AlertEngine>>,
     /// Query flight recorder (`/debug/requests`, `?explain=true`,
     /// estimator-accuracy metrics).
@@ -628,7 +627,7 @@ fn routes(state: Arc<MetricsState>) -> Router {
             }
         })
         .route(Method::Get, "/v1/alerts/:id", {
-            let engine = alerts.clone();
+            let engine = alerts;
             move |_req, params| {
                 let Some(engine) = &engine else {
                     return Response::error(Status::NOT_FOUND, "alerting is not enabled");
@@ -642,13 +641,6 @@ fn routes(state: Arc<MetricsState>) -> Router {
                 }
             }
         })
-        .route(Method::Get, "/v1/silences", {
-            let engine = alerts.clone();
-            move |_req, _params| match &engine {
-                Some(e) => Response::json(&e.silences_json()),
-                None => Response::error(Status::NOT_FOUND, "alerting is not enabled"),
-            }
-        })
         .route(Method::Get, "/healthz", |_req, _params| {
             Response::json(&jobj! { "status" => "ok", "checks" => jarr!["registry", "db"] })
         })
@@ -660,6 +652,8 @@ fn routes(state: Arc<MetricsState>) -> Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::materializer::Materializer;
+    use crate::rollup::RollupRoute;
     use monster_tsdb::{DataPoint, DbConfig};
 
     fn service() -> (Arc<Db>, Router) {
@@ -749,7 +743,13 @@ mod tests {
             }
         }
         db.write_batch(&batch).unwrap();
-        let mut m = crate::materializer::Materializer::standard(EpochSecs::new(0));
+        let routes = [
+            RollupRoute::new("Power", "Reading", "Power_10m", Aggregation::Max, 600),
+            RollupRoute::new("Thermal", "Reading", "Thermal_10m", Aggregation::Max, 600),
+            RollupRoute::new("UGE", "CPUUsage", "UGECpu_10m", Aggregation::Max, 600),
+            RollupRoute::new("UGE", "MemUsed", "UGEMem_10m", Aggregation::Max, 600),
+        ];
+        let mut m = Materializer::new(&routes, EpochSecs::new(0)).unwrap();
         assert!(m.run_once(&db, EpochSecs::new(3600)).unwrap() > 0);
 
         let raw = router(Arc::clone(&db), ids.clone(), ServiceConfig::default());
@@ -941,7 +941,7 @@ mod tests {
     fn pipeline_endpoint_reports_freshness() {
         let (_db, router) = service();
         monster_obs::freshness().record_ingest("10.101.9.9", "Thermal", 0.0);
-        monster_obs::freshness().record_sweep(0.0);
+        monster_obs::freshness().record_sweep(0.0, 60.0);
         let resp = get(&router, "/debug/pipeline");
         assert_eq!(resp.status, Status::OK);
         let doc = resp.json_body().unwrap();
@@ -979,7 +979,7 @@ mod tests {
         // — update it deliberately, in the same commit as the consumer.
         let (_db, router) = service();
         monster_obs::freshness().record_ingest("10.101.9.8", "Thermal", 0.0);
-        monster_obs::freshness().record_sweep(0.0);
+        monster_obs::freshness().record_sweep(0.0, 60.0);
         let doc = get(&router, "/debug/pipeline").json_body().unwrap();
         let mut got = Vec::new();
         shape_of(&doc, "", &mut got);

@@ -302,9 +302,9 @@ impl Collector {
         if !anomalies.is_empty() {
             monster_obs::counter("monster_anomaly_events_total").add(anomalies.len() as u64);
         }
-        // Sweep tick: freezes this interval's attainment sample for the
-        // burn-rate windows and advances the lag reference time.
-        monster_obs::freshness().record_sweep(now.as_secs() as f64);
+        // Sweep tick: the burn-rate sample and lag reference, at this cadence.
+        let cadence = self.config.interval_secs as f64;
+        monster_obs::freshness().record_sweep(now.as_secs() as f64, cadence);
         span.finish_after(simulated_collection_time);
 
         IntervalOutput {

@@ -142,7 +142,7 @@ pub struct Monster {
     db: Arc<Db>,
     now: EpochSecs,
     intervals_run: usize,
-    /// Maintained continuous-query roll-ups plus their routing table.
+    /// Maintained roll-ups plus their routing table.
     rollups: Option<Materializer>,
     /// The alert engine, shared with the HTTP service when serving.
     alerts: Option<Arc<AlertEngine>>,

@@ -9,7 +9,7 @@
 //! `(node, category)` series: the collector bumps it whenever a sweep
 //! returns a live (non-substituted) reading, and every sweep tick records
 //! an **attainment sample** — the fraction of tracked series whose lag is
-//! within the SLO threshold (2 cadences, 120 s).
+//! within the SLO threshold (2 cadences: 120 s at the paper's 60 s).
 //!
 //! From those two ingredients the tracker derives everything
 //! `GET /debug/pipeline` reports:
@@ -36,7 +36,7 @@ use std::fmt::{Display, Write as _};
 /// Freshness SLO parameters; `SLO` is the one set the tracker runs on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloConfig {
-    /// Collection cadence in seconds (the paper's 60 s).
+    /// Collection cadence in seconds: the latest sweep's (60 s before one).
     pub cadence_secs: f64,
     /// Lag at or under which a series counts as fresh (2 cadences).
     pub fresh_within_secs: f64,
@@ -49,8 +49,8 @@ pub struct SloConfig {
     pub slow_window_secs: f64,
 }
 
-/// The paper's cadence: a series is "fresh" within 2 × 60 s, and the
-/// target is 99% of series fresh.
+/// The SLO at the paper's 60 s cadence, 99% of series fresher than 2 × 60 s;
+/// `State::slo` moves the cadence and that bound to the latest sweep's.
 const SLO: SloConfig = SloConfig {
     cadence_secs: 60.0,
     fresh_within_secs: 120.0,
@@ -69,6 +69,8 @@ struct State {
     category_key: String,
     /// Epoch-seconds of the most recent sweep tick.
     latest: f64,
+    /// The cadence the most recent sweep ran at.
+    cadence_secs: Option<f64>,
     /// (sweep time, attainment) samples, oldest first, trimmed to the
     /// slow burn-rate window.
     attainment: Vec<(f64, f64)>,
@@ -89,9 +91,9 @@ impl FreshnessTracker {
         FreshnessTracker::default()
     }
 
-    /// The SLO parameters.
+    /// The SLO parameters at the latest sweep's cadence.
     pub fn config(&self) -> SloConfig {
-        SLO
+        self.state.lock().slo()
     }
 
     /// Record a live (non-substituted) reading for `(node, category)`
@@ -136,14 +138,15 @@ impl FreshnessTracker {
         }
     }
 
-    /// Mark a sweep tick at epoch-seconds `now`: advances the reference
-    /// time lags are measured against and appends an attainment sample
-    /// for the burn-rate windows.
-    pub fn record_sweep(&self, now_secs: f64) {
+    /// Mark a sweep tick at epoch-seconds `now` of a collector running every
+    /// `cadence_secs`: advances the reference time lags are measured against,
+    /// judges freshness by that cadence and appends an attainment sample.
+    pub fn record_sweep(&self, now_secs: f64, cadence_secs: f64) {
         let mut state = self.state.lock();
         if now_secs > state.latest {
             state.latest = now_secs;
         }
+        state.cadence_secs = Some(cadence_secs);
         let attainment = attainment_of(&state);
         state.attainment.push((now_secs, attainment));
         let cutoff = now_secs - SLO.slow_window_secs;
@@ -202,12 +205,13 @@ impl FreshnessTracker {
         lags.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let attainment = self.attainment();
         let budget = (1.0 - SLO.target).max(1e-9);
+        let slo = self.config();
         jobj! {
             "tracked_series" => lags.len() as i64,
             "latest_sweep_epoch_secs" => self.state.lock().latest,
             "slo" => jobj! {
-                "cadence_secs" => SLO.cadence_secs,
-                "fresh_within_secs" => SLO.fresh_within_secs,
+                "cadence_secs" => slo.cadence_secs,
+                "fresh_within_secs" => slo.fresh_within_secs,
                 "target" => SLO.target,
             },
             "staleness_secs" => jobj! {
@@ -229,6 +233,12 @@ impl FreshnessTracker {
 }
 
 impl State {
+    /// [`SLO`] at the latest sweep's cadence: fresh within 2 cadences.
+    fn slo(&self) -> SloConfig {
+        let cadence_secs = self.cadence_secs.unwrap_or(SLO.cadence_secs);
+        SloConfig { cadence_secs, fresh_within_secs: 2.0 * cadence_secs, ..SLO }
+    }
+
     /// Every tracked series' watermark.
     fn series(&self) -> impl Iterator<Item = f64> + '_ {
         self.watermarks.values().flat_map(|categories| categories.values().copied())
@@ -236,10 +246,10 @@ impl State {
 }
 
 fn attainment_of(state: &State) -> f64 {
-    let (mut fresh, mut tracked) = (0usize, 0usize);
+    let (mut fresh, mut tracked, within) = (0usize, 0usize, state.slo().fresh_within_secs);
     for w in state.series() {
         tracked += 1;
-        fresh += usize::from((state.latest - w).max(0.0) <= SLO.fresh_within_secs);
+        fresh += usize::from((state.latest - w).max(0.0) <= within);
     }
     if tracked == 0 {
         return 1.0;
@@ -269,8 +279,8 @@ mod tests {
                 single.record_ingest(node, category, now);
             }
             batched.record_ingests(now, series);
-            single.record_sweep(now);
-            batched.record_sweep(now);
+            single.record_sweep(now, 60.0);
+            batched.record_sweep(now, 60.0);
         }
         assert_eq!(batched.tracked_series(), 3);
         assert_eq!(batched.report(), single.report());
@@ -287,7 +297,7 @@ mod tests {
         t.record_ingest("node-1", "Thermal", 1000.0);
         t.record_ingest("node-1", "Power", 1000.0);
         t.record_ingest("node-2", "Thermal", 820.0);
-        t.record_sweep(1000.0);
+        t.record_sweep(1000.0, 60.0);
 
         assert_eq!(t.tracked_series(), 3);
         assert_eq!(t.max_lag_secs(), Some(180.0));
@@ -305,12 +315,13 @@ mod tests {
     fn burn_rate_windows() {
         let t = FreshnessTracker::new();
         t.record_ingest("n", "Thermal", 0.0);
-        // Sweep at t=0: the series is fresh → attainment 1, burn 0.
-        t.record_sweep(0.0);
+        // Sweep at t=0 of a 60 s collector: the series is fresh →
+        // attainment 1, burn 0.
+        t.record_sweep(0.0, 60.0);
         assert_eq!(t.burn_rate(300.0), 0.0);
-        // Sweep at t=180 with the watermark stuck at 0 → lag 180 > 120 →
+        // Sweep at t=180 with the watermark stuck at 0 → lag 180 > 2 × 60 →
         // attainment 0 for that sample.
-        t.record_sweep(180.0);
+        t.record_sweep(180.0, 60.0);
         // Window covering both samples: mean attainment 0.5, budget 0.01 →
         // burn 50.0.
         assert!((t.burn_rate(300.0) - 50.0).abs() < 1e-9);
@@ -327,7 +338,7 @@ mod tests {
         for i in 0..100 {
             t.record_ingest(&format!("node-{i}"), "Thermal", 1000.0 - i as f64);
         }
-        t.record_sweep(1000.0);
+        t.record_sweep(1000.0, 60.0);
         let report = t.report();
         assert_eq!(report.get("tracked_series").unwrap().as_i64(), Some(100));
         let stale = report.get("staleness_secs").unwrap();

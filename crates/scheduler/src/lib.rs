@@ -20,9 +20,7 @@
 //! * [`workload`] — a synthetic user population (MPI users, array-job
 //!   users, serial users — the Fig. 6 cast) generating Poisson arrivals;
 //! * [`slurm`] — a Slurm-flavoured facade over the same state, because
-//!   MonSTer "also supports query metrics from Slurm";
-//! * [`trace`] — Standard Workload Format (SWF) parsing and replay, so
-//!   archived production traces can drive the simulation.
+//!   MonSTer "also supports query metrics from Slurm".
 
 #![warn(missing_docs)]
 
@@ -31,7 +29,6 @@ pub mod host;
 pub mod job;
 pub mod qmaster;
 pub mod slurm;
-pub mod trace;
 pub mod workload;
 
 pub use job::{Job, JobId, JobShape, JobSpec, JobState};

@@ -1192,12 +1192,6 @@ impl Db {
         }
     }
 
-    /// The series index, read-locked (before any shard lock: the
-    /// sanctioned nesting). The snapshot writer names what it exports by it.
-    pub(crate) fn index(&self) -> parking_lot::RwLockReadGuard<'_, SeriesIndex> {
-        self.index.read()
-    }
-
     /// Drop every shard whose time range ends at or before `horizon`.
     /// Returns the number of shards dropped. (Series index entries are
     /// retained — like InfluxDB, series stay defined until explicitly

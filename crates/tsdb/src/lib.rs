@@ -70,7 +70,7 @@ pub use field::FieldValue;
 pub use point::DataPoint;
 pub use query::{Aggregation, Fill, Query, ResultSet};
 pub use recover::RecoveryReport;
-pub use retention::{ContinuousQuery, TierConfig, TierReport};
+pub use retention::{TierConfig, TierReport};
 pub use series::{FieldId, SeriesId, SeriesKey};
 pub use wal::{WalStatus, WalTuning};
 pub use watermark::MeasurementMark;

@@ -1,15 +1,14 @@
-//! Sealed files: whole-database snapshots and cold-tier segment files.
+//! Sealed files: cold-tier segment files.
 //!
 //! MonSTer's "out-of-the-box" story includes surviving a restart of the
-//! storage host without losing the collected history. A snapshot is the
-//! whole database, a segment file (`shard-<start>.seg`, written by
-//! [`Db::tier_cold_shards`]) one shard of it, and both are what the WAL is —
+//! storage host without losing the collected history. A segment file
+//! (`shard-<start>.seg`, written by [`Db::tier_cold_shards`] and loaded by
+//! [`Db::recover`]) is one shard of the database, held as what the WAL is —
 //! CRC-framed binary records ([`crate::wal_record`]) with ids local to the
-//! file — behind their own header:
+//! file — behind its own header:
 //!
 //! ```text
-//! snapshot          := "MTSDB2\n" frame* end
-//! shard-<start>.seg := "MSEG2\n"  frame* end
+//! shard-<start>.seg := "MSEG2\n" frame* end
 //! frame             := len:u32le crc32:u32le body[len]              len > 0
 //! body              := MZ2 container (`monster_compress`) of one record payload
 //! end               := len 0, crc32 0
@@ -22,10 +21,10 @@
 //! record at a time. A file is written whole or not at all (`write_file`),
 //! so unlike a WAL segment it has no torn tail: a frame that does not check
 //! out, a missing end frame or a record that does not decode is an error.
-//! `MTSDB1` and `MSEG1` files held compressed line-protocol text; there is
-//! no reader for them.
+//! `MSEG1` files held compressed line-protocol text; there is no reader for
+//! them.
 
-use crate::db::{Db, DbConfig};
+use crate::db::Db;
 use crate::field::FieldValue;
 use crate::recover::RecoveryReport;
 use crate::series::{FieldId, SeriesId, SeriesIndex};
@@ -37,8 +36,6 @@ use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-/// The header of a whole-database snapshot.
-const SNAPSHOT: &str = "MTSDB2\n";
 /// The header of a cold-tier segment file, `shard-<start>.seg`.
 pub(crate) const SEGMENT: &str = "MSEG2\n";
 
@@ -49,7 +46,7 @@ const RECORD_VALUES: usize = 10_000;
 /// that none outgrows [`crate::wal::MAX_RECORD_BYTES`].
 const RECORD_STRING_BYTES: usize = 8 << 20;
 
-/// Snapshot statistics.
+/// What writing a sealed file wrote.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotStats {
     /// Points written (one per field value).
@@ -168,50 +165,15 @@ pub(crate) fn load_file(db: &Db, path: &Path, kind: &str) -> Result<usize> {
     load(db, file, len, kind, &path.display().to_string())
 }
 
-fn write_to(db: &Db, out: impl Write) -> Result<SnapshotStats> {
-    // Index before shard: the sanctioned nesting, one shard lock at a time.
-    let handles = db.shard_handles();
-    write_sealed(out, SNAPSHOT, &db.index(), |visit| {
-        handles.iter().try_for_each(|handle| handle.read().export(&mut *visit))
-    })
-}
-
-/// Serialize the whole database into snapshot bytes.
-pub fn write_snapshot(db: &Db) -> Result<(Vec<u8>, SnapshotStats)> {
-    let mut bytes = Vec::new();
-    let stats = write_to(db, &mut bytes)?;
-    Ok((bytes, stats))
-}
-
-/// Save a snapshot to `path`: whole and durable, or not there.
-pub fn save_to_file(db: &Db, path: impl AsRef<Path>) -> Result<SnapshotStats> {
-    write_file(path.as_ref(), |file| write_to(db, file))
-}
-
-/// Restore a database from snapshot bytes, using `config` for the new
-/// instance (disk/cost models are deployment properties, not data).
-pub fn read_snapshot(bytes: &[u8], config: DbConfig) -> Result<Db> {
-    let db = Db::new(config);
-    load(&db, bytes, bytes.len() as u64, SNAPSHOT, "snapshot")?;
-    Ok(db)
-}
-
-/// Load a snapshot from `path`.
-pub fn load_from_file(path: impl AsRef<Path>, config: DbConfig) -> Result<Db> {
-    let db = Db::new(config);
-    load_file(&db, path.as_ref(), SNAPSHOT)?;
-    Ok(db)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::DbConfig;
     use crate::query::Aggregation;
-    use crate::{DataPoint, Query};
+    use crate::{DataPoint, Query, SeriesKey};
     use monster_util::EpochSecs;
 
-    fn seeded() -> Db {
-        let db = Db::new(DbConfig::default());
+    fn batch() -> Vec<DataPoint> {
         let mut batch = Vec::new();
         for i in 0..500i64 {
             batch.push(
@@ -228,8 +190,40 @@ mod tests {
                 );
             }
         }
-        db.write_batch(&batch).unwrap();
+        batch
+    }
+
+    fn seeded() -> Db {
+        let db = Db::new(DbConfig::default());
+        db.write_batch(&batch()).unwrap();
         db
+    }
+
+    /// `points` as a segment file, the way tiering seals a shard: every
+    /// field value a one-field point, series and fields named from one index.
+    fn seal(points: &[DataPoint], out: impl Write) -> Result<SnapshotStats> {
+        let mut idx = SeriesIndex::new();
+        let mut ids = Vec::new();
+        for p in points {
+            let series = idx.get_or_create(&SeriesKey::of(p));
+            for (name, _) in &p.fields {
+                ids.push((series, idx.intern_field(name)));
+            }
+        }
+        let values = points.iter().flat_map(|p| p.fields.iter().map(|(_, v)| (p.time, v)));
+        write_sealed(out, SEGMENT, &idx, |visit| {
+            for (&(series, field), (ts, value)) in ids.iter().zip(values) {
+                visit(series, field, ts.as_secs(), value.clone());
+            }
+            Ok(())
+        })
+    }
+
+    /// Segment-file bytes loaded into a new database.
+    fn unseal(bytes: &[u8]) -> Result<Db> {
+        let db = Db::new(DbConfig::default());
+        load(&db, bytes, bytes.len() as u64, SEGMENT, "segment")?;
+        Ok(db)
     }
 
     fn query_all(db: &Db) -> crate::ResultSet {
@@ -240,12 +234,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_through_memory() {
+    fn a_segment_round_trips_through_memory() {
         let db = seeded();
-        let (bytes, stats) = write_snapshot(&db).unwrap();
+        let mut bytes = Vec::new();
+        let stats = seal(&batch(), &mut bytes).unwrap();
         assert_eq!(stats.points, db.stats().points);
+        assert_eq!(stats.stored_bytes, bytes.len());
         assert!(stats.stored_bytes < stats.raw_bytes / 3, "{stats:?}");
-        let restored = read_snapshot(&bytes, DbConfig::default()).unwrap();
+        let restored = unseal(&bytes).unwrap();
         assert_eq!(restored.stats().points, db.stats().points);
         assert_eq!(restored.stats().cardinality, db.stats().cardinality);
         assert_eq!(query_all(&restored), query_all(&db));
@@ -256,14 +252,15 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Zone-map summaries are rebuilt on restore: a restored-and-compacted
+    /// Zone-map summaries are rebuilt on reload: a reloaded-and-compacted
     /// engine answers windowed aggregations from summaries, identically.
     #[test]
-    fn summaries_survive_snapshot_restore() {
+    fn summaries_survive_a_segment_reload() {
         let db = seeded();
         db.compact();
-        let (bytes, _) = write_snapshot(&db).unwrap();
-        let restored = read_snapshot(&bytes, DbConfig::default()).unwrap();
+        let mut bytes = Vec::new();
+        seal(&batch(), &mut bytes).unwrap();
+        let restored = unseal(&bytes).unwrap();
         restored.compact();
         let q = Query::select("Power", "Reading", EpochSecs::new(0), EpochSecs::new(500 * 60))
             .aggregate(Aggregation::Mean)
@@ -276,34 +273,34 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_through_file() {
+    fn a_segment_round_trips_through_file() {
         let db = seeded();
-        let dir = std::env::temp_dir().join(format!("monster-snap-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("monster-seg-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("db.mtsdb");
-        let stats = save_to_file(&db, &path).unwrap();
+        let path = dir.join("shard-0.seg");
+        let stats = write_file(&path, |file| seal(&batch(), file)).unwrap();
         assert!(path.metadata().unwrap().len() as usize == stats.stored_bytes);
-        let restored = load_from_file(&path, DbConfig::default()).unwrap();
+        let restored = Db::new(DbConfig::default());
+        assert_eq!(load_file(&restored, &path, SEGMENT).unwrap(), db.stats().points);
         assert_eq!(restored.stats().points, db.stats().points);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn corrupt_snapshots_are_rejected() {
-        let db = seeded();
-        let (mut bytes, _) = write_snapshot(&db).unwrap();
-        assert!(read_snapshot(b"garbage", DbConfig::default()).is_err());
+    fn corrupt_segments_are_rejected() {
+        let mut bytes = Vec::new();
+        seal(&batch(), &mut bytes).unwrap();
+        assert!(unseal(b"garbage").is_err());
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
-        assert!(read_snapshot(&bytes, DbConfig::default()).is_err());
+        assert!(unseal(&bytes).is_err());
     }
 
     #[test]
-    fn empty_database_snapshots_cleanly() {
-        let db = Db::new(DbConfig::default());
-        let (bytes, stats) = write_snapshot(&db).unwrap();
+    fn an_empty_segment_loads_cleanly() {
+        let mut bytes = Vec::new();
+        let stats = seal(&[], &mut bytes).unwrap();
         assert_eq!(stats.points, 0);
-        let restored = read_snapshot(&bytes, DbConfig::default()).unwrap();
-        assert_eq!(restored.stats().points, 0);
+        assert_eq!(unseal(&bytes).unwrap().stats().points, 0);
     }
 }

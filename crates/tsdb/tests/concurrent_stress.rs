@@ -1,6 +1,7 @@
 //! Stress test for the sharded-lock engine: concurrent writers, queriers,
-//! retention enforcement, and snapshot export all running against one
-//! database, with point-count conservation checked at the end.
+//! retention enforcement, and cold-tier passes (compaction and segment-file
+//! export) all running against one database, with point-count conservation
+//! checked at the end.
 //!
 //! The conservation invariant: every point a writer successfully wrote is
 //! either still queryable or was removed by a retention pass —
@@ -9,8 +10,7 @@
 //! ([`Db::recompute_stats`]).
 
 use monster_tsdb::query::Aggregation;
-use monster_tsdb::snapshot;
-use monster_tsdb::{DataPoint, Db, DbConfig, Query};
+use monster_tsdb::{DataPoint, Db, DbConfig, Query, TierConfig};
 use monster_util::EpochSecs;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -31,13 +31,17 @@ fn point(writer: usize, i: usize) -> DataPoint {
 }
 
 #[test]
-fn writers_queriers_retention_and_snapshots_conserve_points() {
+fn writers_queriers_retention_and_tiering_conserve_points() {
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let db = Arc::new(Db::new(DbConfig {
+    let dir = std::env::temp_dir().join(format!("monster-stress-tier-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = DbConfig {
         shard_duration: SHARD,
         scan_workers: 4,
+        tiering: Some(TierConfig { hot_secs: 2 * SHARD, ..TierConfig::days(1) }),
         ..DbConfig::default()
-    }));
+    };
+    let db = Arc::new(Db::recover(config, &dir).unwrap().0);
     // Points retention removed, per its own exact accounting (shards
     // dropped while writers were still filling them stay conserved because
     // `drop_shards_before_counted` reports exactly what each shard held at
@@ -92,20 +96,23 @@ fn writers_queriers_retention_and_snapshots_conserve_points() {
                 }
             });
         }
-        // Snapshot exporter: full-database walks while everything churns.
+        // Tiering: passes at a rising `now`, each compacting shards and
+        // exporting them to segment files while everything churns.
         {
             let db = Arc::clone(&db);
             s.spawn(move || {
-                for _ in 0..5 {
-                    // The walk must complete without deadlock or panic
-                    // while shards churn; its point count is a moving
-                    // target, so only the final (quiesced) walk is checked.
-                    let _ = snapshot::write_snapshot(&db).unwrap();
+                for step in 1..=5i64 {
+                    // The pass must complete without deadlock or panic while
+                    // shards churn; what it tiers is a moving target, so
+                    // only the final (quiesced) pass is checked.
+                    db.tier_cold_shards(EpochSecs::new(step * 20 * SHARD)).unwrap();
                     std::thread::yield_now();
                 }
             });
         }
     });
+    // Quiesced: a last pass tiers every shard still hot.
+    db.tier_cold_shards(EpochSecs::new(POINTS_PER_WRITER as i64 * 20 + 3 * SHARD)).unwrap();
 
     // Conservation: written == live + removed-by-retention. The write and
     // retention paths account independently (atomic deltas vs per-shard
@@ -127,14 +134,15 @@ fn writers_queriers_retention_and_snapshots_conserve_points() {
     )
     .aggregate(Aggregation::Count)
     .group_by_time(SHARD);
-    let (rs, _) = db.query(&q).unwrap();
+    let (rs, cost) = db.query(&q).unwrap();
     let counted: f64 =
         rs.series.iter().flat_map(|s| s.points.iter()).filter_map(|(_, v)| v.as_f64()).sum();
     assert_eq!(counted as usize, live);
 
-    // A final snapshot walk sees the same live set too.
-    let (_bytes, snap) = snapshot::write_snapshot(&db).unwrap();
-    assert_eq!(snap.points, live);
+    // ...and all of it from the cold tier.
+    assert_eq!((cost.bytes_cold, cost.blocks_cold), (cost.bytes, cost.blocks), "{cost:?}");
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The whole timeline of one writer's series, counted per shard-wide window.

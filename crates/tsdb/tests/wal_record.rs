@@ -9,9 +9,9 @@
 //!   stated multiple of the payload;
 //! * a segment file replays without the files before it;
 //! * writers racing to name the same new series define it once a segment;
-//! * the same records behind the other two headers — cold-tier `.seg` files
-//!   and snapshots — are written and loaded one record at a time, however
-//!   large the shard, and no damaged one is ever loaded, repaired or removed.
+//! * the same records behind the cold-tier `.seg` file's header are written
+//!   and loaded one record at a time, however large the shard, and no
+//!   damaged file is ever loaded, repaired or removed.
 //!
 //! The allocation counts are `counting_alloc::counted`'s, a per-thread
 //! window: recovery runs on the calling thread, so sibling tests allocating
@@ -498,7 +498,7 @@ fn racing_writers_define_each_series_once_a_segment() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-// --- (e) the other two headers: segment files and snapshots ---------------
+// --- (e) the other header: segment files -----------------------------------
 
 const DAY: i64 = 86_400;
 
@@ -583,8 +583,7 @@ fn sealed_frame(payload: &[u8]) -> Vec<u8> {
     frame(&monster_compress::compress(payload, monster_compress::Level::default()))
 }
 
-/// (e) Hostile bytes behind `MSEG2` and `MTSDB2`: a segment file or snapshot
-/// cut at any offset, with any byte flipped, with a length that lies, a
+/// (e) Hostile bytes behind `MSEG2`: a segment file cut at any offset, with any byte flipped, with a length that lies, a
 /// frame that is not a record, a reference past its definitions or the
 /// previous format's header is an error — never a panic, never a database,
 /// and never a file touched: the directory is byte for byte what it was.
@@ -597,12 +596,10 @@ fn damaged_sealed_files_are_refused_and_left_alone() {
     db.wal_sync().unwrap();
     db.tier_cold_shards(EpochSecs::new(2 * DAY)).unwrap();
     let stats = db.stats();
-    let (snapshot, _) = monster_tsdb::snapshot::write_snapshot(&db).unwrap();
     drop(db);
     let seg_path = dir.join("shard-0.seg");
     let seg = std::fs::read(&seg_path).unwrap();
     assert_eq!(&seg[..6], b"MSEG2\n");
-    assert_eq!(&snapshot[..7], b"MTSDB2\n");
 
     // The frames of the good segment file: (offset, length) of each.
     let mut frames = Vec::new();
@@ -624,14 +621,6 @@ fn damaged_sealed_files_are_refused_and_left_alone() {
             Err(e) => e.to_string(),
         };
         assert!(dir_image(&dir) == before, "{what}: recovery changed the directory");
-        // The same frames behind the snapshot's header.
-        if let Some(frames) = bytes.strip_prefix(b"MSEG2\n") {
-            let as_snapshot = [b"MTSDB2\n", frames].concat();
-            let restored = std::panic::catch_unwind(|| {
-                monster_tsdb::snapshot::read_snapshot(&as_snapshot, DbConfig::default()).is_ok()
-            });
-            assert!(!restored.expect("read_snapshot panicked"), "{what}: restored as a snapshot");
-        }
         err
     };
 
@@ -687,8 +676,6 @@ fn damaged_sealed_files_are_refused_and_left_alone() {
     // The format before this one, refused by name.
     let err = refused("an MSEG1 file", b"MSEG1\nMZ2\0 compressed line protocol");
     assert!(err.contains("MSEG1") && err.contains("unsupported"), "{err}");
-    let old = monster_tsdb::snapshot::read_snapshot(b"MTSDB1\nMZ2\0...", DbConfig::default());
-    assert!(old.err().expect("refused").to_string().contains("MTSDB1"));
 
     // The good file back, and beside it what an interrupted tiering pass
     // leaves: ignored, and still there afterwards.
@@ -698,8 +685,6 @@ fn damaged_sealed_files_are_refused_and_left_alone() {
     assert_eq!((report.segment_files_loaded, report.segment_points), (1, 21_000));
     assert_eq!(recovered.stats().points, stats.points);
     assert_eq!(std::fs::read(dir.join("shard-0.seg.tmp")).unwrap(), &seg[..seg.len() / 2]);
-    let restored = monster_tsdb::snapshot::read_snapshot(&snapshot, DbConfig::default()).unwrap();
-    assert_eq!(restored.stats().points, stats.points);
     drop(recovered);
     std::fs::remove_dir_all(&dir).ok();
 }

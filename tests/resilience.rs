@@ -153,6 +153,41 @@ fn the_sweep_deadline_follows_a_shorter_cadence() {
 }
 
 #[test]
+fn the_freshness_slo_follows_a_shorter_cadence() {
+    let _sweeping = sweeping();
+    // The tracker is process-wide: start it from this deployment's sweeps.
+    obs::freshness().reset();
+    let mut m = Monster::new(MonsterConfig {
+        nodes: 4,
+        seed: 35,
+        interval_secs: 30,
+        bmc: BmcConfig { failure_rate: 0.0, stall_rate: 0.0, ..BmcConfig::default() },
+        resilience: Some(ResilienceConfig::default()),
+        workload: None,
+        horizon_secs: 0,
+        ..MonsterConfig::default()
+    });
+    let victim = m.node_ids()[0];
+    m.run_interval().unwrap();
+    m.cluster().set_bmc_alive(victim, false).unwrap();
+    m.run_intervals(3);
+
+    // At a 30 s cadence a series is fresh for two cadences, 60 s, so the
+    // dead node's four series, 90 s behind the latest sweep, are stale.
+    let server = m.serve_api(0).unwrap();
+    let doc = Client::new()
+        .send_ok(server.addr(), &Request::get("/debug/pipeline"))
+        .unwrap()
+        .json_body()
+        .unwrap();
+    let number = |path: &str| doc.pointer(path).and_then(|v| v.as_f64());
+    assert_eq!(number("/slo/cadence_secs"), Some(30.0));
+    assert_eq!(number("/slo/fresh_within_secs"), Some(60.0));
+    assert_eq!(number("/staleness_secs/max"), Some(90.0));
+    assert_eq!(number("/attainment"), Some(12.0 / 16.0));
+}
+
+#[test]
 fn metrics_endpoint_exposes_resilience_series() {
     let _sweeping = sweeping();
     let mut m = resilient_deployment(3, 33);

@@ -1,6 +1,5 @@
 //! Integration: the two §VI-era upgrades working together — telemetry-rate
-//! collection feeding continuous-query roll-ups — plus snapshot durability
-//! across a simulated storage-host restart, and the self-monitoring layer
+//! collection feeding maintained roll-ups — plus the self-monitoring layer
 //! observed end-to-end (in-process counter deltas and a live `/metrics`
 //! scrape over a real socket).
 
@@ -8,7 +7,7 @@ use monster::builder::{BuilderRequest, ExecMode};
 use monster::http::{Client, Request};
 use monster::redfish::bmc::BmcConfig;
 use monster::redfish::telemetry::{TelemetryConfig, TelemetryService};
-use monster::tsdb::{snapshot, Aggregation, DbConfig};
+use monster::tsdb::Aggregation;
 use monster::{obs, Monster, MonsterConfig};
 use std::sync::Mutex;
 
@@ -77,33 +76,6 @@ fn telemetry_plus_rollups_compose() {
     for (a, (_, b)) in doc_power.iter().zip(raw_points) {
         assert_eq!(a.get("value").unwrap().as_f64(), b.as_f64());
     }
-}
-
-#[test]
-fn snapshot_survives_restart_and_continues() {
-    let mut m = deployment(3);
-    m.run_intervals_bulk(20);
-    let before = m.db().stats();
-
-    // "Storage host restart": snapshot, new empty DB, restore.
-    let dir = std::env::temp_dir().join(format!("monster-it-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("restart.mtsdb");
-    snapshot::save_to_file(m.db(), &path).unwrap();
-    let restored = snapshot::load_from_file(&path, DbConfig::default()).unwrap();
-    assert_eq!(restored.stats().points, before.points);
-    assert_eq!(restored.stats().cardinality, before.cardinality);
-
-    // The restored instance answers the same queries.
-    let q = format!(
-        "SELECT mean(Reading) FROM Power WHERE time >= {} AND time < {} GROUP BY time(5m)",
-        (m.now() - 1200).as_secs(),
-        m.now().as_secs()
-    );
-    let (a, _) = m.db().query_str(&q).unwrap();
-    let (b, _) = restored.query_str(&q).unwrap();
-    assert_eq!(a, b);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
