@@ -1,9 +1,8 @@
 //! What the two chaos gates (`chaos_sweep`: collection, `alert_chaos`:
-//! alerting) share: the fleet a seeded fault profile is replayed against,
-//! the replay step, and the `--profile NAME --seed N` that pick a cell. Both must drive the **same** schedule the same way
-//! or a `(profile, seed)` cell of the CI matrix means two things.
+//! alerting) share: the fleet a seeded fault profile is replayed against
+//! and the replay step. Both must drive the **same** schedule the same way
+//! or a `(profile, seed)` cell of the chaos matrix means two things.
 
-use crate::report::arg;
 use monster_core::{Monster, MonsterConfig};
 use monster_redfish::bmc::BmcConfig;
 use monster_redfish::client::ClientConfig;
@@ -47,20 +46,5 @@ pub fn inject(m: &Monster, profile: FaultProfile, seed: u64, tick: u64, shape: &
     for (i, &node) in ids.iter().enumerate() {
         let spec = profile.spec(seed, i, ids.len(), tick, shape.active);
         m.cluster().apply_fault(node, spec).expect("known node");
-    }
-}
-
-/// `--seed N`, default 1.
-pub fn seed() -> u64 {
-    arg("--seed").map_or(1, |s| s.parse().expect("--seed N"))
-}
-
-/// `--profile NAME`; `all`, the default, is every profile in turn.
-pub fn profiles() -> Vec<FaultProfile> {
-    match arg("--profile").as_deref() {
-        None | Some("all") => FaultProfile::ALL.to_vec(),
-        Some(name) => {
-            vec![FaultProfile::parse(name).unwrap_or_else(|| panic!("unknown profile {name:?}"))]
-        }
     }
 }

@@ -26,14 +26,10 @@
 //! * **all profiles** — zero detector (anomaly) events: collection faults
 //!   must never masquerade as physical anomalies, because detectors only
 //!   ever see live readings.
-//!
-//! Usage: `alert_chaos [--profile NAME] [--seed N] [--expect FILE]`. With
-//! `--expect`, the emitted JSON must match FILE — in CI the committed
-//! `BENCH_alerts.json` itself — byte for byte.
 
+use super::Outcome;
+use crate::chaos::{self, Shape};
 use monster_alert::IntervalOutcome;
-use monster_bench::chaos::{self, Shape};
-use monster_bench::report;
 use monster_json::{jobj, Value};
 use monster_sim::FaultProfile;
 
@@ -208,25 +204,13 @@ fn alert_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
         }
     }
 
-    println!(
-        "[{}/seed {seed}] raised {raised} resolved {} flaps {flaps} | final active {} | deterministic",
-        profile.name(),
-        usize_at(&cell, "resolved_total"),
-        alerts_in(&cell, "active_final").len(),
-    );
     cell
 }
 
-fn main() {
-    let (seed, shape) = (chaos::seed(), &SHAPE);
-    println!(
-        "== alert chaos: {} node(s), {} channel(s), {} sweep(s) ({} active), seed {seed} ==",
-        shape.nodes, shape.channels, shape.sweeps, shape.active
-    );
-
-    let cells: Vec<Value> =
-        chaos::profiles().into_iter().map(|p| alert_cell(p, seed, shape)).collect();
-
+/// Every cell of `profiles` at `seed`, and the report they make.
+pub fn run(seed: u64, profiles: &[FaultProfile]) -> Outcome {
+    let shape = &SHAPE;
+    let cells: Vec<Value> = profiles.iter().map(|&p| alert_cell(p, seed, shape)).collect();
     let doc = jobj! {
         "bench" => "alert_chaos",
         "seed" => seed,
@@ -236,6 +220,5 @@ fn main() {
         "active_sweeps" => shape.active,
         "cells" => cells,
     };
-    report::finish("BENCH_alerts.json", &doc);
-    println!("all alert invariants held");
+    Outcome { doc, walls: Vec::new() }
 }

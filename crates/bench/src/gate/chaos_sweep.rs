@@ -31,13 +31,9 @@
 //! The baseline run records how often the legacy sweep blows through the
 //! 60 s cadence on the same schedule (under `flaky-tail` it must, at least
 //! once — that contrast is the point of the resilience layer).
-//!
-//! Usage: `chaos_sweep [--profile NAME] [--seed N] [--expect FILE]`
-//! Profile `all` (the default) runs every profile sequentially; the CI
-//! matrix runs one cell per job.
 
-use monster_bench::chaos::{self, Shape};
-use monster_bench::report;
+use super::Outcome;
+use crate::chaos::{self, Shape};
 use monster_json::{jobj, Value};
 use monster_redfish::resilience::sweep_deadline;
 use monster_sim::{FaultProfile, VDuration};
@@ -270,15 +266,6 @@ fn chaos_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
     }
 
     let max = |xs: &[f64]| xs.iter().cloned().fold(0.0, f64::max);
-    println!(
-        "[{}/seed {seed}] resilient p99 {:.1}s max {:.1}s | baseline p99 {:.1}s max {:.1}s ({base_over} over cadence)",
-        profile.name(),
-        p99(&res_ms),
-        max(&res_ms),
-        p99(&base_ms),
-        max(&base_ms),
-    );
-
     jobj! {
         "profile" => profile.name(),
         "seed" => seed,
@@ -307,16 +294,10 @@ fn chaos_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
     }
 }
 
-fn main() {
-    let (seed, shape) = (chaos::seed(), &SHAPE);
-    println!(
-        "== chaos sweep: {} node(s), {} channel(s), {} sweep(s) ({} active), seed {seed} ==",
-        shape.nodes, shape.channels, shape.sweeps, shape.active
-    );
-
-    let cells: Vec<Value> =
-        chaos::profiles().into_iter().map(|p| chaos_cell(p, seed, shape)).collect();
-
+/// Every cell of `profiles` at `seed`, and the report they make.
+pub fn run(seed: u64, profiles: &[FaultProfile]) -> Outcome {
+    let shape = &SHAPE;
+    let cells: Vec<Value> = profiles.iter().map(|&p| chaos_cell(p, seed, shape)).collect();
     let doc = jobj! {
         "bench" => "chaos_sweep",
         "seed" => seed,
@@ -328,6 +309,5 @@ fn main() {
         "cadence_secs" => CADENCE.as_secs_f64(),
         "cells" => cells,
     };
-    report::finish("BENCH_chaos.json", &doc);
-    println!("all invariants held");
+    Outcome { doc, walls: Vec::new() }
 }

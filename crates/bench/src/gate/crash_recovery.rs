@@ -23,10 +23,9 @@
 //!   (answers asserted bit-identical), hot-window parity, segment bytes
 //!   written, WAL segments reclaimed, and that the tiered image recovers
 //!   to the same answers.
-//!
-//! Usage: `crash_recovery [--expect BENCH_recovery.json]`.
 
-use monster_bench::{power_samples, report};
+use super::Outcome;
+use crate::power_samples;
 use monster_json::jobj;
 use monster_tsdb::query::Aggregation;
 use monster_tsdb::recover::{copy_dir_killed_at, wal_extent};
@@ -54,7 +53,7 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn main() {
+pub fn run() -> Outcome {
     let config = DbConfig {
         // Small segments so the matrix crosses many sealed-segment
         // boundaries (an hour of one series is a 1.2 KB record);
@@ -136,17 +135,6 @@ fn main() {
     }
     std::fs::remove_dir_all(&dir).ok();
 
-    println!(
-        "== wal crash matrix ({} series x {} day(s) @ {}s, {total_points} points / {batches} \
-         batches) ==",
-        SERIES, DAYS, CADENCE_SECS
-    );
-    println!(
-        "kills: {} offsets over {extent} bytes (durable boundary {durable}, {acked}/{batches} \
-         batches acked); zero acked batches lost",
-        offsets.len()
-    );
-
     // --- tiering: the live SSD→HDD split (Fig. 12 / Table III) ----------
     let hot_days = 2i64;
     let cold_days = 3i64;
@@ -220,23 +208,6 @@ fn main() {
     drop(retiered);
     std::fs::remove_dir_all(&tier_dir).ok();
 
-    println!(
-        "== tiering (hot {hot_days}d SSD / cold {cold_days}d HDD, {} series @ 60s) ==",
-        SERIES
-    );
-    println!(
-        "tiered {} shards / {} points; {} seg bytes; {} wal segment(s) reclaimed",
-        tier_report.shards_tiered,
-        tier_report.points_tiered,
-        tier_report.segment_bytes_written,
-        tier_report.wal_segments_reclaimed
-    );
-    println!(
-        "archive query modelled: {archive_hdd:.4}s HDD-tiered vs {archive_ssd:.4}s all-SSD \
-         ({archive_slowdown:.2}x); hot query parity {hot_tiered:.4}s"
-    );
-    println!("tiered recovery: {} seg files + wal", tier_rec.segment_files_loaded);
-
     let doc = jobj! {
         "bench" => "crash_recovery",
         "workload" => jobj! {
@@ -268,5 +239,5 @@ fn main() {
             "hot_modelled_secs" => hot_tiered,
         },
     };
-    report::finish("BENCH_recovery.json", &doc);
+    Outcome { doc, walls: Vec::new() }
 }

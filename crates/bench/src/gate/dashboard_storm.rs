@@ -34,11 +34,9 @@
 //!
 //! Admission thresholds are derived from the seeded data at setup
 //! (`storm::admission`).
-//!
-//! Usage: `dashboard_storm [--expect BENCH_serve.json]`.
 
-use monster_bench::report;
-use monster_bench::storm::{
+use super::Outcome;
+use crate::storm::{
     self, catalog, rfc3339, sample_batch, seeded_db, splitmix, subscriber, HISTORY_SECS, NODES,
     STORM_WORKERS, TICK_SECS,
 };
@@ -54,7 +52,7 @@ use std::sync::Arc;
 const SUBSCRIBERS: usize = 100_000;
 const TICKS: usize = 4;
 
-fn main() {
+pub fn run() -> Outcome {
     let nodes = NodeId::enumerate(NODES, 4);
     let panels = catalog();
 
@@ -190,27 +188,21 @@ fn main() {
     let query_reduction = baseline_queries as f64 / cached_queries.max(1) as f64;
     let point_reduction = baseline_points as f64 / cached_points.max(1) as f64;
 
-    println!(
-        "== dashboard storm ({} subscribers, {} panels, {} tick(s), {seeded} seeded points) ==",
-        SUBSCRIBERS,
-        panels.len(),
-        TICKS
+    // Acceptance bars: the cache must absorb the fan-out (>= 10x fewer
+    // storage scans than serving every request cache-off) by executing
+    // each distinct URL exactly once, every body must match the cache-off
+    // execution exactly, and the rogue tenant must be turned away with
+    // 429 + Retry-After.
+    assert_eq!(mismatches, 0, "cached responses diverged from cache-off execution");
+    assert_eq!(misses, distinct_urls.len(), "a URL executed twice, or never");
+    assert_eq!(
+        (cached_queries, cached_points),
+        (once_queries, once_points),
+        "the cached service scanned more than one execution of each distinct URL"
     );
-    println!(
-        "requests: {total_requests} over {unique_urls} unique URLs, {} distinct \
-         ({misses} misses / {hits_or_coalesced} hits or coalesced)",
-        distinct_urls.len()
-    );
-    println!(
-        "storage scans: {cached_queries} queries / {cached_points} points cached \
-         vs {baseline_queries} / {baseline_points} cache-off \
-         ({query_reduction:.0}x / {point_reduction:.0}x reduction)"
-    );
-    println!("body mismatches: {mismatches}");
-    println!(
-        "admission: {rogue_rejected}/{rogue_requests} rogue requests rejected \
-         (cheap {cheap_secs:.3}s, reject {reject_secs:.3}s, rogue est {rogue_est:.3}s)"
-    );
+    assert!(query_reduction >= 10.0, "storage query reduction {query_reduction:.1}x < 10x");
+    assert!(point_reduction >= 10.0, "storage point reduction {point_reduction:.1}x < 10x");
+    assert_eq!(rogue_rejected, rogue_requests, "every over-budget rogue request must be rejected");
 
     let doc = jobj! {
         "bench" => "dashboard_storm",
@@ -242,21 +234,5 @@ fn main() {
             "rogue_estimate_secs" => rogue_est,
         },
     };
-    report::finish("BENCH_serve.json", &doc);
-
-    // Acceptance bars: the cache must absorb the fan-out (>= 10x fewer
-    // storage scans than serving every request cache-off) by executing
-    // each distinct URL exactly once, every body must match the cache-off
-    // execution exactly, and the rogue tenant must be turned away with
-    // 429 + Retry-After.
-    assert_eq!(mismatches, 0, "cached responses diverged from cache-off execution");
-    assert_eq!(misses, distinct_urls.len(), "a URL executed twice, or never");
-    assert_eq!(
-        (cached_queries, cached_points),
-        (once_queries, once_points),
-        "the cached service scanned more than one execution of each distinct URL"
-    );
-    assert!(query_reduction >= 10.0, "storage query reduction {query_reduction:.1}x < 10x");
-    assert!(point_reduction >= 10.0, "storage point reduction {point_reduction:.1}x < 10x");
-    assert_eq!(rogue_rejected, rogue_requests, "every over-budget rogue request must be rejected");
+    Outcome { doc, walls: Vec::new() }
 }

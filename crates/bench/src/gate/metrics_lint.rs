@@ -13,12 +13,11 @@
 //!   `trace_id`/`span_id` pair;
 //! * a `/metrics` + `/debug/trace` scrape storm must not stall concurrent
 //!   span writers (the snapshot clones `Arc`s, not span payloads).
-//!
-//! Run by the CI `gates` job: `cargo run --release -p monster-bench
-//! --bin metrics_lint`.
 
+use super::{Outcome, Wall};
 use monster_core::{Monster, MonsterConfig};
 use monster_http::{Client, Request};
+use monster_json::jobj;
 use monster_obs::{global, Registry, SpanRecord, TraceContext};
 use monster_sim::VInstant;
 use monster_tsdb::{Aggregation, Query};
@@ -28,6 +27,9 @@ use std::time::Instant;
 /// `_ratio` is the OpenMetrics convention for dimensionless quantities
 /// (the estimator-accuracy histograms are actual/estimated ratios).
 const UNIT_SUFFIXES: [&str; 4] = ["_seconds", "_points", "_bytes", "_ratio"];
+
+/// Distinct series a metric family may have (see [`lint_cardinality`]).
+const SERIES_BUDGET: usize = 32;
 
 /// Strip a `{labels}` clause: `m_shard_points{shard="0"}` → `m_shard_points`.
 fn base_name(name: &str) -> &str {
@@ -107,10 +109,10 @@ fn lint_kinds(kinds: &[(String, &'static str)]) -> Vec<String> {
 /// Label-cardinality budget: labels live in the metric name
 /// (`monster_alert_active{severity="critical"}`), so one runaway label —
 /// a node address, a job id — quietly multiplies a family into thousands
-/// of series. Cap every family at `budget` distinct series; the limit is
-/// generous for legitimate enums (severity, shard, reason) and fatal for
-/// unbounded ones.
-fn lint_cardinality(kinds: &[(String, &'static str)], budget: usize) -> Vec<String> {
+/// of series. Cap every family at [`SERIES_BUDGET`] distinct series; the
+/// limit is generous for legitimate enums (severity, shard, reason) and
+/// fatal for unbounded ones.
+fn lint_cardinality(kinds: &[(String, &'static str)]) -> Vec<String> {
     let mut families: Vec<(&str, usize)> = Vec::new();
     for (name, _) in kinds {
         let base = base_name(name);
@@ -121,12 +123,9 @@ fn lint_cardinality(kinds: &[(String, &'static str)], budget: usize) -> Vec<Stri
     }
     families
         .iter()
-        .filter(|&&(_, n)| n > budget)
+        .filter(|&&(_, n)| n > SERIES_BUDGET)
         .map(|&(family, n)| {
-            format!(
-                "family `{family}` has {n} series, over the {budget}-series label budget \
-                 (set METRICS_SERIES_BUDGET to raise it deliberately)"
-            )
+            format!("family `{family}` has {n} series, over the {SERIES_BUDGET}-series budget")
         })
         .collect()
 }
@@ -175,9 +174,10 @@ fn lint_exposition(text: &str) -> Vec<String> {
 
 /// Scrape storm vs. writer threads: 4 writers push 2 000 spans each while
 /// a scraper takes 100 full `/debug/trace`-style snapshots. The snapshot
-/// is O(capacity) `Arc` clones under the ring lock, so the storm must
-/// finish promptly and every span must land (retained + dropped).
-fn assert_scrape_does_not_stall_writers() {
+/// is O(capacity) `Arc` clones under the ring lock, so every span must
+/// land (retained + dropped) and the storm must finish promptly, the
+/// wall-clock reading returned.
+fn scrape_storm() -> Wall {
     const WRITERS: u64 = 4;
     const SPANS_EACH: u64 = 2_000;
     let rec = |name: String| {
@@ -215,17 +215,15 @@ fn assert_scrape_does_not_stall_writers() {
     let elapsed = t0.elapsed();
     let landed = r.recent_spans().len() as u64 + r.spans_dropped();
     assert_eq!(landed, WRITERS * SPANS_EACH, "spans lost during scrape storm");
-    assert!(
-        elapsed < std::time::Duration::from_secs(30),
-        "scrape storm stalled writers: {elapsed:?}"
-    );
-    println!(
-        "scrape storm: {} spans + 100 snapshots in {elapsed:?} (worst snapshot {worst_scrape:?})",
+    let reading = format!(
+        "scrape storm: {} spans + 100 snapshots in {elapsed:?} (worst snapshot \
+         {worst_scrape:?}; bar 30s)",
         WRITERS * SPANS_EACH
     );
+    Wall { reading, held: elapsed < std::time::Duration::from_secs(30) }
 }
 
-fn main() {
+pub fn run() -> Outcome {
     let m = exercise_pipeline();
 
     // Scrape over the wire, exactly as Prometheus would.
@@ -234,13 +232,9 @@ fn main() {
         Client::new().send_ok(server.addr(), &Request::get("/metrics")).expect("GET /metrics");
     let text = String::from_utf8(resp.body.to_vec()).expect("utf-8 exposition");
 
-    let budget: usize = std::env::var("METRICS_SERIES_BUDGET")
-        .ok()
-        .map(|s| s.parse().expect("METRICS_SERIES_BUDGET must be an integer"))
-        .unwrap_or(32);
     let kinds = global().metric_kinds();
     let mut violations = lint_kinds(&kinds);
-    violations.extend(lint_cardinality(&kinds, budget));
+    violations.extend(lint_cardinality(&kinds));
     violations.extend(lint_exposition(&text));
 
     // The alert gauges register (with HELP and an explicit 0) at engine
@@ -262,25 +256,20 @@ fn main() {
         );
     }
 
-    println!("== metrics-name lint: {} metrics scraped ==", kinds.len());
-    for (name, kind) in &kinds {
-        println!("  {kind:9} {name}");
-    }
-    if !violations.is_empty() {
-        eprintln!("\n{} violation(s):", violations.len());
-        for v in &violations {
-            eprintln!("  - {v}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "all names conform (counters _total; histograms {}; families within {budget} series)",
-        UNIT_SUFFIXES.join("/")
+    assert!(
+        violations.is_empty(),
+        "{} violation(s):\n  - {}",
+        violations.len(),
+        violations.join("\n  - ")
     );
-
-    assert_scrape_does_not_stall_writers();
+    let storm = scrape_storm();
     assert!(global().vtime() > VInstant::EPOCH, "pipeline advanced the virtual clock");
     drop((server, m));
     let _ = std::fs::remove_dir_all(data_dir());
-    println!("metrics lint passed");
+    let doc = jobj! {
+        "bench" => "metrics_lint",
+        "metrics" => kinds.len(),
+        "series_budget" => SERIES_BUDGET,
+    };
+    Outcome { doc, walls: vec![storm] }
 }

@@ -29,12 +29,10 @@
 //!   (modelled seconds, points, bytes) must aggregate within
 //!   [0.5, 2.0]x on the storm mix — outside that band, the admission
 //!   controller is rejecting or admitting on fiction.
-//!
-//! Usage: `query_observe [--expect BENCH_observe.json]`.
 
-use monster_bench::report;
-use monster_bench::storm::{
-    self, catalog, percentile, rfc3339, sample_batch, seeded_db, HISTORY_SECS, NODES, TICK_SECS,
+use super::{Outcome, Wall};
+use crate::storm::{
+    self, catalog, rfc3339, sample_batch, seeded_db, HISTORY_SECS, NODES, TICK_SECS,
 };
 use monster_builder::qlog::{
     base64_decode, CacheVerdict, Disposition, Draft, LapClock, QueryRecorder, Stage, RATIO_STAGES,
@@ -44,6 +42,7 @@ use monster_builder::ExecMode;
 use monster_http::{Client, PersistentClient, Request, Response, Server, Status};
 use monster_json::{jobj, Value};
 use monster_obs::{SpanId, TraceId};
+use monster_util::stats::percentile;
 use monster_util::NodeId;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -109,7 +108,7 @@ fn recorder_probe_ns(key: &str, windows: usize, per_window: u64) -> f64 {
 }
 
 /// `rounds` passes over the whole warm panel mix through `send`; returns
-/// the sorted per-request latencies in microseconds.
+/// the per-request latencies in microseconds.
 fn trial(reqs: &[Request], rounds: usize, mut send: impl FnMut(&Request) -> Response) -> Vec<f64> {
     let mut us = Vec::with_capacity(rounds * reqs.len());
     for _ in 0..rounds {
@@ -120,11 +119,10 @@ fn trial(reqs: &[Request], rounds: usize, mut send: impl FnMut(&Request) -> Resp
             assert_eq!(resp.status, Status::OK);
         }
     }
-    us.sort_by(|a, b| a.partial_cmp(b).unwrap());
     us
 }
 
-fn main() {
+pub fn run() -> Outcome {
     let nodes = NodeId::enumerate(NODES, 4);
     let panels = catalog();
     let (db, _) = seeded_db(&nodes);
@@ -210,23 +208,15 @@ fn main() {
 
     // --- phase C: estimator-accuracy gate ---------------------------------
     let ratios = acc.ratios();
-
-    println!("== query observe ({} panels, {ticks} tick(s)) ==", panels.len());
-    println!(
-        "identity: {}/{envelopes} explain envelopes carry the plain response's bytes \
-         ({mismatches} mismatches)",
-        envelopes - mismatches
-    );
-    println!(
-        "overhead: recording a request costs {record_ns:.0}ns (bare probe) = {:.2}% of the \
-         {p50_us:.2}us socket p50 ({:.0}% gate)",
-        overhead * 100.0,
-        OVERHEAD_GATE * 100.0
-    );
-    println!(
-        "estimator: actual/estimated over {} executed requests — {RATIO_STAGES:?} {ratios:.3?}",
-        acc.requests
-    );
+    assert_eq!(mismatches, 0, "observability changed response bytes");
+    // The dimensions admission prices; block counts are not one.
+    for (stage, ratio) in RATIO_STAGES.iter().zip(ratios).take(3) {
+        assert!(
+            (0.5..=2.0).contains(&ratio),
+            "estimator {stage} ratio {ratio:.3}x outside [0.5, 2.0] — \
+             admission decisions are running on a broken model"
+        );
+    }
 
     let doc = jobj! {
         "bench" => "query_observe",
@@ -255,23 +245,11 @@ fn main() {
             "misses_listed" => listed_misses as i64,
         },
     };
-    report::finish("BENCH_observe.json", &doc);
-
-    // Acceptance bars.
-    assert_eq!(mismatches, 0, "observability changed response bytes");
-    assert!(
-        overhead < OVERHEAD_GATE,
-        "recording a request costs {:.2}%, over the {:.0}% gate \
-         ({record_ns:.0}ns against a {p50_us:.2}us socket p50)",
+    let reading = format!(
+        "overhead: recording a request costs {record_ns:.0}ns (bare probe) = {:.2}% of the \
+         {p50_us:.2}us socket p50 ({:.0}% bar)",
         overhead * 100.0,
         OVERHEAD_GATE * 100.0
     );
-    // The dimensions admission prices; block counts are not one.
-    for (stage, ratio) in RATIO_STAGES.iter().zip(ratios).take(3) {
-        assert!(
-            (0.5..=2.0).contains(&ratio),
-            "estimator {stage} ratio {ratio:.3}x outside [0.5, 2.0] — \
-             admission decisions are running on a broken model"
-        );
-    }
+    Outcome { doc, walls: vec![Wall { reading, held: overhead < OVERHEAD_GATE }] }
 }

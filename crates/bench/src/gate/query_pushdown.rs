@@ -17,18 +17,17 @@
 //! * **modelled** — `CostParams::elapsed` over the returned `QueryCost`,
 //!   the repo's deterministic simulated-time method (decoded blocks pay
 //!   decode CPU + block I/O, summarized blocks pay a flat probe): ≥ 3×;
-//! * **wall-clock** — the p50 of real query latency on this box, which is
-//!   what twelve samples a side support. Printed and asserted (pushdown
-//!   may not be slower than the decode it skips), not committed: the
-//!   paper-scale number for a query is `bench_pipeline`'s `tsdb.query_ms`.
-//!
-//! Usage: `query_pushdown [--expect BENCH_query.json]`.
+//! * **wall-clock** — the p50 of real query latency, which is what twelve
+//!   samples a side support. A reading with a bar (pushdown may not be
+//!   slower than the decode it skips), not committed: the paper-scale
+//!   number for a query is `bench_pipeline`'s `tsdb.query_ms`.
 
-use monster_bench::storm::percentile;
-use monster_bench::{power_samples, report};
+use super::{Outcome, Wall};
+use crate::power_samples;
 use monster_json::jobj;
 use monster_tsdb::query::Aggregation;
 use monster_tsdb::{Db, DbConfig, Query, QueryCost};
+use monster_util::stats::percentile;
 use monster_util::EpochSecs;
 use std::time::Instant;
 
@@ -39,11 +38,10 @@ const DAYS: i64 = 7;
 const CADENCE_SECS: i64 = 1;
 const ITERATIONS: usize = 12;
 
-fn main() {
+pub fn run() -> Outcome {
     // --- identical data in two engines, one per read path ---------------
     let push_db = Db::new(DbConfig { pushdown: true, ..DbConfig::default() });
     let full_db = Db::new(DbConfig { pushdown: false, ..DbConfig::default() });
-    let ingest = Instant::now();
     let mut total_points = 0usize;
     for s in 0..SERIES {
         for d in 0..DAYS {
@@ -56,7 +54,6 @@ fn main() {
     // Seal every tail: the pushdown only applies to sealed blocks.
     push_db.compact();
     full_db.compact();
-    let ingest_secs = ingest.elapsed().as_secs_f64();
 
     // --- the dashboard query: hourly mean over the whole range ----------
     let q = Query::select("Power", "Reading", EpochSecs::new(0), EpochSecs::new(DAYS * DAY))
@@ -86,8 +83,6 @@ fn main() {
             full_lat_us.push(full_us);
         }
     }
-    push_lat_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    full_lat_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
     // Every sealed block is either decoded or summarized, never both.
     assert_eq!(push_cost.blocks + push_cost.blocks_summarized, full_cost.blocks);
@@ -98,28 +93,6 @@ fn main() {
     let modelled_speedup = modelled_full / modelled_push;
     let (push_p50, full_p50) = (percentile(&push_lat_us, 0.50), percentile(&full_lat_us, 0.50));
     let summarized_frac = push_cost.blocks_summarized as f64 / full_cost.blocks.max(1) as f64;
-
-    println!(
-        "== tsdb aggregation pushdown ({} series x {} day(s) @ {}s, {total_points} points, \
-         {:.1}s ingest) ==",
-        SERIES, DAYS, CADENCE_SECS, ingest_secs
-    );
-    println!(
-        "blocks: {} summarized / {} decoded ({:.0}% summary hits)",
-        push_cost.blocks_summarized,
-        push_cost.blocks,
-        summarized_frac * 100.0
-    );
-    println!(
-        "points decoded: {} (pushdown) vs {} (full decode)",
-        push_cost.points, full_cost.points
-    );
-    println!("modelled: {modelled_push:.4}s vs {modelled_full:.4}s  ({modelled_speedup:.2}x)");
-    println!(
-        "wall p50 of {}: {push_p50:.0}us vs {full_p50:.0}us  ({:.2}x)",
-        ITERATIONS,
-        full_p50 / push_p50
-    );
 
     let doc = jobj! {
         "bench" => "query_pushdown",
@@ -145,16 +118,16 @@ fn main() {
             "speedup" => modelled_speedup,
         },
     };
-    report::finish("BENCH_query.json", &doc);
-
     // Acceptance bars: >= 3x modelled (window >> block span), and on the
     // wall the pushdown is not slower than the decode it skips.
     assert!(
         modelled_speedup >= 3.0,
         "modelled speedup {modelled_speedup:.2}x < 3x over forced full decode"
     );
-    assert!(
-        push_p50 <= full_p50,
-        "wall-clock p50 {push_p50:.0}us > {full_p50:.0}us — pushdown slower than full decode"
+    let reading = format!(
+        "wall p50 of {ITERATIONS}: {push_p50:.0}us pushdown vs {full_p50:.0}us full decode \
+         ({:.2}x; the pushdown may not be slower)",
+        full_p50 / push_p50
     );
+    Outcome { doc, walls: vec![Wall { reading, held: push_p50 <= full_p50 }] }
 }

@@ -1,15 +1,18 @@
-//! `monster-bench` — the evaluation harness, with two deterministic jobs.
+//! `monster-bench` — the evaluation harness: two tables, one runner
+//! ([`report`]) and two binaries.
 //!
 //! [`paper`] reproduces the paper's tables and figures in simulated time
 //! (`cargo run -p monster-bench --release --bin paper -- fig10`) and checks
-//! them against committed goldens; the gate binaries assert invariants and
-//! write a `BENCH_*.json` that is a function of (code, seed) ([`report`]).
-//! Wall-clock numbers are `bench_pipeline`'s. This file holds the shared
+//! them against committed goldens; [`gate`] asserts the invariants and
+//! checks each gate's `BENCH_*.json`, a function of (code, seed), the same
+//! way (`--bin gate -- all --check .`). Wall-clock numbers are
+//! `bench_pipeline`'s. This file holds the shared
 //! fixtures: populated deployments at a reduced node count with cost
 //! amplification back to Quanah scale, so the simulated timings are
 //! comparable to the paper's while the harness runs in seconds.
 
 pub mod chaos;
+pub mod gate;
 pub mod paper;
 pub mod report;
 pub mod storm;

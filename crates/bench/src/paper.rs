@@ -4,13 +4,13 @@
 //! experiment's *stable* text with a committed golden
 //! (`crates/bench/expectations/paper/<name>.txt`).
 
-use crate::{populated, report};
+use crate::populated;
+use crate::report::Cli;
 use monster_collector::SchemaVersion;
 use monster_core::Monster;
 use monster_sim::DiskModel;
 use std::cell::RefCell;
 use std::fmt;
-use std::path::Path;
 use std::rc::Rc;
 
 /// What one experiment prints. Text that is a function of the code goes to
@@ -155,35 +155,11 @@ pub const REGISTRY: &[Experiment] = &[
 /// `--write` (re)write that file. The error lists every golden that
 /// differed.
 pub fn run(args: &[String], stdout: &mut dyn std::io::Write) -> Result<(), String> {
-    let mut names: Vec<&str> = Vec::new();
-    let mut golden: Option<(&str, &Path)> = None;
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--check" | "--write" => {
-                let dir = args.next().ok_or_else(|| format!("{arg} needs a directory"))?;
-                golden = Some((arg, Path::new(dir)));
-            }
-            name => names.push(name),
-        }
-    }
-    if names == ["list"] {
-        REGISTRY.iter().for_each(|e| writeln!(stdout, "{}", e.name).expect("stdout"));
+    let cli = Cli::parse("paper", args)?;
+    let registry: Vec<&Experiment> = REGISTRY.iter().collect();
+    let Some(plan) = cli.plan(&registry, |e| e.name, "experiment", stdout)? else {
         return Ok(());
-    }
-    let plan: Vec<&Experiment> = if names == ["all"] {
-        REGISTRY.iter().collect()
-    } else {
-        let find = |name: &&str| {
-            REGISTRY.iter().find(|e| e.name == *name).ok_or_else(|| {
-                format!("unknown experiment {name:?}; `paper list` names them, `all` runs them")
-            })
-        };
-        names.iter().map(find).collect::<Result<_, _>>()?
     };
-    if plan.is_empty() {
-        return Err("usage: paper <name>… | all | list [--check DIR | --write DIR]".into());
-    }
     let fixtures = Fixtures::new(&plan, |(schema, disk, days)| {
         eprintln!("  populating {days} days ({schema:?} schema, {})...", disk.name);
         populated(schema, disk, days, 60)
@@ -195,26 +171,10 @@ pub fn run(args: &[String], stdout: &mut dyn std::io::Write) -> Result<(), Strin
         (experiment.run)(&fixtures, &mut out);
         fixtures.retire(experiment.needs);
         stdout.write_all(out.printed.as_bytes()).expect("stdout");
-        if let Some((mode, dir)) = golden {
-            let file = dir.join(format!("{}.txt", experiment.name));
-            if mode == "--write" {
-                std::fs::write(&file, &out.stable)
-                    .map_err(|e| format!("cannot write {}: {e}", file.display()))?;
-            } else {
-                let regenerate = format!(
-                    "cargo run --release -p monster-bench --bin paper -- {} --write {}",
-                    experiment.name,
-                    dir.display()
-                );
-                failures.extend(report::expect(&out.stable, &file, &regenerate).err());
-            }
-        }
+        let file = format!("{}.txt", experiment.name);
+        failures.extend(cli.settle(experiment.name, &file, &out.stable).err());
     }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
+    failures.is_empty().then_some(()).ok_or_else(|| failures.join("\n"))
 }
 
 #[cfg(test)]

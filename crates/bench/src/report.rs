@@ -1,15 +1,88 @@
-//! What the gate binaries share: how they read a flag, where a report
-//! goes, and its comparison with the committed one. A `BENCH_*.json` holds only
-//! members that are a function of (code, seed), so `--expect FILE` is a
-//! byte comparison.
+//! What the two table runners, `paper` and `gate`, share: their command
+//! line, `<bin> <name>… | all | list [--check DIR | --write DIR]`, and the
+//! comparison of a row's stable text with its committed golden. A golden
+//! holds only what is a function of the code (and its seed), so the
+//! comparison is to the byte.
 
-use monster_json::Value;
+use std::io::Write;
 use std::path::Path;
 
-/// The value after `flag` on this process's command line.
-pub fn arg(flag: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    args.find(|a| a == flag).and_then(|_| args.next())
+/// One parsed command line of a table runner.
+pub struct Cli<'a> {
+    bin: &'static str,
+    names: Vec<&'a str>,
+    golden: Option<(&'a str, &'a Path)>,
+}
+
+impl<'a> Cli<'a> {
+    pub fn parse(bin: &'static str, args: &'a [String]) -> Result<Cli<'a>, String> {
+        let mut names = Vec::new();
+        let mut golden = None;
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--check" | "--write" => {
+                    let dir = args.next().ok_or_else(|| format!("{arg} needs a directory"))?;
+                    golden = Some((arg.as_str(), Path::new(dir)));
+                }
+                name => names.push(name),
+            }
+        }
+        Ok(Cli { bin, names, golden })
+    }
+
+    /// The rows of `table` the command line names (`all`: every row, in
+    /// table order), or `None` once `list` has printed every row's name.
+    pub fn plan<'t, R>(
+        &self,
+        table: &[&'t R],
+        name: fn(&R) -> &str,
+        noun: &str,
+        stdout: &mut dyn Write,
+    ) -> Result<Option<Vec<&'t R>>, String> {
+        if self.names == ["list"] {
+            table.iter().for_each(|row| writeln!(stdout, "{}", name(row)).expect("stdout"));
+            return Ok(None);
+        }
+        let plan: Vec<&R> = if self.names == ["all"] {
+            table.to_vec()
+        } else {
+            let find = |wanted: &&str| {
+                table.iter().copied().find(|row| name(row) == *wanted).ok_or_else(|| {
+                    format!(
+                        "unknown {noun} {wanted:?}; `{} list` names them, `all` runs them",
+                        self.bin
+                    )
+                })
+            };
+            self.names.iter().map(find).collect::<Result<_, _>>()?
+        };
+        if plan.is_empty() {
+            return Err(format!(
+                "usage: {} <name>… | all | list [--check DIR | --write DIR]",
+                self.bin
+            ));
+        }
+        Ok(Some(plan))
+    }
+
+    /// With `--check`, compare `stable`, what row `row` produced, with
+    /// `DIR/file`; with `--write`, (re)write that file; without either,
+    /// nothing.
+    pub fn settle(&self, row: &str, file: &str, stable: &str) -> Result<(), String> {
+        let Some((mode, dir)) = self.golden else { return Ok(()) };
+        let path = dir.join(file);
+        if mode == "--write" {
+            return std::fs::write(&path, stable)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()));
+        }
+        let regenerate = format!(
+            "cargo run --release -p monster-bench --bin {} -- {row} --write {}",
+            self.bin,
+            dir.display()
+        );
+        expect(stable, &path, &regenerate)
+    }
 }
 
 /// Compare `got` with the file `golden`. The error shows the first line
@@ -40,32 +113,6 @@ pub fn exit_on(failure: Result<(), String>) {
     if let Err(message) = failure {
         eprintln!("{message}");
         std::process::exit(1);
-    }
-}
-
-/// Finish a gate run. Without `--expect` the report is written to
-/// `$BENCH_OUT`, by default `file` in the working directory. With
-/// `--expect FILE` it is compared with FILE instead (exit 1 on any
-/// difference) and written only where `$BENCH_OUT` says.
-pub fn finish(file: &str, doc: &Value) {
-    let text = doc.to_string_pretty() + "\n";
-    let golden = arg("--expect");
-    // Compare before writing: `$BENCH_OUT` may name the golden itself.
-    let verdict = golden.as_ref().map_or(Ok(()), |golden| {
-        let mut argv: Vec<String> = std::env::args().collect();
-        let at = argv.iter().position(|a| a == "--expect").expect("found above");
-        argv.drain(at..at + 2);
-        // The same invocation, writing where it compared.
-        expect(&text, Path::new(golden), &format!("BENCH_OUT={golden} {}", argv.join(" ")))
-    });
-    let out = std::env::var("BENCH_OUT").ok().or_else(|| golden.is_none().then(|| file.into()));
-    if let Some(out) = out {
-        std::fs::write(&out, &text).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-        println!("wrote {out}");
-    }
-    exit_on(verdict);
-    if let Some(golden) = golden {
-        println!("matches {golden}");
     }
 }
 

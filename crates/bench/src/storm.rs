@@ -7,7 +7,7 @@
 //! serving bench established as the operational baseline. This module
 //! holds that mix: the panel catalog, the deterministic subscriber
 //! fleet, the sample generator that seeds and advances the db, and the
-//! shared math helpers.
+//! admission thresholds derived from it.
 
 use monster_builder::{build_plan, estimate_plan_cost, AdmissionConfig, BuilderRequest};
 use monster_tsdb::{Aggregation, DataPoint, Db, DbConfig};
@@ -209,15 +209,6 @@ pub fn admission(db: &Db, nodes: &[NodeId], now: i64) -> (AdmissionConfig, f64) 
         "no admission headroom: panel max {panel_est:.4}s vs rogue {rogue_est:.4}s"
     );
     (AdmissionConfig { cheap_secs, reject_secs, ..AdmissionConfig::default() }, rogue_est)
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// Modelled seconds for one URL's plan against the current db state.
