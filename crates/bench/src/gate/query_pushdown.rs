@@ -3,7 +3,7 @@
 //! modelled-time counts, which are a function of the code.
 //!
 //! The workload is the dashboard shape the Metrics Builder serves:
-//! hour-windowed `mean` over 7 simulated days of 1 Hz samples. At that
+//! hour-windowed `mean` over 2 simulated days of 1 Hz samples. At that
 //! cadence a sealed block spans ~17 minutes, so most blocks land fully
 //! inside one hourly window and are answered from their zone maps; only
 //! the window-edge blocks decode. Two engines run the identical queries:
@@ -33,8 +33,8 @@ use std::time::Instant;
 
 const DAY: i64 = 86_400;
 
-const SERIES: usize = 16;
-const DAYS: i64 = 7;
+const SERIES: usize = 4;
+const DAYS: i64 = 2;
 const CADENCE_SECS: i64 = 1;
 const ITERATIONS: usize = 12;
 
