@@ -81,6 +81,11 @@ struct Bucket {
     last_refill: f64,
 }
 
+/// Tenants that may hold a bucket at once. One more first drops every bucket
+/// refilled to its burst (the fresh bucket its tenant would get back is the
+/// same, so no decision changes), else the one holding the most tokens.
+const MAX_TENANTS: usize = 4_096;
+
 type Clock = Box<dyn Fn() -> f64 + Send + Sync>;
 
 /// Per-router admission state: the config plus one token bucket per
@@ -90,6 +95,7 @@ pub struct AdmissionController {
     clock: Clock,
     buckets: Mutex<HashMap<String, Bucket>>,
     rejected: Arc<monster_obs::Counter>,
+    tenants: Arc<monster_obs::Gauge>,
 }
 
 impl AdmissionController {
@@ -110,6 +116,7 @@ impl AdmissionController {
                 "monster_builder_cache_admission_rejected_total",
                 "Queries turned away by cost-based admission control (429).",
             ),
+            tenants: monster_obs::gauge("monster_builder_admission_tenants"),
         }
     }
 
@@ -159,11 +166,23 @@ impl AdmissionController {
         }
         let now = (self.clock)();
         let mut buckets = self.buckets.lock();
-        let bucket = buckets
-            .entry(tenant.to_string())
-            .or_insert(Bucket { tokens: cfg.tenant_burst, last_refill: now });
-        bucket.tokens = (bucket.tokens + (now - bucket.last_refill).max(0.0) * cfg.tenant_rate)
-            .min(cfg.tenant_burst);
+        if !buckets.contains_key(tenant) {
+            if buckets.len() >= MAX_TENANTS {
+                buckets.retain(|_, b| level(b, cfg, now) < cfg.tenant_burst);
+            }
+            if buckets.len() >= MAX_TENANTS {
+                let most = |a: &(_, &Bucket), b: &(_, &Bucket)| {
+                    level(a.1, cfg, now).total_cmp(&level(b.1, cfg, now))
+                };
+                let richest = buckets.iter().max_by(most).map(|(tenant, _)| tenant.clone());
+                buckets.remove(&richest.expect("a full map"));
+            }
+            buckets
+                .insert(tenant.to_string(), Bucket { tokens: cfg.tenant_burst, last_refill: now });
+            self.tenants.set(buckets.len() as i64);
+        }
+        let bucket = buckets.get_mut(tenant).expect("inserted above");
+        bucket.tokens = level(bucket, cfg, now);
         bucket.last_refill = now;
         snap.tokens_before = bucket.tokens;
         if bucket.tokens >= modelled_secs {
@@ -181,6 +200,11 @@ impl AdmissionController {
         snap.retry_after_secs = retry;
         (Admission::Rejected { retry_after_secs: retry, reason: "tenant_budget" }, snap)
     }
+}
+
+/// The tokens `bucket` holds at `now`, refill included.
+fn level(bucket: &Bucket, cfg: &AdmissionConfig, now: f64) -> f64 {
+    (bucket.tokens + (now - bucket.last_refill).max(0.0) * cfg.tenant_rate).min(cfg.tenant_burst)
 }
 
 #[cfg(test)]
@@ -293,5 +317,32 @@ mod tests {
             ..AdmissionConfig::default()
         });
         assert_eq!(ctl.admit("t", 1e9), Admission::Admitted { expensive: false });
+    }
+
+    /// A client that cycles `X-Tenant` may not grow the map without bound:
+    /// 100 000 tenants charged once each, a millisecond apart, leave at
+    /// most `MAX_TENANTS` buckets.
+    #[test]
+    fn distinct_tenants_leave_a_bounded_map() {
+        let (ms, ctl) = manual();
+        for i in 0..100_000 {
+            ms.fetch_add(1, Ordering::SeqCst);
+            assert_eq!(ctl.admit(&format!("t{i}"), 2.0), Admission::Admitted { expensive: true });
+        }
+        assert!(ctl.buckets.lock().len() <= MAX_TENANTS, "{}", ctl.buckets.lock().len());
+    }
+
+    /// With no bucket refilled, the one holding the most tokens goes.
+    #[test]
+    fn a_full_map_evicts_its_richest_bucket() {
+        let (_, ctl) = manual();
+        ctl.admit("rich", 0.5);
+        for i in 1..MAX_TENANTS {
+            ctl.admit(&format!("t{i}"), 2.0);
+        }
+        ctl.admit("newcomer", 2.0);
+        let buckets = ctl.buckets.lock();
+        assert_eq!(buckets.len(), MAX_TENANTS);
+        assert!(!buckets.contains_key("rich") && buckets.contains_key("newcomer"));
     }
 }
