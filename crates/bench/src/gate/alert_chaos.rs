@@ -1,6 +1,6 @@
 //! Alert chaos harness: replay the seeded fault profiles with streaming
 //! detectors and the alert engine enabled, and assert the **exact** alert
-//! sets each schedule must produce. Writes `BENCH_alerts.json` (simulated
+//! sets each schedule must produce. Its golden is `BENCH_alerts.json` (simulated
 //! time only: the same bytes for the same code and seed).
 //!
 //! Every `(profile, seed)` cell runs **twice** over the same schedule and
@@ -203,21 +203,19 @@ fn alert_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
             );
         }
     }
-
     cell
 }
 
 /// Every cell of `profiles` at `seed`, and the report they make.
 pub fn run(seed: u64, profiles: &[FaultProfile]) -> Outcome {
-    let shape = &SHAPE;
-    let cells: Vec<Value> = profiles.iter().map(|&p| alert_cell(p, seed, shape)).collect();
+    let cells: Vec<Value> = profiles.iter().map(|&p| alert_cell(p, seed, &SHAPE)).collect();
     let doc = jobj! {
         "bench" => "alert_chaos",
         "seed" => seed,
-        "nodes" => shape.nodes,
-        "channels" => shape.channels,
-        "sweeps" => shape.sweeps,
-        "active_sweeps" => shape.active,
+        "nodes" => SHAPE.nodes,
+        "channels" => SHAPE.channels,
+        "sweeps" => SHAPE.sweeps,
+        "active_sweeps" => SHAPE.active,
         "cells" => cells,
     };
     Outcome { doc, walls: Vec::new() }

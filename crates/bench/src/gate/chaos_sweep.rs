@@ -1,5 +1,5 @@
 //! Chaos harness: replay a seeded fault profile against the collection
-//! path and assert the resilience invariants. Writes `BENCH_chaos.json`
+//! path and assert the resilience invariants. Its golden is `BENCH_chaos.json`
 //! (simulated time only: the same bytes for the same code and seed).
 //!
 //! Each run drives one `(profile, seed)` cell twice over the same fault
@@ -296,15 +296,14 @@ fn chaos_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
 
 /// Every cell of `profiles` at `seed`, and the report they make.
 pub fn run(seed: u64, profiles: &[FaultProfile]) -> Outcome {
-    let shape = &SHAPE;
-    let cells: Vec<Value> = profiles.iter().map(|&p| chaos_cell(p, seed, shape)).collect();
+    let cells: Vec<Value> = profiles.iter().map(|&p| chaos_cell(p, seed, &SHAPE)).collect();
     let doc = jobj! {
         "bench" => "chaos_sweep",
         "seed" => seed,
-        "nodes" => shape.nodes,
-        "channels" => shape.channels,
-        "sweeps" => shape.sweeps,
-        "active_sweeps" => shape.active,
+        "nodes" => SHAPE.nodes,
+        "channels" => SHAPE.channels,
+        "sweeps" => SHAPE.sweeps,
+        "active_sweeps" => SHAPE.active,
         "recovery_sweeps" => RECOVERY_SWEEPS,
         "cadence_secs" => CADENCE.as_secs_f64(),
         "cells" => cells,

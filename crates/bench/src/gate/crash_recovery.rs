@@ -2,7 +2,7 @@
 //! each image, and prove zero acknowledged batches are lost — then check
 //! the live SSD→HDD tiering split (the Fig. 12 / Table III device
 //! comparison, re-run as a two-tier measurement instead of a
-//! whole-database device swap). Writes `BENCH_recovery.json`: byte, batch
+//! whole-database device swap). Its golden is `BENCH_recovery.json`: byte, batch
 //! and modelled-time counts, which are a function of the code. How long a
 //! recovery takes on the wall is `bench_pipeline`'s `tsdb.recover_ms`,
 //! `tsdb.recover_points_per_s` and `core.recover_s`.

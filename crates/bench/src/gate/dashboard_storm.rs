@@ -1,6 +1,6 @@
 //! Dashboard-storm gate: the serving layer (watermark-validity result
 //! cache, request coalescing, cost-based admission) under an open-loop
-//! fleet of dashboard subscribers. Writes `BENCH_serve.json`: request,
+//! fleet of dashboard subscribers. Its golden is `BENCH_serve.json`: request,
 //! query and point counts, which are a function of the code — which
 //! request of a burst leads and which follow is scheduling, so hits and
 //! coalesced replies are committed as one number. What a hit costs on the

@@ -1,9 +1,9 @@
 //! Flight-recorder gate: what does per-request observability cost, and
-//! does the cost model deserve to gate admission? Writes
+//! does the cost model deserve to gate admission? Its golden is
 //! `BENCH_observe.json`: the identity and estimator sections, which are a
-//! function of the code. The overhead is a wall-clock invariant — printed
-//! and asserted, not committed; what a request costs over the socket is
-//! `bench_pipeline`'s `http.request_ms`.
+//! function of the code. The overhead is a wall-clock reading with a bar
+//! that only the `gate` binary holds, not committed; what a request costs
+//! over the socket is `bench_pipeline`'s `http.request_ms`.
 //!
 //! Three phases over the shared dashboard-storm mix (`storm` module), one
 //! database and one service:

@@ -1,5 +1,5 @@
 //! Aggregation-pushdown gate: zone-map summaries vs forced full decode for
-//! windowed queries. Writes `BENCH_query.json`: the block, point and
+//! windowed queries. Its golden is `BENCH_query.json`: the block, point and
 //! modelled-time counts, which are a function of the code.
 //!
 //! The workload is the dashboard shape the Metrics Builder serves:

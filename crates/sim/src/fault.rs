@@ -64,7 +64,7 @@ impl FaultProfile {
         FaultProfile::DeadRack,
     ];
 
-    /// CLI name.
+    /// The profile's name in reports.
     pub fn name(&self) -> &'static str {
         match self {
             FaultProfile::Calm => "calm",
@@ -72,11 +72,6 @@ impl FaultProfile {
             FaultProfile::RollingBrownout => "rolling-brownout",
             FaultProfile::DeadRack => "dead-rack",
         }
-    }
-
-    /// Parse a CLI name.
-    pub fn parse(name: &str) -> Option<FaultProfile> {
-        FaultProfile::ALL.into_iter().find(|p| p.name() == name)
     }
 
     /// Which rack an entity lives in (`RACKS` equal slices in index order).
@@ -166,14 +161,6 @@ impl FaultProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for p in FaultProfile::ALL {
-            assert_eq!(FaultProfile::parse(p.name()), Some(p));
-        }
-        assert_eq!(FaultProfile::parse("nope"), None);
-    }
 
     #[test]
     fn calm_never_perturbs() {
