@@ -87,7 +87,7 @@ impl<'a> Cli<'a> {
 
 /// Compare `got` with the file `golden`. The error shows the first line
 /// that differs and `regenerate`, the command that rewrites the file.
-pub fn expect(got: &str, golden: &Path, regenerate: &str) -> Result<(), String> {
+fn expect(got: &str, golden: &Path, regenerate: &str) -> Result<(), String> {
     let want = std::fs::read_to_string(golden)
         .map_err(|e| format!("cannot read expectation {}: {e}", golden.display()))?;
     if want == got {
