@@ -47,15 +47,17 @@ struct Wall {
 }
 
 /// Every gate, in the order one process runs them. Until item 5(a) gives
-/// each deployment its own registry, they all share the global one, and
-/// the order keeps them apart. The serving gates run before any gate that
-/// drives a collector: every `/v1/metrics` reply reads the worst lag over
-/// each series the freshness tracker holds, 384 after the chaos replays,
-/// which made the storm's 578 k replies 40 s instead of 7 unoptimized.
-/// `metrics_lint`'s 32-series budget a family then counts the
-/// `monster_tsdb_shard_points{shard=…}` gauges of every store before it as
-/// well (it held in every order tried). The rest read the registry as
-/// deltas, after a reset of their own, or by their own trace ids.
+/// each deployment its own registry, they all share the global one, but
+/// nothing known ties their order any more. Every `/v1/metrics` reply
+/// stamps the worst freshness lag, which the tracker now keeps as a
+/// minimum instead of walking every series it holds, so the storm costs
+/// the same after the chaos replays as before them (unoptimized,
+/// `gate chaos_sweep dashboard_storm` 11 s against 56 s when it walked;
+/// `dashboard_storm` alone 7 s). `metrics_lint`'s 32-series budget a
+/// family counts the `monster_tsdb_shard_points{shard=…}` gauges of every
+/// store before it as well, and held in this order and reversed. The rest
+/// read the registry as deltas, after a reset of their own, or by their
+/// own trace ids.
 #[rustfmt::skip]
 pub const GATES: &[Gate] = &[
     Gate { name: "query_pushdown", golden: Some("BENCH_query.json"), run: query_pushdown::run },

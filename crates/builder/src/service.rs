@@ -940,7 +940,7 @@ mod tests {
     #[test]
     fn pipeline_endpoint_reports_freshness() {
         let (_db, router) = service();
-        monster_obs::freshness().record_ingest("10.101.9.9", "Thermal", 0.0);
+        monster_obs::freshness().record_ingests(0.0, [(NodeId::new(9, 9), "Thermal")]);
         monster_obs::freshness().record_sweep(0.0, 60.0);
         let resp = get(&router, "/debug/pipeline");
         assert_eq!(resp.status, Status::OK);
@@ -978,7 +978,7 @@ mod tests {
         // renaming one breaks consumers. This golden list is the contract
         // — update it deliberately, in the same commit as the consumer.
         let (_db, router) = service();
-        monster_obs::freshness().record_ingest("10.101.9.8", "Thermal", 0.0);
+        monster_obs::freshness().record_ingests(0.0, [(NodeId::new(9, 8), "Thermal")]);
         monster_obs::freshness().record_sweep(0.0, 60.0);
         let doc = get(&router, "/debug/pipeline").json_body().unwrap();
         let mut got = Vec::new();

@@ -170,16 +170,6 @@ impl Collector {
         }
     }
 
-    /// The per-BMC health registry, when the resilience layer is on.
-    pub fn registry(&self) -> Option<&HealthRegistry> {
-        self.registry.as_ref()
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &CollectorConfig {
-        &self.config
-    }
-
     /// Collect one interval at time `now`: sweep all BMCs, pull the
     /// resource manager, pre-process, and build data points.
     pub fn collect_interval(
@@ -268,7 +258,11 @@ impl Collector {
         // the raw material of the freshness SLO.
         monster_obs::freshness().record_ingests(
             now.as_secs() as f64,
-            sweep.results.iter().filter(|o| o.reading.is_some()).map(|o| (o.node, o.category)),
+            sweep
+                .results
+                .iter()
+                .filter(|o| o.reading.is_some())
+                .map(|o| (o.node, o.category.as_str())),
         );
         // A substitute is at least a sweep old, so a zero is a fresh node.
         let stale_nodes: Vec<(NodeId, u64)> = nodes

@@ -7,6 +7,7 @@
 //! real series cardinality.
 
 use crate::preprocess::{health_code_if_abnormal, memory_usage_fraction};
+use monster_redfish::sensors::{CPU_TEMP_LABELS, FAN_LABELS, VOLTAGE_LABELS};
 use monster_redfish::{HealthState, NodeReading};
 use monster_scheduler::host::{LoadReport, SLOTS_PER_NODE};
 use monster_scheduler::{Job, JobState};
@@ -97,7 +98,7 @@ impl Slot<'_> {
     /// The `NodeId` tag every node-scoped point opens with: the BMC's
     /// `10.101.c.s` address.
     fn node(&mut self, node: NodeId) -> &mut Self {
-        self.tag("NodeId", format_args!("{node}"))
+        self.tag("NodeId", node.addr().as_str())
     }
 
     fn next_field(&mut self, key: &str) -> &mut FieldValue {
@@ -220,12 +221,20 @@ impl<'a> PointWriter<'a> {
     /// A thermal reading's points: CPU temperatures, inlet, fans.
     pub fn thermal(&mut self, node: NodeId, cpus: &[f64], inlet: f64, fans: &[f64], t: EpochSecs) {
         match self.schema {
+            // Labels from the fleet's sensor tables; a reading with more
+            // sensors than those prints the rest.
             SchemaVersion::Optimized => {
-                for (n, temp) in (1..).zip(cpus) {
+                for (label, temp) in CPU_TEMP_LABELS.iter().zip(cpus) {
+                    self.labeled("Thermal", node, *label, *temp, t);
+                }
+                for (n, temp) in (1..).zip(cpus).skip(CPU_TEMP_LABELS.len()) {
                     self.labeled("Thermal", node, format_args!("CPU{n} Temp"), *temp, t);
                 }
                 self.labeled("Thermal", node, "Inlet Temp", inlet, t);
-                for (n, rpm) in (1..).zip(fans) {
+                for (label, rpm) in FAN_LABELS.iter().zip(fans) {
+                    self.labeled("Thermal", node, *label, *rpm, t);
+                }
+                for (n, rpm) in (1..).zip(fans).skip(FAN_LABELS.len()) {
                     self.labeled("Thermal", node, format_args!("Fan {n}"), *rpm, t);
                 }
             }
@@ -253,7 +262,10 @@ impl<'a> PointWriter<'a> {
             // saved to the Power measurement".
             SchemaVersion::Optimized => {
                 self.labeled("Power", node, "NodePower", watts, t);
-                for (n, v) in (1..).zip(voltages) {
+                for (label, v) in VOLTAGE_LABELS.iter().zip(voltages) {
+                    self.labeled("Power", node, *label, *v, t);
+                }
+                for (n, v) in (1..).zip(voltages).skip(VOLTAGE_LABELS.len()) {
                     self.labeled("Power", node, format_args!("Voltage {n}"), *v, t);
                 }
             }

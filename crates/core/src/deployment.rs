@@ -242,12 +242,6 @@ impl Monster {
         &self.qmaster
     }
 
-    /// The collector service (resilience registry access for tests and
-    /// the chaos harness).
-    pub fn collector(&self) -> &Collector {
-        &self.collector
-    }
-
     /// Mutable scheduler access (failure injection, extra submissions).
     pub fn qmaster_mut(&mut self) -> &mut Qmaster {
         &mut self.qmaster

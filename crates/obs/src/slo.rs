@@ -23,15 +23,16 @@
 //!   ten times too fast.
 //!
 //! The builder reads the same watermarks to stamp `/v1/metrics` responses
-//! with `X-Freshness-Lag-Seconds`.
+//! with `X-Freshness-Lag-Seconds`: the worst lag, read in O(1) from the
+//! smallest watermark, which the tracker keeps as ingests are recorded.
 //!
 //! Time is the simulation's epoch-seconds timeline (the collector's
 //! `now`), not host wall time, so chaos replays yield identical reports.
 
 use monster_json::{jobj, Value};
+use monster_util::NodeId;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::fmt::{Display, Write as _};
 
 /// Freshness SLO parameters; `SLO` is the one set the tracker runs on.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,12 +62,12 @@ const SLO: SloConfig = SloConfig {
 
 #[derive(Debug, Default)]
 struct State {
-    /// node → category → epoch-seconds of the last live ingest. Nested so
-    /// a lookup borrows its keys as `&str` and allocates nothing.
-    watermarks: BTreeMap<String, BTreeMap<String, f64>>,
-    /// Where [`FreshnessTracker::record_ingests`] formats its keys.
-    node_key: String,
-    category_key: String,
+    /// `(node, category)` → epoch-seconds of the last live ingest, keyed by
+    /// the ids the collector already holds: no key is formatted.
+    watermarks: BTreeMap<(NodeId, &'static str), f64>,
+    /// The smallest watermark, updated as ingests are recorded: watermarks
+    /// only rise, so the worst lag is `latest − min_watermark`.
+    min_watermark: f64,
     /// Epoch-seconds of the most recent sweep tick.
     latest: f64,
     /// The cadence the most recent sweep ran at.
@@ -96,46 +97,23 @@ impl FreshnessTracker {
         self.state.lock().slo()
     }
 
-    /// Record a live (non-substituted) reading for `(node, category)`
-    /// ingested at epoch-seconds `now`. Watermarks are monotone.
-    pub fn record_ingest(&self, node: &str, category: &str, now_secs: f64) {
-        self.record_ingests(now_secs, [(node, category)]);
-    }
-
-    /// [`record_ingest`](Self::record_ingest) for a whole sweep's live
-    /// readings: one lock acquisition, and no allocation for a series
-    /// that already has a watermark.
-    pub fn record_ingests<N: Display, C: Display>(
+    /// Record a sweep's live (non-substituted) readings, each a `(node,
+    /// category)` ingested at epoch-seconds `now`: one lock acquisition,
+    /// and no allocation for a series that already has a watermark.
+    /// Watermarks are monotone.
+    pub fn record_ingests(
         &self,
         now_secs: f64,
-        series: impl IntoIterator<Item = (N, C)>,
+        series: impl IntoIterator<Item = (NodeId, &'static str)>,
     ) {
         let mut state = self.state.lock();
-        let State { watermarks, node_key, category_key, .. } = &mut *state;
-        let advance = |w: &mut f64| {
+        for key in series {
+            let w = state.watermarks.entry(key).or_insert(0.0);
             if now_secs > *w {
                 *w = now_secs;
             }
-        };
-        for (node, category) in series {
-            node_key.clear();
-            category_key.clear();
-            write!(node_key, "{node}").expect("writing to a String cannot fail");
-            write!(category_key, "{category}").expect("writing to a String cannot fail");
-            let known = watermarks
-                .get_mut(node_key.as_str())
-                .and_then(|categories| categories.get_mut(category_key.as_str()));
-            match known {
-                Some(w) => advance(w),
-                None => advance(
-                    watermarks
-                        .entry(node_key.clone())
-                        .or_default()
-                        .entry(category_key.clone())
-                        .or_insert(0.0),
-                ),
-            }
         }
+        state.min_watermark = state.watermarks.values().copied().fold(f64::INFINITY, f64::min);
     }
 
     /// Mark a sweep tick at epoch-seconds `now` of a collector running every
@@ -155,20 +133,21 @@ impl FreshnessTracker {
 
     /// Number of `(node, category)` series with a watermark.
     pub fn tracked_series(&self) -> usize {
-        self.state.lock().series().count()
+        self.state.lock().watermarks.len()
     }
 
     /// Current lag (seconds behind the latest sweep) of every tracked
-    /// series, unsorted.
+    /// series, in `(node, category)` order.
     pub fn lags(&self) -> Vec<f64> {
         let state = self.state.lock();
-        state.series().map(|w| (state.latest - w).max(0.0)).collect()
+        state.watermarks.values().map(|w| (state.latest - w).max(0.0)).collect()
     }
 
     /// Worst lag across all tracked series, or `None` if nothing is
-    /// tracked yet.
+    /// tracked yet. O(1): the smallest watermark is kept, not searched for.
     pub fn max_lag_secs(&self) -> Option<f64> {
-        self.lags().into_iter().fold(None, |acc, l| Some(acc.map_or(l, |a: f64| a.max(l))))
+        let state = self.state.lock();
+        (!state.watermarks.is_empty()).then(|| (state.latest - state.min_watermark).max(0.0))
     }
 
     /// Fraction of tracked series currently within the SLO freshness
@@ -183,14 +162,16 @@ impl FreshnessTracker {
     pub fn burn_rate(&self, window_secs: f64) -> f64 {
         let state = self.state.lock();
         let cutoff = state.latest - window_secs;
-        let in_window: Vec<f64> =
-            state.attainment.iter().filter(|&&(t, _)| t >= cutoff).map(|&(_, a)| a).collect();
-        if in_window.is_empty() {
+        let (sum, samples) = state
+            .attainment
+            .iter()
+            .filter(|&&(t, _)| t >= cutoff)
+            .fold((0.0, 0usize), |(sum, n), &(_, a)| (sum + a, n + 1));
+        if samples == 0 {
             return 0.0;
         }
-        let mean = in_window.iter().sum::<f64>() / in_window.len() as f64;
         let budget = (1.0 - SLO.target).max(1e-9);
-        (1.0 - mean) / budget
+        (1.0 - sum / samples as f64) / budget
     }
 
     /// Forget all watermarks and attainment history (the chaos harness
@@ -238,16 +219,11 @@ impl State {
         let cadence_secs = self.cadence_secs.unwrap_or(SLO.cadence_secs);
         SloConfig { cadence_secs, fresh_within_secs: 2.0 * cadence_secs, ..SLO }
     }
-
-    /// Every tracked series' watermark.
-    fn series(&self) -> impl Iterator<Item = f64> + '_ {
-        self.watermarks.values().flat_map(|categories| categories.values().copied())
-    }
 }
 
 fn attainment_of(state: &State) -> f64 {
     let (mut fresh, mut tracked, within) = (0usize, 0usize, state.slo().fresh_within_secs);
-    for w in state.series() {
+    for w in state.watermarks.values() {
         tracked += 1;
         fresh += usize::from((state.latest - w).max(0.0) <= within);
     }
@@ -269,14 +245,21 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const CATEGORIES: [&str; 4] = ["Thermal", "Power", "Manager", "System"];
+
+    fn node(slot: u16) -> NodeId {
+        NodeId::new(1, slot)
+    }
 
     #[test]
     fn batched_ingest_matches_one_at_a_time() {
-        let series = [("node-2", "Power"), ("node-1", "Thermal"), ("node-1", "Power")];
+        let series = [(node(2), "Power"), (node(1), "Thermal"), (node(1), "Power")];
         let (single, batched) = (FreshnessTracker::new(), FreshnessTracker::new());
         for now in [900.0, 1000.0, 950.0] {
-            for (node, category) in series {
-                single.record_ingest(node, category, now);
+            for one in series {
+                single.record_ingests(now, [one]);
             }
             batched.record_ingests(now, series);
             single.record_sweep(now, 60.0);
@@ -294,27 +277,29 @@ mod tests {
         assert_eq!(t.max_lag_secs(), None);
 
         // Three series: two fresh, one stale by 3 cadences.
-        t.record_ingest("node-1", "Thermal", 1000.0);
-        t.record_ingest("node-1", "Power", 1000.0);
-        t.record_ingest("node-2", "Thermal", 820.0);
+        t.record_ingests(1000.0, [(node(1), "Thermal"), (node(1), "Power")]);
+        t.record_ingests(820.0, [(node(2), "Thermal")]);
         t.record_sweep(1000.0, 60.0);
 
         assert_eq!(t.tracked_series(), 3);
         assert_eq!(t.max_lag_secs(), Some(180.0));
-        // Series in (node, category) order: node-1's two, then node-2's.
+        // Series in (node, category) order: node 1's two, then node 2's.
         assert_eq!(t.lags(), vec![0.0, 0.0, 180.0]);
         let a = t.attainment();
         assert!((a - 2.0 / 3.0).abs() < 1e-9, "attainment {a}");
 
         // Watermarks are monotone: an older ingest can't regress one.
-        t.record_ingest("node-1", "Thermal", 900.0);
+        t.record_ingests(900.0, [(node(1), "Thermal")]);
         assert_eq!(t.lags(), vec![0.0, 0.0, 180.0]);
+        // The stale series catching up lifts the worst lag with it.
+        t.record_ingests(1000.0, [(node(2), "Thermal")]);
+        assert_eq!(t.max_lag_secs(), Some(0.0));
     }
 
     #[test]
     fn burn_rate_windows() {
         let t = FreshnessTracker::new();
-        t.record_ingest("n", "Thermal", 0.0);
+        t.record_ingests(0.0, [(node(1), "Thermal")]);
         // Sweep at t=0 of a 60 s collector: the series is fresh →
         // attainment 1, burn 0.
         t.record_sweep(0.0, 60.0);
@@ -336,7 +321,7 @@ mod tests {
     fn report_shape_and_percentiles() {
         let t = FreshnessTracker::new();
         for i in 0..100 {
-            t.record_ingest(&format!("node-{i}"), "Thermal", 1000.0 - i as f64);
+            t.record_ingests(1000.0 - f64::from(i), [(node(i), "Thermal")]);
         }
         t.record_sweep(1000.0, 60.0);
         let report = t.report();
@@ -362,5 +347,33 @@ mod tests {
         assert_eq!(percentile(&v, 0.75), 3.0);
         assert_eq!(percentile(&v, 1.0), 4.0);
         assert_eq!(percentile(&v, 0.0), 1.0);
+    }
+
+    proptest! {
+        /// The kept minimum is the walk it replaced: after any sequence of
+        /// ingest batches and sweeps, in any time order, the O(1) worst lag
+        /// is the largest of `lags()`.
+        #[test]
+        fn max_lag_is_the_largest_lag(
+            steps in prop::collection::vec(
+                (
+                    any::<bool>(),
+                    prop::collection::vec((1u16..6, 0usize..4), 0..6),
+                    -100.0..2000.0f64,
+                ),
+                0..40,
+            )
+        ) {
+            let t = FreshnessTracker::new();
+            for (sweep, series, now) in steps {
+                if sweep {
+                    t.record_sweep(now, 60.0);
+                } else {
+                    t.record_ingests(now, series.iter().map(|&(n, c)| (node(n), CATEGORIES[c])));
+                }
+                let walked = t.lags().into_iter().reduce(f64::max);
+                prop_assert_eq!(t.max_lag_secs(), walked);
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! out. Per thread, not per node: four templates a sweep worker, where one
 //! a node would keep 1 868 trees resident.
 
-use crate::sensors::{NodeSensors, CPUS_PER_NODE, FANS_PER_NODE, VOLTAGE_RAILS};
+use crate::sensors::{NodeSensors, CPU_TEMP_LABELS, FAN_LABELS, VOLTAGE_RAILS};
 use crate::types::{Category, HealthState, NodeReading};
 use monster_json::{jobj, Object, Value};
 use monster_util::{Error, NodeId, Result};
@@ -119,12 +119,13 @@ fn status() -> Value {
 fn thermal() -> Value {
     let temp =
         |name: String| jobj! { "Name" => name, "ReadingCelsius" => 0.0, "Status" => status() };
-    let mut temps: Vec<Value> = (1..=CPUS_PER_NODE).map(|i| temp(format!("CPU{i} Temp"))).collect();
+    let mut temps: Vec<Value> = CPU_TEMP_LABELS.iter().map(|&name| temp(name.into())).collect();
     temps.push(temp("System Board Inlet Temp".into()));
-    let fans: Vec<Value> = (1..=FANS_PER_NODE)
-        .map(|i| {
+    let fans: Vec<Value> = FAN_LABELS
+        .iter()
+        .map(|&name| {
             jobj! {
-                "Name" => format!("Fan {i}"),
+                "Name" => name,
                 "Reading" => 0.0,
                 "ReadingUnits" => "RPM",
                 "Status" => status(),

@@ -15,6 +15,13 @@ pub const CPUS_PER_NODE: usize = 2;
 pub const FANS_PER_NODE: usize = 4;
 /// Voltage rails reported by the PSU.
 pub const VOLTAGE_RAILS: [f64; 3] = [12.0, 5.0, 3.3];
+/// The sensors' names, one a sensor the fleet has: what a payload calls a
+/// CPU or a fan, and the `Label` a point stores for it and for a rail.
+pub const CPU_TEMP_LABELS: [&str; CPUS_PER_NODE] = ["CPU1 Temp", "CPU2 Temp"];
+/// See [`CPU_TEMP_LABELS`].
+pub const FAN_LABELS: [&str; FANS_PER_NODE] = ["Fan 1", "Fan 2", "Fan 3", "Fan 4"];
+/// See [`CPU_TEMP_LABELS`].
+pub const VOLTAGE_LABELS: [&str; VOLTAGE_RAILS.len()] = ["Voltage 1", "Voltage 2", "Voltage 3"];
 
 /// Idle and peak operating points for the power model (W).
 const POWER_IDLE: f64 = 118.0;

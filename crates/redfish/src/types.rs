@@ -39,17 +39,21 @@ impl Category {
     pub fn url(&self, node: NodeId) -> String {
         format!("https://{}/redfish/v1/{}", node.bmc_addr(), self.path())
     }
-}
 
-impl fmt::Display for Category {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
+    /// The category's name, as `Display` writes it.
+    pub fn as_str(&self) -> &'static str {
+        match self {
             Category::Thermal => "Thermal",
             Category::Power => "Power",
             Category::Manager => "Manager",
             Category::System => "System",
-        };
-        f.write_str(name)
+        }
+    }
+}
+
+impl fmt::Display for Category {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

@@ -59,9 +59,12 @@ pub struct SeriesId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FieldId(pub u32);
 
+/// The multiplier of every [`fold`]: 2⁶⁴ over the golden ratio, odd.
+pub(crate) const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// One multiply-fold step: the 128-bit product of the two words, halves
 /// XORed together, so every input bit reaches every output bit.
-fn fold(a: u64, b: u64) -> u64 {
+pub(crate) fn fold(a: u64, b: u64) -> u64 {
     let wide = u128::from(a) * u128::from(b);
     (wide as u64) ^ ((wide >> 64) as u64)
 }
@@ -69,7 +72,6 @@ fn fold(a: u64, b: u64) -> u64 {
 /// Absorb `text` into `h`, eight bytes a step, then its length (so
 /// `("ab", "c")` and `("a", "bc")` part ways).
 fn absorb(mut h: u64, text: &str) -> u64 {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
     let mut words = text.as_bytes().chunks_exact(8);
     for word in &mut words {
         h = fold(h ^ u64::from_le_bytes(word.try_into().expect("eight bytes")), K);

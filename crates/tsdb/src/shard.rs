@@ -14,9 +14,29 @@
 
 use crate::column::Column;
 use crate::field::FieldValue;
-use crate::series::{FieldId, SeriesId};
+use crate::series::{fold, FieldId, SeriesId, K};
 use monster_util::Result;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The column map's hasher: one multiply-fold over `series << 32 | field`.
+/// It needs no seed, unlike the series index's: both ids are dense numbers
+/// the index hands out, so no client can choose a key's bucket, and the
+/// map's order reaches nothing stored ([`Shard::export`] sorts its keys).
+#[derive(Default)]
+struct IdFold(u64);
+
+impl Hasher for IdFold {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a column key is two u32 ids");
+    }
+    fn write_u32(&mut self, id: u32) {
+        self.0 = self.0 << 32 | u64::from(id);
+    }
+    fn finish(&self) -> u64 {
+        fold(self.0, K)
+    }
+}
 
 /// One shard: `[start, end)` on the epoch-seconds timeline.
 #[derive(Debug)]
@@ -26,7 +46,7 @@ pub struct Shard {
     /// Exclusive end (epoch seconds).
     pub end: i64,
     /// Per-series, per-field columns.
-    columns: HashMap<(SeriesId, FieldId), Column>,
+    columns: HashMap<(SeriesId, FieldId), Column, BuildHasherDefault<IdFold>>,
     point_count: usize,
     /// Incrementally-maintained sum of the columns' encoded bytes, so the
     /// engine's size accounting is O(1) per operation.
@@ -49,7 +69,7 @@ impl Shard {
         Shard {
             start,
             end,
-            columns: HashMap::new(),
+            columns: HashMap::default(),
             point_count: 0,
             encoded: 0,
             dropped: false,

@@ -36,25 +36,24 @@ impl NodeId {
 
     /// The BMC's management-network address, `10.101.<chassis>.<slot>`.
     pub fn bmc_addr(&self) -> String {
-        self.to_string()
+        self.addr().as_str().to_owned()
+    }
+
+    /// [`bmc_addr`](Self::bmc_addr) on the stack: what `Display` writes,
+    /// for a caller that wants the `&str` without `core::fmt`.
+    pub fn addr(&self) -> NodeText {
+        NodeText::new(b"10.101.", *self, b'.')
     }
 
     /// The human label used in dashboards: `<chassis>-<slot>` (Fig. 8's
     /// node `"1-31"`).
     pub fn label(&self) -> String {
-        self.label_display().to_string()
+        self.label_display().as_str().to_owned()
     }
 
-    /// [`label`](Self::label) for a formatter: writes the same text
-    /// without allocating it first.
-    pub fn label_display(&self) -> impl fmt::Display {
-        struct Label(NodeId);
-        impl fmt::Display for Label {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "{}-{}", self.0.chassis, self.0.slot)
-            }
-        }
-        Label(*self)
+    /// [`label`](Self::label) on the stack, for a formatter or a `&str`.
+    pub fn label_display(&self) -> NodeText {
+        NodeText::new(b"", *self, b'-')
     }
 
     /// Parse either convention: `"10.101.1.31"` or `"1-31"`.
@@ -70,7 +69,49 @@ impl NodeId {
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "10.101.{}.{}", self.chassis, self.slot)
+        f.write_str(self.addr().as_str())
+    }
+}
+
+/// A node's address or label, written into a stack buffer: one
+/// `write_str` for a formatter, no digit loop through `core::fmt`.
+#[derive(Clone, Copy)]
+pub struct NodeText {
+    /// `10.101.` + two `u16`s and the separator: 18 bytes at most.
+    buf: [u8; 18],
+    len: usize,
+}
+
+impl NodeText {
+    fn new(prefix: &[u8], node: NodeId, sep: u8) -> NodeText {
+        let mut text = NodeText { buf: [0; 18], len: prefix.len() };
+        text.buf[..prefix.len()].copy_from_slice(prefix);
+        text.push(node.chassis);
+        text.buf[text.len] = sep;
+        text.len += 1;
+        text.push(node.slot);
+        text
+    }
+
+    /// Append `n` in decimal, no leading zeros.
+    fn push(&mut self, mut n: u16) {
+        let width = n.checked_ilog10().map_or(1, |log| log as usize + 1);
+        for digit in self.buf[self.len..self.len + width].iter_mut().rev() {
+            *digit = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+        self.len += width;
+    }
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("ASCII digits and separators")
+    }
+}
+
+impl fmt::Display for NodeText {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -124,6 +165,7 @@ impl From<&str> for UserName {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bmc_addr_matches_paper_convention() {
@@ -159,5 +201,35 @@ mod tests {
         assert_eq!(NodeId::new(2, 3).to_string(), "10.101.2.3");
         assert_eq!(JobId(1_291_784).to_string(), "1291784");
         assert_eq!(UserName::new("jieyao").to_string(), "jieyao");
+    }
+
+    /// Every text a node has, against the `format!` it replaced, and back
+    /// through [`NodeId::parse`].
+    fn node_text_is_formats(node: NodeId) {
+        let (c, s) = (node.chassis, node.slot);
+        assert_eq!(node.to_string(), format!("10.101.{c}.{s}"));
+        assert_eq!(node.addr().as_str(), format!("10.101.{c}.{s}"));
+        assert_eq!(node.bmc_addr(), format!("10.101.{c}.{s}"));
+        assert_eq!(node.label(), format!("{c}-{s}"));
+        assert_eq!(node.label_display().to_string(), format!("{c}-{s}"));
+        assert_eq!(NodeId::parse(&node.bmc_addr()), Some(node));
+        assert_eq!(NodeId::parse(&node.label()), Some(node));
+    }
+
+    #[test]
+    fn node_text_at_the_digit_edges() {
+        let edges = [0, 1, 9, 10, 99, 100, 999, 1_000, 9_999, 10_000, 65_535];
+        for c in edges {
+            for s in edges {
+                node_text_is_formats(NodeId::new(c, s));
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn node_text_is_the_format_it_replaced(c in any::<u16>(), s in any::<u16>()) {
+            node_text_is_formats(NodeId::new(c, s));
+        }
     }
 }
