@@ -1,5 +1,6 @@
-//! The collection loop: sweep BMCs, pull the resource manager, build
-//! points, batch-write.
+//! The collection loop: read a [`Source`] (sweep the BMCs, read the
+//! sensors, or fetch telemetry reports), pull the resource manager, build
+//! points.
 
 use crate::preprocess::FinishEstimator;
 use crate::schema::{PointWriter, SchemaVersion};
@@ -8,11 +9,11 @@ use monster_redfish::client::{ClientConfig, RedfishClient, SkipReason, SweepOutc
 use monster_redfish::resilience::{
     sweep_deadline, BreakerCounts, HealthRegistry, ResilienceConfig,
 };
+use monster_redfish::telemetry::{parse_report, TelemetryService};
 use monster_redfish::types::{Category, NodeReading};
 use monster_redfish::SimulatedCluster;
-use monster_scheduler::accounting::{accounting_pull, AccountingSnapshot};
+use monster_scheduler::accounting::accounting_pull;
 use monster_scheduler::{JobState, Qmaster};
-use monster_sim::VDuration;
 use monster_tsdb::DataPoint;
 use monster_util::{EpochSecs, JobId, NodeId, Result};
 use parking_lot::Mutex;
@@ -55,7 +56,23 @@ impl Default for CollectorConfig {
     }
 }
 
-/// What one interval produced.
+/// Where an interval's out-of-band readings come from. The in-band half,
+/// the resource manager pull, is the same for every source.
+pub enum Source<'a> {
+    /// The Redfish sweep of §III-B1: one request a node and category,
+    /// through the resilience layer when it is configured.
+    Sweep,
+    /// The simulated sensors read directly, without the wire layer: the
+    /// bulk load that fills days of history for the query experiments
+    /// (Figs. 10, 12–15).
+    Sensors,
+    /// The Telemetry Service of §VI: one metric-report fetch a node yields
+    /// every sample recorded since the last fetch.
+    Telemetry(&'a mut TelemetryService),
+}
+
+/// What one interval produced. The fields that describe a sweep are empty
+/// for the other sources.
 pub struct IntervalOutput {
     /// The trace this interval's pipeline pass belongs to: the sweep, its
     /// per-BMC children, and (once the deployment re-installs it around
@@ -70,20 +87,15 @@ pub struct IntervalOutput {
     /// Jobs whose finish was *estimated* this interval by job-list
     /// diffing.
     pub estimated_finishes: Vec<(JobId, EpochSecs)>,
-    /// Simulated time the whole interval's collection took (sweep
-    /// makespan; the UGE pull runs concurrently and is much faster).
-    pub simulated_collection_time: VDuration,
     /// Last-known-good points written tagged `Stale=true` in place of
     /// missing readings (resilient path only).
     pub stale_points: usize,
     /// Nodes that got at least one stale substitution this interval, with
     /// the number of sweeps since that node was last fully fresh.
     pub stale_nodes: Vec<(NodeId, u64)>,
-    /// Every fleet node's collection health this interval, in fleet order.
+    /// Every fleet node's collection health this interval, in fleet order
+    /// (a sweep's; no rows for the other sources).
     pub nodes: Recycled<NodeInterval>,
-    /// True when the sweep skipped or failed anything — the interval ran
-    /// on partial data.
-    pub degraded: bool,
     /// Breaker census at sweep end (all-closed on the legacy path).
     pub breakers: BreakerCounts,
     /// Detector transitions observed while ingesting this interval's live
@@ -170,163 +182,155 @@ impl Collector {
         }
     }
 
-    /// Collect one interval at time `now`: sweep all BMCs, pull the
-    /// resource manager, pre-process, and build data points.
-    pub fn collect_interval(
+    /// Collect one interval at time `now` from `source`: its out-of-band
+    /// readings, then the resource manager's in-band half, built into one
+    /// batch of points. Every source runs under one `collector.interval`
+    /// root span and counts its interval, points and finish estimates.
+    /// Fails only when a sensor or telemetry read does; a sweep's failures
+    /// are in its outcome.
+    pub fn collect(
         &mut self,
+        source: Source<'_>,
         cluster: &SimulatedCluster,
         qm: &Qmaster,
         now: EpochSecs,
-    ) -> IntervalOutput {
+    ) -> Result<IntervalOutput> {
         let span = monster_obs::Span::enter("collector.interval");
         // Mint this interval's trace context and install it for the
         // duration: the sweep, its per-BMC child spans, and any TSDB
         // writes made while we hold the guard all join the same trace.
-        let trace_ctx = span.context();
-        let _trace_guard = monster_obs::trace::set_current(trace_ctx);
+        let trace = span.context();
+        let _trace_guard = monster_obs::trace::set_current(trace);
         let mut points = Recycled::take(&self.point_home);
         let mut writer = PointWriter::new(self.config.schema, &mut points.items);
-
-        // --- out-of-band: Redfish sweep ---
-        // Resilient when configured: breakers + backoff + deadline budget;
-        // otherwise the legacy fan-out with immediate retries.
-        let sweep = match &self.registry {
-            Some(registry) => self.client.sweep_resilient(
-                cluster,
-                registry,
-                sweep_deadline(self.config.interval_secs),
-            ),
-            None => self.client.sweep(cluster),
-        };
-        let resilient = self.registry.is_some();
-        let current_sweep = self.registry.as_ref().map(|r| r.sweep_index()).unwrap_or(0);
-        let mut stale_points = 0usize;
-        // One row a fleet node, in the fleet's (`NodeId`) order: how the
-        // loop finds a result's row whatever order the sweep ran in.
         let mut nodes = Recycled::take(&self.node_home);
         nodes.items.clear();
-        nodes.items.extend(cluster.node_ids().iter().map(|&node| NodeInterval {
-            node,
-            live_readings: 0,
-            skipped: 0,
-            breaker_open: false,
-            stale_age_sweeps: 0,
-        }));
-        // `Vec::new` defers its first allocation to the first push, so a
-        // healthy interval (no transitions) stays allocation-free here.
-        let mut anomalies: Vec<AnomalyEvent> = Vec::new();
-        for outcome in &sweep.results {
-            let row = nodes.items.binary_search_by_key(&outcome.node, |n| n.node);
-            let health = &mut nodes.items[row.expect("the sweep visits fleet nodes")];
-            health.skipped += outcome.skip.is_some() as usize;
-            health.breaker_open |= outcome.skip == Some(SkipReason::BreakerOpen);
-            if let Some(reading) = &outcome.reading {
-                health.live_readings += 1;
-                writer.bmc(outcome.node, reading, now, false);
-                // Streaming detection happens at ingest: only *live*
-                // readings are evaluated — stale substitutions repeat
-                // last-known-good values and would fake flatlines.
-                if let Some(bank) = &mut self.detectors {
-                    bank.observe_reading(
-                        outcome.node,
-                        reading,
-                        now,
-                        Some(trace_ctx),
-                        &mut anomalies,
-                    );
+        let mut sweep = SweepOutcome::default();
+        // `Vec::new` allocates at its first push: a healthy sweep adds nothing here.
+        let (mut stale_points, mut stale_nodes, mut anomalies) = (0, Vec::new(), Vec::new());
+        let mut breakers = BreakerCounts::default();
+        match source {
+            // What describes a sweep stays in this arm: the node table,
+            // last-good substitution, the breaker census, the makespan and
+            // the stale/degraded counters. So do the detectors and the
+            // freshness ingests: they are tuned to the wire's rounded
+            // readings, and the other sources carry full precision.
+            Source::Sweep => {
+                // Resilient when configured: breakers + backoff + deadline
+                // budget; otherwise the legacy fan-out with immediate retries.
+                let deadline = sweep_deadline(self.config.interval_secs);
+                sweep = match &self.registry {
+                    Some(registry) => self.client.sweep_resilient(cluster, registry, deadline),
+                    None => self.client.sweep(cluster),
+                };
+                let resilient = self.registry.is_some();
+                let current_sweep = self.registry.as_ref().map_or(0, |r| r.sweep_index());
+                // One row a fleet node, in the fleet's (`NodeId`) order: how the
+                // loop finds a result's row whatever order the sweep ran in.
+                nodes.items.extend(cluster.node_ids().iter().map(|&node| NodeInterval {
+                    node,
+                    live_readings: 0,
+                    skipped: 0,
+                    breaker_open: false,
+                    stale_age_sweeps: 0,
+                }));
+                for outcome in &sweep.results {
+                    let row = nodes.items.binary_search_by_key(&outcome.node, |n| n.node);
+                    let health = &mut nodes.items[row.expect("the sweep visits fleet nodes")];
+                    health.skipped += outcome.skip.is_some() as usize;
+                    health.breaker_open |= outcome.skip == Some(SkipReason::BreakerOpen);
+                    if let Some(reading) = &outcome.reading {
+                        health.live_readings += 1;
+                        writer.bmc(outcome.node, reading, now, false);
+                        // Streaming detection happens at ingest: only *live*
+                        // readings are evaluated — stale substitutions repeat
+                        // last-known-good values and would fake flatlines.
+                        if let Some(bank) = &mut self.detectors {
+                            bank.observe_reading(
+                                outcome.node,
+                                reading,
+                                now,
+                                Some(trace),
+                                &mut anomalies,
+                            );
+                        }
+                        if resilient {
+                            let fresh = (reading.clone(), current_sweep);
+                            self.last_good.insert((outcome.node, outcome.category), fresh);
+                        }
+                    } else if resilient {
+                        // Degraded: serve the last-known-good reading for this
+                        // (node, category), tagged stale so queries can tell
+                        // substituted values from live ones.
+                        if let Some((prev, fresh_at)) =
+                            self.last_good.get(&(outcome.node, outcome.category))
+                        {
+                            let before = writer.written();
+                            writer.bmc(outcome.node, prev, now, true);
+                            stale_points += writer.written() - before;
+                            let age = current_sweep.saturating_sub(*fresh_at);
+                            health.stale_age_sweeps = health.stale_age_sweeps.max(age);
+                        }
+                    }
                 }
-                if resilient {
-                    let fresh = (reading.clone(), current_sweep);
-                    self.last_good.insert((outcome.node, outcome.category), fresh);
+                // A live reading advances its series' last-good-ingest watermark —
+                // the raw material of the freshness SLO.
+                monster_obs::freshness().record_ingests(
+                    now.as_secs() as f64,
+                    sweep
+                        .results
+                        .iter()
+                        .filter(|o| o.reading.is_some())
+                        .map(|o| (o.node, o.category.as_str())),
+                );
+                // A substitute is at least a sweep old, so a zero is a fresh node.
+                stale_nodes = nodes
+                    .iter()
+                    .filter(|n| n.stale_age_sweeps > 0)
+                    .map(|n| (n.node, n.stale_age_sweeps))
+                    .collect();
+                breakers = self.registry.as_ref().map(|r| r.breaker_counts()).unwrap_or_default();
+                monster_obs::histo("monster_collector_interval_seconds")
+                    .observe_vdur(sweep.makespan);
+                monster_obs::counter("monster_collector_stale_points_total")
+                    .add(stale_points as u64);
+                monster_obs::gauge("monster_collector_stale_nodes").set(stale_nodes.len() as i64);
+                if sweep.degraded() {
+                    monster_obs::counter("monster_collector_degraded_sweeps_total").inc();
                 }
-            } else if resilient {
-                // Degraded: serve the last-known-good reading for this
-                // (node, category), tagged stale so queries can tell
-                // substituted values from live ones.
-                if let Some((prev, fresh_at)) =
-                    self.last_good.get(&(outcome.node, outcome.category))
-                {
-                    let before = writer.written();
-                    writer.bmc(outcome.node, prev, now, true);
-                    stale_points += writer.written() - before;
-                    let age = current_sweep.saturating_sub(*fresh_at);
-                    health.stale_age_sweeps = health.stale_age_sweeps.max(age);
+                if !anomalies.is_empty() {
+                    monster_obs::counter("monster_anomaly_events_total")
+                        .add(anomalies.len() as u64);
+                }
+                // Sweep tick: the burn-rate sample and lag reference, at this cadence.
+                let cadence = self.config.interval_secs as f64;
+                monster_obs::freshness().record_sweep(now.as_secs() as f64, cadence);
+            }
+            Source::Sensors => {
+                for &node in cluster.node_ids() {
+                    let s = cluster.sensors(node)?;
+                    writer.thermal(node, &s.cpu_temps, s.inlet, &s.fans, now);
+                    writer.power(node, s.power, &monster_redfish::sensors::VOLTAGE_RAILS, now);
+                    writer.bmc(node, &NodeReading::Manager { health: s.bmc_health }, now, false);
+                    writer.bmc(node, &NodeReading::System { health: s.host_health }, now, false);
+                }
+            }
+            Source::Telemetry(service) => {
+                for &node in cluster.node_ids() {
+                    for sample in parse_report(&service.take_report(node)?)? {
+                        let t = sample.time;
+                        writer.thermal(node, &sample.cpu_temps, sample.inlet, &sample.fans, t);
+                        writer.power(node, sample.power, &[], t);
+                    }
                 }
             }
         }
-        // A live reading advances its series' last-good-ingest watermark —
-        // the raw material of the freshness SLO.
-        monster_obs::freshness().record_ingests(
-            now.as_secs() as f64,
-            sweep
-                .results
-                .iter()
-                .filter(|o| o.reading.is_some())
-                .map(|o| (o.node, o.category.as_str())),
-        );
-        // A substitute is at least a sweep old, so a zero is a fresh node.
-        let stale_nodes: Vec<(NodeId, u64)> = nodes
-            .iter()
-            .filter(|n| n.stale_age_sweeps > 0)
-            .map(|n| (n.node, n.stale_age_sweeps))
-            .collect();
-        let degraded = sweep.degraded();
-        let breakers = self.registry.as_ref().map(|r| r.breaker_counts()).unwrap_or_default();
 
-        // --- in-band: resource manager pull ---
+        // --- in-band: resource manager pull --- the UGE / NodeJobs points
+        // of each load report, the JobsInfo point of each job that is
+        // running or that ARCo first reports finished this interval, and
+        // the finish times estimated from job-list diffs.
         let (snapshot, uge_bytes) = accounting_pull(qm);
-        let estimated_finishes = self.inband_points(&snapshot, now, &mut writer);
-        drop(writer);
-
-        let simulated_collection_time = sweep.makespan;
-
-        // Self-monitoring: one interval's worth of `monster_collector_*`
-        // series (the sweep itself reported its own statistics).
-        monster_obs::counter("monster_collector_intervals_total").inc();
-        monster_obs::counter("monster_collector_points_total").add(points.len() as u64);
-        monster_obs::counter("monster_collector_finish_estimates_total")
-            .add(estimated_finishes.len() as u64);
-        monster_obs::histo("monster_collector_interval_seconds")
-            .observe_vdur(simulated_collection_time);
-        monster_obs::counter("monster_collector_stale_points_total").add(stale_points as u64);
-        monster_obs::gauge("monster_collector_stale_nodes").set(stale_nodes.len() as i64);
-        if degraded {
-            monster_obs::counter("monster_collector_degraded_sweeps_total").inc();
-        }
-        if !anomalies.is_empty() {
-            monster_obs::counter("monster_anomaly_events_total").add(anomalies.len() as u64);
-        }
-        // Sweep tick: the burn-rate sample and lag reference, at this cadence.
-        let cadence = self.config.interval_secs as f64;
-        monster_obs::freshness().record_sweep(now.as_secs() as f64, cadence);
-        span.finish_after(simulated_collection_time);
-
-        IntervalOutput {
-            trace: trace_ctx,
-            points,
-            sweep,
-            uge_bytes,
-            estimated_finishes,
-            simulated_collection_time,
-            stale_points,
-            stale_nodes,
-            nodes,
-            degraded,
-            breakers,
-            anomalies,
-        }
-    }
-
-    /// The in-band half of every collection path: the UGE / NodeJobs
-    /// points of each load report, the JobsInfo point of each job that is
-    /// running or that ARCo first reports finished this interval, and the
-    /// finish times estimated from job-list diffs.
-    fn inband_points(
-        &mut self,
-        snapshot: &AccountingSnapshot<'_>,
-        now: EpochSecs,
-        writer: &mut PointWriter<'_>,
-    ) -> Vec<(JobId, EpochSecs)> {
         for report in &snapshot.nodes {
             writer.uge(report, now);
         }
@@ -341,72 +345,50 @@ impl Collector {
                 writer.job(job, now);
             }
         }
+        drop(writer);
         let on_nodes = snapshot.nodes.iter().flat_map(|r| r.job_list.iter().copied());
-        self.finish_estimator.observe(on_nodes, now)
+        let estimated_finishes = self.finish_estimator.observe(on_nodes, now);
+
+        // Self-monitoring: one interval's worth of `monster_collector_*`
+        // series (the sweep itself reported its own statistics).
+        monster_obs::counter("monster_collector_intervals_total").inc();
+        monster_obs::counter("monster_collector_points_total").add(points.len() as u64);
+        monster_obs::counter("monster_collector_finish_estimates_total")
+            .add(estimated_finishes.len() as u64);
+        span.finish_after(sweep.makespan);
+
+        Ok(IntervalOutput {
+            trace,
+            points,
+            sweep,
+            uge_bytes,
+            estimated_finishes,
+            stale_points,
+            stale_nodes,
+            nodes,
+            breakers,
+            anomalies,
+        })
     }
 
-    /// What the paths without a sweep share: last interval's buffer, each
-    /// node's out-of-band points written over it, then the in-band half.
-    fn batch_of(
+    /// [`Collector::collect`] from the sweep.
+    pub fn collect_interval(
         &mut self,
         cluster: &SimulatedCluster,
         qm: &Qmaster,
         now: EpochSecs,
-        mut node_points: impl FnMut(&mut PointWriter<'_>, NodeId) -> Result<()>,
-    ) -> Result<PointBatch> {
-        let mut batch = Recycled::take(&self.point_home);
-        let mut writer = PointWriter::new(self.config.schema, &mut batch.items);
-        cluster.node_ids().iter().try_for_each(|&node| node_points(&mut writer, node))?;
-        self.inband_points(&accounting_pull(qm).0, now, &mut writer);
-        drop(writer);
-        Ok(batch)
+    ) -> IntervalOutput {
+        self.collect(Source::Sweep, cluster, qm, now).expect("a sweep reports its failures")
     }
 
-    /// Collect one interval **without** the Redfish wire layer: readings
-    /// are synthesized directly from the simulated sensors (same schema
-    /// builders, same pre-processing). This is the bulk-load path for
-    /// long-horizon experiments (Figs. 10/12/13/14/15 need days of data);
-    /// the full Redfish path is exercised by `collect_interval` and the
-    /// integration tests.
+    /// The points of [`Collector::collect`] from the sensors.
     pub fn collect_interval_direct(
         &mut self,
         cluster: &SimulatedCluster,
         qm: &Qmaster,
         now: EpochSecs,
     ) -> PointBatch {
-        self.batch_of(cluster, qm, now, |writer, node| {
-            let s = cluster.sensors(node)?;
-            writer.thermal(node, &s.cpu_temps, s.inlet, &s.fans, now);
-            writer.power(node, s.power, &monster_redfish::sensors::VOLTAGE_RAILS, now);
-            writer.bmc(node, &NodeReading::Manager { health: s.bmc_health }, now, false);
-            writer.bmc(node, &NodeReading::System { health: s.host_health }, now, false);
-            Ok(())
-        })
-        .expect("a fleet node has sensors")
-    }
-
-    /// Collect one interval through the **Telemetry Service** (the §VI
-    /// future-work path): one metric-report fetch per node yields every
-    /// fast-cadence sample recorded since the last fetch — sub-minute
-    /// resolution for one request's worth of BMC latency per node.
-    ///
-    /// Resource-manager data still flows through the regular in-band
-    /// pull; telemetry covers the Thermal/Power sensors.
-    pub fn collect_interval_telemetry(
-        &mut self,
-        telemetry: &mut monster_redfish::telemetry::TelemetryService,
-        cluster: &SimulatedCluster,
-        qm: &Qmaster,
-        now: EpochSecs,
-    ) -> Result<PointBatch> {
-        use monster_redfish::telemetry::parse_report;
-        self.batch_of(cluster, qm, now, |writer, node| {
-            for sample in parse_report(&telemetry.take_report(node)?)? {
-                writer.thermal(node, &sample.cpu_temps, sample.inlet, &sample.fans, sample.time);
-                writer.power(node, sample.power, &[], sample.time);
-            }
-            Ok(())
-        })
+        self.collect(Source::Sensors, cluster, qm, now).expect("a fleet node has sensors").points
     }
 }
 
@@ -451,7 +433,7 @@ mod tests {
         qm.run_until(t0() + 60);
         cluster.step(60.0, |n| qm.utilization(n));
         let mut col = Collector::new(CollectorConfig::default());
-        let out = col.collect_interval(&cluster, &qm, t0() + 60);
+        let out = col.collect(Source::Sweep, &cluster, &qm, t0() + 60).unwrap();
 
         let measurements: std::collections::HashSet<&str> =
             out.points.iter().map(|p| p.measurement.as_str()).collect();
@@ -475,7 +457,7 @@ mod tests {
         qm.run_until(t0() + 3600);
         cluster.step(60.0, |n| qm.utilization(n));
         let mut col = Collector::new(CollectorConfig::default());
-        let out = col.collect_interval(&cluster, &qm, t0() + 3600);
+        let out = col.collect(Source::Sweep, &cluster, &qm, t0() + 3600).unwrap();
         assert!(
             (6_000..16_000).contains(&out.points.len()),
             "points per interval: {}",
@@ -500,11 +482,11 @@ mod tests {
         let mut col = Collector::new(CollectorConfig::default());
         // Interval 1: job running.
         qm.run_until(t0() + 60);
-        let out1 = col.collect_interval(&cluster, &qm, t0() + 60);
+        let out1 = col.collect(Source::Sweep, &cluster, &qm, t0() + 60).unwrap();
         assert!(out1.estimated_finishes.is_empty());
         // Interval 2: job finished between the pulls.
         qm.run_until(t0() + 120);
-        let out2 = col.collect_interval(&cluster, &qm, t0() + 120);
+        let out2 = col.collect(Source::Sweep, &cluster, &qm, t0() + 120).unwrap();
         assert_eq!(out2.estimated_finishes.len(), 1);
         assert_eq!(out2.estimated_finishes[0].1, t0() + 120);
     }
@@ -516,7 +498,7 @@ mod tests {
         cluster.step(60.0, |n| qm.utilization(n));
         let db = Db::new(DbConfig::default());
         let mut col = Collector::new(CollectorConfig::default());
-        let out = col.collect_interval(&cluster, &qm, t0() + 60);
+        let out = col.collect(Source::Sweep, &cluster, &qm, t0() + 60).unwrap();
         db.write_batch(&out.points).unwrap();
         let stats = db.stats();
         assert!(stats.points > 0);
@@ -547,7 +529,10 @@ mod tests {
             let db = Db::new(DbConfig::default());
             let mut col = Collector::new(CollectorConfig { schema, ..CollectorConfig::default() });
             for k in 1..=5 {
-                db.write_batch(&col.collect_interval(&cluster, &qm, t0() + 60 * k).points).unwrap();
+                db.write_batch(
+                    &col.collect(Source::Sweep, &cluster, &qm, t0() + 60 * k).unwrap().points,
+                )
+                .unwrap();
             }
             db.stats()
         };
@@ -591,7 +576,7 @@ mod tests {
             cluster.set_bmc_alive(victim, !(2..=4).contains(&k)).unwrap();
             qm.run_until(t0() + 60 * k);
             cluster.step(60.0, |n| qm.utilization(n));
-            let out = col.collect_interval(&cluster, &qm, t0() + 60 * k);
+            let out = col.collect(Source::Sweep, &cluster, &qm, t0() + 60 * k).unwrap();
             built.push(out.points.to_vec());
             storage.push(out.points.as_ptr());
             stale += out.stale_points;
@@ -616,7 +601,7 @@ mod tests {
         let (mut storage, mut skipped, mut stale) = (Vec::new(), 0, 0);
         for k in 1..=8 {
             cluster.set_bmc_alive(victim, !(2..=6).contains(&k)).unwrap();
-            let out = col.collect_interval(&cluster, &qm, t0() + 60 * k);
+            let out = col.collect(Source::Sweep, &cluster, &qm, t0() + 60 * k).unwrap();
             let want: Vec<NodeInterval> = cluster
                 .node_ids()
                 .iter()

@@ -1,10 +1,11 @@
 //! `monster-collector` — the Metrics Collector service.
 //!
 //! The centralized collecting agent of §III-B: every interval (60 s) it
-//! fans requests out to all BMCs, pulls node/job accounting from the
-//! resource manager, **pre-processes** the raw readings (§III-B3), builds
-//! data points against a storage schema, and batch-writes them to the
-//! TSDB.
+//! reads one [`Source`] — a fan-out of requests to all BMCs, the sensors
+//! directly, or the §VI telemetry reports — pulls node/job accounting from
+//! the resource manager, **pre-processes** the raw readings (§III-B3), and
+//! builds data points against a storage schema for the deployment to
+//! batch-write to the TSDB.
 //!
 //! Two complete schema generations are implemented because the paper's
 //! Fig. 13/14 experiments compare them:
@@ -30,5 +31,5 @@ pub mod collector;
 pub mod preprocess;
 pub mod schema;
 
-pub use collector::{Collector, CollectorConfig, IntervalOutput, PointBatch, Recycled};
+pub use collector::{Collector, CollectorConfig, IntervalOutput, PointBatch, Recycled, Source};
 pub use schema::{PointWriter, SchemaVersion};

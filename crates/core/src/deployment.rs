@@ -5,7 +5,7 @@ use monster_alert::{AlertEngine, DetectorConfig, EngineConfig, IntervalInput};
 use monster_builder::{
     build_plan, encode_response, BuilderRequest, ExecMode, Materializer, RollupRoute,
 };
-use monster_collector::{Collector, CollectorConfig, SchemaVersion};
+use monster_collector::{Collector, CollectorConfig, SchemaVersion, Source};
 use monster_compress::Level;
 use monster_obs::TraceContext;
 use monster_redfish::bmc::BmcConfig;
@@ -105,9 +105,9 @@ pub struct IntervalSummary {
     pub time: EpochSecs,
     /// Points written.
     pub points: usize,
-    /// Simulated sweep makespan (zero on the direct/bulk path).
+    /// Simulated sweep makespan (zero for the other sources).
     pub collection_time: VDuration,
-    /// BMC requests that failed after retries (zero on the direct path).
+    /// BMC requests that failed after retries (zero for the other sources).
     pub bmc_failures: usize,
     /// Requests the resilient scheduler skipped (breaker open or deadline
     /// budget exhausted; zero on the legacy path).
@@ -257,19 +257,13 @@ impl Monster {
         self.cluster.node_ids().to_vec()
     }
 
-    fn advance_world(&mut self, step_secs: i64) {
-        let next = self.now + step_secs;
-        self.qmaster.run_until(next);
-        let qm = &self.qmaster;
-        self.cluster.step(step_secs as f64, |n| qm.utilization(n));
-        self.now = next;
-    }
-
-    /// Run one full collection interval through the Redfish wire layer.
-    pub fn run_interval(&mut self) -> Result<IntervalSummary> {
-        self.advance_world(self.config.interval_secs);
-        let mut out = self.collector.collect_interval(&self.cluster, &self.qmaster, self.now);
-        self.store_interval(&out.points, Some(out.trace))?;
+    /// Run one collection interval from `source`: advance the world, collect,
+    /// land the points and do the per-interval maintenance. A sweep, the one
+    /// source with a node table, is also folded through the alert engine.
+    pub fn run_interval_from(&mut self, mut source: Source<'_>) -> Result<IntervalSummary> {
+        self.advance_world(&mut source);
+        let mut out = self.collector.collect(source, &self.cluster, &self.qmaster, self.now)?;
+        self.store_interval(&out.points, out.trace)?;
         let mut skipped_nodes: Vec<(NodeId, SkipReason)> = out
             .sweep
             .results
@@ -285,10 +279,9 @@ impl Monster {
         // collector's per-node health table, freshness burn, and the
         // scheduler's placement for job attribution.
         let alerts = match &self.alerts {
-            Some(engine) => {
-                let nodes = self.cluster.node_ids();
+            Some(engine) if !out.nodes.is_empty() => {
                 let jobs: BTreeMap<NodeId, Vec<JobId>> =
-                    nodes.iter().map(|&n| (n, self.qmaster.jobs_on(n))).collect();
+                    out.nodes.iter().map(|n| (n.node, self.qmaster.jobs_on(n.node))).collect();
                 let fresh = monster_obs::freshness();
                 let slo = fresh.config();
                 engine.observe_interval(&IntervalInput {
@@ -300,18 +293,18 @@ impl Monster {
                     jobs: &jobs,
                 })
             }
-            None => monster_alert::IntervalOutcome::default(),
+            _ => monster_alert::IntervalOutcome::default(),
         };
 
         Ok(IntervalSummary {
             time: self.now,
             points: out.points.len(),
-            collection_time: out.simulated_collection_time,
+            collection_time: out.sweep.makespan,
             bmc_failures: out.sweep.failures(),
             bmc_skipped: out.sweep.skipped(),
             stale_points: out.stale_points,
             stale_nodes: std::mem::take(&mut out.stale_nodes),
-            degraded: out.degraded,
+            degraded: out.sweep.degraded(),
             breakers_open: out.breakers.open,
             trace: out.trace,
             skipped_nodes,
@@ -320,57 +313,47 @@ impl Monster {
         })
     }
 
+    /// Advance the scheduler and the cluster physics by one collection
+    /// interval. A telemetry source steps at its sample cadence and records
+    /// every step, the §VI reports' fast samples.
+    fn advance_world(&mut self, source: &mut Source<'_>) {
+        let step = match source {
+            Source::Telemetry(service) => service.config().sample_interval_secs,
+            _ => self.config.interval_secs,
+        };
+        assert!(
+            step > 0 && self.config.interval_secs % step == 0,
+            "collection interval must be a multiple of the telemetry cadence"
+        );
+        for _ in 0..self.config.interval_secs / step {
+            let next = self.now + step;
+            self.qmaster.run_until(next);
+            let qm = &self.qmaster;
+            self.cluster.step(step as f64, |n| qm.utilization(n));
+            self.now = next;
+            if let Source::Telemetry(service) = source {
+                service.record(&self.cluster, self.now);
+            }
+        }
+    }
+
+    /// One interval from the Redfish sweep.
+    pub fn run_interval(&mut self) -> Result<IntervalSummary> {
+        self.run_interval_from(Source::Sweep)
+    }
+
     /// Run `n` full intervals.
     pub fn run_intervals(&mut self, n: usize) -> Vec<IntervalSummary> {
         (0..n).map(|_| self.run_interval().expect("schema-consistent writes")).collect()
     }
 
-    /// Run `n` intervals on the bulk-load path (no Redfish wire layer) —
-    /// used to populate days of history for the query experiments.
+    /// Run `n` intervals from the sensors (no Redfish wire layer) — used to
+    /// populate days of history for the query experiments. Returns the
+    /// points written.
     pub fn run_intervals_bulk(&mut self, n: usize) -> usize {
-        let mut total = 0;
-        for _ in 0..n {
-            self.advance_world(self.config.interval_secs);
-            let points =
-                self.collector.collect_interval_direct(&self.cluster, &self.qmaster, self.now);
-            total += points.len();
-            self.store_interval(&points, None).expect("schema-consistent writes");
-        }
-        total
-    }
-
-    /// Run `n` intervals with the Telemetry Service enabled: the cluster
-    /// physics advance in `sample_interval_secs` sub-steps, the service
-    /// records each, and the collector lands the batched samples — the
-    /// §VI "upcoming telemetry model" upgrade. Returns total points
-    /// written.
-    pub fn run_intervals_telemetry(
-        &mut self,
-        telemetry: &mut monster_redfish::telemetry::TelemetryService,
-        n: usize,
-    ) -> Result<usize> {
-        let sample = telemetry.config().sample_interval_secs;
-        assert!(
-            sample > 0 && self.config.interval_secs % sample == 0,
-            "collection interval must be a multiple of the telemetry cadence"
-        );
-        let substeps = self.config.interval_secs / sample;
-        let mut total = 0;
-        for _ in 0..n {
-            for _ in 0..substeps {
-                self.advance_world(sample);
-                telemetry.record(&self.cluster, self.now);
-            }
-            let points = self.collector.collect_interval_telemetry(
-                telemetry,
-                &self.cluster,
-                &self.qmaster,
-                self.now,
-            )?;
-            total += points.len();
-            self.store_interval(&points, None)?;
-        }
-        Ok(total)
+        (0..n)
+            .map(|_| self.run_interval_from(Source::Sensors).expect("sensor intervals").points)
+            .sum()
     }
 
     /// Maintain hourly `max` roll-ups of the sensor measurements (the
@@ -392,23 +375,26 @@ impl Monster {
         Ok(())
     }
 
-    /// Land one interval's points, then do the per-interval maintenance.
-    /// The points go in as the collector's 10 000-point batches (§III-C),
-    /// sequentially — same-timestamp points must reach a shard in
-    /// collection order — and under the interval's trace, if it has one.
-    fn store_interval(&mut self, points: &[DataPoint], trace: Option<TraceContext>) -> Result<()> {
-        let trace_guard = trace.map(monster_obs::trace::set_current);
+    /// Land one interval's points under its trace, then do the per-interval
+    /// maintenance. The points go in as the collector's 10 000-point
+    /// batches (§III-C), sequentially — same-timestamp points must reach a
+    /// shard in collection order. A roll-up or tiering error comes back
+    /// after the points have landed (and, with a `data_dir`, are in the
+    /// WAL); a failed tiering pass leaves its shard hot for the next
+    /// interval's pass to retry.
+    fn store_interval(&mut self, points: &[DataPoint], trace: TraceContext) -> Result<()> {
+        let trace_guard = monster_obs::trace::set_current(trace);
         points.chunks(10_000).try_for_each(|chunk| self.db.write_batch(chunk))?;
         drop(trace_guard);
         self.intervals_run += 1;
         if let Some(rollups) = &mut self.rollups {
-            rollups.run_once(&self.db, self.now).expect("rollup over own schema");
+            rollups.run_once(&self.db, self.now)?;
         }
         // Age-based tiering piggybacks on the same per-interval
         // maintenance pass: a no-op scan when nothing crossed the hot
         // horizon this interval.
         if self.config.tiering.is_some() {
-            self.db.tier_cold_shards(self.now).expect("tiering pass");
+            self.db.tier_cold_shards(self.now)?;
         }
         Ok(())
     }
@@ -633,6 +619,37 @@ mod tests {
         // field-level count is the equality that matters.
         assert!(report.replayed_points > 0 && report.records_failed == 0);
         assert_eq!(m2.db().stats().points, points, "restart must replay the full history");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A tiering pass that cannot write its segment fails the interval
+    /// instead of panicking, leaves the shard hot, and the next interval's
+    /// pass writes the segment.
+    #[test]
+    fn a_failed_tiering_pass_fails_the_interval_and_the_next_pass_retries() {
+        let dir =
+            std::env::temp_dir().join(format!("monster-deploy-tiering-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut m = Monster::new(MonsterConfig {
+            nodes: 2,
+            interval_secs: 3600,
+            data_dir: Some(dir.clone()),
+            tiering: Some(TierConfig::days(1)),
+            bmc: BmcConfig { failure_rate: 0.0, stall_rate: 0.0, ..BmcConfig::default() },
+            ..MonsterConfig::default()
+        });
+        // 47 hours: the first day is not yet a whole day past the horizon.
+        m.run_intervals_bulk(47);
+        let t0 = QmasterConfig::default().start_time;
+        let segment = dir.join(format!("shard-{}.seg", t0.as_secs()));
+        assert!(!segment.exists());
+        std::fs::create_dir(&segment).unwrap();
+        let err = m.run_interval().expect_err("the segment path is a directory");
+        assert!(format!("{err:?}").contains("directory"), "{err:?}");
+        assert_eq!(m.intervals_run(), 48, "the interval's points landed");
+        std::fs::remove_dir(&segment).unwrap();
+        m.run_interval().unwrap();
+        assert!(segment.is_file(), "the retry did not write the hot shard's segment");
         std::fs::remove_dir_all(&dir).ok();
     }
 

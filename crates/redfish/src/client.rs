@@ -93,7 +93,7 @@ impl RequestOutcome {
 }
 
 /// Outcome of a full sweep.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SweepOutcome {
     /// Per-request outcomes, in request-pool order.
     pub results: Vec<RequestOutcome>,

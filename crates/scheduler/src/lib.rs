@@ -18,9 +18,11 @@
 //! * [`accounting`] — ARCo-style records and the JSON payloads whose
 //!   sizes reproduce Table IV;
 //! * [`workload`] — a synthetic user population (MPI users, array-job
-//!   users, serial users — the Fig. 6 cast) generating Poisson arrivals;
-//! * [`slurm`] — a Slurm-flavoured facade over the same state, because
-//!   MonSTer "also supports query metrics from Slurm".
+//!   users, serial users — the Fig. 6 cast) generating Poisson arrivals.
+//!
+//! MonSTer "also supports query metrics from Slurm" (§III-B2); this
+//! reproduction simulates UGE only, and the collector reads it through
+//! [`accounting::accounting_pull`].
 
 #![warn(missing_docs)]
 
@@ -28,7 +30,6 @@ pub mod accounting;
 pub mod host;
 pub mod job;
 pub mod qmaster;
-pub mod slurm;
 pub mod workload;
 
 pub use job::{Job, JobId, JobShape, JobSpec, JobState};

@@ -590,6 +590,7 @@ impl Qmaster {
     }
 
     /// Whether the qmaster currently considers a host available.
+    // kept: the lost-host verdict the failure drill prints and the scheduler tests assert
     pub fn host_available(&self, node: NodeId) -> bool {
         self.hosts.get(&node).map(|h| h.alive).unwrap_or(false)
     }

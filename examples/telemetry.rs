@@ -7,6 +7,7 @@
 //! ```
 
 use monster::builder::{BuilderRequest, ExecMode};
+use monster::collector::Source;
 use monster::redfish::bmc::BmcConfig;
 use monster::redfish::telemetry::{TelemetryConfig, TelemetryService};
 use monster::scheduler::{JobShape, JobSpec};
@@ -84,7 +85,9 @@ fn main() {
     let mut tele = deployment();
     bursty_jobs(&mut tele, MINUTES);
     let mut service = TelemetryService::new(TelemetryConfig::default());
-    tele.run_intervals_telemetry(&mut service, MINUTES as usize).expect("telemetry run");
+    for _ in 0..MINUTES {
+        tele.run_interval_from(Source::Telemetry(&mut service)).expect("telemetry interval");
+    }
 
     let p_poll = power_series(&poll, MINUTES);
     let p_tele = power_series(&tele, MINUTES);

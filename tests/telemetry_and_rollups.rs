@@ -4,11 +4,14 @@
 //! scrape over a real socket).
 
 use monster::builder::{BuilderRequest, ExecMode};
+use monster::collector::Source;
 use monster::http::{Client, Request};
 use monster::redfish::bmc::BmcConfig;
 use monster::redfish::telemetry::{TelemetryConfig, TelemetryService};
 use monster::tsdb::Aggregation;
+use monster::util::JobId;
 use monster::{obs, Monster, MonsterConfig};
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 fn deployment(nodes: usize) -> Monster {
@@ -19,18 +22,26 @@ fn deployment(nodes: usize) -> Monster {
     })
 }
 
+/// The jobs on the nodes' job lists, as the collector's pull sees them.
+fn on_nodes(m: &Monster) -> BTreeSet<JobId> {
+    m.qmaster().all_load_reports().iter().flat_map(|r| r.job_list.iter().copied()).collect()
+}
+
 /// The global registry is process-wide and the harness runs tests
 /// concurrently, so tests asserting *exact* counter deltas serialise their
-/// snapshot → `run_interval` → snapshot windows behind this lock. Only the
-/// wire path (`run_interval`) drives the redfish/collector series; the bulk
-/// and telemetry loaders used by the other tests stay uninstrumented.
+/// snapshot → interval → snapshot windows behind this lock. Every source's
+/// interval counts itself in the `monster_collector_*` series, so every
+/// test here that runs intervals holds it while they run.
 static INTERVAL_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
 fn telemetry_collection_yields_sub_interval_samples() {
     let mut m = deployment(4);
     let mut service = TelemetryService::new(TelemetryConfig::default());
-    let written = m.run_intervals_telemetry(&mut service, 10).unwrap();
+    let written: usize = {
+        let _guard = INTERVAL_LOCK.lock().unwrap();
+        (0..10).map(|_| m.run_interval_from(Source::Telemetry(&mut service)).unwrap().points).sum()
+    };
     assert!(written > 0);
 
     // Ten 60 s intervals at a 10 s cadence: 60 thermal samples per node.
@@ -50,7 +61,13 @@ fn telemetry_plus_rollups_compose() {
     let mut m = deployment(3);
     m.enable_rollups(600).unwrap(); // 10-minute roll-ups
     let mut service = TelemetryService::new(TelemetryConfig::default());
-    m.run_intervals_telemetry(&mut service, 30).unwrap(); // 30 minutes
+    {
+        // 30 minutes.
+        let _guard = INTERVAL_LOCK.lock().unwrap();
+        for _ in 0..30 {
+            m.run_interval_from(Source::Telemetry(&mut service)).unwrap();
+        }
+    }
 
     // A 10-minute-window max query routes to the rollup...
     let req = BuilderRequest::new(m.now() - 1800, m.now(), 600, Aggregation::Max).unwrap();
@@ -78,14 +95,19 @@ fn telemetry_plus_rollups_compose() {
     }
 }
 
+/// One interval from each source: only the sweep touches the Redfish
+/// series, and every source counts its interval, its points and its
+/// finish estimates in the collector's.
 #[test]
 fn interval_metrics_match_sweep_outcome() {
     let mut m = deployment(4);
+    let mut service = TelemetryService::new(TelemetryConfig::default());
     let sweeps = obs::counter("monster_redfish_sweeps_total");
     let requests = obs::counter("monster_redfish_requests_total");
     let failures = obs::counter("monster_redfish_failures_total");
     let intervals = obs::counter("monster_collector_intervals_total");
     let points = obs::counter("monster_collector_points_total");
+    let estimates = obs::counter("monster_collector_finish_estimates_total");
     let batches = obs::counter("monster_tsdb_write_batches_total");
     let written = obs::counter("monster_tsdb_points_written_total");
     let request_histo = obs::histo("monster_redfish_request_seconds");
@@ -98,6 +120,7 @@ fn interval_metrics_match_sweep_outcome() {
         intervals.get(),
         points.get(),
         request_histo.count(),
+        estimates.get(),
     ];
     let written_before = written.get();
     let batches_before = batches.get();
@@ -109,10 +132,27 @@ fn interval_metrics_match_sweep_outcome() {
     assert_eq!(intervals.get() - before[3], 1);
     assert_eq!(points.get() - before[4], summary.points as u64);
     assert_eq!(request_histo.count() - before[5], 16);
+
+    // The sensors and the telemetry reports: no sweep, no request, and
+    // the same collector series. A finish is estimated for each job that
+    // left the nodes' job lists since the interval before.
+    let mut lists = vec![on_nodes(&m)];
+    let sensors = m.run_interval_from(Source::Sensors).unwrap();
+    lists.push(on_nodes(&m));
+    let telemetry = m.run_interval_from(Source::Telemetry(&mut service)).unwrap();
+    lists.push(on_nodes(&m));
+    assert_eq!(sweeps.get() - before[0], 1);
+    assert_eq!(requests.get() - before[1], 16);
+    assert_eq!(request_histo.count() - before[5], 16);
+    assert_eq!(intervals.get() - before[3], 3);
+    let all_points = summary.points + sensors.points + telemetry.points;
+    assert_eq!(points.get() - before[4], all_points as u64);
+    let left: usize = lists.windows(2).map(|w| w[0].difference(&w[1]).count()).sum();
+    assert_eq!(estimates.get() - before[6], left as u64);
     drop(guard);
 
-    // Storage counters are also fed by the bulk loaders in sibling tests,
-    // so the write-path deltas are lower bounds rather than exact.
+    // The store counts field values, not points, so its deltas are lower
+    // bounds.
     assert!(batches.get() > batches_before);
     assert!(written.get() - written_before >= summary.points as u64);
 }

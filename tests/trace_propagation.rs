@@ -5,10 +5,12 @@
 //! HTTP API (well-formed headers join the caller's trace; malformed ones
 //! start a fresh root instead of erroring).
 
+use monster::collector::Source;
 use monster::http::{Client, Request, Status};
 use monster::obs;
 use monster::redfish::bmc::BmcConfig;
 use monster::redfish::resilience::ResilienceConfig;
+use monster::redfish::telemetry::{TelemetryConfig, TelemetryService};
 use monster::{Monster, MonsterConfig};
 
 fn resilient_deployment(nodes: usize, seed: u64) -> Monster {
@@ -78,6 +80,38 @@ fn one_trace_links_interval_sweep_skips_and_storage_writes() {
         .expect("failed-request span");
     assert_eq!(req.parent, Some(sweep2.span));
     assert!(req.attr("attempts").is_some());
+}
+
+/// Every source's interval is one trace: a `collector.interval` root, and
+/// the store's write batches of that interval under it, holding all of its
+/// points.
+#[test]
+fn every_source_writes_under_its_own_interval_root() {
+    let mut m = resilient_deployment(3, 37);
+    let mut service = TelemetryService::new(TelemetryConfig::default());
+    let summaries = [
+        m.run_interval_from(Source::Sweep).unwrap(),
+        m.run_interval_from(Source::Sensors).unwrap(),
+        m.run_interval_from(Source::Telemetry(&mut service)).unwrap(),
+    ];
+    let spans = obs::global().recent_spans();
+    for (source, s) in ["sweep", "sensors", "telemetry"].iter().zip(&summaries) {
+        let in_trace: Vec<_> = spans.iter().filter(|r| r.trace == s.trace.trace).collect();
+        let root = in_trace
+            .iter()
+            .find(|r| r.name == "collector.interval")
+            .unwrap_or_else(|| panic!("{source}: no interval root"));
+        assert_eq!(root.parent, None, "{source}: the interval span is not a root");
+        assert_eq!(root.span, s.trace.span, "{source}: the summary names another span");
+        let writes: Vec<_> = in_trace.iter().filter(|r| r.name == "tsdb.write_batch").collect();
+        assert!(!writes.is_empty(), "{source}: no write batch in the interval's trace");
+        let mut written = 0;
+        for write in writes {
+            assert_eq!(write.parent, Some(root.span), "{source}: a write outside the root");
+            written += write.attr("points").unwrap().parse::<usize>().unwrap();
+        }
+        assert_eq!(written, s.points, "{source}: the traced writes miss points");
+    }
 }
 
 #[test]
