@@ -16,7 +16,10 @@
 //!   max_ts` at build time), the entry is still byte-valid — new points
 //!   land strictly above the old watermark, outside `[start, end)`. Closed
 //!   historical windows therefore never expire;
-//! * any backfill, retention pass, or measurement drop invalidates.
+//! * any backfill invalidates.
+//!
+//! Nothing removes data from the store (a shard goes hot → cold and stays
+//! readable), so the watermarks are the whole validity rule.
 //!
 //! Bodies are shared: entries hold `Arc<Response>` and the response body
 //! itself is a shared [`monster_http::Body`], so serving a hit clones a
@@ -34,11 +37,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The watermark state a cached entry was built against: one mark per
-/// measurement the plan touched, the query's exclusive `end` bound, and
-/// the database's retention epoch.
+/// measurement the plan touched and the query's exclusive `end` bound.
 #[derive(Debug, Clone)]
 pub struct ValiditySnapshot {
-    retention_epoch: u64,
     end: i64,
     marks: Vec<(String, MeasurementMark)>,
 }
@@ -60,14 +61,11 @@ impl ValiditySnapshot {
             }
             marks.push((m.to_string(), db.measurement_mark(m)));
         }
-        ValiditySnapshot { retention_epoch: db.retention_epoch(), end, marks }
+        ValiditySnapshot { end, marks }
     }
 
     /// Is an entry built against this snapshot still byte-valid?
     pub fn still_valid(&self, db: &Db) -> bool {
-        if db.retention_epoch() != self.retention_epoch {
-            return false;
-        }
         for (measurement, stamp) in &self.marks {
             let cur = db.measurement_mark(measurement);
             if cur == *stamp {
@@ -297,18 +295,6 @@ mod tests {
         )
         .unwrap();
         assert!(cache.get("k", &db).is_some(), "other measurements are irrelevant");
-    }
-
-    #[test]
-    fn retention_invalidates_watermark_entries_only() {
-        let db = Db::new(DbConfig::default());
-        db.write(power_point(500)).unwrap();
-        let cache = ResponseCache::new(4);
-        cache.put("closed", snap(&db, 300), resp("a"));
-        cache.put("negative", Validity::Always, resp("bad"));
-        db.drop_shards_before(EpochSecs::new(90_000));
-        assert!(cache.get("closed", &db).is_none(), "retention drops invalidate watermarks");
-        assert!(cache.get("negative", &db).is_some(), "negative entries are data-independent");
     }
 
     #[test]

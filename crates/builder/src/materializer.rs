@@ -5,7 +5,7 @@
 //! actually maintains the roll-up measurements. In production MonSTer
 //! that someone is InfluxDB's continuous queries; here it is a
 //! [`Materializer`] the deployment drives from its housekeeping loop
-//! (alongside retention and compaction): each [`Materializer::run_once`]
+//! (alongside tiering): each [`Materializer::run_once`]
 //! rolls every complete window since the last pass into the target
 //! measurements, and [`Materializer::routes`] hands the service the
 //! matching [`RollupRoute`]s so `/v1/metrics` requests with coarse

@@ -187,7 +187,7 @@ pub enum CacheVerdict {
     /// No entry for this key.
     #[default]
     Absent,
-    /// An entry existed but a write/retention event invalidated it.
+    /// An entry existed but a write invalidated it.
     Invalidated,
 }
 

@@ -222,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn a_peer_that_never_reads_is_dropped_and_its_thread_exits() {
+    fn a_peer_that_never_reads_is_cut_off_and_its_thread_exits() {
         // More than the loopback socket buffers hold between them.
         let big = Router::new().route(Method::Get, "/big", |_, _| {
             Response::bytes(vec![b'z'; 64 << 20], "application/octet-stream")

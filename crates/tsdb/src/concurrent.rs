@@ -124,7 +124,7 @@ pub fn run_concurrent<Q: Borrow<Query> + Sync>(
 mod tests {
     use super::*;
     use crate::query::Aggregation;
-    use crate::{DataPoint, DbConfig};
+    use crate::{CostParams, DataPoint, DbConfig};
     use monster_util::EpochSecs;
     use std::sync::Arc;
 
@@ -198,7 +198,8 @@ mod tests {
         // intra-query fan-out room to bite.
         let base = DbConfig { shard_duration: 3600, ..DbConfig::default() };
         let serial = seeded_with(base);
-        let fanned = seeded_with(DbConfig { cost: base.cost.with_scan_workers(4), ..base });
+        let fanned =
+            seeded_with(DbConfig { cost: CostParams { scan_workers: 4, ..base.cost }, ..base });
         let s = run_concurrent(&serial, &queries(), 8);
         let f = run_concurrent(&fanned, &queries(), 8);
         // Identical physical work and results; the fan-out only reshapes

@@ -151,13 +151,6 @@ impl CostParams {
         self
     }
 
-    /// Model `workers`-way intra-query scan parallelism (see field docs).
-    pub fn with_scan_workers(mut self, workers: usize) -> Self {
-        assert!(workers > 0);
-        self.scan_workers = workers;
-        self
-    }
-
     /// Split a cost into (CPU time, I/O time) against `disk`.
     ///
     /// CPU parallelizes across query workers; I/O serializes on the single
@@ -265,7 +258,7 @@ mod tests {
             ..QueryCost::default()
         };
         let serial = CostParams::default();
-        let par = CostParams::default().with_scan_workers(4);
+        let par = CostParams { scan_workers: 4, ..CostParams::default() };
         let t1 = serial.elapsed(&cost, &DiskModel::SSD).as_secs_f64();
         let t4 = par.elapsed(&cost, &DiskModel::SSD).as_secs_f64();
         assert!(t4 < t1, "parallel scans should be cheaper: {t4} vs {t1}");

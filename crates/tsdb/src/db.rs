@@ -18,8 +18,14 @@
 //!   to different time shards append fully in parallel and readers only
 //!   contend with writers on the shards they actually scan.
 //!
+//! Nothing leaves the store: a shard, once in the map, stays there for the
+//! life of the database (its one lifecycle is hot → cold,
+//! [`Db::tier_cold_shards`]), and a series id, once issued, names its
+//! series for good. A handle fetched from the map is therefore never
+//! stale, and ids are dense.
+//!
 //! Write-level statistics (`points`, `encoded_bytes`, …) are maintained
-//! incrementally in atomics on the write/seal/retention paths, making
+//! incrementally in atomics on the write, seal and tiering paths, making
 //! [`Db::stats`] O(1) instead of a walk over every column.
 
 use crate::column::{AggScan, DecodeScratch, ScanItem, ScanStats};
@@ -40,7 +46,7 @@ use parking_lot::RwLock;
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -96,8 +102,8 @@ impl Default for DbConfig {
 /// Database statistics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DbStats {
-    /// Points currently stored (one per field value; drops and retention
-    /// reduce this).
+    /// Points currently stored (one per field value; nothing removes
+    /// them).
     pub points: usize,
     /// Raw line-protocol bytes as received.
     pub wire_bytes: usize,
@@ -332,7 +338,7 @@ pub struct Db {
     /// Outer shard map: `shard start → shard handle`. Critical sections on
     /// this lock only clone/insert `Arc`s — never touch shard data.
     shards: RwLock<BTreeMap<i64, Arc<RwLock<Shard>>>>,
-    /// Incremental statistics (kept exact by the write/seal/retention/drop
+    /// Incremental statistics (kept exact by the write, seal and tiering
     /// paths; see [`Db::recompute_stats`] for the walking cross-check).
     points: AtomicUsize,
     wire_bytes: AtomicUsize,
@@ -341,10 +347,6 @@ pub struct Db {
     /// Per-measurement ingest watermarks (see [`crate::watermark`]);
     /// updated after each batch applies, read by cache-validity checks.
     watermarks: WatermarkRegistry,
-    /// Bumped whenever retention or a measurement drop removes data
-    /// without advancing any watermark; cache snapshots taken before the
-    /// bump must be considered invalid.
-    retention_epoch: AtomicU64,
     /// Pre-resolved lock instrumentation handles (`monster_tsdb_lock_*`),
     /// updated lock-free outside critical sections.
     lock_wait: Arc<monster_obs::Histo>,
@@ -372,7 +374,6 @@ impl Db {
             encoded_bytes: AtomicI64::new(0),
             batches: AtomicUsize::new(0),
             watermarks: WatermarkRegistry::default(),
-            retention_epoch: AtomicU64::new(0),
             lock_wait: monster_obs::histo("monster_tsdb_lock_wait_seconds"),
             lock_hold: monster_obs::histo("monster_tsdb_lock_hold_seconds"),
             query_metrics: QueryMetrics {
@@ -390,11 +391,6 @@ impl Db {
     /// re-log the records it is applying).
     pub(crate) fn set_wal(&mut self, wal: crate::wal::Wal) {
         self.wal = Some(wal);
-    }
-
-    /// True when writes are logged to a write-ahead log.
-    pub fn wal_enabled(&self) -> bool {
-        self.wal.is_some()
     }
 
     /// Appender state of the write-ahead log, if one is attached.
@@ -587,45 +583,33 @@ impl Db {
         let mut encoded_delta = 0i64;
         let mut shard_gauges: Vec<(i64, i64)> = Vec::with_capacity(groups.len());
         let mut result: Result<()> = Ok(());
-        'groups: for (start, group) in &groups {
-            // Retry loop: a retention pass may tombstone the shard between
-            // the map lookup and our lock acquisition; appending to such an
-            // orphan would silently lose the points, so re-fetch (the map
-            // no longer holds it, and a fresh shard is created).
-            loop {
-                let shard_arc = self.shard_for(*start);
-                let wait = Instant::now();
-                let mut shard = shard_arc.write();
-                let acquired = Instant::now();
-                if shard.is_dropped() {
-                    drop(shard);
-                    self.observe_lock(wait, acquired);
-                    continue;
+        for (start, group) in &groups {
+            let shard_arc = self.shard_for(*start);
+            let wait = Instant::now();
+            let mut shard = shard_arc.write();
+            let acquired = Instant::now();
+            let bytes_before = shard.encoded_bytes();
+            // Walk maximal consecutive same-(series, field) spans: one
+            // column lookup per span instead of per point, in exactly the
+            // original batch order.
+            let mut i = 0usize;
+            while i < group.len() {
+                let (sid, fid, _, _) = group[i];
+                let mut j = i + 1;
+                while j < group.len() && group[j].0 == sid && group[j].1 == fid {
+                    j += 1;
                 }
-                let bytes_before = shard.encoded_bytes();
-                // Walk maximal consecutive same-(series, field) spans: one
-                // column lookup per span instead of per point, in exactly
-                // the original batch order.
-                let mut i = 0usize;
-                while i < group.len() {
-                    let (sid, fid, _, _) = group[i];
-                    let mut j = i + 1;
-                    while j < group.len() && group[j].0 == sid && group[j].1 == fid {
-                        j += 1;
-                    }
-                    if let Err(e) = shard.append_span(sid, fid, &group[i..j], &mut applied) {
-                        result = Err(e);
-                        break;
-                    }
-                    i = j;
+                if let Err(e) = shard.append_span(sid, fid, &group[i..j], &mut applied) {
+                    result = Err(e);
+                    break;
                 }
-                encoded_delta += shard.encoded_bytes() as i64 - bytes_before as i64;
-                shard_gauges.push((*start, shard.point_count() as i64));
-                drop(shard);
-                self.observe_lock(wait, acquired);
-                if result.is_err() {
-                    break 'groups;
-                }
+                i = j;
+            }
+            encoded_delta += shard.encoded_bytes() as i64 - bytes_before as i64;
+            shard_gauges.push((*start, shard.point_count() as i64));
+            drop(shard);
+            self.observe_lock(wait, acquired);
+            if result.is_err() {
                 break;
             }
         }
@@ -756,15 +740,9 @@ impl Db {
     /// Every measurement's current ingest watermark, sorted by name.
     /// Recovery must republish these exactly (the builder's response cache
     /// keys on them); tests compare whole tables. Not a hot-path call.
+    // kept: the watermark oracle the WAL recovery tests compare with a twin that never stopped
     pub fn measurement_marks(&self) -> Vec<(String, MeasurementMark)> {
         self.watermarks.snapshot()
-    }
-
-    /// Monotone counter bumped whenever retention or a measurement drop
-    /// removes data. Cache-validity snapshots record it; a mismatch means
-    /// data disappeared without any watermark advancing.
-    pub fn retention_epoch(&self) -> u64 {
-        self.retention_epoch.load(Ordering::Acquire)
     }
 
     /// Estimate a query's physical cost *without executing it* — the
@@ -1160,19 +1138,17 @@ impl Db {
         }
     }
 
-    /// Recompute the statistics the slow way — walking every live shard
+    /// Recompute the statistics the slow way — walking every shard
     /// and column — as a cross-check that the incremental counters behind
     /// [`Db::stats`] are exact. Intended for tests and debugging; it takes
     /// every shard's read lock in turn.
+    // kept: the walking oracle that tests hold the O(1) `stats()` counters to
     pub fn recompute_stats(&self) -> DbStats {
         let mut points = 0usize;
         let mut encoded = 0usize;
         let mut shards = 0usize;
         for handle in self.shard_handles() {
             let shard = handle.read();
-            if shard.is_dropped() {
-                continue;
-            }
             points += shard.point_count();
             encoded += shard.encoded_bytes();
             shards += 1;
@@ -1192,62 +1168,6 @@ impl Db {
         }
     }
 
-    /// Drop every shard whose time range ends at or before `horizon`.
-    /// Returns the number of shards dropped. (Series index entries are
-    /// retained — like InfluxDB, series stay defined until explicitly
-    /// dropped — but their data is gone.)
-    pub fn drop_shards_before(&self, horizon: monster_util::EpochSecs) -> usize {
-        self.drop_shards_before_counted(horizon).0
-    }
-
-    /// Like [`Db::drop_shards_before`], but also returns the exact number
-    /// of points removed — the same quantity subtracted from the
-    /// incremental statistics, so callers (retention accounting,
-    /// conservation tests) never have to infer it from racing
-    /// [`Db::stats`] snapshots.
-    pub fn drop_shards_before_counted(&self, horizon: monster_util::EpochSecs) -> (usize, usize) {
-        // Split the map under the outer lock (shards end at
-        // `start + shard_duration`, so the cut is a key comparison);
-        // tombstone and account the victims after releasing it.
-        let cut = horizon.as_secs() - self.config.shard_duration + 1;
-        let removed: Vec<(i64, Arc<RwLock<Shard>>)> = {
-            let wait = Instant::now();
-            let mut map = self.shards.write();
-            let acquired = Instant::now();
-            let kept = map.split_off(&cut);
-            let removed = std::mem::replace(&mut *map, kept).into_iter().collect();
-            drop(map);
-            self.observe_lock(wait, acquired);
-            removed
-        };
-        let count = removed.len();
-        let mut points_removed = 0usize;
-        for (start, handle) in removed {
-            let wait = Instant::now();
-            let mut shard = handle.write();
-            let acquired = Instant::now();
-            shard.mark_dropped();
-            let (p, b) = (shard.point_count(), shard.encoded_bytes());
-            drop(shard);
-            self.observe_lock(wait, acquired);
-            points_removed += p;
-            self.points.fetch_sub(p, Ordering::Relaxed);
-            self.encoded_bytes.fetch_sub(b as i64, Ordering::Relaxed);
-            monster_obs::gauge(&format!("monster_tsdb_shard_points{{shard=\"{start}\"}}")).set(0);
-            // A dropped shard's cold-tier segment file must go with it, or
-            // recovery would resurrect data retention already removed. (WAL
-            // records of dropped shards that were never tiered can still
-            // replay; the collector re-enforces retention after recovery.)
-            if let Some(wal) = &self.wal {
-                let _ = std::fs::remove_file(wal.dir().join(format!("shard-{start}.seg")));
-            }
-        }
-        if count > 0 {
-            self.retention_epoch.fetch_add(1, Ordering::AcqRel);
-        }
-        (count, points_removed)
-    }
-
     /// Compact the database: seal all raw tails into compressed blocks.
     ///
     /// A column's tail self-seals at [`crate::column::BLOCK_SIZE`] points,
@@ -1263,12 +1183,9 @@ impl Db {
             let wait = Instant::now();
             let mut shard = handle.write();
             let acquired = Instant::now();
-            let mut delta = 0i64;
-            if !shard.is_dropped() {
-                let before = shard.encoded_bytes() as i64;
-                sealed += shard.compact();
-                delta = shard.encoded_bytes() as i64 - before;
-            }
+            let before = shard.encoded_bytes() as i64;
+            sealed += shard.compact();
+            let delta = shard.encoded_bytes() as i64 - before;
             drop(shard);
             self.observe_lock(wait, acquired);
             self.encoded_bytes.fetch_add(delta, Ordering::Relaxed);
@@ -1320,7 +1237,7 @@ impl Db {
             let wait = Instant::now();
             let mut shard = handle.write();
             let acquired = Instant::now();
-            if shard.is_dropped() || shard.is_cold() {
+            if shard.is_cold() {
                 drop(shard);
                 drop(idx);
                 self.observe_lock(wait, acquired);
@@ -1370,46 +1287,9 @@ impl Db {
     }
 
     /// Raw (unsealed) points awaiting compaction.
+    // kept: the raw-tail oracle the compaction tests read before and after `compact`
     pub fn tail_points(&self) -> usize {
         self.shard_handles().iter().map(|h| h.read().tail_points()).sum()
-    }
-
-    /// Drop a measurement: its columns disappear from every shard and its
-    /// series from the index. The operational escape hatch for schema
-    /// accidents like the per-job measurements of the previous layout.
-    /// Returns the number of series removed.
-    pub fn drop_measurement(&self, measurement: &str) -> usize {
-        let victims: std::collections::HashSet<SeriesId> = {
-            let wait = Instant::now();
-            let mut idx = self.index.write();
-            let acquired = Instant::now();
-            let victims: std::collections::HashSet<SeriesId> =
-                idx.select(measurement, &[]).into_iter().collect();
-            if !victims.is_empty() {
-                idx.drop_measurement(measurement);
-            }
-            drop(idx);
-            self.observe_lock(wait, acquired);
-            victims
-        };
-        if victims.is_empty() {
-            return 0;
-        }
-        for handle in self.shard_handles() {
-            let wait = Instant::now();
-            let mut shard = handle.write();
-            let acquired = Instant::now();
-            if shard.is_dropped() {
-                continue;
-            }
-            let (p, b) = shard.drop_series(&victims);
-            drop(shard);
-            self.observe_lock(wait, acquired);
-            self.points.fetch_sub(p, Ordering::Relaxed);
-            self.encoded_bytes.fetch_sub(b as i64, Ordering::Relaxed);
-        }
-        self.retention_epoch.fetch_add(1, Ordering::AcqRel);
-        victims.len()
     }
 
     /// Series keys, optionally scoped to one measurement (rendered as
@@ -1417,11 +1297,8 @@ impl Db {
     pub fn series_keys(&self, measurement: Option<&str>) -> Vec<String> {
         let idx = self.index.read();
         let mut out = Vec::new();
-        for id in 0..idx.id_space() {
+        for id in 0..idx.cardinality() {
             let key = idx.key_of(SeriesId(id as u32));
-            if key.measurement.is_empty() {
-                continue; // tombstone
-            }
             if measurement.map(|m| m == key.measurement).unwrap_or(true) {
                 out.push(key.to_string());
             }
@@ -1433,7 +1310,7 @@ impl Db {
     pub fn tag_keys(&self, measurement: &str) -> Vec<String> {
         let idx = self.index.read();
         let mut keys: Vec<String> = Vec::new();
-        for id in 0..idx.id_space() {
+        for id in 0..idx.cardinality() {
             let key = idx.key_of(SeriesId(id as u32));
             if key.measurement == measurement {
                 for (k, _) in &key.tags {
@@ -1451,7 +1328,7 @@ impl Db {
     pub fn tag_values(&self, measurement: &str, tag: &str) -> Vec<String> {
         let idx = self.index.read();
         let mut values: Vec<String> = Vec::new();
-        for id in 0..idx.id_space() {
+        for id in 0..idx.cardinality() {
             let key = idx.key_of(SeriesId(id as u32));
             if key.measurement == measurement {
                 if let Some(v) = key.tag(tag) {
@@ -1565,7 +1442,7 @@ mod tests {
         .aggregate(Aggregation::Mean);
         let (rs, _) = db.query(&q).unwrap();
         assert_eq!(rs.series.len(), 2);
-        assert!(rs.series_with_tag("NodeId", "10.101.1.2").is_some());
+        assert!(rs.series.iter().any(|s| s.key.tag("NodeId") == Some("10.101.1.2")));
     }
 
     #[test]
@@ -1723,12 +1600,6 @@ mod tests {
         assert_eq!(db.stats(), db.recompute_stats());
         db.compact();
         assert_eq!(db.stats(), db.recompute_stats());
-        let dropped = db.drop_shards_before(EpochSecs::new(6 * 3600));
-        assert!(dropped > 0);
-        assert_eq!(db.stats(), db.recompute_stats());
-        db.drop_measurement("Power");
-        assert_eq!(db.stats(), db.recompute_stats());
-        assert_eq!(db.stats().points, 0);
     }
 
     #[test]

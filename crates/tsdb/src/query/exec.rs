@@ -33,12 +33,6 @@ impl ResultSet {
     pub fn point_count(&self) -> usize {
         self.series.iter().map(|s| s.points.len()).sum()
     }
-
-    /// Find a series by a tag value (convenience for consumers keyed by
-    /// node, like Metrics Builder's per-node assembly).
-    pub fn series_with_tag(&self, key: &str, value: &str) -> Option<&SeriesResult> {
-        self.series.iter().find(|s| s.key.tag(key) == Some(value))
-    }
 }
 
 /// Numeric accumulator for one window.
@@ -449,22 +443,5 @@ mod tests {
         w.push_partial(&s);
         assert_eq!(w.non_numeric(), 7);
         assert!(w.finish().is_empty());
-    }
-
-    #[test]
-    fn result_set_lookup_by_tag() {
-        let key = SeriesKey {
-            measurement: "Power".into(),
-            tags: vec![("NodeId".into(), "10.101.1.1".into())],
-        };
-        let rs = ResultSet {
-            series: vec![SeriesResult {
-                key: Arc::new(key),
-                points: vec![(EpochSecs::new(0), FieldValue::Float(1.0))],
-            }],
-        };
-        assert!(rs.series_with_tag("NodeId", "10.101.1.1").is_some());
-        assert!(rs.series_with_tag("NodeId", "10.101.9.9").is_none());
-        assert_eq!(rs.point_count(), 1);
     }
 }

@@ -444,7 +444,7 @@ mod tests {
         let dir = tmp_dir("empty");
         let (db, report) = Db::recover(DbConfig::default(), &dir).unwrap();
         assert_eq!(report, RecoveryReport::default());
-        assert!(db.wal_enabled());
+        assert!(db.wal_status().is_some());
         assert_eq!(db.stats().points, 0);
         drop(db);
         std::fs::remove_dir_all(&dir).ok();

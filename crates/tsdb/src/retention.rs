@@ -1,20 +1,18 @@
-//! Retention and tiering policy.
+//! Tiering policy.
 //!
-//! Production MonSTer keeps 13+ months of data queryable. Retention itself
-//! is [`crate::db::Db::drop_shards_before`], which drops whole shards older
-//! than a horizon; roll-ups that downsample a raw measurement (e.g.
+//! Production MonSTer keeps 13+ months of data queryable, and so does this
+//! store: nothing ages data out. A shard has one lifecycle, hot → cold.
+//! [`TierConfig`] describes when sealed shards migrate to a slower, cheaper
+//! device (§IV's 13-month deployment keeps recent data on SSD and archives
+//! the long tail); roll-ups that downsample a raw measurement (e.g.
 //! `Power` → `Power_1h`) are maintained by the Metrics Builder's
-//! materializer.
-//!
-//! Between "hot" and "dropped" sits a third tier: [`TierConfig`] describes
-//! when sealed shards migrate to a slower, cheaper device (§IV's 13-month
-//! deployment keeps recent data on SSD and archives the long tail). The
-//! actual migration lives in [`crate::db::Db::tier_cold_shards`]; this
-//! module only defines the policy and its report.
+//! materializer. The actual migration lives in
+//! [`crate::db::Db::tier_cold_shards`]; this module only defines the policy
+//! and its report.
 
 use monster_sim::DiskModel;
 
-/// Tiered-retention policy: shards older than `hot_secs` are compacted
+/// Tiering policy: shards older than `hot_secs` are compacted
 /// into immutable segment files and re-priced with `cold_disk`.
 ///
 /// Tiering is a *pricing and durability* migration, not an eviction: the
@@ -56,56 +54,8 @@ pub struct TierReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Aggregation, DataPoint, Db, DbConfig, FieldValue, Query};
+    use crate::{Aggregation, DataPoint, Db, DbConfig, Query};
     use monster_util::EpochSecs;
-
-    fn seeded(days: i64) -> Db {
-        let db = Db::new(DbConfig { shard_duration: 86_400, ..DbConfig::default() });
-        let mut batch = Vec::new();
-        for i in 0..(days * 1440) {
-            batch.push(
-                DataPoint::new("Power", EpochSecs::new(i * 60))
-                    .tag("NodeId", "10.101.1.1")
-                    .tag("Label", "NodePower")
-                    .field_f64("Reading", 200.0 + (i % 100) as f64),
-            );
-        }
-        db.write_batch(&batch).unwrap();
-        db
-    }
-
-    #[test]
-    fn retention_drops_old_shards() {
-        let db = seeded(5);
-        assert_eq!(db.stats().shards, 5);
-        // Keep two days before day 5.
-        let dropped = db.drop_shards_before(EpochSecs::new(3 * 86_400));
-        assert_eq!(dropped, 3);
-        assert_eq!(db.stats().shards, 2);
-        // Old data gone, recent data intact.
-        let q = Query::select("Power", "Reading", EpochSecs::new(0), EpochSecs::new(86_400))
-            .aggregate(Aggregation::Count);
-        let (rs, _) = db.query(&q).unwrap();
-        assert_eq!(rs.point_count(), 0);
-        let q = Query::select(
-            "Power",
-            "Reading",
-            EpochSecs::new(4 * 86_400),
-            EpochSecs::new(5 * 86_400),
-        )
-        .aggregate(Aggregation::Count);
-        let (rs, _) = db.query(&q).unwrap();
-        assert_eq!(rs.series[0].points[0].1, FieldValue::Float(1440.0));
-    }
-
-    #[test]
-    fn retention_is_idempotent() {
-        let db = seeded(3);
-        // Keep one day before day 3.
-        let horizon = EpochSecs::new(2 * 86_400);
-        assert_eq!(db.drop_shards_before(horizon), 2);
-        assert_eq!(db.drop_shards_before(horizon), 0);
-    }
 
     #[test]
     fn tiering_reprices_cold_shards_without_changing_answers() {

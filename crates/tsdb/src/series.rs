@@ -110,8 +110,8 @@ impl Hasher for Identity {
 }
 
 /// One measurement's posting lists. Ids are handed out in ascending order
-/// and only ever appended here (or removed in place), so every list is
-/// sorted without a sort — [`SeriesIndex::select`] relies on it.
+/// and only ever appended here, so every list is sorted without a sort —
+/// [`SeriesIndex::select`] relies on it.
 #[derive(Debug, Default)]
 struct Postings {
     /// Every series of the measurement.
@@ -127,8 +127,6 @@ struct Postings {
 #[derive(Debug, Default)]
 pub struct SeriesIndex {
     keys: Vec<Arc<SeriesKey>>,
-    /// Tombstoned (dropped) slots in `keys`.
-    dropped: usize,
     /// measurement → its series and their inverted tag index.
     by_measurement: HashMap<String, Postings>,
     /// The one identity table: [`identity_hash`](Self::identity_hash) →
@@ -229,13 +227,9 @@ impl SeriesIndex {
         self.field_names.len()
     }
 
-    /// Total distinct live series (the cardinality number).
+    /// Total distinct series (the cardinality number). Ids are dense:
+    /// every id below it names a series.
     pub fn cardinality(&self) -> usize {
-        self.keys.len() - self.dropped
-    }
-
-    /// Slots in the id space, live or tombstoned (ids are never reused).
-    pub fn id_space(&self) -> usize {
         self.keys.len()
     }
 
@@ -252,25 +246,6 @@ impl SeriesIndex {
     /// All measurement names (unordered).
     pub fn measurements(&self) -> impl Iterator<Item = &str> {
         self.by_measurement.keys().map(String::as_str)
-    }
-
-    /// Remove a measurement's series from the index. Ids of surviving
-    /// series are unchanged (dropped ids become tombstones that no new
-    /// series reuses, keeping shard references valid).
-    pub fn drop_measurement(&mut self, measurement: &str) {
-        let Some(postings) = self.by_measurement.remove(measurement) else {
-            return;
-        };
-        for id in postings.all {
-            // Tombstone: keep the slot so ids stay stable, but mark the
-            // key as dropped (empty measurement never matches a select).
-            let key = std::mem::take(&mut self.keys[id.0 as usize]);
-            let hash = self.identity_hash(&key.measurement, &key.tags);
-            if let Some(list) = self.by_hash.get_mut(&hash) {
-                list.retain(|x| *x != id);
-            }
-            self.dropped += 1;
-        }
     }
 
     /// Series ids in a measurement, filtered by tag equality predicates
@@ -435,15 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_series_no_longer_resolve_from_points() {
-        let mut idx = SeriesIndex::new();
-        let p = point("Power", "n1", "NodePower");
-        idx.get_or_create(&SeriesKey::of(&p));
-        idx.drop_measurement("Power");
-        assert_eq!(idx.id_of_point(&p), None);
-    }
-
-    #[test]
     fn identities_sharing_one_bucket_stay_apart() {
         let mut idx = SeriesIndex { collide: true, ..SeriesIndex::default() };
         let points = [
@@ -469,13 +435,6 @@ mod tests {
         assert_eq!(idx.id_of_point(&swapped), Some(ids[3]));
         let as_given = SeriesKey { measurement: "Thermal".into(), tags: swapped.tags.clone() };
         assert_eq!(idx.get_or_create(&as_given), ids[3]);
-        // A drop takes exactly its measurement's candidates out.
-        idx.drop_measurement("Thermal");
-        assert_eq!(idx.by_hash[&0], ids[..2]);
-        assert_eq!(idx.id_of_point(&points[0]), Some(ids[0]));
-        assert_eq!(idx.id_of_point(&points[1]), Some(ids[1]));
-        assert!(points[2..].iter().all(|p| idx.id_of_point(p).is_none()));
-        assert_eq!(idx.get_or_create(&SeriesKey::of(&points[2])), SeriesId(5), "ids not reused");
     }
 
     #[test]
@@ -547,8 +506,6 @@ mod tests {
             #[test]
             fn select_is_a_filter_over_all_keys(
                 keys in prop::collection::vec(arb_key(), 0..40),
-                dropped in prop_oneof![Just(None), Just(Some("m1")), Just(Some("m2"))],
-                recreated in prop::collection::vec(arb_key(), 0..8),
                 measurement in prop_oneof![Just("m1"), Just("m2"), Just("m3")],
                 predicates in arb_predicates(),
             ) {
@@ -556,13 +513,7 @@ mod tests {
                 for key in &keys {
                     idx.get_or_create(key);
                 }
-                if let Some(m) = dropped {
-                    idx.drop_measurement(m);
-                }
-                for key in &recreated {
-                    idx.get_or_create(key);
-                }
-                let naive: Vec<SeriesId> = (0..idx.id_space() as u32)
+                let naive: Vec<SeriesId> = (0..idx.cardinality() as u32)
                     .map(SeriesId)
                     .filter(|&id| {
                         let key = idx.key_of(id);

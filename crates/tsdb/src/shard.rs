@@ -51,11 +51,6 @@ pub struct Shard {
     /// Incrementally-maintained sum of the columns' encoded bytes, so the
     /// engine's size accounting is O(1) per operation.
     encoded: usize,
-    /// Tombstone set by retention when the shard leaves the shard map. A
-    /// writer that raced the removal (it fetched the `Arc` from the map
-    /// before the drop) sees the flag after acquiring the shard lock and
-    /// re-fetches instead of appending into an orphan.
-    dropped: bool,
     /// Set once tiering has exported this shard to an immutable segment
     /// file: scans of a cold shard are priced by the cold-tier disk model
     /// and its WAL records are reclaimable. Data stays readable in place.
@@ -66,25 +61,12 @@ impl Shard {
     /// An empty shard covering `[start, end)`.
     pub fn new(start: i64, end: i64) -> Self {
         assert!(end > start);
-        Shard {
-            start,
-            end,
-            columns: HashMap::default(),
-            point_count: 0,
-            encoded: 0,
-            dropped: false,
-            cold: false,
-        }
+        Shard { start, end, columns: HashMap::default(), point_count: 0, encoded: 0, cold: false }
     }
 
     /// True when `ts` belongs to this shard.
     pub fn covers(&self, ts: i64) -> bool {
         ts >= self.start && ts < self.end
-    }
-
-    /// Whether the shard overlaps the query range `[qs, qe)`.
-    pub fn overlaps(&self, qs: i64, qe: i64) -> bool {
-        self.start < qe && qs < self.end
     }
 
     /// Append one field value for a series. The `(series, field)` key is
@@ -163,7 +145,7 @@ impl Shard {
     }
 
     /// Encoded at-rest bytes across all columns (O(1), maintained
-    /// incrementally on append/seal/drop).
+    /// incrementally on append and seal).
     pub fn encoded_bytes(&self) -> usize {
         self.encoded
     }
@@ -185,28 +167,6 @@ impl Shard {
     /// Raw (unsealed) points across all columns.
     pub fn tail_points(&self) -> usize {
         self.columns.values().map(Column::tail_len).sum()
-    }
-
-    /// Remove every column belonging to the given series. Returns the
-    /// `(points, encoded bytes)` removed, so the engine's incremental
-    /// statistics stay exact.
-    pub fn drop_series(&mut self, victims: &std::collections::HashSet<SeriesId>) -> (usize, usize) {
-        let (points_before, encoded_before) = (self.point_count, self.encoded);
-        self.columns.retain(|(sid, _), _| !victims.contains(sid));
-        // point_count/encoded track appends; recompute from survivors.
-        self.point_count = self.columns.values().map(Column::point_count).sum();
-        self.encoded = self.columns.values().map(Column::encoded_bytes).sum();
-        (points_before - self.point_count, encoded_before - self.encoded)
-    }
-
-    /// Mark the shard as removed from the shard map (see `dropped`).
-    pub fn mark_dropped(&mut self) {
-        self.dropped = true;
-    }
-
-    /// True once retention has removed this shard from the shard map.
-    pub fn is_dropped(&self) -> bool {
-        self.dropped
     }
 
     /// Mark the shard as tiered to cold storage (see `cold`).
@@ -231,15 +191,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn covers_and_overlaps() {
+    fn covers_is_half_open() {
         let s = Shard::new(0, 86_400);
         assert!(s.covers(0));
         assert!(s.covers(86_399));
         assert!(!s.covers(86_400));
-        assert!(s.overlaps(-100, 1));
-        assert!(s.overlaps(86_399, 100_000));
-        assert!(!s.overlaps(86_400, 100_000));
-        assert!(!s.overlaps(-100, 0));
+        assert!(!s.covers(-1));
     }
 
     #[test]
@@ -261,24 +218,6 @@ mod tests {
     fn missing_column_is_none() {
         let s = Shard::new(0, 1000);
         assert!(s.column(SeriesId(9), FieldId(7)).is_none());
-    }
-
-    #[test]
-    fn drop_series_reports_exact_deltas() {
-        let mut s = Shard::new(0, 1000);
-        for i in 0..10 {
-            s.append(SeriesId(0), FieldId(0), i, &FieldValue::Float(i as f64)).unwrap();
-            s.append(SeriesId(1), FieldId(0), i, &FieldValue::Float(i as f64)).unwrap();
-        }
-        let (points_before, encoded_before) = (s.point_count(), s.encoded_bytes());
-        let victims = std::collections::HashSet::from([SeriesId(0)]);
-        let (dp, db) = s.drop_series(&victims);
-        assert_eq!(dp, 10);
-        assert_eq!(s.point_count(), points_before - dp);
-        assert_eq!(s.encoded_bytes(), encoded_before - db);
-        // Incremental byte counter matches a fresh walk.
-        let walked: usize = s.column_keys().len(); // survivors only
-        assert_eq!(walked, 1);
     }
 
     #[test]

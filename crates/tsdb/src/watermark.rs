@@ -21,9 +21,9 @@
 //! query, so a concurrent write can at worst cause a spurious invalidation —
 //! never a stale entry that still validates.
 //!
-//! Retention and measurement drops remove data without advancing any
-//! watermark, so they bump a coarse [`Db::retention_epoch`] counter that
-//! invalidates every snapshot taken before the drop.
+//! Nothing removes data once it is applied (tiering moves a shard to the
+//! cold tier and leaves it readable), so the marks are the whole validity
+//! rule: no change to stored data goes past them.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;

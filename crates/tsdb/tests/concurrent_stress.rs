@@ -1,11 +1,9 @@
-//! Stress test for the sharded-lock engine: concurrent writers, queriers,
-//! retention enforcement, and cold-tier passes (compaction and segment-file
-//! export) all running against one database, with point-count conservation
-//! checked at the end.
+//! Stress test for the sharded-lock engine: concurrent writers, queriers
+//! and cold-tier passes (compaction and segment-file export) all running
+//! against one database, with point-count conservation checked at the end.
 //!
 //! The conservation invariant: every point a writer successfully wrote is
-//! either still queryable or was removed by a retention pass —
-//! `written == stats().points + dropped-by-retention` — and the O(1)
+//! still queryable — `written == stats().points` — and the O(1)
 //! incremental statistics agree exactly with a full walk of the shards
 //! ([`Db::recompute_stats`]).
 
@@ -19,7 +17,7 @@ use std::sync::{Arc, Barrier, Mutex};
 /// histogram.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
-const SHARD: i64 = 300; // 5-minute shards → many shards, much churn
+const SHARD: i64 = 300; // 5-minute shards → many shards for each tiering pass
 const WRITERS: usize = 4;
 const POINTS_PER_WRITER: usize = 1500;
 
@@ -31,7 +29,7 @@ fn point(writer: usize, i: usize) -> DataPoint {
 }
 
 #[test]
-fn writers_queriers_retention_and_tiering_conserve_points() {
+fn writers_queriers_and_tiering_conserve_points() {
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("monster-stress-tier-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -42,11 +40,6 @@ fn writers_queriers_retention_and_tiering_conserve_points() {
         ..DbConfig::default()
     };
     let db = Arc::new(Db::recover(config, &dir).unwrap().0);
-    // Points retention removed, per its own exact accounting (shards
-    // dropped while writers were still filling them stay conserved because
-    // `drop_shards_before_counted` reports exactly what each shard held at
-    // tombstone time, and tombstoned shards are never appended to).
-    let retained_away = Arc::new(AtomicUsize::new(0));
 
     std::thread::scope(|s| {
         // Writers: mixed batch sizes, all to the same measurement.
@@ -77,33 +70,19 @@ fn writers_queriers_retention_and_tiering_conserve_points() {
                     .group_by_time(SHARD);
                     let (_rs, cost) = db.query(&q).unwrap();
                     // Bound by the whole timeline's shard count (the map
-                    // churns underneath us, so only the static bound holds).
+                    // grows underneath us, so only the static bound holds).
                     assert!(cost.shards_scanned <= (POINTS_PER_WRITER * 20) / SHARD as usize + 1);
                 }
             });
         }
-        // Retention: repeatedly drop everything older than a rising
-        // horizon, recording how many points each pass removed.
-        {
-            let db = Arc::clone(&db);
-            let away = Arc::clone(&retained_away);
-            s.spawn(move || {
-                for step in 1..=10i64 {
-                    let horizon = step * 2 * SHARD;
-                    let (_shards, points) = db.drop_shards_before_counted(EpochSecs::new(horizon));
-                    away.fetch_add(points, Ordering::Relaxed);
-                    std::thread::yield_now();
-                }
-            });
-        }
         // Tiering: passes at a rising `now`, each compacting shards and
-        // exporting them to segment files while everything churns.
+        // exporting them to segment files while writers and queriers run.
         {
             let db = Arc::clone(&db);
             s.spawn(move || {
                 for step in 1..=5i64 {
                     // The pass must complete without deadlock or panic while
-                    // shards churn; what it tiers is a moving target, so
+                    // writers fill shards; what it tiers is a moving target, so
                     // only the final (quiesced) pass is checked.
                     db.tier_cold_shards(EpochSecs::new(step * 20 * SHARD)).unwrap();
                     std::thread::yield_now();
@@ -114,13 +93,10 @@ fn writers_queriers_retention_and_tiering_conserve_points() {
     // Quiesced: a last pass tiers every shard still hot.
     db.tier_cold_shards(EpochSecs::new(POINTS_PER_WRITER as i64 * 20 + 3 * SHARD)).unwrap();
 
-    // Conservation: written == live + removed-by-retention. The write and
-    // retention paths account independently (atomic deltas vs per-shard
-    // subtraction), so any double-count or leak shows up here.
+    // Conservation: every acknowledged point is live, none counted twice.
     let written = WRITERS * POINTS_PER_WRITER;
     let live = db.stats().points;
-    let away = retained_away.load(Ordering::Relaxed);
-    assert_eq!(live + away, written, "live {live} + retained-away {away} != {written}");
+    assert_eq!(live, written, "live {live} != written {written}");
 
     // The O(1) counters must agree exactly with a full shard walk.
     assert_eq!(db.stats(), db.recompute_stats());

@@ -274,45 +274,44 @@ fn tiered_segments_and_recovered_series_order_are_reproducible() {
     assert_eq!(run("seg-a"), run("seg-b"));
 }
 
-/// Dropped shards do not come back: retention deletes the cold-tier
-/// segment file along with the shard, so recovery cannot resurrect data
-/// the operator already aged out.
+/// A batch that hits a field-type conflict stops there and keeps exactly
+/// the prefix that landed before it, one shard at a time in time order:
+/// the later day's shard is never created. The WAL logged the whole batch
+/// before applying it, so replay meets the same conflict at the same point
+/// and rebuilds the same prefix.
 #[test]
-fn retention_after_tiering_does_not_resurrect_on_recovery() {
-    let dir = fresh_dir("retention");
-    let config = DbConfig {
-        shard_duration: 86_400,
-        tiering: Some(TierConfig::days(1)),
-        // Small segments so the dropped day's WAL records live in sealed
-        // segments that tiering reclaims; records still in the active
-        // segment would replay (and rely on the collector re-enforcing
-        // retention, the documented fallback). A day's batch is a 1.3 KB
-        // record, so every day seals its own segment.
-        wal: WalTuning { segment_bytes: 1 << 10, ..WalTuning::default() },
-        ..DbConfig::default()
-    };
+fn a_conflicting_batch_keeps_its_prefix_across_a_restart() {
+    let dir = fresh_dir("conflict");
+    let config = DbConfig { shard_duration: 86_400, ..DbConfig::default() };
+    let point = |t: i64| DataPoint::new("m", EpochSecs::new(t)).tag("n", "a");
     let (db, _) = Db::recover(config, &dir).unwrap();
-    for day in 0..3i64 {
-        let batch: Vec<DataPoint> = (0..100)
-            .map(|i| {
-                DataPoint::new("Power", EpochSecs::new(day * 86_400 + i * 60))
-                    .tag("NodeId", "10.101.1.1")
-                    .field_f64("Reading", i as f64)
-            })
-            .collect();
-        db.write_batch(&batch).unwrap();
-    }
-    db.tier_cold_shards(EpochSecs::new(3 * 86_400)).unwrap();
-    assert!(dir.join("shard-0.seg").exists());
-    // Drop day 0 entirely.
-    assert_eq!(db.drop_shards_before(EpochSecs::new(86_400)), 1);
-    assert!(!dir.join("shard-0.seg").exists(), "retention must delete the segment file");
+    db.write(point(0).field_f64("v", 1.0)).unwrap();
+    let batch = [
+        point(60).field_f64("w", 2.0),
+        point(120).field_str("v", "x"),
+        point(86_460).field_f64("v", 3.0),
+    ];
+    let err = db.write_batch(&batch).unwrap_err();
+    assert!(err.to_string().contains("type conflict"), "{err}");
+    assert_eq!(db.stats().points, 2, "v@0 and the prefix w@60");
+    assert_eq!(db.stats().shards, 1, "the day-1 shard is never created");
+    assert_eq!(db.stats(), db.recompute_stats());
+    let answer = |db: &Db, field: &str| {
+        let q = Query::select("m", field, EpochSecs::new(0), EpochSecs::new(2 * 86_400));
+        db.query(&q).unwrap().0
+    };
+    let (v, w) = (answer(&db, "v"), answer(&db, "w"));
+    assert_eq!(v.point_count(), 1);
+    assert_eq!(w.point_count(), 1);
+    db.wal_sync().unwrap();
+    let live = db.stats();
     drop(db);
-    let (recovered, _) = Db::recover(config, &dir).unwrap();
-    let q = Query::select("Power", "Reading", EpochSecs::new(0), EpochSecs::new(86_400));
-    let (rs, _) = recovered.query(&q).unwrap();
-    assert_eq!(rs.point_count(), 0, "dropped day resurrected by recovery");
-    assert_eq!(recovered.stats().points, 200);
+
+    let (recovered, report) = Db::recover(config, &dir).unwrap();
+    assert_eq!(report.records_failed, 1);
+    assert_eq!(recovered.stats(), live);
+    assert_eq!(answer(&recovered, "v"), v);
+    assert_eq!(answer(&recovered, "w"), w);
     drop(recovered);
     std::fs::remove_dir_all(&dir).ok();
 }
