@@ -211,9 +211,9 @@ pub fn render<S: Sink>(plan: &[PlannedQuery], results: &[ResultSet], sink: &mut 
         sink.object(&node.bmc_addr(), |sink| {
             for &at in sections {
                 let (planned, series) = (&plan[at], &results[at].series);
-                let Some(tag) = &planned.label_tag else {
+                let Some(tag) = planned.label_tag else {
                     points_out += results[at].point_count();
-                    sink.points(&planned.section, series);
+                    sink.points(planned.section, series);
                     continue;
                 };
                 labelled.clear();
@@ -224,7 +224,7 @@ pub fn render<S: Sink>(plan: &[PlannedQuery], results: &[ResultSet], sink: &mut 
                         None => labelled.push((label, s)),
                     }
                 }
-                sink.object(&planned.section, |sink| {
+                sink.object(planned.section, |sink| {
                     for (label, s) in &labelled {
                         points_out += s.points.len();
                         sink.points(label, std::slice::from_ref(s));
@@ -407,7 +407,7 @@ mod tests {
         // `thermal` once more (a replacement, which keeps its place).
         let again: Vec<_> = plan[..2].to_vec();
         plan.extend(again);
-        plan[10].section = "power_again".into();
+        plan[10].section = "power_again";
         let out = execute(&db, &plan, ExecMode::Concurrent { workers: 8 }).unwrap();
         let doc = out.document.as_object().unwrap();
         assert_eq!(doc.keys().collect::<Vec<_>>(), vec!["10.101.1.1", "10.101.1.2"]);
@@ -422,7 +422,7 @@ mod tests {
 
     #[test]
     fn series_sharing_a_label_leave_one_member_and_are_counted_once() {
-        use crate::plan::QueryGroup;
+        use crate::QueryGroup;
         use monster_tsdb::SeriesKey;
         let series = |tags: &[(&str, &str)], value: f64, points: i64| SeriesResult {
             key: Arc::new(SeriesKey {
@@ -446,8 +446,8 @@ mod tests {
         let plan = [PlannedQuery {
             group: QueryGroup::Bmc,
             node: NodeId::enumerate(1, 4)[0],
-            section: "thermal".into(),
-            label_tag: Some("Label".into()),
+            section: "thermal",
+            label_tag: Some("Label"),
             query: Query::select("Thermal", "Reading", EpochSecs::new(0), EpochSecs::new(600)),
         }];
 

@@ -32,7 +32,8 @@ pub use cache::{ResponseCache, Validity, ValiditySnapshot};
 pub use exec::{execute, BuilderOutcome, ExecMode};
 pub use flight::{FlightGroup, Join};
 pub use materializer::Materializer;
-pub use plan::{build_plan, estimate_plan_cost, BuilderRequest, PlannedQuery, QueryGroup};
+pub use monster_collector::QueryGroup;
+pub use plan::{build_plan, estimate_plan_cost, BuilderRequest, PlannedQuery};
 pub use qlog::{Disposition, QueryRecorder, RecordFilter, RequestRecord};
 pub use response::{encode_response, EncodedResponse};
 pub use rollup::RollupRoute;

@@ -11,7 +11,7 @@
 //! matching [`RollupRoute`]s so `/v1/metrics` requests with coarse
 //! windows never touch the raw columns at all.
 
-use crate::rollup::RollupRoute;
+use crate::rollup::{RollupRoute, ROLLUP_FIELD};
 use monster_tsdb::{DataPoint, Db, Query};
 use monster_util::{EpochSecs, Error, Result};
 
@@ -45,7 +45,7 @@ impl Materializer {
     }
 
     /// Roll every complete window between each roll-up's watermark and `now`
-    /// into its target measurement (source tags, field `Reading`). Returns
+    /// into its target measurement (source tags, field [`ROLLUP_FIELD`]). Returns
     /// the number of downsampled points written across all roll-ups.
     pub fn run_once(&mut self, db: &Db, now: EpochSecs) -> Result<usize> {
         let mut written = 0usize;
@@ -66,7 +66,7 @@ impl Materializer {
                         tags: series.key.tags.clone(),
                         ..DataPoint::new(&route.target, *t)
                     };
-                    batch.push(p.field("Reading", v.clone()));
+                    batch.push(p.field(ROLLUP_FIELD, v.clone()));
                 }
             }
             db.write_batch(&batch)?;

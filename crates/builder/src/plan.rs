@@ -2,13 +2,13 @@
 //!
 //! A [`BuilderRequest`] describes what an API consumer wants (a time
 //! range, a window size, an aggregation); [`build_plan`] expands it into
-//! the per-node, per-measurement [`PlannedQuery`] list that §II-C's
-//! Metrics Builder issues against the TSDB. The plan shape depends on the
-//! storage schema: the previous generation needs one query per individual
-//! sensor measurement (~17 per node), the optimized schema consolidates
-//! them into 5.
+//! the per-node, per-section [`PlannedQuery`] list that §II-C's Metrics
+//! Builder issues against the TSDB. The sections are the storage schema's
+//! ([`SchemaVersion::sections`], declared beside the point writer): the
+//! previous generation needs one query per individual sensor measurement
+//! (17 per node), the optimized schema consolidates them into 5.
 
-use monster_collector::SchemaVersion;
+use monster_collector::{QueryGroup, SchemaVersion, Section, NODE_TAG};
 use monster_tsdb::{Aggregation, Query, QueryCost};
 use monster_util::EpochSecs;
 use monster_util::{Error, NodeId, Result};
@@ -57,29 +57,6 @@ impl BuilderRequest {
     }
 }
 
-/// Which pipeline source a planned query draws on — the paper's Fig. 11
-/// breakdown buckets time by these groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueryGroup {
-    /// Out-of-band BMC telemetry (power, thermal, fans, voltages).
-    Bmc,
-    /// In-band UGE resource reports (CPU, memory, swap).
-    Uge,
-    /// Job accounting (per-node job lists).
-    Jobs,
-}
-
-impl QueryGroup {
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            QueryGroup::Bmc => "BMC",
-            QueryGroup::Uge => "UGE",
-            QueryGroup::Jobs => "Jobs",
-        }
-    }
-}
-
 /// One query of a builder plan, plus where its results land in the
 /// response document.
 #[derive(Debug, Clone)]
@@ -89,27 +66,13 @@ pub struct PlannedQuery {
     /// The node this query serves.
     pub node: NodeId,
     /// Key under the node's document object where results are placed.
-    pub section: String,
+    pub section: &'static str,
     /// `None` → the section is a flat array of points; `Some(tag)` → an
     /// object keyed by that tag's values (e.g. thermal sensors by
     /// `Label`).
-    pub label_tag: Option<String>,
+    pub label_tag: Option<&'static str>,
     /// The TSDB query to run.
     pub query: Query,
-}
-
-fn windowed(measurement: &str, field: &str, node: NodeId, req: &BuilderRequest) -> Query {
-    Query::select(measurement, field, req.start, req.end)
-        .aggregate(req.aggregation)
-        .where_tag("NodeId", node.bmc_addr())
-        .group_by_time(req.interval_secs)
-}
-
-/// The job-list query reads raw strings (no numeric aggregation) and only
-/// needs the most recent window of the range.
-fn job_list(measurement: &str, node: NodeId, req: &BuilderRequest) -> Query {
-    let start = (req.end - req.interval_secs).max(req.start);
-    Query::select(measurement, "JobList", start, req.end).where_tag("NodeId", node.bmc_addr())
 }
 
 /// Price a whole plan in modelled cost *without executing it*: the sum of
@@ -124,7 +87,11 @@ pub fn estimate_plan_cost(db: &monster_tsdb::Db, plan: &[PlannedQuery]) -> Query
     total
 }
 
-/// Expand a request into the full per-node query plan for `schema`.
+/// Expand a request into the full per-node query plan for `schema`: one
+/// query per node and [`Section`] of [`SchemaVersion::sections`], each
+/// filtered to its node and the section's tag. A `Jobs` section reads raw
+/// strings (no numeric aggregation) from the range's most recent window
+/// only; the rest aggregate every window of the range.
 pub fn build_plan(
     schema: SchemaVersion,
     nodes: &[NodeId],
@@ -132,90 +99,24 @@ pub fn build_plan(
 ) -> Vec<PlannedQuery> {
     let mut plan = Vec::new();
     for &node in nodes {
-        match schema {
-            SchemaVersion::Optimized => plan_optimized(&mut plan, node, req),
-            SchemaVersion::Previous => plan_previous(&mut plan, node, req),
+        for &Section { name, group, measurement, field, tag, label_tag, .. } in schema.sections() {
+            let query = match group {
+                QueryGroup::Jobs => {
+                    let start = (req.end - req.interval_secs).max(req.start);
+                    Query::select(measurement, field, start, req.end)
+                }
+                _ => Query::select(measurement, field, req.start, req.end)
+                    .aggregate(req.aggregation)
+                    .group_by_time(req.interval_secs),
+            };
+            let mut query = query.where_tag(NODE_TAG, node.bmc_addr());
+            if let Some((key, value)) = tag {
+                query = query.where_tag(key, value);
+            }
+            plan.push(PlannedQuery { group, node, section: name, label_tag, query });
         }
     }
     plan
-}
-
-/// Optimized schema: 5 queries per node against consolidated
-/// measurements (§IV-B2).
-fn plan_optimized(plan: &mut Vec<PlannedQuery>, node: NodeId, req: &BuilderRequest) {
-    plan.push(PlannedQuery {
-        group: QueryGroup::Bmc,
-        node,
-        section: "power".into(),
-        label_tag: None,
-        query: windowed("Power", "Reading", node, req).where_tag("Label", "NodePower"),
-    });
-    plan.push(PlannedQuery {
-        group: QueryGroup::Bmc,
-        node,
-        section: "thermal".into(),
-        label_tag: Some("Label".into()),
-        query: windowed("Thermal", "Reading", node, req),
-    });
-    plan.push(PlannedQuery {
-        group: QueryGroup::Uge,
-        node,
-        section: "cpu_usage".into(),
-        label_tag: None,
-        query: windowed("UGE", "CPUUsage", node, req),
-    });
-    plan.push(PlannedQuery {
-        group: QueryGroup::Uge,
-        node,
-        section: "memory".into(),
-        label_tag: None,
-        query: windowed("UGE", "MemUsed", node, req),
-    });
-    plan.push(PlannedQuery {
-        group: QueryGroup::Jobs,
-        node,
-        section: "jobs".into(),
-        label_tag: None,
-        query: job_list("NodeJobs", node, req),
-    });
-}
-
-/// Previous schema: one query per individual version-1 measurement and
-/// sensor — 17 per node, the sequential cost the paper measured in
-/// Fig. 10.
-fn plan_previous(plan: &mut Vec<PlannedQuery>, node: NodeId, req: &BuilderRequest) {
-    let mut sensor = |group: QueryGroup, measurement: &str, sensor: &str, section: String| {
-        plan.push(PlannedQuery {
-            group,
-            node,
-            section,
-            label_tag: None,
-            query: windowed(measurement, "Reading", node, req).where_tag("Sensor", sensor),
-        });
-    };
-    sensor(QueryGroup::Bmc, "PowerUsage", "0", "power".into());
-    for i in 1..=2 {
-        sensor(QueryGroup::Bmc, "CPUTemperature", &i.to_string(), format!("cpu_temp_{i}"));
-    }
-    sensor(QueryGroup::Bmc, "InletTemperature", "0", "inlet_temp".into());
-    for i in 1..=4 {
-        sensor(QueryGroup::Bmc, "FanSpeed", &i.to_string(), format!("fan_{i}"));
-    }
-    for i in 1..=3 {
-        sensor(QueryGroup::Bmc, "Voltage", &i.to_string(), format!("voltage_{i}"));
-    }
-    sensor(QueryGroup::Uge, "CPUUsage", "0", "cpu_usage".into());
-    sensor(QueryGroup::Uge, "MemoryUsed", "0", "memory".into());
-    sensor(QueryGroup::Uge, "MemoryTotal", "0", "memory_total".into());
-    sensor(QueryGroup::Uge, "SwapUsed", "0", "swap_used".into());
-    sensor(QueryGroup::Uge, "SwapFree", "0", "swap_free".into());
-    plan.push(PlannedQuery {
-        group: QueryGroup::Jobs,
-        node,
-        section: "jobs".into(),
-        label_tag: None,
-        query: job_list("NodeJobList", node, req),
-    });
 }
 
 #[cfg(test)]

@@ -26,6 +26,9 @@
 use crate::plan::PlannedQuery;
 use monster_tsdb::Aggregation;
 
+/// The field every roll-up point stores its value in.
+pub const ROLLUP_FIELD: &str = "Reading";
+
 /// A maintained roll-up that requests may be rerouted to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RollupRoute {
@@ -33,7 +36,7 @@ pub struct RollupRoute {
     pub source: String,
     /// Source field.
     pub field: String,
-    /// Target measurement holding the rolled points (field `Reading`).
+    /// Target measurement holding the rolled points (field [`ROLLUP_FIELD`]).
     pub target: String,
     /// Aggregation the roll-up was materialized with.
     pub agg: Aggregation,
@@ -94,8 +97,7 @@ pub fn reroute(plan: &mut [PlannedQuery], routes: &[RollupRoute]) {
         for route in routes {
             if route.applies(&planned.query) {
                 planned.query.measurement = route.target.clone();
-                // Roll-up outputs always store their value as `Reading`.
-                planned.query.field = "Reading".to_string();
+                planned.query.field = ROLLUP_FIELD.to_string();
                 if route.agg == Aggregation::Count {
                     // The roll-up stored per-window counts; the coarse
                     // count is the sum of those stored values.

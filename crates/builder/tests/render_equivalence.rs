@@ -83,8 +83,8 @@ fn arb_entry() -> impl Strategy<Value = (PlannedQuery, ResultSet)> {
             let planned = PlannedQuery {
                 group: QueryGroup::Bmc,
                 node: NodeId::enumerate(3, 4)[node],
-                section: section.to_string(),
-                label_tag: label_tag.map(str::to_string),
+                section,
+                label_tag,
                 query: Query::select("Thermal", "Reading", EpochSecs::new(0), EpochSecs::new(60)),
             };
             (planned, ResultSet { series })
@@ -127,7 +127,7 @@ fn by_insertion(plan: &[PlannedQuery], results: &[ResultSet]) -> (Value, usize) 
             document.insert(addr.as_str(), Object::new());
         }
         let node = document.get_mut(&addr).and_then(Value::as_object_mut).expect("just put");
-        node.insert(planned.section.as_str(), section);
+        node.insert(planned.section, section);
     }
     fn count(v: &Value) -> usize {
         match v {

@@ -20,6 +20,11 @@
 //!   consolidated measurements (`Health`, `Power`, `Thermal`, `UGE`,
 //!   `JobsInfo`, `NodeJobs` — the §III-C inventory).
 //!
+//! Beside the writer, each generation declares its dashboard layout once:
+//! [`SchemaVersion::sections`] lists the [`Section`]s of a node's document
+//! — name, measurement, field and tag — that the Metrics Builder plans its
+//! queries from and the deployment picks its roll-up sources from.
+//!
 //! Pre-processing ([`preprocess`]) implements the §III-B3 rules: health
 //! string → binary code (abnormal-only retention), date string → epoch
 //! int, job-list diffing to estimate finish times UGE does not report, and
@@ -32,4 +37,4 @@ pub mod preprocess;
 pub mod schema;
 
 pub use collector::{Collector, CollectorConfig, IntervalOutput, PointBatch, Recycled, Source};
-pub use schema::{PointWriter, SchemaVersion};
+pub use schema::{PointWriter, QueryGroup, SchemaVersion, Section, NODE_TAG};

@@ -14,6 +14,7 @@ use monster_scheduler::{Job, JobState};
 use monster_tsdb::{DataPoint, FieldValue};
 use monster_util::{EpochSecs, NodeId};
 use std::fmt::{self, Write as _};
+use QueryGroup::{Bmc, Jobs, Uge};
 
 /// Which schema generation to build points for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,6 +27,121 @@ pub enum SchemaVersion {
     /// The redesign: consolidated measurements, binary health codes kept
     /// only when abnormal, integer epoch times.
     Optimized,
+}
+
+/// The tag every node-scoped point opens with, and every dashboard query
+/// filters on: the BMC's `10.101.c.s` address.
+pub const NODE_TAG: &str = "NodeId";
+
+/// Which pipeline source a section draws on — the paper's Fig. 11
+/// breakdown buckets time by these groups.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum QueryGroup {
+    /// Out-of-band BMC telemetry (power, thermal, fans, voltages).
+    Bmc,
+    /// In-band UGE resource reports (CPU, memory, swap).
+    Uge,
+    /// Job accounting (per-node job lists).
+    Jobs,
+}
+
+impl QueryGroup {
+    /// Display name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            QueryGroup::Bmc => "BMC",
+            QueryGroup::Uge => "UGE",
+            QueryGroup::Jobs => "Jobs",
+        }
+    }
+}
+
+/// One section of a node's dashboard document and where a schema keeps
+/// it: the Table II metric's measurement, field and tag. The Metrics Builder
+/// plans one query per node and section; the writer below fills them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Section {
+    /// Key under the node's document object.
+    pub name: &'static str,
+    /// `Jobs` sections read raw strings from the range's last window; the
+    /// rest aggregate every window.
+    pub group: QueryGroup,
+    /// Measurement read.
+    pub measurement: &'static str,
+    /// Field read.
+    pub field: &'static str,
+    /// The tag equality that picks the section's series, besides the node.
+    pub tag: Option<(&'static str, &'static str)>,
+    /// `None` → the section is a flat array of points; `Some(tag)` → an
+    /// object keyed by that tag's values (thermal sensors by `Label`).
+    pub label_tag: Option<&'static str>,
+    /// The stem of its maintained roll-up's target, `<stem>_<window>`.
+    pub rollup: Option<&'static str>,
+}
+
+type Name = &'static str;
+
+impl Section {
+    const fn new(name: Name, group: QueryGroup, measurement: Name, field: Name) -> Section {
+        Section { name, group, measurement, field, tag: None, label_tag: None, rollup: None }
+    }
+
+    /// A version-1 metric: its own measurement, the instance (or 0) in `Sensor`.
+    const fn v1(name: Name, group: QueryGroup, measurement: Name, sensor: Name) -> Section {
+        Section {
+            tag: Some(("Sensor", sensor)),
+            ..Section::new(name, group, measurement, "Reading")
+        }
+    }
+}
+
+/// The optimized schema's 5 sections, against consolidated measurements.
+const OPTIMIZED: &[Section] = &[
+    Section {
+        tag: Some(("Label", "NodePower")),
+        rollup: Some("Power"),
+        ..Section::new("power", Bmc, "Power", "Reading")
+    },
+    Section {
+        label_tag: Some("Label"),
+        rollup: Some("Thermal"),
+        ..Section::new("thermal", Bmc, "Thermal", "Reading")
+    },
+    Section { rollup: Some("UGECpu"), ..Section::new("cpu_usage", Uge, "UGE", "CPUUsage") },
+    Section::new("memory", Uge, "UGE", "MemUsed"),
+    Section::new("jobs", Jobs, "NodeJobs", "JobList"),
+];
+
+/// The previous schema's 17 sections, one per version-1 measurement and
+/// sensor: the sequential cost the paper measured in Fig. 10.
+const PREVIOUS: &[Section] = &[
+    Section::v1("power", Bmc, "PowerUsage", "0"),
+    Section::v1("cpu_temp_1", Bmc, "CPUTemperature", "1"),
+    Section::v1("cpu_temp_2", Bmc, "CPUTemperature", "2"),
+    Section::v1("inlet_temp", Bmc, "InletTemperature", "0"),
+    Section::v1("fan_1", Bmc, "FanSpeed", "1"),
+    Section::v1("fan_2", Bmc, "FanSpeed", "2"),
+    Section::v1("fan_3", Bmc, "FanSpeed", "3"),
+    Section::v1("fan_4", Bmc, "FanSpeed", "4"),
+    Section::v1("voltage_1", Bmc, "Voltage", "1"),
+    Section::v1("voltage_2", Bmc, "Voltage", "2"),
+    Section::v1("voltage_3", Bmc, "Voltage", "3"),
+    Section::v1("cpu_usage", Uge, "CPUUsage", "0"),
+    Section::v1("memory", Uge, "MemoryUsed", "0"),
+    Section::v1("memory_total", Uge, "MemoryTotal", "0"),
+    Section::v1("swap_used", Uge, "SwapUsed", "0"),
+    Section::v1("swap_free", Uge, "SwapFree", "0"),
+    Section::new("jobs", Jobs, "NodeJobList", "JobList"),
+];
+
+impl SchemaVersion {
+    /// The dashboard sections of a node's document, in document order.
+    pub fn sections(self) -> &'static [Section] {
+        match self {
+            SchemaVersion::Optimized => OPTIMIZED,
+            SchemaVersion::Previous => PREVIOUS,
+        }
+    }
 }
 
 /// What a slot's `String` can be overwritten with: a `&str` is copied,
@@ -95,10 +211,9 @@ impl Slot<'_> {
         self
     }
 
-    /// The `NodeId` tag every node-scoped point opens with: the BMC's
-    /// `10.101.c.s` address.
+    /// The [`NODE_TAG`] every node-scoped point opens with.
     fn node(&mut self, node: NodeId) -> &mut Self {
-        self.tag("NodeId", node.addr().as_str())
+        self.tag(NODE_TAG, node.addr().as_str())
     }
 
     fn next_field(&mut self, key: &str) -> &mut FieldValue {

@@ -42,7 +42,7 @@ pub struct MonsterConfig {
     /// Per-node BMC overrides by enumeration index (heterogeneous fleets:
     /// one flaky rack in an otherwise healthy cluster).
     pub bmc_overrides: Vec<(usize, BmcConfig)>,
-    /// Redfish client tunables (timeouts, retries, in-flight budget).
+    /// Redfish client tunables (in-flight budget, sweep workers).
     pub client: ClientConfig,
     /// When set, collection runs through the resilience layer: circuit
     /// breakers, jittered backoff, deadline-aware degraded sweeps (9/10 of
@@ -356,21 +356,24 @@ impl Monster {
             .sum()
     }
 
-    /// Maintain hourly `max` roll-ups of the sensor measurements (the
-    /// InfluxDB downsampling pattern of §III-C). Once enabled, each
-    /// collection interval advances the roll-ups, and coarse `max`
-    /// requests route to them automatically.
+    /// Maintain `max` roll-ups per `window_secs` of the schema's sections
+    /// that name a roll-up stem (the InfluxDB downsampling pattern of
+    /// §III-C), each into `<stem>_<window>`. Once enabled, each collection
+    /// interval advances the roll-ups, and coarse `max` requests route to
+    /// them automatically.
     pub fn enable_rollups(&mut self, window_secs: i64) -> Result<()> {
         let suffix = monster_util::time::format_interval(window_secs);
-        let routes = [
-            ("Power", "Reading", "Power"),
-            ("Thermal", "Reading", "Thermal"),
-            ("UGE", "CPUUsage", "UGECpu"),
-        ]
-        .map(|(source, field, stem)| {
-            let target = format!("{stem}_{suffix}");
-            RollupRoute::new(source, field, target, Aggregation::Max, window_secs)
-        });
+        let routes: Vec<RollupRoute> = self
+            .config
+            .schema
+            .sections()
+            .iter()
+            .filter_map(|s| Some((s, s.rollup?)))
+            .map(|(s, stem)| {
+                let target = format!("{stem}_{suffix}");
+                RollupRoute::new(s.measurement, s.field, target, Aggregation::Max, window_secs)
+            })
+            .collect();
         self.rollups = Some(Materializer::new(&routes, self.now)?);
         Ok(())
     }

@@ -21,13 +21,15 @@ use monster_util::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// Read timeout per attempt: a stalled BMC costs exactly this long.
+const READ_TIMEOUT: VDuration = VDuration::from_secs(15);
+
+/// Retries after the first attempt (the paper's "retry mechanisms").
+const MAX_RETRIES: usize = 2;
+
 /// Client tunables.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Read timeout per attempt: a stalled BMC costs exactly this long.
-    pub read_timeout: VDuration,
-    /// Retries after the first attempt (the paper's "retry mechanisms").
-    pub max_retries: usize,
     /// Simultaneous in-flight requests the collector host sustains
     /// (connection-pool limit). Default calibrated so a 1868-URL sweep
     /// lands near the paper's ~55 s.
@@ -39,12 +41,7 @@ pub struct ClientConfig {
 
 impl Default for ClientConfig {
     fn default() -> Self {
-        ClientConfig {
-            read_timeout: VDuration::from_secs(15),
-            max_retries: 2,
-            max_inflight: 150,
-            pool_workers: 8,
-        }
+        ClientConfig { max_inflight: 150, pool_workers: 8 }
     }
 }
 
@@ -200,7 +197,7 @@ impl RedfishClient {
         let mut elapsed = VDuration::ZERO;
         let mut attempts = 0;
         let mut timeouts = 0;
-        while attempts <= self.config.max_retries {
+        while attempts <= MAX_RETRIES {
             attempts += 1;
             match cluster.request(node, category, |a| a.map(|p| parse_reading(category, p).ok())) {
                 Ok(Answer::Ok(reading, latency)) => {
@@ -220,7 +217,7 @@ impl RedfishClient {
                 }
                 Ok(Answer::Stalled) => {
                     timeouts += 1;
-                    elapsed += self.config.read_timeout;
+                    elapsed += READ_TIMEOUT;
                 }
                 Err(_) => {
                     // Unknown node: not retryable.
@@ -262,9 +259,9 @@ impl RedfishClient {
         loop {
             attempts += 1;
             let remaining = budget.saturating_sub(elapsed);
-            // A real client bounds the read by both its configured timeout
-            // and the time left in the sweep budget.
-            let attempt_timeout = std::cmp::min(self.config.read_timeout, remaining);
+            // A real client bounds the read by both its read timeout and
+            // the time left in the sweep budget.
+            let attempt_timeout = std::cmp::min(READ_TIMEOUT, remaining);
             match cluster.request(node, category, |a| a.map(|p| parse_reading(category, p).ok())) {
                 Ok(Answer::Ok(reading, latency)) if latency <= attempt_timeout => {
                     elapsed += latency;
@@ -308,7 +305,7 @@ impl RedfishClient {
                     };
                 }
             }
-            if attempts > self.config.max_retries || registry.is_open(node) {
+            if attempts > MAX_RETRIES || registry.is_open(node) {
                 break;
             }
             let delay = backoff_delay(JITTER_SEED, node, sweep, attempts as u32);
@@ -669,7 +666,7 @@ mod tests {
     #[test]
     fn retry_exhaustion_accounts_attempts_timeouts_elapsed() {
         // The satellite-checklist accounting test: a dead BMC exhausts
-        // max_retries and the outcome reports exactly what was spent.
+        // MAX_RETRIES and the outcome reports exactly what was spent.
         let cluster = clean_cluster(1, 21);
         let node = cluster.node_ids()[0];
         cluster.set_bmc_alive(node, false).unwrap();
@@ -683,7 +680,7 @@ mod tests {
         assert!(o.skip.is_none());
         // Default breaker threshold is 3: the third stalled attempt trips
         // the breaker mid-request, so all 3 attempts ran.
-        assert_eq!(o.attempts, client.config().max_retries + 1);
+        assert_eq!(o.attempts, MAX_RETRIES + 1);
         assert_eq!(o.timeouts, 3);
         // Elapsed = 3 read timeouts + the two jittered backoff delays.
         let d1 = backoff_delay(JITTER_SEED, node, 1, 1);

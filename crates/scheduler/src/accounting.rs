@@ -477,6 +477,7 @@ fn scheduling_info<S: Sink>(s: &mut S, job: &Job) {
 /// Serialize a document the way the production collector received it —
 /// UGE's qstat/qhost XML dialect, which is several times more verbose than
 /// JSON. Table IV's payload sizes are measured on this encoding.
+// kept: the XML oracle that `node_wire_bytes` and `job_wire_bytes` are checked against
 pub fn to_xml(tag: &str, v: &Value) -> String {
     let mut out = String::new();
     write_xml(&mut out, tag, v);

@@ -6,6 +6,9 @@
 //! when resources free up; execution daemons report load every 40 s; a host
 //! that stops reporting is labelled unavailable and receives no further
 //! work.
+//!
+//! The queue order is submitted priority, then submit time; the backfill
+//! policy is the one scheduling choice a caller makes.
 
 use crate::accounting::{MemoStats, PullMemo};
 use crate::host::{ExecHost, LoadReport, SLOTS_PER_NODE};
@@ -15,25 +18,17 @@ use crate::job::{Job, JobId, JobSpec, JobState};
 use monster_sim::{EventQueue, VInstant};
 use monster_util::{EpochSecs, Error, NodeId, Result};
 use parking_lot::{Mutex, MutexGuard};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashSet};
 
-/// Fair-share policy: users with heavy recent usage are deprioritized,
-/// like UGE's share-tree policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FairshareConfig {
-    /// Half-life of accumulated usage, seconds (UGE's default share-tree
-    /// half-life is hours-scale).
-    pub halflife_secs: i64,
-    /// Priority penalty per normalized unit of usage. One unit equals the
-    /// whole cluster for one half-life.
-    pub weight: f64,
-}
+/// Execd load-report interval (UGE default: 40 s).
+const LOAD_REPORT_INTERVAL: i64 = 40;
 
-impl Default for FairshareConfig {
-    fn default() -> Self {
-        FairshareConfig { halflife_secs: 4 * 3600, weight: 100.0 }
-    }
-}
+/// Scheduler pass interval, seconds.
+const SCHEDULE_INTERVAL: i64 = 15;
+
+/// Reports a host may miss before being declared lost.
+const LOST_AFTER_MISSED_REPORTS: i64 = 3;
 
 /// Backfill policy for the scheduler pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,16 +50,8 @@ pub struct QmasterConfig {
     pub nodes: usize,
     /// Sleds per chassis (management addressing).
     pub slots_per_chassis: u16,
-    /// Execd load-report interval (UGE default: 40 s).
-    pub load_report_interval: i64,
-    /// Scheduler pass interval.
-    pub schedule_interval: i64,
-    /// Reports a host may miss before being declared lost.
-    pub lost_after_missed_reports: u32,
     /// Simulation start time.
     pub start_time: EpochSecs,
-    /// Fair-share policy; `None` = pure priority + FIFO.
-    pub fairshare: Option<FairshareConfig>,
     /// Backfill policy.
     pub backfill: BackfillPolicy,
 }
@@ -74,11 +61,7 @@ impl Default for QmasterConfig {
         QmasterConfig {
             nodes: 467,
             slots_per_chassis: 4,
-            load_report_interval: 40,
-            schedule_interval: 15,
-            lost_after_missed_reports: 3,
             start_time: EpochSecs::parse_rfc3339("2020-04-20T00:00:00Z").expect("valid"),
-            fairshare: None,
             backfill: BackfillPolicy::default(),
         }
     }
@@ -129,9 +112,6 @@ pub struct Qmaster {
     /// job start; cleared after a scheduler pass. Skipping no-op passes
     /// keeps day-scale simulations fast.
     dirty: bool,
-    /// Per-user decayed core-second usage (fair-share accounting):
-    /// (usage at `stamp`, stamp).
-    usage: std::collections::HashMap<monster_util::UserName, (f64, EpochSecs)>,
     /// ARCo's memo of accounting-document sizes. Behind a lock because a
     /// pull reads the qmaster; validated by record equality, so nothing in
     /// this file has to invalidate it.
@@ -160,14 +140,13 @@ impl Qmaster {
             events: EventQueue::new(),
             finished: Vec::new(),
             dirty: false,
-            usage: std::collections::HashMap::new(),
             accounting: Mutex::default(),
             config,
         };
         // Kick off the periodic ticks.
         let t0 = qm.now;
-        qm.schedule_event(t0 + qm.config.schedule_interval, Event::ScheduleTick);
-        qm.schedule_event(t0 + qm.config.load_report_interval, Event::LoadReportTick);
+        qm.schedule_event(t0 + SCHEDULE_INTERVAL, Event::ScheduleTick);
+        qm.schedule_event(t0 + LOAD_REPORT_INTERVAL, Event::LoadReportTick);
         qm
     }
 
@@ -230,12 +209,12 @@ impl Qmaster {
             }
             Event::ScheduleTick => {
                 self.schedule_pass();
-                let next = self.now + self.config.schedule_interval;
+                let next = self.now + SCHEDULE_INTERVAL;
                 self.schedule_event(next, Event::ScheduleTick);
             }
             Event::LoadReportTick => {
                 self.receive_reports();
-                let next = self.now + self.config.load_report_interval;
+                let next = self.now + LOAD_REPORT_INTERVAL;
                 self.schedule_event(next, Event::LoadReportTick);
             }
             Event::JobEnd(id) => self.finish_job(id, false),
@@ -260,24 +239,13 @@ impl Qmaster {
             return;
         }
         self.dirty = false;
-        // Sort by effective priority (descending), then FIFO. Effective
-        // priorities are finite floats; scale to integers for a total
-        // order.
-        let mut keyed: Vec<(i64, EpochSecs, JobId)> = self
-            .pending
-            .iter()
-            .map(|id| {
-                let j = &self.jobs[id];
-                // Quantize to 0.1-priority buckets: negligible decayed
-                // usage must not override FIFO order.
-                let eff = (self.effective_priority(j) * 10.0).round() as i64;
-                (-eff, j.submit_time, j.id)
-            })
-            .collect();
-        keyed.sort();
-        self.pending = keyed.into_iter().map(|(_, _, id)| id).collect();
+        // Highest priority first, then FIFO.
+        let mut ids = std::mem::take(&mut self.pending);
+        ids.sort_by_cached_key(|id| {
+            let j = &self.jobs[id];
+            (Reverse(j.spec.priority), j.submit_time, j.id)
+        });
         let mut still_pending = Vec::new();
-        let ids: Vec<JobId> = self.pending.drain(..).collect();
         // Identical shapes fail identically within one pass: memoize the
         // (slots_per_host, hosts_needed) pairs that could not be placed so
         // a 997-task array job costs one host scan, not 997.
@@ -456,45 +424,6 @@ impl Qmaster {
         self.dirty = true;
         monster_obs::counter("monster_sched_jobs_finished_total").inc();
         monster_obs::gauge("monster_sched_running_jobs").sub(1);
-        // Fair-share accounting: charge the user the job's core-seconds.
-        if self.config.fairshare.is_some() {
-            let job = &self.jobs[&id];
-            let slots = job.total_slots(SLOTS_PER_NODE) as f64;
-            let span = match &job.state {
-                JobState::Done { start, end, .. } | JobState::Failed { start, end, .. } => {
-                    (*end - *start) as f64
-                }
-                _ => 0.0,
-            };
-            let user = job.spec.user.clone();
-            let now = self.now;
-            let decayed = self.decayed_usage(&user, now);
-            self.usage.insert(user, (decayed + slots * span, now));
-        }
-    }
-
-    /// A user's usage decayed to `now`.
-    fn decayed_usage(&self, user: &monster_util::UserName, now: EpochSecs) -> f64 {
-        let Some(fs) = self.config.fairshare else { return 0.0 };
-        match self.usage.get(user) {
-            Some((u, stamp)) => {
-                let dt = (now - *stamp).max(0) as f64;
-                u * 0.5f64.powf(dt / fs.halflife_secs as f64)
-            }
-            None => 0.0,
-        }
-    }
-
-    /// Effective scheduling priority: the submitted priority minus the
-    /// fair-share penalty (scaled by the user's share of one
-    /// cluster-half-life of capacity).
-    fn effective_priority(&self, job: &Job) -> f64 {
-        let base = job.spec.priority as f64;
-        let Some(fs) = self.config.fairshare else { return base };
-        let cluster_capacity =
-            self.hosts.len() as f64 * SLOTS_PER_NODE as f64 * fs.halflife_secs as f64;
-        let share = self.decayed_usage(&job.spec.user, self.now) / cluster_capacity;
-        base - fs.weight * share
     }
 
     /// Load-report processing: live execds refresh their stamp; hosts past
@@ -502,8 +431,7 @@ impl Qmaster {
     /// ("the qmaster labels the executing host and its resources as no
     /// longer available", §III-B2).
     fn receive_reports(&mut self) {
-        let lost_after =
-            self.config.load_report_interval * self.config.lost_after_missed_reports as i64;
+        let lost_after = LOAD_REPORT_INTERVAL * LOST_AFTER_MISSED_REPORTS;
         let mut lost: Vec<NodeId> = Vec::new();
         for (node, h) in self.hosts.iter_mut() {
             if self.execds_down.contains(node) {
@@ -661,6 +589,23 @@ mod tests {
         let running = qm.running_jobs();
         assert_eq!(running.len(), 1);
         assert_eq!(running[0].spec.user.as_str(), "high");
+    }
+
+    #[test]
+    fn equal_priorities_dispatch_in_submit_order() {
+        let mut qm = Qmaster::new(cfg(1));
+        // The hog holds the node for an hour; while it runs, it queues its
+        // next job before the light user does.
+        qm.submit_at(t0() + 1, serial_spec("hog", 36, 3600));
+        qm.run_until(t0() + 60);
+        qm.submit_at(t0() + 100, serial_spec("hog", 36, 3600));
+        qm.submit_at(t0() + 200, serial_spec("light", 36, 3600));
+        // The node frees up: the earlier submission runs first.
+        qm.run_until(t0() + 3700 + 60);
+        let running = qm.running_jobs();
+        assert_eq!(running.len(), 1, "exactly one job should hold the node");
+        assert_eq!(running[0].spec.user.as_str(), "hog");
+        assert_eq!(qm.pending_jobs()[0].spec.user.as_str(), "light");
     }
 
     #[test]

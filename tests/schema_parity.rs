@@ -1,9 +1,11 @@
-//! Schema parity: both storage schemas answer the same questions, and a
+//! Schema parity: both storage schemas answer the same questions, every
+//! section a schema declares finds what its writer stored, and a
 //! deployment is a function of its seed.
 
 use monster::builder::{build_plan, exec::execute, BuilderRequest, ExecMode};
-use monster::collector::SchemaVersion;
+use monster::collector::{SchemaVersion, Source};
 use monster::redfish::bmc::BmcConfig;
+use monster::redfish::sensors::{CPU_TEMP_LABELS, FAN_LABELS};
 use monster::tsdb::Aggregation;
 use monster::{Monster, MonsterConfig};
 
@@ -57,6 +59,40 @@ fn both_schemas_answer_power_queries_identically() {
     // And the optimized schema did it with less physical work.
     assert!(out_new.cost.bytes < out_old.cost.bytes);
     assert!(out_new.cost.queries < out_old.cost.queries);
+}
+
+/// The contract between a schema's section table and its point writer:
+/// after one failure-free sweep interval and one sensors interval, every
+/// section of every node reads at least one series, and thermal reads one
+/// per CPU, the inlet and each fan.
+#[test]
+fn every_section_finds_its_stored_series_on_every_node() {
+    for schema in [SchemaVersion::Optimized, SchemaVersion::Previous] {
+        let mut m = Monster::new(MonsterConfig {
+            nodes: 4,
+            schema,
+            seed: 99,
+            bmc: BmcConfig { failure_rate: 0.0, stall_rate: 0.0, ..BmcConfig::default() },
+            ..MonsterConfig::default()
+        });
+        let start = m.now();
+        let sweep = m.run_interval_from(Source::Sweep).unwrap();
+        assert_eq!(sweep.bmc_failures, 0);
+        m.run_interval_from(Source::Sensors).unwrap();
+        let req = BuilderRequest::new(start, m.now() + 60, 60, Aggregation::Max).unwrap();
+        let (nodes, sections) = (m.node_ids(), schema.sections());
+        let plan = build_plan(schema, &nodes, &req);
+        assert_eq!(plan.len(), nodes.len() * sections.len());
+        for (i, (planned, section)) in plan.iter().zip(sections.iter().cycle()).enumerate() {
+            assert_eq!((planned.node, planned.section), (nodes[i / sections.len()], section.name));
+            let (rs, _) = m.db().query(&planned.query).unwrap();
+            let (node, name) = (planned.node, section.name);
+            assert!(!rs.series.is_empty(), "{schema:?}: {node} {name} found no series");
+            if name == "thermal" {
+                assert_eq!(rs.series.len(), CPU_TEMP_LABELS.len() + 1 + FAN_LABELS.len());
+            }
+        }
+    }
 }
 
 #[test]
