@@ -10,24 +10,12 @@
 
 use monster_sim::SimRng;
 
-/// Configuration.
-#[derive(Debug, Clone)]
-pub struct KMeansConfig {
-    /// Cluster count (the paper uses k = 7).
-    pub k: usize,
-    /// Maximum Lloyd iterations.
-    pub max_iters: usize,
-    /// Convergence threshold on centroid movement (in normalized space).
-    pub tolerance: f64,
-    /// RNG seed for initialization.
-    pub seed: u64,
-}
-
-impl Default for KMeansConfig {
-    fn default() -> Self {
-        KMeansConfig { k: 7, max_iters: 100, tolerance: 1e-6, seed: 7 }
-    }
-}
+/// Maximum Lloyd iterations.
+const MAX_ITERS: usize = 100;
+/// Convergence threshold on centroid movement (in normalized space).
+const TOLERANCE: f64 = 1e-6;
+/// RNG seed for initialization.
+const SEED: u64 = 7;
 
 /// A fitted clustering.
 #[derive(Debug, Clone)]
@@ -45,19 +33,20 @@ pub struct KMeans {
 }
 
 impl KMeans {
-    /// Fit on raw (unnormalized) observations, `n × dims`.
+    /// Fit `k` clusters (the paper uses k = 7) on raw (unnormalized)
+    /// observations, `n × dims`.
     ///
     /// Panics if `data` is empty, rows are ragged, or `k` is 0.
-    pub fn fit(data: &[Vec<f64>], config: &KMeansConfig) -> KMeans {
-        assert!(config.k > 0, "k must be positive");
+    pub fn fit(data: &[Vec<f64>], k: usize) -> KMeans {
+        assert!(k > 0, "k must be positive");
         assert!(!data.is_empty(), "cannot cluster zero points");
         let dims = data[0].len();
         assert!(data.iter().all(|r| r.len() == dims), "ragged input");
 
         let ranges = ranges_of(data);
         let normed: Vec<Vec<f64>> = data.iter().map(|r| normalize_row(r, &ranges)).collect();
-        let k = config.k.min(normed.len());
-        let mut rng = SimRng::derive(config.seed, "kmeans");
+        let k = k.min(normed.len());
+        let mut rng = SimRng::derive(SEED, "kmeans");
 
         // k-means++ initialization.
         let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
@@ -87,7 +76,7 @@ impl KMeans {
 
         let mut assignments = vec![0usize; normed.len()];
         let mut iterations = 0;
-        for iter in 0..config.max_iters {
+        for iter in 0..MAX_ITERS {
             iterations = iter + 1;
             // Assign.
             for (i, p) in normed.iter().enumerate() {
@@ -121,7 +110,7 @@ impl KMeans {
                 movement += dist2(&new, &centroids[c]);
                 centroids[c] = new;
             }
-            if movement <= config.tolerance {
+            if movement <= TOLERANCE {
                 break;
             }
         }
@@ -206,7 +195,7 @@ mod tests {
 
     #[test]
     fn recovers_separated_blobs() {
-        let km = KMeans::fit(&blobs(), &KMeansConfig { k: 3, ..KMeansConfig::default() });
+        let km = KMeans::fit(&blobs(), 3);
         // Each blob's 40 points share one label.
         for blob in 0..3 {
             let labels: std::collections::HashSet<usize> =
@@ -220,7 +209,7 @@ mod tests {
 
     #[test]
     fn assignment_is_nearest_centroid() {
-        let km = KMeans::fit(&blobs(), &KMeansConfig { k: 3, ..KMeansConfig::default() });
+        let km = KMeans::fit(&blobs(), 3);
         // Invariant: every point's assigned centroid is its argmin.
         let data = blobs();
         for (i, row) in data.iter().enumerate() {
@@ -233,7 +222,7 @@ mod tests {
         let data = blobs();
         let mut prev = f64::INFINITY;
         for k in [1, 2, 3, 5, 8] {
-            let km = KMeans::fit(&data, &KMeansConfig { k, ..KMeansConfig::default() });
+            let km = KMeans::fit(&data, k);
             assert!(
                 km.inertia <= prev + 1e-9,
                 "inertia rose from {prev} to {} at k={k}",
@@ -246,8 +235,8 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let data = blobs();
-        let a = KMeans::fit(&data, &KMeansConfig::default());
-        let b = KMeans::fit(&data, &KMeansConfig::default());
+        let a = KMeans::fit(&data, 7);
+        let b = KMeans::fit(&data, 7);
         assert_eq!(a.assignments, b.assignments);
         assert_eq!(a.inertia, b.inertia);
     }
@@ -255,7 +244,7 @@ mod tests {
     #[test]
     fn k_larger_than_points_clamps() {
         let data = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        let km = KMeans::fit(&data, &KMeansConfig { k: 7, ..KMeansConfig::default() });
+        let km = KMeans::fit(&data, 7);
         assert!(km.centroids.len() <= 2);
         assert_eq!(km.assignments.len(), 2);
     }
@@ -263,7 +252,7 @@ mod tests {
     #[test]
     fn identical_points_converge() {
         let data = vec![vec![5.0, 5.0]; 20];
-        let km = KMeans::fit(&data, &KMeansConfig { k: 3, ..KMeansConfig::default() });
+        let km = KMeans::fit(&data, 3);
         assert!(km.inertia < 1e-9);
     }
 
@@ -273,8 +262,8 @@ mod tests {
         // blobs, but dim 1 scaled by 1000 — clustering is unchanged.
         let data = blobs();
         let scaled: Vec<Vec<f64>> = data.iter().map(|r| vec![r[0], r[1] * 1000.0]).collect();
-        let a = KMeans::fit(&data, &KMeansConfig { k: 3, ..KMeansConfig::default() });
-        let b = KMeans::fit(&scaled, &KMeansConfig { k: 3, ..KMeansConfig::default() });
+        let a = KMeans::fit(&data, 3);
+        let b = KMeans::fit(&scaled, 3);
         // Same partition (labels may permute): compare co-assignment.
         for i in (0..120).step_by(7) {
             for j in (0..120).step_by(11) {
@@ -290,12 +279,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero points")]
     fn empty_input_panics() {
-        KMeans::fit(&[], &KMeansConfig::default());
+        KMeans::fit(&[], 7);
     }
 
     #[test]
     #[should_panic(expected = "ragged")]
     fn ragged_input_panics() {
-        KMeans::fit(&[vec![1.0], vec![1.0, 2.0]], &KMeansConfig::default());
+        KMeans::fit(&[vec![1.0], vec![1.0, 2.0]], 7);
     }
 }

@@ -27,7 +27,7 @@ pub mod report;
 pub mod timeline;
 pub mod trend;
 
-pub use kmeans::{KMeans, KMeansConfig};
+pub use kmeans::KMeans;
 pub use radar::{RadarProfile, METRIC_NAMES};
 pub use report::ClusterReport;
 pub use timeline::{JobBar, UserTimeline};

@@ -75,7 +75,6 @@ impl NodeTrend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kmeans::KMeansConfig;
 
     fn clustering() -> KMeans {
         // Two regimes: idle-ish and hot.
@@ -85,7 +84,7 @@ mod tests {
             data.push(vec![40.0 + j, 41.0, 20.0, 4000.0, 4000.0, 4000.0, 4000.0, 150.0, 0.2]);
             data.push(vec![85.0 + j, 86.0, 24.0, 14000.0, 14000.0, 14000.0, 14000.0, 380.0, 0.9]);
         }
-        KMeans::fit(&data, &KMeansConfig { k: 2, ..KMeansConfig::default() })
+        KMeans::fit(&data, 2)
     }
 
     fn idle(t: i64) -> (EpochSecs, [f64; 9]) {

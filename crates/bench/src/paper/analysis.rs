@@ -3,7 +3,7 @@
 use super::{Fixtures, Out};
 use crate::fixture_workload;
 use monster_analysis::histogram::UsageMatrix;
-use monster_analysis::kmeans::{KMeans, KMeansConfig};
+use monster_analysis::kmeans::KMeans;
 use monster_analysis::radar::{fleet_normalized, RadarProfile};
 use monster_analysis::timeline::build_timeline;
 use monster_analysis::trend::NodeTrend;
@@ -101,7 +101,7 @@ pub fn fig08(_: &Fixtures, out: &mut Out) {
         }
     }
 
-    let km = KMeans::fit(&fleet, &KMeansConfig { k: 7, ..KMeansConfig::default() });
+    let km = KMeans::fit(&fleet, 7);
     let trend = NodeTrend::build(tracked.label(), &history, &km);
 
     say!(out, "FIG. 8 — HISTORICAL STATUS TREND, node {}\n", tracked.label());
@@ -174,7 +174,7 @@ pub fn fig09(_: &Fixtures, out: &mut Out) {
 
     // Left panel: the k=7 host groups of the final snapshot.
     let data: Vec<Vec<f64>> = final_snapshot.iter().map(|r| r.to_vec()).collect();
-    let km = KMeans::fit(&data, &KMeansConfig { k: 7, ..KMeansConfig::default() });
+    let km = KMeans::fit(&data, 7);
     let sizes = km.cluster_sizes();
     say!(out, "host groups (k = 7):");
     for (g, size) in sizes.iter().enumerate() {

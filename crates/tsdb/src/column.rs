@@ -24,11 +24,6 @@ use monster_util::{Error, Result};
 /// Points per sealed block.
 pub const BLOCK_SIZE: usize = 1024;
 
-/// Cost of decoding one sealed point relative to examining one raw tail
-/// point (measured: ≈ 53 ns to decompress, emit and aggregate against
-/// ≈ 3 ns to range-check a tail timestamp). See [`Column::scan_weight`].
-pub const DECODE_WEIGHT: usize = 16;
-
 /// The numeric fold of a sealed block's values, in append order — the same
 /// fold the per-point aggregation accumulator performs, so merging it is
 /// bit-identical to replaying the block's points.
@@ -480,27 +475,6 @@ impl Column {
         Ok(stats)
     }
 
-    /// What a scan of `[start, end)` will cost at most, read from block
-    /// headers and the tail's length alone — no timestamp or value is
-    /// touched. The unit is one raw tail point examined: a sealed block the
-    /// scan must decode weighs [`DECODE_WEIGHT`] a point, one it will answer
-    /// from its zone map (under the aggregation `agg`) as much as a single
-    /// decoded point, the tail its length (an in-order tail is searched,
-    /// not walked, but finding that out would cost the weighing pass the
-    /// cache misses it exists to share out). The batched read path balances
-    /// its threads on this.
-    pub fn scan_weight(&self, start: i64, end: i64, agg: Option<&AggScan>) -> usize {
-        let blocks = self.sealed.iter().map(|b| &b.summary);
-        let sealed: usize = blocks
-            .filter(|s| s.ts_max >= start && s.ts_min < end)
-            .map(|s| match agg {
-                Some(spec) if !spec.decode_all && s.usable_for(spec) => 1,
-                _ => s.count,
-            })
-            .sum();
-        sealed * DECODE_WEIGHT + self.tail_ts.len()
-    }
-
     /// The tail indices a scan of `[start, end)` has to look at: exactly
     /// the matching ones when the tail is in time order, all otherwise.
     fn tail_candidates(&self, start: i64, end: i64) -> std::ops::Range<usize> {
@@ -917,7 +891,6 @@ mod tests {
                 let stats = by_point.scan(start, end, |t, v| got.push((t, v))).unwrap();
                 assert_eq!(got, want, "[{start}, {end})");
                 assert_eq!((stats.blocks, stats.points), (1, ts.len()));
-                assert_eq!(by_point.scan_weight(start, end, None), ts.len());
             }
         }
         // Sealing empties the tail: the next one starts in order again.

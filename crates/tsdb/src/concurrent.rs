@@ -14,8 +14,8 @@
 //!
 //! `workers` therefore means two things, deliberately: the number of bins
 //! in the simulated-time model (exactly), and an upper bound on the
-//! physical threads (`min(workers, DbConfig::scan_workers, cores)`, and one
-//! for a batch too light to hand off). The model additionally divides each
+//! physical threads (`min(workers, DbConfig::scan_workers, cores, queries)`:
+//! a query is scanned by one thread). The model additionally divides each
 //! query's scan CPU by [`crate::CostParams::scan_workers`] before packing
 //! ([`crate::CostParams::split`]); that is a property of the modelled
 //! machine, not of how this one scans. I/O stays serialized on the shared

@@ -45,7 +45,7 @@ use monster_util::{Error, Result};
 use parking_lot::RwLock;
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::ops::Range;
+use std::ops::{Deref, DerefMut, Range};
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -63,8 +63,8 @@ pub struct DbConfig {
     /// Upper bound on the threads one [`Db::query_batch`] — and so one
     /// [`Db::query`] — may scan on, the calling thread included (1 = always
     /// on the calling thread). The batch also never uses more threads than
-    /// its caller allows, than the machine has cores, or than its weight
-    /// pays for. Results are byte-identical for every value.
+    /// its caller allows, than the machine has cores, or than it has
+    /// queries. Results are byte-identical for every value.
     pub scan_workers: usize,
     /// Aggregation pushdown: when a sealed block is fully contained in one
     /// aggregation window (and the query range), answer it from its
@@ -119,21 +119,6 @@ pub struct DbStats {
     pub batches: usize,
 }
 
-/// A batch whose items weigh less than this in total runs on the calling
-/// thread: a scoped thread's spawn and join (14–50 µs here) plus the weighing
-/// pass cost more than the half of the scan the thread would take over. The
-/// unit is [`Column::scan_weight`]'s — one raw tail point examined, ≈ 3 ns —
-/// so this is ≈ 0.4 ms of scanning. DESIGN.md §19 has the measurement.
-///
-/// [`Column::scan_weight`]: crate::column::Column::scan_weight
-const INLINE_SCAN_WEIGHT: usize = 131_072;
-
-/// What one scan item costs before it touches a point (shard lock, column
-/// lookup, result bookkeeping), in the same unit — the part of it that a
-/// second thread actually takes off the first (≈ 0.1 of the ≈ 1 µs: the
-/// rest is updates to shared lock words and histograms).
-const ITEM_WEIGHT: usize = 32;
-
 type QueryResult = Result<(ResultSet, QueryCost)>;
 
 /// Registry handles the read path updates, resolved once per [`Db`].
@@ -168,18 +153,9 @@ struct Planned<'q> {
     series: Range<usize>,
     /// Overlapping shards, a range of [`BatchPlan::shards`].
     shards: Range<usize>,
-    /// Where this query's items start in the batch's item list.
-    first_item: usize,
 }
 
 impl Planned<'_> {
-    /// This query's scan items in the batch's item list: its series ×
-    /// shards in series-major order — and never none, so that a query
-    /// selecting nothing still belongs to exactly one chunk.
-    fn items(&self) -> Range<usize> {
-        self.first_item..self.first_item + (self.series.len() * self.shards.len()).max(1)
-    }
-
     /// The field whose columns the items scan; `None` when there is
     /// nothing to look for (no such field, no series, or no shard).
     fn scanned_field(&self) -> Option<FieldId> {
@@ -187,7 +163,8 @@ impl Planned<'_> {
     }
 }
 
-/// What scanning one item produced, besides its [`ScanItem`]s.
+/// What scanning one (series, shard) item produced, besides its
+/// [`ScanItem`]s.
 #[derive(Default)]
 struct ItemScan {
     /// How many of [`Scanned::items`] are this item's.
@@ -196,7 +173,8 @@ struct ItemScan {
     cold: bool,
 }
 
-/// Consecutive scanned items of one query: the merge's input.
+/// One query's scanned items, in series-major, shard-time order: the
+/// merge's input.
 #[derive(Default)]
 struct Scanned {
     scans: Vec<ItemScan>,
@@ -215,27 +193,9 @@ struct Merged {
     cost: QueryCost,
 }
 
-/// What one chunk of a batch hands back.
-#[derive(Default)]
-struct ChunkOut {
-    /// The queries the chunk held completely, by [`BatchPlan::queries`]
-    /// index.
-    merged: Vec<(usize, Result<Merged>)>,
-    /// Its scans of the queries a cut split, in item order.
-    pieces: Vec<(usize, Scanned)>,
-}
-
 impl Scanned {
-    /// Append the scans of the items that follow this piece's.
-    fn append(&mut self, mut next: Scanned) {
-        self.scans.append(&mut next.scans);
-        self.items.append(&mut next.items);
-        self.failed = self.failed.take().or(next.failed);
-    }
-
     /// Merge all of `p`'s scanned items, in series-major, shard-time
-    /// order — the order a sequential scan produces — leaving `self` empty
-    /// for the next query.
+    /// order, leaving `self` empty for the next query.
     fn merge(&mut self, p: &Planned<'_>) -> Result<Merged> {
         let mut scans = self.scans.drain(..);
         let mut items = self.items.drain(..);
@@ -298,6 +258,42 @@ impl Scanned {
             }
         }
         Ok(Merged { series, cost })
+    }
+}
+
+/// A lock guard from [`Db::timed`]: dropping it releases the lock, then
+/// records the wait and the hold in the lock histograms.
+struct Timed<'d, G> {
+    /// `Some` until the drop takes it.
+    guard: Option<G>,
+    db: &'d Db,
+    wait: Instant,
+    acquired: Instant,
+}
+
+impl<G: Deref> Deref for Timed<'_, G> {
+    type Target = G::Target;
+
+    fn deref(&self) -> &G::Target {
+        self.guard.as_ref().expect("held until dropped")
+    }
+}
+
+impl<G: DerefMut> DerefMut for Timed<'_, G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
+        self.guard.as_mut().expect("held until dropped")
+    }
+}
+
+impl<G> Drop for Timed<'_, G> {
+    fn drop(&mut self) {
+        drop(self.guard.take());
+        // The wait histogram parks an exemplar pointing at whichever trace
+        // was stalled, so a lock-contention spike links to the sweep or
+        // query that suffered it.
+        let wait = self.acquired.duration_since(self.wait).as_secs_f64();
+        self.db.lock_wait.observe_traced(wait, monster_obs::trace::current());
+        self.db.lock_hold.observe(self.acquired.elapsed().as_secs_f64());
     }
 }
 
@@ -412,58 +408,35 @@ impl Db {
         &self.config
     }
 
-    /// Record one lock acquisition: how long we queued for it and how long
-    /// we held it. Histogram updates are lock-free and happen after the
-    /// guard is dropped (the PR 1 "outside critical sections" convention).
-    fn observe_lock(&self, wait_start: Instant, acquired: Instant) {
-        // The wait histogram parks an exemplar pointing at whichever trace
-        // was stalled, so a lock-contention spike links to the sweep or
-        // query that suffered it.
-        self.lock_wait.observe_traced(
-            acquired.duration_since(wait_start).as_secs_f64(),
-            monster_obs::trace::current(),
-        );
-        self.lock_hold.observe(acquired.elapsed().as_secs_f64());
+    /// Take a lock with `lock` and time it: the guard releases the lock
+    /// when dropped and then records how long we queued for it and how
+    /// long we held it (`monster_tsdb_lock_*`), outside the critical
+    /// section — on every path out of the caller, early returns included.
+    fn timed<G>(&self, lock: impl FnOnce() -> G) -> Timed<'_, G> {
+        let wait = Instant::now();
+        let guard = Some(lock());
+        Timed { guard, db: self, wait, acquired: Instant::now() }
     }
 
     /// Fetch the shard covering `start`, creating it if needed. Only the
     /// shard-map lock is touched; the returned handle is locked by the
     /// caller.
     pub(crate) fn shard_for(&self, start: i64) -> Arc<RwLock<Shard>> {
-        let wait = Instant::now();
-        {
-            let map = self.shards.read();
-            let acquired = Instant::now();
-            if let Some(s) = map.get(&start) {
-                let s = Arc::clone(s);
-                drop(map);
-                self.observe_lock(wait, acquired);
-                return s;
-            }
+        if let Some(s) = self.timed(|| self.shards.read()).get(&start) {
+            return Arc::clone(s);
         }
-        let wait = Instant::now();
-        let mut map = self.shards.write();
-        let acquired = Instant::now();
+        let mut map = self.timed(|| self.shards.write());
         let duration = self.config.shard_duration;
-        let s = Arc::clone(
-            map.entry(start)
-                .or_insert_with(|| Arc::new(RwLock::new(Shard::new(start, start + duration)))),
-        );
-        drop(map);
-        self.observe_lock(wait, acquired);
-        s
+        let shard = map
+            .entry(start)
+            .or_insert_with(|| Arc::new(RwLock::new(Shard::new(start, start + duration))));
+        Arc::clone(shard)
     }
 
     /// Snapshot the current shard handles in time order (short shard-map
     /// read; no shard data touched).
     pub(crate) fn shard_handles(&self) -> Vec<Arc<RwLock<Shard>>> {
-        let wait = Instant::now();
-        let map = self.shards.read();
-        let acquired = Instant::now();
-        let out = map.values().cloned().collect();
-        drop(map);
-        self.observe_lock(wait, acquired);
-        out
+        self.timed(|| self.shards.read()).values().cloned().collect()
     }
 
     /// Write one point.
@@ -585,9 +558,7 @@ impl Db {
         let mut result: Result<()> = Ok(());
         for (start, group) in &groups {
             let shard_arc = self.shard_for(*start);
-            let wait = Instant::now();
-            let mut shard = shard_arc.write();
-            let acquired = Instant::now();
+            let mut shard = self.timed(|| shard_arc.write());
             let bytes_before = shard.encoded_bytes();
             // Walk maximal consecutive same-(series, field) spans: one
             // column lookup per span instead of per point, in exactly the
@@ -608,7 +579,6 @@ impl Db {
             encoded_delta += shard.encoded_bytes() as i64 - bytes_before as i64;
             shard_gauges.push((*start, shard.point_count() as i64));
             drop(shard);
-            self.observe_lock(wait, acquired);
             if result.is_err() {
                 break;
             }
@@ -682,23 +652,17 @@ impl Db {
         fids.clear();
         {
             // Fast path: everything already known — a shared read lock.
-            let wait = Instant::now();
-            let idx = self.index.read();
-            let acquired = Instant::now();
+            let idx = self.timed(|| self.index.read());
             for p in points {
                 sids.push(idx.id_of_point(p).unwrap_or(NEW_SERIES));
                 fids.extend(
                     p.fields.iter().map(|(name, _)| idx.field_id(name).unwrap_or(NEW_FIELD)),
                 );
             }
-            drop(idx);
-            self.observe_lock(wait, acquired);
         }
         if sids.contains(&NEW_SERIES) || fids.contains(&NEW_FIELD) {
             // Slow path: register new series/fields under the write lock.
-            let wait = Instant::now();
-            let mut idx = self.index.write();
-            let acquired = Instant::now();
+            let mut idx = self.timed(|| self.index.write());
             let mut fids = fids.iter_mut();
             for (p, sid) in points.iter().zip(sids) {
                 if *sid == NEW_SERIES {
@@ -710,8 +674,6 @@ impl Db {
                     }
                 }
             }
-            drop(idx);
-            self.observe_lock(wait, acquired);
         }
     }
 
@@ -825,21 +787,15 @@ impl Db {
     /// does not disturb its neighbours).
     ///
     /// This is the engine's single level of read parallelism. The batch is
-    /// resolved under one index read lock and one shard-map snapshot and
-    /// flattened into `(query, series, shard)` scan items; the item list is
-    /// cut into contiguous chunks of equal weight ([`Column::scan_weight`]:
-    /// what each item will cost to scan), chunk 0 runs on the calling
-    /// thread and the others on scoped threads. The thread count is
-    /// `min(workers, scan_workers, cores)`, and 1 when the whole batch
-    /// weighs less than [`INLINE_SCAN_WEIGHT`]. A chunk merges the queries
-    /// it scanned completely; a query cut by a chunk boundary is merged by
-    /// the caller from its pieces. Either way the merge consumes a query's
-    /// items in series-major, shard-time order, so results and costs are
-    /// identical for every thread count. A shard's read lock is held for
-    /// one query's items in that shard at a time: a writer waits for a few
-    /// column scans, never for a batch.
-    ///
-    /// [`Column::scan_weight`]: crate::column::Column::scan_weight
+    /// resolved under one index read lock and one shard-map snapshot, then
+    /// cut between queries, by count: with `threads = min(workers,
+    /// scan_workers, cores, queries)`, chunk `k` holds planned queries
+    /// `[k·n/threads, (k+1)·n/threads)`. Chunk 0 runs on the calling thread
+    /// and the others on scoped threads. A query is scanned and merged by
+    /// exactly one thread, in series-major, shard-time order, so results
+    /// and costs are identical for every thread count. A shard's read lock
+    /// is held for one query's items in that shard at a time: a writer
+    /// waits for a few column scans, never for a batch.
     pub fn query_batch<Q: Borrow<Query> + Sync>(
         &self,
         queries: &[Q],
@@ -848,45 +804,33 @@ impl Db {
         let mut results: Vec<Option<QueryResult>> =
             queries.iter().map(|q| q.borrow().validate().err().map(Err)).collect();
         let (plan, keys) = self.plan_batch(queries, &results);
-        let cuts = self.cut_batch(&plan, workers);
-        self.run_batch(&plan, &keys, &cuts, &mut results);
+        let threads = workers.min(self.config.scan_workers).min(pool::cores());
+        let threads = threads.min(plan.queries.len()).max(1);
+        self.run_batch(&plan, &keys, threads, &mut results);
         results.into_iter().map(|r| r.expect("every query is refused or planned")).collect()
     }
 
-    /// Scan and merge `plan`, one thread per chunk (`cuts[k]..cuts[k + 1]`
-    /// of its items), and put every planned query's result in its slot.
+    /// Scan and merge `plan` in `threads` chunks of consecutive queries,
+    /// one thread each, and put every planned query's result in its slot.
     fn run_batch(
         &self,
         plan: &BatchPlan<'_>,
         keys: &[Arc<SeriesKey>],
-        cuts: &[usize],
+        threads: usize,
         results: &mut [Option<QueryResult>],
     ) {
-        let threads = cuts.len() - 1;
-        let mut chunks =
-            pool::scope_parts(threads, |k| self.scan_chunk(plan, cuts[k]..cuts[k + 1]));
-
-        // Stitch the queries the cuts split: their pieces sit, in order, at
-        // the edges of neighbouring chunks. The caller merges them.
-        let mut pieces = chunks.iter_mut().flat_map(|c| c.pieces.drain(..)).peekable();
-        let mut split = Vec::new();
-        while let Some((pi, mut whole)) = pieces.next() {
-            while let Some((_, more)) = pieces.next_if(|(next, _)| *next == pi) {
-                whole.append(more);
-            }
-            split.push((pi, whole.merge(&plan.queries[pi])));
-        }
-        drop(pieces);
-        chunks[0].merged.append(&mut split);
+        let n = plan.queries.len();
+        let chunk = |k: usize| &plan.queries[k * n / threads..(k + 1) * n / threads];
+        let merged = pool::scope_parts(threads, |k| self.scan_chunk(plan, chunk(k)));
 
         // Keys, accounting and one span per chunk, on the calling thread
         // (so the spans are children of the caller's trace context).
-        for chunk in chunks.into_iter().filter(|c| !c.merged.is_empty()) {
+        for (k, merged) in merged.into_iter().enumerate().filter(|(_, m)| !m.is_empty()) {
             let mut span = monster_obs::Span::enter("tsdb.query_scan");
             let ctx = Some(span.context());
             let (mut total, mut elapsed) = (QueryCost::default(), monster_sim::VDuration::ZERO);
-            for (pi, merged) in chunk.merged {
-                results[plan.queries[pi].at] = Some(merged.map(|m| {
+            for (p, merged) in chunk(k).iter().zip(merged) {
+                results[p.at] = Some(merged.map(|m| {
                     let query_elapsed = self.simulate_elapsed(&m.cost);
                     self.query_metrics.seconds.observe_vdur_traced(query_elapsed, ctx);
                     elapsed += query_elapsed;
@@ -934,28 +878,18 @@ impl Db {
         let duration = self.config.shard_duration;
         let from = valid().map(|(_, q)| q.start.as_secs()).min().unwrap_or(0);
         let to = valid().map(|(_, q)| q.end.as_secs()).max().unwrap_or(from);
-        let shards: Vec<(i64, Arc<RwLock<Shard>>)> = {
-            let wait = Instant::now();
-            let map = self.shards.read();
-            let acquired = Instant::now();
-            let out = map
-                .range(from.saturating_sub(duration - 1)..to)
-                .map(|(&start, s)| (start, Arc::clone(s)))
-                .collect();
-            drop(map);
-            self.observe_lock(wait, acquired);
-            out
-        };
+        let shards: Vec<(i64, Arc<RwLock<Shard>>)> = self
+            .timed(|| self.shards.read())
+            .range(from.saturating_sub(duration - 1)..to)
+            .map(|(&start, s)| (start, Arc::clone(s)))
+            .collect();
 
         let mut plan = BatchPlan { queries: Vec::new(), series: Vec::new(), shards };
         // Planning under the index read lock: the index work scales with
         // total cardinality — the series-cardinality tax the paper's
         // schema redesign attacks.
-        let wait = Instant::now();
-        let idx = self.index.read();
-        let acquired = Instant::now();
+        let idx = self.timed(|| self.index.read());
         let index_entries = idx.cardinality();
-        let mut first_item = 0;
         for (at, q) in valid() {
             let (qs, qe) = (q.start.as_secs(), q.end.as_secs());
             let series_from = plan.series.len();
@@ -975,136 +909,77 @@ impl Db {
                 series: series_from..plan.series.len(),
                 shards: plan.shards.partition_point(|(start, _)| start + duration <= qs)
                     ..plan.shards.partition_point(|(start, _)| *start < qe),
-                first_item,
             };
-            first_item = planned.items().end;
             plan.queries.push(planned);
         }
         let keys = plan.series.iter().map(|&id| Arc::clone(idx.key_of(id))).collect();
-        drop(idx);
-        self.observe_lock(wait, acquired);
         (plan, keys)
     }
 
-    /// Where to cut the plan's item list: `cuts[k]..cuts[k + 1]` is chunk
-    /// `k`. One chunk unless more than one thread is allowed *and* the
-    /// batch is heavy enough to pay for a hand-off; then up to that many
-    /// chunks of equal weight.
-    fn cut_batch(&self, plan: &BatchPlan<'_>, workers: usize) -> Vec<usize> {
-        let items = plan.queries.last().map_or(0, |p| p.items().end);
-        let threads = workers.min(self.config.scan_workers).min(pool::cores()).min(items);
-        if threads < 2 {
-            return vec![0, items];
-        }
-        // Weigh every item, one (query, shard) lock acquisition at a time.
-        let mut weights = vec![ITEM_WEIGHT; items];
-        for p in &plan.queries {
-            let Some(fid) = p.scanned_field() else { continue };
-            let (qs, qe) = (p.query.start.as_secs(), p.query.end.as_secs());
-            let mine = &mut weights[p.items()];
-            for (h, (_, shard)) in plan.shards[p.shards.clone()].iter().enumerate() {
-                // A peek at block headers: timing the lock would cost more
-                // than holding it.
-                let shard = shard.read();
-                for (s, sid) in plan.series[p.series.clone()].iter().enumerate() {
-                    if let Some(col) = shard.column(*sid, fid) {
-                        mine[s * p.shards.len() + h] += col.scan_weight(qs, qe, p.agg.as_ref());
-                    }
-                }
-            }
-        }
-        // `before[i]` is the weight of the items ahead of item `i`.
-        let mut before = Vec::with_capacity(items + 1);
-        before.push(0);
-        for w in weights {
-            before.push(before[before.len() - 1] + w);
-        }
-        let total = before[items];
-        if total < INLINE_SCAN_WEIGHT {
-            return vec![0, items];
-        }
-        let mut cuts: Vec<usize> =
-            (0..=threads).map(|k| before.partition_point(|&w| w < total * k / threads)).collect();
-        cuts[threads] = items;
-        cuts.dedup();
-        cuts
-    }
-
-    /// Scan the plan's items `range` in order, merging every query the
-    /// range holds completely and handing back the scans of the (at most
-    /// two) queries it shares with its neighbours.
-    fn scan_chunk(&self, plan: &BatchPlan<'_>, range: Range<usize>) -> ChunkOut {
-        let mut out = ChunkOut::default();
+    /// Scan and merge `queries`, in order, with one decode scratch and one
+    /// scan buffer between them.
+    fn scan_chunk(&self, plan: &BatchPlan<'_>, queries: &[Planned<'_>]) -> Vec<Result<Merged>> {
         let mut scratch = DecodeScratch::new();
         let mut scanned = Scanned::default();
-        let first = plan.queries.partition_point(|p| p.items().end <= range.start);
-        for (pi, p) in plan.queries.iter().enumerate().skip(first) {
-            let items = p.items();
-            if items.start >= range.end {
-                break;
-            }
-            let mine = items.start.max(range.start)..items.end.min(range.end);
-            let run = mine.start - items.start..mine.end - items.start;
-            self.scan_run(plan, p, run, &mut scratch, &mut scanned);
-            if mine == items {
-                out.merged.push((pi, scanned.merge(p)));
-            } else {
-                out.pieces.push((pi, std::mem::take(&mut scanned)));
-            }
+        let mut merged = Vec::with_capacity(queries.len());
+        for p in queries {
+            self.scan_query(plan, p, &mut scratch, &mut scanned);
+            merged.push(scanned.merge(p));
         }
-        out
+        merged
     }
 
-    /// Scan `p`'s items `run` (counted from its first) into `into`, in
-    /// order. A shard's read lock is held for this query's consecutive
-    /// items in that shard — all of them when one shard overlaps the
-    /// range, one otherwise (series-major order alternates shards) — and
-    /// never from one query to the next, so a writer waits for one query's
-    /// column scans at most.
-    fn scan_run(
+    /// Scan `p`'s (series, shard) items into `into`, in series-major order.
+    /// A shard's read lock is held for this query's items in that shard —
+    /// all of them when one shard overlaps the range, one at a time
+    /// otherwise (series-major order alternates shards) — and never from
+    /// one query to the next, so a writer waits for one query's column
+    /// scans at most.
+    fn scan_query(
         &self,
         plan: &BatchPlan<'_>,
         p: &Planned<'_>,
-        run: Range<usize>,
         scratch: &mut DecodeScratch,
         into: &mut Scanned,
     ) {
-        let Some(fid) = p.scanned_field() else {
-            into.scans.extend(run.map(|_| ItemScan::default()));
-            return;
-        };
-        let ns = p.shards.len();
+        let Some(fid) = p.scanned_field() else { return };
         let (qs, qe) = (p.query.start.as_secs(), p.query.end.as_secs());
-        let mut next = run.start;
-        while next < run.end {
-            let held = next..if ns == 1 { run.end } else { next + 1 };
-            next = held.end;
-            let wait = Instant::now();
-            let shard = plan.shards[p.shards.start + held.start % ns].1.read();
-            let acquired = Instant::now();
-            for item in held {
-                let kept = into.items.len();
-                // After a failed scan the query's other items are skipped.
-                let sid = plan.series[p.series.start + item / ns];
-                let col = shard.column(sid, fid).filter(|_| into.failed.is_none());
-                let stats = match (col, p.agg) {
-                    (None, _) => Ok(ScanStats::default()),
-                    (Some(col), Some(spec)) => {
-                        col.scan_agg(scratch, spec, |item| into.items.push(item))
-                    }
-                    (Some(col), None) => col
-                        .scan_with(scratch, qs, qe, |t, v| into.items.push(ScanItem::Point(t, v))),
-                };
-                let stats = stats.unwrap_or_else(|e| {
-                    into.items.truncate(kept);
-                    into.failed = Some(e);
-                    ScanStats::default()
-                });
-                let len = into.items.len() - kept;
-                into.scans.push(ItemScan { len, stats, cold: shard.is_cold() });
+        let mut scan = |shard: &Shard, sid| {
+            let kept = into.items.len();
+            // After a failed scan the query's other items are skipped.
+            let col = shard.column(sid, fid).filter(|_| into.failed.is_none());
+            let stats = match (col, p.agg) {
+                (None, _) => Ok(ScanStats::default()),
+                (Some(col), Some(spec)) => {
+                    col.scan_agg(scratch, spec, |item| into.items.push(item))
+                }
+                (Some(col), None) => {
+                    col.scan_with(scratch, qs, qe, |t, v| into.items.push(ScanItem::Point(t, v)))
+                }
+            };
+            let stats = stats.unwrap_or_else(|e| {
+                into.items.truncate(kept);
+                into.failed = Some(e);
+                ScanStats::default()
+            });
+            let len = into.items.len() - kept;
+            into.scans.push(ItemScan { len, stats, cold: shard.is_cold() });
+        };
+        let series = &plan.series[p.series.clone()];
+        match &plan.shards[p.shards.clone()] {
+            [(_, one)] => {
+                let shard = self.timed(|| one.read());
+                for &sid in series {
+                    scan(&shard, sid);
+                }
             }
-            drop(shard);
-            self.observe_lock(wait, acquired);
+            shards => {
+                for &sid in series {
+                    for (_, shard) in shards {
+                        scan(&self.timed(|| shard.read()), sid);
+                    }
+                }
+            }
         }
     }
 
@@ -1180,14 +1055,11 @@ impl Db {
         let mut sealed = 0usize;
         let mut saved = 0i64;
         for handle in self.shard_handles() {
-            let wait = Instant::now();
-            let mut shard = handle.write();
-            let acquired = Instant::now();
+            let mut shard = self.timed(|| handle.write());
             let before = shard.encoded_bytes() as i64;
             sealed += shard.compact();
             let delta = shard.encoded_bytes() as i64 - before;
             drop(shard);
-            self.observe_lock(wait, acquired);
             self.encoded_bytes.fetch_add(delta, Ordering::Relaxed);
             saved -= delta;
         }
@@ -1220,27 +1092,18 @@ impl Db {
         let dur = self.config.shard_duration;
         let cut = (now.as_secs() - tier.hot_secs).div_euclid(dur) * dur;
         let mut report = TierReport::default();
-        let candidates: Vec<(i64, Arc<RwLock<Shard>>)> = {
-            let wait = Instant::now();
-            let map = self.shards.read();
-            let acquired = Instant::now();
-            let out = map.range(..cut).map(|(k, v)| (*k, Arc::clone(v))).collect();
-            drop(map);
-            self.observe_lock(wait, acquired);
-            out
-        };
+        let candidates: Vec<(i64, Arc<RwLock<Shard>>)> = self
+            .timed(|| self.shards.read())
+            .range(..cut)
+            .map(|(k, v)| (*k, Arc::clone(v)))
+            .collect();
         for (start, handle) in candidates {
             // Index read before shard write: the sanctioned nesting. The
             // writer names series from the index record by record, so both
             // are held through the durable segment write (see above).
             let idx = self.index.read();
-            let wait = Instant::now();
-            let mut shard = handle.write();
-            let acquired = Instant::now();
+            let mut shard = self.timed(|| handle.write());
             if shard.is_cold() {
-                drop(shard);
-                drop(idx);
-                self.observe_lock(wait, acquired);
                 continue;
             }
             let before = shard.encoded_bytes() as i64;
@@ -1255,20 +1118,15 @@ impl Db {
                 });
                 match written {
                     Ok(stats) => report.segment_bytes_written += stats.stored_bytes as u64,
-                    Err(e) => {
-                        // Leave the shard hot: a later pass retries, and the
-                        // WAL keeps covering it (reclaim below never runs).
-                        drop(shard);
-                        self.observe_lock(wait, acquired);
-                        return Err(e);
-                    }
+                    // Leave the shard hot: a later pass retries, and the WAL
+                    // keeps covering it (reclaim below never runs).
+                    Err(e) => return Err(e),
                 }
             }
             drop(idx);
             let pts = shard.point_count();
             shard.mark_cold();
             drop(shard);
-            self.observe_lock(wait, acquired);
             self.encoded_bytes.fetch_add(delta, Ordering::Relaxed);
             report.shards_tiered += 1;
             report.points_tiered += pts;
@@ -1637,11 +1495,10 @@ mod tests {
     }
 
     #[test]
-    fn every_cut_placement_gives_the_same_answers() {
-        // Three series over twenty hourly shards, sealed and raw: the
-        // unfiltered query alone is 60 scan items, so cuts land inside
-        // queries, inside series, and on every boundary in between — far
-        // more chunks than this machine would ever be given threads.
+    fn every_thread_count_gives_the_same_answers() {
+        // Three series over twenty hourly shards, sealed and raw, in a
+        // batch of seven queries: chunks of one query each, of several, and
+        // more chunks than queries.
         let db = Db::new(DbConfig { shard_duration: 3600, ..DbConfig::default() });
         let mut batch = Vec::new();
         for node in ["n1", "n2", "n3"] {
@@ -1664,24 +1521,24 @@ mod tests {
             range(3_000, 50_000).where_tag("NodeId", "nobody"),
             range(3_000, 50_000).where_tag("NodeId", "n3").aggregate(Aggregation::Sum),
         ];
-        let run = |cuts_of: &dyn Fn(usize) -> Vec<usize>| {
+        let run = |threads: &dyn Fn(usize) -> usize| {
             let mut results: Vec<Option<QueryResult>> =
                 queries.iter().map(|q| q.validate().err().map(Err)).collect();
             let (plan, keys) = db.plan_batch(&queries, &results);
-            let items = plan.queries.last().map_or(0, |p| p.items().end);
-            db.run_batch(&plan, &keys, &cuts_of(items), &mut results);
+            let items: usize = plan.queries.iter().map(|p| p.series.len() * p.shards.len()).sum();
+            db.run_batch(&plan, &keys, threads(plan.queries.len()), &mut results);
             let done = results.into_iter().map(|r| r.expect("every slot filled"));
             (items, done.map(|r| r.map_err(|e| e.to_string())).collect::<Vec<_>>())
         };
-        let (items, whole) = run(&|items| vec![0, items]);
-        assert_eq!(items, 60 + 1 + 60 + 1 + 1 + 14, "items of the six valid queries");
+        let (items, whole) = run(&|_| 1);
+        assert_eq!(items, 60 + 1 + 60 + 14, "(series, shard) items of the six valid queries");
         assert!(whole[2].is_err() && whole.iter().filter(|r| r.is_err()).count() == 1);
         assert_eq!(whole[0].as_ref().unwrap().0.series.len(), 3);
         assert_eq!(whole[1].as_ref().unwrap().0.point_count(), 3 + 3);
-        for step in [1usize, 2, 7, 59, 61, 100] {
-            let (_, cut) = run(&|items| (0..items).step_by(step).chain([items]).collect());
-            assert_eq!(cut, whole, "a chunk every {step} items");
+        for threads in [2, 3, 6, 8] {
+            assert_eq!(run(&|_| threads), (items, whole.clone()), "{threads} threads");
         }
+        assert_eq!(run(&|planned| planned), (items, whole), "a chunk per query");
     }
 
     #[test]

@@ -166,6 +166,46 @@ fn batches_scan_beside_a_writer_without_holding_a_shard_across_queries() {
         assert_eq!(counted(&r.as_ref().unwrap().0), half);
     }
 
+    // The same count whatever the thread count, for a batch whose heaviest
+    // query is many series in one shard: that query takes the shard's read
+    // lock once, for all of its series, on whichever thread scans it. A
+    // batch cut inside the query would take the lock once more per cut.
+    let wide = Db::new(DbConfig { shard_duration: SHARD, scan_workers: 4, ..DbConfig::default() });
+    let series = |s: usize, ts: std::ops::Range<i64>| {
+        ts.map(move |t| {
+            DataPoint::new("Wide", EpochSecs::new(t))
+                .tag("NodeId", format!("n{s}"))
+                .field_f64("Reading", (t % 7) as f64)
+        })
+    };
+    wide.write_batch(&(0..32).flat_map(|s| series(s, 0..SHARD)).collect::<Vec<_>>()).unwrap();
+    wide.compact(); // sealed blocks, decoded under 60 s windows
+    wide.write_batch(&series(0, SHARD..2 * SHARD).collect::<Vec<_>>()).unwrap();
+    let window = |from: i64, to: i64| {
+        Query::select("Wide", "Reading", EpochSecs::new(from), EpochSecs::new(to))
+            .aggregate(Aggregation::Count)
+            .group_by_time(60)
+    };
+    let wide_batch = [
+        window(0, SHARD),
+        window(0, 2 * SHARD).where_tag("NodeId", "n0"),
+        window(SHARD, 2 * SHARD).where_tag("NodeId", "n0"),
+    ];
+    let per_workers: Vec<u64> = [1, 2, 8]
+        .into_iter()
+        .map(|workers| {
+            let before = holds.count();
+            let results = wide.query_batch(&wide_batch, workers);
+            let acquisitions = holds.count() - before;
+            let shards: Vec<usize> =
+                results.iter().map(|r| r.as_ref().expect("valid query").1.shards_scanned).collect();
+            assert_eq!(shards, [1, 2, 1]);
+            assert_eq!(counted(&results[0].as_ref().unwrap().0), 32 * SHARD as usize);
+            acquisitions
+        })
+        .collect();
+    assert_eq!(per_workers, [2 + 4; 3], "acquisitions at workers 1, 2 and 8");
+
     // Now beside a writer appending to those same shards and opening new
     // ones. Writer and reader leave the barrier together; the reader keeps
     // batching until the writer is done. Every batch must see at least the

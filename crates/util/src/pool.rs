@@ -1,11 +1,11 @@
 //! Scoped fan-out: a fixed number of threads, results in input order.
 //!
 //! MonSTer fans work out in two hot places: the Redfish client (1868 BMC
-//! requests per sweep) and the TSDB's batched read path (one weight-chunked
-//! plan per dashboard request). Both are built on [`scope_parts`]: part 0
-//! runs on the calling thread, the rest on scoped threads that borrow the
-//! caller's data and are joined before the call returns, so no state
-//! outlives it.
+//! requests per sweep) and the TSDB's batched read path (one plan per
+//! dashboard request, cut into runs of whole queries). Both are built on
+//! [`scope_parts`]: part 0 runs on the calling thread, the rest on scoped
+//! threads that borrow the caller's data and are joined before the call
+//! returns, so no state outlives it.
 //!
 //! Deliberately simple — no work stealing, no resident workers — because
 //! the workloads are embarrassingly parallel and determinism matters for

@@ -9,7 +9,7 @@
 //! cargo run --release --example node_health
 //! ```
 
-use monster::analysis::kmeans::{KMeans, KMeansConfig};
+use monster::analysis::kmeans::KMeans;
 use monster::analysis::radar::RadarProfile;
 use monster::analysis::trend::NodeTrend;
 use monster::redfish::bmc::BmcConfig;
@@ -52,7 +52,7 @@ fn main() {
     // Fleet snapshot → k-means with the paper's k = 7.
     let snapshot: Vec<Vec<f64>> =
         m.node_ids().iter().map(|&n| nine_metrics(&m, n).to_vec()).collect();
-    let km = KMeans::fit(&snapshot, &KMeansConfig { k: 7, ..KMeansConfig::default() });
+    let km = KMeans::fit(&snapshot, 7);
     println!("host groups (k=7, like Fig. 9):");
     let sizes = km.cluster_sizes();
     for (g, size) in sizes.iter().enumerate() {
