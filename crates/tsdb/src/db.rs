@@ -10,8 +10,9 @@
 //!   short-critical-section outer lock guarding only the map of shard
 //!   handles, never shard data;
 //! * the **series index** (`RwLock<SeriesIndex>`) — series and field-name
-//!   resolution; writers resolve every id *up front* under one read (or,
-//!   for new series, one write) acquisition per batch;
+//!   resolution and the ref cache in front of them; writers resolve every
+//!   id *up front* under one read acquisition per batch, plus one write
+//!   acquisition when the cache missed a point;
 //! * the **per-shard locks** (`RwLock<Shard>`) — actual column data.
 //!   Writers never hold two shard locks at once: `write_batch` pre-groups
 //!   its points by shard and visits the shards one at a time, so writers
@@ -120,6 +121,19 @@ pub struct DbStats {
 }
 
 type QueryResult = Result<(ResultSet, QueryCost)>;
+
+/// Registry handles the write path updates, resolved once per [`Db`].
+struct WriteMetrics {
+    points: Arc<monster_obs::Counter>,
+    batches: Arc<monster_obs::Counter>,
+    batch_points: Arc<monster_obs::Histo>,
+    series: Arc<monster_obs::Gauge>,
+    shards: Arc<monster_obs::Gauge>,
+    /// Points the ref cache missed: each took the index's own lookups.
+    ref_misses: Arc<monster_obs::Counter>,
+    /// Entries in the ref cache.
+    refs: Arc<monster_obs::Gauge>,
+}
 
 /// Registry handles the read path updates, resolved once per [`Db`].
 struct QueryMetrics {
@@ -347,6 +361,10 @@ pub struct Db {
     /// updated lock-free outside critical sections.
     lock_wait: Arc<monster_obs::Histo>,
     lock_hold: Arc<monster_obs::Histo>,
+    /// Pre-resolved write-path handles (`monster_tsdb_points_written_total`,
+    /// `…_write_batch*`, `…_series*`, `…_shards`); each shard keeps its own
+    /// points gauge.
+    write_metrics: WriteMetrics,
     /// Pre-resolved read-path handles (`monster_tsdb_quer*`, `…_blocks_*`).
     query_metrics: QueryMetrics,
     /// Write-ahead log, present when the database was opened against a
@@ -372,6 +390,15 @@ impl Db {
             watermarks: WatermarkRegistry::default(),
             lock_wait: monster_obs::histo("monster_tsdb_lock_wait_seconds"),
             lock_hold: monster_obs::histo("monster_tsdb_lock_hold_seconds"),
+            write_metrics: WriteMetrics {
+                points: monster_obs::counter("monster_tsdb_points_written_total"),
+                batches: monster_obs::counter("monster_tsdb_write_batches_total"),
+                batch_points: monster_obs::histo("monster_tsdb_write_batch_points"),
+                series: monster_obs::gauge("monster_tsdb_series"),
+                shards: monster_obs::gauge("monster_tsdb_shards"),
+                ref_misses: monster_obs::counter("monster_tsdb_series_ref_misses_total"),
+                refs: monster_obs::gauge("monster_tsdb_series_refs"),
+            },
             query_metrics: QueryMetrics {
                 queries: monster_obs::counter("monster_tsdb_queries_total"),
                 points: monster_obs::counter("monster_tsdb_query_points_total"),
@@ -452,7 +479,8 @@ impl Db {
     /// amortizes id resolution (one index acquisition) and shard lookup
     /// (one shard-lock acquisition per distinct shard). The order is
     /// validate → resolve ids → log → apply: all series/field ids are
-    /// resolved up front, the write-ahead log records the resolved batch,
+    /// resolved up front (from the ref cache for an identity seen before),
+    /// the write-ahead log records the resolved batch,
     /// and the apply step pre-groups it by shard *before* any shard lock is
     /// taken, so the per-point critical section is a pure `(u32, u32)`-keyed
     /// append — no string hashing, no allocation, and never more than one
@@ -470,7 +498,8 @@ impl Db {
         let total_fields: usize = points.iter().map(|p| p.fields.len()).sum();
         let mut sids: Vec<SeriesId> = Vec::with_capacity(points.len());
         let mut fids: Vec<FieldId> = Vec::with_capacity(total_fields);
-        self.resolve_ids(points, &mut sids, &mut fids);
+        let mut fixed: Vec<usize> = Vec::with_capacity(points.len());
+        self.resolve_ids(points, &mut sids, &mut fids, &mut fixed);
 
         // --- write-ahead: log the batch before any of it becomes visible --
         // A refusal or an I/O failure rejects the batch wholesale: nothing
@@ -480,14 +509,15 @@ impl Db {
             wal.append_batch(points, &sids, &fids)?;
         }
 
-        let resolved =
-            wal_record::batch_points(points, &sids, &fids).zip(points).map(|(p, point)| Resolved {
+        let resolved = wal_record::batch_points(points, &sids, &fids).zip(points).zip(fixed).map(
+            |((p, point), fixed)| Resolved {
                 series: p.series,
                 measurement: p.measurement,
                 ts: p.ts,
-                wire: point.wire_size(),
+                wire: fixed + point.values_wire_size(),
                 fields: p.fields.map(|(id, _, value)| (id, value)),
-            });
+            },
+        );
         let (result, applied) = self.apply(resolved, total_fields, &[]);
         if let Some(mut span) = span.take() {
             span.set_attr("applied", applied.values.to_string());
@@ -554,7 +584,7 @@ impl Db {
         // --- apply, one shard lock at a time -----------------------------
         let mut applied = 0usize;
         let mut encoded_delta = 0i64;
-        let mut shard_gauges: Vec<(i64, i64)> = Vec::with_capacity(groups.len());
+        let mut shard_gauges = Vec::with_capacity(groups.len());
         let mut result: Result<()> = Ok(());
         for (start, group) in &groups {
             let shard_arc = self.shard_for(*start);
@@ -577,7 +607,7 @@ impl Db {
                 i = j;
             }
             encoded_delta += shard.encoded_bytes() as i64 - bytes_before as i64;
-            shard_gauges.push((*start, shard.point_count() as i64));
+            shard_gauges.push((shard.points_gauge(), shard.point_count() as i64));
             drop(shard);
             if result.is_err() {
                 break;
@@ -591,7 +621,8 @@ impl Db {
         }
         self.points.fetch_add(applied, Ordering::Relaxed);
         self.encoded_bytes.fetch_add(encoded_delta, Ordering::Relaxed);
-        monster_obs::counter("monster_tsdb_points_written_total").add(applied as u64);
+        let metrics = &self.write_metrics;
+        metrics.points.add(applied as u64);
         // Watermarks advance only after shard data is visible to readers
         // (a concurrent cache-validity snapshot may go spuriously stale,
         // never stale-but-valid). A failed batch may still have applied a
@@ -599,12 +630,11 @@ impl Db {
         // safe.
         self.watermarks.note_spans(&spans);
 
-        monster_obs::counter("monster_tsdb_write_batches_total").inc();
-        monster_obs::histo("monster_tsdb_write_batch_points").observe(counts.points as f64);
+        metrics.batches.inc();
+        metrics.batch_points.observe(counts.points as f64);
         self.update_topology_gauges();
-        for (start, count) in &shard_gauges {
-            monster_obs::gauge(&format!("monster_tsdb_shard_points{{shard=\"{start}\"}}"))
-                .set(*count);
+        for (gauge, count) in &shard_gauges {
+            gauge.set(*count);
         }
         counts.values = applied;
         counts.shards = shard_gauges.len();
@@ -618,14 +648,25 @@ impl Db {
         (i64::MIN + duration..=i64::MAX - duration).contains(&ts)
     }
 
-    /// Reject batches containing field-less points or timestamps no shard
-    /// can hold — whole-batch, before any state changes.
+    /// Reject batches containing field-less points, points that name a
+    /// tag key twice (the index takes a key to name one tag of an identity)
+    /// or timestamps no shard can hold — whole-batch, before any state
+    /// changes.
     fn validate_points(&self, points: &[DataPoint]) -> Result<()> {
         for p in points {
             if !p.is_valid() {
                 return Err(Error::invalid(format!(
                     "point for measurement {:?} has no fields",
                     p.measurement
+                )));
+            }
+            let tags = &p.tags;
+            let repeated =
+                (1..tags.len()).find(|&i| tags[..i].iter().any(|(k, _)| *k == tags[i].0));
+            if let Some(i) = repeated {
+                return Err(Error::invalid(format!(
+                    "point for measurement {:?} names tag key {:?} twice",
+                    p.measurement, tags[i].0
                 )));
             }
             if !self.in_range(p.time.as_secs()) {
@@ -640,41 +681,55 @@ impl Db {
 
     /// Resolve every series and field id for `points` into the
     /// caller-provided buffers (cleared first; `fids` gets one entry per
-    /// field in point order). One index read-lock acquisition on the fast
-    /// path, plus one write acquisition only when new series or field names
-    /// appear.
-    fn resolve_ids(&self, points: &[DataPoint], sids: &mut Vec<SeriesId>, fids: &mut Vec<FieldId>) {
-        // Placeholders between the two passes; ids are dense, so neither
-        // is one the index hands out.
-        const NEW_SERIES: SeriesId = SeriesId(u32::MAX);
-        const NEW_FIELD: FieldId = FieldId(u32::MAX);
+    /// field in point order, `fixed` each point's fixed wire bytes). Under
+    /// one index read lock each point is looked up in the ref cache; the
+    /// points it missed are then resolved through the index under one
+    /// write acquisition, which registers what is new and remembers them.
+    fn resolve_ids(
+        &self,
+        points: &[DataPoint],
+        sids: &mut Vec<SeriesId>,
+        fids: &mut Vec<FieldId>,
+        fixed: &mut Vec<usize>,
+    ) {
+        // The placeholder of a missed point between the two passes; ids
+        // are dense, so it is none the index hands out.
+        const MISSED: SeriesId = SeriesId(u32::MAX);
         sids.clear();
         fids.clear();
+        fixed.clear();
+        let mut misses = 0u64;
         {
-            // Fast path: everything already known — a shared read lock.
             let idx = self.timed(|| self.index.read());
             for p in points {
-                sids.push(idx.id_of_point(p).unwrap_or(NEW_SERIES));
-                fids.extend(
-                    p.fields.iter().map(|(name, _)| idx.field_id(name).unwrap_or(NEW_FIELD)),
-                );
-            }
-        }
-        if sids.contains(&NEW_SERIES) || fids.contains(&NEW_FIELD) {
-            // Slow path: register new series/fields under the write lock.
-            let mut idx = self.timed(|| self.index.write());
-            let mut fids = fids.iter_mut();
-            for (p, sid) in points.iter().zip(sids) {
-                if *sid == NEW_SERIES {
-                    *sid = idx.get_or_create(&SeriesKey::of(p));
-                }
-                for ((name, _), fid) in p.fields.iter().zip(fids.by_ref()) {
-                    if *fid == NEW_FIELD {
-                        *fid = idx.intern_field(name);
+                let (sid, bytes) = match idx.cached(p, fids) {
+                    Some(hit) => hit,
+                    None => {
+                        misses += 1;
+                        fids.resize(fids.len() + p.fields.len(), FieldId(u32::MAX));
+                        (MISSED, 0)
                     }
-                }
+                };
+                sids.push(sid);
+                fixed.push(bytes);
             }
         }
+        if misses == 0 {
+            return;
+        }
+        self.write_metrics.ref_misses.add(misses);
+        let mut idx = self.timed(|| self.index.write());
+        let mut at = 0;
+        for ((p, sid), bytes) in points.iter().zip(sids).zip(fixed) {
+            let n = p.fields.len();
+            if *sid == MISSED {
+                (*sid, *bytes) = idx.resolve(p, &mut fids[at..at + n]);
+            }
+            at += n;
+        }
+        let refs = idx.ref_count();
+        drop(idx);
+        self.write_metrics.refs.set(refs as i64);
     }
 
     /// Register the series and field names a WAL record defines, as
@@ -765,8 +820,8 @@ impl Db {
     fn update_topology_gauges(&self) {
         let series = self.index.read().cardinality() as i64;
         let shard_count = self.shards.read().len() as i64;
-        monster_obs::gauge("monster_tsdb_series").set(series);
-        monster_obs::gauge("monster_tsdb_shards").set(shard_count);
+        self.write_metrics.series.set(series);
+        self.write_metrics.shards.set(shard_count);
     }
 
     /// Parse and run a query string.
@@ -1385,6 +1440,77 @@ mod tests {
             assert!(db.write_batch(&[good.clone(), power_point("n", ts, 1.0)]).is_err());
         }
         assert_eq!(db.stats().points, 0);
+    }
+
+    #[test]
+    fn a_repeated_tag_key_is_refused_and_mints_no_series() {
+        let db = Db::new(DbConfig::default());
+        let twice =
+            DataPoint::new("m", EpochSecs::new(0)).tag("k", "1").tag("k", "2").field_f64("v", 1.0);
+        for _ in 0..5 {
+            let err = db.write_batch(&[power_point("n", 0, 1.0), twice.clone()]).unwrap_err();
+            assert!(matches!(&err, Error::Invalid(m) if m.contains("\"k\"")), "{err}");
+        }
+        let stats = db.stats();
+        assert_eq!((stats.cardinality, stats.points, stats.batches), (0, 0, 0));
+    }
+
+    /// Resolve `batch` into fresh buffers, as `write_batch` does.
+    fn resolved(db: &Db, batch: &[DataPoint]) -> (Vec<SeriesId>, Vec<FieldId>, Vec<usize>) {
+        let (mut sids, mut fids, mut fixed) = (Vec::new(), Vec::new(), Vec::new());
+        db.resolve_ids(batch, &mut sids, &mut fids, &mut fixed);
+        (sids, fids, fixed)
+    }
+
+    #[test]
+    fn cached_and_uncached_resolution_agree_batch_for_batch() {
+        let point = |m: &str, tags: &[(&str, &str)], fields: &[&str], ts: i64| DataPoint {
+            measurement: m.into(),
+            tags: tags.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+            fields: fields.iter().map(|f| (f.to_string(), FieldValue::Int(ts))).collect(),
+            time: EpochSecs::new(ts),
+        };
+        let interval = |ts: i64, nodes: usize| -> Vec<DataPoint> {
+            let mut batch = Vec::new();
+            for n in 0..nodes {
+                let node = format!("n{n}");
+                batch.push(point("Power", &[("NodeId", &node), ("Label", "P")], &["Reading"], ts));
+                // Tags in the other order every other node, and a field
+                // subset that changes every other interval.
+                let tags = [("Label", "T"), ("NodeId", node.as_str())];
+                let tags = if n % 2 == 0 { &tags[..] } else { &[tags[1], tags[0]] };
+                let fields: &[&str] = if ts % 240 < 120 { &["a", "b"] } else { &["b"] };
+                batch.push(point("Thermal", tags, fields, ts));
+            }
+            // One identity twice in a batch, and a job that is new each time.
+            batch.push(batch[0].clone());
+            batch.push(point("JobsInfo", &[("JobId", &ts.to_string())], &["User"], ts));
+            batch
+        };
+        let cached = Db::new(DbConfig::default());
+        let uncached = Db::new(DbConfig::default());
+        for (k, nodes) in [2, 2, 3, 3, 5, 2, 5].into_iter().enumerate() {
+            let batch = interval(60 * k as i64, nodes);
+            let idx = cached.index.read();
+            let warm = batch.iter().filter(|p| idx.cached(p, &mut Vec::new()).is_some()).count();
+            drop(idx);
+            uncached.index.write().forget_refs();
+            let ids = resolved(&cached, &batch);
+            assert_eq!(ids, resolved(&uncached, &batch), "batch {k}");
+            for (p, fixed) in batch.iter().zip(&ids.2) {
+                assert_eq!(fixed + p.values_wire_size(), p.wire_size());
+            }
+            if k == 1 || k == 3 {
+                // The batch before had the same nodes and fields: all but
+                // the new job hit.
+                assert_eq!(warm, batch.len() - 1);
+            }
+            uncached.index.write().forget_refs();
+            cached.write_batch(&batch).unwrap();
+            uncached.write_batch(&batch).unwrap();
+        }
+        assert_eq!(cached.stats(), uncached.stats());
+        assert_eq!(cached.series_keys(None), uncached.series_keys(None));
     }
 
     #[test]

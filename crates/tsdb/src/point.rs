@@ -87,6 +87,12 @@ impl DataPoint {
             self.fields.iter().map(|(k, v)| (k.len(), v)),
         )
     }
+
+    /// The values' share of [`Self::wire_size`]; the rest is the point's
+    /// identity's, which the write path's ref cache keeps.
+    pub(crate) fn values_wire_size(&self) -> usize {
+        self.fields.iter().map(|(_, v)| v.wire_size()).sum()
+    }
 }
 
 /// The line-protocol size of a point's identity, `measurement,k=v,...`.

@@ -6,6 +6,12 @@
 //! precisely because the original schema "introduced a large series
 //! cardinality". The index here makes that cost concrete: query planning
 //! touches structures whose size is the cardinality.
+//!
+//! In front of the index sits a *ref cache* ([`SeriesIndex::cached`]): a
+//! point's identity as it arrives, resolved once to its ids, the way
+//! Prometheus's scrape cache maps a sample's text to a series ref. A
+//! collector interval repeats nearly every identity of the one before, so
+//! steady-state writes skip the index's lookups.
 
 use crate::point::DataPoint;
 use std::collections::hash_map::RandomState;
@@ -70,15 +76,30 @@ pub(crate) fn fold(a: u64, b: u64) -> u64 {
 }
 
 /// Absorb `text` into `h`, eight bytes a step, then its length (so
-/// `("ab", "c")` and `("a", "bc")` part ways).
+/// `("ab", "c")` and `("a", "bc")` part ways). The last step reads whole
+/// words that may overlap the ones before (wyhash's trick) rather than
+/// copying a remainder: every byte is read, and with the length mixed in,
+/// two texts of one length that differ anywhere differ in a word read.
 fn absorb(mut h: u64, text: &str) -> u64 {
-    let mut words = text.as_bytes().chunks_exact(8);
-    for word in &mut words {
-        h = fold(h ^ u64::from_le_bytes(word.try_into().expect("eight bytes")), K);
-    }
-    let mut last = [0u8; 8];
-    last[..words.remainder().len()].copy_from_slice(words.remainder());
-    fold(h ^ u64::from_le_bytes(last), K ^ text.len() as u64)
+    let b = text.as_bytes();
+    let n = b.len();
+    let u32_at =
+        |at: usize| u64::from(u32::from_le_bytes(b[at..at + 4].try_into().expect("four bytes")));
+    let u64_at = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("eight bytes"));
+    let last = match n {
+        0 => 0,
+        1..=3 => u64::from(b[0]) | u64::from(b[n / 2]) << 8 | u64::from(b[n - 1]) << 16,
+        4..=8 => u32_at(0) | u32_at(n - 4) << 32,
+        _ => {
+            let mut at = 0;
+            while n - at > 8 {
+                h = fold(h ^ u64_at(at), K);
+                at += 8;
+            }
+            u64_at(n - 8)
+        }
+    };
+    fold(h ^ last, K ^ n as u64)
 }
 
 /// An index's hash key, drawn when the index is made: tag text comes from
@@ -93,13 +114,14 @@ impl Default for Seed {
     }
 }
 
-/// `by_hash` is keyed by finished hashes: hashing them again buys nothing.
+/// `by_hash` and the ref cache are keyed by finished hashes: hashing them
+/// again buys nothing.
 #[derive(Debug, Default)]
 struct Identity(u64);
 
 impl Hasher for Identity {
     fn write(&mut self, _: &[u8]) {
-        unreachable!("the identity table is keyed by u64 alone");
+        unreachable!("the identity tables are keyed by u64 alone");
     }
     fn write_u64(&mut self, hash: u64) {
         self.0 = hash;
@@ -122,6 +144,141 @@ struct Postings {
     by_tag: HashMap<String, HashMap<String, Vec<SeriesId>>>,
 }
 
+/// Entries the ref cache may hold beyond two per series, so that a store
+/// with few series still keeps a few thousand tag orders and field
+/// subsets. Past `2 × cardinality + REF_SLACK` entries the cache is
+/// cleared and refills.
+const REF_SLACK: usize = 4_096;
+
+/// Ends each part of an identity in the ref cache's text. No UTF-8 string
+/// holds the byte, so the parts of two identities line up only when every
+/// part is equal.
+const END: u8 = 0xFF;
+
+/// Visit `p`'s identity as it arrives — the measurement, each tag key and
+/// value in arrival order, each field name — while `f` says go on.
+fn each_part(p: &DataPoint, mut f: impl FnMut(&str) -> bool) -> bool {
+    f(&p.measurement)
+        && p.tags.iter().all(|(k, v)| f(k) && f(v))
+        && p.fields.iter().all(|(name, _)| f(name))
+}
+
+/// Bytes ahead of an entry's field ids in [`RefCache::arena`], its head:
+/// six `u32`s — the entry inserted before it under the same hash (its
+/// offset + 1, or 0), the series, the fixed wire bytes
+/// ([`DataPoint::wire_size`] less the values' own sizes), the tag pairs
+/// and the fields (where the parts split), and the text's length.
+const HEAD: usize = 24;
+
+/// One identity the ref cache has resolved, as [`RefCache::get`] found it.
+struct Hit<'a> {
+    series: SeriesId,
+    fixed: usize,
+    /// Its field ids, in point order, four bytes each.
+    fids: &'a [u8],
+}
+
+impl Hit<'_> {
+    fn fields(&self) -> impl Iterator<Item = FieldId> + '_ {
+        self.fids
+            .chunks_exact(4)
+            .map(|id| FieldId(u32::from_le_bytes(id.try_into().expect("four bytes"))))
+    }
+}
+
+/// A point's identity as it arrives → its ids. Append-only until it is
+/// cleared: entry after entry in one flat arena — its [`HEAD`], its field
+/// ids, then its text, each part ended by [`END`] — so that a hit reads
+/// one run of bytes. `heads` maps a hash to the newest entry with it;
+/// older ones chain through their heads.
+#[derive(Debug, Default)]
+struct RefCache {
+    heads: HashMap<u64, u32, BuildHasherDefault<Identity>>,
+    arena: Vec<u8>,
+    entries: usize,
+}
+
+impl RefCache {
+    /// The entry for `p` among `hash`'s, verified part by part against the
+    /// text, so a collision costs a longer chain, never a wrong id.
+    fn get(&self, hash: u64, p: &DataPoint) -> Option<Hit<'_>> {
+        let mut at = Some(*self.heads.get(&hash)? as usize);
+        while let Some(o) = at {
+            let head = |i: usize| {
+                let word = &self.arena[o + 4 * i..o + 4 * i + 4];
+                u32::from_le_bytes(word.try_into().expect("four bytes")) as usize
+            };
+            let (tags, fields, len) = (head(3), head(4), head(5));
+            let text = o + HEAD + 4 * fields;
+            if tags == p.tags.len() && fields == p.fields.len() {
+                let mut rest = &self.arena[text..text + len];
+                let same = each_part(p, |part| {
+                    let n = part.len();
+                    let same = rest.len() > n && rest[n] == END && &rest[..n] == part.as_bytes();
+                    if same {
+                        rest = &rest[n + 1..];
+                    }
+                    same
+                });
+                if same && rest.is_empty() {
+                    let fids = &self.arena[o + HEAD..text];
+                    return Some(Hit { series: SeriesId(head(1) as u32), fixed: head(2), fids });
+                }
+            }
+            at = head(0).checked_sub(1);
+        }
+        None
+    }
+
+    /// Remember `p`. An entry whose head would not fit its `u32`s is not
+    /// kept (the point resolves through the index each time), and one
+    /// that would take the arena past `u32` offsets clears it first.
+    fn insert(
+        &mut self,
+        hash: u64,
+        p: &DataPoint,
+        series: SeriesId,
+        fields: &[FieldId],
+        fixed: usize,
+    ) {
+        let mut len = 0;
+        each_part(p, |part| {
+            len += part.len() + 1;
+            true
+        });
+        let size = HEAD + 4 * fields.len() + len;
+        if self.arena.len() + size > u32::MAX as usize {
+            self.clear();
+        }
+        let next = self.heads.get(&hash).map_or(0, |&o| o as usize + 1);
+        let head = [next, series.0 as usize, fixed, p.tags.len(), fields.len(), len];
+        if head.iter().any(|&word| word > u32::MAX as usize) {
+            return;
+        }
+        let at = self.arena.len() as u32;
+        for word in head {
+            self.arena.extend_from_slice(&(word as u32).to_le_bytes());
+        }
+        for id in fields {
+            self.arena.extend_from_slice(&id.0.to_le_bytes());
+        }
+        each_part(p, |part| {
+            self.arena.extend_from_slice(part.as_bytes());
+            self.arena.push(END);
+            true
+        });
+        self.heads.insert(hash, at);
+        self.entries += 1;
+    }
+
+    /// Forget every entry; the arena keeps its capacity.
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.arena.clear();
+        self.entries = 0;
+    }
+}
+
 /// Series registry + inverted index (tag key/value → series ids). Keys are
 /// `Arc`s: a query result labels a series with a reference, not a copy.
 #[derive(Debug, Default)]
@@ -140,6 +297,9 @@ pub struct SeriesIndex {
     /// Field-name interning table (name → id, id → name).
     field_ids: HashMap<String, FieldId>,
     field_names: Vec<String>,
+    /// The ref cache in front of all of the above. Series ids are never
+    /// retired, so an entry stays right for the life of the index.
+    refs: RefCache,
 }
 
 impl SeriesIndex {
@@ -162,6 +322,77 @@ impl SeriesIndex {
         let seed = self.seed.0;
         let pairs = tags.iter().map(|(k, v)| absorb(absorb(seed, k), v));
         fold(pairs.fold(absorb(!seed, measurement), u64::wrapping_add), seed | 1)
+    }
+
+    /// Hash of an identity as it arrives, for the ref cache: the same
+    /// keyed multiply-fold as [`Self::identity_hash`], over the parts in
+    /// arrival order and then the tag count (which splits tags from field
+    /// names). Not cryptographic: a collision costs a longer chain in
+    /// [`RefCache::get`], which compares the text.
+    fn arrival_hash(&self, p: &DataPoint) -> u64 {
+        #[cfg(test)]
+        if self.collide {
+            return 0;
+        }
+        let mut h = self.seed.0;
+        each_part(p, |part| {
+            h = absorb(h, part);
+            true
+        });
+        fold(h ^ p.tags.len() as u64, self.seed.0 | 1)
+    }
+
+    /// `p`'s ids from the ref cache, if its identity as it arrives has
+    /// been resolved before: its series and its fixed wire bytes
+    /// ([`DataPoint::wire_size`] less its values' sizes), with its field
+    /// ids pushed onto `fids` in point order. One hash and one probe, and
+    /// no lookup a field.
+    pub(crate) fn cached(
+        &self,
+        p: &DataPoint,
+        fids: &mut Vec<FieldId>,
+    ) -> Option<(SeriesId, usize)> {
+        let hit = self.refs.get(self.arrival_hash(p), p)?;
+        fids.extend(hit.fields());
+        Some((hit.series, hit.fixed))
+    }
+
+    /// Resolve a point [`Self::cached`] missed through the index —
+    /// registering its series and field names if they are new — and
+    /// remember it in the ref cache. Writes its field ids into `fids` (one
+    /// a field); returns its series and fixed wire bytes. Past
+    /// `2 × cardinality + REF_SLACK` entries the cache is cleared first.
+    pub(crate) fn resolve(&mut self, p: &DataPoint, fids: &mut [FieldId]) -> (SeriesId, usize) {
+        let hash = self.arrival_hash(p);
+        if let Some(hit) = self.refs.get(hash, p) {
+            fids.iter_mut().zip(hit.fields()).for_each(|(fid, id)| *fid = id);
+            return (hit.series, hit.fixed);
+        }
+        let series = match self.id_of_point(p) {
+            Some(id) => id,
+            None => self.get_or_create(&SeriesKey::of(p)),
+        };
+        for ((name, _), fid) in p.fields.iter().zip(fids.iter_mut()) {
+            *fid = self.intern_field(name);
+        }
+        let fixed = p.wire_size() - p.values_wire_size();
+        if self.refs.entries >= 2 * self.cardinality() + REF_SLACK {
+            self.refs.clear();
+        }
+        self.refs.insert(hash, p, series, fids, fixed);
+        (series, fixed)
+    }
+
+    /// Entries in the ref cache.
+    pub(crate) fn ref_count(&self) -> usize {
+        self.refs.entries
+    }
+
+    /// Test seam: empty the ref cache, so the next point resolves through
+    /// the index.
+    #[cfg(test)]
+    pub(crate) fn forget_refs(&mut self) {
+        self.refs.clear();
     }
 
     /// The registered series with this identity among `hash`'s candidates,
@@ -435,6 +666,18 @@ mod tests {
         assert_eq!(idx.id_of_point(&swapped), Some(ids[3]));
         let as_given = SeriesKey { measurement: "Thermal".into(), tags: swapped.tags.clone() };
         assert_eq!(idx.get_or_create(&as_given), ids[3]);
+        // The ref cache shares the seam: one chain, each entry found by
+        // its own text (the swapped tags and a field more are entries of
+        // their own).
+        let mut more = points.to_vec();
+        more.push(swapped);
+        more.push(point("Thermal", "n1", "CPU1 Temp").field_f64("w", 0.0));
+        let resolved: Vec<_> = more.iter().map(|p| resolve(&mut idx, p)).collect();
+        assert_eq!((idx.refs.heads.len(), idx.ref_count()), (1, 7));
+        for (p, (series, fids, fixed)) in more.iter().zip(resolved) {
+            assert_eq!(idx.id_of_point(p), Some(series));
+            assert_eq!(cached(&idx, p), Some((series, fids, fixed)));
+        }
     }
 
     #[test]
@@ -463,6 +706,116 @@ mod tests {
         let other = SeriesIndex::new();
         assert_ne!(other.seed.0, idx.seed.0);
         assert_ne!(other.identity_hash("m", &[]), h("m", &[]));
+    }
+
+    /// `cached`, its field ids collected.
+    fn cached(idx: &SeriesIndex, p: &DataPoint) -> Option<(SeriesId, Vec<FieldId>, usize)> {
+        let mut fids = Vec::new();
+        let (series, fixed) = idx.cached(p, &mut fids)?;
+        Some((series, fids, fixed))
+    }
+
+    /// `resolve` as the write path calls it: into a fresh field-id slice.
+    fn resolve(idx: &mut SeriesIndex, p: &DataPoint) -> (SeriesId, Vec<FieldId>, usize) {
+        let mut fids = vec![FieldId(u32::MAX); p.fields.len()];
+        let (series, fixed) = idx.resolve(p, &mut fids);
+        (series, fids, fixed)
+    }
+
+    #[test]
+    fn ref_cache_keys_the_identity_as_it_arrives() {
+        let mut idx = SeriesIndex::new();
+        let p = point("Power", "n1", "NodePower").field_i64("w", 3);
+        assert!(cached(&idx, &p).is_none());
+        let (series, fids, fixed) = resolve(&mut idx, &p);
+        assert_eq!(fixed + p.values_wire_size(), p.wire_size());
+        let hit = cached(&idx, &p).expect("resolved once, then cached");
+        assert_eq!(hit, (series, fids.clone(), fixed));
+        // New values at a new time: the same entry.
+        let later = DataPoint { time: EpochSecs::new(60), ..point("Power", "n1", "NodePower") }
+            .field_i64("w", -12_345);
+        assert_eq!(cached(&idx, &later), Some((series, fids.clone(), fixed)));
+        assert_eq!(idx.ref_count(), 1);
+        // Tags in another order, or another field subset or order: the same
+        // series and field ids, through an entry of its own.
+        let swapped = DataPoint::new("Power", EpochSecs::new(0))
+            .tag("Label", "NodePower")
+            .tag("NodeId", "n1")
+            .field_f64("v", 1.0)
+            .field_i64("w", 3);
+        let fewer = point("Power", "n1", "NodePower");
+        let flipped = DataPoint::new("Power", EpochSecs::new(0))
+            .tag("NodeId", "n1")
+            .tag("Label", "NodePower")
+            .field_i64("w", 3)
+            .field_f64("v", 1.0);
+        for q in [&swapped, &fewer, &flipped] {
+            assert!(cached(&idx, q).is_none());
+        }
+        assert_eq!(resolve(&mut idx, &swapped), (series, fids.clone(), fixed));
+        assert_eq!(resolve(&mut idx, &fewer), (series, fids[..1].to_vec(), fixed - ",w=".len()));
+        assert_eq!(resolve(&mut idx, &flipped), (series, vec![fids[1], fids[0]], fixed));
+        assert_eq!(idx.ref_count(), 4);
+        assert_eq!(idx.cardinality(), 1);
+        // Parts that concatenate alike but split differently do not match:
+        // a tag `k=v` is not two field names `k` and `v`.
+        let mut tag = DataPoint::new("m", EpochSecs::new(0)).tag("k", "v").field_f64("x", 0.0);
+        let split = DataPoint::new("m", EpochSecs::new(0))
+            .field_f64("k", 0.0)
+            .field_f64("v", 0.0)
+            .field_f64("x", 0.0);
+        let (tagged, ..) = resolve(&mut idx, &tag);
+        let (untagged, ..) = resolve(&mut idx, &split);
+        assert_ne!(tagged, untagged);
+        tag.tags[0].1.push('w');
+        assert!(cached(&idx, &tag).is_none(), "a longer value is another identity");
+    }
+
+    #[test]
+    fn ref_cache_stays_under_its_bound_through_tag_order_permutations() {
+        // Seven tags: 5 040 orders of each of two series, every one an
+        // entry of its own, against a bound of 2 × 2 + 4 096.
+        let mut idx = SeriesIndex::new();
+        let bound = 2 * 2 + REF_SLACK;
+        let mut most = 0;
+        let mut first = Vec::new();
+        for series in ["a", "b"] {
+            let mut tags: Vec<(String, String)> =
+                (0..7).map(|k| (format!("k{k}"), format!("{series}{k}"))).collect();
+            // Heap's algorithm, iteratively: every order once.
+            let mut c = [0usize; 7];
+            let mut i = 0;
+            let mut orders = 0;
+            loop {
+                let p = DataPoint {
+                    measurement: "m".into(),
+                    tags: tags.clone(),
+                    fields: vec![("v".into(), crate::FieldValue::Float(0.0))],
+                    time: EpochSecs::new(0),
+                };
+                let (id, ..) = resolve(&mut idx, &p);
+                if orders == 0 {
+                    first.push(id);
+                }
+                assert_eq!(id, *first.last().unwrap(), "one series in every order");
+                assert!(idx.ref_count() <= bound, "{} entries", idx.ref_count());
+                most = most.max(idx.ref_count());
+                orders += 1;
+                while i < 7 && c[i] >= i {
+                    c[i] = 0;
+                    i += 1;
+                }
+                if i == 7 {
+                    break;
+                }
+                tags.swap(if i % 2 == 0 { 0 } else { c[i] }, i);
+                c[i] += 1;
+                i = 0;
+            }
+            assert_eq!(orders, 5_040);
+        }
+        assert_eq!(most, bound, "the cache filled to its bound, was cleared and refilled");
+        assert_eq!(idx.cardinality(), 2);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::series::{fold, FieldId, SeriesId, K};
 use monster_util::Result;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// The column map's hasher: one multiply-fold over `series << 32 | field`.
 /// It needs no seed, unlike the series index's: both ids are dense numbers
@@ -55,13 +56,34 @@ pub struct Shard {
     /// file: scans of a cold shard are priced by the cold-tier disk model
     /// and its WAL records are reclaimable. Data stays readable in place.
     cold: bool,
+    /// `monster_tsdb_shard_points{shard=…}`, registered by the first write
+    /// ([`Shard::points_gauge`]).
+    points_gauge: Option<Arc<monster_obs::Gauge>>,
 }
 
 impl Shard {
     /// An empty shard covering `[start, end)`.
     pub fn new(start: i64, end: i64) -> Self {
         assert!(end > start);
-        Shard { start, end, columns: HashMap::default(), point_count: 0, encoded: 0, cold: false }
+        Shard {
+            start,
+            end,
+            columns: HashMap::default(),
+            point_count: 0,
+            encoded: 0,
+            cold: false,
+            points_gauge: None,
+        }
+    }
+
+    /// The gauge the write path sets to [`Shard::point_count`], looked up
+    /// by name once for the shard's life, not once a batch.
+    pub(crate) fn points_gauge(&mut self) -> Arc<monster_obs::Gauge> {
+        let start = self.start;
+        let gauge = self.points_gauge.get_or_insert_with(|| {
+            monster_obs::gauge(&format!("monster_tsdb_shard_points{{shard=\"{start}\"}}"))
+        });
+        Arc::clone(gauge)
     }
 
     /// True when `ts` belongs to this shard.

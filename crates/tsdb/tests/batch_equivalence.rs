@@ -1,16 +1,16 @@
 //! Property test: `Db::query_batch` is `Db::query` mapped over the batch.
 //!
 //! A batch is planned under one index lock and one shard-map snapshot, cut
-//! into weight-balanced chunks that ignore query boundaries, scanned on up
-//! to `min(workers, scan_workers, cores)` threads, and stitched back
-//! together. None of that may show: every query's result set, every field
-//! of its `QueryCost`, and which slots hold an error must equal what the
-//! same queries give one at a time — on this engine and on a
-//! `scan_workers = 1` twin that never spawns.
+//! between queries into runs of whole queries by count, and scanned on up
+//! to `min(workers, scan_workers, cores, queries)` threads, one thread a
+//! query. None of that may show: every query's result set, every field of
+//! its `QueryCost`, and which slots hold an error must equal what the same
+//! queries give one at a time — on this engine and on a `scan_workers = 1`
+//! twin that never spawns.
 //!
-//! The data is sized so that batches cross the inline threshold (sealed
-//! blocks weigh 16 a point): with two cores or more the threaded path, its
-//! cuts and its stitching are what is being compared.
+//! The batches hold several queries over sealed blocks and tails: with two
+//! cores or more the threaded path and its cuts are what is being
+//! compared.
 
 use monster_tsdb::concurrent::{run_concurrent, run_sequential};
 use monster_tsdb::query::Aggregation;
@@ -163,7 +163,7 @@ fn heavy_batches_fan_out_and_single_series_queries_do_not() {
     let threads = 8.min(pool::cores());
     assert!((spawned as usize) < threads, "{spawned} spawns for {threads} threads");
     if pool::cores() >= 2 {
-        assert!(spawned >= 1, "4 queries x 2 shards x 2 048 sealed points must not run inline");
+        assert!(spawned >= 1, "4 queries x 2 shards must not all run on the calling thread");
     }
 
     // One thread allowed: none spawned, same answers.
@@ -174,8 +174,8 @@ fn heavy_batches_fan_out_and_single_series_queries_do_not() {
         assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
     }
 
-    // A single-series query over one shard's tail is far below the inline
-    // threshold whatever `scan_workers` allows.
+    // A single query is a batch of one: it runs on the calling thread
+    // whatever `scan_workers` allows.
     let narrow = Query::select("Power", "Reading", EpochSecs::new(2_900), EpochSecs::new(3_000))
         .where_tag("NodeId", "n1");
     let before = pool::spawned_by_this_thread();

@@ -47,7 +47,10 @@ fn one_execute_spawns_at_most_one_thread_per_core_and_a_light_query_none() {
     let spawned = (pool::spawned_by_this_thread() - before) as usize;
     assert!(spawned < threads, "{spawned} threads spawned beside the caller, {threads} allowed");
     if threads > 1 {
-        assert!(spawned >= 1, "a 2 335-query plan over ten intervals should not run inline");
+        assert!(
+            spawned >= 1,
+            "a 2 335-query plan over ten intervals should not run on the calling thread alone"
+        );
     }
 
     let before = pool::spawned_by_this_thread();
