@@ -1,19 +1,17 @@
 //! The bytes a durable deployment leaves on disk, pinned.
 //!
-//! A seeded 8-node deployment with a `data_dir` and hourly roll-ups runs an
-//! hour of intervals from each of the three sources in turn: sweep, sensors,
-//! telemetry. The first roll-up window closes on the last interval. The
+//! A seeded 8-node deployment with a `data_dir` runs an hour of intervals
+//! from each of the three sources in turn: sweep, sensors, telemetry. The
 //! directory it leaves behind (WAL segments and whatever else storage wrote)
 //! is hashed, sorted relative paths and file bytes, with FNV-1a. Both schema
-//! generations are run, so a refactor of the point writer, the schema table
-//! or the roll-up wiring that moves a stored byte in either fails here.
+//! generations are run, so a refactor of the point writer or the schema table
+//! that moves a stored byte in either fails here.
 //!
 //! A change that means to move stored bytes re-records the digest and says
 //! why in its change notes.
 
 use monster::collector::{SchemaVersion, Source};
 use monster::redfish::telemetry::{TelemetryConfig, TelemetryService};
-use monster::tsdb::Aggregation;
 use monster::{Monster, MonsterConfig};
 use std::path::{Path, PathBuf};
 
@@ -76,7 +74,6 @@ fn stored(schema: SchemaVersion) -> (u64, usize) {
         data_dir: Some(dir.clone()),
         ..MonsterConfig::default()
     });
-    m.enable_rollups(3600).unwrap();
     let mut service = TelemetryService::new(TelemetryConfig::default());
     for i in 0..60 {
         let source = match i % 3 {
@@ -85,17 +82,6 @@ fn stored(schema: SchemaVersion) -> (u64, usize) {
             _ => Source::Telemetry(&mut service),
         };
         m.run_interval_from(source).unwrap();
-    }
-    if schema == SchemaVersion::Optimized {
-        // The hour closed: its roll-up is stored beside the raw points.
-        let (rs, _) = m
-            .db()
-            .query(
-                &monster::tsdb::Query::select("Power_1h", "Reading", m.now() - 7200, m.now())
-                    .aggregate(Aggregation::Count),
-            )
-            .unwrap();
-        assert!(!rs.series.is_empty(), "no hourly roll-up was written");
     }
     drop(m);
     let out = digest(&dir);
@@ -107,6 +93,6 @@ fn stored(schema: SchemaVersion) -> (u64, usize) {
 fn a_seeded_hour_stores_the_pinned_bytes() {
     let optimized = stored(SchemaVersion::Optimized);
     let previous = stored(SchemaVersion::Previous);
-    assert_eq!(optimized, (0x2593_fb3f_c822_c485, 1), "optimized schema: digest, files");
+    assert_eq!(optimized, (0x7461_8538_0ec6_5fa9, 1), "optimized schema: digest, files");
     assert_eq!(previous, (0x540f_4af0_ee12_680d, 1), "previous schema: digest, files");
 }
