@@ -259,7 +259,7 @@ pub struct AdmissionSnapshot {
 pub enum Stage {
     /// Parsing the query parameters into a `BuilderRequest`.
     Parse,
-    /// Plan building + rollup rerouting + cost estimation.
+    /// Plan building + cost estimation.
     Plan,
     /// Response-cache probe, single-flight join (a follower's wait) and
     /// the validity snapshot. A hit charges its whole wall time here.

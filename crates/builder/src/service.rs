@@ -86,11 +86,6 @@ pub struct ServiceConfig {
     /// Cost-based admission control (`AdmissionConfig { enabled: false,
     /// .. }` admits everything).
     pub admission: AdmissionConfig,
-    /// Maintained roll-ups that coarse queries are rerouted to (see
-    /// [`crate::rollup::reroute`]); typically
-    /// [`crate::materializer::Materializer::routes`]. Empty disables
-    /// rerouting.
-    pub rollup_routes: Vec<crate::rollup::RollupRoute>,
     /// The deployment's alert engine, when alerting is on; backs
     /// `/v1/alerts`. `None` serves 404s there.
     pub alerts: Option<Arc<monster_alert::AlertEngine>>,
@@ -108,7 +103,6 @@ impl Default for ServiceConfig {
             cache_entries: 64,
             coalesce: true,
             admission: AdmissionConfig::default(),
-            rollup_routes: Vec::new(),
             alerts: None,
             qlog: QlogConfig::default(),
         }
@@ -348,8 +342,7 @@ fn serve_metrics(
     };
     clock.lap(Stage::Cache);
 
-    let mut plan = build_plan(st.config.schema, &st.nodes, &builder_req);
-    crate::rollup::reroute(&mut plan, &st.config.rollup_routes);
+    let plan = build_plan(st.config.schema, &st.nodes, &builder_req);
 
     // Layer 3: cost-based admission, leaders only — a coalesced burst
     // debits one token, not one per request. The plan is priced without
@@ -592,7 +585,7 @@ fn routes(state: Arc<MetricsState>) -> Router {
             None => Response::json(&monster_obs::global().trace_json()),
             Some(s) => match TraceId::parse_hex(s) {
                 Some(id) => Response::json(&monster_obs::global().trace_json_filtered(Some(id))),
-                None => bad_request("trace_id must be 32 hex digits"),
+                None => bad_request("trace_id must be 32 lowercase hex digits"),
             },
         })
         .route(Method::Get, "/debug/requests", move |req, _params| match parse_record_filter(req) {
@@ -601,7 +594,7 @@ fn routes(state: Arc<MetricsState>) -> Router {
         })
         .route(Method::Get, "/debug/requests/:trace_id", move |_req, params| {
             let Some(id) = params.get("trace_id").and_then(TraceId::parse_hex) else {
-                return bad_request("trace_id must be 32 hex digits");
+                return bad_request("trace_id must be 32 lowercase hex digits");
             };
             let records: Vec<Value> =
                 drill_recorder.by_trace(id).iter().map(|r| r.to_json()).collect();
@@ -652,8 +645,6 @@ fn routes(state: Arc<MetricsState>) -> Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::materializer::Materializer;
-    use crate::rollup::RollupRoute;
     use monster_tsdb::{DataPoint, DbConfig};
 
     fn service() -> (Arc<Db>, Router) {
@@ -725,45 +716,6 @@ mod tests {
         let again = get(&router, url);
         assert_eq!(again.headers.get("X-Cache"), Some("hit"));
         assert_eq!(again.json_body().unwrap(), doc);
-    }
-
-    #[test]
-    fn rollup_routed_service_serves_identical_documents() {
-        let db = Arc::new(Db::new(DbConfig::default()));
-        let ids = NodeId::enumerate(2, 4);
-        let mut batch = Vec::new();
-        for i in 0..60i64 {
-            for &n in &ids {
-                batch.push(
-                    DataPoint::new("Power", EpochSecs::new(i * 60))
-                        .tag("NodeId", n.bmc_addr())
-                        .tag("Label", "NodePower")
-                        .field_f64("Reading", 250.0 + i as f64),
-                );
-            }
-        }
-        db.write_batch(&batch).unwrap();
-        let routes = [
-            RollupRoute::new("Power", "Reading", "Power_10m", Aggregation::Max, 600),
-            RollupRoute::new("Thermal", "Reading", "Thermal_10m", Aggregation::Max, 600),
-            RollupRoute::new("UGE", "CPUUsage", "UGECpu_10m", Aggregation::Max, 600),
-            RollupRoute::new("UGE", "MemUsed", "UGEMem_10m", Aggregation::Max, 600),
-        ];
-        let mut m = Materializer::new(&routes, EpochSecs::new(0)).unwrap();
-        assert!(m.run_once(&db, EpochSecs::new(3600)).unwrap() > 0);
-
-        let raw = router(Arc::clone(&db), ids.clone(), ServiceConfig::default());
-        let routed = router(
-            Arc::clone(&db),
-            ids,
-            ServiceConfig { rollup_routes: m.routes().to_vec(), ..ServiceConfig::default() },
-        );
-        // A 10-minute-interval max request is exactly the roll-up grain.
-        let url = "/v1/metrics?start=1970-01-01T00:00:00Z&end=1970-01-01T01:00:00Z&interval=10m";
-        let doc_raw = get(&raw, url).json_body().unwrap();
-        let doc_routed = get(&routed, url).json_body().unwrap();
-        assert_eq!(doc_raw, doc_routed);
-        assert!(doc_routed.get("10.101.1.1").unwrap().get("power").is_some());
     }
 
     #[test]

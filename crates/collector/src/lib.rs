@@ -23,7 +23,7 @@
 //! Beside the writer, each generation declares its dashboard layout once:
 //! [`SchemaVersion::sections`] lists the [`Section`]s of a node's document
 //! — name, measurement, field and tag — that the Metrics Builder plans its
-//! queries from and the deployment picks its roll-up sources from.
+//! queries from.
 //!
 //! Pre-processing ([`preprocess`]) implements the §III-B3 rules: health
 //! string → binary code (abnormal-only retention), date string → epoch

@@ -75,15 +75,13 @@ pub struct Section {
     /// `None` → the section is a flat array of points; `Some(tag)` → an
     /// object keyed by that tag's values (thermal sensors by `Label`).
     pub label_tag: Option<&'static str>,
-    /// The stem of its maintained roll-up's target, `<stem>_<window>`.
-    pub rollup: Option<&'static str>,
 }
 
 type Name = &'static str;
 
 impl Section {
     const fn new(name: Name, group: QueryGroup, measurement: Name, field: Name) -> Section {
-        Section { name, group, measurement, field, tag: None, label_tag: None, rollup: None }
+        Section { name, group, measurement, field, tag: None, label_tag: None }
     }
 
     /// A version-1 metric: its own measurement, the instance (or 0) in `Sensor`.
@@ -97,17 +95,9 @@ impl Section {
 
 /// The optimized schema's 5 sections, against consolidated measurements.
 const OPTIMIZED: &[Section] = &[
-    Section {
-        tag: Some(("Label", "NodePower")),
-        rollup: Some("Power"),
-        ..Section::new("power", Bmc, "Power", "Reading")
-    },
-    Section {
-        label_tag: Some("Label"),
-        rollup: Some("Thermal"),
-        ..Section::new("thermal", Bmc, "Thermal", "Reading")
-    },
-    Section { rollup: Some("UGECpu"), ..Section::new("cpu_usage", Uge, "UGE", "CPUUsage") },
+    Section { tag: Some(("Label", "NodePower")), ..Section::new("power", Bmc, "Power", "Reading") },
+    Section { label_tag: Some("Label"), ..Section::new("thermal", Bmc, "Thermal", "Reading") },
+    Section::new("cpu_usage", Uge, "UGE", "CPUUsage"),
     Section::new("memory", Uge, "UGE", "MemUsed"),
     Section::new("jobs", Jobs, "NodeJobs", "JobList"),
 ];

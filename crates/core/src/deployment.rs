@@ -2,9 +2,7 @@
 //! builder, advanced in lock-step.
 
 use monster_alert::{AlertEngine, DetectorConfig, EngineConfig, IntervalInput};
-use monster_builder::{
-    build_plan, encode_response, BuilderRequest, ExecMode, Materializer, RollupRoute,
-};
+use monster_builder::{build_plan, encode_response, BuilderRequest, ExecMode};
 use monster_collector::{Collector, CollectorConfig, SchemaVersion, Source};
 use monster_compress::Level;
 use monster_obs::TraceContext;
@@ -15,7 +13,7 @@ use monster_redfish::resilience::ResilienceConfig;
 use monster_scheduler::{Qmaster, QmasterConfig, WorkloadConfig, WorkloadGenerator};
 use monster_sim::{DiskModel, VDuration};
 use monster_tsdb::retention::TierConfig;
-use monster_tsdb::{Aggregation, CostParams, DataPoint, Db, DbConfig, RecoveryReport};
+use monster_tsdb::{CostParams, DataPoint, Db, DbConfig, RecoveryReport};
 use monster_util::{EpochSecs, JobId, NodeId, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -142,8 +140,6 @@ pub struct Monster {
     db: Arc<Db>,
     now: EpochSecs,
     intervals_run: usize,
-    /// Maintained roll-ups plus their routing table.
-    rollups: Option<Materializer>,
     /// The alert engine, shared with the HTTP service when serving.
     alerts: Option<Arc<AlertEngine>>,
     /// What startup recovery replayed (`None` for memory-only storage).
@@ -201,7 +197,6 @@ impl Monster {
             db,
             now: start,
             intervals_run: 0,
-            rollups: None,
             alerts,
             recovery,
         }
@@ -356,43 +351,18 @@ impl Monster {
             .sum()
     }
 
-    /// Maintain `max` roll-ups per `window_secs` of the schema's sections
-    /// that name a roll-up stem (the InfluxDB downsampling pattern of
-    /// §III-C), each into `<stem>_<window>`. Once enabled, each collection
-    /// interval advances the roll-ups, and coarse `max` requests route to
-    /// them automatically.
-    pub fn enable_rollups(&mut self, window_secs: i64) -> Result<()> {
-        let suffix = monster_util::time::format_interval(window_secs);
-        let routes: Vec<RollupRoute> = self
-            .config
-            .schema
-            .sections()
-            .iter()
-            .filter_map(|s| Some((s, s.rollup?)))
-            .map(|(s, stem)| {
-                let target = format!("{stem}_{suffix}");
-                RollupRoute::new(s.measurement, s.field, target, Aggregation::Max, window_secs)
-            })
-            .collect();
-        self.rollups = Some(Materializer::new(&routes, self.now)?);
-        Ok(())
-    }
-
     /// Land one interval's points under its trace, then do the per-interval
     /// maintenance. The points go in as the collector's 10 000-point
     /// batches (§III-C), sequentially — same-timestamp points must reach a
-    /// shard in collection order. A roll-up or tiering error comes back
-    /// after the points have landed (and, with a `data_dir`, are in the
-    /// WAL); a failed tiering pass leaves its shard hot for the next
-    /// interval's pass to retry.
+    /// shard in collection order. A tiering error comes back after the
+    /// points have landed (and, with a `data_dir`, are in the WAL); a
+    /// failed tiering pass leaves its shard hot for the next interval's
+    /// pass to retry.
     fn store_interval(&mut self, points: &[DataPoint], trace: TraceContext) -> Result<()> {
         let trace_guard = monster_obs::trace::set_current(trace);
         points.chunks(10_000).try_for_each(|chunk| self.db.write_batch(chunk))?;
         drop(trace_guard);
         self.intervals_run += 1;
-        if let Some(rollups) = &mut self.rollups {
-            rollups.run_once(&self.db, self.now)?;
-        }
         // Age-based tiering piggybacks on the same per-interval
         // maintenance pass: a no-op scan when nothing crossed the hot
         // horizon this interval.
@@ -403,17 +373,12 @@ impl Monster {
     }
 
     /// Execute a Metrics Builder request against this deployment's data.
-    /// Requests that can be answered exactly from maintained roll-ups are
-    /// rerouted to them.
     pub fn builder_query(
         &self,
         req: &BuilderRequest,
         mode: ExecMode,
     ) -> Result<monster_builder::BuilderOutcome> {
-        let mut plan = build_plan(self.config.schema, self.cluster.node_ids(), req);
-        if let Some(rollups) = &self.rollups {
-            monster_builder::rollup::reroute(&mut plan, rollups.routes());
-        }
+        let plan = build_plan(self.config.schema, self.cluster.node_ids(), req);
         monster_builder::exec::execute(&self.db, &plan, mode)
     }
 
@@ -436,7 +401,6 @@ impl Monster {
             monster_builder::service::ServiceConfig {
                 schema: self.config.schema,
                 alerts: self.alerts.clone(),
-                rollup_routes: self.rollups.as_ref().map_or_else(Vec::new, |r| r.routes().to_vec()),
                 ..monster_builder::service::ServiceConfig::default()
             },
         );
@@ -529,72 +493,6 @@ mod tests {
             amplified.as_secs_f64() > plain.as_secs_f64() * 2.0,
             "plain {plain}, amplified {amplified}"
         );
-    }
-
-    #[test]
-    fn rollups_answer_coarse_queries_identically_but_cheaper() {
-        let build = |rollups: bool| {
-            let mut m = small(6);
-            if rollups {
-                m.enable_rollups(3600).unwrap();
-            }
-            // 3 hours of 60 s data.
-            m.run_intervals_bulk(180);
-            m
-        };
-        let raw = build(false);
-        let rolled = build(true);
-        let t0 = QmasterConfig::default().start_time;
-        let req = BuilderRequest::new(t0, t0 + 3 * 3600, 3600, Aggregation::Max).unwrap();
-        let out_raw = raw.builder_query(&req, ExecMode::Sequential).unwrap();
-        let out_rolled = rolled.builder_query(&req, ExecMode::Sequential).unwrap();
-        // Identical answers for node power at hourly max...
-        let series = |o: &monster_builder::BuilderOutcome| {
-            o.document
-                .get("10.101.1.1")
-                .and_then(|n| n.get("power"))
-                .cloned()
-                .expect("power series")
-        };
-        assert_eq!(series(&out_raw), series(&out_rolled));
-        // ...from far fewer scanned points.
-        assert!(
-            out_rolled.cost.points * 5 < out_raw.cost.points,
-            "rolled {} raw {}",
-            out_rolled.cost.points,
-            out_raw.cost.points
-        );
-    }
-
-    /// The HTTP face uses the roll-ups `builder_query` uses: the same
-    /// bytes for an hourly `max` request, from fewer scanned points.
-    #[test]
-    fn serve_api_routes_coarse_requests_to_the_rollups() {
-        let t0 = QmasterConfig::default().start_time;
-        let url = format!(
-            "/v1/metrics?start={}&end={}&interval=1h&aggregation=max&explain=true",
-            t0.to_rfc3339(),
-            (t0 + 3 * 3600).to_rfc3339()
-        );
-        let answer = |rollups: bool| {
-            let mut m = small(6);
-            if rollups {
-                m.enable_rollups(3600).unwrap();
-            }
-            m.run_intervals_bulk(180);
-            let server = m.serve_api(0).unwrap();
-            let doc = monster_http::Client::new()
-                .send_ok(server.addr(), &monster_http::Request::get(&url))
-                .unwrap()
-                .json_body()
-                .unwrap();
-            let points = doc.pointer("/explain/cost/actual/points").unwrap().as_f64().unwrap();
-            (doc.get("payload_base64").unwrap().as_str().unwrap().to_string(), points)
-        };
-        let (raw_body, raw_points) = answer(false);
-        let (rolled_body, rolled_points) = answer(true);
-        assert_eq!(raw_body, rolled_body);
-        assert!(rolled_points * 5.0 < raw_points, "rolled {rolled_points} raw {raw_points}");
     }
 
     #[test]

@@ -80,10 +80,10 @@ impl TraceId {
 
     /// Parse the 32-hex-digit form [`TraceId`] displays as (the id part
     /// of a `traceparent`, or a flight-recorder record's `trace_id`).
-    /// `None` on wrong length, non-hex digits, or the forbidden all-zero
-    /// id.
+    /// `None` on wrong length, anything but lowercase hex digits (a sign
+    /// included), or the forbidden all-zero id.
     pub fn parse_hex(s: &str) -> Option<TraceId> {
-        if s.len() != 32 {
+        if s.len() != 32 || !is_lower_hex(s) {
             return None;
         }
         let id = u128::from_str_radix(s, 16).ok()?;
@@ -252,9 +252,13 @@ mod tests {
             TraceId::parse_hex("4bf92f3577b34da6a3ce929d0e0e4736"),
             Some(TraceId(0x4bf92f3577b34da6a3ce929d0e0e4736))
         );
-        for bad in
-            ["", "abc", "zzf92f3577b34da6a3ce929d0e0e4736", "00000000000000000000000000000000"]
-        {
+        for bad in [
+            "",
+            "abc",
+            "zzf92f3577b34da6a3ce929d0e0e4736",
+            "00000000000000000000000000000000",
+            "+4bf92f3577b34da6a3ce929d0e0e473",
+        ] {
             assert!(TraceId::parse_hex(bad).is_none(), "accepted {bad:?}");
         }
     }

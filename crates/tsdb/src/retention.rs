@@ -4,9 +4,8 @@
 //! store: nothing ages data out. A shard has one lifecycle, hot → cold.
 //! [`TierConfig`] describes when sealed shards migrate to a slower, cheaper
 //! device (§IV's 13-month deployment keeps recent data on SSD and archives
-//! the long tail); roll-ups that downsample a raw measurement (e.g.
-//! `Power` → `Power_1h`) are maintained by the Metrics Builder's
-//! materializer. The actual migration lives in
+//! the long tail). Nothing is downsampled: every window is aggregated from
+//! the raw points when it is asked for. The actual migration lives in
 //! [`crate::db::Db::tier_cold_shards`]; this module only defines the policy
 //! and its report.
 

@@ -186,7 +186,7 @@ pub fn parse_interval(s: &str) -> Result<i64> {
     if n <= 0 {
         return Err(Error::invalid(format!("interval {s:?} must be positive")));
     }
-    Ok(n * mult)
+    n.checked_mul(mult).ok_or_else(|| Error::invalid(format!("interval {s:?} is too long")))
 }
 
 /// Format a second count using the largest exact unit (`300` → `"5m"`).
@@ -277,7 +277,17 @@ mod tests {
 
     #[test]
     fn interval_grammar_rejects_junk() {
-        for bad in ["", "5", "m", "-5m", "0m", "5x", "fivem"] {
+        for bad in [
+            "",
+            "5",
+            "m",
+            "-5m",
+            "0m",
+            "5x",
+            "fivem",
+            "144115188075855873w",
+            "9223372036854775807m",
+        ] {
             assert!(parse_interval(bad).is_err(), "accepted {bad:?}");
         }
     }

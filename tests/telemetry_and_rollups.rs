@@ -1,14 +1,12 @@
-//! Integration: the two §VI-era upgrades working together — telemetry-rate
-//! collection feeding maintained roll-ups — plus the self-monitoring layer
-//! observed end-to-end (in-process counter deltas and a live `/metrics`
-//! scrape over a real socket).
+//! Integration: telemetry-rate collection (the §VI-era upgrade) stored at its
+//! sub-interval cadence, plus the self-monitoring layer observed end-to-end
+//! (in-process counter deltas and a live `/metrics` scrape over a real
+//! socket).
 
-use monster::builder::{BuilderRequest, ExecMode};
 use monster::collector::Source;
 use monster::http::{Client, Request};
 use monster::redfish::bmc::BmcConfig;
 use monster::redfish::telemetry::{TelemetryConfig, TelemetryService};
-use monster::tsdb::Aggregation;
 use monster::util::JobId;
 use monster::{obs, Monster, MonsterConfig};
 use std::collections::BTreeSet;
@@ -54,45 +52,6 @@ fn telemetry_collection_yields_sub_interval_samples() {
         .unwrap();
     let count = rs.series[0].points[0].1.as_f64().unwrap();
     assert_eq!(count, 60.0, "expected 6 samples per interval x 10 intervals");
-}
-
-#[test]
-fn telemetry_plus_rollups_compose() {
-    let mut m = deployment(3);
-    m.enable_rollups(600).unwrap(); // 10-minute roll-ups
-    let mut service = TelemetryService::new(TelemetryConfig::default());
-    {
-        // 30 minutes.
-        let _guard = INTERVAL_LOCK.lock().unwrap();
-        for _ in 0..30 {
-            m.run_interval_from(Source::Telemetry(&mut service)).unwrap();
-        }
-    }
-
-    // A 10-minute-window max query routes to the rollup...
-    let req = BuilderRequest::new(m.now() - 1800, m.now(), 600, Aggregation::Max).unwrap();
-    let out = m.builder_query(&req, ExecMode::Sequential).unwrap();
-    // ...and the answers match a raw query bypassing the rollup.
-    let (raw, _) = m
-        .db()
-        .query_str(&format!(
-            "SELECT max(Reading) FROM Power WHERE NodeId='10.101.1.1' AND \
-             Label='NodePower' AND time >= {} AND time < {} GROUP BY time(10m)",
-            (m.now() - 1800).as_secs(),
-            m.now().as_secs()
-        ))
-        .unwrap();
-    let doc_power = out
-        .document
-        .get("10.101.1.1")
-        .and_then(|n| n.get("power"))
-        .and_then(|p| p.as_array())
-        .expect("power series");
-    let raw_points = &raw.series[0].points;
-    assert_eq!(doc_power.len(), raw_points.len());
-    for (a, (_, b)) in doc_power.iter().zip(raw_points) {
-        assert_eq!(a.get("value").unwrap().as_f64(), b.as_f64());
-    }
 }
 
 /// One interval from each source: only the sweep touches the Redfish
