@@ -29,7 +29,7 @@
 //! incrementally in atomics on the write, seal and tiering paths, making
 //! [`Db::stats`] O(1) instead of a walk over every column.
 
-use crate::column::{AggScan, DecodeScratch, ScanItem, ScanStats};
+use crate::column::{AggScan, DecodeScratch, ScanItem};
 use crate::cost::{CostParams, QueryCost};
 use crate::point::DataPoint;
 use crate::query::exec::WindowAggregator;
@@ -42,7 +42,7 @@ use crate::wal_record;
 use crate::watermark::{MeasurementMark, WatermarkRegistry};
 use monster_sim::DiskModel;
 use monster_util::pool;
-use monster_util::{Error, Result};
+use monster_util::{EpochSecs, Error, Result};
 use parking_lot::RwLock;
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -150,6 +150,8 @@ struct BatchPlan<'q> {
     queries: Vec<Planned<'q>>,
     /// Every query's selected series, back to back.
     series: Vec<SeriesId>,
+    /// Their keys, parallel to `series`: what an answer is labelled with.
+    keys: Vec<Arc<SeriesKey>>,
     /// The shards any query overlaps, in time order.
     shards: Vec<(i64, Arc<RwLock<Shard>>)>,
 }
@@ -167,112 +169,6 @@ struct Planned<'q> {
     series: Range<usize>,
     /// Overlapping shards, a range of [`BatchPlan::shards`].
     shards: Range<usize>,
-}
-
-impl Planned<'_> {
-    /// The field whose columns the items scan; `None` when there is
-    /// nothing to look for (no such field, no series, or no shard).
-    fn scanned_field(&self) -> Option<FieldId> {
-        self.fid.filter(|_| !self.series.is_empty() && !self.shards.is_empty())
-    }
-}
-
-/// What scanning one (series, shard) item produced, besides its
-/// [`ScanItem`]s.
-#[derive(Default)]
-struct ItemScan {
-    /// How many of [`Scanned::items`] are this item's.
-    len: usize,
-    stats: ScanStats,
-    cold: bool,
-}
-
-/// One query's scanned items, in series-major, shard-time order: the
-/// merge's input.
-#[derive(Default)]
-struct Scanned {
-    scans: Vec<ItemScan>,
-    /// The items' points and zone-map partials, back to back.
-    items: Vec<ScanItem>,
-    /// The first scan error; the query's remaining items are skipped.
-    failed: Option<Error>,
-    /// The merge's aggregator, kept for its buckets' allocation.
-    windows: Option<WindowAggregator>,
-}
-
-/// One query's merged output: points per series (an index into
-/// [`BatchPlan::series`]; series with no points are left out) and the cost.
-struct Merged {
-    series: Vec<(usize, Vec<(monster_util::EpochSecs, crate::FieldValue)>)>,
-    cost: QueryCost,
-}
-
-impl Scanned {
-    /// Merge all of `p`'s scanned items, in series-major, shard-time
-    /// order, leaving `self` empty for the next query.
-    fn merge(&mut self, p: &Planned<'_>) -> Result<Merged> {
-        let mut scans = self.scans.drain(..);
-        let mut items = self.items.drain(..);
-        if let Some(e) = self.failed.take() {
-            return Err(e);
-        }
-        let q = p.query;
-        let (qs, qe) = (q.start.as_secs(), q.end.as_secs());
-        let mut cost = QueryCost {
-            queries: 1,
-            index_entries: p.index_entries,
-            shards_scanned: p.shards.len(),
-            ..QueryCost::default()
-        };
-        let mut series = Vec::with_capacity(p.series.len());
-        for s in p.series.clone() {
-            let mut scanned = false;
-            let mut windows = q.agg.map(|agg| {
-                let new = || WindowAggregator::new(agg, q.group_by, qs);
-                let w = self.windows.get_or_insert_with(new);
-                w.restart(agg, q.group_by, qs);
-                w
-            });
-            let mut raw = Vec::new();
-            for scan in scans.by_ref().take(p.shards.len()) {
-                for item in items.by_ref().take(scan.len) {
-                    match (&mut windows, item) {
-                        (Some(w), ScanItem::Point(t, v)) => w.push(t, &v),
-                        (Some(w), ScanItem::Partial(block)) => w.push_partial(&block),
-                        (None, ScanItem::Point(t, v)) => {
-                            raw.push((monster_util::EpochSecs::new(t), v))
-                        }
-                        // Raw selects never carry an AggScan spec.
-                        (None, ScanItem::Partial(_)) => unreachable!("partial in raw scan"),
-                    }
-                }
-                scanned |= scan.stats.points > 0 || scan.stats.blocks_summarized > 0;
-                cost.blocks += scan.stats.blocks;
-                cost.blocks_summarized += scan.stats.blocks_summarized;
-                cost.points += scan.stats.points;
-                cost.bytes += scan.stats.bytes;
-                if scan.cold {
-                    cost.blocks_cold += scan.stats.blocks;
-                    cost.bytes_cold += scan.stats.bytes;
-                }
-            }
-            cost.series += usize::from(scanned);
-            let mut points = match windows {
-                Some(w) => w.finish_filled(q.fill, qs, qe),
-                None => {
-                    raw.sort_by_key(|(t, _)| *t);
-                    raw
-                }
-            };
-            if let Some(limit) = q.limit {
-                points.truncate(limit);
-            }
-            if !points.is_empty() {
-                series.push((s, points));
-            }
-        }
-        Ok(Merged { series, cost })
-    }
 }
 
 /// A lock guard from [`Db::timed`]: dropping it releases the lock, then
@@ -846,11 +742,12 @@ impl Db {
     /// cut between queries, by count: with `threads = min(workers,
     /// scan_workers, cores, queries)`, chunk `k` holds planned queries
     /// `[k·n/threads, (k+1)·n/threads)`. Chunk 0 runs on the calling thread
-    /// and the others on scoped threads. A query is scanned and merged by
-    /// exactly one thread, in series-major, shard-time order, so results
-    /// and costs are identical for every thread count. A shard's read lock
-    /// is held for one query's items in that shard at a time: a writer
-    /// waits for a few column scans, never for a batch.
+    /// and the others on scoped threads. A query is scanned straight into
+    /// its answer by exactly one thread, in series-major, shard-time order,
+    /// so results and costs are identical for every thread count. A shard's
+    /// read lock is held for one query's items in that shard at a time: a
+    /// writer waits for one query's column scans and window folds, never
+    /// for a batch.
     pub fn query_batch<Q: Borrow<Query> + Sync>(
         &self,
         queries: &[Q],
@@ -858,46 +755,35 @@ impl Db {
     ) -> Vec<Result<(ResultSet, QueryCost)>> {
         let mut results: Vec<Option<QueryResult>> =
             queries.iter().map(|q| q.borrow().validate().err().map(Err)).collect();
-        let (plan, keys) = self.plan_batch(queries, &results);
+        let plan = self.plan_batch(queries, &results);
         let threads = workers.min(self.config.scan_workers).min(pool::cores());
         let threads = threads.min(plan.queries.len()).max(1);
-        self.run_batch(&plan, &keys, threads, &mut results);
+        self.run_batch(&plan, threads, &mut results);
         results.into_iter().map(|r| r.expect("every query is refused or planned")).collect()
     }
 
-    /// Scan and merge `plan` in `threads` chunks of consecutive queries,
-    /// one thread each, and put every planned query's result in its slot.
-    fn run_batch(
-        &self,
-        plan: &BatchPlan<'_>,
-        keys: &[Arc<SeriesKey>],
-        threads: usize,
-        results: &mut [Option<QueryResult>],
-    ) {
+    /// Answer `plan` in `threads` chunks of consecutive queries, one thread
+    /// each, put every planned query's result in its slot, and account for
+    /// the scans.
+    fn run_batch(&self, plan: &BatchPlan<'_>, threads: usize, results: &mut [Option<QueryResult>]) {
         let n = plan.queries.len();
         let chunk = |k: usize| &plan.queries[k * n / threads..(k + 1) * n / threads];
-        let merged = pool::scope_parts(threads, |k| self.scan_chunk(plan, chunk(k)));
+        let answered = pool::scope_parts(threads, |k| self.scan_chunk(plan, chunk(k)));
 
-        // Keys, accounting and one span per chunk, on the calling thread
-        // (so the spans are children of the caller's trace context).
-        for (k, merged) in merged.into_iter().enumerate().filter(|(_, m)| !m.is_empty()) {
+        // Accounting and one span per chunk, on the calling thread (so the
+        // spans are children of the caller's trace context).
+        for (k, answered) in answered.into_iter().enumerate().filter(|(_, a)| !a.is_empty()) {
             let mut span = monster_obs::Span::enter("tsdb.query_scan");
             let ctx = Some(span.context());
             let (mut total, mut elapsed) = (QueryCost::default(), monster_sim::VDuration::ZERO);
-            for (p, merged) in chunk(k).iter().zip(merged) {
-                results[p.at] = Some(merged.map(|m| {
-                    let query_elapsed = self.simulate_elapsed(&m.cost);
+            for (p, answer) in chunk(k).iter().zip(answered) {
+                if let Ok((_, cost)) = &answer {
+                    let query_elapsed = self.simulate_elapsed(cost);
                     self.query_metrics.seconds.observe_vdur_traced(query_elapsed, ctx);
                     elapsed += query_elapsed;
-                    total.absorb(&m.cost);
-                    let label = |(s, points): (usize, _)| SeriesResult {
-                        key: Arc::clone(&keys[s]),
-                        points,
-                    };
-                    let mut series: Vec<SeriesResult> = m.series.into_iter().map(label).collect();
-                    series.sort_by(|a, b| a.key.cmp(&b.key));
-                    (ResultSet { series }, m.cost)
-                }));
+                    total.absorb(cost);
+                }
+                results[p.at] = Some(answer);
             }
             // Self-monitoring: what the scans cost, in counts and in
             // simulated seconds (`monster_tsdb_*` on `/metrics`).
@@ -916,14 +802,13 @@ impl Db {
     }
 
     /// Resolve the batch's valid queries (those with no refusal in
-    /// `results` yet): series under one index read lock, overlapping shards
-    /// from one shard-map snapshot. Also returns the selected series' keys,
-    /// parallel to [`BatchPlan::series`], for the caller to label results.
+    /// `results` yet): series and their keys under one index read lock,
+    /// overlapping shards from one shard-map snapshot.
     fn plan_batch<'q, Q: Borrow<Query>>(
         &self,
         queries: &'q [Q],
         results: &[Option<QueryResult>],
-    ) -> (BatchPlan<'q>, Vec<Arc<SeriesKey>>) {
+    ) -> BatchPlan<'q> {
         let valid = || {
             let all = queries.iter().map(Borrow::borrow).enumerate();
             all.filter(|(at, _)| results[*at].is_none())
@@ -939,7 +824,8 @@ impl Db {
             .map(|(&start, s)| (start, Arc::clone(s)))
             .collect();
 
-        let mut plan = BatchPlan { queries: Vec::new(), series: Vec::new(), shards };
+        let mut plan =
+            BatchPlan { queries: Vec::new(), series: Vec::new(), keys: Vec::new(), shards };
         // Planning under the index read lock: the index work scales with
         // total cardinality — the series-cardinality tax the paper's
         // schema redesign attacks.
@@ -967,75 +853,106 @@ impl Db {
             };
             plan.queries.push(planned);
         }
-        let keys = plan.series.iter().map(|&id| Arc::clone(idx.key_of(id))).collect();
-        (plan, keys)
+        plan.keys = plan.series.iter().map(|&id| Arc::clone(idx.key_of(id))).collect();
+        plan
     }
 
-    /// Scan and merge `queries`, in order, with one decode scratch and one
-    /// scan buffer between them.
-    fn scan_chunk(&self, plan: &BatchPlan<'_>, queries: &[Planned<'_>]) -> Vec<Result<Merged>> {
+    /// Answer `queries`, in order, with one decode scratch and one window
+    /// aggregator between them.
+    fn scan_chunk(&self, plan: &BatchPlan<'_>, queries: &[Planned<'_>]) -> Vec<QueryResult> {
         let mut scratch = DecodeScratch::new();
-        let mut scanned = Scanned::default();
-        let mut merged = Vec::with_capacity(queries.len());
-        for p in queries {
-            self.scan_query(plan, p, &mut scratch, &mut scanned);
-            merged.push(scanned.merge(p));
-        }
-        merged
+        let mut windows = None;
+        queries.iter().map(|p| self.scan_query(plan, p, &mut scratch, &mut windows)).collect()
     }
 
-    /// Scan `p`'s (series, shard) items into `into`, in series-major order.
-    /// A shard's read lock is held for this query's items in that shard —
-    /// all of them when one shard overlaps the range, one at a time
-    /// otherwise (series-major order alternates shards) — and never from
-    /// one query to the next, so a writer waits for one query's column
-    /// scans at most.
+    /// Answer `p`: scan its (series, shard) items in series-major order,
+    /// folding each straight into its series' windows (or raw points) as
+    /// it is read; then fill, cut to the LIMIT, label and sort the series
+    /// by key. The first failed scan fails the query. A shard's read lock
+    /// is held for this query's items in that shard — all of them when one
+    /// shard overlaps the range, one at a time otherwise (series-major
+    /// order alternates shards) — and never from one query to the next, so
+    /// a writer waits for one query's column scans and window folds at
+    /// most.
     fn scan_query(
         &self,
         plan: &BatchPlan<'_>,
         p: &Planned<'_>,
         scratch: &mut DecodeScratch,
-        into: &mut Scanned,
-    ) {
-        let Some(fid) = p.scanned_field() else { return };
-        let (qs, qe) = (p.query.start.as_secs(), p.query.end.as_secs());
-        let mut scan = |shard: &Shard, sid| {
-            let kept = into.items.len();
-            // After a failed scan the query's other items are skipped.
-            let col = shard.column(sid, fid).filter(|_| into.failed.is_none());
-            let stats = match (col, p.agg) {
-                (None, _) => Ok(ScanStats::default()),
-                (Some(col), Some(spec)) => {
-                    col.scan_agg(scratch, spec, |item| into.items.push(item))
-                }
-                (Some(col), None) => {
-                    col.scan_with(scratch, qs, qe, |t, v| into.items.push(ScanItem::Point(t, v)))
-                }
-            };
-            let stats = stats.unwrap_or_else(|e| {
-                into.items.truncate(kept);
-                into.failed = Some(e);
-                ScanStats::default()
-            });
-            let len = into.items.len() - kept;
-            into.scans.push(ItemScan { len, stats, cold: shard.is_cold() });
+        windows: &mut Option<WindowAggregator>,
+    ) -> QueryResult {
+        let q = p.query;
+        let (qs, qe) = (q.start.as_secs(), q.end.as_secs());
+        let mut cost = QueryCost {
+            queries: 1,
+            index_entries: p.index_entries,
+            shards_scanned: p.shards.len(),
+            ..QueryCost::default()
         };
-        let series = &plan.series[p.series.clone()];
-        match &plan.shards[p.shards.clone()] {
-            [(_, one)] => {
-                let shard = self.timed(|| one.read());
-                for &sid in series {
-                    scan(&shard, sid);
+        // A field never written has no column to look for: nothing is locked.
+        let shards = if p.fid.is_some() { &plan.shards[p.shards.clone()] } else { &[] };
+        let held = match shards {
+            [(_, one)] if !p.series.is_empty() => Some(self.timed(|| one.read())),
+            _ => None,
+        };
+        let mut series = Vec::with_capacity(p.series.len());
+        for s in p.series.clone() {
+            let mut windows = q.agg.map(|agg| {
+                let w = windows.get_or_insert_with(|| WindowAggregator::new(agg, q.group_by, qs));
+                w.restart(agg, q.group_by, qs);
+                w
+            });
+            let mut raw = Vec::new();
+            let mut scanned = false;
+            let mut scan = |shard: &Shard| -> Result<()> {
+                let Some(col) = p.fid.and_then(|fid| shard.column(plan.series[s], fid)) else {
+                    return Ok(());
+                };
+                let stats = match (&mut windows, p.agg) {
+                    (Some(w), Some(spec)) => col.scan_agg(scratch, spec, |item| match item {
+                        ScanItem::Point(t, v) => w.push(t, &v),
+                        ScanItem::Partial(block) => w.push_partial(&block),
+                    })?,
+                    // Raw selects never carry an AggScan spec.
+                    _ => col.scan_with(scratch, qs, qe, |t, v| raw.push((EpochSecs::new(t), v)))?,
+                };
+                scanned |= stats.points > 0 || stats.blocks_summarized > 0;
+                cost.blocks += stats.blocks;
+                cost.blocks_summarized += stats.blocks_summarized;
+                cost.points += stats.points;
+                cost.bytes += stats.bytes;
+                if shard.is_cold() {
+                    cost.blocks_cold += stats.blocks;
+                    cost.bytes_cold += stats.bytes;
                 }
-            }
-            shards => {
-                for &sid in series {
+                Ok(())
+            };
+            match &held {
+                Some(shard) => scan(shard)?,
+                None => {
                     for (_, shard) in shards {
-                        scan(&self.timed(|| shard.read()), sid);
+                        scan(&self.timed(|| shard.read()))?;
                     }
                 }
             }
+            cost.series += usize::from(scanned);
+            let mut points = match windows {
+                Some(w) => w.finish_filled(q.fill, qs, qe),
+                None => {
+                    raw.sort_by_key(|(t, _)| *t);
+                    raw
+                }
+            };
+            if let Some(limit) = q.limit {
+                points.truncate(limit);
+            }
+            if !points.is_empty() {
+                series.push(SeriesResult { key: Arc::clone(&plan.keys[s]), points });
+            }
         }
+        drop(held);
+        series.sort_by(|a, b| a.key.cmp(&b.key));
+        Ok((ResultSet { series }, cost))
     }
 
     /// Simulated elapsed time for a cost under this database's disk and
@@ -1650,9 +1567,9 @@ mod tests {
         let run = |threads: &dyn Fn(usize) -> usize| {
             let mut results: Vec<Option<QueryResult>> =
                 queries.iter().map(|q| q.validate().err().map(Err)).collect();
-            let (plan, keys) = db.plan_batch(&queries, &results);
+            let plan = db.plan_batch(&queries, &results);
             let items: usize = plan.queries.iter().map(|p| p.series.len() * p.shards.len()).sum();
-            db.run_batch(&plan, &keys, threads(plan.queries.len()), &mut results);
+            db.run_batch(&plan, threads(plan.queries.len()), &mut results);
             let done = results.into_iter().map(|r| r.expect("every slot filled"));
             (items, done.map(|r| r.map_err(|e| e.to_string())).collect::<Vec<_>>())
         };
