@@ -447,13 +447,9 @@ impl Column {
 
     /// Scan all points overlapping `[start, end)`, invoking `f(ts, value)`.
     /// Returns scan accounting: (blocks touched, points decoded, bytes read).
-    pub fn scan(&self, start: i64, end: i64, f: impl FnMut(i64, FieldValue)) -> Result<ScanStats> {
-        self.scan_with(&mut DecodeScratch::new(), start, end, f)
-    }
-
-    /// [`Self::scan`] with caller-provided decode scratch, so a scan over
-    /// many columns reuses one set of block buffers instead of allocating
-    /// per column.
+    /// Blocks decode into the caller's `scratch`, so a scan over many
+    /// columns reuses one set of block buffers instead of allocating per
+    /// column.
     pub fn scan_with(
         &self,
         scratch: &mut DecodeScratch,
@@ -608,7 +604,7 @@ mod tests {
 
     fn collect(col: &Column, start: i64, end: i64) -> Vec<(i64, FieldValue)> {
         let mut out = Vec::new();
-        col.scan(start, end, |t, v| out.push((t, v))).unwrap();
+        col.scan_with(&mut DecodeScratch::new(), start, end, |t, v| out.push((t, v))).unwrap();
         out
     }
 
@@ -645,7 +641,8 @@ mod tests {
         }
         // Query only the first block's range.
         let mut out = 0;
-        let stats = col.scan(0, 60 * (BLOCK_SIZE as i64 / 2), |_, _| out += 1).unwrap();
+        let end = 60 * (BLOCK_SIZE as i64 / 2);
+        let stats = col.scan_with(&mut DecodeScratch::new(), 0, end, |_, _| out += 1).unwrap();
         assert_eq!(stats.blocks, 1, "pruning failed: {stats:?}");
         assert_eq!(out, BLOCK_SIZE / 2);
     }
@@ -888,7 +885,9 @@ mod tests {
                     .map(|(&t, &v)| (t, FieldValue::Float(v)))
                     .collect();
                 let mut got = Vec::new();
-                let stats = by_point.scan(start, end, |t, v| got.push((t, v))).unwrap();
+                let stats = by_point
+                    .scan_with(&mut DecodeScratch::new(), start, end, |t, v| got.push((t, v)))
+                    .unwrap();
                 assert_eq!(got, want, "[{start}, {end})");
                 assert_eq!((stats.blocks, stats.points), (1, ts.len()));
             }

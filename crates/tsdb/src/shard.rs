@@ -12,7 +12,7 @@
 //! dense `u32` ids resolved up front in the series index — so the append
 //! hot path does no string hashing and no key allocation.
 
-use crate::column::Column;
+use crate::column::{Column, DecodeScratch};
 use crate::field::FieldValue;
 use crate::series::{fold, FieldId, SeriesId, K};
 use monster_util::Result;
@@ -91,30 +91,13 @@ impl Shard {
         ts >= self.start && ts < self.end
     }
 
-    /// Append one field value for a series. The `(series, field)` key is
-    /// two `Copy` ids — zero allocations in the steady state (the column
-    /// exists and its tail has capacity).
-    pub fn append(
-        &mut self,
-        series: SeriesId,
-        field: FieldId,
-        ts: i64,
-        value: &FieldValue,
-    ) -> Result<()> {
-        debug_assert!(self.covers(ts));
-        let col = self.columns.entry((series, field)).or_insert_with(|| Column::new(value));
-        let before = col.encoded_bytes();
-        col.append(ts, value)?;
-        self.encoded = self.encoded + col.encoded_bytes() - before;
-        self.point_count += 1;
-        Ok(())
-    }
-
     /// Append a span of same-`(series, field)` points from the write path's
     /// sorted batch: one column lookup for the whole span, then per-point
     /// appends (values are heterogeneously typed `FieldValue`s, so the type
     /// check stays per point, preserving partial-apply error semantics).
-    /// `applied` counts points that landed before any error.
+    /// `applied` counts points that landed before any error. The key is two
+    /// `Copy` ids: zero allocations in the steady state (the column exists
+    /// and its tail has capacity).
     pub fn append_span(
         &mut self,
         series: SeriesId,
@@ -142,7 +125,7 @@ impl Shard {
     }
 
     /// One series' field in this shard, if it has been written. Readers
-    /// scan it ([`Column::scan_with`], [`Column::scan_agg_with`]) while
+    /// scan it ([`Column::scan_with`], [`Column::scan_agg`]) while
     /// holding the shard's read lock.
     pub fn column(&self, series: SeriesId, field: FieldId) -> Option<&Column> {
         self.columns.get(&(series, field))
@@ -151,12 +134,18 @@ impl Shard {
     /// Visit every stored (series, field, timestamp, value) in the shard,
     /// columns in `(SeriesId, FieldId)` order: a segment file or snapshot
     /// is then a function of the data, not of this process's hash seed.
+    /// Every column decodes into one scratch.
     pub fn export(&self, mut f: impl FnMut(SeriesId, FieldId, i64, FieldValue)) -> Result<()> {
         let mut keys = self.column_keys();
         keys.sort_unstable();
+        let mut scratch = DecodeScratch::new();
         for (series, field) in keys {
-            self.columns[&(series, field)]
-                .scan(i64::MIN, i64::MAX, |ts, v| f(series, field, ts, v))?;
+            self.columns[&(series, field)].scan_with(
+                &mut scratch,
+                i64::MIN,
+                i64::MAX,
+                |ts, v| f(series, field, ts, v),
+            )?;
         }
         Ok(())
     }
@@ -226,13 +215,21 @@ mod tests {
         let mut s = Shard::new(0, 1000);
         let sid = SeriesId(0);
         let (reading, other) = (FieldId(0), FieldId(1));
-        s.append(sid, reading, 10, &FieldValue::Float(1.0)).unwrap();
-        s.append(sid, reading, 20, &FieldValue::Float(2.0)).unwrap();
-        s.append(sid, other, 10, &FieldValue::Int(5)).unwrap();
-        assert_eq!(s.point_count(), 3);
+        let (one, two, five) = (FieldValue::Float(1.0), FieldValue::Float(2.0), FieldValue::Int(5));
+        let mut applied = 0;
+        s.append_span(
+            sid,
+            reading,
+            &[(sid, reading, 10, &one), (sid, reading, 20, &two)],
+            &mut applied,
+        )
+        .unwrap();
+        s.append_span(sid, other, &[(sid, other, 10, &five)], &mut applied).unwrap();
+        assert_eq!((s.point_count(), applied), (3, 3));
         assert_eq!(s.columns.len(), 2);
         let mut seen = Vec::new();
-        s.column(sid, reading).unwrap().scan(0, 1000, |t, v| seen.push((t, v))).unwrap();
+        let col = s.column(sid, reading).unwrap();
+        col.scan_with(&mut DecodeScratch::new(), 0, 1000, |t, v| seen.push((t, v))).unwrap();
         assert_eq!(seen.len(), 2);
     }
 
@@ -260,9 +257,9 @@ mod tests {
     #[test]
     fn compact_keeps_encoded_counter_consistent() {
         let mut s = Shard::new(0, 100_000);
-        for i in 0..500 {
-            s.append(SeriesId(0), FieldId(0), i, &FieldValue::Float(250.0)).unwrap();
-        }
+        let (sid, fid, v) = (SeriesId(0), FieldId(0), FieldValue::Float(250.0));
+        let span: Vec<_> = (0..500).map(|i| (sid, fid, i, &v)).collect();
+        s.append_span(sid, fid, &span, &mut 0).unwrap();
         let raw = s.encoded_bytes();
         assert_eq!(s.compact(), 1);
         assert!(s.encoded_bytes() < raw, "sealing should shrink at-rest bytes");

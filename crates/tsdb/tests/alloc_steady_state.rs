@@ -1,6 +1,6 @@
 //! Steady-state ingest must not allocate per point.
 //!
-//! Before the sharded-lock rework, `Shard::append` built a
+//! Before the sharded-lock rework, the shard's append built a
 //! `(SeriesId, String)` column key per point — one heap allocation per
 //! field value written, forever. With interned `FieldId`s the key is two
 //! `Copy` u32s, so once series/fields/columns/tails are warm, a
@@ -143,36 +143,23 @@ fn warm_engine_stages_do_not_allocate() {
     assert_eq!(n, b3.len());
     assert_eq!(resolution.blocks, 0, "warm id resolution allocated");
 
+    // Appended as `Db::apply` appends a collector interval: one
+    // same-(series, field) span per field value, the interval sharing a
+    // timestamp.
     let mut shard = Shard::new(0, i64::MAX);
-    for i in 0..40 {
-        for (j, p) in batch_at(i * 60).iter().enumerate() {
+    let append_batch = |shard: &mut Shard, batch: &[DataPoint]| {
+        for (j, p) in batch.iter().enumerate() {
             for (fi, (_, v)) in p.fields.iter().enumerate() {
-                shard
-                    .append(
-                        monster_tsdb::SeriesId(j as u32),
-                        monster_tsdb::FieldId(fi as u32),
-                        p.time.as_secs(),
-                        v,
-                    )
-                    .unwrap();
+                let (sid, fid) = (SeriesId(j as u32), FieldId(fi as u32));
+                shard.append_span(sid, fid, &[(sid, fid, p.time.as_secs(), v)], &mut 0).unwrap();
             }
         }
+    };
+    for i in 0..40 {
+        append_batch(&mut shard, &batch_at(i * 60));
     }
     let b4 = batch_at(43 * 60);
-    let ((), append) = counted(|| {
-        for (j, p) in b4.iter().enumerate() {
-            for (fi, (_, v)) in p.fields.iter().enumerate() {
-                shard
-                    .append(
-                        monster_tsdb::SeriesId(j as u32),
-                        monster_tsdb::FieldId(fi as u32),
-                        p.time.as_secs(),
-                        v,
-                    )
-                    .unwrap();
-            }
-        }
-    });
+    let ((), append) = counted(|| append_batch(&mut shard, &b4));
     assert_eq!(append.blocks, 0, "warm shard append allocated");
 
     let (wire, accounting) = counted(|| b4.iter().map(DataPoint::wire_size).sum::<usize>());
