@@ -90,6 +90,13 @@ impl Fill {
     }
 }
 
+/// The most windows a filled query's range may hold. `fill()` answers
+/// every window of the range in every selected series, whatever the data
+/// holds, so the range alone sets the answer's size: 100 000 windows is a
+/// day of one-second windows or over two months of one-minute ones, and a
+/// larger range could ask for billions.
+const MAX_FILLED_WINDOWS: u64 = 100_000;
+
 /// A single query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
@@ -176,6 +183,18 @@ impl Query {
             }
             if self.agg.is_none() {
                 return Err(Error::invalid("GROUP BY time requires an aggregation"));
+            }
+            // The first window starts at or before the range: it must be
+            // representable, and then every later one is.
+            let first = self.start.as_secs().div_euclid(g);
+            if first.checked_mul(g).is_none() {
+                return Err(Error::invalid("GROUP BY window starts before the earliest time"));
+            }
+            let last = (self.end.as_secs() - 1).div_euclid(g);
+            if self.fill != Fill::None && last.abs_diff(first) >= MAX_FILLED_WINDOWS {
+                return Err(Error::invalid(format!(
+                    "fill() over more than {MAX_FILLED_WINDOWS} windows"
+                )));
             }
         }
         if self.measurement.is_empty() || self.field.is_empty() {

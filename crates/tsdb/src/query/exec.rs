@@ -235,14 +235,11 @@ impl WindowAggregator {
                     match policy {
                         // fill(0) materializes every window in range.
                         Fill::Zero => {
-                            let first = range_start.div_euclid(w) * w;
                             let mut out = Vec::new();
-                            let mut t = first.max(range_start - w + 1);
-                            // Align to window boundary ≥ first window.
-                            t = t.div_euclid(w) * w;
-                            while t < range_end {
-                                out.push((t, 0.0));
-                                t += w;
+                            let mut t = Some(range_start.div_euclid(w) * w);
+                            while let Some(at) = t.filter(|&at| at < range_end) {
+                                out.push((at, 0.0));
+                                t = at.checked_add(w);
                             }
                             out
                         }
@@ -262,8 +259,9 @@ impl WindowAggregator {
                     };
                     let mut out = Vec::new();
                     let mut idx = 0usize;
-                    let mut t = lo;
-                    while t <= hi {
+                    let mut next = Some(lo);
+                    // The last window may start within `w` of i64::MAX.
+                    while let Some(t) = next.filter(|&t| t <= hi) {
                         if idx < present.len() && present[idx].0 == t {
                             out.push(present[idx]);
                             idx += 1;
@@ -280,7 +278,7 @@ impl WindowAggregator {
                             };
                             out.push((t, v));
                         }
-                        t += w;
+                        next = t.checked_add(w);
                     }
                     out
                 }
@@ -368,6 +366,21 @@ mod tests {
         w.push(451, &FieldValue::Float(1.0));
         let out = w.finish();
         assert_eq!(out[0].0.as_secs(), 300);
+    }
+
+    #[test]
+    fn filled_windows_stop_at_the_last_representable_start() {
+        // 1e17 s windows over [0, i64::MAX): the 93rd starts 0.2e17 s short
+        // of i64::MAX, and there is no 94th.
+        let w = 100_000_000_000_000_000;
+        let mut one = WindowAggregator::new(Aggregation::Max, Some(w), 0);
+        one.push(5, &FieldValue::Float(1.0));
+        let none = WindowAggregator::new(Aggregation::Max, Some(w), 0);
+        for (agg, fill) in [(&one, Fill::Zero), (&one, Fill::Previous), (&none, Fill::Zero)] {
+            let out = agg.finish_filled(fill, 0, i64::MAX);
+            assert_eq!(out.len(), 93, "{fill:?}");
+            assert_eq!(out[92].0.as_secs(), 92 * w, "{fill:?}");
+        }
     }
 
     #[test]

@@ -184,11 +184,16 @@ impl Parser {
                     t => return Err(Error::parse(format!("expected comparison, got {t:?}"))),
                 };
                 let at = self.time_literal()?;
+                // `> t` and `<= t` bound the range at the second after `t`.
+                let after = || match at.as_secs().checked_add(1) {
+                    Some(t) => Ok(EpochSecs::new(t)),
+                    None => Err(Error::invalid(format!("no second follows time {}", at.as_secs()))),
+                };
                 match op.as_str() {
                     ">=" => start = Some(at),
-                    ">" => start = Some(at + 1),
+                    ">" => start = Some(after()?),
                     "<" => end = Some(at),
-                    "<=" => end = Some(at + 1),
+                    "<=" => end = Some(after()?),
                     other => return Err(Error::parse(format!("bad time comparison {other:?}"))),
                 }
             } else {
@@ -367,6 +372,9 @@ mod tests {
             "SELECT v FROM m WHERE time = 5 AND time < 10",            // bad time op
             "SELECT v FROM m WHERE time >= 'not-a-date' AND time < 10",
             "SELECT v FROM m WHERE time >= 0 AND time < 10 GROUP BY time(0m)",
+            // No second follows i64::MAX: neither bound may wrap to i64::MIN.
+            "SELECT Reading FROM Power WHERE time > 9223372036854775807 AND time < 9223372036854775807",
+            "SELECT Reading FROM Power WHERE time >= 0 AND time <= 9223372036854775807",
         ] {
             assert!(parse_query(bad).is_err(), "accepted {bad:?}");
         }

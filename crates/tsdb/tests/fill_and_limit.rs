@@ -123,6 +123,10 @@ fn parser_rejects_bad_fill_and_limit() {
         "SELECT v FROM m WHERE time >= 0 AND time < 100 LIMIT x",
         // fill without GROUP BY is invalid.
         "SELECT mean(v) FROM m WHERE time >= 0 AND time < 100 fill(0)",
+        // 4·10⁹ windows to fill, and a first window before i64::MIN.
+        "SELECT max(v) FROM m WHERE time >= 0 AND time < 4000000000 GROUP BY time(1s) fill(0)",
+        "SELECT max(v) FROM m WHERE time >= -9223372036854775807 AND \
+         time < -9123372036854775807 GROUP BY time(100000000000000000s) fill(0)",
     ] {
         assert!(parse_query(bad).is_err(), "accepted {bad:?}");
     }
