@@ -274,13 +274,27 @@ impl SealedBlock {
     }
 }
 
-/// The raw tail, typed like the column.
+/// The raw tail, typed like the column: one `(timestamp, value)` pair a
+/// point, so the newest points of a window sit on the cache lines of
+/// their timestamps.
 #[derive(Debug)]
 enum Tail {
-    Float(Vec<f64>),
-    Int(Vec<i64>),
-    Bool(Vec<bool>),
-    Str(Vec<String>),
+    Float(Vec<(i64, f64)>),
+    Int(Vec<(i64, i64)>),
+    Bool(Vec<(i64, bool)>),
+    Str(Vec<(i64, String)>),
+}
+
+/// `$body` with `$pairs` bound to the tail's pairs, whatever their type.
+macro_rules! on_pairs {
+    ($tail:expr, $pairs:ident => $body:expr) => {
+        match $tail {
+            Tail::Float($pairs) => $body,
+            Tail::Int($pairs) => $body,
+            Tail::Bool($pairs) => $body,
+            Tail::Str($pairs) => $body,
+        }
+    };
 }
 
 impl Tail {
@@ -292,17 +306,25 @@ impl Tail {
             Tail::Str(_) => "string",
         }
     }
+
+    fn len(&self) -> usize {
+        on_pairs!(self, pairs => pairs.len())
+    }
+
+    fn last_ts(&self) -> Option<i64> {
+        on_pairs!(self, pairs => pairs.last().map(|p| p.0))
+    }
 }
 
 /// One field's data within one series within one shard.
 #[derive(Debug)]
 pub struct Column {
     sealed: Vec<SealedBlock>,
-    tail_ts: Vec<i64>,
     tail: Tail,
     /// The tail's timestamps are non-decreasing — true of every series a
     /// collector appends to in time order — so a scan finds its range by
-    /// binary search instead of examining every raw point.
+    /// searching back from the newest point instead of examining every
+    /// raw point.
     tail_sorted: bool,
     /// Incrementally-maintained [`encoded_bytes`](Self::encoded_bytes):
     /// updated on every append and seal so size accounting is O(1) instead
@@ -319,28 +341,29 @@ impl Column {
             FieldValue::Bool(_) => Tail::Bool(Vec::new()),
             FieldValue::Str(_) => Tail::Str(Vec::new()),
         };
-        Column { sealed: Vec::new(), tail_ts: Vec::new(), tail, tail_sorted: true, encoded: 0 }
+        Column { sealed: Vec::new(), tail, tail_sorted: true, encoded: 0 }
     }
 
     /// Append one (timestamp, value). Errors on a field-type conflict —
     /// the same hard error InfluxDB raises.
     pub fn append(&mut self, ts: i64, value: &FieldValue) -> Result<()> {
+        let in_order = self.tail.last_ts().is_none_or(|last| last <= ts);
         let value_width = match (&mut self.tail, value) {
             (Tail::Float(v), FieldValue::Float(x)) => {
-                v.push(*x);
+                v.push((ts, *x));
                 8
             }
             (Tail::Int(v), FieldValue::Int(x)) => {
-                v.push(*x);
+                v.push((ts, *x));
                 8
             }
             (Tail::Bool(v), FieldValue::Bool(x)) => {
-                v.push(*x);
+                v.push((ts, *x));
                 1
             }
             (Tail::Str(v), FieldValue::Str(x)) => {
                 let w = x.len() + 8;
-                v.push(x.clone());
+                v.push((ts, x.clone()));
                 w
             }
             (tail, v) => {
@@ -351,70 +374,71 @@ impl Column {
                 )))
             }
         };
-        self.tail_sorted &= self.tail_ts.last().is_none_or(|&last| last <= ts);
-        self.tail_ts.push(ts);
+        self.tail_sorted &= in_order;
         self.encoded += 8 + value_width; // raw tail width: 8 B timestamp + value
-        if self.tail_ts.len() >= BLOCK_SIZE {
+        if self.tail.len() >= BLOCK_SIZE {
             self.seal_tail();
         }
         Ok(())
     }
 
-    /// Compress the tail into a sealed block. Encodes from the tail
-    /// buffers in place and `clear()`s them afterwards (never `take`s), so
-    /// a column that keeps ingesting reuses its tail capacity across seals
-    /// instead of re-growing it from zero for every block.
+    /// Compress the tail into a sealed block: the pairs unzip into the
+    /// encoders' timestamp and value arrays, and the tail is `clear()`ed
+    /// afterwards (never `take`n), so a column that keeps ingesting reuses
+    /// its tail capacity across seals instead of re-growing it from zero
+    /// for every block.
     fn seal_tail(&mut self) {
-        if self.tail_ts.is_empty() {
+        if self.tail.len() == 0 {
             return;
         }
         let tail_bytes = self.tail_bytes();
-        let ts = &self.tail_ts;
+        let ts: Vec<i64> = on_pairs!(&self.tail, pairs => pairs.iter().map(|p| p.0).collect());
         let ts_min = *ts.iter().min().expect("non-empty");
         let ts_max = *ts.iter().max().expect("non-empty");
-        let ts_bytes = timestamps::encode(ts);
-        let (values, count, numeric) = match &self.tail {
+        let ts_bytes = timestamps::encode(&ts);
+        let (values, numeric) = match &self.tail {
             Tail::Float(v) => {
-                let numeric = NumericSummary::fold(ts, v.iter().copied());
-                (BlockValues::Float(floats::encode(v)), v.len(), Some(numeric))
+                let vals: Vec<f64> = v.iter().map(|p| p.1).collect();
+                let numeric = NumericSummary::fold(&ts, vals.iter().copied());
+                (BlockValues::Float(floats::encode(&vals)), Some(numeric))
             }
             Tail::Int(v) => {
-                let numeric = NumericSummary::fold(ts, v.iter().map(|&x| x as f64));
-                (BlockValues::Int(ints::encode(v)), v.len(), Some(numeric))
+                let vals: Vec<i64> = v.iter().map(|p| p.1).collect();
+                let numeric = NumericSummary::fold(&ts, vals.iter().map(|&x| x as f64));
+                (BlockValues::Int(ints::encode(&vals)), Some(numeric))
             }
-            Tail::Bool(v) => (BlockValues::Bool(bools::encode(v)), v.len(), None),
-            Tail::Str(v) => (BlockValues::Str(strings::encode(v)), v.len(), None),
+            Tail::Bool(v) => {
+                let vals: Vec<bool> = v.iter().map(|p| p.1).collect();
+                (BlockValues::Bool(bools::encode(&vals)), None)
+            }
+            Tail::Str(v) => {
+                let vals: Vec<&str> = v.iter().map(|p| p.1.as_str()).collect();
+                (BlockValues::Str(strings::encode(&vals)), None)
+            }
         };
-        debug_assert_eq!(count, ts.len());
-        let summary = BlockSummary { count, ts_min, ts_max, numeric };
+        let summary = BlockSummary { count: ts.len(), ts_min, ts_max, numeric };
         let block = SealedBlock { summary, ts_bytes, values };
         self.encoded = self.encoded - tail_bytes + block.encoded_bytes();
         self.sealed.push(block);
-        self.tail_ts.clear();
         self.tail_sorted = true;
-        match &mut self.tail {
-            Tail::Float(v) => v.clear(),
-            Tail::Int(v) => v.clear(),
-            Tail::Bool(v) => v.clear(),
-            Tail::Str(v) => v.clear(),
-        }
+        on_pairs!(&mut self.tail, pairs => pairs.clear());
     }
 
-    /// At-rest bytes of the raw tail at its in-memory width.
+    /// At-rest bytes of the raw tail at its logical width: 8 B a
+    /// timestamp plus the value's own width, whatever the pairs' padding.
     fn tail_bytes(&self) -> usize {
-        self.tail_ts.len() * 8
-            + match &self.tail {
-                Tail::Float(v) => v.len() * 8,
-                Tail::Int(v) => v.len() * 8,
-                Tail::Bool(v) => v.len(),
-                Tail::Str(v) => v.iter().map(|s| s.len() + 8).sum(),
-            }
+        match &self.tail {
+            Tail::Float(v) => v.len() * 16,
+            Tail::Int(v) => v.len() * 16,
+            Tail::Bool(v) => v.len() * 9,
+            Tail::Str(v) => v.iter().map(|(_, s)| s.len() + 16).sum(),
+        }
     }
 
     /// Force-seal any raw tail into a compressed block (compaction):
     /// returns true if anything was sealed.
     pub fn seal_now(&mut self) -> bool {
-        if self.tail_ts.is_empty() {
+        if self.tail.len() == 0 {
             return false;
         }
         self.seal_tail();
@@ -423,12 +447,12 @@ impl Column {
 
     /// Raw (unsealed) points in the tail.
     pub fn tail_len(&self) -> usize {
-        self.tail_ts.len()
+        self.tail.len()
     }
 
     /// Total points stored.
     pub fn point_count(&self) -> usize {
-        self.sealed.iter().map(|b| b.summary.count).sum::<usize>() + self.tail_ts.len()
+        self.sealed.iter().map(|b| b.summary.count).sum::<usize>() + self.tail.len()
     }
 
     /// Encoded (at-rest) size in bytes: sealed blocks plus the raw tail at
@@ -474,11 +498,14 @@ impl Column {
     /// The tail indices a scan of `[start, end)` has to look at: exactly
     /// the matching ones when the tail is in time order, all otherwise.
     fn tail_candidates(&self, start: i64, end: i64) -> std::ops::Range<usize> {
+        let len = self.tail.len();
         if self.tail_sorted {
-            let hi = partition_back(&self.tail_ts, self.tail_ts.len(), end);
-            partition_back(&self.tail_ts, hi, start)..hi
+            on_pairs!(&self.tail, pairs => {
+                let hi = partition_back(pairs, len, end);
+                partition_back(pairs, hi, start)..hi
+            })
         } else {
-            0..self.tail_ts.len()
+            0..len
         }
     }
 
@@ -537,39 +564,47 @@ impl Column {
         stats: &mut ScanStats,
         f: &mut impl FnMut(i64, FieldValue),
     ) {
-        if self.tail_ts.is_empty() {
+        let len = self.tail.len();
+        if len == 0 {
             return;
         }
         stats.blocks += 1;
-        stats.points += self.tail_ts.len();
-        stats.bytes += self.tail_ts.len() * 16;
-        for i in self.tail_candidates(start, end) {
-            let t = self.tail_ts[i];
-            if t < start || t >= end {
-                continue;
-            }
-            let v = match &self.tail {
-                Tail::Float(v) => FieldValue::Float(v[i]),
-                Tail::Int(v) => FieldValue::Int(v[i]),
-                Tail::Bool(v) => FieldValue::Bool(v[i]),
-                Tail::Str(v) => FieldValue::Str(v[i].clone()),
-            };
-            f(t, v);
+        stats.points += len;
+        stats.bytes += len * 16;
+        let range = self.tail_candidates(start, end);
+        let in_range = |t: i64| t >= start && t < end;
+        match &self.tail {
+            Tail::Float(v) => v[range]
+                .iter()
+                .filter(|p| in_range(p.0))
+                .for_each(|&(t, x)| f(t, FieldValue::Float(x))),
+            Tail::Int(v) => v[range]
+                .iter()
+                .filter(|p| in_range(p.0))
+                .for_each(|&(t, x)| f(t, FieldValue::Int(x))),
+            Tail::Bool(v) => v[range]
+                .iter()
+                .filter(|p| in_range(p.0))
+                .for_each(|&(t, x)| f(t, FieldValue::Bool(x))),
+            Tail::Str(v) => v[range]
+                .iter()
+                .filter(|p| in_range(p.0))
+                .for_each(|(t, x)| f(*t, FieldValue::Str(x.clone()))),
         }
     }
 }
 
-/// `ts[..upto].partition_point(|&t| t < bound)` for a sorted `ts`, searched
-/// back from `upto` in doubling steps: a dashboard window is the newest few
-/// points of a tail, and this touches their cache lines, not a binary
-/// search's path through the whole tail.
-fn partition_back(ts: &[i64], upto: usize, bound: i64) -> usize {
-    // Everything in `ts[hi..upto]` is at or past `bound`.
+/// `pairs[..upto].partition_point(|p| p.0 < bound)` for pairs sorted by
+/// timestamp, searched back from `upto` in doubling steps: a dashboard
+/// window is the newest few points of a tail, and this touches their cache
+/// lines, not a binary search's path through the whole tail.
+fn partition_back<T>(pairs: &[(i64, T)], upto: usize, bound: i64) -> usize {
+    // Everything in `pairs[hi..upto]` is at or past `bound`.
     let (mut hi, mut step) = (upto, 1);
     loop {
         let lo = hi.saturating_sub(step);
-        if lo == 0 || ts[lo] < bound {
-            return lo + ts[lo..hi].partition_point(|&t| t < bound);
+        if lo == 0 || pairs[lo].0 < bound {
+            return lo + pairs[lo..hi].partition_point(|p| p.0 < bound);
         }
         (hi, step) = (lo, step * 2);
     }
@@ -627,7 +662,7 @@ mod tests {
             col.append(i, &FieldValue::Float(1.5)).unwrap();
         }
         assert_eq!(col.sealed.len(), 2);
-        assert_eq!(col.tail_ts.len(), 5);
+        assert_eq!(col.tail.len(), 5);
         assert_eq!(col.point_count(), BLOCK_SIZE * 2 + 5);
         // Scans see everything.
         assert_eq!(collect(&col, i64::MIN, i64::MAX).len(), BLOCK_SIZE * 2 + 5);

@@ -22,13 +22,13 @@ use std::collections::HashMap;
 const MODE_RAW: u8 = 0x00;
 const MODE_DICT: u8 = 0x01;
 
-fn encode_dict(vals: &[String]) -> Vec<u8> {
+fn encode_dict<S: AsRef<str>>(vals: &[S]) -> Vec<u8> {
     let mut dict: Vec<&str> = Vec::new();
     let mut lookup: HashMap<&str, u64> = HashMap::new();
     let mut indices: Vec<u64> = Vec::with_capacity(vals.len());
     for v in vals {
-        let idx = *lookup.entry(v.as_str()).or_insert_with(|| {
-            dict.push(v.as_str());
+        let idx = *lookup.entry(v.as_ref()).or_insert_with(|| {
+            dict.push(v.as_ref());
             (dict.len() - 1) as u64
         });
         indices.push(idx);
@@ -45,9 +45,9 @@ fn encode_dict(vals: &[String]) -> Vec<u8> {
     out
 }
 
-fn encode_raw(vals: &[String]) -> Vec<u8> {
+fn encode_raw<S: AsRef<str>>(vals: &[S]) -> Vec<u8> {
     let mut out = vec![MODE_RAW];
-    for v in vals {
+    for v in vals.iter().map(AsRef::as_ref) {
         push_varint(&mut out, v.len() as u64);
         out.extend_from_slice(v.as_bytes());
     }
@@ -56,7 +56,7 @@ fn encode_raw(vals: &[String]) -> Vec<u8> {
 
 /// Encode a string column, choosing dictionary or raw layout per block by
 /// encoded size (ties go to raw — simpler to decode).
-pub fn encode(vals: &[String]) -> Vec<u8> {
+pub fn encode<S: AsRef<str>>(vals: &[S]) -> Vec<u8> {
     let dict = encode_dict(vals);
     let raw = encode_raw(vals);
     if dict.len() < raw.len() {

@@ -59,18 +59,18 @@ pub struct SeriesId(pub u32);
 
 /// Dense id for an interned field name within one database.
 ///
-/// Shards key their columns by `(SeriesId, FieldId)`, so the ingest hot
+/// Shards find their columns by `(SeriesId, FieldId)`, so the ingest hot
 /// path never allocates a field-name `String` per appended value — the
 /// name is interned here once, the first time it is seen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FieldId(pub u32);
 
 /// The multiplier of every [`fold`]: 2⁶⁴ over the golden ratio, odd.
-pub(crate) const K: u64 = 0x9E37_79B9_7F4A_7C15;
+const K: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One multiply-fold step: the 128-bit product of the two words, halves
 /// XORed together, so every input bit reaches every output bit.
-pub(crate) fn fold(a: u64, b: u64) -> u64 {
+fn fold(a: u64, b: u64) -> u64 {
     let wide = u128::from(a) * u128::from(b);
     (wide as u64) ^ ((wide >> 64) as u64)
 }

@@ -8,35 +8,29 @@
 //! Since the sharded-lock engine rework, each shard lives behind its own
 //! `RwLock` inside [`crate::db::Db`]: writers to different shards append in
 //! parallel, and readers hold a shard's read lock for one scan at a time
-//! (`Db::query_batch`). Columns are keyed by `(SeriesId, FieldId)` — both
-//! dense `u32` ids resolved up front in the series index — so the append
-//! hot path does no string hashing and no key allocation.
+//! (`Db::answer`). A column is found by its `(SeriesId, FieldId)` — both
+//! dense `u32` ids resolved up front in the series index — through a table
+//! indexed by the series id: one load gives the series' first column, and
+//! its few fields are chained from there. The append hot path does no
+//! hashing, no string work and no allocation.
 
 use crate::column::{Column, DecodeScratch};
 use crate::field::FieldValue;
-use crate::series::{fold, FieldId, SeriesId, K};
+use crate::series::{FieldId, SeriesId};
 use monster_util::Result;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-/// The column map's hasher: one multiply-fold over `series << 32 | field`.
-/// It needs no seed, unlike the series index's: both ids are dense numbers
-/// the index hands out, so no client can choose a key's bucket, and the
-/// map's order reaches nothing stored ([`Shard::export`] sorts its keys).
-#[derive(Default)]
-struct IdFold(u64);
+/// The end of a series' column chain.
+const END: u32 = u32::MAX;
 
-impl Hasher for IdFold {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("a column key is two u32 ids");
-    }
-    fn write_u32(&mut self, id: u32) {
-        self.0 = self.0 << 32 | u64::from(id);
-    }
-    fn finish(&self) -> u64 {
-        fold(self.0, K)
-    }
+/// A column and its place in its series' chain.
+#[derive(Debug)]
+struct Slot {
+    series: SeriesId,
+    field: FieldId,
+    /// The series' next column in [`Shard::slots`], or [`END`].
+    next: u32,
+    column: Column,
 }
 
 /// One shard: `[start, end)` on the epoch-seconds timeline.
@@ -46,8 +40,10 @@ pub struct Shard {
     pub start: i64,
     /// Exclusive end (epoch seconds).
     pub end: i64,
-    /// Per-series, per-field columns.
-    columns: HashMap<(SeriesId, FieldId), Column, BuildHasherDefault<IdFold>>,
+    /// `first[series]`: the series' first column in `slots`, or [`END`].
+    first: Vec<u32>,
+    /// Every column, in creation order.
+    slots: Vec<Slot>,
     point_count: usize,
     /// Incrementally-maintained sum of the columns' encoded bytes, so the
     /// engine's size accounting is O(1) per operation.
@@ -68,7 +64,8 @@ impl Shard {
         Shard {
             start,
             end,
-            columns: HashMap::default(),
+            first: Vec::new(),
+            slots: Vec::new(),
             point_count: 0,
             encoded: 0,
             cold: false,
@@ -109,7 +106,11 @@ impl Shard {
         debug_assert!(pts
             .iter()
             .all(|&(s, f, ts, _)| (s, f) == (series, field) && self.covers(ts)));
-        let col = self.columns.entry((series, field)).or_insert_with(|| Column::new(first.3));
+        let at = match self.find(series, field) {
+            Some(at) => at,
+            None => self.insert(series, field, Column::new(first.3)),
+        };
+        let col = &mut self.slots[at].column;
         let before = col.encoded_bytes();
         let mut res = Ok(());
         for &(_, _, ts, value) in pts {
@@ -128,24 +129,46 @@ impl Shard {
     /// scan it ([`Column::scan_with`], [`Column::scan_agg`]) while
     /// holding the shard's read lock.
     pub fn column(&self, series: SeriesId, field: FieldId) -> Option<&Column> {
-        self.columns.get(&(series, field))
+        self.find(series, field).map(|at| &self.slots[at].column)
+    }
+
+    /// The slot of `(series, field)`: the series' entry in `first`, then
+    /// along its chain.
+    fn find(&self, series: SeriesId, field: FieldId) -> Option<usize> {
+        let mut at = *self.first.get(series.0 as usize)?;
+        while at != END {
+            let slot = &self.slots[at as usize];
+            if slot.field == field {
+                return Some(at as usize);
+            }
+            at = slot.next;
+        }
+        None
+    }
+
+    /// Put `column` at the head of `series`' chain; returns its slot.
+    fn insert(&mut self, series: SeriesId, field: FieldId, column: Column) -> usize {
+        let s = series.0 as usize;
+        if s >= self.first.len() {
+            self.first.resize(s + 1, END);
+        }
+        let at = self.slots.len();
+        self.slots.push(Slot { series, field, next: self.first[s], column });
+        self.first[s] = u32::try_from(at).expect("fewer than u32::MAX columns a shard");
+        at
     }
 
     /// Visit every stored (series, field, timestamp, value) in the shard,
     /// columns in `(SeriesId, FieldId)` order: a segment file or snapshot
-    /// is then a function of the data, not of this process's hash seed.
+    /// is then a function of the data, not of the order its columns were
+    /// first written in.
     /// Every column decodes into one scratch.
     pub fn export(&self, mut f: impl FnMut(SeriesId, FieldId, i64, FieldValue)) -> Result<()> {
-        let mut keys = self.column_keys();
-        keys.sort_unstable();
+        let mut order: Vec<&Slot> = self.slots.iter().collect();
+        order.sort_unstable_by_key(|slot| (slot.series, slot.field));
         let mut scratch = DecodeScratch::new();
-        for (series, field) in keys {
-            self.columns[&(series, field)].scan_with(
-                &mut scratch,
-                i64::MIN,
-                i64::MAX,
-                |ts, v| f(series, field, ts, v),
-            )?;
+        for &Slot { series, field, ref column, .. } in order {
+            column.scan_with(&mut scratch, i64::MIN, i64::MAX, |ts, v| f(series, field, ts, v))?;
         }
         Ok(())
     }
@@ -165,7 +188,7 @@ impl Shard {
     /// Returns the number of columns sealed.
     pub fn compact(&mut self) -> usize {
         let mut sealed = 0usize;
-        for col in self.columns.values_mut() {
+        for Slot { column: col, .. } in &mut self.slots {
             let before = col.encoded_bytes();
             if col.seal_now() {
                 sealed += 1;
@@ -177,7 +200,7 @@ impl Shard {
 
     /// Raw (unsealed) points across all columns.
     pub fn tail_points(&self) -> usize {
-        self.columns.values().map(Column::tail_len).sum()
+        self.slots.iter().map(|slot| slot.column.tail_len()).sum()
     }
 
     /// Mark the shard as tiered to cold storage (see `cold`).
@@ -193,7 +216,7 @@ impl Shard {
 
     /// The (series, field) keys of every column in this shard.
     pub fn column_keys(&self) -> Vec<(SeriesId, FieldId)> {
-        self.columns.keys().copied().collect()
+        self.slots.iter().map(|slot| (slot.series, slot.field)).collect()
     }
 }
 
@@ -226,7 +249,7 @@ mod tests {
         .unwrap();
         s.append_span(sid, other, &[(sid, other, 10, &five)], &mut applied).unwrap();
         assert_eq!((s.point_count(), applied), (3, 3));
-        assert_eq!(s.columns.len(), 2);
+        assert_eq!(s.slots.len(), 2);
         let mut seen = Vec::new();
         let col = s.column(sid, reading).unwrap();
         col.scan_with(&mut DecodeScratch::new(), 0, 1000, |t, v| seen.push((t, v))).unwrap();
