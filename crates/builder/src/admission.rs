@@ -1,8 +1,9 @@
 //! Cost-based admission control for the query path.
 //!
-//! The TSDB's plan-time cost estimator ([`monster_tsdb::Db::estimate_cost`])
-//! prices a query in modelled seconds *before* it executes. Admission
-//! classifies on that price:
+//! The TSDB's plan-time cost estimator ([`monster_tsdb::Prepared::estimate`])
+//! prices a request's queries in modelled seconds *before* they execute,
+//! from the same index pass ([`monster_tsdb::Db::prepare`]) the scan then
+//! runs on. Admission classifies on that price:
 //!
 //! * **cheap** (at or below [`AdmissionConfig::cheap_secs`]) — always
 //!   admitted; dashboard sliding windows live here and must never queue

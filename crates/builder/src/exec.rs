@@ -1,19 +1,21 @@
 //! Plan execution and response rendering.
 //!
 //! [`run`] sends a plan's queries to the TSDB as one batch (modelled as
-//! sequential, or as concurrent per §IV-B3). [`render`] walks the results
-//! once, in document order, into a [`Sink`]: [`JsonSink`] writes the
-//! reply's bytes (what the HTTP service sends), [`ValueSink`] builds the
-//! `Value` tree [`execute`] hands to in-process callers. One walk and one
-//! set of scalar writers (`monster_json`), so the tree, marshalled, and
-//! the streamed bytes are one text. Request counters, a simulated
-//! query-latency span and output-point counters land in `monster_obs`.
+//! sequential, or as concurrent per §IV-B3); the service, which prices a
+//! plan before it runs it, prepares the batch itself and answers it
+//! through [`run_prepared`]. [`render`] walks the results once, in
+//! document order, into a [`Sink`]: [`JsonSink`] writes the reply's bytes
+//! (what the HTTP service sends), [`ValueSink`] builds the `Value` tree
+//! [`execute`] hands to in-process callers. One walk and one set of scalar
+//! writers (`monster_json`), so the tree, marshalled, and the streamed
+//! bytes are one text. Request counters, a simulated query-latency span
+//! and output-point counters land in `monster_obs`.
 
 use crate::plan::PlannedQuery;
 use monster_json::{jobj, write_f64, write_i64, write_str, Object, Value};
 use monster_sim::VDuration;
 use monster_tsdb::query::SeriesResult;
-use monster_tsdb::{concurrent, Db, FieldValue, Query, QueryCost, ResultSet};
+use monster_tsdb::{concurrent, Db, FieldValue, Prepared, Query, QueryCost, ResultSet};
 use monster_util::{NodeId, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -247,32 +249,38 @@ pub struct Batch {
     pub query_time: VDuration,
 }
 
-/// Run `plan`'s queries against `db`.
+/// Run `plan`'s queries against `db`: [`monster_tsdb::Db::prepare`] them,
+/// then [`run_prepared`].
+pub fn run(db: &Arc<Db>, plan: &[PlannedQuery], mode: ExecMode) -> Result<Batch> {
+    let queries: Vec<&Query> = plan.iter().map(|p| &p.query).collect();
+    run_prepared(db, db.prepare(&queries), mode)
+}
+
+/// Answer a plan's prepared queries — the service prices them first.
 ///
 /// Fails on the first query error (invalid ranges surface here); a query
 /// that matches nothing is an empty result set, not an error.
 ///
 /// The whole plan goes to the storage engine as one batch
-/// (`monster_tsdb::Db::query_batch`), which is where the only real
-/// parallelism of the read path lives. `mode` bounds its threads
-/// (`Sequential`: the calling thread; `Concurrent { workers }`: at most
-/// `workers`, `DbConfig::scan_workers` and the core count) and selects the
+/// (`monster_tsdb::Db::answer`), which is where the only real parallelism
+/// of the read path lives. `mode` bounds its threads (`Sequential`: the
+/// calling thread; `Concurrent { workers }`: at most `workers`,
+/// `DbConfig::scan_workers` and the core count) and selects the
 /// simulated-time model, as described in `monster_tsdb::concurrent`.
-pub fn run(db: &Arc<Db>, plan: &[PlannedQuery], mode: ExecMode) -> Result<Batch> {
+pub(crate) fn run_prepared(db: &Db, prepared: Prepared<'_>, mode: ExecMode) -> Result<Batch> {
     let started = Instant::now();
     let span = monster_obs::Span::enter("builder.execute");
     // Make the execute span the parent of the scan spans the storage
     // engine records for this batch.
     let _trace_guard = monster_obs::trace::set_current(span.context());
-    let queries: Vec<&Query> = plan.iter().map(|p| &p.query).collect();
     let batch = match mode {
-        ExecMode::Sequential => concurrent::run_sequential(db, &queries),
-        ExecMode::Concurrent { workers } => concurrent::run_concurrent(db, &queries, workers),
+        ExecMode::Sequential => concurrent::run_sequential(db, prepared),
+        ExecMode::Concurrent { workers } => concurrent::run_concurrent(db, prepared, workers),
     };
     let (cost, query_time) = (batch.total_cost, batch.simulated);
     let results = batch.into_results()?;
     monster_obs::counter("monster_builder_requests_total").inc();
-    monster_obs::counter("monster_builder_queries_total").add(plan.len() as u64);
+    monster_obs::counter("monster_builder_queries_total").add(results.len() as u64);
     monster_obs::histo_help(
         "monster_builder_execute_wall_seconds",
         "Wall-clock seconds one plan's query batch took, beside the modelled \

@@ -75,16 +75,13 @@ pub struct PlannedQuery {
     pub query: Query,
 }
 
-/// Price a whole plan in modelled cost *without executing it*: the sum of
-/// [`monster_tsdb::Db::estimate_cost`] over every planned query. Feed the
-/// result through [`monster_tsdb::Db::simulate_elapsed`] to get the
+/// Price a whole plan in modelled cost *without executing it*: what
+/// [`monster_tsdb::Prepared::estimate`] gives for the plan's queries. Feed
+/// the result through [`monster_tsdb::Db::simulate_elapsed`] to get the
 /// modelled seconds that cost-based admission classifies on.
 pub fn estimate_plan_cost(db: &monster_tsdb::Db, plan: &[PlannedQuery]) -> QueryCost {
-    let mut total = QueryCost::default();
-    for pq in plan {
-        total.absorb(&db.estimate_cost(&pq.query));
-    }
-    total
+    let queries: Vec<&Query> = plan.iter().map(|pq| &pq.query).collect();
+    db.prepare(&queries).estimate()
 }
 
 /// Expand a request into the full per-node query plan for `schema`: one

@@ -259,14 +259,16 @@ pub struct AdmissionSnapshot {
 pub enum Stage {
     /// Parsing the query parameters into a `BuilderRequest`.
     Parse,
-    /// Plan building + cost estimation.
+    /// Plan building and the index pass that resolves the plan's series
+    /// (`Db::prepare`), which prices it too.
     Plan,
     /// Response-cache probe, single-flight join (a follower's wait) and
     /// the validity snapshot. A hit charges its whole wall time here.
     Cache,
     /// Admission decision (token-bucket refill + debit).
     Admission,
-    /// Storage execution: the plan's query batch (`exec::run`), nothing else.
+    /// Storage execution: scanning the prepared batch
+    /// (`exec::run_prepared`), nothing else.
     Execute,
     /// Rendering the body (`exec::render`), header stamping, the cache insert.
     Encode,

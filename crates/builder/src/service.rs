@@ -35,9 +35,9 @@
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController};
 use crate::cache::{ResponseCache, Validity, ValiditySnapshot};
-use crate::exec::{run, ExecMode, JsonSink};
+use crate::exec::{run_prepared, ExecMode, JsonSink};
 use crate::flight::{FlightGroup, Join};
-use crate::plan::{build_plan, estimate_plan_cost, BuilderRequest};
+use crate::plan::{build_plan, BuilderRequest};
 use crate::qlog::{
     self, CacheVerdict, CostPair, Disposition, Draft, LapClock, QueryRecorder, RecordFilter,
     RequestRecord, Stage,
@@ -47,7 +47,7 @@ use monster_compress::Level;
 use monster_http::{Method, Request, Response, Router, Status};
 use monster_json::{jarr, jobj, Value};
 use monster_obs::TraceId;
-use monster_tsdb::{Aggregation, Db};
+use monster_tsdb::{Aggregation, Db, Query};
 use monster_util::{EpochSecs, NodeId};
 use std::sync::Arc;
 use std::time::Instant;
@@ -343,11 +343,24 @@ fn serve_metrics(
     clock.lap(Stage::Cache);
 
     let plan = build_plan(st.config.schema, &st.nodes, &builder_req);
+    clock.lap(Stage::Plan);
+
+    // Snapshot validity *before* resolving the plan's series: a write
+    // racing the resolution or the scan can then only invalidate the entry
+    // spuriously, never leave a stale one validating.
+    let validity = ValiditySnapshot::capture(
+        &st.db,
+        plan.iter().map(|pq| pq.query.measurement.as_str()),
+        builder_req.end.as_secs(),
+    );
+    clock.lap(Stage::Cache);
 
     // Layer 3: cost-based admission, leaders only — a coalesced burst
-    // debits one token, not one per request. The plan is priced without
-    // executing anything.
-    let est = estimate_plan_cost(&st.db, &plan);
+    // debits one token, not one per request. The plan is resolved once
+    // and priced before anything is scanned.
+    let queries: Vec<&Query> = plan.iter().map(|pq| &pq.query).collect();
+    let prepared = st.db.prepare(&queries);
+    let est = prepared.estimate();
     let est_secs = st.db.simulate_elapsed(&est).as_secs_f64();
     clock.lap(Stage::Plan);
     let (admission, adm_snap) = st.admission.admit_observed(tenant_of(req), est_secs);
@@ -379,18 +392,8 @@ fn serve_metrics(
         }
     }
 
-    // Snapshot validity *before* executing: a write racing the scan can
-    // then only invalidate the entry spuriously, never leave a stale one
-    // validating.
-    let validity = ValiditySnapshot::capture(
-        &st.db,
-        plan.iter().map(|pq| pq.query.measurement.as_str()),
-        builder_req.end.as_secs(),
-    );
-    clock.lap(Stage::Cache);
-
     let guard = InflightGuard::enter(&st.inflight);
-    let batch = run(&st.db, &plan, st.config.exec);
+    let batch = run_prepared(&st.db, prepared, st.config.exec);
     drop(guard);
     clock.lap(Stage::Execute);
     let batch = match batch {

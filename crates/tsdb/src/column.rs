@@ -572,25 +572,13 @@ impl Column {
         stats.points += len;
         stats.bytes += len * 16;
         let range = self.tail_candidates(start, end);
-        let in_range = |t: i64| t >= start && t < end;
-        match &self.tail {
-            Tail::Float(v) => v[range]
-                .iter()
-                .filter(|p| in_range(p.0))
-                .for_each(|&(t, x)| f(t, FieldValue::Float(x))),
-            Tail::Int(v) => v[range]
-                .iter()
-                .filter(|p| in_range(p.0))
-                .for_each(|&(t, x)| f(t, FieldValue::Int(x))),
-            Tail::Bool(v) => v[range]
-                .iter()
-                .filter(|p| in_range(p.0))
-                .for_each(|&(t, x)| f(t, FieldValue::Bool(x))),
-            Tail::Str(v) => v[range]
-                .iter()
-                .filter(|p| in_range(p.0))
-                .for_each(|(t, x)| f(*t, FieldValue::Str(x.clone()))),
-        }
+        on_pairs!(&self.tail, pairs => {
+            for (t, v) in &pairs[range] {
+                if (start..end).contains(t) {
+                    f(*t, FieldValue::from(v.to_owned()));
+                }
+            }
+        })
     }
 }
 

@@ -3,9 +3,11 @@
 //!
 //! §IV-B3 of the paper: issuing the per-measurement queries concurrently
 //! instead of sequentially made Metrics Builder 5.5–6.5× faster. Both
-//! modes here run the batch through [`Db::query_batch`] — the engine's one
-//! scan-and-merge implementation and its one level of real parallelism —
-//! and differ in how many threads it may use and in the *simulated*
+//! modes here run the batch through [`Db::answer`] — the engine's one scan
+//! implementation and its one level of real parallelism — taking it as
+//! queries or as a [`Prepared`] batch (a caller that admits on the
+//! estimate has resolved it already, so a request reads the index once).
+//! They differ in how many threads the scan may use and in the *simulated*
 //! elapsed time they report. Sequentially that is the sum of the queries'
 //! times. Concurrently each of `workers` logical workers accumulates the
 //! simulated CPU cost of the queries packed onto it and the batch completes
@@ -22,7 +24,7 @@
 //! storage backend, so the modelled speedup saturates the way Fig. 15 does.
 
 use crate::cost::QueryCost;
-use crate::db::Db;
+use crate::db::{Db, Prepared};
 use crate::query::{Query, ResultSet};
 use monster_sim::VDuration;
 use monster_util::Result;
@@ -47,16 +49,17 @@ impl BatchOutcome {
         self.results.into_iter().collect()
     }
 
-    /// Run `queries` on up to `threads` threads; `simulated` is left zero
+    /// Run `prepared` on up to `threads` threads; `simulated` is left zero
     /// for the mode to fill in.
-    fn run<Q: Borrow<Query> + Sync>(db: &Db, queries: &[Q], threads: usize) -> BatchOutcome {
+    fn run(db: &Db, prepared: Prepared<'_>, threads: usize) -> BatchOutcome {
+        let answered = db.answer(prepared, threads);
         let mut out = BatchOutcome {
-            results: Vec::with_capacity(queries.len()),
-            costs: Vec::with_capacity(queries.len()),
+            results: Vec::with_capacity(answered.len()),
+            costs: Vec::with_capacity(answered.len()),
             total_cost: QueryCost::default(),
             simulated: VDuration::ZERO,
         };
-        for r in db.query_batch(queries, threads) {
+        for r in answered {
             let (rs, cost) = match r {
                 Ok((rs, cost)) => (Ok(rs), cost),
                 Err(e) => (Err(e), QueryCost::default()),
@@ -74,6 +77,31 @@ impl BatchOutcome {
     }
 }
 
+/// What [`run_sequential`] and [`run_concurrent`] take: queries, or a batch
+/// [`Db::prepare`] has already resolved.
+pub trait Batch<'q> {
+    /// The batch, resolved against `db`.
+    fn prepare(self, db: &Db) -> Prepared<'q>;
+}
+
+impl<'q, Q: Borrow<Query>> Batch<'q> for &'q [Q] {
+    fn prepare(self, db: &Db) -> Prepared<'q> {
+        db.prepare(self)
+    }
+}
+
+impl<'q, Q: Borrow<Query>> Batch<'q> for &'q Vec<Q> {
+    fn prepare(self, db: &Db) -> Prepared<'q> {
+        db.prepare(self)
+    }
+}
+
+impl<'q> Batch<'q> for Prepared<'q> {
+    fn prepare(self, _: &Db) -> Prepared<'q> {
+        self
+    }
+}
+
 /// Per-query coordination overhead when fanning out (connection setup,
 /// result merge) — concurrent execution is not perfectly free. Scaled by
 /// the cost model's amplification, like all per-query costs.
@@ -81,8 +109,8 @@ const FANOUT_OVERHEAD_SECS: f64 = 0.7e-3;
 
 /// Execute queries one after another on the calling thread (the paper's
 /// original Metrics Builder). Simulated time is the sum of per-query times.
-pub fn run_sequential<Q: Borrow<Query> + Sync>(db: &Db, queries: &[Q]) -> BatchOutcome {
-    let mut out = BatchOutcome::run(db, queries, 1);
+pub fn run_sequential<'q>(db: &Db, batch: impl Batch<'q>) -> BatchOutcome {
+    let mut out = BatchOutcome::run(db, batch.prepare(db), 1);
     out.simulated = out.ran().map(|cost| db.simulate_elapsed(cost)).sum();
     out
 }
@@ -95,13 +123,9 @@ pub fn run_sequential<Q: Borrow<Query> + Sync>(db: &Db, queries: &[Q]) -> BatchO
 /// work-pulling pool), but I/O serializes on the shared storage backend —
 /// which is why the paper's measured speedup saturates at 5.5–6.5× rather
 /// than the worker count.
-pub fn run_concurrent<Q: Borrow<Query> + Sync>(
-    db: &Db,
-    queries: &[Q],
-    workers: usize,
-) -> BatchOutcome {
+pub fn run_concurrent<'q>(db: &Db, batch: impl Batch<'q>, workers: usize) -> BatchOutcome {
     let workers = workers.max(1);
-    let mut out = BatchOutcome::run(db, queries, workers);
+    let mut out = BatchOutcome::run(db, batch.prepare(db), workers);
     let config = db.config();
     let (mut cpu_each, io_each): (Vec<VDuration>, Vec<VDuration>) =
         out.ran().map(|cost| config.cost.split(cost, &config.disk)).unzip();
@@ -114,7 +138,7 @@ pub fn run_concurrent<Q: Borrow<Query> + Sync>(
     let slowest_cpu = bins.into_iter().max().unwrap_or(VDuration::ZERO);
     let io_total: VDuration = io_each.into_iter().sum();
     let overhead = VDuration::from_secs_f64(
-        FANOUT_OVERHEAD_SECS * queries.len() as f64 * config.cost.amplification,
+        FANOUT_OVERHEAD_SECS * out.results.len() as f64 * config.cost.amplification,
     );
     out.simulated = slowest_cpu + io_total + overhead;
     out

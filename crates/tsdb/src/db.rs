@@ -171,6 +171,68 @@ struct Planned<'q> {
     shards: Range<usize>,
 }
 
+/// A batch of queries [`Db::prepare`] has resolved: the *Plan* step of a
+/// request, done once for both its price ([`Prepared::estimate`]) and its
+/// scan ([`Db::answer`]).
+pub struct Prepared<'q> {
+    /// One slot a query: the refusal of an invalid one, `None` otherwise.
+    results: Vec<Option<QueryResult>>,
+    plan: BatchPlan<'q>,
+    /// What the estimate prorates, read with the plan.
+    duration: i64,
+    shard_count: usize,
+    points: usize,
+    bytes: usize,
+}
+
+impl Prepared<'_> {
+    /// The batch's physical cost, summed over its queries, *without
+    /// scanning anything*: the input to cost-based admission. Cardinality
+    /// and series selection are exact (the plan's); points and bytes
+    /// prorate the stored totals by the selected-series fraction and by
+    /// how much of each overlapping shard the range covers. Deterministic,
+    /// monotone in range width and series count, and conservative rather
+    /// than precise. A refused query costs its count alone.
+    pub fn estimate(&self) -> QueryCost {
+        let refused = self.results.len() - self.plan.queries.len();
+        let mut total = QueryCost { queries: refused, ..QueryCost::default() };
+        for p in &self.plan.queries {
+            total.absorb(&self.price(p));
+        }
+        total
+    }
+
+    /// One planned query's share of [`Prepared::estimate`].
+    fn price(&self, p: &Planned<'_>) -> QueryCost {
+        let (series, overlap) = (p.series.len(), p.shards.len());
+        let cost = QueryCost {
+            queries: 1,
+            index_entries: p.index_entries,
+            series,
+            shards_scanned: overlap,
+            ..QueryCost::default()
+        };
+        if series == 0 || overlap == 0 {
+            return cost;
+        }
+        let (qs, qe, duration) = (p.query.start.as_secs(), p.query.end.as_secs(), self.duration);
+        let covered: f64 = self.plan.shards[p.shards.clone()]
+            .iter()
+            .map(|&(start, _)| (qe.min(start + duration) - qs.max(start)) as f64 / duration as f64)
+            .sum();
+        let series_frac = series as f64 / p.index_entries.max(1) as f64;
+        let shard_frac = covered / self.shard_count.max(1) as f64;
+        let points = (self.points as f64 * series_frac * shard_frac).ceil() as usize;
+        QueryCost {
+            points,
+            // One partial block per (series, shard) plus the sealed interior.
+            blocks: points / crate::column::BLOCK_SIZE + series * overlap,
+            bytes: (self.bytes as f64 * series_frac * shard_frac).ceil() as usize,
+            ..cost
+        }
+    }
+}
+
 /// A lock guard from [`Db::timed`]: dropping it releases the lock, then
 /// records the wait and the hold in the lock histograms.
 struct Timed<'d, G> {
@@ -658,59 +720,6 @@ impl Db {
         self.watermarks.snapshot()
     }
 
-    /// Estimate a query's physical cost *without executing it* — the
-    /// planning-time input to cost-based admission. Index cardinality and
-    /// series selection are exact (one index read); points/blocks/bytes
-    /// are scaled from the incremental statistics by the selected-series
-    /// and overlapping-shard fractions. Deterministic for a given database
-    /// state, monotone in range width and series count, and intentionally
-    /// conservative rather than precise — admission thresholds are set
-    /// relative to the same model.
-    pub fn estimate_cost(&self, q: &Query) -> QueryCost {
-        let mut cost = QueryCost { queries: 1, ..QueryCost::default() };
-        if q.validate().is_err() {
-            return cost;
-        }
-        let (card, series) = {
-            let idx = self.index.read();
-            (idx.cardinality(), idx.select_count(&q.measurement, &q.predicates))
-        };
-        cost.index_entries = card;
-        cost.series = series;
-        let (qs, qe) = (q.start.as_secs(), q.end.as_secs());
-        let duration = self.config.shard_duration;
-        // Prorate each overlapping shard by how much of it the range
-        // actually covers, so a 30-minute window prices below a
-        // whole-shard scan even when every shard spans a day.
-        let (overlap, covered, total_shards) = {
-            let map = self.shards.read();
-            let mut overlap = 0usize;
-            let mut covered = 0.0f64;
-            for &start in map.keys() {
-                let lo = qs.max(start);
-                let hi = qe.min(start + duration);
-                if lo < hi {
-                    overlap += 1;
-                    covered += (hi - lo) as f64 / duration as f64;
-                }
-            }
-            (overlap, covered, map.len())
-        };
-        cost.shards_scanned = overlap;
-        if series == 0 || overlap == 0 {
-            return cost;
-        }
-        let series_frac = series as f64 / card.max(1) as f64;
-        let shard_frac = covered / total_shards.max(1) as f64;
-        let total_points = self.points.load(Ordering::Relaxed) as f64;
-        let total_bytes = self.encoded_bytes.load(Ordering::Relaxed).max(0) as f64;
-        cost.points = (total_points * series_frac * shard_frac).ceil() as usize;
-        // One partial block per (series, shard) plus the sealed interior.
-        cost.blocks = cost.points / crate::column::BLOCK_SIZE + series * overlap;
-        cost.bytes = (total_bytes * series_frac * shard_frac).ceil() as usize;
-        cost
-    }
-
     /// Refresh the series/shard-count gauges (short index + shard-map
     /// reads; no shard data touched).
     fn update_topology_gauges(&self) {
@@ -733,12 +742,20 @@ impl Db {
     }
 
     /// Run a batch of queries — a dashboard request's whole plan — as one
-    /// scan, returning each query's results and physical cost in input
-    /// order (an invalid query or a failed scan is an `Err` in its slot and
-    /// does not disturb its neighbours).
+    /// scan: [`Db::answer`] what [`Db::prepare`] resolved.
+    pub fn query_batch<Q: Borrow<Query> + Sync>(
+        &self,
+        queries: &[Q],
+        workers: usize,
+    ) -> Vec<Result<(ResultSet, QueryCost)>> {
+        self.answer(self.prepare(queries), workers)
+    }
+
+    /// Answer a prepared batch, returning each query's results and physical
+    /// cost in input order (an invalid query or a failed scan is an `Err`
+    /// in its slot and does not disturb its neighbours).
     ///
     /// This is the engine's single level of read parallelism. The batch is
-    /// resolved under one index read lock and one shard-map snapshot, then
     /// cut between queries, by count: with `threads = min(workers,
     /// scan_workers, cores, queries)`, chunk `k` holds planned queries
     /// `[k·n/threads, (k+1)·n/threads)`. Chunk 0 runs on the calling thread
@@ -748,28 +765,24 @@ impl Db {
     /// read lock is held for one query's items in that shard at a time: a
     /// writer waits for one query's column scans and window folds, never
     /// for a batch.
-    pub fn query_batch<Q: Borrow<Query> + Sync>(
+    pub fn answer(
         &self,
-        queries: &[Q],
+        prepared: Prepared<'_>,
         workers: usize,
     ) -> Vec<Result<(ResultSet, QueryCost)>> {
-        let mut results: Vec<Option<QueryResult>> =
-            queries.iter().map(|q| q.borrow().validate().err().map(Err)).collect();
-        let plan = self.plan_batch(queries, &results);
         let threads = workers.min(self.config.scan_workers).min(pool::cores());
-        let threads = threads.min(plan.queries.len()).max(1);
-        self.run_batch(&plan, threads, &mut results);
-        results.into_iter().map(|r| r.expect("every query is refused or planned")).collect()
+        let threads = threads.min(prepared.plan.queries.len()).max(1);
+        self.run_batch(prepared, threads)
     }
 
-    /// Answer `plan` in `threads` chunks of consecutive queries, one thread
-    /// each, put every planned query's result in its slot, and account for
-    /// the scans.
-    fn run_batch(&self, plan: &BatchPlan<'_>, threads: usize, results: &mut [Option<QueryResult>]) {
+    /// Answer `prepared` in `threads` chunks of consecutive queries, one
+    /// thread each, put every planned query's result in its slot, and
+    /// account for the scans.
+    fn run_batch(&self, prepared: Prepared<'_>, threads: usize) -> Vec<QueryResult> {
+        let Prepared { mut results, plan, .. } = prepared;
         let n = plan.queries.len();
         let chunk = |k: usize| &plan.queries[k * n / threads..(k + 1) * n / threads];
-        let answered = pool::scope_parts(threads, |k| self.scan_chunk(plan, chunk(k)));
-
+        let answered = pool::scope_parts(threads, |k| self.scan_chunk(&plan, chunk(k)));
         // Accounting and one span per chunk, on the calling thread (so the
         // spans are children of the caller's trace context).
         for (k, answered) in answered.into_iter().enumerate().filter(|(_, a)| !a.is_empty()) {
@@ -799,16 +812,17 @@ impl Db {
             // span covers its simulated cost without advancing the clock.
             span.finish_spanning(elapsed);
         }
+        results.into_iter().map(|r| r.expect("every query is refused or planned")).collect()
     }
 
-    /// Resolve the batch's valid queries (those with no refusal in
-    /// `results` yet): series and their keys under one index read lock,
-    /// overlapping shards from one shard-map snapshot.
-    fn plan_batch<'q, Q: Borrow<Query>>(
-        &self,
-        queries: &'q [Q],
-        results: &[Option<QueryResult>],
-    ) -> BatchPlan<'q> {
+    /// Resolve a batch of queries once, for its price and its scan: each
+    /// query is validated (a refusal takes its slot); the valid ones'
+    /// overlapping shards come from one shard-map snapshot, which also
+    /// counts the map, and their series, keys and field ids from one index
+    /// read. The stored point and byte totals are read beside them.
+    pub fn prepare<'q, Q: Borrow<Query>>(&self, queries: &'q [Q]) -> Prepared<'q> {
+        let results: Vec<Option<QueryResult>> =
+            queries.iter().map(|q| q.borrow().validate().err().map(Err)).collect();
         let valid = || {
             let all = queries.iter().map(Borrow::borrow).enumerate();
             all.filter(|(at, _)| results[*at].is_none())
@@ -818,11 +832,13 @@ impl Db {
         let duration = self.config.shard_duration;
         let from = valid().map(|(_, q)| q.start.as_secs()).min().unwrap_or(0);
         let to = valid().map(|(_, q)| q.end.as_secs()).max().unwrap_or(from);
-        let shards: Vec<(i64, Arc<RwLock<Shard>>)> = self
-            .timed(|| self.shards.read())
+        let map = self.timed(|| self.shards.read());
+        let shards: Vec<(i64, Arc<RwLock<Shard>>)> = map
             .range(from.saturating_sub(duration - 1)..to)
             .map(|(&start, s)| (start, Arc::clone(s)))
             .collect();
+        let shard_count = map.len();
+        drop(map);
 
         let mut plan =
             BatchPlan { queries: Vec::new(), series: Vec::new(), keys: Vec::new(), shards };
@@ -854,7 +870,14 @@ impl Db {
             plan.queries.push(planned);
         }
         plan.keys = plan.series.iter().map(|&id| Arc::clone(idx.key_of(id))).collect();
-        plan
+        Prepared {
+            results,
+            plan,
+            duration,
+            shard_count,
+            points: self.points.load(Ordering::Relaxed),
+            bytes: self.encoded_bytes.load(Ordering::Relaxed).max(0) as usize,
+        }
     }
 
     /// Answer `queries`, in order, with one decode scratch and one window
@@ -1565,12 +1588,11 @@ mod tests {
             range(3_000, 50_000).where_tag("NodeId", "n3").aggregate(Aggregation::Sum),
         ];
         let run = |threads: &dyn Fn(usize) -> usize| {
-            let mut results: Vec<Option<QueryResult>> =
-                queries.iter().map(|q| q.validate().err().map(Err)).collect();
-            let plan = db.plan_batch(&queries, &results);
-            let items: usize = plan.queries.iter().map(|p| p.series.len() * p.shards.len()).sum();
-            db.run_batch(&plan, threads(plan.queries.len()), &mut results);
-            let done = results.into_iter().map(|r| r.expect("every slot filled"));
+            let prepared = db.prepare(&queries);
+            let planned = &prepared.plan.queries;
+            let items: usize = planned.iter().map(|p| p.series.len() * p.shards.len()).sum();
+            let threads = threads(planned.len());
+            let done = db.run_batch(prepared, threads).into_iter();
             (items, done.map(|r| r.map_err(|e| e.to_string())).collect::<Vec<_>>())
         };
         let (items, whole) = run(&|_| 1);

@@ -65,7 +65,7 @@ pub mod watermark;
 
 pub use column::{AggScan, BlockSummary, DecodeScratch, NumericSummary, ScanItem};
 pub use cost::{CostParams, QueryCost};
-pub use db::{Db, DbConfig, DbStats};
+pub use db::{Db, DbConfig, DbStats, Prepared};
 pub use field::FieldValue;
 pub use point::DataPoint;
 pub use query::{Aggregation, Fill, Query, ResultSet};

@@ -504,15 +504,10 @@ impl SeriesIndex {
         out.extend(self.selected(measurement, predicates));
     }
 
-    /// `select(..).len()` without the list — what a cost estimate needs.
-    pub fn select_count(&self, measurement: &str, predicates: &[(String, String)]) -> usize {
-        self.selected(measurement, predicates).count()
-    }
-
-    /// The probe-and-intersect behind [`Self::select_into`] and
-    /// [`Self::select_count`], ids ascending: walk the shortest posting list
-    /// (all series of the measurement without predicates), keeping the ids
-    /// every other list holds. An unmatched predicate selects nothing.
+    /// The probe-and-intersect behind [`Self::select_into`], ids ascending:
+    /// walk the shortest posting list (all series of the measurement
+    /// without predicates), keeping the ids every other list holds. An
+    /// unmatched predicate selects nothing.
     fn selected<'a>(
         &'a self,
         measurement: &str,
@@ -875,7 +870,6 @@ mod tests {
                     })
                     .collect();
                 prop_assert_eq!(idx.select(measurement, &predicates), naive.clone());
-                prop_assert_eq!(idx.select_count(measurement, &predicates), naive.len());
                 // Appending leaves what was there alone.
                 let mut out = vec![SeriesId(u32::MAX)];
                 idx.select_into(measurement, &predicates, &mut out);
