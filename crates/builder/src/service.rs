@@ -722,6 +722,40 @@ mod tests {
     }
 
     #[test]
+    fn a_percent_encoded_query_is_the_literal_query() {
+        let (_db, router) = service();
+        let plain = "/v1/metrics?start=1970-01-01T00:00:00Z&end=1970-01-01T01:00:00Z";
+        let first = get(&router, plain);
+        assert_eq!(first.status, Status::OK);
+        // What `urllib.parse.urlencode` sends: the same body, from the same
+        // cache entry.
+        let encoded = get(&router, &plain.replace(':', "%3A"));
+        assert_eq!(encoded.status, Status::OK);
+        assert_eq!(encoded.headers.get("X-Cache"), Some("hit"));
+        assert_eq!(encoded.body.as_ptr(), first.body.as_ptr());
+        // An escaped `true` compresses, and shares the literal one's entry.
+        let packed = get(&router, &format!("{plain}&compress=%74rue"));
+        assert_eq!(packed.headers.get("Content-Encoding"), Some("mz2"));
+        let literal = get(&router, &format!("{plain}&compress=true"));
+        assert_eq!(literal.headers.get("X-Cache"), Some("hit"));
+        assert_eq!(&literal.body[..], &packed.body[..]);
+        // A `%` that starts no escape reaches the parameter's parser as is.
+        for (param, error) in [
+            ("interval=%", "bad interval"),
+            ("interval=%4", "bad interval"),
+            ("aggregation=%G1", "unknown aggregation: %G1"),
+        ] {
+            let resp = get(&router, &format!("{plain}&{param}"));
+            assert_eq!(resp.status, Status::BAD_REQUEST, "{param}");
+            let body = String::from_utf8_lossy(&resp.body).into_owned();
+            assert!(body.contains(error), "{param}: {body}");
+        }
+        let resp = get(&router, "/v1/metrics?start=%G1&end=1970-01-01T01:00:00Z");
+        assert_eq!(resp.status, Status::BAD_REQUEST);
+        assert!(String::from_utf8_lossy(&resp.body).contains("bad start"));
+    }
+
+    #[test]
     fn metrics_endpoint_trace_and_freshness_headers() {
         let (_db, router) = service();
         let url = "/v1/metrics?start=1970-01-01T00:00:00Z&end=1970-01-01T01:00:00Z&interval=5m";

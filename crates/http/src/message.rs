@@ -190,8 +190,10 @@ impl Request {
         Request { method: Method::Post, path, query, headers, body, keep_alive: false }
     }
 
-    /// Decode one query parameter (`key=value`, percent-decoding not needed
-    /// for MonSTer's token-only parameters).
+    /// One query parameter's value (`key=value`). The query is canonical
+    /// ([`split_query`]): a `%XX` of a character a query may carry
+    /// literally is already decoded, so `start=…T00%3A00%3A00Z` reads as
+    /// the timestamp it spells.
     pub fn query_param(&self, key: &str) -> Option<&str> {
         self.query.split('&').find_map(|pair| {
             let (k, v) = pair.split_once('=')?;
@@ -222,11 +224,37 @@ impl Request {
     }
 }
 
-fn split_query(s: &str) -> (String, String) {
-    match s.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (s.to_string(), String::new()),
+/// Split a request target at its `?` and canonicalize the query, once,
+/// where a [`Request`] is built: a `%XX` escape of a character a query may
+/// carry literally — RFC 3986's unreserved characters, its sub-delimiters
+/// other than `&`, `=` and `+`, and `:`, `@`, `/`, `?` — is decoded, so both
+/// spellings of a request read as one and share one cache key. `%25 %26
+/// %3D %2B %23`, which would change how the query splits or decodes, and
+/// the escapes of controls, spaces and non-ASCII bytes stay as they came,
+/// so the target is still a valid request line. A `%` that starts no
+/// escape is left literal.
+pub(crate) fn split_query(target: &str) -> (String, String) {
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let mut canonical = String::with_capacity(query.len());
+    let mut rest = query;
+    while let Some(at) = rest.find('%') {
+        canonical.push_str(&rest[..at]);
+        let hex =
+            rest.as_bytes().get(at + 1..at + 3).filter(|h| h.iter().all(u8::is_ascii_hexdigit));
+        let byte = hex.map(|h| u8::from_str_radix(std::str::from_utf8(h).expect("hex"), 16));
+        match byte {
+            Some(Ok(b)) if b.is_ascii_alphanumeric() || b"-._~!$'()*,;:@/?".contains(&b) => {
+                canonical.push(char::from(b));
+                rest = &rest[at + 3..];
+            }
+            _ => {
+                canonical.push('%');
+                rest = &rest[at + 1..];
+            }
+        }
     }
+    canonical.push_str(rest);
+    (path.to_string(), canonical)
 }
 
 /// Response body bytes behind a shared, immutable buffer.
@@ -435,6 +463,31 @@ mod tests {
         assert_eq!(r.query_param("interval"), Some("5m"));
         assert_eq!(r.query_param("agg"), Some("max"));
         assert_eq!(r.query_param("nope"), None);
+    }
+
+    #[test]
+    fn a_query_is_canonical_once_built() {
+        for (target, query) in [
+            ("/v?start=2020-04-20T00%3A00%3A00Z", "start=2020-04-20T00:00:00Z"),
+            ("/v?start=2020-04-20T00%3a00%3a00Z", "start=2020-04-20T00:00:00Z"),
+            ("/v?compress=%74rue&a=%41%2d%2E%5f%7E", "compress=true&a=A-._~"),
+            ("/v?p=%21%24%27%28%29%2A%2C%3B%40%2F%3F", "p=!$'()*,;@/?"),
+            // What would re-split or re-decode the query stays escaped.
+            ("/v?a=%25%26%3D%2B%23&b=%2b", "a=%25%26%3D%2B%23&b=%2b"),
+            // Controls, spaces, quotes, brackets and non-ASCII bytes too.
+            ("/v?a=%00%0A%20%22%3C%5B%7F%C3%A9", "a=%00%0A%20%22%3C%5B%7F%C3%A9"),
+            // A `%` that starts no escape is a literal `%`.
+            ("/v?a=%&b=%4&c=%G1&d=%%41&e=%+1", "a=%&b=%4&c=%G1&d=%A&e=%+1"),
+            ("/v?a=%é1", "a=%é1"),
+            ("/v", ""),
+            ("/v?", ""),
+        ] {
+            let r = Request::get(target);
+            assert_eq!((r.path.as_str(), r.query.as_str()), ("/v", query), "{target}");
+        }
+        let wire = b"GET /v1/metrics?start=2020-04-20T00%3A00%3A00Z HTTP/1.1\r\n\r\n";
+        let parsed = crate::parse_request(wire).unwrap();
+        assert_eq!(parsed.query_param("start"), Some("2020-04-20T00:00:00Z"));
     }
 
     #[test]

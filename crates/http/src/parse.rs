@@ -4,7 +4,7 @@
 //! bodies). The parsers take the complete message bytes; a
 //! [`MessageReader`] pulls them off a connection one message at a time.
 
-use crate::message::{Headers, Method, Request, Response, Status};
+use crate::message::{split_query, Headers, Method, Request, Response, Status};
 use monster_util::{Error, Result};
 use std::io::Read;
 
@@ -63,10 +63,7 @@ pub fn parse_request(raw: &[u8]) -> Result<Request> {
     if !version.starts_with("HTTP/1.") {
         return Err(Error::parse(format!("unsupported version {version:?}")));
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target.to_string(), String::new()),
-    };
+    let (path, query) = split_query(target);
     let headers = parse_headers(lines)?;
     let body = body_from(&headers, rest)?.to_vec();
     let keep_alive =
