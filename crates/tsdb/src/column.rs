@@ -1,9 +1,11 @@
 //! Per-series, per-field storage: sealed compressed blocks plus a raw tail.
 //!
 //! Mirrors the TSM/WAL split of a real TSDB: points append to an
-//! uncompressed tail; when the tail reaches [`BLOCK_SIZE`] points it is
-//! sealed into compressed timestamp+value blocks annotated with their time
-//! range, so queries prune non-overlapping blocks without decoding them.
+//! uncompressed tail, one `Vec` of `(timestamp, value)` pairs, so a scan of
+//! the newest points reads each value beside its timestamp; when the tail
+//! reaches [`BLOCK_SIZE`] points it is sealed into compressed
+//! timestamp+value blocks annotated with their time range, so queries
+//! prune non-overlapping blocks without decoding them.
 //! Each sealed block counts as one discrete storage access in the query
 //! cost accounting.
 //!
