@@ -239,11 +239,13 @@ pub(crate) fn split_query(target: &str) -> (String, String) {
     let mut rest = query;
     while let Some(at) = rest.find('%') {
         canonical.push_str(&rest[..at]);
-        let hex =
-            rest.as_bytes().get(at + 1..at + 3).filter(|h| h.iter().all(u8::is_ascii_hexdigit));
-        let byte = hex.map(|h| u8::from_str_radix(std::str::from_utf8(h).expect("hex"), 16));
+        let digit = |i: usize| rest.as_bytes().get(i).and_then(|&b| char::from(b).to_digit(16));
+        let byte = match (digit(at + 1), digit(at + 2)) {
+            (Some(high), Some(low)) => u8::try_from(high * 16 + low).ok(),
+            _ => None,
+        };
         match byte {
-            Some(Ok(b)) if b.is_ascii_alphanumeric() || b"-._~!$'()*,;:@/?".contains(&b) => {
+            Some(b) if b.is_ascii_alphanumeric() || b"-._~!$'()*,;:@/?".contains(&b) => {
                 canonical.push(char::from(b));
                 rest = &rest[at + 3..];
             }
