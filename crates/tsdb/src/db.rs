@@ -743,7 +743,7 @@ impl Db {
 
     /// Run a batch of queries — a dashboard request's whole plan — as one
     /// scan: [`Db::answer`] what [`Db::prepare`] resolved.
-    pub fn query_batch<Q: Borrow<Query> + Sync>(
+    pub fn query_batch<Q: Borrow<Query>>(
         &self,
         queries: &[Q],
         workers: usize,
