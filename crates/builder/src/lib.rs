@@ -8,7 +8,9 @@
 //! response with optional compression ([`encode_response`], §IV-B4).
 //! [`service::router`] exposes the whole pipeline over HTTP, including the
 //! self-monitoring endpoints `GET /metrics` and `GET /debug/trace` backed
-//! by `monster_obs`.
+//! by `monster_obs`. In front of execution sits one [`ResponseCache`]: one
+//! map holds its watermark-valid answers and, beside them, the flights
+//! that coalesce identical misses ([`ResponseCache::claim`]).
 //!
 //! Execution is instrumented end to end: request/query/point counters,
 //! simulated query-latency histograms, cache hit/miss counters, and
@@ -19,16 +21,14 @@
 pub mod admission;
 pub mod cache;
 pub mod exec;
-pub mod flight;
 pub mod plan;
 pub mod qlog;
 pub mod response;
 pub mod service;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionController};
-pub use cache::{ResponseCache, Validity, ValiditySnapshot};
+pub use cache::{Claim, ResponseCache, Ticket, Validity, ValiditySnapshot};
 pub use exec::{execute, BuilderOutcome, ExecMode};
-pub use flight::{FlightGroup, Join};
 pub use monster_collector::QueryGroup;
 pub use plan::{build_plan, estimate_plan_cost, BuilderRequest, PlannedQuery};
 pub use qlog::{Disposition, QueryRecorder, RecordFilter, RequestRecord};

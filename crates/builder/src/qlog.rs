@@ -41,9 +41,8 @@
 //!
 //! Stage timings come from one [`LapClock`] per request: `lap(stage)`
 //! charges the time since the previous lap to `stage`, so every record's
-//! stages sum to its total by construction. It reads raw TSC ticks on
-//! x86-64 (half the cost of `Instant::now`), calibrated once per process
-//! against [`std::time::Instant`].
+//! stages sum to its total by construction. It reads
+//! [`std::time::Instant`]: twice on a cache hit, once a stage on a miss.
 
 use monster_json::{jobj, Value};
 use monster_obs::{SpanId, TraceId};
@@ -51,85 +50,38 @@ use monster_tsdb::QueryCost;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
-// ---------------------------------------------------------------------------
-// Cheap wall-clock ticks
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn raw_ticks() -> u64 {
-    // SAFETY: RDTSC is unprivileged baseline x86-64 and has no
-    // memory-safety effects; it only reads the time-stamp counter.
-    unsafe { core::arch::x86_64::_rdtsc() }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn raw_ticks() -> u64 {
-    // Portable fallback: one monotonic clock read per stamp.
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-/// Nanoseconds per [`raw_ticks`] tick, calibrated once per process.
-fn ns_per_tick() -> f64 {
-    static NS_PER_TICK: OnceLock<f64> = OnceLock::new();
-    *NS_PER_TICK.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // Calibrate TSC frequency against the OS monotonic clock over
-            // a short busy window. ~1 ms keeps the relative error well
-            // under 0.1%, plenty for per-stage profiling.
-            let wall = Instant::now();
-            let t0 = raw_ticks();
-            while wall.elapsed().as_micros() < 1_000 {
-                std::hint::spin_loop();
-            }
-            let ticks = raw_ticks().saturating_sub(t0).max(1);
-            wall.elapsed().as_nanos() as f64 / ticks as f64
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        1.0
-    })
-}
-
-/// One request's stage timer. [`lap`](Self::lap) charges the ticks since
+/// One request's stage timer. [`lap`](Self::lap) charges the time since
 /// the previous lap (or the start) to a stage, accumulating, so the stages
 /// cover the request's wall time with no gap and no overlap.
 #[derive(Debug, Clone, Copy)]
 pub struct LapClock {
-    /// Tick of the previous lap (or the start).
-    last: u64,
-    ticks: [u64; Stage::ALL.len()],
+    /// The previous lap (or the start).
+    last: Instant,
+    stages_ns: [u64; Stage::ALL.len()],
 }
 
 impl LapClock {
     /// Start timing now.
     #[inline]
     pub fn start() -> LapClock {
-        LapClock { last: raw_ticks(), ticks: [0; Stage::ALL.len()] }
+        LapClock { last: Instant::now(), stages_ns: [0; Stage::ALL.len()] }
     }
 
     /// Charge everything since the previous lap to `stage`.
     #[inline]
     pub fn lap(&mut self, stage: Stage) {
-        let now = raw_ticks();
-        self.ticks[stage as usize] += now.saturating_sub(self.last);
+        let now = Instant::now();
+        self.stages_ns[stage as usize] += now.duration_since(self.last).as_nanos() as u64;
         self.last = now;
     }
 
     /// Per-stage wall nanoseconds (indexed by `Stage as usize`) and their
     /// sum, the request's total.
     pub fn finish(self) -> ([u64; Stage::ALL.len()], u64) {
-        let ns_per_tick = ns_per_tick();
-        // Through `i64`: a request's ticks fit, and the signed conversions
-        // are one instruction each where the unsigned ones branch — seven
-        // of them on every request (EXPERIMENTS.md "Flight recorder").
-        let stages_ns = self.ticks.map(|ticks| (ticks as i64 as f64 * ns_per_tick) as i64 as u64);
-        (stages_ns, stages_ns.iter().sum())
+        (self.stages_ns, self.stages_ns.iter().sum())
     }
 }
 
@@ -618,8 +570,6 @@ impl QueryRecorder {
     /// milliseconds.
     pub fn new(capacity: usize, slow_ms: f64) -> QueryRecorder {
         let cap = capacity.max(16).next_power_of_two();
-        // Calibrate now, so that it never lands mid-request.
-        ns_per_tick();
         let ratio_histos = RATIO_STAGES.map(|stage| {
             monster_obs::histo_help(
                 &format!("monster_builder_cost_estimate_ratio{{stage=\"{stage}\"}}"),

@@ -34,9 +34,8 @@
 //!   reading (join it against `GET /debug/trace`).
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController};
-use crate::cache::{ResponseCache, Validity, ValiditySnapshot};
+use crate::cache::{Claim, ResponseCache, Validity, ValiditySnapshot};
 use crate::exec::{run_prepared, ExecMode, JsonSink};
-use crate::flight::{FlightGroup, Join};
 use crate::plan::{build_plan, BuilderRequest};
 use crate::qlog::{
     self, CacheVerdict, CostPair, Disposition, Draft, LapClock, QueryRecorder, RecordFilter,
@@ -242,7 +241,6 @@ struct MetricsState {
     nodes: Vec<NodeId>,
     config: ServiceConfig,
     cache: Arc<ResponseCache>,
-    flights: Arc<FlightGroup>,
     admission: Arc<AdmissionController>,
     coalesced: Arc<monster_obs::Counter>,
     inflight: Arc<monster_obs::Gauge>,
@@ -254,7 +252,7 @@ struct MetricsState {
 }
 
 /// Serve one `/v1/metrics` request (key `draft.url`) through the cache →
-/// flight → admission → execute layers, filling the flight-recorder draft and
+/// claim → admission → execute layers, filling the flight-recorder draft and
 /// lapping the clock as it goes: every return is preceded by a lap, so the
 /// stages the caller reads from `clock` cover the whole handler. Trace
 /// headers and explain wrapping are the caller's job.
@@ -303,42 +301,31 @@ fn serve_metrics(
     };
     clock.lap(Stage::Parse);
 
-    // Layer 2: single-flight. The first identical request leads and
-    // executes; the rest block and share its response. The join — a
-    // follower's wait included — is charged to the cache stage: it is
-    // served from shared state.
-    let leader = if st.config.coalesce {
-        match st.flights.join(key) {
-            Join::Follower(Some(shared)) => {
-                st.coalesced.inc();
-                clock.lap(Stage::Cache);
-                d.disposition = Disposition::Coalesced;
-                span.set_attr("cache", "coalesced");
-                span.finish();
-                let resp = serve_shared(&shared, "coalesced");
-                clock.lap(Stage::Encode);
-                return resp;
-            }
-            // The leader failed: execute directly, unshared.
-            Join::Follower(None) => None,
-            // This request probed before the previous leader's `put` and
-            // joined after its `complete`: the answer is cached, so it is
-            // a hit, not a second execution.
-            Join::Leader(l) => match st.cache.lookup(key, &st.db).0 {
-                Some(shared) => {
-                    l.complete(Some(Arc::clone(&shared)));
-                    (d.verdict, d.disposition) = (CacheVerdict::Valid, Disposition::Hit);
-                    span.set_attr("cache", "hit");
-                    span.finish();
-                    let resp = serve_shared(&shared, "hit");
-                    clock.lap(Stage::Cache);
-                    return resp;
-                }
-                None => Some(l),
-            },
+    // Layer 2: the claim (single-flight). The first identical request
+    // leads and executes; the rest block and share its response; a request
+    // that probed before a flight stored its answer hits it here. The
+    // claim — a joiner's wait included — is charged to the cache stage: it
+    // is served from shared state.
+    let ticket = match st.cache.claim(key, &st.db, st.config.coalesce) {
+        Claim::Hit(shared) => {
+            (d.verdict, d.disposition) = (CacheVerdict::Valid, Disposition::Hit);
+            span.set_attr("cache", "hit");
+            span.finish();
+            let resp = serve_shared(&shared, "hit");
+            clock.lap(Stage::Cache);
+            return resp;
         }
-    } else {
-        None
+        Claim::Joined(shared) => {
+            st.coalesced.inc();
+            clock.lap(Stage::Cache);
+            d.disposition = Disposition::Coalesced;
+            span.set_attr("cache", "coalesced");
+            span.finish();
+            let resp = serve_shared(&shared, "coalesced");
+            clock.lap(Stage::Encode);
+            return resp;
+        }
+        Claim::Lead(ticket) => ticket,
     };
     clock.lap(Stage::Cache);
 
@@ -379,11 +366,9 @@ fn serve_metrics(
             );
             resp.headers.set("Retry-After", retry_after_secs.to_string());
             let shared = Arc::new(resp);
-            // Followers share the 429 (they are the same query), but it
-            // is never cached: the budget refills.
-            if let Some(l) = leader {
-                l.complete(Some(Arc::clone(&shared)));
-            }
+            // Joiners share the 429 (they are the same query), but it is
+            // never cached: the budget refills.
+            ticket.share(Arc::clone(&shared));
             span.set_attr("outcome", "admission_rejected");
             span.finish();
             let resp = serve_shared(&shared, "miss");
@@ -399,9 +384,9 @@ fn serve_metrics(
     let batch = match batch {
         Ok(b) => b,
         Err(e) => {
-            // Dropping the leader (if any) completes the flight with
-            // None; followers execute for themselves.
-            drop(leader);
+            // Dropping the ticket closes the flight with no answer;
+            // joiners execute for themselves.
+            drop(ticket);
             d.disposition = Disposition::Error;
             span.set_attr("outcome", "error");
             span.finish();
@@ -446,10 +431,7 @@ fn serve_metrics(
     )
     .observe_vdur_traced(processing, Some(ctx));
     span.finish_after(processing);
-    let shared = st.cache.put(key, Validity::Watermarks(validity), resp);
-    if let Some(l) = leader {
-        l.complete(Some(Arc::clone(&shared)));
-    }
+    let shared = ticket.complete(validity, resp);
     d.disposition = Disposition::Miss;
     let out = serve_shared(&shared, "miss");
     clock.lap(Stage::Encode);
@@ -492,7 +474,6 @@ impl MetricsState {
         };
         MetricsState {
             cache: Arc::new(ResponseCache::new(config.cache_entries)),
-            flights: Arc::new(FlightGroup::new()),
             admission: Arc::new(AdmissionController::new(config.admission)),
             coalesced: monster_obs::counter_help(
                 "monster_builder_cache_coalesced_total",
@@ -1388,19 +1369,19 @@ mod tests {
         get(&router, bad); // negative, parsed
         get(&router, bad); // negative, from the cache
         let explained = get(&router, &format!("{URL}&aggregation=min&explain=true"));
-        // Coalesced: the test leads the key's flight itself and completes it
-        // once the request is on it.
+        // Coalesced: the test claims the key's flight itself and shares an
+        // answer once the request is on it.
         let shared_url = format!("{URL}&aggregation=mean");
-        let Join::Leader(leader) = state.flights.join(&shared_url) else {
+        let Claim::Lead(ticket) = state.cache.claim(&shared_url, &state.db, true) else {
             panic!("nobody else flies this key");
         };
         std::thread::scope(|s| {
-            let follower = s.spawn(|| get(&router, &shared_url));
-            while state.flights.followers(&shared_url) == 0 {
+            let joiner = s.spawn(|| get(&router, &shared_url));
+            while state.cache.joiners(&shared_url) == 0 {
                 std::thread::yield_now();
             }
-            leader.complete(Some(Arc::new(Response::json(&jobj! { "led" => "by the test" }))));
-            let resp = follower.join().expect("follower panicked");
+            ticket.share(Arc::new(Response::json(&jobj! { "led" => "by the test" })));
+            let resp = joiner.join().expect("joiner panicked");
             assert_eq!(resp.headers.get("X-Cache"), Some("coalesced"));
         });
         let (_, strict) = pinning_router(AdmissionConfig {

@@ -4,9 +4,10 @@
 //! §IV-B3 of the paper: issuing the per-measurement queries concurrently
 //! instead of sequentially made Metrics Builder 5.5–6.5× faster. Both
 //! modes here run the batch through [`Db::answer`] — the engine's one scan
-//! implementation and its one level of real parallelism — taking it as
-//! queries or as a [`Prepared`] batch (a caller that admits on the
-//! estimate has resolved it already, so a request reads the index once).
+//! implementation and its one level of real parallelism — taking it as a
+//! [`Prepared`] batch, which [`Db::prepare`] resolves once (a caller that
+//! admits on the estimate prices the same batch, so a request reads the
+//! index once).
 //! They differ in how many threads the scan may use and in the *simulated*
 //! elapsed time they report. Sequentially that is the sum of the queries'
 //! times. Concurrently each of `workers` logical workers accumulates the
@@ -25,10 +26,9 @@
 
 use crate::cost::QueryCost;
 use crate::db::{Db, Prepared};
-use crate::query::{Query, ResultSet};
+use crate::query::ResultSet;
 use monster_sim::VDuration;
 use monster_util::Result;
-use std::borrow::Borrow;
 
 /// Outcome of a query batch.
 pub struct BatchOutcome {
@@ -77,31 +77,6 @@ impl BatchOutcome {
     }
 }
 
-/// What [`run_sequential`] and [`run_concurrent`] take: queries, or a batch
-/// [`Db::prepare`] has already resolved.
-pub trait Batch<'q> {
-    /// The batch, resolved against `db`.
-    fn prepare(self, db: &Db) -> Prepared<'q>;
-}
-
-impl<'q, Q: Borrow<Query>> Batch<'q> for &'q [Q] {
-    fn prepare(self, db: &Db) -> Prepared<'q> {
-        db.prepare(self)
-    }
-}
-
-impl<'q, Q: Borrow<Query>> Batch<'q> for &'q Vec<Q> {
-    fn prepare(self, db: &Db) -> Prepared<'q> {
-        db.prepare(self)
-    }
-}
-
-impl<'q> Batch<'q> for Prepared<'q> {
-    fn prepare(self, _: &Db) -> Prepared<'q> {
-        self
-    }
-}
-
 /// Per-query coordination overhead when fanning out (connection setup,
 /// result merge) — concurrent execution is not perfectly free. Scaled by
 /// the cost model's amplification, like all per-query costs.
@@ -109,8 +84,8 @@ const FANOUT_OVERHEAD_SECS: f64 = 0.7e-3;
 
 /// Execute queries one after another on the calling thread (the paper's
 /// original Metrics Builder). Simulated time is the sum of per-query times.
-pub fn run_sequential<'q>(db: &Db, batch: impl Batch<'q>) -> BatchOutcome {
-    let mut out = BatchOutcome::run(db, batch.prepare(db), 1);
+pub fn run_sequential(db: &Db, batch: Prepared<'_>) -> BatchOutcome {
+    let mut out = BatchOutcome::run(db, batch, 1);
     out.simulated = out.ran().map(|cost| db.simulate_elapsed(cost)).sum();
     out
 }
@@ -123,9 +98,9 @@ pub fn run_sequential<'q>(db: &Db, batch: impl Batch<'q>) -> BatchOutcome {
 /// work-pulling pool), but I/O serializes on the shared storage backend —
 /// which is why the paper's measured speedup saturates at 5.5–6.5× rather
 /// than the worker count.
-pub fn run_concurrent<'q>(db: &Db, batch: impl Batch<'q>, workers: usize) -> BatchOutcome {
+pub fn run_concurrent(db: &Db, batch: Prepared<'_>, workers: usize) -> BatchOutcome {
     let workers = workers.max(1);
-    let mut out = BatchOutcome::run(db, batch.prepare(db), workers);
+    let mut out = BatchOutcome::run(db, batch, workers);
     let config = db.config();
     let (mut cpu_each, io_each): (Vec<VDuration>, Vec<VDuration>) =
         out.ran().map(|cost| config.cost.split(cost, &config.disk)).unzip();
@@ -147,7 +122,7 @@ pub fn run_concurrent<'q>(db: &Db, batch: impl Batch<'q>, workers: usize) -> Bat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Aggregation;
+    use crate::query::{Aggregation, Query};
     use crate::{CostParams, DataPoint, DbConfig};
     use monster_util::EpochSecs;
     use std::sync::Arc;
@@ -186,8 +161,8 @@ mod tests {
     #[test]
     fn sequential_and_concurrent_agree_on_results() {
         let db = seeded();
-        let seq = run_sequential(&db, &queries());
-        let con = run_concurrent(&db, &queries(), 8);
+        let seq = run_sequential(&db, db.prepare(&queries()));
+        let con = run_concurrent(&db, db.prepare(&queries()), 8);
         let seq_rs = seq.into_results().unwrap();
         let con_rs = con.into_results().unwrap();
         assert_eq!(seq_rs, con_rs);
@@ -196,8 +171,8 @@ mod tests {
     #[test]
     fn concurrency_shrinks_simulated_time() {
         let db = seeded();
-        let seq = run_sequential(&db, &queries());
-        let con = run_concurrent(&db, &queries(), 8);
+        let seq = run_sequential(&db, db.prepare(&queries()));
+        let con = run_concurrent(&db, db.prepare(&queries()), 8);
         // Same physical work...
         assert_eq!(seq.total_cost.points, con.total_cost.points);
         // ...but meaningfully less simulated wall time. (The full Fig. 15
@@ -210,8 +185,8 @@ mod tests {
     #[test]
     fn one_worker_concurrent_approximates_sequential() {
         let db = seeded();
-        let seq = run_sequential(&db, &queries());
-        let con = run_concurrent(&db, &queries(), 1);
+        let seq = run_sequential(&db, db.prepare(&queries()));
+        let con = run_concurrent(&db, db.prepare(&queries()), 1);
         let ratio = con.simulated.as_secs_f64() / seq.simulated.as_secs_f64();
         assert!((0.95..1.25).contains(&ratio), "ratio {ratio}");
     }
@@ -224,8 +199,8 @@ mod tests {
         let serial = seeded_with(base);
         let fanned =
             seeded_with(DbConfig { cost: CostParams { scan_workers: 4, ..base.cost }, ..base });
-        let s = run_concurrent(&serial, &queries(), 8);
-        let f = run_concurrent(&fanned, &queries(), 8);
+        let s = run_concurrent(&serial, serial.prepare(&queries()), 8);
+        let f = run_concurrent(&fanned, fanned.prepare(&queries()), 8);
         // Identical physical work and results; the fan-out only reshapes
         // simulated time.
         assert_eq!(s.total_cost, f.total_cost);
@@ -244,7 +219,7 @@ mod tests {
         let db = seeded();
         let mut qs = queries();
         qs[3].end = qs[3].start; // make invalid
-        let out = run_concurrent(&db, &qs, 4);
+        let out = run_concurrent(&db, db.prepare(&qs), 4);
         assert!(out.results[3].is_err());
         assert!(out.results[2].is_ok());
         assert!(out.into_results().is_err());
@@ -253,7 +228,7 @@ mod tests {
     #[test]
     fn empty_batch() {
         let db = seeded();
-        let out = run_concurrent(&db, &[] as &[Query], 4);
+        let out = run_concurrent(&db, db.prepare(&[] as &[Query]), 4);
         assert!(out.results.is_empty());
         assert_eq!(out.simulated, VDuration::ZERO);
     }

@@ -134,8 +134,8 @@ proptest! {
             }
             // The wrappers surface the first error and agree on the rest.
             let refs: Vec<&Query> = queries.iter().collect();
-            let seq = run_sequential(&db, &refs);
-            let con = run_concurrent(&db, &refs, 8);
+            let seq = run_sequential(&db, db.prepare(&refs));
+            let con = run_concurrent(&db, db.prepare(&refs), 8);
             prop_assert_eq!(seq.total_cost, con.total_cost);
             prop_assert_eq!(&seq.costs, &con.costs);
             prop_assert_eq!(seq.results.iter().position(|r| r.is_err()), first_error);
