@@ -23,7 +23,7 @@
 
 use crate::detect::{AnomalyEvent, AnomalyKind, Signal};
 use monster_json::Value;
-use monster_obs::{Counter, Gauge, TraceId};
+use monster_obs::{Counter, Gauge, Registry, TraceId};
 use monster_util::{EpochSecs, JobId, NodeId};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
@@ -350,12 +350,18 @@ impl fmt::Debug for AlertEngine {
 }
 
 impl AlertEngine {
-    /// Build an engine and register its metrics immediately: severity
-    /// gauges appear in `/metrics` as `0` from the first scrape, not from
-    /// the first alert.
+    /// [`AlertEngine::new_in`] the process default registry.
+    // Goes with ROADMAP item 8(ii): only the benchmark harness calls it.
     pub fn new(config: EngineConfig) -> AlertEngine {
+        AlertEngine::new_in(config, monster_obs::global())
+    }
+
+    /// Build an engine and register its metrics in `obs` immediately:
+    /// severity gauges appear in `/metrics` as `0` from the first scrape,
+    /// not from the first alert.
+    pub fn new_in(config: EngineConfig, obs: &Registry) -> AlertEngine {
         let active_gauges = Severity::ALL.map(|sev| {
-            monster_obs::gauge_help(
+            obs.gauge_help(
                 &format!("monster_alert_active{{severity=\"{sev}\"}}"),
                 "Active (firing or pending-resolve) alerts by severity.",
             )
@@ -367,11 +373,11 @@ impl AlertEngine {
             config,
             inner: Mutex::new(Inner::default()),
             active_gauges,
-            transitions: monster_obs::counter_help(
+            transitions: obs.counter_help(
                 "monster_alert_transitions_total",
                 "Alert lifecycle transitions (raises + resolves).",
             ),
-            flaps: monster_obs::counter_help(
+            flaps: obs.counter_help(
                 "monster_alert_flaps_suppressed_total",
                 "Alert re-fires absorbed by hold-down timers instead of flapping.",
             ),
@@ -842,8 +848,9 @@ mod tests {
 
     #[test]
     fn gauges_exist_before_first_alert() {
-        let _engine = AlertEngine::new(EngineConfig::default());
-        let text = monster_obs::global().text_exposition();
+        let obs = Registry::new();
+        let _engine = AlertEngine::new_in(EngineConfig::default(), &obs);
+        let text = obs.text_exposition();
         for sev in Severity::ALL {
             let name = format!("monster_alert_active{{severity=\"{sev}\"}}");
             assert!(text.contains(&name), "missing {name} in exposition");

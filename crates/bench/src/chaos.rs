@@ -4,10 +4,16 @@
 //! or a `(profile, seed)` cell of the chaos matrix means two things.
 
 use monster_core::{Monster, MonsterConfig};
+use monster_obs::Registry;
 use monster_redfish::bmc::BmcConfig;
 use monster_redfish::client::ClientConfig;
 use monster_redfish::resilience::ResilienceConfig;
 use monster_sim::{FaultProfile, LatencyDist};
+use std::sync::Arc;
+
+/// Spans a fleet's registry keeps: every sweep's skip and failure children
+/// of a whole run, which the trace-lineage invariant walks.
+const SPAN_RING: usize = 50_000;
 
 /// The size of a run: `active` sweeps under the fault schedule, the rest
 /// of `sweeps` to observe recovery in.
@@ -22,9 +28,10 @@ pub struct Shape {
 /// stall tail removed and zero base fault rates: every fault comes from
 /// the profile schedule, so "healthy nodes stay fresh" is exact rather
 /// than probabilistic. `resilient: false` is the legacy sweep (immediate
-/// retries, no breakers, no deadline).
+/// retries, no breakers, no deadline). Each fleet reports to a registry of
+/// its own, so a run's freshness, spans and trace ids are its alone.
 pub fn fleet(seed: u64, shape: &Shape, resilient: bool) -> Monster {
-    Monster::new(MonsterConfig {
+    let config = MonsterConfig {
         nodes: shape.nodes,
         seed,
         bmc: BmcConfig {
@@ -37,7 +44,8 @@ pub fn fleet(seed: u64, shape: &Shape, resilient: bool) -> Monster {
         workload: None,
         horizon_secs: 0,
         ..MonsterConfig::default()
-    })
+    };
+    Monster::with_registry(config, Arc::new(Registry::with_span_capacity(SPAN_RING)))
 }
 
 /// Put every node of `m` in the state `profile` schedules for sweep `tick`.

@@ -46,18 +46,11 @@ struct Wall {
     held: bool,
 }
 
-/// Every gate, in the order one process runs them. Until item 5(a) gives
-/// each deployment its own registry, they all share the global one, but
-/// nothing known ties their order any more. Every `/v1/metrics` reply
-/// stamps the worst freshness lag, which the tracker now keeps as a
-/// minimum instead of walking every series it holds, so the storm costs
-/// the same after the chaos replays as before them (unoptimized,
-/// `gate chaos_sweep dashboard_storm` 11 s against 56 s when it walked;
-/// `dashboard_storm` alone 7 s). `metrics_lint`'s 32-series budget a
-/// family counts the `monster_tsdb_shard_points{shard=…}` gauges of every
-/// store before it as well, and held in this order and reversed. The rest
-/// read the registry as deltas, after a reset of their own, or by their
-/// own trace ids.
+/// Every gate, in the order one process runs them. A gate that reads a
+/// registry reads one no other gate writes to, so the order is free: the
+/// chaos gates read their fleets' freshness, spans and trace ids,
+/// `metrics_lint` the families of the deployment it scrapes, and
+/// `dashboard_storm` its own store's scan counts.
 #[rustfmt::skip]
 pub const GATES: &[Gate] = &[
     Gate { name: "query_pushdown", golden: Some("BENCH_query.json"), run: query_pushdown::run },

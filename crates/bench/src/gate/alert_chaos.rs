@@ -4,12 +4,14 @@
 //! time only: the same bytes for the same code and seed).
 //!
 //! Every `(profile, seed)` cell runs **twice** over the same schedule and
-//! the two canonical transcripts must be byte-identical — alerting is a
-//! paging decision, so it gets the same determinism bar as the collection
-//! path. (Trace ids are excluded from the canonical form: they come from a
-//! process-global counter, so the second run mints different ones by
-//! design; everything else — ids, timestamps, severities, flap counts —
-//! must match to the byte.)
+//! the two transcripts must be byte-identical — alerting is a paging
+//! decision, so it gets the same determinism bar as the collection path.
+//! Every fleet mints trace ids from its own registry, so the comparison
+//! keeps each alert's `trace_id` and every interval's trace id (the
+//! collection rules attach none to their alerts, so the intervals' ids are
+//! what pins the mint): ids, timestamps, severities, flap counts and trace
+//! ids must all match to the byte. The golden leaves the trace ids out
+//! (see [`canonical`]).
 //!
 //! Per-profile assertions:
 //!
@@ -38,30 +40,39 @@ use monster_sim::FaultProfile;
 /// be observable inside the run.
 const SHAPE: Shape = Shape { nodes: 96, channels: 48, sweeps: 36, active: 18 };
 
-/// An alert's JSON with the `trace_id` member removed (process-global
-/// counter — not comparable across runs).
-fn canonical_alert(alert: &monster_alert::Alert) -> Value {
-    let mut v = alert.to_json();
-    v.as_object_mut().expect("alert JSON is an object").remove("trace_id");
-    v
+/// The three alert lists of a transcript.
+const ALERT_LISTS: [&str; 3] = ["active_at_peak", "active_final", "history"];
+
+/// A replayed transcript as `BENCH_alerts.json` holds it: without the
+/// interval trace ids and every alert without its `trace_id`, which name
+/// spans no golden keeps.
+fn canonical(mut cell: Value) -> Value {
+    let transcript = cell.as_object_mut().expect("a transcript is an object");
+    transcript.remove("traces");
+    for list in ALERT_LISTS {
+        let Some(Value::Array(alerts)) = transcript.get_mut(list) else { panic!("no {list}") };
+        for alert in alerts {
+            alert.as_object_mut().expect("alert JSON is an object").remove("trace_id");
+        }
+    }
+    cell
 }
 
 /// Replay `profile` for `(seed, shape)` with alerting on and return the
-/// canonical transcript: per-sweep engine outcomes, the active set at the
-/// fault peak, and the final active set + resolved history.
+/// transcript: per-sweep engine outcomes, the active set at the fault
+/// peak, and the final active set + resolved history. The fleet's
+/// freshness tracker, which feeds the burn-rate rule, is its own.
 fn run_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
-    // The freshness tracker feeding the burn-rate rule is process-global:
-    // start each run from a clean slate or the second run (and every later
-    // cell) inherits the previous schedule's attainment.
-    monster_obs::freshness().reset();
     let mut m = chaos::fleet(seed, shape, true);
     let mut sweeps = Vec::with_capacity(shape.sweeps as usize);
+    let mut traces = Vec::with_capacity(shape.sweeps as usize);
     let mut anomaly_events = 0usize;
     let mut totals = IntervalOutcome::default();
     let mut at_peak = Vec::new();
     for tick in 0..shape.sweeps {
         chaos::inject(&m, profile, seed, tick, shape);
         let s = m.run_interval().expect("schema-consistent interval");
+        traces.push(Value::from(s.trace.trace.to_string()));
         anomaly_events += s.anomaly_events;
         let o = s.alerts;
         totals.raised += o.raised;
@@ -80,7 +91,7 @@ fn run_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
         }
         if tick + 1 == shape.active {
             let engine = m.alerts().expect("alerting on");
-            at_peak = engine.active().iter().map(canonical_alert).collect();
+            at_peak = engine.active().iter().map(|a| a.to_json()).collect();
         }
     }
     let engine = m.alerts().expect("alerting on");
@@ -93,8 +104,9 @@ fn run_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
         "flaps_total" => totals.flaps_suppressed,
         "sweeps" => Value::Array(sweeps),
         "active_at_peak" => Value::Array(at_peak),
-        "active_final" => engine.active().iter().map(canonical_alert).collect::<Vec<_>>(),
-        "history" => engine.history().iter().map(canonical_alert).collect::<Vec<_>>(),
+        "active_final" => engine.active().iter().map(|a| a.to_json()).collect::<Vec<_>>(),
+        "history" => engine.history().iter().map(|a| a.to_json()).collect::<Vec<_>>(),
+        "traces" => Value::Array(traces),
     }
 }
 
@@ -114,8 +126,8 @@ fn is_node_scoped(alert: &Value) -> bool {
     alert.get("node").and_then(Value::as_str).is_some()
 }
 
-/// Run one cell twice, assert determinism plus the profile's exact alert
-/// set, and return its report.
+/// Run one cell twice, assert determinism (trace ids included) plus the
+/// profile's exact alert set, and return its report.
 fn alert_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
     let cell = run_cell(profile, seed, shape);
     let replay = run_cell(profile, seed, shape);
@@ -125,6 +137,7 @@ fn alert_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
         "[{}/seed {seed}] alert stream not deterministic across identical replays",
         profile.name()
     );
+    let cell = canonical(cell);
 
     // Collection faults never fake physics: detectors see live readings
     // only, so every profile — including the chaotic ones — is

@@ -35,8 +35,10 @@
 use super::Outcome;
 use crate::chaos::{self, Shape};
 use monster_json::{jobj, Value};
+use monster_obs::Registry;
 use monster_redfish::resilience::sweep_deadline;
 use monster_sim::{FaultProfile, VDuration};
+use std::sync::Arc;
 
 /// Sweeps the resilient run gets to fully recover (close every breaker,
 /// drain staleness) once the fault schedule clears: breaker cooldown plus
@@ -67,15 +69,21 @@ struct SweepRecord {
     fresh_p99: f64,
 }
 
-/// Replay `profile` for `(seed, shape)` and record every sweep.
-fn run_cell(profile: FaultProfile, seed: u64, shape: &Shape, resilient: bool) -> Vec<SweepRecord> {
+/// Replay `profile` for `(seed, shape)` and record every sweep; returns
+/// the records and the registry the fleet reported to.
+fn run_cell(
+    profile: FaultProfile,
+    seed: u64,
+    shape: &Shape,
+    resilient: bool,
+) -> (Vec<SweepRecord>, Arc<Registry>) {
     let mut m = chaos::fleet(seed, shape, resilient);
     let ids = m.node_ids();
     let mut records = Vec::with_capacity(shape.sweeps as usize);
     for tick in 0..shape.sweeps {
         chaos::inject(&m, profile, seed, tick, shape);
         let s = m.run_interval().expect("schema-consistent interval");
-        let fresh = monster_obs::freshness();
+        let fresh = m.registry().freshness();
         let mut lags = fresh.lags();
         lags.sort_by(|a, b| a.partial_cmp(b).unwrap());
         records.push(SweepRecord {
@@ -101,7 +109,7 @@ fn run_cell(profile: FaultProfile, seed: u64, shape: &Shape, resilient: bool) ->
             fresh_p99: monster_obs::percentile(&lags, 0.99),
         });
     }
-    records
+    (records, Arc::clone(m.registry()))
 }
 
 fn p99(xs: &[f64]) -> f64 {
@@ -121,16 +129,12 @@ fn chaos_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
         (0..shape.nodes).filter(|i| !perturbed.contains(i)).collect()
     };
 
-    // The resilient run's trace/freshness invariants read global obs
-    // state: give the span ring room for every sweep's children and clear
-    // watermarks left by previous cells (or the baseline run below).
-    monster_obs::global().set_span_capacity(50_000);
-    monster_obs::freshness().reset();
-    let resilient = run_cell(profile, seed, shape, true);
-    let pipeline = monster_obs::freshness().report();
-    let spans = monster_obs::global().recent_spans();
-    monster_obs::freshness().reset();
-    let baseline = run_cell(profile, seed, shape, false);
+    // The resilient run's trace/freshness invariants read its own
+    // registry: its watermarks and every sweep's spans, nobody else's.
+    let (resilient, obs) = run_cell(profile, seed, shape, true);
+    let pipeline = obs.freshness().report();
+    let spans = obs.recent_spans();
+    let (baseline, _) = run_cell(profile, seed, shape, false);
 
     // Invariant 1: no resilient sweep exceeds the deadline.
     for (t, r) in resilient.iter().enumerate() {

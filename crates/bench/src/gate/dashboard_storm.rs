@@ -79,8 +79,8 @@ pub fn run() -> Outcome {
         },
     );
 
-    let q_counter = monster_obs::counter("monster_tsdb_queries_total");
-    let p_counter = monster_obs::counter("monster_tsdb_query_points_total");
+    let q_counter = db.registry().counter("monster_tsdb_queries_total");
+    let p_counter = db.registry().counter("monster_tsdb_query_points_total");
     let pool = ThreadPool::new(STORM_WORKERS);
 
     let mut baseline_queries = 0u64;

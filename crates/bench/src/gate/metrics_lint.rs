@@ -18,7 +18,7 @@ use super::{Outcome, Wall};
 use monster_core::{Monster, MonsterConfig};
 use monster_http::{Client, Request};
 use monster_json::jobj;
-use monster_obs::{global, Registry, SpanRecord, TraceContext};
+use monster_obs::{Registry, SpanRecord, TraceContext};
 use monster_sim::VInstant;
 use monster_tsdb::{Aggregation, Query};
 use std::time::Instant;
@@ -180,8 +180,9 @@ fn lint_exposition(text: &str) -> Vec<String> {
 fn scrape_storm() -> Wall {
     const WRITERS: u64 = 4;
     const SPANS_EACH: u64 = 2_000;
+    let r = Registry::with_span_capacity(256);
     let rec = |name: String| {
-        let ctx = TraceContext::root();
+        let ctx = TraceContext::root(&r);
         SpanRecord {
             name,
             begin: VInstant::EPOCH,
@@ -192,7 +193,6 @@ fn scrape_storm() -> Wall {
             attrs: Vec::new(),
         }
     };
-    let r = Registry::with_span_capacity(256);
     let t0 = Instant::now();
     let mut worst_scrape = std::time::Duration::ZERO;
     std::thread::scope(|s| {
@@ -232,7 +232,7 @@ pub fn run() -> Outcome {
         Client::new().send_ok(server.addr(), &Request::get("/metrics")).expect("GET /metrics");
     let text = String::from_utf8(resp.body.to_vec()).expect("utf-8 exposition");
 
-    let kinds = global().metric_kinds();
+    let kinds = m.registry().metric_kinds();
     let mut violations = lint_kinds(&kinds);
     violations.extend(lint_cardinality(&kinds));
     violations.extend(lint_exposition(&text));
@@ -263,7 +263,7 @@ pub fn run() -> Outcome {
         violations.join("\n  - ")
     );
     let storm = scrape_storm();
-    assert!(global().vtime() > VInstant::EPOCH, "pipeline advanced the virtual clock");
+    assert!(m.registry().vtime() > VInstant::EPOCH, "pipeline advanced the virtual clock");
     drop((server, m));
     let _ = std::fs::remove_dir_all(data_dir());
     let doc = jobj! {

@@ -181,7 +181,8 @@ pub fn sample_batch(nodes: &[NodeId], from: i64, to: i64) -> Vec<DataPoint> {
 /// deployment would pick, and it lets the cost model see the difference
 /// between a 30-minute panel and a full-history scan.
 pub fn seeded_db(nodes: &[NodeId]) -> (Arc<Db>, usize) {
-    let db = Arc::new(Db::new(DbConfig { shard_duration: 900, ..DbConfig::default() }));
+    let config = DbConfig { shard_duration: 900, ..DbConfig::default() };
+    let db = Arc::new(Db::new_in(config, &Arc::default()));
     let mut seeded = 0usize;
     for hour in 0..(HISTORY_SECS / 3600) {
         let batch = sample_batch(nodes, hour * 3600, (hour + 1) * 3600);

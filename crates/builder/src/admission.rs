@@ -25,6 +25,7 @@
 //! deterministically; the default reads a monotonic [`std::time::Instant`].
 
 use crate::qlog::{AdmissionDecision, AdmissionSnapshot};
+use monster_obs::Registry;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -100,24 +101,29 @@ pub struct AdmissionController {
 }
 
 impl AdmissionController {
-    /// A controller on the real (monotonic) clock.
-    pub fn new(config: AdmissionConfig) -> AdmissionController {
+    /// A controller on the real (monotonic) clock, reporting to `obs`.
+    pub fn new(config: AdmissionConfig, obs: &Registry) -> AdmissionController {
         let epoch = Instant::now();
-        AdmissionController::with_clock(config, Box::new(move || epoch.elapsed().as_secs_f64()))
+        let clock = Box::new(move || epoch.elapsed().as_secs_f64());
+        AdmissionController::with_clock(config, clock, obs)
     }
 
     /// A controller with an injected wall clock (seconds; tests advance it
     /// manually for deterministic refill arithmetic).
-    pub fn with_clock(config: AdmissionConfig, clock: Clock) -> AdmissionController {
+    pub fn with_clock(
+        config: AdmissionConfig,
+        clock: Clock,
+        obs: &Registry,
+    ) -> AdmissionController {
         AdmissionController {
             config,
             clock,
             buckets: Mutex::new(HashMap::new()),
-            rejected: monster_obs::counter_help(
+            rejected: obs.counter_help(
                 "monster_builder_cache_admission_rejected_total",
                 "Queries turned away by cost-based admission control (429).",
             ),
-            tenants: monster_obs::gauge("monster_builder_admission_tenants"),
+            tenants: obs.gauge("monster_builder_admission_tenants"),
         }
     }
 
@@ -227,6 +233,7 @@ mod tests {
         let ctl = AdmissionController::with_clock(
             cfg,
             Box::new(move || handle.load(Ordering::SeqCst) as f64 / 1000.0),
+            &Registry::new(),
         );
         (ms, ctl)
     }
@@ -313,10 +320,8 @@ mod tests {
 
     #[test]
     fn disabled_controller_admits_everything() {
-        let ctl = AdmissionController::new(AdmissionConfig {
-            enabled: false,
-            ..AdmissionConfig::default()
-        });
+        let config = AdmissionConfig { enabled: false, ..AdmissionConfig::default() };
+        let ctl = AdmissionController::new(config, &Registry::new());
         assert_eq!(ctl.admit("t", 1e9), Admission::Admitted { expensive: false });
     }
 

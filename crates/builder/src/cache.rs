@@ -43,6 +43,7 @@
 
 use crate::qlog::CacheVerdict;
 use monster_http::Response;
+use monster_obs::Registry;
 use monster_tsdb::{Db, MeasurementMark};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -220,20 +221,26 @@ pub struct Ticket<'c> {
 
 impl ResponseCache {
     /// A cache holding at most `capacity` answers (0 stores none; flights
-    /// are not answers and still coalesce).
+    /// are not answers and still coalesce), its counters in a registry of
+    /// its own.
     pub fn new(capacity: usize) -> ResponseCache {
+        ResponseCache::new_in(capacity, &Registry::new())
+    }
+
+    /// [`ResponseCache::new`], counting hits, misses and evictions in `obs`.
+    pub fn new_in(capacity: usize, obs: &Registry) -> ResponseCache {
         ResponseCache {
             capacity,
             inner: Mutex::new(Inner::default()),
-            hits: monster_obs::counter_help(
+            hits: obs.counter_help(
                 "monster_builder_cache_hits_total",
                 "Requests served from the response cache without executing.",
             ),
-            misses: monster_obs::counter_help(
+            misses: obs.counter_help(
                 "monster_builder_cache_misses_total",
                 "Cache probes that found no still-valid entry.",
             ),
-            evictions: monster_obs::counter_help(
+            evictions: obs.counter_help(
                 "monster_builder_cache_evictions_total",
                 "Response-cache entries evicted (LRU pressure or staleness).",
             ),

@@ -9,10 +9,11 @@
 //! [`execute`] hands to in-process callers. One walk and one set of scalar
 //! writers (`monster_json`), so the tree, marshalled, and the streamed
 //! bytes are one text. Request counters, a simulated query-latency span
-//! and output-point counters land in `monster_obs`.
+//! and output-point counters land in the database's registry.
 
 use crate::plan::PlannedQuery;
 use monster_json::{jobj, write_f64, write_i64, write_str, Object, Value};
+use monster_obs::{Counter, Histo, Registry};
 use monster_sim::VDuration;
 use monster_tsdb::query::SeriesResult;
 use monster_tsdb::{concurrent, Db, FieldValue, Prepared, Query, QueryCost, ResultSet};
@@ -249,11 +250,43 @@ pub struct Batch {
     pub query_time: VDuration,
 }
 
+/// The registry handles one execution updates, resolved once: the service
+/// keeps a set beside its other handles; [`run`] and [`execute`] resolve
+/// theirs from the database's registry.
+pub(crate) struct ExecMetrics {
+    requests: Arc<Counter>,
+    queries: Arc<Counter>,
+    execute_wall: Arc<Histo>,
+    points_out: Arc<Counter>,
+    query_seconds: Arc<Histo>,
+    encode_wall: Arc<Histo>,
+}
+
+impl ExecMetrics {
+    pub(crate) fn new(obs: &Registry) -> ExecMetrics {
+        ExecMetrics {
+            requests: obs.counter("monster_builder_requests_total"),
+            queries: obs.counter("monster_builder_queries_total"),
+            execute_wall: obs.histo_help(
+                "monster_builder_execute_wall_seconds",
+                "Wall-clock seconds one plan's query batch took, beside the modelled \
+                 monster_builder_query_seconds",
+            ),
+            points_out: obs.counter("monster_builder_points_out_total"),
+            query_seconds: obs.histo("monster_builder_query_seconds"),
+            encode_wall: obs.histo_help(
+                "monster_builder_encode_wall_seconds",
+                "Wall-clock seconds rendering one plan's results into the response document took.",
+            ),
+        }
+    }
+}
+
 /// Run `plan`'s queries against `db`: [`monster_tsdb::Db::prepare`] them,
 /// then [`run_prepared`].
 pub fn run(db: &Arc<Db>, plan: &[PlannedQuery], mode: ExecMode) -> Result<Batch> {
     let queries: Vec<&Query> = plan.iter().map(|p| &p.query).collect();
-    run_prepared(db, db.prepare(&queries), mode)
+    run_prepared(db, db.prepare(&queries), mode, &ExecMetrics::new(db.registry()))
 }
 
 /// Answer a plan's prepared queries — the service prices them first.
@@ -267,9 +300,14 @@ pub fn run(db: &Arc<Db>, plan: &[PlannedQuery], mode: ExecMode) -> Result<Batch>
 /// calling thread; `Concurrent { workers }`: at most `workers`,
 /// `DbConfig::scan_workers` and the core count) and selects the
 /// simulated-time model, as described in `monster_tsdb::concurrent`.
-pub(crate) fn run_prepared(db: &Db, prepared: Prepared<'_>, mode: ExecMode) -> Result<Batch> {
+pub(crate) fn run_prepared(
+    db: &Db,
+    prepared: Prepared<'_>,
+    mode: ExecMode,
+    metrics: &ExecMetrics,
+) -> Result<Batch> {
     let started = Instant::now();
-    let span = monster_obs::Span::enter("builder.execute");
+    let span = monster_obs::Span::enter(db.registry(), "builder.execute");
     // Make the execute span the parent of the scan spans the storage
     // engine records for this batch.
     let _trace_guard = monster_obs::trace::set_current(span.context());
@@ -279,14 +317,9 @@ pub(crate) fn run_prepared(db: &Db, prepared: Prepared<'_>, mode: ExecMode) -> R
     };
     let (cost, query_time) = (batch.total_cost, batch.simulated);
     let results = batch.into_results()?;
-    monster_obs::counter("monster_builder_requests_total").inc();
-    monster_obs::counter("monster_builder_queries_total").add(results.len() as u64);
-    monster_obs::histo_help(
-        "monster_builder_execute_wall_seconds",
-        "Wall-clock seconds one plan's query batch took, beside the modelled \
-         monster_builder_query_seconds",
-    )
-    .observe(started.elapsed().as_secs_f64());
+    metrics.requests.inc();
+    metrics.queries.add(results.len() as u64);
+    metrics.execute_wall.observe(started.elapsed().as_secs_f64());
     span.finish_after(query_time);
     Ok(Batch { results, cost, query_time })
 }
@@ -294,11 +327,12 @@ pub(crate) fn run_prepared(db: &Db, prepared: Prepared<'_>, mode: ExecMode) -> R
 impl Batch {
     /// [`render`] the results into `sink` and account for it: the modelled
     /// processing time, the output-point counter, the wall histogram.
-    pub fn render_into<S: Sink>(
+    pub(crate) fn render_into<S: Sink>(
         self,
         db: &Db,
         plan: &[PlannedQuery],
         mut sink: S,
+        metrics: &ExecMetrics,
     ) -> BuilderOutcome<S::Document> {
         let started = Instant::now();
         let points_out = render(plan, &self.results, &mut sink);
@@ -309,14 +343,9 @@ impl Batch {
                 * db.config().cost.amplification,
         );
         let Batch { cost, query_time, .. } = self;
-        monster_obs::counter("monster_builder_points_out_total").add(points_out as u64);
-        monster_obs::histo("monster_builder_query_seconds")
-            .observe_vdur(query_time + processing_time);
-        monster_obs::histo_help(
-            "monster_builder_encode_wall_seconds",
-            "Wall-clock seconds rendering one plan's results into the response document took.",
-        )
-        .observe(started.elapsed().as_secs_f64());
+        metrics.points_out.add(points_out as u64);
+        metrics.query_seconds.observe_vdur(query_time + processing_time);
+        metrics.encode_wall.observe(started.elapsed().as_secs_f64());
         BuilderOutcome { document, points_out, cost, query_time, processing_time }
     }
 }
@@ -324,7 +353,8 @@ impl Batch {
 /// [`run`] `plan` against `db` and [`render`] the results as a [`Value`]
 /// tree: the in-process form of a Metrics Builder request.
 pub fn execute(db: &Arc<Db>, plan: &[PlannedQuery], mode: ExecMode) -> Result<BuilderOutcome> {
-    Ok(run(db, plan, mode)?.render_into(db, plan, ValueSink::default()))
+    let batch = run(db, plan, mode)?;
+    Ok(batch.render_into(db, plan, ValueSink::default(), &ExecMetrics::new(db.registry())))
 }
 
 #[cfg(test)]

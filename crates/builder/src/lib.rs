@@ -14,7 +14,7 @@
 //!
 //! Execution is instrumented end to end: request/query/point counters,
 //! simulated query-latency histograms, cache hit/miss counters, and
-//! vtime-stamped spans all land in the `monster_obs` global registry.
+//! vtime-stamped spans all land in the registry of the database served.
 
 #![warn(missing_docs)]
 

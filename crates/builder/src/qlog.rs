@@ -45,7 +45,7 @@
 //! [`std::time::Instant`]: twice on a cache hit, once a stage on a miss.
 
 use monster_json::{jobj, Value};
-use monster_obs::{SpanId, TraceId};
+use monster_obs::{Registry, SpanId, TraceId};
 use monster_tsdb::QueryCost;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -567,11 +567,17 @@ pub struct QueryRecorder {
 impl QueryRecorder {
     /// A recorder with `capacity` ring slots (rounded up to a power of
     /// two, min 16) pinning records slower than `slow_ms` wall-or-modelled
-    /// milliseconds.
+    /// milliseconds, its counters in a registry of its own.
     pub fn new(capacity: usize, slow_ms: f64) -> QueryRecorder {
+        QueryRecorder::new_in(capacity, slow_ms, &Registry::new())
+    }
+
+    /// [`QueryRecorder::new`], its counters and estimator-accuracy
+    /// histograms in `obs`.
+    pub fn new_in(capacity: usize, slow_ms: f64, obs: &Registry) -> QueryRecorder {
         let cap = capacity.max(16).next_power_of_two();
         let ratio_histos = RATIO_STAGES.map(|stage| {
-            monster_obs::histo_help(
+            obs.histo_help(
                 &format!("monster_builder_cost_estimate_ratio{{stage=\"{stage}\"}}"),
                 "Measured-over-estimated query cost per request, by cost stage; \
                  drift from 1.0 means the plan-time estimator admission trusts \
@@ -593,16 +599,16 @@ impl QueryRecorder {
             slow_ns: (slow_ms.max(0.0) * 1e6) as u64,
             dropped: AtomicU64::new(0),
             pinned: Mutex::new(VecDeque::with_capacity(SLOW_PINNED)),
-            records_total: monster_obs::counter_help(
+            records_total: obs.counter_help(
                 "monster_builder_qlog_records_total",
                 "Flight-recorder records captured on the query path.",
             ),
-            dropped_total: monster_obs::counter_help(
+            dropped_total: obs.counter_help(
                 "monster_builder_qlog_dropped_total",
                 "Flight-recorder records dropped because a concurrent writer \
                  lapped the ring onto the same slot.",
             ),
-            slow_total: monster_obs::counter_help(
+            slow_total: obs.counter_help(
                 "monster_builder_slow_queries_total",
                 "Requests over the slow-query threshold, pinned in the slow log.",
             ),

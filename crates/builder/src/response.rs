@@ -3,6 +3,7 @@
 
 use crate::exec::BuilderOutcome;
 use monster_compress::Level;
+use monster_obs::Registry;
 use monster_sim::{NetModel, VDuration};
 
 /// An encoded API response ready for the wire.
@@ -35,12 +36,13 @@ impl EncodedResponse {
 }
 
 /// Serialize an outcome's document, optionally compress it, and price the
-/// transfer against `net`.
+/// transfer against `net`, counting the response in `obs`.
 pub fn encode_response(
     outcome: &BuilderOutcome,
     compress: bool,
     level: Level,
     net: &NetModel,
+    obs: &Registry,
 ) -> EncodedResponse {
     let json = outcome.document.to_string_compact();
     let raw_bytes = json.len();
@@ -50,8 +52,8 @@ pub fn encode_response(
         json.into_bytes()
     };
     let transfer_time = net.transfer_cost(body.len() as u64);
-    monster_obs::counter("monster_builder_responses_total").inc();
-    monster_obs::counter("monster_builder_response_bytes_total").add(body.len() as u64);
+    obs.counter("monster_builder_responses_total").inc();
+    obs.counter("monster_builder_response_bytes_total").add(body.len() as u64);
     EncodedResponse { body, raw_bytes, compressed: compress, transfer_time }
 }
 
@@ -83,9 +85,9 @@ mod tests {
 
     #[test]
     fn compression_shrinks_repetitive_documents() {
-        let out = outcome();
-        let plain = encode_response(&out, false, Level::default(), &NetModel::CAMPUS);
-        let packed = encode_response(&out, true, Level::default(), &NetModel::CAMPUS);
+        let (out, obs) = (outcome(), Registry::new());
+        let plain = encode_response(&out, false, Level::default(), &NetModel::CAMPUS, &obs);
+        let packed = encode_response(&out, true, Level::default(), &NetModel::CAMPUS, &obs);
         assert!(!plain.compressed);
         assert!(packed.compressed);
         assert_eq!(plain.raw_bytes, packed.raw_bytes);

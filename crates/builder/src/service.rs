@@ -35,7 +35,7 @@
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController};
 use crate::cache::{Claim, ResponseCache, Validity, ValiditySnapshot};
-use crate::exec::{run_prepared, ExecMode, JsonSink};
+use crate::exec::{run_prepared, ExecMetrics, ExecMode, JsonSink};
 use crate::plan::{build_plan, BuilderRequest};
 use crate::qlog::{
     self, CacheVerdict, CostPair, Disposition, Draft, LapClock, QueryRecorder, RecordFilter,
@@ -45,7 +45,7 @@ use monster_collector::SchemaVersion;
 use monster_compress::Level;
 use monster_http::{Method, Request, Response, Router, Status};
 use monster_json::{jarr, jobj, Value};
-use monster_obs::TraceId;
+use monster_obs::{Counter, Gauge, Histo, Registry, Span, TraceContext, TraceId};
 use monster_tsdb::{Aggregation, Db, Query};
 use monster_util::{EpochSecs, NodeId};
 use std::sync::Arc;
@@ -130,10 +130,10 @@ fn tenant_of(req: &Request) -> &str {
 }
 
 /// RAII increment of the in-flight-queries gauge; panic-safe decrement.
-struct InflightGuard(Arc<monster_obs::Gauge>);
+struct InflightGuard(Arc<Gauge>);
 
 impl InflightGuard {
-    fn enter(gauge: &Arc<monster_obs::Gauge>) -> InflightGuard {
+    fn enter(gauge: &Arc<Gauge>) -> InflightGuard {
         gauge.add(1);
         InflightGuard(Arc::clone(gauge))
     }
@@ -150,9 +150,9 @@ impl Drop for InflightGuard {
 /// when the request carried a well-formed `traceparent`), and
 /// `X-Freshness-Lag-Seconds` reports the worst last-good-ingest lag across
 /// the tracked fleet at response time.
-fn stamp_trace_headers(mut resp: Response, ctx: monster_obs::TraceContext) -> Response {
+fn stamp_trace_headers(mut resp: Response, ctx: TraceContext, obs: &Registry) -> Response {
     resp.headers.set("traceparent", ctx.to_traceparent());
-    let lag = monster_obs::freshness().max_lag_secs().unwrap_or(0.0);
+    let lag = obs.freshness().max_lag_secs().unwrap_or(0.0);
     resp.headers.set("X-Freshness-Lag-Seconds", format!("{lag:.3}"));
     resp
 }
@@ -238,16 +238,21 @@ fn parse_metrics_request(req: &Request) -> Result<BuilderRequest, Response> {
 /// can live in a named function instead of a 150-line closure.
 struct MetricsState {
     db: Arc<Db>,
+    /// The database's registry: what `/metrics`, `/debug/trace` and
+    /// `/debug/pipeline` export and where every handle below lives.
+    obs: Arc<Registry>,
     nodes: Vec<NodeId>,
     config: ServiceConfig,
     cache: Arc<ResponseCache>,
     admission: Arc<AdmissionController>,
-    coalesced: Arc<monster_obs::Counter>,
-    inflight: Arc<monster_obs::Gauge>,
-    compress_seconds: Arc<monster_obs::Histo>,
+    coalesced: Arc<Counter>,
+    inflight: Arc<Gauge>,
+    compress_seconds: Arc<Histo>,
     /// Bytes into and out of the compressor.
-    compress_raw: Arc<monster_obs::Counter>,
-    compress_wire: Arc<monster_obs::Counter>,
+    compress_raw: Arc<Counter>,
+    compress_wire: Arc<Counter>,
+    request_seconds: Arc<Histo>,
+    exec_metrics: ExecMetrics,
     recorder: Arc<QueryRecorder>,
 }
 
@@ -259,8 +264,8 @@ struct MetricsState {
 fn serve_metrics(
     st: &MetricsState,
     req: &Request,
-    mut span: monster_obs::Span,
-    ctx: monster_obs::TraceContext,
+    mut span: Span,
+    ctx: TraceContext,
     draft: &mut Draft<'_>,
     clock: &mut LapClock,
 ) -> Response {
@@ -378,7 +383,7 @@ fn serve_metrics(
     }
 
     let guard = InflightGuard::enter(&st.inflight);
-    let batch = run_prepared(&st.db, prepared, st.config.exec);
+    let batch = run_prepared(&st.db, prepared, st.config.exec, &st.exec_metrics);
     drop(guard);
     clock.lap(Stage::Execute);
     let batch = match batch {
@@ -399,7 +404,8 @@ fn serve_metrics(
     // Render the results straight into the reply's text, once, reserved for
     // a panel's 40–51 bytes a point; `compress` deflates it and drops it.
     let room = 52 * batch.results.iter().map(|r| r.point_count()).sum::<usize>();
-    let outcome = batch.render_into(&st.db, &plan, JsonSink::with_capacity(room));
+    let sink = JsonSink::with_capacity(room);
+    let outcome = batch.render_into(&st.db, &plan, sink, &st.exec_metrics);
     d.cost = Some(CostPair {
         estimated: est,
         actual: outcome.cost,
@@ -425,11 +431,7 @@ fn serve_metrics(
     };
     resp.headers.set("X-Query-Processing-Ms", format!("{:.3}", processing.as_millis_f64()));
     span.set_attr("cache", "miss");
-    monster_obs::histo_help(
-        "monster_builder_request_seconds",
-        "End-to-end simulated latency of /v1/metrics requests.",
-    )
-    .observe_vdur_traced(processing, Some(ctx));
+    st.request_seconds.observe_vdur_traced(processing, Some(ctx));
     span.finish_after(processing);
     let shared = ticket.complete(validity, resp);
     d.disposition = Disposition::Miss;
@@ -466,30 +468,41 @@ fn parse_record_filter(req: &Request) -> Result<RecordFilter, Response> {
 
 impl MetricsState {
     fn new(db: Arc<Db>, nodes: Vec<NodeId>, config: ServiceConfig) -> MetricsState {
+        let obs = Arc::clone(db.registry());
         let compress_bytes = |kind: &str, help: &str| {
-            monster_obs::counter_help(
+            obs.counter_help(
                 &format!("monster_builder_compress_bytes_total{{kind=\"{kind}\"}}"),
                 help,
             )
         };
         MetricsState {
-            cache: Arc::new(ResponseCache::new(config.cache_entries)),
-            admission: Arc::new(AdmissionController::new(config.admission)),
-            coalesced: monster_obs::counter_help(
+            cache: Arc::new(ResponseCache::new_in(config.cache_entries, &obs)),
+            admission: Arc::new(AdmissionController::new(config.admission, &obs)),
+            coalesced: obs.counter_help(
                 "monster_builder_cache_coalesced_total",
                 "Requests served by joining another request's in-flight execution.",
             ),
-            inflight: monster_obs::gauge_help(
+            inflight: obs.gauge_help(
                 "monster_builder_inflight_queries",
                 "Metrics queries currently executing against storage.",
             ),
-            compress_seconds: monster_obs::histo_help(
+            compress_seconds: obs.histo_help(
                 "monster_builder_compress_seconds",
                 "Wall time spent deflating one compress=true /v1/metrics body.",
             ),
             compress_raw: compress_bytes("raw", "JSON bytes handed to the compressor."),
             compress_wire: compress_bytes("wire", "Container bytes the compressor returned."),
-            recorder: Arc::new(QueryRecorder::new(config.qlog.capacity, config.qlog.slow_ms)),
+            request_seconds: obs.histo_help(
+                "monster_builder_request_seconds",
+                "End-to-end simulated latency of /v1/metrics requests.",
+            ),
+            exec_metrics: ExecMetrics::new(&obs),
+            recorder: Arc::new(QueryRecorder::new_in(
+                config.qlog.capacity,
+                config.qlog.slow_ms,
+                &obs,
+            )),
+            obs,
             db,
             nodes,
             config,
@@ -497,7 +510,8 @@ impl MetricsState {
     }
 }
 
-/// Build the service router over `db` for the given node inventory.
+/// Build the service router over `db` for the given node inventory. The
+/// service reports to, and exports, the database's registry.
 pub fn router(db: Arc<Db>, nodes: Vec<NodeId>, config: ServiceConfig) -> Router {
     routes(Arc::new(MetricsState::new(db, nodes, config)))
 }
@@ -510,6 +524,7 @@ fn routes(state: Arc<MetricsState>) -> Router {
     let alerts = state.config.alerts.clone();
     let [scrape_recorder, requests_recorder, drill_recorder] =
         [(); 3].map(|()| Arc::clone(&state.recorder));
+    let [scrape_obs, trace_obs, pipeline_obs] = [(); 3].map(|()| Arc::clone(&state.obs));
 
     Router::new()
         .route(Method::Get, "/v1/nodes", move |_req, _params| Response::json(&nodes_doc))
@@ -517,13 +532,10 @@ fn routes(state: Arc<MetricsState>) -> Router {
             // Join the caller's trace when the request carries a
             // well-formed W3C traceparent; a malformed or absent header
             // starts a new root — never an error.
-            let parent = req
-                .headers
-                .get("traceparent")
-                .and_then(monster_obs::TraceContext::parse_traceparent);
+            let parent = req.headers.get("traceparent").and_then(TraceContext::parse_traceparent);
             let span = match parent {
-                Some(parent) => monster_obs::Span::child_of("builder.api_request", parent),
-                None => monster_obs::Span::root("builder.api_request"),
+                Some(parent) => Span::child_of(&state.obs, "builder.api_request", parent),
+                None => Span::root(&state.obs, "builder.api_request"),
             };
             let ctx = span.context();
             // Install the context so the execute/query/lock spans and
@@ -554,21 +566,18 @@ fn routes(state: Arc<MetricsState>) -> Router {
                 (record.seq, record.slow) = (seq, slow);
                 resp = explain_envelope(&resp, &record);
             }
-            stamp_trace_headers(resp, ctx)
+            stamp_trace_headers(resp, ctx, &state.obs)
         })
         .route(Method::Get, "/metrics", move |_req, _params| {
             // The hot path never pays for the records counter; it is
             // reconciled with the ring head here, at scrape time.
             scrape_recorder.sync_counters();
-            Response::bytes(
-                monster_obs::global().text_exposition().into_bytes(),
-                "text/plain; version=0.0.4",
-            )
+            Response::bytes(scrape_obs.text_exposition().into_bytes(), "text/plain; version=0.0.4")
         })
-        .route(Method::Get, "/debug/trace", |req, _params| match req.query_param("trace_id") {
-            None => Response::json(&monster_obs::global().trace_json()),
+        .route(Method::Get, "/debug/trace", move |req, _params| match req.query_param("trace_id") {
+            None => Response::json(&trace_obs.trace_json()),
             Some(s) => match TraceId::parse_hex(s) {
-                Some(id) => Response::json(&monster_obs::global().trace_json_filtered(Some(id))),
+                Some(id) => Response::json(&trace_obs.trace_json_filtered(Some(id))),
                 None => bad_request("trace_id must be 32 lowercase hex digits"),
             },
         })
@@ -593,8 +602,8 @@ fn routes(state: Arc<MetricsState>) -> Router {
                 "requests" => Value::Array(records),
             })
         })
-        .route(Method::Get, "/debug/pipeline", |_req, _params| {
-            Response::json(&monster_obs::freshness().report())
+        .route(Method::Get, "/debug/pipeline", move |_req, _params| {
+            Response::json(&pipeline_obs.freshness().report())
         })
         .route(Method::Get, "/v1/alerts", {
             let engine = alerts.clone();
@@ -631,8 +640,9 @@ mod tests {
     use super::*;
     use monster_tsdb::{DataPoint, DbConfig};
 
+    /// A service over a two-node store with a registry of its own.
     fn service() -> (Arc<Db>, Router) {
-        let db = Arc::new(Db::new(DbConfig::default()));
+        let db = Arc::new(Db::new_in(DbConfig::default(), &Arc::default()));
         let ids = NodeId::enumerate(2, 4);
         let mut batch = Vec::new();
         for i in 0..60i64 {
@@ -738,24 +748,24 @@ mod tests {
 
     #[test]
     fn metrics_endpoint_trace_and_freshness_headers() {
-        let (_db, router) = service();
+        let (db, router) = service();
         let url = "/v1/metrics?start=1970-01-01T00:00:00Z&end=1970-01-01T01:00:00Z&interval=5m";
 
         // No traceparent: the response carries a fresh, well-formed one.
         let resp = get(&router, url);
         assert_eq!(resp.status, Status::OK);
         let tp = resp.headers.get("traceparent").expect("traceparent header");
-        let ctx = monster_obs::TraceContext::parse_traceparent(tp).expect("well-formed");
+        let ctx = TraceContext::parse_traceparent(tp).expect("well-formed");
         let lag = resp.headers.get("X-Freshness-Lag-Seconds").expect("freshness header");
         assert!(lag.parse::<f64>().unwrap() >= 0.0);
 
         // A valid inbound traceparent joins: same trace id, new span id.
-        let inbound = monster_obs::TraceContext::root();
+        // (Minted from the service's registry, so it cannot repeat `ctx`.)
+        let inbound = TraceContext::root(db.registry());
         let req = Request::get(url).with_header("traceparent", inbound.to_traceparent());
         let resp = router.dispatch(&req);
         let echoed =
-            monster_obs::TraceContext::parse_traceparent(resp.headers.get("traceparent").unwrap())
-                .unwrap();
+            TraceContext::parse_traceparent(resp.headers.get("traceparent").unwrap()).unwrap();
         assert_eq!(echoed.trace, inbound.trace);
         assert_ne!(echoed.span, inbound.span);
         assert_ne!(echoed.trace, ctx.trace);
@@ -768,8 +778,7 @@ mod tests {
         let resp = router.dispatch(&req);
         assert_eq!(resp.status, Status::OK);
         let fresh =
-            monster_obs::TraceContext::parse_traceparent(resp.headers.get("traceparent").unwrap())
-                .unwrap();
+            TraceContext::parse_traceparent(resp.headers.get("traceparent").unwrap()).unwrap();
         assert_ne!(fresh.trace, inbound.trace);
 
         // Error responses carry the headers as well.
@@ -909,21 +918,21 @@ mod tests {
 
     #[test]
     fn pipeline_endpoint_reports_freshness() {
-        let (_db, router) = service();
-        monster_obs::freshness().record_ingests(0.0, [(NodeId::new(9, 9), "Thermal")]);
-        monster_obs::freshness().record_sweep(0.0, 60.0);
+        let (db, router) = service();
+        db.registry().freshness().record_ingests(0.0, [(NodeId::new(9, 9), "Thermal")]);
+        db.registry().freshness().record_sweep(0.0, 60.0);
         let resp = get(&router, "/debug/pipeline");
         assert_eq!(resp.status, Status::OK);
         let doc = resp.json_body().unwrap();
-        assert!(doc.get("tracked_series").unwrap().as_i64().unwrap() >= 1);
+        assert_eq!(doc.get("tracked_series").unwrap().as_i64(), Some(1));
         assert!(doc.get("staleness_secs").unwrap().get("p99").is_some());
         assert!(doc.get("attainment").unwrap().as_f64().is_some());
         assert!(doc.get("burn_rate").unwrap().get("fast").is_some());
     }
 
     /// Leaf paths of a JSON document with their types — the golden shape
-    /// of `/debug/pipeline`. Values vary with whatever the process-global
-    /// tracker has seen; the key tree and types must not.
+    /// of `/debug/pipeline`. Values vary with what the tracker has seen;
+    /// the key tree and types must not.
     fn shape_of(v: &Value, prefix: &str, out: &mut Vec<String>) {
         match v {
             Value::Object(o) => {
@@ -947,9 +956,9 @@ mod tests {
         // path; adding a field is fine everywhere *except* silently, and
         // renaming one breaks consumers. This golden list is the contract
         // — update it deliberately, in the same commit as the consumer.
-        let (_db, router) = service();
-        monster_obs::freshness().record_ingests(0.0, [(NodeId::new(9, 8), "Thermal")]);
-        monster_obs::freshness().record_sweep(0.0, 60.0);
+        let (db, router) = service();
+        db.registry().freshness().record_ingests(0.0, [(NodeId::new(9, 8), "Thermal")]);
+        db.registry().freshness().record_sweep(0.0, 60.0);
         let doc = get(&router, "/debug/pipeline").json_body().unwrap();
         let mut got = Vec::new();
         shape_of(&doc, "", &mut got);
@@ -1198,20 +1207,20 @@ mod tests {
 
     #[test]
     fn compress_stage_and_metrics_account_for_the_deflate() {
-        let (_db, router) = service();
-        let seconds = monster_obs::histo("monster_builder_compress_seconds");
-        let raw = monster_obs::counter("monster_builder_compress_bytes_total{kind=\"raw\"}");
-        let wire = monster_obs::counter("monster_builder_compress_bytes_total{kind=\"wire\"}");
-        let (n0, raw0, wire0) = (seconds.count(), raw.get(), wire.get());
+        let (db, router) = service();
+        let obs = db.registry();
+        let seconds = obs.histo("monster_builder_compress_seconds");
+        let raw = obs.counter("monster_builder_compress_bytes_total{kind=\"raw\"}");
+        let wire = obs.counter("monster_builder_compress_bytes_total{kind=\"wire\"}");
 
         let plain = get(&router, URL);
         let packed = get(&router, &format!("{URL}&compress=true"));
         assert_eq!(packed.headers.get("Content-Encoding"), Some("mz2"));
         assert_eq!(packed.decoded_body().unwrap(), plain.body.to_vec());
-        // Sibling tests share the global registry: lower bounds only.
-        assert!(seconds.count() > n0, "one deflate observed");
-        assert!(raw.get() - raw0 >= plain.body.len() as u64);
-        assert!(wire.get() - wire0 >= packed.body.len() as u64);
+        // The service's registry is its own: the one deflate, exactly.
+        assert_eq!(seconds.count(), 1, "one deflate observed");
+        assert_eq!(raw.get(), plain.body.len() as u64);
+        assert_eq!(wire.get(), packed.body.len() as u64);
         assert!(packed.body.len() < plain.body.len());
 
         // The record of the compressed miss times the deflate on its own;
@@ -1453,10 +1462,10 @@ mod tests {
         assert_eq!(slow.len(), 1, "the miss pins; the hit does not");
         assert_eq!(slow[0].get("disposition").unwrap().as_str(), Some("miss"));
         assert_eq!(slow[0].get("slow").unwrap(), &Value::Bool(true));
-        // The counter moved (global registry: at least this one).
+        // The counter moved: the one pinned miss.
         let metrics = get(&router, "/metrics");
         let text = String::from_utf8(metrics.body.to_vec()).unwrap();
-        assert!(monster_obs::sample(&text, "monster_builder_slow_queries_total").unwrap() >= 1.0);
+        assert_eq!(monster_obs::sample(&text, "monster_builder_slow_queries_total"), Some(1.0));
     }
 
     #[test]
@@ -1468,7 +1477,7 @@ mod tests {
         let metrics = get(&router, "/metrics");
         assert_eq!(metrics.status, Status::OK);
         let text = String::from_utf8(metrics.body.to_vec()).unwrap();
-        assert!(monster_obs::sample(&text, "monster_builder_requests_total").unwrap() >= 1.0);
+        assert_eq!(monster_obs::sample(&text, "monster_builder_requests_total"), Some(1.0));
         // Every flight-recorder family is in the exposition of any service,
         // each under a `# HELP` line.
         for family in [

@@ -1,10 +1,10 @@
 //! One request is counted once.
 //!
-//! A request is two halves — `run` (the batch) and `Batch::render_into`
-//! (the document), called by `execute` and by the HTTP service — and each
-//! reports its own share to the global registry. The counters are
-//! process-wide, so this file holds one test: nothing else executes a plan
-//! beside it and the deltas are exact.
+//! A request is two halves — the batch and `Batch::render_into` (the
+//! document), called by `execute` and by the HTTP service — and each
+//! reports its own share to the database's registry. The store here has a
+//! registry of its own, so the counts are exact whatever else the process
+//! runs beside this test.
 
 use monster_builder::service::{router, ServiceConfig};
 use monster_builder::{build_plan, execute, BuilderRequest, ExecMode};
@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 #[test]
 fn execution_reports_to_the_metrics_registry() {
-    let db = Db::new(DbConfig::default());
+    let db = Db::new_in(DbConfig::default(), &Arc::default());
     let ids = NodeId::enumerate(2, 4);
     let mut batch = Vec::new();
     for i in 0..120i64 {
@@ -44,7 +44,7 @@ fn execution_reports_to_the_metrics_registry() {
     let plan = build_plan(SchemaVersion::Optimized, &ids, &request);
 
     // Requests, queries, points out; observations of the two wall clocks.
-    let registry = monster_obs::global();
+    let registry = db.registry();
     let counted = || {
         [
             registry.counter_value("monster_builder_requests_total"),
@@ -66,6 +66,7 @@ fn execution_reports_to_the_metrics_registry() {
     };
 
     let before = counted();
+    assert_eq!(before, [0; 5], "a fresh registry");
     let mut points_out = 0;
     for mode in [ExecMode::Sequential, ExecMode::Concurrent { workers: 4 }] {
         let outcome = execute(&db, &plan, mode).unwrap();

@@ -219,7 +219,8 @@ fn the_service_sends_the_library_paths_bytes_and_shares_them_on_a_hit() {
 
     let url = "/v1/metrics?start=1970-01-01T00:00:00Z&end=1970-01-01T01:00:00Z&interval=5m";
     for compress in [false, true] {
-        let library = encode_response(&outcome, compress, Level::default(), &NetModel::GIGABIT_LAN);
+        let (level, net) = (Level::default(), &NetModel::GIGABIT_LAN);
+        let library = encode_response(&outcome, compress, level, net, db.registry());
         let url = if compress { format!("{url}&compress=true") } else { url.to_string() };
         let miss = service.dispatch(&Request::get(&url));
         assert_eq!(miss.headers.get("X-Cache"), Some("miss"));

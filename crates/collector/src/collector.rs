@@ -154,18 +154,27 @@ pub struct Collector {
     point_home: Arc<Mutex<Vec<DataPoint>>>,
     /// The same for its per-node health table.
     node_home: Arc<Mutex<Vec<NodeInterval>>>,
+    /// Where intervals, freshness and spans are reported.
+    obs: Arc<monster_obs::Registry>,
 }
 
 impl Collector {
-    /// Build a collector.
+    /// [`Collector::new_in`] the process default registry.
+    // Goes with ROADMAP item 8(ii): only the benchmark harness calls it.
     pub fn new(config: CollectorConfig) -> Self {
-        let client = RedfishClient::new(config.client.clone());
-        let registry = config.resilience.as_ref().map(|_| HealthRegistry::new());
+        Collector::new_in(config, monster_obs::global())
+    }
+
+    /// Build a collector whose client, breakers, freshness watermarks and
+    /// spans report to `obs`.
+    pub fn new_in(config: CollectorConfig, obs: &Arc<monster_obs::Registry>) -> Self {
+        let client = RedfishClient::new_in(config.client.clone(), obs);
+        let registry = config.resilience.as_ref().map(|_| HealthRegistry::new(obs));
         let detectors = config.detectors.map(DetectorBank::new);
         if detectors.is_some() {
             // Register the event counter up front so a scrape before the
             // first anomaly sees an explicit 0, not a missing family.
-            monster_obs::counter_help(
+            obs.counter_help(
                 "monster_anomaly_events_total",
                 "Streaming detector transitions (raises + clears) observed at ingest.",
             );
@@ -179,6 +188,7 @@ impl Collector {
             detectors,
             point_home: Arc::default(),
             node_home: Arc::default(),
+            obs: Arc::clone(obs),
         }
     }
 
@@ -195,7 +205,7 @@ impl Collector {
         qm: &Qmaster,
         now: EpochSecs,
     ) -> Result<IntervalOutput> {
-        let span = monster_obs::Span::enter("collector.interval");
+        let span = monster_obs::Span::enter(&self.obs, "collector.interval");
         // Mint this interval's trace context and install it for the
         // duration: the sweep, its per-BMC child spans, and any TSDB
         // writes made while we hold the guard all join the same trace.
@@ -275,7 +285,7 @@ impl Collector {
                 }
                 // A live reading advances its series' last-good-ingest watermark —
                 // the raw material of the freshness SLO.
-                monster_obs::freshness().record_ingests(
+                self.obs.freshness().record_ingests(
                     now.as_secs() as f64,
                     sweep
                         .results
@@ -290,21 +300,18 @@ impl Collector {
                     .map(|n| (n.node, n.stale_age_sweeps))
                     .collect();
                 breakers = self.registry.as_ref().map(|r| r.breaker_counts()).unwrap_or_default();
-                monster_obs::histo("monster_collector_interval_seconds")
-                    .observe_vdur(sweep.makespan);
-                monster_obs::counter("monster_collector_stale_points_total")
-                    .add(stale_points as u64);
-                monster_obs::gauge("monster_collector_stale_nodes").set(stale_nodes.len() as i64);
+                self.obs.histo("monster_collector_interval_seconds").observe_vdur(sweep.makespan);
+                self.obs.counter("monster_collector_stale_points_total").add(stale_points as u64);
+                self.obs.gauge("monster_collector_stale_nodes").set(stale_nodes.len() as i64);
                 if sweep.degraded() {
-                    monster_obs::counter("monster_collector_degraded_sweeps_total").inc();
+                    self.obs.counter("monster_collector_degraded_sweeps_total").inc();
                 }
                 if !anomalies.is_empty() {
-                    monster_obs::counter("monster_anomaly_events_total")
-                        .add(anomalies.len() as u64);
+                    self.obs.counter("monster_anomaly_events_total").add(anomalies.len() as u64);
                 }
                 // Sweep tick: the burn-rate sample and lag reference, at this cadence.
                 let cadence = self.config.interval_secs as f64;
-                monster_obs::freshness().record_sweep(now.as_secs() as f64, cadence);
+                self.obs.freshness().record_sweep(now.as_secs() as f64, cadence);
             }
             Source::Sensors => {
                 for &node in cluster.node_ids() {
@@ -351,9 +358,10 @@ impl Collector {
 
         // Self-monitoring: one interval's worth of `monster_collector_*`
         // series (the sweep itself reported its own statistics).
-        monster_obs::counter("monster_collector_intervals_total").inc();
-        monster_obs::counter("monster_collector_points_total").add(points.len() as u64);
-        monster_obs::counter("monster_collector_finish_estimates_total")
+        self.obs.counter("monster_collector_intervals_total").inc();
+        self.obs.counter("monster_collector_points_total").add(points.len() as u64);
+        self.obs
+            .counter("monster_collector_finish_estimates_total")
             .add(estimated_finishes.len() as u64);
         span.finish_after(sweep.makespan);
 

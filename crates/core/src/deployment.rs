@@ -5,7 +5,7 @@ use monster_alert::{AlertEngine, DetectorConfig, EngineConfig, IntervalInput};
 use monster_builder::{build_plan, encode_response, BuilderRequest, ExecMode};
 use monster_collector::{Collector, CollectorConfig, SchemaVersion, Source};
 use monster_compress::Level;
-use monster_obs::TraceContext;
+use monster_obs::{Registry, TraceContext};
 use monster_redfish::bmc::BmcConfig;
 use monster_redfish::client::{ClientConfig, SkipReason};
 use monster_redfish::cluster::{ClusterConfig, SimulatedCluster};
@@ -144,11 +144,20 @@ pub struct Monster {
     alerts: Option<Arc<AlertEngine>>,
     /// What startup recovery replayed (`None` for memory-only storage).
     recovery: Option<RecoveryReport>,
+    /// What every part of this deployment reports to, and what its
+    /// `/metrics`, `/debug/trace` and `/debug/pipeline` export.
+    registry: Arc<Registry>,
 }
 
 impl Monster {
-    /// Assemble a deployment and pre-generate its workload.
+    /// Assemble a deployment with a registry of its own and pre-generate its
+    /// workload.
     pub fn new(config: MonsterConfig) -> Monster {
+        Monster::with_registry(config, Arc::default())
+    }
+
+    /// [`Monster::new`] reporting to `registry` (one with a larger span ring).
+    pub fn with_registry(config: MonsterConfig, registry: Arc<Registry>) -> Monster {
         let cluster = SimulatedCluster::new(ClusterConfig {
             nodes: config.nodes,
             slots_per_chassis: 4,
@@ -158,7 +167,7 @@ impl Monster {
         });
         let qm_config = QmasterConfig { nodes: config.nodes, ..QmasterConfig::default() };
         let start = qm_config.start_time;
-        let mut qmaster = Qmaster::new(qm_config);
+        let mut qmaster = Qmaster::new_in(qm_config, &registry);
         if let Some(wl) = &config.workload {
             let mut gen =
                 WorkloadGenerator::new(WorkloadConfig { seed: config.seed ^ 0x5EED, ..wl.clone() });
@@ -175,20 +184,21 @@ impl Monster {
         };
         let (db, recovery) = match &config.data_dir {
             Some(dir) => {
-                let (db, report) =
-                    Db::recover(db_config, dir).expect("durable storage directory must open");
+                let (db, report) = Db::recover_in(db_config, dir, &registry)
+                    .expect("durable storage directory must open");
                 (Arc::new(db), Some(report))
             }
-            None => (Arc::new(Db::new(db_config)), None),
+            None => (Arc::new(Db::new_in(db_config, &registry)), None),
         };
-        let collector = Collector::new(CollectorConfig {
+        let collector_config = CollectorConfig {
             schema: config.schema,
             interval_secs: config.interval_secs,
             client: config.client.clone(),
             resilience: config.resilience.clone(),
             detectors: config.detectors,
-        });
-        let alerts = config.alerting.map(|c| Arc::new(AlertEngine::new(c)));
+        };
+        let collector = Collector::new_in(collector_config, &registry);
+        let alerts = config.alerting.map(|c| Arc::new(AlertEngine::new_in(c, &registry)));
         Monster {
             config,
             cluster,
@@ -199,7 +209,13 @@ impl Monster {
             intervals_run: 0,
             alerts,
             recovery,
+            registry,
         }
+    }
+
+    /// The registry every part of this deployment reports to.
+    pub fn registry(&self) -> &Arc<Registry> {
+        &self.registry
     }
 
     /// What startup recovery replayed from `data_dir`, when configured.
@@ -277,7 +293,7 @@ impl Monster {
             Some(engine) if !out.nodes.is_empty() => {
                 let jobs: BTreeMap<NodeId, Vec<JobId>> =
                     out.nodes.iter().map(|n| (n.node, self.qmaster.jobs_on(n.node))).collect();
-                let fresh = monster_obs::freshness();
+                let fresh = self.registry.freshness();
                 let slo = fresh.config();
                 engine.observe_interval(&IntervalInput {
                     now: self.now,
@@ -390,7 +406,7 @@ impl Monster {
         net: &monster_sim::NetModel,
     ) -> Result<monster_builder::response::EncodedResponse> {
         let outcome = self.builder_query(req, mode)?;
-        Ok(encode_response(&outcome, req.compress, Level::default(), net))
+        Ok(encode_response(&outcome, req.compress, Level::default(), net, &self.registry))
     }
 
     /// Serve the Metrics Builder HTTP API for this deployment.

@@ -17,35 +17,43 @@
 //! Plus virtual-time-aware [`Span`]s: the registry carries a monotone
 //! virtual clock (nanoseconds of `monster_sim` time), and spans stamp
 //! their begin/end against it, so a trace of a simulated day lines up
-//! with the simulated sweeps rather than host wall time.
-//!
-//! Since PR 5 the spans form a **distributed trace**: every span carries
-//! a [`TraceId`]/[`SpanId`] pair with parent links (see [`trace`]),
-//! propagated in-process via a thread-local [`TraceContext`] and over
-//! HTTP as W3C `traceparent` headers. Histograms can park per-bucket
-//! [`Exemplar`]s linking a latency bucket to the trace that produced it,
-//! and the registry hosts a [`FreshnessTracker`] that turns per-series
-//! last-good-ingest watermarks into staleness percentiles, SLO
+//! with the simulated sweeps rather than host wall time. The spans form a
+//! **distributed trace**: every span carries a [`TraceId`]/[`SpanId`] pair
+//! with parent links (see [`trace`]), propagated in-process via a
+//! thread-local [`TraceContext`] and over HTTP as W3C `traceparent`
+//! headers. Histograms can park per-bucket [`Exemplar`]s linking a latency
+//! bucket to the trace that produced it, and a [`FreshnessTracker`] turns
+//! per-series last-good-ingest watermarks into staleness percentiles, SLO
 //! attainment, and burn rates for `GET /debug/pipeline`.
+//!
+//! Every deployment owns one [`Registry`] — metrics, span ring, virtual
+//! clock, freshness tracker and trace/span id mint — and hands it to each
+//! component it builds, so its `/metrics`, `/debug/trace` and
+//! `/debug/pipeline` describe that deployment alone. [`global`] is only
+//! the process default behind the registry-less constructors.
 //!
 //! # Quick use
 //!
 //! ```
-//! use monster_obs as obs;
+//! use monster_obs::{sample, Registry, Span};
 //! use monster_sim::VDuration;
+//! use std::sync::Arc;
+//!
+//! let registry = Arc::new(Registry::new());
 //!
 //! // Hot path: resolve once, update lock-free.
-//! let sweeps = obs::counter("doc_sweeps_total");
-//! let latency = obs::histo("doc_sweep_seconds");
+//! let sweeps = registry.counter_help("doc_sweeps_total", "Sweeps run.");
+//! let latency = registry.histo("doc_sweep_seconds");
 //! sweeps.inc();
 //! latency.observe(4.2);
 //!
 //! // Bracket simulated work with a span.
-//! let span = obs::Span::enter("doc.sweep");
+//! let span = Span::enter(&registry, "doc.sweep");
 //! span.finish_after(VDuration::from_secs(52));
 //!
-//! let text = obs::global().text_exposition();
-//! assert_eq!(obs::sample(&text, "doc_sweeps_total"), Some(1.0));
+//! let text = registry.text_exposition();
+//! assert_eq!(sample(&text, "doc_sweeps_total"), Some(1.0));
+//! assert_eq!(registry.recent_spans()[0].name, "doc.sweep");
 //! ```
 
 #![warn(missing_docs)]
@@ -64,51 +72,16 @@ pub use trace::{SpanId, TraceContext, TraceId};
 
 use std::sync::{Arc, OnceLock};
 
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
+static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
 
-/// The process-wide registry that instrumented pipeline stages report to
-/// and that `/metrics` / `/debug/trace` export.
-pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
+/// The process default registry: what a component built by a
+/// registry-less constructor (`Db::new`, `Collector::new`, …) reports to.
+/// A deployment makes and passes down its own.
+pub fn global() -> &'static Arc<Registry> {
+    GLOBAL.get_or_init(Arc::default)
 }
 
-/// Get or create a counter in the global registry.
-pub fn counter(name: &str) -> Arc<Counter> {
-    global().counter(name)
-}
-
-/// Get or create a gauge in the global registry.
-pub fn gauge(name: &str) -> Arc<Gauge> {
-    global().gauge(name)
-}
-
-/// Get or create a histogram in the global registry.
-pub fn histo(name: &str) -> Arc<Histo> {
-    global().histo(name)
-}
-
-/// Get or create a counter in the global registry, attaching a `# HELP`
-/// string for the text exposition.
-pub fn counter_help(name: &str, help: &str) -> Arc<Counter> {
-    global().describe(name, help);
-    global().counter(name)
-}
-
-/// Get or create a gauge in the global registry, attaching a `# HELP`
-/// string for the text exposition.
-pub fn gauge_help(name: &str, help: &str) -> Arc<Gauge> {
-    global().describe(name, help);
-    global().gauge(name)
-}
-
-/// Get or create a histogram in the global registry, attaching a `# HELP`
-/// string for the text exposition.
-pub fn histo_help(name: &str, help: &str) -> Arc<Histo> {
-    global().describe(name, help);
-    global().histo(name)
-}
-
-/// The global registry's freshness SLO tracker (watermarks, attainment,
+/// The default registry's freshness SLO tracker (watermarks, attainment,
 /// burn rates).
 pub fn freshness() -> &'static FreshnessTracker {
     global().freshness()
@@ -149,18 +122,6 @@ mod tests {
         assert_eq!(h.count(), total);
         assert_eq!(h.counts().iter().sum::<u64>(), total);
         assert_eq!(r.gauge_value("hammer_depth"), 0);
-    }
-
-    #[test]
-    fn global_handles_alias_one_registry() {
-        counter("lib_alias_total").add(5);
-        assert_eq!(global().counter_value("lib_alias_total"), 5);
-        gauge("lib_alias_gauge").set(2);
-        histo("lib_alias_seconds").observe(0.25);
-        let text = global().text_exposition();
-        assert_eq!(sample(&text, "lib_alias_total"), Some(5.0));
-        assert_eq!(sample(&text, "lib_alias_gauge"), Some(2.0));
-        assert_eq!(sample(&text, "lib_alias_seconds_count"), Some(1.0));
     }
 
     proptest! {

@@ -292,7 +292,8 @@ mod tests {
         h.observe(0.5);
         assert!(h.exemplars().iter().all(|e| e.is_none()));
 
-        let ctx = TraceContext::root();
+        let mint = crate::Registry::new();
+        let ctx = TraceContext::root(&mint);
         h.observe_traced(0.5, Some(ctx));
         let slot = (0..BUCKETS)
             .find(|&i| 0.5 <= Histo::upper_bound(i))
@@ -303,7 +304,7 @@ mod tests {
         assert!((ex.value_secs() - 0.5).abs() < 1e-9);
 
         // A later traced observation in the same bucket overwrites.
-        let ctx2 = TraceContext::root();
+        let ctx2 = TraceContext::root(&mint);
         h.observe_traced(0.4, Some(ctx2));
         assert_eq!(h.exemplars()[slot].unwrap().trace, ctx2.trace);
 

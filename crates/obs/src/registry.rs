@@ -9,22 +9,22 @@ use monster_sim::VInstant;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default number of completed spans retained for `/debug/trace`; tune
-/// per-registry with [`Registry::with_span_capacity`] or at runtime with
-/// [`Registry::set_span_capacity`].
+/// Default number of completed spans retained for `/debug/trace`; a
+/// registry that needs more is built with [`Registry::with_span_capacity`].
 pub const DEFAULT_SPAN_CAPACITY: usize = 512;
 
 /// A named collection of metrics plus a trace ring buffer, a freshness
-/// tracker, and a virtual clock.
+/// tracker, a virtual clock and the trace/span id mint: everything one
+/// deployment reports about itself.
 ///
 /// Handles returned by [`counter`](Registry::counter) /
 /// [`gauge`](Registry::gauge) / [`histo`](Registry::histo) are `Arc`s:
-/// hot call sites should resolve a handle once (e.g. in a `OnceLock`) and
-/// then update it lock-free. Metric names are stored in `BTreeMap`s so the
-/// text exposition is deterministic.
+/// hot call sites should resolve a handle once (e.g. when their component
+/// is built) and then update it lock-free. Metric names are stored in
+/// `BTreeMap`s so the text exposition is deterministic.
 #[derive(Debug)]
 pub struct Registry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
@@ -32,10 +32,12 @@ pub struct Registry {
     histos: RwLock<BTreeMap<String, Arc<Histo>>>,
     helps: RwLock<BTreeMap<String, String>>,
     spans: Mutex<VecDeque<Arc<SpanRecord>>>,
-    span_capacity: AtomicUsize,
+    span_capacity: usize,
     spans_dropped: Counter,
     freshness: FreshnessTracker,
     vclock: AtomicU64,
+    /// The next trace/span id, before mixing (see [`crate::trace`]).
+    next_id: AtomicU64,
 }
 
 impl Default for Registry {
@@ -60,28 +62,23 @@ impl Registry {
             histos: RwLock::default(),
             helps: RwLock::default(),
             spans: Mutex::default(),
-            span_capacity: AtomicUsize::new(capacity.max(1)),
+            span_capacity: capacity.max(1),
             spans_dropped: Counter::new(),
             freshness: FreshnessTracker::new(),
             vclock: AtomicU64::new(0),
+            next_id: AtomicU64::new(1),
         }
     }
 
-    /// Resize the span ring at runtime (minimum 1). Shrinking evicts the
-    /// oldest spans immediately; evictions count as drops.
-    pub fn set_span_capacity(&self, capacity: usize) {
-        let capacity = capacity.max(1);
-        self.span_capacity.store(capacity, Ordering::Relaxed);
-        let mut spans = self.spans.lock();
-        while spans.len() > capacity {
-            spans.pop_front();
-            self.spans_dropped.inc();
-        }
-    }
-
-    /// Current span ring capacity.
+    /// Span ring capacity.
     pub fn span_capacity(&self) -> usize {
-        self.span_capacity.load(Ordering::Relaxed)
+        self.span_capacity
+    }
+
+    /// The next raw id of this registry's mint: ids are unique per
+    /// registry and, minted in the same order, the same in every replay.
+    pub(crate) fn next_id(&self) -> u64 {
+        self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Total spans evicted from the ring before being exported
@@ -114,10 +111,32 @@ impl Registry {
         Arc::clone(self.histos.write().entry(name.to_string()).or_default())
     }
 
+    /// [`Registry::counter`], attaching a `# HELP` string for the text
+    /// exposition ([`Registry::describe`]).
+    pub fn counter_help(&self, name: &str, help: &str) -> Arc<Counter> {
+        self.describe(name, help);
+        self.counter(name)
+    }
+
+    /// [`Registry::gauge`], attaching a `# HELP` string.
+    pub fn gauge_help(&self, name: &str, help: &str) -> Arc<Gauge> {
+        self.describe(name, help);
+        self.gauge(name)
+    }
+
+    /// [`Registry::histo`], attaching a `# HELP` string.
+    pub fn histo_help(&self, name: &str, help: &str) -> Arc<Histo> {
+        self.describe(name, help);
+        self.histo(name)
+    }
+
     /// Attach a `# HELP` string to the metric named `name` (first writer
-    /// wins; re-registration with a different string is ignored so hot
-    /// paths can describe unconditionally).
+    /// wins; re-registration with a different string is ignored). A name
+    /// already described costs a read lock and allocates nothing.
     pub fn describe(&self, name: &str, help: &str) {
+        if self.helps.read().contains_key(name) {
+            return;
+        }
         self.helps.write().entry(name.to_string()).or_insert_with(|| help.to_string());
     }
 
@@ -144,9 +163,8 @@ impl Registry {
     /// `monster_obs_spans_dropped_total` so trace loss is visible.
     pub fn record_span(&self, record: SpanRecord) {
         let record = Arc::new(record);
-        let capacity = self.span_capacity();
         let mut spans = self.spans.lock();
-        while spans.len() >= capacity {
+        while spans.len() >= self.span_capacity {
             spans.pop_front();
             self.spans_dropped.inc();
         }
@@ -319,8 +337,8 @@ mod tests {
     use crate::trace::TraceContext;
     use monster_sim::VDuration;
 
-    fn rec(name: &str, begin: VInstant, end: VInstant) -> SpanRecord {
-        let ctx = TraceContext::root();
+    fn rec(r: &Registry, name: &str, begin: VInstant, end: VInstant) -> SpanRecord {
+        let ctx = TraceContext::root(r);
         SpanRecord {
             name: name.into(),
             begin,
@@ -380,7 +398,7 @@ mod tests {
     #[test]
     fn exposition_exemplars_parse_back_out() {
         let r = Registry::new();
-        let ctx = TraceContext::root();
+        let ctx = TraceContext::root(&r);
         r.histo("ex_seconds").observe_traced(0.5, Some(ctx));
         let text = r.text_exposition();
         let line = text
@@ -409,6 +427,7 @@ mod tests {
         assert_eq!(r.span_capacity(), 32);
         for i in 0..42 {
             r.record_span(rec(
+                &r,
                 &format!("s{i}"),
                 VInstant::EPOCH,
                 VInstant::EPOCH + VDuration::from_nanos(i as u64),
@@ -419,19 +438,6 @@ mod tests {
         assert_eq!(spans[0].name, "s10");
         assert_eq!(r.spans_dropped(), 10);
         assert_eq!(r.counter_value("monster_obs_spans_dropped_total"), 10);
-
-        // Shrinking trims immediately and counts the evictions.
-        r.set_span_capacity(8);
-        assert_eq!(r.recent_spans().len(), 8);
-        assert_eq!(r.spans_dropped(), 34);
-
-        // Growing allows the ring to fill further.
-        r.set_span_capacity(64);
-        for i in 0..40 {
-            r.record_span(rec(&format!("t{i}"), VInstant::EPOCH, VInstant::EPOCH));
-        }
-        assert_eq!(r.recent_spans().len(), 48);
-        assert_eq!(r.spans_dropped(), 34);
     }
 
     #[test]
@@ -445,7 +451,12 @@ mod tests {
                 let r = &r;
                 s.spawn(move || {
                     for i in 0..500 {
-                        r.record_span(rec(&format!("w{t}.{i}"), VInstant::EPOCH, VInstant::EPOCH));
+                        r.record_span(rec(
+                            r,
+                            &format!("w{t}.{i}"),
+                            VInstant::EPOCH,
+                            VInstant::EPOCH,
+                        ));
                     }
                 });
             }
@@ -465,7 +476,7 @@ mod tests {
     #[test]
     fn trace_json_shape() {
         let r = Registry::new();
-        let mut record = rec("sweep", VInstant::from_nanos(2_000), VInstant::from_nanos(5_000));
+        let mut record = rec(&r, "sweep", VInstant::from_nanos(2_000), VInstant::from_nanos(5_000));
         record.attrs.push(("SkipReason".into(), "BreakerOpen".into()));
         let expected_trace = record.trace.to_string();
         r.record_span(record);
@@ -485,13 +496,13 @@ mod tests {
     #[test]
     fn trace_json_filters_to_one_trace() {
         let r = Registry::new();
-        let a = rec("api", VInstant::from_nanos(1_000), VInstant::from_nanos(2_000));
+        let a = rec(&r, "api", VInstant::from_nanos(1_000), VInstant::from_nanos(2_000));
         let wanted = a.trace;
-        let mut a2 = rec("execute", VInstant::from_nanos(2_000), VInstant::from_nanos(3_000));
+        let mut a2 = rec(&r, "execute", VInstant::from_nanos(2_000), VInstant::from_nanos(3_000));
         a2.trace = wanted;
         r.record_span(a);
         r.record_span(a2);
-        r.record_span(rec("other", VInstant::from_nanos(1_000), VInstant::from_nanos(9_000)));
+        r.record_span(rec(&r, "other", VInstant::from_nanos(1_000), VInstant::from_nanos(9_000)));
 
         let all = r.trace_json();
         assert_eq!(all.get("traceEvents").unwrap().as_array().unwrap().len(), 3);

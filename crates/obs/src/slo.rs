@@ -78,9 +78,9 @@ struct State {
 }
 
 /// Per-series freshness watermarks plus the attainment history that burn
-/// rates are computed from. One lives in the global
-/// [`Registry`](crate::Registry); stages reach it via
-/// [`crate::freshness`].
+/// rates are computed from. One lives in each
+/// [`Registry`](crate::Registry), so each deployment tracks its own
+/// fleet; stages reach it via [`Registry::freshness`](crate::Registry::freshness).
 #[derive(Debug, Default)]
 pub struct FreshnessTracker {
     state: Mutex<State>,
@@ -172,12 +172,6 @@ impl FreshnessTracker {
         }
         let budget = (1.0 - SLO.target).max(1e-9);
         (1.0 - sum / samples as f64) / budget
-    }
-
-    /// Forget all watermarks and attainment history (the chaos harness
-    /// calls this between cells so runs don't contaminate each other).
-    pub fn reset(&self) {
-        *self.state.lock() = State::default();
     }
 
     /// The full `/debug/pipeline` report as a JSON value.
@@ -333,10 +327,6 @@ mod tests {
         let burn = report.get("burn_rate").unwrap();
         assert!(burn.get("fast").unwrap().as_f64().is_some());
         assert!(burn.get("slow").unwrap().as_f64().is_some());
-
-        t.reset();
-        assert_eq!(t.tracked_series(), 0);
-        assert_eq!(t.max_lag_secs(), None);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Virtual-time-aware spans with distributed-trace lineage.
 //!
 //! A [`Span`] brackets a unit of pipeline work (a sweep, a collection
-//! interval, a builder request) and records a [`SpanRecord`] into the
-//! global registry's ring buffer when it finishes. Timestamps come from
+//! interval, a builder request) and records a [`SpanRecord`] into its
+//! [`Registry`]'s ring buffer when it finishes. Timestamps come from
 //! the registry's **virtual clock** — the same `monster_sim` time that
 //! drives sweeps and query costs — so exported traces line up with
 //! simulated activity instead of host wall time.
@@ -15,9 +15,10 @@
 //! (`SkipReason`, node addresses, attempt counts) ride along on the
 //! record.
 
-use crate::global;
 use crate::trace::{self, SpanId, TraceContext, TraceId};
+use crate::Registry;
 use monster_sim::{VDuration, VInstant};
+use std::sync::Arc;
 
 /// A completed span, as stored in the registry's trace ring buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,9 +52,11 @@ impl SpanRecord {
 }
 
 /// An in-flight span. Create one with [`Span::enter`]; it records itself
-/// when finished (explicitly, or on drop).
+/// into the registry it was opened in when finished (explicitly, or on
+/// drop).
 #[derive(Debug)]
 pub struct Span {
+    registry: Arc<Registry>,
     name: String,
     begin: VInstant,
     ctx: TraceContext,
@@ -63,37 +66,45 @@ pub struct Span {
 }
 
 impl Span {
-    /// Open a span named `name`, stamped with the registry's current
+    /// Open a span named `name` in `registry`, stamped with its current
     /// virtual time. If a trace context is installed on this thread (see
     /// [`trace::set_current`]) the span joins it as a child; otherwise it
     /// starts a fresh root trace.
-    pub fn enter(name: impl Into<String>) -> Span {
-        match trace::current() {
-            Some(parent) => Span::child_of(name, parent),
-            None => Span::root(name),
-        }
+    pub fn enter(registry: &Arc<Registry>, name: impl Into<String>) -> Span {
+        Span::open(registry, name, trace::current())
     }
 
     /// Open a span that starts a fresh trace, ignoring any installed
     /// context.
-    pub fn root(name: impl Into<String>) -> Span {
-        Span {
-            name: name.into(),
-            begin: global().vtime(),
-            ctx: TraceContext::root(),
-            parent: None,
-            attrs: Vec::new(),
-            done: false,
-        }
+    pub fn root(registry: &Arc<Registry>, name: impl Into<String>) -> Span {
+        Span::open(registry, name, None)
     }
 
     /// Open a span as an explicit child of `parent`.
-    pub fn child_of(name: impl Into<String>, parent: TraceContext) -> Span {
+    pub fn child_of(
+        registry: &Arc<Registry>,
+        name: impl Into<String>,
+        parent: TraceContext,
+    ) -> Span {
+        Span::open(registry, name, Some(parent))
+    }
+
+    /// A child of `parent`, or a root without one; ids from `registry`'s mint.
+    fn open(
+        registry: &Arc<Registry>,
+        name: impl Into<String>,
+        parent: Option<TraceContext>,
+    ) -> Span {
+        let ctx = match parent {
+            Some(parent) => parent.child(registry),
+            None => TraceContext::root(registry),
+        };
         Span {
+            registry: Arc::clone(registry),
             name: name.into(),
-            begin: global().vtime(),
-            ctx: parent.child(),
-            parent: Some(parent.span),
+            begin: registry.vtime(),
+            ctx,
+            parent: parent.map(|p| p.span),
             attrs: Vec::new(),
             done: false,
         }
@@ -124,7 +135,7 @@ impl Span {
 
     /// Close the span at the registry's current virtual time.
     pub fn finish(mut self) {
-        self.record(global().vtime());
+        self.record(self.registry.vtime());
     }
 
     /// Close the span `dur` after it began, advancing the registry's
@@ -133,7 +144,7 @@ impl Span {
     /// (e.g. a `SweepOutcome` makespan) rather than observing it.
     pub fn finish_after(mut self, dur: VDuration) {
         let end = self.begin + dur;
-        global().set_vtime(end);
+        self.registry.set_vtime(end);
         self.record(end);
     }
 
@@ -151,7 +162,7 @@ impl Span {
             return;
         }
         self.done = true;
-        global().record_span(SpanRecord {
+        self.registry.record_span(SpanRecord {
             name: std::mem::take(&mut self.name),
             begin: self.begin,
             end: end.max(self.begin),
@@ -165,7 +176,7 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        self.record(global().vtime());
+        self.record(self.registry.vtime());
     }
 }
 
@@ -175,41 +186,42 @@ mod tests {
 
     #[test]
     fn finish_after_advances_vclock_and_records() {
-        let t0 = global().vtime();
-        let span = Span::enter("test.op");
+        let r = Arc::new(Registry::new());
+        let span = Span::enter(&r, "test.op");
         span.finish_after(VDuration::from_secs(2));
-        assert!(global().vtime() >= t0 + VDuration::from_secs(2));
-        let spans = global().recent_spans();
-        let rec = spans.iter().rev().find(|s| s.name == "test.op").unwrap();
-        assert_eq!(rec.duration(), VDuration::from_secs(2));
+        assert_eq!(r.vtime(), VInstant::EPOCH + VDuration::from_secs(2));
+        let spans = r.recent_spans();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].name, "test.op");
+        assert_eq!(spans[0].duration(), VDuration::from_secs(2));
     }
 
     #[test]
     fn drop_records_without_double_count() {
-        let before = global().recent_spans().len();
+        let r = Arc::new(Registry::new());
         {
-            let _span = Span::enter("test.drop");
+            let _span = Span::enter(&r, "test.drop");
         }
-        let after = global().recent_spans().len();
-        assert_eq!(after, before + 1);
+        assert_eq!(r.recent_spans().len(), 1);
     }
 
     #[test]
     fn enter_joins_installed_context() {
-        let root = Span::root("test.parent");
+        let r = Arc::new(Registry::new());
+        let root = Span::root(&r, "test.parent");
         let root_ctx = root.context();
         let child_ctx = {
             let _g = trace::set_current(root_ctx);
-            let child = Span::enter("test.child").with_attr("k", "v");
+            let child = Span::enter(&r, "test.child").with_attr("k", "v");
             let ctx = child.context();
             child.finish();
             ctx
         };
         root.finish();
         assert_eq!(child_ctx.trace, root_ctx.trace);
-        let spans = global().recent_spans();
-        let child = spans.iter().rev().find(|s| s.name == "test.child").unwrap();
-        let parent = spans.iter().rev().find(|s| s.name == "test.parent").unwrap();
+        let spans = r.recent_spans();
+        let [child, parent] = [&spans[0], &spans[1]];
+        assert_eq!((child.name.as_str(), parent.name.as_str()), ("test.child", "test.parent"));
         assert_eq!(child.trace, parent.trace);
         assert_eq!(child.parent, Some(parent.span));
         assert_eq!(parent.parent, None);
@@ -219,26 +231,31 @@ mod tests {
 
     #[test]
     fn enter_without_context_is_a_root() {
-        let span = Span::enter("test.rootless");
+        let r = Arc::new(Registry::new());
+        let span = Span::enter(&r, "test.rootless");
         assert!(span.context().trace.0 != 0);
         let ctx = span.context();
         span.finish();
-        let spans = global().recent_spans();
-        let rec = spans.iter().rev().find(|s| s.name == "test.rootless").unwrap();
-        assert_eq!(rec.trace, ctx.trace);
-        assert_eq!(rec.parent, None);
+        let spans = r.recent_spans();
+        assert_eq!(spans[0].trace, ctx.trace);
+        assert_eq!(spans[0].parent, None);
     }
 
     #[test]
     fn finish_spanning_does_not_advance_the_clock() {
-        let t0 = global().vtime();
-        let span = Span::enter("test.spanning");
+        let r = Arc::new(Registry::new());
+        let span = Span::enter(&r, "test.spanning");
         span.finish_spanning(VDuration::from_secs(3600));
-        // The clock may have been advanced by concurrent tests, but never
-        // by the full hour this span covered.
-        assert!(global().vtime() < t0 + VDuration::from_secs(3600));
-        let spans = global().recent_spans();
-        let rec = spans.iter().rev().find(|s| s.name == "test.spanning").unwrap();
-        assert_eq!(rec.duration(), VDuration::from_secs(3600));
+        assert_eq!(r.vtime(), VInstant::EPOCH);
+        assert_eq!(r.recent_spans()[0].duration(), VDuration::from_secs(3600));
+    }
+
+    #[test]
+    fn spans_land_in_their_own_registry() {
+        let (a, b) = (Arc::new(Registry::new()), Arc::new(Registry::new()));
+        Span::enter(&a, "test.a").finish_after(VDuration::from_secs(5));
+        assert_eq!(a.recent_spans().len(), 1);
+        assert!(b.recent_spans().is_empty());
+        assert_eq!(b.vtime(), VInstant::EPOCH);
     }
 }

@@ -10,11 +10,11 @@
 //! * [`TraceContext`] — the `(trace, span)` pair a parent hands to its
 //!   children, serialized on the wire as a W3C `traceparent` header.
 //!
-//! Ids are minted from a process-wide atomic counter run through a
-//! splitmix64 finalizer: unique, well spread across the id space, and —
-//! unlike random ids — identical across replays of the same deterministic
-//! simulation, so a seeded chaos run produces the same trace graph every
-//! time.
+//! Ids are minted from the owning [`Registry`]'s atomic counter run
+//! through a splitmix64 finalizer: unique within the registry, well spread
+//! across the id space, and — unlike random ids — identical across replays
+//! of the same deterministic simulation, so a seeded chaos run produces
+//! the same trace graph every time, whatever else the process runs.
 //!
 //! # In-process propagation
 //!
@@ -27,9 +27,9 @@
 //! is exact there; worker-pool call sites that need the context must
 //! capture it explicitly before fanning out.
 
+use crate::Registry;
 use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// 128-bit trace identity (one end-to-end pipeline pass).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,11 +60,10 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-
-fn next_nonzero() -> u64 {
+/// A nonzero id from `registry`'s mint.
+fn next_nonzero(registry: &Registry) -> u64 {
     loop {
-        let id = mix64(NEXT_ID.fetch_add(1, Ordering::Relaxed));
+        let id = mix64(registry.next_id());
         if id != 0 {
             return id;
         }
@@ -72,12 +71,6 @@ fn next_nonzero() -> u64 {
 }
 
 impl TraceId {
-    /// Mint a fresh process-unique trace id (deterministic across replays
-    /// of the same program).
-    pub fn mint() -> TraceId {
-        TraceId(((next_nonzero() as u128) << 64) | next_nonzero() as u128)
-    }
-
     /// Parse the 32-hex-digit form [`TraceId`] displays as (the id part
     /// of a `traceparent`, or a flight-recorder record's `trace_id`).
     /// `None` on wrong length, anything but lowercase hex digits (a sign
@@ -94,13 +87,6 @@ impl TraceId {
     }
 }
 
-impl SpanId {
-    /// Mint a fresh process-unique span id.
-    pub fn mint() -> SpanId {
-        SpanId(next_nonzero())
-    }
-}
-
 /// The propagated `(trace, span)` pair: which trace we are inside, and
 /// which span is the current parent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -112,14 +98,17 @@ pub struct TraceContext {
 }
 
 impl TraceContext {
-    /// A fresh root context: new trace, new root span id.
-    pub fn root() -> TraceContext {
-        TraceContext { trace: TraceId::mint(), span: SpanId::mint() }
+    /// A fresh root context minted from `registry`: new trace, new root
+    /// span id.
+    pub fn root(registry: &Registry) -> TraceContext {
+        let trace = ((next_nonzero(registry) as u128) << 64) | next_nonzero(registry) as u128;
+        TraceContext { trace: TraceId(trace), span: SpanId(next_nonzero(registry)) }
     }
 
-    /// A child context inside the same trace (new span id).
-    pub fn child(&self) -> TraceContext {
-        TraceContext { trace: self.trace, span: SpanId::mint() }
+    /// A child context inside the same trace, its span id minted from
+    /// `registry`.
+    pub fn child(&self, registry: &Registry) -> TraceContext {
+        TraceContext { trace: self.trace, span: SpanId(next_nonzero(registry)) }
     }
 
     /// Serialize as a W3C `traceparent` header value
@@ -201,20 +190,35 @@ mod tests {
 
     #[test]
     fn minted_ids_are_unique_and_nonzero() {
-        let a = TraceContext::root();
-        let b = TraceContext::root();
+        let r = Registry::new();
+        let a = TraceContext::root(&r);
+        let b = TraceContext::root(&r);
         assert_ne!(a.trace, b.trace);
         assert_ne!(a.span, b.span);
         assert_ne!(a.trace.0, 0);
         assert_ne!(a.span.0, 0);
-        let child = a.child();
+        let child = a.child(&r);
         assert_eq!(child.trace, a.trace);
         assert_ne!(child.span, a.span);
     }
 
     #[test]
+    fn each_registry_mints_its_own_ids() {
+        // A registry's ids do not depend on what another has minted.
+        let (first, second) = (Registry::new(), Registry::new());
+        let a = TraceContext::root(&first);
+        let a_child = a.child(&first);
+        for _ in 0..5 {
+            TraceContext::root(&first);
+        }
+        let b = TraceContext::root(&second);
+        assert_eq!(b, a);
+        assert_eq!(b.child(&second), a_child);
+    }
+
+    #[test]
     fn traceparent_round_trips() {
-        let ctx = TraceContext::root();
+        let ctx = TraceContext::root(&Registry::new());
         let header = ctx.to_traceparent();
         assert_eq!(header.len(), 2 + 1 + 32 + 1 + 16 + 1 + 2);
         let parsed = TraceContext::parse_traceparent(&header).unwrap();
@@ -246,7 +250,7 @@ mod tests {
 
     #[test]
     fn trace_ids_roundtrip_through_hex() {
-        let id = TraceId::mint();
+        let id = TraceContext::root(&Registry::new()).trace;
         assert_eq!(TraceId::parse_hex(&id.to_string()), Some(id));
         assert_eq!(
             TraceId::parse_hex("4bf92f3577b34da6a3ce929d0e0e4736"),
@@ -266,11 +270,12 @@ mod tests {
     #[test]
     fn current_context_nests_and_restores() {
         assert_eq!(current(), None);
-        let a = TraceContext::root();
+        let r = Registry::new();
+        let a = TraceContext::root(&r);
         {
             let _g = set_current(a);
             assert_eq!(current(), Some(a));
-            let b = a.child();
+            let b = a.child(&r);
             {
                 let _g2 = set_current(b);
                 assert_eq!(current(), Some(b));

@@ -20,6 +20,7 @@ use monster_util::pool::{self, ThreadPool};
 use monster_util::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Read timeout per attempt: a stalled BMC costs exactly this long.
 const READ_TIMEOUT: VDuration = VDuration::from_secs(15);
@@ -169,16 +170,24 @@ impl Channels {
     }
 }
 
-/// The polling client.
+/// The polling client. Its default reports to a registry of its own.
 #[derive(Debug, Clone, Default)]
 pub struct RedfishClient {
     config: ClientConfig,
+    /// Where sweep statistics and request spans are reported.
+    obs: Arc<monster_obs::Registry>,
 }
 
 impl RedfishClient {
-    /// Client with explicit configuration.
+    /// [`RedfishClient::new_in`] the process default registry.
+    // Goes with ROADMAP item 8(ii): the benchmark harness calls it.
     pub fn new(config: ClientConfig) -> Self {
-        RedfishClient { config }
+        RedfishClient::new_in(config, monster_obs::global())
+    }
+
+    /// Client with explicit configuration, reporting to `obs`.
+    pub fn new_in(config: ClientConfig, obs: &Arc<monster_obs::Registry>) -> Self {
+        RedfishClient { config, obs: Arc::clone(obs) }
     }
 
     /// The active configuration.
@@ -313,7 +322,7 @@ impl RedfishClient {
                 break; // not enough budget left for a meaningful retry
             }
             elapsed += delay;
-            monster_obs::histo("monster_redfish_backoff_seconds").observe_vdur(delay);
+            self.obs.histo("monster_redfish_backoff_seconds").observe_vdur(delay);
         }
         RequestOutcome { node, category, reading: None, attempts, timeouts, elapsed, skip: None }
     }
@@ -328,7 +337,7 @@ impl RedfishClient {
     }
 
     fn sweep_with(&self, workers: usize, cluster: &SimulatedCluster) -> SweepOutcome {
-        let span = monster_obs::Span::enter("redfish.sweep");
+        let span = monster_obs::Span::enter(&self.obs, "redfish.sweep");
         // A node's four requests stay on one worker, in category order:
         // its BMC draws latencies from one seeded stream, so the order the
         // requests reach it — not which thread wins a race to its lock —
@@ -376,7 +385,7 @@ impl RedfishClient {
         registry: &HealthRegistry,
         deadline: VDuration,
     ) -> SweepOutcome {
-        let span = monster_obs::Span::enter("redfish.sweep");
+        let span = monster_obs::Span::enter(&self.obs, "redfish.sweep");
         registry.begin_sweep();
         let sweep_idx = registry.sweep_index();
 
@@ -452,36 +461,38 @@ impl RedfishClient {
         sweep_ctx: monster_obs::TraceContext,
         makespan: VDuration,
     ) {
-        monster_obs::counter("monster_redfish_sweeps_total").inc();
-        monster_obs::counter("monster_redfish_requests_total").add(outcome.results.len() as u64);
-        monster_obs::counter("monster_redfish_failures_total").add(outcome.failures() as u64);
-        monster_obs::counter("monster_redfish_retries_total").add(outcome.retries() as u64);
-        monster_obs::counter("monster_redfish_timeouts_total").add(outcome.timeouts() as u64);
-        monster_obs::counter("monster_redfish_skipped_total").add(outcome.skipped() as u64);
-        monster_obs::histo_help(
-            "monster_sweep_duration_seconds",
-            "Simulated makespan of one full-fleet Redfish sweep.",
-        )
-        .observe_vdur_traced(makespan, Some(sweep_ctx));
-        let histo = monster_obs::histo("monster_redfish_request_seconds");
+        self.obs.counter("monster_redfish_sweeps_total").inc();
+        self.obs.counter("monster_redfish_requests_total").add(outcome.results.len() as u64);
+        self.obs.counter("monster_redfish_failures_total").add(outcome.failures() as u64);
+        self.obs.counter("monster_redfish_retries_total").add(outcome.retries() as u64);
+        self.obs.counter("monster_redfish_timeouts_total").add(outcome.timeouts() as u64);
+        self.obs.counter("monster_redfish_skipped_total").add(outcome.skipped() as u64);
+        self.obs
+            .histo_help(
+                "monster_sweep_duration_seconds",
+                "Simulated makespan of one full-fleet Redfish sweep.",
+            )
+            .observe_vdur_traced(makespan, Some(sweep_ctx));
+        let histo = self.obs.histo("monster_redfish_request_seconds");
         for r in outcome.results.iter().filter(|r| r.skip.is_none()) {
             histo.observe_vdur(r.elapsed);
         }
         for r in &outcome.results {
             match r.skip {
                 Some(reason) => {
-                    monster_obs::Span::child_of("redfish.skip", sweep_ctx)
+                    monster_obs::Span::child_of(&self.obs, "redfish.skip", sweep_ctx)
                         .with_attr("node", r.node.to_string())
                         .with_attr("category", r.category.to_string())
                         .with_attr("SkipReason", format!("{reason:?}"))
                         .finish_spanning(VDuration::ZERO);
                 }
                 None if r.reading.is_none() || r.attempts > 1 => {
-                    let mut span = monster_obs::Span::child_of("redfish.request", sweep_ctx)
-                        .with_attr("node", r.node.to_string())
-                        .with_attr("category", r.category.to_string())
-                        .with_attr("attempts", r.attempts.to_string())
-                        .with_attr("timeouts", r.timeouts.to_string());
+                    let mut span =
+                        monster_obs::Span::child_of(&self.obs, "redfish.request", sweep_ctx)
+                            .with_attr("node", r.node.to_string())
+                            .with_attr("category", r.category.to_string())
+                            .with_attr("attempts", r.attempts.to_string())
+                            .with_attr("timeouts", r.timeouts.to_string());
                     if r.reading.is_none() {
                         span.set_attr("outcome", "failed");
                     } else {
@@ -671,7 +682,7 @@ mod tests {
         let node = cluster.node_ids()[0];
         cluster.set_bmc_alive(node, false).unwrap();
         let client = RedfishClient::default();
-        let registry = HealthRegistry::new();
+        let registry = HealthRegistry::new(&Arc::default());
         registry.begin_sweep();
 
         let budget = VDuration::from_secs(300); // ample: no trimming
@@ -695,7 +706,7 @@ mod tests {
         let node = cluster.node_ids()[0];
         cluster.set_bmc_alive(node, false).unwrap();
         let client = RedfishClient::default();
-        let registry = HealthRegistry::new();
+        let registry = HealthRegistry::new(&Arc::default());
         registry.begin_sweep();
 
         // 20 s budget: one full 15 s timeout, then no room for another
@@ -711,7 +722,7 @@ mod tests {
     fn resilient_sweep_on_clean_fleet_matches_plain_sweep_semantics() {
         let cluster = clean_cluster(6, 23);
         let client = RedfishClient::default();
-        let registry = HealthRegistry::new();
+        let registry = HealthRegistry::new(&Arc::default());
         let sweep = client.sweep_resilient(&cluster, &registry, deadline());
         assert_eq!(sweep.results.len(), 24);
         assert_eq!(sweep.successes(), 24);
@@ -727,7 +738,7 @@ mod tests {
         let victim = cluster.node_ids()[0];
         cluster.set_bmc_alive(victim, false).unwrap();
         let client = RedfishClient::default();
-        let registry = HealthRegistry::new();
+        let registry = HealthRegistry::new(&Arc::default());
 
         // Sweep 1: the victim's first request burns its attempts and trips
         // the breaker; its other 3 categories are skipped mid-sweep.
@@ -762,7 +773,7 @@ mod tests {
         let cluster = clean_cluster(8, 25);
         let client =
             RedfishClient::new(ClientConfig { max_inflight: 2, ..ClientConfig::default() });
-        let registry = HealthRegistry::new();
+        let registry = HealthRegistry::new(&Arc::default());
         let sweep = client.sweep_resilient(&cluster, &registry, VDuration::from_secs(30));
         assert!(sweep.makespan <= VDuration::from_secs(30), "makespan {}", sweep.makespan);
         assert!(

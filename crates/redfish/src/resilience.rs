@@ -30,6 +30,7 @@ use monster_sim::{SimRng, VDuration};
 use monster_util::NodeId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Delay before the first retry.
 const BACKOFF_BASE: VDuration = VDuration::from_millis(500);
@@ -148,15 +149,18 @@ pub struct BreakerCounts {
 
 /// Per-BMC health registry: EWMA latency, consecutive-failure counts, and
 /// the circuit breakers they feed.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct HealthRegistry {
     inner: Mutex<Inner>,
+    /// Where breaker transitions and the breaker census are reported.
+    obs: Arc<monster_obs::Registry>,
 }
 
 impl HealthRegistry {
-    /// Fresh registry: every breaker closed, no latency history.
-    pub fn new() -> Self {
-        HealthRegistry::default()
+    /// Fresh registry reporting to `obs`: every breaker closed, no
+    /// latency history.
+    pub fn new(obs: &Arc<monster_obs::Registry>) -> Self {
+        HealthRegistry { inner: Mutex::default(), obs: Arc::clone(obs) }
     }
 
     /// Start a new sweep: advance the sweep clock and move open breakers
@@ -169,7 +173,7 @@ impl HealthRegistry {
             if health.state == BreakerState::Open && sweep > health.opened_at + COOLDOWN_SWEEPS {
                 health.state = BreakerState::HalfOpen;
                 health.probe_ok = 0;
-                monster_obs::counter("monster_redfish_breaker_transitions_total").inc();
+                self.obs.counter("monster_redfish_breaker_transitions_total").inc();
             }
         }
     }
@@ -223,7 +227,7 @@ impl HealthRegistry {
             health.probe_ok += 1;
             if health.probe_ok >= PROBE_SUCCESSES {
                 health.state = BreakerState::Closed;
-                monster_obs::counter("monster_redfish_breaker_transitions_total").inc();
+                self.obs.counter("monster_redfish_breaker_transitions_total").inc();
             }
         }
     }
@@ -245,8 +249,8 @@ impl HealthRegistry {
             health.state = BreakerState::Open;
             health.opened_at = sweep;
             health.probe_ok = 0;
-            monster_obs::counter("monster_redfish_breaker_transitions_total").inc();
-            monster_obs::counter("monster_redfish_breaker_opens_total").inc();
+            self.obs.counter("monster_redfish_breaker_transitions_total").inc();
+            self.obs.counter("monster_redfish_breaker_opens_total").inc();
         }
     }
 
@@ -254,9 +258,9 @@ impl HealthRegistry {
     /// `monster_redfish_breakers_{closed,open,half_open}` gauges.
     pub fn publish_gauges(&self) -> BreakerCounts {
         let counts = self.breaker_counts();
-        monster_obs::gauge("monster_redfish_breakers_closed").set(counts.closed as i64);
-        monster_obs::gauge("monster_redfish_breakers_open").set(counts.open as i64);
-        monster_obs::gauge("monster_redfish_breakers_half_open").set(counts.half_open as i64);
+        self.obs.gauge("monster_redfish_breakers_closed").set(counts.closed as i64);
+        self.obs.gauge("monster_redfish_breakers_open").set(counts.open as i64);
+        self.obs.gauge("monster_redfish_breakers_half_open").set(counts.half_open as i64);
         counts
     }
 
@@ -310,7 +314,7 @@ mod tests {
     fn breaker_walks_closed_open_half_open_closed() {
         // The deterministic state walk of the satellite checklist: a seeded
         // schedule of failures and successes drives one full cycle.
-        let reg = HealthRegistry::new();
+        let reg = HealthRegistry::new(&Arc::default());
         let n = node();
         reg.begin_sweep();
         assert_eq!(reg.breaker_state(n), BreakerState::Closed);
@@ -342,7 +346,7 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens_and_restarts_cooldown() {
-        let reg = HealthRegistry::new();
+        let reg = HealthRegistry::new(&Arc::default());
         let n = node();
         reg.begin_sweep();
         for _ in 0..3 {
@@ -365,7 +369,7 @@ mod tests {
 
     #[test]
     fn success_resets_failure_streak() {
-        let reg = HealthRegistry::new();
+        let reg = HealthRegistry::new(&Arc::default());
         let n = node();
         reg.begin_sweep();
         reg.record_failure(n);
@@ -380,7 +384,7 @@ mod tests {
 
     #[test]
     fn ewma_tracks_latency_and_feeds_estimates() {
-        let reg = HealthRegistry::new();
+        let reg = HealthRegistry::new(&Arc::default());
         let n = node();
         assert_eq!(reg.estimate(n), DEFAULT_ESTIMATE);
         assert_eq!(DEFAULT_ESTIMATE, VDuration::from_secs_f64(4.29));
@@ -393,7 +397,7 @@ mod tests {
 
     #[test]
     fn breaker_counts_partition_the_fleet() {
-        let reg = HealthRegistry::new();
+        let reg = HealthRegistry::new(&Arc::default());
         reg.begin_sweep();
         let a = NodeId::new(1, 1);
         let b = NodeId::new(1, 2);

@@ -24,7 +24,7 @@ use monster_util::{EpochSecs, NodeId};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::hash::Hash;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The tag (and, to a [`Sink`], the key) of every array member.
@@ -636,34 +636,35 @@ fn sized<'r, K: Hash + Eq, R: PartialEq + Clone + 'r>(
 }
 
 /// What `/metrics` says about the pull, so that a slow one is explainable
-/// from there: registered once, on the first pull.
-struct PullTelemetry {
+/// from there: resolved once, when the qmaster is built.
+pub(crate) struct PullTelemetry {
     seconds: Arc<monster_obs::Histo>,
     bytes: Arc<monster_obs::Gauge>,
     docs_rendered: Arc<monster_obs::Counter>,
     docs_reused: Arc<monster_obs::Counter>,
 }
 
-fn telemetry() -> &'static PullTelemetry {
-    static TELEMETRY: OnceLock<PullTelemetry> = OnceLock::new();
-    TELEMETRY.get_or_init(|| PullTelemetry {
-        seconds: monster_obs::histo_help(
-            "monster_collector_accounting_pull_seconds",
-            "Wall time of one in-band accounting pull from the resource manager.",
-        ),
-        bytes: monster_obs::gauge_help(
-            "monster_collector_accounting_bytes",
-            "XML wire size of the latest accounting pull.",
-        ),
-        docs_rendered: monster_obs::counter_help(
-            "monster_scheduler_accounting_docs_rendered_total",
-            "Accounting documents whose wire size a pull computed (new or changed record).",
-        ),
-        docs_reused: monster_obs::counter_help(
-            "monster_scheduler_accounting_docs_reused_total",
-            "Accounting documents whose memoized wire size a pull reused (record unchanged).",
-        ),
-    })
+impl PullTelemetry {
+    pub(crate) fn new(obs: &monster_obs::Registry) -> PullTelemetry {
+        PullTelemetry {
+            seconds: obs.histo_help(
+                "monster_collector_accounting_pull_seconds",
+                "Wall time of one in-band accounting pull from the resource manager.",
+            ),
+            bytes: obs.gauge_help(
+                "monster_collector_accounting_bytes",
+                "XML wire size of the latest accounting pull.",
+            ),
+            docs_rendered: obs.counter_help(
+                "monster_scheduler_accounting_docs_rendered_total",
+                "Accounting documents whose wire size a pull computed (new or changed record).",
+            ),
+            docs_reused: obs.counter_help(
+                "monster_scheduler_accounting_docs_reused_total",
+                "Accounting documents whose memoized wire size a pull reused (record unchanged).",
+            ),
+        }
+    }
 }
 
 /// The snapshot plus its node and job bytes, through the qmaster's memo.
@@ -673,7 +674,7 @@ fn pull(qm: &Qmaster) -> (AccountingSnapshot<'_>, usize, usize) {
     let mut memo = qm.accounting_memo();
     let before = memo.stats;
     let (node_bytes, job_bytes) = memo.wire_bytes(&snapshot);
-    let telemetry = telemetry();
+    let telemetry = &qm.pull_telemetry;
     telemetry.docs_rendered.add(memo.stats.docs_rendered - before.docs_rendered);
     telemetry.docs_reused.add(memo.stats.docs_reused - before.docs_reused);
     telemetry.bytes.set((node_bytes + job_bytes) as i64);

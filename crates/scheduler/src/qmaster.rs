@@ -10,7 +10,7 @@
 //! The queue order is submitted priority, then submit time; the backfill
 //! policy is the one scheduling choice a caller makes.
 
-use crate::accounting::{MemoStats, PullMemo};
+use crate::accounting::{MemoStats, PullMemo, PullTelemetry};
 use crate::host::{ExecHost, LoadReport, SLOTS_PER_NODE};
 #[cfg(test)]
 use crate::job::JobShape;
@@ -20,6 +20,7 @@ use monster_util::{EpochSecs, Error, NodeId, Result};
 use parking_lot::{Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// Execd load-report interval (UGE default: 40 s).
 const LOAD_REPORT_INTERVAL: i64 = 40;
@@ -116,11 +117,21 @@ pub struct Qmaster {
     /// pull reads the qmaster; validated by record equality, so nothing in
     /// this file has to invalidate it.
     accounting: Mutex<PullMemo>,
+    /// Where job counts and queue depths are reported.
+    obs: Arc<monster_obs::Registry>,
+    /// What an accounting pull reports, resolved once from `obs`.
+    pub(crate) pull_telemetry: PullTelemetry,
 }
 
 impl Qmaster {
-    /// Boot a qmaster over an idle cluster.
+    /// [`Qmaster::new_in`] the process default registry.
+    // Goes with ROADMAP item 8(ii): the benchmark harness calls it.
     pub fn new(config: QmasterConfig) -> Self {
+        Qmaster::new_in(config, monster_obs::global())
+    }
+
+    /// Boot a qmaster over an idle cluster, reporting to `obs`.
+    pub fn new_in(config: QmasterConfig, obs: &Arc<monster_obs::Registry>) -> Self {
         let ids = NodeId::enumerate(config.nodes, config.slots_per_chassis);
         let hosts = ids
             .iter()
@@ -141,6 +152,8 @@ impl Qmaster {
             finished: Vec::new(),
             dirty: false,
             accounting: Mutex::default(),
+            obs: Arc::clone(obs),
+            pull_telemetry: PullTelemetry::new(obs),
             config,
         };
         // Kick off the periodic ticks.
@@ -204,8 +217,8 @@ impl Qmaster {
                     .insert(id, Job { id, spec, submit_time: self.now, state: JobState::Pending });
                 self.pending.push(id);
                 self.dirty = true;
-                monster_obs::counter("monster_sched_jobs_submitted_total").inc();
-                monster_obs::gauge("monster_sched_pending_jobs").set(self.pending.len() as i64);
+                self.obs.counter("monster_sched_jobs_submitted_total").inc();
+                self.obs.gauge("monster_sched_pending_jobs").set(self.pending.len() as i64);
             }
             Event::ScheduleTick => {
                 self.schedule_pass();
@@ -285,7 +298,7 @@ impl Qmaster {
         }
         self.pending = still_pending;
         // Queue depth after the pass: what `/metrics` reports as backlog.
-        monster_obs::gauge("monster_sched_pending_jobs").set(self.pending.len() as i64);
+        self.obs.gauge("monster_sched_pending_jobs").set(self.pending.len() as i64);
     }
 
     /// Earliest future instant at which `hosts_needed` hosts each have
@@ -400,8 +413,8 @@ impl Qmaster {
         let job = self.jobs.get_mut(&id).expect("job exists");
         job.state = JobState::Running { start, hosts: chosen };
         self.schedule_event(start + runtime, Event::JobEnd(id));
-        monster_obs::counter("monster_sched_jobs_started_total").inc();
-        monster_obs::gauge("monster_sched_running_jobs").add(1);
+        self.obs.counter("monster_sched_jobs_started_total").inc();
+        self.obs.gauge("monster_sched_running_jobs").add(1);
         true
     }
 
@@ -422,8 +435,8 @@ impl Qmaster {
         }
         self.finished.push(id);
         self.dirty = true;
-        monster_obs::counter("monster_sched_jobs_finished_total").inc();
-        monster_obs::gauge("monster_sched_running_jobs").sub(1);
+        self.obs.counter("monster_sched_jobs_finished_total").inc();
+        self.obs.gauge("monster_sched_running_jobs").sub(1);
     }
 
     /// Load-report processing: live execds refresh their stamp; hosts past

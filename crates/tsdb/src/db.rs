@@ -325,6 +325,9 @@ pub struct Db {
     write_metrics: WriteMetrics,
     /// Pre-resolved read-path handles (`monster_tsdb_quer*`, `…_blocks_*`).
     query_metrics: QueryMetrics,
+    /// The registry this database reports to, and that a service over it
+    /// exports.
+    obs: Arc<monster_obs::Registry>,
     /// Write-ahead log, present when the database was opened against a
     /// directory ([`Db::recover`]). Appended *before* batches publish;
     /// its mutex is independent of the engine's lock hierarchy (taken
@@ -333,8 +336,14 @@ pub struct Db {
 }
 
 impl Db {
-    /// Create an empty database.
+    /// [`Db::new_in`] the process default registry.
+    // Goes with ROADMAP item 8(ii): the benchmark harness calls it.
     pub fn new(config: DbConfig) -> Db {
+        Db::new_in(config, monster_obs::global())
+    }
+
+    /// Create an empty database reporting to `obs`.
+    pub fn new_in(config: DbConfig, obs: &Arc<monster_obs::Registry>) -> Db {
         assert!(config.shard_duration > 0);
         assert!(config.scan_workers > 0, "scan_workers must be at least 1");
         Db {
@@ -346,24 +355,25 @@ impl Db {
             encoded_bytes: AtomicI64::new(0),
             batches: AtomicUsize::new(0),
             watermarks: WatermarkRegistry::default(),
-            lock_wait: monster_obs::histo("monster_tsdb_lock_wait_seconds"),
-            lock_hold: monster_obs::histo("monster_tsdb_lock_hold_seconds"),
+            lock_wait: obs.histo("monster_tsdb_lock_wait_seconds"),
+            lock_hold: obs.histo("monster_tsdb_lock_hold_seconds"),
             write_metrics: WriteMetrics {
-                points: monster_obs::counter("monster_tsdb_points_written_total"),
-                batches: monster_obs::counter("monster_tsdb_write_batches_total"),
-                batch_points: monster_obs::histo("monster_tsdb_write_batch_points"),
-                series: monster_obs::gauge("monster_tsdb_series"),
-                shards: monster_obs::gauge("monster_tsdb_shards"),
-                ref_misses: monster_obs::counter("monster_tsdb_series_ref_misses_total"),
-                refs: monster_obs::gauge("monster_tsdb_series_refs"),
+                points: obs.counter("monster_tsdb_points_written_total"),
+                batches: obs.counter("monster_tsdb_write_batches_total"),
+                batch_points: obs.histo("monster_tsdb_write_batch_points"),
+                series: obs.gauge("monster_tsdb_series"),
+                shards: obs.gauge("monster_tsdb_shards"),
+                ref_misses: obs.counter("monster_tsdb_series_ref_misses_total"),
+                refs: obs.gauge("monster_tsdb_series_refs"),
             },
             query_metrics: QueryMetrics {
-                queries: monster_obs::counter("monster_tsdb_queries_total"),
-                points: monster_obs::counter("monster_tsdb_query_points_total"),
-                blocks_decoded: monster_obs::counter("monster_tsdb_blocks_decoded_total"),
-                blocks_summarized: monster_obs::counter("monster_tsdb_blocks_summarized_total"),
-                seconds: monster_obs::histo("monster_tsdb_query_seconds"),
+                queries: obs.counter("monster_tsdb_queries_total"),
+                points: obs.counter("monster_tsdb_query_points_total"),
+                blocks_decoded: obs.counter("monster_tsdb_blocks_decoded_total"),
+                blocks_summarized: obs.counter("monster_tsdb_blocks_summarized_total"),
+                seconds: obs.histo("monster_tsdb_query_seconds"),
             },
+            obs: Arc::clone(obs),
             wal: None,
         }
     }
@@ -391,6 +401,11 @@ impl Db {
     /// The active configuration.
     pub fn config(&self) -> &DbConfig {
         &self.config
+    }
+
+    /// The registry this database reports to.
+    pub fn registry(&self) -> &Arc<monster_obs::Registry> {
+        &self.obs
     }
 
     /// Take a lock with `lock` and time it: the guard releases the lock
@@ -448,7 +463,7 @@ impl Db {
         // this thread, so "shard 7 write" hangs off "sweep 812". Untraced
         // writes skip the span: steady-state ingest stays allocation-free.
         let mut span = monster_obs::trace::current().map(|ctx| {
-            let mut s = monster_obs::Span::child_of("tsdb.write_batch", ctx);
+            let mut s = monster_obs::Span::child_of(&self.obs, "tsdb.write_batch", ctx);
             s.set_attr("points", points.len().to_string());
             s
         });
@@ -565,7 +580,7 @@ impl Db {
                 i = j;
             }
             encoded_delta += shard.encoded_bytes() as i64 - bytes_before as i64;
-            shard_gauges.push((shard.points_gauge(), shard.point_count() as i64));
+            shard_gauges.push((shard.points_gauge(&self.obs), shard.point_count() as i64));
             drop(shard);
             if result.is_err() {
                 break;
@@ -786,7 +801,7 @@ impl Db {
         // Accounting and one span per chunk, on the calling thread (so the
         // spans are children of the caller's trace context).
         for (k, answered) in answered.into_iter().enumerate().filter(|(_, a)| !a.is_empty()) {
-            let mut span = monster_obs::Span::enter("tsdb.query_scan");
+            let mut span = monster_obs::Span::enter(&self.obs, "tsdb.query_scan");
             let ctx = Some(span.context());
             let (mut total, mut elapsed) = (QueryCost::default(), monster_sim::VDuration::ZERO);
             for (p, answer) in chunk(k).iter().zip(answered) {
@@ -1127,8 +1142,7 @@ impl Db {
             report.points_tiered += pts;
         }
         if report.shards_tiered > 0 {
-            monster_obs::counter("monster_tsdb_shards_tiered_total")
-                .add(report.shards_tiered as u64);
+            self.obs.counter("monster_tsdb_shards_tiered_total").add(report.shards_tiered as u64);
         }
         // Every point in a cold shard has ts < cut, so WAL segments whose
         // max record timestamp predates the cut replay nothing that is not

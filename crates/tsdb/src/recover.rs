@@ -60,6 +60,7 @@ use monster_util::{Error, Result};
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What [`Db::recover`] found and did.
@@ -118,11 +119,22 @@ impl Db {
     ///
     /// An empty (or absent) directory yields a fresh database and an
     /// all-zero report — this is also how a durable deployment starts.
+    /// Reports to the process default registry ([`Db::recover_in`]).
+    // Goes with ROADMAP item 8(ii): the benchmark harness calls it.
     pub fn recover(config: DbConfig, dir: impl AsRef<Path>) -> Result<(Db, RecoveryReport)> {
+        Db::recover_in(config, dir, monster_obs::global())
+    }
+
+    /// [`Db::recover`], the store, its WAL and replay counters in `obs`.
+    pub fn recover_in(
+        config: DbConfig,
+        dir: impl AsRef<Path>,
+        obs: &Arc<monster_obs::Registry>,
+    ) -> Result<(Db, RecoveryReport)> {
         let started = Instant::now();
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let mut db = Db::new(config);
+        let mut db = Db::new_in(config, obs);
         let mut report = RecoveryReport::default();
 
         // --- inventory ---------------------------------------------------
@@ -218,17 +230,17 @@ impl Db {
             }
         }
 
-        monster_obs::counter_help(
+        obs.counter_help(
             "monster_tsdb_wal_replayed_records_total",
             "WAL records replayed during crash recovery.",
         )
         .add(report.replayed_records);
-        monster_obs::counter_help(
+        obs.counter_help(
             "monster_tsdb_wal_replayed_points_total",
             "Points applied from WAL records during crash recovery.",
         )
         .add(report.replayed_points as u64);
-        monster_obs::counter_help(
+        obs.counter_help(
             "monster_tsdb_wal_truncated_bytes_total",
             "Torn-tail bytes discarded during crash recovery.",
         )
@@ -236,11 +248,11 @@ impl Db {
 
         // --- resume the appender -----------------------------------------
         let next_seq = sealed.iter().map(|&(s, _)| s + 1).max().unwrap_or(0);
-        let wal = Wal::resume(dir, config.wal, next_seq, &sealed)?;
+        let wal = Wal::resume(dir, config.wal, next_seq, &sealed, obs)?;
         db.set_wal(wal);
         // A histogram of one observation per recovery (registry gauges are
         // integers): `_sum` is the seconds a restart was blind.
-        monster_obs::histo_help(
+        obs.histo_help(
             "monster_tsdb_recovery_seconds",
             "Wall time of Db::recover: segment files loaded, WAL replayed, appender resumed.",
         )

@@ -75,10 +75,10 @@ impl Shard {
 
     /// The gauge the write path sets to [`Shard::point_count`], looked up
     /// by name once for the shard's life, not once a batch.
-    pub(crate) fn points_gauge(&mut self) -> Arc<monster_obs::Gauge> {
+    pub(crate) fn points_gauge(&mut self, obs: &monster_obs::Registry) -> Arc<monster_obs::Gauge> {
         let start = self.start;
         let gauge = self.points_gauge.get_or_insert_with(|| {
-            monster_obs::gauge(&format!("monster_tsdb_shard_points{{shard=\"{start}\"}}"))
+            obs.gauge(&format!("monster_tsdb_shard_points{{shard=\"{start}\"}}"))
         });
         Arc::clone(gauge)
     }

@@ -230,8 +230,13 @@ impl Wal {
     /// Open a fresh WAL in `dir`, starting at segment 0. Fails if segment
     /// 0 already exists — recovery ([`crate::db::Db::recover`]) is the
     /// entry point for directories with history.
-    pub fn create(dir: impl Into<PathBuf>, tuning: WalTuning) -> Result<Wal> {
-        Wal::open_at(dir, tuning, 0, Vec::new())
+    /// Its counters report to `obs`.
+    pub fn create(
+        dir: impl Into<PathBuf>,
+        tuning: WalTuning,
+        obs: &monster_obs::Registry,
+    ) -> Result<Wal> {
+        Wal::open_at(dir, tuning, 0, Vec::new(), obs)
     }
 
     /// Open the appender with an explicit next segment sequence and the
@@ -241,6 +246,7 @@ impl Wal {
         tuning: WalTuning,
         next_seq: u64,
         sealed: Vec<SealedSegment>,
+        obs: &monster_obs::Registry,
     ) -> Result<Wal> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
@@ -263,31 +269,31 @@ impl Wal {
                 frame: Vec::new(),
                 dict: SegmentDict::default(),
             }),
-            appends: monster_obs::counter_help(
+            appends: obs.counter_help(
                 "monster_tsdb_wal_appends_total",
                 "Records appended to the write-ahead log.",
             ),
-            bytes: monster_obs::counter_help(
+            bytes: obs.counter_help(
                 "monster_tsdb_wal_bytes_total",
                 "Framed bytes written to the write-ahead log.",
             ),
-            syncs: monster_obs::counter_help(
+            syncs: obs.counter_help(
                 "monster_tsdb_wal_syncs_total",
                 "Group commits (fdatasync calls) on the write-ahead log.",
             ),
-            series_defs: monster_obs::counter_help(
+            series_defs: obs.counter_help(
                 "monster_tsdb_wal_definitions_total{kind=\"series\"}",
                 "Series keys spelled out in the write-ahead log (once per series per segment).",
             ),
-            field_defs: monster_obs::counter_help(
+            field_defs: obs.counter_help(
                 "monster_tsdb_wal_definitions_total{kind=\"field\"}",
                 "Field names spelled out in the write-ahead log (once per name per segment).",
             ),
-            segments_gauge: monster_obs::gauge_help(
+            segments_gauge: obs.gauge_help(
                 "monster_tsdb_wal_segments",
                 "Live write-ahead-log segment files (sealed + active).",
             ),
-            reclaimed: monster_obs::counter_help(
+            reclaimed: obs.counter_help(
                 "monster_tsdb_wal_reclaimed_segments_total",
                 "Sealed WAL segments deleted after their shards were tiered.",
             ),
@@ -304,10 +310,11 @@ impl Wal {
         tuning: WalTuning,
         next_seq: u64,
         sealed_segments: &[(u64, i64)],
+        obs: &monster_obs::Registry,
     ) -> Result<Wal> {
         let sealed =
             sealed_segments.iter().map(|&(seq, max_ts)| SealedSegment { seq, max_ts }).collect();
-        Wal::open_at(dir, tuning, next_seq, sealed)
+        Wal::open_at(dir, tuning, next_seq, sealed, obs)
     }
 
     /// Append one batch as one record of the active segment. `series[i]`
@@ -527,7 +534,7 @@ mod tests {
     fn append_frames_and_rolls_segments() {
         let dir = tmp_dir("roll");
         let tuning = WalTuning { segment_bytes: 64, ..WalTuning::default() };
-        let wal = Wal::create(&dir, tuning).unwrap();
+        let wal = Wal::create(&dir, tuning, &monster_obs::Registry::new()).unwrap();
         for i in 0..10i64 {
             append(&wal, i, i);
         }
@@ -555,7 +562,7 @@ mod tests {
             sync_bytes: usize::MAX,
             sync_interval: Duration::from_secs(3600),
         };
-        let wal = Wal::create(&dir, tuning).unwrap();
+        let wal = Wal::create(&dir, tuning, &monster_obs::Registry::new()).unwrap();
         assert!(!append(&wal, 1, 1));
         assert!(!append(&wal, 2, 2));
         assert_eq!(wal.status().acked_records, 0);
@@ -574,7 +581,7 @@ mod tests {
             sync_bytes: 64,
             sync_interval: Duration::from_secs(3600),
         };
-        let wal = Wal::create(&dir, tuning).unwrap();
+        let wal = Wal::create(&dir, tuning, &monster_obs::Registry::new()).unwrap();
         let mut synced = false;
         for i in 0..20i64 {
             synced |= append(&wal, i, i);
@@ -589,7 +596,7 @@ mod tests {
     fn reclaim_deletes_only_old_sealed_segments() {
         let dir = tmp_dir("reclaim");
         let tuning = WalTuning { segment_bytes: 32, ..WalTuning::default() };
-        let wal = Wal::create(&dir, tuning).unwrap();
+        let wal = Wal::create(&dir, tuning, &monster_obs::Registry::new()).unwrap();
         for i in 0..8i64 {
             append(&wal, i, i * 100);
         }

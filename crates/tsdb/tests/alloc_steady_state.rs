@@ -84,7 +84,7 @@ fn steady_state_ingest_does_not_allocate_per_point() {
 #[test]
 fn warm_wal_append_does_not_allocate() {
     let dir = scratch_dir("wal");
-    let wal = Wal::create(&dir, WalTuning::default()).unwrap();
+    let wal = Wal::create(&dir, WalTuning::default(), &monster_obs::Registry::new()).unwrap();
     // Ids as a fresh series index hands them out: a series a node, the
     // two field names.
     let series: Vec<SeriesId> = (0..NODES as u32).map(SeriesId).collect();

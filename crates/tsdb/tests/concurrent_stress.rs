@@ -11,11 +11,7 @@ use monster_tsdb::query::Aggregation;
 use monster_tsdb::{DataPoint, Db, DbConfig, Query, TierConfig};
 use monster_util::EpochSecs;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
-
-/// One test at a time: the second reads deltas of the process-wide lock
-/// histogram.
-static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+use std::sync::{Arc, Barrier};
 
 const SHARD: i64 = 300; // 5-minute shards → many shards for each tiering pass
 const WRITERS: usize = 4;
@@ -30,7 +26,6 @@ fn point(writer: usize, i: usize) -> DataPoint {
 
 #[test]
 fn writers_queriers_and_tiering_conserve_points() {
-    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("monster-stress-tier-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = DbConfig {
@@ -140,8 +135,10 @@ fn counted(rs: &monster_tsdb::ResultSet) -> usize {
 
 #[test]
 fn batches_scan_beside_a_writer_without_holding_a_shard_across_queries() {
-    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let db = Db::new(DbConfig { shard_duration: SHARD, scan_workers: 4, ..DbConfig::default() });
+    // Each database reports to a registry of its own, so the lock
+    // histograms below count its acquisitions and nothing else's.
+    let config = DbConfig { shard_duration: SHARD, scan_workers: 4, ..DbConfig::default() };
+    let db = Db::new_in(config, &Arc::default());
     let half = POINTS_PER_WRITER / 2;
     for w in 0..WRITERS {
         db.write_batch(&(0..half).map(|i| point(w, i)).collect::<Vec<_>>()).unwrap();
@@ -154,7 +151,7 @@ fn batches_scan_beside_a_writer_without_holding_a_shard_across_queries() {
     // item), on top of the batch's one shard-map and one index acquisition.
     // A batch that kept a shard locked from one query to the next would
     // come in under this.
-    let holds = monster_obs::histo("monster_tsdb_lock_hold_seconds");
+    let holds = db.registry().histo("monster_tsdb_lock_hold_seconds");
     let before = holds.count();
     let quiet = db.query_batch(&batch, 4);
     let acquisitions = holds.count() - before;
@@ -170,7 +167,8 @@ fn batches_scan_beside_a_writer_without_holding_a_shard_across_queries() {
     // query is many series in one shard: that query takes the shard's read
     // lock once, for all of its series, on whichever thread scans it. A
     // batch cut inside the query would take the lock once more per cut.
-    let wide = Db::new(DbConfig { shard_duration: SHARD, scan_workers: 4, ..DbConfig::default() });
+    let wide = Db::new_in(config, &Arc::default());
+    let holds = wide.registry().histo("monster_tsdb_lock_hold_seconds");
     let series = |s: usize, ts: std::ops::Range<i64>| {
         ts.map(move |t| {
             DataPoint::new("Wide", EpochSecs::new(t))

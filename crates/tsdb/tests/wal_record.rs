@@ -375,7 +375,7 @@ fn a_segment_replays_without_its_predecessors() {
     let dir = fresh_dir("standalone");
     let tuning = WalTuning { segment_bytes: 300, ..WalTuning::default() };
     let config = DbConfig { wal: tuning, ..DbConfig::default() };
-    let wal = Wal::create(&dir, tuning).unwrap();
+    let wal = Wal::create(&dir, tuning, &monster_obs::Registry::new()).unwrap();
     let mut index = SeriesIndex::new();
     let batch_at = |i: i64| -> Vec<DataPoint> {
         (1..=6)

@@ -142,7 +142,8 @@ fn main() {
     // self-monitoring registry saw every sweep. This is the same exposition
     // the Metrics Builder serves at `GET /metrics`.
     println!("\n== Self-monitoring (monster-obs) ==");
-    let text = monster::obs::global().text_exposition();
+    let obs = poll.registry();
+    let text = obs.text_exposition();
     for name in [
         "monster_redfish_sweeps_total",
         "monster_redfish_requests_total",
@@ -154,7 +155,7 @@ fn main() {
     ] {
         println!("{name:36} {}", monster::obs::sample(&text, name).unwrap_or(0.0));
     }
-    let sweep_latency = monster::obs::histo("monster_redfish_request_seconds");
+    let sweep_latency = obs.histo("monster_redfish_request_seconds");
     if let Some(mean) = sweep_latency.mean_secs() {
         println!("mean simulated request latency          {mean:.2}s");
     }
@@ -164,7 +165,7 @@ fn main() {
     // its documents had to be sized anew (a host or job changed) against
     // how many were answered from ARCo's memo.
     println!("\n== In-band accounting pull ==");
-    let pull = monster::obs::histo("monster_collector_accounting_pull_seconds");
+    let pull = obs.histo("monster_collector_accounting_pull_seconds");
     println!(
         "pulls                                   {} (wall mean {:.1} us)",
         pull.count(),
@@ -194,8 +195,8 @@ fn main() {
     // wait = time spent queueing for a lock, hold = critical-section
     // length. Both are recorded *after* the guard drops, so the
     // instrumentation never lengthens the critical sections it measures.
-    let wait = monster::obs::histo("monster_tsdb_lock_wait_seconds");
-    let hold = monster::obs::histo("monster_tsdb_lock_hold_seconds");
+    let wait = obs.histo("monster_tsdb_lock_wait_seconds");
+    let hold = obs.histo("monster_tsdb_lock_hold_seconds");
     println!(
         "shard-lock acquisitions                 {} (wait mean {:.1} us, hold mean {:.1} us)",
         wait.count(),
@@ -222,7 +223,7 @@ fn main() {
 
     // The freshness SLO engine watches per-(node, metric) ingest
     // watermarks; `GET /debug/pipeline` serves this same report.
-    let report = monster::obs::freshness().report();
+    let report = obs.freshness().report();
     let f = |path: &[&str]| {
         let mut v = Some(&report);
         for k in path {
@@ -287,7 +288,7 @@ fn main() {
             rejected.headers.get("Retry-After").unwrap_or("-")
         );
     }
-    let text = monster::obs::global().text_exposition();
+    let text = obs.text_exposition();
     for name in [
         "monster_builder_cache_hits_total",
         "monster_builder_cache_misses_total",
@@ -301,9 +302,9 @@ fn main() {
     // Every plan execution is timed twice: in the cost model's simulated
     // seconds (what the paper's figures plot) and on this host's wall
     // clock. The two histograms sit side by side so the gap is readable.
-    let modelled = monster::obs::histo("monster_builder_query_seconds");
-    let wall = monster::obs::histo("monster_builder_execute_wall_seconds");
-    let render = monster::obs::histo("monster_builder_encode_wall_seconds");
+    let modelled = obs.histo("monster_builder_query_seconds");
+    let wall = obs.histo("monster_builder_execute_wall_seconds");
+    let render = obs.histo("monster_builder_encode_wall_seconds");
     println!(
         "plan executions                                {} (modelled mean {:.3} s, wall mean {:.3} ms batch + {:.3} ms render)",
         wall.count(),
@@ -375,7 +376,7 @@ fn main() {
         let slow = doc.get("slow").unwrap().as_array().unwrap();
         println!("  slow log: {} record(s) pinned over the 5 ms modelled threshold", slow.len());
     }
-    let text = monster::obs::global().text_exposition();
+    let text = obs.text_exposition();
     for name in [
         "monster_builder_qlog_records_total",
         "monster_builder_slow_queries_total",
@@ -396,13 +397,19 @@ fn main() {
         println!("\n== Durable storage (WAL, restart) ==");
         let dir = std::env::temp_dir().join(format!("monster-telemetry-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let durable = || MonsterConfig { data_dir: Some(dir.clone()), ..config() };
-        let mut m = Monster::new(durable());
+        // Both lives report to one registry, as a restarted process's
+        // scrape target would.
+        let obs = std::sync::Arc::new(monster::obs::Registry::new());
+        let durable = || {
+            let config = MonsterConfig { data_dir: Some(dir.clone()), ..config() };
+            Monster::with_registry(config, std::sync::Arc::clone(&obs))
+        };
+        let mut m = durable();
         m.run_intervals(MINUTES as usize);
         drop(m); // an orderly stop forces the final group commit
-        let reopened = Monster::new(durable());
+        let reopened = durable();
         let report = reopened.recovery().expect("durable deployment");
-        let text = monster::obs::global().text_exposition();
+        let text = obs.text_exposition();
         for name in [
             "monster_tsdb_wal_appends_total",
             "monster_tsdb_wal_bytes_total",
@@ -414,7 +421,7 @@ fn main() {
             println!("{name:52} {}", monster::obs::sample(&text, name).unwrap_or(0.0));
         }
         // Both opens were recoveries; the first found an empty directory.
-        let blind = monster::obs::histo("monster_tsdb_recovery_seconds");
+        let blind = obs.histo("monster_tsdb_recovery_seconds");
         println!(
             "recoveries                                           {} ({:.2} ms in all; the restart \
              replayed {} points)",

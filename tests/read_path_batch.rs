@@ -16,7 +16,7 @@ use std::sync::{Mutex, OnceLock};
 const NODES: usize = 467;
 
 /// One deployment for the file, with ten intervals of history; the tests
-/// take turns on it because both read process-wide telemetry.
+/// take turns on it because both read its registry.
 fn deployment() -> std::sync::MutexGuard<'static, Monster> {
     static DEPLOYMENT: OnceLock<Mutex<Monster>> = OnceLock::new();
     let built = DEPLOYMENT.get_or_init(|| {
@@ -88,9 +88,14 @@ fn one_request_leaves_the_trace_ring_and_the_wall_clock_readable() {
         (m.now() - 600).to_rfc3339(),
         m.now().to_rfc3339()
     );
-    let inbound = obs::TraceContext::root();
-    let wall = obs::histo("monster_builder_execute_wall_seconds");
-    let (dropped, executions) = (obs::global().spans_dropped(), wall.count());
+    // A caller's context, from outside this deployment.
+    let inbound = obs::TraceContext::parse_traceparent(
+        "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+    )
+    .unwrap();
+    let registry = m.registry();
+    let wall = registry.histo("monster_builder_execute_wall_seconds");
+    let (dropped, executions) = (registry.spans_dropped(), wall.count());
 
     let resp =
         service.dispatch(&Request::get(&url).with_header("traceparent", inbound.to_traceparent()));
@@ -99,8 +104,8 @@ fn one_request_leaves_the_trace_ring_and_the_wall_clock_readable() {
 
     // The ring (512 slots by default) kept everything: the parent recorded
     // one span per query and evicted its history four times over.
-    assert_eq!(obs::global().spans_dropped() - dropped, 0, "one request overflowed the ring");
-    let spans = obs::global().recent_spans();
+    assert_eq!(registry.spans_dropped() - dropped, 0, "one request overflowed the ring");
+    let spans = registry.recent_spans();
     let ours: Vec<_> = spans.iter().filter(|s| s.trace == inbound.trace).collect();
     let exec = ours.iter().find(|s| s.name == "builder.execute").expect("execute span");
     let scans: Vec<_> = ours.iter().filter(|s| s.name == "tsdb.query_scan").collect();
@@ -115,7 +120,7 @@ fn one_request_leaves_the_trace_ring_and_the_wall_clock_readable() {
 
     // Wall time of the execution, beside the modelled figure.
     assert_eq!(wall.count() - executions, 1);
-    let exposition = obs::global().text_exposition();
+    let exposition = registry.text_exposition();
     assert!(exposition.contains("# HELP monster_builder_execute_wall_seconds "));
     assert!(obs::sample(&exposition, "monster_builder_query_seconds_count").is_some());
 }

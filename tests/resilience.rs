@@ -1,26 +1,19 @@
 //! Integration: the resilient collection path end-to-end — a deployment
 //! with circuit breakers and deadline-aware sweeps rides out a dead BMC
 //! (stale substitution, bounded makespans, recovery), and the resilience
-//! series show up in a live `/metrics` scrape over a real socket.
+//! series show up in a live `/metrics` scrape over a real socket. Every
+//! deployment reports to a registry of its own, so each test reads exactly
+//! what its own sweeps wrote, whatever runs beside it.
 
-use monster::http::{Client, Request};
+use monster::http::{Client, Request, Response};
+use monster::json::Value;
 use monster::redfish::bmc::BmcConfig;
 use monster::redfish::client::{ClientConfig, SkipReason};
 use monster::redfish::resilience::{sweep_deadline, ResilienceConfig};
 use monster::sim::VDuration;
 use monster::{obs, Monster, MonsterConfig};
-use std::sync::{Mutex, MutexGuard};
-
-/// Every sweep in this process writes the same breaker gauges in the
-/// process-wide registry, and the last test below scrapes them. Each test
-/// holds this lock for as long as it runs intervals, so the scrape reads
-/// what its own sweep wrote — not what a sibling's wrote a millisecond
-/// later. (Which sibling that was depended on how long an interval takes.)
-static SWEEPS: Mutex<()> = Mutex::new(());
-
-fn sweeping() -> MutexGuard<'static, ()> {
-    SWEEPS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use std::collections::BTreeSet;
+use std::sync::Barrier;
 
 fn resilient_deployment(nodes: usize, seed: u64) -> Monster {
     Monster::new(MonsterConfig {
@@ -36,7 +29,6 @@ fn resilient_deployment(nodes: usize, seed: u64) -> Monster {
 
 #[test]
 fn dead_bmc_degrades_gracefully_and_recovers() {
-    let _sweeping = sweeping();
     let mut m = resilient_deployment(6, 31);
     let victim = m.node_ids()[0];
     let deadline = sweep_deadline(m.config().interval_secs);
@@ -85,7 +77,6 @@ fn dead_bmc_degrades_gracefully_and_recovers() {
 
 #[test]
 fn stale_substitutes_land_in_storage_tagged() {
-    let _sweeping = sweeping();
     let mut m = resilient_deployment(4, 32);
     let victim = m.node_ids()[1];
     m.run_interval().unwrap();
@@ -107,7 +98,6 @@ fn stale_substitutes_land_in_storage_tagged() {
 
 #[test]
 fn resilient_sweep_holds_deadline_on_quanah_scale_fleet() {
-    let _sweeping = sweeping();
     // The paper's fleet size through the resilient path: the deadline is
     // honored by construction even at the 1868-request pool size.
     let mut m = Monster::new(MonsterConfig {
@@ -129,7 +119,6 @@ fn resilient_sweep_holds_deadline_on_quanah_scale_fleet() {
 
 #[test]
 fn the_sweep_deadline_follows_a_shorter_cadence() {
-    let _sweeping = sweeping();
     // 32 requests of ≈ 4.3 s through 2 channels are ≈ 69 s of work: more
     // than a 30 s cadence holds, so the sweep must stop at 27 s and shed
     // the rest instead of running on to a 60 s cadence's 54 s.
@@ -154,9 +143,6 @@ fn the_sweep_deadline_follows_a_shorter_cadence() {
 
 #[test]
 fn the_freshness_slo_follows_a_shorter_cadence() {
-    let _sweeping = sweeping();
-    // The tracker is process-wide: start it from this deployment's sweeps.
-    obs::freshness().reset();
     let mut m = Monster::new(MonsterConfig {
         nodes: 4,
         seed: 35,
@@ -189,7 +175,6 @@ fn the_freshness_slo_follows_a_shorter_cadence() {
 
 #[test]
 fn metrics_endpoint_exposes_resilience_series() {
-    let _sweeping = sweeping();
     let mut m = resilient_deployment(3, 33);
     let victim = m.node_ids()[2];
     m.run_interval().unwrap();
@@ -207,11 +192,67 @@ fn metrics_endpoint_exposes_resilience_series() {
 
     // Breaker-state gauges: the dead node's breaker is open, the others
     // closed.
-    assert!(scrape("monster_redfish_breakers_open") >= 1.0);
-    assert!(scrape("monster_redfish_breakers_closed") >= 2.0);
+    assert_eq!(scrape("monster_redfish_breakers_open"), 1.0);
+    assert_eq!(scrape("monster_redfish_breakers_closed"), 2.0);
     // The jittered-backoff histogram saw the dead node's retry delays.
-    assert!(scrape("monster_redfish_backoff_seconds_count") >= 1.0);
+    assert_eq!(scrape("monster_redfish_backoff_seconds_count"), 2.0);
     // Stale substitution and skip accounting reached the collector series.
-    assert!(scrape("monster_collector_stale_points_total") >= 1.0);
-    assert!(scrape("monster_redfish_skipped_total") >= 1.0);
+    assert_eq!(scrape("monster_collector_stale_points_total"), 11.0);
+    assert_eq!(scrape("monster_redfish_skipped_total"), 3.0);
+}
+
+/// Scrape `path` from `m`'s own API server over a real socket.
+fn scrape(m: &Monster, path: &str) -> Response {
+    let server = m.serve_api(0).unwrap();
+    Client::new().send_ok(server.addr(), &Request::get(path)).unwrap()
+}
+
+/// Two deployments in one process, run at once on two threads, one of them
+/// losing a BMC: each one's `/metrics`, `/debug/pipeline` and
+/// `/debug/trace` describe that deployment and nothing of the other's.
+#[test]
+fn two_deployments_at_once_each_report_only_their_own() {
+    const INTERVALS: usize = 4;
+    let start = Barrier::new(2);
+    let run = |kill: bool| {
+        // The same fleet twice, so the node ids (and series keys) coincide.
+        let mut m = resilient_deployment(4, 36);
+        start.wait();
+        let mut traces = vec![m.run_interval().unwrap().trace.trace];
+        if kill {
+            m.cluster().set_bmc_alive(m.node_ids()[0], false).unwrap();
+        }
+        traces.extend(m.run_intervals(INTERVALS - 1).iter().map(|s| s.trace.trace));
+        (m, traces)
+    };
+    let ((dead, dead_traces), (healthy, healthy_traces)) = std::thread::scope(|s| {
+        let dead = s.spawn(|| run(true));
+        let healthy = s.spawn(|| run(false));
+        (dead.join().unwrap(), healthy.join().unwrap())
+    });
+
+    for (m, traces, open, attainment) in
+        [(&dead, &dead_traces, 1.0, 12.0 / 16.0), (&healthy, &healthy_traces, 0.0, 1.0)]
+    {
+        let text = String::from_utf8(scrape(m, "/metrics").body.to_vec()).unwrap();
+        let sample = |name: &str| obs::sample(&text, name);
+        assert_eq!(sample("monster_redfish_breakers_open"), Some(open));
+        assert_eq!(sample("monster_collector_intervals_total"), Some(INTERVALS as f64));
+
+        // The dead node's four series are three sweeps behind: stale.
+        let pipeline = scrape(m, "/debug/pipeline").json_body().unwrap();
+        assert_eq!(pipeline.pointer("/tracked_series").and_then(Value::as_f64), Some(16.0));
+        assert_eq!(pipeline.pointer("/attainment").and_then(Value::as_f64), Some(attainment));
+
+        // Every retained span belongs to one of this deployment's intervals,
+        // and every interval left spans.
+        let trace = scrape(m, "/debug/trace").json_body().unwrap();
+        let spans = trace.get("traceEvents").and_then(Value::as_array).unwrap();
+        let own: BTreeSet<String> = traces.iter().map(|t| t.to_string()).collect();
+        let seen: BTreeSet<String> = spans
+            .iter()
+            .map(|s| s.pointer("/args/trace_id").and_then(Value::as_str).unwrap().to_string())
+            .collect();
+        assert_eq!(seen, own, "the spans of exactly this deployment's intervals");
+    }
 }

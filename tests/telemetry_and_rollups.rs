@@ -1,7 +1,8 @@
 //! Integration: telemetry-rate collection (the §VI-era upgrade) stored at its
 //! sub-interval cadence, plus the self-monitoring layer observed end-to-end
-//! (in-process counter deltas and a live `/metrics` scrape over a real
-//! socket).
+//! (in-process counters and a live `/metrics` scrape over a real socket).
+//! Each deployment reports to a registry of its own, so the counts below
+//! are exact whatever else the test harness runs beside them.
 
 use monster::collector::Source;
 use monster::http::{Client, Request};
@@ -10,7 +11,6 @@ use monster::redfish::telemetry::{TelemetryConfig, TelemetryService};
 use monster::util::JobId;
 use monster::{obs, Monster, MonsterConfig};
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 
 fn deployment(nodes: usize) -> Monster {
     Monster::new(MonsterConfig {
@@ -25,21 +25,12 @@ fn on_nodes(m: &Monster) -> BTreeSet<JobId> {
     m.qmaster().all_load_reports().iter().flat_map(|r| r.job_list.iter().copied()).collect()
 }
 
-/// The global registry is process-wide and the harness runs tests
-/// concurrently, so tests asserting *exact* counter deltas serialise their
-/// snapshot → interval → snapshot windows behind this lock. Every source's
-/// interval counts itself in the `monster_collector_*` series, so every
-/// test here that runs intervals holds it while they run.
-static INTERVAL_LOCK: Mutex<()> = Mutex::new(());
-
 #[test]
 fn telemetry_collection_yields_sub_interval_samples() {
     let mut m = deployment(4);
     let mut service = TelemetryService::new(TelemetryConfig::default());
-    let written: usize = {
-        let _guard = INTERVAL_LOCK.lock().unwrap();
-        (0..10).map(|_| m.run_interval_from(Source::Telemetry(&mut service)).unwrap().points).sum()
-    };
+    let written: usize =
+        (0..10).map(|_| m.run_interval_from(Source::Telemetry(&mut service)).unwrap().points).sum();
     assert!(written > 0);
 
     // Ten 60 s intervals at a 10 s cadence: 60 thermal samples per node.
@@ -61,36 +52,25 @@ fn telemetry_collection_yields_sub_interval_samples() {
 fn interval_metrics_match_sweep_outcome() {
     let mut m = deployment(4);
     let mut service = TelemetryService::new(TelemetryConfig::default());
-    let sweeps = obs::counter("monster_redfish_sweeps_total");
-    let requests = obs::counter("monster_redfish_requests_total");
-    let failures = obs::counter("monster_redfish_failures_total");
-    let intervals = obs::counter("monster_collector_intervals_total");
-    let points = obs::counter("monster_collector_points_total");
-    let estimates = obs::counter("monster_collector_finish_estimates_total");
-    let batches = obs::counter("monster_tsdb_write_batches_total");
-    let written = obs::counter("monster_tsdb_points_written_total");
-    let request_histo = obs::histo("monster_redfish_request_seconds");
+    let obs = m.registry();
+    let sweeps = obs.counter("monster_redfish_sweeps_total");
+    let requests = obs.counter("monster_redfish_requests_total");
+    let failures = obs.counter("monster_redfish_failures_total");
+    let intervals = obs.counter("monster_collector_intervals_total");
+    let points = obs.counter("monster_collector_points_total");
+    let estimates = obs.counter("monster_collector_finish_estimates_total");
+    let batches = obs.counter("monster_tsdb_write_batches_total");
+    let written = obs.counter("monster_tsdb_points_written_total");
+    let request_histo = obs.histo("monster_redfish_request_seconds");
 
-    let guard = INTERVAL_LOCK.lock().unwrap();
-    let before = [
-        sweeps.get(),
-        requests.get(),
-        failures.get(),
-        intervals.get(),
-        points.get(),
-        request_histo.count(),
-        estimates.get(),
-    ];
-    let written_before = written.get();
-    let batches_before = batches.get();
     let summary = m.run_interval().unwrap();
     // Exactly one sweep of nodes x 4 categories, every request timed.
-    assert_eq!(sweeps.get() - before[0], 1);
-    assert_eq!(requests.get() - before[1], 16);
-    assert_eq!(failures.get() - before[2], summary.bmc_failures as u64);
-    assert_eq!(intervals.get() - before[3], 1);
-    assert_eq!(points.get() - before[4], summary.points as u64);
-    assert_eq!(request_histo.count() - before[5], 16);
+    assert_eq!(sweeps.get(), 1);
+    assert_eq!(requests.get(), 16);
+    assert_eq!(failures.get(), summary.bmc_failures as u64);
+    assert_eq!(intervals.get(), 1);
+    assert_eq!(points.get(), summary.points as u64);
+    assert_eq!(request_histo.count(), 16);
 
     // The sensors and the telemetry reports: no sweep, no request, and
     // the same collector series. A finish is estimated for each job that
@@ -100,35 +80,30 @@ fn interval_metrics_match_sweep_outcome() {
     lists.push(on_nodes(&m));
     let telemetry = m.run_interval_from(Source::Telemetry(&mut service)).unwrap();
     lists.push(on_nodes(&m));
-    assert_eq!(sweeps.get() - before[0], 1);
-    assert_eq!(requests.get() - before[1], 16);
-    assert_eq!(request_histo.count() - before[5], 16);
-    assert_eq!(intervals.get() - before[3], 3);
+    assert_eq!(sweeps.get(), 1);
+    assert_eq!(requests.get(), 16);
+    assert_eq!(request_histo.count(), 16);
+    assert_eq!(intervals.get(), 3);
     let all_points = summary.points + sensors.points + telemetry.points;
-    assert_eq!(points.get() - before[4], all_points as u64);
+    assert_eq!(points.get(), all_points as u64);
     let left: usize = lists.windows(2).map(|w| w[0].difference(&w[1]).count()).sum();
-    assert_eq!(estimates.get() - before[6], left as u64);
-    drop(guard);
+    assert_eq!(estimates.get(), left as u64);
 
-    // The store counts field values, not points, so its deltas are lower
-    // bounds.
-    assert!(batches.get() > batches_before);
-    assert!(written.get() - written_before >= summary.points as u64);
+    // One write batch an interval; the store counts field values, not
+    // points, so its count is a lower bound.
+    assert_eq!(batches.get(), 3);
+    assert!(written.get() >= all_points as u64);
 }
 
 #[test]
 fn metrics_endpoint_serves_live_pipeline_counters() {
     let mut m = deployment(3);
-    {
-        let _guard = INTERVAL_LOCK.lock().unwrap();
-        m.run_interval().unwrap();
-    }
+    m.run_interval().unwrap();
 
     let server = m.serve_api(0).unwrap();
     let client = Client::new();
 
-    // Drive the query path so `monster_tsdb_queries_total` is non-zero
-    // even if this test runs first in the process.
+    // Drive the query path so `monster_tsdb_queries_total` is non-zero.
     let url = format!(
         "/v1/metrics?start={}&end={}&interval=1m&aggregation=max",
         (m.now() - 300).to_rfc3339(),
@@ -142,14 +117,15 @@ fn metrics_endpoint_serves_live_pipeline_counters() {
     let scrape = |name: &str| {
         obs::sample(&text, name).unwrap_or_else(|| panic!("{name} missing from exposition"))
     };
-    assert!(scrape("monster_redfish_sweeps_total") >= 1.0);
-    assert!(scrape("monster_redfish_requests_total") >= 12.0);
-    assert!(scrape("monster_collector_intervals_total") >= 1.0);
-    assert!(scrape("monster_tsdb_write_batches_total") >= 1.0);
+    // One interval over three nodes and one executed request, exactly.
+    assert_eq!(scrape("monster_redfish_sweeps_total"), 1.0);
+    assert_eq!(scrape("monster_redfish_requests_total"), 12.0);
+    assert_eq!(scrape("monster_collector_intervals_total"), 1.0);
+    assert_eq!(scrape("monster_tsdb_write_batches_total"), 1.0);
     assert!(scrape("monster_tsdb_points_written_total") >= 1.0);
     assert!(scrape("monster_tsdb_queries_total") >= 1.0);
-    assert!(scrape("monster_builder_requests_total") >= 1.0);
-    assert!(scrape("monster_redfish_request_seconds_count") >= 12.0);
+    assert_eq!(scrape("monster_builder_requests_total"), 1.0);
+    assert_eq!(scrape("monster_redfish_request_seconds_count"), 12.0);
 
     // The trace endpoint replays the sweep's vtime-stamped span.
     let trace =

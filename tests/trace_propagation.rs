@@ -13,10 +13,8 @@ use monster::redfish::resilience::ResilienceConfig;
 use monster::redfish::telemetry::{TelemetryConfig, TelemetryService};
 use monster::{Monster, MonsterConfig};
 
+/// A deployment whose registry, span ring included, is its own.
 fn resilient_deployment(nodes: usize, seed: u64) -> Monster {
-    // Room for every span these tests generate: the global ring is shared
-    // across the whole test binary.
-    obs::global().set_span_capacity(20_000);
     Monster::new(MonsterConfig {
         nodes,
         seed,
@@ -42,7 +40,7 @@ fn one_trace_links_interval_sweep_skips_and_storage_writes() {
     let s3 = m.run_interval().unwrap();
     assert!(!s3.skipped_nodes.is_empty(), "breaker-open interval skipped nobody");
 
-    let spans = obs::global().recent_spans();
+    let spans = m.registry().recent_spans();
 
     // Every interval runs under its own distinct trace.
     assert_ne!(s2.trace.trace, s3.trace.trace);
@@ -94,7 +92,7 @@ fn every_source_writes_under_its_own_interval_root() {
         m.run_interval_from(Source::Sensors).unwrap(),
         m.run_interval_from(Source::Telemetry(&mut service)).unwrap(),
     ];
-    let spans = obs::global().recent_spans();
+    let spans = m.registry().recent_spans();
     for (source, s) in ["sweep", "sensors", "telemetry"].iter().zip(&summaries) {
         let in_trace: Vec<_> = spans.iter().filter(|r| r.trace == s.trace.trace).collect();
         let root = in_trace
@@ -126,7 +124,11 @@ fn traceparent_round_trips_through_the_http_api() {
         m.now().to_rfc3339()
     );
 
-    let inbound = obs::TraceContext::root();
+    // A caller's context, from outside this deployment.
+    let inbound = obs::TraceContext::parse_traceparent(
+        "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+    )
+    .unwrap();
     let resp = client
         .send_ok(
             server.addr(),
@@ -147,7 +149,7 @@ fn traceparent_round_trips_through_the_http_api() {
 
     // Server-side spans joined the caller's trace: the API request span
     // hangs off our context, execution and the storage scans below it.
-    let spans = obs::global().recent_spans();
+    let spans = m.registry().recent_spans();
     let ours: Vec<_> = spans.iter().filter(|s| s.trace == inbound.trace).collect();
     let api = ours.iter().find(|s| s.name == "builder.api_request").expect("api span");
     assert_eq!(api.parent, Some(inbound.span));
