@@ -1,8 +1,13 @@
 //! `monster-analysis` — the analytics behind HiperJobViz.
 //!
-//! The paper's data-analysis layer (§III-E) is a visualization tool; what
-//! this crate reproduces is every data product those visuals render:
+//! The paper's data-analysis layer (§III-E) is a visualization tool over
+//! the Metrics Builder's JSON; what this crate reproduces is every data
+//! product those visuals render:
 //!
+//! * [`served`] — the one reader of a served `/v1/metrics` document: per
+//!   node, the windows of the nine [`METRIC_NAMES`] dimensions and the
+//!   latest job list, what Figs. 7–9 and `monster top` take all their node
+//!   data from;
 //! * [`kmeans`] — the (modified) k-means clustering that groups the 467
 //!   nodes into the seven host groups of Fig. 9 and colours Fig. 8's
 //!   historical trend;
@@ -24,6 +29,7 @@ pub mod histogram;
 pub mod kmeans;
 pub mod radar;
 pub mod report;
+pub mod served;
 pub mod timeline;
 pub mod trend;
 

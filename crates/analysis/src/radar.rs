@@ -1,21 +1,19 @@
 //! Radar-chart profiles: normalized nine-dimensional node state (Fig. 7).
 
-/// The nine dimensions the radar charts render, in display order.
-pub const METRIC_NAMES: [&str; 9] = [
-    "CPU1 Temp",
-    "CPU2 Temp",
-    "Inlet Temp",
-    "Fan 1",
-    "Fan 2",
-    "Fan 3",
-    "Fan 4",
-    "Power",
-    "Memory Usage",
-];
+use monster_redfish::sensors::{CPU_TEMP_LABELS, FAN_LABELS, INLET_LABEL};
+
+/// The nine dimensions the radar charts render, in display order: the
+/// first seven are the thermal labels the collector stores readings under,
+/// the last two the node power and CPU usage (slots used / slots) sections
+/// of a served document ([`crate::served`] reads all nine).
+pub const METRIC_NAMES: [&str; 9] = {
+    let ([cpu1, cpu2], [fan1, fan2, fan3, fan4]) = (CPU_TEMP_LABELS, FAN_LABELS);
+    [cpu1, cpu2, INLET_LABEL, fan1, fan2, fan3, fan4, "Power", "CPU Usage"]
+};
 
 /// Expected operating ranges per dimension (lo, hi), used to normalize a
 /// single node's profile without needing the whole fleet: temperatures in
-/// °C, fans in RPM, power in W, memory as a fraction.
+/// °C, fans in RPM, power in W, CPU usage as a fraction.
 pub const DEFAULT_RANGES: [(f64, f64); 9] = [
     (20.0, 100.0),
     (20.0, 100.0),
@@ -58,7 +56,7 @@ impl RadarProfile {
     }
 
     /// The Fig. 7 classification: a profile is *critical* when its hottest
-    /// CPU is in the top decile of range or memory usage exceeds 90 %.
+    /// CPU is in the top decile of range or CPU usage exceeds 90 %.
     pub fn is_critical(&self) -> bool {
         self.normalized[0].max(self.normalized[1]) > 0.9 || self.normalized[8] > 0.9
     }
@@ -98,7 +96,7 @@ mod tests {
     }
 
     fn hot_node() -> RadarProfile {
-        // Fig. 7's right panel: high CPU temperature and high memory usage.
+        // Fig. 7's right panel: high CPU temperature and high CPU usage.
         RadarProfile::new(
             "1-31",
             [95.0, 93.0, 24.0, 14500.0, 14400.0, 14600.0, 14550.0, 390.0, 0.95],
@@ -122,12 +120,12 @@ mod tests {
     fn classification_separates_fig7_cases() {
         assert!(!normal_node().is_critical());
         assert!(hot_node().is_critical());
-        // Memory alone can trip it.
-        let memhog = RadarProfile::new(
+        // CPU usage alone can trip it.
+        let saturated = RadarProfile::new(
             "2-1",
             [50.0, 50.0, 20.0, 5000.0, 5000.0, 5000.0, 5000.0, 200.0, 0.97],
         );
-        assert!(memhog.is_critical());
+        assert!(saturated.is_critical());
     }
 
     #[test]

@@ -5,13 +5,16 @@ use crate::fixture_workload;
 use monster_analysis::histogram::UsageMatrix;
 use monster_analysis::kmeans::KMeans;
 use monster_analysis::radar::{fleet_normalized, RadarProfile};
+use monster_analysis::served::{self, ServedNode};
 use monster_analysis::timeline::build_timeline;
 use monster_analysis::trend::NodeTrend;
 use monster_analysis::METRIC_NAMES;
+use monster_builder::{BuilderRequest, ExecMode};
 use monster_core::{Monster, MonsterConfig};
 use monster_redfish::bmc::BmcConfig;
 use monster_scheduler::{Qmaster, QmasterConfig, WorkloadConfig, WorkloadGenerator};
-use monster_util::EpochSecs;
+use monster_tsdb::Aggregation;
+use monster_util::{EpochSecs, NodeId};
 
 /// Fig. 6 — timeline visualization of one day of job scheduling.
 ///
@@ -48,20 +51,45 @@ pub fn fig06(_: &Fixtures, out: &mut Out) {
     say!(out, " - some jobs start instantly, others queue for a long time");
 }
 
+/// A fault-free deployment of `nodes` under the fixture workload after
+/// `hours` of collection, and the time it started at.
+fn fixture_run(nodes: usize, hours: i64) -> (Monster, EpochSecs) {
+    let mut m = Monster::new(MonsterConfig {
+        nodes,
+        bmc: BmcConfig { failure_rate: 0.0, stall_rate: 0.0, ..BmcConfig::default() },
+        workload: Some(fixture_workload()),
+        horizon_secs: hours * 3600,
+        ..MonsterConfig::default()
+    });
+    let start = m.now();
+    m.run_intervals_bulk(hours as usize * 60);
+    (m, start)
+}
+
+/// The nodes of one Metrics Builder request over `[start, end)`, each
+/// `window_secs` window's last reading: what Figs. 7–9 read.
+fn served(m: &Monster, start: EpochSecs, end: EpochSecs, window_secs: i64) -> Vec<ServedNode> {
+    let req = BuilderRequest::new(start, end, window_secs, Aggregation::Last).expect("window");
+    let outcome = m.builder_query(&req, ExecMode::Sequential).expect("builder query");
+    served::decode(&outcome.document).expect("a served document")
+}
+
 /// Fig. 7 — radar representations of nine-dimensional node metrics:
-/// a normal node vs a critical one (high CPU temperature + memory usage).
+/// a normal node vs a critical one (high CPU temperature + CPU usage),
+/// the median and the hottest node of a small busy run as it was stored.
 pub fn fig07(_: &Fixtures, out: &mut Out) {
+    let (m, _) = fixture_run(16, 2);
+    let hottest_cpu = |row: &[f64; 9]| row[0].max(row[1]);
+    let mut rows: Vec<(NodeId, [f64; 9])> = served(&m, m.now(), m.now() + 60, 60)
+        .into_iter()
+        .filter_map(|n| Some((n.node, n.rows.last()?.1)))
+        .collect();
+    rows.sort_by(|a, b| hottest_cpu(&a.1).total_cmp(&hottest_cpu(&b.1)));
+    let (median, hottest) = (rows[rows.len() / 2], rows[rows.len() - 1]);
+
     say!(out, "FIG. 7 — RADAR PROFILES (normal vs critical)\n");
-    // The two archetypes the figure contrasts; readings representative of
-    // the simulated sensor model's idle and saturated regimes.
-    let normal = RadarProfile::new(
-        "normal",
-        [44.8, 45.3, 20.5, 4420.0, 4433.0, 4401.0, 4415.0, 172.0, 0.31],
-    );
-    let critical = RadarProfile::new(
-        "critical",
-        [96.2, 94.8, 25.1, 15200.0, 15100.0, 15320.0, 15260.0, 441.0, 0.96],
-    );
+    let normal = RadarProfile::new(format!("median node {}", median.0.label()), median.1);
+    let critical = RadarProfile::new(format!("hottest node {}", hottest.0.label()), hottest.1);
     for p in [&normal, &critical] {
         say!(out, "{} (critical = {}):", p.node, p.is_critical());
         for (name, (raw, norm)) in METRIC_NAMES.iter().zip(p.raw.iter().zip(p.normalized.iter())) {
@@ -71,38 +99,25 @@ pub fn fig07(_: &Fixtures, out: &mut Out) {
         say!(out, "  glyph area: {:.3}\n", p.glyph_area());
     }
     assert!(!normal.is_critical() && critical.is_critical());
+    assert!([0, 1, 3, 4, 5, 6, 7, 8].iter().all(|&d| critical.raw[d] > normal.raw[d]));
     say!(out, "shape check: critical glyph dominates on every load-coupled dimension ✓");
 }
 
 /// Fig. 8 — historical status change trends for one node: metrics over a
 /// 17-hour window with background bands coloured by cluster membership.
 pub fn fig08(_: &Fixtures, out: &mut Out) {
-    let mut m = Monster::new(MonsterConfig {
-        nodes: 32,
-        bmc: BmcConfig { failure_rate: 0.0, stall_rate: 0.0, ..BmcConfig::default() },
-        workload: Some(fixture_workload()),
-        horizon_secs: 17 * 3600,
-        ..MonsterConfig::default()
-    });
-
-    // 17 hours (the paper's 12 am..5 pm window), sampling each node's
-    // profile every 10 minutes.
+    // 17 hours (the paper's 12 am..5 pm window), then one request for
+    // every node's profile at 10-minute windows.
+    let (m, start) = fixture_run(32, 17);
     let tracked = m.node_ids()[2]; // a busy node; label "1-3"
-    let mut history: Vec<(EpochSecs, [f64; 9])> = Vec::new();
-    let mut fleet: Vec<Vec<f64>> = Vec::new();
-    for _ in 0..(17 * 6) {
-        m.run_intervals_bulk(10);
-        for &n in &m.node_ids() {
-            let s = m.cluster().sensors(n).expect("node");
-            fleet.push(s.nine_metrics().to_vec());
-            if n == tracked {
-                history.push((m.now(), s.nine_metrics()));
-            }
-        }
-    }
+    let nodes = served(&m, start, m.now(), 600);
+    let mut rows: Vec<&(EpochSecs, [f64; 9])> = nodes.iter().flat_map(|n| &n.rows).collect();
+    rows.sort_by_key(|(t, _)| *t);
+    let fleet: Vec<Vec<f64>> = rows.iter().map(|(_, row)| row.to_vec()).collect();
+    let history = &nodes.iter().find(|n| n.node == tracked).expect("tracked node").rows;
 
     let km = KMeans::fit(&fleet, 7);
-    let trend = NodeTrend::build(tracked.label(), &history, &km);
+    let trend = NodeTrend::build(tracked.label(), history, &km);
 
     say!(out, "FIG. 8 — HISTORICAL STATUS TREND, node {}\n", tracked.label());
     say!(out, "cluster bands over the window:");
@@ -110,8 +125,8 @@ pub fn fig08(_: &Fixtures, out: &mut Out) {
         say!(out, "  {} .. {}  group {}", start, end, cluster + 1);
     }
 
-    // The three series the figure plots: temperature, memory-proxy, power.
-    for (label, dim) in [("CPU1 temperature (°C)", 0usize), ("power (W)", 7), ("load", 8)] {
+    // The three series the figure plots: temperature, power, CPU usage.
+    for (label, dim) in [("CPU1 temperature (°C)", 0usize), ("power (W)", 7), ("CPU usage", 8)] {
         let series = trend.metric_series(dim);
         let lo = series.iter().map(|(_, v)| *v).fold(f64::MAX, f64::min);
         let hi = series.iter().map(|(_, v)| *v).fold(f64::MIN, f64::max);
@@ -137,37 +152,26 @@ pub fn fig08(_: &Fixtures, out: &mut Out) {
 /// Fig. 9 — host groups (k-means, k = 7) and the per-user symmetric
 /// histogram matrix of resource usage.
 pub fn fig09(_: &Fixtures, out: &mut Out) {
-    let mut m = Monster::new(MonsterConfig {
-        nodes: 64,
-        bmc: BmcConfig { failure_rate: 0.0, stall_rate: 0.0, ..BmcConfig::default() },
-        workload: Some(fixture_workload()),
-        horizon_secs: 6 * 3600,
-        ..MonsterConfig::default()
-    });
-
-    // Six hours of activity, observing who is on which node every 10 min.
+    // Six hours of activity, then who was on which node in each 10-minute
+    // window, one request a window.
+    let (m, start) = fixture_run(64, 6);
     let mut matrix = UsageMatrix::new();
     let mut final_snapshot: Vec<[f64; 9]> = Vec::new();
     for step in 0..36 {
-        m.run_intervals_bulk(10);
-        let snapshot: Vec<[f64; 9]> = m
-            .node_ids()
-            .iter()
-            .map(|&n| m.cluster().sensors(n).expect("node").nine_metrics())
-            .collect();
-        let normed = fleet_normalized(&snapshot);
-        for (i, &node) in m.node_ids().iter().enumerate() {
-            if let Ok(report) = m.qmaster().load_report(node) {
-                for jid in report.job_list {
-                    if let Some(job) = m.qmaster().job(jid) {
-                        matrix.observe(&job.spec.user, &normed[i]);
-                    }
+        let from = start + step * 600;
+        let nodes = served(&m, from, from + 600, 600);
+        let shown: Vec<(&ServedNode, [f64; 9])> =
+            nodes.iter().filter_map(|n| Some((n, n.rows.last()?.1))).collect();
+        let snapshot: Vec<[f64; 9]> = shown.iter().map(|&(_, row)| row).collect();
+        for ((node, _), normed) in shown.iter().zip(fleet_normalized(&snapshot)) {
+            for &jid in &node.jobs {
+                // The API serves no job owner: the scheduler names it.
+                if let Some(job) = m.qmaster().job(jid) {
+                    matrix.observe(&job.spec.user, &normed);
                 }
             }
         }
-        if step == 35 {
-            final_snapshot = snapshot;
-        }
+        final_snapshot = snapshot;
     }
 
     say!(out, "FIG. 9 — HOST GROUPS + PER-USER USAGE HISTOGRAMS\n");

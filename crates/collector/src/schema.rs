@@ -7,7 +7,7 @@
 //! real series cardinality.
 
 use crate::preprocess::{health_code_if_abnormal, memory_usage_fraction};
-use monster_redfish::sensors::{CPU_TEMP_LABELS, FAN_LABELS, VOLTAGE_LABELS};
+use monster_redfish::sensors::{CPU_TEMP_LABELS, FAN_LABELS, INLET_LABEL, VOLTAGE_LABELS};
 use monster_redfish::{HealthState, NodeReading};
 use monster_scheduler::host::{LoadReport, SLOTS_PER_NODE};
 use monster_scheduler::{Job, JobState};
@@ -335,7 +335,7 @@ impl<'a> PointWriter<'a> {
                 for (n, temp) in (1..).zip(cpus).skip(CPU_TEMP_LABELS.len()) {
                     self.labeled("Thermal", node, format_args!("CPU{n} Temp"), *temp, t);
                 }
-                self.labeled("Thermal", node, "Inlet Temp", inlet, t);
+                self.labeled("Thermal", node, INLET_LABEL, inlet, t);
                 for (label, rpm) in FAN_LABELS.iter().zip(fans) {
                     self.labeled("Thermal", node, *label, *rpm, t);
                 }

@@ -19,6 +19,8 @@ pub const VOLTAGE_RAILS: [f64; 3] = [12.0, 5.0, 3.3];
 /// CPU or a fan, and the `Label` a point stores for it and for a rail.
 pub const CPU_TEMP_LABELS: [&str; CPUS_PER_NODE] = ["CPU1 Temp", "CPU2 Temp"];
 /// See [`CPU_TEMP_LABELS`].
+pub const INLET_LABEL: &str = "Inlet Temp";
+/// See [`CPU_TEMP_LABELS`].
 pub const FAN_LABELS: [&str; FANS_PER_NODE] = ["Fan 1", "Fan 2", "Fan 3", "Fan 4"];
 /// See [`CPU_TEMP_LABELS`].
 pub const VOLTAGE_LABELS: [&str; VOLTAGE_RAILS.len()] = ["Voltage 1", "Voltage 2", "Voltage 3"];
@@ -126,23 +128,6 @@ impl NodeSensors {
         // Rare BMC firmware hiccups, self-healing.
         self.bmc_health = if rng.chance(0.0005) { HealthState::Warning } else { HealthState::Ok };
     }
-
-    /// The nine metrics the radar/clustering analysis consumes (Fig. 7's
-    /// nine-dimensional profile): CPU1/CPU2 temp, inlet, 4 fans, power,
-    /// and load.
-    pub fn nine_metrics(&self) -> [f64; 9] {
-        [
-            self.cpu_temps[0],
-            self.cpu_temps[1],
-            self.inlet,
-            self.fans[0],
-            self.fans[1],
-            self.fans[2],
-            self.fans[3],
-            self.power,
-            self.load,
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -227,15 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn nine_metrics_vector_shape() {
-        let mut r = rng();
-        let s = NodeSensors::new(&mut r);
-        let m = s.nine_metrics();
-        assert_eq!(m.len(), 9);
-        assert_eq!(m[8], 0.0); // load at init
-    }
-
-    #[test]
     fn determinism_same_seed_same_trajectory() {
         let mut r1 = SimRng::derive(7, "bmc/10.101.1.1");
         let mut r2 = SimRng::derive(7, "bmc/10.101.1.1");
@@ -246,6 +222,9 @@ mod tests {
             a.step(load, 60.0, &mut r1);
             b.step(load, 60.0, &mut r2);
         }
-        assert_eq!(a.nine_metrics(), b.nine_metrics());
+        assert_eq!(
+            (a.cpu_temps, a.inlet, a.fans, a.power, a.load),
+            (b.cpu_temps, b.inlet, b.fans, b.power, b.load)
+        );
     }
 }

@@ -12,6 +12,7 @@
 //! monster report [--nodes N] [--hours H]       per-user utilization report
 //! ```
 
+use monster::analysis::served;
 use monster::builder::{BuilderRequest, ExecMode};
 use monster::redfish::bmc::BmcConfig;
 use monster::tsdb::Aggregation;
@@ -27,34 +28,35 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Parse `--key value` flags; returns (flags, positional args).
-fn parse_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
+/// Parse `--key value` flags; returns (flags, positional args), or `None`
+/// when a flag has no value.
+fn parse_flags(args: &[String]) -> Option<(HashMap<String, String>, Vec<String>)> {
     let mut flags = HashMap::new();
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(key) = a.strip_prefix("--") {
-            if let Some(v) = it.next() {
-                flags.insert(key.to_string(), v.clone());
-            }
+            flags.insert(key.to_string(), it.next()?.clone());
         } else {
             positional.push(a.clone());
         }
     }
-    (flags, positional)
+    Some((flags, positional))
 }
 
-fn flag_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> usize {
-    flags.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+/// A count flag (`N`, `H`): `default` when absent, `None` unless a whole
+/// number of at least 1.
+fn flag_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> Option<usize> {
+    flags.get(key).map_or(Some(default), |v| v.parse().ok().filter(|&n| n > 0))
 }
 
 fn deployment(nodes: usize) -> Monster {
     Monster::new(MonsterConfig { nodes, bmc: BmcConfig::default(), ..MonsterConfig::default() })
 }
 
-fn cmd_demo(flags: &HashMap<String, String>) -> ExitCode {
-    let nodes = flag_usize(flags, "nodes", 16);
-    let intervals = flag_usize(flags, "intervals", 5);
+fn cmd_demo(flags: &HashMap<String, String>) -> Option<ExitCode> {
+    let nodes = flag_usize(flags, "nodes", 16)?;
+    let intervals = flag_usize(flags, "intervals", 5)?;
     println!("monster demo: {nodes} nodes, {intervals} x 60 s intervals\n");
     let mut m = deployment(nodes);
     for s in m.run_intervals(intervals) {
@@ -75,12 +77,12 @@ fn cmd_demo(flags: &HashMap<String, String>) -> ExitCode {
             .expect("window");
     let out = m.builder_query(&req, ExecMode::Concurrent { workers: 8 }).expect("query");
     println!("builder query: {} points, simulated {}", out.points_out, out.query_processing_time());
-    ExitCode::SUCCESS
+    Some(ExitCode::SUCCESS)
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
-    let nodes = flag_usize(flags, "nodes", 16);
-    let port = flag_usize(flags, "port", 8080) as u16;
+fn cmd_serve(flags: &HashMap<String, String>) -> Option<ExitCode> {
+    let nodes = flag_usize(flags, "nodes", 16)?;
+    let port: u16 = flags.get("port").map_or(Some(8080), |v| v.parse().ok())?;
     let mut m = deployment(nodes);
     println!("collecting one hour of history on {nodes} nodes...");
     m.run_intervals_bulk(60);
@@ -88,7 +90,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             eprintln!("bind failed: {e}");
-            return ExitCode::FAILURE;
+            return Some(ExitCode::FAILURE);
         }
     };
     println!("Metrics Builder API on {}", server.base_url());
@@ -103,22 +105,22 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
         std::thread::sleep(std::time::Duration::from_millis(200));
         if let Err(e) = m.run_interval() {
             eprintln!("collection error: {e}");
-            return ExitCode::FAILURE;
+            return Some(ExitCode::FAILURE);
         }
     }
 }
 
-fn cmd_query(flags: &HashMap<String, String>, positional: &[String]) -> ExitCode {
+fn cmd_query(flags: &HashMap<String, String>, positional: &[String]) -> Option<ExitCode> {
     let Some(text) = positional.first() else {
         eprintln!("query: missing InfluxQL string");
-        return ExitCode::from(2);
+        return None;
     };
-    let nodes = flag_usize(flags, "nodes", 8);
+    let nodes = flag_usize(flags, "nodes", 8)?;
     let mut m = deployment(nodes);
     m.run_intervals_bulk(30);
     // SHOW meta-queries discover the schema.
     if text.trim().to_ascii_uppercase().starts_with("SHOW") {
-        return match monster::tsdb::query::MetaQuery::parse(text) {
+        return Some(match monster::tsdb::query::MetaQuery::parse(text) {
             Ok(q) => {
                 for row in q.run(m.db()) {
                     println!("{row}");
@@ -129,9 +131,9 @@ fn cmd_query(flags: &HashMap<String, String>, positional: &[String]) -> ExitCode
                 eprintln!("query error: {e}");
                 ExitCode::FAILURE
             }
-        };
+        });
     }
-    match m.db().query_str(text) {
+    Some(match m.db().query_str(text) {
         Ok((rs, cost)) => {
             for series in &rs.series {
                 println!("{}", series.key);
@@ -151,12 +153,12 @@ fn cmd_query(flags: &HashMap<String, String>, positional: &[String]) -> ExitCode
             eprintln!("query error: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
-fn cmd_watch(flags: &HashMap<String, String>) -> ExitCode {
-    let nodes = flag_usize(flags, "nodes", 16);
-    let intervals = flag_usize(flags, "intervals", 30);
+fn cmd_watch(flags: &HashMap<String, String>) -> Option<ExitCode> {
+    let nodes = flag_usize(flags, "nodes", 16)?;
+    let intervals = flag_usize(flags, "intervals", 30)?;
     println!("monster watch: {nodes} nodes, {intervals} intervals, alert transitions\n");
     let mut m = deployment(nodes);
     let (mut events, mut transitions) = (0, 0);
@@ -177,69 +179,73 @@ fn cmd_watch(flags: &HashMap<String, String>) -> ExitCode {
     println!(
         "\n{transitions} alert transitions, {events} detector events over {intervals} intervals"
     );
-    ExitCode::SUCCESS
+    Some(ExitCode::SUCCESS)
 }
 
-fn cmd_top(flags: &HashMap<String, String>) -> ExitCode {
-    let nodes = flag_usize(flags, "nodes", 24);
-    let intervals = flag_usize(flags, "intervals", 10);
+fn cmd_top(flags: &HashMap<String, String>) -> Option<ExitCode> {
+    let nodes = flag_usize(flags, "nodes", 24)?;
+    let intervals = flag_usize(flags, "intervals", 10)?;
     let mut m = deployment(nodes);
+    let step = m.config().interval_secs;
     println!("monster top: {nodes} nodes, one frame per collection interval\n");
     for frame in 0..intervals {
         let s = m.run_interval().expect("interval");
-        let mut rows: Vec<(String, f64, f64, f64)> = m
-            .node_ids()
-            .iter()
-            .map(|&n| {
-                let sensors = m.cluster().sensors(n).expect("node");
-                let util = m.qmaster().utilization(n);
-                (n.label(), util, sensors.power, sensors.cpu_temps[0].max(sensors.cpu_temps[1]))
-            })
+        // What the Metrics Builder serves for this interval: a node whose
+        // nine dimensions it does not all show is not shown.
+        let req =
+            BuilderRequest::new(s.time, s.time + step, step, Aggregation::Last).expect("window");
+        let doc = m.builder_query(&req, ExecMode::Sequential).expect("query").document;
+        let mut rows: Vec<(String, [f64; 9])> = served::decode(&doc)
+            .expect("a served document")
+            .into_iter()
+            .filter_map(|n| Some((n.node.label(), n.rows.last()?.1)))
             .collect();
-        rows.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite power"));
-        let cluster_util: f64 = rows.iter().map(|r| r.1).sum::<f64>() / rows.len() as f64 * 100.0;
-        let cluster_kw: f64 = rows.iter().map(|r| r.2).sum::<f64>() / 1000.0;
+        rows.sort_by(|a, b| b.1[7].total_cmp(&a.1[7]));
+        let total = |d: usize| rows.iter().fold(0.0, |sum, (_, row)| sum + row[d]);
         println!(
-            "[{}] frame {}/{intervals}: util {:5.1}%  power {:6.2} kW  running {}  pending {}  sweep {}",
+            "[{}] frame {}/{intervals}: shown {}/{nodes}  util {:5.1}%  power {:6.2} kW  running {}  pending {}  sweep {}",
             s.time,
             frame + 1,
-            cluster_util,
-            cluster_kw,
+            rows.len(),
+            total(8) / rows.len().max(1) as f64 * 100.0,
+            total(7) / 1000.0,
             m.qmaster().running_jobs().len(),
             m.qmaster().pending_jobs().len(),
             s.collection_time,
         );
         println!("  {:<8} {:>6} {:>9} {:>8}", "hottest", "util", "power", "cpu max");
-        for (label, util, power, temp) in rows.iter().take(5) {
-            println!("  {label:<8} {:>5.0}% {:>7.1} W {:>6.1} C", util * 100.0, power, temp);
+        for (label, row) in rows.iter().take(5) {
+            let (util, power, temp) = (row[8] * 100.0, row[7], row[0].max(row[1]));
+            println!("  {label:<8} {util:>5.0}% {power:>7.1} W {temp:>6.1} C");
         }
     }
-    ExitCode::SUCCESS
+    Some(ExitCode::SUCCESS)
 }
 
-fn cmd_report(flags: &HashMap<String, String>) -> ExitCode {
-    let nodes = flag_usize(flags, "nodes", 32);
-    let hours = flag_usize(flags, "hours", 6) as i64;
+fn cmd_report(flags: &HashMap<String, String>) -> Option<ExitCode> {
+    let nodes = flag_usize(flags, "nodes", 32)?;
+    let hours = flag_usize(flags, "hours", 6)? as i64;
     let mut m = deployment(nodes);
     println!("simulating {hours} h of cluster activity on {nodes} nodes...\n");
     let start = m.now();
     m.run_intervals_bulk((hours * 60) as usize);
     let report = monster::analysis::ClusterReport::build(m.qmaster(), start, m.now());
     print!("{}", report.to_text());
-    ExitCode::SUCCESS
+    Some(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { return usage() };
-    let (flags, positional) = parse_flags(&args[1..]);
-    match cmd.as_str() {
+    let Some((flags, positional)) = parse_flags(&args[1..]) else { return usage() };
+    let code = match cmd.as_str() {
         "demo" => cmd_demo(&flags),
         "serve" => cmd_serve(&flags),
         "query" => cmd_query(&flags, &positional),
         "watch" => cmd_watch(&flags),
         "top" => cmd_top(&flags),
         "report" => cmd_report(&flags),
-        _ => usage(),
-    }
+        _ => None,
+    };
+    code.unwrap_or_else(usage)
 }
