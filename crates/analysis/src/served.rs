@@ -59,7 +59,7 @@ pub fn decode(document: &Value) -> Result<Vec<ServedNode>> {
             .filter(|(_, w)| w.iter().all(Option::is_some))
             .map(|(t, w)| (EpochSecs::new(t), w.map(Option::unwrap_or_default)))
             .collect();
-        let jobs = match points(doc.get(jobs))?.last() {
+        let jobs = match points(doc.get(jobs))?.into_iter().max_by_key(|&(t, _)| t) {
             Some((_, list)) => job_list(list).ok_or_else(|| Error::parse(format!("{list:?}")))?,
             None => Vec::new(),
         };

@@ -257,11 +257,8 @@ mod tests {
             for i in 0..20 {
                 c.step(60.0, |id| ((id.slot as usize + i) % 3) as f64 / 2.0);
             }
-            let fields = |id| {
-                let s = c.sensors(id).unwrap();
-                (s.cpu_temps, s.inlet, s.fans, s.power, s.load)
-            };
-            c.node_ids().iter().map(|&id| fields(id)).collect::<Vec<_>>()
+            let sensors = c.node_ids().iter().map(|&id| c.sensors(id).unwrap());
+            sensors.map(|s| (s.cpu_temps, s.inlet, s.fans, s.power, s.load)).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }
