@@ -6,6 +6,7 @@ use monster_core::{Monster, MonsterConfig};
 use monster_redfish::bmc::{Answer, BmcConfig};
 use monster_redfish::cluster::{ClusterConfig, SimulatedCluster};
 use monster_redfish::model::parse_reading;
+use monster_redfish::sensors::{CPU_TEMP_LABELS, FAN_LABELS, INLET_LABEL};
 use monster_redfish::{Category, NodeReading, RedfishClient};
 use monster_scheduler::accounting::{bandwidth_report, job_document, node_document};
 use monster_scheduler::{
@@ -43,15 +44,9 @@ pub fn table1(_: &Fixtures, out: &mut Out) {
             NodeReading::Thermal { cpu_temps, fans, .. } => (
                 "Thermal",
                 vec![
-                    (1..=cpu_temps.len())
-                        .map(|i| format!("CPU{i} Temp"))
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                    "Inlet Temp".to_string(),
-                    format!(
-                        "Fans Speed ({})",
-                        (1..=fans.len()).map(|i| format!("Fan {i}")).collect::<Vec<_>>().join(", ")
-                    ),
+                    CPU_TEMP_LABELS[..cpu_temps.len()].join(", "),
+                    INLET_LABEL.to_string(),
+                    format!("Fans Speed ({})", FAN_LABELS[..fans.len()].join(", ")),
                 ],
             ),
             NodeReading::Power { voltages, .. } => (

@@ -9,6 +9,7 @@ use monster_redfish::client::{ClientConfig, RedfishClient, SkipReason, SweepOutc
 use monster_redfish::resilience::{
     sweep_deadline, BreakerCounts, HealthRegistry, ResilienceConfig,
 };
+use monster_redfish::sensors::{wire_reading, VOLTAGE_RAILS};
 use monster_redfish::telemetry::{parse_report, TelemetryService};
 use monster_redfish::types::{Category, NodeReading};
 use monster_redfish::SimulatedCluster;
@@ -62,9 +63,9 @@ pub enum Source<'a> {
     /// The Redfish sweep of §III-B1: one request a node and category,
     /// through the resilience layer when it is configured.
     Sweep,
-    /// The simulated sensors read directly, without the wire layer: the
-    /// bulk load that fills days of history for the query experiments
-    /// (Figs. 10, 12–15).
+    /// The simulated sensors read directly, without the wire layer, and
+    /// stored at the wire's precision: the bulk load that fills days of
+    /// history for the query experiments (Figs. 10, 12–15).
     Sensors,
     /// The Telemetry Service of §VI: one metric-report fetch a node yields
     /// every sample recorded since the last fetch.
@@ -223,8 +224,8 @@ impl Collector {
             // What describes a sweep stays in this arm: the node table,
             // last-good substitution, the breaker census, the makespan and
             // the stale/degraded counters. So do the detectors and the
-            // freshness ingests: they are tuned to the wire's rounded
-            // readings, and the other sources carry full precision.
+            // freshness ingests: they read the sweep's `NodeReading`s, though
+            // every source now stores the same 0.1 readings.
             Source::Sweep => {
                 // Resilient when configured: breakers + backoff + deadline
                 // budget; otherwise the legacy fan-out with immediate retries.
@@ -316,8 +317,9 @@ impl Collector {
             Source::Sensors => {
                 for &node in cluster.node_ids() {
                     let s = cluster.sensors(node)?;
-                    writer.thermal(node, &s.cpu_temps, s.inlet, &s.fans, now);
-                    writer.power(node, s.power, &monster_redfish::sensors::VOLTAGE_RAILS, now);
+                    let (cpus, fans) = (s.cpu_temps.map(wire_reading), s.fans.map(wire_reading));
+                    writer.thermal(node, &cpus, wire_reading(s.inlet), &fans, now);
+                    writer.power(node, wire_reading(s.power), &VOLTAGE_RAILS, now);
                     writer.bmc(node, &NodeReading::Manager { health: s.bmc_health }, now, false);
                     writer.bmc(node, &NodeReading::System { health: s.host_health }, now, false);
                 }

@@ -327,8 +327,8 @@ mod tests {
             bits ^= bits << 13;
             bits ^= bits >> 7;
             bits ^= bits << 17;
-            let sensor = (bits >> 11) as f64 / (1u64 << 53) as f64 * 5000.0; // bulk-loaded: 17 digits
-            let (tenths, hundredths) = (n as f64 / 10.0, n as f64 / 100.0); // round1, round2
+            let sensor = (bits >> 11) as f64 / (1u64 << 53) as f64 * 5000.0; // unrounded: 17 digits
+            let (tenths, hundredths) = (n as f64 / 10.0, n as f64 / 100.0); // a reading, a rail
             let epoch = (1_587_340_800 + n * 60) as f64;
             for f in [sensor, tenths, hundredths, n as f64, epoch] {
                 assert!(super::shortest(f).is_some(), "{f} fell back to core::fmt");

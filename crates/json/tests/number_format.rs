@@ -68,7 +68,7 @@ proptest! {
         check(f64::from_bits(((lg + 1023) as u64) << 52 | mantissa >> 12))?;
     }
 
-    /// Every reading `round1` / `round2` can produce, and one decimal more.
+    /// Every reading `wire_reading` or a rail's two decimals can produce, and one decimal more.
     #[test]
     fn decimal_ladders(bits in any::<u64>(), shift in 20u32..64) {
         let n = (bits >> shift) as f64; // up to 2^44, small ones as likely as large
@@ -77,7 +77,7 @@ proptest! {
         }
     }
 
-    /// Sensor readings as the bulk loader stores them: 17 digits, 0–5 000.
+    /// Unrounded readings, as a sensor model holds them: 17 digits, 0–5 000.
     #[test]
     fn full_precision_readings(bits in any::<u64>()) {
         check((bits >> 11) as f64 / (1u64 << 53) as f64 * 5000.0)?;

@@ -15,7 +15,7 @@
 //! out. Per thread, not per node: four templates a sweep worker, where one
 //! a node would keep 1 868 trees resident.
 
-use crate::sensors::{NodeSensors, CPU_TEMP_LABELS, FAN_LABELS, VOLTAGE_RAILS};
+use crate::sensors::{wire_reading, NodeSensors, CPU_TEMP_LABELS, FAN_LABELS, VOLTAGE_RAILS};
 use crate::types::{Category, HealthState, NodeReading};
 use monster_json::{jobj, Object, Value};
 use monster_util::{Error, NodeId, Result};
@@ -59,18 +59,18 @@ fn write_over(category: Category, v: &mut Value, node: NodeId, s: &NodeSensors) 
         Category::Thermal => {
             let Value::Array(temps) = at(v, "Temperatures") else { unreachable!() };
             let (inlet, cpus) = temps.split_last_mut().expect("an inlet entry");
-            *at(inlet, "ReadingCelsius") = Value::Float(round1(s.inlet));
-            for (t, &reading) in cpus.iter_mut().zip(&s.cpu_temps) {
-                *at(t, "ReadingCelsius") = Value::Float(round1(reading));
+            *at(inlet, "ReadingCelsius") = Value::Float(wire_reading(s.inlet));
+            for (t, reading) in cpus.iter_mut().zip(s.cpu_temps.map(wire_reading)) {
+                *at(t, "ReadingCelsius") = Value::Float(reading);
                 set_health(t, s.host_health);
             }
             let Value::Array(fans) = at(v, "Fans") else { unreachable!() };
-            for (fan, &reading) in fans.iter_mut().zip(&s.fans) {
-                *at(fan, "Reading") = Value::Float(round1(reading));
+            for (fan, reading) in fans.iter_mut().zip(s.fans.map(wire_reading)) {
+                *at(fan, "Reading") = Value::Float(reading);
             }
         }
         Category::Power => {
-            *at(v, "PowerControl/0/PowerConsumedWatts") = Value::Float(round1(s.power))
+            *at(v, "PowerControl/0/PowerConsumedWatts") = Value::Float(wire_reading(s.power))
         }
         Category::Manager => set_health(v, s.bmc_health),
         Category::System => set_health(v, s.host_health),
@@ -185,10 +185,6 @@ fn system() -> Value {
         "Status" => status(),
         "ProcessorSummary" => jobj! { "Count" => 2i64, "LogicalProcessorCount" => 36i64 },
     }
-}
-
-fn round1(v: f64) -> f64 {
-    (v * 10.0).round() / 10.0
 }
 
 fn round2(v: f64) -> f64 {

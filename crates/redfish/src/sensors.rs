@@ -25,6 +25,14 @@ pub const FAN_LABELS: [&str; FANS_PER_NODE] = ["Fan 1", "Fan 2", "Fan 3", "Fan 4
 /// See [`CPU_TEMP_LABELS`].
 pub const VOLTAGE_LABELS: [&str; VOLTAGE_RAILS.len()] = ["Voltage 1", "Voltage 2", "Voltage 3"];
 
+/// A reading at the precision the BMC reports it: one decimal, as an
+/// iDRAC's `ReadingCelsius`, fan `Reading` and `PowerConsumedWatts` come.
+/// Every source stores a temperature, fan speed or power through this, so
+/// a sweep and a bulk load of the same fleet state store the same value.
+pub fn wire_reading(v: f64) -> f64 {
+    (v * 10.0).round() / 10.0
+}
+
 /// Idle and peak operating points for the power model (W).
 const POWER_IDLE: f64 = 118.0;
 const POWER_PEAK: f64 = 395.0;

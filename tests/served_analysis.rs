@@ -10,6 +10,7 @@ use monster::builder::{BuilderRequest, ExecMode};
 use monster::http::{Request, Status};
 use monster::json::Value;
 use monster::redfish::bmc::BmcConfig;
+use monster::redfish::sensors::wire_reading;
 use monster::tsdb::Aggregation;
 use monster::util::EpochSecs;
 use monster::{Monster, MonsterConfig};
@@ -49,10 +50,12 @@ fn a_fault_free_run_decodes_to_the_fleets_sensors() {
         assert_eq!(n.rows.len(), 40, "{}", n.node);
         let &(time, row) = n.rows.last().unwrap();
         assert_eq!(time, m.now());
+        // Stored, and so served, at the precision the BMC reports.
         let s = m.cluster().sensors(n.node).unwrap();
-        let [c1, c2] = s.cpu_temps;
-        let [f1, f2, f3, f4] = s.fans;
-        assert_eq!(row, [c1, c2, s.inlet, f1, f2, f3, f4, s.power, s.load], "{}", n.node);
+        let [c1, c2] = s.cpu_temps.map(wire_reading);
+        let [f1, f2, f3, f4] = s.fans.map(wire_reading);
+        let (inlet, power) = (wire_reading(s.inlet), wire_reading(s.power));
+        assert_eq!(row, [c1, c2, inlet, f1, f2, f3, f4, power, s.load], "{}", n.node);
         assert_eq!(n.jobs, m.qmaster().jobs_on(n.node), "{}", n.node);
         busy += usize::from(!n.jobs.is_empty());
     }

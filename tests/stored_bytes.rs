@@ -93,6 +93,6 @@ fn stored(schema: SchemaVersion) -> (u64, usize) {
 fn a_seeded_hour_stores_the_pinned_bytes() {
     let optimized = stored(SchemaVersion::Optimized);
     let previous = stored(SchemaVersion::Previous);
-    assert_eq!(optimized, (0x7461_8538_0ec6_5fa9, 1), "optimized schema: digest, files");
-    assert_eq!(previous, (0x540f_4af0_ee12_680d, 1), "previous schema: digest, files");
+    assert_eq!(optimized, (0x17bd_0824_53cf_ac07, 1), "optimized schema: digest, files");
+    assert_eq!(previous, (0xc4b2_99c7_8f1d_a8f0, 1), "previous schema: digest, files");
 }
