@@ -224,8 +224,7 @@ impl Collector {
             // What describes a sweep stays in this arm: the node table,
             // last-good substitution, the breaker census, the makespan and
             // the stale/degraded counters. So do the detectors and the
-            // freshness ingests: they read the sweep's `NodeReading`s, though
-            // every source now stores the same 0.1 readings.
+            // freshness ingests: they read the sweep's `NodeReading`s.
             Source::Sweep => {
                 // Resilient when configured: breakers + backoff + deadline
                 // budget; otherwise the legacy fan-out with immediate retries.
