@@ -418,7 +418,7 @@ mod tests {
 
     #[test]
     fn round_trips_representative_payloads() {
-        for l in [Level::FAST, Level::default(), Level::BEST] {
+        for l in [Level::new(1), Level::default(), Level::new(9)] {
             rt(b"", l);
             rt(b"x", l);
             rt(b"hello hello hello hello", l);
@@ -464,7 +464,7 @@ mod tests {
     #[test]
     fn stored_mode_for_incompressible_input() {
         let data = noise(256);
-        let packed = compress(&data, Level::BEST);
+        let packed = compress(&data, Level::new(9));
         // Container overhead only: magic(4)+level(1)+varint(2)+mode(1)+sum(4).
         assert_eq!(packed.len(), data.len() + 12);
         assert_eq!(decompress(&packed).unwrap(), data);
@@ -487,7 +487,7 @@ mod tests {
         let data: Vec<u8> = (0..3 * BLOCK + BLOCK / 2)
             .map(|i| line[i % line.len()] ^ ((i / 7919) as u8 & 1))
             .collect();
-        for level in [Level::FAST, Level::default(), Level::BEST] {
+        for level in [Level::new(1), Level::default(), Level::new(9)] {
             let one = compress_on(&data, level, 1);
             for threads in [2, 5, 64] {
                 assert_eq!(compress_on(&data, level, threads), one, "{threads} threads");
@@ -534,7 +534,7 @@ mod tests {
         let spawned = |len: usize, threads: usize| {
             let data = vec![b'z'; len];
             let before = pool::spawned_by_this_thread();
-            compress_on(&data, Level::FAST, threads);
+            compress_on(&data, Level::new(1), threads);
             pool::spawned_by_this_thread() - before
         };
         assert_eq!(spawned(INLINE_BYTES - 1, 8), 0, "a sub-threshold body runs inline");
@@ -578,8 +578,8 @@ mod tests {
     fn higher_levels_do_not_regress_much() {
         let unit = br#"{"a":1,"b":"xyz","c":[1,2,3]}"#;
         let data = unit.repeat(500);
-        let fast = rt(&data, Level::FAST).output_bytes;
-        let best = rt(&data, Level::BEST).output_bytes;
+        let fast = rt(&data, Level::new(1)).output_bytes;
+        let best = rt(&data, Level::new(9)).output_bytes;
         assert!(best as f64 <= fast as f64 * 1.02, "best {best} fast {fast}");
     }
 

@@ -23,11 +23,6 @@ impl Level {
         Level(level.clamp(1, 9))
     }
 
-    /// Fastest (level 1).
-    pub const FAST: Level = Level(1);
-    /// Best ratio (level 9).
-    pub const BEST: Level = Level(9);
-
     /// The numeric level.
     pub fn get(self) -> u8 {
         self.0
@@ -685,7 +680,7 @@ mod tests {
             let mut data = copy.clone();
             data.extend(noise(12, gap - copy.len()));
             data.extend_from_slice(&copy);
-            let toks = round_trip(&data, Level::BEST);
+            let toks = round_trip(&data, Level::new(9));
             let found = toks.iter().any(|t| matches!(t, Token::Match { dist, .. } if *dist == gap));
             assert_eq!(found, reachable, "a copy {gap} bytes back");
         }

@@ -22,7 +22,7 @@ fn compress_allocates_per_call_and_thread_not_per_block() {
     let window = all_threads();
     // The first fan-out of a process pays for thread-locals and the core
     // count; that is not what is being counted.
-    compress(&vec![b'7'; 4 * BLOCK], Level::FAST);
+    compress(&vec![b'7'; 4 * BLOCK], Level::new(1));
     // 12, 24 and 49 blocks: tables, token buffer and Huffman scratch are
     // reused from block to block and the output is sized up front.
     let counts: Vec<usize> = [75, 150, 300]
@@ -46,7 +46,7 @@ fn threads_follow_size_and_cores() {
     let spawned = |len: usize| {
         let doc = vec![b'7'; len];
         let before = pool::spawned_by_this_thread();
-        compress(&doc, Level::FAST);
+        compress(&doc, Level::new(1));
         pool::spawned_by_this_thread() - before
     };
     assert_eq!(spawned(BLOCK), 0, "one block has nothing to share out");

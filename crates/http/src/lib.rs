@@ -15,8 +15,8 @@
 //!   (both peers are in-workspace, so the private coding is fine).
 //!
 //! Bodies are `Content-Length`-framed. Connections default to
-//! `Connection: close`; clients that poll repeatedly (the collector, the
-//! Metrics Builder's database link) use [`PersistentClient`] and
+//! `Connection: close`; a client that polls one server repeatedly (a
+//! dashboard reading the Metrics Builder API) uses [`PersistentClient`] and
 //! `Connection: keep-alive` to amortize handshakes.
 
 #![warn(missing_docs)]

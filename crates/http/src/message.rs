@@ -61,8 +61,6 @@ impl Status {
     pub const TOO_MANY_REQUESTS: Status = Status(429);
     /// 500.
     pub const INTERNAL_ERROR: Status = Status(500);
-    /// 503 — what an overloaded iDRAC answers (§III-B1's retry motivation).
-    pub const SERVICE_UNAVAILABLE: Status = Status(503);
 
     /// Canonical reason phrase.
     pub fn reason(&self) -> &'static str {
@@ -179,15 +177,6 @@ impl Request {
     pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Request {
         self.headers.set(name, value);
         self
-    }
-
-    /// A POST with a JSON body.
-    pub fn post_json(path_and_query: &str, v: &Value) -> Request {
-        let (path, query) = split_query(path_and_query);
-        let body = v.to_string_compact().into_bytes();
-        let mut headers = Headers::new();
-        headers.set("Content-Type", "application/json");
-        Request { method: Method::Post, path, query, headers, body, keep_alive: false }
     }
 
     /// One query parameter's value (`key=value`). The query is canonical
@@ -525,7 +514,7 @@ mod tests {
     #[test]
     fn status_reasons() {
         assert_eq!(Status::OK.reason(), "OK");
-        assert_eq!(Status::SERVICE_UNAVAILABLE.reason(), "Service Unavailable");
+        assert_eq!(Status(503).reason(), "Service Unavailable");
         assert!(!Status::NOT_FOUND.is_success());
     }
 

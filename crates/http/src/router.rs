@@ -2,8 +2,9 @@
 //!
 //! Patterns are `/`-separated segments; a segment starting with `:` binds a
 //! parameter, and a trailing `*rest` binds the remainder of the path. The
-//! Redfish tree uses the wildcard form (`/redfish/v1/*rest`), the Metrics
-//! Builder API uses named params (`/v1/metrics/:node`).
+//! Metrics Builder API uses named params (`/v1/metrics/:node`); the
+//! benchmark harness's front router uses the wildcard form (`/*rest`) to
+//! hand every path to the router it wraps.
 
 use crate::message::{Method, Request, Response, Status};
 use std::collections::HashMap;

@@ -160,7 +160,9 @@ mod tests {
         let server = Server::spawn(0, test_router()).unwrap();
         let client = Client::new();
         let payload = jobj! { "xs" => vec![1i64, 2, 3] };
-        let resp = client.send(server.addr(), &Request::post_json("/echo", &payload)).unwrap();
+        let body = payload.to_string_compact().into_bytes();
+        let req = Request { method: Method::Post, body, ..Request::get("/echo") };
+        let resp = client.send(server.addr(), &req).unwrap();
         assert_eq!(resp.body, payload.to_string_compact().into_bytes());
     }
 
@@ -217,7 +219,7 @@ mod tests {
         assert_eq!(std::io::Read::read(&mut stream, &mut [0u8; 16]).unwrap(), 0);
         // At the cap is served.
         let body = vec![b'x'; MAX_REQUEST_BODY];
-        let req = Request { body: body.clone(), ..Request::post_json("/echo", &jobj! {}) };
+        let req = Request { method: Method::Post, body: body.clone(), ..Request::get("/echo") };
         assert_eq!(Client::new().send(server.addr(), &req).unwrap().body, body);
     }
 

@@ -40,7 +40,7 @@ impl Read for Fragments {
 /// Pipelined messages, one body each: requests (as a server reads them) or
 /// responses (as a client does), each on the wire the way its type writes it.
 fn pipelined(bodies: &[Vec<u8>], requests: bool) -> Vec<Vec<u8>> {
-    let status = [Status::OK, Status::NOT_FOUND, Status::SERVICE_UNAVAILABLE];
+    let status = [Status::OK, Status::NOT_FOUND, Status(503)];
     bodies
         .iter()
         .enumerate()

@@ -116,11 +116,6 @@ impl Value {
         Some(cur)
     }
 
-    /// True for `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Serialize compactly (no whitespace).
     pub fn to_string_compact(&self) -> String {
         crate::ser::to_string(self, false)
@@ -202,7 +197,7 @@ mod tests {
         assert_eq!(Value::Float(3.0).as_i64(), Some(3));
         assert_eq!(Value::Str("x".into()).as_str(), Some("x"));
         assert_eq!(Value::Bool(true).as_bool(), Some(true));
-        assert!(Value::Null.is_null());
+        assert!(matches!(Value::Null, Value::Null));
         assert_eq!(Value::Null.as_f64(), None);
     }
 

@@ -12,7 +12,7 @@ use crate::sensors::NodeSensors;
 use crate::types::Category;
 use monster_json::Value;
 use monster_sim::{LatencyDist, SimRng, VDuration};
-use monster_util::{Error, NodeId, Result};
+use monster_util::NodeId;
 
 /// Tunables for the BMC behaviour model.
 #[derive(Debug, Clone)]
@@ -126,18 +126,6 @@ impl SimulatedBmc {
         let latency = self.config.latency.sample(&mut self.rng);
         with_payload(category, self.node, sensors, |payload| f(Answer::Ok(payload, latency)))
     }
-
-    /// Convenience used by the HTTP gateway: map a Redfish path suffix to
-    /// a category.
-    pub fn category_for_path(rest: &str) -> Result<Category> {
-        let rest = rest.trim_matches('/');
-        for c in Category::ALL {
-            if c.path().trim_matches('/') == rest {
-                return Ok(c);
-            }
-        }
-        Err(Error::not_found(format!("no Redfish resource at {rest:?}")))
-    }
 }
 
 #[cfg(test)]
@@ -209,19 +197,6 @@ mod tests {
         assert!(
             (0..20).any(|_| bmc.answer(Category::System, &s, |a| a.map(drop)) != Answer::Stalled)
         );
-    }
-
-    #[test]
-    fn path_category_mapping() {
-        assert_eq!(
-            SimulatedBmc::category_for_path("Chassis/System.Embedded.1/Thermal/").unwrap(),
-            Category::Thermal
-        );
-        assert_eq!(
-            SimulatedBmc::category_for_path("Managers/iDRAC.Embedded.1").unwrap(),
-            Category::Manager
-        );
-        assert!(SimulatedBmc::category_for_path("Unknown/Thing").is_err());
     }
 
     #[test]

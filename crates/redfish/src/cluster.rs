@@ -131,6 +131,7 @@ impl SimulatedCluster {
     }
 
     /// Failure injection: mark a node's BMC dead or alive.
+    // kept: the dead-BMC fault the failure drill and the resilience, alert and failure-injection tests inject
     pub fn set_bmc_alive(&self, node: NodeId, alive: bool) -> Result<()> {
         let cell =
             self.cells.get(&node).ok_or_else(|| Error::not_found(format!("no node {node}")))?;
@@ -154,6 +155,7 @@ impl SimulatedCluster {
     /// adds it every step, so the reading jumps by an amount no load
     /// change explains — exactly what the streaming detectors exist to
     /// catch. Zero restores healthy physics.
+    // kept: the power fault the alert tests and the telemetry example inject (ROADMAP item 26)
     pub fn set_power_offset(&self, node: NodeId, watts: f64) -> Result<()> {
         let cell =
             self.cells.get(&node).ok_or_else(|| Error::not_found(format!("no node {node}")))?;

@@ -26,19 +26,18 @@
 //! * [`resilience`] — per-BMC health registry (EWMA latency, consecutive
 //!   failures), circuit breakers, and jittered retry backoff feeding the
 //!   client's deadline-aware degraded sweeps;
-//! * [`gateway`] — an HTTP facade that serves the simulated fleet over
-//!   real sockets (`/nodes/:addr/redfish/v1/...`) for end-to-end tests;
 //! * [`telemetry`] — the DMTF Telemetry Service (the paper's §VI future
-//!   work): BMC-side fast sampling with batched metric reports;
-//! * [`auth`] — Redfish SessionService authentication (X-Auth-Token).
+//!   work): BMC-side fast sampling with batched metric reports.
+//!
+//! The fleet is read in process: the collector asks
+//! [`SimulatedCluster::request`] for a node's payload, so this crate does
+//! not link the HTTP stack.
 
 #![warn(missing_docs)]
 
-pub mod auth;
 pub mod bmc;
 pub mod client;
 pub mod cluster;
-pub mod gateway;
 pub mod model;
 pub mod resilience;
 pub mod sensors;

@@ -17,7 +17,7 @@
 
 use crate::sensors::{wire_reading, NodeSensors, CPU_TEMP_LABELS, FAN_LABELS, VOLTAGE_RAILS};
 use crate::types::{Category, HealthState, NodeReading};
-use monster_json::{jobj, Object, Value};
+use monster_json::{jobj, Value};
 use monster_util::{Error, NodeId, Result};
 use std::cell::RefCell;
 use std::fmt::{self, Write};
@@ -253,13 +253,6 @@ fn parse_health(v: &Value) -> Result<HealthState> {
         .and_then(Value::as_str)
         .and_then(HealthState::parse)
         .ok_or_else(|| Error::parse("redfish payload missing Status/Health"))
-}
-
-/// An `Object` helper exported for gateway error bodies.
-pub fn redfish_error(message: &str) -> Value {
-    let mut o = Object::new();
-    o.insert("error", jobj! { "message" => message });
-    Value::Object(o)
 }
 
 #[cfg(test)]

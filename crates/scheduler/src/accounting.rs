@@ -781,7 +781,7 @@ mod tests {
             assert!(doc.get(key).is_some(), "missing {key}");
         }
         assert_eq!(doc.get("state").unwrap().as_str(), Some("running"));
-        assert!(doc.get("end_time").unwrap().is_null());
+        assert_eq!(doc.get("end_time"), Some(&Value::Null));
     }
 
     #[test]

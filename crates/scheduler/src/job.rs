@@ -137,11 +137,6 @@ impl Job {
         matches!(self.state, JobState::Running { .. })
     }
 
-    /// True once finished (done or failed).
-    pub fn is_finished(&self) -> bool {
-        matches!(self.state, JobState::Done { .. } | JobState::Failed { .. })
-    }
-
     /// Total slots across all hosts.
     pub fn total_slots(&self, slots_per_node: u32) -> u32 {
         self.spec.shape.slots_per_host(slots_per_node) * self.spec.shape.hosts_needed()
@@ -186,7 +181,7 @@ mod tests {
         j.state = JobState::Running { start: EpochSecs::new(150), hosts: vec![NodeId::new(1, 1)] };
         assert_eq!(j.wait_secs(EpochSecs::new(1_000)), 50);
         assert!(j.is_running());
-        assert!(!j.is_finished());
+        assert!(!matches!(j.state, JobState::Done { .. } | JobState::Failed { .. }));
         assert_eq!(j.hosts().len(), 1);
     }
 

@@ -185,11 +185,13 @@ impl Qmaster {
     }
 
     /// Inject an execd failure at `at`.
+    // kept: the lost-execd fault the failure drill and the failure-injection tests inject
     pub fn fail_execd_at(&mut self, at: EpochSecs, node: NodeId) {
         self.schedule_event(at, Event::ExecdDown(node));
     }
 
     /// Bring an execd back at `at`.
+    // kept: the execd recovery the failure drill and the accounting-equivalence test replay
     pub fn recover_execd_at(&mut self, at: EpochSecs, node: NodeId) {
         self.schedule_event(at, Event::ExecdUp(node));
     }
@@ -526,6 +528,7 @@ impl Qmaster {
 
     /// How many accounting documents pulls have rendered and reused, and
     /// how many sizes the memo holds.
+    // kept: the render and reuse counts the accounting memo tests assert
     pub fn accounting_memo_stats(&self) -> MemoStats {
         self.accounting.lock().stats()
     }

@@ -44,16 +44,19 @@ impl DataPoint {
     }
 
     /// Add an integer field.
+    // kept: the integer columns the storage tests write
     pub fn field_i64(self, key: impl Into<String>, value: i64) -> Self {
         self.field(key, FieldValue::Int(value))
     }
 
     /// Add a string field.
+    // kept: the string columns the storage and builder tests write
     pub fn field_str(self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.field(key, FieldValue::Str(value.into()))
     }
 
     /// Add a boolean field.
+    // kept: the bool columns the WAL-record and pushdown tests write
     pub fn field_bool(self, key: impl Into<String>, value: bool) -> Self {
         self.field(key, FieldValue::Bool(value))
     }
@@ -65,11 +68,13 @@ impl DataPoint {
     }
 
     /// Tag lookup.
+    // kept: the tag lookup the schema tests read a collected point with
     pub fn get_tag(&self, key: &str) -> Option<&str> {
         self.tags.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
 
     /// Field lookup.
+    // kept: the field lookup the schema tests read a collected point with
     pub fn get_field(&self, key: &str) -> Option<&FieldValue> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }

@@ -209,7 +209,8 @@ impl Query {
         Ok(())
     }
 
-    /// Render back to InfluxQL text (the strings Metrics Builder logs).
+    /// Render back to InfluxQL text.
+    // kept: the printer the parser's round-trip tests parse back
     pub fn to_influxql(&self) -> String {
         let mut s = String::from("SELECT ");
         match self.agg {

@@ -453,11 +453,6 @@ impl SeriesIndex {
         &self.field_names[id.0 as usize]
     }
 
-    /// Number of distinct field names ever interned.
-    pub fn field_count(&self) -> usize {
-        self.field_names.len()
-    }
-
     /// Total distinct series (the cardinality number). Ids are dense:
     /// every id below it names a series.
     pub fn cardinality(&self) -> usize {
@@ -632,7 +627,6 @@ mod tests {
         assert_eq!(idx.field_id("Reading"), Some(a));
         assert_eq!(idx.field_id("nope"), None);
         assert_eq!(idx.field_name(b), "CPUUsage");
-        assert_eq!(idx.field_count(), 2);
     }
 
     #[test]

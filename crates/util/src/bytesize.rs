@@ -23,11 +23,6 @@ impl ByteSize {
     pub fn kb(self) -> f64 {
         self.0 as f64 / 1024.0
     }
-
-    /// Megabytes as a float.
-    pub fn mb(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
-    }
 }
 
 impl fmt::Display for ByteSize {
@@ -76,7 +71,6 @@ mod tests {
     fn unit_conversions() {
         let b = ByteSize(1024 * 1024);
         assert_eq!(b.kb(), 1024.0);
-        assert_eq!(b.mb(), 1.0);
     }
 
     #[test]

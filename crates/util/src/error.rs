@@ -57,13 +57,6 @@ impl Error {
     pub fn not_found(msg: impl Into<String>) -> Self {
         Error::NotFound(msg.into())
     }
-
-    /// True when retrying the same operation could plausibly succeed
-    /// (transient network and timeout failures). The Redfish client uses
-    /// this to decide whether a request goes back into the retry queue.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, Error::Network(_) | Error::Timeout(_))
-    }
 }
 
 impl fmt::Display for Error {
@@ -106,14 +99,6 @@ mod tests {
             Error::Http { status: 404, message: "gone".into() }.to_string(),
             "http 404: gone"
         );
-    }
-
-    #[test]
-    fn retryable_classification() {
-        assert!(Error::Network("reset".into()).is_retryable());
-        assert!(Error::Timeout("read".into()).is_retryable());
-        assert!(!Error::parse("x").is_retryable());
-        assert!(!Error::Corrupt("x".into()).is_retryable());
     }
 
     #[test]

@@ -23,6 +23,7 @@ thread_local! {
 /// Threads the *calling* thread has spawned through this module since it
 /// started. Per-thread so a test can bound the spawns of the call it makes
 /// (`after - before`) while sibling tests fan out beside it.
+// kept: the spawn count the read-path and codec tests bound
 pub fn spawned_by_this_thread() -> u64 {
     SPAWNED.with(Cell::get)
 }

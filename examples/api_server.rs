@@ -1,6 +1,6 @@
-//! End-to-end deployment over real sockets: Redfish gateway + Metrics
-//! Builder API, exercised by an HTTP consumer — the full Fig. 1 data flow
-//! on localhost.
+//! End-to-end deployment over a real socket: a deployment collects an hour
+//! of history, serves its Metrics Builder API on localhost, and an HTTP
+//! consumer queries it — the full Fig. 1 data flow.
 //!
 //! ```text
 //! cargo run --release --example api_server
@@ -8,9 +8,7 @@
 
 use monster::http::{Client, Request};
 use monster::redfish::bmc::BmcConfig;
-use monster::redfish::gateway;
 use monster::{Monster, MonsterConfig};
-use std::sync::Arc;
 
 fn main() {
     let mut m = Monster::new(MonsterConfig {
@@ -21,35 +19,7 @@ fn main() {
     println!("== end-to-end HTTP deployment (12 nodes) ==\n");
     m.run_intervals_bulk(60); // one hour of history
 
-    // 1. Redfish gateway: the BMC fleet served over TCP.
-    let cluster = Arc::new(monster::redfish::SimulatedCluster::new(
-        monster::redfish::cluster::ClusterConfig {
-            nodes: 12,
-            bmc: BmcConfig { failure_rate: 0.0, stall_rate: 0.0, ..BmcConfig::default() },
-            ..monster::redfish::cluster::ClusterConfig::small(12, 99)
-        },
-    ));
-    let bmc_server = gateway::router(Arc::clone(&cluster));
-    let bmc_server = monster::http::Server::spawn(0, bmc_server).expect("bind BMC gateway");
-    println!("Redfish gateway listening on {}", bmc_server.base_url());
-
-    let client = Client::new();
-    let resp = client
-        .send_ok(
-            bmc_server.addr(),
-            &Request::get("/nodes/10.101.1.1/redfish/v1/Chassis/System.Embedded.1/Thermal/"),
-        )
-        .expect("thermal fetch");
-    let thermal = resp.json_body().expect("json");
-    let cpu1 =
-        thermal.pointer("Temperatures/0/ReadingCelsius").and_then(|v| v.as_f64()).unwrap_or(0.0);
-    println!(
-        "GET .../Thermal/ → CPU1 {:.1} °C (simulated BMC latency {} ms)\n",
-        cpu1,
-        resp.headers.get("X-Simulated-Latency-Ms").unwrap_or("?")
-    );
-
-    // 2. Metrics Builder API over TCP.
+    // The Metrics Builder API over TCP.
     let api = m.serve_api(0).expect("bind builder API");
     println!("Metrics Builder API listening on {}", api.base_url());
 
@@ -57,6 +27,7 @@ fn main() {
     let end = m.now().to_rfc3339();
     let url =
         format!("/v1/metrics?start={start}&end={end}&interval=5m&aggregation=max&compress=true");
+    let client = Client::new();
     let resp = client.send_ok(api.addr(), &Request::get(&url)).expect("metrics fetch");
     let compressed_len = resp.body.len();
     let doc = resp.json_body().expect("inflate + parse");
@@ -80,5 +51,7 @@ fn main() {
         .map(|a| a.len())
         .unwrap_or(0);
     println!("document: {nodes} nodes, {power_points} power windows for 10.101.1.1");
+    assert_eq!(nodes, 12, "the served document names every node");
+    assert!(power_points > 0, "10.101.1.1 has power windows");
     println!("\nend-to-end data flow verified: BMC → collector → TSDB → builder → consumer");
 }

@@ -1,38 +1,12 @@
-//! Integration over real sockets: the Redfish gateway and the Metrics
-//! Builder API, exercised exactly as external consumers would.
+//! Integration over real sockets: the Metrics Builder API, exercised
+//! exactly as external consumers would.
 
 use monster::http::{Client, Request, Status};
 use monster::redfish::bmc::BmcConfig;
-use monster::redfish::cluster::{ClusterConfig, SimulatedCluster};
-use monster::redfish::gateway;
 use monster::{Monster, MonsterConfig};
-use std::sync::Arc;
 
 fn reliable_bmc() -> BmcConfig {
     BmcConfig { failure_rate: 0.0, stall_rate: 0.0, ..BmcConfig::default() }
-}
-
-#[test]
-fn redfish_tree_serves_all_four_categories() {
-    let cluster = Arc::new(SimulatedCluster::new(ClusterConfig {
-        nodes: 4,
-        bmc: reliable_bmc(),
-        ..ClusterConfig::small(4, 31)
-    }));
-    let server = monster::http::Server::spawn(0, gateway::router(cluster)).unwrap();
-    let client = Client::new();
-    for (path, expect_key) in [
-        ("Chassis/System.Embedded.1/Thermal/", "Temperatures"),
-        ("Chassis/System.Embedded.1/Power/", "PowerControl"),
-        ("Managers/iDRAC.Embedded.1", "FirmwareVersion"),
-        ("Systems/System.Embedded.1", "ProcessorSummary"),
-    ] {
-        let resp = client
-            .send_ok(server.addr(), &Request::get(&format!("/nodes/10.101.1.2/redfish/v1/{path}")))
-            .unwrap_or_else(|e| panic!("{path}: {e}"));
-        let v = resp.json_body().unwrap();
-        assert!(v.get(expect_key).is_some(), "{path} missing {expect_key}");
-    }
 }
 
 #[test]
