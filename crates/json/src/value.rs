@@ -197,7 +197,6 @@ mod tests {
         assert_eq!(Value::Float(3.0).as_i64(), Some(3));
         assert_eq!(Value::Str("x".into()).as_str(), Some("x"));
         assert_eq!(Value::Bool(true).as_bool(), Some(true));
-        assert!(matches!(Value::Null, Value::Null));
         assert_eq!(Value::Null.as_f64(), None);
     }
 
