@@ -4,10 +4,10 @@
 # files here — so tests/, benches/ and unit tests are left out. The yardstick
 # for ROADMAP item 6; CI diffs it against the committed `tools/loc.txt`, so
 # every PR's size change is in its diff. Then the `unsafe` keywords among
-# those lines (comments aside), the `pub` fields of every `pub struct …Config`
-# among them (each a value a caller can set: the options the design guide
-# asks to count), and how many binaries and bench targets `monster-bench`
-# builds (one per file, declared or discovered).
+# those lines (comments aside), the `pub` fields of every `pub struct` named
+# `…Config`, `…Tuning` or `…Params` among them (each a value a caller can set:
+# the options the design guide asks to count), and how many binaries and bench
+# targets `monster-bench` builds (one per file, declared or discovered).
 # Usage: tools/loc.sh [repo-root]
 cd "${1:-$(dirname "$0")/..}" || exit 1
 total=0
@@ -23,7 +23,7 @@ for crate in crates/* .; do
         /^#\[cfg\(test\)\]$/ { held = 1; next }
         conf && /^[ \t]*}/ { conf = 0 }
         conf && /^[ \t]*pub [A-Za-z0-9_]+:/ { c++ }
-        /^[ \t]*pub struct [A-Za-z0-9_]*Config[ <].*{$/ { conf = 1 }
+        /^[ \t]*pub struct [A-Za-z0-9_]*(Config|Tuning|Params)[ <].*{$/ { conf = 1 }
         { count() }
         END { print n + 0, u + 0, c + 0 }')
     printf '%-18s %6d\n' "$crate" "$1"
