@@ -5,15 +5,15 @@
 //! evaluated by three detectors as it is ingested:
 //!
 //! * **z-score** — windowed EWMA mean/variance; an observation further
-//!   than `z_threshold` EW standard deviations from the baseline for
-//!   `raise_after` consecutive samples raises, `clear_after` consecutive
+//!   than `Z_THRESHOLD` EW standard deviations from the baseline for
+//!   `RAISE_AFTER` consecutive samples raises, `CLEAR_AFTER` consecutive
 //!   inliers clears. Outliers never pollute the baseline, so an alarm
 //!   cannot self-clear while the incident persists.
 //! * **rate-of-change** — a single-interval jump larger than the signal's
-//!   configured slew bound (a power step no physical load change could
+//!   slew bound in `TUNING` (a power step no physical load change could
 //!   produce, a thermal jump faster than the chassis time constant).
 //! * **flatline** — the simulated sensors (like real ones) carry
-//!   measurement noise, so a value that repeats *exactly* for
+//!   measurement noise, so a value that repeats *exactly* for the signal's
 //!   `flatline_after` samples means the sensor is stuck, however plausible
 //!   the level looks.
 //!
@@ -99,6 +99,21 @@ impl fmt::Display for AnomalyKind {
     }
 }
 
+// The bank's calibration. It is deliberately conservative: a calm
+// deployment must stay silent through sensor noise, job starts/stops and
+// slow drift. `BENCH_chaos.json` and `BENCH_alerts.json` are its goldens.
+
+/// EWMA decay per observation (0 < alpha ≤ 1); smaller = longer memory.
+const ALPHA: f64 = 0.15;
+/// Flag when |x − mean| exceeds this many EW standard deviations.
+const Z_THRESHOLD: f64 = 4.5;
+/// Consecutive outliers required to raise the z-score alarm.
+const RAISE_AFTER: u32 = 2;
+/// Consecutive inliers required to clear any alarm.
+const CLEAR_AFTER: u32 = 3;
+/// Observations to absorb before flagging anything (warm-up).
+const WARMUP: u32 = 10;
+
 /// Per-signal detector floors. Signals live in wildly different units
 /// (°C, RPM, W) and have wildly different *legitimate* dynamics — a job
 /// start swings node power by ~280 W and fans by ~8000 RPM within one
@@ -106,82 +121,43 @@ impl fmt::Display for AnomalyKind {
 /// largest load-driven transient so scheduling never alarms, while faults
 /// the physics cannot explain still do.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SignalTuning {
+struct SignalTuning {
     /// Absolute deviation floor: differences smaller than this are never
     /// z-score anomalous, however tight the variance.
-    pub min_deviation: f64,
+    min_deviation: f64,
     /// Single-interval jump (absolute, in the signal's unit) that trips
     /// the rate-of-change detector. `f64::INFINITY` disables it.
-    pub rate_threshold: f64,
+    rate_threshold: f64,
     /// Exactly repeated samples that trip the flatline detector. Must be
     /// calibrated against the wire quantization: a sensor whose noise is
     /// smaller than the payload's rounding step repeats honestly.
-    pub flatline_after: u32,
+    flatline_after: u32,
 }
 
-/// Detector tuning. Defaults are deliberately conservative: a calm
-/// deployment must stay silent through sensor noise, job starts/stops,
-/// and slow drift.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// EWMA decay per observation (0 < alpha ≤ 1); smaller = longer
-    /// memory.
-    pub alpha: f64,
-    /// Flag when |x − mean| exceeds this many EW standard deviations.
-    pub z_threshold: f64,
-    /// Consecutive outliers required to raise the z-score alarm.
-    pub raise_after: u32,
-    /// Consecutive inliers required to clear any alarm.
-    pub clear_after: u32,
-    /// Observations to absorb before flagging anything (warm-up).
-    pub warmup: u32,
-    /// Per-signal floors, indexed by [`Signal::index`].
-    pub tuning: [SignalTuning; 4],
-}
+/// The floors the bank runs on, indexed by [`Signal::index`].
+const TUNING: [SignalTuning; 4] = [
+    // CpuTemp: the 180 s thermal time constant bounds a legitimate ramp
+    // at ~14 °C per 60 s interval.
+    SignalTuning { min_deviation: 35.0, rate_threshold: 30.0, flatline_after: 5 },
+    // InletTemp: machine-room drift (σ≈0.05 °C/step) is *below* the
+    // wire's 0.1 °C rounding, so short exact-repeat runs are honest
+    // quantization — a stuck sensor repeats for an hour, a healthy one
+    // will not.
+    SignalTuning { min_deviation: 6.0, rate_threshold: 8.0, flatline_after: 60 },
+    // FanSpeed: fans legitimately slew idle→max (~8000 RPM) inside one
+    // interval, so the slew bound is useless — flatline and large z
+    // excursions carry this signal.
+    SignalTuning { min_deviation: 9000.0, rate_threshold: f64::INFINITY, flatline_after: 5 },
+    // Power: idle→peak under load is ~280 W and near-instant; anything
+    // past these floors is electrically wrong.
+    SignalTuning { min_deviation: 320.0, rate_threshold: 400.0, flatline_after: 5 },
+];
 
-impl Default for DetectorConfig {
-    fn default() -> DetectorConfig {
-        DetectorConfig {
-            alpha: 0.15,
-            z_threshold: 4.5,
-            raise_after: 2,
-            clear_after: 3,
-            warmup: 10,
-            tuning: [
-                // CpuTemp: the 180 s thermal time constant bounds a
-                // legitimate ramp at ~14 °C per 60 s interval.
-                SignalTuning { min_deviation: 35.0, rate_threshold: 30.0, flatline_after: 5 },
-                // InletTemp: machine-room drift (σ≈0.05 °C/step) is
-                // *below* the wire's 0.1 °C rounding, so short exact-repeat
-                // runs are honest quantization — a stuck sensor repeats for
-                // an hour, a healthy one will not.
-                SignalTuning { min_deviation: 6.0, rate_threshold: 8.0, flatline_after: 60 },
-                // FanSpeed: fans legitimately slew idle→max (~8000 RPM)
-                // inside one interval, so the slew bound is useless —
-                // flatline and large z excursions carry this signal.
-                SignalTuning {
-                    min_deviation: 9000.0,
-                    rate_threshold: f64::INFINITY,
-                    flatline_after: 5,
-                },
-                // Power: idle→peak under load is ~280 W and near-instant;
-                // anything past these floors is electrically wrong.
-                SignalTuning { min_deviation: 320.0, rate_threshold: 400.0, flatline_after: 5 },
-            ],
-        }
-    }
-}
-
-impl DetectorConfig {
-    /// A config with the same floors for all four signals — unit tests
-    /// and single-signal pipelines.
-    pub fn uniform(min_deviation: f64, rate_threshold: f64) -> DetectorConfig {
-        DetectorConfig {
-            tuning: [SignalTuning { min_deviation, rate_threshold, flatline_after: 5 }; 4],
-            ..DetectorConfig::default()
-        }
-    }
-}
+/// Turns the detector bank on where a configuration holds it
+/// (`Some(DetectorConfig::default())`); every value it runs on is a
+/// constant of this module.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct DetectorConfig {}
 
 /// A typed anomaly transition emitted by one detector on one series.
 #[derive(Debug, Clone, PartialEq)]
@@ -246,14 +222,22 @@ impl SeriesState {
 /// `(node, signal)`, fed every live reading as it is ingested.
 #[derive(Debug)]
 pub struct DetectorBank {
-    config: DetectorConfig,
+    tuning: [SignalTuning; 4],
     series: HashMap<(NodeId, Signal), SeriesState>,
 }
 
 impl DetectorBank {
-    /// A bank with the given tuning.
-    pub fn new(config: DetectorConfig) -> DetectorBank {
-        DetectorBank { config, series: HashMap::new() }
+    /// A bank with the shipped floors.
+    pub fn new(_: DetectorConfig) -> DetectorBank {
+        DetectorBank { tuning: TUNING, series: HashMap::new() }
+    }
+
+    /// A bank with the same floors for all four signals, so a unit test
+    /// can isolate one detector.
+    #[cfg(test)]
+    fn uniform(min_deviation: f64, rate_threshold: f64) -> DetectorBank {
+        let tuning = [SignalTuning { min_deviation, rate_threshold, flatline_after: 5 }; 4];
+        DetectorBank { tuning, series: HashMap::new() }
     }
 
     /// Fold one live reading into the bank, appending any transitions to
@@ -298,11 +282,10 @@ impl DetectorBank {
         if !value.is_finite() {
             return;
         }
-        let c = self.config;
-        let t = c.tuning[signal.index()];
+        let t = self.tuning[signal.index()];
         let s = self.series.entry((node, signal)).or_insert_with(|| SeriesState::new(value));
         s.seen += 1;
-        let warm = s.seen > c.warmup;
+        let warm = s.seen > WARMUP;
         let prev = s.last;
 
         let mut emit = |raised: bool, kind: AnomalyKind, expected: f64| {
@@ -334,7 +317,7 @@ impl DetectorBank {
             }
         } else if s.rate_alarmed {
             s.rate_calm_run += 1;
-            if s.rate_calm_run >= c.clear_after {
+            if s.rate_calm_run >= CLEAR_AFTER {
                 s.rate_alarmed = false;
                 s.rate_calm_run = 0;
                 emit(false, AnomalyKind::RateOfChange, prev);
@@ -343,12 +326,12 @@ impl DetectorBank {
 
         // --- z-score: EWMA mean/variance with hysteresis ---
         let deviation = (value - s.mean).abs();
-        let sigma = s.var.sqrt().max(t.min_deviation / c.z_threshold);
-        let is_outlier = warm && deviation > c.z_threshold * sigma && deviation > t.min_deviation;
+        let sigma = s.var.sqrt().max(t.min_deviation / Z_THRESHOLD);
+        let is_outlier = warm && deviation > Z_THRESHOLD * sigma && deviation > t.min_deviation;
         if is_outlier {
             s.outlier_run += 1;
             s.inlier_run = 0;
-            if !s.z_alarmed && s.outlier_run >= c.raise_after {
+            if !s.z_alarmed && s.outlier_run >= RAISE_AFTER {
                 s.z_alarmed = true;
                 emit(true, AnomalyKind::ZScore, s.mean);
             }
@@ -356,13 +339,13 @@ impl DetectorBank {
         } else {
             s.inlier_run += 1;
             s.outlier_run = 0;
-            if s.z_alarmed && s.inlier_run >= c.clear_after {
+            if s.z_alarmed && s.inlier_run >= CLEAR_AFTER {
                 s.z_alarmed = false;
                 emit(false, AnomalyKind::ZScore, s.mean);
             }
             let delta = value - s.mean;
-            s.mean += c.alpha * delta;
-            s.var = (1.0 - c.alpha) * (s.var + c.alpha * delta * delta);
+            s.mean += ALPHA * delta;
+            s.var = (1.0 - ALPHA) * (s.var + ALPHA * delta * delta);
         }
 
         s.last = value;
@@ -404,7 +387,7 @@ mod tests {
 
     #[test]
     fn zscore_step_raises_then_clears() {
-        let mut bank = DetectorBank::new(DetectorConfig::uniform(8.0, f64::INFINITY));
+        let mut bank = DetectorBank::uniform(8.0, f64::INFINITY);
         let series: Vec<f64> = steady(50).chain((0..5).map(|_| 400.0)).chain(steady(50)).collect();
         let events = feed(&mut bank, Signal::Power, series);
         let z: Vec<&AnomalyEvent> =
@@ -418,7 +401,7 @@ mod tests {
 
     #[test]
     fn zscore_baseline_frozen_during_incident() {
-        let mut bank = DetectorBank::new(DetectorConfig::uniform(8.0, f64::INFINITY));
+        let mut bank = DetectorBank::uniform(8.0, f64::INFINITY);
         let series: Vec<f64> = steady(50).chain((0..60).map(|_| 400.0)).collect();
         let events = feed(&mut bank, Signal::Power, series);
         // One raise; the alarm must not self-clear while the incident
@@ -431,7 +414,7 @@ mod tests {
 
     #[test]
     fn single_glitch_is_debounced() {
-        let mut bank = DetectorBank::new(DetectorConfig::uniform(8.0, f64::INFINITY));
+        let mut bank = DetectorBank::uniform(8.0, f64::INFINITY);
         let series: Vec<f64> = steady(25).chain([430.0]).chain(steady(25)).collect();
         let events = feed(&mut bank, Signal::Power, series);
         assert!(events.is_empty(), "one-sample glitch alarmed: {events:?}");
@@ -439,7 +422,7 @@ mod tests {
 
     #[test]
     fn rate_of_change_fires_on_impossible_jump() {
-        let mut bank = DetectorBank::new(DetectorConfig::uniform(f64::INFINITY, 150.0));
+        let mut bank = DetectorBank::uniform(f64::INFINITY, 150.0);
         let series: Vec<f64> = steady(20).chain([480.0]).chain(steady(20)).collect();
         let events = feed(&mut bank, Signal::Power, series);
         let rate: Vec<&AnomalyEvent> =
@@ -454,7 +437,7 @@ mod tests {
 
     #[test]
     fn flatline_fires_on_exact_repeats_only() {
-        let mut bank = DetectorBank::new(DetectorConfig::uniform(f64::INFINITY, f64::INFINITY));
+        let mut bank = DetectorBank::uniform(f64::INFINITY, f64::INFINITY);
         // Noisy warm-up, then the sensor sticks at its last value.
         let series: Vec<f64> = steady(20).chain((0..10).map(|_| 271.25)).chain(steady(5)).collect();
         let events = feed(&mut bank, Signal::Power, series);
@@ -503,7 +486,7 @@ mod tests {
     #[test]
     fn series_are_independent_and_deterministic() {
         let run = || {
-            let mut bank = DetectorBank::new(DetectorConfig::uniform(8.0, 150.0));
+            let mut bank = DetectorBank::uniform(8.0, 150.0);
             let mut events = Vec::new();
             for i in 0..80i64 {
                 let hot = if (30..35).contains(&i) { 450.0 } else { 260.0 + (i % 5) as f64 };

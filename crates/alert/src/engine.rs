@@ -17,7 +17,7 @@
 //! * Time is virtual: every decision (hold-downs) uses the simulation
 //!   clock passed in `IntervalInput::now`, never wall time.
 //! * Resolution is two-phase. A firing alert whose condition goes quiet
-//!   enters `PendingResolve` and only resolves after `holddown_secs` of
+//!   enters `PendingResolve` and only resolves after `HOLDDOWN_SECS` of
 //!   sustained quiet; a re-fire during the hold-down snaps it back to
 //!   `Firing` and counts a *suppressed flap* instead of a new alert pair.
 
@@ -89,7 +89,7 @@ impl AlertCategory {
 pub enum RuleId {
     /// A detector transition on `(signal, kind)`.
     Anomaly(Signal, AnomalyKind),
-    /// Zero live readings for `unreachable_after` consecutive intervals.
+    /// Zero live readings for `UNREACHABLE_AFTER` consecutive intervals.
     NodeUnreachable,
     /// Skipped/failed requests or stale substitution on a node.
     CollectionDegraded,
@@ -228,38 +228,29 @@ impl Alert {
     }
 }
 
-/// Engine tuning. Defaults are calibrated against the chaos matrix: the
-/// dead-rack profile must produce exactly one critical per dead node with
-/// zero flaps, rolling-brownout must raise-then-resolve, calm must stay
-/// silent.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineConfig {
-    /// Hold-down before a quiet alert resolves (virtual seconds).
-    pub holddown_secs: i64,
-    /// Consecutive all-dead intervals before `collection/unreachable`.
-    pub unreachable_after: u32,
-    /// Consecutive degraded intervals before `collection/degraded`.
-    pub degraded_after: u32,
-    /// Fast burn rate at which `freshness/burn` raises as a warning.
-    pub burn_warn: f64,
-    /// Fast burn rate at which `freshness/burn` escalates to critical.
-    pub burn_critical: f64,
-    /// Resolved alerts retained in the history ring.
-    pub history_cap: usize,
-}
+// The engine's calibration, against the chaos matrix: the dead-rack profile
+// must produce exactly one critical per dead node with zero flaps,
+// rolling-brownout must raise-then-resolve, calm must stay silent.
+// `BENCH_alerts.json` is its golden.
 
-impl Default for EngineConfig {
-    fn default() -> EngineConfig {
-        EngineConfig {
-            holddown_secs: 180,
-            unreachable_after: 3,
-            degraded_after: 2,
-            burn_warn: 6.0,
-            burn_critical: 30.0,
-            history_cap: 256,
-        }
-    }
-}
+/// Hold-down before a quiet alert resolves (virtual seconds).
+const HOLDDOWN_SECS: i64 = 180;
+/// Consecutive all-dead intervals before `collection/unreachable`.
+const UNREACHABLE_AFTER: u32 = 3;
+/// Consecutive degraded intervals before `collection/degraded`.
+const DEGRADED_AFTER: u32 = 2;
+/// Fast burn rate at which `freshness/burn` raises as a warning.
+const BURN_WARN: f64 = 6.0;
+/// Fast burn rate at which `freshness/burn` escalates to critical.
+const BURN_CRITICAL: f64 = 30.0;
+/// Resolved alerts retained in the history ring.
+const HISTORY_CAP: usize = 256;
+
+/// Turns the alert engine on where a configuration holds it
+/// (`Some(EngineConfig::default())`); every value it runs on is a
+/// constant of this module.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct EngineConfig {}
 
 /// Per-node collection health for one interval, as reported by the
 /// deployment loop.
@@ -336,7 +327,6 @@ struct Inner {
 /// The deterministic alert engine. Cheap to share (`Arc`) between the
 /// deployment loop that feeds it and the HTTP service that reads it.
 pub struct AlertEngine {
-    config: EngineConfig,
     inner: Mutex<Inner>,
     active_gauges: [Arc<Gauge>; 3],
     transitions: Arc<Counter>,
@@ -345,7 +335,7 @@ pub struct AlertEngine {
 
 impl fmt::Debug for AlertEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AlertEngine").field("config", &self.config).finish_non_exhaustive()
+        f.debug_struct("AlertEngine").finish_non_exhaustive()
     }
 }
 
@@ -359,7 +349,7 @@ impl AlertEngine {
     /// Build an engine and register its metrics in `obs` immediately:
     /// severity gauges appear in `/metrics` as `0` from the first scrape,
     /// not from the first alert.
-    pub fn new_in(config: EngineConfig, obs: &Registry) -> AlertEngine {
+    pub fn new_in(_: EngineConfig, obs: &Registry) -> AlertEngine {
         let active_gauges = Severity::ALL.map(|sev| {
             obs.gauge_help(
                 &format!("monster_alert_active{{severity=\"{sev}\"}}"),
@@ -370,7 +360,6 @@ impl AlertEngine {
             g.set(0);
         }
         AlertEngine {
-            config,
             inner: Mutex::new(Inner::default()),
             active_gauges,
             transitions: obs.counter_help(
@@ -424,7 +413,7 @@ impl AlertEngine {
                     input.jobs,
                 );
             } else {
-                Self::quiesce(inner, &key, now, self.config.holddown_secs);
+                Self::quiesce(inner, &key, now);
             }
         }
 
@@ -435,7 +424,7 @@ impl AlertEngine {
             // collection/unreachable: no live data at all for k intervals.
             let run = inner.unreachable_runs.entry(n.node).or_insert(0);
             *run = if n.live_readings == 0 { *run + 1 } else { 0 };
-            let unreachable = *run >= self.config.unreachable_after;
+            let unreachable = *run >= UNREACHABLE_AFTER;
             let run = *run;
             let key = AlertKey { node: Some(n.node), rule: RuleId::NodeUnreachable };
             if unreachable {
@@ -457,7 +446,7 @@ impl AlertEngine {
                     input.jobs,
                 );
             } else {
-                Self::quiesce(inner, &key, now, self.config.holddown_secs);
+                Self::quiesce(inner, &key, now);
             }
 
             // collection/degraded: partial data (skips or stale fills)
@@ -467,7 +456,7 @@ impl AlertEngine {
             let degraded_now = n.live_readings > 0 && (n.skipped > 0 || n.stale_age_sweeps > 0);
             let drun = inner.degraded_runs.entry(n.node).or_insert(0);
             *drun = if degraded_now { *drun + 1 } else { 0 };
-            let degraded = *drun >= self.config.degraded_after;
+            let degraded = *drun >= DEGRADED_AFTER;
             let drun = *drun;
             let key = AlertKey { node: Some(n.node), rule: RuleId::CollectionDegraded };
             if degraded {
@@ -490,7 +479,7 @@ impl AlertEngine {
                     input.jobs,
                 );
             } else if !unreachable {
-                Self::quiesce(inner, &key, now, self.config.holddown_secs);
+                Self::quiesce(inner, &key, now);
             }
         }
         inner.unreachable_runs.retain(|_, r| *r > 0);
@@ -498,9 +487,9 @@ impl AlertEngine {
 
         // 3. Cluster-scope freshness burn.
         let key = AlertKey { node: None, rule: RuleId::FreshnessBurn };
-        let burn_severity = if input.burn_fast >= self.config.burn_critical {
+        let burn_severity = if input.burn_fast >= BURN_CRITICAL {
             Some(Severity::Critical)
-        } else if input.burn_fast >= self.config.burn_warn {
+        } else if input.burn_fast >= BURN_WARN {
             Some(Severity::Warning)
         } else {
             None
@@ -517,13 +506,13 @@ impl AlertEngine {
                 now,
                 severity,
                 input.burn_fast,
-                self.config.burn_warn,
+                BURN_WARN,
                 description,
                 None,
                 input.jobs,
             );
         } else {
-            Self::quiesce(inner, &key, now, self.config.holddown_secs);
+            Self::quiesce(inner, &key, now);
         }
 
         // 4. Expire hold-downs whose quiet period is over.
@@ -540,7 +529,7 @@ impl AlertEngine {
             self.transitions.inc();
             outcome.resolved += 1;
             inner.history.push_back(alert);
-            while inner.history.len() > self.config.history_cap {
+            while inner.history.len() > HISTORY_CAP {
                 inner.history.pop_front();
             }
         }
@@ -659,10 +648,10 @@ impl AlertEngine {
 
     /// The condition behind `key` is quiet this interval: start (or keep)
     /// the hold-down clock.
-    fn quiesce(inner: &mut Inner, key: &AlertKey, now: EpochSecs, holddown_secs: i64) {
+    fn quiesce(inner: &mut Inner, key: &AlertKey, now: EpochSecs) {
         if let Some(alert) = inner.active.get_mut(key) {
             if alert.state == AlertState::Firing {
-                alert.state = AlertState::PendingResolve { clear_at: now + holddown_secs };
+                alert.state = AlertState::PendingResolve { clear_at: now + HOLDDOWN_SECS };
             }
         }
     }

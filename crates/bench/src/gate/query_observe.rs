@@ -36,8 +36,9 @@ use crate::storm::{
 };
 use monster_builder::qlog::{
     base64_decode, CacheVerdict, Disposition, Draft, LapClock, QueryRecorder, Stage, RATIO_STAGES,
+    RING_CAPACITY, SLOW_MS,
 };
-use monster_builder::service::{router, QlogConfig, ServiceConfig};
+use monster_builder::service::{router, ServiceConfig};
 use monster_builder::ExecMode;
 use monster_http::{Client, PersistentClient, Request, Response, Server, Status};
 use monster_json::{jobj, Value};
@@ -83,11 +84,11 @@ impl Accuracy {
 }
 
 /// What recording one hit costs, bare: the draft, the clock's two reads
-/// and the ring write of the shipped `QlogConfig`, nanoseconds a request —
-/// the fastest of `windows` timed loops (interference only ever adds).
+/// and the ring write of the service's recorder (`RING_CAPACITY` slots,
+/// `SLOW_MS`), nanoseconds a request — the fastest of `windows` timed loops
+/// (interference only ever adds).
 fn recorder_probe_ns(key: &str, windows: usize, per_window: u64) -> f64 {
-    let qlog = QlogConfig::default();
-    let recorder = QueryRecorder::new(qlog.capacity, qlog.slow_ms);
+    let recorder = QueryRecorder::new(RING_CAPACITY, SLOW_MS);
     let window = |n: u64| {
         let t = Instant::now();
         for i in 0..n {

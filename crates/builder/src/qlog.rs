@@ -546,6 +546,13 @@ impl RecordFilter {
 /// How many slow records stay pinned (oldest evicted).
 const SLOW_PINNED: usize = 64;
 
+/// Ring slots of the service's recorder.
+pub const RING_CAPACITY: usize = 512;
+/// The service's slow-query threshold: requests at or above this many
+/// milliseconds — wall *or* modelled — are counted in
+/// `monster_builder_slow_queries_total` and pinned in the slow log.
+pub const SLOW_MS: f64 = 250.0;
+
 /// The per-service flight recorder. Constructing one registers the
 /// qlog/slow-query metrics (with `HELP` strings).
 pub struct QueryRecorder {

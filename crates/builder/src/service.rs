@@ -51,23 +51,6 @@ use monster_util::{EpochSecs, NodeId};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Flight-recorder tuning (see [`crate::qlog`]).
-#[derive(Debug, Clone, Copy)]
-pub struct QlogConfig {
-    /// Ring capacity in records (rounded up to a power of two, min 16).
-    pub capacity: usize,
-    /// Requests at or above this many milliseconds — wall *or* modelled —
-    /// are counted in `monster_builder_slow_queries_total` and pinned in
-    /// the slow log. `0` disables slow-query tracking.
-    pub slow_ms: f64,
-}
-
-impl Default for QlogConfig {
-    fn default() -> QlogConfig {
-        QlogConfig { capacity: 512, slow_ms: 250.0 }
-    }
-}
-
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -88,9 +71,6 @@ pub struct ServiceConfig {
     /// The deployment's alert engine, when alerting is on; backs
     /// `/v1/alerts`. `None` serves 404s there.
     pub alerts: Option<Arc<monster_alert::AlertEngine>>,
-    /// Query flight recorder (`/debug/requests`, `?explain=true`,
-    /// estimator-accuracy metrics).
-    pub qlog: QlogConfig,
 }
 
 impl Default for ServiceConfig {
@@ -103,7 +83,6 @@ impl Default for ServiceConfig {
             coalesce: true,
             admission: AdmissionConfig::default(),
             alerts: None,
-            qlog: QlogConfig::default(),
         }
     }
 }
@@ -497,16 +476,20 @@ impl MetricsState {
                 "End-to-end simulated latency of /v1/metrics requests.",
             ),
             exec_metrics: ExecMetrics::new(&obs),
-            recorder: Arc::new(QueryRecorder::new_in(
-                config.qlog.capacity,
-                config.qlog.slow_ms,
-                &obs,
-            )),
+            recorder: Arc::new(QueryRecorder::new_in(qlog::RING_CAPACITY, qlog::SLOW_MS, &obs)),
             obs,
             db,
             nodes,
             config,
         }
+    }
+
+    /// This state with its recorder rebuilt to pin requests at or over
+    /// `slow_ms`, so a test can put the fixture on either side of it.
+    #[cfg(test)]
+    fn with_slow_ms(mut self, slow_ms: f64) -> MetricsState {
+        self.recorder = Arc::new(QueryRecorder::new_in(qlog::RING_CAPACITY, slow_ms, &self.obs));
+        self
     }
 }
 
@@ -1330,12 +1313,9 @@ mod tests {
     /// serves from.
     fn pinning_router(admission: AdmissionConfig) -> (Arc<MetricsState>, Router) {
         let (db, _) = service();
-        let config = ServiceConfig {
-            admission,
-            qlog: QlogConfig { slow_ms: 1e-6, ..QlogConfig::default() },
-            ..ServiceConfig::default()
-        };
-        let state = Arc::new(MetricsState::new(db, NodeId::enumerate(2, 4), config));
+        let config = ServiceConfig { admission, ..ServiceConfig::default() };
+        let state =
+            Arc::new(MetricsState::new(db, NodeId::enumerate(2, 4), config).with_slow_ms(1e-6));
         (Arc::clone(&state), routes(state))
     }
 
@@ -1449,11 +1429,8 @@ mod tests {
         // The fixture's miss models ~21 ms of storage work — over a 5 ms
         // threshold on modelled time. A cache hit models nothing and
         // serves in well under 5 ms of wall: it must not pin.
-        let config = ServiceConfig {
-            qlog: QlogConfig { slow_ms: 5.0, ..QlogConfig::default() },
-            ..ServiceConfig::default()
-        };
-        let router = router(Arc::clone(&db), NodeId::enumerate(2, 4), config);
+        let state = MetricsState::new(db, NodeId::enumerate(2, 4), ServiceConfig::default());
+        let router = routes(Arc::new(state.with_slow_ms(5.0)));
         get(&router, URL);
         let hit = get(&router, URL);
         assert_eq!(hit.headers.get("X-Cache"), Some("hit"));

@@ -41,7 +41,8 @@ pub struct CollectorConfig {
     /// anomaly detectors (EWMA z-score, rate-of-change, flatline) as it is
     /// ingested, and transitions surface in
     /// [`IntervalOutput::anomalies`]. On by default — detection is the
-    /// product, not an add-on.
+    /// product, not an add-on. The bank runs on the constants of
+    /// `monster_alert::detect` (`TUNING` and its peers).
     pub detectors: Option<DetectorConfig>,
 }
 

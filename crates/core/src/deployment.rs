@@ -10,6 +10,7 @@ use monster_redfish::bmc::BmcConfig;
 use monster_redfish::client::{ClientConfig, SkipReason};
 use monster_redfish::cluster::{ClusterConfig, SimulatedCluster};
 use monster_redfish::resilience::ResilienceConfig;
+use monster_redfish::telemetry::SAMPLE_INTERVAL_SECS;
 use monster_scheduler::{Qmaster, QmasterConfig, WorkloadConfig, WorkloadGenerator};
 use monster_sim::{DiskModel, VDuration};
 use monster_tsdb::retention::TierConfig;
@@ -37,21 +38,21 @@ pub struct MonsterConfig {
     pub disk: DiskModel,
     /// BMC behaviour model.
     pub bmc: BmcConfig,
-    /// Per-node BMC overrides by enumeration index (heterogeneous fleets:
-    /// one flaky rack in an otherwise healthy cluster).
-    pub bmc_overrides: Vec<(usize, BmcConfig)>,
     /// Redfish client tunables (in-flight budget, sweep workers).
     pub client: ClientConfig,
     /// When set, collection runs through the resilience layer: circuit
     /// breakers, jittered backoff, deadline-aware degraded sweeps (9/10 of
     /// `interval_secs`) with stale substitution.
     pub resilience: Option<ResilienceConfig>,
-    /// Streaming anomaly detector tuning for the collector (`None`
-    /// disables detection; on by default).
+    /// Turns on the collector's streaming anomaly detectors (`None`
+    /// disables detection; on by default). Their floors and thresholds are
+    /// the constants of `monster_alert::detect` (`TUNING` and its peers).
     pub detectors: Option<DetectorConfig>,
-    /// Alert engine tuning (`None` disables alerting; on by default). The
-    /// engine consumes detector events, collection health, and freshness
-    /// burn each interval, and serves `GET /v1/alerts`.
+    /// Turns on the alert engine (`None` disables alerting; on by
+    /// default). It runs on the constants of `monster_alert::engine`
+    /// (`HOLDDOWN_SECS` and its peers), consumes detector events,
+    /// collection health and freshness burn each interval, and serves
+    /// `GET /v1/alerts`.
     pub alerting: Option<EngineConfig>,
     /// Synthetic workload (`None` leaves the cluster idle).
     pub workload: Option<WorkloadConfig>,
@@ -82,7 +83,6 @@ impl Default for MonsterConfig {
             interval_secs: 60,
             disk: DiskModel::HDD,
             bmc: BmcConfig::default(),
-            bmc_overrides: Vec::new(),
             client: ClientConfig::default(),
             resilience: None,
             detectors: Some(DetectorConfig::default()),
@@ -163,7 +163,7 @@ impl Monster {
             slots_per_chassis: 4,
             seed: config.seed,
             bmc: config.bmc.clone(),
-            bmc_overrides: config.bmc_overrides.clone(),
+            bmc_overrides: Vec::new(),
         });
         let qm_config = QmasterConfig { nodes: config.nodes, ..QmasterConfig::default() };
         let start = qm_config.start_time;
@@ -329,7 +329,7 @@ impl Monster {
     /// every step, the §VI reports' fast samples.
     fn advance_world(&mut self, source: &mut Source<'_>) {
         let step = match source {
-            Source::Telemetry(service) => service.config().sample_interval_secs,
+            Source::Telemetry(_) => SAMPLE_INTERVAL_SECS,
             _ => self.config.interval_secs,
         };
         assert!(

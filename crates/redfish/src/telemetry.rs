@@ -19,22 +19,12 @@ use monster_json::{jobj, Value};
 use monster_util::{EpochSecs, Error, NodeId, Result};
 use std::collections::{HashMap, VecDeque};
 
-/// Telemetry configuration (a trimmed `MetricReportDefinition`).
-#[derive(Debug, Clone)]
-pub struct TelemetryConfig {
-    /// Internal BMC sampling cadence in seconds (DMTF reports commonly run
-    /// at 5–30 s; default 10 s — six samples per 60 s collection interval).
-    pub sample_interval_secs: i64,
-    /// Samples retained per node (ring buffer, like the BMC's bounded
-    /// report store).
-    pub samples_kept: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig { sample_interval_secs: 10, samples_kept: 60 }
-    }
-}
+/// Internal BMC sampling cadence in seconds (DMTF reports commonly run at
+/// 5–30 s; 10 s gives six samples per 60 s collection interval).
+pub const SAMPLE_INTERVAL_SECS: i64 = 10;
+/// Samples retained per node (ring buffer, like the BMC's bounded report
+/// store).
+const SAMPLES_KEPT: usize = 60;
 
 /// One internally-sampled observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,34 +43,27 @@ pub struct MetricSample {
 
 /// The fleet-wide telemetry service: per-node ring buffers plus report
 /// sequence numbers.
+#[derive(Default)]
 pub struct TelemetryService {
-    config: TelemetryConfig,
     buffers: HashMap<NodeId, VecDeque<MetricSample>>,
     sequence: u64,
 }
 
 impl TelemetryService {
     /// A service with empty buffers.
-    pub fn new(config: TelemetryConfig) -> Self {
-        TelemetryService { config, buffers: HashMap::new(), sequence: 0 }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.config
+    pub fn new() -> Self {
+        TelemetryService::default()
     }
 
     /// Record one fleet-wide sample from the cluster's current sensor
-    /// state (call once per `sample_interval_secs` of simulated time,
+    /// state (call once per [`SAMPLE_INTERVAL_SECS`] of simulated time,
     /// interleaved with `cluster.step`).
     pub fn record(&mut self, cluster: &SimulatedCluster, now: EpochSecs) {
         for &node in cluster.node_ids() {
             let s = cluster.sensors(node).expect("node exists");
-            let buf = self
-                .buffers
-                .entry(node)
-                .or_insert_with(|| VecDeque::with_capacity(self.config.samples_kept));
-            if buf.len() == self.config.samples_kept {
+            let buf =
+                self.buffers.entry(node).or_insert_with(|| VecDeque::with_capacity(SAMPLES_KEPT));
+            if buf.len() == SAMPLES_KEPT {
                 buf.pop_front();
             }
             buf.push_back(MetricSample {
@@ -234,7 +217,7 @@ mod tests {
     #[test]
     fn record_and_take_report_round_trips() {
         let c = cluster(3);
-        let mut ts = TelemetryService::new(TelemetryConfig::default());
+        let mut ts = TelemetryService::new();
         for i in 0..6 {
             c.step(10.0, |_| 0.4);
             ts.record(&c, EpochSecs::new(i * 10));
@@ -262,7 +245,7 @@ mod tests {
         // per-interval polling but visible in the telemetry report.
         let c = cluster(1);
         let node = c.node_ids()[0];
-        let mut ts = TelemetryService::new(TelemetryConfig::default());
+        let mut ts = TelemetryService::new();
         for i in 0..6 {
             let load = if i == 3 { 1.0 } else { 0.0 };
             // Long dt per substep so power responds fully.
@@ -282,13 +265,12 @@ mod tests {
     #[test]
     fn ring_buffer_bounds_memory() {
         let c = cluster(1);
-        let mut ts =
-            TelemetryService::new(TelemetryConfig { sample_interval_secs: 10, samples_kept: 4 });
-        for i in 0..20 {
+        let mut ts = TelemetryService::new();
+        for i in 0..SAMPLES_KEPT as i64 + 16 {
             ts.record(&c, EpochSecs::new(i * 10));
         }
         let node = c.node_ids()[0];
-        assert_eq!(buffered(&ts, node), 4);
+        assert_eq!(buffered(&ts, node), SAMPLES_KEPT);
         let samples = parse_report(&ts.take_report(node).unwrap()).unwrap();
         // Oldest samples were overwritten.
         assert_eq!(samples[0].time, EpochSecs::new(160));
@@ -297,7 +279,7 @@ mod tests {
     #[test]
     fn sequence_numbers_increase() {
         let c = cluster(2);
-        let mut ts = TelemetryService::new(TelemetryConfig::default());
+        let mut ts = TelemetryService::new();
         ts.record(&c, EpochSecs::new(0));
         let r1 = ts.take_report(c.node_ids()[0]).unwrap();
         let r2 = ts.take_report(c.node_ids()[1]).unwrap();
@@ -309,7 +291,7 @@ mod tests {
 
     #[test]
     fn unknown_node_and_garbage_rejected() {
-        let mut ts = TelemetryService::new(TelemetryConfig::default());
+        let mut ts = TelemetryService::new();
         assert!(ts.take_report(NodeId::new(9, 9)).is_err());
         assert!(parse_report(&jobj! { "nope" => 1i64 }).is_err());
     }

@@ -34,7 +34,7 @@ use crate::cost::{CostParams, QueryCost};
 use crate::point::DataPoint;
 use crate::query::exec::WindowAggregator;
 use crate::query::{parse_query, Aggregation, Query, ResultSet, SeriesResult};
-use crate::retention::{TierConfig, TierReport};
+use crate::retention::{TierConfig, TierReport, COLD_DISK};
 use crate::series::{FieldId, SeriesId, SeriesIndex, SeriesKey};
 use crate::shard::Shard;
 use crate::snapshot;
@@ -80,8 +80,8 @@ pub struct DbConfig {
     pub wal: crate::wal::WalTuning,
     /// Age-based storage tiering (`None` = single-tier, the historical
     /// behavior): shards older than [`TierConfig::hot_secs`] are compacted
-    /// into immutable segment files and their scans priced by
-    /// [`TierConfig::cold_disk`] instead of [`DbConfig::disk`]. See
+    /// into immutable segment files and their scans priced by the archive
+    /// device `retention::COLD_DISK` instead of [`DbConfig::disk`]. See
     /// [`Db::tier_cold_shards`].
     pub tiering: Option<TierConfig>,
 }
@@ -999,7 +999,7 @@ impl Db {
     /// device instead of the hot disk.
     pub fn simulate_elapsed(&self, cost: &QueryCost) -> monster_sim::VDuration {
         match &self.config.tiering {
-            Some(tier) => self.config.cost.elapsed_tiered(cost, &self.config.disk, &tier.cold_disk),
+            Some(_) => self.config.cost.elapsed_tiered(cost, &self.config.disk, &COLD_DISK),
             None => self.config.cost.elapsed(cost, &self.config.disk),
         }
     }

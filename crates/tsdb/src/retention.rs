@@ -11,12 +11,16 @@
 
 use monster_sim::DiskModel;
 
+/// The archive device cold shards are priced against: the paper's HDD
+/// model (§IV's deployment archives the long tail to it).
+pub(crate) const COLD_DISK: DiskModel = DiskModel::HDD;
+
 /// Tiering policy: shards older than `hot_secs` are compacted
-/// into immutable segment files and re-priced with `cold_disk`.
+/// into immutable segment files and re-priced with `COLD_DISK`.
 ///
 /// Tiering is a *pricing and durability* migration, not an eviction: the
 /// data stays queryable in place, but scans over tiered shards are costed
-/// against `cold_disk` (the archive device) instead of the hot
+/// against `COLD_DISK` (the archive device) instead of the hot
 /// [`crate::db::DbConfig::disk`] model, and the shard's contents become an
 /// immutable on-disk segment so the WAL bytes covering them can be
 /// reclaimed.
@@ -25,15 +29,13 @@ pub struct TierConfig {
     /// Age threshold in seconds: shards whose time range ends before
     /// `now - hot_secs` (rounded down to a shard boundary) are cold.
     pub hot_secs: i64,
-    /// Device model pricing scans over cold shards.
-    pub cold_disk: DiskModel,
 }
 
 impl TierConfig {
-    /// Keep `days` days hot; archive the rest to the paper's HDD model.
+    /// Keep `days` days hot; archive the rest.
     pub fn days(days: i64) -> Self {
         assert!(days > 0);
-        TierConfig { hot_secs: days * 86_400, cold_disk: DiskModel::HDD }
+        TierConfig { hot_secs: days * 86_400 }
     }
 }
 
@@ -61,7 +63,7 @@ mod tests {
         let db = Db::new(DbConfig {
             shard_duration: 86_400,
             disk: DiskModel::SSD,
-            tiering: Some(TierConfig { hot_secs: 2 * 86_400, cold_disk: DiskModel::HDD }),
+            tiering: Some(TierConfig { hot_secs: 2 * 86_400 }),
             ..DbConfig::default()
         });
         let mut batch = Vec::new();

@@ -31,7 +31,7 @@ fn writers_queriers_and_tiering_conserve_points() {
     let config = DbConfig {
         shard_duration: SHARD,
         scan_workers: 4,
-        tiering: Some(TierConfig { hot_secs: 2 * SHARD, ..TierConfig::days(1) }),
+        tiering: Some(TierConfig { hot_secs: 2 * SHARD }),
         ..DbConfig::default()
     };
     let db = Arc::new(Db::recover(config, &dir).unwrap().0);

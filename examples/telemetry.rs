@@ -9,7 +9,7 @@
 use monster::builder::{BuilderRequest, ExecMode};
 use monster::collector::Source;
 use monster::redfish::bmc::BmcConfig;
-use monster::redfish::telemetry::{TelemetryConfig, TelemetryService};
+use monster::redfish::telemetry::TelemetryService;
 use monster::scheduler::{JobShape, JobSpec};
 use monster::tsdb::Aggregation;
 use monster::util::UserName;
@@ -84,7 +84,7 @@ fn main() {
     // B: telemetry at 10 s.
     let mut tele = deployment();
     bursty_jobs(&mut tele, MINUTES);
-    let mut service = TelemetryService::new(TelemetryConfig::default());
+    let mut service = TelemetryService::new();
     for _ in 0..MINUTES {
         tele.run_interval_from(Source::Telemetry(&mut service)).expect("telemetry interval");
     }
@@ -320,16 +320,11 @@ fn main() {
     // byte-identical (base64 in the envelope); `GET /debug/requests`
     // serves the recent ring plus the pinned slow-query log.
     {
-        use monster::builder::service::{router, QlogConfig, ServiceConfig};
+        use monster::builder::qlog::SLOW_MS;
+        use monster::builder::service::{router, ServiceConfig};
         use monster::http::Request;
-        let observed = router(
-            poll.db().clone(),
-            poll.node_ids().to_vec(),
-            ServiceConfig {
-                qlog: QlogConfig { slow_ms: 5.0, ..QlogConfig::default() },
-                ..ServiceConfig::default()
-            },
-        );
+        let observed =
+            router(poll.db().clone(), poll.node_ids().to_vec(), ServiceConfig::default());
         let url = "/v1/metrics?start=1970-01-01T00:05:00Z&end=1970-01-01T00:20:00Z&interval=5m";
         println!("\n== Query flight recorder (?explain=true, /debug/requests) ==");
         let num = |v: &monster::json::Value, k: &str| {
@@ -371,10 +366,11 @@ fn main() {
                 r.get("url").unwrap().as_str().unwrap_or("-"),
             );
         }
-        // The executed miss crossed the 5 ms modelled threshold above, so
-        // it is also pinned in the slow log, safe from ring recycling.
+        // A request at or over `qlog::SLOW_MS` of wall or modelled time is
+        // also pinned in the slow log, safe from ring recycling; this small
+        // fleet's misses model well under it.
         let slow = doc.get("slow").unwrap().as_array().unwrap();
-        println!("  slow log: {} record(s) pinned over the 5 ms modelled threshold", slow.len());
+        println!("  slow log: {} record(s) pinned at or over SLOW_MS = {SLOW_MS} ms", slow.len());
     }
     let text = obs.text_exposition();
     for name in [

@@ -100,9 +100,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Option<ExitCode> {
         (m.now() - 3600).to_rfc3339(),
         m.now().to_rfc3339()
     );
-    println!("collection continues every 60 s; ctrl-c to stop");
+    // One simulated interval a cadence of wall, so the deployment's clock
+    // stays on the wall's and the printed window stays the latest hour.
+    let interval_secs = m.config().interval_secs;
+    println!("collection continues every {interval_secs} s; ctrl-c to stop");
     loop {
-        std::thread::sleep(std::time::Duration::from_millis(200));
+        std::thread::sleep(std::time::Duration::from_secs(interval_secs.unsigned_abs()));
         if let Err(e) = m.run_interval() {
             eprintln!("collection error: {e}");
             return Some(ExitCode::FAILURE);

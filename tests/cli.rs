@@ -34,3 +34,58 @@ fn top_shows_what_the_builder_served() {
     assert!(stdout.contains("frame 1/1: shown 2/2  util"), "{stdout}");
     assert!(!stdout.contains("NaN"), "{stdout}");
 }
+
+/// `serve` runs one collection interval a cadence of wall (60 s), not one
+/// every few hundred milliseconds: two `/metrics` scrapes 2 s apart see the
+/// interval counter move by at most one.
+#[test]
+fn serve_collects_once_a_cadence_of_wall() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::process::{Child, Stdio};
+    use std::time::Duration;
+
+    struct Killed(Child);
+    impl Drop for Killed {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let mut child = Killed(
+        Command::new(env!("CARGO_BIN_EXE_monster"))
+            .args(["serve", "--nodes", "4", "--port", "0"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    let stdout = child.0.stdout.take().unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stdout).lines().map_while(Result::ok) {
+            if tx.send(line).is_err() {
+                break;
+            }
+        }
+    });
+    let base = loop {
+        let line = rx.recv_timeout(Duration::from_secs(120)).expect("a `try: curl` line");
+        if let Some(url) = line.strip_prefix("try: curl 'http://") {
+            break url.split('/').next().unwrap().to_string();
+        }
+    };
+    let intervals = || {
+        let mut stream = std::net::TcpStream::connect(&base).unwrap();
+        write!(stream, "GET /metrics HTTP/1.1\r\nHost: {base}\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        monster::obs::sample(&reply, "monster_collector_intervals_total").expect("the counter")
+    };
+    let first = intervals();
+    std::thread::sleep(Duration::from_secs(2));
+    let second = intervals();
+    assert!(second - first <= 1.0, "{first} -> {second} intervals in 2 s of wall");
+}

@@ -21,11 +21,10 @@ fn fault_free() -> BmcConfig {
     BmcConfig { failure_rate: 0.0, stall_rate: 0.0, ..BmcConfig::default() }
 }
 
-fn deployment(bmc_overrides: Vec<(usize, BmcConfig)>) -> Monster {
+fn deployment() -> Monster {
     Monster::new(MonsterConfig {
         nodes: 8,
         bmc: fault_free(),
-        bmc_overrides,
         horizon_secs: 3600,
         ..MonsterConfig::default()
     })
@@ -40,7 +39,7 @@ fn document(m: &Monster, start: EpochSecs, end: EpochSecs) -> Value {
 
 #[test]
 fn a_fault_free_run_decodes_to_the_fleets_sensors() {
-    let mut m = deployment(Vec::new());
+    let mut m = deployment();
     let start = m.now();
     m.run_intervals_bulk(40);
     let nodes = served::decode(&document(&m, start, m.now() + 60)).unwrap();
@@ -64,7 +63,7 @@ fn a_fault_free_run_decodes_to_the_fleets_sensors() {
 
 #[test]
 fn the_service_body_decodes_as_the_builders_document() {
-    let mut m = deployment(Vec::new());
+    let mut m = deployment();
     let start = m.now();
     m.run_intervals_bulk(20);
     let end = m.now() + 60;
@@ -94,8 +93,8 @@ fn the_service_body_decodes_as_the_builders_document() {
 
 #[test]
 fn a_dead_bmcs_node_has_the_rows_its_document_shows() {
-    let dead = BmcConfig { failure_rate: 1.0, ..fault_free() };
-    let mut m = deployment(vec![(3, dead)]);
+    let mut m = deployment();
+    m.cluster().set_bmc_alive(m.node_ids()[3], false).unwrap();
     let start = m.now();
     m.run_intervals(5);
     let doc = document(&m, start, m.now() + 60);

@@ -11,7 +11,7 @@
 //! why in its change notes.
 
 use monster::collector::{SchemaVersion, Source};
-use monster::redfish::telemetry::{TelemetryConfig, TelemetryService};
+use monster::redfish::telemetry::TelemetryService;
 use monster::{Monster, MonsterConfig};
 use std::path::{Path, PathBuf};
 
@@ -74,7 +74,7 @@ fn stored(schema: SchemaVersion) -> (u64, usize) {
         data_dir: Some(dir.clone()),
         ..MonsterConfig::default()
     });
-    let mut service = TelemetryService::new(TelemetryConfig::default());
+    let mut service = TelemetryService::new();
     for i in 0..60 {
         let source = match i % 3 {
             0 => Source::Sweep,

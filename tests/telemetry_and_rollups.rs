@@ -7,7 +7,7 @@
 use monster::collector::Source;
 use monster::http::{Client, Request};
 use monster::redfish::bmc::BmcConfig;
-use monster::redfish::telemetry::{TelemetryConfig, TelemetryService};
+use monster::redfish::telemetry::TelemetryService;
 use monster::util::JobId;
 use monster::{obs, Monster, MonsterConfig};
 use std::collections::BTreeSet;
@@ -28,7 +28,7 @@ fn on_nodes(m: &Monster) -> BTreeSet<JobId> {
 #[test]
 fn telemetry_collection_yields_sub_interval_samples() {
     let mut m = deployment(4);
-    let mut service = TelemetryService::new(TelemetryConfig::default());
+    let mut service = TelemetryService::new();
     let written: usize =
         (0..10).map(|_| m.run_interval_from(Source::Telemetry(&mut service)).unwrap().points).sum();
     assert!(written > 0);
@@ -51,7 +51,7 @@ fn telemetry_collection_yields_sub_interval_samples() {
 #[test]
 fn interval_metrics_match_sweep_outcome() {
     let mut m = deployment(4);
-    let mut service = TelemetryService::new(TelemetryConfig::default());
+    let mut service = TelemetryService::new();
     let obs = m.registry();
     let sweeps = obs.counter("monster_redfish_sweeps_total");
     let requests = obs.counter("monster_redfish_requests_total");

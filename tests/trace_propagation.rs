@@ -10,7 +10,7 @@ use monster::http::{Client, Request, Status};
 use monster::obs;
 use monster::redfish::bmc::BmcConfig;
 use monster::redfish::resilience::ResilienceConfig;
-use monster::redfish::telemetry::{TelemetryConfig, TelemetryService};
+use monster::redfish::telemetry::TelemetryService;
 use monster::{Monster, MonsterConfig};
 
 /// A deployment whose registry, span ring included, is its own.
@@ -86,7 +86,7 @@ fn one_trace_links_interval_sweep_skips_and_storage_writes() {
 #[test]
 fn every_source_writes_under_its_own_interval_root() {
     let mut m = resilient_deployment(3, 37);
-    let mut service = TelemetryService::new(TelemetryConfig::default());
+    let mut service = TelemetryService::new();
     let summaries = [
         m.run_interval_from(Source::Sweep).unwrap(),
         m.run_interval_from(Source::Sensors).unwrap(),
