@@ -155,7 +155,7 @@ impl SimulatedCluster {
     /// adds it every step, so the reading jumps by an amount no load
     /// change explains — exactly what the streaming detectors exist to
     /// catch. Zero restores healthy physics.
-    // kept: the power fault the alert tests and the telemetry example inject (ROADMAP item 26)
+    // kept: the power fault the alert tests inject (ROADMAP item 26)
     pub fn set_power_offset(&self, node: NodeId, watts: f64) -> Result<()> {
         let cell =
             self.cells.get(&node).ok_or_else(|| Error::not_found(format!("no node {node}")))?;

@@ -243,6 +243,11 @@ fn two_deployments_at_once_each_report_only_their_own() {
         let pipeline = scrape(m, "/debug/pipeline").json_body().unwrap();
         assert_eq!(pipeline.pointer("/tracked_series").and_then(Value::as_f64), Some(16.0));
         assert_eq!(pipeline.pointer("/attainment").and_then(Value::as_f64), Some(attainment));
+        // The budget a dead node's series burn: a quarter of the fleet's
+        // series stale is 25 times the 1 % a 99 % target allows.
+        let target = pipeline.pointer("/slo/target").and_then(Value::as_f64).unwrap();
+        let used = pipeline.pointer("/error_budget_used").and_then(Value::as_f64).unwrap();
+        assert!((used - (1.0 - attainment) / (1.0 - target)).abs() < 1e-9, "{used}");
 
         // Every retained span belongs to one of this deployment's intervals,
         // and every interval left spans.

@@ -126,6 +126,21 @@ fn metrics_endpoint_serves_live_pipeline_counters() {
     assert!(scrape("monster_tsdb_queries_total") >= 1.0);
     assert_eq!(scrape("monster_builder_requests_total"), 1.0);
     assert_eq!(scrape("monster_redfish_request_seconds_count"), 12.0);
+    // Every stored value is on one time shard's gauge, every shard-lock
+    // acquisition is timed, and the sweep's makespan bucket links to the
+    // sweep's trace.
+    let in_shards: f64 = text
+        .lines()
+        .filter(|l| l.starts_with("monster_tsdb_shard_points{"))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<f64>().unwrap())
+        .sum();
+    assert_eq!(in_shards, scrape("monster_tsdb_points_written_total"));
+    assert!(scrape("monster_tsdb_lock_wait_seconds_count") >= 1.0);
+    assert!(
+        text.lines().any(|l| l.starts_with("monster_sweep_duration_seconds_bucket")
+            && l.contains(" # {trace_id=\"")),
+        "no exemplar on the sweep histogram"
+    );
 
     // The trace endpoint replays the sweep's vtime-stamped span.
     let trace =
