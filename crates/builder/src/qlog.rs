@@ -34,8 +34,8 @@
 //!   `monster_builder_qlog_dropped_total` counts.
 //!
 //! The lock and the eager fingerprint cost the hit path some 10 ns more
-//! than the word-atomic seqlock they replaced (EXPERIMENTS.md "Flight
-//! recorder in plain Rust") — beside the ~130 ns span the same handler
+//! than the word-atomic seqlock they replaced (DESIGN.md §17, "Paying
+//! for it") — beside the ~130 ns span the same handler
 //! records, and for a structure a stress test can check and a reader can
 //! review.
 //!
