@@ -4,16 +4,10 @@
 //! or a `(profile, seed)` cell of the chaos matrix means two things.
 
 use monster_core::{Monster, MonsterConfig};
-use monster_obs::Registry;
 use monster_redfish::bmc::BmcConfig;
 use monster_redfish::client::ClientConfig;
 use monster_redfish::resilience::ResilienceConfig;
 use monster_sim::{FaultProfile, LatencyDist};
-use std::sync::Arc;
-
-/// Spans a fleet's registry keeps: every sweep's skip and failure children
-/// of a whole run, which the trace-lineage invariant walks.
-const SPAN_RING: usize = 50_000;
 
 /// The size of a run: `active` sweeps under the fault schedule, the rest
 /// of `sweeps` to observe recovery in.
@@ -29,7 +23,8 @@ pub struct Shape {
 /// the profile schedule, so "healthy nodes stay fresh" is exact rather
 /// than probabilistic. `resilient: false` is the legacy sweep (immediate
 /// retries, no breakers, no deadline). Each fleet reports to a registry of
-/// its own, so a run's freshness, spans and trace ids are its alone.
+/// its own, so a run's freshness, interval records and trace ids are its
+/// alone.
 pub fn fleet(seed: u64, shape: &Shape, resilient: bool) -> Monster {
     let config = MonsterConfig {
         nodes: shape.nodes,
@@ -45,7 +40,7 @@ pub fn fleet(seed: u64, shape: &Shape, resilient: bool) -> Monster {
         horizon_secs: 0,
         ..MonsterConfig::default()
     };
-    Monster::with_registry(config, Arc::new(Registry::with_span_capacity(SPAN_RING)))
+    Monster::new(config)
 }
 
 /// Put every node of `m` in the state `profile` schedules for sweep `tick`.

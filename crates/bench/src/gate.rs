@@ -48,7 +48,7 @@ struct Wall {
 
 /// Every gate, in the order one process runs them. A gate that reads a
 /// registry reads one no other gate writes to, so the order is free: the
-/// chaos gates read their fleets' freshness, spans and trace ids,
+/// chaos gates read their fleets' freshness, interval records and trace ids,
 /// `metrics_lint` the families of the deployment it scrapes, and
 /// `dashboard_storm` its own store's scan counts.
 #[rustfmt::skip]

@@ -19,9 +19,10 @@
 //! 3. **Recovery**: within `RECOVERY_SWEEPS` of the fault schedule
 //!    clearing, every breaker is closed and no sweep is degraded;
 //! 4. **Trace lineage**: every degraded sweep's skipped nodes appear in
-//!    the `/debug/trace` export as child spans of that sweep's span (which
-//!    itself hangs off the interval's root span) carrying `SkipReason`
-//!    attributes — the distributed trace explains every gap in the data;
+//!    its interval's record (under the interval's trace and root span,
+//!    with a sweep span) as skipped requests carrying their `SkipReason` —
+//!    what `/debug/trace` renders as `redfish.skip` children of the sweep,
+//!    so the distributed trace explains every gap in the data;
 //! 5. **Freshness accounting**: after every sweep, the freshness SLO
 //!    engine's worst lag equals the collector's sweeps-since-fresh stale
 //!    ages times the cadence, and attainment is consistent with the
@@ -130,10 +131,11 @@ fn chaos_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
     };
 
     // The resilient run's trace/freshness invariants read its own
-    // registry: its watermarks and every sweep's spans, nobody else's.
+    // registry: its watermarks and every interval's record, nobody else's.
     let (resilient, obs) = run_cell(profile, seed, shape, true);
     let pipeline = obs.freshness().report();
-    let spans = obs.recent_spans();
+    let intervals: Vec<_> = obs.intervals().live(|_| true).collect();
+    assert_eq!(intervals.len(), resilient.len(), "the interval ring keeps a whole run");
     let (baseline, _) = run_cell(profile, seed, shape, false);
 
     // Invariant 1: no resilient sweep exceeds the deadline.
@@ -175,41 +177,32 @@ fn chaos_cell(profile: FaultProfile, seed: u64, shape: &Shape) -> Value {
     }
 
     // Invariant 4: every skipped node of every degraded sweep shows up in
-    // the trace export as a `redfish.skip` child of that sweep's span,
-    // which in turn hangs off the interval's root span, with a
-    // `SkipReason` attribute.
+    // that interval's record — under the interval's trace and root span,
+    // beside a sweep span — as a skipped request with its `SkipReason`.
     for (t, r) in resilient.iter().enumerate() {
         if r.skipped_nodes.is_empty() {
             continue;
         }
-        let root = spans
+        let record = intervals
             .iter()
-            .find(|s| {
-                s.name == "collector.interval" && s.trace == r.trace.trace && s.parent.is_none()
-            })
+            .find(|i| i.trace == r.trace.trace && i.span == r.trace.span)
             .unwrap_or_else(|| {
-                panic!("[{}/seed {seed}] sweep {t}: no root interval span", profile.name())
+                panic!("[{}/seed {seed}] sweep {t}: no interval record", profile.name())
             });
-        let sweep_span = spans
-            .iter()
-            .find(|s| {
-                s.name == "redfish.sweep" && s.trace == r.trace.trace && s.parent == Some(root.span)
-            })
-            .unwrap_or_else(|| {
-                panic!("[{}/seed {seed}] sweep {t}: no sweep span under root", profile.name())
-            });
+        assert!(
+            record.sweep_span.is_some(),
+            "[{}/seed {seed}] sweep {t}: no sweep span under the interval",
+            profile.name()
+        );
         for (addr, reason) in &r.skipped_nodes {
-            let found = spans.iter().any(|s| {
-                s.name == "redfish.skip"
-                    && s.trace == r.trace.trace
-                    && s.parent == Some(sweep_span.span)
-                    && s.attr("node") == Some(addr)
-                    && s.attr("SkipReason") == Some(reason)
-            });
+            let found = record
+                .requests
+                .iter()
+                .any(|q| q.node.to_string() == *addr && q.skip == Some(reason.as_str()));
             assert!(
                 found,
                 "[{}/seed {seed}] sweep {t}: skipped node {addr} ({reason}) has no \
-                 redfish.skip child span",
+                 skipped request in its interval record",
                 profile.name()
             );
         }

@@ -12,14 +12,13 @@
 //! * every OpenMetrics exemplar suffix carries a well-formed
 //!   `trace_id`/`span_id` pair;
 //! * a `/metrics` + `/debug/trace` scrape storm must not stall concurrent
-//!   span writers (the snapshot clones `Arc`s, not span payloads).
+//!   interval writers (the snapshot clones one locked record at a time).
 
 use super::{Outcome, Wall};
 use monster_core::{Monster, MonsterConfig};
 use monster_http::{Client, Request};
 use monster_json::jobj;
-use monster_obs::{Registry, SpanRecord, TraceContext};
-use monster_sim::VInstant;
+use monster_obs::{Registry, TraceContext};
 use monster_tsdb::{Aggregation, Query};
 use std::time::Instant;
 
@@ -172,53 +171,49 @@ fn lint_exposition(text: &str) -> Vec<String> {
     violations
 }
 
-/// Scrape storm vs. writer threads: 4 writers push 2 000 spans each while
-/// a scraper takes 100 full `/debug/trace`-style snapshots. The snapshot
-/// is O(capacity) `Arc` clones under the ring lock, so every span must
-/// land (retained + dropped) and the storm must finish promptly, the
-/// wall-clock reading returned.
+/// Scrape storm vs. writer threads: 4 writers land 2 000 interval records
+/// each in one registry's ring while a scraper takes 100 full
+/// `/debug/trace`-style snapshots and renders them. A snapshot clones one
+/// locked record at a time, so every record must be counted, no snapshot
+/// may exceed the ring, and the storm must finish promptly, the wall-clock
+/// reading returned.
 fn scrape_storm() -> Wall {
     const WRITERS: u64 = 4;
-    const SPANS_EACH: u64 = 2_000;
-    let r = Registry::with_span_capacity(256);
-    let rec = |name: String| {
-        let ctx = TraceContext::root(&r);
-        SpanRecord {
-            name,
-            begin: VInstant::EPOCH,
-            end: VInstant::EPOCH,
-            trace: ctx.trace,
-            span: ctx.span,
-            parent: None,
-            attrs: Vec::new(),
-        }
-    };
+    const RECORDS_EACH: u64 = 2_000;
+    let r = Registry::new();
+    let cap = r.intervals().capacity();
     let t0 = Instant::now();
     let mut worst_scrape = std::time::Duration::ZERO;
     std::thread::scope(|s| {
         for t in 0..WRITERS {
-            let (r, rec) = (&r, &rec);
+            let r = &r;
             s.spawn(move || {
-                for i in 0..SPANS_EACH {
-                    r.record_span(rec(format!("w{t}.{i}")));
+                for i in 0..RECORDS_EACH {
+                    let ctx = TraceContext::root(r);
+                    r.intervals().push(|_, rec| {
+                        (rec.trace, rec.span) = (ctx.trace, ctx.span);
+                        rec.points = t * RECORDS_EACH + i;
+                    });
                 }
             });
         }
         for _ in 0..100 {
             let s0 = Instant::now();
-            let snap = r.recent_spans();
-            let _ = r.trace_json();
+            let snap: Vec<_> = r.intervals().live(|_| true).collect();
+            let mut events = Vec::new();
+            snap.iter().for_each(|rec| rec.trace_events(&mut events));
             worst_scrape = worst_scrape.max(s0.elapsed());
-            assert!(snap.len() <= 256, "ring over capacity");
+            assert!(snap.len() <= cap, "ring over capacity");
         }
     });
     let elapsed = t0.elapsed();
-    let landed = r.recent_spans().len() as u64 + r.spans_dropped();
-    assert_eq!(landed, WRITERS * SPANS_EACH, "spans lost during scrape storm");
+    let landed = r.intervals().recorded();
+    assert_eq!(landed, WRITERS * RECORDS_EACH, "records lost during scrape storm");
+    assert_eq!(r.intervals().live(|_| true).count(), cap, "a full ring after the storm");
     let reading = format!(
-        "scrape storm: {} spans + 100 snapshots in {elapsed:?} (worst snapshot \
+        "scrape storm: {} interval records + 100 snapshots in {elapsed:?} (worst snapshot \
          {worst_scrape:?}; bar 30s)",
-        WRITERS * SPANS_EACH
+        WRITERS * RECORDS_EACH
     );
     Wall { reading, held: elapsed < std::time::Duration::from_secs(30) }
 }
@@ -263,7 +258,8 @@ pub fn run() -> Outcome {
         violations.join("\n  - ")
     );
     let storm = scrape_storm();
-    assert!(m.registry().vtime() > VInstant::EPOCH, "pipeline advanced the virtual clock");
+    let last = m.registry().intervals().live(|_| true).next().expect("the pipeline recorded");
+    assert!(last.makespan_ns > 0, "the pipeline's sweeps charged modelled time");
     drop((server, m));
     let _ = std::fs::remove_dir_all(data_dir());
     let doc = jobj! {

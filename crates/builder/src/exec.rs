@@ -248,6 +248,8 @@ pub struct Batch {
     pub cost: QueryCost,
     /// Simulated time spent querying the TSDB under the chosen mode.
     pub query_time: VDuration,
+    /// Threads the storage scan ran on.
+    pub scan_threads: usize,
 }
 
 /// The registry handles one execution updates, resolved once: the service
@@ -307,21 +309,16 @@ pub(crate) fn run_prepared(
     metrics: &ExecMetrics,
 ) -> Result<Batch> {
     let started = Instant::now();
-    let span = monster_obs::Span::enter(db.registry(), "builder.execute");
-    // Make the execute span the parent of the scan spans the storage
-    // engine records for this batch.
-    let _trace_guard = monster_obs::trace::set_current(span.context());
     let batch = match mode {
         ExecMode::Sequential => concurrent::run_sequential(db, prepared),
         ExecMode::Concurrent { workers } => concurrent::run_concurrent(db, prepared, workers),
     };
-    let (cost, query_time) = (batch.total_cost, batch.simulated);
+    let (cost, query_time, scan_threads) = (batch.total_cost, batch.simulated, batch.threads);
     let results = batch.into_results()?;
     metrics.requests.inc();
     metrics.queries.add(results.len() as u64);
     metrics.execute_wall.observe(started.elapsed().as_secs_f64());
-    span.finish_after(query_time);
-    Ok(Batch { results, cost, query_time })
+    Ok(Batch { results, cost, query_time, scan_threads })
 }
 
 impl Batch {

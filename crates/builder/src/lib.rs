@@ -13,8 +13,10 @@
 //! that coalesce identical misses ([`ResponseCache::claim`]).
 //!
 //! Execution is instrumented end to end: request/query/point counters,
-//! simulated query-latency histograms, cache hit/miss counters, and
-//! vtime-stamped spans all land in the registry of the database served.
+//! simulated query-latency histograms and cache hit/miss counters land in
+//! the registry of the database served, and every request leaves one
+//! record in the service's flight recorder ([`qlog`]), which is also its
+//! trace.
 
 #![warn(missing_docs)]
 

@@ -14,76 +14,22 @@
 //! (`monster_builder_cost_estimate_ratio{stage=...}`,
 //! `monster_builder_slow_queries_total`).
 //!
-//! # Mechanism: a ring of locked records and one lap clock
-//!
-//! The ring is a power-of-two `Box<[Mutex<RequestRecord>]>` behind one
-//! `head` counter:
-//!
-//! * a writer takes the next sequence number, locks that number's slot and
-//!   overwrites the record in place with [`Draft::fill`] — assignments, and
-//!   the two strings into capacity reserved at construction — so the ring
-//!   never allocates after construction and recording on the warm
-//!   cache-hit path stays at zero allocations (asserted by the
-//!   counting-allocator test in `tests/cache_zero_copy.rs`);
-//! * a reader (debug endpoints; rare) locks one slot at a time and clones
-//!   it, so every record it returns is whole; a writer waits out that
-//!   clone instead of dropping its record;
-//! * a writer that was descheduled for a whole lap finds a *newer*
-//!   sequence number in its slot and leaves it alone — an older record
-//!   never overwrites a newer one, and that is the only thing
-//!   `monster_builder_qlog_dropped_total` counts.
-//!
-//! The lock and the eager fingerprint cost the hit path some 10 ns more
-//! than the word-atomic seqlock they replaced (DESIGN.md §17, "Paying
-//! for it") — beside the ~130 ns span the same handler
-//! records, and for a structure a stress test can check and a reader can
-//! review.
-//!
-//! Stage timings come from one [`LapClock`] per request: `lap(stage)`
-//! charges the time since the previous lap to `stage`, so every record's
-//! stages sum to its total by construction. It reads
-//! [`std::time::Instant`]: twice on a cache hit, once a stage on a miss.
+//! Records live in a [`monster_obs::Ring`], overwritten in place by
+//! [`Draft::fill`] — assignments, and the two strings into capacity
+//! reserved at construction — so the warm cache-hit path records with zero
+//! allocations (`tests/cache_zero_copy.rs` counts them). One [`LapClock`]
+//! a request times its stages, which sum to its total by construction: two
+//! clock reads on a hit, one a stage on a miss. The record is also the
+//! request's trace: `GET /debug/trace` renders it
+//! ([`RequestRecord::trace_events`]).
 
 use monster_json::{jobj, Value};
-use monster_obs::{Registry, SpanId, TraceId};
+pub use monster_obs::LapClock;
+use monster_obs::{trace_event, Registry, Ring, SpanId, TraceId};
 use monster_tsdb::QueryCost;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// One request's stage timer. [`lap`](Self::lap) charges the time since
-/// the previous lap (or the start) to a stage, accumulating, so the stages
-/// cover the request's wall time with no gap and no overlap.
-#[derive(Debug, Clone, Copy)]
-pub struct LapClock {
-    /// The previous lap (or the start).
-    last: Instant,
-    stages_ns: [u64; Stage::ALL.len()],
-}
-
-impl LapClock {
-    /// Start timing now.
-    #[inline]
-    pub fn start() -> LapClock {
-        LapClock { last: Instant::now(), stages_ns: [0; Stage::ALL.len()] }
-    }
-
-    /// Charge everything since the previous lap to `stage`.
-    #[inline]
-    pub fn lap(&mut self, stage: Stage) {
-        let now = Instant::now();
-        self.stages_ns[stage as usize] += now.duration_since(self.last).as_nanos() as u64;
-        self.last = now;
-    }
-
-    /// Per-stage wall nanoseconds (indexed by `Stage as usize`) and their
-    /// sum, the request's total.
-    pub fn finish(self) -> ([u64; Stage::ALL.len()], u64) {
-        (self.stages_ns, self.stages_ns.iter().sum())
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Record vocabulary
@@ -228,6 +174,12 @@ pub enum Stage {
     Compress,
 }
 
+impl From<Stage> for usize {
+    fn from(stage: Stage) -> usize {
+        stage as usize
+    }
+}
+
 impl Stage {
     /// Every stage, in discriminant (and wire) order.
     pub const ALL: [Stage; 7] = [
@@ -301,6 +253,17 @@ pub struct RequestRecord {
     pub trace: TraceId,
     /// The request's server-side span id.
     pub span: SpanId,
+    /// The caller's span, when the request carried a `traceparent`.
+    pub parent: Option<SpanId>,
+    /// The execution's span (`builder.execute`), for a request that
+    /// reached storage.
+    pub exec_span: Option<SpanId>,
+    /// The storage scan's span (`tsdb.query_scan`, under the execution).
+    pub scan_span: SpanId,
+    /// Threads the storage scan ran on (0 unless executed).
+    pub scan_threads: usize,
+    /// Wall start, nanoseconds from the records' time origin.
+    pub start_ns: u64,
     /// Normalized plan fingerprint: a 64-bit hash of the request key with
     /// per-request noise (`explain`) stripped, so identical plans collapse
     /// to one value across dispositions.
@@ -340,16 +303,7 @@ pub struct RequestRecord {
     pub admission: Option<AdmissionSnapshot>,
 }
 
-/// `seq` of a ring slot no record has been written to yet.
-const NEVER: u64 = u64::MAX;
-
 impl RequestRecord {
-    /// A record nothing has been written to: `seq` is [`NEVER`], the
-    /// strings are empty and unallocated.
-    pub(crate) fn blank() -> RequestRecord {
-        RequestRecord { seq: NEVER, ..RequestRecord::default() }
-    }
-
     /// Wall milliseconds end to end.
     pub fn total_ms(&self) -> f64 {
         self.total_ns as f64 / 1e6
@@ -427,6 +381,34 @@ impl RequestRecord {
         }
         doc
     }
+
+    /// Append this request's chrome-trace events to `out`:
+    /// `builder.api_request` (under the caller's span, if any), and for an
+    /// executed request `builder.execute` with `tsdb.query_scan` under it,
+    /// both over the execute stage's wall window.
+    pub fn trace_events(&self, out: &mut Vec<Value>) {
+        let ids = |span, parent| (self.trace, span, parent);
+        let status = i64::from(self.status).into();
+        let attrs = vec![("disposition", self.disposition.as_str().into()), ("status", status)];
+        let (api, wall) = (ids(self.span, self.parent), (self.start_ns, self.total_ns));
+        let modelled = self.vtime_execute_ns + self.vtime_encode_ns;
+        out.push(trace_event("builder.api_request", api, wall, modelled, attrs));
+        let Some(exec) = self.exec_span else { return };
+        let [parse, plan, cache, admission, execute, ..] = self.stages_ns;
+        let wall = (self.start_ns + parse + plan + cache + admission, execute);
+        let (lineage, modelled) = (ids(exec, Some(self.span)), self.vtime_execute_ns);
+        out.push(trace_event("builder.execute", lineage, wall, modelled, vec![]));
+        if let Some(CostPair { actual, actual_ns, .. }) = self.cost {
+            let attrs = vec![
+                ("queries", actual.queries.into()),
+                ("points", actual.points.into()),
+                ("blocks", actual.blocks.into()),
+                ("threads", self.scan_threads.into()),
+            ];
+            let lineage = ids(self.scan_span, Some(exec));
+            out.push(trace_event("tsdb.query_scan", lineage, wall, actual_ns, attrs));
+        }
+    }
 }
 
 /// A record under construction: the service assigns what it learns to
@@ -447,7 +429,7 @@ pub struct Draft<'a> {
 impl<'a> Draft<'a> {
     /// A draft with everything unset except identity.
     pub fn new(url: &'a str, tenant: &'a str, trace: TraceId, span: SpanId) -> Draft<'a> {
-        Draft { url, tenant, record: RequestRecord { trace, span, ..RequestRecord::blank() } }
+        Draft { url, tenant, record: RequestRecord { trace, span, ..RequestRecord::default() } }
     }
 
     /// Overwrite `rec` with this request — everything but `seq` and
@@ -464,8 +446,10 @@ impl<'a> Draft<'a> {
         rec.truncated = tenant_cut | url_cut;
         rec.fingerprint = fingerprint64(self.url);
         let d = &self.record;
-        rec.trace = d.trace;
-        rec.span = d.span;
+        (rec.trace, rec.span, rec.parent) = (d.trace, d.span, d.parent);
+        (rec.exec_span, rec.scan_span, rec.scan_threads) =
+            (d.exec_span, d.scan_span, d.scan_threads);
+        rec.start_ns = d.start_ns;
         rec.disposition = d.disposition;
         rec.status = d.status;
         rec.verdict = d.verdict;
@@ -556,14 +540,8 @@ pub const SLOW_MS: f64 = 250.0;
 /// The per-service flight recorder. Constructing one registers the
 /// qlog/slow-query metrics (with `HELP` strings).
 pub struct QueryRecorder {
-    /// Slot `seq & mask` holds record `seq` until a later lap overwrites it.
-    slots: Box<[Mutex<RequestRecord>]>,
-    mask: u64,
-    /// Next sequence number. A plain counter: the slot locks, not this,
-    /// publish the records, so every access is `Relaxed`.
-    head: AtomicU64,
+    ring: Ring<RequestRecord>,
     slow_ns: u64,
-    dropped: AtomicU64,
     pinned: Mutex<VecDeque<RequestRecord>>,
     records_total: Arc<monster_obs::Counter>,
     dropped_total: Arc<monster_obs::Counter>,
@@ -582,7 +560,6 @@ impl QueryRecorder {
     /// [`QueryRecorder::new`], its counters and estimator-accuracy
     /// histograms in `obs`.
     pub fn new_in(capacity: usize, slow_ms: f64, obs: &Registry) -> QueryRecorder {
-        let cap = capacity.max(16).next_power_of_two();
         let ratio_histos = RATIO_STAGES.map(|stage| {
             obs.histo_help(
                 &format!("monster_builder_cost_estimate_ratio{{stage=\"{stage}\"}}"),
@@ -592,19 +569,14 @@ impl QueryRecorder {
             )
         });
         QueryRecorder {
-            slots: (0..cap)
-                .map(|_| {
-                    // Reserved once, overwritten in place ever after.
-                    let mut slot = RequestRecord::blank();
-                    slot.tenant.reserve(TENANT_BYTES);
-                    slot.url.reserve(URL_BYTES);
-                    Mutex::new(slot)
-                })
-                .collect(),
-            mask: cap as u64 - 1,
-            head: AtomicU64::new(0),
+            ring: Ring::new(capacity, || {
+                // Reserved once, overwritten in place ever after.
+                let mut slot = RequestRecord::default();
+                slot.tenant.reserve(TENANT_BYTES);
+                slot.url.reserve(URL_BYTES);
+                slot
+            }),
             slow_ns: (slow_ms.max(0.0) * 1e6) as u64,
-            dropped: AtomicU64::new(0),
             pinned: Mutex::new(VecDeque::with_capacity(SLOW_PINNED)),
             records_total: obs.counter_help(
                 "monster_builder_qlog_records_total",
@@ -623,46 +595,29 @@ impl QueryRecorder {
         }
     }
 
-    /// Ring capacity in slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Records captured since construction.
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.ring.recorded()
     }
 
     /// Records dropped because their slot already held a newer one.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// Capture one request; returns the record's sequence number and
     /// whether it crossed the slow-query threshold. One uncontended lock
     /// and an in-place overwrite — no heap (see the module docs).
     pub fn record(&self, d: &Draft<'_>) -> (u64, bool) {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        (seq, self.write(seq, d))
-    }
-
-    /// Write `d` as record `seq` into `seq`'s slot, unless the slot already
-    /// holds a newer record; returns whether `d` is slow.
-    fn write(&self, seq: u64, d: &Draft<'_>) -> bool {
         let slow = self.is_slow(d);
-        let pin = {
-            let mut slot = self.slots[(seq & self.mask) as usize].lock();
-            if slot.seq != NEVER && slot.seq > seq {
-                // The ring lapped a full capacity between this writer's
-                // `fetch_add` and its lock.
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                self.dropped_total.inc();
-                return slow;
-            }
-            d.fill(&mut slot);
-            slot.seq = seq;
-            slot.slow = slow;
+        let (seq, written) = self.ring.push(|seq, slot| {
+            d.fill(slot);
+            (slot.seq, slot.slow) = (seq, slow);
             slow.then(|| slot.clone())
+        });
+        let Some(pin) = written else {
+            self.dropped_total.inc();
+            return (seq, slow);
         };
 
         // Everything below is off the common path: estimator-accuracy
@@ -683,7 +638,7 @@ impl QueryRecorder {
             }
             pinned.push_back(rec);
         }
-        slow
+        (seq, slow)
     }
 
     /// Bring `monster_builder_qlog_records_total` up to date with the
@@ -692,7 +647,7 @@ impl QueryRecorder {
     /// at scrape/debug time, instead of costing an extra atomic RMW per
     /// request. Monotone: concurrent syncs can only add.
     pub fn sync_counters(&self) {
-        let head = self.head.load(Ordering::Relaxed);
+        let head = self.ring.recorded();
         let published = self.records_total.get();
         if head > published {
             self.records_total.add(head - published);
@@ -707,30 +662,15 @@ impl QueryRecorder {
                 || d.record.vtime_execute_ns + d.record.vtime_encode_ns >= self.slow_ns)
     }
 
-    /// Clones of the live records `keep` accepts, newest first: walk back
-    /// one lap from the head, one slot lock at a time. A slot whose stored
-    /// sequence number is not the cursor's is unwritten, mid-claim or
-    /// already lapped — skipped.
-    fn live<'s>(
-        &'s self,
-        keep: impl Fn(&RequestRecord) -> bool + 's,
-    ) -> impl Iterator<Item = RequestRecord> + 's {
-        let head = self.head.load(Ordering::Relaxed);
-        let oldest = head.saturating_sub(self.slots.len() as u64);
-        (oldest..head).rev().filter_map(move |seq| {
-            let slot = self.slots[(seq & self.mask) as usize].lock();
-            (slot.seq == seq && keep(&slot)).then(|| slot.clone())
-        })
-    }
-
     /// Newest-first records matching `filter`.
     pub fn recent(&self, filter: &RecordFilter) -> Vec<RequestRecord> {
-        self.live(|rec| filter.matches(rec)).take(filter.limit.unwrap_or(50)).collect()
+        self.ring.live(|rec| filter.matches(rec)).take(filter.limit.unwrap_or(50)).collect()
     }
 
-    /// All live records carrying `trace`, newest first.
-    pub fn by_trace(&self, trace: TraceId) -> Vec<RequestRecord> {
-        self.live(|rec| rec.trace == trace).collect()
+    /// All live records carrying `trace` (every record without one),
+    /// newest first.
+    pub fn by_trace(&self, trace: Option<TraceId>) -> Vec<RequestRecord> {
+        self.ring.live(|rec| trace.is_none_or(|t| rec.trace == t)).collect()
     }
 
     /// The pinned slow-query log, newest first.
@@ -744,7 +684,7 @@ impl QueryRecorder {
         let requests: Vec<Value> = self.recent(filter).iter().map(|r| r.to_json()).collect();
         let slow: Vec<Value> = self.slow_log().iter().map(|r| r.to_json()).collect();
         jobj! {
-            "capacity" => self.capacity() as i64,
+            "capacity" => self.ring.capacity() as i64,
             "recorded_total" => self.recorded() as i64,
             "dropped_total" => self.dropped() as i64,
             "slow_threshold_ms" => self.slow_ns as f64 / 1e6,
@@ -836,6 +776,10 @@ mod tests {
         d.record.status = 200;
         d.record.verdict = CacheVerdict::Invalidated;
         d.record.explain = true;
+        d.record.parent = Some(SpanId(8));
+        (d.record.exec_span, d.record.scan_span, d.record.scan_threads) =
+            (Some(SpanId(10)), SpanId(11), 2);
+        d.record.start_ns = 123;
         d.record.stages_ns = [1, 2, 3, 4, 5, 6, 7];
         d.record.total_ns = 21;
         d.record.vtime_execute_ns = 1_000_000;
@@ -870,6 +814,9 @@ mod tests {
         assert_eq!(r.status, 200);
         assert_eq!(r.trace, TraceId(0xabcd));
         assert_eq!(r.span, SpanId(9));
+        assert_eq!(r.parent, Some(SpanId(8)));
+        assert_eq!((r.exec_span, r.scan_span, r.scan_threads), (Some(SpanId(10)), SpanId(11), 2));
+        assert_eq!(r.start_ns, 123);
         assert_eq!(r.fingerprint, fingerprint64("/v1/metrics?start=a&end=b"));
         assert_eq!(r.tenant, "tenant-x");
         assert_eq!(r.url, "/v1/metrics?start=a&end=b");
@@ -898,24 +845,6 @@ mod tests {
         assert_eq!(all.last().unwrap().seq, 24, "oldest surviving = head - capacity");
         assert_eq!(rec.recorded(), 40);
         assert_eq!(rec.dropped(), 0);
-    }
-
-    #[test]
-    fn an_older_sequence_number_never_overwrites_a_newer_one() {
-        // A writer descheduled between taking its number and its slot's
-        // lock, for a whole lap: 5 and 21 share slot 5 of 16.
-        let rec = QueryRecorder::new(16, 0.0);
-        let slot_5 = || {
-            let slot = rec.slots[5].lock();
-            (slot.seq, slot.url.clone())
-        };
-        rec.write(21, &draft_with("/newer", 0));
-        rec.write(5, &draft_with("/older", 1));
-        assert_eq!(slot_5(), (21, "/newer".to_string()));
-        assert_eq!(rec.dropped(), 1, "that, and only that, is a drop");
-        rec.write(37, &draft_with("/newest", 2));
-        assert_eq!(slot_5(), (37, "/newest".to_string()));
-        assert_eq!(rec.dropped(), 1);
     }
 
     #[test]
@@ -958,10 +887,11 @@ mod tests {
             d.record.trace = TraceId(if i % 2 == 0 { 0x11 } else { 0x22 });
             rec.record(&d);
         }
-        let found = rec.by_trace(TraceId(0x11));
+        let found = rec.by_trace(Some(TraceId(0x11)));
         assert_eq!(found.len(), 3);
         assert!(found.iter().all(|r| r.trace == TraceId(0x11)));
-        assert!(rec.by_trace(TraceId(0x99)).is_empty());
+        assert!(rec.by_trace(Some(TraceId(0x99))).is_empty());
+        assert_eq!(rec.by_trace(None).len(), 6);
     }
 
     #[test]
@@ -1040,141 +970,48 @@ mod tests {
     }
 
     #[test]
-    fn lap_clock_charges_each_lap_to_its_stage_and_sums() {
-        let mut clock = LapClock::start();
-        clock.lap(Stage::Parse);
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        clock.lap(Stage::Execute);
-        clock.lap(Stage::Encode);
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        clock.lap(Stage::Execute); // accumulates
-        let (stages, total) = clock.finish();
-        let execute = stages[Stage::Execute as usize];
-        assert!(execute > 3_000_000, "6 ms of sleep measured as {execute} ns");
-        assert!(execute < 1_000_000_000, "6 ms of sleep measured as {execute} ns");
-        assert!(stages[Stage::Parse as usize] < 1_000_000);
-        assert_eq!(stages[Stage::Compress as usize], 0, "never lapped");
-        assert_eq!(total, stages.iter().sum::<u64>());
-    }
+    fn an_executed_request_renders_its_lineage_over_its_stages() {
+        let mut d = draft_with("/v1/metrics?x=1", 0);
+        d.record.disposition = Disposition::Miss;
+        d.record.parent = Some(SpanId(3));
+        (d.record.exec_span, d.record.scan_span, d.record.scan_threads) =
+            (Some(SpanId(20)), SpanId(21), 2);
+        d.record.start_ns = 1_000_000;
+        d.record.stages_ns = [1_000, 2_000, 3_000, 4_000, 50_000, 6_000, 0];
+        d.record.total_ns = d.record.stages_ns.iter().sum();
+        d.record.vtime_execute_ns = 9_000_000;
+        let actual = QueryCost { queries: 5, points: 90, blocks: 4, ..QueryCost::default() };
+        d.record.cost =
+            Some(CostPair { estimated: actual, actual, estimated_ns: 1, actual_ns: 8_000_000 });
+        let mut rec = RequestRecord::default();
+        d.fill(&mut rec);
+        let mut events = Vec::new();
+        rec.trace_events(&mut events);
+        let names: Vec<&str> =
+            events.iter().map(|e| e.get("name").unwrap().as_str().unwrap()).collect();
+        assert_eq!(names, ["builder.api_request", "builder.execute", "tsdb.query_scan"]);
+        let arg = |i: usize, k: &str| events[i].pointer(&format!("/args/{k}")).cloned();
+        let id = |s: u64| Some(Value::Str(SpanId(s).to_string()));
+        assert_eq!(arg(0, "parent_span_id"), id(3));
+        assert_eq!((arg(1, "span_id"), arg(1, "parent_span_id")), (id(20), id(7)));
+        assert_eq!((arg(2, "span_id"), arg(2, "parent_span_id")), (id(21), id(20)));
+        assert_eq!(arg(2, "queries"), Some(Value::from(5u64)));
+        assert_eq!(arg(2, "threads"), Some(Value::from(2u64)));
+        assert_eq!(arg(1, "modelled_ms").and_then(|v| v.as_f64()), Some(9.0));
+        // The execute window starts after parse, plan, cache and admission.
+        let ts = |i: usize| events[i].get("ts").unwrap().as_i64().unwrap();
+        let dur = |i: usize| events[i].get("dur").unwrap().as_i64().unwrap();
+        assert_eq!((ts(0), dur(0)), (1_000, 66));
+        assert_eq!((ts(1), dur(1)), (1_010, 50));
+        assert_eq!((ts(2), dur(2)), (1_010, 50));
 
-    /// A draft whose every field is a function of `id` (and `url`, which
-    /// `whole` recomputes from the id too).
-    fn draft_of<'a>(id: u64, url: &'a str, tenant: &'a str) -> Draft<'a> {
-        let mut d = Draft::new(url, tenant, TraceId(id as u128 * 3 + 1), SpanId(id ^ 0xa5a5));
-        d.record.disposition =
-            if id.is_multiple_of(2) { Disposition::Hit } else { Disposition::Miss };
-        d.record.status = (id % 500) as u16;
-        d.record.verdict =
-            if id.is_multiple_of(3) { CacheVerdict::Valid } else { CacheVerdict::Absent };
-        d.record.explain = id.is_multiple_of(5);
-        d.record.stages_ns = std::array::from_fn(|i| id + i as u64);
-        d.record.total_ns = id * 7;
-        d.record.vtime_execute_ns = id * 11;
-        d.record.vtime_encode_ns = id * 13;
-        d.record.bytes_out = id * 17;
-        // Executed records carry the wide suffix; the rest must read None.
-        if id % 2 == 1 {
-            let cost = |k: usize| QueryCost {
-                points: id as usize + k,
-                bytes: 2 * id as usize + k,
-                queries: k,
-                ..QueryCost::default()
-            };
-            d.record.cost = Some(CostPair {
-                estimated: cost(1),
-                actual: cost(2),
-                estimated_ns: id + 1,
-                actual_ns: id + 2,
-            });
-            d.record.admission = Some(AdmissionSnapshot {
-                decision: AdmissionDecision::Charged,
-                estimated_secs: id as f64,
-                tokens_before: id as f64 + 1.0,
-                tokens_after: id as f64 - 1.0,
-                rate: 2.0,
-                burst: 20.0,
-                retry_after_secs: id % 9,
-            });
-        }
-        d
-    }
-
-    fn strings_of(id: u64) -> (String, String) {
-        // Lengths vary with the id so a torn copy cannot pass for whole.
-        (format!("/v1/metrics?id={id}&pad={}", "p".repeat((id % 40) as usize)), format!("t{id}"))
-    }
-
-    /// `rec` is exactly what `draft_of(id)` recorded — no field from any
-    /// other record.
-    fn whole(rec: &RequestRecord, id: u64) -> bool {
-        let (url, tenant) = strings_of(id);
-        let mut want = RequestRecord::blank();
-        draft_of(id, &url, &tenant).fill(&mut want);
-        (want.seq, want.slow) = (rec.seq, rec.slow);
-        *rec == want
-    }
-
-    #[test]
-    fn concurrent_writers_and_a_reader_see_only_whole_records() {
-        const WRITERS: u64 = 4;
-        const PER_WRITER: u64 = 20_000;
-        // A 16-slot ring laps every 16 records: writers collide on slots
-        // constantly and the reader clones slots that are being rewritten.
-        let rec = QueryRecorder::new(16, 0.0);
-        let writing = std::sync::atomic::AtomicBool::new(true);
-        let start = std::sync::Barrier::new(WRITERS as usize + 1);
-        // The id rides in `span`, the one field `whole` needs to find the
-        // rest; everything else must then agree with it.
-        let id_of = |r: &RequestRecord| r.span.0 ^ 0xa5a5;
-        let check = |records: &[RequestRecord]| {
-            for r in records {
-                assert!(whole(r, id_of(r)), "torn record: {r:?}");
-            }
-            assert!(records.windows(2).all(|w| w[0].seq > w[1].seq), "newest first");
-        };
-        let reads = std::thread::scope(|s| {
-            let writers: Vec<_> = (0..WRITERS)
-                .map(|w| {
-                    let (rec, start) = (&rec, &start);
-                    s.spawn(move || {
-                        start.wait();
-                        for id in w * PER_WRITER..(w + 1) * PER_WRITER {
-                            let (url, tenant) = strings_of(id);
-                            rec.record(&draft_of(id, &url, &tenant));
-                        }
-                    })
-                })
-                .collect();
-            let reader = s.spawn(|| {
-                start.wait();
-                let mut reads = 0u64;
-                while writing.load(Ordering::SeqCst) {
-                    let recent = rec.recent(&RecordFilter::default());
-                    check(&recent);
-                    if let Some(r) = recent.first() {
-                        check(&rec.by_trace(r.trace));
-                    }
-                    let doc = rec.debug_json(&RecordFilter::default());
-                    assert!(doc.get("requests").unwrap().as_array().is_some());
-                    reads += 1;
-                }
-                reads
-            });
-            for w in writers {
-                w.join().expect("writer panicked");
-            }
-            writing.store(false, Ordering::SeqCst);
-            reader.join().expect("reader panicked")
-        });
-        assert!(reads > 0, "the reader ran beside the writers");
-        assert_eq!(rec.recorded(), WRITERS * PER_WRITER);
-        // An older sequence number never overwrites a newer one, so once
-        // every writer is done each slot holds its last lap.
-        let last = rec.recent(&RecordFilter { limit: Some(16), ..RecordFilter::default() });
-        let seqs: Vec<u64> = last.iter().map(|r| r.seq).collect();
-        let head = WRITERS * PER_WRITER;
-        assert_eq!(seqs, (head - 16..head).rev().collect::<Vec<_>>());
-        check(&last);
+        // A hit is its request alone.
+        let mut hit = RequestRecord::default();
+        draft_with("/v1/metrics?x=1", 1).fill(&mut hit);
+        let mut events = Vec::new();
+        hit.trace_events(&mut events);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].pointer("/args/disposition").and_then(Value::as_str), Some("hit"));
     }
 
     #[test]

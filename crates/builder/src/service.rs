@@ -17,9 +17,10 @@
 //!   cache entry and one flight).
 //! * `GET /metrics` — Prometheus/OpenMetrics text exposition of the
 //!   pipeline's own metrics (self-monitoring), exemplars included.
-//! * `GET /debug/trace[?trace_id=<32-hex>]` — recent vtime-stamped spans
-//!   as chrome-trace JSON with trace/span/parent lineage in `args`,
-//!   optionally restricted to one trace.
+//! * `GET /debug/trace[?trace_id=<32-hex>]` — the deployment's live
+//!   interval records and this service's request records rendered as
+//!   chrome-trace JSON: wall `ts`/`dur`, trace/span/parent lineage and the
+//!   modelled duration in `args`, optionally restricted to one trace.
 //! * `GET /debug/requests[?disposition=..&min_ms=..&tenant=..&limit=..]`
 //!   — the query flight recorder ([`crate::qlog`]): recent per-request
 //!   wide events, newest first, plus the pinned slow-query log.
@@ -45,7 +46,7 @@ use monster_collector::SchemaVersion;
 use monster_compress::Level;
 use monster_http::{Method, Request, Response, Router, Status};
 use monster_json::{jarr, jobj, Value};
-use monster_obs::{Counter, Gauge, Histo, Registry, Span, TraceContext, TraceId};
+use monster_obs::{Counter, Gauge, Histo, Registry, TraceContext, TraceId};
 use monster_tsdb::{Aggregation, Db, Query};
 use monster_util::{EpochSecs, NodeId};
 use std::sync::Arc;
@@ -243,10 +244,9 @@ struct MetricsState {
 fn serve_metrics(
     st: &MetricsState,
     req: &Request,
-    mut span: Span,
     ctx: TraceContext,
     draft: &mut Draft<'_>,
-    clock: &mut LapClock,
+    clock: &mut LapClock<{ Stage::ALL.len() }>,
 ) -> Response {
     let (key, d) = (draft.url, &mut draft.record);
     // Layer 1: the result cache. Positive entries validate their
@@ -260,8 +260,6 @@ fn serve_metrics(
         // start.
         let negative = verdict == CacheVerdict::Negative;
         d.disposition = if negative { Disposition::Negative } else { Disposition::Hit };
-        span.set_attr("cache", "hit");
-        span.finish();
         let resp = serve_shared(&shared, "hit");
         clock.lap(Stage::Cache);
         return resp;
@@ -276,8 +274,6 @@ fn serve_metrics(
             // A parse rejection depends only on the URL: cache it so
             // malformed dashboards don't re-parse forever.
             let shared = st.cache.put(key, Validity::Always, resp);
-            span.set_attr("outcome", "bad_request");
-            span.finish();
             let resp = serve_shared(&shared, "miss");
             clock.lap(Stage::Encode);
             return resp;
@@ -293,8 +289,6 @@ fn serve_metrics(
     let ticket = match st.cache.claim(key, &st.db, st.config.coalesce) {
         Claim::Hit(shared) => {
             (d.verdict, d.disposition) = (CacheVerdict::Valid, Disposition::Hit);
-            span.set_attr("cache", "hit");
-            span.finish();
             let resp = serve_shared(&shared, "hit");
             clock.lap(Stage::Cache);
             return resp;
@@ -303,8 +297,6 @@ fn serve_metrics(
             st.coalesced.inc();
             clock.lap(Stage::Cache);
             d.disposition = Disposition::Coalesced;
-            span.set_attr("cache", "coalesced");
-            span.finish();
             let resp = serve_shared(&shared, "coalesced");
             clock.lap(Stage::Encode);
             return resp;
@@ -353,15 +345,18 @@ fn serve_metrics(
             // Joiners share the 429 (they are the same query), but it is
             // never cached: the budget refills.
             ticket.share(Arc::clone(&shared));
-            span.set_attr("outcome", "admission_rejected");
-            span.finish();
             let resp = serve_shared(&shared, "miss");
             clock.lap(Stage::Encode);
             return resp;
         }
     }
 
-    let guard = InflightGuard::enter(&st.inflight);
+    // The execution and its scan are children of the request; the scan's
+    // context is installed so the storage layer's exemplars link to it.
+    let exec = ctx.child(&st.obs);
+    let scan = exec.child(&st.obs);
+    (d.exec_span, d.scan_span) = (Some(exec.span), scan.span);
+    let guard = (InflightGuard::enter(&st.inflight), monster_obs::trace::set_current(scan));
     let batch = run_prepared(&st.db, prepared, st.config.exec, &st.exec_metrics);
     drop(guard);
     clock.lap(Stage::Execute);
@@ -372,8 +367,6 @@ fn serve_metrics(
             // joiners execute for themselves.
             drop(ticket);
             d.disposition = Disposition::Error;
-            span.set_attr("outcome", "error");
-            span.finish();
             let resp =
                 Response::error(Status::INTERNAL_ERROR, &format!("query execution failed: {e}"));
             clock.lap(Stage::Encode);
@@ -384,6 +377,7 @@ fn serve_metrics(
     // a panel's 40–51 bytes a point; `compress` deflates it and drops it.
     let room = 52 * batch.results.iter().map(|r| r.point_count()).sum::<usize>();
     let sink = JsonSink::with_capacity(room);
+    d.scan_threads = batch.scan_threads;
     let outcome = batch.render_into(&st.db, &plan, sink, &st.exec_metrics);
     d.cost = Some(CostPair {
         estimated: est,
@@ -409,9 +403,7 @@ fn serve_metrics(
         Response::bytes(json, "application/json")
     };
     resp.headers.set("X-Query-Processing-Ms", format!("{:.3}", processing.as_millis_f64()));
-    span.set_attr("cache", "miss");
     st.request_seconds.observe_vdur_traced(processing, Some(ctx));
-    span.finish_after(processing);
     let shared = ticket.complete(validity, resp);
     d.disposition = Disposition::Miss;
     let out = serve_shared(&shared, "miss");
@@ -493,6 +485,17 @@ impl MetricsState {
     }
 }
 
+/// The `GET /debug/trace` document: the deployment's live interval
+/// records, then the service's request records, oldest first, each
+/// rendered as its chrome-trace events — of one trace, or all.
+fn trace_doc(obs: &Registry, recorder: &QueryRecorder, trace: Option<TraceId>) -> Value {
+    let intervals: Vec<_> = obs.intervals().live(|r| trace.is_none_or(|t| r.trace == t)).collect();
+    let mut events = Vec::new();
+    intervals.iter().rev().for_each(|r| r.trace_events(&mut events));
+    recorder.by_trace(trace).iter().rev().for_each(|r| r.trace_events(&mut events));
+    jobj! { "traceEvents" => Value::Array(events) }
+}
+
 /// Build the service router over `db` for the given node inventory. The
 /// service reports to, and exports, the database's registry.
 pub fn router(db: Arc<Db>, nodes: Vec<NodeId>, config: ServiceConfig) -> Router {
@@ -505,8 +508,8 @@ fn routes(state: Arc<MetricsState>) -> Router {
     let node_list: Vec<Value> = state.nodes.iter().map(|n| Value::from(n.bmc_addr())).collect();
     let nodes_doc = jobj! { "nodes" => Value::Array(node_list) };
     let alerts = state.config.alerts.clone();
-    let [scrape_recorder, requests_recorder, drill_recorder] =
-        [(); 3].map(|()| Arc::clone(&state.recorder));
+    let [scrape_recorder, requests_recorder, drill_recorder, trace_recorder] =
+        [(); 4].map(|()| Arc::clone(&state.recorder));
     let [scrape_obs, trace_obs, pipeline_obs] = [(); 3].map(|()| Arc::clone(&state.obs));
 
     Router::new()
@@ -516,13 +519,12 @@ fn routes(state: Arc<MetricsState>) -> Router {
             // well-formed W3C traceparent; a malformed or absent header
             // starts a new root — never an error.
             let parent = req.headers.get("traceparent").and_then(TraceContext::parse_traceparent);
-            let span = match parent {
-                Some(parent) => Span::child_of(&state.obs, "builder.api_request", parent),
-                None => Span::root(&state.obs, "builder.api_request"),
+            let ctx = match parent {
+                Some(parent) => parent.child(&state.obs),
+                None => TraceContext::root(&state.obs),
             };
-            let ctx = span.context();
-            // Install the context so the execute/query/lock spans and
-            // exemplars underneath this request join its trace.
+            // Install the context so the exemplars underneath this request
+            // join its trace.
             let _trace_guard = monster_obs::trace::set_current(ctx);
 
             let mut clock = LapClock::start();
@@ -534,17 +536,18 @@ fn routes(state: Arc<MetricsState>) -> Router {
                 (format!("{}?{}", req.path, req.query), false)
             };
             let mut draft = Draft::new(&key, tenant_of(req), ctx.trace, ctx.span);
-            draft.record.explain = explain;
+            (draft.record.explain, draft.record.parent) = (explain, parent.map(|p| p.span));
 
-            let mut resp = serve_metrics(&state, req, span, ctx, &mut draft, &mut clock);
+            let mut resp = serve_metrics(&state, req, ctx, &mut draft, &mut clock);
 
             let rec = &mut draft.record;
+            rec.start_ns = clock.start_ns();
             (rec.stages_ns, rec.total_ns) = clock.finish();
             rec.status = resp.status.0;
             rec.bytes_out = resp.body.len() as u64;
             let (seq, slow) = state.recorder.record(&draft);
             if explain {
-                let mut record = RequestRecord::blank();
+                let mut record = RequestRecord::default();
                 draft.fill(&mut record);
                 (record.seq, record.slow) = (seq, slow);
                 resp = explain_envelope(&resp, &record);
@@ -557,12 +560,13 @@ fn routes(state: Arc<MetricsState>) -> Router {
             scrape_recorder.sync_counters();
             Response::bytes(scrape_obs.text_exposition().into_bytes(), "text/plain; version=0.0.4")
         })
-        .route(Method::Get, "/debug/trace", move |req, _params| match req.query_param("trace_id") {
-            None => Response::json(&trace_obs.trace_json()),
-            Some(s) => match TraceId::parse_hex(s) {
-                Some(id) => Response::json(&trace_obs.trace_json_filtered(Some(id))),
-                None => bad_request("trace_id must be 32 lowercase hex digits"),
-            },
+        .route(Method::Get, "/debug/trace", move |req, _params| {
+            let trace = match req.query_param("trace_id").map(TraceId::parse_hex) {
+                None => None,
+                Some(Some(id)) => Some(id),
+                Some(None) => return bad_request("trace_id must be 32 lowercase hex digits"),
+            };
+            Response::json(&trace_doc(&trace_obs, &trace_recorder, trace))
         })
         .route(Method::Get, "/debug/requests", move |req, _params| match parse_record_filter(req) {
             Ok(filter) => Response::json(&requests_recorder.debug_json(&filter)),
@@ -573,7 +577,7 @@ fn routes(state: Arc<MetricsState>) -> Router {
                 return bad_request("trace_id must be 32 lowercase hex digits");
             };
             let records: Vec<Value> =
-                drill_recorder.by_trace(id).iter().map(|r| r.to_json()).collect();
+                drill_recorder.by_trace(Some(id)).iter().map(|r| r.to_json()).collect();
             if records.is_empty() {
                 return Response::error(
                     Status::NOT_FOUND,

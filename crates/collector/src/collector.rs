@@ -73,12 +73,24 @@ pub enum Source<'a> {
     Telemetry(&'a mut TelemetryService),
 }
 
+impl Source<'_> {
+    /// The source's name in an interval record: `sweep`, `sensors` or
+    /// `telemetry`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Source::Sweep => "sweep",
+            Source::Sensors => "sensors",
+            Source::Telemetry(_) => "telemetry",
+        }
+    }
+}
+
 /// What one interval produced. The fields that describe a sweep are empty
 /// for the other sources.
 pub struct IntervalOutput {
-    /// The trace this interval's pipeline pass belongs to: the sweep, its
-    /// per-BMC children, and (once the deployment re-installs it around
-    /// its writes) the TSDB write batches all hang off this context's span.
+    /// The trace this interval's pipeline pass belongs to: its root
+    /// context, which the interval record's children (the sweep, its
+    /// notable requests, the write batches) hang off.
     pub trace: monster_obs::TraceContext,
     /// Points built this interval, in storage the collector takes back.
     pub points: PointBatch,
@@ -156,7 +168,7 @@ pub struct Collector {
     point_home: Arc<Mutex<Vec<DataPoint>>>,
     /// The same for its per-node health table.
     node_home: Arc<Mutex<Vec<NodeInterval>>>,
-    /// Where intervals, freshness and spans are reported.
+    /// Where intervals and freshness are reported, and trace ids minted.
     obs: Arc<monster_obs::Registry>,
 }
 
@@ -167,8 +179,8 @@ impl Collector {
         Collector::new_in(config, monster_obs::global())
     }
 
-    /// Build a collector whose client, breakers, freshness watermarks and
-    /// spans report to `obs`.
+    /// Build a collector whose client, breakers and freshness watermarks
+    /// report to `obs`, minting its trace ids there.
     pub fn new_in(config: CollectorConfig, obs: &Arc<monster_obs::Registry>) -> Self {
         let client = RedfishClient::new_in(config.client.clone(), obs);
         let registry = config.resilience.as_ref().map(|_| HealthRegistry::new(obs));
@@ -196,8 +208,8 @@ impl Collector {
 
     /// Collect one interval at time `now` from `source`: its out-of-band
     /// readings, then the resource manager's in-band half, built into one
-    /// batch of points. Every source runs under one `collector.interval`
-    /// root span and counts its interval, points and finish estimates.
+    /// batch of points. Every source runs under a root trace context of
+    /// its own and counts its interval, points and finish estimates.
     /// Fails only when a sensor or telemetry read does; a sweep's failures
     /// are in its outcome.
     pub fn collect(
@@ -207,11 +219,10 @@ impl Collector {
         qm: &Qmaster,
         now: EpochSecs,
     ) -> Result<IntervalOutput> {
-        let span = monster_obs::Span::enter(&self.obs, "collector.interval");
-        // Mint this interval's trace context and install it for the
-        // duration: the sweep, its per-BMC child spans, and any TSDB
-        // writes made while we hold the guard all join the same trace.
-        let trace = span.context();
+        // Mint this interval's root trace context and install it for the
+        // duration: the sweep's makespan and the detectors' events link to
+        // it, as the deployment's write batches do once it re-installs it.
+        let trace = monster_obs::TraceContext::root(&self.obs);
         let _trace_guard = monster_obs::trace::set_current(trace);
         let mut points = Recycled::take(&self.point_home);
         let mut writer = PointWriter::new(self.config.schema, &mut points.items);
@@ -365,7 +376,6 @@ impl Collector {
         self.obs
             .counter("monster_collector_finish_estimates_total")
             .add(estimated_finishes.len() as u64);
-        span.finish_after(sweep.makespan);
 
         Ok(IntervalOutput {
             trace,

@@ -3,18 +3,18 @@
 
 use monster_alert::{AlertEngine, DetectorConfig, EngineConfig, IntervalInput};
 use monster_builder::{build_plan, encode_response, BuilderRequest, ExecMode};
-use monster_collector::{Collector, CollectorConfig, SchemaVersion, Source};
+use monster_collector::{Collector, CollectorConfig, IntervalOutput, SchemaVersion, Source};
 use monster_compress::Level;
-use monster_obs::{Registry, TraceContext};
+use monster_obs::{IntervalStage, LapClock, NotableRequest, Registry, TraceContext};
 use monster_redfish::bmc::BmcConfig;
-use monster_redfish::client::{ClientConfig, SkipReason};
+use monster_redfish::client::{ClientConfig, RequestOutcome, SkipReason};
 use monster_redfish::cluster::{ClusterConfig, SimulatedCluster};
 use monster_redfish::resilience::ResilienceConfig;
 use monster_redfish::telemetry::SAMPLE_INTERVAL_SECS;
 use monster_scheduler::{Qmaster, QmasterConfig, WorkloadConfig, WorkloadGenerator};
 use monster_sim::{DiskModel, VDuration};
 use monster_tsdb::retention::TierConfig;
-use monster_tsdb::{CostParams, DataPoint, Db, DbConfig, RecoveryReport};
+use monster_tsdb::{CostParams, Db, DbConfig, RecoveryReport};
 use monster_util::{EpochSecs, JobId, NodeId, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -153,11 +153,7 @@ impl Monster {
     /// Assemble a deployment with a registry of its own and pre-generate its
     /// workload.
     pub fn new(config: MonsterConfig) -> Monster {
-        Monster::with_registry(config, Arc::default())
-    }
-
-    /// [`Monster::new`] reporting to `registry` (one with a larger span ring).
-    pub fn with_registry(config: MonsterConfig, registry: Arc<Registry>) -> Monster {
+        let registry = Arc::new(Registry::new());
         let cluster = SimulatedCluster::new(ClusterConfig {
             nodes: config.nodes,
             slots_per_chassis: 4,
@@ -271,10 +267,26 @@ impl Monster {
     /// Run one collection interval from `source`: advance the world, collect,
     /// land the points and do the per-interval maintenance. A sweep, the one
     /// source with a node table, is also folded through the alert engine.
+    /// The interval leaves one [`IntervalRecord`](monster_obs::IntervalRecord)
+    /// in the registry's ring, its stages timed by one lap clock.
     pub fn run_interval_from(&mut self, mut source: Source<'_>) -> Result<IntervalSummary> {
+        let mut clock = LapClock::<{ IntervalStage::COUNT }>::start();
+        let source_name = source.name();
         self.advance_world(&mut source);
+        clock.lap(IntervalStage::Advance);
         let mut out = self.collector.collect(source, &self.cluster, &self.qmaster, self.now)?;
-        self.store_interval(&out.points, out.trace)?;
+        clock.lap(IntervalStage::Collect);
+        // The points go in as the collector's 10 000-point batches
+        // (§III-C), sequentially — same-timestamp points must reach a
+        // shard in collection order — under the interval's trace.
+        let batches = out.points.chunks(10_000);
+        let write_batches = batches.len() as u64;
+        let trace_guard = monster_obs::trace::set_current(out.trace);
+        batches.into_iter().try_for_each(|chunk| self.db.write_batch(chunk))?;
+        drop(trace_guard);
+        self.intervals_run += 1;
+        clock.lap(IntervalStage::Store);
+
         let mut skipped_nodes: Vec<(NodeId, SkipReason)> = out
             .sweep
             .results
@@ -306,6 +318,17 @@ impl Monster {
             }
             _ => monster_alert::IntervalOutcome::default(),
         };
+        clock.lap(IntervalStage::Alerts);
+
+        // Age-based tiering piggybacks on the same per-interval maintenance
+        // pass: a no-op scan when nothing crossed the hot horizon. A
+        // tiering error comes back after the points have landed (and, with
+        // a `data_dir`, are in the WAL) and the interval is recorded; a
+        // failed pass leaves its shard hot for the next interval's to retry.
+        let tiered = self.db.tier_cold_shards(self.now);
+        clock.lap(IntervalStage::Tiering);
+        self.record_interval(&out, source_name, write_batches, clock);
+        tiered?;
 
         Ok(IntervalSummary {
             time: self.now,
@@ -322,6 +345,45 @@ impl Monster {
             anomaly_events: out.anomalies.len(),
             alerts,
         })
+    }
+
+    /// Fill this interval's record in the registry's ring: its ids (the
+    /// children's minted here, under the collector's root), the lap
+    /// clock's stages, and the sweep's skipped, failed and retried
+    /// requests. A healthy interval allocates nothing here.
+    fn record_interval(
+        &self,
+        out: &IntervalOutput,
+        source: &'static str,
+        write_batches: u64,
+        clock: LapClock<{ IntervalStage::COUNT }>,
+    ) {
+        let obs = &self.registry;
+        let root = out.trace;
+        let start_ns = clock.start_ns();
+        let (stages_ns, total_ns) = clock.finish();
+        obs.intervals().push(|_, rec| {
+            (rec.trace, rec.span, rec.source) = (root.trace, root.span, source);
+            let sweep = (source == "sweep").then(|| root.child(obs).span);
+            rec.sweep_span = sweep;
+            rec.write_span = root.child(obs).span;
+            (rec.start_ns, rec.stages_ns, rec.total_ns) = (start_ns, stages_ns, total_ns);
+            rec.makespan_ns = out.sweep.makespan.as_nanos();
+            (rec.points, rec.write_batches) = (out.points.len() as u64, write_batches);
+            rec.requests.clear();
+            let notable =
+                |r: &&RequestOutcome| r.skip.is_some() || r.reading.is_none() || r.attempts > 1;
+            rec.requests.extend(out.sweep.results.iter().filter(notable).map(|r| NotableRequest {
+                span: root.child(obs).span,
+                node: r.node,
+                category: r.category.as_str(),
+                skip: r.skip.map(SkipReason::as_str),
+                attempts: r.attempts,
+                timeouts: r.timeouts,
+                delivered: r.reading.is_some(),
+                elapsed_ns: r.elapsed.as_nanos(),
+            }));
+        });
     }
 
     /// Advance the scheduler and the cluster physics by one collection
@@ -365,27 +427,6 @@ impl Monster {
         (0..n)
             .map(|_| self.run_interval_from(Source::Sensors).expect("sensor intervals").points)
             .sum()
-    }
-
-    /// Land one interval's points under its trace, then do the per-interval
-    /// maintenance. The points go in as the collector's 10 000-point
-    /// batches (§III-C), sequentially — same-timestamp points must reach a
-    /// shard in collection order. A tiering error comes back after the
-    /// points have landed (and, with a `data_dir`, are in the WAL); a
-    /// failed tiering pass leaves its shard hot for the next interval's
-    /// pass to retry.
-    fn store_interval(&mut self, points: &[DataPoint], trace: TraceContext) -> Result<()> {
-        let trace_guard = monster_obs::trace::set_current(trace);
-        points.chunks(10_000).try_for_each(|chunk| self.db.write_batch(chunk))?;
-        drop(trace_guard);
-        self.intervals_run += 1;
-        // Age-based tiering piggybacks on the same per-interval
-        // maintenance pass: a no-op scan when nothing crossed the hot
-        // horizon this interval.
-        if self.config.tiering.is_some() {
-            self.db.tier_cold_shards(self.now)?;
-        }
-        Ok(())
     }
 
     /// Execute a Metrics Builder request against this deployment's data.

@@ -14,29 +14,26 @@
 //! * [`Histo`] — latency distributions over fixed power-of-two buckets
 //!   (per-request sweep latency, write-batch latency, query cost).
 //!
-//! Plus virtual-time-aware [`Span`]s: the registry carries a monotone
-//! virtual clock (nanoseconds of `monster_sim` time), and spans stamp
-//! their begin/end against it, so a trace of a simulated day lines up
-//! with the simulated sweeps rather than host wall time. The spans form a
-//! **distributed trace**: every span carries a [`TraceId`]/[`SpanId`] pair
-//! with parent links (see [`trace`]), propagated in-process via a
-//! thread-local [`TraceContext`] and over HTTP as W3C `traceparent`
-//! headers. Histograms can park per-bucket [`Exemplar`]s linking a latency
-//! bucket to the trace that produced it, and a [`FreshnessTracker`] turns
-//! per-series last-good-ingest watermarks into staleness percentiles, SLO
-//! attainment, and burn rates for `GET /debug/pipeline`.
+//! Plus one wide record per unit of work — a [`LapClock`] times its
+//! stages, which sum to its total, and a bounded [`Ring`] keeps it. A
+//! deployment's collection intervals land as [`IntervalRecord`]s in its
+//! registry; the Metrics Builder keeps its requests' records. `GET
+//! /debug/trace` renders both as chrome-trace events ([`trace_event`]).
+//! Records carry [`TraceId`]/[`SpanId`] lineage (see [`trace`]),
+//! propagated as W3C `traceparent` headers over HTTP; histogram
+//! [`Exemplar`]s link a latency bucket to a trace; a [`FreshnessTracker`]
+//! turns last-good-ingest watermarks into the SLO report of `GET
+//! /debug/pipeline`.
 //!
-//! Every deployment owns one [`Registry`] — metrics, span ring, virtual
-//! clock, freshness tracker and trace/span id mint — and hands it to each
-//! component it builds, so its `/metrics`, `/debug/trace` and
-//! `/debug/pipeline` describe that deployment alone. [`global`] is only
-//! the process default behind the registry-less constructors.
+//! Every deployment owns one [`Registry`] and hands it to each component
+//! it builds, so its `/metrics`, `/debug/trace` and `/debug/pipeline`
+//! describe that deployment alone. [`global`] is only the process default
+//! behind the registry-less constructors.
 //!
 //! # Quick use
 //!
 //! ```
-//! use monster_obs::{sample, Registry, Span};
-//! use monster_sim::VDuration;
+//! use monster_obs::{sample, IntervalStage, LapClock, Registry, TraceContext};
 //! use std::sync::Arc;
 //!
 //! let registry = Arc::new(Registry::new());
@@ -47,27 +44,35 @@
 //! sweeps.inc();
 //! latency.observe(4.2);
 //!
-//! // Bracket simulated work with a span.
-//! let span = Span::enter(&registry, "doc.sweep");
-//! span.finish_after(VDuration::from_secs(52));
+//! // Time a unit of work stage by stage, then record it once.
+//! let mut clock = LapClock::<{ IntervalStage::COUNT }>::start();
+//! clock.lap(IntervalStage::Collect);
+//! let ctx = TraceContext::root(&registry);
+//! registry.intervals().push(|_, rec| {
+//!     (rec.trace, rec.span) = (ctx.trace, ctx.span);
+//!     (rec.stages_ns, rec.total_ns) = clock.finish();
+//! });
 //!
 //! let text = registry.text_exposition();
 //! assert_eq!(sample(&text, "doc_sweeps_total"), Some(1.0));
-//! assert_eq!(registry.recent_spans()[0].name, "doc.sweep");
+//! let last = registry.intervals().live(|r| r.trace == ctx.trace).next().unwrap();
+//! assert_eq!(last.total_ns, last.stages_ns.iter().sum::<u64>());
 //! ```
 
 #![warn(missing_docs)]
 
 mod metrics;
+mod record;
 mod registry;
+mod ring;
 mod slo;
-mod span;
 pub mod trace;
 
 pub use metrics::{Counter, Exemplar, Gauge, Histo, BUCKETS};
-pub use registry::{sample, Registry, DEFAULT_SPAN_CAPACITY};
+pub use record::{trace_event, IntervalRecord, IntervalStage, LapClock, NotableRequest};
+pub use registry::{sample, Registry};
+pub use ring::Ring;
 pub use slo::{percentile, FreshnessTracker, SloConfig};
-pub use span::{Span, SpanRecord};
 pub use trace::{SpanId, TraceContext, TraceId};
 
 use std::sync::{Arc, OnceLock};

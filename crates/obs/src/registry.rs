@@ -1,24 +1,22 @@
-//! The metrics registry: named handles, virtual clock, span ring buffer,
-//! and the two export formats (Prometheus-style text, chrome-trace JSON).
+//! The metrics registry: named handles, the interval ring and the
+//! Prometheus-style text export.
 
 use crate::metrics::{Counter, Gauge, Histo, BUCKETS};
+use crate::record::IntervalRecord;
+use crate::ring::Ring;
 use crate::slo::FreshnessTracker;
-use crate::span::SpanRecord;
-use monster_json::{jobj, Value};
-use monster_sim::VInstant;
-use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, VecDeque};
+use parking_lot::RwLock;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default number of completed spans retained for `/debug/trace`; a
-/// registry that needs more is built with [`Registry::with_span_capacity`].
-pub const DEFAULT_SPAN_CAPACITY: usize = 512;
+/// Interval records a registry keeps: an hour of the paper's 60 s cadence.
+const INTERVAL_CAPACITY: usize = 64;
 
-/// A named collection of metrics plus a trace ring buffer, a freshness
-/// tracker, a virtual clock and the trace/span id mint: everything one
-/// deployment reports about itself.
+/// A named collection of metrics plus the interval ring, a freshness
+/// tracker and the trace/span id mint: everything one deployment reports
+/// about itself.
 ///
 /// Handles returned by [`counter`](Registry::counter) /
 /// [`gauge`](Registry::gauge) / [`histo`](Registry::histo) are `Arc`s:
@@ -31,60 +29,36 @@ pub struct Registry {
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histos: RwLock<BTreeMap<String, Arc<Histo>>>,
     helps: RwLock<BTreeMap<String, String>>,
-    spans: Mutex<VecDeque<Arc<SpanRecord>>>,
-    span_capacity: usize,
-    spans_dropped: Counter,
+    intervals: Ring<IntervalRecord>,
     freshness: FreshnessTracker,
-    vclock: AtomicU64,
     /// The next trace/span id, before mixing (see [`crate::trace`]).
     next_id: AtomicU64,
 }
 
 impl Default for Registry {
     fn default() -> Registry {
-        Registry::with_span_capacity(DEFAULT_SPAN_CAPACITY)
-    }
-}
-
-impl Registry {
-    /// New empty registry with the virtual clock at [`VInstant::EPOCH`]
-    /// and the default span ring capacity.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// New empty registry retaining up to `capacity` completed spans
-    /// (minimum 1).
-    pub fn with_span_capacity(capacity: usize) -> Registry {
         Registry {
             counters: RwLock::default(),
             gauges: RwLock::default(),
             histos: RwLock::default(),
             helps: RwLock::default(),
-            spans: Mutex::default(),
-            span_capacity: capacity.max(1),
-            spans_dropped: Counter::new(),
+            intervals: Ring::new(INTERVAL_CAPACITY, IntervalRecord::default),
             freshness: FreshnessTracker::new(),
-            vclock: AtomicU64::new(0),
             next_id: AtomicU64::new(1),
         }
     }
+}
 
-    /// Span ring capacity.
-    pub fn span_capacity(&self) -> usize {
-        self.span_capacity
+impl Registry {
+    /// New empty registry.
+    pub fn new() -> Registry {
+        Registry::default()
     }
 
     /// The next raw id of this registry's mint: ids are unique per
     /// registry and, minted in the same order, the same in every replay.
     pub(crate) fn next_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Total spans evicted from the ring before being exported
-    /// (`monster_obs_spans_dropped_total`).
-    pub fn spans_dropped(&self) -> u64 {
-        self.spans_dropped.get()
     }
 
     /// Get or create the counter named `name`.
@@ -146,46 +120,18 @@ impl Registry {
         &self.freshness
     }
 
-    /// Current virtual time.
-    pub fn vtime(&self) -> VInstant {
-        VInstant::from_nanos(self.vclock.load(Ordering::Relaxed))
-    }
-
-    /// Advance the virtual clock to `t`. The clock is monotone: setting an
-    /// earlier time than the current one is a no-op, so concurrent stages
-    /// can each report their own finish times safely.
-    pub fn set_vtime(&self, t: VInstant) {
-        self.vclock.fetch_max(t.as_nanos(), Ordering::Relaxed);
-    }
-
-    /// Append a completed span to the trace ring buffer. Oldest spans are
-    /// evicted beyond the configured capacity and counted in
-    /// `monster_obs_spans_dropped_total` so trace loss is visible.
-    pub fn record_span(&self, record: SpanRecord) {
-        let record = Arc::new(record);
-        let mut spans = self.spans.lock();
-        while spans.len() >= self.span_capacity {
-            spans.pop_front();
-            self.spans_dropped.inc();
-        }
-        spans.push_back(record);
-    }
-
-    /// Snapshot of the retained spans, oldest first. Clones `Arc`s, not
-    /// span payloads, so a `/debug/trace` scrape holds the ring lock for
-    /// O(capacity) pointer copies rather than O(total string bytes).
-    pub fn recent_spans(&self) -> Vec<Arc<SpanRecord>> {
-        let spans = self.spans.lock();
-        spans.iter().cloned().collect()
+    /// The deployment's collection intervals, one [`IntervalRecord`]
+    /// each (`GET /debug/trace` renders them).
+    pub fn intervals(&self) -> &Ring<IntervalRecord> {
+        &self.intervals
     }
 
     /// Every registered metric name with its kind (`"counter"`,
-    /// `"gauge"`, or `"histogram"`), including the synthetic ring-drop
-    /// counter. A name appearing twice means it was registered as two
-    /// different kinds — the metrics-name lint fails on that.
+    /// `"gauge"`, or `"histogram"`). A name appearing twice means it was
+    /// registered as two different kinds — the metrics-name lint fails on
+    /// that.
     pub fn metric_kinds(&self) -> Vec<(String, &'static str)> {
-        let mut out = vec![("monster_obs_spans_dropped_total".to_string(), "counter")];
-        out.extend(self.counters.read().keys().map(|n| (n.clone(), "counter")));
+        let mut out: Vec<_> = self.counters.read().keys().map(|n| (n.clone(), "counter")).collect();
         out.extend(self.gauges.read().keys().map(|n| (n.clone(), "gauge")));
         out.extend(self.histos.read().keys().map(|n| (n.clone(), "histogram")));
         out
@@ -194,9 +140,6 @@ impl Registry {
     /// Current value of a counter, or 0 if it has never been touched.
     // kept: the exact counter reads the registry and exec-metrics tests assert
     pub fn counter_value(&self, name: &str) -> u64 {
-        if name == "monster_obs_spans_dropped_total" {
-            return self.spans_dropped();
-        }
         self.counters.read().get(name).map(|c| c.get()).unwrap_or(0)
     }
 
@@ -223,12 +166,6 @@ impl Registry {
             }
         };
         let mut out = String::new();
-        help_line(&mut out, "monster_obs_spans_dropped_total");
-        let _ = writeln!(
-            out,
-            "# TYPE monster_obs_spans_dropped_total counter\nmonster_obs_spans_dropped_total {}",
-            self.spans_dropped()
-        );
         for (name, c) in self.counters.read().iter() {
             help_line(&mut out, name);
             let _ = writeln!(out, "# TYPE {name} counter\n{name} {}", c.get());
@@ -275,46 +212,6 @@ impl Registry {
         }
         out
     }
-
-    /// Render the retained spans as a chrome-trace JSON document
-    /// (`{"traceEvents": [...]}`, complete `"X"` events, microsecond
-    /// virtual timestamps). Trace lineage and attributes ride in each
-    /// event's `args`. Load it in `chrome://tracing` or Perfetto.
-    pub fn trace_json(&self) -> Value {
-        self.trace_json_filtered(None)
-    }
-
-    /// [`Registry::trace_json`], optionally restricted to the spans of a
-    /// single trace — the `GET /debug/trace?trace_id=<id>` drill-down from
-    /// a flight-recorder record to its spans.
-    pub fn trace_json_filtered(&self, trace: Option<crate::TraceId>) -> Value {
-        let events: Vec<Value> = self
-            .recent_spans()
-            .iter()
-            .filter(|s| trace.is_none_or(|t| s.trace == t))
-            .map(|s| {
-                let mut args = monster_json::Object::new();
-                args.insert("trace_id", Value::Str(s.trace.to_string()));
-                args.insert("span_id", Value::Str(s.span.to_string()));
-                if let Some(parent) = s.parent {
-                    args.insert("parent_span_id", Value::Str(parent.to_string()));
-                }
-                for (k, v) in &s.attrs {
-                    args.insert(k, Value::Str(v.clone()));
-                }
-                jobj! {
-                    "name" => s.name.as_str(),
-                    "ph" => "X",
-                    "ts" => (s.begin.as_nanos() / 1_000) as i64,
-                    "dur" => (s.duration().as_nanos() / 1_000) as i64,
-                    "pid" => 1,
-                    "tid" => 1,
-                    "args" => Value::Object(args),
-                }
-            })
-            .collect();
-        jobj! { "traceEvents" => Value::Array(events) }
-    }
 }
 
 /// Parse one sample out of a text exposition: returns the value on the
@@ -337,20 +234,6 @@ pub fn sample(exposition: &str, name: &str) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::trace::TraceContext;
-    use monster_sim::VDuration;
-
-    fn rec(r: &Registry, name: &str, begin: VInstant, end: VInstant) -> SpanRecord {
-        let ctx = TraceContext::root(r);
-        SpanRecord {
-            name: name.into(),
-            begin,
-            end,
-            trace: ctx.trace,
-            span: ctx.span,
-            parent: None,
-            attrs: Vec::new(),
-        }
-    }
 
     #[test]
     fn handles_are_shared() {
@@ -382,8 +265,6 @@ mod tests {
         assert!(text.contains("# TYPE m_a_total counter"));
         assert!(text.contains("# TYPE m_depth gauge\nm_depth 3"));
         assert!(text.contains("# TYPE m_seconds histogram"));
-        // The ring-drop counter is always exported.
-        assert!(text.contains("# TYPE monster_obs_spans_dropped_total counter"));
         // Cumulative buckets: the 2 µs bucket already includes the 1.5 µs
         // observation, and +Inf equals the total count.
         assert!(text.contains("m_seconds_bucket{le=\"0.000002\"} 1"));
@@ -416,111 +297,44 @@ mod tests {
     }
 
     #[test]
-    fn vclock_is_monotone() {
+    fn interval_records_land_in_their_own_registry() {
+        let (a, b) = (Registry::new(), Registry::new());
+        let ctx = TraceContext::root(&a);
+        a.intervals().push(|_, rec| (rec.trace, rec.span) = (ctx.trace, ctx.span));
+        let mine: Vec<_> = a.intervals().live(|r| r.trace == ctx.trace).collect();
+        assert_eq!(mine.len(), 1);
+        assert_eq!(mine[0].span, ctx.span);
+        assert_eq!(b.intervals().recorded(), 0);
+        assert_eq!(b.intervals().live(|_| true).count(), 0);
+    }
+
+    #[test]
+    fn a_trace_scrape_does_not_stall_interval_writers() {
+        // `/debug/trace` renders the interval ring while intervals land
+        // from other threads: every record lands, nothing deadlocks, and a
+        // snapshot never holds more than the ring.
         let r = Registry::new();
-        r.set_vtime(VInstant::from_nanos(100));
-        r.set_vtime(VInstant::from_nanos(50));
-        assert_eq!(r.vtime(), VInstant::from_nanos(100));
-    }
-
-    #[test]
-    fn span_ring_evicts_oldest_and_counts_drops() {
-        let r = Registry::with_span_capacity(32);
-        assert_eq!(r.span_capacity(), 32);
-        for i in 0..42 {
-            r.record_span(rec(
-                &r,
-                &format!("s{i}"),
-                VInstant::EPOCH,
-                VInstant::EPOCH + VDuration::from_nanos(i as u64),
-            ));
-        }
-        let spans = r.recent_spans();
-        assert_eq!(spans.len(), 32);
-        assert_eq!(spans[0].name, "s10");
-        assert_eq!(r.spans_dropped(), 10);
-        assert_eq!(r.counter_value("monster_obs_spans_dropped_total"), 10);
-    }
-
-    #[test]
-    fn scrape_does_not_stall_writers() {
-        // A /debug/trace snapshot while record_span runs from other
-        // threads: everything lands, nothing deadlocks, and snapshots
-        // are cheap Arc clones.
-        let r = Registry::with_span_capacity(256);
+        let cap = r.intervals().capacity();
         std::thread::scope(|s| {
-            for t in 0..4 {
+            for t in 0..4u64 {
                 let r = &r;
                 s.spawn(move || {
                     for i in 0..500 {
-                        r.record_span(rec(
-                            r,
-                            &format!("w{t}.{i}"),
-                            VInstant::EPOCH,
-                            VInstant::EPOCH,
-                        ));
+                        r.intervals().push(|_, rec| rec.points = t * 1_000 + i);
                     }
                 });
             }
             let r = &r;
             s.spawn(move || {
                 for _ in 0..200 {
-                    let snap = r.recent_spans();
-                    assert!(snap.len() <= 256);
-                    let _ = r.trace_json();
+                    let mut events = Vec::new();
+                    let snap: Vec<_> = r.intervals().live(|_| true).collect();
+                    snap.iter().for_each(|rec| rec.trace_events(&mut events));
+                    assert!(snap.len() <= cap);
                 }
             });
         });
-        assert_eq!(r.recent_spans().len(), 256);
-        assert_eq!(r.spans_dropped(), 4 * 500 - 256);
-    }
-
-    #[test]
-    fn trace_json_shape() {
-        let r = Registry::new();
-        let mut record = rec(&r, "sweep", VInstant::from_nanos(2_000), VInstant::from_nanos(5_000));
-        record.attrs.push(("SkipReason".into(), "BreakerOpen".into()));
-        let expected_trace = record.trace.to_string();
-        r.record_span(record);
-        let v = r.trace_json();
-        let events = v.get("traceEvents").unwrap().as_array().unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].get("name").unwrap().as_str(), Some("sweep"));
-        assert_eq!(events[0].get("ph").unwrap().as_str(), Some("X"));
-        assert_eq!(events[0].get("ts").unwrap().as_i64(), Some(2));
-        assert_eq!(events[0].get("dur").unwrap().as_i64(), Some(3));
-        let args = events[0].get("args").unwrap();
-        assert_eq!(args.get("trace_id").unwrap().as_str(), Some(expected_trace.as_str()));
-        assert_eq!(args.get("SkipReason").unwrap().as_str(), Some("BreakerOpen"));
-        assert!(args.get("parent_span_id").is_none());
-    }
-
-    #[test]
-    fn trace_json_filters_to_one_trace() {
-        let r = Registry::new();
-        let a = rec(&r, "api", VInstant::from_nanos(1_000), VInstant::from_nanos(2_000));
-        let wanted = a.trace;
-        let mut a2 = rec(&r, "execute", VInstant::from_nanos(2_000), VInstant::from_nanos(3_000));
-        a2.trace = wanted;
-        r.record_span(a);
-        r.record_span(a2);
-        r.record_span(rec(&r, "other", VInstant::from_nanos(1_000), VInstant::from_nanos(9_000)));
-
-        let all = r.trace_json();
-        assert_eq!(all.get("traceEvents").unwrap().as_array().unwrap().len(), 3);
-
-        let one = r.trace_json_filtered(Some(wanted));
-        let events = one.get("traceEvents").unwrap().as_array().unwrap();
-        assert_eq!(events.len(), 2, "only the requested trace's spans survive");
-        let hex = wanted.to_string();
-        for ev in events {
-            assert_eq!(
-                ev.get("args").unwrap().get("trace_id").unwrap().as_str(),
-                Some(hex.as_str())
-            );
-        }
-
-        let none = r.trace_json_filtered(Some(crate::TraceId(0xdead)));
-        assert!(none.get("traceEvents").unwrap().as_array().unwrap().is_empty());
+        assert_eq!(r.intervals().recorded(), 4 * 500);
+        assert_eq!(r.intervals().live(|_| true).count(), cap);
     }
 }

@@ -1,11 +1,8 @@
-//! Distributed-trace identity and context propagation.
-//!
-//! PR 1's spans were flat records: a name and two timestamps, with no way
-//! to tell which sweep a retry belonged to or which write served which
-//! query. This module upgrades them to a causal graph:
+//! Distributed-trace identity and context propagation: what ties a
+//! record's units of work into a causal graph.
 //!
 //! * [`TraceId`] — 128-bit identity of one end-to-end pipeline pass (one
-//!   collection sweep, or one builder API request);
+//!   collection interval, or one builder API request);
 //! * [`SpanId`] — 64-bit identity of one operation inside a trace;
 //! * [`TraceContext`] — the `(trace, span)` pair a parent hands to its
 //!   children, serialized on the wire as a W3C `traceparent` header.
@@ -18,14 +15,10 @@
 //!
 //! # In-process propagation
 //!
-//! The current context rides a thread-local (set with [`set_current`],
-//! read with [`current`]). The collector installs its root context for
-//! the duration of an interval; everything the interval calls into —
-//! the Redfish sweep, TSDB write batches, lock-wait exemplars — picks the
-//! parent up without any signature changes. The resilient sweep is
-//! single-threaded by design (deterministic replay), so the thread-local
-//! is exact there; worker-pool call sites that need the context must
-//! capture it explicitly before fanning out.
+//! The current context rides a thread-local ([`set_current`], [`current`]):
+//! the collector installs its interval's root while it collects, the
+//! deployment again around its writes, and the exemplars underneath pick
+//! it up without any signature changes. Worker threads do not inherit it.
 
 use crate::Registry;
 use std::cell::Cell;

@@ -57,6 +57,16 @@ pub enum SkipReason {
     Deadline,
 }
 
+impl SkipReason {
+    /// The reason's name, as `/debug/trace` shows it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            SkipReason::BreakerOpen => "BreakerOpen",
+            SkipReason::Deadline => "Deadline",
+        }
+    }
+}
+
 /// Outcome of a single request (including its retries).
 #[derive(Debug, Clone)]
 pub struct RequestOutcome {
@@ -174,7 +184,7 @@ impl Channels {
 #[derive(Debug, Clone, Default)]
 pub struct RedfishClient {
     config: ClientConfig,
-    /// Where sweep statistics and request spans are reported.
+    /// Where sweep statistics are reported.
     obs: Arc<monster_obs::Registry>,
 }
 
@@ -337,7 +347,6 @@ impl RedfishClient {
     }
 
     fn sweep_with(&self, workers: usize, cluster: &SimulatedCluster) -> SweepOutcome {
-        let span = monster_obs::Span::enter(&self.obs, "redfish.sweep");
         // A node's four requests stay on one worker, in category order:
         // its BMC draws latencies from one seeded stream, so the order the
         // requests reach it — not which thread wins a race to its lock —
@@ -356,8 +365,7 @@ impl RedfishClient {
         }
         let makespan = channels.makespan();
         let outcome = SweepOutcome { results, makespan, deadline: None };
-        self.report(&outcome, span.context(), makespan);
-        span.finish_after(makespan);
+        self.report(&outcome);
         outcome
     }
 
@@ -385,7 +393,6 @@ impl RedfishClient {
         registry: &HealthRegistry,
         deadline: VDuration,
     ) -> SweepOutcome {
-        let span = monster_obs::Span::enter(&self.obs, "redfish.sweep");
         registry.begin_sweep();
         let sweep_idx = registry.sweep_index();
 
@@ -442,25 +449,17 @@ impl RedfishClient {
         let makespan = channels.makespan();
         let outcome = SweepOutcome { results, makespan, deadline: Some(deadline) };
         registry.publish_gauges();
-        self.report(&outcome, span.context(), makespan);
-        span.finish_after(makespan);
+        self.report(&outcome);
         outcome
     }
 
     /// Publish a sweep's health to the self-monitoring registry
-    /// (`monster_redfish_*` series on `GET /metrics`) and record the
-    /// sweep's *interesting* per-BMC requests — skips, failures, retries —
-    /// as child spans of the sweep span, each tagged with node/category
-    /// (and `SkipReason` for skips). Healthy first-try requests stay out
-    /// of the ring: at Quanah scale a sweep issues 1868 requests and the
-    /// trace would be all noise. Kept out of [`Self::fetch`] so the
-    /// per-request hot path stays untouched.
-    fn report(
-        &self,
-        outcome: &SweepOutcome,
-        sweep_ctx: monster_obs::TraceContext,
-        makespan: VDuration,
-    ) {
+    /// (`monster_redfish_*` series on `GET /metrics`), its makespan linked
+    /// to the trace installed on this thread. The sweep's notable requests
+    /// reach `/debug/trace` through the interval record its outcome fills.
+    /// Kept out of [`Self::fetch`] so the per-request hot path stays
+    /// untouched.
+    fn report(&self, outcome: &SweepOutcome) {
         self.obs.counter("monster_redfish_sweeps_total").inc();
         self.obs.counter("monster_redfish_requests_total").add(outcome.results.len() as u64);
         self.obs.counter("monster_redfish_failures_total").add(outcome.failures() as u64);
@@ -472,36 +471,10 @@ impl RedfishClient {
                 "monster_sweep_duration_seconds",
                 "Simulated makespan of one full-fleet Redfish sweep.",
             )
-            .observe_vdur_traced(makespan, Some(sweep_ctx));
+            .observe_vdur_traced(outcome.makespan, monster_obs::trace::current());
         let histo = self.obs.histo("monster_redfish_request_seconds");
         for r in outcome.results.iter().filter(|r| r.skip.is_none()) {
             histo.observe_vdur(r.elapsed);
-        }
-        for r in &outcome.results {
-            match r.skip {
-                Some(reason) => {
-                    monster_obs::Span::child_of(&self.obs, "redfish.skip", sweep_ctx)
-                        .with_attr("node", r.node.to_string())
-                        .with_attr("category", r.category.to_string())
-                        .with_attr("SkipReason", format!("{reason:?}"))
-                        .finish_spanning(VDuration::ZERO);
-                }
-                None if r.reading.is_none() || r.attempts > 1 => {
-                    let mut span =
-                        monster_obs::Span::child_of(&self.obs, "redfish.request", sweep_ctx)
-                            .with_attr("node", r.node.to_string())
-                            .with_attr("category", r.category.to_string())
-                            .with_attr("attempts", r.attempts.to_string())
-                            .with_attr("timeouts", r.timeouts.to_string());
-                    if r.reading.is_none() {
-                        span.set_attr("outcome", "failed");
-                    } else {
-                        span.set_attr("outcome", "retried_ok");
-                    }
-                    span.finish_spanning(r.elapsed);
-                }
-                None => {}
-            }
         }
     }
 }

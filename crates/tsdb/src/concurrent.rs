@@ -41,6 +41,8 @@ pub struct BatchOutcome {
     pub total_cost: QueryCost,
     /// Simulated elapsed time for the batch under the execution mode used.
     pub simulated: VDuration,
+    /// Threads the storage scan ran on.
+    pub threads: usize,
 }
 
 impl BatchOutcome {
@@ -49,15 +51,17 @@ impl BatchOutcome {
         self.results.into_iter().collect()
     }
 
-    /// Run `prepared` on up to `threads` threads; `simulated` is left zero
+    /// Run `prepared` on up to `workers` threads; `simulated` is left zero
     /// for the mode to fill in.
-    fn run(db: &Db, prepared: Prepared<'_>, threads: usize) -> BatchOutcome {
+    fn run(db: &Db, prepared: Prepared<'_>, workers: usize) -> BatchOutcome {
+        let threads = db.scan_threads(&prepared, workers);
         let answered = db.answer(prepared, threads);
         let mut out = BatchOutcome {
             results: Vec::with_capacity(answered.len()),
             costs: Vec::with_capacity(answered.len()),
             total_cost: QueryCost::default(),
             simulated: VDuration::ZERO,
+            threads,
         };
         for r in answered {
             let (rs, cost) = match r {

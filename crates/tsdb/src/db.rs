@@ -289,10 +289,6 @@ pub(crate) struct Applied {
     pub points: usize,
     /// Points skipped because their shard is covered by a segment file.
     pub skipped: usize,
-    /// Field values appended.
-    pub values: usize,
-    /// Shards appended to.
-    pub shards: usize,
 }
 
 /// An embedded time-series database. Cloneable across threads via `Arc`;
@@ -459,14 +455,6 @@ impl Db {
     /// append — no string hashing, no allocation, and never more than one
     /// shard lock held at a time.
     pub fn write_batch(&self, points: &[DataPoint]) -> Result<()> {
-        // Joins the collector's interval trace when one is installed on
-        // this thread, so "shard 7 write" hangs off "sweep 812". Untraced
-        // writes skip the span: steady-state ingest stays allocation-free.
-        let mut span = monster_obs::trace::current().map(|ctx| {
-            let mut s = monster_obs::Span::child_of(&self.obs, "tsdb.write_batch", ctx);
-            s.set_attr("points", points.len().to_string());
-            s
-        });
         self.validate_points(points)?;
         let total_fields: usize = points.iter().map(|p| p.fields.len()).sum();
         let mut sids: Vec<SeriesId> = Vec::with_capacity(points.len());
@@ -491,13 +479,7 @@ impl Db {
                 fields: p.fields.map(|(id, _, value)| (id, value)),
             },
         );
-        let (result, applied) = self.apply(resolved, total_fields, &[]);
-        if let Some(mut span) = span.take() {
-            span.set_attr("applied", applied.values.to_string());
-            span.set_attr("shards", applied.shards.to_string());
-            span.finish();
-        }
-        result
+        self.apply(resolved, total_fields, &[]).0
     }
 
     /// Append a resolved batch: the step [`Db::write_batch`] ends with and
@@ -609,8 +591,6 @@ impl Db {
         for (gauge, count) in &shard_gauges {
             gauge.set(*count);
         }
-        counts.values = applied;
-        counts.shards = shard_gauges.len();
         (result, counts)
     }
 
@@ -785,9 +765,15 @@ impl Db {
         prepared: Prepared<'_>,
         workers: usize,
     ) -> Vec<Result<(ResultSet, QueryCost)>> {
-        let threads = workers.min(self.config.scan_workers).min(pool::cores());
-        let threads = threads.min(prepared.plan.queries.len()).max(1);
+        let threads = self.scan_threads(&prepared, workers);
         self.run_batch(prepared, threads)
+    }
+
+    /// The threads [`Db::answer`] scans `prepared` on when allowed
+    /// `workers`.
+    pub(crate) fn scan_threads(&self, prepared: &Prepared<'_>, workers: usize) -> usize {
+        let threads = workers.min(self.config.scan_workers).min(pool::cores());
+        threads.min(prepared.plan.queries.len()).max(1)
     }
 
     /// Answer `prepared` in `threads` chunks of consecutive queries, one
@@ -798,17 +784,16 @@ impl Db {
         let n = plan.queries.len();
         let chunk = |k: usize| &plan.queries[k * n / threads..(k + 1) * n / threads];
         let answered = pool::scope_parts(threads, |k| self.scan_chunk(&plan, chunk(k)));
-        // Accounting and one span per chunk, on the calling thread (so the
-        // spans are children of the caller's trace context).
+        // Accounting on the calling thread, so the exemplars link to the
+        // caller's trace context.
+        let ctx = monster_obs::trace::current();
         for (k, answered) in answered.into_iter().enumerate().filter(|(_, a)| !a.is_empty()) {
-            let mut span = monster_obs::Span::enter(&self.obs, "tsdb.query_scan");
-            let ctx = Some(span.context());
-            let (mut total, mut elapsed) = (QueryCost::default(), monster_sim::VDuration::ZERO);
+            let mut total = QueryCost::default();
             for (p, answer) in chunk(k).iter().zip(answered) {
                 if let Ok((_, cost)) = &answer {
-                    let query_elapsed = self.simulate_elapsed(cost);
-                    self.query_metrics.seconds.observe_vdur_traced(query_elapsed, ctx);
-                    elapsed += query_elapsed;
+                    self.query_metrics
+                        .seconds
+                        .observe_vdur_traced(self.simulate_elapsed(cost), ctx);
                     total.absorb(cost);
                 }
                 results[p.at] = Some(answer);
@@ -819,13 +804,6 @@ impl Db {
             self.query_metrics.points.add(total.points as u64);
             self.query_metrics.blocks_decoded.add(total.blocks as u64);
             self.query_metrics.blocks_summarized.add(total.blocks_summarized as u64);
-            span.set_attr("queries", total.queries.to_string());
-            span.set_attr("points", total.points.to_string());
-            span.set_attr("blocks", total.blocks.to_string());
-            span.set_attr("threads", threads.to_string());
-            // Queries overlap other pipeline work in virtual time, so the
-            // span covers its simulated cost without advancing the clock.
-            span.finish_spanning(elapsed);
         }
         results.into_iter().map(|r| r.expect("every query is refused or planned")).collect()
     }

@@ -1,12 +1,13 @@
 //! Integration: a paper-scale dashboard request (467 nodes × 5 queries =
-//! 2 335) runs as one storage batch — a bounded number of threads, a
-//! handful of spans — and not as 2 335 little fan-outs.
+//! 2 335) runs as one storage batch — a bounded number of threads, one
+//! record — and not as 2 335 little fan-outs.
 
 use monster::builder::admission::AdmissionConfig;
 use monster::builder::service::{router, ServiceConfig};
 use monster::builder::{build_plan, execute, BuilderRequest, ExecMode};
 use monster::collector::SchemaVersion;
 use monster::http::{Request, Status};
+use monster::json::Value;
 use monster::obs;
 use monster::tsdb::{Aggregation, Query};
 use monster::util::pool;
@@ -95,28 +96,37 @@ fn one_request_leaves_the_trace_ring_and_the_wall_clock_readable() {
     .unwrap();
     let registry = m.registry();
     let wall = registry.histo("monster_builder_execute_wall_seconds");
-    let (dropped, executions) = (registry.spans_dropped(), wall.count());
+    let executions = wall.count();
 
     let resp =
         service.dispatch(&Request::get(&url).with_header("traceparent", inbound.to_traceparent()));
     assert_eq!(resp.status, Status::OK);
     assert_eq!(resp.headers.get("X-Cache"), Some("miss"));
 
-    // The ring (512 slots by default) kept everything: the parent recorded
-    // one span per query and evicted its history four times over.
-    assert_eq!(registry.spans_dropped() - dropped, 0, "one request overflowed the ring");
-    let spans = registry.recent_spans();
-    let ours: Vec<_> = spans.iter().filter(|s| s.trace == inbound.trace).collect();
-    let exec = ours.iter().find(|s| s.name == "builder.execute").expect("execute span");
-    let scans: Vec<_> = ours.iter().filter(|s| s.name == "tsdb.query_scan").collect();
-    assert!((1..=pool::cores().min(8)).contains(&scans.len()), "{} scan spans", scans.len());
-    let attr = |s: &obs::SpanRecord, k: &str| s.attr(k).and_then(|v| v.parse::<usize>().ok());
-    for scan in &scans {
-        assert_eq!(scan.parent, Some(exec.span));
-        assert_eq!(attr(scan, "threads"), Some(scans.len()));
-        assert!(attr(scan, "points").is_some() && attr(scan, "blocks").is_some());
-    }
-    assert_eq!(scans.iter().filter_map(|s| attr(s, "queries")).sum::<usize>(), 2_335);
+    // The request left one whole record, nothing dropped, and its trace
+    // renders the execution with one scan under it that ran the plan's
+    // 2 335 queries on at most one thread a core.
+    let get = |path: &str| service.dispatch(&Request::get(path)).json_body().unwrap();
+    let recorder = get("/debug/requests");
+    assert_eq!(recorder.get("dropped_total").and_then(Value::as_i64), Some(0));
+    let ours = get(&format!("/debug/requests/{}", inbound.trace));
+    assert_eq!(ours.get("requests").and_then(Value::as_array).map(|r| r.len()), Some(1));
+    let trace = get(&format!("/debug/trace?trace_id={}", inbound.trace));
+    let events = trace.get("traceEvents").and_then(Value::as_array).unwrap();
+    let named = |name: &str| -> Vec<&Value> {
+        events.iter().filter(|e| e.get("name").and_then(Value::as_str) == Some(name)).collect()
+    };
+    let arg = |e: &Value, k: &str| e.pointer(&format!("/args/{k}")).cloned();
+    let exec = *named("builder.execute").first().expect("execute event");
+    let scans = named("tsdb.query_scan");
+    assert_eq!(scans.len(), 1, "one scan record a request");
+    let scan = scans[0];
+    assert_eq!(arg(scan, "parent_span_id"), arg(exec, "span_id"));
+    let count = |k: &str| arg(scan, k).and_then(|v| v.as_i64()).map(|v| v as usize);
+    let threads = count("threads").unwrap();
+    assert!((1..=pool::cores().min(8)).contains(&threads), "{threads} scan threads");
+    assert!(count("points").is_some() && count("blocks").is_some());
+    assert_eq!(count("queries"), Some(2_335));
 
     // Wall time of the execution, beside the modelled figure.
     assert_eq!(wall.count() - executions, 1);

@@ -1,19 +1,21 @@
 //! Integration: one distributed trace stitches a whole pipeline pass —
 //! the collection interval's root span, the Redfish sweep, per-BMC
-//! retry/skip children, and the TSDB write batches — and W3C
-//! `traceparent` propagation round-trips through the Metrics Builder
-//! HTTP API (well-formed headers join the caller's trace; malformed ones
-//! start a fresh root instead of erroring).
+//! retry/skip children, and the TSDB write batches, rendered from the
+//! interval's record as `/debug/trace` renders it — and W3C `traceparent`
+//! propagation round-trips through the Metrics Builder HTTP API
+//! (well-formed headers join the caller's trace; malformed ones start a
+//! fresh root instead of erroring).
 
 use monster::collector::Source;
 use monster::http::{Client, Request, Status};
+use monster::json::Value;
 use monster::obs;
 use monster::redfish::bmc::BmcConfig;
 use monster::redfish::resilience::ResilienceConfig;
 use monster::redfish::telemetry::TelemetryService;
 use monster::{Monster, MonsterConfig};
 
-/// A deployment whose registry, span ring included, is its own.
+/// A deployment whose registry, interval ring included, is its own.
 fn resilient_deployment(nodes: usize, seed: u64) -> Monster {
     Monster::new(MonsterConfig {
         nodes,
@@ -24,6 +26,25 @@ fn resilient_deployment(nodes: usize, seed: u64) -> Monster {
         horizon_secs: 0,
         ..MonsterConfig::default()
     })
+}
+
+/// The chrome-trace events `/debug/trace` renders from `m`'s interval
+/// records of `trace`.
+fn interval_events(m: &Monster, trace: obs::TraceId) -> Vec<Value> {
+    let mut events = Vec::new();
+    for record in m.registry().intervals().live(|r| r.trace == trace) {
+        record.trace_events(&mut events);
+    }
+    events
+}
+
+/// An event's name, and one of its `args` as a string.
+fn name(e: &Value) -> &str {
+    e.get("name").and_then(Value::as_str).unwrap()
+}
+fn arg(e: &Value, key: &str) -> Option<String> {
+    let v = e.pointer(&format!("/args/{key}"))?;
+    v.as_str().map(str::to_string).or_else(|| v.as_i64().map(|i| i.to_string()))
 }
 
 #[test]
@@ -40,44 +61,47 @@ fn one_trace_links_interval_sweep_skips_and_storage_writes() {
     let s3 = m.run_interval().unwrap();
     assert!(!s3.skipped_nodes.is_empty(), "breaker-open interval skipped nobody");
 
-    let spans = m.registry().recent_spans();
-
     // Every interval runs under its own distinct trace.
     assert_ne!(s2.trace.trace, s3.trace.trace);
 
     // Interval 3's lineage: collector.interval (root) -> redfish.sweep ->
     // redfish.skip children carrying the node and SkipReason attributes.
-    let in_trace: Vec<_> = spans.iter().filter(|s| s.trace == s3.trace.trace).collect();
+    let in_trace = interval_events(&m, s3.trace.trace);
+    let find = |name_is: &str| in_trace.iter().find(|e| name(e) == name_is);
     let root = in_trace
         .iter()
-        .find(|s| s.name == "collector.interval" && s.parent.is_none())
+        .find(|e| name(e) == "collector.interval" && arg(e, "parent_span_id").is_none())
         .expect("interval root span");
-    let sweep = in_trace.iter().find(|s| s.name == "redfish.sweep").expect("sweep span");
-    assert_eq!(sweep.parent, Some(root.span));
+    let sweep = find("redfish.sweep").expect("sweep span");
+    assert_eq!(arg(sweep, "parent_span_id"), arg(root, "span_id"));
     for (node, reason) in &s3.skipped_nodes {
         let skip = in_trace
             .iter()
-            .find(|s| s.name == "redfish.skip" && s.attr("node") == Some(&node.to_string()))
+            .find(|e| name(e) == "redfish.skip" && arg(e, "node") == Some(node.to_string()))
             .unwrap_or_else(|| panic!("no skip span for {node}"));
-        assert_eq!(skip.parent, Some(sweep.span), "skip not a child of the sweep");
-        assert_eq!(skip.attr("SkipReason"), Some(format!("{reason:?}").as_str()));
+        assert_eq!(
+            arg(skip, "parent_span_id"),
+            arg(sweep, "span_id"),
+            "skip not a child of the sweep"
+        );
+        assert_eq!(arg(skip, "SkipReason"), Some(format!("{reason:?}")));
     }
 
     // The storage writes happened under the same trace, as children of
     // the interval root.
-    let write = in_trace.iter().find(|s| s.name == "tsdb.write_batch").expect("write span");
-    assert_eq!(write.parent, Some(root.span));
+    let write = find("tsdb.write_batch").expect("write span");
+    assert_eq!(arg(write, "parent_span_id"), arg(root, "span_id"));
 
     // Interval 2 recorded the victim's exhausted request under *its*
     // trace, child of that interval's sweep.
-    let t2: Vec<_> = spans.iter().filter(|s| s.trace == s2.trace.trace).collect();
-    let sweep2 = t2.iter().find(|s| s.name == "redfish.sweep").expect("interval-2 sweep");
+    let t2 = interval_events(&m, s2.trace.trace);
+    let sweep2 = t2.iter().find(|e| name(e) == "redfish.sweep").expect("interval-2 sweep");
     let req = t2
         .iter()
-        .find(|s| s.name == "redfish.request" && s.attr("node") == Some(&victim.to_string()))
+        .find(|e| name(e) == "redfish.request" && arg(e, "node") == Some(victim.to_string()))
         .expect("failed-request span");
-    assert_eq!(req.parent, Some(sweep2.span));
-    assert!(req.attr("attempts").is_some());
+    assert_eq!(arg(req, "parent_span_id"), arg(sweep2, "span_id"));
+    assert!(arg(req, "attempts").is_some());
 }
 
 /// Every source's interval is one trace: a `collector.interval` root, and
@@ -92,23 +116,61 @@ fn every_source_writes_under_its_own_interval_root() {
         m.run_interval_from(Source::Sensors).unwrap(),
         m.run_interval_from(Source::Telemetry(&mut service)).unwrap(),
     ];
-    let spans = m.registry().recent_spans();
     for (source, s) in ["sweep", "sensors", "telemetry"].iter().zip(&summaries) {
-        let in_trace: Vec<_> = spans.iter().filter(|r| r.trace == s.trace.trace).collect();
+        let in_trace = interval_events(&m, s.trace.trace);
         let root = in_trace
             .iter()
-            .find(|r| r.name == "collector.interval")
+            .find(|e| name(e) == "collector.interval")
             .unwrap_or_else(|| panic!("{source}: no interval root"));
-        assert_eq!(root.parent, None, "{source}: the interval span is not a root");
-        assert_eq!(root.span, s.trace.span, "{source}: the summary names another span");
-        let writes: Vec<_> = in_trace.iter().filter(|r| r.name == "tsdb.write_batch").collect();
+        assert_eq!(arg(root, "parent_span_id"), None, "{source}: the interval span is not a root");
+        assert_eq!(
+            arg(root, "span_id"),
+            Some(s.trace.span.to_string()),
+            "{source}: the summary names another span"
+        );
+        let writes: Vec<_> = in_trace.iter().filter(|e| name(e) == "tsdb.write_batch").collect();
         assert!(!writes.is_empty(), "{source}: no write batch in the interval's trace");
         let mut written = 0;
         for write in writes {
-            assert_eq!(write.parent, Some(root.span), "{source}: a write outside the root");
-            written += write.attr("points").unwrap().parse::<usize>().unwrap();
+            assert_eq!(
+                arg(write, "parent_span_id"),
+                arg(root, "span_id"),
+                "{source}: a write outside the root"
+            );
+            written += arg(write, "points").unwrap().parse::<usize>().unwrap();
         }
         assert_eq!(written, s.points, "{source}: the traced writes miss points");
+    }
+}
+
+/// Every source's interval leaves one record whose wall stages (advance,
+/// collect, store, alerts, tiering) sum to its total, as every request
+/// record's do.
+#[test]
+fn every_interval_records_stages_sum_to_its_total() {
+    let mut m = resilient_deployment(3, 41);
+    let mut service = TelemetryService::new();
+    let summaries = [
+        m.run_interval_from(Source::Sweep).unwrap(),
+        m.run_interval_from(Source::Sensors).unwrap(),
+        m.run_interval_from(Source::Telemetry(&mut service)).unwrap(),
+    ];
+    assert_eq!(m.registry().intervals().recorded(), 3, "one record an interval");
+    for (source, s) in ["sweep", "sensors", "telemetry"].iter().zip(&summaries) {
+        let records: Vec<_> = m.registry().intervals().live(|r| r.trace == s.trace.trace).collect();
+        let [record] = records.as_slice() else { panic!("{source}: {} records", records.len()) };
+        assert_eq!(record.source, *source);
+        assert_eq!(record.span, s.trace.span, "{source}: the record names another span");
+        assert_eq!(record.points, s.points as u64, "{source}: points");
+        assert!(record.total_ns > 0, "{source}: an interval takes wall time");
+        assert_eq!(
+            record.stages_ns.iter().sum::<u64>(),
+            record.total_ns,
+            "{source}: stages {:?} do not sum to the total",
+            record.stages_ns
+        );
+        assert_eq!(record.sweep_span.is_some(), *source == "sweep", "{source}: sweep span");
+        assert_eq!(record.makespan_ns, s.collection_time.as_nanos(), "{source}: makespan");
     }
 }
 
@@ -149,14 +211,19 @@ fn traceparent_round_trips_through_the_http_api() {
 
     // Server-side spans joined the caller's trace: the API request span
     // hangs off our context, execution and the storage scans below it.
-    let spans = m.registry().recent_spans();
-    let ours: Vec<_> = spans.iter().filter(|s| s.trace == inbound.trace).collect();
-    let api = ours.iter().find(|s| s.name == "builder.api_request").expect("api span");
-    assert_eq!(api.parent, Some(inbound.span));
-    let exec = ours.iter().find(|s| s.name == "builder.execute").expect("execute span");
-    assert_eq!(exec.parent, Some(api.span));
-    let scan = ours.iter().find(|s| s.name == "tsdb.query_scan").expect("query-scan span");
-    assert_eq!(scan.parent, Some(exec.span));
+    let trace = client
+        .send_ok(server.addr(), &Request::get(&format!("/debug/trace?trace_id={}", inbound.trace)))
+        .unwrap()
+        .json_body()
+        .unwrap();
+    let ours = trace.get("traceEvents").and_then(Value::as_array).unwrap();
+    let find = |name_is: &str| ours.iter().find(|e| name(e) == name_is);
+    let api = find("builder.api_request").expect("api span");
+    assert_eq!(arg(api, "parent_span_id"), Some(inbound.span.to_string()));
+    let exec = find("builder.execute").expect("execute span");
+    assert_eq!(arg(exec, "parent_span_id"), arg(api, "span_id"));
+    let scan = find("tsdb.query_scan").expect("query-scan span");
+    assert_eq!(arg(scan, "parent_span_id"), arg(exec, "span_id"));
 }
 
 #[test]

@@ -24,6 +24,9 @@
 #     `.rs` and leading directories may be left out), unless the same
 #     backticked name is on a line of DESIGN.md's "Withdrawn" section, which
 #     names what was deleted and in which PR.
+# A citation may run onto the next line: each line is read joined with the
+# next, leading comment markers (`//!`, `///`, `//`, `#`) stripped from
+# both, and a citation is reported at the line it starts on.
 # Prints `file:line: citation` for each one that does not resolve and exits
 # 1 if there is any. CI runs it beside tools/loc.sh.
 # Usage: tools/cites.sh [repo-root]
@@ -33,14 +36,22 @@ $(find crates src tests examples tools -name '*.rs' -not -path '*/target/*' | LC
 $(ls tools/*.sh) .github/workflows/ci.yml"
 find . \( -name .git -o -name target -o -name .bench_build \) -prune -o -print |
     sed 's|^\./||' | LC_ALL=C awk '
-    # Every occurrence of regex re in s, one a line of the array out.
-    function all(s, re, out,    n) {
-        n = 0
+    # Every occurrence of regex re in s, one a line of the array out; with
+    # a cut, only those that start at or before position cut.
+    function all(s, re, out, cut,    n, off) {
+        n = 0; off = 0
         while (match(s, re)) {
+            if (cut != "" && off + RSTART > cut) break
             out[++n] = substr(s, RSTART, RLENGTH)
+            off += RSTART + RLENGTH - 1
             s = substr(s, RSTART + RLENGTH)
         }
         return n
+    }
+    # A line with its leading comment marker and the blanks around it gone.
+    function bare(s) {
+        sub(/^[ \t]*(\/\/[\/!]?|#+)?[ \t]*/, "", s)
+        return s
     }
     # The sub-letters in s that follow no item number: `(b′)`, not `16(b)`.
     function letters(s, out,    n, i) {
@@ -49,8 +60,8 @@ find . \( -name .git -o -name target -o -name .bench_build \) -prune -o -print |
         return n
     }
     function report(what,    key) {
-        key = FILENAME SUBSEP FNR SUBSEP what
-        if (!(key in reported)) { reported[key] = 1; printf "%s:%d: %s\n", FILENAME, FNR, what }
+        key = at_file SUBSEP at_line SUBSEP what
+        if (!(key in reported)) { reported[key] = 1; printf "%s:%d: %s\n", at_file, at_line, what }
         bad = 1
     }
     function path_exists(p,    q) {
@@ -95,35 +106,37 @@ find . \( -name .git -o -name target -o -name .bench_build \) -prune -o -print |
         if (findings && $0 ~ /^[0-9]+\. \*\*/) finding[$0 + 0] = 1
         next
     }
-    phase == "scan" {
-        line = $0
-        n = all(line, "[Ii]tems? [0-9]+((, | and | or |–)[0-9]+)*", m)
+    # The citations of line `first`, read joined with `then`: those that
+    # start on `first`, reported at (at_file, at_line).
+    function scan(first, then,    line, cut, n, m, i, k, j, nums, c, num, x, t, p, top) {
+        line = first " " then; cut = length(first)
+        n = all(line, "[Ii]tems? [0-9]+((, | and | or |–)[0-9]+)*", m, cut)
         for (i = 1; i <= n; i++) {
             k = all(m[i], "[0-9]+", nums)
             for (j = 1; j <= k; j++) if (!(nums[j] in open) && !(nums[j] in closed)) report("item " nums[j])
         }
-        n = all(line, "(^|[^A-Za-z0-9_.§#])[0-9]+\\([a-z]+(′)?\\)", m)
+        n = all(line, "(^|[^A-Za-z0-9_.§#])[0-9]+\\([a-z]+(′)?\\)", m, cut)
         for (i = 1; i <= n; i++) {
             c = m[i]; sub(/^[^0-9]/, "", c)
             num = c + 0; x = substr(c, length(num) + 1)
             if (!((num in open) && ((num "@" x) in letter)) && !((num "@" x) in closed)) report(c)
         }
-        n = all(line, "§[0-9]+", m)
+        n = all(line, "§[0-9]+", m, cut)
         for (i = 1; i <= n; i++) if (!(substr(m[i], 3) in section)) report("DESIGN.md " m[i])
-        n = all(line, "EXPERIMENTS\\.md,? \"[^\"]+\"", m)
+        n = all(line, "EXPERIMENTS\\.md,? \"[^\"]+\"", m, cut)
         for (i = 1; i <= n; i++) {
             t = m[i]; sub(/^[^"]*"/, "", t); sub(/"$/, "", t)
             for (j = 1; j <= headings; j++) if (index(heading[j], t)) break
             if (j > headings) report("EXPERIMENTS.md \"" t "\"")
         }
-        n = all(line, "[Ff]indings? [0-9]+((, | and | or |–)[0-9]+)*", m)
+        n = all(line, "[Ff]indings? [0-9]+((, | and | or |–)[0-9]+)*", m, cut)
         for (i = 1; i <= n; i++) {
             k = all(m[i], "[0-9]+", nums)
             for (j = 1; j <= k; j++) if (!(nums[j] in finding)) report("finding " nums[j])
         }
-        n = all(line, "BENCH_[A-Za-z0-9_]+\\.jsonl?|crates/bench/expectations/[A-Za-z0-9_./-]*[A-Za-z0-9_]", m)
+        n = all(line, "BENCH_[A-Za-z0-9_]+\\.jsonl?|crates/bench/expectations/[A-Za-z0-9_./-]*[A-Za-z0-9_]", m, cut)
         for (i = 1; i <= n; i++) if (!path_exists(m[i]) && !(("`" m[i] "`") in gone)) report(m[i])
-        n = all(line, "`[A-Za-z0-9_.][A-Za-z0-9_./-]*(:[0-9][0-9–,-]*)?`", m)
+        n = all(line, "`[A-Za-z0-9_.][A-Za-z0-9_./-]*(:[0-9][0-9–,-]*)?`", m, cut)
         for (i = 1; i <= n; i++) {
             p = substr(m[i], 2, length(m[i]) - 2)
             top = p; sub(/\/.*/, "", top)
@@ -132,5 +145,11 @@ find . \( -name .git -o -name target -o -name .bench_build \) -prune -o -print |
             if (!path_exists(p) && !path_exists(p ".rs")) report(p)
         }
     }
-    END { exit bad }
+    phase == "scan" {
+        cur = bare($0)
+        if (FNR == 1 && at_file != "") scan(prev, "")
+        else if (at_file != "") scan(prev, cur)
+        prev = cur; at_file = FILENAME; at_line = FNR
+    }
+    END { if (at_file != "") scan(prev, ""); exit bad }
 ' - phase=index ROADMAP.md DESIGN.md EXPERIMENTS.md bench_pipeline/README.md phase=scan $scanned
