@@ -4,15 +4,13 @@
 //! sequential, or as concurrent per §IV-B3); the service, which prices a
 //! plan before it runs it, prepares the batch itself and answers it
 //! through [`run_prepared`]. [`render`] walks the results once, in
-//! document order, into a [`Sink`]: [`JsonSink`] writes the reply's bytes
-//! (what the HTTP service sends), [`ValueSink`] builds the `Value` tree
-//! [`execute`] hands to in-process callers. One walk and one set of scalar
-//! writers (`monster_json`), so the tree, marshalled, and the streamed
-//! bytes are one text. Request counters, a simulated query-latency span
-//! and output-point counters land in the database's registry.
+//! document order, into a [`JsonSink`]: the text the HTTP service sends,
+//! and the only rendering; [`execute`] returns that text parsed. Request
+//! counters, a simulated query-latency span and output-point counters
+//! land in the database's registry.
 
 use crate::plan::PlannedQuery;
-use monster_json::{jobj, write_f64, write_i64, write_str, Object, Value};
+use monster_json::{write_f64, write_i64, write_str, Value};
 use monster_obs::{Counter, Histo, Registry};
 use monster_sim::VDuration;
 use monster_tsdb::query::SeriesResult;
@@ -43,9 +41,9 @@ const PER_OUTPUT_POINT_SECS: f64 = 1.0e-6;
 /// routing), seconds.
 const PER_QUERY_MARSHAL_SECS: f64 = 0.1e-3;
 
-/// Everything a Metrics Builder run produces. `D` is the document as its
-/// [`Sink`] finished it: a [`Value`] tree from [`execute`], JSON bytes in
-/// the HTTP service.
+/// Everything a Metrics Builder run produces. `D` is the document: the
+/// served text's bytes as [`render`] wrote them, or the [`Value`] tree
+/// [`execute`] parses from them.
 #[derive(Debug, Clone)]
 pub struct BuilderOutcome<D = Value> {
     /// The assembled response document: an object keyed by node BMC
@@ -69,54 +67,9 @@ impl<D> BuilderOutcome<D> {
     }
 }
 
-/// Where [`render`] writes the document, in document order; the open
-/// container is always an object (the document, a node, a labelled section).
-pub trait Sink {
-    /// What the sink has built when the walk is over.
-    type Document;
-    /// A member that is itself an object; `fill` writes its members.
-    fn object(&mut self, key: &str, fill: impl FnOnce(&mut Self));
-    /// A member that is the array of `series`' points, series after
-    /// series, each `{"time": .., "value": ..}`.
-    fn points(&mut self, key: &str, series: &[SeriesResult]);
-    /// Close the document.
-    fn finish(self) -> Self::Document;
-}
-
-/// Builds the [`Value`] tree; the field is the object being filled.
-#[derive(Debug, Default)]
-pub struct ValueSink(Object);
-
-impl Sink for ValueSink {
-    type Document = Value;
-
-    fn object(&mut self, key: &str, fill: impl FnOnce(&mut Self)) {
-        let outer = std::mem::take(&mut self.0);
-        fill(self);
-        let inner = std::mem::replace(&mut self.0, outer);
-        self.0.insert(key, inner);
-    }
-
-    fn points(&mut self, key: &str, series: &[SeriesResult]) {
-        let value = |v: &FieldValue| match v {
-            FieldValue::Float(f) => Value::from(*f),
-            FieldValue::Int(i) => Value::from(*i),
-            FieldValue::Str(s) => Value::from(s.as_str()),
-            FieldValue::Bool(b) => Value::from(*b),
-        };
-        let points = series.iter().flat_map(|s| &s.points);
-        let array: Vec<Value> =
-            points.map(|(t, v)| jobj! { "time" => t.as_secs(), "value" => value(v) }).collect();
-        self.0.insert(key, array);
-    }
-
-    fn finish(self) -> Value {
-        Value::Object(self.0)
-    }
-}
-
-/// Writes the document as compact JSON text — what `to_string_compact`
-/// gives for [`ValueSink`]'s tree — allocating nothing per member or point.
+/// Writes the document as compact JSON text, in document order,
+/// allocating nothing per member or point. The open container is always an
+/// object (the document, a node, a labelled section).
 #[derive(Debug)]
 pub struct JsonSink(String);
 
@@ -138,11 +91,8 @@ impl JsonSink {
         write_str(&mut self.0, key);
         self.0.push(':');
     }
-}
 
-impl Sink for JsonSink {
-    type Document = Vec<u8>;
-
+    /// A member that is itself an object; `fill` writes its members.
     fn object(&mut self, key: &str, fill: impl FnOnce(&mut Self)) {
         self.member(key);
         self.0.push('{');
@@ -150,6 +100,8 @@ impl Sink for JsonSink {
         self.0.push('}');
     }
 
+    /// A member that is the array of `series`' points, series after
+    /// series, each `{"time": .., "value": ..}`.
     fn points(&mut self, key: &str, series: &[SeriesResult]) {
         self.member(key);
         self.0.push('[');
@@ -170,7 +122,8 @@ impl Sink for JsonSink {
         self.0.push(']');
     }
 
-    fn finish(mut self) -> Vec<u8> {
+    /// Close the document.
+    pub fn finish(mut self) -> Vec<u8> {
         self.0.push('}');
         self.0.into_bytes()
     }
@@ -181,16 +134,16 @@ impl Sink for JsonSink {
 /// label → points where the query names a `label_tag` — and return the
 /// number of points written.
 ///
-/// A document is keyed, so what the plan repeats is decided here, once,
-/// for every sink: a node takes the position of its first query and
-/// gathers the sections of all its queries, wherever in the plan they are;
-/// a section named twice under a node, or a label two series of one query
-/// share (or both lack: `"unlabeled"`), keeps its first position and its
-/// last value. Only what is written is counted; a query that matched
-/// nothing writes and replaces nothing.
-pub fn render<S: Sink>(plan: &[PlannedQuery], results: &[ResultSet], sink: &mut S) -> usize {
+/// A document is keyed, so what the plan repeats is decided here, once: a
+/// node takes the position of its first query and gathers the sections of
+/// all its queries, wherever in the plan they are; a section named twice
+/// under a node, or a label two series of one query share (or both lack:
+/// `"unlabeled"`), keeps its first position and its last value. Only what
+/// is written is counted; a query that matched nothing writes and replaces
+/// nothing.
+pub fn render(plan: &[PlannedQuery], results: &[ResultSet], sink: &mut JsonSink) -> usize {
     // The layout first — which queries each node's document holds, in
-    // order — because a sink that streams cannot go back to a node.
+    // order — because text that streams cannot go back to a node.
     let mut nodes: Vec<(NodeId, Vec<usize>)> = Vec::new();
     let mut slot_of: HashMap<NodeId, usize> = HashMap::new();
     for (at, (planned, rs)) in plan.iter().zip(results).enumerate() {
@@ -242,6 +195,8 @@ pub fn render<S: Sink>(plan: &[PlannedQuery], results: &[ResultSet], sink: &mut 
 /// A plan's query results, before rendering: what [`run`] returns.
 #[derive(Debug)]
 pub struct Batch {
+    /// The handles the batch and its rendering report to.
+    metrics: Arc<ExecMetrics>,
     /// One result set per planned query, in plan order.
     pub results: Vec<ResultSet>,
     /// Aggregate physical query cost.
@@ -253,8 +208,9 @@ pub struct Batch {
 }
 
 /// The registry handles one execution updates, resolved once: the service
-/// keeps a set beside its other handles; [`run`] and [`execute`] resolve
-/// theirs from the database's registry.
+/// keeps a set beside its other handles and lends it to each batch; [`run`]
+/// resolves one from the database's registry.
+#[derive(Debug)]
 pub(crate) struct ExecMetrics {
     requests: Arc<Counter>,
     queries: Arc<Counter>,
@@ -286,9 +242,9 @@ impl ExecMetrics {
 
 /// Run `plan`'s queries against `db`: [`monster_tsdb::Db::prepare`] them,
 /// then [`run_prepared`].
-pub fn run(db: &Arc<Db>, plan: &[PlannedQuery], mode: ExecMode) -> Result<Batch> {
+pub fn run(db: &Db, plan: &[PlannedQuery], mode: ExecMode) -> Result<Batch> {
     let queries: Vec<&Query> = plan.iter().map(|p| &p.query).collect();
-    run_prepared(db, db.prepare(&queries), mode, &ExecMetrics::new(db.registry()))
+    run_prepared(db, db.prepare(&queries), mode, Arc::new(ExecMetrics::new(db.registry())))
 }
 
 /// Answer a plan's prepared queries — the service prices them first.
@@ -306,7 +262,7 @@ pub(crate) fn run_prepared(
     db: &Db,
     prepared: Prepared<'_>,
     mode: ExecMode,
-    metrics: &ExecMetrics,
+    metrics: Arc<ExecMetrics>,
 ) -> Result<Batch> {
     let started = Instant::now();
     let batch = match mode {
@@ -318,20 +274,18 @@ pub(crate) fn run_prepared(
     metrics.requests.inc();
     metrics.queries.add(results.len() as u64);
     metrics.execute_wall.observe(started.elapsed().as_secs_f64());
-    Ok(Batch { results, cost, query_time, scan_threads })
+    Ok(Batch { metrics, results, cost, query_time, scan_threads })
 }
 
 impl Batch {
-    /// [`render`] the results into `sink` and account for it: the modelled
-    /// processing time, the output-point counter, the wall histogram.
-    pub(crate) fn render_into<S: Sink>(
-        self,
-        db: &Db,
-        plan: &[PlannedQuery],
-        mut sink: S,
-        metrics: &ExecMetrics,
-    ) -> BuilderOutcome<S::Document> {
+    /// [`render`] the results as the reply's text and account for it: the
+    /// modelled processing time, the output-point counter, the wall
+    /// histogram. The text is reserved for a panel's 40–51 bytes a point,
+    /// so it is written into one block that does not grow.
+    pub(crate) fn render_into(self, db: &Db, plan: &[PlannedQuery]) -> BuilderOutcome<Vec<u8>> {
         let started = Instant::now();
+        let room = 52 * self.results.iter().map(ResultSet::point_count).sum::<usize>();
+        let mut sink = JsonSink::with_capacity(room);
         let points_out = render(plan, &self.results, &mut sink);
         let document = sink.finish();
         let processing_time = VDuration::from_secs_f64(
@@ -339,7 +293,7 @@ impl Batch {
                 + plan.len() as f64 * PER_QUERY_MARSHAL_SECS)
                 * db.config().cost.amplification,
         );
-        let Batch { cost, query_time, .. } = self;
+        let Batch { metrics, cost, query_time, .. } = self;
         metrics.points_out.add(points_out as u64);
         metrics.query_seconds.observe_vdur(query_time + processing_time);
         metrics.encode_wall.observe(started.elapsed().as_secs_f64());
@@ -347,11 +301,16 @@ impl Batch {
     }
 }
 
-/// [`run`] `plan` against `db` and [`render`] the results as a [`Value`]
-/// tree: the in-process form of a Metrics Builder request.
+/// [`run`] `plan` against `db` and [`render`] the text a `/v1/metrics`
+/// miss sends, parsed: the in-process form of a Metrics Builder request.
+/// The tree is a decoding of the served text, so a reading the text writes
+/// as `null` (a non-finite float) is `null` here too.
 pub fn execute(db: &Arc<Db>, plan: &[PlannedQuery], mode: ExecMode) -> Result<BuilderOutcome> {
-    let batch = run(db, plan, mode)?;
-    Ok(batch.render_into(db, plan, ValueSink::default(), &ExecMetrics::new(db.registry())))
+    let BuilderOutcome { document, points_out, cost, query_time, processing_time } =
+        run(db, plan, mode)?.render_into(db, plan);
+    let text = std::str::from_utf8(&document).expect("the served text is UTF-8");
+    let document = monster_json::parse(text).expect("the served text is JSON");
+    Ok(BuilderOutcome { document, points_out, cost, query_time, processing_time })
 }
 
 #[cfg(test)]
@@ -486,9 +445,9 @@ mod tests {
             query: Query::select("Thermal", "Reading", EpochSecs::new(0), EpochSecs::new(600)),
         }];
 
-        let mut tree = ValueSink::default();
-        let counted = render(&plan, &results, &mut tree);
-        let tree = tree.finish();
+        let mut sink = JsonSink::with_capacity(0);
+        let counted = render(&plan, &results, &mut sink);
+        let tree = monster_json::parse(std::str::from_utf8(&sink.finish()).unwrap()).unwrap();
         let thermal = tree.pointer("10.101.1.1/thermal").unwrap().as_object().unwrap();
         // First position, last value — and only what is there is counted.
         assert_eq!(thermal.keys().collect::<Vec<_>>(), vec!["CPU1 Temp", "unlabeled", "Inlet"]);
@@ -497,10 +456,6 @@ mod tests {
         assert_eq!(member("CPU1 Temp")[0].get("value").unwrap().as_f64(), Some(4.0));
         assert_eq!(member("unlabeled").len(), 7);
         assert_eq!(counted, 5 + 7 + 1);
-
-        let mut bytes = JsonSink::with_capacity(0);
-        assert_eq!(render(&plan, &results, &mut bytes), counted);
-        assert_eq!(bytes.finish(), tree.to_string_compact().into_bytes());
     }
 
     #[test]
@@ -513,7 +468,7 @@ mod tests {
         assert!(out.document.as_object().unwrap().is_empty());
     }
 
-    // That one `execute` is counted once by `run` and once by
-    // `render_into` is `tests/exec_metrics.rs`: the counters are global,
-    // so the exact check has a process to itself.
+    // That one `execute` is counted once by `run_prepared` and once by
+    // `render_into` is `tests/exec_metrics.rs`, over a store with a
+    // registry of its own.
 }

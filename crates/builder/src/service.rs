@@ -36,12 +36,13 @@
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController};
 use crate::cache::{Claim, ResponseCache, Validity, ValiditySnapshot};
-use crate::exec::{run_prepared, ExecMetrics, ExecMode, JsonSink};
+use crate::exec::{run_prepared, ExecMetrics, ExecMode};
 use crate::plan::{build_plan, BuilderRequest};
 use crate::qlog::{
     self, CacheVerdict, CostPair, Disposition, Draft, LapClock, QueryRecorder, RecordFilter,
     RequestRecord, Stage,
 };
+use crate::response::{deflate, CompressMetrics};
 use monster_collector::SchemaVersion;
 use monster_compress::Level;
 use monster_http::{Method, Request, Response, Router, Status};
@@ -50,7 +51,6 @@ use monster_obs::{Counter, Gauge, Histo, Registry, TraceContext, TraceId};
 use monster_tsdb::{Aggregation, Db, Query};
 use monster_util::{EpochSecs, NodeId};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -227,12 +227,9 @@ struct MetricsState {
     admission: Arc<AdmissionController>,
     coalesced: Arc<Counter>,
     inflight: Arc<Gauge>,
-    compress_seconds: Arc<Histo>,
-    /// Bytes into and out of the compressor.
-    compress_raw: Arc<Counter>,
-    compress_wire: Arc<Counter>,
+    compress: CompressMetrics,
     request_seconds: Arc<Histo>,
-    exec_metrics: ExecMetrics,
+    exec_metrics: Arc<ExecMetrics>,
     recorder: Arc<QueryRecorder>,
 }
 
@@ -357,7 +354,7 @@ fn serve_metrics(
     let scan = exec.child(&st.obs);
     (d.exec_span, d.scan_span) = (Some(exec.span), scan.span);
     let guard = (InflightGuard::enter(&st.inflight), monster_obs::trace::set_current(scan));
-    let batch = run_prepared(&st.db, prepared, st.config.exec, &st.exec_metrics);
+    let batch = run_prepared(&st.db, prepared, st.config.exec, Arc::clone(&st.exec_metrics));
     drop(guard);
     clock.lap(Stage::Execute);
     let batch = match batch {
@@ -373,12 +370,10 @@ fn serve_metrics(
             return resp;
         }
     };
-    // Render the results straight into the reply's text, once, reserved for
-    // a panel's 40–51 bytes a point; `compress` deflates it and drops it.
-    let room = 52 * batch.results.iter().map(|r| r.point_count()).sum::<usize>();
-    let sink = JsonSink::with_capacity(room);
+    // Render the results straight into the reply's text, once; `deflate`
+    // compresses it and the text is dropped.
     d.scan_threads = batch.scan_threads;
-    let outcome = batch.render_into(&st.db, &plan, sink, &st.exec_metrics);
+    let outcome = batch.render_into(&st.db, &plan);
     d.cost = Some(CostPair {
         estimated: est,
         actual: outcome.cost,
@@ -392,12 +387,8 @@ fn serve_metrics(
     let json = outcome.document;
     let mut resp = if builder_req.compress {
         clock.lap(Stage::Encode);
-        let t_deflate = Instant::now();
-        let packed = monster_compress::compress(&json, st.config.level);
-        st.compress_seconds.observe(t_deflate.elapsed().as_secs_f64());
+        let packed = deflate(&json, st.config.level, &st.compress);
         clock.lap(Stage::Compress);
-        st.compress_raw.add(json.len() as u64);
-        st.compress_wire.add(packed.len() as u64);
         Response::bytes(packed, "application/json").content_encoded()
     } else {
         Response::bytes(json, "application/json")
@@ -440,12 +431,6 @@ fn parse_record_filter(req: &Request) -> Result<RecordFilter, Response> {
 impl MetricsState {
     fn new(db: Arc<Db>, nodes: Vec<NodeId>, config: ServiceConfig) -> MetricsState {
         let obs = Arc::clone(db.registry());
-        let compress_bytes = |kind: &str, help: &str| {
-            obs.counter_help(
-                &format!("monster_builder_compress_bytes_total{{kind=\"{kind}\"}}"),
-                help,
-            )
-        };
         MetricsState {
             cache: Arc::new(ResponseCache::new_in(config.cache_entries, &obs)),
             admission: Arc::new(AdmissionController::new(config.admission, &obs)),
@@ -457,17 +442,12 @@ impl MetricsState {
                 "monster_builder_inflight_queries",
                 "Metrics queries currently executing against storage.",
             ),
-            compress_seconds: obs.histo_help(
-                "monster_builder_compress_seconds",
-                "Wall time spent deflating one compress=true /v1/metrics body.",
-            ),
-            compress_raw: compress_bytes("raw", "JSON bytes handed to the compressor."),
-            compress_wire: compress_bytes("wire", "Container bytes the compressor returned."),
+            compress: CompressMetrics::new(&obs),
             request_seconds: obs.histo_help(
                 "monster_builder_request_seconds",
                 "End-to-end simulated latency of /v1/metrics requests.",
             ),
-            exec_metrics: ExecMetrics::new(&obs),
+            exec_metrics: Arc::new(ExecMetrics::new(&obs)),
             recorder: Arc::new(QueryRecorder::new_in(qlog::RING_CAPACITY, qlog::SLOW_MS, &obs)),
             obs,
             db,

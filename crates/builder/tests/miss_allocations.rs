@@ -14,7 +14,7 @@
 //! call is made to run on the calling thread alone.
 
 use counting_alloc::{counted, Counts};
-use monster_builder::exec::{render, run, JsonSink, Sink};
+use monster_builder::exec::{render, run, JsonSink};
 use monster_builder::service::{router, ServiceConfig};
 use monster_builder::{build_plan, execute, AdmissionConfig, BuilderRequest, ExecMode};
 use monster_collector::SchemaVersion;

@@ -1,19 +1,20 @@
-//! The response document has one walk and two sinks; this file holds them
-//! to each other and to the rule they replaced.
+//! The response document has one walk and one writer; this file holds it
+//! to the rule it replaced.
 //!
-//! `exec::render` drives either `JsonSink` (the bytes the HTTP service
-//! sends) or `ValueSink` (the tree `execute` returns). For any plan and
+//! `exec::render` writes the bytes the HTTP service sends through
+//! `JsonSink`, and `execute` returns those bytes parsed. For any plan and
 //! any results — not node-major, nodes and sections repeated, label tags
 //! colliding or missing, empty result sets, every value type, strings that
-//! need every escape, non-finite floats — the streamed bytes must equal
-//! the tree's `to_string_compact()`, both must report the same
-//! `points_out`, and the tree must be the one nested `Object::insert` in
-//! plan order builds (what the service produced when it built a tree):
-//! first position, last value. The service-level test then pins the wire:
-//! a `/v1/metrics` body is the library path's body, plain or compressed,
-//! and a repeat shares the cached buffer.
+//! need every escape, non-finite floats — the text must be the
+//! `to_string_compact()` of the tree nested `Object::insert` in plan
+//! order builds (what the service produced when it built a tree): first
+//! position, last value, the same `points_out`. Parsed and printed again,
+//! it must come back byte for byte. The service-level tests then pin the
+//! wire: a `/v1/metrics` body is the library path's body, plain or
+//! compressed, a repeat shares the cached buffer, and `execute`'s tree is
+//! the served body parsed.
 
-use monster_builder::exec::{render, JsonSink, Sink, ValueSink};
+use monster_builder::exec::{render, JsonSink};
 use monster_builder::service::{router, ServiceConfig};
 use monster_builder::{
     build_plan, encode_response, execute, BuilderRequest, PlannedQuery, QueryGroup,
@@ -146,21 +147,17 @@ proptest! {
     fn streamed_bytes_are_the_marshalled_tree(entries in prop::collection::vec(arb_entry(), 0..12)) {
         let (plan, results): (Vec<PlannedQuery>, Vec<ResultSet>) = entries.into_iter().unzip();
 
-        let mut tree = ValueSink::default();
-        let tree_points = render(&plan, &results, &mut tree);
-        let tree = tree.finish();
         let mut bytes = JsonSink::with_capacity(0);
-        let byte_points = render(&plan, &results, &mut bytes);
+        let points = render(&plan, &results, &mut bytes);
         let bytes = bytes.finish();
+        let text = std::str::from_utf8(&bytes).expect("JSON is UTF-8");
 
-        let text = tree.to_string_compact();
-        prop_assert_eq!(std::str::from_utf8(&bytes).expect("JSON is UTF-8"), text.as_str());
-        prop_assert_eq!(byte_points, tree_points);
-
-        // NaN != NaN, so the trees are compared as text too.
+        // NaN != NaN, so the documents are compared as text.
         let (reference, reference_points) = by_insertion(&plan, &results);
         prop_assert_eq!(text, reference.to_string_compact());
-        prop_assert_eq!(tree_points, reference_points);
+        prop_assert_eq!(points, reference_points);
+        // What `execute` returns reprints as the served text.
+        prop_assert_eq!(monster_json::parse(text).expect("JSON").to_string_compact(), text);
     }
 }
 
@@ -220,7 +217,7 @@ fn the_service_sends_the_library_paths_bytes_and_shares_them_on_a_hit() {
     let url = "/v1/metrics?start=1970-01-01T00:00:00Z&end=1970-01-01T01:00:00Z&interval=5m";
     for compress in [false, true] {
         let (level, net) = (Level::default(), &NetModel::GIGABIT_LAN);
-        let library = encode_response(&outcome, compress, level, net, db.registry());
+        let library = encode_response(&db, &plan, config.exec, compress, level, net).unwrap();
         let url = if compress { format!("{url}&compress=true") } else { url.to_string() };
         let miss = service.dispatch(&Request::get(&url));
         assert_eq!(miss.headers.get("X-Cache"), Some("miss"));
@@ -241,4 +238,32 @@ fn the_service_sends_the_library_paths_bytes_and_shares_them_on_a_hit() {
         assert_eq!(hit.headers.get("X-Cache"), Some("hit"));
         assert!(std::ptr::eq(hit.body.as_ptr(), miss.body.as_ptr()), "a hit shares the buffer");
     }
+}
+
+#[test]
+fn execute_returns_the_served_document_not_a_second_rendering() {
+    // One reading the text can only write as `null`, one integral float.
+    let db = Db::new(DbConfig::default());
+    let nodes = NodeId::enumerate(2, 4);
+    let power = |node: NodeId, reading: f64| {
+        DataPoint::new("Power", EpochSecs::new(0))
+            .tag("NodeId", node.bmc_addr())
+            .tag("Label", "NodePower")
+            .field_f64("Reading", reading)
+    };
+    db.write_batch(&[power(nodes[0], f64::NAN), power(nodes[1], 273.0)]).unwrap();
+    let db = Arc::new(db);
+    let config = ServiceConfig::default();
+    let request =
+        BuilderRequest::new(EpochSecs::new(0), EpochSecs::new(300), 300, Aggregation::Max).unwrap();
+    let plan = build_plan(SchemaVersion::Optimized, &nodes, &request);
+    let document = execute(&db, &plan, config.exec).unwrap().document;
+
+    let service = router(Arc::clone(&db), nodes, config);
+    let url = "/v1/metrics?start=1970-01-01T00:00:00Z&end=1970-01-01T00:05:00Z&interval=5m";
+    let reply = service.dispatch(&Request::get(url));
+    let served = monster_json::parse(std::str::from_utf8(&reply.body).unwrap()).unwrap();
+    assert_eq!(served.pointer("10.101.1.1/power/0/value"), Some(&Value::Null));
+    assert_eq!(served.pointer("10.101.1.2/power/0/value"), Some(&Value::Float(273.0)));
+    assert_eq!(document, served, "the analyses read what a dashboard is sent");
 }

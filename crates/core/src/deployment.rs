@@ -439,15 +439,16 @@ impl Monster {
         monster_builder::exec::execute(&self.db, &plan, mode)
     }
 
-    /// Execute a request and encode the response for a consumer on `net`.
+    /// Execute a request and encode the response for a consumer on `net`:
+    /// the bytes a `/v1/metrics` miss sends, with no `Value` tree built.
     pub fn builder_respond(
         &self,
         req: &BuilderRequest,
         mode: ExecMode,
         net: &monster_sim::NetModel,
     ) -> Result<monster_builder::response::EncodedResponse> {
-        let outcome = self.builder_query(req, mode)?;
-        Ok(encode_response(&outcome, req.compress, Level::default(), net, &self.registry))
+        let plan = build_plan(self.config.schema, self.cluster.node_ids(), req);
+        encode_response(&self.db, &plan, mode, req.compress, Level::default(), net)
     }
 
     /// Serve the Metrics Builder HTTP API for this deployment.
