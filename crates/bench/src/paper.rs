@@ -50,6 +50,7 @@ macro_rules! say {
 
 mod ablation;
 mod analysis;
+mod headline;
 mod inventory;
 mod queries;
 
@@ -147,6 +148,7 @@ pub const REGISTRY: &[Experiment] = &[
     Experiment { name: "collect_sweep", needs: &[], run: inventory::collect_sweep },
     Experiment { name: "volume", needs: &[], run: inventory::volume },
     Experiment { name: "ablation", needs: &[], run: ablation::ablation },
+    Experiment { name: "headline", needs: &[], run: headline::headline },
 ];
 
 /// `paper <name>… | all | list [--check DIR | --write DIR]`: print each
