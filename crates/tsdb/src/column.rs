@@ -48,6 +48,31 @@ pub struct NumericSummary {
     pub last: f64,
 }
 
+/// The larger of `a` and `b`, or the first of them that is NaN: a window
+/// whose reading is NaN reports NaN, where `f64::max` would drop it and
+/// leave the fold's −∞ seed. Both folds (a block's summary and a window's
+/// accumulator) take it, so a summary merged equals its points pushed.
+pub(crate) fn max_or_nan(a: f64, b: f64) -> f64 {
+    if a.is_nan() {
+        a
+    } else if b.is_nan() {
+        b
+    } else {
+        a.max(b)
+    }
+}
+
+/// [`max_or_nan`]'s mirror: the smaller, or the first NaN.
+pub(crate) fn min_or_nan(a: f64, b: f64) -> f64 {
+    if a.is_nan() {
+        a
+    } else if b.is_nan() {
+        b
+    } else {
+        a.min(b)
+    }
+}
+
 impl NumericSummary {
     /// Fold `(ts, value)` pairs in append order with the accumulator's
     /// arithmetic. Mirrors `Acc::push` in `query::exec` exactly.
@@ -63,8 +88,8 @@ impl NumericSummary {
         };
         for (&t, v) in ts.iter().zip(vals) {
             s.sum += v;
-            s.min = s.min.min(v);
-            s.max = s.max.max(v);
+            s.min = min_or_nan(s.min, v);
+            s.max = max_or_nan(s.max, v);
             if t < s.first_ts {
                 s.first_ts = t;
                 s.first = v;

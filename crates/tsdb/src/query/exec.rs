@@ -5,7 +5,7 @@
 //! semantics so they can be tested in isolation.
 
 use super::ast::{Aggregation, Fill};
-use crate::column::{BlockSummary, NumericSummary};
+use crate::column::{max_or_nan, min_or_nan, BlockSummary, NumericSummary};
 use crate::field::FieldValue;
 use crate::series::SeriesKey;
 use monster_util::EpochSecs;
@@ -65,8 +65,8 @@ impl Acc {
     fn push(&mut self, ts: i64, v: f64) {
         self.count += 1;
         self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
+        self.min = min_or_nan(self.min, v);
+        self.max = max_or_nan(self.max, v);
         if ts < self.first_ts {
             self.first_ts = ts;
             self.first = v;
@@ -85,8 +85,8 @@ impl Acc {
     fn merge(&mut self, count: usize, n: &NumericSummary) {
         self.count += count as u64;
         self.sum += n.sum;
-        self.min = self.min.min(n.min);
-        self.max = self.max.max(n.max);
+        self.min = min_or_nan(self.min, n.min);
+        self.max = max_or_nan(self.max, n.max);
         if n.first_ts < self.first_ts {
             self.first_ts = n.first_ts;
             self.first = n.first;
@@ -442,6 +442,36 @@ mod tests {
             let mut merged = WindowAggregator::new(agg, Some(300), 0);
             merged.push_partial(&summary);
             assert_eq!(per_point.finish(), merged.finish(), "agg {agg:?}");
+        }
+    }
+
+    #[test]
+    fn a_nan_reading_makes_its_windows_max_and_min_nan_pushed_or_merged() {
+        // A window whose only reading is NaN, and one where NaN sits between
+        // two numbers: neither may report the fold's infinite seed or drop
+        // the NaN, whether its points are pushed or merged from a summary.
+        let pts = [(0, f64::NAN), (300, 1.0), (400, f64::NAN), (500, 2.0)];
+        let ts: Vec<i64> = pts.iter().map(|&(t, _)| t).collect();
+        for agg in [Aggregation::Max, Aggregation::Min] {
+            let pushed = run(agg, Some(300), &pts);
+            assert_eq!(pushed.len(), 2, "{agg:?}");
+            assert!(pushed.iter().all(|(_, v)| v.is_nan()), "{agg:?}: {pushed:?}");
+            for (window, at) in [(0, 0..1), (300, 1..4)] {
+                let summary = BlockSummary {
+                    count: at.len(),
+                    ts_min: ts[at.start],
+                    ts_max: ts[at.end - 1],
+                    numeric: Some(NumericSummary::fold(
+                        &ts[at.clone()],
+                        pts[at].iter().map(|p| p.1),
+                    )),
+                };
+                let mut merged = WindowAggregator::new(agg, Some(300), 0);
+                merged.push_partial(&summary);
+                let out = merged.finish();
+                assert_eq!(out[0].0, EpochSecs::new(window));
+                assert!(out[0].1.as_f64().unwrap().is_nan(), "{agg:?} merged: {out:?}");
+            }
         }
     }
 
