@@ -35,6 +35,18 @@ fn sections() -> [&'static str; 4] {
     [power.name, thermal.name, cpu_usage.name, jobs.name]
 }
 
+/// One reading of a served section: its label (`None` in a flat section),
+/// its window's time and its value.
+pub type Reading<'a> = (Option<&'a str>, i64, &'a Value);
+
+/// The readings of section `name` of the node keyed `node` in a served
+/// document, a label at a time, each in the order written. A `null` is
+/// not a reading and is skipped; an absent node or section has none. This
+/// is the one place the document's section shape is read.
+pub fn section<'a>(document: &'a Value, node: &str, name: &str) -> Result<Vec<Reading<'a>>> {
+    readings(document.get(node).and_then(|n| n.get(name)))
+}
+
 /// Decode a served document into its nodes, in document order.
 pub fn decode(document: &Value) -> Result<Vec<ServedNode>> {
     let [power, thermal, cpu_usage, jobs] = sections();
@@ -42,25 +54,31 @@ pub fn decode(document: &Value) -> Result<Vec<ServedNode>> {
     let mut out = Vec::with_capacity(nodes.len());
     for (key, doc) in nodes.iter() {
         let node = NodeId::parse(key).ok_or_else(|| Error::parse(format!("node key {key:?}")))?;
-        let labelled = doc.get(thermal);
-        let sources = METRIC_NAMES[..7]
-            .iter()
-            .map(|label| labelled.and_then(|t| t.get(label)))
-            .chain([doc.get(power), doc.get(cpu_usage)]);
-        let mut windows: BTreeMap<i64, [Option<f64>; 9]> = BTreeMap::new();
-        for (d, section) in sources.enumerate() {
-            for (t, v) in points(section)? {
-                let v = v.as_f64().ok_or_else(|| Error::parse(format!("{key}: {v:?}")))?;
-                windows.entry(t).or_insert([None; 9])[d] = Some(v);
+        // Each reading with its dimension: the thermal labels first, then
+        // power and CPU usage.
+        let mut dimensioned = Vec::new();
+        for (label, t, v) in readings(doc.get(thermal))? {
+            if let Some(d) = METRIC_NAMES[..7].iter().position(|name| Some(*name) == label) {
+                dimensioned.push((d, t, v));
             }
+        }
+        for (d, name) in [(7, power), (8, cpu_usage)] {
+            dimensioned.extend(readings(doc.get(name))?.into_iter().map(|(_, t, v)| (d, t, v)));
+        }
+        let mut windows: BTreeMap<i64, [Option<f64>; 9]> = BTreeMap::new();
+        for (d, t, v) in dimensioned {
+            let v = v.as_f64().ok_or_else(|| Error::parse(format!("{key}: {v:?}")))?;
+            windows.entry(t).or_insert([None; 9])[d] = Some(v);
         }
         let rows = windows
             .into_iter()
             .filter(|(_, w)| w.iter().all(Option::is_some))
             .map(|(t, w)| (EpochSecs::new(t), w.map(Option::unwrap_or_default)))
             .collect();
-        let jobs = match points(doc.get(jobs))?.into_iter().max_by_key(|&(t, _)| t) {
-            Some((_, list)) => job_list(list).ok_or_else(|| Error::parse(format!("{list:?}")))?,
+        let jobs = match readings(doc.get(jobs))?.into_iter().max_by_key(|&(_, t, _)| t) {
+            Some((_, _, list)) => {
+                job_list(list).ok_or_else(|| Error::parse(format!("{list:?}")))?
+            }
             None => Vec::new(),
         };
         out.push(ServedNode { node, rows, jobs });
@@ -68,17 +86,25 @@ pub fn decode(document: &Value) -> Result<Vec<ServedNode>> {
     Ok(out)
 }
 
-/// A section's points as `(time, value)`; an absent section has none.
-fn points(section: Option<&Value>) -> Result<Vec<(i64, &Value)>> {
+/// A section's readings: a flat section's points, or each label's in turn.
+fn readings(section: Option<&Value>) -> Result<Vec<Reading<'_>>> {
     let Some(section) = section else { return Ok(Vec::new()) };
-    let array = section.as_array().ok_or_else(|| Error::parse("section is not an array"))?;
-    array
-        .iter()
-        .map(|p| match (p.get("time").and_then(Value::as_i64), p.get("value")) {
-            (Some(t), Some(v)) => Ok((t, v)),
-            _ => Err(Error::parse(format!("point {p:?}"))),
-        })
-        .collect()
+    let labels: Vec<(Option<&str>, &Value)> = match section.as_object() {
+        Some(labels) => labels.iter().map(|(label, points)| (Some(label), points)).collect(),
+        None => vec![(None, section)],
+    };
+    let mut out = Vec::new();
+    for (label, points) in labels {
+        let points = points.as_array().ok_or_else(|| Error::parse("section is not an array"))?;
+        for p in points {
+            match (p.get("time").and_then(Value::as_i64), p.get("value")) {
+                (Some(_), Some(Value::Null)) => {}
+                (Some(t), Some(v)) => out.push((label, t, v)),
+                _ => return Err(Error::parse(format!("point {p:?}"))),
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// The Fig. 5 job list, `['1291784', '1318962']`.

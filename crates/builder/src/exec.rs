@@ -317,6 +317,7 @@ pub fn execute(db: &Arc<Db>, plan: &[PlannedQuery], mode: ExecMode) -> Result<Bu
 mod tests {
     use super::*;
     use crate::plan::{build_plan, BuilderRequest};
+    use monster_analysis::served;
     use monster_collector::SchemaVersion;
     use monster_tsdb::{Aggregation, DataPoint, DbConfig};
     use monster_util::{EpochSecs, NodeId};
@@ -367,16 +368,15 @@ mod tests {
         let plan = build_plan(SchemaVersion::Optimized, &ids, &request());
         let out = execute(&db, &plan, ExecMode::Sequential).unwrap();
         assert!(out.points_out > 0);
-        let node = out.document.get("10.101.1.1").expect("node doc");
-        let power = node.get("power").unwrap().as_array().unwrap();
+        let read = |section| served::section(&out.document, "10.101.1.1", section).unwrap();
+        let power = read("power");
         assert_eq!(power.len(), 24); // 7200 s / 300 s windows
-        assert_eq!(power[0].get("time").unwrap().as_i64(), Some(0));
+        assert_eq!(power[0].1, 0);
         // Thermal is keyed by sensor label.
-        let thermal = node.get("thermal").unwrap();
-        assert!(thermal.get("CPU1 Temp").unwrap().as_array().is_some());
+        assert!(read("thermal").iter().all(|&(label, ..)| label == Some("CPU1 Temp")));
+        assert_eq!(read("thermal").len(), 24);
         // Raw string job lists survive marshalling.
-        let jobs = node.get("jobs").unwrap().as_array().unwrap();
-        assert_eq!(jobs[0].get("value").unwrap().as_str(), Some("['1001']"));
+        assert_eq!(read("jobs")[0].2.as_str(), Some("['1001']"));
     }
 
     #[test]
@@ -448,12 +448,14 @@ mod tests {
         let mut sink = JsonSink::with_capacity(0);
         let counted = render(&plan, &results, &mut sink);
         let tree = monster_json::parse(std::str::from_utf8(&sink.finish()).unwrap()).unwrap();
-        let thermal = tree.pointer("10.101.1.1/thermal").unwrap().as_object().unwrap();
+        let thermal = served::section(&tree, "10.101.1.1", "thermal").unwrap();
         // First position, last value — and only what is there is counted.
-        assert_eq!(thermal.keys().collect::<Vec<_>>(), vec!["CPU1 Temp", "unlabeled", "Inlet"]);
-        let member = |label: &str| thermal.get(label).unwrap().as_array().unwrap();
+        let mut labels: Vec<&str> = thermal.iter().filter_map(|&(label, ..)| label).collect();
+        labels.dedup();
+        assert_eq!(labels, vec!["CPU1 Temp", "unlabeled", "Inlet"]);
+        let member = |label| thermal.iter().filter(|r| r.0 == Some(label)).collect::<Vec<_>>();
         assert_eq!(member("CPU1 Temp").len(), 5);
-        assert_eq!(member("CPU1 Temp")[0].get("value").unwrap().as_f64(), Some(4.0));
+        assert_eq!(member("CPU1 Temp")[0].2.as_f64(), Some(4.0));
         assert_eq!(member("unlabeled").len(), 7);
         assert_eq!(counted, 5 + 7 + 1);
     }

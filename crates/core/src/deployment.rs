@@ -516,8 +516,9 @@ mod tests {
         let req = BuilderRequest::new(t0, t0 + 1800, 300, Aggregation::Max).unwrap();
         let outcome = m.builder_query(&req, ExecMode::Sequential).unwrap();
         assert!(outcome.points_out > 0);
-        let node = outcome.document.get("10.101.1.1").expect("node in doc");
-        assert!(!node.get("power").unwrap().as_array().unwrap().is_empty());
+        assert!(outcome.document.get("10.101.1.1").is_some(), "node in doc");
+        let power = monster_analysis::served::section(&outcome.document, "10.101.1.1", "power");
+        assert!(!power.unwrap().is_empty());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! cargo run --release --example api_server
 //! ```
 
+use monster::analysis::served;
 use monster::http::{Client, Request};
 use monster::redfish::bmc::BmcConfig;
 use monster::{Monster, MonsterConfig};
@@ -44,12 +45,7 @@ fn main() {
     );
 
     let nodes = doc.as_object().map(|o| o.len()).unwrap_or(0);
-    let power_points = doc
-        .get("10.101.1.1")
-        .and_then(|n| n.get("power"))
-        .and_then(|p| p.as_array())
-        .map(|a| a.len())
-        .unwrap_or(0);
+    let power_points = served::section(&doc, "10.101.1.1", "power").expect("served").len();
     println!("document: {nodes} nodes, {power_points} power windows for 10.101.1.1");
     assert_eq!(nodes, 12, "the served document names every node");
     assert!(power_points > 0, "10.101.1.1 has power windows");

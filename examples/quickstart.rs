@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use monster::analysis::served;
 use monster::builder::{BuilderRequest, ExecMode};
 use monster::redfish::bmc::BmcConfig;
 use monster::tsdb::Aggregation;
@@ -54,18 +55,10 @@ fn main() {
 
     // Show one node's power series — the Fig. 4 data, queried back.
     let node = deployment.node_ids()[0];
-    if let Some(power) = outcome
-        .document
-        .get(&node.bmc_addr())
-        .and_then(|n| n.get("power"))
-        .and_then(|p| p.as_array())
-    {
-        println!("\npower(max, 2m windows) for {}:", node.bmc_addr());
-        for point in power {
-            let t = point.get("time").and_then(|v| v.as_i64()).unwrap_or(0);
-            let w = point.get("value").and_then(|v| v.as_f64()).unwrap_or(0.0);
-            println!("  {}  {:6.1} W", monster::util::EpochSecs::new(t), w);
-        }
+    let power = served::section(&outcome.document, &node.bmc_addr(), "power").expect("served");
+    println!("\npower(max, 2m windows) for {}:", node.bmc_addr());
+    for (_, t, w) in power {
+        println!("  {}  {:6.1} W", monster::util::EpochSecs::new(t), w.as_f64().unwrap_or(0.0));
     }
 
     // And the Fig. 5 data: which jobs were on that node.

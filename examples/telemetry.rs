@@ -6,6 +6,7 @@
 //! cargo run --release --example telemetry
 //! ```
 
+use monster::analysis::served;
 use monster::builder::{BuilderRequest, ExecMode};
 use monster::collector::Source;
 use monster::redfish::bmc::BmcConfig;
@@ -47,12 +48,8 @@ fn power_series(m: &Monster, minutes: i64) -> Vec<f64> {
     let req = BuilderRequest::new(m.now() - minutes * 60, m.now() + 60, 10, Aggregation::Max)
         .expect("request");
     let out = m.builder_query(&req, ExecMode::Sequential).expect("query");
-    out.document
-        .get("10.101.1.1")
-        .and_then(|n| n.get("power"))
-        .and_then(|p| p.as_array())
-        .map(|a| a.iter().filter_map(|p| p.get("value").and_then(|v| v.as_f64())).collect())
-        .unwrap_or_default()
+    let power = served::section(&out.document, "10.101.1.1", "power").expect("served");
+    power.iter().filter_map(|(_, _, v)| v.as_f64()).collect()
 }
 
 fn sparkline(series: &[f64]) -> String {

@@ -2,6 +2,7 @@
 //! Redfish path, store, query through Metrics Builder, and verify the data
 //! round-trips faithfully.
 
+use monster::analysis::served;
 use monster::builder::{BuilderRequest, ExecMode};
 use monster::redfish::bmc::BmcConfig;
 use monster::scheduler::{JobShape, JobSpec};
@@ -29,15 +30,8 @@ fn collected_power_matches_ground_truth() {
     // Query the last stored sample back through the builder.
     let req = BuilderRequest::new(m.now() - 60, m.now() + 60, 60, Aggregation::Last).unwrap();
     let out = m.builder_query(&req, ExecMode::Sequential).unwrap();
-    let stored = out
-        .document
-        .get(&node.bmc_addr())
-        .and_then(|n| n.get("power"))
-        .and_then(|p| p.as_array())
-        .and_then(|a| a.last())
-        .and_then(|p| p.get("value"))
-        .and_then(|v| v.as_f64())
-        .expect("stored power value");
+    let power = served::section(&out.document, &node.bmc_addr(), "power").unwrap();
+    let stored = power.last().and_then(|(_, _, v)| v.as_f64()).expect("stored power value");
     // Rounded to 0.1 W by the Redfish payload.
     assert!((stored - truth).abs() < 0.06, "stored {stored}, ground truth {truth}");
 }
@@ -124,15 +118,8 @@ fn load_correlates_with_power_across_fleet() {
     let mut idle_power = Vec::new();
     for node in m.node_ids() {
         let report = m.qmaster().load_report(node).unwrap();
-        let p = out
-            .document
-            .get(&node.bmc_addr())
-            .and_then(|n| n.get("power"))
-            .and_then(|p| p.as_array())
-            .and_then(|a| a.last())
-            .and_then(|p| p.get("value"))
-            .and_then(|v| v.as_f64())
-            .expect("power series");
+        let power = served::section(&out.document, &node.bmc_addr(), "power").unwrap();
+        let p = power.last().and_then(|(_, _, v)| v.as_f64()).expect("power series");
         if report.cpu_usage > 0.5 {
             busy_power.push(p);
         } else {

@@ -2,6 +2,7 @@
 //! section a schema declares finds what its writer stored, and a
 //! deployment is a function of its seed.
 
+use monster::analysis::served;
 use monster::builder::{build_plan, exec::execute, BuilderRequest, ExecMode};
 use monster::collector::{SchemaVersion, Source};
 use monster::redfish::bmc::BmcConfig;
@@ -43,11 +44,8 @@ fn both_schemas_answer_power_queries_identically() {
     // across schemas (old stores it in PowerUsage, new in Power).
     for node in old.node_ids() {
         let series = |doc: &monster::json::Value| -> Vec<f64> {
-            doc.get(&node.bmc_addr())
-                .and_then(|n| n.get("power"))
-                .and_then(|p| p.as_array())
-                .map(|a| a.iter().filter_map(|p| p.get("value").and_then(|v| v.as_f64())).collect())
-                .unwrap_or_default()
+            let power = served::section(doc, &node.bmc_addr(), "power").unwrap();
+            power.iter().filter_map(|(_, _, v)| v.as_f64()).collect()
         };
         let a = series(&out_old.document);
         let b = series(&out_new.document);

@@ -101,9 +101,8 @@ fn a_dead_bmcs_node_has_the_rows_its_document_shows() {
     let nodes: Vec<ServedNode> = served::decode(&doc).unwrap();
     assert_eq!(nodes.len(), 8, "the dead BMC's node still serves its scheduler sections");
     let times = |n: &ServedNode, section: &str| -> BTreeSet<i64> {
-        let points = doc.get(&n.node.bmc_addr()).and_then(|d| d.get(section));
-        let points = points.and_then(Value::as_array).unwrap_or(&[]);
-        points.iter().map(|p| p.get("time").and_then(Value::as_i64).unwrap()).collect()
+        let readings = served::section(&doc, &n.node.bmc_addr(), section).unwrap();
+        readings.iter().map(|&(_, t, _)| t).collect()
     };
     for n in &nodes {
         let rows: BTreeSet<i64> = n.rows.iter().map(|(t, _)| t.as_secs()).collect();

@@ -10,6 +10,7 @@
 //! a non-finite reading the wire cannot carry — so `null`s are dropped on
 //! every side.
 
+use monster::analysis::served;
 use monster::builder::service::{router, ServiceConfig};
 use monster::http::{Request, Status};
 use monster::json::Value;
@@ -26,20 +27,10 @@ type Tuple = (String, String, String, i64, String);
 fn tuples(body: &Value) -> Vec<Tuple> {
     let mut out = Vec::new();
     for (node, sections) in body.as_object().expect("a document").iter() {
-        for (section, content) in sections.as_object().expect("a node").iter() {
-            let labels: Vec<(&str, &Value)> = match content {
-                Value::Object(labels) => labels.iter().collect(),
-                flat => vec![("", flat)],
-            };
-            for (label, points) in labels {
-                for point in points.as_array().expect("a section's points") {
-                    let time = point.get("time").and_then(Value::as_i64).expect("a time");
-                    let value = point.get("value").expect("a value");
-                    if *value != Value::Null {
-                        let row = (node.to_string(), section.to_string(), label.to_string());
-                        out.push((row.0, row.1, row.2, time, value.to_string_compact()));
-                    }
-                }
+        for section in sections.as_object().expect("a node").keys() {
+            for (label, time, value) in served::section(body, node, section).unwrap() {
+                let row = (node.to_string(), section.to_string(), label.unwrap_or("").to_string());
+                out.push((row.0, row.1, row.2, time, value.to_string_compact()));
             }
         }
     }
