@@ -54,21 +54,15 @@ pub fn decode(document: &Value) -> Result<Vec<ServedNode>> {
     let mut out = Vec::with_capacity(nodes.len());
     for (key, doc) in nodes.iter() {
         let node = NodeId::parse(key).ok_or_else(|| Error::parse(format!("node key {key:?}")))?;
-        // Each reading with its dimension: the thermal labels first, then
-        // power and CPU usage.
-        let mut dimensioned = Vec::new();
-        for (label, t, v) in readings(doc.get(thermal))? {
-            if let Some(d) = METRIC_NAMES[..7].iter().position(|name| Some(*name) == label) {
-                dimensioned.push((d, t, v));
-            }
-        }
-        for (d, name) in [(7, power), (8, cpu_usage)] {
-            dimensioned.extend(readings(doc.get(name))?.into_iter().map(|(_, t, v)| (d, t, v)));
-        }
+        // Thermal's readings by label, power's and CPU usage's by section.
         let mut windows: BTreeMap<i64, [Option<f64>; 9]> = BTreeMap::new();
-        for (d, t, v) in dimensioned {
-            let v = v.as_f64().ok_or_else(|| Error::parse(format!("{key}: {v:?}")))?;
-            windows.entry(t).or_insert([None; 9])[d] = Some(v);
+        for (name, flat) in [(thermal, None), (power, Some(7)), (cpu_usage, Some(8))] {
+            for (label, t, v) in readings(doc.get(name))? {
+                let label = || METRIC_NAMES[..7].iter().position(|n| Some(*n) == label);
+                let Some(d) = flat.or_else(label) else { continue };
+                let v = v.as_f64().ok_or_else(|| Error::parse(format!("{key}: {v:?}")))?;
+                windows.entry(t).or_insert([None; 9])[d] = Some(v);
+            }
         }
         let rows = windows
             .into_iter()
@@ -86,21 +80,24 @@ pub fn decode(document: &Value) -> Result<Vec<ServedNode>> {
     Ok(out)
 }
 
-/// A section's readings: a flat section's points, or each label's in turn.
+/// A section's readings: `{"time":[t…],"values":[v…]}` (flat) or
+/// `{"time":[t…],"values":{label:[v…]}}`, each label's in turn.
 fn readings(section: Option<&Value>) -> Result<Vec<Reading<'_>>> {
     let Some(section) = section else { return Ok(Vec::new()) };
-    let labels: Vec<(Option<&str>, &Value)> = match section.as_object() {
-        Some(labels) => labels.iter().map(|(label, points)| (Some(label), points)).collect(),
-        None => vec![(None, section)],
+    let bad = || Error::parse(format!("section {section:?}"));
+    let times = section.get("time").and_then(Value::as_array).ok_or_else(bad)?;
+    let values = section.get("values").ok_or_else(bad)?;
+    let columns: Vec<(Option<&str>, &Value)> = match values.as_object() {
+        Some(labels) => labels.iter().map(|(label, column)| (Some(label), column)).collect(),
+        None => vec![(None, values)],
     };
     let mut out = Vec::new();
-    for (label, points) in labels {
-        let points = points.as_array().ok_or_else(|| Error::parse("section is not an array"))?;
-        for p in points {
-            match (p.get("time").and_then(Value::as_i64), p.get("value")) {
-                (Some(_), Some(Value::Null)) => {}
-                (Some(t), Some(v)) => out.push((label, t, v)),
-                _ => return Err(Error::parse(format!("point {p:?}"))),
+    for (label, column) in columns {
+        let column = column.as_array().filter(|c| c.len() == times.len()).ok_or_else(bad)?;
+        for (t, v) in times.iter().zip(column) {
+            let t = t.as_i64().ok_or_else(bad)?;
+            if *v != Value::Null {
+                out.push((label, t, v));
             }
         }
     }
@@ -140,8 +137,13 @@ mod tests {
         assert_eq!(section(jobs).group, QueryGroup::Jobs);
     }
 
-    fn series(points: &[(i64, f64)]) -> Value {
-        Value::Array(points.iter().map(|&(t, v)| jobj! { "time" => t, "value" => v }).collect())
+    /// A served section: its time column and `values`.
+    fn served(times: &[i64], values: Value) -> Value {
+        jobj! { "time" => Value::Array(times.iter().map(|&t| Value::from(t)).collect()), "values" => values }
+    }
+
+    fn column(values: &[Value]) -> Value {
+        Value::Array(values.to_vec())
     }
 
     #[test]
@@ -149,21 +151,18 @@ mod tests {
         let mut thermal = monster_json::Object::new();
         for (d, label) in METRIC_NAMES[..7].iter().enumerate() {
             // The second window lacks Fan 4.
-            let points: &[(i64, f64)] =
-                if d == 6 { &[(0, 6.0)] } else { &[(0, d as f64), (60, 9.5)] };
-            thermal.insert(*label, series(points));
+            let second = if d == 6 { Value::Null } else { Value::from(9.5) };
+            thermal.insert(*label, column(&[Value::from(d as f64), second]));
         }
+        let flat = |a: f64, b: f64| served(&[0, 60], column(&[a.into(), b.into()]));
         let doc = jobj! {
             "10.101.1.2" => jobj! {
-                "power" => series(&[(0, 7.0), (60, 8.0)]),
-                "thermal" => Value::Object(thermal),
-                "cpu_usage" => series(&[(0, 0.5), (60, 1.0)]),
-                "jobs" => Value::Array(vec![
-                    jobj! { "time" => 0, "value" => "['7']" },
-                    jobj! { "time" => 60, "value" => "['1291784', '1318962']" },
-                ]),
+                "power" => flat(7.0, 8.0),
+                "thermal" => served(&[0, 60], Value::Object(thermal)),
+                "cpu_usage" => flat(0.5, 1.0),
+                "jobs" => served(&[0, 60], column(&["['7']".into(), "['1291784', '1318962']".into()])),
             },
-            "10.101.1.3" => jobj! { "jobs" => Value::Array(vec![jobj! { "time" => 60, "value" => "[]" }]) },
+            "10.101.1.3" => jobj! { "jobs" => served(&[60], column(&["[]".into()])) },
         };
         let nodes = decode(&doc).unwrap();
         assert_eq!(nodes.len(), 2);
@@ -174,6 +173,10 @@ mod tests {
         );
         assert_eq!(nodes[0].jobs, vec![JobId(1291784), JobId(1318962)]);
         assert_eq!((nodes[1].rows.len(), nodes[1].jobs.len()), (0, 0));
+        // A label's `null` is no reading; the rest of its column is.
+        let fan4 = section(&doc, "10.101.1.2", "thermal").unwrap();
+        let fan4: Vec<_> = fan4.iter().filter(|r| r.0 == Some(METRIC_NAMES[6])).collect();
+        assert_eq!(fan4, [&(Some(METRIC_NAMES[6]), 0, &Value::from(6.0))]);
     }
 
     #[test]
@@ -181,8 +184,10 @@ mod tests {
         assert!(decode(&Value::from(1)).is_err());
         assert!(decode(&jobj! { "node" => jobj! {} }).is_err());
         assert!(decode(&jobj! { "10.101.1.1" => jobj! { "power" => 3 } }).is_err());
-        let jobs = jobj! { "time" => 0, "value" => "1, 2" };
-        assert!(decode(&jobj! { "10.101.1.1" => jobj! { "jobs" => Value::Array(vec![jobs]) } })
-            .is_err());
+        let jobs = served(&[0], column(&["1, 2".into()]));
+        assert!(decode(&jobj! { "10.101.1.1" => jobj! { "jobs" => jobs } }).is_err());
+        // A column that does not fit its section's times.
+        let power = served(&[0, 60], column(&[Value::from(1.0)]));
+        assert!(decode(&jobj! { "10.101.1.1" => jobj! { "power" => power } }).is_err());
     }
 }

@@ -100,24 +100,29 @@ impl JsonSink {
         self.0.push('}');
     }
 
-    /// A member that is the array of `series`' points, series after
-    /// series, each `{"time": .., "value": ..}`.
-    fn points(&mut self, key: &str, series: &[SeriesResult]) {
+    /// A section member, `{"time":[…],"values":…}`; `fill` writes the values.
+    fn section(
+        &mut self,
+        key: &str,
+        times: impl Iterator<Item = i64>,
+        fill: impl FnOnce(&mut Self),
+    ) {
         self.member(key);
+        self.0.push_str("{\"time\":");
+        self.array(times, write_i64);
+        self.0.push_str(",\"values\":");
+        fill(self);
+        self.0.push('}');
+    }
+
+    /// `items` as an array, each written by `write`.
+    fn array<T>(&mut self, items: impl Iterator<Item = T>, write: fn(&mut String, T)) {
         self.0.push('[');
-        for (at, (t, v)) in series.iter().flat_map(|s| &s.points).enumerate() {
-            self.0.push_str(if at == 0 { "{\"time\":" } else { ",{\"time\":" });
-            write_i64(&mut self.0, t.as_secs());
-            self.0.push_str(",\"value\":");
-            match v {
-                FieldValue::Float(f) => {
-                    write_f64(&mut self.0, *f).expect("writing to a String cannot fail")
-                }
-                FieldValue::Int(i) => write_i64(&mut self.0, *i),
-                FieldValue::Str(s) => write_str(&mut self.0, s),
-                FieldValue::Bool(b) => self.0.push_str(if *b { "true" } else { "false" }),
+        for (at, item) in items.enumerate() {
+            if at > 0 {
+                self.0.push(',');
             }
-            self.0.push('}');
+            write(&mut self.0, item);
         }
         self.0.push(']');
     }
@@ -129,10 +134,25 @@ impl JsonSink {
     }
 }
 
+/// A value, `null` for none (and for a non-finite float: JSON has no
+/// other word for it).
+fn write_value(out: &mut String, value: Option<&FieldValue>) {
+    match value {
+        Some(FieldValue::Float(f)) => write_f64(out, *f).expect("writing to a String cannot fail"),
+        Some(FieldValue::Int(i)) => write_i64(out, *i),
+        Some(FieldValue::Str(s)) => write_str(out, s),
+        Some(FieldValue::Bool(b)) => out.push_str(if *b { "true" } else { "false" }),
+        None => out.push_str("null"),
+    }
+}
+
 /// Walk `results` (one per planned query, in plan order) into `sink` as
-/// the response document — node → section → points, or node → section →
-/// label → points where the query names a `label_tag` — and return the
-/// number of points written.
+/// the response document, node → section, and return the number of points
+/// written. A section writes its times once: a flat one
+/// `{"time":[t…],"values":[v…]}`, its series' points as they come; one
+/// whose query names a `label_tag` `{"time":[t…],"values":{label:[v|null…]}}`,
+/// the ascending union of its labels' times and each label's values on
+/// it, `null` where the label has none (of two at one time, the later).
 ///
 /// A document is keyed, so what the plan repeats is decided here, once: a
 /// node takes the position of its first query and gathers the sections of
@@ -161,15 +181,23 @@ pub fn render(plan: &[PlannedQuery], results: &[ResultSet], sink: &mut JsonSink)
         }
     }
 
+    // Scratch every labelled section reuses: its labels, its time column
+    // when they do not share one, and a label's values laid on that column.
     let mut points_out = 0;
     let mut labelled: Vec<(&str, &SeriesResult)> = Vec::new();
+    let mut times: Vec<i64> = Vec::new();
+    let mut slots: Vec<Option<&FieldValue>> = Vec::new();
     for (node, sections) in &nodes {
         sink.object(&node.bmc_addr(), |sink| {
             for &at in sections {
                 let (planned, series) = (&plan[at], &results[at].series);
+                let points = || series.iter().flat_map(|s| &s.points);
                 let Some(tag) = planned.label_tag else {
                     points_out += results[at].point_count();
-                    sink.points(planned.section, series);
+                    let times = points().map(|(t, _)| t.as_secs());
+                    sink.section(planned.section, times, |sink| {
+                        sink.array(points().map(|(_, v)| Some(v)), write_value)
+                    });
                     continue;
                 };
                 labelled.clear();
@@ -180,11 +208,41 @@ pub fn render(plan: &[PlannedQuery], results: &[ResultSet], sink: &mut JsonSink)
                         None => labelled.push((label, s)),
                     }
                 }
-                sink.object(planned.section, |sink| {
+                // A windowed section's labels share one ascending grid, the
+                // first label's, and each label's points are its column as
+                // they stand; only other sections build the union.
+                let grid = &labelled[0].1.points;
+                let shared = grid.windows(2).all(|w| w[0].0 < w[1].0)
+                    && labelled
+                        .iter()
+                        .all(|(_, s)| s.points.iter().map(|p| p.0).eq(grid.iter().map(|p| p.0)));
+                times.clear();
+                if !shared {
+                    let all = labelled.iter().flat_map(|(_, s)| &s.points);
+                    times.extend(all.map(|(t, _)| t.as_secs()));
+                    times.sort_unstable();
+                    times.dedup();
+                }
+                let grid = grid.iter().filter(|_| shared).map(|(t, _)| t.as_secs());
+                sink.section(planned.section, grid.chain(times.iter().copied()), |sink| {
+                    sink.0.push('{');
                     for (label, s) in &labelled {
-                        points_out += s.points.len();
-                        sink.points(label, std::slice::from_ref(s));
+                        sink.member(label);
+                        if shared {
+                            points_out += s.points.len();
+                            sink.array(s.points.iter().map(|(_, v)| Some(v)), write_value);
+                            continue;
+                        }
+                        slots.clear();
+                        slots.resize(times.len(), None);
+                        for (t, v) in &s.points {
+                            slots[times.binary_search(&t.as_secs()).expect("in the union")] =
+                                Some(v);
+                        }
+                        points_out += slots.iter().flatten().count();
+                        sink.array(slots.iter().copied(), write_value);
                     }
+                    sink.0.push('}');
                 });
             }
         });
@@ -280,11 +338,20 @@ pub(crate) fn run_prepared(
 impl Batch {
     /// [`render`] the results as the reply's text and account for it: the
     /// modelled processing time, the output-point counter, the wall
-    /// histogram. The text is reserved for a panel's 40–51 bytes a point,
-    /// so it is written into one block that does not grow.
+    /// histogram. The text is reserved from the shape — 11 B a window time
+    /// (ten digits and a comma; a labelled section writes its longest
+    /// label's times once), 10 B a value, 40 B a series for its key and
+    /// brackets: 1.1–1.5× what the catalog's panels and Fig. 18's bodies
+    /// write — so it is written into one block that does not grow.
     pub(crate) fn render_into(self, db: &Db, plan: &[PlannedQuery]) -> BuilderOutcome<Vec<u8>> {
         let started = Instant::now();
-        let room = 52 * self.results.iter().map(ResultSet::point_count).sum::<usize>();
+        let room = plan.iter().zip(&self.results).map(|(planned, rs)| {
+            let points = rs.point_count();
+            let longest = rs.series.iter().map(|s| s.points.len()).max().unwrap_or(0);
+            let times = if planned.label_tag.is_some() { longest } else { points };
+            11 * times + 10 * points + 40 * rs.series.len()
+        });
+        let room = room.sum();
         let mut sink = JsonSink::with_capacity(room);
         let points_out = render(plan, &self.results, &mut sink);
         let document = sink.finish();
