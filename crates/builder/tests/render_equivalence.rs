@@ -5,10 +5,11 @@
 //! `JsonSink`, and `execute` returns those bytes parsed. For any plan and
 //! any results — not node-major, nodes and sections repeated, label tags
 //! colliding or missing, empty result sets, every value type, strings that
-//! need every escape, non-finite floats — the text must be the
-//! `to_string_compact()` of the tree nested `Object::insert` in plan
-//! order builds (what the service produced when it built a tree): first
-//! position, last value, the same `points_out`. Parsed and printed again,
+//! need every escape, non-finite floats, times out of order and repeated —
+//! the text must be the `to_string_compact()` of the tree nested
+//! `Object::insert` in plan order builds from the result sets, each section
+//! a time column and its values (`by_insertion` spells the shape out):
+//! first position, last value, the same `points_out`. Parsed and printed again,
 //! it must come back byte for byte. The service-level tests then pin the
 //! wire: a `/v1/metrics` body is the library path's body, plain or
 //! compressed, a repeat shares the cached buffer, and `execute`'s tree is
@@ -92,35 +93,63 @@ fn arb_entry() -> impl Strategy<Value = (PlannedQuery, ResultSet)> {
         })
 }
 
-fn points_of(series: &[&SeriesResult]) -> Value {
-    let value = |v: &FieldValue| match v {
+fn value(v: &FieldValue) -> Value {
+    match v {
         FieldValue::Float(f) => Value::Float(*f),
         FieldValue::Int(i) => Value::Int(*i),
         FieldValue::Bool(b) => Value::Bool(*b),
         FieldValue::Str(s) => Value::Str(s.clone()),
-    };
-    let points = series.iter().flat_map(|s| &s.points);
-    Value::Array(
-        points.map(|(t, v)| jobj! { "time" => t.as_secs(), "value" => value(v) }).collect(),
-    )
+    }
+}
+
+/// A section: its time column and its `values`.
+fn section(times: impl Iterator<Item = i64>, values: Value) -> Value {
+    jobj! { "time" => Value::Array(times.map(Value::from).collect()), "values" => values }
 }
 
 /// The document as nested `Object::insert` builds it, one query at a time
-/// in plan order, and the points left in it at the end.
+/// in plan order, and the readings left in it at the end. A flat section
+/// is its series' points, one after another, as a time column and a value
+/// column. A labelled one keeps, by `Object::insert`, each label's first
+/// position and last series; its time column is every time those series
+/// hold, ascending and once each, and a label's column holds its last
+/// point at each time, or `null`.
 fn by_insertion(plan: &[PlannedQuery], results: &[ResultSet]) -> (Value, usize) {
     let mut document = Object::new();
     for (planned, rs) in plan.iter().zip(results) {
         if rs.series.is_empty() {
             continue;
         }
+        let points: Vec<_> = rs.series.iter().flat_map(|s| &s.points).collect();
         let section = match &planned.label_tag {
-            None => points_of(&rs.series.iter().collect::<Vec<_>>()),
+            None => {
+                let values = points.iter().map(|(_, v)| value(v)).collect();
+                section(points.iter().map(|(t, _)| t.as_secs()), Value::Array(values))
+            }
             Some(tag) => {
                 let mut by_label = Object::new();
-                for s in &rs.series {
-                    by_label.insert(s.key.tag(tag).unwrap_or("unlabeled"), points_of(&[s]));
+                for (i, s) in rs.series.iter().enumerate() {
+                    by_label.insert(s.key.tag(tag).unwrap_or("unlabeled"), Value::from(i as i64));
                 }
-                Value::Object(by_label)
+                let chosen = |at: &Value| &rs.series[at.as_i64().unwrap() as usize];
+                let mut times: Vec<i64> = by_label
+                    .iter()
+                    .flat_map(|(_, at)| &chosen(at).points)
+                    .map(|(t, _)| t.as_secs())
+                    .collect();
+                times.sort_unstable();
+                times.dedup();
+                let mut columns = Object::new();
+                for (label, at) in by_label.iter() {
+                    let last_at =
+                        |t: i64| chosen(at).points.iter().rev().find(|p| p.0.as_secs() == t);
+                    let column: Vec<Value> = times
+                        .iter()
+                        .map(|&t| last_at(t).map_or(Value::Null, |p| value(&p.1)))
+                        .collect();
+                    columns.insert(label, Value::Array(column));
+                }
+                section(times.into_iter(), Value::Object(columns))
             }
         };
         let addr = planned.node.bmc_addr();
@@ -130,16 +159,19 @@ fn by_insertion(plan: &[PlannedQuery], results: &[ResultSet]) -> (Value, usize) 
         let node = document.get_mut(&addr).and_then(Value::as_object_mut).expect("just put");
         node.insert(planned.section, section);
     }
-    fn count(v: &Value) -> usize {
-        match v {
-            Value::Array(points) => points.len(),
-            Value::Object(members) => members.iter().map(|(_, v)| count(v)).sum(),
-            _ => 0,
-        }
-    }
-    let document = Value::Object(document);
-    let points = count(&document);
-    (document, points)
+    // What is left, counted: every value of a flat section, every non-null
+    // of a label's column.
+    let sections = document.iter().flat_map(|(_, node)| node.as_object().unwrap().iter());
+    let readings = sections
+        .map(|(_, section)| match section.get("values").unwrap() {
+            Value::Object(labels) => {
+                let columns = labels.iter().flat_map(|(_, c)| c.as_array().unwrap());
+                columns.filter(|v| **v != Value::Null).count()
+            }
+            flat => flat.as_array().unwrap().len(),
+        })
+        .sum();
+    (Value::Object(document), readings)
 }
 
 proptest! {
@@ -263,7 +295,7 @@ fn execute_returns_the_served_document_not_a_second_rendering() {
     let url = "/v1/metrics?start=1970-01-01T00:00:00Z&end=1970-01-01T00:05:00Z&interval=5m";
     let reply = service.dispatch(&Request::get(url));
     let served = monster_json::parse(std::str::from_utf8(&reply.body).unwrap()).unwrap();
-    assert_eq!(served.pointer("10.101.1.1/power/0/value"), Some(&Value::Null));
-    assert_eq!(served.pointer("10.101.1.2/power/0/value"), Some(&Value::Float(273.0)));
+    assert_eq!(served.pointer("10.101.1.1/power/values/0"), Some(&Value::Null));
+    assert_eq!(served.pointer("10.101.1.2/power/values/0"), Some(&Value::Float(273.0)));
     assert_eq!(document, served, "the analyses read what a dashboard is sent");
 }
