@@ -44,20 +44,38 @@ pub type Reading<'a> = (Option<&'a str>, i64, &'a Value);
 /// not a reading and is skipped; an absent node or section has none. This
 /// is the one place the document's section shape is read.
 pub fn section<'a>(document: &'a Value, node: &str, name: &str) -> Result<Vec<Reading<'a>>> {
-    readings(document.get(node).and_then(|n| n.get(name)))
+    of_section(document.get(node).and_then(|n| n.get(name)))
+}
+
+/// Every reading of a served document with its node key and section,
+/// nodes and sections in document order: the one walk of a whole document.
+pub fn readings(document: &Value) -> Result<Vec<(&str, &str, Reading<'_>)>> {
+    let mut out = Vec::new();
+    for (node, sections) in nodes(document)? {
+        let sections = sections.as_object().ok_or_else(|| Error::parse(format!("node {node}")))?;
+        for (name, _) in sections.iter() {
+            out.extend(section(document, node, name)?.into_iter().map(|r| (node, name, r)));
+        }
+    }
+    Ok(out)
+}
+
+/// A document's node members.
+fn nodes(document: &Value) -> Result<impl Iterator<Item = (&str, &Value)>> {
+    let nodes = document.as_object().ok_or_else(|| Error::parse("document is not an object"))?;
+    Ok(nodes.iter())
 }
 
 /// Decode a served document into its nodes, in document order.
 pub fn decode(document: &Value) -> Result<Vec<ServedNode>> {
     let [power, thermal, cpu_usage, jobs] = sections();
-    let nodes = document.as_object().ok_or_else(|| Error::parse("document is not an object"))?;
-    let mut out = Vec::with_capacity(nodes.len());
-    for (key, doc) in nodes.iter() {
+    let mut out = Vec::new();
+    for (key, doc) in nodes(document)? {
         let node = NodeId::parse(key).ok_or_else(|| Error::parse(format!("node key {key:?}")))?;
         // Thermal's readings by label, power's and CPU usage's by section.
         let mut windows: BTreeMap<i64, [Option<f64>; 9]> = BTreeMap::new();
         for (name, flat) in [(thermal, None), (power, Some(7)), (cpu_usage, Some(8))] {
-            for (label, t, v) in readings(doc.get(name))? {
+            for (label, t, v) in of_section(doc.get(name))? {
                 let label = || METRIC_NAMES[..7].iter().position(|n| Some(*n) == label);
                 let Some(d) = flat.or_else(label) else { continue };
                 let v = v.as_f64().ok_or_else(|| Error::parse(format!("{key}: {v:?}")))?;
@@ -69,7 +87,7 @@ pub fn decode(document: &Value) -> Result<Vec<ServedNode>> {
             .filter(|(_, w)| w.iter().all(Option::is_some))
             .map(|(t, w)| (EpochSecs::new(t), w.map(Option::unwrap_or_default)))
             .collect();
-        let jobs = match readings(doc.get(jobs))?.into_iter().max_by_key(|&(_, t, _)| t) {
+        let jobs = match of_section(doc.get(jobs))?.into_iter().max_by_key(|&(_, t, _)| t) {
             Some((_, _, list)) => {
                 job_list(list).ok_or_else(|| Error::parse(format!("{list:?}")))?
             }
@@ -82,7 +100,7 @@ pub fn decode(document: &Value) -> Result<Vec<ServedNode>> {
 
 /// A section's readings: `{"time":[t…],"values":[v…]}` (flat) or
 /// `{"time":[t…],"values":{label:[v…]}}`, each label's in turn.
-fn readings(section: Option<&Value>) -> Result<Vec<Reading<'_>>> {
+fn of_section(section: Option<&Value>) -> Result<Vec<Reading<'_>>> {
     let Some(section) = section else { return Ok(Vec::new()) };
     let bad = || Error::parse(format!("section {section:?}"));
     let times = section.get("time").and_then(Value::as_array).ok_or_else(bad)?;
@@ -177,6 +195,11 @@ mod tests {
         let fan4 = section(&doc, "10.101.1.2", "thermal").unwrap();
         let fan4: Vec<_> = fan4.iter().filter(|r| r.0 == Some(METRIC_NAMES[6])).collect();
         assert_eq!(fan4, [&(Some(METRIC_NAMES[6]), 0, &Value::from(6.0))]);
+        // The whole document, walked once: 2 + 13 + 2 + 2 readings, then 1.
+        let all = readings(&doc).unwrap();
+        assert_eq!(all.len(), 20);
+        assert_eq!(all[0], ("10.101.1.2", "power", (None, 0, &Value::from(7.0))));
+        assert_eq!(all[19], ("10.101.1.3", "jobs", (None, 60, &Value::from("[]"))));
     }
 
     #[test]

@@ -635,15 +635,8 @@ mod tests {
     /// a body that is not a served document.
     fn readings_in(body: &[u8]) -> usize {
         let doc = std::str::from_utf8(body).ok().and_then(|text| monster_json::parse(text).ok());
-        let Some(nodes) = doc.as_ref().and_then(Value::as_object) else { return 0 };
-        let mut readings = 0;
-        for (node, sections) in nodes.iter() {
-            for section in sections.as_object().into_iter().flat_map(|s| s.keys()) {
-                let read = monster_analysis::served::section(doc.as_ref().unwrap(), node, section);
-                readings += read.map_or(0, |r| r.len());
-            }
-        }
-        readings
+        let read = doc.as_ref().map(monster_analysis::served::readings);
+        read.map_or(0, |r| r.map_or(0, |r| r.len()))
     }
 
     #[test]

@@ -25,15 +25,13 @@ type Tuple = (String, String, String, i64, String);
 
 /// The decoder half: a served body's readings, sorted.
 fn tuples(body: &Value) -> Vec<Tuple> {
-    let mut out = Vec::new();
-    for (node, sections) in body.as_object().expect("a document").iter() {
-        for section in sections.as_object().expect("a node").keys() {
-            for (label, time, value) in served::section(body, node, section).unwrap() {
-                let row = (node.to_string(), section.to_string(), label.unwrap_or("").to_string());
-                out.push((row.0, row.1, row.2, time, value.to_string_compact()));
-            }
-        }
-    }
+    let readings = served::readings(body).expect("a document").into_iter();
+    let mut out: Vec<Tuple> = readings
+        .map(|(node, section, (label, time, value))| {
+            let row = (node.to_string(), section.to_string(), label.unwrap_or("").to_string());
+            (row.0, row.1, row.2, time, value.to_string_compact())
+        })
+        .collect();
     out.sort();
     out
 }
