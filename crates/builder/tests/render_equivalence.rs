@@ -15,6 +15,7 @@
 //! compressed, a repeat shares the cached buffer, and `execute`'s tree is
 //! the served body parsed.
 
+use monster_analysis::served;
 use monster_builder::exec::{render, JsonSink};
 use monster_builder::service::{router, ServiceConfig};
 use monster_builder::{
@@ -29,6 +30,7 @@ use monster_tsdb::query::SeriesResult;
 use monster_tsdb::{Aggregation, DataPoint, Db, DbConfig, FieldValue, Query, ResultSet, SeriesKey};
 use monster_util::{EpochSecs, NodeId};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Short strings over an alphabet with every escape class in it: the two
@@ -58,7 +60,11 @@ fn arb_value() -> impl Strategy<Value = FieldValue> {
 /// few values, so labels collide and go missing within one result set.
 fn arb_series() -> impl Strategy<Value = SeriesResult> {
     let tag = || prop_oneof![Just(None), Just(Some("A")), Just(Some("B \"quoted\"\n"))];
-    let points = prop::collection::vec((any::<i64>(), arb_value()), 0..4);
+    // Times from a few windows, so that they repeat within a series and
+    // across series, or from anywhere.
+    let window = || (0..4i64).prop_map(|w| w * 60);
+    let time = prop_oneof![window(), window(), window(), any::<i64>()];
+    let points = prop::collection::vec((time, arb_value()), 0..4);
     (tag(), tag(), points).prop_map(|(label, slot, points)| SeriesResult {
         key: Arc::new(SeriesKey {
             measurement: "Thermal".into(),
@@ -174,7 +180,112 @@ fn by_insertion(plan: &[PlannedQuery], results: &[ResultSet]) -> (Value, usize) 
     (Value::Object(document), readings)
 }
 
+/// One reading as the law states it: node key, section, label, window time
+/// and the value as the text writes it.
+type Reading = (String, String, Option<String>, i64, String);
+
+type Point = (EpochSecs, FieldValue);
+
+/// The document's rule, stated as what it says rather than how it is
+/// written: its nodes, each with its sections, in first-position order, and
+/// the readings (non-finite ones too) in document order. A node takes the
+/// position of its first non-empty result set, and a section under it the
+/// position of its first and the series of its last. A flat section's
+/// readings are its series' points as they come, duplicates included; a
+/// labelled one's are each label's (first position, last series) points in
+/// ascending time, the last point at a time.
+fn rule<'a>(
+    plan: &'a [PlannedQuery],
+    results: &'a [ResultSet],
+) -> (Vec<(String, Vec<String>)>, Vec<Reading>) {
+    let mut nodes: Vec<(String, Vec<(&str, usize)>)> = Vec::new();
+    for (at, (planned, rs)) in plan.iter().zip(results).enumerate() {
+        if rs.series.is_empty() {
+            continue;
+        }
+        let addr = planned.node.bmc_addr();
+        if !nodes.iter().any(|(node, _)| *node == addr) {
+            nodes.push((addr.clone(), Vec::new()));
+        }
+        let sections = &mut nodes.iter_mut().find(|(node, _)| *node == addr).unwrap().1;
+        match sections.iter_mut().find(|(name, _)| *name == planned.section) {
+            Some(earlier) => earlier.1 = at,
+            None => sections.push((planned.section, at)),
+        }
+    }
+    let mut readings = Vec::new();
+    for (node, sections) in &nodes {
+        for &(name, at) in sections {
+            let series = &results[at].series;
+            let columns: Vec<(Option<&str>, Vec<&Point>)> = match plan[at].label_tag {
+                None => vec![(None, series.iter().flat_map(|s| &s.points).collect())],
+                Some(tag) => {
+                    let mut labels: Vec<(&str, &SeriesResult)> = Vec::new();
+                    for s in series {
+                        let label = s.key.tag(tag).unwrap_or("unlabeled");
+                        match labels.iter_mut().find(|(earlier, _)| *earlier == label) {
+                            Some(earlier) => earlier.1 = s,
+                            None => labels.push((label, s)),
+                        }
+                    }
+                    let last_at = |(label, s): (&'a str, &'a SeriesResult)| {
+                        let by_time: BTreeMap<i64, _> =
+                            s.points.iter().map(|p| (p.0.as_secs(), p)).collect();
+                        (Some(label), by_time.into_values().collect())
+                    };
+                    labels.into_iter().map(last_at).collect()
+                }
+            };
+            for (label, points) in columns {
+                for (t, v) in points {
+                    let text = value(v).to_string_compact();
+                    let label = label.map(str::to_string);
+                    readings.push((node.clone(), name.to_string(), label, t.as_secs(), text));
+                }
+            }
+        }
+    }
+    let keys = nodes.into_iter().map(|(node, s)| (node, s.iter().map(|s| s.0.into()).collect()));
+    (keys.collect(), readings)
+}
+
 proptest! {
+    /// The law of the served document, over random plans: what
+    /// `served::readings` reads back from `render`'s text is the rule's
+    /// readings less the non-finite ones, nodes and sections stand in
+    /// first-position order, the text parsed and printed again is the same
+    /// bytes, and `points_out` counts the rule's readings.
+    #[test]
+    fn the_served_document_says_what_the_rule_says(
+        entries in prop::collection::vec(arb_entry(), 0..12)
+    ) {
+        let (plan, results): (Vec<PlannedQuery>, Vec<ResultSet>) = entries.into_iter().unzip();
+        let mut sink = JsonSink::with_capacity(0);
+        let points = render(&plan, &results, &mut sink);
+        let bytes = sink.finish();
+        let text = std::str::from_utf8(&bytes).expect("JSON is UTF-8");
+        let document = monster_json::parse(text).expect("JSON");
+        prop_assert_eq!(document.to_string_compact(), text);
+
+        let (keys, rule) = rule(&plan, &results);
+        prop_assert_eq!(points, rule.len());
+        let nodes = document.as_object().unwrap().iter();
+        let written: Vec<(String, Vec<String>)> = nodes
+            .map(|(node, s)| (node.into(), s.as_object().unwrap().keys().map(Into::into).collect()))
+            .collect();
+        prop_assert_eq!(written, keys);
+        let read: Vec<Reading> = served::readings(&document)
+            .expect("a served document")
+            .into_iter()
+            .map(|(node, section, (label, t, v))| {
+                (node.into(), section.into(), label.map(Into::into), t, v.to_string_compact())
+            })
+            .collect();
+        // A non-finite reading is written `null`, which is no reading.
+        let finite: Vec<Reading> = rule.into_iter().filter(|r| r.4 != "null").collect();
+        prop_assert_eq!(read, finite);
+    }
+
     #[test]
     fn streamed_bytes_are_the_marshalled_tree(entries in prop::collection::vec(arb_entry(), 0..12)) {
         let (plan, results): (Vec<PlannedQuery>, Vec<ResultSet>) = entries.into_iter().unzip();
