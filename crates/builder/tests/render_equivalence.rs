@@ -1,17 +1,17 @@
-//! The response document has one walk and one writer; this file holds it
-//! to the rule it replaced.
+//! The response document has one walk and one writer, and this file holds
+//! it to the document's law.
 //!
 //! `exec::render` writes the bytes the HTTP service sends through
 //! `JsonSink`, and `execute` returns those bytes parsed. For any plan and
 //! any results — not node-major, nodes and sections repeated, label tags
 //! colliding or missing, empty result sets, every value type, strings that
 //! need every escape, non-finite floats, times out of order and repeated —
-//! the text must be the `to_string_compact()` of the tree nested
-//! `Object::insert` in plan order builds from the result sets, each section
-//! a time column and its values (`by_insertion` spells the shape out):
-//! first position, last value, the same `points_out`. Parsed and printed again,
-//! it must come back byte for byte. The service-level tests then pin the
-//! wire: a `/v1/metrics` body is the library path's body, plain or
+//! what `served` reads back from the text is what [`rule`] says the plan's
+//! results hold: nodes and sections in first-position order, a section's
+//! last series, a label's last point at a time, non-finite readings absent.
+//! `points_out` counts the rule's readings, and the text parsed and
+//! printed again comes back byte for byte. The service-level tests then
+//! pin the wire: a `/v1/metrics` body is the library path's body, plain or
 //! compressed, a repeat shares the cached buffer, and `execute`'s tree is
 //! the served body parsed.
 
@@ -24,7 +24,7 @@ use monster_builder::{
 use monster_collector::SchemaVersion;
 use monster_compress::Level;
 use monster_http::Request;
-use monster_json::{jobj, Object, Value};
+use monster_json::Value;
 use monster_sim::NetModel;
 use monster_tsdb::query::SeriesResult;
 use monster_tsdb::{Aggregation, DataPoint, Db, DbConfig, FieldValue, Query, ResultSet, SeriesKey};
@@ -106,78 +106,6 @@ fn value(v: &FieldValue) -> Value {
         FieldValue::Bool(b) => Value::Bool(*b),
         FieldValue::Str(s) => Value::Str(s.clone()),
     }
-}
-
-/// A section: its time column and its `values`.
-fn section(times: impl Iterator<Item = i64>, values: Value) -> Value {
-    jobj! { "time" => Value::Array(times.map(Value::from).collect()), "values" => values }
-}
-
-/// The document as nested `Object::insert` builds it, one query at a time
-/// in plan order, and the readings left in it at the end. A flat section
-/// is its series' points, one after another, as a time column and a value
-/// column. A labelled one keeps, by `Object::insert`, each label's first
-/// position and last series; its time column is every time those series
-/// hold, ascending and once each, and a label's column holds its last
-/// point at each time, or `null`.
-fn by_insertion(plan: &[PlannedQuery], results: &[ResultSet]) -> (Value, usize) {
-    let mut document = Object::new();
-    for (planned, rs) in plan.iter().zip(results) {
-        if rs.series.is_empty() {
-            continue;
-        }
-        let points: Vec<_> = rs.series.iter().flat_map(|s| &s.points).collect();
-        let section = match &planned.label_tag {
-            None => {
-                let values = points.iter().map(|(_, v)| value(v)).collect();
-                section(points.iter().map(|(t, _)| t.as_secs()), Value::Array(values))
-            }
-            Some(tag) => {
-                let mut by_label = Object::new();
-                for (i, s) in rs.series.iter().enumerate() {
-                    by_label.insert(s.key.tag(tag).unwrap_or("unlabeled"), Value::from(i as i64));
-                }
-                let chosen = |at: &Value| &rs.series[at.as_i64().unwrap() as usize];
-                let mut times: Vec<i64> = by_label
-                    .iter()
-                    .flat_map(|(_, at)| &chosen(at).points)
-                    .map(|(t, _)| t.as_secs())
-                    .collect();
-                times.sort_unstable();
-                times.dedup();
-                let mut columns = Object::new();
-                for (label, at) in by_label.iter() {
-                    let last_at =
-                        |t: i64| chosen(at).points.iter().rev().find(|p| p.0.as_secs() == t);
-                    let column: Vec<Value> = times
-                        .iter()
-                        .map(|&t| last_at(t).map_or(Value::Null, |p| value(&p.1)))
-                        .collect();
-                    columns.insert(label, Value::Array(column));
-                }
-                section(times.into_iter(), Value::Object(columns))
-            }
-        };
-        let addr = planned.node.bmc_addr();
-        if !document.contains_key(&addr) {
-            document.insert(addr.as_str(), Object::new());
-        }
-        let node = document.get_mut(&addr).and_then(Value::as_object_mut).expect("just put");
-        node.insert(planned.section, section);
-    }
-    // What is left, counted: every value of a flat section, every non-null
-    // of a label's column.
-    let sections = document.iter().flat_map(|(_, node)| node.as_object().unwrap().iter());
-    let readings = sections
-        .map(|(_, section)| match section.get("values").unwrap() {
-            Value::Object(labels) => {
-                let columns = labels.iter().flat_map(|(_, c)| c.as_array().unwrap());
-                columns.filter(|v| **v != Value::Null).count()
-            }
-            flat => flat.as_array().unwrap().len(),
-        })
-        .sum();
-    (Value::Object(document), readings)
 }
 
 /// One reading as the law states it: node key, section, label, window time
@@ -284,23 +212,6 @@ proptest! {
         // A non-finite reading is written `null`, which is no reading.
         let finite: Vec<Reading> = rule.into_iter().filter(|r| r.4 != "null").collect();
         prop_assert_eq!(read, finite);
-    }
-
-    #[test]
-    fn streamed_bytes_are_the_marshalled_tree(entries in prop::collection::vec(arb_entry(), 0..12)) {
-        let (plan, results): (Vec<PlannedQuery>, Vec<ResultSet>) = entries.into_iter().unzip();
-
-        let mut bytes = JsonSink::with_capacity(0);
-        let points = render(&plan, &results, &mut bytes);
-        let bytes = bytes.finish();
-        let text = std::str::from_utf8(&bytes).expect("JSON is UTF-8");
-
-        // NaN != NaN, so the documents are compared as text.
-        let (reference, reference_points) = by_insertion(&plan, &results);
-        prop_assert_eq!(text, reference.to_string_compact());
-        prop_assert_eq!(points, reference_points);
-        // What `execute` returns reprints as the served text.
-        prop_assert_eq!(monster_json::parse(text).expect("JSON").to_string_compact(), text);
     }
 }
 
