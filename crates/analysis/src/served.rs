@@ -4,7 +4,10 @@
 //! when it is compressed) into per-node rows of the nine [`METRIC_NAMES`]
 //! dimensions and job lists, the inputs of Figs. 7–9 and `monster top`.
 //! Names are the writer's: the thermal labels are [`METRIC_NAMES`]' first
-//! seven, the sections those of [`SchemaVersion::Optimized`].
+//! seven, the sections those of [`SchemaVersion::Optimized`]. A document is
+//! `{"time":[grid…],node:{section:{"values":…},…},…}`: the window grid
+//! once, then each node's sections, a section on another column with its
+//! own `"time"` ([`section`] spells the shape out; [`readings`] walks it).
 
 use crate::METRIC_NAMES;
 use monster_collector::SchemaVersion;
@@ -42,9 +45,31 @@ pub type Reading<'a> = (Option<&'a str>, i64, &'a Value);
 /// The readings of section `name` of the node keyed `node` in a served
 /// document, a label at a time, each in the order written. A `null` is
 /// not a reading and is skipped; an absent node or section has none. This
-/// is the one place the document's section shape is read.
+/// is the one place the document's shape is read: a section is
+/// `{"time":[t…],"values":[v…]}` (flat) or `{"time":[t…],"values":{label:[v…]}}`,
+/// and one without a `time` of its own is on the document's grid, its
+/// first member `"time":[t…]`, which no node address can be.
 pub fn section<'a>(document: &'a Value, node: &str, name: &str) -> Result<Vec<Reading<'a>>> {
-    of_section(document.get(node).and_then(|n| n.get(name)))
+    let Some(section) = document.get(node).and_then(|n| n.get(name)) else { return Ok(Vec::new()) };
+    let bad = || Error::parse(format!("section {section:?}"));
+    let times = section.get("time").or(document.get("time"));
+    let times = times.and_then(Value::as_array).ok_or_else(bad)?;
+    let values = section.get("values").ok_or_else(bad)?;
+    let columns: Vec<(Option<&str>, &Value)> = match values.as_object() {
+        Some(labels) => labels.iter().map(|(label, column)| (Some(label), column)).collect(),
+        None => vec![(None, values)],
+    };
+    let mut out = Vec::new();
+    for (label, column) in columns {
+        let column = column.as_array().filter(|c| c.len() == times.len()).ok_or_else(bad)?;
+        for (t, v) in times.iter().zip(column) {
+            let t = t.as_i64().ok_or_else(bad)?;
+            if *v != Value::Null {
+                out.push((label, t, v));
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Every reading of a served document with its node key and section,
@@ -60,22 +85,22 @@ pub fn readings(document: &Value) -> Result<Vec<(&str, &str, Reading<'_>)>> {
     Ok(out)
 }
 
-/// A document's node members.
+/// A document's node members: every member but the grid.
 fn nodes(document: &Value) -> Result<impl Iterator<Item = (&str, &Value)>> {
     let nodes = document.as_object().ok_or_else(|| Error::parse("document is not an object"))?;
-    Ok(nodes.iter())
+    Ok(nodes.iter().filter(|(key, _)| *key != "time"))
 }
 
 /// Decode a served document into its nodes, in document order.
 pub fn decode(document: &Value) -> Result<Vec<ServedNode>> {
     let [power, thermal, cpu_usage, jobs] = sections();
     let mut out = Vec::new();
-    for (key, doc) in nodes(document)? {
+    for (key, _) in nodes(document)? {
         let node = NodeId::parse(key).ok_or_else(|| Error::parse(format!("node key {key:?}")))?;
         // Thermal's readings by label, power's and CPU usage's by section.
         let mut windows: BTreeMap<i64, [Option<f64>; 9]> = BTreeMap::new();
         for (name, flat) in [(thermal, None), (power, Some(7)), (cpu_usage, Some(8))] {
-            for (label, t, v) in of_section(doc.get(name))? {
+            for (label, t, v) in section(document, key, name)? {
                 let label = || METRIC_NAMES[..7].iter().position(|n| Some(*n) == label);
                 let Some(d) = flat.or_else(label) else { continue };
                 let v = v.as_f64().ok_or_else(|| Error::parse(format!("{key}: {v:?}")))?;
@@ -87,37 +112,13 @@ pub fn decode(document: &Value) -> Result<Vec<ServedNode>> {
             .filter(|(_, w)| w.iter().all(Option::is_some))
             .map(|(t, w)| (EpochSecs::new(t), w.map(Option::unwrap_or_default)))
             .collect();
-        let jobs = match of_section(doc.get(jobs))?.into_iter().max_by_key(|&(_, t, _)| t) {
+        let jobs = match section(document, key, jobs)?.into_iter().max_by_key(|&(_, t, _)| t) {
             Some((_, _, list)) => {
                 job_list(list).ok_or_else(|| Error::parse(format!("{list:?}")))?
             }
             None => Vec::new(),
         };
         out.push(ServedNode { node, rows, jobs });
-    }
-    Ok(out)
-}
-
-/// A section's readings: `{"time":[t…],"values":[v…]}` (flat) or
-/// `{"time":[t…],"values":{label:[v…]}}`, each label's in turn.
-fn of_section(section: Option<&Value>) -> Result<Vec<Reading<'_>>> {
-    let Some(section) = section else { return Ok(Vec::new()) };
-    let bad = || Error::parse(format!("section {section:?}"));
-    let times = section.get("time").and_then(Value::as_array).ok_or_else(bad)?;
-    let values = section.get("values").ok_or_else(bad)?;
-    let columns: Vec<(Option<&str>, &Value)> = match values.as_object() {
-        Some(labels) => labels.iter().map(|(label, column)| (Some(label), column)).collect(),
-        None => vec![(None, values)],
-    };
-    let mut out = Vec::new();
-    for (label, column) in columns {
-        let column = column.as_array().filter(|c| c.len() == times.len()).ok_or_else(bad)?;
-        for (t, v) in times.iter().zip(column) {
-            let t = t.as_i64().ok_or_else(bad)?;
-            if *v != Value::Null {
-                out.push((label, t, v));
-            }
-        }
     }
     Ok(out)
 }
@@ -200,6 +201,28 @@ mod tests {
         assert_eq!(all.len(), 20);
         assert_eq!(all[0], ("10.101.1.2", "power", (None, 0, &Value::from(7.0))));
         assert_eq!(all[19], ("10.101.1.3", "jobs", (None, 60, &Value::from("[]"))));
+    }
+
+    #[test]
+    fn a_section_without_times_of_its_own_is_on_the_documents_grid() {
+        let values = |v: &[f64]| jobj! { "values" => column(&v.iter().map(|&v| v.into()).collect::<Vec<_>>()) };
+        let doc = jobj! {
+            "time" => column(&[Value::from(0), Value::from(60)]),
+            "10.101.1.1" => jobj! {
+                "power" => values(&[7.0, 8.0]),
+                "jobs" => served(&[60], column(&["['7']".into()])),
+            },
+        };
+        let power = section(&doc, "10.101.1.1", "power").unwrap();
+        assert_eq!(power, [(None, 0, &Value::from(7.0)), (None, 60, &Value::from(8.0))]);
+        assert_eq!(section(&doc, "10.101.1.1", "jobs").unwrap()[0].1, 60);
+        // The grid is no node.
+        let nodes = decode(&doc).unwrap();
+        assert_eq!((nodes.len(), nodes[0].jobs.clone()), (1, vec![JobId(7)]));
+        assert_eq!(readings(&doc).unwrap().len(), 3);
+        // Without a grid, such a section has no times to read.
+        let bare = jobj! { "10.101.1.1" => jobj! { "power" => values(&[7.0, 8.0]) } };
+        assert!(decode(&bare).is_err());
     }
 
     #[test]

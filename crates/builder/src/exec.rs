@@ -100,17 +100,22 @@ impl JsonSink {
         self.0.push('}');
     }
 
-    /// A section member, `{"time":[…],"values":…}`; `fill` writes the values.
+    /// A section member, `{"time":[…],"values":…}`, or `{"values":…}` on the
+    /// document's grid (no `times`); `fill` writes the values.
     fn section(
         &mut self,
         key: &str,
-        times: impl Iterator<Item = i64>,
+        times: Option<impl Iterator<Item = i64>>,
         fill: impl FnOnce(&mut Self),
     ) {
         self.member(key);
-        self.0.push_str("{\"time\":");
-        self.array(times, write_i64);
-        self.0.push_str(",\"values\":");
+        self.0.push('{');
+        if let Some(times) = times {
+            self.0.push_str("\"time\":");
+            self.array(times, write_i64);
+            self.0.push(',');
+        }
+        self.0.push_str("\"values\":");
         fill(self);
         self.0.push('}');
     }
@@ -153,6 +158,10 @@ fn write_value(out: &mut String, value: Option<&FieldValue>) {
 /// whose query names a `label_tag` `{"time":[t…],"values":{label:[v|null…]}}`,
 /// the ascending union of its labels' times and each label's values on
 /// it, `null` where the label has none (of two at one time, the later).
+/// The document writes its window grid once, as its first member `"time"`
+/// (no node address is that key): the first windowed section's first
+/// series' times, when they ascend. A section whose one series, or each
+/// label, is on the grid leaves out its own.
 ///
 /// A document is keyed, so what the plan repeats is decided here, once: a
 /// node takes the position of its first query and gathers the sections of
@@ -181,8 +190,21 @@ pub fn render(plan: &[PlannedQuery], results: &[ResultSet], sink: &mut JsonSink)
         }
     }
 
+    // The grid, chosen before any text is written.
+    let windowed = |at: &&usize| plan[**at].query.group_by.is_some();
+    let grid = nodes.iter().flat_map(|(_, sections)| sections).find(windowed);
+    let grid = grid.map(|&at| &results[at].series[0].points[..]);
+    let grid = grid.filter(|g| !g.is_empty() && g.windows(2).all(|w| w[0].0 < w[1].0));
+    if let Some(grid) = grid {
+        sink.member("time");
+        sink.array(grid.iter().map(|p| p.0.as_secs()), write_i64);
+    }
+    let on_grid = |s: &SeriesResult| {
+        grid.is_some_and(|grid| s.points.iter().map(|p| p.0).eq(grid.iter().map(|p| p.0)))
+    };
+
     // Scratch every labelled section reuses: its labels, its time column
-    // when they do not share one, and a label's values laid on that column.
+    // when they are not on the grid, and a label's values laid on that column.
     let mut points_out = 0;
     let mut labelled: Vec<(&str, &SeriesResult)> = Vec::new();
     let mut times: Vec<i64> = Vec::new();
@@ -194,8 +216,9 @@ pub fn render(plan: &[PlannedQuery], results: &[ResultSet], sink: &mut JsonSink)
                 let points = || series.iter().flat_map(|s| &s.points);
                 let Some(tag) = planned.label_tag else {
                     points_out += results[at].point_count();
+                    let own = !(series.len() == 1 && on_grid(&series[0]));
                     let times = points().map(|(t, _)| t.as_secs());
-                    sink.section(planned.section, times, |sink| {
+                    sink.section(planned.section, own.then_some(times), |sink| {
                         sink.array(points().map(|(_, v)| Some(v)), write_value)
                     });
                     continue;
@@ -208,14 +231,10 @@ pub fn render(plan: &[PlannedQuery], results: &[ResultSet], sink: &mut JsonSink)
                         None => labelled.push((label, s)),
                     }
                 }
-                // A windowed section's labels share one ascending grid, the
-                // first label's, and each label's points are its column as
-                // they stand; only other sections build the union.
-                let grid = &labelled[0].1.points;
-                let shared = grid.windows(2).all(|w| w[0].0 < w[1].0)
-                    && labelled
-                        .iter()
-                        .all(|(_, s)| s.points.iter().map(|p| p.0).eq(grid.iter().map(|p| p.0)));
+                // Labels on the grid (a windowed section's, but for a node
+                // missing a window) are each their column as they stand; any
+                // other section's labels are laid on the union of their times.
+                let shared = labelled.iter().all(|(_, s)| on_grid(s));
                 times.clear();
                 if !shared {
                     let all = labelled.iter().flat_map(|(_, s)| &s.points);
@@ -223,8 +242,8 @@ pub fn render(plan: &[PlannedQuery], results: &[ResultSet], sink: &mut JsonSink)
                     times.sort_unstable();
                     times.dedup();
                 }
-                let grid = grid.iter().filter(|_| shared).map(|(t, _)| t.as_secs());
-                sink.section(planned.section, grid.chain(times.iter().copied()), |sink| {
+                let column = (!shared).then_some(times.iter().copied());
+                sink.section(planned.section, column, |sink| {
                     sink.0.push('{');
                     for (label, s) in &labelled {
                         sink.member(label);
@@ -338,20 +357,25 @@ pub(crate) fn run_prepared(
 impl Batch {
     /// [`render`] the results as the reply's text and account for it: the
     /// modelled processing time, the output-point counter, the wall
-    /// histogram. The text is reserved from the shape — 11 B a window time
-    /// (ten digits and a comma; a labelled section writes its longest
-    /// label's times once), 10 B a value, 40 B a series for its key and
-    /// brackets: 1.1–1.5× what the catalog's panels and Fig. 18's bodies
-    /// write — so it is written into one block that does not grow.
+    /// histogram. The text is reserved from the shape — 11 B a time of the
+    /// window grid (ten digits and a comma, the longest series' count, once),
+    /// 10 B a value, 40 B a series for its key and brackets, and in a section
+    /// that is not windowed (`jobs`) 11 B a time and its text: 1.1–1.8× what
+    /// the catalog's panels write, 1.5–1.6× Fig. 18's bodies — so it is
+    /// written into one block that does not grow. A section off the grid (a
+    /// node missing a window) writes times this leaves to the values' slack.
     pub(crate) fn render_into(self, db: &Db, plan: &[PlannedQuery]) -> BuilderOutcome<Vec<u8>> {
         let started = Instant::now();
         let room = plan.iter().zip(&self.results).map(|(planned, rs)| {
-            let points = rs.point_count();
-            let longest = rs.series.iter().map(|s| s.points.len()).max().unwrap_or(0);
-            let times = if planned.label_tag.is_some() { longest } else { points };
-            11 * times + 10 * points + 40 * rs.series.len()
+            let raw = rs.series.iter().flat_map(|s| &s.points);
+            let raw = raw.filter(|_| planned.query.group_by.is_none()).map(|(_, v)| match v {
+                FieldValue::Str(text) => 11 + text.len(),
+                _ => 11,
+            });
+            raw.sum::<usize>() + 10 * rs.point_count() + 40 * rs.series.len()
         });
-        let room = room.sum();
+        let grid = self.results.iter().flat_map(|rs| &rs.series).map(|s| s.points.len()).max();
+        let room = 11 * grid.unwrap_or(0) + room.sum::<usize>();
         let mut sink = JsonSink::with_capacity(room);
         let points_out = render(plan, &self.results, &mut sink);
         let document = sink.finish();
@@ -471,7 +495,7 @@ mod tests {
         plan[10].section = "power_again";
         let out = execute(&db, &plan, ExecMode::Concurrent { workers: 8 }).unwrap();
         let doc = out.document.as_object().unwrap();
-        assert_eq!(doc.keys().collect::<Vec<_>>(), vec!["10.101.1.1", "10.101.1.2"]);
+        assert_eq!(doc.keys().collect::<Vec<_>>(), vec!["time", "10.101.1.1", "10.101.1.2"]);
         let first = doc.get("10.101.1.1").unwrap().as_object().unwrap();
         assert_eq!(
             first.keys().collect::<Vec<_>>(),
@@ -525,6 +549,101 @@ mod tests {
         assert_eq!(member("CPU1 Temp")[0].2.as_f64(), Some(4.0));
         assert_eq!(member("unlabeled").len(), 7);
         assert_eq!(counted, 5 + 7 + 1);
+    }
+
+    /// A result set of one series per `(label, times)`, each reading its time.
+    fn results(series: &[(&str, &[i64])]) -> ResultSet {
+        let series = series.iter().map(|&(label, times)| SeriesResult {
+            key: Arc::new(monster_tsdb::SeriesKey {
+                measurement: "M".into(),
+                tags: vec![("Label".into(), label.into())],
+            }),
+            points: times.iter().map(|&t| (EpochSecs::new(t), FieldValue::Int(t))).collect(),
+        });
+        ResultSet { series: series.collect() }
+    }
+
+    /// Render `entries` (node, section, label tag, windowed, results) and
+    /// parse the text.
+    fn rendered(entries: Vec<(usize, &'static str, bool, bool, ResultSet)>) -> (Value, usize) {
+        let (plan, results): (Vec<_>, Vec<_>) = entries
+            .into_iter()
+            .map(|(node, section, labelled, windowed, rs)| {
+                let query = Query::select("M", "F", EpochSecs::new(0), EpochSecs::new(900));
+                let planned = PlannedQuery {
+                    group: crate::QueryGroup::Bmc,
+                    node: NodeId::enumerate(2, 4)[node],
+                    section,
+                    label_tag: labelled.then_some("Label"),
+                    query: if windowed { query.group_by_time(300) } else { query },
+                };
+                (planned, rs)
+            })
+            .unzip();
+        let mut sink = JsonSink::with_capacity(0);
+        let points = render(&plan, &results, &mut sink);
+        (monster_json::parse(std::str::from_utf8(&sink.finish()).unwrap()).unwrap(), points)
+    }
+
+    #[test]
+    fn the_window_grid_is_written_once_and_only_other_columns_again() {
+        let grid: &[i64] = &[0, 300, 600];
+        let (doc, points) = rendered(vec![
+            (0, "power", false, true, results(&[("NodePower", grid)])),
+            (0, "thermal", true, true, results(&[("CPU1", grid), ("CPU2", grid)])),
+            (0, "jobs", false, false, results(&[("", &[600])])),
+            // The second node misses a window; a label union is not the grid.
+            (1, "power", false, true, results(&[("NodePower", &[0, 600])])),
+            (1, "thermal", true, true, results(&[("CPU1", &[0, 300]), ("CPU2", &[300])])),
+        ]);
+        let text = doc.to_string_compact();
+        assert!(text.starts_with(r#"{"time":[0,300,600],"10.101.1.1":{"power":{"values":"#));
+        let own = |node: &str, section| doc.get(node).unwrap().get(section).unwrap().get("time");
+        assert_eq!(own("10.101.1.1", "power"), None);
+        assert_eq!(own("10.101.1.1", "thermal"), None);
+        assert_eq!(own("10.101.1.1", "jobs"), Some(&Value::Array(vec![600.into()])));
+        assert_eq!(own("10.101.1.2", "power"), Some(&Value::Array(vec![0.into(), 600.into()])));
+        assert_eq!(own("10.101.1.2", "thermal").unwrap().as_array().unwrap().len(), 2);
+        // Every reading reads back at its own time, whichever column holds it.
+        let read = served::readings(&doc).unwrap();
+        assert_eq!(read.len(), points);
+        assert_eq!(points, 3 + 6 + 1 + 2 + 3);
+        assert!(read.iter().all(|(_, _, (_, t, v))| v.as_i64() == Some(*t)), "{read:?}");
+        let power: Vec<i64> = read.iter().filter(|r| r.0 == "10.101.1.2").map(|r| r.2 .1).collect();
+        assert_eq!(power, [0, 600, 0, 300, 300]);
+    }
+
+    #[test]
+    fn a_plan_with_no_windowed_section_writes_no_grid() {
+        let (doc, points) = rendered(vec![(0, "jobs", false, false, results(&[("", &[600])]))]);
+        assert_eq!(
+            doc.to_string_compact(),
+            r#"{"10.101.1.1":{"jobs":{"time":[600],"values":[600]}}}"#
+        );
+        assert_eq!(points, 1);
+        // No node address is the grid's key.
+        assert_eq!(NodeId::parse("time"), None);
+    }
+
+    #[test]
+    fn a_compressed_body_reads_as_the_plain_one() {
+        let (db, ids) = seeded(3);
+        let plan = build_plan(SchemaVersion::Optimized, &ids, &request());
+        let net = &monster_sim::NetModel::GIGABIT_LAN;
+        let body = |compress| {
+            let level = monster_compress::Level::default();
+            crate::encode_response(&db, &plan, ExecMode::Sequential, compress, level, net)
+                .unwrap()
+                .body
+        };
+        let (plain, packed) = (body(false), body(true));
+        assert!(packed.len() < plain.len());
+        let parse = |b: &[u8]| monster_json::parse(std::str::from_utf8(b).unwrap()).unwrap();
+        let (plain, packed) =
+            (parse(&plain), parse(&monster_compress::decompress(&packed).unwrap()));
+        let readings = served::readings(&plain).unwrap();
+        assert_eq!(readings.len(), 3 * (4 * 24 + 5), "four windowed sections, five jobs");
+        assert_eq!(served::readings(&packed).unwrap(), readings);
     }
 
     #[test]

@@ -79,21 +79,23 @@ fn arb_series() -> impl Strategy<Value = SeriesResult> {
 
 /// One plan entry and its result set: any of three nodes in any order, a
 /// small pool of section names (one needing escapes), flat or keyed by
-/// either tag, 0–3 series.
+/// either tag, windowed or not, 0–3 series.
 fn arb_entry() -> impl Strategy<Value = (PlannedQuery, ResultSet)> {
     (
         0..3usize,
         prop_oneof![Just("power"), Just("thermal"), Just("jobs"), Just("odd \"key\"\t")],
         prop_oneof![Just(None), Just(Some("Label")), Just(Some("Slot")), Just(Some("Absent"))],
+        any::<bool>(),
         prop::collection::vec(arb_series(), 0..4),
     )
-        .prop_map(|(node, section, label_tag, series)| {
+        .prop_map(|(node, section, label_tag, windowed, series)| {
+            let query = Query::select("Thermal", "Reading", EpochSecs::new(0), EpochSecs::new(240));
             let planned = PlannedQuery {
                 group: QueryGroup::Bmc,
                 node: NodeId::enumerate(3, 4)[node],
                 section,
                 label_tag,
-                query: Query::select("Thermal", "Reading", EpochSecs::new(0), EpochSecs::new(60)),
+                query: if windowed { query.group_by_time(60) } else { query },
             };
             (planned, ResultSet { series })
         })
@@ -181,8 +183,9 @@ proptest! {
     /// The law of the served document, over random plans: what
     /// `served::readings` reads back from `render`'s text is the rule's
     /// readings less the non-finite ones, nodes and sections stand in
-    /// first-position order, the text parsed and printed again is the same
-    /// bytes, and `points_out` counts the rule's readings.
+    /// first-position order after the window grid (a non-empty array, and
+    /// only where a section is windowed), the text parsed and printed again
+    /// is the same bytes, and `points_out` counts the rule's readings.
     #[test]
     fn the_served_document_says_what_the_rule_says(
         entries in prop::collection::vec(arb_entry(), 0..12)
@@ -197,7 +200,10 @@ proptest! {
 
         let (keys, rule) = rule(&plan, &results);
         prop_assert_eq!(points, rule.len());
-        let nodes = document.as_object().unwrap().iter();
+        let mut nodes = document.as_object().unwrap().iter().peekable();
+        let grid = nodes.next_if(|(key, _)| *key == "time").map(|(_, grid)| grid);
+        prop_assert!(grid.is_none_or(|g| !g.as_array().unwrap().is_empty()));
+        prop_assert!(grid.is_none() || plan.iter().any(|p| p.query.group_by.is_some()));
         let written: Vec<(String, Vec<String>)> = nodes
             .map(|(node, s)| (node.into(), s.as_object().unwrap().keys().map(Into::into).collect()))
             .collect();

@@ -44,7 +44,7 @@ fn main() {
         resp.headers.get("X-Query-Processing-Ms").unwrap_or("?")
     );
 
-    let nodes = doc.as_object().map(|o| o.len()).unwrap_or(0);
+    let nodes = served::decode(&doc).expect("a served document").len();
     let power_points = served::section(&doc, "10.101.1.1", "power").expect("served").len();
     println!("document: {nodes} nodes, {power_points} power windows for 10.101.1.1");
     assert_eq!(nodes, 12, "the served document names every node");
