@@ -98,8 +98,7 @@ impl ClusterReport {
                 .then_with(|| a.user.cmp(&b.user))
         });
 
-        let capacity_core_hours =
-            nodes as f64 * slots_per_node as f64 * (end - start) as f64 / 3600.0;
+        let capacity = nodes as f64 * slots_per_node as f64 * (end - start) as f64 / 3600.0;
         ClusterReport {
             start,
             end,
@@ -109,11 +108,7 @@ impl ClusterReport {
             jobs_failed: total_failed,
             jobs_pending: qm.pending_jobs().len(),
             core_hours_delivered: total_core_hours,
-            utilization: if capacity_core_hours > 0.0 {
-                (total_core_hours / capacity_core_hours).min(1.0)
-            } else {
-                0.0
-            },
+            utilization: if capacity > 0.0 { (total_core_hours / capacity).min(1.0) } else { 0.0 },
             users,
         }
     }

@@ -5,9 +5,7 @@
 //! dimensions and job lists, the inputs of Figs. 7–9 and `monster top`.
 //! Names are the writer's: the thermal labels are [`METRIC_NAMES`]' first
 //! seven, the sections those of [`SchemaVersion::Optimized`]. A document is
-//! `{"time":[grid…],node:{section:{"values":…},…},…}`: the window grid
-//! once, then each node's sections, a section on another column with its
-//! own `"time"` ([`section`] spells the shape out; [`readings`] walks it).
+//! its window grid, then its nodes' sections: [`section`] spells it out.
 
 use crate::METRIC_NAMES;
 use monster_collector::SchemaVersion;

@@ -158,10 +158,10 @@ fn write_value(out: &mut String, value: Option<&FieldValue>) {
 /// whose query names a `label_tag` `{"time":[t…],"values":{label:[v|null…]}}`,
 /// the ascending union of its labels' times and each label's values on
 /// it, `null` where the label has none (of two at one time, the later).
-/// The document writes its window grid once, as its first member `"time"`
-/// (no node address is that key): the first windowed section's first
-/// series' times, when they ascend. A section whose one series, or each
-/// label, is on the grid leaves out its own.
+/// The document writes its window grid once, first, as `"time"` (no node
+/// address is that key): the first windowed section's first series' times,
+/// when they ascend. A section whose one series, or each label, is on it
+/// writes no times of its own.
 ///
 /// A document is keyed, so what the plan repeats is decided here, once: a
 /// node takes the position of its first query and gathers the sections of

@@ -432,8 +432,8 @@ impl<'a> Draft<'a> {
         Draft { url, tenant, record: RequestRecord { trace, span, ..RequestRecord::default() } }
     }
 
-    /// Overwrite `rec` with this request — everything but `seq` and
-    /// `slow`, which are the recorder's to assign. The one place a draft
+    /// Overwrite `rec` with this request; its `seq` and `slow` are the
+    /// recorder's to assign after. The one place a draft
     /// becomes a record: the ring slot, the slow-log pin (a clone of the
     /// slot) and the `?explain=true` inline record all come from here, so
     /// they agree on the cut strings, the `truncated` flag and the
@@ -441,27 +441,12 @@ impl<'a> Draft<'a> {
     /// allocates nothing when they hold [`TENANT_BYTES`]/[`URL_BYTES`] of
     /// capacity.
     pub(crate) fn fill(&self, rec: &mut RequestRecord) {
-        let tenant_cut = copy_prefix(&mut rec.tenant, self.tenant, TENANT_BYTES);
-        let url_cut = copy_prefix(&mut rec.url, self.url, URL_BYTES);
-        rec.truncated = tenant_cut | url_cut;
-        rec.fingerprint = fingerprint64(self.url);
-        let d = &self.record;
-        (rec.trace, rec.span, rec.parent) = (d.trace, d.span, d.parent);
-        (rec.exec_span, rec.scan_span, rec.scan_threads) =
-            (d.exec_span, d.scan_span, d.scan_threads);
-        rec.start_ns = d.start_ns;
-        rec.disposition = d.disposition;
-        rec.status = d.status;
-        rec.verdict = d.verdict;
-        rec.explain = d.explain;
-        rec.stages_ns = d.stages_ns;
-        rec.total_ns = d.total_ns;
-        rec.vtime_execute_ns = d.vtime_execute_ns;
-        rec.vtime_encode_ns = d.vtime_encode_ns;
-        rec.bytes_out = d.bytes_out;
-        rec.points_out = d.points_out;
-        rec.cost = d.cost;
-        rec.admission = d.admission;
+        let (mut tenant, mut url) = (std::mem::take(&mut rec.tenant), std::mem::take(&mut rec.url));
+        let truncated = copy_prefix(&mut tenant, self.tenant, TENANT_BYTES)
+            | copy_prefix(&mut url, self.url, URL_BYTES);
+        let fingerprint = fingerprint64(self.url);
+        // The draft's own strings are empty: cloning them allocates nothing.
+        *rec = RequestRecord { tenant, url, truncated, fingerprint, ..self.record.clone() };
     }
 }
 
@@ -717,16 +702,7 @@ pub fn base64_encode(data: &[u8]) -> String {
 
 /// Inverse of [`base64_encode`]; `None` on malformed input.
 pub fn base64_decode(s: &str) -> Option<Vec<u8>> {
-    fn val(c: u8) -> Option<u32> {
-        Some(match c {
-            b'A'..=b'Z' => (c - b'A') as u32,
-            b'a'..=b'z' => (c - b'a' + 26) as u32,
-            b'0'..=b'9' => (c - b'0' + 52) as u32,
-            b'+' => 62,
-            b'/' => 63,
-            _ => return None,
-        })
-    }
+    let val = |c: u8| B64.iter().position(|&b| b == c).map(|at| at as u32);
     let s = s.as_bytes();
     if !s.len().is_multiple_of(4) {
         return None;

@@ -145,14 +145,8 @@ fn stamp_trace_headers(mut resp: Response, ctx: TraceContext, obs: &Registry) ->
 /// `req.query.contains("explain")` so the common path never splits.
 fn normalize_key(req: &Request) -> (String, bool) {
     let explain = req.query_param("explain") == Some("true");
-    let kept: Vec<&str> = req
-        .query
-        .split('&')
-        .filter(|kv| {
-            let name = kv.split('=').next().unwrap_or(kv);
-            name != "explain"
-        })
-        .collect();
+    let kept: Vec<&str> =
+        req.query.split('&').filter(|kv| kv.split('=').next() != Some("explain")).collect();
     (format!("{}?{}", req.path, kept.join("&")), explain)
 }
 
@@ -172,14 +166,11 @@ fn explain_envelope(resp: &Response, record: &RequestRecord) -> Response {
     };
     let mut out = Response::json(&doc);
     out.status = resp.status;
+    let entity = ["Content-Type", "Content-Length", "Content-Encoding"];
     for (name, value) in resp.headers.iter() {
-        if name.eq_ignore_ascii_case("Content-Type")
-            || name.eq_ignore_ascii_case("Content-Length")
-            || name.eq_ignore_ascii_case("Content-Encoding")
-        {
-            continue;
+        if !entity.iter().any(|h| name.eq_ignore_ascii_case(h)) {
+            out.headers.set(name, value);
         }
-        out.headers.set(name, value);
     }
     out
 }
@@ -207,11 +198,8 @@ fn parse_metrics_request(req: &Request) -> Result<BuilderRequest, Response> {
     };
     let builder_req = BuilderRequest::new(start, end, interval, aggregation)
         .map_err(|e| bad_request(&e.to_string()))?;
-    Ok(if req.query_param("compress") == Some("true") {
-        builder_req.compressed()
-    } else {
-        builder_req
-    })
+    let compress = req.query_param("compress") == Some("true");
+    Ok(if compress { builder_req.compressed() } else { builder_req })
 }
 
 /// Everything the `/v1/metrics` handler closes over, so the serving logic
