@@ -609,8 +609,9 @@ mod tests {
         assert_eq!(read.len(), points);
         assert_eq!(points, 3 + 6 + 1 + 2 + 3);
         assert!(read.iter().all(|(_, _, (_, t, v))| v.as_i64() == Some(*t)), "{read:?}");
-        let power: Vec<i64> = read.iter().filter(|r| r.0 == "10.101.1.2").map(|r| r.2 .1).collect();
-        assert_eq!(power, [0, 600, 0, 300, 300]);
+        let second: Vec<i64> =
+            read.iter().filter(|r| r.0 == "10.101.1.2").map(|r| r.2 .1).collect();
+        assert_eq!(second, [0, 600, 0, 300, 300]);
     }
 
     #[test]
