@@ -281,7 +281,7 @@ fn the_service_sends_the_library_paths_bytes_and_shares_them_on_a_hit() {
         let url = if compress { format!("{url}&compress=true") } else { url.to_string() };
         let miss = service.dispatch(&Request::get(&url));
         assert_eq!(miss.headers.get("X-Cache"), Some("miss"));
-        assert_eq!(miss.headers.get("Content-Encoding"), compress.then_some("mz2"));
+        assert_eq!(miss.headers.get("Content-Encoding"), compress.then_some("deflate"));
         assert_eq!(miss.body, library.body, "compress={compress}: the wire bytes");
         assert_eq!(
             miss.decoded_body().unwrap(),

@@ -132,11 +132,6 @@ impl<'a> BitReader<'a> {
         Ok(())
     }
 
-    /// The bits from here to the next byte boundary.
-    pub fn padding(&self) -> u64 {
-        self.acc & ((1u64 << (self.nbits % 8)) - 1)
-    }
-
     /// Skip to the next byte boundary and return the bytes not yet read.
     pub fn into_remaining_bytes(self) -> &'a [u8] {
         // Whole unread bytes sit in the accumulator; hand them back.

@@ -1,22 +1,27 @@
 //! Canonical Huffman coding: length assignment, encode codes, decode table.
 //!
 //! Codes are canonical (assigned by length, then symbol), so only the
-//! per-symbol code *lengths* travel in a block's header. Lengths are capped
-//! at [`MAX_BITS`], which keeps the decoder to one table lookup per symbol;
-//! when the optimal tree is deeper, the deepest leaves are lifted to the cap
-//! and the Kraft sum repaired by pushing the cheapest shorter codes down one
-//! level (the miniz rule). Every buffer lives in a [`CodeBuilder`] or
-//! [`DecodeTable`] the caller keeps across blocks.
+//! per-symbol code *lengths* travel in a block's header. The writer caps
+//! lengths at [`MAX_BITS`]; when the optimal tree is deeper, the deepest
+//! leaves are lifted to the cap and the Kraft sum repaired by pushing the
+//! cheapest shorter codes down one level (the miniz rule). The decoder
+//! reads any DEFLATE code, up to [`MAX_CODE_BITS`], with one lookup in a
+//! table sized to the code's longest length. Every buffer lives in a
+//! [`CodeBuilder`] or [`DecodeTable`] the caller keeps across blocks.
 
 use monster_util::{Error, Result};
 
-/// Longest code, in bits. Twelve bits cost well under 0.1 % on 128 KiB
-/// blocks against DEFLATE's fifteen and make the decode table 4 096
-/// entries — 8 KB, resident in L1 beside the window.
+/// Longest code the writer makes, in bits. Twelve bits cost well under
+/// 0.1 % on 128 KiB blocks against DEFLATE's fifteen and keep the decode
+/// table of our own streams to 4 096 entries — 8 KB, resident in L1 beside
+/// the window.
 pub(crate) const MAX_BITS: u32 = 12;
 
-/// The largest alphabet a [`CodeBuilder`] is asked about (literal/length).
-const MAX_SYMBOLS: usize = 286;
+/// Longest code DEFLATE allows, hence the longest the decoder reads.
+pub(crate) const MAX_CODE_BITS: u32 = 15;
+
+/// The largest alphabet: literal/length, with the fixed code's two unused.
+const MAX_SYMBOLS: usize = 288;
 
 /// Scratch for [`CodeBuilder::lengths`]: the used symbols sorted by
 /// frequency, then the tree over them as parent links.
@@ -43,15 +48,15 @@ impl CodeBuilder {
         }
     }
 
-    /// Code lengths for `freqs`, written to `lens` (same length).
+    /// Code lengths of at most `cap` bits for `freqs`, into `lens` (same length).
     ///
     /// Symbols with zero frequency get length 0 (no code). If only one
     /// symbol occurs it still gets a 1-bit code so the decoder can make
     /// progress. Ties break on the symbol number, so the result is a
     /// function of `freqs` alone.
-    pub(crate) fn lengths(&mut self, freqs: &[u32], lens: &mut [u8]) {
+    pub(crate) fn lengths(&mut self, freqs: &[u32], lens: &mut [u8], cap: u32) {
         debug_assert_eq!(freqs.len(), lens.len());
-        debug_assert!(freqs.len() <= MAX_SYMBOLS);
+        debug_assert!(freqs.len() <= MAX_SYMBOLS && cap <= MAX_BITS);
         lens.fill(0);
         self.leaves.clear();
         self.leaves
@@ -103,7 +108,7 @@ impl CodeBuilder {
         for node in (0..n - 2).rev() {
             self.inner_depth[node] = self.inner_depth[self.inner_parent[node] as usize] + 1;
         }
-        let cap = MAX_BITS as usize;
+        let cap = cap as usize;
         let mut count = [0u32; MAX_BITS as usize + 1];
         for leaf in 0..n {
             let depth = self.inner_depth[self.leaf_parent[leaf] as usize] as usize + 1;
@@ -137,13 +142,13 @@ impl CodeBuilder {
 /// LSB-first stream puts the first code bit first (the DEFLATE
 /// convention). `codes[s]` is meaningless where `lens[s] == 0`.
 pub(crate) fn assign_codes(lens: &[u8], codes: &mut [u16]) {
-    let mut count = [0u16; MAX_BITS as usize + 1];
+    let mut count = [0u16; MAX_CODE_BITS as usize + 1];
     for &l in lens {
         count[l as usize] += 1;
     }
     count[0] = 0;
-    let mut next = [0u16; MAX_BITS as usize + 2];
-    for l in 1..=MAX_BITS as usize {
+    let mut next = [0u16; MAX_CODE_BITS as usize + 2];
+    for l in 1..=MAX_CODE_BITS as usize {
         next[l + 1] = (next[l] + count[l]) << 1;
     }
     for (&l, code) in lens.iter().zip(codes.iter_mut()) {
@@ -154,36 +159,36 @@ pub(crate) fn assign_codes(lens: &[u8], codes: &mut [u16]) {
     }
 }
 
-/// One-lookup decoder: indexed by the next [`MAX_BITS`] stream bits, an
-/// entry holds `symbol << 4 | length`; zero marks bit patterns no code
-/// begins (the table of an incomplete code has holes).
-#[derive(Debug)]
+/// One-lookup decoder: indexed by the next `bits` stream bits (the longest
+/// code), an entry holds `symbol << 4 | length`; zero marks bit patterns no
+/// code begins (the table of an incomplete code has holes).
+#[derive(Debug, Default)]
 pub(crate) struct DecodeTable {
     entries: Vec<u16>,
+    /// The longest code's length: how many stream bits a lookup reads.
+    pub(crate) bits: u32,
 }
 
 impl DecodeTable {
-    pub(crate) fn new() -> Self {
-        DecodeTable { entries: vec![0; 1 << MAX_BITS] }
-    }
-
-    /// Rebuild for `lens`; errors on a length past the cap or an
-    /// over-subscribed (Kraft sum above one) set. A set with no codes at
-    /// all is legal and decodes nothing.
+    /// Rebuild for `lens`; errors on a length past DEFLATE's fifteen bits
+    /// or an over-subscribed (Kraft sum above one) set. A set with no codes
+    /// at all is legal and decodes nothing.
     pub(crate) fn rebuild(&mut self, lens: &[u8]) -> Result<()> {
         debug_assert!(lens.len() <= MAX_SYMBOLS);
-        if lens.iter().any(|&l| l as u32 > MAX_BITS) {
-            return Err(Error::Corrupt("huffman code length exceeds cap".into()));
+        let bits = lens.iter().copied().max().unwrap_or(0) as u32;
+        if bits > MAX_CODE_BITS {
+            return Err(Error::Corrupt("huffman code length exceeds 15 bits".into()));
         }
-        let kraft: u64 =
-            lens.iter().filter(|&&l| l > 0).map(|&l| 1u64 << (MAX_BITS - l as u32)).sum();
-        if kraft > 1u64 << MAX_BITS {
+        let kraft: u64 = lens.iter().filter(|&&l| l > 0).map(|&l| 1u64 << (bits - l as u32)).sum();
+        if kraft > 1u64 << bits {
             return Err(Error::Corrupt("over-subscribed huffman lengths".into()));
         }
         let mut codes = [0u16; MAX_SYMBOLS];
         let codes = &mut codes[..lens.len()];
         assign_codes(lens, codes);
-        self.entries.fill(0);
+        self.bits = bits;
+        self.entries.clear();
+        self.entries.resize(1 << bits, 0);
         for (sym, (&l, &code)) in lens.iter().zip(codes.iter()).enumerate() {
             if l == 0 {
                 continue;
@@ -196,12 +201,12 @@ impl DecodeTable {
         Ok(())
     }
 
-    /// Decode the symbol whose code starts `bits` (at least [`MAX_BITS`]
-    /// stream bits, LSB first): `(symbol, code length)`, or `None` where no
+    /// Decode the symbol whose code starts `bits` (at least
+    /// [`bits`](Self::bits) stream bits, LSB first): `(symbol, code length)`, or `None` where no
     /// code matches.
     #[inline]
     pub(crate) fn lookup(&self, bits: u64) -> Option<(usize, u32)> {
-        let entry = self.entries[(bits & ((1 << MAX_BITS) - 1)) as usize];
+        let entry = self.entries[(bits & ((1 << self.bits) - 1)) as usize];
         (entry != 0).then_some(((entry >> 4) as usize, (entry & 15) as u32))
     }
 }
@@ -213,7 +218,7 @@ mod tests {
 
     fn lengths(freqs: &[u32]) -> Vec<u8> {
         let mut lens = vec![0u8; freqs.len()];
-        CodeBuilder::new().lengths(freqs, &mut lens);
+        CodeBuilder::new().lengths(freqs, &mut lens, MAX_BITS);
         lens
     }
 
@@ -221,7 +226,7 @@ mod tests {
         let lens = lengths(freqs);
         let mut codes = vec![0u16; lens.len()];
         assign_codes(&lens, &mut codes);
-        let mut table = DecodeTable::new();
+        let mut table = DecodeTable::default();
         table.rebuild(&lens).unwrap();
         let mut w = BitWriter::new();
         for &s in stream {
@@ -303,20 +308,20 @@ mod tests {
     fn scratch_reuse_does_not_leak_state() {
         let mut builder = CodeBuilder::new();
         let mut first = [0u8; 7];
-        builder.lengths(&[1000, 500, 100, 10, 1, 0, 3], &mut first);
+        builder.lengths(&[1000, 500, 100, 10, 1, 0, 3], &mut first, MAX_BITS);
         let mut other = [0u8; 3];
-        builder.lengths(&[1, 1, 1], &mut other);
+        builder.lengths(&[1, 1, 1], &mut other, 2);
         let mut again = [0u8; 7];
-        builder.lengths(&[1000, 500, 100, 10, 1, 0, 3], &mut again);
+        builder.lengths(&[1000, 500, 100, 10, 1, 0, 3], &mut again, MAX_BITS);
         assert_eq!(first, again);
     }
 
     #[test]
     fn decoder_rejects_oversubscribed_and_overlong() {
-        let mut t = DecodeTable::new();
+        let mut t = DecodeTable::default();
         // Three 1-bit codes cannot coexist.
         assert!(t.rebuild(&[1, 1, 1]).is_err());
-        assert!(t.rebuild(&[13]).is_err());
+        assert!(t.rebuild(&[16]).is_err());
         // No codes at all: legal, decodes nothing.
         t.rebuild(&[0, 0]).unwrap();
         assert!(t.lookup(0).is_none());
@@ -325,11 +330,36 @@ mod tests {
     #[test]
     fn decoder_detects_dangling_code() {
         // Three 2-bit codes leave the pattern "11" unused.
-        let mut t = DecodeTable::new();
+        let mut t = DecodeTable::default();
         t.rebuild(&[2, 2, 2]).unwrap();
         assert_eq!(t.lookup(0b00), Some((0, 2)));
         assert_eq!(t.lookup(0b01), Some((2, 2)), "code 10 arrives low bit first");
         assert!(t.lookup(0b11).is_none());
+    }
+
+    #[test]
+    fn fifteen_bit_codes_decode_from_a_table_of_their_size() {
+        // Lengths 1, 2, …, 15, 15: a complete code as deep as DEFLATE goes.
+        let lens: Vec<u8> = (1..=15).chain([15]).collect();
+        let mut codes = vec![0u16; lens.len()];
+        assign_codes(&lens, &mut codes);
+        let mut t = DecodeTable::default();
+        t.rebuild(&lens).unwrap();
+        assert_eq!((t.bits, t.entries.len()), (15, 1 << 15));
+        let mut w = BitWriter::new();
+        for s in (0..lens.len()).rev() {
+            w.write(codes[s] as u64, lens[s] as u32);
+        }
+        let buf = w.finish();
+        let mut r = BitReader::new(&buf);
+        for s in (0..lens.len()).rev() {
+            let (sym, len) = t.lookup(r.peek(15)).expect("a code");
+            r.consume(len).unwrap();
+            assert_eq!((sym, len), (s, lens[s] as u32));
+        }
+        // A writer's code (at most 12 bits) keeps the table at 4 096 entries.
+        t.rebuild(&lengths(&(1..=40).map(|i| i * i * i).collect::<Vec<u32>>())).unwrap();
+        assert!(t.entries.len() <= 1 << MAX_BITS);
     }
 
     #[test]

@@ -1,20 +1,21 @@
-//! `monster-compress` — a from-scratch DEFLATE-family codec ("mzlib").
+//! `monster-compress` — a from-scratch zlib (RFC 1950 / RFC 1951) codec.
 //!
 //! The paper's final optimization (§IV-B4, Figs. 18–19) compresses Metrics
 //! Builder JSON responses with zlib before transmission, shrinking payloads
-//! to ≈5 % and roughly doubling end-to-end response speed. The workspace
-//! builds its own codec in the same family: LZ77 sliding-window matching
-//! (32 KiB window, matches up to 258 bytes) followed by canonical Huffman
-//! entropy coding, framed with an Adler-32 integrity checksum.
+//! to ≈5 % and roughly doubling end-to-end response speed. This crate
+//! writes and reads that format: LZ77 sliding-window matching (32 KiB
+//! window, matches up to 258 bytes) followed by canonical Huffman coding in
+//! DEFLATE blocks, inside a zlib stream with its Adler-32 checksum. Any
+//! zlib reads what it writes (`curl --compressed`, a browser, Python's
+//! `zlib`), and it reads any zlib stream: stored, fixed and dynamic blocks.
 //!
-//! The container format ("MZ2") is private to MonSTer — both producer and
-//! consumer live in this workspace — but the compression machinery is the
-//! real thing: hash-chain match search with lazy evaluation and a
-//! cost-aware acceptance rule, length/distance symbol alphabets with extra
-//! bits, and canonical code tables per 128 KiB block. Blocks are cut at
-//! fixed input offsets and share nothing but the 32 KiB of input before
-//! them, so large inputs are compressed on every core and the bytes do not
-//! depend on how many there were (DESIGN.md "Response compression").
+//! The machinery is the real thing: hash-chain match search with lazy
+//! evaluation and a cost-aware acceptance rule, length/distance symbol
+//! alphabets with extra bits, and canonical code tables per 128 KiB block.
+//! Blocks are cut at fixed input offsets, end on a byte (a sync flush, as
+//! pigz does) and share nothing but the 32 KiB of input before them, so
+//! large inputs are compressed on every core and the bytes do not depend on
+//! how many there were (DESIGN.md "Response compression").
 //!
 //! # Quick use
 //!
@@ -35,7 +36,7 @@ mod huffman;
 mod lz77;
 
 pub use adler::adler32;
-pub use format::{compress, decompress, decompress_within, CompressStats};
+pub use format::{compress, decompress, decompress_within};
 pub use lz77::Level;
 
 #[cfg(test)]

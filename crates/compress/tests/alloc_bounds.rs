@@ -1,7 +1,8 @@
 //! What `compress` and `decompress` ask of the allocator and of the
 //! thread pool, counted: scratch is per call and thread (not per block),
-//! threads follow size and cores, and no header, flip or truncation makes
-//! the decoder allocate past a small multiple of what it really decodes.
+//! threads follow size and cores, and no flip, truncation or stream that
+//! inflates past its limit makes the decoder allocate past a small
+//! multiple of what it really decodes or may decode.
 //!
 //! `compress` fans out, so the counts are `counting_alloc::all_threads`'s,
 //! the process-wide window: every test here holds it from its first line —
@@ -11,10 +12,10 @@
 mod common;
 
 use counting_alloc::all_threads;
-use monster_compress::{compress, decompress, Level};
+use monster_compress::{compress, decompress, decompress_within, Level};
 use monster_util::pool;
 
-/// Input bytes per container block (`format::BLOCK`).
+/// Input bytes per stream block (`format::BLOCK`).
 const BLOCK: usize = 128 * 1024;
 
 #[test]
@@ -55,7 +56,7 @@ fn threads_follow_size_and_cores() {
     assert_eq!(six_mb, pool::cores() - 1, "48 blocks: every core, the caller among them");
 }
 
-/// A two-block container small enough to try every flip and truncation:
+/// A two-block stream small enough to try every flip and truncation:
 /// 135 KB of forty records cycling with the odd jump, under 2 KB packed.
 fn small_two_block_container() -> (Vec<u8>, Vec<u8>) {
     let records: Vec<String> = (0..40)
@@ -80,27 +81,8 @@ fn small_two_block_container() -> (Vec<u8>, Vec<u8>) {
     (doc, packed)
 }
 
-/// Position and length of the length varint in a container.
-fn header_varint(packed: &[u8]) -> std::ops::Range<usize> {
-    let end = 5 + packed[5..].iter().position(|b| b & 0x80 == 0).unwrap() + 1;
-    5..end
-}
-
-fn varint(mut v: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return out;
-        }
-        out.push(b | 0x80);
-    }
-}
-
 #[test]
-fn lying_headers_flips_and_truncations_fail_within_the_allocation_bound() {
+fn flips_truncations_and_overlong_streams_fail_within_the_allocation_bound() {
     let window = all_threads();
     let (doc, packed) = small_two_block_container();
     // Decode tables (2 × 8 KB) plus at most twice the output and a block.
@@ -110,9 +92,10 @@ fn lying_headers_flips_and_truncations_fail_within_the_allocation_bound() {
     assert_eq!(back.unwrap(), doc);
     assert!(seen.bytes <= cap, "honest input asked for {} B", seen.bytes);
 
-    let check = |what: &str, bad: &[u8], must_fail: bool| {
-        let (result, seen) = window
-            .counted(|| std::panic::catch_unwind(|| decompress(bad)).expect("decompress panicked"));
+    let check = |what: &str, bad: &[u8], limit: usize, must_fail: bool| {
+        let (result, seen) = window.counted(|| {
+            std::panic::catch_unwind(|| decompress_within(bad, limit)).expect("decompress panicked")
+        });
         match result {
             Err(_) => {}
             Ok(out) if !must_fail => assert_eq!(out, doc, "{what}: wrong bytes accepted"),
@@ -122,29 +105,23 @@ fn lying_headers_flips_and_truncations_fail_within_the_allocation_bound() {
         assert!(seen.bytes <= 2 * cap, "{what}: {} B requested", seen.bytes);
     };
 
-    let at = header_varint(&packed);
-    for claim in [doc.len() as u64 + 1, 1 << 20, 1 << 32, 1 << 40, 1 << 62, u64::MAX] {
-        let mut bad = packed[..at.start].to_vec();
-        bad.extend(varint(claim));
-        bad.extend_from_slice(&packed[at.end..]);
-        check(&format!("claimed length {claim}"), &bad, true);
-    }
-    // A 176-byte input that claims a terabyte (the abort this replaces).
-    let tiny = compress(&doc[..1500], Level::default());
-    let at = header_varint(&tiny);
-    let mut bad = tiny[..at.start].to_vec();
-    bad.extend(varint(1 << 40));
-    bad.extend_from_slice(&tiny[at.end..]);
-    check("small input claiming 2^40", &bad, true);
+    // The format has no length field to lie with: what inflates past the
+    // caller's limit is refused as it passes it.
+    check("one byte past the limit", &packed, doc.len() - 1, true);
+    let zeros = compress(&vec![0; 4 << 20], Level::new(1));
+    assert!(zeros.len() < 8 * 1024, "{} bytes", zeros.len());
+    check("4 MiB of zeros under a 135 KB limit", &zeros, doc.len(), true);
 
-    for i in 0..packed.len() {
+    let n = packed.len();
+    for i in 0..n {
         let mut bad = packed.clone();
         // One bit in odd bytes, all eight in even ones.
         bad[i] ^= if i % 2 == 1 { 1 << (i / 2 % 8) } else { 0xFF };
-        // Only the level byte is free to change.
-        check(&format!("byte {i} flipped"), &bad, i != 4);
+        // Padding bits are free to change; the header and the checksum
+        // are not.
+        check(&format!("byte {i} flipped"), &bad, usize::MAX, i < 2 || i >= n - 4);
     }
-    for cut in 0..packed.len() {
-        check(&format!("cut to {cut} bytes"), &packed[..cut], true);
+    for cut in 0..n {
+        check(&format!("cut to {cut} bytes"), &packed[..cut], usize::MAX, true);
     }
 }

@@ -1,11 +1,11 @@
 //! Property tests: compress → decompress is the identity for arbitrary
 //! byte strings at every level and around every block cut, and corrupted
-//! containers never decode to a wrong answer silently.
+//! streams never decode to a wrong answer silently.
 
 use monster_compress::{compress, decompress, Level};
 use proptest::prelude::*;
 
-/// Input bytes per container block (`format::BLOCK`).
+/// Input bytes per stream block (`format::BLOCK`).
 const BLOCK: usize = 128 * 1024;
 /// How far back a match may reach (`lz77::WINDOW`).
 const WINDOW: usize = 32 * 1024;
@@ -61,12 +61,10 @@ proptest! {
 
     #[test]
     fn decompress_never_panics_on_garbage_behind_a_valid_header(
-        orig_len in 0usize..4096,
         body in prop::collection::vec(any::<u8>(), 0..512),
     ) {
-        // Past the magic, garbage reaches the block decoder.
-        let mut data = b"MZ2\0\x06".to_vec();
-        data.extend_from_slice(&[(orig_len & 0x7F) as u8 | 0x80, (orig_len >> 7) as u8]);
+        // Past a valid zlib header, garbage reaches the block decoder.
+        let mut data = vec![0x78, 0x9C];
         data.extend_from_slice(&body);
         let _ = decompress(&data);
     }
@@ -81,8 +79,8 @@ proptest! {
         let mut bad = packed.clone();
         let idx = byte_idx % bad.len();
         bad[idx] ^= 1 << bit;
-        // Either detected as corrupt, or (if the flip hit e.g. the level
-        // byte, which doesn't affect decoding) decodes to the original.
+        // Either detected as corrupt, or (if the flip hit padding bits,
+        // which don't affect decoding) decodes to the original.
         if let Ok(out) = decompress(&bad) {
             prop_assert_eq!(out, data);
         }

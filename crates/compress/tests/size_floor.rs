@@ -1,6 +1,6 @@
 //! A committed size floor: the bytes the codec produces on a
 //! dashboard-shaped document may shrink but not quietly grow back — and,
-//! a container being a function of `(data, level)` alone, they are pinned.
+//! a stream being a function of `(data, level)` alone, they are pinned.
 
 mod common;
 
@@ -12,9 +12,11 @@ const PARENT_LEVEL6_BYTES: usize = 250_974;
 /// What this codec produces, and the Adler-32 of those bytes: the same on
 /// any number of cores, beside any sibling tests, on any platform. A
 /// retune of the match finder moves both; re-record them together, and
-/// only downwards.
-const LEVEL6_BYTES: usize = 218_099;
-const LEVEL6_ADLER: u32 = 0x549b_9f46;
+/// only downwards. (The zlib framing took 31 bytes off the private
+/// container's 218 099: its code-length tables are smaller by more than the
+/// sync flushes add.)
+const LEVEL6_BYTES: usize = 218_068;
+const LEVEL6_ADLER: u32 = 0x4d5c_de3d;
 
 #[test]
 fn level6_is_pinned_under_the_parent_and_levels_are_ordered() {
@@ -32,6 +34,6 @@ fn level6_is_pinned_under_the_parent_and_levels_are_ordered() {
     assert_eq!(
         (l6, adler32(&packed[5])),
         (LEVEL6_BYTES, LEVEL6_ADLER),
-        "level 6 container changed (size, adler32)"
+        "level 6 stream changed (size, adler32)"
     );
 }

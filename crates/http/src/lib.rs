@@ -11,8 +11,9 @@
 //!   [`MessageReader`] that frames messages off one connection;
 //! * a thread-per-connection [`Server`] with a path-pattern [`Router`];
 //! * a blocking [`Client`] with connect/read timeouts;
-//! * `Content-Encoding: mz2` response compression via `monster-compress`
-//!   (both peers are in-workspace, so the private coding is fine).
+//! * `Content-Encoding: deflate` response compression via
+//!   `monster-compress`: a zlib stream, which `curl --compressed`, a
+//!   browser and Python's `zlib` read (RFC 9110 §8.4.1.2).
 //!
 //! Bodies are `Content-Length`-framed. Connections default to
 //! `Connection: close`; a client that polls one server repeatedly (a

@@ -1,5 +1,6 @@
 //! HTTP message types: methods, statuses, headers, requests, responses.
 
+use crate::parse::MAX_BODY;
 use monster_json::Value;
 use std::fmt;
 use std::ops::Deref;
@@ -364,7 +365,7 @@ impl Response {
         Response::new(status, headers, msg.as_bytes().into())
     }
 
-    /// Parse the body as JSON (after transparent `mz2` decoding if the
+    /// Parse the body as JSON (after transparent `deflate` decoding if the
     /// `Content-Encoding` header says so).
     pub fn json_body(&self) -> monster_util::Result<Value> {
         let body = self.decoded_body()?;
@@ -374,19 +375,20 @@ impl Response {
         )
     }
 
-    /// The body with any `mz2` content-encoding removed.
+    /// The body with any `deflate` content-encoding removed, refused if it
+    /// inflates past the largest body a message may carry.
     pub fn decoded_body(&self) -> monster_util::Result<Vec<u8>> {
-        if self.headers.get("Content-Encoding") == Some("mz2") {
-            monster_compress::decompress(&self.body)
+        if self.headers.get("Content-Encoding") == Some("deflate") {
+            monster_compress::decompress_within(&self.body, MAX_BODY)
         } else {
             Ok(self.body.to_vec())
         }
     }
 
-    /// Tag a body that is an `mz2` container (`monster_compress::compress`)
-    /// as such.
+    /// Tag a body that is a zlib stream (`monster_compress::compress`) as
+    /// such: HTTP's `deflate` coding (RFC 9110 §8.4.1.2).
     pub fn content_encoded(mut self) -> Response {
-        self.headers.set("Content-Encoding", "mz2");
+        self.headers.set("Content-Encoding", "deflate");
         self
     }
 
@@ -506,7 +508,7 @@ mod tests {
             monster_compress::Level::default(),
         );
         let resp = Response::bytes(packed, "application/json").content_encoded();
-        assert_eq!(resp.headers.get("Content-Encoding"), Some("mz2"));
+        assert_eq!(resp.headers.get("Content-Encoding"), Some("deflate"));
         assert!(resp.body.len() < 500);
         assert_eq!(resp.json_body().unwrap(), v);
     }

@@ -6,7 +6,7 @@
 //! by one function, `Db::replay`:
 //!
 //! * `shard-<start>.seg` — immutable cold-tier segment files
-//!   ([`crate::snapshot`]'s `MSEG2` header), written by tiering tmp → fsync →
+//!   ([`crate::snapshot`]'s `MSEG3` header), written by tiering tmp → fsync →
 //!   rename → directory fsync. Loaded first; anything wrong with one is a
 //!   hard error, not a torn tail, and nothing is deleted.
 //! * `wal-<seq>.log` — write-ahead-log segments ([`crate::wal`]). Replayed
@@ -32,7 +32,8 @@
 //! continues.
 //!
 //! A file that opens with a previous format's magic (`MWALSEG1`, `MSEG1`:
-//! line-protocol text, which nothing here reads any more) is neither:
+//! line-protocol text; `MSEG2`: records in the workspace's former private
+//! container — nothing here reads them any more) is neither:
 //! recovery refuses the whole directory with an error before it touches a
 //! byte of it, rather than mistake a log it cannot read for one torn at
 //! creation and delete it.

@@ -8,9 +8,9 @@
 //! file — behind its own header:
 //!
 //! ```text
-//! shard-<start>.seg := "MSEG2\n" frame* end
+//! shard-<start>.seg := "MSEG3\n" frame* end
 //! frame             := len:u32le crc32:u32le body[len]              len > 0
-//! body              := MZ2 container (`monster_compress`) of one record payload
+//! body              := zlib stream (RFC 1950, `monster_compress`) of one record payload
 //! end               := len 0, crc32 0
 //! ```
 //!
@@ -21,8 +21,9 @@
 //! record at a time. A file is written whole or not at all (`write_file`),
 //! so unlike a WAL segment it has no torn tail: a frame that does not check
 //! out, a missing end frame or a record that does not decode is an error.
-//! `MSEG1` files held compressed line-protocol text; there is no reader for
-//! them.
+//! `MSEG1` files held compressed line-protocol text, `MSEG2` files the same
+//! records in a container private to this workspace; there is no reader for
+//! either, and a file that opens with one is refused by name.
 
 use crate::db::Db;
 use crate::field::FieldValue;
@@ -37,7 +38,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// The header of a cold-tier segment file, `shard-<start>.seg`.
-pub(crate) const SEGMENT: &str = "MSEG2\n";
+pub(crate) const SEGMENT: &str = "MSEG3\n";
 
 /// Values to a record: what a reload applies as one batch (a collection
 /// interval's worth, ≈ 140 KB before compression).
@@ -140,7 +141,7 @@ pub(crate) fn write_file<T>(path: &Path, write: impl FnOnce(&mut File) -> Result
 
 /// Load a sealed file of `kind` — `src` holds its `len` bytes — into `db`:
 /// the points it held. `what` names it in errors, as does the header found
-/// where `kind` was expected (`MSEG1`: the previous format).
+/// where `kind` was expected (`MSEG1`, `MSEG2`: previous formats).
 fn load(db: &Db, mut src: impl Read, len: u64, kind: &str, what: &str) -> Result<usize> {
     let mut magic = Vec::with_capacity(kind.len());
     src.by_ref().take(kind.len() as u64).read_to_end(&mut magic)?;

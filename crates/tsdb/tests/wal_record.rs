@@ -18,6 +18,7 @@
 //! beside it are not counted and nothing serializes.
 
 use counting_alloc::counted;
+use monster_compress::bitio::BitWriter;
 use monster_tsdb::series::SeriesIndex;
 use monster_tsdb::wal::{self, Wal, FRAME_HEADER, SEGMENT_MAGIC};
 use monster_tsdb::wal_record::{self, batch_points, Record, SegmentDict};
@@ -578,12 +579,30 @@ fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
+/// A zlib stream of more than `len` zero bytes, built by hand: one
+/// fixed-Huffman block of a literal 0, then copies of 258 bytes at
+/// distance 1, 13 bits each (codes are sent from their first bit, so each
+/// is written bit-reversed). Its Adler-32 is wrong; it is refused first.
+fn zeros_past(len: usize) -> Vec<u8> {
+    let mut w = BitWriter::appending_to(vec![0x78, 0x01]);
+    w.write(0b011, 3); // the final block, fixed Huffman
+    w.write(0b0000_1100, 8); // literal 0: code 0011_0000
+    for _ in 0..len / 258 + 1 {
+        // Length 258 (code 1100_0101), then distance 1 (code 00000).
+        w.write(0b1010_0011, 8 + 5);
+    }
+    w.write(0, 7); // end-of-block
+    let mut stream = w.finish();
+    stream.extend_from_slice(&[0, 0, 0, 1]);
+    stream
+}
+
 /// `payload` as a sealed file frames it: compressed, then framed.
 fn sealed_frame(payload: &[u8]) -> Vec<u8> {
     frame(&monster_compress::compress(payload, monster_compress::Level::default()))
 }
 
-/// (e) Hostile bytes behind `MSEG2`: a segment file cut at any offset, with any byte flipped, with a length that lies, a
+/// (e) Hostile bytes behind `MSEG3`: a segment file cut at any offset, with any byte flipped, with a length that lies, a
 /// frame that is not a record, a reference past its definitions or the
 /// previous format's header is an error — never a panic, never a database,
 /// and never a file touched: the directory is byte for byte what it was.
@@ -599,7 +618,7 @@ fn damaged_sealed_files_are_refused_and_left_alone() {
     drop(db);
     let seg_path = dir.join("shard-0.seg");
     let seg = std::fs::read(&seg_path).unwrap();
-    assert_eq!(&seg[..6], b"MSEG2\n");
+    assert_eq!(&seg[..6], b"MSEG3\n");
 
     // The frames of the good segment file: (offset, length) of each.
     let mut frames = Vec::new();
@@ -662,20 +681,24 @@ fn damaged_sealed_files_are_refused_and_left_alone() {
         bad[at..at + 4].copy_from_slice(&len.to_le_bytes());
         refused(&format!("a frame of {len} bytes"), &bad);
     }
-    // Frames that check out and hold no record: not a container, a
-    // container of noise, of nothing but a reference to a series the file
-    // never defined, and one whose header claims more than a record may be.
+    // Frames that check out and hold no record: not a zlib stream, a
+    // stream of noise, of nothing but a reference to a series the file
+    // never defined, and one that inflates past what a record may be.
     let with_frame = |frame: Vec<u8>| [&seg[..at], &frame[..], &seg[at..]].concat();
-    refused("a frame that is not a container", &with_frame(frame(b"not MZ2 at all")));
+    refused("a frame that is not a container", &with_frame(frame(b"not zlib at all")));
     refused("a container of noise", &with_frame(sealed_frame(&[0xFF; 64])));
     let err = refused("an undefined reference", &with_frame(sealed_frame(&[9, 0, 1, 1, 2, 1])));
     assert!(err.contains("reference past"), "{err}");
-    let mut liar = b"MZ2\0\x06".to_vec();
-    liar.extend_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0, 0, 0]);
-    refused("a container that claims 4 GiB", &with_frame(frame(&liar)));
-    // The format before this one, refused by name.
-    let err = refused("an MSEG1 file", b"MSEG1\nMZ2\0 compressed line protocol");
+    let err = refused(
+        "a container that inflates past a record",
+        &with_frame(frame(&zeros_past(wal::MAX_RECORD_BYTES))),
+    );
+    assert!(err.contains("inflates past"), "{err}");
+    // The formats before this one, refused by name.
+    let err = refused("an MSEG1 file", b"MSEG1\n compressed line protocol");
     assert!(err.contains("MSEG1") && err.contains("unsupported"), "{err}");
+    let err = refused("an MSEG2 file", &[&b"MSEG2\n"[..], &seg[6..]].concat());
+    assert!(err.contains("MSEG2") && err.contains("unsupported"), "{err}");
 
     // The good file back, and beside it what an interrupted tiering pass
     // leaves: ignored, and still there afterwards.

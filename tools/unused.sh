@@ -10,7 +10,8 @@
 #      `#[cfg(test)]` modules and `tests.rs` files. A `use` line names
 #      nothing here (a re-export is not a caller); the rest of `crates/*/src`
 #      (the bench binaries among it), `src/` and `bench_pipeline/src` count.
-# Comment lines do not count as naming anything. Nor does the body of an
+# Comment lines do not count as naming anything, nor does an `impl` header
+# (a type's own methods are not a caller of it). Nor does the body of an
 # item that is itself listed: an item only a listed item calls is listed
 # too, and the list is recomputed until it stops changing. (A body runs
 # from the declaration to the brace that closes it, or to the `;` that
@@ -49,6 +50,7 @@ find crates src examples tests bench_pipeline/src -name '*.rs' -not -path '*/tar
         kept = ""
         b = top > 0 ? body[top] : 0
         if (track) braces(line)
+        if (line ~ /^[ \t]*(unsafe )?impl[ <]/) next
         if (line ~ /^[ \t]*(pub(\([a-z]+\))? )?use /) using = 1
         calls = caller && !skip && !using
         if (using && line ~ /;/) using = 0
