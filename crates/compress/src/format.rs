@@ -221,7 +221,8 @@ pub(crate) fn compress_on(data: &[u8], level: Level, threads: usize) -> Vec<u8> 
     let flg = [0, 1, 1, 1, 1, 2, 3, 3, 3][level.get() as usize - 1] << 6;
     let body: usize = runs.iter().map(|(run, ..)| run.len()).sum();
     let mut out = Vec::with_capacity(2 + body + 4);
-    out.extend_from_slice(&[0x78, flg | (31 - (0x7800 | flg as u16) % 31) as u8 % 31]);
+    let fcheck = (31 - (0x7800 | flg as u16) % 31) % 31;
+    out.extend_from_slice(&[0x78, flg | fcheck as u8]);
     let mut sum = adler32(&[]);
     for (run, run_sum, len) in &runs {
         out.extend_from_slice(run);
@@ -240,8 +241,7 @@ struct Tables {
 }
 
 impl Tables {
-    /// Read a dynamic block's header into the literal/length and distance
-    /// tables.
+    /// Read a dynamic block's header into the literal/length and distance tables.
     fn read_dynamic(&mut self, r: &mut BitReader<'_>) -> Result<()> {
         let counts = r.read(14)? as usize;
         let (hlit, hdist) = ((counts & 31) + 257, (counts >> 5 & 31) + 1);
@@ -274,8 +274,7 @@ impl Tables {
         self.dist.rebuild(&lens[hlit..])
     }
 
-    /// Decode a Huffman-coded block's tokens onto `out`, through its
-    /// end-of-block.
+    /// Decode a Huffman-coded block's tokens onto `out`, through its end-of-block.
     fn inflate(&self, r: &mut BitReader<'_>, out: &mut Vec<u8>, limit: usize) -> Result<()> {
         loop {
             // One refill covers a whole token: 15 + 5 + 15 + 13 bits.
@@ -317,7 +316,7 @@ impl Tables {
 }
 
 fn bad_code() -> Error {
-    Error::Corrupt("invalid huffman code".into())
+    Error::Corrupt("invalid huffman data: no such code, or a length run out of place".into())
 }
 
 /// Make room on `out` for `n` more bytes, refusing to pass `limit`: the
