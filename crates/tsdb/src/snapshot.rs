@@ -41,7 +41,7 @@ use std::path::{Path, PathBuf};
 pub(crate) const SEGMENT: &str = "MSEG3\n";
 
 /// Values to a record: what a reload applies as one batch (a collection
-/// interval's worth, ≈ 140 KB before compression).
+/// interval's worth, ≈ 80 KB before compression at ≈ 8 B a reading).
 const RECORD_VALUES: usize = 10_000;
 /// A record is also cut once its string values pass this many bytes, so
 /// that none outgrows [`crate::wal::MAX_RECORD_BYTES`].

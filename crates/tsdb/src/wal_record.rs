@@ -13,6 +13,7 @@
 //!          | id+1:uv                         id < field names defined so far
 //! value   := type 0: f64 bits, 8 bytes LE    type 1: i64 as zz
 //!          | type 2: one byte, 0 or 1        type 3: str
+//!          | type 4+e: m:zz, the f64 m / 10^e               e in 0..=4
 //! uv      := LEB128 varint
 //! zz      := zig-zag varint; `ts` is the wrapping difference to the
 //!            previous point of the record (to 0 for the first)
@@ -32,6 +33,16 @@
 //! definitions the reader has seen in that file — one comparison, and no
 //! table an on-disk byte can size. The writer's half of the rule is
 //! [`SegmentDict`]; the reader's is the two counts [`decode`] takes.
+//!
+//! # Decimal floats
+//!
+//! A reading the BMC sent as `84.3` is the `f64` nearest 843 / 10, and
+//! dividing 843 by 10 gives exactly that `f64` back: the record writes
+//! `5, zz(843)`, three bytes, not nine. The writer takes the least `e` for
+//! which the reader's own expression, `m as f64 / 10^e`, has the value's
+//! bits; a value with no such form (−0.0, NaN, ±∞, a subnormal, a computed
+//! fraction) keeps type 0. Types 0–3 mean what they always meant, so every
+//! file an earlier writer made still reads.
 
 use crate::encode::timestamps::{unzigzag, zigzag};
 use crate::encode::{push_varint, read_string, read_varint};
@@ -45,6 +56,20 @@ const TYPE_FLOAT: u8 = 0;
 const TYPE_INT: u8 = 1;
 const TYPE_BOOL: u8 = 2;
 const TYPE_STR: u8 = 3;
+/// Type `TYPE_DECIMAL + e` is a float written as `m / 10^e`.
+const TYPE_DECIMAL: u8 = 4;
+const POW10: [f64; 5] = [1.0, 10.0, 100.0, 1_000.0, 10_000.0];
+
+/// `x` as `(e, m)`: the least `e` whose `m = round(x·10^e)`, `|m| < 2^53`,
+/// gives back exactly `x`'s bits as `m as f64 / 10^e`.
+fn decimal(x: f64) -> Option<(u8, i64)> {
+    (0..POW10.len()).find_map(|e| {
+        let m = (x * POW10[e]).round();
+        // Cast only what fits (NaN compares false); −0.0 casts to 0 and fails.
+        let m = (m.abs() < (1u64 << 53) as f64).then_some(m as i64)?;
+        ((m as f64 / POW10[e]).to_bits() == x.to_bits()).then_some((e as u8, m))
+    })
+}
 
 /// What the active segment has defined so far — appender state, consulted
 /// and extended under the appender's mutex (so two writers can neither both
@@ -192,10 +217,16 @@ where
                 }
             }
             match value {
-                FieldValue::Float(x) => {
-                    out.push(TYPE_FLOAT);
-                    out.extend_from_slice(&x.to_bits().to_le_bytes());
-                }
+                FieldValue::Float(x) => match decimal(*x) {
+                    Some((e, m)) => {
+                        out.push(TYPE_DECIMAL + e);
+                        push_varint(out, zigzag(m));
+                    }
+                    None => {
+                        out.push(TYPE_FLOAT);
+                        out.extend_from_slice(&x.to_bits().to_le_bytes());
+                    }
+                },
                 FieldValue::Int(x) => {
                     out.push(TYPE_INT);
                     push_varint(out, zigzag(*x));
@@ -316,6 +347,10 @@ pub fn decode(
                     _ => return Err(corrupt("boolean is neither 0 nor 1")),
                 },
                 TYPE_STR => FieldValue::Str(read_string(payload, &mut pos)?),
+                t @ TYPE_DECIMAL..=8 => {
+                    let m = unzigzag(read_varint(payload, &mut pos)?);
+                    FieldValue::Float(m as f64 / POW10[(t - TYPE_DECIMAL) as usize])
+                }
                 _ => return Err(corrupt("unknown value type")),
             };
             out.fields.push((field, value));

@@ -176,7 +176,7 @@ fn tiering_then_crash_recovers_both_tiers() {
         tiering: Some(TierConfig::days(2)),
         // Small segments so daily history spans several sealed WAL files
         // and reclamation has something to delete.
-        wal: WalTuning { segment_bytes: 32 << 10, ..WalTuning::default() },
+        wal: WalTuning { segment_bytes: 16 << 10, ..WalTuning::default() },
         ..DbConfig::default()
     };
     let (db, _) = Db::recover(config, &dir).unwrap();

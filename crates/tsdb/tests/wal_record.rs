@@ -4,6 +4,11 @@
 //!
 //! * whatever a batch holds, `decode(encode(batch))` is that batch — every
 //!   value type, bit for bit;
+//! * every `f64` comes back with its own bits, in no more bytes than the
+//!   eight-byte form, and a short decimal in fewer (`WAL_VALUE_CASES` sets
+//!   the cases: 4 096 by default, CI runs 2 000 000 in release);
+//! * records an earlier writer made, every float in eight bytes, read as
+//!   the same values from a WAL segment and from a segment file;
 //! * no CRC-valid payload — truncated, flipped or random — makes recovery
 //!   panic, tear the log, lose the record behind it, or allocate past a
 //!   stated multiple of the payload;
@@ -148,8 +153,33 @@ fn arb_text() -> impl Strategy<Value = String> {
     "[a-c,= \"\\\\\\n£é中🚀]{0,8}"
 }
 
+/// 2^53: a decimal's `m` must stay below it.
+const EXACT: f64 = (1u64 << 53) as f64;
+
+/// Floats at and beside every branch of the float encoding: short decimals
+/// `m / 10^e` (e in 0..=6, |m| < 2^60) and one ulp either side of each, the
+/// edges of `|m| < 2^53`, and what has no decimal form — −0.0, NaNs with
+/// payloads, subnormals, ±∞ — beside uniformly drawn bits.
+fn arb_float() -> impl Strategy<Value = f64> {
+    let decimal = (any::<i64>(), 0u32..=60, 0i32..=6, -1i64..=1).prop_map(|(m, bits, e, ulp)| {
+        let x = (m >> (63 - bits)) as f64 / 10f64.powi(e);
+        f64::from_bits(x.to_bits().wrapping_add_signed(ulp))
+    });
+    let edges = vec![EXACT - 1.0, EXACT, EXACT + 2.0, -(EXACT - 1.0), -EXACT, (EXACT - 1.0) / 1e4];
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        decimal,
+        prop::sample::select(edges),
+        prop::sample::select(vec![-0.0, f64::INFINITY, f64::NEG_INFINITY, f64::MAX, f64::MIN]),
+        // NaNs with payloads and subnormals, either sign.
+        any::<u64>().prop_map(|b| f64::from_bits(b | 0x7FF0_0000_0000_0001)),
+        any::<u64>().prop_map(|b| f64::from_bits(b & 0x800F_FFFF_FFFF_FFFF)),
+    ]
+}
+
 fn arb_value() -> impl Strategy<Value = FieldValue> {
     prop_oneof![
+        arb_float().prop_map(FieldValue::Float),
         // Raw bit patterns: NaNs with payloads, infinities, subnormals.
         any::<f64>().prop_map(FieldValue::Float),
         prop::sample::select(vec![f64::NAN, -f64::NAN, f64::INFINITY, -f64::INFINITY, -0.0, 0.0])
@@ -224,7 +254,228 @@ fn product_shapes_round_trip() {
     let (sids, fids) = resolve(&mut index, &batch);
     wal_record::encode(batch_points(&batch, &sids, &fids), &mut dict, &mut payload).unwrap();
     assert_eq!(dict.defined(), (1, 1));
-    assert!(payload.len() < 120 * 13 + 64, "{} bytes", payload.len());
+    // A point is a series reference, a timestamp delta, a field count, a
+    // name reference, a type and `zz(2505)`: seven bytes; the first spells
+    // out the series and the name instead, 26 + 9 bytes for two.
+    assert_eq!(payload.len(), 120 * 7 + 33);
+}
+
+// --- the float encoding ----------------------------------------------------
+
+fn cases() -> u32 {
+    std::env::var("WAL_VALUE_CASES").map_or(4096, |n| n.parse().expect("a case count"))
+}
+
+/// What a record holds for `x`, and what the reader gives back: `x` as the
+/// only field of a segment's second record, whose first defined the series
+/// and the name, so that four bytes — series and name references, the
+/// timestamp delta and the field count — come before the value.
+fn value_bytes(x: f64) -> (Vec<u8>, f64) {
+    let batch = [DataPoint::new("m", EpochSecs::new(0)).field_f64("v", x)];
+    let (mut index, mut dict) = (SeriesIndex::new(), SegmentDict::default());
+    let (sids, fids) = resolve(&mut index, &batch);
+    let mut payload = Vec::new();
+    for _ in 0..2 {
+        payload.clear();
+        wal_record::encode(batch_points(&batch, &sids, &fids), &mut dict, &mut payload).unwrap();
+    }
+    assert_eq!(payload[..4], [1, 0, 1, 1]);
+    let mut record = Record::default();
+    wal_record::decode(&payload, 1, 1, &mut record).unwrap();
+    match record.fields[..] {
+        [(0, FieldValue::Float(back))] => (payload[4..].to_vec(), back),
+        ref other => panic!("one float, not {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// Every bit pattern comes back as itself, never in more than the nine
+    /// bytes of type 0 and its eight; type 0 is those eight bytes.
+    #[test]
+    fn every_float_decodes_to_its_own_bits(x in arb_float()) {
+        let (bytes, back) = value_bytes(x);
+        prop_assert_eq!(back.to_bits(), x.to_bits());
+        prop_assert!(bytes.len() <= 9, "{} bytes for {:?}", bytes.len(), x);
+        if bytes[0] == 0 {
+            prop_assert_eq!(&bytes[1..], &x.to_bits().to_le_bytes()[..]);
+        }
+    }
+
+    /// A short decimal `m / 10^e`, e ≤ 4, is written as one: type `4 + e'`
+    /// for some e' ≤ e, in no more bytes than `zz(m)` needs. Below 2^51,
+    /// `x·10^e` is within half of m, so the writer's `round` finds it; up
+    /// to 2^53 it may miss by one, and such a value keeps type 0.
+    #[test]
+    fn a_short_decimal_is_written_as_one(m in -(1i64 << 51) + 1..1i64 << 51, e in 0u8..=4) {
+        let x = m as f64 / 10f64.powi(e as i32);
+        let (bytes, back) = value_bytes(x);
+        prop_assert_eq!(back.to_bits(), x.to_bits());
+        prop_assert!((4..=4 + e).contains(&bytes[0]), "type {} for {:?}", bytes[0], x);
+        let zz = ((m << 1) ^ (m >> 63)) as u64;
+        let varint = (64 - zz.leading_zeros()).max(1).div_ceil(7) as usize;
+        prop_assert!(bytes.len() <= 1 + varint, "{} bytes for {}", bytes.len(), x);
+    }
+}
+
+/// The least exponent wins, and each exponent has its type; what has no
+/// decimal form keeps the eight bytes.
+#[test]
+fn readings_take_the_type_of_their_least_exponent() {
+    for (x, want) in [
+        (300.0, vec![4, 0xD8, 0x04]),
+        (84.3, vec![5, 0x96, 0x0D]),
+        (-0.5, vec![5, 0x09]),
+        (12.25, vec![6, 0x92, 0x13]),
+        (0.125, vec![7, 0xFA, 0x01]),
+        (84.0625, vec![8, 0xE2, 0xCE, 0x66]),
+        (0.0, vec![4, 0]),
+    ] {
+        assert_eq!(value_bytes(x).0, want, "{x}");
+    }
+    let computed = 0.1 + 0.2;
+    for x in [-0.0, computed, 1.0 / 3.0, f64::NAN, f64::INFINITY, 5e-324, EXACT, 1e-5] {
+        let bytes = value_bytes(x).0;
+        assert_eq!(bytes[0], 0, "{x:?} has no short decimal form");
+        assert_eq!(bytes[1..], x.to_bits().to_le_bytes(), "{x:?}");
+    }
+}
+
+// --- records an earlier writer made ------------------------------------------
+
+/// Readings with the `(type, m)` the decimal form gives them, or `None` for
+/// a float that has none (then both forms write eight bytes).
+const READINGS: [(f64, Option<(u8, i64)>); 5] = [
+    (84.3, Some((5, 843))),
+    (300.0, Some((4, 300))),
+    (12.25, Some((6, 1225))),
+    (0.1 + 0.2, None),
+    (-0.0, None),
+];
+
+/// One series, `Power,NodeId=10.101.1.1`, one field, `Reading`, a reading a
+/// minute from time 0, built by hand from the grammar: the series and the name
+/// defined by the first point and referred to after. `old` writes every
+/// float as an earlier writer did — type 0, the eight bytes — and otherwise
+/// a decimal as `(type, zz(m))`.
+fn hand_record(old: bool) -> Vec<u8> {
+    let text = |out: &mut Vec<u8>, s: &str| {
+        out.push(s.len() as u8);
+        out.extend_from_slice(s.as_bytes());
+    };
+    let varint = |out: &mut Vec<u8>, mut v: u64| {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    };
+    let zz = |v: i64| ((v << 1) ^ (v >> 63)) as u64;
+    let mut out = Vec::new();
+    for (i, &(x, decimal)) in READINGS.iter().enumerate() {
+        if i == 0 {
+            out.push(0);
+            text(&mut out, "Power");
+            out.push(1);
+            text(&mut out, "NodeId");
+            text(&mut out, "10.101.1.1");
+        } else {
+            out.push(1);
+        }
+        varint(&mut out, zz(if i == 0 { 0 } else { 60 }));
+        out.push(1);
+        if i == 0 {
+            out.push(0);
+            text(&mut out, "Reading");
+        } else {
+            out.push(1);
+        }
+        match decimal.filter(|_| !old) {
+            Some((ty, m)) => {
+                out.push(ty);
+                varint(&mut out, zz(m));
+            }
+            None => {
+                out.push(0);
+                out.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+        }
+    }
+    out
+}
+
+fn reading_batch(t0: i64) -> Vec<DataPoint> {
+    let at = |i: usize| EpochSecs::new(t0 + 60 * i as i64);
+    let point = |(i, &(x, _)): (usize, &(f64, _))| {
+        DataPoint::new("Power", at(i)).tag("NodeId", "10.101.1.1").field_f64("Reading", x)
+    };
+    READINGS.iter().enumerate().map(point).collect()
+}
+
+/// What a recovered database answers, floats by their bits (`{:?}` tells
+/// −0.0 from 0.0).
+fn answers(db: &Db) -> String {
+    let q = Query::select("Power", "Reading", EpochSecs::new(-DAY), EpochSecs::new(3 * DAY));
+    format!("{:?} {:?}", db.stats(), db.query(&q).unwrap().0)
+}
+
+/// Records in the form every float took before decimals — type 0 and its
+/// eight bytes — in an `MWALSEG2` segment and in an `MSEG3` segment file,
+/// recover to what the same readings written by this writer recover to.
+/// The hand-built records in the decimal form are byte for byte what the
+/// writer wrote, so the two directories differ only in the float encoding.
+#[test]
+fn records_with_eight_byte_floats_still_read() {
+    let batch = reading_batch(0);
+    // The WAL: this writer's segment, and the old record in one of its own.
+    let new_dir = fresh_dir("new-wal");
+    let (db, _) = Db::recover(DbConfig::default(), &new_dir).unwrap();
+    db.write_batch(&batch).unwrap();
+    drop(db);
+    assert_eq!(payloads(&segment_file(&new_dir, 0)), [hand_record(false)]);
+    let old_dir = fresh_dir("old-wal");
+    std::fs::create_dir_all(&old_dir).unwrap();
+    let old = [&SEGMENT_MAGIC[..], &frame(&hand_record(true))].concat();
+    std::fs::write(segment_file(&old_dir, 0), old).unwrap();
+    assert!(hand_record(true).len() > hand_record(false).len());
+    let (new, report) = Db::recover(DbConfig::default(), &new_dir).unwrap();
+    let (old, old_report) = Db::recover(DbConfig::default(), &old_dir).unwrap();
+    assert_eq!((old_report.replayed_records, old_report.records_failed), (1, 0));
+    assert_eq!(old_report, report);
+    assert_eq!(answers(&old), answers(&new));
+    drop((new, old));
+    std::fs::remove_dir_all(&new_dir).ok();
+    std::fs::remove_dir_all(&old_dir).ok();
+
+    // A segment file: day 0 tiered behind a point in day 2. The old file
+    // replaces this writer's, and the WAL both directories replay is the same.
+    let new_dir = fresh_dir("new-seg");
+    let (db, _) = Db::recover(tiered_config(), &new_dir).unwrap();
+    db.write_batch(&batch).unwrap();
+    db.write_batch(&reading_batch(2 * DAY)[..1]).unwrap();
+    db.tier_cold_shards(EpochSecs::new(2 * DAY)).unwrap();
+    drop(db);
+    let seg = std::fs::read(new_dir.join("shard-0.seg")).unwrap();
+    let body = &seg[6 + FRAME_HEADER..seg.len() - FRAME_HEADER];
+    assert_eq!(seg.len(), 6 + 2 * FRAME_HEADER + body.len(), "one record and the end frame");
+    let within = monster_compress::decompress_within(body, wal::MAX_RECORD_BYTES).unwrap();
+    assert_eq!(within, hand_record(false));
+    let old_dir = fresh_dir("old-seg");
+    std::fs::create_dir_all(&old_dir).unwrap();
+    for (name, bytes) in dir_image(&new_dir) {
+        std::fs::write(old_dir.join(name), bytes).unwrap();
+    }
+    let old = [&b"MSEG3\n"[..], &sealed_frame(&hand_record(true)), &[0; FRAME_HEADER]].concat();
+    std::fs::write(old_dir.join("shard-0.seg"), old).unwrap();
+    let (new, report) = Db::recover(tiered_config(), &new_dir).unwrap();
+    let (old, old_report) = Db::recover(tiered_config(), &old_dir).unwrap();
+    assert_eq!((old_report.segment_files_loaded, old_report.segment_points), (1, READINGS.len()));
+    assert_eq!(old_report, report);
+    assert_eq!(answers(&old), answers(&new));
+    drop((new, old));
+    std::fs::remove_dir_all(&new_dir).ok();
+    std::fs::remove_dir_all(&old_dir).ok();
 }
 
 // --- (b) hostile payloads ------------------------------------------------
