@@ -56,10 +56,10 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 pub fn run() -> Outcome {
     let config = DbConfig {
         // Small segments so the matrix crosses many sealed-segment
-        // boundaries (an hour of one series is a 1.2 KB record);
+        // boundaries (an hour of one series is a 0.9 KB record);
         // explicit-sync-only tuning pins the ack boundary.
         wal: WalTuning {
-            segment_bytes: 64 << 10,
+            segment_bytes: 32 << 10,
             sync_bytes: usize::MAX,
             sync_interval: std::time::Duration::from_secs(3600),
         },
