@@ -347,11 +347,12 @@ pub fn decode(
                     _ => return Err(corrupt("boolean is neither 0 nor 1")),
                 },
                 TYPE_STR => FieldValue::Str(read_string(payload, &mut pos)?),
-                t @ TYPE_DECIMAL..=8 => {
-                    let m = unzigzag(read_varint(payload, &mut pos)?);
-                    FieldValue::Float(m as f64 / POW10[(t - TYPE_DECIMAL) as usize])
-                }
-                _ => return Err(corrupt("unknown value type")),
+                t => match POW10.get((t - TYPE_DECIMAL) as usize) {
+                    Some(pow) => {
+                        FieldValue::Float(unzigzag(read_varint(payload, &mut pos)?) as f64 / pow)
+                    }
+                    None => return Err(corrupt("unknown value type")),
+                },
             };
             out.fields.push((field, value));
         }
