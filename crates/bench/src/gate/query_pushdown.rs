@@ -14,7 +14,7 @@
 //! Both return bit-identical results (asserted on every iteration); the
 //! difference is pure read-path work, reported two ways:
 //!
-//! * **modelled** — `CostParams::elapsed` over the returned `QueryCost`,
+//! * **modelled** — `Db::simulate_elapsed` over the returned `QueryCost`,
 //!   the repo's deterministic simulated-time method (decoded blocks pay
 //!   decode CPU + block I/O, summarized blocks pay a flat probe): ≥ 3×;
 //! * **wall-clock** — the p50 of real query latency, which is what twelve

@@ -131,14 +131,11 @@ fn ablate_query_shape(out: &mut Out) {
     );
     say!(out, "{:>18} {:>10} {:>10}", "points scanned", per_node_cost.points, fleet_cost.points);
     let disk = monster_sim::DiskModel::SSD;
-    let p = db.config().cost;
-    say!(
-        out,
-        "{:>18} {:>9.1}ms {:>9.1}ms",
-        "simulated time",
-        p.elapsed(&per_node_cost, &disk).as_millis_f64(),
-        p.elapsed(&fleet_cost, &disk).as_millis_f64()
-    );
+    let ms = |cost| {
+        let (cpu, io) = db.config().cost.price(cost, &disk, &disk);
+        (cpu + io).as_millis_f64()
+    };
+    say!(out, "{:>18} {:>9.1}ms {:>9.1}ms", "simulated time", ms(&per_node_cost), ms(&fleet_cost));
     say!(out, "\nscanning is identical; the per-node plan pays 16x the fixed query");
     say!(out, "overhead — which is exactly what the concurrent executor then hides.");
 }

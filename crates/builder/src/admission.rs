@@ -60,24 +60,6 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// The verdict for one query.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Admission {
-    /// Run it. `expensive` records whether a bucket was debited.
-    Admitted {
-        /// `true` when the query cost tokens (above the cheap threshold).
-        expensive: bool,
-    },
-    /// Turn it away with `429`.
-    Rejected {
-        /// Seconds after which a retry can succeed (the `Retry-After`
-        /// header value).
-        retry_after_secs: u64,
-        /// Which rule fired: `"over_budget"` or `"tenant_budget"`.
-        reason: &'static str,
-    },
-}
-
 struct Bucket {
     tokens: f64,
     last_refill: f64,
@@ -133,19 +115,10 @@ impl AdmissionController {
     }
 
     /// Decide whether `tenant` may run a query estimated at
-    /// `modelled_secs`.
-    pub fn admit(&self, tenant: &str, modelled_secs: f64) -> Admission {
-        self.admit_observed(tenant, modelled_secs).0
-    }
-
-    /// [`AdmissionController::admit`] plus the token-bucket arithmetic
-    /// behind the decision, for the flight recorder's `?explain=true`
-    /// view. Token fields are `NaN` when no bucket was consulted.
-    pub fn admit_observed(
-        &self,
-        tenant: &str,
-        modelled_secs: f64,
-    ) -> (Admission, AdmissionSnapshot) {
+    /// `modelled_secs`: the decision and the token-bucket arithmetic behind
+    /// it, which the flight recorder's `?explain=true` view shows. Token
+    /// fields are `NaN` when no bucket was consulted.
+    pub fn admit(&self, tenant: &str, modelled_secs: f64) -> AdmissionSnapshot {
         let cfg = &self.config;
         let mut snap = AdmissionSnapshot {
             decision: AdmissionDecision::Disabled,
@@ -160,16 +133,16 @@ impl AdmissionController {
             if cfg.enabled {
                 snap.decision = AdmissionDecision::Cheap;
             }
-            return (Admission::Admitted { expensive: false }, snap);
+            return snap;
         }
         if modelled_secs > cfg.reject_secs {
             self.rejected.inc();
             // No bucket will ever cover this; tell the client when enough
             // budget *would* have accrued, bounded to something humane.
-            let retry = ((modelled_secs / cfg.tenant_rate.max(1e-9)).ceil() as u64).clamp(1, 300);
+            snap.retry_after_secs =
+                ((modelled_secs / cfg.tenant_rate.max(1e-9)).ceil() as u64).clamp(1, 300);
             snap.decision = AdmissionDecision::RejectedOverBudget;
-            snap.retry_after_secs = retry;
-            return (Admission::Rejected { retry_after_secs: retry, reason: "over_budget" }, snap);
+            return snap;
         }
         let now = (self.clock)();
         let mut buckets = self.buckets.lock();
@@ -196,16 +169,15 @@ impl AdmissionController {
             bucket.tokens -= modelled_secs;
             snap.decision = AdmissionDecision::Charged;
             snap.tokens_after = bucket.tokens;
-            return (Admission::Admitted { expensive: true }, snap);
+            return snap;
         }
         let deficit = modelled_secs - bucket.tokens;
         snap.tokens_after = bucket.tokens;
         drop(buckets);
         self.rejected.inc();
-        let retry = ((deficit / cfg.tenant_rate.max(1e-9)).ceil() as u64).max(1);
+        snap.retry_after_secs = ((deficit / cfg.tenant_rate.max(1e-9)).ceil() as u64).max(1);
         snap.decision = AdmissionDecision::RejectedTenantBudget;
-        snap.retry_after_secs = retry;
-        (Admission::Rejected { retry_after_secs: retry, reason: "tenant_budget" }, snap)
+        snap
     }
 }
 
@@ -242,77 +214,69 @@ mod tests {
     fn cheap_queries_always_admitted() {
         let (_, ctl) = manual();
         for _ in 0..1000 {
-            assert_eq!(ctl.admit("t", 0.05), Admission::Admitted { expensive: false });
+            assert_eq!(ctl.admit("t", 0.05).decision, AdmissionDecision::Cheap);
         }
     }
 
     #[test]
     fn over_budget_rejected_outright() {
         let (_, ctl) = manual();
-        match ctl.admit("t", 50.0) {
-            Admission::Rejected { reason: "over_budget", retry_after_secs } => {
-                assert!(retry_after_secs >= 1);
-            }
-            other => panic!("expected over_budget rejection, got {other:?}"),
-        }
+        let snap = ctl.admit("t", 50.0);
+        assert_eq!(snap.decision, AdmissionDecision::RejectedOverBudget);
+        assert!(snap.retry_after_secs >= 1);
     }
 
     #[test]
     fn bucket_drains_then_refills_per_retry_after() {
         let (ms, ctl) = manual();
         // Burst 4.0, each query 2.0: two admitted, third rejected.
-        assert_eq!(ctl.admit("t", 2.0), Admission::Admitted { expensive: true });
-        assert_eq!(ctl.admit("t", 2.0), Admission::Admitted { expensive: true });
-        let retry = match ctl.admit("t", 2.0) {
-            Admission::Rejected { retry_after_secs, reason: "tenant_budget" } => retry_after_secs,
-            other => panic!("expected tenant_budget rejection, got {other:?}"),
-        };
+        assert_eq!(ctl.admit("t", 2.0).decision, AdmissionDecision::Charged);
+        assert_eq!(ctl.admit("t", 2.0).decision, AdmissionDecision::Charged);
+        let snap = ctl.admit("t", 2.0);
+        assert_eq!(snap.decision, AdmissionDecision::RejectedTenantBudget);
         // Waiting exactly Retry-After must succeed (rate 1.0/s).
-        ms.fetch_add(retry * 1000, Ordering::SeqCst);
-        assert_eq!(ctl.admit("t", 2.0), Admission::Admitted { expensive: true });
+        ms.fetch_add(snap.retry_after_secs * 1000, Ordering::SeqCst);
+        assert_eq!(ctl.admit("t", 2.0).decision, AdmissionDecision::Charged);
     }
 
     #[test]
     fn tenants_have_independent_buckets() {
         let (_, ctl) = manual();
         // "greedy" drains its bucket dry…
-        assert_eq!(ctl.admit("greedy", 4.0), Admission::Admitted { expensive: true });
-        assert!(matches!(ctl.admit("greedy", 4.0), Admission::Rejected { .. }));
+        assert_eq!(ctl.admit("greedy", 4.0).decision, AdmissionDecision::Charged);
+        assert_eq!(ctl.admit("greedy", 4.0).decision, AdmissionDecision::RejectedTenantBudget);
         // …while "polite" is untouched.
-        assert_eq!(ctl.admit("polite", 4.0), Admission::Admitted { expensive: true });
+        assert_eq!(ctl.admit("polite", 4.0).decision, AdmissionDecision::Charged);
     }
 
     #[test]
-    fn observed_snapshot_exposes_bucket_math() {
+    fn snapshot_exposes_bucket_math() {
         let (_, ctl) = manual();
         // Cheap: no bucket consulted.
-        let (_, snap) = ctl.admit_observed("t", 0.05);
+        let snap = ctl.admit("t", 0.05);
         assert_eq!(snap.decision, AdmissionDecision::Cheap);
         assert!(snap.tokens_before.is_nan());
+        assert_eq!(snap.retry_after_secs, 0);
 
         // Charged: burst 4.0 debited by 2.0.
-        let (adm, snap) = ctl.admit_observed("t", 2.0);
-        assert_eq!(adm, Admission::Admitted { expensive: true });
+        let snap = ctl.admit("t", 2.0);
         assert_eq!(snap.decision, AdmissionDecision::Charged);
         assert_eq!(snap.tokens_before, 4.0);
         assert_eq!(snap.tokens_after, 2.0);
         assert_eq!(snap.rate, 1.0);
         assert_eq!(snap.burst, 4.0);
+        assert_eq!(snap.retry_after_secs, 0);
 
         // Tenant-budget rejection: tokens untouched, retry covers the
-        // deficit at the configured rate.
+        // deficit (2.0 tokens) at the configured rate (1.0/s).
         ctl.admit("t", 2.0);
-        let (adm, snap) = ctl.admit_observed("t", 2.0);
-        let retry = match adm {
-            Admission::Rejected { retry_after_secs, .. } => retry_after_secs,
-            other => panic!("expected rejection, got {other:?}"),
-        };
+        let snap = ctl.admit("t", 2.0);
         assert_eq!(snap.decision, AdmissionDecision::RejectedTenantBudget);
         assert_eq!(snap.tokens_before, snap.tokens_after);
-        assert_eq!(snap.retry_after_secs, retry);
+        assert_eq!(snap.retry_after_secs, 2);
 
         // Over-budget: rejected before any bucket exists.
-        let (_, snap) = ctl.admit_observed("fresh", 50.0);
+        let snap = ctl.admit("fresh", 50.0);
         assert_eq!(snap.decision, AdmissionDecision::RejectedOverBudget);
         assert!(snap.tokens_before.is_nan());
         assert!(snap.retry_after_secs >= 1);
@@ -322,7 +286,7 @@ mod tests {
     fn disabled_controller_admits_everything() {
         let config = AdmissionConfig { enabled: false, ..AdmissionConfig::default() };
         let ctl = AdmissionController::new(config, &Registry::new());
-        assert_eq!(ctl.admit("t", 1e9), Admission::Admitted { expensive: false });
+        assert_eq!(ctl.admit("t", 1e9).decision, AdmissionDecision::Disabled);
     }
 
     /// A client that cycles `X-Tenant` may not grow the map without bound:
@@ -333,7 +297,7 @@ mod tests {
         let (ms, ctl) = manual();
         for i in 0..100_000 {
             ms.fetch_add(1, Ordering::SeqCst);
-            assert_eq!(ctl.admit(&format!("t{i}"), 2.0), Admission::Admitted { expensive: true });
+            assert_eq!(ctl.admit(&format!("t{i}"), 2.0).decision, AdmissionDecision::Charged);
         }
         assert!(ctl.buckets.lock().len() <= MAX_TENANTS, "{}", ctl.buckets.lock().len());
     }

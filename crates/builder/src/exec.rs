@@ -14,7 +14,7 @@ use monster_json::{write_f64, write_i64, write_str, Value};
 use monster_obs::{Counter, Histo, Registry};
 use monster_sim::VDuration;
 use monster_tsdb::query::SeriesResult;
-use monster_tsdb::{concurrent, Db, FieldValue, Prepared, Query, QueryCost, ResultSet};
+use monster_tsdb::{concurrent, cost, Db, FieldValue, Prepared, Query, QueryCost, ResultSet};
 use monster_util::{NodeId, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -31,15 +31,6 @@ pub enum ExecMode {
         workers: usize,
     },
 }
-
-/// CPU cost to marshal one output point into the response document
-/// (aggregation cursor output + middleware JSON assembly), seconds. This
-/// is the builder-side "processing" share of Fig. 11.
-const PER_OUTPUT_POINT_SECS: f64 = 1.0e-6;
-
-/// Fixed marshalling cost per executed query (result decode, section
-/// routing), seconds.
-const PER_QUERY_MARSHAL_SECS: f64 = 0.1e-3;
 
 /// Everything a Metrics Builder run produces. `D` is the document: the
 /// served text's bytes as [`render`] wrote them, or the [`Value`] tree
@@ -308,7 +299,10 @@ impl ExecMetrics {
                  monster_builder_query_seconds",
             ),
             points_out: obs.counter("monster_builder_points_out_total"),
-            query_seconds: obs.histo("monster_builder_query_seconds"),
+            query_seconds: obs.histo_help(
+                "monster_builder_query_seconds",
+                "End-to-end simulated latency of /v1/metrics requests.",
+            ),
             encode_wall: obs.histo_help(
                 "monster_builder_encode_wall_seconds",
                 "Wall-clock seconds rendering one plan's results into the response document took.",
@@ -379,14 +373,13 @@ impl Batch {
         let mut sink = JsonSink::with_capacity(room);
         let points_out = render(plan, &self.results, &mut sink);
         let document = sink.finish();
-        let processing_time = VDuration::from_secs_f64(
-            (points_out as f64 * PER_OUTPUT_POINT_SECS
-                + plan.len() as f64 * PER_QUERY_MARSHAL_SECS)
-                * db.config().cost.amplification,
-        );
+        let processing_time = cost::processing_elapsed(&db.config().cost, points_out, plan.len());
         let Batch { metrics, cost, query_time, .. } = self;
         metrics.points_out.add(points_out as u64);
-        metrics.query_seconds.observe_vdur(query_time + processing_time);
+        // The service's request context: the scan's was uninstalled with
+        // the batch, so an exemplar links the request's trace.
+        let ctx = monster_obs::trace::current();
+        metrics.query_seconds.observe_vdur_traced(query_time + processing_time, ctx);
         metrics.encode_wall.observe(started.elapsed().as_secs_f64());
         BuilderOutcome { document, points_out, cost, query_time, processing_time }
     }

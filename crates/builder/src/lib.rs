@@ -28,7 +28,7 @@ pub mod qlog;
 pub mod response;
 pub mod service;
 
-pub use admission::{Admission, AdmissionConfig, AdmissionController};
+pub use admission::{AdmissionConfig, AdmissionController};
 pub use cache::{Claim, ResponseCache, Ticket, Validity, ValiditySnapshot};
 pub use exec::{execute, BuilderOutcome, ExecMode};
 pub use monster_collector::QueryGroup;

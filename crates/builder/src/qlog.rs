@@ -455,13 +455,19 @@ pub const TENANT_BYTES: usize = 24;
 /// Max url bytes a record stores before truncating.
 pub const URL_BYTES: usize = 160;
 
-/// Overwrite `dst` with the longest prefix of `src` that fits `cap` bytes
-/// and ends on a char boundary; `true` when that cut anything off.
+/// The longest prefix of `src` that fits `cap` bytes and ends on a char
+/// boundary: what a record keeps of a string.
+fn prefix(src: &str, cap: usize) -> &str {
+    &src[..src.floor_char_boundary(cap)]
+}
+
+/// Overwrite `dst` with [`prefix`]`(src, cap)`; `true` when that cut
+/// anything off.
 fn copy_prefix(dst: &mut String, src: &str, cap: usize) -> bool {
-    let end = src.floor_char_boundary(cap);
+    let kept = prefix(src, cap);
     dst.clear();
-    dst.push_str(&src[..end]);
-    end < src.len()
+    dst.push_str(kept);
+    kept.len() < src.len()
 }
 
 /// The normalized plan fingerprint: FNV-1a folded over 8-byte chunks, so
@@ -498,7 +504,8 @@ pub struct RecordFilter {
     /// Keep only records at least this many milliseconds end to end, wall
     /// or modelled. `/debug/requests` rejects a non-finite or negative one.
     pub min_ms: Option<f64>,
-    /// Keep only this tenant.
+    /// Keep only this tenant (its first [`TENANT_BYTES`], as a record
+    /// stores it).
     pub tenant: Option<String>,
     /// Newest-first result cap (default 50).
     pub limit: Option<usize>,
@@ -508,7 +515,9 @@ impl RecordFilter {
     fn matches(&self, rec: &RequestRecord) -> bool {
         self.disposition.is_none_or(|d| rec.disposition == d)
             && self.min_ms.is_none_or(|ms| rec.total_ms() >= ms || rec.modelled_ms() >= ms)
-            && self.tenant.as_ref().is_none_or(|t| rec.tenant == *t)
+            // A record keeps its tenant's prefix: so must the filter, or a
+            // longer tenant never matches.
+            && self.tenant.as_ref().is_none_or(|t| rec.tenant == prefix(t, TENANT_BYTES))
     }
 }
 

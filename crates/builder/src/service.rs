@@ -34,20 +34,20 @@
 //!   attributed job ids, and the exemplar trace id of the offending
 //!   reading (join it against `GET /debug/trace`).
 
-use crate::admission::{Admission, AdmissionConfig, AdmissionController};
+use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::cache::{Claim, ResponseCache, Validity, ValiditySnapshot};
 use crate::exec::{run_prepared, ExecMetrics, ExecMode};
 use crate::plan::{build_plan, BuilderRequest};
 use crate::qlog::{
-    self, CacheVerdict, CostPair, Disposition, Draft, LapClock, QueryRecorder, RecordFilter,
-    RequestRecord, Stage,
+    self, AdmissionDecision, CacheVerdict, CostPair, Disposition, Draft, LapClock, QueryRecorder,
+    RecordFilter, RequestRecord, Stage,
 };
 use crate::response::{deflate, CompressMetrics};
 use monster_collector::SchemaVersion;
 use monster_compress::Level;
 use monster_http::{Method, Request, Response, Router, Status};
 use monster_json::{jarr, jobj, Value};
-use monster_obs::{Counter, Gauge, Histo, Registry, TraceContext, TraceId};
+use monster_obs::{Counter, Gauge, Registry, TraceContext, TraceId};
 use monster_tsdb::{Aggregation, Db, Query};
 use monster_util::{EpochSecs, NodeId};
 use std::sync::Arc;
@@ -216,7 +216,6 @@ struct MetricsState {
     coalesced: Arc<Counter>,
     inflight: Arc<Gauge>,
     compress: CompressMetrics,
-    request_seconds: Arc<Histo>,
     exec_metrics: Arc<ExecMetrics>,
     recorder: Arc<QueryRecorder>,
 }
@@ -311,29 +310,31 @@ fn serve_metrics(
     let est = prepared.estimate();
     let est_secs = st.db.simulate_elapsed(&est).as_secs_f64();
     clock.lap(Stage::Plan);
-    let (admission, adm_snap) = st.admission.admit_observed(tenant_of(req), est_secs);
-    d.admission = Some(adm_snap);
+    let admission = st.admission.admit(tenant_of(req), est_secs);
+    d.admission = Some(admission);
     clock.lap(Stage::Admission);
-    match admission {
-        Admission::Admitted { .. } => {}
-        Admission::Rejected { retry_after_secs, reason } => {
-            d.disposition = Disposition::Rejected;
-            let mut resp = Response::error(
-                Status::TOO_MANY_REQUESTS,
-                &format!(
-                    "admission control rejected this query ({reason}): \
-                     estimated cost {est_secs:.3}s modelled; retry later"
-                ),
-            );
-            resp.headers.set("Retry-After", retry_after_secs.to_string());
-            let shared = Arc::new(resp);
-            // Joiners share the 429 (they are the same query), but it is
-            // never cached: the budget refills.
-            ticket.share(Arc::clone(&shared));
-            let resp = serve_shared(&shared, "miss");
-            clock.lap(Stage::Encode);
-            return resp;
-        }
+    let rejected = match admission.decision {
+        AdmissionDecision::Disabled | AdmissionDecision::Cheap | AdmissionDecision::Charged => None,
+        AdmissionDecision::RejectedOverBudget => Some("over_budget"),
+        AdmissionDecision::RejectedTenantBudget => Some("tenant_budget"),
+    };
+    if let Some(reason) = rejected {
+        d.disposition = Disposition::Rejected;
+        let mut resp = Response::error(
+            Status::TOO_MANY_REQUESTS,
+            &format!(
+                "admission control rejected this query ({reason}): \
+                 estimated cost {est_secs:.3}s modelled; retry later"
+            ),
+        );
+        resp.headers.set("Retry-After", admission.retry_after_secs.to_string());
+        let shared = Arc::new(resp);
+        // Joiners share the 429 (they are the same query), but it is
+        // never cached: the budget refills.
+        ticket.share(Arc::clone(&shared));
+        let resp = serve_shared(&shared, "miss");
+        clock.lap(Stage::Encode);
+        return resp;
     }
 
     // The execution and its scan are children of the request; the scan's
@@ -382,7 +383,6 @@ fn serve_metrics(
         Response::bytes(json, "application/json")
     };
     resp.headers.set("X-Query-Processing-Ms", format!("{:.3}", processing.as_millis_f64()));
-    st.request_seconds.observe_vdur_traced(processing, Some(ctx));
     let shared = ticket.complete(validity, resp);
     d.disposition = Disposition::Miss;
     let out = serve_shared(&shared, "miss");
@@ -431,10 +431,6 @@ impl MetricsState {
                 "Metrics queries currently executing against storage.",
             ),
             compress: CompressMetrics::new(&obs),
-            request_seconds: obs.histo_help(
-                "monster_builder_request_seconds",
-                "End-to-end simulated latency of /v1/metrics requests.",
-            ),
             exec_metrics: Arc::new(ExecMetrics::new(&obs)),
             recorder: Arc::new(QueryRecorder::new_in(qlog::RING_CAPACITY, qlog::SLOW_MS, &obs)),
             obs,
@@ -719,6 +715,10 @@ mod tests {
         assert_eq!(resp.status, Status::OK);
         let tp = resp.headers.get("traceparent").expect("traceparent header");
         let ctx = TraceContext::parse_traceparent(tp).expect("well-formed");
+        // The miss's modelled latency carries the request's exemplar.
+        let exemplars = db.registry().histo("monster_builder_query_seconds").exemplars();
+        let linked = exemplars.iter().flatten().any(|e| (e.trace, e.span) == (ctx.trace, ctx.span));
+        assert!(linked, "{exemplars:?}");
         let lag = resp.headers.get("X-Freshness-Lag-Seconds").expect("freshness header");
         assert!(lag.parse::<f64>().unwrap() >= 0.0);
 
@@ -816,27 +816,37 @@ mod tests {
             }
         }
         db.write_batch(&batch).unwrap();
-        // Everything is "expensive" and nothing is affordable: the
-        // admission layer must turn the query away before it executes.
-        let config = ServiceConfig {
-            admission: AdmissionConfig {
-                enabled: true,
-                cheap_secs: 0.0,
-                reject_secs: 0.0,
-                ..AdmissionConfig::default()
-            },
-            ..ServiceConfig::default()
-        };
-        let router = router(Arc::clone(&db), ids, config);
         let url = "/v1/metrics?start=1970-01-01T00:00:00Z&end=1970-01-01T01:00:00Z&interval=5m";
-        let resp = get(&router, url);
-        assert_eq!(resp.status, Status::TOO_MANY_REQUESTS);
-        let retry: u64 =
-            resp.headers.get("Retry-After").expect("Retry-After header").parse().unwrap();
-        assert!(retry >= 1);
-        assert!(resp.headers.get("traceparent").is_some(), "429s carry trace headers too");
-        // Rejections are not cached: the next attempt is re-evaluated.
-        assert_eq!(get(&router, url).status, Status::TOO_MANY_REQUESTS);
+        let request = parse_metrics_request(&Request::get(url)).unwrap();
+        let plan = build_plan(ServiceConfig::default().schema, &ids, &request);
+        let est = db.simulate_elapsed(&crate::estimate_plan_cost(&db, &plan)).as_secs_f64();
+        let rate = AdmissionConfig::default().tenant_rate;
+        // Everything is "expensive" and nothing is affordable, by either
+        // rule: the admission layer must turn the query away before it
+        // executes, with the body and `Retry-After` of the rule that fired.
+        let over_budget =
+            AdmissionConfig { cheap_secs: 0.0, reject_secs: 0.0, ..AdmissionConfig::default() };
+        let tenant_budget =
+            AdmissionConfig { cheap_secs: 0.0, tenant_burst: 0.0, ..AdmissionConfig::default() };
+        for (admission, reason, retry) in [
+            (over_budget, "over_budget", ((est / rate).ceil() as u64).clamp(1, 300)),
+            (tenant_budget, "tenant_budget", ((est / rate).ceil() as u64).max(1)),
+        ] {
+            let config = ServiceConfig { admission, ..ServiceConfig::default() };
+            let router = router(Arc::clone(&db), ids.clone(), config);
+            let resp = get(&router, url);
+            assert_eq!(resp.status, Status::TOO_MANY_REQUESTS);
+            let body = format!(
+                "admission control rejected this query ({reason}): \
+                 estimated cost {est:.3}s modelled; retry later"
+            );
+            assert_eq!(std::str::from_utf8(&resp.body[..]), Ok(body.as_str()));
+            assert_eq!(resp.headers.get("Retry-After"), Some(retry.to_string().as_str()));
+            assert!(retry >= 1);
+            assert!(resp.headers.get("traceparent").is_some(), "429s carry trace headers too");
+            // Rejections are not cached: the next attempt is re-evaluated.
+            assert_eq!(get(&router, url).status, Status::TOO_MANY_REQUESTS);
+        }
     }
 
     #[test]
@@ -1031,6 +1041,27 @@ mod tests {
             retry,
             "the explain math must reproduce the Retry-After header"
         );
+    }
+
+    /// A record stores its tenant cut to `TENANT_BYTES`; `?tenant=` with
+    /// the full value must still find it, and only it.
+    #[test]
+    fn debug_requests_tenant_filter_finds_a_long_tenant() {
+        let (_db, router) = service();
+        let long = "dashboard-tenant-0123456789abc";
+        let short = "dash-short";
+        assert_eq!((long.len(), short.len()), (30, 10));
+        for tenant in [long, short] {
+            router.dispatch(&Request::get(URL).with_header("X-Tenant", tenant));
+        }
+        for tenant in [long, short] {
+            let doc =
+                get(&router, &format!("/debug/requests?tenant={tenant}")).json_body().unwrap();
+            let rows = doc.get("requests").unwrap().as_array().unwrap();
+            assert_eq!(rows.len(), 1, "?tenant={tenant}: {rows:?}");
+            let stored = &tenant[..tenant.len().min(qlog::TENANT_BYTES)];
+            assert_eq!(rows[0].get("tenant").unwrap().as_str(), Some(stored));
+        }
     }
 
     #[test]

@@ -9,22 +9,16 @@
 //! admits on the estimate prices the same batch, so a request reads the
 //! index once).
 //! They differ in how many threads the scan may use and in the *simulated*
-//! elapsed time they report. Sequentially that is the sum of the queries'
-//! times. Concurrently each of `workers` logical workers accumulates the
-//! simulated CPU cost of the queries packed onto it and the batch completes
-//! when the slowest does (`max` over workers), plus serialized I/O and a
-//! fan-out/merge overhead per query.
+//! elapsed time they report, which this module does not compute: both
+//! price what ran through [`crate::cost::batch_elapsed`], against the same
+//! hot and cold devices, so the two modes agree on the cold tier.
 //!
-//! `workers` therefore means two things, deliberately: the number of bins
-//! in the simulated-time model (exactly), and an upper bound on the
-//! physical threads (`min(workers, DbConfig::scan_workers, cores, queries)`:
-//! a query is scanned by one thread). The model additionally divides each
-//! query's scan CPU by [`crate::CostParams::scan_workers`] before packing
-//! ([`crate::CostParams::split`]); that is a property of the modelled
-//! machine, not of how this one scans. I/O stays serialized on the shared
-//! storage backend, so the modelled speedup saturates the way Fig. 15 does.
+//! `workers` means two things, deliberately: the number of CPU bins in
+//! that model (exactly), and an upper bound on the physical threads
+//! (`min(workers, DbConfig::scan_workers, cores, queries)`: a query is
+//! scanned by one thread).
 
-use crate::cost::QueryCost;
+use crate::cost::{batch_elapsed, QueryCost};
 use crate::db::{Db, Prepared};
 use crate::query::ResultSet;
 use monster_sim::VDuration;
@@ -51,10 +45,11 @@ impl BatchOutcome {
         self.results.into_iter().collect()
     }
 
-    /// Run `prepared` on up to `workers` threads; `simulated` is left zero
-    /// for the mode to fill in.
-    fn run(db: &Db, prepared: Prepared<'_>, workers: usize) -> BatchOutcome {
-        let threads = db.scan_threads(&prepared, workers);
+    /// Run `prepared` on up to `workers` threads (one for `None`) and price
+    /// what ran under that mode, against the database's hot and cold
+    /// devices.
+    fn run(db: &Db, prepared: Prepared<'_>, workers: Option<usize>) -> BatchOutcome {
+        let threads = db.scan_threads(&prepared, workers.unwrap_or(1));
         let answered = db.answer(prepared, threads);
         let mut out = BatchOutcome {
             results: Vec::with_capacity(answered.len()),
@@ -72,55 +67,26 @@ impl BatchOutcome {
             out.costs.push(cost);
             out.results.push(rs);
         }
+        let (hot, cold) = db.devices();
+        let ran = out.results.iter().zip(&out.costs).filter(|(r, _)| r.is_ok()).map(|(_, c)| c);
+        out.simulated =
+            batch_elapsed(&db.config().cost, ran, out.results.len(), workers, hot, cold);
         out
     }
-
-    /// The costs of the queries that ran.
-    fn ran(&self) -> impl Iterator<Item = &QueryCost> {
-        self.results.iter().zip(&self.costs).filter(|(r, _)| r.is_ok()).map(|(_, c)| c)
-    }
 }
-
-/// Per-query coordination overhead when fanning out (connection setup,
-/// result merge) — concurrent execution is not perfectly free. Scaled by
-/// the cost model's amplification, like all per-query costs.
-const FANOUT_OVERHEAD_SECS: f64 = 0.7e-3;
 
 /// Execute queries one after another on the calling thread (the paper's
 /// original Metrics Builder). Simulated time is the sum of per-query times.
 pub fn run_sequential(db: &Db, batch: Prepared<'_>) -> BatchOutcome {
-    let mut out = BatchOutcome::run(db, batch, 1);
-    out.simulated = out.ran().map(|cost| db.simulate_elapsed(cost)).sum();
-    out
+    BatchOutcome::run(db, batch, None)
 }
 
 /// Execute queries as `workers` concurrent workers would (the §IV-B3
-/// optimization), on at most that many threads.
-///
-/// Simulated time model: CPU work parallelizes across the workers
-/// (longest-processing-time-first bin packing, the steady state of a
-/// work-pulling pool), but I/O serializes on the shared storage backend —
-/// which is why the paper's measured speedup saturates at 5.5–6.5× rather
-/// than the worker count.
+/// optimization), on at most that many threads. Simulated time is
+/// [`crate::cost::batch_elapsed`]'s concurrent model: CPU packed onto the
+/// workers, I/O serialized, a fan-out overhead per query.
 pub fn run_concurrent(db: &Db, batch: Prepared<'_>, workers: usize) -> BatchOutcome {
-    let workers = workers.max(1);
-    let mut out = BatchOutcome::run(db, batch, workers);
-    let config = db.config();
-    let (mut cpu_each, io_each): (Vec<VDuration>, Vec<VDuration>) =
-        out.ran().map(|cost| config.cost.split(cost, &config.disk)).unzip();
-    cpu_each.sort_unstable_by(|a, b| b.cmp(a));
-    let mut bins = vec![VDuration::ZERO; workers];
-    for d in cpu_each {
-        let min = bins.iter_mut().min().expect("at least one worker");
-        *min += d;
-    }
-    let slowest_cpu = bins.into_iter().max().unwrap_or(VDuration::ZERO);
-    let io_total: VDuration = io_each.into_iter().sum();
-    let overhead = VDuration::from_secs_f64(
-        FANOUT_OVERHEAD_SECS * out.results.len() as f64 * config.cost.amplification,
-    );
-    out.simulated = slowest_cpu + io_total + overhead;
-    out
+    BatchOutcome::run(db, batch, Some(workers.max(1)))
 }
 
 #[cfg(test)]

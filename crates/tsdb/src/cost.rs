@@ -2,9 +2,12 @@
 //!
 //! Every query returns a [`QueryCost`] describing the physical work it did:
 //! index entries examined, series and blocks touched, points decoded, bytes
-//! read. [`CostParams::split`] converts that work into simulated CPU and
-//! I/O time against a storage device model — the mechanism behind the
-//! deterministic reproduction of Figs. 10/12/14/15.
+//! read. [`CostParams::price`] converts that work into simulated CPU and
+//! I/O time against the hot and cold storage devices — the mechanism
+//! behind the deterministic reproduction of Figs. 10/12/14/15 — and this
+//! module is the one home of every modelled constant: the batch model of
+//! both execution modes ([`batch_elapsed`]) and the builder's marshalling
+//! model ([`processing_elapsed`]) price from here.
 //!
 //! Calibration notes (constants approximate the paper's stack — InfluxDB
 //! 1.x driven by a Python middleware):
@@ -19,7 +22,7 @@
 //!   of the raw 100× seek ratio.
 //! * Scan CPU (`per_point_cpu`) is cheap; the expensive CPU is per
 //!   *output* window (aggregation cursor + middleware marshalling), which
-//!   lives in the builder's processing model.
+//!   [`processing_elapsed`] prices.
 //!
 //! The *shape* of every figure comes from the physical counters; these
 //! constants only set the scale.
@@ -151,24 +154,22 @@ impl CostParams {
         self
     }
 
-    /// Split a cost into (CPU time, I/O time) against `disk`.
+    /// Split a cost into (CPU time, I/O time): the one way work becomes
+    /// modelled seconds.
     ///
-    /// CPU parallelizes across query workers; I/O serializes on the single
-    /// storage backend — the distinction the concurrent-query simulation
-    /// (Fig. 15) depends on. Equivalent to [`CostParams::split_tiered`]
-    /// with both tiers on the same device, so the historical calibration
-    /// (Figs. 10/12/14/15) is unchanged when tiering is off.
-    pub fn split(&self, cost: &QueryCost, disk: &DiskModel) -> (VDuration, VDuration) {
-        self.split_tiered(cost, disk, disk)
-    }
-
-    /// Like [`CostParams::split`], but I/O charged against two devices:
-    /// `blocks_cold`/`bytes_cold` (a subset of `blocks`/`bytes`, accounted
-    /// per shard by the scan path) price against `cold`, the rest against
-    /// `hot`. This is the live version of the paper's Fig. 12 / Table III
-    /// media comparison: one query pays SSD rates on recent shards and HDD
-    /// rates on tiered history.
-    pub fn split_tiered(
+    /// I/O is charged against two devices: `blocks_cold`/`bytes_cold` (a
+    /// subset of `blocks`/`bytes`, accounted per shard by the scan path)
+    /// price against `cold`, the rest against `hot`. That is the live
+    /// version of the paper's Fig. 12 / Table III media comparison: one
+    /// query pays SSD rates on recent shards and HDD rates on tiered
+    /// history. An untiered store passes its disk twice, which prices
+    /// every byte on it whatever the cold counters say — the historical
+    /// calibration (Figs. 10/12/14/15).
+    ///
+    /// CPU parallelizes across query workers; I/O serializes on the
+    /// storage backend — the distinction the concurrent batch model
+    /// ([`batch_elapsed`], Fig. 15) depends on.
+    pub fn price(
         &self,
         cost: &QueryCost,
         hot: &DiskModel,
@@ -194,25 +195,83 @@ impl CostParams {
             + cost.queries as f64 * a * self.per_query;
         (VDuration::from_secs_f64(scan_cpu + serial_cpu), io)
     }
+}
 
-    /// Simulated elapsed time for `cost` against `disk`, assuming the
-    /// queries ran **sequentially** (CPU + I/O back to back).
-    pub fn elapsed(&self, cost: &QueryCost, disk: &DiskModel) -> VDuration {
-        let (cpu, io) = self.split(cost, disk);
-        cpu + io
-    }
+/// Per-query coordination overhead when a batch fans out (connection
+/// setup, result merge), seconds — concurrent execution is not perfectly
+/// free. Scaled by amplification, like all per-query costs.
+const FANOUT_OVERHEAD_SECS: f64 = 0.7e-3;
 
-    /// Sequential elapsed time with tiered I/O pricing (see
-    /// [`CostParams::split_tiered`]).
-    pub fn elapsed_tiered(&self, cost: &QueryCost, hot: &DiskModel, cold: &DiskModel) -> VDuration {
-        let (cpu, io) = self.split_tiered(cost, hot, cold);
-        cpu + io
+/// CPU cost to marshal one output point into the response document
+/// (aggregation cursor output + middleware JSON assembly), seconds. This
+/// is the builder-side "processing" share of Fig. 11.
+const PER_OUTPUT_POINT_SECS: f64 = 1.0e-6;
+
+/// Fixed marshalling cost per executed query (result decode, section
+/// routing), seconds.
+const PER_QUERY_MARSHAL_SECS: f64 = 0.1e-3;
+
+/// Modelled elapsed time of one query batch, each query priced by
+/// [`CostParams::price`]. `ran` are the costs of the queries that
+/// answered, of `submitted` in the batch.
+///
+/// * `workers: None` — one query after another: the sum of each query's
+///   CPU and I/O, back to back (the paper's original Metrics Builder).
+/// * `Some(workers)` — the §IV-B3 pool: CPU packs onto `workers` bins
+///   longest first (the steady state of a work-pulling pool) and the batch
+///   waits for the fullest; I/O serializes on the shared storage backend,
+///   which is why the speedup saturates at the paper's 5.5–6.5× rather
+///   than the worker count; and every submitted query pays
+///   `FANOUT_OVERHEAD_SECS`.
+pub fn batch_elapsed<'a>(
+    params: &CostParams,
+    ran: impl IntoIterator<Item = &'a QueryCost>,
+    submitted: usize,
+    workers: Option<usize>,
+    hot: &DiskModel,
+    cold: &DiskModel,
+) -> VDuration {
+    let priced = ran.into_iter().map(|cost| params.price(cost, hot, cold));
+    let Some(workers) = workers else {
+        return priced.map(|(cpu, io)| cpu + io).sum();
+    };
+    let (mut cpu_each, io_each): (Vec<VDuration>, Vec<VDuration>) = priced.unzip();
+    cpu_each.sort_unstable_by(|a, b| b.cmp(a));
+    let mut bins = vec![VDuration::ZERO; workers.max(1)];
+    for d in cpu_each {
+        let min = bins.iter_mut().min().expect("at least one worker");
+        *min += d;
     }
+    let slowest_cpu = bins.into_iter().max().unwrap_or(VDuration::ZERO);
+    let io_total: VDuration = io_each.into_iter().sum();
+    let overhead =
+        VDuration::from_secs_f64(FANOUT_OVERHEAD_SECS * submitted as f64 * params.amplification);
+    slowest_cpu + io_total + overhead
+}
+
+/// Modelled builder-side processing time: marshalling `points_out` output
+/// points of `queries` executed queries into the response document.
+pub fn processing_elapsed(params: &CostParams, points_out: usize, queries: usize) -> VDuration {
+    VDuration::from_secs_f64(
+        (points_out as f64 * PER_OUTPUT_POINT_SECS + queries as f64 * PER_QUERY_MARSHAL_SECS)
+            * params.amplification,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sequential elapsed time on one device, both tiers on it.
+    fn elapsed(p: &CostParams, cost: &QueryCost, disk: &DiskModel) -> VDuration {
+        tiered(p, cost, disk, disk)
+    }
+
+    /// Sequential elapsed time with the cold share priced on `cold`.
+    fn tiered(p: &CostParams, cost: &QueryCost, hot: &DiskModel, cold: &DiskModel) -> VDuration {
+        let (cpu, io) = p.price(cost, hot, cold);
+        cpu + io
+    }
 
     #[test]
     fn absorb_sums_counters() {
@@ -259,15 +318,18 @@ mod tests {
         };
         let serial = CostParams::default();
         let par = CostParams { scan_workers: 4, ..CostParams::default() };
-        let t1 = serial.elapsed(&cost, &DiskModel::SSD).as_secs_f64();
-        let t4 = par.elapsed(&cost, &DiskModel::SSD).as_secs_f64();
+        let t1 = elapsed(&serial, &cost, &DiskModel::SSD).as_secs_f64();
+        let t4 = elapsed(&par, &cost, &DiskModel::SSD).as_secs_f64();
         assert!(t4 < t1, "parallel scans should be cheaper: {t4} vs {t1}");
         // Speedup is bounded by the serial floor (planning + per-query).
         assert!(t1 / t4 < 4.0);
         // Fan-out is capped by the shards actually overlapped: with one
         // shard there is nothing to divide.
         let narrow = QueryCost { shards_scanned: 1, ..cost };
-        assert_eq!(par.elapsed(&narrow, &DiskModel::SSD), serial.elapsed(&narrow, &DiskModel::SSD));
+        assert_eq!(
+            elapsed(&par, &narrow, &DiskModel::SSD),
+            elapsed(&serial, &narrow, &DiskModel::SSD)
+        );
         // And the default (scan_workers = 1) reproduces the historical
         // single-threaded model exactly, keeping the paper bands intact.
         assert_eq!(serial.scan_workers, 1);
@@ -287,7 +349,7 @@ mod tests {
             queries: 1,
             ..QueryCost::default()
         };
-        let t0 = p.elapsed(&base, &DiskModel::SSD);
+        let t0 = elapsed(&p, &base, &DiskModel::SSD);
         for bump in [
             QueryCost { points: 1_000_000, ..base },
             QueryCost { bytes: 100_000_000, ..base },
@@ -297,7 +359,7 @@ mod tests {
             QueryCost { index_entries: 1_000_000, ..base },
             QueryCost { queries: 100, ..base },
         ] {
-            assert!(p.elapsed(&bump, &DiskModel::SSD) > t0);
+            assert!(elapsed(&p, &bump, &DiskModel::SSD) > t0);
         }
     }
 
@@ -317,8 +379,8 @@ mod tests {
             queries: 2_000,
             ..QueryCost::default()
         };
-        let hdd = p.elapsed(&cost, &DiskModel::HDD).as_secs_f64();
-        let ssd = p.elapsed(&cost, &DiskModel::SSD).as_secs_f64();
+        let hdd = elapsed(&p, &cost, &DiskModel::HDD).as_secs_f64();
+        let ssd = elapsed(&p, &cost, &DiskModel::SSD).as_secs_f64();
         assert!(hdd > ssd);
         let r = hdd / ssd;
         assert!((1.2..4.0).contains(&r), "HDD/SSD ratio {r} out of band");
@@ -339,13 +401,13 @@ mod tests {
             queries: 5,
             ..QueryCost::default()
         };
-        let t1 = p1.elapsed(&cost, &DiskModel::HDD).as_secs_f64();
-        let t4 = p4.elapsed(&cost, &DiskModel::HDD).as_secs_f64();
+        let t1 = elapsed(&p1, &cost, &DiskModel::HDD).as_secs_f64();
+        let t4 = elapsed(&p4, &cost, &DiskModel::HDD).as_secs_f64();
         assert!((t4 / t1 - 4.0).abs() < 0.01, "t4/t1 = {}", t4 / t1);
     }
 
     #[test]
-    fn split_partitions_elapsed() {
+    fn price_partitions_the_sequential_batch() {
         let p = CostParams::default().with_amplification(3.0);
         let cost = QueryCost {
             index_entries: 50,
@@ -358,9 +420,10 @@ mod tests {
             queries: 13,
             ..QueryCost::default()
         };
-        let (cpu, io) = p.split(&cost, &DiskModel::HDD);
+        let (cpu, io) = p.price(&cost, &DiskModel::HDD, &DiskModel::HDD);
         assert!(cpu > VDuration::ZERO && io > VDuration::ZERO);
-        assert_eq!(cpu + io, p.elapsed(&cost, &DiskModel::HDD));
+        let hdd = &DiskModel::HDD;
+        assert_eq!(cpu + io, batch_elapsed(&p, [&cost], 1, None, hdd, hdd));
     }
 
     #[test]
@@ -373,15 +436,15 @@ mod tests {
             queries: 1,
             ..QueryCost::default()
         };
-        // All hot / all cold: split_tiered degenerates to single-device
+        // All hot / all cold: tiered pricing degenerates to single-device
         // pricing on the respective tier.
-        let all_hot = p.elapsed_tiered(&io_heavy, &DiskModel::SSD, &DiskModel::HDD);
-        assert_eq!(all_hot, p.elapsed(&io_heavy, &DiskModel::SSD));
+        let all_hot = tiered(&p, &io_heavy, &DiskModel::SSD, &DiskModel::HDD);
+        assert_eq!(all_hot, elapsed(&p, &io_heavy, &DiskModel::SSD));
         let all_cold =
             QueryCost { blocks_cold: io_heavy.blocks, bytes_cold: io_heavy.bytes, ..io_heavy };
         assert_eq!(
-            p.elapsed_tiered(&all_cold, &DiskModel::SSD, &DiskModel::HDD),
-            p.elapsed(&all_cold, &DiskModel::HDD)
+            tiered(&p, &all_cold, &DiskModel::SSD, &DiskModel::HDD),
+            elapsed(&p, &all_cold, &DiskModel::HDD)
         );
         // A half-cold query lands strictly between the pure-SSD and
         // pure-HDD prices — the live Fig. 12 gradient.
@@ -390,13 +453,13 @@ mod tests {
             bytes_cold: io_heavy.bytes / 2,
             ..io_heavy
         };
-        let mixed = p.elapsed_tiered(&half, &DiskModel::SSD, &DiskModel::HDD);
-        assert!(all_hot < mixed && mixed < p.elapsed(&io_heavy, &DiskModel::HDD));
+        let mixed = tiered(&p, &half, &DiskModel::SSD, &DiskModel::HDD);
+        assert!(all_hot < mixed && mixed < elapsed(&p, &io_heavy, &DiskModel::HDD));
         // Same device on both tiers reproduces the untiered model exactly,
         // whatever the cold counters say — calibration is unchanged.
         assert_eq!(
-            p.elapsed_tiered(&half, &DiskModel::HDD, &DiskModel::HDD),
-            p.elapsed(&io_heavy, &DiskModel::HDD)
+            tiered(&p, &half, &DiskModel::HDD, &DiskModel::HDD),
+            elapsed(&p, &io_heavy, &DiskModel::HDD)
         );
     }
 
@@ -424,12 +487,12 @@ mod tests {
             queries: 1,
             ..QueryCost::default()
         };
-        let full = p.elapsed(&decoded, &DiskModel::SSD).as_secs_f64();
-        let push = p.elapsed(&summarized, &DiskModel::SSD).as_secs_f64();
+        let full = elapsed(&p, &decoded, &DiskModel::SSD).as_secs_f64();
+        let push = elapsed(&p, &summarized, &DiskModel::SSD).as_secs_f64();
         assert!(push < full, "summary probes must be cheaper: {push} vs {full}");
         assert!(full / push > 3.0, "expected a big modelled win, got {}", full / push);
         // The probe itself still costs something: not free, just flat.
         let free = QueryCost { blocks_summarized: 0, ..summarized };
-        assert!(p.elapsed(&summarized, &DiskModel::SSD) > p.elapsed(&free, &DiskModel::SSD));
+        assert!(elapsed(&p, &summarized, &DiskModel::SSD) > elapsed(&p, &free, &DiskModel::SSD));
     }
 }

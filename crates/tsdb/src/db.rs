@@ -976,10 +976,18 @@ impl Db {
     /// cost (`blocks_cold`/`bytes_cold`) is priced against the archive
     /// device instead of the hot disk.
     pub fn simulate_elapsed(&self, cost: &QueryCost) -> monster_sim::VDuration {
-        match &self.config.tiering {
-            Some(_) => self.config.cost.elapsed_tiered(cost, &self.config.disk, &COLD_DISK),
-            None => self.config.cost.elapsed(cost, &self.config.disk),
-        }
+        let (hot, cold) = self.devices();
+        let (cpu, io) = self.config.cost.price(cost, hot, cold);
+        cpu + io
+    }
+
+    /// The devices this database prices I/O against, hot and cold: the
+    /// cold shards' is the archive device when tiering is configured, else
+    /// the hot disk. The one place the cold tier's device is chosen, for
+    /// both execution modes.
+    pub(crate) fn devices(&self) -> (&DiskModel, &DiskModel) {
+        let cold = if self.config.tiering.is_some() { &COLD_DISK } else { &self.config.disk };
+        (&self.config.disk, cold)
     }
 
     /// Snapshot of write-path statistics. O(1): every field is either an
