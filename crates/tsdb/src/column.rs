@@ -463,12 +463,14 @@ impl Column {
     }
 
     /// Force-seal any raw tail into a compressed block (compaction):
-    /// returns true if anything was sealed.
+    /// returns true if anything was sealed. Frees the tail's buffer, which
+    /// the self-seal at [`BLOCK_SIZE`] keeps for the next points.
     pub fn seal_now(&mut self) -> bool {
         if self.tail.len() == 0 {
             return false;
         }
         self.seal_tail();
+        on_pairs!(&mut self.tail, pairs => pairs.shrink_to_fit());
         true
     }
 

@@ -152,8 +152,9 @@ struct BatchPlan<'q> {
     series: Vec<SeriesId>,
     /// Their keys, parallel to `series`: what an answer is labelled with.
     keys: Vec<Arc<SeriesKey>>,
-    /// The shards any query overlaps, in time order.
-    shards: Vec<(i64, Arc<RwLock<Shard>>)>,
+    /// The shards any query overlaps, in time order, each with whether it
+    /// is on the cold tier.
+    shards: Vec<(i64, Arc<RwLock<Shard>>, bool)>,
 }
 
 /// One query of a [`BatchPlan`].
@@ -216,18 +217,24 @@ impl Prepared<'_> {
             return cost;
         }
         let (qs, qe, duration) = (p.query.start.as_secs(), p.query.end.as_secs(), self.duration);
-        let covered: f64 = self.plan.shards[p.shards.clone()]
-            .iter()
-            .map(|&(start, _)| (qe.min(start + duration) - qs.max(start)) as f64 / duration as f64)
-            .sum();
+        let frac = |start: i64| (qe.min(start + duration) - qs.max(start)) as f64 / duration as f64;
+        let shards = &self.plan.shards[p.shards.clone()];
+        let covered: f64 = shards.iter().map(|&(start, ..)| frac(start)).sum();
+        let cold = shards.iter().filter(|&&(.., cold)| cold).map(|&(start, ..)| start);
+        let (covered_cold, cold) = cold.fold((0.0, 0), |(f, n), start| (f + frac(start), n + 1));
         let series_frac = series as f64 / p.index_entries.max(1) as f64;
-        let shard_frac = covered / self.shard_count.max(1) as f64;
-        let points = (self.points as f64 * series_frac * shard_frac).ceil() as usize;
+        let share = |total: usize, covered: f64| {
+            (total as f64 * series_frac * (covered / self.shard_count.max(1) as f64)).ceil()
+                as usize
+        };
+        let (points, points_cold) = (share(self.points, covered), share(self.points, covered_cold));
         QueryCost {
             points,
             // One partial block per (series, shard) plus the sealed interior.
             blocks: points / crate::column::BLOCK_SIZE + series * overlap,
-            bytes: (self.bytes as f64 * series_frac * shard_frac).ceil() as usize,
+            bytes: share(self.bytes, covered),
+            blocks_cold: points_cold / crate::column::BLOCK_SIZE + series * cold,
+            bytes_cold: share(self.bytes, covered_cold),
             ..cost
         }
     }
@@ -826,12 +833,15 @@ impl Db {
         let from = valid().map(|(_, q)| q.start.as_secs()).min().unwrap_or(0);
         let to = valid().map(|(_, q)| q.end.as_secs()).max().unwrap_or(from);
         let map = self.timed(|| self.shards.read());
-        let shards: Vec<(i64, Arc<RwLock<Shard>>)> = map
+        let mut shards: Vec<(i64, Arc<RwLock<Shard>>, bool)> = map
             .range(from.saturating_sub(duration - 1)..to)
-            .map(|(&start, s)| (start, Arc::clone(s)))
+            .map(|(&start, s)| (start, Arc::clone(s), false))
             .collect();
         let shard_count = map.len();
         drop(map);
+        for (_, shard, cold) in &mut shards {
+            *cold = shard.read().is_cold();
+        }
 
         let mut plan =
             BatchPlan { queries: Vec::new(), series: Vec::new(), keys: Vec::new(), shards };
@@ -857,8 +867,8 @@ impl Db {
                 }),
                 index_entries,
                 series: series_from..plan.series.len(),
-                shards: plan.shards.partition_point(|(start, _)| start + duration <= qs)
-                    ..plan.shards.partition_point(|(start, _)| *start < qe),
+                shards: plan.shards.partition_point(|(start, ..)| start + duration <= qs)
+                    ..plan.shards.partition_point(|(start, ..)| *start < qe),
             };
             plan.queries.push(planned);
         }
@@ -908,7 +918,7 @@ impl Db {
         // A field never written has no column to look for: nothing is locked.
         let shards = if p.fid.is_some() { &plan.shards[p.shards.clone()] } else { &[] };
         let held = match shards {
-            [(_, one)] if !p.series.is_empty() => Some(self.timed(|| one.read())),
+            [(_, one, _)] if !p.series.is_empty() => Some(self.timed(|| one.read())),
             _ => None,
         };
         let mut series = Vec::with_capacity(p.series.len());
@@ -946,7 +956,7 @@ impl Db {
             match &held {
                 Some(shard) => scan(shard)?,
                 None => {
-                    for (_, shard) in shards {
+                    for (_, shard, _) in shards {
                         scan(&self.timed(|| shard.read()))?;
                     }
                 }

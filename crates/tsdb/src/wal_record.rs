@@ -4,8 +4,9 @@
 //! the database's values cut into them ([`crate::snapshot`]).
 //!
 //! ```text
-//! payload := point*                          (to the end of the frame)
+//! payload := (point | run)*                  (to the end of the frame)
 //! point   := series ts:zz nfields:uv field{nfields}             nfields >= 1
+//! run     := 0 0 n-1:u8 (type:u8 value){k}{n}     after a point with k fields
 //! series  := 0 str(measurement) ntags:uv (str(key) str(value)){ntags}
 //!          | id+1:uv                         id < series defined so far
 //! field   := name type:u8 value
@@ -33,6 +34,12 @@
 //! definitions the reader has seen in that file — one comparison, and no
 //! table an on-disk byte can size. The writer's half of the rule is
 //! [`SegmentDict`]; the reader's is the two counts [`decode`] takes.
+//!
+//! # Runs
+//!
+//! A point *follows* the one before it in its record when it has the next
+//! series id, the same timestamp and the same field names; a run writes such
+//! points as their values alone. Its `0 0` is what older readers refuse.
 //!
 //! # Decimal floats
 //!
@@ -163,8 +170,9 @@ pub fn batch_points<'a>(
     batch: &'a [DataPoint],
     series: &'a [SeriesId],
     fields: &'a [FieldId],
-) -> impl Iterator<Item = Point<'a, impl ExactSizeIterator<Item = (FieldId, &'a str, &'a FieldValue)>>>
-{
+) -> impl Iterator<
+    Item = Point<'a, impl ExactSizeIterator<Item = (FieldId, &'a str, &'a FieldValue)> + Clone>,
+> {
     assert_eq!(batch.len(), series.len(), "one series id per point");
     let mut next_field = 0usize;
     batch.iter().zip(series).map(move |(p, &series)| {
@@ -176,8 +184,35 @@ pub fn batch_points<'a>(
     })
 }
 
+/// Append `value`'s type and bytes to the record that starts at `out[start]`.
+fn put_value(out: &mut Vec<u8>, start: usize, value: &FieldValue) -> Result<()> {
+    match value {
+        FieldValue::Float(x) => match decimal(*x) {
+            Some((e, m)) => {
+                out.push(TYPE_DECIMAL + e);
+                push_varint(out, zigzag(m));
+            }
+            None => {
+                out.push(TYPE_FLOAT);
+                out.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+        },
+        FieldValue::Int(x) => {
+            out.push(TYPE_INT);
+            push_varint(out, zigzag(*x));
+        }
+        FieldValue::Bool(x) => out.extend_from_slice(&[TYPE_BOOL, *x as u8]),
+        FieldValue::Str(s) => {
+            out.push(TYPE_STR);
+            put_str(out, start, s)?;
+        }
+    }
+    Ok(())
+}
+
 /// Append `points` to `out` as one record payload; what `dict` has not
-/// defined yet is defined inline from the point in hand.
+/// defined yet is defined inline from the point in hand, and a point that
+/// follows the one before it joins a run.
 ///
 /// A batch that does not fit [`MAX_RECORD_BYTES`] is refused part-way:
 /// the caller drops what `out` gained and [rewinds](SegmentDict::rewind)
@@ -188,56 +223,57 @@ pub fn encode<'a, F>(
     out: &mut Vec<u8>,
 ) -> Result<()>
 where
-    F: ExactSizeIterator<Item = (FieldId, &'a str, &'a FieldValue)>,
+    F: ExactSizeIterator<Item = (FieldId, &'a str, &'a FieldValue)> + Clone,
 {
     let start = out.len();
-    let mut prev_ts = 0i64;
+    let (mut prev_ts, mut prev_series, mut prev_fields) = (0i64, 0u32, None::<F>);
+    let mut run = None::<usize>; // where the open run's count, less one, is
     for p in points {
-        match refer(&mut dict.series, &mut dict.defined.0, p.series.0) {
-            Some(r) => push_varint(out, r as u64),
-            None => {
-                out.push(0);
-                put_str(out, start, p.measurement)?;
-                push_varint(out, p.tags.len() as u64);
-                for (k, v) in p.tags {
-                    put_str(out, start, k)?;
-                    put_str(out, start, v)?;
+        let series = refer(&mut dict.series, &mut dict.defined.0, p.series.0);
+        let names = |f: F| f.map(|(id, ..)| id);
+        let follows = series == Some(prev_series + 1)
+            && p.ts == prev_ts
+            && prev_fields.clone().is_some_and(|f| names(f).eq(names(p.fields.clone())));
+        if follows {
+            match run {
+                Some(at) if out[at] < u8::MAX => out[at] += 1,
+                _ => {
+                    out.extend_from_slice(&[0, 0, 0]);
+                    run = Some(out.len() - 1);
                 }
             }
-        }
-        push_varint(out, zigzag(p.ts.wrapping_sub(prev_ts)));
-        prev_ts = p.ts;
-        push_varint(out, p.fields.len() as u64);
-        for (fid, name, value) in p.fields {
-            match refer(&mut dict.fields, &mut dict.defined.1, fid.0) {
+            for (_, _, value) in p.fields.clone() {
+                put_value(out, start, value)?;
+            }
+        } else {
+            run = None;
+            match series {
                 Some(r) => push_varint(out, r as u64),
                 None => {
                     out.push(0);
-                    put_str(out, start, name)?;
+                    put_str(out, start, p.measurement)?;
+                    push_varint(out, p.tags.len() as u64);
+                    for (k, v) in p.tags {
+                        put_str(out, start, k)?;
+                        put_str(out, start, v)?;
+                    }
                 }
             }
-            match value {
-                FieldValue::Float(x) => match decimal(*x) {
-                    Some((e, m)) => {
-                        out.push(TYPE_DECIMAL + e);
-                        push_varint(out, zigzag(m));
-                    }
+            push_varint(out, zigzag(p.ts.wrapping_sub(prev_ts)));
+            push_varint(out, p.fields.len() as u64);
+            for (fid, name, value) in p.fields.clone() {
+                match refer(&mut dict.fields, &mut dict.defined.1, fid.0) {
+                    Some(r) => push_varint(out, r as u64),
                     None => {
-                        out.push(TYPE_FLOAT);
-                        out.extend_from_slice(&x.to_bits().to_le_bytes());
+                        out.push(0);
+                        put_str(out, start, name)?;
                     }
-                },
-                FieldValue::Int(x) => {
-                    out.push(TYPE_INT);
-                    push_varint(out, zigzag(*x));
                 }
-                FieldValue::Bool(x) => out.extend_from_slice(&[TYPE_BOOL, *x as u8]),
-                FieldValue::Str(s) => {
-                    out.push(TYPE_STR);
-                    put_str(out, start, s)?;
-                }
+                put_value(out, start, value)?;
             }
         }
+        (prev_ts, prev_series, prev_fields) =
+            (p.ts, series.unwrap_or(dict.defined.0), Some(p.fields));
         if out.len() - start > MAX_RECORD_BYTES {
             return Err(too_large());
         }
@@ -316,7 +352,16 @@ pub fn decode(
         if defines {
             let measurement = read_string(payload, &mut pos)?;
             if measurement.is_empty() {
-                return Err(corrupt("empty measurement"));
+                for _ in 0..=take(payload, &mut pos, 1)?[0] {
+                    let prev = *out.points.last().ok_or_else(|| corrupt("run before a point"))?;
+                    let series = local_id(prev.series as u64 + 2, known)?.0;
+                    for _ in 0..prev.fields {
+                        let field = out.fields[out.fields.len() - prev.fields as usize].0;
+                        out.fields.push((field, read_value(payload, &mut pos)?));
+                    }
+                    out.points.push(RecordPoint { series, ..prev });
+                }
+                continue;
             }
             let mut tags = Vec::new();
             for _ in 0..read_varint(payload, &mut pos)? {
@@ -336,27 +381,29 @@ pub fn decode(
             if defines {
                 out.field_defs.push(read_string(payload, &mut pos)?);
             }
-            let value = match take(payload, &mut pos, 1)?[0] {
-                TYPE_FLOAT => {
-                    let bits = take(payload, &mut pos, 8)?.try_into().expect("eight bytes taken");
-                    FieldValue::Float(f64::from_bits(u64::from_le_bytes(bits)))
-                }
-                TYPE_INT => FieldValue::Int(unzigzag(read_varint(payload, &mut pos)?)),
-                TYPE_BOOL => match take(payload, &mut pos, 1)?[0] {
-                    b @ 0..=1 => FieldValue::Bool(b == 1),
-                    _ => return Err(corrupt("boolean is neither 0 nor 1")),
-                },
-                TYPE_STR => FieldValue::Str(read_string(payload, &mut pos)?),
-                t => match POW10.get((t - TYPE_DECIMAL) as usize) {
-                    Some(pow) => {
-                        FieldValue::Float(unzigzag(read_varint(payload, &mut pos)?) as f64 / pow)
-                    }
-                    None => return Err(corrupt("unknown value type")),
-                },
-            };
-            out.fields.push((field, value));
+            out.fields.push((field, read_value(payload, &mut pos)?));
         }
         out.points.push(RecordPoint { series, ts, fields });
     }
     Ok(())
+}
+
+/// One value: its type byte, then what the type says.
+fn read_value(payload: &[u8], pos: &mut usize) -> Result<FieldValue> {
+    Ok(match take(payload, pos, 1)?[0] {
+        TYPE_FLOAT => {
+            let bits = take(payload, pos, 8)?.try_into().expect("eight bytes taken");
+            FieldValue::Float(f64::from_bits(u64::from_le_bytes(bits)))
+        }
+        TYPE_INT => FieldValue::Int(unzigzag(read_varint(payload, pos)?)),
+        TYPE_BOOL => match take(payload, pos, 1)?[0] {
+            b @ 0..=1 => FieldValue::Bool(b == 1),
+            _ => return Err(corrupt("boolean is neither 0 nor 1")),
+        },
+        TYPE_STR => FieldValue::Str(read_string(payload, pos)?),
+        t => match POW10.get((t - TYPE_DECIMAL) as usize) {
+            Some(pow) => FieldValue::Float(unzigzag(read_varint(payload, pos)?) as f64 / pow),
+            None => return Err(corrupt("unknown value type")),
+        },
+    })
 }

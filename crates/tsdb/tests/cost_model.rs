@@ -7,7 +7,9 @@
 //!   200 000 in release);
 //! * both execution modes price a tiered store's cold shards on the cold
 //!   device: on an SSD-hot store, one worker costs exactly the sequential
-//!   time plus one query's fan-out overhead.
+//!   time plus one query's fan-out overhead;
+//! * admission prices a cold shard on the cold device too: the estimate of
+//!   a read of the tiered day alone is within a factor of two of its cost.
 
 use monster_sim::{DiskModel, VDuration};
 use monster_tsdb::concurrent::{run_concurrent, run_sequential};
@@ -175,11 +177,10 @@ proptest! {
     }
 }
 
-/// An SSD-hot store with its oldest day tiered to the archive device: the
-/// concurrent mode prices the cold share as the sequential mode does, so
-/// one worker costs the sequential time plus one query's fan-out.
-#[test]
-fn one_worker_costs_the_sequential_time_plus_one_fanout_on_a_tiered_store() {
+/// An SSD-hot store of three day shards, `nodes` series of a reading every
+/// `step` seconds, with no WAL: tiering marks its oldest day cold and keeps
+/// it in memory.
+fn tiered_store(nodes: usize, step: i64) -> Db {
     let config = DbConfig {
         shard_duration: 86_400,
         disk: DiskModel::SSD,
@@ -187,15 +188,26 @@ fn one_worker_costs_the_sequential_time_plus_one_fanout_on_a_tiered_store() {
         ..DbConfig::default()
     };
     let db = Db::new_in(config, &Arc::default());
-    let batch: Vec<DataPoint> = (0..3 * 1440)
-        .map(|i| {
-            DataPoint::new("Power", EpochSecs::new(i * 60))
-                .tag("NodeId", "10.101.1.1")
-                .field_f64("Reading", 200.0 + (i % 100) as f64)
+    let batch: Vec<DataPoint> = (0..3 * 86_400 / step)
+        .flat_map(|i| {
+            (1..=nodes).map(move |n| {
+                DataPoint::new("Power", EpochSecs::new(i * step))
+                    .tag("NodeId", format!("10.101.1.{n}"))
+                    .field_f64("Reading", 200.0 + (i % 100) as f64)
+            })
         })
         .collect();
     db.write_batch(&batch).unwrap();
     assert_eq!(db.tier_cold_shards(EpochSecs::new(3 * 86_400)).unwrap().shards_tiered, 1);
+    db
+}
+
+/// The tiered store with its oldest day on the archive device: the
+/// concurrent mode prices the cold share as the sequential mode does, so
+/// one worker costs the sequential time plus one query's fan-out.
+#[test]
+fn one_worker_costs_the_sequential_time_plus_one_fanout_on_a_tiered_store() {
+    let db = tiered_store(1, 60);
     let query = [Query::select("Power", "Reading", EpochSecs::new(0), EpochSecs::new(3 * 86_400))
         .aggregate(Aggregation::Max)
         .group_by_time(300)];
@@ -210,4 +222,24 @@ fn one_worker_costs_the_sequential_time_plus_one_fanout_on_a_tiered_store() {
         VDuration::from_secs_f64(before::FANOUT_OVERHEAD_SECS * db.config().cost.amplification);
     assert_eq!(con.simulated, seq.simulated + fanout);
     assert_eq!(seq.simulated, db.simulate_elapsed(&cost));
+}
+
+/// Admission prices a read of the cold tier on the cold device, as the read
+/// itself is priced: the estimate of a query over the tiered day alone,
+/// 64 series and a block each, is within a factor of two of what the scan
+/// costs, not the sixth of it that the hot SSD's access time gives.
+#[test]
+fn an_estimate_prices_a_cold_shard_on_the_cold_device() {
+    let db = tiered_store(64, 900);
+    let query = [Query::select("Power", "Reading", EpochSecs::new(0), EpochSecs::new(86_400))
+        .aggregate(Aggregation::Max)
+        .group_by_time(300)];
+    let prepared = db.prepare(&query);
+    let estimate = prepared.estimate();
+    let actual = run_sequential(&db, prepared).total_cost;
+    let ratio =
+        db.simulate_elapsed(&estimate).as_secs_f64() / db.simulate_elapsed(&actual).as_secs_f64();
+    assert!((0.5..=2.0).contains(&ratio), "estimate / actual {ratio}: {estimate:?} {actual:?}");
+    assert_eq!((actual.bytes_cold, actual.blocks_cold), (actual.bytes, actual.blocks));
+    assert_eq!((estimate.bytes_cold, estimate.blocks_cold), (estimate.bytes, estimate.blocks));
 }

@@ -3,7 +3,12 @@
 //! thing that can be wrong, so:
 //!
 //! * whatever a batch holds, `decode(encode(batch))` is that batch — every
-//!   value type, bit for bit;
+//!   value type, bit for bit — and so is a batch of runs, points that follow
+//!   each other, broken every way a run can break; a record's bytes are a
+//!   function of its batch and the definitions before it (`WAL_VALUE_CASES`
+//!   cases, CI runs 200 000 in release);
+//! * a run writes its points' values alone, reads as the points it
+//!   replaces, and no damaged run panics or outgrows its payload;
 //! * every `f64` comes back with its own bits, in no more bytes than the
 //!   eight-byte form, and a short decimal in fewer (`WAL_VALUE_CASES` sets
 //!   the cases: 4 096 by default, CI runs 2 000 000 in release);
@@ -127,15 +132,19 @@ impl SegmentReader {
 }
 
 /// Encode `batches` as consecutive records — of one segment, or of a new
-/// one where `rolls[i]` — decode them back, and compare.
+/// one where `rolls[i]` — decode them back, and compare. Each record is
+/// also what a dictionary that met the segment's earlier batches as one
+/// record writes: nothing but the definitions carries from record to record.
 fn assert_round_trip(batches: &[Vec<DataPoint>], rolls: &[bool]) {
     let mut index = SeriesIndex::new();
     let mut dict = SegmentDict::default();
     let mut reader = SegmentReader::default();
+    let mut segment_start = 0;
     for (i, batch) in batches.iter().enumerate() {
         if rolls.get(i) == Some(&true) {
             dict.clear();
             reader = SegmentReader::default();
+            segment_start = i;
         }
         let (sids, fids) = resolve(&mut index, batch);
         let mut payload = vec![0xAA; 3]; // the encoder appends; what is there stays
@@ -145,6 +154,14 @@ fn assert_round_trip(batches: &[Vec<DataPoint>], rolls: &[bool]) {
         let want: Vec<Canon> = batch.iter().map(canon).collect();
         assert_eq!(back, want, "batch {i}");
         assert_eq!(dict.defined(), (reader.series.len() as u32, reader.names.len() as u32));
+
+        let (mut twin, mut again) = (SegmentDict::default(), Vec::new());
+        let before = batches[segment_start..i].concat();
+        let (hsids, hfids) = resolve(&mut index, &before);
+        wal_record::encode(batch_points(&before, &hsids, &hfids), &mut twin, &mut again).unwrap();
+        again.clear();
+        wal_record::encode(batch_points(batch, &sids, &fids), &mut twin, &mut again).unwrap();
+        assert_eq!(again, payload[3..], "batch {i} against the same definitions");
     }
 }
 
@@ -214,14 +231,65 @@ fn arb_point() -> impl Strategy<Value = DataPoint> {
         })
 }
 
+/// The field lists of [`arb_intervals`]' measurements, by measurement.
+const FIELD_LISTS: [&[&str]; 3] =
+    [&["Reading"], &["Reading", "Health"], &["JobList", "Reading", "Idle"]];
+
+/// Batches shaped like collector intervals: each a list of runs — points of
+/// one measurement, nodes `first, first + 1, …` at the interval's time with
+/// the measurement's field list, any value of any type — so that from a
+/// segment's second record on, a point follows the one before it. One
+/// interval breaks each run at one point, by a node out of order, a
+/// timestamp change, a different field list or a node no record named
+/// before (a definition inside the run); a roll between records breaks
+/// them all.
+fn arb_intervals() -> impl Strategy<Value = Vec<Vec<DataPoint>>> {
+    let run = (0..FIELD_LISTS.len(), 0u32..8, 1u32..12, 0u32..12, 0u8..4);
+    let values = prop::collection::vec(arb_value(), 1..48);
+    (prop::collection::vec(run, 1..4), 1..5usize, values, 0..5usize).prop_map(
+        |(runs, intervals, values, broken)| {
+            let mut values = values.into_iter().cycle();
+            let mut batches = Vec::new();
+            for i in 0..intervals {
+                let mut batch = Vec::new();
+                for &(m, first, len, at, how) in &runs {
+                    for k in 0..len {
+                        let (mut node, mut ts, mut list) = (first + k, 60 * i as i64, m);
+                        match (i == broken && k == at, how) {
+                            (false, _) => {}
+                            (true, 0) => node += 2,
+                            (true, 1) => ts += 1,
+                            (true, 2) => list = (m + 1) % FIELD_LISTS.len(),
+                            (true, _) => node += 100 + i as u32,
+                        }
+                        let p = DataPoint::new(format!("m{m}"), EpochSecs::new(ts))
+                            .tag("NodeId", format!("10.101.1.{node}"));
+                        batch.push(
+                            FIELD_LISTS[list]
+                                .iter()
+                                .fold(p, |p, name| p.field(*name, values.next().expect("cycled"))),
+                        );
+                    }
+                }
+                batches.push(batch);
+            }
+            batches
+        },
+    )
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// (a) `decode(encode(batch)) ≡ batch`, record after record of a segment
-    /// and across rolls.
+    /// and across rolls, for batches of any points and batches of runs; and
+    /// each record is a function of its batch and the definitions before it.
     #[test]
     fn decode_of_encode_is_the_batch(
-        batches in prop::collection::vec(prop::collection::vec(arb_point(), 0..10), 1..5),
+        batches in prop_oneof![
+            prop::collection::vec(prop::collection::vec(arb_point(), 0..10), 1..5),
+            arb_intervals(),
+        ],
         rolls in prop::collection::vec(any::<bool>(), 5..6),
     ) {
         assert_round_trip(&batches, &rolls);
@@ -245,8 +313,26 @@ fn product_shapes_round_trip() {
     let backwards: Vec<DataPoint> =
         (0..12).map(|i| power(500_000 - i * 86_400).field_i64("Health", i)).collect();
     assert_round_trip(&[series_hour.clone(), differing.clone(), backwards.clone()], &[]);
+    // Two intervals of 600 nodes: the second record's runs are cut at 256.
+    let fleet = |ts: i64| -> Vec<DataPoint> {
+        let node = |n| DataPoint::new("Power", EpochSecs::new(ts)).tag("NodeId", format!("{n}"));
+        (0..600).map(|n| node(n).field_f64("Reading", 250.5)).collect()
+    };
+    assert_round_trip(&[fleet(0), fleet(60)], &[]);
     assert_round_trip(&[backwards, differing, series_hour], &[false, true, true]);
     // A record of 120 points of one series names it once.
+    let (mut index, mut dict, mut payload) =
+        (SeriesIndex::new(), SegmentDict::default(), Vec::new());
+    let (sids, fids) = resolve(&mut index, &fleet(0));
+    for ts in [0, 60] {
+        payload.clear();
+        let batch = fleet(ts);
+        wal_record::encode(batch_points(&batch, &sids, &fids), &mut dict, &mut payload).unwrap();
+    }
+    // A point opens — series reference 1, `zz(60)`, one field, name
+    // reference 1, `4, zz(2505)` — then runs of 256, 256 and 87 points, a
+    // `0 0 n-1` each, write `4, zz(2505)` a point.
+    assert_eq!(payload.len(), 1 + 1 + 1 + 1 + 3 + 3 * 3 + 599 * 3);
     let (mut index, mut dict, mut payload) =
         (SeriesIndex::new(), SegmentDict::default(), Vec::new());
     let batch: Vec<DataPoint> =
@@ -476,6 +562,111 @@ fn records_with_eight_byte_floats_still_read() {
     drop((new, old));
     std::fs::remove_dir_all(&new_dir).ok();
     std::fs::remove_dir_all(&old_dir).ok();
+}
+
+// --- runs ------------------------------------------------------------------
+
+/// Three nodes' power at one time: the shape a collector interval logs.
+fn three_nodes(ts: i64) -> Vec<DataPoint> {
+    let node = |n: i64| {
+        DataPoint::new("Power", EpochSecs::new(ts))
+            .tag("NodeId", format!("10.101.1.{n}"))
+            .field_f64("Reading", 250.0 + (ts / 60 + n) as f64)
+            .field_i64("Health", 0)
+    };
+    (1..=3).map(node).collect()
+}
+
+/// `three_nodes(60)` as a segment's second record: the first point is a
+/// series reference, the timestamp delta `zz(60)`, the field count, and a
+/// name reference, type and value a field (`4, zz(252)`, `1, zz(0)`);
+/// `0 0 1` opens a run of the other two (the count less one), which write
+/// their types and values alone.
+const RUN_RECORD: [u8; 23] = [
+    1, 120, 2, 1, 4, 0xF8, 3, 2, 1, 0, //
+    0, 0, 1, 4, 0xFA, 3, 1, 0, 4, 0xFC, 3, 1, 0,
+];
+
+/// The same points in the grammar before runs: each spelled out.
+const SPELLED_OUT: [u8; 30] = [
+    1, 120, 2, 1, 4, 0xF8, 3, 2, 1, 0, //
+    2, 0, 2, 1, 4, 0xFA, 3, 2, 1, 0, //
+    3, 0, 2, 1, 4, 0xFC, 3, 2, 1, 0,
+];
+
+/// A WAL-on database's segment after `three_nodes` at 0 and at 60 s.
+fn two_intervals(tag: &str) -> PathBuf {
+    let dir = fresh_dir(tag);
+    let (db, _) = Db::recover(DbConfig::default(), &dir).unwrap();
+    db.write_batch(&three_nodes(0)).unwrap();
+    db.write_batch(&three_nodes(60)).unwrap();
+    dir
+}
+
+/// A run is the writer's record of points that follow each other, and it
+/// recovers to what the same points spelled out, as a writer before runs
+/// logged them, recover to.
+#[test]
+fn a_run_reads_as_the_points_it_spells_out() {
+    let new_dir = two_intervals("run-new");
+    let written = payloads(&segment_file(&new_dir, 0));
+    assert_eq!(written[1], RUN_RECORD);
+    let old_dir = fresh_dir("run-old");
+    std::fs::create_dir_all(&old_dir).unwrap();
+    let old = [&SEGMENT_MAGIC[..], &frame(&written[0]), &frame(&SPELLED_OUT)].concat();
+    std::fs::write(segment_file(&old_dir, 0), old).unwrap();
+    let (new, report) = Db::recover(DbConfig::default(), &new_dir).unwrap();
+    let (old, old_report) = Db::recover(DbConfig::default(), &old_dir).unwrap();
+    assert_eq!((old_report.replayed_records, old_report.records_failed), (2, 0));
+    assert_eq!(old_report, report);
+    for field in ["Reading", "Health"] {
+        let q = Query::select("Power", field, EpochSecs::new(0), EpochSecs::new(120));
+        assert_eq!(new.query(&q).unwrap().0, old.query(&q).unwrap().0, "{field}");
+    }
+    assert_eq!(point_count(&new, "Power", "Reading"), 6);
+    drop((new, old));
+    std::fs::remove_dir_all(&new_dir).ok();
+    std::fs::remove_dir_all(&old_dir).ok();
+}
+
+/// A run needs a point before it and series the segment has defined; every cut and flip of a run record decodes or is
+/// refused, without a panic and without points or fields past its bytes
+/// or allocation past [`PER_BYTE`] a byte.
+#[test]
+fn damaged_runs_are_refused_or_stay_within_their_bytes() {
+    let decode = |payload: &[u8]| {
+        let mut record = Record::default();
+        let (decoded, asked) = counted(|| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                wal_record::decode(payload, 3, 2, &mut record)
+            }))
+            .expect("decode panicked")
+        });
+        assert!(asked.bytes <= PER_BYTE * payload.len().max(1), "{payload:?}: {asked:?}");
+        let within = record.points.len() <= payload.len() && record.fields.len() <= payload.len();
+        assert!(decoded.is_err() || within, "{payload:?}");
+        decoded.map(|()| record)
+    };
+    let spelled = decode(&SPELLED_OUT).unwrap();
+    let run = decode(&RUN_RECORD).unwrap();
+    assert_eq!(run.points, spelled.points);
+    assert_eq!(format!("{:?}", run.fields), format!("{:?}", spelled.fields));
+    for refused in [
+        &[0, 0, 0, 4, 0xF8, 3, 1, 0][..], // no point before it
+        &[3, 120, 2, 1, 4, 0xF8, 3, 2, 1, 0, 0, 0, 0, 4, 0xFA, 3, 1, 0], // past series 2
+    ] {
+        assert!(decode(refused).is_err(), "{refused:?}");
+    }
+    for cut in 0..RUN_RECORD.len() {
+        let _ = decode(&RUN_RECORD[..cut]);
+    }
+    for i in 0..RUN_RECORD.len() {
+        for bit in 0..8 {
+            let mut bad = RUN_RECORD;
+            bad[i] ^= 1 << bit;
+            let _ = decode(&bad);
+        }
+    }
 }
 
 // --- (b) hostile payloads ------------------------------------------------
